@@ -29,7 +29,7 @@ use crate::trackers::{TimeoutTracker, VoteOutcome, VoteTracker};
 use clanbft_crypto::{Authenticator, Digest};
 use clanbft_dag::{order, Dag, InsertOutcome};
 use clanbft_mempool::{plan_batches, ClientIngress, WorkloadSpec};
-use clanbft_rbc::{parse_retry_token, Effects, EngineConfig, RbcEvent, TribePayload, TribeRbc2};
+use clanbft_rbc::{parse_retry_token, Effects, EngineConfig, RbcEvent, TribeRbc2};
 use clanbft_simnet::protocol::{Ctx, Protocol};
 use clanbft_telemetry::{counters, Event};
 use clanbft_types::certs::{no_vote_digest, timeout_digest, NoVoteCert, TimeoutCert};
@@ -162,6 +162,33 @@ pub struct SailfishNode {
 /// many batches (earliest stamp wins, so measured latency only gets more
 /// pessimistic).
 const MAX_BATCHES_PER_BLOCK: usize = 16;
+
+/// All that vertex intake may do to the enclosing handler: consume
+/// simulated CPU time and stamp telemetry with it. It is not an `Effects`,
+/// so intake cannot emit packets, events or timers that `flush` would have
+/// to route.
+struct Intake {
+    now: Micros,
+    charge: Micros,
+}
+
+impl Intake {
+    fn at(now: Micros) -> Intake {
+        Intake {
+            now,
+            charge: Micros::ZERO,
+        }
+    }
+
+    fn charge(&mut self, c: Micros) {
+        self.charge += c;
+    }
+
+    /// Handler start plus CPU time charged so far (`Effects::stamp`).
+    fn stamp(&self) -> Micros {
+        self.now + self.charge
+    }
+}
 
 impl SailfishNode {
     /// Builds a node from its configuration and signing identity.
@@ -506,11 +533,14 @@ impl SailfishNode {
 
     // --- vertex intake ------------------------------------------------------
 
-    /// Validates and accepts a delivered vertex; idempotent.
+    /// Validates and accepts a delivered vertex; idempotent. `id` is the
+    /// vertex id as the broadcast layer computed it when it accepted the
+    /// vertex (each node hashes a vertex once).
     fn process_vertex(
         &mut self,
         vertex: Arc<Vertex>,
-        fx: &mut Effects<MergedPayload>,
+        id: Digest,
+        fx: &mut Intake,
         now: Micros,
         out: &mut Vec<ConsensusMsg>,
     ) {
@@ -528,7 +558,7 @@ impl SailfishNode {
                 .db_reads(vertex.strong_edges.len() + vertex.weak_edges.len()),
         );
         fx.charge(self.cfg.cost.db_write());
-        let id = vertex.id();
+        debug_assert_eq!(id, vertex.id());
         self.accepted.insert(vref, (Arc::clone(&vertex), id));
         if self.storage.is_some() {
             self.log_wal(&clanbft_storage::WalRecord::Accepted {
@@ -614,7 +644,7 @@ impl SailfishNode {
     }
 
     /// Structural and leader-edge validation (paper Fig. 4 rules).
-    fn validate_vertex(&mut self, vertex: &Vertex, fx: &mut Effects<MergedPayload>) -> bool {
+    fn validate_vertex(&mut self, vertex: &Vertex, fx: &mut Intake) -> bool {
         if vertex.validate_shape(self.cfg.tribe.quorum()).is_err() {
             return false;
         }
@@ -850,69 +880,61 @@ impl SailfishNode {
 
     /// Applies RBC effects: charges, consensus events, and outgoing packets.
     pub(crate) fn flush(&mut self, fx: Effects<MergedPayload>, ctx: &mut Ctx<ConsensusMsg>) {
-        let mut queue = vec![fx];
-        while let Some(fx) = queue.pop() {
-            ctx.charge(fx.charge);
-            let mut extra_msgs = Vec::new();
-            for ev in fx.events {
-                let mut nested = Effects::at(ctx.now());
-                match ev {
-                    RbcEvent::Certified {
-                        source,
-                        round,
-                        digest,
-                    } => {
-                        // Act as soon as the vertex is certified, even if
-                        // the block is still in flight (paper §5).
-                        if let Some(meta) = self.rbc.meta_of(round, source) {
-                            if MergedPayload::meta_digest(&meta) == digest {
-                                self.process_vertex(meta, &mut nested, ctx.now(), &mut extra_msgs);
-                            }
+        ctx.charge(fx.charge);
+        // Vertex intake charges land once this set's packets are queued.
+        let mut intake_charge = Micros::ZERO;
+        let mut votes = Vec::new();
+        for ev in fx.events {
+            let mut intake = Intake::at(ctx.now());
+            match ev {
+                RbcEvent::Certified {
+                    source,
+                    round,
+                    digest,
+                } => {
+                    // Act as soon as the vertex is certified, even if
+                    // the block is still in flight (paper §5).
+                    if let Some((meta, held)) = self.rbc.meta_of(round, source) {
+                        if held == digest {
+                            self.process_vertex(meta, digest, &mut intake, ctx.now(), &mut votes);
                         }
                     }
-                    RbcEvent::DeliverFull {
-                        source,
-                        round,
-                        payload,
-                    } => {
-                        let vref = VertexRef { round, source };
-                        self.blocks.insert(vref, Arc::clone(&payload.block));
-                        self.process_vertex(
-                            Arc::clone(&payload.vertex),
-                            &mut nested,
-                            ctx.now(),
-                            &mut extra_msgs,
-                        );
-                        self.try_execute(ctx.now());
-                    }
-                    RbcEvent::DeliverMeta {
-                        source: _,
-                        round: _,
-                        meta,
-                    } => {
-                        self.process_vertex(meta, &mut nested, ctx.now(), &mut extra_msgs);
-                    }
-                    RbcEvent::EchoQuorum { .. } => {}
                 }
-                if !nested.out.is_empty()
-                    || !nested.events.is_empty()
-                    || !nested.timers.is_empty()
-                    || nested.charge > Micros::ZERO
-                {
-                    queue.push(nested);
+                RbcEvent::DeliverFull {
+                    source,
+                    round,
+                    digest,
+                    payload,
+                } => {
+                    let vref = VertexRef { round, source };
+                    self.blocks.insert(vref, Arc::clone(&payload.block));
+                    self.process_vertex(
+                        Arc::clone(&payload.vertex),
+                        digest,
+                        &mut intake,
+                        ctx.now(),
+                        &mut votes,
+                    );
+                    self.try_execute(ctx.now());
                 }
+                RbcEvent::DeliverMeta { digest, meta, .. } => {
+                    self.process_vertex(meta, digest, &mut intake, ctx.now(), &mut votes);
+                }
+                RbcEvent::EchoQuorum { .. } => {}
             }
-            for (to, pkt) in fx.out {
-                ctx.send(to, ConsensusMsg::Rbc(pkt));
-            }
-            for (delay, token) in fx.timers {
-                ctx.set_timer(delay, token);
-            }
-            for msg in extra_msgs {
-                // Votes go to everyone, ourselves included (loopback).
-                ctx.multicast(self.cfg.tribe.parties(), msg);
-            }
+            intake_charge += intake.charge;
         }
+        for (to, pkt) in fx.out {
+            to.queue(self.cfg.tribe, ConsensusMsg::Rbc(pkt), ctx);
+        }
+        for (delay, token) in fx.timers {
+            ctx.set_timer(delay, token);
+        }
+        for msg in votes {
+            // Votes go to everyone, ourselves included (loopback).
+            ctx.multicast(self.cfg.tribe.parties(), msg);
+        }
+        ctx.charge(intake_charge);
         self.absorb_rbc_evidence();
         self.try_advance(ctx);
     }
@@ -1197,7 +1219,7 @@ mod tests {
         // n = 4, leader(0) = P0. A round-1 vertex whose strong edges skip
         // the round-0 leader must carry a TC; without one it is rejected.
         let (mut node, auths) = test_node(4, 0);
-        let mut fx = Effects::new();
+        let mut fx = Intake::at(Micros::ZERO);
         // Leader edge present: accepted.
         let ok = bare_vertex(1, 1, full_edges(0, 4));
         assert!(node.validate_vertex(&ok, &mut fx));
@@ -1245,7 +1267,7 @@ mod tests {
         // n = 4: leader(1) = P1. P1's round-1 vertex without an edge to the
         // round-0 leader vertex needs an NVC (a TC does not suffice).
         let (mut node, auths) = test_node(4, 0);
-        let mut fx = Effects::new();
+        let mut fx = Intake::at(Micros::ZERO);
         let edges = vec![
             VertexRef {
                 round: Round(0),
@@ -1280,7 +1302,7 @@ mod tests {
     #[test]
     fn malformed_shape_rejected() {
         let (mut node, _) = test_node(4, 0);
-        let mut fx = Effects::new();
+        let mut fx = Intake::at(Micros::ZERO);
         // Too few strong edges for quorum 3.
         let thin = bare_vertex(1, 2, full_edges(0, 2));
         assert!(!node.validate_vertex(&thin, &mut fx));

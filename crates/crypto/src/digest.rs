@@ -109,6 +109,12 @@ impl Hasher {
     pub fn finalize(self) -> Digest {
         Digest(self.inner.finalize())
     }
+
+    /// The raw hash state after everything absorbed so far, for callers
+    /// that cache a shared prefix ([`crate::prng::ClanRng`]).
+    pub(crate) fn into_sha256(self) -> Sha256 {
+        self.inner
+    }
 }
 
 #[cfg(test)]

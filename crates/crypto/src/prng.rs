@@ -24,14 +24,25 @@
 //! ```
 
 use crate::digest::Hasher;
+use crate::sha256::Sha256;
 
 /// Bytes of keystream produced per SHA-256 invocation.
 const BLOCK_BYTES: usize = 32;
+
+/// Domain tag of a keystream block.
+const BLOCK_DOMAIN: &str = "clanbft/prng-block";
+
+/// Counters below this leave the block preimage's first 64 bytes constant
+/// (see [`ClanRng::refill`]).
+const MIDSTATE_COUNTERS: u64 = 1 << 48;
 
 /// A seedable deterministic PRNG (SHA-256 in counter mode).
 #[derive(Clone, Debug)]
 pub struct ClanRng {
     key: [u8; 32],
+    /// Hash state after the first 64 bytes of a block preimage whose
+    /// counter is below [`MIDSTATE_COUNTERS`].
+    midstate: Sha256,
     counter: u64,
     buf: [u8; BLOCK_BYTES],
     /// Bytes of `buf` already handed out; `BLOCK_BYTES` forces a refill.
@@ -41,8 +52,11 @@ pub struct ClanRng {
 impl ClanRng {
     /// A generator keyed directly by 32 seed bytes.
     pub fn from_seed(seed: [u8; 32]) -> ClanRng {
+        let mut midstate = Hasher::new(BLOCK_DOMAIN).chain(&seed).into_sha256();
+        midstate.update(&[0, 0]);
         ClanRng {
             key: seed,
+            midstate,
             counter: 0,
             buf: [0u8; BLOCK_BYTES],
             used: BLOCK_BYTES,
@@ -67,12 +81,26 @@ impl ClanRng {
         ClanRng::from_seed(os_entropy_seed())
     }
 
+    /// Next keystream block, `H(domain ‖ key ‖ counter)` in [`Hasher`]
+    /// framing. The preimage is 70 bytes — tag and key fill bytes 0..62,
+    /// the big-endian counter bytes 62..70 — so while the counter's top two
+    /// bytes are zero the first SHA-256 block never changes: its state is
+    /// computed once per generator, and a refill absorbs the six low
+    /// counter bytes and pads, one compression instead of two. From
+    /// 2^48 on the generic construction takes over; the stream is the same
+    /// function of `(key, counter)` on both sides of the switch.
     fn refill(&mut self) {
-        let block = Hasher::new("clanbft/prng-block")
-            .chain(&self.key)
-            .chain_u64(self.counter)
-            .finalize();
-        self.buf = block.0;
+        self.buf = if self.counter < MIDSTATE_COUNTERS {
+            let mut h = self.midstate.clone();
+            h.update(&self.counter.to_be_bytes()[2..]);
+            h.finalize()
+        } else {
+            Hasher::new(BLOCK_DOMAIN)
+                .chain(&self.key)
+                .chain_u64(self.counter)
+                .finalize()
+                .0
+        };
         self.counter += 1;
         self.used = 0;
     }
@@ -255,6 +283,53 @@ mod tests {
         0x71b975743249ce87,
         0xccdb694e302049fd,
     ];
+
+    /// Twelve words = three refills: the cached-midstate path reproduces
+    /// the stream the two-compression construction produced at the parent
+    /// commit (values captured there).
+    #[test]
+    fn keystream_is_pinned_across_refills() {
+        let mut rng = ClanRng::seed_from_u64(0);
+        let words: Vec<u64> = (0..12).map(|_| rng.next_u64()).collect();
+        assert_eq!(words[..4], KEYSTREAM_SEED0);
+        assert_eq!(words[4..], KEYSTREAM_SEED0_BLOCKS_1_2);
+    }
+
+    const KEYSTREAM_SEED0_BLOCKS_1_2: [u64; 8] = [
+        0x857642cd827d9b74,
+        0x7c519e0ef50ee46a,
+        0x5bee5d06bdd75557,
+        0xe5b2bbe0ffeae73d,
+        0xb31915e699fc9102,
+        0x780b4bbccc11e4c4,
+        0x38db8b30fe08ecbd,
+        0x5bee43e68240b0e3,
+    ];
+
+    /// Block `i` straight from the definition, bypassing the midstate.
+    fn reference_block(key: &[u8; 32], counter: u64) -> [u8; 32] {
+        Hasher::new(BLOCK_DOMAIN)
+            .chain(key)
+            .chain_u64(counter)
+            .finalize()
+            .0
+    }
+
+    #[test]
+    fn midstate_matches_definition_up_to_and_beyond_2_pow_48() {
+        let mut rng = ClanRng::seed_from_u64(77);
+        let key = rng.key;
+        for start in [0, 1, 0xFFFF_FFFF, MIDSTATE_COUNTERS - 2, u64::MAX - 4] {
+            // Force the counter, then draw across the boundary.
+            rng.counter = start;
+            rng.used = BLOCK_BYTES;
+            for counter in start..start + 4 {
+                let mut block = [0u8; BLOCK_BYTES];
+                rng.fill_bytes(&mut block);
+                assert_eq!(block, reference_block(&key, counter), "counter {counter}");
+            }
+        }
+    }
 
     #[test]
     fn fill_bytes_matches_word_stream() {

@@ -1,9 +1,16 @@
 //! SHA-256 as specified by FIPS 180-4.
 //!
-//! A straightforward, dependency-free implementation. It processes input
-//! incrementally through [`Sha256::update`] and produces the 32-byte digest
-//! with [`Sha256::finalize`]. Validated against the NIST short-message
-//! vectors and the classic `"abc"` / million-`a` vectors in the tests below.
+//! A dependency-free implementation with two compression backends behind
+//! one padding/buffering front end: a portable scalar kernel, and on
+//! x86-64 hosts whose CPU reports the SHA extensions a kernel built on the
+//! `sha256rnds2` / `sha256msg1` / `sha256msg2` instructions (`std::arch`).
+//! The kernel is picked inside [`compress`] from what the CPU reports —
+//! never from a setting — and both produce identical digests: the test
+//! suite below and `tests/crypto_props.rs` run every vector against both.
+//!
+//! Input is processed incrementally through [`Sha256::update`] and the
+//! 32-byte digest produced by [`Sha256::finalize`]. Validated against the
+//! NIST short-message vectors and the classic `"abc"` / million-`a` vectors.
 
 /// Initial hash values: the first 32 bits of the fractional parts of the
 /// square roots of the first 8 primes.
@@ -13,7 +20,7 @@ const H0: [u32; 8] = [
 
 /// Round constants: the first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
-const K: [u32; 64] = [
+static K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -25,7 +32,7 @@ const K: [u32; 64] = [
 ];
 
 /// Incremental SHA-256 hasher state.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Sha256 {
     state: [u32; 8],
     /// Bytes processed so far (for the length suffix).
@@ -54,6 +61,17 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress);
+    }
+
+    /// Finishes the computation and returns the 32-byte digest.
+    pub fn finalize(self) -> [u8; 32] {
+        self.finalize_with(compress)
+    }
+
+    /// `update` over an explicit compression kernel (the tests run the
+    /// front end over [`compress_scalar`] as well).
+    fn update_with(&mut self, data: &[u8], kernel: impl Fn(&mut [u32; 8], &[u8])) {
         self.len = self.len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buf_len > 0 {
@@ -61,41 +79,63 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
             self.buf_len += take;
             input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            kernel(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        // Whole blocks go to the kernel in one call, straight from `data`.
+        let whole = input.len() & !63;
+        if whole > 0 {
+            kernel(&mut self.state, &input[..whole]);
+            input = &input[whole..];
         }
-        if !input.is_empty() {
-            self.buf[..input.len()].copy_from_slice(input);
-            self.buf_len = input.len();
-        }
+        self.buf[..input.len()].copy_from_slice(input);
+        self.buf_len = input.len();
     }
 
-    /// Finishes the computation and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    fn finalize_with(mut self, kernel: impl Fn(&mut [u32; 8], &[u8])) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length —
+        // one extra block only when the length field does not fit.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            kernel(&mut self.state, &block);
+            block = [0u8; 64];
         }
-        self.update(&bit_len.to_be_bytes());
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        kernel(&mut self.state, &block);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Runs the compression function over `blocks` (a whole number of 64-byte
+/// blocks) on the fastest kernel this CPU has.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: the CPU just reported sha, ssse3 and sse4.1 (sse2 is part
+        // of the x86-64 baseline), which is the kernel's only precondition.
+        unsafe { shani::compress(state, blocks) };
+        return;
+    }
+    compress_scalar(state, blocks)
+}
+
+/// The portable kernel: FIPS 180-4 §6.2.2, one block at a time.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -108,7 +148,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -129,14 +169,73 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The SHA-NI kernel (Intel SHA extensions), after Intel's reference
+/// sequence: the state lives in two registers as `ABEF` / `CDGH`, each
+/// `sha256rnds2` performs two rounds, and the message schedule is extended
+/// four words at a time with `sha256msg1` / `sha256msg2`.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Compresses every 64-byte block of `blocks` into `state`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `sha`, `sse2`, `ssse3` and `sse4.1`
+    /// features. Trailing bytes beyond a whole number of blocks are ignored.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        // Big-endian word loads: reverse the bytes of each 32-bit lane.
+        let bswap = _mm_set_epi64x(0x0c0d0e0f_08090a0b, 0x04050607_00010203);
+        // Pointer reads below: `state` is 8 u32 = two unaligned 16-byte
+        // loads; `block` is exactly 64 bytes = four; `K` is 64 u32 and
+        // `4 * g + 3 < 64`.
+        let abcd = _mm_loadu_si128(state.as_ptr().cast());
+        let efgh = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(abcd, 0xB1);
+        let hgfe = _mm_shuffle_epi32(efgh, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, hgfe, 8);
+        let mut cdgh = _mm_blend_epi16(hgfe, cdab, 0xF0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w = [_mm_setzero_si128(); 4];
+            for (i, lane) in w.iter_mut().enumerate() {
+                *lane = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * i).cast()), bswap);
+            }
+            // Sixteen groups of four rounds. `w[g % 4]` holds W[4g..4g+4]:
+            // loaded for the first four groups, derived for the rest from
+            // the previous four groups (FIPS 180-4 §6.2.2 step 1).
+            for g in 0..16 {
+                if g >= 4 {
+                    let (w4, w3, w2, w1) =
+                        (w[g & 3], w[(g + 1) & 3], w[(g + 2) & 3], w[(g + 3) & 3]);
+                    let partial =
+                        _mm_add_epi32(_mm_sha256msg1_epu32(w4, w3), _mm_alignr_epi8(w1, w2, 4));
+                    w[g & 3] = _mm_sha256msg2_epu32(partial, w1);
+                }
+                let wk = _mm_add_epi32(w[g & 3], _mm_loadu_si128(K.as_ptr().add(4 * g).cast()));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
     }
 }
 
@@ -147,6 +246,15 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
+/// `sha256(data)` on the portable kernel whatever the CPU offers: the
+/// reference that cross-kernel tests outside this module compare against.
+#[doc(hidden)]
+pub fn sha256_scalar(data: &[u8]) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update_with(data, compress_scalar);
+    h.finalize_with(compress_scalar)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,77 +263,90 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    #[test]
-    fn empty_vector() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    type Kernel = fn(&mut [u32; 8], &[u8]);
+
+    /// Both kernels: the portable one and whatever this CPU selects (the
+    /// same kernel twice on a host without SHA-NI, which is harmless).
+    const KERNELS: [(&str, Kernel); 2] = [("scalar", compress_scalar), ("detected", compress)];
+
+    /// Digest of `parts` absorbed one `update` each, over `kernel`.
+    fn digest_on(kernel: Kernel, parts: &[&[u8]]) -> String {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.update_with(part, kernel);
+        }
+        hex(&h.finalize_with(kernel))
     }
 
     #[test]
-    fn abc_vector() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-    }
-
-    #[test]
-    fn two_block_vector() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn long_two_block_vector() {
-        let msg = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
-hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-        assert_eq!(
-            hex(&sha256(msg)),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-        );
+    fn published_vectors_on_every_kernel() {
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+        ];
+        for (name, kernel) in KERNELS {
+            for (msg, want) in vectors {
+                assert_eq!(digest_on(kernel, &[msg]), want, "{name}");
+            }
+        }
+        assert_eq!(hex(&sha256(b"abc")), vectors[1].1);
+        assert_eq!(hex(&sha256_scalar(b"abc")), vectors[1].1);
     }
 
     #[test]
     fn million_a_vector() {
-        let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        let parts = vec![&chunk[..]; 1000];
+        for (name, kernel) in KERNELS {
+            assert_eq!(
+                digest_on(kernel, &parts),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
     fn incremental_matches_oneshot() {
         let data: Vec<u8> = (0u32..1000).map(|i| (i % 251) as u8).collect();
-        for split in [0, 1, 17, 63, 64, 65, 500, 999, 1000] {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), sha256(&data), "split {split}");
+        let want = digest_on(compress_scalar, &[&data]);
+        assert_eq!(hex(&sha256(&data)), want);
+        for (name, kernel) in KERNELS {
+            for split in [0, 1, 17, 63, 64, 65, 127, 128, 129, 500, 999, 1000] {
+                assert_eq!(
+                    digest_on(kernel, &[&data[..split], &data[split..]]),
+                    want,
+                    "{name} split {split}"
+                );
+            }
         }
     }
 
     #[test]
     fn exact_block_boundary() {
         // 55, 56 and 64 byte messages exercise every padding branch.
-        for n in [55usize, 56, 57, 63, 64, 65, 119, 120, 128] {
-            let data = vec![0xa5u8; n];
-            let d1 = sha256(&data);
-            let mut h = Sha256::new();
-            for b in &data {
-                h.update(std::slice::from_ref(b));
+        for (name, kernel) in KERNELS {
+            for n in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 128] {
+                let data = vec![0xa5u8; n];
+                let want = digest_on(compress_scalar, &[&data]);
+                let bytes: Vec<&[u8]> = data.chunks(1).collect();
+                assert_eq!(digest_on(kernel, &bytes), want, "{name} len {n}");
             }
-            assert_eq!(h.finalize(), d1, "len {n}");
         }
     }
 }

@@ -10,6 +10,7 @@
 use clanbft_crypto::field::Fe;
 use clanbft_crypto::scalar::Scalar;
 use clanbft_crypto::schnorr;
+use clanbft_crypto::sha256::{sha256_scalar, Sha256};
 use clanbft_crypto::u256::{mod_add, mod_mul, mod_sub, U256};
 use clanbft_testkit::{check, check_shrink, tk_assert, tk_assert_eq, Gen};
 
@@ -144,6 +145,33 @@ fn scalar_ring_laws() {
             if !a.is_zero() {
                 tk_assert_eq!(a.mul(&a.invert()), Scalar::ONE);
             }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn sha256_backends_agree_at_any_length_and_split() {
+    // The portable kernel is the reference; `Sha256` runs whatever this CPU
+    // selects (SHA-NI where present). Lengths straddle several blocks
+    // and both padding branches; the split points exercise the buffered and
+    // the straight-from-input paths of `update`.
+    check(
+        "sha256_backends_agree_at_any_length_and_split",
+        CASES * 4,
+        |g| {
+            let data = g.bytes(0, 700);
+            let a = g.usize_in(0, data.len() + 1);
+            let b = g.usize_in(a, data.len() + 1);
+            (data, a, b)
+        },
+        |(data, a, b)| {
+            let want = sha256_scalar(data);
+            let mut split = Sha256::new();
+            split.update(&data[..*a]);
+            split.update(&data[*a..*b]);
+            split.update(&data[*b..]);
+            tk_assert_eq!(split.finalize(), want);
             Ok(())
         },
     );

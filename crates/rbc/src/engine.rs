@@ -7,10 +7,10 @@ use crate::payload::TribePayload;
 use crate::topology::ClanTopology;
 use clanbft_crypto::{AggregateSignature, Bitmap, Digest, Hasher, Signature};
 use clanbft_simnet::cost::CostModel;
-use clanbft_simnet::protocol::Message;
+use clanbft_simnet::protocol::{Ctx, Message};
 use clanbft_telemetry::{counters, Event, RbcPhase, Telemetry};
-use clanbft_types::{Evidence, Micros, PartyId, Round};
-use std::collections::HashMap;
+use clanbft_types::{Evidence, Micros, PartyId, Round, TribeParams};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Retry attempts per pull before the engine gives up and leaves liveness
@@ -163,6 +163,9 @@ pub enum RbcEvent<P: TribePayload> {
         source: PartyId,
         /// Instance round.
         round: Round,
+        /// The certified digest of `payload` (its [`TribePayload::rbc_digest`],
+        /// computed once on acceptance).
+        digest: Digest,
         /// The payload.
         payload: P,
     },
@@ -172,15 +175,47 @@ pub enum RbcEvent<P: TribePayload> {
         source: PartyId,
         /// Instance round.
         round: Round,
+        /// The certified digest of `meta` (its [`TribePayload::meta_digest`],
+        /// computed once on acceptance).
+        digest: Digest,
         /// The meta view.
         meta: P::Meta,
     },
 }
 
+/// Who receives one outgoing packet. The engines only ever address one
+/// party or the whole tribe, so a multicast is one entry whatever `n` is;
+/// the node layer expands it (in party order, which fixes the order of the
+/// simulator's per-recipient jitter draws).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Dest {
+    /// A single party (loopback allowed).
+    One(PartyId),
+    /// Every party of the tribe, this one included (via loopback).
+    All,
+    /// Every party of the tribe except this one.
+    Others,
+}
+
+impl Dest {
+    /// Queues `msg` on `ctx` for the parties this destination names, in
+    /// party order (`ctx.party()` is "this one").
+    pub fn queue<M: Message>(self, tribe: TribeParams, msg: M, ctx: &mut Ctx<M>) {
+        match self {
+            Dest::One(to) => ctx.send(to, msg),
+            Dest::All => ctx.multicast(tribe.parties(), msg),
+            Dest::Others => {
+                let me = ctx.party();
+                ctx.multicast(tribe.parties().filter(|p| *p != me), msg)
+            }
+        }
+    }
+}
+
 /// Collected side effects of one engine invocation.
 pub struct Effects<P: TribePayload> {
-    /// Messages to transmit.
-    pub out: Vec<(PartyId, RbcPacket<P>)>,
+    /// Packets to transmit, in emission order.
+    pub out: Vec<(Dest, RbcPacket<P>)>,
     /// Events for the layer above.
     pub events: Vec<RbcEvent<P>>,
     /// Simulated CPU time consumed.
@@ -228,6 +263,10 @@ impl<P: TribePayload> Effects<P> {
     }
 
     pub(crate) fn send(&mut self, to: PartyId, source: PartyId, round: Round, msg: RbcMsg<P>) {
+        self.multicast(Dest::One(to), source, round, msg);
+    }
+
+    pub(crate) fn multicast(&mut self, to: Dest, source: PartyId, round: Round, msg: RbcMsg<P>) {
         self.out.push((to, RbcPacket { source, round, msg }));
     }
 
@@ -249,24 +288,19 @@ pub fn echo_statement(source: PartyId, round: Round, digest: &Digest) -> Digest 
 
 /// Per-digest echo bookkeeping.
 pub(crate) struct EchoSet {
+    pub digest: Digest,
     pub all: Bitmap,
     pub clan_count: usize,
-    /// Signed contributions, for certificate assembly (2-round variant).
+    /// Signed contributions awaiting certificate assembly (2-round
+    /// variant). Taken by the certificate and not collected afterwards:
+    /// once the instance has sent or accepted a certificate the shares
+    /// have no reader (bitmap and counts keep tracking late echoes).
     pub sigs: Vec<(usize, Signature)>,
-}
-
-impl EchoSet {
-    fn new(n: usize) -> EchoSet {
-        EchoSet {
-            all: Bitmap::new(n),
-            clan_count: 0,
-            sigs: Vec::new(),
-        }
-    }
 }
 
 /// Per-digest ready bookkeeping (3-round variant).
 pub(crate) struct ReadySet {
+    pub digest: Digest,
     pub all: Bitmap,
 }
 
@@ -282,10 +316,11 @@ pub(crate) struct Instance<P: TribePayload> {
     pub meta_digest: Option<Digest>,
     /// Digest this party echoed (first valid VAL/meta accepted).
     pub echoed: Option<Digest>,
-    /// Echoes seen, per digest.
-    pub echoes: HashMap<Digest, EchoSet>,
-    /// Readies seen, per digest (3-round variant).
-    pub readies: HashMap<Digest, ReadySet>,
+    /// Echoes seen, per digest in first-seen order (one entry unless the
+    /// source equivocates; at most [`MAX_DIGESTS_PER_INSTANCE`]).
+    pub echoes: Vec<EchoSet>,
+    /// Readies seen, per digest (3-round variant; same cap).
+    pub readies: Vec<ReadySet>,
     /// Digest of my READY, if sent (3-round variant).
     pub ready_sent: Option<Digest>,
     /// Certified digest, once known.
@@ -330,8 +365,8 @@ impl<P: TribePayload> Instance<P> {
             meta: None,
             meta_digest: None,
             echoed: None,
-            echoes: HashMap::new(),
-            readies: HashMap::new(),
+            echoes: Vec::new(),
+            readies: Vec::new(),
             ready_sent: None,
             certified: None,
             echo_quorum_emitted: false,
@@ -351,14 +386,88 @@ impl<P: TribePayload> Instance<P> {
         }
     }
 
-    pub(crate) fn echo_set(&mut self, n: usize, digest: Digest) -> &mut EchoSet {
-        self.echoes.entry(digest).or_insert_with(|| EchoSet::new(n))
+    /// The echo bookkeeping for `digest`, if any echo for it was counted.
+    pub(crate) fn echo_set(&self, digest: &Digest) -> Option<&EchoSet> {
+        self.echoes.iter().find(|s| s.digest == *digest)
     }
 
+    /// The ready bookkeeping for `digest`, created on first use. Callers
+    /// enforce the [`MAX_DIGESTS_PER_INSTANCE`] cap before a new digest.
     pub(crate) fn ready_set(&mut self, n: usize, digest: Digest) -> &mut ReadySet {
-        self.readies.entry(digest).or_insert_with(|| ReadySet {
-            all: Bitmap::new(n),
-        })
+        let at = match self.readies.iter().position(|s| s.digest == digest) {
+            Some(at) => at,
+            None => {
+                self.readies.push(ReadySet {
+                    digest,
+                    all: Bitmap::new(n),
+                });
+                self.readies.len() - 1
+            }
+        };
+        &mut self.readies[at]
+    }
+}
+
+/// Instance storage addressed by index: a window of rounds starting at the
+/// prune horizon, each round a table of per-source slots. A lookup is two
+/// bounds checks; nothing is hashed. Rounds are materialised on first
+/// touch, so what a far-future flood can allocate stays bounded by the
+/// admission window exactly as before ([`Core::admit`] gates every
+/// creating access).
+struct Slots<P: TribePayload> {
+    /// Round of `rows[0]`; never below the prune horizon.
+    base: Round,
+    /// One row per round from `base` on; an untouched round is an empty
+    /// `Vec`, a touched one has `n` slots.
+    rows: VecDeque<Vec<Option<Box<Instance<P>>>>>,
+}
+
+impl<P: TribePayload> Slots<P> {
+    fn get(&self, round: Round, source: PartyId) -> Option<&Instance<P>> {
+        let row = self.rows.get(round.0.checked_sub(self.base.0)? as usize)?;
+        row.get(source.idx())?.as_deref()
+    }
+
+    fn get_mut(&mut self, round: Round, source: PartyId) -> Option<&mut Instance<P>> {
+        let row = self
+            .rows
+            .get_mut(round.0.checked_sub(self.base.0)? as usize)?;
+        row.get_mut(source.idx())?.as_deref_mut()
+    }
+
+    /// The instance for `(round, source)`, created if absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `round` is below the window or `source` is not a party of
+    /// the tribe — both excluded by [`Core::admit`].
+    fn get_or_create(&mut self, round: Round, source: PartyId, n: usize) -> &mut Instance<P> {
+        let at = round
+            .0
+            .checked_sub(self.base.0)
+            .expect("round below the pruned window") as usize;
+        if at >= self.rows.len() {
+            self.rows.resize_with(at + 1, Vec::new);
+        }
+        let row = &mut self.rows[at];
+        if row.is_empty() {
+            row.resize_with(n, || None);
+        }
+        row[source.idx()].get_or_insert_with(|| Box::new(Instance::new(n)))
+    }
+
+    fn prune_below(&mut self, round: Round) {
+        while self.base < round && self.rows.pop_front().is_some() {
+            self.base = self.base.next();
+        }
+        self.base = self.base.max(round);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Instance<P>> {
+        self.rows
+            .iter()
+            .flatten()
+            .filter_map(|slot| slot.as_deref())
     }
 }
 
@@ -460,7 +569,7 @@ pub struct BufferStats {
 /// delivery.
 pub(crate) struct Core<P: TribePayload> {
     pub cfg: EngineConfig,
-    pub instances: HashMap<(Round, PartyId), Instance<P>>,
+    slots: Slots<P>,
     /// Rounds strictly below this were pruned and stay dead: replayed old
     /// packets must not recreate instances (bounded memory under replay).
     pub horizon: Round,
@@ -476,7 +585,10 @@ impl<P: TribePayload> Core<P> {
     pub(crate) fn new(cfg: EngineConfig) -> Core<P> {
         Core {
             cfg,
-            instances: HashMap::new(),
+            slots: Slots {
+                base: Round(0),
+                rows: VecDeque::new(),
+            },
             horizon: Round(0),
             round_hint: Round(0),
             evidence: Vec::new(),
@@ -484,10 +596,13 @@ impl<P: TribePayload> Core<P> {
     }
 
     /// Admission gate for every incoming packet: rejects rounds below the
-    /// prune horizon (stale/replayed) and rounds beyond the bounded
-    /// buffering window (far-future flooding). Counted, never silent.
-    pub(crate) fn admit(&mut self, round: Round) -> bool {
-        if round < self.horizon || round.0 > self.round_hint.0.saturating_add(self.cfg.round_window)
+    /// prune horizon (stale/replayed), rounds beyond the bounded buffering
+    /// window (far-future flooding) and sources outside the tribe (no slot
+    /// exists for them). Counted, never silent.
+    pub(crate) fn admit(&mut self, round: Round, source: PartyId) -> bool {
+        if round < self.horizon
+            || round.0 > self.round_hint.0.saturating_add(self.cfg.round_window)
+            || source.idx() >= self.cfg.n()
         {
             self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1);
             return false;
@@ -509,16 +624,18 @@ impl<P: TribePayload> Core<P> {
 
     /// Live occupancy of the bounded buffers (see [`BufferStats`]).
     pub(crate) fn buffer_stats(&self) -> BufferStats {
+        let mut instances = 0u64;
         let mut echo_digests = 0u64;
         let mut pending_pulls = 0u64;
-        for inst in self.instances.values() {
+        for inst in self.slots.iter() {
+            instances += 1;
             echo_digests += inst.echoes.len() as u64;
             if inst.retry_armed && !inst.delivered {
                 pending_pulls += 1;
             }
         }
         BufferStats {
-            instances: self.instances.len() as u64,
+            instances,
             echo_digests,
             pending_pulls,
             evidence_backlog: self.evidence.len() as u64,
@@ -544,21 +661,26 @@ impl<P: TribePayload> Core<P> {
         }
     }
 
+    /// The instance for an admitted `(round, source)`, created if absent.
     pub(crate) fn instance(&mut self, round: Round, source: PartyId) -> &mut Instance<P> {
         let n = self.cfg.n();
-        self.instances
-            .entry((round, source))
-            .or_insert_with(|| Instance::new(n))
+        self.slots.get_or_create(round, source, n)
     }
 
-    /// The meta view held for `(round, source)`, if any.
-    pub(crate) fn meta_of(&mut self, round: Round, source: PartyId) -> Option<P::Meta> {
-        self.instance(round, source).meta.clone()
+    /// The instance for `(round, source)` if one exists (never creates).
+    pub(crate) fn existing(&self, round: Round, source: PartyId) -> Option<&Instance<P>> {
+        self.slots.get(round, source)
+    }
+
+    /// The meta view held for `(round, source)` with its cached digest.
+    pub(crate) fn meta_of(&self, round: Round, source: PartyId) -> Option<(P::Meta, Digest)> {
+        let inst = self.existing(round, source)?;
+        Some((inst.meta.clone()?, inst.meta_digest?))
     }
 
     /// The full payload held for `(round, source)`, if any.
-    pub(crate) fn payload_of(&mut self, round: Round, source: PartyId) -> Option<P> {
-        self.instance(round, source).payload.clone()
+    pub(crate) fn payload_of(&self, round: Round, source: PartyId) -> Option<P> {
+        self.existing(round, source)?.payload.clone()
     }
 
     /// Drops state for instances strictly below `round` (garbage
@@ -568,7 +690,7 @@ impl<P: TribePayload> Core<P> {
         if round > self.horizon {
             self.horizon = round;
         }
-        self.instances.retain(|(r, _), _| *r >= round);
+        self.slots.prune_below(round);
     }
 
     /// Accepts a full payload (from VAL or PullResp); returns the digest to
@@ -717,53 +839,70 @@ impl<P: TribePayload> Core<P> {
         fx: &mut Effects<P>,
     ) -> Option<(usize, usize)> {
         let n = self.cfg.n();
-        let tel = self.cfg.telemetry.clone();
         let in_clan = self
             .cfg
             .topology_at(round)
             .clan_for_sender(source)
             .contains(from);
         let inst = self.instance(round, source);
-        if !inst.echoes.contains_key(&digest) && !inst.echoes.is_empty() {
-            // A second distinct digest behind one instance: the source is
-            // behind two payloads (or an echoer is lying about it — see
-            // Evidence docs on attribution strength per variant).
-            if inst.echoes.len() >= MAX_DIGESTS_PER_INSTANCE {
-                tel.add(counters::REJECTED_BUFFER_FULL, 1);
-                return None;
+        let at = match inst.echoes.iter().position(|s| s.digest == digest) {
+            Some(at) => at,
+            None => {
+                if !inst.echoes.is_empty() {
+                    // A second distinct digest behind one instance: the
+                    // source is behind two payloads (or an echoer is lying
+                    // about it — see Evidence docs on attribution strength
+                    // per variant).
+                    if inst.echoes.len() >= MAX_DIGESTS_PER_INSTANCE {
+                        self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1);
+                        return None;
+                    }
+                    if !inst.equivocation_logged {
+                        inst.equivocation_logged = true;
+                        // Deterministic "first" digest: what this party
+                        // accepted or echoed, falling back to the smallest
+                        // tracked digest.
+                        let first = inst
+                            .echoed
+                            .or(inst.payload_digest)
+                            .or(inst.meta_digest)
+                            .or_else(|| inst.echoes.iter().map(|s| s.digest).min())
+                            .unwrap_or(Digest::ZERO);
+                        self.record_evidence(
+                            Evidence::EquivocatingSource {
+                                round,
+                                source,
+                                first,
+                                second: digest,
+                            },
+                            fx,
+                        );
+                    }
+                }
+                let inst = self.instance(round, source);
+                inst.echoes.push(EchoSet {
+                    digest,
+                    all: Bitmap::new(n),
+                    clan_count: 0,
+                    sigs: Vec::new(),
+                });
+                inst.echoes.len() - 1
             }
-            if !inst.equivocation_logged {
-                inst.equivocation_logged = true;
-                // Deterministic "first" digest: what this party accepted
-                // or echoed, falling back to the smallest tracked key.
-                let first = inst
-                    .echoed
-                    .or(inst.payload_digest)
-                    .or(inst.meta_digest)
-                    .or_else(|| inst.echoes.keys().min().copied())
-                    .unwrap_or(Digest::ZERO);
-                self.record_evidence(
-                    Evidence::EquivocatingSource {
-                        round,
-                        source,
-                        first,
-                        second: digest,
-                    },
-                    fx,
-                );
-            }
-        }
+        };
         let inst = self.instance(round, source);
-        let set = inst.echo_set(n, digest);
+        let keep_share = !inst.cert_sent && inst.certified.is_none();
+        let set = &mut inst.echoes[at];
         if !set.all.set(from.idx()) {
-            tel.add(counters::REJECTED_DUPLICATE, 1);
+            self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1);
             return None;
         }
         if in_clan {
             set.clan_count += 1;
         }
         if let Some(s) = sig {
-            set.sigs.push((from.idx(), s));
+            if keep_share {
+                set.sigs.push((from.idx(), s));
+            }
         }
         Some((set.all.count(), set.clan_count))
     }
@@ -861,6 +1000,7 @@ impl<P: TribePayload> Core<P> {
                         fx.events.push(RbcEvent::DeliverFull {
                             source,
                             round,
+                            digest,
                             payload,
                         });
                         tel.event(
@@ -892,6 +1032,7 @@ impl<P: TribePayload> Core<P> {
                         fx.events.push(RbcEvent::DeliverMeta {
                             source,
                             round,
+                            digest,
                             meta,
                         });
                         tel.event(
@@ -999,8 +1140,7 @@ impl<P: TribePayload> Core<P> {
         let inst = self.instance(round, source);
         let want = if level >= 2 { clan.clan_quorum } else { 1 };
         let targets: Vec<PartyId> = inst
-            .echoes
-            .get(&digest)
+            .echo_set(&digest)
             .map(|set| {
                 set.all
                     .iter()
@@ -1064,8 +1204,7 @@ impl<P: TribePayload> Core<P> {
         let pull_retry = self.cfg.pull_retry;
         let inst = self.instance(round, source);
         let mut targets: Vec<PartyId> = inst
-            .echoes
-            .get(&digest)
+            .echo_set(&digest)
             .map(|set| {
                 set.all
                     .iter()
@@ -1163,7 +1302,7 @@ impl<P: TribePayload> Core<P> {
         if round < self.horizon {
             return; // instance pruned (committed + GC'd): chain dies
         }
-        let Some(inst) = self.instances.get_mut(&(round, source)) else {
+        let Some(inst) = self.slots.get_mut(round, source) else {
             return;
         };
         if inst.delivered || inst.pull_attempts >= MAX_PULL_ATTEMPTS {
@@ -1205,8 +1344,7 @@ impl<P: TribePayload> Core<P> {
             f1
         };
         let echoers: Vec<PartyId> = inst
-            .echoes
-            .get(&digest)
+            .echo_set(&digest)
             .map(|set| set.all.iter().map(|i| PartyId(i as u32)).collect())
             .unwrap_or_default();
         let mut targets: Vec<PartyId> = Vec::with_capacity(want);
@@ -1263,6 +1401,7 @@ impl<P: TribePayload> Core<P> {
                     fx.events.push(RbcEvent::DeliverFull {
                         source,
                         round,
+                        digest: c,
                         payload,
                     });
                 }
@@ -1274,6 +1413,7 @@ impl<P: TribePayload> Core<P> {
                 fx.events.push(RbcEvent::DeliverMeta {
                     source,
                     round,
+                    digest: c,
                     meta,
                 });
             }

@@ -32,8 +32,8 @@ pub mod tribe2;
 pub mod tribe3;
 
 pub use engine::{
-    echo_statement, parse_retry_token, retry_token, BufferStats, Effects, EngineConfig, RbcEvent,
-    RbcMsg, RbcPacket, MAX_DIGESTS_PER_INSTANCE, MAX_PULL_ATTEMPTS, RETRY_TOKEN_FLAG,
+    echo_statement, parse_retry_token, retry_token, BufferStats, Dest, Effects, EngineConfig,
+    RbcEvent, RbcMsg, RbcPacket, MAX_DIGESTS_PER_INSTANCE, MAX_PULL_ATTEMPTS, RETRY_TOKEN_FLAG,
 };
 pub use payload::{BytesPayload, TribePayload};
 pub use topology::ClanTopology;

@@ -13,7 +13,7 @@ use crate::tribe2::TribeRbc2;
 use crate::tribe3::TribeRbc3;
 use clanbft_crypto::Authenticator;
 use clanbft_simnet::protocol::{Ctx, Protocol};
-use clanbft_types::{Micros, PartyId, Round};
+use clanbft_types::{Micros, PartyId, Round, TribeParams};
 use std::sync::Arc;
 
 /// Which engine variant a standalone node runs.
@@ -43,6 +43,13 @@ impl<P: TribePayload> Engine<P> {
         match self {
             Engine::Three(e) => e.on_retry(round, source, fx),
             Engine::Two(e) => e.on_retry(round, source, fx),
+        }
+    }
+
+    fn tribe(&self) -> TribeParams {
+        match self {
+            Engine::Three(e) => e.config().topology.tribe(),
+            Engine::Two(e) => e.config().topology.tribe(),
         }
     }
 }
@@ -103,6 +110,7 @@ impl<P: TribePayload> StandaloneNode<P> {
                     source,
                     round,
                     payload,
+                    ..
                 } => self
                     .deliveries
                     .push(Delivery::Full(source, round, payload, ctx.now())),
@@ -110,6 +118,7 @@ impl<P: TribePayload> StandaloneNode<P> {
                     source,
                     round,
                     meta,
+                    ..
                 } => self
                     .deliveries
                     .push(Delivery::Meta(source, round, meta, ctx.now())),
@@ -119,8 +128,9 @@ impl<P: TribePayload> StandaloneNode<P> {
                 RbcEvent::EchoQuorum { .. } => {}
             }
         }
+        let tribe = self.engine.tribe();
         for (to, pkt) in fx.out {
-            ctx.send(to, pkt);
+            to.queue(tribe, pkt, ctx);
         }
         for (delay, token) in fx.timers {
             ctx.set_timer(delay, token);

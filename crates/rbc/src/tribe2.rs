@@ -13,7 +13,7 @@
 //! failure, identifies and excludes culprits, accepting the certificate if
 //! the surviving contributions still meet both thresholds.
 
-use crate::engine::{echo_statement, Core, Effects, EngineConfig, RbcMsg, RbcPacket};
+use crate::engine::{echo_statement, Core, Dest, Effects, EngineConfig, RbcMsg, RbcPacket};
 use crate::payload::TribePayload;
 use clanbft_crypto::multisig::AggregateVerdict;
 use clanbft_crypto::{AggregateSignature, Authenticator, Digest};
@@ -97,8 +97,9 @@ impl<P: TribePayload> TribeRbc2<P> {
         let _prof = clanbft_profiler::scope("rbc.handle");
         let RbcPacket { source, round, msg } = packet;
         // Bounded buffering: stale (below prune horizon) and far-future
-        // rounds are rejected before any state is allocated.
-        if !self.core.admit(round) {
+        // rounds, and sources outside the tribe, are rejected before any
+        // state is allocated.
+        if !self.core.admit(round, source) {
             return;
         }
         match msg {
@@ -167,14 +168,15 @@ impl<P: TribePayload> TribeRbc2<P> {
         }
     }
 
-    /// The meta view (vertex) held for `(round, source)`, if any — lets the
-    /// consensus layer act on certification before the full payload lands.
-    pub fn meta_of(&mut self, round: Round, source: PartyId) -> Option<P::Meta> {
+    /// The meta view (vertex) held for `(round, source)`, if any, with the
+    /// digest computed when it was accepted — lets the consensus layer act
+    /// on certification before the full payload lands, without rehashing.
+    pub fn meta_of(&self, round: Round, source: PartyId) -> Option<(P::Meta, Digest)> {
         self.core.meta_of(round, source)
     }
 
     /// The full payload held for `(round, source)`, if any.
-    pub fn payload_of(&mut self, round: Round, source: PartyId) -> Option<P> {
+    pub fn payload_of(&self, round: Round, source: PartyId) -> Option<P> {
         self.core.payload_of(round, source)
     }
 
@@ -184,8 +186,10 @@ impl<P: TribePayload> TribeRbc2<P> {
     }
 
     /// True iff this party has delivered for `(round, source)`.
-    pub fn delivered(&mut self, round: Round, source: PartyId) -> bool {
-        self.core.instance(round, source).delivered
+    pub fn delivered(&self, round: Round, source: PartyId) -> bool {
+        self.core
+            .existing(round, source)
+            .is_some_and(|inst| inst.delivered)
     }
 
     /// Widens the bounded-buffer admission window: the consensus layer
@@ -211,15 +215,11 @@ impl<P: TribePayload> TribeRbc2<P> {
     }
 
     fn maybe_echo(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
-        let parties: Vec<PartyId> = self.core.cfg.topology.tribe().parties().collect();
-        let statement = echo_statement(source, round, &digest);
-        {
-            let inst = self.core.instance(round, source);
-            if inst.echoed.is_some() {
-                return;
-            }
-            inst.echoed = Some(digest);
+        let inst = self.core.instance(round, source);
+        if inst.echoed.is_some() {
+            return;
         }
+        inst.echoed = Some(digest);
         fx.charge(self.core.cfg.cost.sign());
         self.core.cfg.telemetry.event(
             fx.stamp(),
@@ -230,18 +230,9 @@ impl<P: TribePayload> TribeRbc2<P> {
                 source,
             },
         );
-        let sig = Arc::new(self.auth.sign_digest(&statement));
-        for p in parties {
-            fx.send(
-                p,
-                source,
-                round,
-                RbcMsg::Echo {
-                    digest,
-                    sig: Some(Arc::clone(&sig)),
-                },
-            );
-        }
+        let statement = echo_statement(source, round, &digest);
+        let sig = Some(Arc::new(self.auth.sign_digest(&statement)));
+        fx.multicast(Dest::All, source, round, RbcMsg::Echo { digest, sig });
     }
 
     /// Assembles `EC_r(m)` from collected echoes, multicasts it, and
@@ -254,33 +245,25 @@ impl<P: TribePayload> TribeRbc2<P> {
         fx: &mut Effects<P>,
     ) {
         let n = self.core.cfg.n();
-        let parties: Vec<PartyId> = self.core.cfg.topology.tribe().parties().collect();
-        let cert = {
-            let inst = self.core.instance(round, source);
-            if inst.cert_sent {
-                return;
-            }
-            inst.cert_sent = true;
-            let sigs = inst
-                .echoes
-                .get(&digest)
-                .map(|set| set.sigs.clone())
-                .unwrap_or_default();
-            Arc::new(AggregateSignature::aggregate(n, &sigs))
-        };
-        for p in parties {
-            if p != self.core.cfg.me {
-                fx.send(
-                    p,
-                    source,
-                    round,
-                    RbcMsg::EchoCert {
-                        digest,
-                        cert: Arc::clone(&cert),
-                    },
-                );
-            }
+        let inst = self.core.instance(round, source);
+        if inst.cert_sent {
+            return;
         }
+        inst.cert_sent = true;
+        // The certificate takes the shares: nothing reads them afterwards.
+        let shares = inst
+            .echoes
+            .iter_mut()
+            .find(|set| set.digest == digest)
+            .map(|set| std::mem::take(&mut set.sigs))
+            .unwrap_or_default();
+        let cert = Arc::new(AggregateSignature::aggregate(n, &shares));
+        fx.multicast(
+            Dest::Others,
+            source,
+            round,
+            RbcMsg::EchoCert { digest, cert },
+        );
         self.core.on_echo_quorum(round, source, digest, fx);
         self.core.certify(round, source, digest, fx);
     }
@@ -351,27 +334,156 @@ impl<P: TribePayload> TribeRbc2<P> {
         cert: Arc<AggregateSignature>,
         fx: &mut Effects<P>,
     ) {
-        let parties: Vec<PartyId> = self.core.cfg.topology.tribe().parties().collect();
-        let me = self.core.cfg.me;
-        {
-            let inst = self.core.instance(round, source);
-            if inst.cert_sent {
-                return;
-            }
-            inst.cert_sent = true;
+        let inst = self.core.instance(round, source);
+        if inst.cert_sent {
+            return;
         }
-        for p in parties {
-            if p != me {
-                fx.send(
-                    p,
-                    source,
-                    round,
-                    RbcMsg::EchoCert {
-                        digest,
-                        cert: Arc::clone(&cert),
-                    },
-                );
-            }
+        inst.cert_sent = true;
+        // Shares collected towards a certificate of our own are moot now.
+        for set in &mut inst.echoes {
+            set.sigs = Vec::new();
         }
+        fx.multicast(
+            Dest::Others,
+            source,
+            round,
+            RbcMsg::EchoCert { digest, cert },
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::payload::BytesPayload;
+    use crate::topology::ClanTopology;
+    use clanbft_crypto::{Registry, Scheme};
+    use clanbft_simnet::cost::CostModel;
+    use clanbft_telemetry::{counters, MemRecorder, Telemetry};
+    use clanbft_types::{Micros, TribeParams};
+
+    const N: usize = 4;
+    const ROUND: Round = Round(1);
+    const SOURCE: PartyId = PartyId(0);
+
+    struct Rig {
+        engine: TribeRbc2<BytesPayload>,
+        auths: Vec<Arc<Authenticator>>,
+        rec: Arc<MemRecorder>,
+    }
+
+    fn rig(me: u32) -> Rig {
+        let topology = Arc::new(ClanTopology::whole_tribe(TribeParams::new(N)));
+        let (registry, keypairs) = Registry::generate(Scheme::Keyed, N, 5);
+        let auths: Vec<Arc<Authenticator>> = keypairs
+            .into_iter()
+            .enumerate()
+            .map(|(i, kp)| Arc::new(Authenticator::new(i, kp, Arc::clone(&registry))))
+            .collect();
+        let (telemetry, rec) = Telemetry::mem();
+        let mut cfg = EngineConfig::new(PartyId(me), topology, CostModel::free());
+        cfg.telemetry = telemetry;
+        let engine = TribeRbc2::new(cfg, Arc::clone(&auths[me as usize]));
+        Rig { engine, auths, rec }
+    }
+
+    fn payload() -> BytesPayload {
+        BytesPayload::new(vec![0x17; 128])
+    }
+
+    fn feed(rig: &mut Rig, from: u32, msg: RbcMsg<BytesPayload>) -> Effects<BytesPayload> {
+        let mut fx = Effects::at(Micros(1));
+        let packet = RbcPacket {
+            source: SOURCE,
+            round: ROUND,
+            msg,
+        };
+        rig.engine.handle(PartyId(from), packet, &mut fx);
+        fx
+    }
+
+    fn feed_echo(rig: &mut Rig, signer: u32) -> Effects<BytesPayload> {
+        let digest = payload().rbc_digest();
+        let statement = echo_statement(SOURCE, ROUND, &digest);
+        let sig = Some(Arc::new(rig.auths[signer as usize].sign_digest(&statement)));
+        feed(rig, signer, RbcMsg::Echo { digest, sig })
+    }
+
+    /// `(echoes counted, signature shares held)` for the instance under test.
+    fn echo_state(rig: &Rig) -> (usize, usize) {
+        let inst = rig.engine.core.existing(ROUND, SOURCE).expect("instance");
+        (
+            inst.echoes.iter().map(|set| set.all.count()).sum(),
+            inst.echoes.iter().map(|set| set.sigs.len()).sum(),
+        )
+    }
+
+    #[test]
+    fn forming_the_certificate_releases_the_echo_shares() {
+        let mut r = rig(1);
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        feed_echo(&mut r, 0);
+        feed_echo(&mut r, 2);
+        assert_eq!(echo_state(&r), (2, 2), "shares are kept until quorum");
+
+        // Third echo: quorum of 3, the certificate is formed from the shares.
+        let fx = feed_echo(&mut r, 1);
+        let cert = fx
+            .out
+            .iter()
+            .find_map(|(_, p)| match &p.msg {
+                RbcMsg::EchoCert { cert, .. } => Some(Arc::clone(cert)),
+                _ => None,
+            })
+            .expect("certificate formed at quorum");
+        assert_eq!(cert.count(), 3, "the certificate carries every share");
+        assert_eq!(echo_state(&r), (3, 0), "no share outlives the certificate");
+
+        // A late echo is still counted, its share is not stored; a duplicate
+        // of it is rejected and counted as before.
+        feed_echo(&mut r, 3);
+        assert_eq!(echo_state(&r), (4, 0));
+        let dup_before = r.rec.counter(counters::REJECTED_DUPLICATE);
+        let fx = feed_echo(&mut r, 3);
+        assert!(fx.out.is_empty() && fx.events.is_empty());
+        assert_eq!(echo_state(&r), (4, 0));
+        assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), dup_before + 1);
+    }
+
+    #[test]
+    fn accepting_a_certificate_releases_the_shares_collected_so_far() {
+        // The donor reaches quorum first; the party under test holds two
+        // shares of its own when the donor's certificate arrives.
+        let mut donor = rig(2);
+        feed(&mut donor, 0, RbcMsg::Val(payload()));
+        feed_echo(&mut donor, 0);
+        feed_echo(&mut donor, 1);
+        let cert = feed_echo(&mut donor, 2)
+            .out
+            .into_iter()
+            .find(|(_, p)| matches!(p.msg, RbcMsg::EchoCert { .. }))
+            .map(|(_, p)| p.msg)
+            .expect("donor formed a certificate");
+
+        let mut r = rig(3);
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        feed_echo(&mut r, 0);
+        feed_echo(&mut r, 3);
+        assert_eq!(echo_state(&r), (2, 2));
+        let fx = feed(&mut r, 2, cert);
+        assert!(
+            fx.events
+                .iter()
+                .any(|e| matches!(e, crate::engine::RbcEvent::DeliverFull { .. })),
+            "a valid certificate delivers"
+        );
+        assert_eq!(echo_state(&r), (2, 0), "accepted certificate frees shares");
+
+        // Echoes past certification: counted, reaching quorum changes
+        // nothing (the certificate was already forwarded), nothing stored.
+        feed_echo(&mut r, 1);
+        let fx = feed_echo(&mut r, 2);
+        assert!(fx.out.is_empty() && fx.events.is_empty());
+        assert_eq!(echo_state(&r), (4, 0));
     }
 }

@@ -7,7 +7,7 @@
 //! READY amplification at `f+1`; delivery at `2f+1` READYs. With the clan
 //! set to the whole tribe this is exactly Bracha's RBC.
 
-use crate::engine::{Core, Effects, EngineConfig, RbcMsg, RbcPacket};
+use crate::engine::{Core, Dest, Effects, EngineConfig, RbcMsg, RbcPacket};
 use crate::payload::TribePayload;
 use clanbft_crypto::Digest;
 use clanbft_telemetry::{Event, RbcPhase};
@@ -63,8 +63,9 @@ impl<P: TribePayload> TribeRbc3<P> {
     pub fn handle(&mut self, from: PartyId, packet: RbcPacket<P>, fx: &mut Effects<P>) {
         let RbcPacket { source, round, msg } = packet;
         // Bounded buffering: stale (below prune horizon) and far-future
-        // rounds are rejected before any state is allocated.
-        if !self.core.admit(round) {
+        // rounds, and sources outside the tribe, are rejected before any
+        // state is allocated.
+        if !self.core.admit(round, source) {
             return;
         }
         match msg {
@@ -113,7 +114,7 @@ impl<P: TribePayload> TribeRbc3<P> {
                     let inst = self.core.instance(round, source);
                     // Same distinct-digest cap as echoes: a Byzantine peer
                     // cannot allocate unbounded per-digest ready sets.
-                    if !inst.readies.contains_key(&digest)
+                    if inst.readies.iter().all(|s| s.digest != digest)
                         && inst.readies.len() >= crate::engine::MAX_DIGESTS_PER_INSTANCE
                     {
                         tel.add(clanbft_telemetry::counters::REJECTED_BUFFER_FULL, 1);
@@ -147,14 +148,15 @@ impl<P: TribePayload> TribeRbc3<P> {
         }
     }
 
-    /// The meta view (vertex) held for `(round, source)`, if any — lets the
-    /// consensus layer act on certification before the full payload lands.
-    pub fn meta_of(&mut self, round: Round, source: PartyId) -> Option<P::Meta> {
+    /// The meta view (vertex) held for `(round, source)`, if any, with the
+    /// digest computed when it was accepted — lets the consensus layer act
+    /// on certification before the full payload lands, without rehashing.
+    pub fn meta_of(&self, round: Round, source: PartyId) -> Option<(P::Meta, Digest)> {
         self.core.meta_of(round, source)
     }
 
     /// The full payload held for `(round, source)`, if any.
-    pub fn payload_of(&mut self, round: Round, source: PartyId) -> Option<P> {
+    pub fn payload_of(&self, round: Round, source: PartyId) -> Option<P> {
         self.core.payload_of(round, source)
     }
 
@@ -164,8 +166,10 @@ impl<P: TribePayload> TribeRbc3<P> {
     }
 
     /// True iff this party has delivered for `(round, source)`.
-    pub fn delivered(&mut self, round: Round, source: PartyId) -> bool {
-        self.core.instance(round, source).delivered
+    pub fn delivered(&self, round: Round, source: PartyId) -> bool {
+        self.core
+            .existing(round, source)
+            .is_some_and(|inst| inst.delivered)
     }
 
     /// Widens the bounded-buffer admission window: the consensus layer
@@ -191,7 +195,6 @@ impl<P: TribePayload> TribeRbc3<P> {
     }
 
     fn maybe_echo(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
-        let parties: Vec<PartyId> = self.core.cfg.topology.tribe().parties().collect();
         let inst = self.core.instance(round, source);
         if inst.echoed.is_some() {
             return;
@@ -206,20 +209,15 @@ impl<P: TribePayload> TribeRbc3<P> {
                 source,
             },
         );
-        for p in parties {
-            fx.send(p, source, round, RbcMsg::Echo { digest, sig: None });
-        }
+        fx.multicast(Dest::All, source, round, RbcMsg::Echo { digest, sig: None });
     }
 
     fn maybe_ready(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
-        let parties: Vec<PartyId> = self.core.cfg.topology.tribe().parties().collect();
         let inst = self.core.instance(round, source);
         if inst.ready_sent.is_some() {
             return;
         }
         inst.ready_sent = Some(digest);
-        for p in parties {
-            fx.send(p, source, round, RbcMsg::Ready { digest });
-        }
+        fx.multicast(Dest::All, source, round, RbcMsg::Ready { digest });
     }
 }

@@ -8,8 +8,9 @@ use clanbft_crypto::Digest;
 use clanbft_crypto::{Authenticator, Registry, Scheme, Signature};
 use clanbft_rbc::standalone::{AnyNode, ByzantineNode, ByzantineSender, Delivery, StandaloneNode};
 use clanbft_rbc::{
-    echo_statement, parse_retry_token, BytesPayload, ClanTopology, Effects, EngineConfig, RbcEvent,
-    RbcMsg, RbcPacket, TribePayload, TribeRbc2, MAX_DIGESTS_PER_INSTANCE, MAX_PULL_ATTEMPTS,
+    echo_statement, parse_retry_token, BytesPayload, ClanTopology, Dest, Effects, EngineConfig,
+    RbcEvent, RbcMsg, RbcPacket, TribePayload, TribeRbc2, MAX_DIGESTS_PER_INSTANCE,
+    MAX_PULL_ATTEMPTS,
 };
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::net::{SimConfig, Simulator};
@@ -26,7 +27,11 @@ struct Rig {
 }
 
 fn rig(n: usize, me: u32) -> Rig {
-    let topology = Arc::new(ClanTopology::whole_tribe(TribeParams::new(n)));
+    rig_on(Arc::new(ClanTopology::whole_tribe(TribeParams::new(n))), me)
+}
+
+fn rig_on(topology: Arc<ClanTopology>, me: u32) -> Rig {
+    let n = topology.tribe().n();
     let (registry, keypairs) = Registry::generate(Scheme::Keyed, n, 13);
     let auths: Vec<Arc<Authenticator>> = keypairs
         .into_iter()
@@ -81,8 +86,10 @@ fn feed_echo(rig: &mut Rig, signer: u32, source: u32, round: u64) -> Effects<Byt
 fn pull_targets(fx: &Effects<BytesPayload>) -> Vec<PartyId> {
     fx.out
         .iter()
-        .filter(|(_, p)| matches!(p.msg, RbcMsg::Pull { .. }))
-        .map(|(to, _)| *to)
+        .filter_map(|(to, p)| match (to, &p.msg) {
+            (Dest::One(to), RbcMsg::Pull { .. }) => Some(*to),
+            _ => None,
+        })
         .collect()
 }
 
@@ -344,4 +351,111 @@ fn withheld_meta_delivers_within_one_retry_deadline_of_certification() {
         "withheld meta took {lag:?} (> one retry deadline {PULL_RETRY:?}) \
          after certification"
     );
+}
+
+fn cert_formed(fx: &Effects<BytesPayload>) -> bool {
+    fx.out
+        .iter()
+        .any(|(_, p)| matches!(p.msg, RbcMsg::EchoCert { .. }))
+}
+
+#[test]
+fn pruned_rounds_stay_dead_and_lookups_never_allocate() {
+    let mut r = rig(4, 1);
+    handle(&mut r, 0, packet(0, 10, RbcMsg::Val(payload())));
+    handle(&mut r, 0, packet(0, 60, RbcMsg::Val(payload())));
+    assert_eq!(r.engine.buffer_stats().instances, 2);
+
+    // Read-only lookups — absent instance, round far outside the window,
+    // source outside the tribe — answer "nothing" and create nothing.
+    assert!(!r.engine.delivered(Round(10), PartyId(3)));
+    assert!(!r.engine.delivered(Round(1 << 40), PartyId(0)));
+    assert!(r.engine.meta_of(Round(1 << 40), PartyId(0)).is_none());
+    assert!(r.engine.payload_of(Round(10), PartyId(99)).is_none());
+    assert_eq!(r.engine.buffer_stats().instances, 2);
+
+    r.engine.prune_below(Round(50));
+    assert_eq!(r.engine.buffer_stats().instances, 1);
+    assert!(r.engine.meta_of(Round(10), PartyId(0)).is_none());
+    let (_, held) = r
+        .engine
+        .meta_of(Round(60), PartyId(0))
+        .expect("rounds at or above the horizon keep their state");
+    assert_eq!(held, TribePayload::rbc_digest(&payload()));
+
+    // Replaying any message kind below the horizon is counted and ignored:
+    // the pruned slot is not recreated, and a stale retry timer dies.
+    let digest = TribePayload::rbc_digest(&payload());
+    for round in [10, 49] {
+        for msg in [
+            RbcMsg::Val(payload()),
+            RbcMsg::Pull { digest },
+            RbcMsg::PullResp(payload()),
+        ] {
+            let fx = handle(&mut r, 0, packet(0, round, msg));
+            assert!(fx.out.is_empty() && fx.events.is_empty() && fx.timers.is_empty());
+        }
+        let fx = feed_echo(&mut r, 2, 0, round);
+        assert!(fx.out.is_empty() && fx.events.is_empty());
+        let mut fx = Effects::at(Micros(1));
+        r.engine.on_retry(Round(round), PartyId(0), &mut fx);
+        assert!(fx.out.is_empty() && fx.timers.is_empty());
+    }
+    assert_eq!(r.rec.counter(counters::REJECTED_BUFFER_FULL), 8);
+    assert_eq!(r.engine.buffer_stats().instances, 1);
+
+    // The horizon only moves forward: pruning lower reopens nothing.
+    r.engine.prune_below(Round(20));
+    let fx = handle(&mut r, 0, packet(0, 30, RbcMsg::Val(payload())));
+    assert!(fx.out.is_empty(), "round 30 is still below the horizon");
+    assert_eq!(r.engine.buffer_stats().instances, 1);
+}
+
+#[test]
+fn admission_window_edge_and_foreign_sources() {
+    // Default window: 256 rounds beyond the highest legitimately active one.
+    let mut r = rig(4, 1);
+    r.engine.note_round(Round(10));
+    let fx = handle(&mut r, 0, packet(0, 266, RbcMsg::Val(payload())));
+    assert!(!fx.out.is_empty(), "round_hint + round_window is admitted");
+    let fx = handle(&mut r, 0, packet(0, 267, RbcMsg::Val(payload())));
+    assert!(fx.out.is_empty(), "one round further is not");
+    assert_eq!(r.rec.counter(counters::REJECTED_BUFFER_FULL), 1);
+
+    // A packet naming a source outside the tribe has no slot to land in: it
+    // is rejected at the same gate instead of allocating (or panicking).
+    let fx = feed_echo(&mut r, 2, 4, 5);
+    assert!(fx.out.is_empty() && fx.events.is_empty());
+    assert_eq!(r.rec.counter(counters::REJECTED_BUFFER_FULL), 2);
+    assert_eq!(r.engine.buffer_stats().instances, 1);
+}
+
+#[test]
+fn epoch_rotated_topology_resolves_per_round() {
+    // n = 7 (quorum 5, and at least one echo from the source's clan). Clan
+    // {0, 1} governs rounds below 5, clan {5, 6} rounds from 5 on; party 4
+    // (in neither) collects echoes from 2..=6 for source 0.
+    let tribe = TribeParams::new(7);
+    let clan = |members: [u32; 2]| {
+        Arc::new(ClanTopology::single_clan(
+            tribe,
+            members.into_iter().map(PartyId).collect(),
+        ))
+    };
+    let mut r = rig_on(clan([0, 1]), 4);
+    r.engine.install_epoch(Round(5), clan([5, 6]));
+
+    // Round 4 is governed by {0, 1}: five echoes, none from the clan.
+    for signer in 2..=6 {
+        let fx = feed_echo(&mut r, signer, 0, 4);
+        assert!(!cert_formed(&fx), "no clan echo, no certificate");
+    }
+    // Round 5 is governed by {5, 6}: the same five signers certify.
+    for signer in 2..=5 {
+        assert!(!cert_formed(&feed_echo(&mut r, signer, 0, 5)));
+    }
+    assert!(cert_formed(&feed_echo(&mut r, 6, 0, 5)));
+    // The round-4 instance kept its own epoch's rule: one echo from its
+    // clan completes it.
+    assert!(cert_formed(&feed_echo(&mut r, 1, 0, 4)));
 }

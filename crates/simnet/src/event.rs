@@ -8,6 +8,12 @@
 //! append in `O(1)`, and each bucket is sorted once when the clock reaches
 //! it.
 //!
+//! Events live inline in their bucket, in push order, and never move: what
+//! is sorted is a 16-byte `(time, position)` key per event. Position in the
+//! bucket *is* insertion order, so the key is unique and an unstable sort
+//! yields FIFO among equal timestamps. A bucket's storage is released when
+//! its last event is popped.
+//!
 //! # Invariant
 //!
 //! Pushes never go backwards in time past the bucket currently being
@@ -20,17 +26,42 @@ use std::collections::BTreeMap;
 /// Bucket width in microseconds (one simulated millisecond).
 const BUCKET_WIDTH_US: u64 = 1_000;
 
-type Entry<E> = (Micros, u64, E);
+/// The events of one bucket width of simulated time.
+struct Bucket<E> {
+    /// `(time, index into events)` of every event not yet popped: push
+    /// order while the bucket lies in the future, descending once it is
+    /// active (so `pop` takes the earliest from the back).
+    keys: Vec<(Micros, u32)>,
+    /// Events in push order; a slot is emptied when its event is popped.
+    events: Vec<Option<E>>,
+}
+
+impl<E> Default for Bucket<E> {
+    fn default() -> Self {
+        Bucket {
+            keys: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+}
+
+impl<E> Bucket<E> {
+    /// Stores `event` and returns its key.
+    fn store(&mut self, at: Micros, event: E) -> (Micros, u32) {
+        let index = u32::try_from(self.events.len()).expect("bucket holds under 2^32 events");
+        self.events.push(Some(event));
+        (at, index)
+    }
+}
 
 /// A deterministic time-ordered event queue.
 pub struct EventQueue<E> {
-    /// Future buckets, keyed by `time / BUCKET_WIDTH_US`, unsorted.
-    buckets: BTreeMap<u64, Vec<Entry<E>>>,
-    /// The active bucket, sorted descending so `pop` takes from the back.
-    current: Vec<Entry<E>>,
+    /// Future buckets, keyed by `time / BUCKET_WIDTH_US`.
+    buckets: BTreeMap<u64, Bucket<E>>,
+    /// The active bucket.
+    current: Bucket<E>,
     /// Key of the active bucket.
     current_key: u64,
-    next_seq: u64,
     len: usize,
 }
 
@@ -38,9 +69,8 @@ impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
             buckets: BTreeMap::new(),
-            current: Vec::new(),
+            current: Bucket::default(),
             current_key: 0,
-            next_seq: 0,
             len: 0,
         }
     }
@@ -59,34 +89,33 @@ impl<E> EventQueue<E> {
     /// Panics (in debug builds) if `at` lies before the bucket currently
     /// being drained — the simulator never schedules into the past.
     pub fn push(&mut self, at: Micros, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.len += 1;
         let key = at.0 / BUCKET_WIDTH_US;
-        if !self.current.is_empty() && key == self.current_key {
+        if !self.current.keys.is_empty() && key == self.current_key {
             // Insert into the active (descending-sorted) bucket.
-            let pos = self
-                .current
-                .partition_point(|(t, s, _)| (*t, *s) > (at, seq));
-            self.current.insert(pos, (at, seq, event));
+            let entry = self.current.store(at, event);
+            let pos = self.current.keys.partition_point(|k| *k > entry);
+            self.current.keys.insert(pos, entry);
             return;
         }
         debug_assert!(
-            self.current.is_empty() || key > self.current_key,
+            self.current.keys.is_empty() || key > self.current_key,
             "event scheduled into the past"
         );
-        self.buckets.entry(key).or_default().push((at, seq, event));
+        let bucket = self.buckets.entry(key).or_default();
+        let entry = bucket.store(at, event);
+        bucket.keys.push(entry);
     }
 
-    /// Promotes the earliest future bucket to active, sorting it.
+    /// Promotes the earliest future bucket to active, sorting its keys.
     fn refill(&mut self) {
-        if !self.current.is_empty() {
+        if !self.current.keys.is_empty() {
             return;
         }
-        if let Some((&key, _)) = self.buckets.iter().next() {
-            let mut bucket = self.buckets.remove(&key).expect("key just observed");
-            // Descending so pop() takes the earliest from the back.
-            bucket.sort_by(|(ta, sa, _), (tb, sb, _)| (tb, sb).cmp(&(ta, sa)));
+        if let Some((key, mut bucket)) = self.buckets.pop_first() {
+            // Descending so pop() takes the earliest from the back; keys
+            // are unique, so the unstable sort is deterministic.
+            bucket.keys.sort_unstable_by(|a, b| b.cmp(a));
             self.current = bucket;
             self.current_key = key;
         }
@@ -95,15 +124,21 @@ impl<E> EventQueue<E> {
     /// Pops the earliest event (FIFO among equal timestamps).
     pub fn pop(&mut self) -> Option<(Micros, E)> {
         self.refill();
-        let (at, _, event) = self.current.pop()?;
+        let (at, index) = self.current.keys.pop()?;
+        let event = self.current.events[index as usize]
+            .take()
+            .expect("a key names an event not yet popped");
         self.len -= 1;
+        if self.current.keys.is_empty() {
+            self.current = Bucket::default();
+        }
         Some((at, event))
     }
 
     /// Time of the next event without removing it.
     pub fn peek_time(&mut self) -> Option<Micros> {
         self.refill();
-        self.current.last().map(|(t, _, _)| *t)
+        self.current.keys.last().map(|(t, _)| *t)
     }
 
     /// Number of pending events.

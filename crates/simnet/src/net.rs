@@ -12,7 +12,7 @@
 use crate::bandwidth::BandwidthModel;
 use crate::cost::CostModel;
 use crate::event::EventQueue;
-use crate::protocol::{Ctx, Message, Protocol};
+use crate::protocol::{Burst, Ctx, Message, Outputs, Protocol};
 use crate::regions::LatencyMatrix;
 use clanbft_crypto::ClanRng;
 use clanbft_profiler as prof;
@@ -103,8 +103,21 @@ impl SimConfig {
     }
 }
 
-// Events are boxed so the binary heap sifts a pointer-sized entry instead
-// of copying the full message on every swap — a ~4x win at 150-node scale.
+/// How a burst's copies leave the sender.
+#[derive(Clone, Copy)]
+enum Lane {
+    /// Block data: every copy departs when the invocation's whole bulk
+    /// output has been serialized (the time computed in `absorb`; `None`
+    /// when nothing bulk leaves the node, i.e. loopback only).
+    Bulk(Option<Micros>),
+    /// Small messages ride their own TCP streams, not head-of-line blocked
+    /// behind block data: copies serialize one after another, each taking
+    /// this long.
+    Control(Micros),
+}
+
+// Events are stored inline in the calendar queue's buckets, which order
+// 16-byte keys and never move the events themselves.
 enum SimEvent<M> {
     Deliver { src: PartyId, dst: PartyId, msg: M },
     Timer { node: PartyId, token: u64 },
@@ -158,7 +171,7 @@ impl NetStats {
 pub struct Simulator<M: Message, P: Protocol<M>> {
     cfg: SimConfig,
     nodes: Vec<P>,
-    queue: EventQueue<Box<SimEvent<M>>>,
+    queue: EventQueue<SimEvent<M>>,
     now: Micros,
     /// Bulk-lane uplink availability per node (block-sized messages).
     uplink_free: Vec<Micros>,
@@ -175,6 +188,8 @@ pub struct Simulator<M: Message, P: Protocol<M>> {
     rng: ClanRng,
     stats: NetStats,
     started: bool,
+    /// The handler-output buffers, lent to each [`Ctx`] in turn.
+    outputs: Outputs<M>,
 }
 
 impl<M: Message, P: Protocol<M>> Simulator<M, P> {
@@ -223,6 +238,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
             nodes,
             cfg,
             started: false,
+            outputs: Outputs::default(),
         }
     }
 
@@ -280,9 +296,9 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
             if let Some(r) = self.cfg.restart_at[i] {
                 self.queue.push(
                     r,
-                    Box::new(SimEvent::Restart {
+                    SimEvent::Restart {
                         node: PartyId(i as u32),
-                    }),
+                    },
                 );
             }
         }
@@ -292,7 +308,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 continue;
             }
             let cost = self.cfg.cost;
-            let mut ctx = Ctx::new(p, Micros::ZERO, &cost);
+            let mut ctx = self.ctx(p, Micros::ZERO, &cost);
             self.nodes[i].on_start(&mut ctx);
             self.absorb(p, ctx);
         }
@@ -307,7 +323,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         self.now = at;
         self.stats.handled_events += 1;
         self.stats.last_event_at = at;
-        match *ev {
+        match ev {
             SimEvent::Deliver { src, dst, msg } => {
                 // No per-delivery scope: delivery happens millions of times
                 // per run and even a cheap scope would dominate its cost.
@@ -319,7 +335,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 }
                 let start = self.busy_until[dst.idx()].max(at);
                 let cost = self.cfg.cost;
-                let mut ctx = Ctx::new(dst, start, &cost);
+                let mut ctx = self.ctx(dst, start, &cost);
                 ctx.charge(self.cfg.cost.per_msg());
                 self.stats.delivered_msgs += 1;
                 self.nodes[dst.idx()].on_message(src, msg, &mut ctx);
@@ -333,7 +349,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 }
                 let start = self.busy_until[node.idx()].max(at);
                 let cost = self.cfg.cost;
-                let mut ctx = Ctx::new(node, start, &cost);
+                let mut ctx = self.ctx(node, start, &cost);
                 self.nodes[node.idx()].on_timer(token, &mut ctx);
                 self.busy_until[node.idx()] = start + ctx.charged();
                 self.absorb(node, ctx);
@@ -344,7 +360,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 // carried died with the process.
                 self.busy_until[node.idx()] = at;
                 let cost = self.cfg.cost;
-                let mut ctx = Ctx::new(node, at, &cost);
+                let mut ctx = self.ctx(node, at, &cost);
                 self.nodes[node.idx()].on_restart(&mut ctx);
                 self.busy_until[node.idx()] = at + ctx.charged();
                 self.absorb(node, ctx);
@@ -383,6 +399,12 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         while self.step() {}
     }
 
+    /// A context for one handler invocation, queueing into the simulator's
+    /// recycled output buffers ([`Simulator::absorb`] takes them back).
+    fn ctx<'c>(&mut self, party: PartyId, now: Micros, cost: &'c CostModel) -> Ctx<'c, M> {
+        Ctx::with_outputs(party, now, cost, std::mem::take(&mut self.outputs))
+    }
+
     /// Collects a handler's outputs: transmits its messages and arms its
     /// timers, all anchored at the handler's completion time.
     ///
@@ -395,22 +417,19 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
     /// whose copy is "still in flight".
     fn absorb(&mut self, from: PartyId, ctx: Ctx<'_, M>) {
         let completion = ctx.now();
-        let Ctx { outbox, timers, .. } = ctx;
-        for (delay, token) in timers {
-            self.queue.push(
-                completion + delay,
-                Box::new(SimEvent::Timer { node: from, token }),
-            );
+        let mut out = ctx.out;
+        for (delay, token) in out.timers.drain(..) {
+            self.queue
+                .push(completion + delay, SimEvent::Timer { node: from, token });
         }
-        // First pass: total bulk bytes in this burst.
+        // First pass: total bulk bytes this invocation puts on the wire.
         let mut bulk_bytes = 0usize;
-        for (to, msg) in &outbox {
-            if *to != from {
-                let b = msg.wire_bytes();
-                if b > CONTROL_LANE_MAX_BYTES {
-                    bulk_bytes += b;
-                }
+        let mut start = 0;
+        for burst in &out.bursts {
+            if burst.bytes > CONTROL_LANE_MAX_BYTES {
+                bulk_bytes += burst.bytes * on_wire(&out.targets[start..burst.end], from);
             }
+            start = burst.end;
         }
         let bulk_departure = if bulk_bytes > 0 {
             let ser = Micros::from_secs_f64(bulk_bytes as f64 / self.uplink_bps[from.idx()]);
@@ -420,44 +439,74 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         } else {
             None
         };
-        for (to, msg) in outbox {
-            self.transmit(from, to, msg, completion, bulk_departure);
+        let mut start = 0;
+        for burst in out.bursts.drain(..) {
+            let end = burst.end;
+            self.transmit(
+                from,
+                &out.targets[start..end],
+                burst,
+                completion,
+                bulk_departure,
+            );
+            start = end;
         }
+        out.clear();
+        self.outputs = out;
     }
 
+    /// Puts one burst on the wire: size, kind and the sender-side accounting
+    /// are settled once; only the lane bookkeeping, the jitter draw and the
+    /// queue push happen per recipient (in recipient order — the order the
+    /// seeded draws and the event sequence depend on).
     fn transmit(
         &mut self,
         src: PartyId,
-        dst: PartyId,
-        msg: M,
+        targets: &[PartyId],
+        burst: Burst<M>,
         at: Micros,
         bulk_departure: Option<Micros>,
     ) {
+        let Burst { msg, bytes, .. } = burst;
         if self.crashed(src, at) {
-            self.drop_msg(src, dst, &msg, at);
+            for &dst in targets {
+                self.drop_msg(src, dst, &msg, at);
+            }
             return;
         }
+        let wire = on_wire(targets, src) as u64;
+        if wire > 0 {
+            self.stats.sent_bytes[src.idx()] += bytes as u64 * wire;
+            self.stats.sent_msgs[src.idx()] += wire;
+            *self.stats.bytes_by_kind.entry(msg.kind()).or_insert(0) += bytes as u64 * wire;
+        }
+        let lane = if bytes > CONTROL_LANE_MAX_BYTES {
+            Lane::Bulk(bulk_departure)
+        } else {
+            Lane::Control(Micros::from_secs_f64(
+                bytes as f64 / self.uplink_bps[src.idx()],
+            ))
+        };
+        let (&last, rest) = targets.split_last().expect("bursts are never empty");
+        for &dst in rest {
+            self.transmit_one(src, dst, msg.clone(), at, lane);
+        }
+        self.transmit_one(src, last, msg, at, lane);
+    }
+
+    fn transmit_one(&mut self, src: PartyId, dst: PartyId, msg: M, at: Micros, lane: Lane) {
         if src == dst {
             // Loopback: no wire, no uplink; deliver after a scheduling tick.
-            self.queue
-                .push(at, Box::new(SimEvent::Deliver { src, dst, msg }));
+            self.queue.push(at, SimEvent::Deliver { src, dst, msg });
             return;
         }
-        let bytes = msg.wire_bytes();
-        self.stats.sent_bytes[src.idx()] += bytes as u64;
-        self.stats.sent_msgs[src.idx()] += 1;
-        *self.stats.bytes_by_kind.entry(msg.kind()).or_insert(0) += bytes as u64;
-
-        // Bulk messages share the burst departure computed in `absorb`;
-        // control messages serialize on their own lane (separate TCP
-        // streams, no head-of-line blocking behind block data).
-        let departure = if bytes > CONTROL_LANE_MAX_BYTES {
-            bulk_departure.expect("bulk bytes were counted in absorb")
-        } else {
-            let ser = Micros::from_secs_f64(bytes as f64 / self.uplink_bps[src.idx()]);
-            let d = self.ctrl_free[src.idx()].max(at) + ser;
-            self.ctrl_free[src.idx()] = d;
-            d
+        let departure = match lane {
+            Lane::Bulk(departure) => departure.expect("bulk bytes were counted in absorb"),
+            Lane::Control(ser) => {
+                let d = self.ctrl_free[src.idx()].max(at) + ser;
+                self.ctrl_free[src.idx()] = d;
+                d
+            }
         };
 
         // Propagation with jitter.
@@ -494,7 +543,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         }
 
         self.queue
-            .push(arrival, Box::new(SimEvent::Deliver { src, dst, msg }));
+            .push(arrival, SimEvent::Deliver { src, dst, msg });
     }
 
     /// Accounts a message lost to a crashed endpoint.
@@ -513,6 +562,11 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
             },
         );
     }
+}
+
+/// How many of `targets` are reached over the wire (all but loopback).
+fn on_wire(targets: &[PartyId], src: PartyId) -> usize {
+    targets.iter().filter(|&&t| t != src).count()
 }
 
 #[cfg(test)]
@@ -796,6 +850,48 @@ mod tests {
         assert_eq!(stats.dropped_msgs, 1);
         assert_eq!(stats.dropped_bytes, 64);
         assert_eq!(stats.kind_bytes("pong"), 0);
+    }
+
+    /// A multicast is one outbox entry but is accounted per wire copy;
+    /// loopback copies cost nothing — also when the message is block-sized
+    /// and no other bulk data leaves the node in that invocation.
+    #[test]
+    fn multicast_accounts_wire_copies_and_skips_loopback() {
+        #[derive(Clone, Debug)]
+        struct Blob;
+        impl Message for Blob {
+            fn wire_bytes(&self) -> usize {
+                10_000
+            }
+        }
+        struct Node {
+            heard: u32,
+        }
+        impl Protocol<Blob> for Node {
+            fn on_start(&mut self, ctx: &mut Ctx<Blob>) {
+                match ctx.party().0 {
+                    0 => ctx.multicast((0..3).map(PartyId), Blob),
+                    1 => ctx.send(PartyId(1), Blob),
+                    _ => {}
+                }
+            }
+            fn on_message(&mut self, _from: PartyId, _msg: Blob, _ctx: &mut Ctx<Blob>) {
+                self.heard += 1;
+            }
+            fn on_timer(&mut self, _t: u64, _ctx: &mut Ctx<Blob>) {}
+        }
+        let mut cfg = SimConfig::benign(3, 0);
+        cfg.cost = CostModel::free();
+        let nodes = (0..3).map(|_| Node { heard: 0 }).collect();
+        let mut sim = Simulator::new(cfg, nodes);
+        sim.run_to_quiescence();
+        let heard: Vec<u32> = sim.nodes().map(|n| n.heard).collect();
+        assert_eq!(heard, [1, 2, 1]);
+        let stats = sim.stats();
+        assert_eq!(stats.sent_msgs, [2, 0, 0]);
+        assert_eq!(stats.sent_bytes, [20_000, 0, 0]);
+        assert_eq!(stats.kind_bytes("msg"), 20_000);
+        assert_eq!(stats.delivered_msgs, 4);
     }
 
     /// Partition holds are counted (and the messages still arrive late).

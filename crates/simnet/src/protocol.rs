@@ -48,28 +48,75 @@ pub trait Protocol<M: Message>: Send {
     fn on_restart(&mut self, _ctx: &mut Ctx<M>) {}
 }
 
+/// One `send` or `multicast`: a message and its run of recipients.
+pub(crate) struct Burst<M> {
+    pub msg: M,
+    /// `msg.wire_bytes()`, taken once however many recipients there are.
+    pub bytes: usize,
+    /// End of this burst's recipients in [`Outputs::targets`] (they start
+    /// where the previous burst's end).
+    pub end: usize,
+}
+
+/// What a handler queued: the buffers behind a [`Ctx`]. The simulator
+/// keeps one set and hands it to every invocation, so steady-state
+/// handlers queue messages and timers without touching the allocator.
+pub(crate) struct Outputs<M> {
+    /// Bursts in emission order.
+    pub bursts: Vec<Burst<M>>,
+    /// Recipients of all bursts, concatenated.
+    pub targets: Vec<PartyId>,
+    /// `(delay, token)` timers to arm when the handler returns.
+    pub timers: Vec<(Micros, u64)>,
+}
+
+impl<M> Default for Outputs<M> {
+    fn default() -> Self {
+        Outputs {
+            bursts: Vec::new(),
+            targets: Vec::new(),
+            timers: Vec::new(),
+        }
+    }
+}
+
+impl<M> Outputs<M> {
+    /// Empties the buffers, keeping their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.bursts.clear();
+        self.targets.clear();
+        self.timers.clear();
+    }
+}
+
 /// The per-invocation context handed to protocol handlers.
 pub struct Ctx<'a, M: Message> {
     party: PartyId,
     now: Micros,
     charged: Micros,
     cost: &'a CostModel,
-    /// `(destination, message)` pairs to transmit when the handler returns.
-    pub(crate) outbox: Vec<(PartyId, M)>,
-    /// `(delay, token)` timers to arm when the handler returns.
-    pub(crate) timers: Vec<(Micros, u64)>,
+    pub(crate) out: Outputs<M>,
 }
 
 impl<'a, M: Message> Ctx<'a, M> {
     /// Builds a context for one handler invocation starting at `now`.
     pub fn new(party: PartyId, now: Micros, cost: &'a CostModel) -> Ctx<'a, M> {
+        Ctx::with_outputs(party, now, cost, Outputs::default())
+    }
+
+    /// Like [`Ctx::new`], queueing into the (empty) recycled buffers `out`.
+    pub(crate) fn with_outputs(
+        party: PartyId,
+        now: Micros,
+        cost: &'a CostModel,
+        out: Outputs<M>,
+    ) -> Ctx<'a, M> {
         Ctx {
             party,
             now,
             charged: Micros::ZERO,
             cost,
-            outbox: Vec::new(),
-            timers: Vec::new(),
+            out,
         }
     }
 
@@ -102,34 +149,52 @@ impl<'a, M: Message> Ctx<'a, M> {
 
     /// Queues `msg` for delivery to `to` (loopback allowed).
     pub fn send(&mut self, to: PartyId, msg: M) {
-        self.outbox.push((to, msg));
+        self.multicast([to], msg);
     }
 
-    /// Queues `msg` to every party in `targets`.
+    /// Queues `msg` to every party in `targets`, in that order. One queue
+    /// entry whatever the fan-out: the message is cloned per recipient only
+    /// when it is put on the wire.
     pub fn multicast(&mut self, targets: impl IntoIterator<Item = PartyId>, msg: M) {
-        for t in targets {
-            self.outbox.push((t, msg.clone()));
+        let start = self.out.targets.len();
+        self.out.targets.extend(targets);
+        let end = self.out.targets.len();
+        if end > start {
+            let bytes = msg.wire_bytes();
+            self.out.bursts.push(Burst { msg, bytes, end });
         }
     }
 
     /// Arms a timer to fire `delay` after the handler completes, delivering
     /// `token` to [`Protocol::on_timer`].
     pub fn set_timer(&mut self, delay: Micros, token: u64) {
-        self.timers.push((delay, token));
+        self.out.timers.push((delay, token));
     }
 
-    /// Drains the queued `(destination, message)` pairs.
+    /// Drains the queued messages as a flat `(destination, message)` list,
+    /// multicasts expanded in order.
     ///
     /// For interposers (the adversary harness) that run an inner node
     /// against a scratch context and then decide per message whether to
     /// forward, transform or drop it before re-queueing on the real one.
     pub fn take_outbox(&mut self) -> Vec<(PartyId, M)> {
-        std::mem::take(&mut self.outbox)
+        let mut flat = Vec::with_capacity(self.out.targets.len());
+        let mut start = 0;
+        for Burst { msg, end, .. } in self.out.bursts.drain(..) {
+            let (last, rest) = self.out.targets[start..end]
+                .split_last()
+                .expect("bursts are never empty");
+            flat.extend(rest.iter().map(|&to| (to, msg.clone())));
+            flat.push((*last, msg));
+            start = end;
+        }
+        self.out.targets.clear();
+        flat
     }
 
     /// Drains the queued `(delay, token)` timers (see [`Ctx::take_outbox`]).
     pub fn take_timers(&mut self) -> Vec<(Micros, u64)> {
-        std::mem::take(&mut self.timers)
+        std::mem::take(&mut self.out.timers)
     }
 }
 
@@ -160,9 +225,15 @@ mod tests {
     fn multicast_clones_to_all() {
         let cost = CostModel::free();
         let mut ctx: Ctx<'_, Ping> = Ctx::new(PartyId(0), Micros(0), &cost);
+        ctx.send(PartyId(7), Ping);
         ctx.multicast((0..3).map(PartyId), Ping);
-        assert_eq!(ctx.outbox.len(), 3);
-        assert_eq!(ctx.outbox[2].0, PartyId(2));
+        ctx.multicast(std::iter::empty(), Ping);
+        // One burst per call, none for an empty recipient list; interposers
+        // still see a flat per-recipient list in emission order.
+        assert_eq!(ctx.out.bursts.len(), 2);
+        let flat: Vec<PartyId> = ctx.take_outbox().into_iter().map(|(to, _)| to).collect();
+        assert_eq!(flat, [7, 0, 1, 2].map(PartyId));
+        assert!(ctx.take_outbox().is_empty());
     }
 
     #[test]
@@ -170,6 +241,6 @@ mod tests {
         let cost = CostModel::free();
         let mut ctx: Ctx<'_, Ping> = Ctx::new(PartyId(1), Micros(0), &cost);
         ctx.set_timer(Micros(500), 7);
-        assert_eq!(ctx.timers, vec![(Micros(500), 7)]);
+        assert_eq!(ctx.take_timers(), vec![(Micros(500), 7)]);
     }
 }

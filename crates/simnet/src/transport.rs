@@ -78,20 +78,21 @@ where
             let mut timers: BinaryHeap<PendingTimer> = BinaryHeap::new();
             let now_us = |start: Instant| Micros(start.elapsed().as_micros() as u64);
 
-            let flush = |node: &mut P, timers: &mut BinaryHeap<PendingTimer>, ctx: Ctx<'_, M>| {
-                let base = Instant::now();
-                for (delay, token) in &ctx.timers {
-                    timers.push(PendingTimer {
-                        at: base + Duration::from_micros(delay.0),
-                        token: *token,
-                    });
-                }
-                for (to, msg) in ctx.outbox {
-                    // A vanished peer just means shutdown is racing us.
-                    let _ = peers[to.idx()].send(Envelope::Msg { from: me, msg });
-                }
-                let _ = node;
-            };
+            let flush =
+                |node: &mut P, timers: &mut BinaryHeap<PendingTimer>, mut ctx: Ctx<'_, M>| {
+                    let base = Instant::now();
+                    for (delay, token) in ctx.take_timers() {
+                        timers.push(PendingTimer {
+                            at: base + Duration::from_micros(delay.0),
+                            token,
+                        });
+                    }
+                    for (to, msg) in ctx.take_outbox() {
+                        // A vanished peer just means shutdown is racing us.
+                        let _ = peers[to.idx()].send(Envelope::Msg { from: me, msg });
+                    }
+                    let _ = node;
+                };
 
             let mut ctx = Ctx::new(me, now_us(start), &cost);
             node.on_start(&mut ctx);

@@ -98,6 +98,7 @@ impl Vertex {
     /// Content digest of the vertex header (certificates included via their
     /// rounds and signer sets, not their raw signatures).
     pub fn id(&self) -> VertexId {
+        let _prof = clanbft_profiler::scope("codec.vertex_id");
         let mut h = Hasher::new("clanbft/vertex");
         h.update_u64(self.round.0);
         h.update_u64(self.source.0 as u64);

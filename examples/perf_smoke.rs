@@ -136,12 +136,14 @@ fn main() {
     let wl = workload();
 
     // Disabled runs: the first warms caches (page-ins, lazy statics), the
-    // best of the rest is the overhead baseline.
+    // best of the rest is the overhead baseline. A run is ~30 ms, short
+    // enough for one scheduling hiccup to be a two-digit percentage, so
+    // every mode reports its best of several.
     prof::disable();
     prof::reset();
     let mut disabled_wall = u64::MAX;
     let mut disabled_metrics = None;
-    for i in 0..3 {
+    for i in 0..5 {
         let t = Instant::now();
         let m = run_once(&wl);
         let w = t.elapsed().as_micros() as u64;
@@ -150,12 +152,15 @@ fn main() {
         }
         disabled_metrics = Some(m);
     }
-    let disabled_metrics = disabled_metrics.expect("three runs completed");
+    let disabled_metrics = disabled_metrics.expect("five runs completed");
     if !prof::take_report().scopes.is_empty() {
         fail("disabled profiler accumulated scope data");
     }
 
-    let (timing_wall, timing_metrics, timing_report) = run_profiled(&wl, true);
+    let (mut timing_wall, timing_metrics, timing_report) = run_profiled(&wl, true);
+    for _ in 0..2 {
+        timing_wall = timing_wall.min(run_profiled(&wl, true).0);
+    }
     let (wall_a, metrics_a, report_a) = run_profiled(&wl, false);
     let (wall_b, metrics_b, report_b) = run_profiled(&wl, false);
     let enabled_wall = wall_a.min(wall_b);

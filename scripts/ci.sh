@@ -175,6 +175,26 @@ if ! grep "\"figure\":\"5d\"" BENCH_summary.json | grep -qv "\"wal_fsync_p99_us\
     exit 1
 fi
 
+echo "== repo benchmark gate (benchmark/ builds and runs against crates/*)"
+# benchmark/ is a package of its own with path dependencies into crates/*:
+# a signature drift there breaks its build without failing anything above.
+# These are the steps of benchmark/check.sh (which ci.yml runs whole, on a
+# clean checkout) minus its last one, which refuses any tree with
+# uncommitted source changes -- this script has to pass on a working tree.
+(
+    export CARGO_TARGET_DIR=target/benchmark
+    M=benchmark/Cargo.toml
+    cargo fmt --check --manifest-path "$M"
+    cargo clippy --release --offline --all-targets --manifest-path "$M" -- -D warnings
+    cargo test --release --offline --manifest-path "$M"
+    benchmark/run.sh --quick > "$CARGO_TARGET_DIR/quick.log" || {
+        tail -40 "$CARGO_TARGET_DIR/quick.log" >&2
+        echo "benchmark/run.sh --quick failed" >&2
+        exit 1
+    }
+    grep '^derived:' "$CARGO_TARGET_DIR/quick.log"
+)
+
 echo "== dependency audit (manifests must declare no external crates)"
 if grep -R "rand\|proptest\|criterion\|crossbeam" crates/*/Cargo.toml Cargo.toml; then
     echo "external crate reference found in a manifest" >&2

@@ -353,6 +353,7 @@ fn same_seed_runs_profile_identical_scope_counts() {
         "rbc.handle",
         "consensus.process_vertex",
         "dag.insert",
+        "codec.vertex_id",
         "crypto.sign",
         "mempool.plan_batches",
     ] {
@@ -361,4 +362,104 @@ fn same_seed_runs_profile_identical_scope_counts() {
             "stage {stage:?} missing from profile"
         );
     }
+}
+
+/// Everything about a run that is visible without looking at the host:
+/// event and message counts, wire bytes in total and per message kind, and
+/// one digest over every party's committed log (sequence, vertex, block
+/// digest and simulated commit time).
+#[derive(Debug, PartialEq)]
+struct SimFingerprint {
+    handled_events: u64,
+    delivered_msgs: u64,
+    total_bytes: u64,
+    bytes_by_kind: Vec<(&'static str, u64)>,
+    committed_log: String,
+}
+
+fn sim_fingerprint(spec: &TribeSpec) -> SimFingerprint {
+    let mut built = build_tribe(spec);
+    built.sim.run_until(Micros::from_secs(3_000));
+    let mut log = clanbft_crypto::Hasher::new("test/committed-log");
+    for p in 0..spec.n as u32 {
+        let node = built.sim.node(PartyId(p));
+        log.update_u64(node.committed_log.len() as u64);
+        for c in &node.committed_log {
+            log.update_u64(c.sequence);
+            log.update_u64(c.vertex.round.0);
+            log.update_u64(u64::from(c.vertex.source.0));
+            log.update(c.block_digest.as_bytes());
+            log.update_u64(c.committed_at.0);
+        }
+    }
+    let stats = built.sim.stats();
+    SimFingerprint {
+        handled_events: stats.handled_events,
+        delivered_msgs: stats.delivered_msgs,
+        total_bytes: stats.total_bytes(),
+        bytes_by_kind: stats.bytes_by_kind.iter().map(|(k, v)| (*k, *v)).collect(),
+        committed_log: log.finalize().to_hex(),
+    }
+}
+
+/// The simulated outcome of two fixed-seed runs, pinned at the commit
+/// before the message path was made index-addressed and allocation-free
+/// (hardware SHA-256, burst accounting in the simulator, inline event
+/// storage, slot-addressed RBC state). Host-side work on dispatch, hashing
+/// or bookkeeping must leave every one of these numbers alone; a change
+/// that moves them changed the protocol or the network model, and has to
+/// say so by re-pinning.
+#[test]
+fn host_path_is_invisible_to_the_simulation() {
+    let n = 8;
+    let mut single = TribeSpec::new(n);
+    single.clans = Some(vec![elect_clan(n, 4, 42)]);
+    single.max_round = Some(8);
+    single.txs_per_proposal = 50;
+    single.seed = 42;
+    assert_eq!(
+        sim_fingerprint(&single),
+        SimFingerprint {
+            handled_events: 9936,
+            delivered_msgs: 9856,
+            total_bytes: 3_831_140,
+            bytes_by_kind: vec![
+                ("rbc.cert", 455_616),
+                ("rbc.echo", 451_584),
+                ("rbc.meta", 41_196),
+                ("rbc.val", 2_822_712),
+                ("timeout", 7_616),
+                ("vote", 52_416),
+            ],
+            committed_log: "8616f7453f0dbefa63a18decf35bcad879ecee523f84200e66da8974f74a6c05"
+                .to_string(),
+        }
+    );
+
+    let mut multi = TribeSpec::new(n);
+    multi.clans = Some(vec![
+        [0, 2, 4, 6].map(PartyId).to_vec(),
+        [1, 3, 5, 7].map(PartyId).to_vec(),
+    ]);
+    multi.max_round = Some(8);
+    multi.txs_per_proposal = 50;
+    multi.seed = 43;
+    assert_eq!(
+        sim_fingerprint(&multi),
+        SimFingerprint {
+            handled_events: 9936,
+            delivered_msgs: 9856,
+            total_bytes: 6_608_624,
+            bytes_by_kind: vec![
+                ("rbc.cert", 455_616),
+                ("rbc.echo", 451_584),
+                ("rbc.meta", 47_424),
+                ("rbc.val", 5_593_968),
+                ("timeout", 7_616),
+                ("vote", 52_416),
+            ],
+            committed_log: "d97654e14ed8ad03ebef18100203a35aa4a302fc48fbe2efa7418572b2e28c1f"
+                .to_string(),
+        }
+    );
 }
