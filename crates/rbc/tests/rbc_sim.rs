@@ -12,6 +12,7 @@ use std::sync::Arc;
 type Node = AnyNode<BytesPayload>;
 type Sim = Simulator<clanbft_rbc::RbcPacket<BytesPayload>, Node>;
 
+#[derive(Clone, Copy, Debug)]
 enum Variant {
     Three,
     Two,
@@ -439,4 +440,284 @@ fn clan_dissemination_saves_bandwidth() {
         (tribe_bytes - clan_bytes) as f64 > 0.8 * (payload_tribe - payload_clan) as f64,
         "clan dissemination saves payload bandwidth: clan={clan_bytes} tribe={tribe_bytes}"
     );
+}
+
+/// Everything a standalone broadcast shows from outside: wire traffic in
+/// total and per message kind, and when each party first delivered and
+/// first certified (simulated µs; 0 = never — nothing completes at t = 0).
+#[derive(Debug, PartialEq)]
+struct BroadcastFingerprint {
+    sent_msgs: u64,
+    total_bytes: u64,
+    bytes_by_kind: Vec<(&'static str, u64)>,
+    delivered_at: Vec<u64>,
+    certified_at: Vec<u64>,
+}
+
+/// One broadcast by party 0 (n = 10, clan 0..5, round 1) under the default
+/// cost model and jitter, so CPU charges and draw order show up as times.
+/// `script` replaces the sender with a Byzantine one; `None` is benign.
+fn broadcast_fingerprint(
+    variant: Variant,
+    script: Option<ByzantineSender<BytesPayload>>,
+) -> BroadcastFingerprint {
+    let n = 10;
+    let mut s = setup(n, Some(vec![0, 1, 2, 3, 4]), 31);
+    s.cfg = SimConfig::benign(n, 31);
+    let mut script = script;
+    let nodes: Vec<Node> = (0..n)
+        .map(|i| {
+            let ecfg = EngineConfig::new(
+                PartyId(i as u32),
+                Arc::clone(&s.topology),
+                CostModel::default(),
+            );
+            let h = match variant {
+                Variant::Three => StandaloneNode::three(ecfg),
+                Variant::Two => StandaloneNode::two(ecfg, Arc::clone(&s.auths[i])),
+            };
+            match (i, script.take()) {
+                (0, Some(behaviour)) => AnyNode::Byzantine(ByzantineNode {
+                    me: PartyId(0),
+                    topology: Arc::clone(&s.topology),
+                    behaviour,
+                }),
+                (0, None) => {
+                    AnyNode::Honest(h.with_broadcast(Round(1), BytesPayload::new(vec![0xc3; 3000])))
+                }
+                _ => AnyNode::Honest(h),
+            }
+        })
+        .collect();
+    let mut sim = Simulator::new(s.cfg.clone(), nodes);
+    run(&mut sim);
+    let first = |f: &dyn Fn(&StandaloneNode<BytesPayload>) -> Option<Micros>| -> Vec<u64> {
+        (0..n as u32)
+            .map(|p| match sim.node(PartyId(p)) {
+                AnyNode::Honest(h) => f(h).map_or(0, |t| t.0),
+                AnyNode::Byzantine(_) => 0,
+            })
+            .collect()
+    };
+    BroadcastFingerprint {
+        sent_msgs: sim.stats().sent_msgs.iter().sum(),
+        total_bytes: sim.stats().total_bytes(),
+        bytes_by_kind: sim
+            .stats()
+            .bytes_by_kind
+            .iter()
+            .map(|(k, v)| (*k, *v))
+            .collect(),
+        delivered_at: first(&|h| {
+            h.deliveries.first().map(|d| match d {
+                Delivery::Full(_, _, _, t) | Delivery::Meta(_, _, _, t) => *t,
+            })
+        }),
+        certified_at: first(&|h| h.certified.first().map(|c| c.2)),
+    }
+}
+
+fn pinned_scripts() -> Vec<(&'static str, Option<ByzantineSender<BytesPayload>>)> {
+    let payload = BytesPayload::new(vec![0xc3; 3000]);
+    vec![
+        ("benign", None),
+        (
+            "equivocate",
+            Some(ByzantineSender::Equivocate {
+                a: payload.clone(),
+                b: BytesPayload::new(vec![0x3c; 3000]),
+                round: Round(1),
+            }),
+        ),
+        (
+            "selective",
+            Some(ByzantineSender::Selective {
+                payload: payload.clone(),
+                full_recipients: 4,
+                round: Round(1),
+            }),
+        ),
+        (
+            "deprive_meta",
+            Some(ByzantineSender::DepriveMeta {
+                payload,
+                deprived: vec![PartyId(9)],
+                round: Round(1),
+            }),
+        ),
+    ]
+}
+
+/// Cross-commit pin for the standalone engines: both flavours under a benign
+/// and three Byzantine senders, captured at the commit before the two
+/// engines were merged into one. The 3-round flavour and the Byzantine
+/// scripts run nowhere else with fixed expected numbers, so this table is
+/// what shows that a change to the broadcast layer kept every message, byte,
+/// CPU charge and jitter draw where it was. A change that moves a value
+/// changed the protocol and has to say so by re-pinning.
+#[test]
+fn standalone_broadcasts_are_pinned() {
+    let pinned = vec![
+        (
+            Variant::Three,
+            "benign",
+            BroadcastFingerprint {
+                sent_msgs: 189,
+                total_bytes: 20984,
+                bytes_by_kind: vec![
+                    ("rbc.echo", 4320),
+                    ("rbc.meta", 280),
+                    ("rbc.ready", 4320),
+                    ("rbc.val", 12064),
+                ],
+                delivered_at: vec![
+                    232773, 200800, 272274, 240275, 257545, 231170, 201528, 272927, 237525, 255848,
+                ],
+                certified_at: vec![
+                    232773, 200800, 272274, 240275, 257545, 231170, 201528, 272927, 237525, 255848,
+                ],
+            },
+        ),
+        (
+            Variant::Three,
+            "equivocate",
+            BroadcastFingerprint {
+                sent_msgs: 90,
+                total_bytes: 16232,
+                bytes_by_kind: vec![("rbc.echo", 3888), ("rbc.meta", 280), ("rbc.val", 12064)],
+                delivered_at: vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                certified_at: vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            },
+        ),
+        (
+            Variant::Three,
+            "selective",
+            BroadcastFingerprint {
+                sent_msgs: 168,
+                total_bytes: 25920,
+                bytes_by_kind: vec![
+                    ("rbc.echo", 3456),
+                    ("rbc.meta", 336),
+                    ("rbc.pull", 144),
+                    ("rbc.pull_resp", 9048),
+                    ("rbc.ready", 3888),
+                    ("rbc.val", 9048),
+                ],
+                delivered_at: vec![
+                    0, 275873, 307425, 260622, 348075, 265352, 276252, 307742, 260693, 258881,
+                ],
+                certified_at: vec![
+                    0, 275873, 307425, 260622, 258673, 265352, 276252, 307742, 260693, 258881,
+                ],
+            },
+        ),
+        (
+            Variant::Three,
+            "deprive_meta",
+            BroadcastFingerprint {
+                sent_msgs: 169,
+                total_bytes: 20048,
+                bytes_by_kind: vec![
+                    ("rbc.echo", 3456),
+                    ("rbc.meta", 224),
+                    ("rbc.meta_resp", 224),
+                    ("rbc.pull", 192),
+                    ("rbc.ready", 3888),
+                    ("rbc.val", 12064),
+                ],
+                delivered_at: vec![
+                    0, 275625, 303651, 260476, 258397, 262308, 275338, 306047, 260139, 259513,
+                ],
+                certified_at: vec![
+                    0, 275625, 303651, 260476, 258397, 262308, 275338, 306047, 260139, 258916,
+                ],
+            },
+        ),
+        (
+            Variant::Two,
+            "benign",
+            BroadcastFingerprint {
+                sent_msgs: 189,
+                total_bytes: 32684,
+                bytes_by_kind: vec![
+                    ("rbc.cert", 10260),
+                    ("rbc.echo", 10080),
+                    ("rbc.meta", 280),
+                    ("rbc.val", 12064),
+                ],
+                delivered_at: vec![
+                    159987, 136452, 205666, 150992, 131411, 158387, 134905, 204096, 152560, 132931,
+                ],
+                certified_at: vec![
+                    159987, 136452, 205666, 150992, 131411, 158387, 134905, 204096, 152560, 132931,
+                ],
+            },
+        ),
+        (
+            Variant::Two,
+            "equivocate",
+            BroadcastFingerprint {
+                sent_msgs: 90,
+                total_bytes: 21416,
+                bytes_by_kind: vec![("rbc.echo", 9072), ("rbc.meta", 280), ("rbc.val", 12064)],
+                delivered_at: vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                certified_at: vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            },
+        ),
+        (
+            Variant::Two,
+            "selective",
+            BroadcastFingerprint {
+                sent_msgs: 166,
+                total_bytes: 32810,
+                bytes_by_kind: vec![
+                    ("rbc.cert", 9234),
+                    ("rbc.echo", 8064),
+                    ("rbc.meta", 336),
+                    ("rbc.pull", 96),
+                    ("rbc.pull_resp", 6032),
+                    ("rbc.val", 9048),
+                ],
+                delivered_at: vec![
+                    0, 138328, 206839, 182034, 312408, 161555, 136774, 205263, 182290, 206902,
+                ],
+                certified_at: vec![
+                    0, 138328, 206839, 182034, 205381, 161555, 136774, 205263, 182290, 206902,
+                ],
+            },
+        ),
+        (
+            Variant::Two,
+            "deprive_meta",
+            BroadcastFingerprint {
+                sent_msgs: 169,
+                total_bytes: 30002,
+                bytes_by_kind: vec![
+                    ("rbc.cert", 9234),
+                    ("rbc.echo", 8064),
+                    ("rbc.meta", 224),
+                    ("rbc.meta_resp", 224),
+                    ("rbc.pull", 192),
+                    ("rbc.val", 12064),
+                ],
+                delivered_at: vec![
+                    0, 138492, 202870, 178104, 204613, 160391, 136944, 204450, 179665, 206732,
+                ],
+                certified_at: vec![
+                    0, 138492, 202870, 178104, 204613, 160391, 136944, 204450, 179665, 206131,
+                ],
+            },
+        ),
+    ];
+    let mut scripts = Vec::new();
+    scripts.extend(pinned_scripts());
+    scripts.extend(pinned_scripts());
+    for ((variant, name, expected), (script_name, script)) in pinned.into_iter().zip(scripts) {
+        assert_eq!(name, script_name);
+        assert_eq!(
+            broadcast_fingerprint(variant, script),
+            expected,
+            "{variant:?} flavour, {name} sender"
+        );
+    }
 }

@@ -118,11 +118,9 @@ fn same_seed_runs_analyze_identically() {
 }
 
 /// One instrumented adversarial run: commit traces plus detection counters.
-fn run_adversarial(seed: u64) -> (Vec<CommitTrace>, Vec<(&'static str, u64)>) {
+fn adversarial_spec(seed: u64) -> TribeSpec {
     use clanbft_adversary::Attack;
-    let n = 7;
-    let (telemetry, recorder) = clanbft_telemetry::Telemetry::mem();
-    let mut spec = TribeSpec::new(n);
+    let mut spec = TribeSpec::new(7);
     spec.max_round = Some(8);
     spec.txs_per_proposal = 30;
     spec.seed = seed;
@@ -131,6 +129,13 @@ fn run_adversarial(seed: u64) -> (Vec<CommitTrace>, Vec<(&'static str, u64)>) {
         (PartyId(1), Attack::Equivocate),
         (PartyId(4), Attack::Replay),
     ];
+    spec
+}
+
+fn run_adversarial(seed: u64) -> (Vec<CommitTrace>, Vec<(&'static str, u64)>) {
+    let (telemetry, recorder) = clanbft_telemetry::Telemetry::mem();
+    let mut spec = adversarial_spec(seed);
+    let n = spec.n;
     spec.telemetry = telemetry;
     let mut built = build_tribe(&spec);
     built.sim.run_until(Micros::from_secs(300));
@@ -182,15 +187,15 @@ fn same_seed_adversarial_runs_are_identical() {
 
 /// One crash/restart run against its own scratch storage root: commit
 /// traces plus the durability counters.
-fn run_recovery(seed: u64, tag: &str) -> (Vec<CommitTrace>, Vec<(&'static str, u64)>) {
-    let n = 4;
+/// The crash/restart tribe, persisting under a scratch storage root of its
+/// own (returned so the caller can remove it).
+fn recovery_spec(seed: u64, tag: &str) -> (TribeSpec, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!(
         "clanbft-determinism-{}-{seed}-{tag}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let (telemetry, recorder) = clanbft_telemetry::Telemetry::mem();
-    let mut spec = TribeSpec::new(n);
+    let mut spec = TribeSpec::new(4);
     spec.max_round = Some(12);
     spec.txs_per_proposal = 30;
     spec.seed = seed;
@@ -198,6 +203,13 @@ fn run_recovery(seed: u64, tag: &str) -> (Vec<CommitTrace>, Vec<(&'static str, u
     spec.storage_root = Some(dir.clone());
     spec.crashes = vec![(PartyId(2), Micros::from_millis(900))];
     spec.restarts = vec![(PartyId(2), Micros::from_millis(2_600))];
+    (spec, dir)
+}
+
+fn run_recovery(seed: u64, tag: &str) -> (Vec<CommitTrace>, Vec<(&'static str, u64)>) {
+    let (telemetry, recorder) = clanbft_telemetry::Telemetry::mem();
+    let (mut spec, dir) = recovery_spec(seed, tag);
+    let n = spec.n;
     spec.telemetry = telemetry;
     let mut built = build_tribe(&spec);
     built.sim.run_until(Micros::from_secs(300));
@@ -257,11 +269,11 @@ fn same_seed_recovery_runs_are_identical() {
     );
 }
 
-/// One monitored withhold run's full alert stream as NDJSON.
-fn run_monitored_alerts(seed: u64) -> String {
+/// A single-clan tribe with one clan member withholding payloads from
+/// another: the pull and pull-retry machinery under consensus.
+fn withhold_spec(seed: u64) -> TribeSpec {
     use clanbft_adversary::Attack;
     let n = 7;
-    let monitor = clanbft_monitor::HealthMonitor::default();
     let mut spec = TribeSpec::new(n);
     spec.clans = Some(vec![elect_clan(n, 4, seed)]);
     spec.max_round = Some(8);
@@ -276,6 +288,13 @@ fn run_monitored_alerts(seed: u64) -> String {
             victims: vec![PartyId(2)],
         },
     )];
+    spec
+}
+
+/// One monitored withhold run's full alert stream as NDJSON.
+fn run_monitored_alerts(seed: u64) -> String {
+    let monitor = clanbft_monitor::HealthMonitor::default();
+    let mut spec = withhold_spec(seed);
     spec.monitor = Some(monitor.clone());
     let mut built = build_tribe(&spec);
     built.sim.run_until(Micros::from_secs(300));
@@ -365,9 +384,10 @@ fn same_seed_runs_profile_identical_scope_counts() {
 }
 
 /// Everything about a run that is visible without looking at the host:
-/// event and message counts, wire bytes in total and per message kind, and
-/// one digest over every party's committed log (sequence, vertex, block
-/// digest and simulated commit time).
+/// event and message counts, wire bytes in total and per message kind, one
+/// digest over every party's committed log (sequence, vertex, block digest
+/// and simulated commit time), every telemetry counter, and the SHA-256 of
+/// the exported NDJSON trace.
 #[derive(Debug, PartialEq)]
 struct SimFingerprint {
     handled_events: u64,
@@ -375,11 +395,17 @@ struct SimFingerprint {
     total_bytes: u64,
     bytes_by_kind: Vec<(&'static str, u64)>,
     committed_log: String,
+    counters: Vec<(&'static str, u64)>,
+    /// `None` where the event stream carries a wall-clock field (a restart's
+    /// `recovery_completed.duration_us`) and so differs from host to host.
+    trace: Option<String>,
 }
 
-fn sim_fingerprint(spec: &TribeSpec) -> SimFingerprint {
-    let mut built = build_tribe(spec);
-    built.sim.run_until(Micros::from_secs(3_000));
+fn sim_fingerprint(mut spec: TribeSpec, until: Micros, hash_trace: bool) -> SimFingerprint {
+    let (telemetry, recorder) = clanbft_telemetry::Telemetry::mem();
+    spec.telemetry = telemetry;
+    let mut built = build_tribe(&spec);
+    built.sim.run_until(until);
     let mut log = clanbft_crypto::Hasher::new("test/committed-log");
     for p in 0..spec.n as u32 {
         let node = built.sim.node(PartyId(p));
@@ -393,12 +419,19 @@ fn sim_fingerprint(spec: &TribeSpec) -> SimFingerprint {
         }
     }
     let stats = built.sim.stats();
+    let mut counters = recorder.counters();
+    counters.sort();
     SimFingerprint {
         handled_events: stats.handled_events,
         delivered_msgs: stats.delivered_msgs,
         total_bytes: stats.total_bytes(),
         bytes_by_kind: stats.bytes_by_kind.iter().map(|(k, v)| (*k, *v)).collect(),
         committed_log: log.finalize().to_hex(),
+        counters,
+        trace: hash_trace.then(|| {
+            clanbft_crypto::Digest::of(clanbft_sim::export_trace(&spec, &recorder).as_bytes())
+                .to_hex()
+        }),
     }
 }
 
@@ -418,7 +451,7 @@ fn host_path_is_invisible_to_the_simulation() {
     single.txs_per_proposal = 50;
     single.seed = 42;
     assert_eq!(
-        sim_fingerprint(&single),
+        sim_fingerprint(single, Micros::from_secs(3_000), true),
         SimFingerprint {
             handled_events: 9936,
             delivered_msgs: 9856,
@@ -433,6 +466,14 @@ fn host_path_is_invisible_to_the_simulation() {
             ],
             committed_log: "8616f7453f0dbefa63a18decf35bcad879ecee523f84200e66da8974f74a6c05"
                 .to_string(),
+            counters: vec![
+                ("commit.vertices", 480),
+                ("mempool.admitted", 1800),
+                ("mempool.pulled", 1800),
+            ],
+            trace: Some(
+                "660220229e038e002d3872c9d5955da37425ad29e14ed519286b711212c8f61f".to_string()
+            ),
         }
     );
 
@@ -445,7 +486,7 @@ fn host_path_is_invisible_to_the_simulation() {
     multi.txs_per_proposal = 50;
     multi.seed = 43;
     assert_eq!(
-        sim_fingerprint(&multi),
+        sim_fingerprint(multi, Micros::from_secs(3_000), true),
         SimFingerprint {
             handled_events: 9936,
             delivered_msgs: 9856,
@@ -460,6 +501,121 @@ fn host_path_is_invisible_to_the_simulation() {
             ],
             committed_log: "d97654e14ed8ad03ebef18100203a35aa4a302fc48fbe2efa7418572b2e28c1f"
                 .to_string(),
+            counters: vec![
+                ("commit.vertices", 480),
+                ("mempool.admitted", 3600),
+                ("mempool.pulled", 3600),
+            ],
+            trace: Some(
+                "631b7b0912c19291dee5b7b8ff5e5ad8a3e2bab120a81859925e5ecfa2af6ba8".to_string()
+            ),
+        }
+    );
+}
+
+/// The same pin for the runs that exercise what the benign ones never
+/// reach — rejection, evidence and twin handling under attack; pulls and
+/// pull retries against a withholding clan member; WAL replay, state
+/// transfer and catch-up after a crash — captured at the commit before the
+/// broadcast engines, the commit fold, round admission and the vertex store
+/// were each reduced to one mechanism.
+#[test]
+fn fault_paths_are_invisible_to_the_simulation_too() {
+    assert_eq!(
+        sim_fingerprint(adversarial_spec(42), Micros::from_secs(300), true),
+        SimFingerprint {
+            handled_events: 7253,
+            delivered_msgs: 7183,
+            total_bytes: 7168670,
+            bytes_by_kind: vec![
+                ("rbc.cert", 292896),
+                ("rbc.echo", 338688),
+                ("rbc.val", 6482694),
+                ("timeout", 19448),
+                ("vote", 34944)
+            ],
+            committed_log: "a7e9c38f532721bbdc6c93a7190b58ddf1adb64e2c4c97549efcb26319abdba1"
+                .to_string(),
+            counters: vec![
+                ("commit.vertices", 294),
+                ("evidence.recorded", 63),
+                ("mempool.admitted", 1890),
+                ("mempool.pulled", 1890),
+                ("rejected.duplicate", 573),
+                ("rejected.equivocation", 63)
+            ],
+            trace: Some(
+                "679d72dceeda23f67429e04abffb9dcaab44370cd2364c265a5022282266b4cf".to_string()
+            )
+        }
+    );
+    assert_eq!(
+        sim_fingerprint(withhold_spec(42), Micros::from_secs(300), true),
+        SimFingerprint {
+            handled_events: 6752,
+            delivered_msgs: 6655,
+            total_bytes: 3710160,
+            bytes_by_kind: vec![
+                ("rbc.cert", 298998),
+                ("rbc.echo", 290304),
+                ("rbc.meta", 25596),
+                ("rbc.pull", 2160),
+                ("rbc.pull_resp", 466044),
+                ("rbc.val", 2582034),
+                ("timeout", 5712),
+                ("vote", 39312)
+            ],
+            committed_log: "f9b08e3f985b28ee2c05a2912df22a9cce2f05a36fbce494877a9388b1b5a305"
+                .to_string(),
+            counters: vec![
+                ("commit.vertices", 385),
+                ("mempool.admitted", 1800),
+                ("mempool.pulled", 1800),
+                ("pull.retries", 18),
+                ("rejected.duplicate", 9)
+            ],
+            trace: Some(
+                "a1bfef8ada9ed4d083b79202a585c6230d0b50e2e69f268c99db0c55d8f9fe74".to_string()
+            )
+        }
+    );
+    let (spec, dir) = recovery_spec(42, "pin");
+    let recovered = sim_fingerprint(spec, Micros::from_secs(300), false);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        recovered,
+        SimFingerprint {
+            handled_events: 1743,
+            delivered_msgs: 1582,
+            total_bytes: 2485855,
+            bytes_by_kind: vec![
+                ("rbc.cert", 61359),
+                ("rbc.echo", 60816),
+                ("rbc.pull", 96),
+                ("rbc.pull_resp", 31252),
+                ("rbc.val", 2297250),
+                ("state.chunk", 18054),
+                ("state.request", 48),
+                ("state.snapshot", 84),
+                ("timeout", 2856),
+                ("vote", 14040)
+            ],
+            committed_log: "db49445729e48825b32fdb47ee06f791fe8e5a5ab6875dd92d024374081d8f51"
+                .to_string(),
+            counters: vec![
+                ("checkpoint.written", 4),
+                ("commit.vertices", 160),
+                ("mempool.admitted", 1440),
+                ("mempool.pulled", 1440),
+                ("rejected.duplicate", 6),
+                ("state_transfer.bytes", 18054),
+                ("state_transfer.chunks", 6),
+                ("state_transfer.requests", 3),
+                ("wal.appends", 468),
+                ("wal.bytes", 54188),
+                ("wal.fsyncs", 476)
+            ],
+            trace: None
         }
     );
 }
