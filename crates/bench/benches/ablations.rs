@@ -104,7 +104,7 @@ fn bandwidth_model_ablation() {
 /// Measured straw-man pipeline vs. pipelined single-clan Sailfish at light
 /// load on the same 10-node tribe (clan of 5).
 fn strawman_measured_ablation() {
-    use clanbft_consensus::{StrawmanConfig, StrawmanNode};
+    use clanbft_bench::strawman::{StrawmanConfig, StrawmanNode};
     use clanbft_crypto::{Authenticator, Registry, Scheme};
     use clanbft_types::TribeParams;
 

@@ -16,6 +16,7 @@ use clanbft_sim::{ExperimentSpec, Proto, RunMetrics};
 use clanbft_telemetry::Telemetry;
 use std::io::Write;
 
+pub mod strawman;
 pub mod timing;
 
 /// Every bench binary built on this crate counts allocations per profiler

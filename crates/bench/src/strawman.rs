@@ -19,8 +19,7 @@
 //!
 //! The implementation is deliberately minimal (benign-case only: crash
 //! faults stall a slot until the next leader; no view change), because its
-//! sole purpose is the latency ablation — see
-//! `crates/bench/benches/ablations.rs`.
+//! sole purpose is the latency ablation in `benches/ablations.rs`.
 
 use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Hasher, Signature};
 use clanbft_rbc::ClanTopology;

@@ -30,7 +30,6 @@ pub mod node;
 pub mod payload;
 pub mod recovery;
 pub mod schedule;
-pub mod strawman;
 pub mod trackers;
 
 pub use config::NodeConfig;
@@ -39,4 +38,3 @@ pub use messages::ConsensusMsg;
 pub use node::{CommittedVertex, SailfishNode};
 pub use payload::MergedPayload;
 pub use schedule::LeaderSchedule;
-pub use strawman::{StrawmanConfig, StrawmanNode};

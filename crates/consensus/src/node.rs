@@ -29,7 +29,7 @@ use crate::trackers::{TimeoutTracker, VoteOutcome, VoteTracker};
 use clanbft_crypto::{Authenticator, Digest};
 use clanbft_dag::{order, Dag, InsertOutcome};
 use clanbft_mempool::{plan_batches, ClientIngress, WorkloadSpec};
-use clanbft_rbc::{parse_retry_token, Effects, EngineConfig, RbcEvent, TribeRbc2};
+use clanbft_rbc::{parse_retry_token, Effects, EngineConfig, RbcEvent, TribeRbc};
 use clanbft_simnet::protocol::{Ctx, Protocol};
 use clanbft_telemetry::{counters, Event};
 use clanbft_types::certs::{no_vote_digest, timeout_digest, NoVoteCert, TimeoutCert};
@@ -68,6 +68,21 @@ pub struct ProposedBatch {
     pub count: u32,
 }
 
+/// How this node learnt an entry of the total order it folds in.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum CommitOrigin {
+    /// Ordered here: a leader this node committed swept the vertex in.
+    Ordered,
+    /// Adopted from `f+1` matching state-transfer responders after a
+    /// restart: logged and emitted like a local commit, but its block is not
+    /// queued for execution and `commit.vertices` (vertices ordered *here*)
+    /// does not count it.
+    Adopted,
+    /// Replayed from this node's own WAL: already logged and emitted by a
+    /// previous incarnation.
+    Replayed,
+}
+
 /// At most this many evidence records are retained per node — enough for
 /// any audit while bounding what an equivocation storm can allocate.
 pub(crate) const EVIDENCE_CAP: usize = 256;
@@ -80,7 +95,7 @@ pub struct SailfishNode {
     pub(crate) cfg: NodeConfig,
     pub(crate) schedule: LeaderSchedule,
     pub(crate) auth: Arc<Authenticator>,
-    pub(crate) rbc: TribeRbc2<MergedPayload>,
+    pub(crate) rbc: TribeRbc<MergedPayload>,
     pub(crate) dag: Dag,
     votes: VoteTracker,
     timeouts: TimeoutTracker,
@@ -100,9 +115,6 @@ pub struct SailfishNode {
     /// `(round, culprit)` pairs already evidenced — one record per pair.
     pub(crate) evidence_keys: HashSet<(Round, PartyId)>,
 
-    /// Vertices validated and accepted (pre- or post-DAG-liveness), with
-    /// their content ids cached (vertex hashing is hot at scale).
-    pub(crate) accepted: HashMap<VertexRef, (Arc<Vertex>, Digest)>,
     /// Full blocks held (clan member for the proposer, or own proposals).
     pub(crate) blocks: HashMap<VertexRef, Arc<Block>>,
     /// Live vertices that arrived after their round passed — weak-edge
@@ -148,9 +160,10 @@ pub struct SailfishNode {
     pub(crate) next_epoch: u64,
     /// In-flight post-restart state transfer (client side).
     pub(crate) catchup: Option<crate::recovery::CatchupState>,
-    /// `(peer, from_round)` state requests already answered — the pull
+    /// Per peer: the lowest `from_round` a state request must carry to be
+    /// answered (one past the last one served; 0 = never served) — the pull
     /// rate-limit pattern applied to state transfer.
-    pub(crate) served_state: HashSet<(PartyId, u64)>,
+    pub(crate) next_servable_state: Vec<u64>,
     /// WAL records replayed at construction (recovery telemetry).
     pub(crate) recovered_records: u64,
     /// Whether this construction rebuilt durable state from disk.
@@ -190,6 +203,29 @@ impl Intake {
     }
 }
 
+/// The client ingress a proposer fronts its proposals with (`None` for a
+/// zero workload). The workload defaults to the historical synthetic model
+/// so existing `txs_per_proposal` callers keep their behaviour.
+pub(crate) fn new_ingress(cfg: &NodeConfig) -> Option<ClientIngress> {
+    let workload = cfg.workload.unwrap_or(WorkloadSpec::Synthetic {
+        txs_per_proposal: cfg.txs_per_proposal,
+    });
+    let idle = WorkloadSpec::Synthetic {
+        txs_per_proposal: 0,
+    };
+    (workload != idle).then(|| {
+        ClientIngress::new(
+            workload,
+            cfg.tx_bytes,
+            cfg.mempool,
+            cfg.sizer,
+            // Per-node arrival randomness, derived from the shared seed.
+            cfg.schedule_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(cfg.me.idx() as u64 + 1),
+            cfg.telemetry.clone(),
+        )
+    })
+}
+
 impl SailfishNode {
     /// Builds a node from its configuration and signing identity.
     pub fn new(cfg: NodeConfig, auth: Arc<Authenticator>) -> SailfishNode {
@@ -198,29 +234,9 @@ impl SailfishNode {
         engine_cfg.round_window = cfg.round_window;
         engine_cfg.pull_retry = cfg.pull_retry;
         let rbc =
-            TribeRbc2::new(engine_cfg, Arc::clone(&auth)).with_sig_verification(cfg.verify_sigs);
-        // Proposers front their proposals with a client ingress; the
-        // workload defaults to the historical synthetic model so existing
-        // `txs_per_proposal` callers keep their behaviour.
-        let workload = cfg.workload.unwrap_or(WorkloadSpec::Synthetic {
-            txs_per_proposal: cfg.txs_per_proposal,
-        });
-        let ingress = if cfg.is_block_proposer
-            && !matches!(
-                workload,
-                WorkloadSpec::Synthetic {
-                    txs_per_proposal: 0
-                }
-            ) {
-            Some(ClientIngress::new(
-                workload,
-                cfg.tx_bytes,
-                cfg.mempool,
-                cfg.sizer,
-                // Per-node arrival randomness, derived from the shared seed.
-                cfg.schedule_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(cfg.me.idx() as u64 + 1),
-                cfg.telemetry.clone(),
-            ))
+            TribeRbc::signed(engine_cfg, Arc::clone(&auth)).with_sig_verification(cfg.verify_sigs);
+        let ingress = if cfg.is_block_proposer {
+            new_ingress(&cfg)
         } else {
             None
         };
@@ -238,7 +254,6 @@ impl SailfishNode {
             certs_formed: HashMap::new(),
             evidence: Vec::new(),
             evidence_keys: HashSet::new(),
-            accepted: HashMap::new(),
             blocks: HashMap::new(),
             late_arrivals: BTreeSet::new(),
             last_committed: None,
@@ -261,7 +276,7 @@ impl SailfishNode {
             epochs: Vec::new(),
             next_epoch: 1,
             catchup: None,
-            served_state: HashSet::new(),
+            next_servable_state: vec![0; cfg.tribe.n()],
             recovered_records: 0,
             recovered: false,
             cfg,
@@ -546,7 +561,7 @@ impl SailfishNode {
     ) {
         let _prof = clanbft_profiler::scope("consensus.process_vertex");
         let vref = vertex.reference();
-        if self.accepted.contains_key(&vref) || vref.round < self.dag.horizon() {
+        if self.dag.is_known(&vref) {
             return;
         }
         if !self.validate_vertex(&vertex, fx) {
@@ -559,7 +574,6 @@ impl SailfishNode {
         );
         fx.charge(self.cfg.cost.db_write());
         debug_assert_eq!(id, vertex.id());
-        self.accepted.insert(vref, (Arc::clone(&vertex), id));
         if self.storage.is_some() {
             self.log_wal(&clanbft_storage::WalRecord::Accepted {
                 vertex: (*vertex).clone(),
@@ -595,40 +609,8 @@ impl SailfishNode {
             });
         }
 
-        match self.dag.insert((*vertex).clone()) {
-            InsertOutcome::Live(new_live) => {
-                if self.cfg.telemetry.enabled() {
-                    let pending = self.dag.pending_count() as u64;
-                    for live_ref in &new_live {
-                        self.cfg.telemetry.event(
-                            fx.stamp(),
-                            self.cfg.me,
-                            Event::DagLive {
-                                round: live_ref.round,
-                                source: live_ref.source,
-                                pending,
-                            },
-                        );
-                    }
-                }
-                for live_ref in new_live {
-                    // Round entry and proposal are atomic (`try_advance`),
-                    // so every round <= current_round has already chosen
-                    // its strong edges: a vertex going live now missed the
-                    // proposal that could have referenced it whenever
-                    // `round.next() <= current_round`, not just `<`. Such
-                    // vertices must be weak-edged later or they are
-                    // orphaned from every causal history forever.
-                    if live_ref.round.next() <= self.current_round {
-                        self.late_arrivals.insert(live_ref);
-                    }
-                    // A leader vertex becoming live may complete a pending
-                    // vote quorum.
-                    if self.schedule.leader_vertex(live_ref.round) == live_ref {
-                        self.try_commit(live_ref.round, now);
-                    }
-                }
-            }
+        match self.dag.insert_shared(vertex, Some(id)) {
+            InsertOutcome::Live(new_live) => self.on_live(new_live, fx.stamp(), now),
             InsertOutcome::Pending => {
                 self.cfg.telemetry.event(
                     fx.stamp(),
@@ -640,6 +622,43 @@ impl SailfishNode {
                 );
             }
             InsertOutcome::Duplicate => {}
+        }
+    }
+
+    /// Vertices became live — through an insert, or because garbage
+    /// collection raised the horizon past the last parent they were waiting
+    /// for: trace them, remember the ones a proposal can no longer cite, and
+    /// retry the commit of any leader among them.
+    pub(crate) fn on_live(&mut self, new_live: Vec<VertexRef>, stamp: Micros, now: Micros) {
+        if self.cfg.telemetry.enabled() {
+            let pending = self.dag.pending_count() as u64;
+            for live_ref in &new_live {
+                self.cfg.telemetry.event(
+                    stamp,
+                    self.cfg.me,
+                    Event::DagLive {
+                        round: live_ref.round,
+                        source: live_ref.source,
+                        pending,
+                    },
+                );
+            }
+        }
+        for live_ref in new_live {
+            // Round entry and proposal are atomic (`try_advance`), so every
+            // round <= current_round has already chosen its strong edges: a
+            // vertex going live now missed the proposal that could have
+            // referenced it whenever `round.next() <= current_round`, not
+            // just `<`. Such vertices must be weak-edged later or they are
+            // orphaned from every causal history forever.
+            if live_ref.round.next() <= self.current_round {
+                self.late_arrivals.insert(live_ref);
+            }
+            // A leader vertex becoming live may complete a pending vote
+            // quorum.
+            if self.schedule.leader_vertex(live_ref.round) == live_ref {
+                self.try_commit(live_ref.round, now);
+            }
         }
     }
 
@@ -701,13 +720,10 @@ impl SailfishNode {
             return;
         }
         let leader_ref = self.schedule.leader_vertex(round);
-        if self.dag.get(&leader_ref).is_none() {
-            return;
-        }
-        let Some((_, id)) = self.accepted.get(&leader_ref) else {
-            return;
+        let Some(id) = self.dag.id_of(&leader_ref) else {
+            return; // Not live yet.
         };
-        if self.votes.count(round, id) < self.cfg.tribe.quorum() {
+        if self.votes.count(round, &id) < self.cfg.tribe.quorum() {
             return;
         }
         // Direct commit: resolve the indirect chain and emit the order.
@@ -715,49 +731,71 @@ impl SailfishNode {
         let chain = order::commit_chain(&self.dag, self.last_committed, leader_ref, |r| {
             schedule.leader(r)
         });
-        let ordered = order::causal_order(&mut self.dag, &chain);
-        for vref in ordered {
+        for vref in order::causal_order(&mut self.dag, &chain) {
             let Some(v) = self.dag.get(&vref) else {
                 continue;
             };
-            let (block_digest, block_bytes, block_tx_count) =
-                (v.block_digest, v.block_bytes, v.block_tx_count);
-            // Epoch rotation decides at fixed positions of the agreed
-            // sequence: decide *before* folding this vertex into the
-            // liveness table, so every party votes on identical state.
-            self.decide_epochs_up_to(vref.round, now);
-            self.committed_round_by[vref.source.idx()] =
-                self.committed_round_by[vref.source.idx()].max(vref.round.0 + 1);
-            let sequence = self.next_commit_seq();
-            if self.storage.is_some() {
-                self.log_wal(&clanbft_storage::WalRecord::Committed {
-                    sequence,
-                    vertex: vref,
-                    block_digest,
-                    block_tx_count,
-                    leader_round: round,
-                });
-            }
-            self.cfg.telemetry.event(
-                now,
-                self.cfg.me,
-                Event::VertexCommitted {
-                    round: vref.round,
-                    source: vref.source,
-                    leader: self.schedule.leader_vertex(vref.round) == vref,
-                    sequence,
-                },
-            );
-            self.cfg.telemetry.add(counters::COMMIT_VERTICES, 1);
-            self.committed_log.push(CommittedVertex {
-                sequence,
+            let entry = CommittedVertex {
+                sequence: self.next_commit_seq(),
                 vertex: vref,
-                block_digest,
-                block_bytes,
-                block_tx_count,
+                block_digest: v.block_digest,
+                block_bytes: v.block_bytes,
+                block_tx_count: v.block_tx_count,
                 committed_at: now,
                 leader_round: round,
+            };
+            self.fold_commit(entry, CommitOrigin::Ordered);
+        }
+        self.try_execute(now);
+        self.garbage_collect(now);
+        self.maybe_checkpoint();
+    }
+
+    /// Folds one entry of the total order into this node's state — the one
+    /// place the commit cursor, the liveness table and the emitted log move,
+    /// whichever way the entry was learnt (see [`CommitOrigin`]).
+    pub(crate) fn fold_commit(&mut self, entry: CommittedVertex, origin: CommitOrigin) {
+        let (vref, now) = (entry.vertex, entry.committed_at);
+        let replayed = origin == CommitOrigin::Replayed;
+        // Epoch rotation decides at fixed positions of the agreed sequence:
+        // decide *before* folding this vertex into the liveness table, so
+        // every party votes on identical state. (A replayed WAL carries the
+        // decisions as records of their own.)
+        if !replayed {
+            self.decide_epochs_up_to(vref.round, now);
+        }
+        let newest = &mut self.committed_round_by[vref.source.idx()];
+        *newest = (*newest).max(vref.round.0 + 1);
+        self.last_committed = self.last_committed.max(Some(entry.leader_round));
+        self.dag.mark_ordered(vref);
+        if replayed {
+            // Pre-crash commits are not re-emitted; only the cursor, the
+            // ordered set and the liveness table move.
+            self.commit_seq_base = self.commit_seq_base.max(entry.sequence + 1);
+            return;
+        }
+        if self.storage.is_some() {
+            self.log_wal(&clanbft_storage::WalRecord::Committed {
+                sequence: entry.sequence,
+                vertex: vref,
+                block_digest: entry.block_digest,
+                block_tx_count: entry.block_tx_count,
+                leader_round: entry.leader_round,
             });
+        }
+        self.cfg.telemetry.event(
+            now,
+            self.cfg.me,
+            Event::VertexCommitted {
+                round: vref.round,
+                source: vref.source,
+                leader: self.schedule.leader_vertex(vref.round) == vref,
+                sequence: entry.sequence,
+            },
+        );
+        self.committed_log.push(entry);
+        if origin == CommitOrigin::Ordered {
+            self.cfg.telemetry.add(counters::COMMIT_VERTICES, 1);
             if self.executor.is_some()
                 && self
                     .rbc
@@ -767,18 +805,14 @@ impl SailfishNode {
             {
                 self.exec_queue.push_back(vref);
             }
-            // Commit feedback for our own proposals: closed-loop clients
-            // submit their next transaction the moment the previous commits.
-            if vref.source == self.cfg.me {
-                if let Some(ingress) = self.ingress.as_mut() {
-                    ingress.on_committed(vref, now);
-                }
+        }
+        // Commit feedback for our own proposals: closed-loop clients submit
+        // their next transaction the moment the previous commits.
+        if vref.source == self.cfg.me {
+            if let Some(ingress) = self.ingress.as_mut() {
+                ingress.on_committed(vref, now);
             }
         }
-        self.last_committed = Some(round);
-        self.try_execute(now);
-        self.garbage_collect();
-        self.maybe_checkpoint();
     }
 
     pub(crate) fn next_commit_seq(&self) -> u64 {
@@ -798,7 +832,7 @@ impl SailfishNode {
         }
     }
 
-    fn garbage_collect(&mut self) {
+    fn garbage_collect(&mut self, now: Micros) {
         let Some(depth) = self.cfg.gc_depth else {
             return;
         };
@@ -812,45 +846,54 @@ impl SailfishNode {
         // Never collect blocks still queued for execution.
         let exec_floor = self.exec_queue.front().map(|r| r.round).unwrap_or(horizon);
         let horizon = horizon.min(exec_floor);
-        self.dag.prune_below(horizon);
+        let released = self.dag.prune_below(horizon);
         self.rbc.prune_below(horizon);
         self.votes.prune_below(horizon);
         self.timeouts.prune_below(horizon);
-        self.accepted.retain(|r, _| r.round >= horizon);
         self.blocks.retain(|r, _| r.round >= horizon);
         self.late_arrivals.retain(|r| r.round >= horizon);
         self.certs_formed.retain(|r, _| *r >= horizon);
         // Evidence records stay (they are the audit trail, already capped);
         // only their dedup keys are pruned with the rest of the round state.
         self.evidence_keys.retain(|(r, _)| *r >= horizon);
+        self.on_live(released, now, now);
     }
 
     // --- round advancement ---------------------------------------------------
 
+    /// Round admission: `r` may be left once `2f+1` of its vertices are live
+    /// including the leader's — or a timeout certificate replaces it. The
+    /// post-restart walk over adopted rounds (`trust_commits`) also accepts a
+    /// round the adopted order has visibly committed past: the volatile
+    /// certificate store cannot vouch for timeout rounds this node slept
+    /// through, but the transferred commits can.
+    pub(crate) fn round_complete(&self, r: Round, trust_commits: bool) -> bool {
+        self.dag.round_count(r) >= self.cfg.tribe.quorum()
+            && (self.dag.get(&self.schedule.leader_vertex(r)).is_some()
+                || self.certs_formed.contains_key(&r)
+                || (trust_commits && self.last_committed.is_some_and(|lc| lc >= r)))
+    }
+
     pub(crate) fn try_advance(&mut self, ctx: &mut Ctx<ConsensusMsg>) {
-        loop {
-            let r = self.current_round;
-            if self.dag.round_count(r) < self.cfg.tribe.quorum() {
-                return;
-            }
-            let leader_live = self.dag.get(&self.schedule.leader_vertex(r)).is_some();
-            if !leader_live && !self.certs_formed.contains_key(&r) {
-                return;
-            }
-            let next = r.next();
-            self.current_round = next;
-            // Advance the RBC admission window even when this node does not
-            // broadcast in `next` (e.g. past `max_round`).
-            self.rbc.note_round(next);
-            self.cfg
-                .telemetry
-                .event(ctx.now(), self.cfg.me, Event::RoundEntered { round: next });
-            self.sample_gauges();
-            let mut fx = Effects::at(ctx.now());
-            self.propose(next, &mut fx, ctx.now());
-            self.flush(fx, ctx);
-            ctx.set_timer(self.cfg.timeout, next.0);
+        while self.round_complete(self.current_round, false) {
+            self.enter_round(self.current_round.next(), ctx);
         }
+    }
+
+    /// Enters `round` and proposes in it, atomically, then arms its timer.
+    pub(crate) fn enter_round(&mut self, round: Round, ctx: &mut Ctx<ConsensusMsg>) {
+        self.current_round = round;
+        // Advance the RBC admission window even when this node does not
+        // broadcast in `round` (e.g. past `max_round`).
+        self.rbc.note_round(round);
+        self.cfg
+            .telemetry
+            .event(ctx.now(), self.cfg.me, Event::RoundEntered { round });
+        self.sample_gauges();
+        let mut fx = Effects::at(ctx.now());
+        self.propose(round, &mut fx, ctx.now());
+        self.flush(fx, ctx);
+        ctx.set_timer(self.cfg.timeout, round.0);
     }
 
     /// Samples bounded-buffer occupancy into gauges, once per round entry.
@@ -1051,17 +1094,7 @@ impl SailfishNode {
 
 impl Protocol<ConsensusMsg> for SailfishNode {
     fn on_start(&mut self, ctx: &mut Ctx<ConsensusMsg>) {
-        self.cfg.telemetry.event(
-            ctx.now(),
-            self.cfg.me,
-            Event::RoundEntered {
-                round: Round::GENESIS,
-            },
-        );
-        let mut fx = Effects::at(ctx.now());
-        self.propose(Round::GENESIS, &mut fx, ctx.now());
-        self.flush(fx, ctx);
-        ctx.set_timer(self.cfg.timeout, 0);
+        self.enter_round(Round::GENESIS, ctx);
     }
 
     fn on_message(&mut self, from: PartyId, msg: ConsensusMsg, ctx: &mut Ctx<ConsensusMsg>) {
@@ -1126,9 +1159,7 @@ impl Protocol<ConsensusMsg> for SailfishNode {
         if round != self.current_round {
             return; // Stale timer; the round already advanced.
         }
-        let leader_delivered = self
-            .accepted
-            .contains_key(&self.schedule.leader_vertex(round));
+        let leader_delivered = self.dag.is_known(&self.schedule.leader_vertex(round));
         if leader_delivered || self.voted.contains(&round) || self.no_voted.contains(&round) {
             return;
         }

@@ -16,8 +16,8 @@
 //! 2. **Peer state transfer** ([`SailfishNode::on_state_request`] /
 //!    [`SailfishNode::on_state_chunk`]): the restarted node multicasts a
 //!    `StateRequest` carrying its round and commit-sequence frontiers; peers
-//!    answer once per `(peer, from_round)` (the pull rate-limit pattern)
-//!    with their live DAG window and their committed-order suffix. The
+//!    answer a requester once per round of progress (the pull rate-limit
+//!    pattern) with their live DAG window and their committed-order suffix. The
 //!    requester adopts a vertex or a commit entry only when `f+1` responders
 //!    shipped an identical copy, so no single Byzantine peer can forge
 //!    history.
@@ -28,11 +28,10 @@
 //!    loses its seat without the pipeline ever stopping.
 
 use crate::messages::{CommittedRec, ConsensusMsg};
-use crate::node::{CommittedVertex, SailfishNode, EVIDENCE_CAP};
+use crate::node::{new_ingress, CommitOrigin, CommittedVertex, SailfishNode, EVIDENCE_CAP};
 use crate::payload::MergedPayload;
 use clanbft_committee::rotate_single_clan;
 use clanbft_crypto::Digest;
-use clanbft_mempool::{ClientIngress, WorkloadSpec};
 use clanbft_rbc::{ClanTopology, Effects};
 use clanbft_simnet::protocol::{Ctx, Message};
 use clanbft_storage::{Checkpoint, EpochEntry, Recovered, WalRecord};
@@ -140,7 +139,7 @@ impl SailfishNode {
             self.dag.prune_below(min);
         }
         for v in vertices {
-            self.insert_silent(Arc::new(v));
+            self.dag.insert_shared(Arc::new(v), None);
         }
         for r in cp.ordered {
             self.dag.mark_ordered(r);
@@ -169,25 +168,28 @@ impl SailfishNode {
                 self.current_round = self.current_round.max(round);
             }
             WalRecord::Accepted { vertex } => {
-                self.insert_silent(Arc::new(vertex));
+                self.dag.insert_shared(Arc::new(vertex), None);
             }
             WalRecord::Committed {
                 sequence,
                 vertex,
-                block_digest: _,
-                block_tx_count: _,
+                block_digest,
+                block_tx_count,
                 leader_round,
             } => {
-                // Pre-crash commits are not re-emitted; only the cursor, the
-                // ordered set and the liveness table move.
-                self.commit_seq_base = self.commit_seq_base.max(sequence + 1);
-                self.last_committed = Some(
-                    self.last_committed
-                        .map_or(leader_round, |lc| lc.max(leader_round)),
-                );
-                self.dag.mark_ordered(vertex);
-                let idx = vertex.source.idx();
-                self.committed_round_by[idx] = self.committed_round_by[idx].max(vertex.round.0 + 1);
+                // The record carries neither the wire size nor the commit
+                // time; a replayed entry is not re-emitted, so neither is
+                // read.
+                let entry = CommittedVertex {
+                    sequence,
+                    vertex,
+                    block_digest,
+                    block_bytes: 0,
+                    block_tx_count,
+                    committed_at: Micros::ZERO,
+                    leader_round,
+                };
+                self.fold_commit(entry, CommitOrigin::Replayed);
             }
             WalRecord::Evidence { evidence } => {
                 if self
@@ -210,19 +212,6 @@ impl SailfishNode {
                 });
             }
         }
-    }
-
-    /// Inserts an already-validated vertex without voting, telemetry or
-    /// weak-edge tracking — the silent path shared by checkpoint restore,
-    /// WAL replay and state transfer.
-    fn insert_silent(&mut self, vertex: Arc<Vertex>) {
-        let vref = vertex.reference();
-        if self.accepted.contains_key(&vref) || vref.round < self.dag.horizon() {
-            return;
-        }
-        let id = vertex.id();
-        self.accepted.insert(vref, (Arc::clone(&vertex), id));
-        self.dag.insert((*vertex).clone());
     }
 
     /// Installs a decided epoch's topology into the RBC engine and records
@@ -327,9 +316,12 @@ impl SailfishNode {
     // --- state transfer: server side ---------------------------------------
 
     /// Serves one state transfer: the live DAG window from `from_round` and
-    /// the committed-order suffix from `next_seq`, chunked. At most one
-    /// answer per `(peer, from_round)` — a crashing-and-rejoining peer asks
-    /// again with a fresh round, a flooding peer gets silence.
+    /// the committed-order suffix from `next_seq`, chunked. A peer is answered
+    /// only for a `from_round` above the last one it was served and not
+    /// above this node's own round: a crashing-and-rejoining peer asks again
+    /// with a later round, while a flooding peer gets at most one window per
+    /// round of progress, whatever rounds it names, and the bookkeeping is
+    /// one entry per peer.
     pub(crate) fn on_state_request(
         &mut self,
         from: PartyId,
@@ -340,21 +332,21 @@ impl SailfishNode {
         if from == self.cfg.me {
             return;
         }
-        if !self.served_state.insert((from, from_round.0)) {
-            self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1);
-            return;
+        match self.next_servable_state.get_mut(from.idx()) {
+            Some(next) if (*next..=self.current_round.0).contains(&from_round.0) => {
+                *next = from_round.0 + 1;
+            }
+            _ => {
+                self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1);
+                return;
+            }
         }
         self.cfg.telemetry.add(counters::STATE_TRANSFER_REQUESTS, 1);
         let vertices: Vec<Arc<Vertex>> = self
             .dag
             .live_vertices_from(from_round)
             .into_iter()
-            .map(|v| {
-                self.accepted
-                    .get(&v.reference())
-                    .map(|(arc, _)| Arc::clone(arc))
-                    .unwrap_or_else(|| Arc::new(v.clone()))
-            })
+            .cloned()
             .collect();
         let committed: Vec<CommittedRec> = self
             .committed_log
@@ -485,7 +477,16 @@ impl SailfishNode {
             if entry.sequence > self.next_commit_seq() {
                 break; // Gap: responders could not agree on the middle.
             }
-            self.adopt_commit(entry, now);
+            let entry = CommittedVertex {
+                sequence: entry.sequence,
+                vertex: entry.vertex,
+                block_digest: entry.block_digest,
+                block_bytes: entry.block_bytes,
+                block_tx_count: entry.block_tx_count,
+                committed_at: now,
+                leader_round: entry.leader_round,
+            };
+            self.fold_commit(entry, CommitOrigin::Adopted);
         }
 
         // 2. The live DAG window, parents first. When the window floor is
@@ -493,22 +494,24 @@ impl SailfishNode {
         //    below it, fast-forward the horizon: vertices referencing
         //    pre-window parents then insert as live instead of pending
         //    forever (their history is committed, not missing).
-        let mut vs: Vec<Arc<Vertex>> = cat
+        let mut vs: Vec<(Arc<Vertex>, Digest)> = cat
             .vertices
-            .into_values()
-            .filter(|(_, peers)| peers.len() >= f1)
-            .map(|(v, _)| v)
+            .into_iter()
+            .filter(|(_, (_, peers))| peers.len() >= f1)
+            .map(|(id, (v, _))| (v, id))
             .collect();
-        vs.sort_by_key(|v| (v.round, v.source));
-        if let Some(floor) = vs.first().map(|v| v.round) {
+        vs.sort_by_key(|(v, _)| (v.round, v.source));
+        if let Some(floor) = vs.first().map(|(v, _)| v.round) {
             if floor > self.dag.horizon() && self.last_committed.is_some_and(|lc| lc >= floor) {
-                self.dag.prune_below(floor);
+                let released = self.dag.prune_below(floor);
                 self.rbc.prune_below(floor);
+                self.on_live(released, now, now);
             }
         }
-        for v in vs {
-            let vref = v.reference();
-            if self.accepted.contains_key(&vref) || vref.round < self.dag.horizon() {
+        // Inserted without voting, telemetry or weak-edge tracking (as on
+        // WAL replay); step 5 retries the commits this skips.
+        for (v, id) in vs {
+            if self.dag.is_known(&v.reference()) {
                 continue;
             }
             if self.storage.is_some() {
@@ -516,7 +519,7 @@ impl SailfishNode {
                     vertex: (*v).clone(),
                 });
             }
-            self.insert_silent(v);
+            self.dag.insert_shared(v, Some(id));
         }
 
         // 3. If the fast-forward pruned past our stranded round, enter the
@@ -539,34 +542,14 @@ impl SailfishNode {
         // 4. Walk the adopted rounds *silently*: every crossed round already
         //    carries a quorum without us, so proposing there would mint
         //    doomed stragglers (peers weak-edge at most f late vertices per
-        //    proposal, and the tribe is far ahead). The walk mirrors
-        //    `try_advance`'s admission rule, additionally accepting rounds
-        //    the adopted order has visibly committed past — our volatile
-        //    certificate store cannot vouch for timeout rounds we slept
-        //    through, but the transferred commits can.
+        //    proposal, and the tribe is far ahead). The walk uses
+        //    `try_advance`'s admission rule, trusting the adopted commits.
         let before = self.current_round;
-        loop {
-            let r = self.current_round;
-            if self.dag.round_count(r) < self.cfg.tribe.quorum() {
-                break;
-            }
-            let leader_live = self.dag.get(&self.schedule.leader_vertex(r)).is_some();
-            let committed_past = self.last_committed.is_some_and(|lc| lc >= r);
-            if !leader_live && !committed_past && !self.certs_formed.contains_key(&r) {
-                break;
-            }
-            self.current_round = r.next();
+        while self.round_complete(self.current_round, true) {
+            self.current_round = self.current_round.next();
         }
         if self.current_round > before {
-            let frontier = self.current_round;
-            self.rbc.note_round(frontier);
-            self.cfg
-                .telemetry
-                .event(now, self.cfg.me, Event::RoundEntered { round: frontier });
-            let mut fx = Effects::at(now);
-            self.propose(frontier, &mut fx, now);
-            self.flush(fx, ctx);
-            ctx.set_timer(self.cfg.timeout, frontier.0);
+            self.enter_round(self.current_round, ctx);
         }
 
         // 5. Resume: restored rounds may now satisfy advancement, and
@@ -578,53 +561,6 @@ impl SailfishNode {
             self.try_commit(Round(r), now);
         }
         self.try_advance(ctx);
-    }
-
-    /// Folds one transferred committed-order entry into the local order as
-    /// if this node had committed it: same sequence, same epoch decisions,
-    /// same liveness-table fold — only the wall-clock stamp is local.
-    fn adopt_commit(&mut self, entry: CommittedRec, now: Micros) {
-        self.decide_epochs_up_to(entry.vertex.round, now);
-        let idx = entry.vertex.source.idx();
-        self.committed_round_by[idx] = self.committed_round_by[idx].max(entry.vertex.round.0 + 1);
-        if self.storage.is_some() {
-            self.log_wal(&WalRecord::Committed {
-                sequence: entry.sequence,
-                vertex: entry.vertex,
-                block_digest: entry.block_digest,
-                block_tx_count: entry.block_tx_count,
-                leader_round: entry.leader_round,
-            });
-        }
-        self.cfg.telemetry.event(
-            now,
-            self.cfg.me,
-            Event::VertexCommitted {
-                round: entry.vertex.round,
-                source: entry.vertex.source,
-                leader: self.schedule.leader_vertex(entry.vertex.round) == entry.vertex,
-                sequence: entry.sequence,
-            },
-        );
-        self.dag.mark_ordered(entry.vertex);
-        self.last_committed = Some(
-            self.last_committed
-                .map_or(entry.leader_round, |lc| lc.max(entry.leader_round)),
-        );
-        if entry.vertex.source == self.cfg.me {
-            if let Some(ingress) = self.ingress.as_mut() {
-                ingress.on_committed(entry.vertex, now);
-            }
-        }
-        self.committed_log.push(CommittedVertex {
-            sequence: entry.sequence,
-            vertex: entry.vertex,
-            block_digest: entry.block_digest,
-            block_bytes: entry.block_bytes,
-            block_tx_count: entry.block_tx_count,
-            committed_at: now,
-            leader_round: entry.leader_round,
-        });
     }
 
     // --- checkpoints --------------------------------------------------------
@@ -649,7 +585,7 @@ impl SailfishNode {
             .dag
             .live_vertices_from(horizon)
             .into_iter()
-            .cloned()
+            .map(|v| Vertex::clone(v))
             .collect();
         let ordered: Vec<VertexRef> = vertices
             .iter()
@@ -789,33 +725,15 @@ impl SailfishNode {
         }
     }
 
-    /// Brings a client ingress to life for a party seated by rotation,
-    /// mirroring the constructor's wiring. Arrivals start now — a fresh
-    /// seat does not inherit a backlog it never advertised capacity for.
+    /// Brings a client ingress to life for a party seated by rotation.
+    /// Arrivals start now — a fresh seat does not inherit a backlog it never
+    /// advertised capacity for.
     pub(crate) fn ensure_ingress(&mut self, now: Micros) {
-        if self.ingress.is_some() {
-            return;
-        }
-        let workload = self.cfg.workload.unwrap_or(WorkloadSpec::Synthetic {
-            txs_per_proposal: self.cfg.txs_per_proposal,
-        });
-        if matches!(
-            workload,
-            WorkloadSpec::Synthetic {
-                txs_per_proposal: 0
+        if self.ingress.is_none() {
+            self.ingress = new_ingress(&self.cfg);
+            if self.ingress.is_some() {
+                self.last_proposal_at = now;
             }
-        ) {
-            return;
         }
-        self.ingress = Some(ClientIngress::new(
-            workload,
-            self.cfg.tx_bytes,
-            self.cfg.mempool,
-            self.cfg.sizer,
-            self.cfg.schedule_seed
-                ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(self.cfg.me.idx() as u64 + 1),
-            self.cfg.telemetry.clone(),
-        ));
-        self.last_proposal_at = now;
     }
 }

@@ -188,3 +188,60 @@ fn far_future_messages_are_rejected_by_the_round_window() {
     assert!(r.node.evidence().is_empty());
     assert!(r.node.committed_log.is_empty());
 }
+
+fn state_request(from_round: u64) -> ConsensusMsg {
+    ConsensusMsg::StateRequest {
+        from_round: Round(from_round),
+        next_seq: 0,
+    }
+}
+
+/// State transfers the node started in response to `msg` from party 2.
+fn transfers_served(rig: &mut Rig, msg: ConsensusMsg) -> usize {
+    deliver(rig, 2, msg)
+        .iter()
+        .filter(|(_, m)| matches!(m, ConsensusMsg::StateSnapshot { .. }))
+        .count()
+}
+
+#[test]
+fn state_requests_are_served_once_per_round_of_progress() {
+    // Each answer ships the whole live DAG window, so what a peer can make
+    // this node send must not grow with the number of distinct `from_round`
+    // values it cares to name: one answer while the node sits in round 0,
+    // however many rounds are asked for, in whatever order.
+    let mut r = rig(4, 0);
+    let served: usize = (0..1_000)
+        .rev()
+        .map(|from_round| transfers_served(&mut r, state_request(from_round)))
+        .sum();
+    assert_eq!(served, 1, "one window per round of progress");
+    assert_eq!(r.rec.counter(counters::STATE_TRANSFER_REQUESTS), 1);
+    assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), 999);
+    assert_eq!(transfers_served(&mut r, state_request(0)), 0, "replay");
+
+    // The node moves on to round 1: every party's round-0 vertex is
+    // certified (signature bytes are not checked in this rig, a full signer
+    // set is enough) and becomes live.
+    for source in 0..4 {
+        deliver(&mut r, source, rbc_val(source, 0));
+        let signers: Vec<_> = (0..3).map(|i| (i, Signature([0u8; 64]))).collect();
+        let cert = ConsensusMsg::Rbc(RbcPacket {
+            source: PartyId(source),
+            round: Round(0),
+            msg: RbcMsg::EchoCert {
+                digest: clanbft_rbc::TribePayload::rbc_digest(&merged(source, 0)),
+                cert: Arc::new(clanbft_crypto::AggregateSignature::aggregate(4, &signers)),
+            },
+        });
+        deliver(&mut r, 3, cert);
+    }
+    assert_eq!(r.node.round(), Round(1));
+
+    // A genuine second restart asks from a later round and is served, once;
+    // rounds the node has not reached stay refused.
+    assert_eq!(transfers_served(&mut r, state_request(7)), 0);
+    assert_eq!(transfers_served(&mut r, state_request(1)), 1);
+    assert_eq!(transfers_served(&mut r, state_request(1)), 0);
+    assert_eq!(transfers_served(&mut r, state_request(0)), 0, "stale");
+}

@@ -1,7 +1,9 @@
 //! Vertex storage with causal-completeness buffering and path queries.
 
+use clanbft_crypto::Digest;
 use clanbft_types::{PartyId, Round, TribeParams, Vertex, VertexRef};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Result of offering a vertex to the store.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -15,13 +17,21 @@ pub enum InsertOutcome {
     Duplicate,
 }
 
+/// One stored vertex: shared with the layers that handed it over, plus its
+/// content id when that layer had already computed it (each node hashes a
+/// vertex once; [`Dag::id_of`] hashes on demand otherwise).
+struct Stored {
+    vertex: Arc<Vertex>,
+    id: Option<Digest>,
+}
+
 /// The DAG of delivered vertices at one party.
 pub struct Dag {
     tribe: TribeParams,
     /// Live vertices, keyed by round then source.
-    rounds: BTreeMap<Round, HashMap<PartyId, Vertex>>,
+    rounds: BTreeMap<Round, HashMap<PartyId, Stored>>,
     /// Vertices waiting for missing ancestors.
-    pending: HashMap<VertexRef, Vertex>,
+    pending: HashMap<VertexRef, Stored>,
     /// Reverse dependency index: missing ref → pending vertices waiting on it.
     waiting_on: HashMap<VertexRef, Vec<VertexRef>>,
     /// Vertices already emitted into the total order.
@@ -61,7 +71,18 @@ impl Dag {
 
     /// The live vertex for `(round, source)`, if any.
     pub fn get(&self, r: &VertexRef) -> Option<&Vertex> {
+        self.stored(r).map(|s| &*s.vertex)
+    }
+
+    fn stored(&self, r: &VertexRef) -> Option<&Stored> {
         self.rounds.get(&r.round).and_then(|m| m.get(&r.source))
+    }
+
+    /// The content id of the live vertex `r`: the one it was inserted with,
+    /// else hashed now.
+    pub fn id_of(&self, r: &VertexRef) -> Option<Digest> {
+        self.stored(r)
+            .map(|s| s.id.unwrap_or_else(|| s.vertex.id()))
     }
 
     /// True iff a live vertex exists for `r` (or `r` is below the horizon,
@@ -70,12 +91,18 @@ impl Dag {
         r.round < self.horizon || self.get(r).is_some()
     }
 
+    /// True iff offering a vertex for `r` would be a duplicate: one is live,
+    /// buffered as pending, or `r` is below the horizon.
+    pub fn is_known(&self, r: &VertexRef) -> bool {
+        self.contains(r) || self.pending.contains_key(r)
+    }
+
     /// Live vertices of `round`, in source order.
     pub fn round_vertices(&self, round: Round) -> Vec<&Vertex> {
         let mut vs: Vec<&Vertex> = self
             .rounds
             .get(&round)
-            .map(|m| m.values().collect())
+            .map(|m| m.values().map(|s| &*s.vertex).collect())
             .unwrap_or_default();
         vs.sort_by_key(|v| v.source);
         vs
@@ -99,11 +126,11 @@ impl Dag {
 
     /// All live vertices from `from` on, in `(round, source)` order — the
     /// material a checkpoint or a state-transfer response ships.
-    pub fn live_vertices_from(&self, from: Round) -> Vec<&Vertex> {
-        let mut out: Vec<&Vertex> = self
+    pub fn live_vertices_from(&self, from: Round) -> Vec<&Arc<Vertex>> {
+        let mut out: Vec<&Arc<Vertex>> = self
             .rounds
             .range(from..)
-            .flat_map(|(_, m)| m.values())
+            .flat_map(|(_, m)| m.values().map(|s| &s.vertex))
             .collect();
         out.sort_by_key(|v| (v.round, v.source));
         out
@@ -120,47 +147,65 @@ impl Dag {
     /// offered one plus any pending descendants it unblocked), or whether it
     /// was buffered / a duplicate.
     pub fn insert(&mut self, vertex: Vertex) -> InsertOutcome {
+        self.insert_shared(Arc::new(vertex), None)
+    }
+
+    /// [`Dag::insert`] for a vertex the caller shares, with its content id
+    /// if the caller already hashed it.
+    pub fn insert_shared(&mut self, vertex: Arc<Vertex>, id: Option<Digest>) -> InsertOutcome {
         let _prof = clanbft_profiler::scope("dag.insert");
         let vref = vertex.reference();
-        if self.contains(&vref) || self.pending.contains_key(&vref) {
+        if self.is_known(&vref) {
             return InsertOutcome::Duplicate;
         }
-        if let Some(missing) = self.first_missing_parent(&vertex) {
+        let missing = self.first_missing_parent(&vertex);
+        let stored = Stored { vertex, id };
+        if let Some(missing) = missing {
             self.waiting_on.entry(missing).or_default().push(vref);
-            self.pending.insert(vref, vertex);
+            self.pending.insert(vref, stored);
             return InsertOutcome::Pending;
         }
         let mut live = Vec::new();
-        self.make_live(vertex, &mut live);
-        // Cascade: newly live vertices may unblock pending ones.
-        let mut cursor = 0;
-        while cursor < live.len() {
-            let just_live = live[cursor];
-            cursor += 1;
-            let Some(waiters) = self.waiting_on.remove(&just_live) else {
-                continue;
-            };
-            for w in waiters {
-                let Some(v) = self.pending.get(&w) else {
-                    continue;
-                };
-                if let Some(missing) = self.first_missing_parent(v) {
-                    self.waiting_on.entry(missing).or_default().push(w);
-                    continue;
-                }
-                let v = self.pending.remove(&w).expect("checked above");
-                self.make_live(v, &mut live);
-            }
-        }
+        self.make_live(vref, stored, &mut live);
+        self.wake_waiters(&[], &mut live);
         InsertOutcome::Live(live)
     }
 
-    fn make_live(&mut self, vertex: Vertex, live: &mut Vec<VertexRef>) {
-        let vref = vertex.reference();
+    /// Cascade: the `freed` refs (implicitly live now, below the horizon) and
+    /// the refs already in `live` just became present, which may unblock
+    /// pending vertices waiting on them, and those in turn their own
+    /// waiters. Appends everything made live to `live`, in the order it
+    /// became live; `live` doubles as the work queue.
+    fn wake_waiters(&mut self, freed: &[VertexRef], live: &mut Vec<VertexRef>) {
+        let mut next = 0;
+        while let Some(just_present) = freed
+            .get(next)
+            .or_else(|| live.get(next - freed.len()))
+            .copied()
+        {
+            next += 1;
+            let Some(waiters) = self.waiting_on.remove(&just_present) else {
+                continue;
+            };
+            for w in waiters {
+                let Some(stored) = self.pending.get(&w) else {
+                    continue;
+                };
+                if let Some(missing) = self.first_missing_parent(&stored.vertex) {
+                    self.waiting_on.entry(missing).or_default().push(w);
+                    continue;
+                }
+                let stored = self.pending.remove(&w).expect("checked above");
+                self.make_live(w, stored, live);
+            }
+        }
+    }
+
+    fn make_live(&mut self, vref: VertexRef, stored: Stored, live: &mut Vec<VertexRef>) {
         self.rounds
             .entry(vref.round)
             .or_default()
-            .insert(vref.source, vertex);
+            .insert(vref.source, stored);
         live.push(vref);
     }
 
@@ -210,7 +255,11 @@ impl Dag {
     pub fn strong_supporters(&self, round: Round, target: &VertexRef) -> usize {
         self.rounds
             .get(&round)
-            .map(|m| m.values().filter(|v| v.has_strong_edge_to(target)).count())
+            .map(|m| {
+                m.values()
+                    .filter(|s| s.vertex.has_strong_edge_to(target))
+                    .count()
+            })
             .unwrap_or(0)
     }
 
@@ -259,9 +308,15 @@ impl Dag {
     ///
     /// Callers must only prune below their commit frontier: everything
     /// discarded is assumed ordered (or abandoned by every honest party).
-    pub fn prune_below(&mut self, round: Round) {
+    ///
+    /// Refs below the new horizon count as present from now on, so pending
+    /// vertices that were waiting on one of them may have become live: the
+    /// returned list names them (and whatever they unblocked in turn), for
+    /// the caller to treat like the outcome of an insert.
+    pub fn prune_below(&mut self, round: Round) -> Vec<VertexRef> {
+        let mut live = Vec::new();
         if round <= self.horizon {
-            return;
+            return live;
         }
         self.horizon = round;
         self.rounds = self.rounds.split_off(&round);
@@ -271,6 +326,15 @@ impl Dag {
             !ws.is_empty()
         });
         self.ordered.retain(|r| r.round >= round);
+        let mut freed: Vec<VertexRef> = self
+            .waiting_on
+            .keys()
+            .filter(|r| r.round < round)
+            .copied()
+            .collect();
+        freed.sort();
+        self.wake_waiters(&freed, &mut live);
+        live
     }
 }
 
@@ -485,6 +549,30 @@ mod tests {
             out,
             InsertOutcome::Live(_) | InsertOutcome::Pending
         ));
+    }
+
+    #[test]
+    fn prune_below_releases_waiters_of_pruned_refs() {
+        // The child waits on (0,3), which never arrives. Pruning round 0
+        // makes that ref implicitly present — a later insert of it would be
+        // a Duplicate — so the prune itself has to make the child live, and
+        // the grandchild that was waiting on the child with it.
+        let mut dag = Dag::new(TribeParams::new(4));
+        for s in 0..3 {
+            dag.insert(vertex(0, s, &[], &[]));
+        }
+        let child = vertex(1, 0, &[(0, 0), (0, 1), (0, 3)], &[]);
+        assert_eq!(dag.insert(child), InsertOutcome::Pending);
+        let grandchild = vertex(2, 0, &[(1, 0)], &[]);
+        assert_eq!(dag.insert(grandchild), InsertOutcome::Pending);
+        assert_eq!(dag.prune_below(Round(1)), vec![vref(1, 0), vref(2, 0)]);
+        assert!(dag.get(&vref(1, 0)).is_some() && dag.get(&vref(2, 0)).is_some());
+        assert_eq!(dag.pending_count(), 0);
+        assert_eq!(
+            dag.insert(vertex(0, 3, &[], &[])),
+            InsertOutcome::Duplicate,
+            "the pruned ref can never arrive"
+        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Shared machinery for the broadcast engines: messages, events, effects,
-//! and the per-instance state common to the 2- and 3-round variants
-//! (payload/meta custody, per-digest echo tracking, the pull sub-protocol,
-//! and at-most-once delivery).
+//! The tribe-assisted reliable-broadcast engine: messages, events, effects,
+//! per-instance state (custody of the payload and meta views, per-digest
+//! echo tracking, at-most-once delivery), the pull sub-protocol, and the one
+//! state machine that runs both of the paper's constructions.
 
 use crate::payload::TribePayload;
 use crate::topology::ClanTopology;
-use clanbft_crypto::{AggregateSignature, Bitmap, Digest, Hasher, Signature};
+use clanbft_crypto::multisig::AggregateVerdict;
+use clanbft_crypto::{AggregateSignature, Authenticator, Bitmap, Digest, Hasher, Signature};
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::protocol::{Ctx, Message};
 use clanbft_telemetry::{counters, Event, RbcPhase, Telemetry};
@@ -286,125 +287,152 @@ pub fn echo_statement(source: PartyId, round: Round, digest: &Digest) -> Digest 
         .finalize()
 }
 
-/// Per-digest echo bookkeeping.
-pub(crate) struct EchoSet {
-    pub digest: Digest,
-    pub all: Bitmap,
-    pub clan_count: usize,
-    /// Signed contributions awaiting certificate assembly (2-round
-    /// variant). Taken by the certificate and not collected afterwards:
-    /// once the instance has sent or accepted a certificate the shares
-    /// have no reader (bitmap and counts keep tracking late echoes).
-    pub sigs: Vec<(usize, Signature)>,
+/// Which view of a broadcast a party holds, serves or pulls: the full
+/// payload (the source's clan) or the meta view (everyone else). §5 merges
+/// vertex and block into one instance, so "pull the block" and "pull the
+/// vertex" are one sub-protocol over these two views.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Which {
+    Full = 0,
+    Meta = 1,
 }
 
-/// Per-digest ready bookkeeping (3-round variant).
-pub(crate) struct ReadySet {
-    pub digest: Digest,
-    pub all: Bitmap,
+/// One received view, as carried by VAL/ValMeta and the pull responses.
+enum View<P: TribePayload> {
+    Full(P),
+    Meta(P::Meta),
+}
+
+impl<P: TribePayload> View<P> {
+    fn which(&self) -> Which {
+        match self {
+            View::Full(_) => Which::Full,
+            View::Meta(_) => Which::Meta,
+        }
+    }
+}
+
+/// Custody of one view of one instance.
+struct Held<P: TribePayload> {
+    /// The validated view and its digest, hashed once on acceptance
+    /// (hashing a vertex repeatedly is hot).
+    view: Option<(View<P>, Digest)>,
+    /// Whether the view arrived straight from the source (makes a later
+    /// certified-digest mismatch attributable equivocation).
+    direct: bool,
+    /// Peers already served a pull response for this view (rate limiting).
+    served: Bitmap,
+}
+
+impl<P: TribePayload> Held<P> {
+    fn digest(&self) -> Option<Digest> {
+        self.view.as_ref().map(|(_, d)| *d)
+    }
+}
+
+/// Per-digest vote bookkeeping: the echoes (both flavours) or readies
+/// (signature-free flavour) seen for one digest.
+struct Tally {
+    digest: Digest,
+    all: Bitmap,
+    /// Votes from the source's clan (echoes only).
+    clan_count: usize,
+    /// Signed echoes awaiting certificate assembly (signed flavour). Taken
+    /// by the certificate and not collected afterwards: once the instance
+    /// has sent or accepted a certificate the shares have no reader (bitmap
+    /// and counts keep tracking late echoes).
+    sigs: Vec<(usize, Signature)>,
+}
+
+impl Tally {
+    /// The tally for `digest` in `sets`, created on first use; `None` once
+    /// [`MAX_DIGESTS_PER_INSTANCE`] other digests are tracked (a Byzantine
+    /// peer cannot allocate unbounded per-digest sets).
+    fn slot(sets: &mut Vec<Tally>, digest: Digest, n: usize) -> Option<&mut Tally> {
+        let at = match sets.iter().position(|s| s.digest == digest) {
+            Some(at) => at,
+            None if sets.len() >= MAX_DIGESTS_PER_INSTANCE => return None,
+            None => {
+                sets.push(Tally {
+                    digest,
+                    all: Bitmap::new(n),
+                    clan_count: 0,
+                    sigs: Vec::new(),
+                });
+                sets.len() - 1
+            }
+        };
+        Some(&mut sets[at])
+    }
 }
 
 /// State of one broadcast instance at one party.
-pub(crate) struct Instance<P: TribePayload> {
-    /// Validated full payload, if held.
-    pub payload: Option<P>,
-    /// Digest of `payload`, cached (hashing a vertex repeatedly is hot).
-    pub payload_digest: Option<Digest>,
-    /// Meta view, if held.
-    pub meta: Option<P::Meta>,
-    /// Digest of `meta`, cached.
-    pub meta_digest: Option<Digest>,
+struct Instance<P: TribePayload> {
+    /// The two views, indexed by [`Which`]. A full payload also fills the
+    /// meta slot (it contains the meta view).
+    held: [Held<P>; 2],
     /// Digest this party echoed (first valid VAL/meta accepted).
-    pub echoed: Option<Digest>,
+    echoed: Option<Digest>,
     /// Echoes seen, per digest in first-seen order (one entry unless the
-    /// source equivocates; at most [`MAX_DIGESTS_PER_INSTANCE`]).
-    pub echoes: Vec<EchoSet>,
-    /// Readies seen, per digest (3-round variant; same cap).
-    pub readies: Vec<ReadySet>,
-    /// Digest of my READY, if sent (3-round variant).
-    pub ready_sent: Option<Digest>,
+    /// source equivocates).
+    echoes: Vec<Tally>,
+    /// Readies seen, per digest (signature-free flavour).
+    readies: Vec<Tally>,
+    /// Whether this party sent its READY (signature-free flavour).
+    ready_sent: bool,
     /// Certified digest, once known.
-    pub certified: Option<Digest>,
+    certified: Option<Digest>,
     /// Whether `EchoQuorum` has been emitted.
-    pub echo_quorum_emitted: bool,
+    echo_quorum_emitted: bool,
     /// Whether this party has `r_deliver`ed.
-    pub delivered: bool,
+    delivered: bool,
     /// Pull escalation level: 0 = none, 1 = single-peer probe (echo
-    /// quorum), 2 = full `f_c+1` fan-out (certification).
-    pub pull_level: u8,
-    /// Whether a meta pull has been issued.
-    pub meta_pull_sent: bool,
-    /// Whether an echo certificate has been multicast/forwarded (2-round).
-    pub cert_sent: bool,
-    /// Peers already served a pull response (rate limiting).
-    pub served_pull: Bitmap,
-    /// Peers already served a meta response (rate limiting).
-    pub served_meta: Bitmap,
+    /// quorum), 2 = full quorum fan-out (certification).
+    pull_level: u8,
+    /// Whether an echo certificate has been multicast/forwarded (signed
+    /// flavour).
+    cert_sent: bool,
     /// Digest the outstanding pull is for (certified digest once known).
-    pub pull_digest: Option<Digest>,
+    pull_digest: Option<Digest>,
     /// Peers this party has directed a pull at (rotation avoids re-asking).
-    pub asked: Bitmap,
+    asked: Bitmap,
     /// Retry deadlines fired for this instance so far.
-    pub pull_attempts: u8,
+    pull_attempts: u8,
     /// Whether the retry timer chain is running.
-    pub retry_armed: bool,
+    retry_armed: bool,
     /// Whether equivocation evidence was already recorded here (dedup).
-    pub equivocation_logged: bool,
-    /// Whether the held payload arrived as a direct VAL from the source
-    /// (makes a later certified-digest mismatch attributable equivocation).
-    pub payload_direct: bool,
-    /// Whether the held meta arrived as a direct ValMeta from the source.
-    pub meta_direct: bool,
+    equivocation_logged: bool,
 }
 
 impl<P: TribePayload> Instance<P> {
-    pub(crate) fn new(n: usize) -> Instance<P> {
+    fn new(n: usize) -> Instance<P> {
+        let held = || Held {
+            view: None,
+            direct: false,
+            served: Bitmap::new(n),
+        };
         Instance {
-            payload: None,
-            payload_digest: None,
-            meta: None,
-            meta_digest: None,
+            held: [held(), held()],
             echoed: None,
             echoes: Vec::new(),
             readies: Vec::new(),
-            ready_sent: None,
+            ready_sent: false,
             certified: None,
             echo_quorum_emitted: false,
             delivered: false,
             pull_level: 0,
-            meta_pull_sent: false,
             cert_sent: false,
-            served_pull: Bitmap::new(n),
-            served_meta: Bitmap::new(n),
             pull_digest: None,
             asked: Bitmap::new(n),
             pull_attempts: 0,
             retry_armed: false,
             equivocation_logged: false,
-            payload_direct: false,
-            meta_direct: false,
         }
     }
 
     /// The echo bookkeeping for `digest`, if any echo for it was counted.
-    pub(crate) fn echo_set(&self, digest: &Digest) -> Option<&EchoSet> {
+    fn echo_set(&self, digest: &Digest) -> Option<&Tally> {
         self.echoes.iter().find(|s| s.digest == *digest)
-    }
-
-    /// The ready bookkeeping for `digest`, created on first use. Callers
-    /// enforce the [`MAX_DIGESTS_PER_INSTANCE`] cap before a new digest.
-    pub(crate) fn ready_set(&mut self, n: usize, digest: Digest) -> &mut ReadySet {
-        let at = match self.readies.iter().position(|s| s.digest == digest) {
-            Some(at) => at,
-            None => {
-                self.readies.push(ReadySet {
-                    digest,
-                    all: Bitmap::new(n),
-                });
-                self.readies.len() - 1
-            }
-        };
-        &mut self.readies[at]
     }
 }
 
@@ -412,8 +440,7 @@ impl<P: TribePayload> Instance<P> {
 /// prune horizon, each round a table of per-source slots. A lookup is two
 /// bounds checks; nothing is hashed. Rounds are materialised on first
 /// touch, so what a far-future flood can allocate stays bounded by the
-/// admission window exactly as before ([`Core::admit`] gates every
-/// creating access).
+/// admission window ([`TribeRbc::admit`] gates every creating access).
 struct Slots<P: TribePayload> {
     /// Round of `rows[0]`; never below the prune horizon.
     base: Round,
@@ -440,7 +467,7 @@ impl<P: TribePayload> Slots<P> {
     /// # Panics
     ///
     /// Panics if `round` is below the window or `source` is not a party of
-    /// the tribe — both excluded by [`Core::admit`].
+    /// the tribe — both excluded by [`TribeRbc::admit`].
     fn get_or_create(&mut self, round: Round, source: PartyId, n: usize) -> &mut Instance<P> {
         let at = round
             .0
@@ -471,7 +498,7 @@ impl<P: TribePayload> Slots<P> {
     }
 }
 
-/// Configuration shared by both engine variants.
+/// Engine configuration, identical for both flavours.
 #[derive(Clone)]
 pub struct EngineConfig {
     /// This party.
@@ -564,27 +591,59 @@ pub struct BufferStats {
     pub evidence_backlog: u64,
 }
 
-/// Common instance-level operations parameterized by topology and cost
-/// model. Both engines delegate here for VAL/meta custody, pulls and
-/// delivery.
-pub(crate) struct Core<P: TribePayload> {
-    pub cfg: EngineConfig,
+/// How an echo quorum becomes a certificate — the one step in which the
+/// paper's two t-RBC constructions differ.
+enum Flavour {
+    /// Three rounds, signature-free, after Bracha (paper Fig. 2): VAL →
+    /// ECHO → READY. A party sends READY after `2f+1` ECHOes for a digest,
+    /// of which at least `f_c+1` come from the sender's clan (guaranteeing
+    /// a retrievable payload), or after `f+1` READYs (amplification);
+    /// `2f+1` READYs certify. With the clan set to the whole tribe this is
+    /// exactly Bracha's RBC.
+    SignatureFree,
+    /// Two rounds, signed, after Abraham et al.'s good-case-optimal RBC
+    /// (paper Fig. 3): VAL → signed ECHO → echo certificate `EC_r(m)`. A
+    /// party that collects `2f+1` signed ECHOes (`f_c+1` from the clan)
+    /// multicasts the certificate and delivers; a party that *receives* a
+    /// valid certificate forwards it once and delivers. The forward is
+    /// required for agreement when the certificate originates from a
+    /// Byzantine party that sent it selectively — the paper's proof
+    /// implicitly assumes it. Per the paper's implementation (§7), echo
+    /// signatures are aggregated without upfront verification; a receiver
+    /// verifies the aggregate and, on failure, identifies and excludes
+    /// culprits, accepting the certificate if the surviving contributions
+    /// still meet both thresholds.
+    Signed {
+        auth: Arc<Authenticator>,
+        /// When false, certificate signature bytes are not actually checked
+        /// (their CPU cost is still charged). Large-scale simulations flip
+        /// this off for tractability; correctness tests keep it on.
+        verify_sigs: bool,
+    },
+}
+
+/// The tribe-assisted reliable-broadcast engine: all instances for one
+/// party, in either of the paper's two constructions.
+pub struct TribeRbc<P: TribePayload> {
+    cfg: EngineConfig,
+    flavour: Flavour,
     slots: Slots<P>,
     /// Rounds strictly below this were pruned and stay dead: replayed old
     /// packets must not recreate instances (bounded memory under replay).
-    pub horizon: Round,
+    horizon: Round,
     /// Highest round this party knows to be legitimately active (own
     /// broadcasts, certifications, consensus round advances). The
     /// admission window extends `cfg.round_window` beyond it.
-    pub round_hint: Round,
+    round_hint: Round,
     /// Recorded Byzantine conflicts, drained by the node layer.
-    pub evidence: Vec<Evidence>,
+    evidence: Vec<Evidence>,
 }
 
-impl<P: TribePayload> Core<P> {
-    pub(crate) fn new(cfg: EngineConfig) -> Core<P> {
-        Core {
+impl<P: TribePayload> TribeRbc<P> {
+    fn new(cfg: EngineConfig, flavour: Flavour) -> TribeRbc<P> {
+        TribeRbc {
             cfg,
+            flavour,
             slots: Slots {
                 base: Round(0),
                 rows: VecDeque::new(),
@@ -595,11 +654,196 @@ impl<P: TribePayload> Core<P> {
         }
     }
 
+    /// The 3-round signature-free engine (paper Fig. 2) for one party.
+    pub fn signature_free(cfg: EngineConfig) -> TribeRbc<P> {
+        TribeRbc::new(cfg, Flavour::SignatureFree)
+    }
+
+    /// The 2-round signed engine (paper Fig. 3) for one party.
+    pub fn signed(cfg: EngineConfig, auth: Arc<Authenticator>) -> TribeRbc<P> {
+        TribeRbc::new(
+            cfg,
+            Flavour::Signed {
+                auth,
+                verify_sigs: true,
+            },
+        )
+    }
+
+    /// Disables real signature verification on the signed engine
+    /// (cost-model charges remain).
+    pub fn with_sig_verification(mut self, on: bool) -> TribeRbc<P> {
+        if let Flavour::Signed { verify_sigs, .. } = &mut self.flavour {
+            *verify_sigs = on;
+        }
+        self
+    }
+
+    /// The engine configuration.
+    pub fn config(&self) -> &EngineConfig {
+        &self.cfg
+    }
+
+    /// Installs an epoch-rotated clan structure effective from
+    /// `from_round` (see [`EngineConfig::install_epoch`]). In-flight
+    /// instances of earlier rounds keep their original topology.
+    pub fn install_epoch(&mut self, from_round: Round, topology: Arc<ClanTopology>) {
+        self.cfg.install_epoch(from_round, topology);
+    }
+
+    /// Widens the bounded-buffer admission window: `round` is known
+    /// legitimately active (the consensus layer calls this when it
+    /// advances into `round`).
+    pub fn note_round(&mut self, round: Round) {
+        if round > self.round_hint {
+            self.round_hint = round;
+        }
+    }
+
+    /// Drains the Byzantine evidence recorded so far.
+    pub fn take_evidence(&mut self) -> Vec<Evidence> {
+        std::mem::take(&mut self.evidence)
+    }
+
+    /// Live occupancy of the bounded buffers (see [`BufferStats`]).
+    pub fn buffer_stats(&self) -> BufferStats {
+        let mut stats = BufferStats {
+            evidence_backlog: self.evidence.len() as u64,
+            ..BufferStats::default()
+        };
+        for inst in self.slots.iter() {
+            stats.instances += 1;
+            stats.echo_digests += inst.echoes.len() as u64;
+            if inst.retry_armed && !inst.delivered {
+                stats.pending_pulls += 1;
+            }
+        }
+        stats
+    }
+
+    /// The meta view (vertex) held for `(round, source)`, if any, with the
+    /// digest computed when it was accepted — lets the consensus layer act
+    /// on certification before the full payload lands, without rehashing.
+    pub fn meta_of(&self, round: Round, source: PartyId) -> Option<(P::Meta, Digest)> {
+        match &self.slots.get(round, source)?.held[Which::Meta as usize].view {
+            Some((View::Meta(meta), digest)) => Some((meta.clone(), *digest)),
+            _ => None,
+        }
+    }
+
+    /// True iff this party has delivered for `(round, source)`.
+    pub fn delivered(&self, round: Round, source: PartyId) -> bool {
+        self.slots
+            .get(round, source)
+            .is_some_and(|inst| inst.delivered)
+    }
+
+    /// Drops state for instances strictly below `round` (garbage
+    /// collection; the DAG layer prunes in lockstep) and remembers the
+    /// horizon so replayed packets cannot resurrect pruned instances.
+    pub fn prune_below(&mut self, round: Round) {
+        if round > self.horizon {
+            self.horizon = round;
+        }
+        self.slots.prune_below(round);
+    }
+
+    /// `r_bcast`: disseminates `payload` as this party's broadcast for
+    /// `round`. The full payload goes to the sender's clan (including the
+    /// sender itself, via loopback), the meta view to everyone else.
+    pub fn broadcast(&mut self, round: Round, payload: P, fx: &mut Effects<P>) {
+        let _prof = clanbft_profiler::scope("rbc.broadcast");
+        self.note_round(round);
+        let me = self.cfg.me;
+        let topo = self.cfg.topology_at(round).clone();
+        let clan = topo.clan_for_sender(me);
+        let meta = payload.meta();
+        fx.charge(self.cfg.cost.hash(payload.wire_bytes()));
+        if matches!(self.flavour, Flavour::Signed { .. }) {
+            fx.charge(self.cfg.cost.sign());
+        }
+        self.trace(RbcPhase::ValSent, round, me, fx);
+        for p in topo.tribe().parties() {
+            let msg = if clan.contains(p) {
+                RbcMsg::Val(payload.clone())
+            } else {
+                RbcMsg::ValMeta(meta.clone())
+            };
+            fx.send(p, me, round, msg);
+        }
+    }
+
+    /// Handles one received packet.
+    pub fn handle(&mut self, from: PartyId, packet: RbcPacket<P>, fx: &mut Effects<P>) {
+        let _prof = clanbft_profiler::scope("rbc.handle");
+        let RbcPacket { source, round, msg } = packet;
+        // Bounded buffering: stale (below prune horizon) and far-future
+        // rounds, and sources outside the tribe, are rejected before any
+        // state is allocated.
+        if !self.admit(round, source) {
+            return;
+        }
+        match msg {
+            // Only the designated sender pushes VAL/ValMeta.
+            RbcMsg::Val(p) if from == source => {
+                self.on_view(round, source, View::Full(p), true, fx)
+            }
+            RbcMsg::ValMeta(m) if from == source => {
+                self.on_view(round, source, View::Meta(m), true, fx)
+            }
+            RbcMsg::Val(_) | RbcMsg::ValMeta(_) => {}
+            RbcMsg::PullResp(p) => self.on_view(round, source, View::Full(p), false, fx),
+            RbcMsg::MetaResp(m) => self.on_view(round, source, View::Meta(m), false, fx),
+            RbcMsg::Pull { digest } => {
+                self.serve_pull(round, source, from, Which::Full, digest, fx)
+            }
+            RbcMsg::PullMeta { digest } => {
+                self.serve_pull(round, source, from, Which::Meta, digest, fx)
+            }
+            RbcMsg::Echo { digest, sig } => {
+                let share = match (&self.flavour, sig) {
+                    (Flavour::SignatureFree, _) => None,
+                    // Unsigned echoes are not acceptable here.
+                    (Flavour::Signed { .. }, None) => return,
+                    (Flavour::Signed { .. }, Some(sig)) => {
+                        // Aggregate without upfront verification (paper §7).
+                        fx.charge(self.cfg.cost.aggregate(1));
+                        Some(*sig)
+                    }
+                };
+                if let Some((total, clan)) = self.note_echo(round, source, from, digest, share, fx)
+                {
+                    if self.echo_threshold_met(round, source, total, clan) {
+                        self.on_echo_threshold(round, source, digest, fx);
+                    }
+                }
+            }
+            // Each flavour ignores the other's certification message.
+            RbcMsg::Ready { digest } => {
+                if matches!(self.flavour, Flavour::SignatureFree) {
+                    self.on_ready(round, source, from, digest, fx);
+                }
+            }
+            RbcMsg::EchoCert { digest, cert } => {
+                // Duplicate certificates for an already-certified instance
+                // are dropped before any verification cost is paid.
+                if matches!(self.flavour, Flavour::Signed { .. })
+                    && self.instance(round, source).certified.is_none()
+                    && self.validate_cert(source, round, digest, &cert, fx)
+                {
+                    self.send_cert_once(round, source, digest, cert, fx);
+                    self.on_echo_quorum(round, source, digest, fx);
+                    self.certify(round, source, digest, fx);
+                }
+            }
+        }
+    }
+
     /// Admission gate for every incoming packet: rejects rounds below the
     /// prune horizon (stale/replayed), rounds beyond the bounded buffering
     /// window (far-future flooding) and sources outside the tribe (no slot
     /// exists for them). Counted, never silent.
-    pub(crate) fn admit(&mut self, round: Round, source: PartyId) -> bool {
+    fn admit(&mut self, round: Round, source: PartyId) -> bool {
         if round < self.horizon
             || round.0 > self.round_hint.0.saturating_add(self.cfg.round_window)
             || source.idx() >= self.cfg.n()
@@ -610,40 +854,27 @@ impl<P: TribePayload> Core<P> {
         true
     }
 
-    /// Widens the admission window: `round` is known legitimately active.
-    pub(crate) fn note_round(&mut self, round: Round) {
-        if round > self.round_hint {
-            self.round_hint = round;
-        }
+    /// The instance for an admitted `(round, source)`, created if absent.
+    fn instance(&mut self, round: Round, source: PartyId) -> &mut Instance<P> {
+        let n = self.cfg.n();
+        self.slots.get_or_create(round, source, n)
     }
 
-    /// Drains the evidence accumulated so far.
-    pub(crate) fn take_evidence(&mut self) -> Vec<Evidence> {
-        std::mem::take(&mut self.evidence)
-    }
-
-    /// Live occupancy of the bounded buffers (see [`BufferStats`]).
-    pub(crate) fn buffer_stats(&self) -> BufferStats {
-        let mut instances = 0u64;
-        let mut echo_digests = 0u64;
-        let mut pending_pulls = 0u64;
-        for inst in self.slots.iter() {
-            instances += 1;
-            echo_digests += inst.echoes.len() as u64;
-            if inst.retry_armed && !inst.delivered {
-                pending_pulls += 1;
-            }
-        }
-        BufferStats {
-            instances,
-            echo_digests,
-            pending_pulls,
-            evidence_backlog: self.evidence.len() as u64,
-        }
+    /// Records one RBC phase event, stamped inside this invocation.
+    fn trace(&self, phase: RbcPhase, round: Round, source: PartyId, fx: &Effects<P>) {
+        self.cfg.telemetry.event(
+            fx.stamp(),
+            self.cfg.me,
+            Event::Rbc {
+                phase,
+                round,
+                source,
+            },
+        );
     }
 
     /// Counts + stores one evidence record (callers dedup per instance).
-    pub(crate) fn record_evidence(&mut self, ev: Evidence, fx: &Effects<P>) {
+    fn record_evidence(&mut self, ev: Evidence, fx: &Effects<P>) {
         let tel = &self.cfg.telemetry;
         tel.add(counters::EVIDENCE_RECORDED, 1);
         tel.add(counters::REJECTED_EQUIVOCATION, 1);
@@ -661,175 +892,155 @@ impl<P: TribePayload> Core<P> {
         }
     }
 
-    /// The instance for an admitted `(round, source)`, created if absent.
-    pub(crate) fn instance(&mut self, round: Round, source: PartyId) -> &mut Instance<P> {
-        let n = self.cfg.n();
-        self.slots.get_or_create(round, source, n)
-    }
-
-    /// The instance for `(round, source)` if one exists (never creates).
-    pub(crate) fn existing(&self, round: Round, source: PartyId) -> Option<&Instance<P>> {
-        self.slots.get(round, source)
-    }
-
-    /// The meta view held for `(round, source)` with its cached digest.
-    pub(crate) fn meta_of(&self, round: Round, source: PartyId) -> Option<(P::Meta, Digest)> {
-        let inst = self.existing(round, source)?;
-        Some((inst.meta.clone()?, inst.meta_digest?))
-    }
-
-    /// The full payload held for `(round, source)`, if any.
-    pub(crate) fn payload_of(&self, round: Round, source: PartyId) -> Option<P> {
-        self.existing(round, source)?.payload.clone()
-    }
-
-    /// Drops state for instances strictly below `round` (garbage
-    /// collection; the DAG layer prunes in lockstep) and remembers the
-    /// horizon so replayed packets cannot resurrect pruned instances.
-    pub(crate) fn prune_below(&mut self, round: Round) {
-        if round > self.horizon {
-            self.horizon = round;
-        }
-        self.slots.prune_below(round);
-    }
-
-    /// Accepts a full payload (from VAL or PullResp); returns the digest to
-    /// act on if the payload is fresh and valid.
-    ///
-    /// `direct` marks a VAL straight from the source: conflicts there are
-    /// attributable equivocation (evidence + counter), while pulled-copy
-    /// redundancy (several `PullResp`s racing in) is protocol-normal and
-    /// stays silent.
-    pub(crate) fn accept_payload(
+    /// Records that `source` stands behind two digests in `round`, once per
+    /// instance; returns whether this call recorded it.
+    fn note_equivocation(
         &mut self,
         round: Round,
         source: PartyId,
-        payload: P,
+        first: Digest,
+        second: Digest,
+        fx: &Effects<P>,
+    ) -> bool {
+        let inst = self.instance(round, source);
+        if std::mem::replace(&mut inst.equivocation_logged, true) {
+            return false;
+        }
+        self.record_evidence(
+            Evidence::EquivocatingSource {
+                round,
+                source,
+                first,
+                second,
+            },
+            fx,
+        );
+        true
+    }
+
+    /// The view this party is due of `source`'s broadcast in `round`.
+    fn my_view(&self, round: Round, source: PartyId) -> Which {
+        if self
+            .cfg
+            .topology_at(round)
+            .receives_full(self.cfg.me, source)
+        {
+            Which::Full
+        } else {
+            Which::Meta
+        }
+    }
+
+    /// A view arrived: as VAL/ValMeta straight from the source (`direct`)
+    /// or as a pull response. Accept it, echo if it is the first direct
+    /// one, and deliver if the instance is already certified.
+    fn on_view(
+        &mut self,
+        round: Round,
+        source: PartyId,
+        view: View<P>,
+        direct: bool,
+        fx: &mut Effects<P>,
+    ) {
+        // A clan member must not echo on the meta view alone: its echo
+        // asserts custody of the full payload (that is what makes f_c+1
+        // clan echoes imply retrievability).
+        let may_echo =
+            direct && (view.which() == Which::Full || self.my_view(round, source) == Which::Meta);
+        if let Some(digest) = self.accept(round, source, view, direct, fx) {
+            if may_echo {
+                self.maybe_echo(round, source, digest, fx);
+            }
+        }
+        self.try_deliver(round, source, fx);
+    }
+
+    /// Takes custody of a view; returns its digest if it is fresh and
+    /// valid.
+    ///
+    /// `direct` conflicts are attributable equivocation (evidence +
+    /// counter), while pulled-copy redundancy (several responses racing
+    /// in) is protocol-normal and stays silent.
+    fn accept(
+        &mut self,
+        round: Round,
+        source: PartyId,
+        view: View<P>,
         direct: bool,
         fx: &mut Effects<P>,
     ) -> Option<Digest> {
         let cost = self.cfg.cost;
         let tel = self.cfg.telemetry.clone();
-        fx.charge(cost.hash(payload.wire_bytes()));
-        if !payload.validate() {
-            tel.add(counters::REJECTED_BAD_PAYLOAD, 1);
-            return None;
-        }
-        let digest = payload.rbc_digest();
+        let which = view.which();
+        let digest = match &view {
+            View::Full(payload) => {
+                fx.charge(cost.hash(payload.wire_bytes()));
+                if !payload.validate() {
+                    tel.add(counters::REJECTED_BAD_PAYLOAD, 1);
+                    return None;
+                }
+                payload.rbc_digest()
+            }
+            View::Meta(meta) => P::meta_digest(meta),
+        };
         let inst = self.instance(round, source);
-        if let Some(held) = inst.payload_digest {
-            if direct {
-                if held != digest {
-                    let logged = std::mem::replace(&mut inst.equivocation_logged, true);
-                    if !logged {
-                        self.record_evidence(
-                            Evidence::EquivocatingSource {
-                                round,
-                                source,
-                                first: held,
-                                second: digest,
-                            },
-                            fx,
-                        );
-                    } else {
-                        tel.add(counters::REJECTED_EQUIVOCATION, 1);
-                    }
-                } else {
-                    tel.add(counters::REJECTED_DUPLICATE, 1);
-                }
+        if let Some(held) = inst.held[which as usize].digest() {
+            if direct && held == digest {
+                tel.add(counters::REJECTED_DUPLICATE, 1);
+            } else if direct && !self.note_equivocation(round, source, held, digest, fx) {
+                tel.add(counters::REJECTED_EQUIVOCATION, 1);
             }
             return None;
         }
-        // Payloads must match an already-certified digest when one exists
-        // (a Byzantine responder cannot swap payloads post-certification).
-        if let Some(c) = inst.certified {
-            if c != digest {
-                if direct {
-                    // Certified A, then a direct VAL for B: the source
-                    // itself conflicts with its own certified broadcast.
-                    let logged = std::mem::replace(&mut inst.equivocation_logged, true);
-                    if !logged {
-                        self.record_evidence(
-                            Evidence::EquivocatingSource {
-                                round,
-                                source,
-                                first: c,
-                                second: digest,
-                            },
-                            fx,
-                        );
-                        return None;
-                    }
-                }
+        // A view must match an already-certified digest when one exists (a
+        // Byzantine responder cannot swap payloads post-certification).
+        if let Some(certified) = inst.certified.filter(|c| *c != digest) {
+            // Certified A, then a direct VAL for B: the source itself
+            // conflicts with its own certified broadcast.
+            let attributed = direct
+                && which == Which::Full
+                && self.note_equivocation(round, source, certified, digest, fx);
+            if !attributed && (direct || which == Which::Full) {
                 tel.add(counters::REJECTED_BAD_PAYLOAD, 1);
-                return None;
             }
+            return None;
         }
-        if inst.meta.is_none() {
-            inst.meta = Some(payload.meta());
-            inst.meta_digest = Some(digest);
-            inst.meta_direct = direct;
+        if let View::Full(payload) = &view {
+            let meta = &mut inst.held[Which::Meta as usize];
+            if meta.view.is_none() {
+                meta.view = Some((View::Meta(payload.meta()), digest));
+                meta.direct = direct;
+            }
+            fx.charge(cost.db_write());
         }
-        inst.payload = Some(payload);
-        inst.payload_digest = Some(digest);
-        inst.payload_direct = direct;
-        fx.charge(cost.db_write());
+        let held = &mut inst.held[which as usize];
+        held.view = Some((view, digest));
+        held.direct = direct;
         Some(digest)
     }
 
-    /// Accepts a meta view; returns its digest if fresh. `direct` as in
-    /// [`Core::accept_payload`].
-    pub(crate) fn accept_meta(
-        &mut self,
-        round: Round,
-        source: PartyId,
-        meta: P::Meta,
-        direct: bool,
-        fx: &mut Effects<P>,
-    ) -> Option<Digest> {
-        let tel = self.cfg.telemetry.clone();
-        let digest = P::meta_digest(&meta);
+    /// Echoes `digest` once per instance (signed in the signed flavour).
+    fn maybe_echo(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
         let inst = self.instance(round, source);
-        if let Some(held) = inst.meta_digest {
-            if direct {
-                if held != digest {
-                    let logged = std::mem::replace(&mut inst.equivocation_logged, true);
-                    if !logged {
-                        self.record_evidence(
-                            Evidence::EquivocatingSource {
-                                round,
-                                source,
-                                first: held,
-                                second: digest,
-                            },
-                            fx,
-                        );
-                    } else {
-                        tel.add(counters::REJECTED_EQUIVOCATION, 1);
-                    }
-                } else {
-                    tel.add(counters::REJECTED_DUPLICATE, 1);
-                }
-            }
-            return None;
+        if inst.echoed.is_some() {
+            return;
         }
-        if let Some(c) = inst.certified {
-            if c != digest {
-                if direct {
-                    tel.add(counters::REJECTED_BAD_PAYLOAD, 1);
-                }
-                return None;
+        inst.echoed = Some(digest);
+        let sig = match &self.flavour {
+            Flavour::SignatureFree => None,
+            Flavour::Signed { auth, .. } => {
+                fx.charge(self.cfg.cost.sign());
+                let statement = echo_statement(source, round, &digest);
+                Some(Arc::new(auth.sign_digest(&statement)))
             }
-        }
-        inst.meta = Some(meta);
-        inst.meta_digest = Some(digest);
-        inst.meta_direct = direct;
-        Some(digest)
+        };
+        self.trace(RbcPhase::Echoed, round, source, fx);
+        fx.multicast(Dest::All, source, round, RbcMsg::Echo { digest, sig });
     }
 
     /// Records an echo; returns `(total, clan_count)` after insertion, or
     /// `None` for duplicates, capped digests and rejected conflicts.
-    pub(crate) fn note_echo(
+    fn note_echo(
         &mut self,
         round: Round,
         source: PartyId,
@@ -845,53 +1056,27 @@ impl<P: TribePayload> Core<P> {
             .clan_for_sender(source)
             .contains(from);
         let inst = self.instance(round, source);
-        let at = match inst.echoes.iter().position(|s| s.digest == digest) {
-            Some(at) => at,
-            None => {
-                if !inst.echoes.is_empty() {
-                    // A second distinct digest behind one instance: the
-                    // source is behind two payloads (or an echoer is lying
-                    // about it — see Evidence docs on attribution strength
-                    // per variant).
-                    if inst.echoes.len() >= MAX_DIGESTS_PER_INSTANCE {
-                        self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1);
-                        return None;
-                    }
-                    if !inst.equivocation_logged {
-                        inst.equivocation_logged = true;
-                        // Deterministic "first" digest: what this party
-                        // accepted or echoed, falling back to the smallest
-                        // tracked digest.
-                        let first = inst
-                            .echoed
-                            .or(inst.payload_digest)
-                            .or(inst.meta_digest)
-                            .or_else(|| inst.echoes.iter().map(|s| s.digest).min())
-                            .unwrap_or(Digest::ZERO);
-                        self.record_evidence(
-                            Evidence::EquivocatingSource {
-                                round,
-                                source,
-                                first,
-                                second: digest,
-                            },
-                            fx,
-                        );
-                    }
-                }
-                let inst = self.instance(round, source);
-                inst.echoes.push(EchoSet {
-                    digest,
-                    all: Bitmap::new(n),
-                    clan_count: 0,
-                    sigs: Vec::new(),
-                });
-                inst.echoes.len() - 1
-            }
-        };
+        let second = !inst.echoes.is_empty() && inst.echo_set(&digest).is_none();
+        if second && inst.echoes.len() < MAX_DIGESTS_PER_INSTANCE {
+            // A second distinct digest behind one instance: the source is
+            // behind two payloads (or an echoer is lying about it — see
+            // Evidence docs on attribution strength per variant).
+            // Deterministic "first" digest: what this party accepted or
+            // echoed, falling back to the smallest tracked digest.
+            let first = inst
+                .echoed
+                .or(inst.held[Which::Full as usize].digest())
+                .or(inst.held[Which::Meta as usize].digest())
+                .or_else(|| inst.echoes.iter().map(|s| s.digest).min())
+                .unwrap_or(Digest::ZERO);
+            self.note_equivocation(round, source, first, digest, fx);
+        }
         let inst = self.instance(round, source);
         let keep_share = !inst.cert_sent && inst.certified.is_none();
-        let set = &mut inst.echoes[at];
+        let Some(set) = Tally::slot(&mut inst.echoes, digest, n) else {
+            self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1);
+            return None;
+        };
         if !set.all.set(from.idx()) {
             self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1);
             return None;
@@ -899,10 +1084,8 @@ impl<P: TribePayload> Core<P> {
         if in_clan {
             set.clan_count += 1;
         }
-        if let Some(s) = sig {
-            if keep_share {
-                set.sigs.push((from.idx(), s));
-            }
+        if let Some(s) = sig.filter(|_| keep_share) {
+            set.sigs.push((from.idx(), s));
         }
         Some((set.all.count(), set.clan_count))
     }
@@ -910,196 +1093,187 @@ impl<P: TribePayload> Core<P> {
     /// True iff `(total, clan)` meets the tribe-assisted echo threshold for
     /// this `source` in `round`: `2f+1` overall with at least `f_c+1` from
     /// the clan that `round`'s topology assigns the source to.
-    pub(crate) fn echo_threshold_met(
-        &self,
-        round: Round,
-        source: PartyId,
-        total: usize,
-        clan: usize,
-    ) -> bool {
-        total >= self.cfg.quorum()
-            && clan
-                >= self
-                    .cfg
-                    .topology_at(round)
-                    .clan_for_sender(source)
-                    .clan_quorum
+    fn echo_threshold_met(&self, round: Round, source: PartyId, total: usize, clan: usize) -> bool {
+        let clan_quorum = self
+            .cfg
+            .topology_at(round)
+            .clan_for_sender(source)
+            .clan_quorum;
+        total >= self.cfg.quorum() && clan >= clan_quorum
     }
 
-    /// Marks the digest certified and performs delivery or starts pulls.
-    pub(crate) fn certify(
+    /// The echo quorum is in: the step that tells the flavours apart.
+    fn on_echo_threshold(
         &mut self,
         round: Round,
         source: PartyId,
         digest: Digest,
         fx: &mut Effects<P>,
     ) {
-        let me = self.cfg.me;
-        let tel = self.cfg.telemetry.clone();
-        let full_receiver = self.cfg.topology_at(round).receives_full(me, source);
-        // Certification required a real quorum, so the round is
-        // legitimately active: widen the admission window to it.
-        self.note_round(round);
-        enum Act {
-            Nothing,
-            PullPayload,
-            PullMeta,
-        }
-        let (act, conflict) = {
-            let inst = self.instance(round, source);
-            if inst.certified.is_some() {
-                return;
+        match self.flavour {
+            Flavour::SignatureFree => {
+                self.on_echo_quorum(round, source, digest, fx);
+                self.maybe_ready(round, source, digest, fx);
             }
-            // A direct copy from the source that disagrees with the digest
-            // the tribe certified is attributable equivocation.
-            let mut conflict: Option<Evidence> = None;
-            let mut note_conflict = |held: Option<Digest>, was_direct: bool, logged: &mut bool| {
-                if let Some(held) = held {
-                    if held != digest && was_direct && !std::mem::replace(logged, true) {
-                        conflict = Some(Evidence::EquivocatingSource {
-                            round,
-                            source,
-                            first: held,
-                            second: digest,
-                        });
-                    }
+            Flavour::Signed { .. } => {
+                // Assemble `EC_r(m)` from the collected echoes, multicast
+                // it, and deliver locally. The certificate takes the
+                // shares: nothing reads them afterwards.
+                let n = self.cfg.n();
+                let inst = self.instance(round, source);
+                if inst.cert_sent {
+                    return;
                 }
-            };
-            note_conflict(
-                inst.payload_digest,
-                inst.payload_direct,
-                &mut inst.equivocation_logged,
-            );
-            note_conflict(
-                inst.meta_digest,
-                inst.meta_direct,
-                &mut inst.equivocation_logged,
-            );
-            inst.certified = Some(digest);
-            fx.events.push(RbcEvent::Certified {
-                source,
-                round,
-                digest,
-            });
-            tel.event(
-                fx.stamp(),
-                me,
-                Event::Rbc {
-                    phase: RbcPhase::Certified,
-                    round,
-                    source,
-                },
-            );
-            let act = if inst.delivered {
-                Act::Nothing
-            } else if full_receiver {
-                match (&inst.payload, inst.payload_digest) {
-                    (Some(p), Some(d)) if d == digest => {
-                        inst.delivered = true;
-                        let payload = p.clone();
-                        fx.events.push(RbcEvent::DeliverFull {
-                            source,
-                            round,
-                            digest,
-                            payload,
-                        });
-                        tel.event(
-                            fx.stamp(),
-                            me,
-                            Event::Rbc {
-                                phase: RbcPhase::DeliverFull,
-                                round,
-                                source,
-                            },
-                        );
-                        Act::Nothing
-                    }
-                    _ => {
-                        // Payload missing or (Byzantine sender) mismatched —
-                        // discard a mismatch and pull the certified one.
-                        if inst.payload_digest.is_some_and(|d| d != digest) {
-                            inst.payload = None;
-                            inst.payload_digest = None;
-                        }
-                        Act::PullPayload
-                    }
-                }
-            } else {
-                match (&inst.meta, inst.meta_digest) {
-                    (Some(m), Some(d)) if d == digest => {
-                        inst.delivered = true;
-                        let meta = m.clone();
-                        fx.events.push(RbcEvent::DeliverMeta {
-                            source,
-                            round,
-                            digest,
-                            meta,
-                        });
-                        tel.event(
-                            fx.stamp(),
-                            me,
-                            Event::Rbc {
-                                phase: RbcPhase::DeliverMeta,
-                                round,
-                                source,
-                            },
-                        );
-                        Act::Nothing
-                    }
-                    _ => {
-                        if inst.meta_digest.is_some_and(|d| d != digest) {
-                            inst.meta = None;
-                            inst.meta_digest = None;
-                        }
-                        Act::PullMeta
-                    }
-                }
-            };
-            (act, conflict)
-        };
-        if let Some(ev) = conflict {
-            self.record_evidence(ev, fx);
+                let shares = inst
+                    .echoes
+                    .iter_mut()
+                    .find(|set| set.digest == digest)
+                    .map(|set| std::mem::take(&mut set.sigs))
+                    .unwrap_or_default();
+                let cert = Arc::new(AggregateSignature::aggregate(n, &shares));
+                self.send_cert_once(round, source, digest, cert, fx);
+                self.on_echo_quorum(round, source, digest, fx);
+                self.certify(round, source, digest, fx);
+            }
         }
-        match act {
-            Act::Nothing => {}
-            Act::PullPayload => self.start_pull(round, source, digest, 2, fx),
-            Act::PullMeta => self.start_meta_pull(round, source, digest, fx),
+    }
+
+    /// Multicasts a certificate once per instance: the one this party
+    /// formed, or a valid received one (forwarding is required for
+    /// agreement when the originator distributed it selectively).
+    fn send_cert_once(
+        &mut self,
+        round: Round,
+        source: PartyId,
+        digest: Digest,
+        cert: Arc<AggregateSignature>,
+        fx: &mut Effects<P>,
+    ) {
+        let inst = self.instance(round, source);
+        if inst.cert_sent {
+            return;
+        }
+        inst.cert_sent = true;
+        // Shares collected towards a certificate of our own are moot now.
+        for set in &mut inst.echoes {
+            set.sigs = Vec::new();
+        }
+        fx.multicast(
+            Dest::Others,
+            source,
+            round,
+            RbcMsg::EchoCert { digest, cert },
+        );
+    }
+
+    /// Verifies a received certificate: thresholds on the (culprit-pruned)
+    /// signer set, then the aggregate signature.
+    fn validate_cert(
+        &mut self,
+        source: PartyId,
+        round: Round,
+        digest: Digest,
+        cert: &AggregateSignature,
+        fx: &mut Effects<P>,
+    ) -> bool {
+        let Flavour::Signed { auth, verify_sigs } = &self.flavour else {
+            return false;
+        };
+        let quorum = self.cfg.quorum();
+        let clan = self.cfg.topology_at(round).clan_for_sender(source);
+        fx.charge(self.cfg.cost.agg_verify(cert.count()));
+        let statement = echo_statement(source, round, &digest);
+        let culprits: Vec<usize> = if *verify_sigs {
+            match cert.verify(auth.registry(), statement.as_bytes()) {
+                AggregateVerdict::Valid => Vec::new(),
+                AggregateVerdict::Invalid(bad) => {
+                    // Blame path: individual verification to identify
+                    // culprits (charged per paper's fallback).
+                    fx.charge(self.cfg.cost.sig_verify() * cert.count() as u32);
+                    bad
+                }
+            }
+        } else {
+            Vec::new()
+        };
+        let good_total = cert.signers.count_matching(|i| !culprits.contains(&i));
+        let good_clan = cert
+            .signers
+            .count_matching(|i| !culprits.contains(&i) && clan.contains(PartyId(i as u32)));
+        let ok = good_total >= quorum && good_clan >= clan.clan_quorum;
+        // Each pruned contribution is an invalid signature from a known
+        // signer index; a cert that fails thresholds without identifiable
+        // culprits is simply malformed — still counted, never silent.
+        let bad = culprits.len() as u64 + u64::from(!ok && culprits.is_empty());
+        if bad > 0 {
+            self.cfg.telemetry.add(counters::REJECTED_BAD_SIG, bad);
+        }
+        ok
+    }
+
+    /// Counts a READY (signature-free flavour): amplification at `f+1`,
+    /// certification at `2f+1`.
+    fn on_ready(
+        &mut self,
+        round: Round,
+        source: PartyId,
+        from: PartyId,
+        digest: Digest,
+        fx: &mut Effects<P>,
+    ) {
+        let n = self.cfg.n();
+        let tel = &self.cfg.telemetry;
+        let Some(set) = Tally::slot(
+            &mut self.slots.get_or_create(round, source, n).readies,
+            digest,
+            n,
+        ) else {
+            tel.add(counters::REJECTED_BUFFER_FULL, 1);
+            return;
+        };
+        if !set.all.set(from.idx()) {
+            tel.add(counters::REJECTED_DUPLICATE, 1);
+            return;
+        }
+        let count = set.all.count();
+        // Amplification: f+1 READYs convince us even without the echo
+        // quorum.
+        if count >= self.cfg.small_quorum() {
+            self.maybe_ready(round, source, digest, fx);
+        }
+        if count >= self.cfg.quorum() {
+            self.certify(round, source, digest, fx);
+        }
+    }
+
+    fn maybe_ready(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
+        let inst = self.instance(round, source);
+        if !std::mem::replace(&mut inst.ready_sent, true) {
+            fx.multicast(Dest::All, source, round, RbcMsg::Ready { digest });
         }
     }
 
     /// Emits `EchoQuorum` once and starts the early pull if this clan
     /// member lacks the payload.
-    pub(crate) fn on_echo_quorum(
+    fn on_echo_quorum(
         &mut self,
         round: Round,
         source: PartyId,
         digest: Digest,
         fx: &mut Effects<P>,
     ) {
-        let me = self.cfg.me;
-        let tel = self.cfg.telemetry.clone();
-        let full_receiver = self.cfg.topology_at(round).receives_full(me, source);
         let inst = self.instance(round, source);
-        if inst.echo_quorum_emitted {
+        if std::mem::replace(&mut inst.echo_quorum_emitted, true) {
             return;
         }
-        inst.echo_quorum_emitted = true;
+        let lacks_payload = inst.held[Which::Full as usize].view.is_none();
         fx.events.push(RbcEvent::EchoQuorum {
             source,
             round,
             digest,
         });
-        tel.event(
-            fx.stamp(),
-            me,
-            Event::Rbc {
-                phase: RbcPhase::EchoQuorum,
-                round,
-                source,
-            },
-        );
-        let lacks_payload = inst.payload.is_none();
-        if full_receiver && lacks_payload {
+        self.trace(RbcPhase::EchoQuorum, round, source, fx);
+        if lacks_payload && self.my_view(round, source) == Which::Full {
             // Gentle first probe: one clan echoer. In the good case the
             // sender's own copy is moments away; the guaranteed-honest
             // f_c+1 fan-out waits for certification (§5's early download,
@@ -1108,8 +1282,104 @@ impl<P: TribePayload> Core<P> {
         }
     }
 
-    /// Requests the payload from up to `level` escalation: 1 = a single
-    /// clan echoer (cheap probe), 2 = `f_c+1` clan members that echoed
+    /// Marks the digest certified and performs delivery or starts the pull
+    /// of the view this party is due.
+    fn certify(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
+        let which = self.my_view(round, source);
+        // Certification required a real quorum, so the round is
+        // legitimately active: widen the admission window to it.
+        self.note_round(round);
+        let inst = self.instance(round, source);
+        if inst.certified.is_some() {
+            return;
+        }
+        inst.certified = Some(digest);
+        // A direct copy from the source that disagrees with the digest the
+        // tribe certified is attributable equivocation.
+        let conflicting = inst
+            .held
+            .iter()
+            .find_map(|h| h.digest().filter(|d| *d != digest && h.direct));
+        fx.events.push(RbcEvent::Certified {
+            source,
+            round,
+            digest,
+        });
+        self.trace(RbcPhase::Certified, round, source, fx);
+        let delivered = self.try_deliver(round, source, fx);
+        if delivered {
+            let phase = match which {
+                Which::Full => RbcPhase::DeliverFull,
+                Which::Meta => RbcPhase::DeliverMeta,
+            };
+            self.trace(phase, round, source, fx);
+        }
+        if let Some(first) = conflicting {
+            self.note_equivocation(round, source, first, digest, fx);
+        }
+        if !delivered {
+            // View missing or (Byzantine sender) mismatched — discard a
+            // mismatch and pull the certified one.
+            self.instance(round, source).held[which as usize].view = None;
+            self.start_pull(round, source, digest, 2, fx);
+        }
+    }
+
+    /// Delivers if the instance is certified and this party holds the
+    /// matching view it is due (payload for clan members, meta view for
+    /// everyone else); returns whether it delivered now.
+    fn try_deliver(&mut self, round: Round, source: PartyId, fx: &mut Effects<P>) -> bool {
+        let which = self.my_view(round, source);
+        let inst = self.instance(round, source);
+        let (Some(certified), Some((view, digest))) =
+            (inst.certified, &inst.held[which as usize].view)
+        else {
+            return false;
+        };
+        if inst.delivered || *digest != certified {
+            return false;
+        }
+        inst.delivered = true;
+        let digest = certified;
+        fx.events.push(match view {
+            View::Full(payload) => RbcEvent::DeliverFull {
+                source,
+                round,
+                digest,
+                payload: payload.clone(),
+            },
+            View::Meta(meta) => RbcEvent::DeliverMeta {
+                source,
+                round,
+                digest,
+                meta: meta.clone(),
+            },
+        });
+        true
+    }
+
+    /// Who can serve the view this party is due of `(round, source)`, and
+    /// how many of them to ask so that one is honest: the source's clan and
+    /// `f_c+1` for the full payload, the whole tribe and `f+1` for the meta
+    /// view. This party itself is never a candidate.
+    fn pull_scope(&self, round: Round, source: PartyId) -> (Which, Vec<PartyId>, usize) {
+        let me = self.cfg.me;
+        let topo = self.cfg.topology_at(round);
+        match self.my_view(round, source) {
+            Which::Full => {
+                let clan = topo.clan_for_sender(source);
+                let peers = clan.members.iter().copied().filter(|p| *p != me);
+                (Which::Full, peers.collect(), clan.clan_quorum)
+            }
+            Which::Meta => {
+                let peers = topo.tribe().parties().filter(|p| *p != me);
+                (Which::Meta, peers.collect(), self.cfg.small_quorum())
+            }
+        }
+    }
+
+    /// Requests the view this party is due, up to `level` escalation: 1 = a
+    /// single echoer (cheap probe), 2 = a quorum of peers that echoed
     /// `digest` (at least one of them is honest and holds it).
     fn start_pull(
         &mut self,
@@ -1119,54 +1389,38 @@ impl<P: TribePayload> Core<P> {
         level: u8,
         fx: &mut Effects<P>,
     ) {
-        let clan = self.cfg.topology_at(round).clan_for_sender(source).clone();
-        let me = self.cfg.me;
         let inst = self.instance(round, source);
         if inst.pull_level >= level {
             return;
         }
         let already = inst.pull_level as usize;
         inst.pull_level = level;
-        self.cfg.telemetry.event(
-            fx.stamp(),
-            me,
-            Event::Rbc {
-                phase: RbcPhase::PullStarted,
-                round,
-                source,
-            },
-        );
+        self.trace(RbcPhase::PullStarted, round, source, fx);
         let pull_retry = self.cfg.pull_retry;
+        let (which, eligible, quorum) = self.pull_scope(round, source);
         let inst = self.instance(round, source);
-        let want = if level >= 2 { clan.clan_quorum } else { 1 };
-        let targets: Vec<PartyId> = inst
+        let want = if level >= 2 { quorum } else { 1 };
+        let mut targets: Vec<PartyId> = inst
             .echo_set(&digest)
             .map(|set| {
                 set.all
                     .iter()
                     .map(|i| PartyId(i as u32))
-                    .filter(|p| clan.contains(*p) && *p != me)
+                    .filter(|p| eligible.contains(p))
                     .take(want)
                     .skip(already)
                     .collect()
             })
             .unwrap_or_default();
-        // Fall back to the whole clan if echo provenance is unknown (can
+        // Fall back to any eligible peers if echo provenance is unknown (can
         // happen when certification arrives via certificate before echoes).
-        let targets = if targets.is_empty() && already == 0 {
-            clan.members
-                .iter()
-                .copied()
-                .filter(|p| *p != me)
-                .take(want)
-                .collect()
-        } else {
-            targets
-        };
+        if targets.is_empty() && already == 0 {
+            targets = eligible.into_iter().take(want).collect();
+        }
         inst.pull_digest = Some(digest);
         for t in targets {
             inst.asked.set(t.idx());
-            fx.send(t, source, round, RbcMsg::Pull { digest });
+            fx.send(t, source, round, which.request(digest));
         }
         // Arm the retry chain: if none of the targets answers before the
         // deadline, `on_retry` rotates to peers not yet asked.
@@ -1176,132 +1430,49 @@ impl<P: TribePayload> Core<P> {
         }
     }
 
-    /// Requests the meta view from `f+1` tribe members that echoed it.
-    fn start_meta_pull(
-        &mut self,
-        round: Round,
-        source: PartyId,
-        digest: Digest,
-        fx: &mut Effects<P>,
-    ) {
-        let me = self.cfg.me;
-        let f1 = self.cfg.small_quorum();
-        let n = self.cfg.n();
-        let inst = self.instance(round, source);
-        if inst.meta_pull_sent {
-            return;
-        }
-        inst.meta_pull_sent = true;
-        self.cfg.telemetry.event(
-            fx.stamp(),
-            me,
-            Event::Rbc {
-                phase: RbcPhase::PullStarted,
-                round,
-                source,
-            },
-        );
-        let pull_retry = self.cfg.pull_retry;
-        let inst = self.instance(round, source);
-        let mut targets: Vec<PartyId> = inst
-            .echo_set(&digest)
-            .map(|set| {
-                set.all
-                    .iter()
-                    .map(|i| PartyId(i as u32))
-                    .filter(|p| *p != me)
-                    .take(f1)
-                    .collect()
-            })
-            .unwrap_or_default();
-        if targets.is_empty() {
-            targets = (0..n as u32)
-                .map(PartyId)
-                .filter(|p| *p != me)
-                .take(f1)
-                .collect();
-        }
-        inst.pull_digest = Some(digest);
-        for t in targets {
-            inst.asked.set(t.idx());
-            fx.send(t, source, round, RbcMsg::PullMeta { digest });
-        }
-        if !inst.retry_armed {
-            inst.retry_armed = true;
-            fx.timers.push((pull_retry, retry_token(round, source)));
-        }
-    }
-
-    /// Serves a pull request if this party holds the matching payload.
+    /// Serves a pull request if this party holds the matching view.
     ///
-    /// Rate limit: one *response* per peer per instance. The slot is only
-    /// burned when a response is actually sent — a pull that raced ahead of
-    /// the payload leaves the peer eligible for its one answer later
-    /// (otherwise retries could never succeed against slow holders).
-    pub(crate) fn handle_pull(
+    /// Rate limit: one *response* per peer, view and instance. The slot is
+    /// only burned when a response is actually sent — a pull that raced
+    /// ahead of the payload leaves the peer eligible for its one answer
+    /// later (otherwise retries could never succeed against slow holders).
+    fn serve_pull(
         &mut self,
         round: Round,
         source: PartyId,
         from: PartyId,
+        which: Which,
         digest: Digest,
         fx: &mut Effects<P>,
     ) {
         let tel = self.cfg.telemetry.clone();
-        let inst = self.instance(round, source);
-        if inst.served_pull.get(from.idx()) {
+        let held = &mut self.instance(round, source).held[which as usize];
+        if held.served.get(from.idx()) {
             tel.add(counters::REJECTED_DUPLICATE, 1);
             return;
         }
-        if let (Some(p), Some(d)) = (&inst.payload, inst.payload_digest) {
-            if d == digest {
-                let payload = p.clone();
-                inst.served_pull.set(from.idx());
-                fx.send(from, source, round, RbcMsg::PullResp(payload));
-            }
-        }
+        let response = match &held.view {
+            Some((View::Full(payload), d)) if *d == digest => RbcMsg::PullResp(payload.clone()),
+            Some((View::Meta(meta), d)) if *d == digest => RbcMsg::MetaResp(meta.clone()),
+            _ => return,
+        };
+        held.served.set(from.idx());
+        fx.send(from, source, round, response);
     }
 
-    /// Serves a meta pull request (same one-response rate limit as
-    /// [`Core::handle_pull`]).
-    pub(crate) fn handle_pull_meta(
-        &mut self,
-        round: Round,
-        source: PartyId,
-        from: PartyId,
-        digest: Digest,
-        fx: &mut Effects<P>,
-    ) {
-        let tel = self.cfg.telemetry.clone();
-        let inst = self.instance(round, source);
-        if inst.served_meta.get(from.idx()) {
-            tel.add(counters::REJECTED_DUPLICATE, 1);
-            return;
-        }
-        if let (Some(m), Some(d)) = (&inst.meta, inst.meta_digest) {
-            if d == digest {
-                let meta = m.clone();
-                inst.served_meta.set(from.idx());
-                fx.send(from, source, round, RbcMsg::MetaResp(meta));
-            }
-        }
-    }
-
-    /// Fires when a pull-retry deadline expires: if the instance still
-    /// needs data, re-send the pull to peers not yet asked (rotation) and
-    /// re-arm with exponential backoff. A withholding first target
-    /// therefore stalls delivery by at most one deadline.
-    pub(crate) fn on_retry(&mut self, round: Round, source: PartyId, fx: &mut Effects<P>) {
+    /// Pull-retry deadline for `(round, source)` expired (see
+    /// [`parse_retry_token`]): if the instance still needs data, re-send
+    /// the pull to peers not yet asked (rotation) and re-arm with
+    /// exponential backoff. A withholding first target therefore stalls
+    /// delivery by at most one deadline.
+    pub fn on_retry(&mut self, round: Round, source: PartyId, fx: &mut Effects<P>) {
         let _prof = clanbft_profiler::scope("rbc.retry");
-        let me = self.cfg.me;
-        let tel = self.cfg.telemetry.clone();
         let base = self.cfg.pull_retry;
-        let full_receiver = self.cfg.topology_at(round).receives_full(me, source);
-        let clan = self.cfg.topology_at(round).clan_for_sender(source).clone();
-        let f1 = self.cfg.small_quorum();
         let n = self.cfg.n();
         if round < self.horizon {
             return; // instance pruned (committed + GC'd): chain dies
         }
+        let (which, eligible, want) = self.pull_scope(round, source);
         let Some(inst) = self.slots.get_mut(round, source) else {
             return;
         };
@@ -1311,38 +1482,20 @@ impl<P: TribePayload> Core<P> {
         }
         inst.pull_attempts += 1;
         let delay = Micros(base.0 << (inst.pull_attempts.min(3) as u64));
-        let digest = match inst.certified.or(inst.pull_digest) {
-            Some(d) => d,
-            None => {
-                // Nothing certified and no pull outstanding: keep a slow
-                // heartbeat in case certification arrives later (it will
-                // escalate pulls itself; this chain is already armed).
-                fx.timers.push((delay, retry_token(round, source)));
-                return;
-            }
+        let Some(digest) = inst.certified.or(inst.pull_digest) else {
+            // Nothing certified and no pull outstanding: keep a slow
+            // heartbeat in case certification arrives later (it will
+            // escalate pulls itself; this chain is already armed).
+            fx.timers.push((delay, retry_token(round, source)));
+            return;
         };
-        let needs = if full_receiver {
-            inst.payload.is_none()
-        } else {
-            inst.meta.is_none()
-        };
-        if !needs {
+        if inst.held[which as usize].view.is_some() {
             inst.retry_armed = false;
             return;
         }
         // Rotate: prefer echoers of the digest we have not asked yet, then
         // any eligible peer not asked; once everyone was asked, clear the
         // slate and start over (a served response would have delivered).
-        let eligible: Vec<PartyId> = if full_receiver {
-            clan.members.iter().copied().filter(|p| *p != me).collect()
-        } else {
-            (0..n as u32).map(PartyId).filter(|p| *p != me).collect()
-        };
-        let want = if full_receiver {
-            clan.clan_quorum.max(1)
-        } else {
-            f1
-        };
         let echoers: Vec<PartyId> = inst
             .echo_set(&digest)
             .map(|set| set.all.iter().map(|i| PartyId(i as u32)).collect())
@@ -1360,94 +1513,159 @@ impl<P: TribePayload> Core<P> {
             inst.asked = Bitmap::new(n);
             targets = eligible.into_iter().take(want).collect();
         }
-        tel.add(counters::PULL_RETRIES, 1);
-        tel.event(
-            fx.stamp(),
-            me,
-            Event::Rbc {
-                phase: RbcPhase::PullRetry,
-                round,
-                source,
-            },
-        );
-        for t in targets {
+        for t in &targets {
             inst.asked.set(t.idx());
-            let msg = if full_receiver {
-                RbcMsg::Pull { digest }
-            } else {
-                RbcMsg::PullMeta { digest }
-            };
-            fx.send(t, source, round, msg);
+        }
+        self.cfg.telemetry.add(counters::PULL_RETRIES, 1);
+        self.trace(RbcPhase::PullRetry, round, source, fx);
+        for t in targets {
+            fx.send(t, source, round, which.request(digest));
         }
         fx.timers.push((delay, retry_token(round, source)));
     }
+}
 
-    /// Delivers if the instance is certified and this party now holds the
-    /// matching payload (clan member) or meta view (everyone else).
-    pub(crate) fn deliver_if_ready(&mut self, round: Round, source: PartyId, fx: &mut Effects<P>) {
-        let me = self.cfg.me;
-        let full_receiver = self.cfg.topology_at(round).receives_full(me, source);
-        let inst = self.instance(round, source);
-        if inst.delivered {
-            return;
-        }
-        if full_receiver {
-            if let (Some(c), Some(p), Some(d)) =
-                (inst.certified, &inst.payload, inst.payload_digest)
-            {
-                if d == c {
-                    inst.delivered = true;
-                    let payload = p.clone();
-                    fx.events.push(RbcEvent::DeliverFull {
-                        source,
-                        round,
-                        digest: c,
-                        payload,
-                    });
-                }
-            }
-        } else if let (Some(c), Some(m), Some(d)) = (inst.certified, &inst.meta, inst.meta_digest) {
-            if d == c {
-                inst.delivered = true;
-                let meta = m.clone();
-                fx.events.push(RbcEvent::DeliverMeta {
-                    source,
-                    round,
-                    digest: c,
-                    meta,
-                });
-            }
+impl Which {
+    /// The pull request for this view of the payload with `digest`.
+    fn request<P: TribePayload>(self, digest: Digest) -> RbcMsg<P> {
+        match self {
+            Which::Full => RbcMsg::Pull { digest },
+            Which::Meta => RbcMsg::PullMeta { digest },
         }
     }
+}
 
-    /// Integrates a pulled payload, delivering if certified.
-    pub(crate) fn handle_pull_resp(
-        &mut self,
-        round: Round,
-        source: PartyId,
-        payload: P,
-        fx: &mut Effects<P>,
-    ) {
-        if self
-            .accept_payload(round, source, payload, false, fx)
-            .is_none()
-        {
-            return;
-        }
-        self.deliver_if_ready(round, source, fx);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::payload::BytesPayload;
+    use crate::topology::ClanTopology;
+    use clanbft_crypto::{Registry, Scheme};
+    use clanbft_telemetry::{counters, MemRecorder, Telemetry};
+    use clanbft_types::{Micros, TribeParams};
+
+    const N: usize = 4;
+    const ROUND: Round = Round(1);
+    const SOURCE: PartyId = PartyId(0);
+
+    struct Rig {
+        engine: TribeRbc<BytesPayload>,
+        auths: Vec<Arc<Authenticator>>,
+        rec: Arc<MemRecorder>,
     }
 
-    /// Integrates a pulled meta view, delivering if certified.
-    pub(crate) fn handle_meta_resp(
-        &mut self,
-        round: Round,
-        source: PartyId,
-        meta: P::Meta,
-        fx: &mut Effects<P>,
-    ) {
-        if self.accept_meta(round, source, meta, false, fx).is_none() {
-            return;
-        }
-        self.deliver_if_ready(round, source, fx);
+    fn rig(me: u32) -> Rig {
+        let topology = Arc::new(ClanTopology::whole_tribe(TribeParams::new(N)));
+        let (registry, keypairs) = Registry::generate(Scheme::Keyed, N, 5);
+        let auths: Vec<Arc<Authenticator>> = keypairs
+            .into_iter()
+            .enumerate()
+            .map(|(i, kp)| Arc::new(Authenticator::new(i, kp, Arc::clone(&registry))))
+            .collect();
+        let (telemetry, rec) = Telemetry::mem();
+        let mut cfg = EngineConfig::new(PartyId(me), topology, CostModel::free());
+        cfg.telemetry = telemetry;
+        let engine = TribeRbc::signed(cfg, Arc::clone(&auths[me as usize]));
+        Rig { engine, auths, rec }
+    }
+
+    fn payload() -> BytesPayload {
+        BytesPayload::new(vec![0x17; 128])
+    }
+
+    fn feed(rig: &mut Rig, from: u32, msg: RbcMsg<BytesPayload>) -> Effects<BytesPayload> {
+        let mut fx = Effects::at(Micros(1));
+        let packet = RbcPacket {
+            source: SOURCE,
+            round: ROUND,
+            msg,
+        };
+        rig.engine.handle(PartyId(from), packet, &mut fx);
+        fx
+    }
+
+    fn feed_echo(rig: &mut Rig, signer: u32) -> Effects<BytesPayload> {
+        let digest = payload().rbc_digest();
+        let statement = echo_statement(SOURCE, ROUND, &digest);
+        let sig = Some(Arc::new(rig.auths[signer as usize].sign_digest(&statement)));
+        feed(rig, signer, RbcMsg::Echo { digest, sig })
+    }
+
+    /// `(echoes counted, signature shares held)` for the instance under test.
+    fn echo_state(rig: &Rig) -> (usize, usize) {
+        let inst = rig.engine.slots.get(ROUND, SOURCE).expect("instance");
+        (
+            inst.echoes.iter().map(|set| set.all.count()).sum(),
+            inst.echoes.iter().map(|set| set.sigs.len()).sum(),
+        )
+    }
+
+    #[test]
+    fn forming_the_certificate_releases_the_echo_shares() {
+        let mut r = rig(1);
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        feed_echo(&mut r, 0);
+        feed_echo(&mut r, 2);
+        assert_eq!(echo_state(&r), (2, 2), "shares are kept until quorum");
+
+        // Third echo: quorum of 3, the certificate is formed from the shares.
+        let fx = feed_echo(&mut r, 1);
+        let cert = fx
+            .out
+            .iter()
+            .find_map(|(_, p)| match &p.msg {
+                RbcMsg::EchoCert { cert, .. } => Some(Arc::clone(cert)),
+                _ => None,
+            })
+            .expect("certificate formed at quorum");
+        assert_eq!(cert.count(), 3, "the certificate carries every share");
+        assert_eq!(echo_state(&r), (3, 0), "no share outlives the certificate");
+
+        // A late echo is still counted, its share is not stored; a duplicate
+        // of it is rejected and counted as before.
+        feed_echo(&mut r, 3);
+        assert_eq!(echo_state(&r), (4, 0));
+        let dup_before = r.rec.counter(counters::REJECTED_DUPLICATE);
+        let fx = feed_echo(&mut r, 3);
+        assert!(fx.out.is_empty() && fx.events.is_empty());
+        assert_eq!(echo_state(&r), (4, 0));
+        assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), dup_before + 1);
+    }
+
+    #[test]
+    fn accepting_a_certificate_releases_the_shares_collected_so_far() {
+        // The donor reaches quorum first; the party under test holds two
+        // shares of its own when the donor's certificate arrives.
+        let mut donor = rig(2);
+        feed(&mut donor, 0, RbcMsg::Val(payload()));
+        feed_echo(&mut donor, 0);
+        feed_echo(&mut donor, 1);
+        let cert = feed_echo(&mut donor, 2)
+            .out
+            .into_iter()
+            .find(|(_, p)| matches!(p.msg, RbcMsg::EchoCert { .. }))
+            .map(|(_, p)| p.msg)
+            .expect("donor formed a certificate");
+
+        let mut r = rig(3);
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        feed_echo(&mut r, 0);
+        feed_echo(&mut r, 3);
+        assert_eq!(echo_state(&r), (2, 2));
+        let fx = feed(&mut r, 2, cert);
+        assert!(
+            fx.events
+                .iter()
+                .any(|e| matches!(e, RbcEvent::DeliverFull { .. })),
+            "a valid certificate delivers"
+        );
+        assert_eq!(echo_state(&r), (2, 0), "accepted certificate frees shares");
+
+        // Echoes past certification: counted, reaching quorum changes
+        // nothing (the certificate was already forwarded), nothing stored.
+        feed_echo(&mut r, 1);
+        let fx = feed_echo(&mut r, 2);
+        assert!(fx.out.is_empty() && fx.events.is_empty());
+        assert_eq!(echo_state(&r), (4, 0));
     }
 }

@@ -1,58 +1,20 @@
-//! Standalone broadcast nodes: the RBC engines wrapped as
-//! [`Protocol`] implementations, runnable directly on the simulator or the
-//! live transport without the consensus layer on top.
+//! Standalone broadcast nodes: the RBC engine wrapped as a [`Protocol`]
+//! implementation, runnable directly on the simulator or the live transport
+//! without the consensus layer on top.
 //!
 //! Besides powering the RBC examples and tests, this module houses the
 //! Byzantine sender behaviours (equivocation, selective sending) used to
-//! exercise the engines' failure paths.
+//! exercise the engine's failure paths.
 
-use crate::engine::{Effects, EngineConfig, RbcEvent, RbcMsg, RbcPacket};
+use crate::engine::{
+    parse_retry_token, Effects, EngineConfig, RbcEvent, RbcMsg, RbcPacket, TribeRbc,
+};
 use crate::payload::TribePayload;
 use crate::topology::ClanTopology;
-use crate::tribe2::TribeRbc2;
-use crate::tribe3::TribeRbc3;
 use clanbft_crypto::Authenticator;
 use clanbft_simnet::protocol::{Ctx, Protocol};
-use clanbft_types::{Micros, PartyId, Round, TribeParams};
+use clanbft_types::{Micros, PartyId, Round};
 use std::sync::Arc;
-
-/// Which engine variant a standalone node runs.
-pub enum Engine<P: TribePayload> {
-    /// Three-round signature-free variant (paper Fig. 2).
-    Three(TribeRbc3<P>),
-    /// Two-round signed variant (paper Fig. 3).
-    Two(TribeRbc2<P>),
-}
-
-impl<P: TribePayload> Engine<P> {
-    fn handle(&mut self, from: PartyId, pkt: RbcPacket<P>, fx: &mut Effects<P>) {
-        match self {
-            Engine::Three(e) => e.handle(from, pkt, fx),
-            Engine::Two(e) => e.handle(from, pkt, fx),
-        }
-    }
-
-    fn broadcast(&mut self, round: Round, payload: P, fx: &mut Effects<P>) {
-        match self {
-            Engine::Three(e) => e.broadcast(round, payload, fx),
-            Engine::Two(e) => e.broadcast(round, payload, fx),
-        }
-    }
-
-    fn on_retry(&mut self, round: Round, source: PartyId, fx: &mut Effects<P>) {
-        match self {
-            Engine::Three(e) => e.on_retry(round, source, fx),
-            Engine::Two(e) => e.on_retry(round, source, fx),
-        }
-    }
-
-    fn tribe(&self) -> TribeParams {
-        match self {
-            Engine::Three(e) => e.config().topology.tribe(),
-            Engine::Two(e) => e.config().topology.tribe(),
-        }
-    }
-}
 
 /// A delivered record kept by [`StandaloneNode`] for inspection.
 #[derive(Clone, Debug)]
@@ -66,7 +28,7 @@ pub enum Delivery<P: TribePayload> {
 /// A broadcast-only node: optionally broadcasts one payload at start, then
 /// participates honestly and records every delivery.
 pub struct StandaloneNode<P: TribePayload> {
-    engine: Engine<P>,
+    engine: TribeRbc<P>,
     /// Payload to broadcast at start, if this node is a sender.
     pub to_send: Option<(Round, P)>,
     /// Deliveries observed, in order.
@@ -76,24 +38,23 @@ pub struct StandaloneNode<P: TribePayload> {
 }
 
 impl<P: TribePayload> StandaloneNode<P> {
-    /// An honest node on the 3-round engine.
-    pub fn three(cfg: EngineConfig) -> StandaloneNode<P> {
+    fn new(engine: TribeRbc<P>) -> StandaloneNode<P> {
         StandaloneNode {
-            engine: Engine::Three(TribeRbc3::new(cfg)),
+            engine,
             to_send: None,
             deliveries: Vec::new(),
             certified: Vec::new(),
         }
     }
 
-    /// An honest node on the 2-round engine.
+    /// An honest node on the 3-round signature-free engine.
+    pub fn three(cfg: EngineConfig) -> StandaloneNode<P> {
+        StandaloneNode::new(TribeRbc::signature_free(cfg))
+    }
+
+    /// An honest node on the 2-round signed engine.
     pub fn two(cfg: EngineConfig, auth: Arc<Authenticator>) -> StandaloneNode<P> {
-        StandaloneNode {
-            engine: Engine::Two(TribeRbc2::new(cfg, auth)),
-            to_send: None,
-            deliveries: Vec::new(),
-            certified: Vec::new(),
-        }
+        StandaloneNode::new(TribeRbc::signed(cfg, auth))
     }
 
     /// Makes this node broadcast `payload` in `round` at start.
@@ -128,7 +89,7 @@ impl<P: TribePayload> StandaloneNode<P> {
                 RbcEvent::EchoQuorum { .. } => {}
             }
         }
-        let tribe = self.engine.tribe();
+        let tribe = self.engine.config().topology.tribe();
         for (to, pkt) in fx.out {
             to.queue(tribe, pkt, ctx);
         }
@@ -154,7 +115,7 @@ impl<P: TribePayload> Protocol<RbcPacket<P>> for StandaloneNode<P> {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<RbcPacket<P>>) {
-        if let Some((round, source)) = crate::engine::parse_retry_token(token) {
+        if let Some((round, source)) = parse_retry_token(token) {
             let mut fx = Effects::at(ctx.now());
             self.engine.on_retry(round, source, &mut fx);
             self.apply(fx, ctx);
@@ -209,89 +170,52 @@ pub struct ByzantineNode<P: TribePayload> {
     pub behaviour: ByzantineSender<P>,
 }
 
-impl<P: TribePayload> Protocol<RbcPacket<P>> for ByzantineNode<P> {
-    fn on_start(&mut self, ctx: &mut Ctx<RbcPacket<P>>) {
-        let me = self.me;
-        let clan: Vec<PartyId> = self.topology.clan_for_sender(me).members.clone();
-        let n = self.topology.tribe().n();
-        match &self.behaviour {
+impl<P: TribePayload> ByzantineSender<P> {
+    /// What the script hands party `p`: the payload to show it and whether
+    /// in full, or nothing. `seat` is `p`'s position in the sender's clan
+    /// (`None` outside it) and `clan_len` the clan's size.
+    fn script(
+        &self,
+        p: PartyId,
+        seat: Option<usize>,
+        clan_len: usize,
+    ) -> Option<(Round, &P, bool)> {
+        match self {
             ByzantineSender::Equivocate { a, b, round } => {
-                let half = clan.len() / 2;
-                for (i, &p) in clan.iter().enumerate() {
-                    let payload = if i < half { a.clone() } else { b.clone() };
-                    ctx.send(
-                        p,
-                        RbcPacket {
-                            source: me,
-                            round: *round,
-                            msg: RbcMsg::Val(payload),
-                        },
-                    );
-                }
-                for p in (0..n as u32).map(PartyId) {
-                    if !clan.contains(&p) {
-                        // Outside the clan, alternate metas by parity.
-                        let meta = if p.0 % 2 == 0 { a.meta() } else { b.meta() };
-                        ctx.send(
-                            p,
-                            RbcPacket {
-                                source: me,
-                                round: *round,
-                                msg: RbcMsg::ValMeta(meta),
-                            },
-                        );
-                    }
-                }
+                // Clan: first half `a`, second half `b`; outside the clan,
+                // alternate metas by parity.
+                let first = seat.map_or(p.0 % 2 == 0, |i| i < clan_len / 2);
+                Some((*round, if first { a } else { b }, seat.is_some()))
             }
             ByzantineSender::Selective {
                 payload,
                 full_recipients,
                 round,
-            } => {
-                let full_set: Vec<PartyId> = clan.iter().copied().take(*full_recipients).collect();
-                let meta = payload.meta();
-                for p in (0..n as u32).map(PartyId) {
-                    let msg = if full_set.contains(&p) {
-                        RbcMsg::Val(payload.clone())
-                    } else {
-                        RbcMsg::ValMeta(meta.clone())
-                    };
-                    ctx.send(
-                        p,
-                        RbcPacket {
-                            source: me,
-                            round: *round,
-                            msg,
-                        },
-                    );
-                }
-            }
+            } => Some((*round, payload, seat.is_some_and(|i| i < *full_recipients))),
             ByzantineSender::DepriveMeta {
                 payload,
                 deprived,
                 round,
-            } => {
-                let meta = payload.meta();
-                for p in (0..n as u32).map(PartyId) {
-                    if deprived.contains(&p) {
-                        continue;
-                    }
-                    let msg = if clan.contains(&p) {
-                        RbcMsg::Val(payload.clone())
-                    } else {
-                        RbcMsg::ValMeta(meta.clone())
-                    };
-                    ctx.send(
-                        p,
-                        RbcPacket {
-                            source: me,
-                            round: *round,
-                            msg,
-                        },
-                    );
-                }
+            } => (!deprived.contains(&p)).then_some((*round, payload, seat.is_some())),
+            ByzantineSender::Silent => None,
+        }
+    }
+}
+
+impl<P: TribePayload> Protocol<RbcPacket<P>> for ByzantineNode<P> {
+    fn on_start(&mut self, ctx: &mut Ctx<RbcPacket<P>>) {
+        let source = self.me;
+        let clan = &self.topology.clan_for_sender(source).members;
+        for p in self.topology.tribe().parties() {
+            let seat = clan.iter().position(|m| *m == p);
+            if let Some((round, payload, full)) = self.behaviour.script(p, seat, clan.len()) {
+                let msg = if full {
+                    RbcMsg::Val(payload.clone())
+                } else {
+                    RbcMsg::ValMeta(payload.meta())
+                };
+                ctx.send(p, RbcPacket { source, round, msg });
             }
-            ByzantineSender::Silent => {}
         }
     }
 

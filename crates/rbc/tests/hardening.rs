@@ -1,7 +1,7 @@
 //! Honest-path hardening regressions: pull-service rate limiting, bounded
 //! buffers (round window + per-instance digest cap), and the pull
 //! retry/backoff/rotation machinery — each driven deterministically against
-//! a bare [`TribeRbc2`], plus one simulator run pinning the recovery-time
+//! a bare [`TribeRbc`], plus one simulator run pinning the recovery-time
 //! bound under a withholding sender.
 
 use clanbft_crypto::Digest;
@@ -9,7 +9,7 @@ use clanbft_crypto::{Authenticator, Registry, Scheme, Signature};
 use clanbft_rbc::standalone::{AnyNode, ByzantineNode, ByzantineSender, Delivery, StandaloneNode};
 use clanbft_rbc::{
     echo_statement, parse_retry_token, BytesPayload, ClanTopology, Dest, Effects, EngineConfig,
-    RbcEvent, RbcMsg, RbcPacket, TribePayload, TribeRbc2, MAX_DIGESTS_PER_INSTANCE,
+    RbcEvent, RbcMsg, RbcPacket, TribePayload, TribeRbc, MAX_DIGESTS_PER_INSTANCE,
     MAX_PULL_ATTEMPTS,
 };
 use clanbft_simnet::cost::CostModel;
@@ -21,7 +21,7 @@ use std::sync::Arc;
 const PULL_RETRY: Micros = Micros(400_000);
 
 struct Rig {
-    engine: TribeRbc2<BytesPayload>,
+    engine: TribeRbc<BytesPayload>,
     auths: Vec<Arc<Authenticator>>,
     rec: Arc<MemRecorder>,
 }
@@ -42,7 +42,7 @@ fn rig_on(topology: Arc<ClanTopology>, me: u32) -> Rig {
     let mut cfg = EngineConfig::new(PartyId(me), topology, CostModel::free());
     cfg.telemetry = telemetry;
     cfg.pull_retry = PULL_RETRY;
-    let engine = TribeRbc2::new(cfg, Arc::clone(&auths[me as usize]));
+    let engine = TribeRbc::signed(cfg, Arc::clone(&auths[me as usize]));
     Rig { engine, auths, rec }
 }
 
@@ -371,7 +371,7 @@ fn pruned_rounds_stay_dead_and_lookups_never_allocate() {
     assert!(!r.engine.delivered(Round(10), PartyId(3)));
     assert!(!r.engine.delivered(Round(1 << 40), PartyId(0)));
     assert!(r.engine.meta_of(Round(1 << 40), PartyId(0)).is_none());
-    assert!(r.engine.payload_of(Round(10), PartyId(99)).is_none());
+    assert!(r.engine.meta_of(Round(10), PartyId(99)).is_none());
     assert_eq!(r.engine.buffer_stats().instances, 2);
 
     r.engine.prune_below(Round(50));

@@ -1,12 +1,12 @@
 //! Idempotence regression suite for the RBC engine: every message variant
-//! is fed twice (and out of order) into a directly-driven [`TribeRbc2`];
+//! is fed twice (and out of order) into a directly-driven [`TribeRbc`];
 //! duplicates must leave state, emitted effects and evidence unchanged,
 //! ticking only the `rejected.duplicate` counter.
 
 use clanbft_crypto::{Authenticator, Registry, Scheme};
 use clanbft_rbc::{
     echo_statement, BytesPayload, ClanTopology, Effects, EngineConfig, RbcEvent, RbcMsg, RbcPacket,
-    TribePayload, TribeRbc2,
+    TribePayload, TribeRbc,
 };
 use clanbft_simnet::cost::CostModel;
 use clanbft_telemetry::{counters, MemRecorder, Telemetry};
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// A 4-party whole-tribe engine for `me`, with an in-memory recorder.
 struct Rig {
-    engine: TribeRbc2<BytesPayload>,
+    engine: TribeRbc<BytesPayload>,
     auths: Vec<Arc<Authenticator>>,
     rec: Arc<MemRecorder>,
 }
@@ -37,7 +37,7 @@ fn rig(n: usize, me: u32, clan: Option<Vec<u32>>) -> Rig {
     let (telemetry, rec) = Telemetry::mem();
     let mut cfg = EngineConfig::new(PartyId(me), topology, CostModel::free());
     cfg.telemetry = telemetry;
-    let engine = TribeRbc2::new(cfg, Arc::clone(&auths[me as usize]));
+    let engine = TribeRbc::signed(cfg, Arc::clone(&auths[me as usize]));
     Rig { engine, auths, rec }
 }
 

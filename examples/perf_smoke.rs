@@ -29,8 +29,8 @@
 //!
 //! The committed baseline `crates/bench/BENCH_perf_baseline.json` pins the
 //! deterministic facts exactly (committed txs, sim events, distinct
-//! scopes) and the wall time loosely (candidate must stay within
-//! `CLANBFT_PERF_TOL`× the recorded wall, default 8×). Refresh it with
+//! scopes). Its wall-time fields are a record, not a gate: wall time is
+//! judged by `benchmark/` with alternating paired runs. Refresh it with
 //! `--write-baseline` after an intentional change.
 
 use clanbft_inspect::parse::{parse_line, Value};
@@ -49,36 +49,6 @@ const ROUNDS: u64 = 10;
 const SEED: u64 = 11;
 const TXS: u32 = 200;
 
-/// Workload knobs, overridable for overhead measurements at other scales
-/// (`CLANBFT_PERF_N`, `_CLAN`, `_ROUNDS`, `_TXS`). Overridden runs skip the
-/// committed baseline entirely — its pinned facts only hold for the default
-/// workload.
-struct Workload {
-    n: usize,
-    clan: usize,
-    rounds: u64,
-    txs: u32,
-    overridden: bool,
-}
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
-}
-
-fn workload() -> Workload {
-    let n = env_u64("CLANBFT_PERF_N");
-    let clan = env_u64("CLANBFT_PERF_CLAN");
-    let rounds = env_u64("CLANBFT_PERF_ROUNDS");
-    let txs = env_u64("CLANBFT_PERF_TXS");
-    Workload {
-        n: n.map_or(N, |v| v as usize),
-        clan: clan.map_or(CLAN, |v| v as usize),
-        rounds: rounds.unwrap_or(ROUNDS),
-        txs: txs.map_or(TXS, |v| v as u32),
-        overridden: n.is_some() || clan.is_some() || rounds.is_some() || txs.is_some(),
-    }
-}
-
 fn baseline_path() -> String {
     format!(
         "{}/../bench/BENCH_perf_baseline.json",
@@ -86,9 +56,9 @@ fn baseline_path() -> String {
     )
 }
 
-fn run_once(w: &Workload) -> RunMetrics {
-    let mut spec = ExperimentSpec::new(Proto::SingleClan { clan_size: w.clan }, w.n, w.txs);
-    spec.rounds = w.rounds;
+fn run_once() -> RunMetrics {
+    let mut spec = ExperimentSpec::new(Proto::SingleClan { clan_size: CLAN }, N, TXS);
+    spec.rounds = ROUNDS;
     spec.warmup_rounds = 2;
     spec.cooldown_rounds = 2;
     spec.seed = SEED;
@@ -97,7 +67,7 @@ fn run_once(w: &Workload) -> RunMetrics {
 
 /// `(wall microseconds, metrics, report)` for one enabled run. Timing-only
 /// mode skips allocation accounting — the cheapest enabled configuration.
-fn run_profiled(w: &Workload, timing_only: bool) -> (u64, RunMetrics, prof::Report) {
+fn run_profiled(timing_only: bool) -> (u64, RunMetrics, prof::Report) {
     prof::reset();
     if timing_only {
         prof::enable_timing_only();
@@ -105,7 +75,7 @@ fn run_profiled(w: &Workload, timing_only: bool) -> (u64, RunMetrics, prof::Repo
         prof::enable();
     }
     let t = Instant::now();
-    let m = run_once(w);
+    let m = run_once();
     let wall = t.elapsed().as_micros() as u64;
     let report = prof::take_report();
     prof::disable();
@@ -133,7 +103,6 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "target/perf-smoke".to_string());
     std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| fail(&format!("mkdir {out_dir}: {e}")));
-    let wl = workload();
 
     // Disabled runs: the first warms caches (page-ins, lazy statics), the
     // best of the rest is the overhead baseline. A run is ~30 ms, short
@@ -145,7 +114,7 @@ fn main() {
     let mut disabled_metrics = None;
     for i in 0..5 {
         let t = Instant::now();
-        let m = run_once(&wl);
+        let m = run_once();
         let w = t.elapsed().as_micros() as u64;
         if i > 0 {
             disabled_wall = disabled_wall.min(w);
@@ -157,12 +126,12 @@ fn main() {
         fail("disabled profiler accumulated scope data");
     }
 
-    let (mut timing_wall, timing_metrics, timing_report) = run_profiled(&wl, true);
+    let (mut timing_wall, timing_metrics, timing_report) = run_profiled(true);
     for _ in 0..2 {
-        timing_wall = timing_wall.min(run_profiled(&wl, true).0);
+        timing_wall = timing_wall.min(run_profiled(true).0);
     }
-    let (wall_a, metrics_a, report_a) = run_profiled(&wl, false);
-    let (wall_b, metrics_b, report_b) = run_profiled(&wl, false);
+    let (wall_a, metrics_a, report_a) = run_profiled(false);
+    let (wall_b, metrics_b, report_b) = run_profiled(false);
     let enabled_wall = wall_a.min(wall_b);
     if timing_report.scopes.iter().any(|s| s.alloc_count > 0) {
         fail("timing-only run attributed allocations");
@@ -257,9 +226,9 @@ fn main() {
     write("profile_a.collapsed", &report_a.to_collapsed());
     let summary = JsonObj::new()
         .str("bench", "perf_smoke")
-        .u64("n", wl.n as u64)
-        .u64("clan", wl.clan as u64)
-        .u64("rounds", wl.rounds)
+        .u64("n", N as u64)
+        .u64("clan", CLAN as u64)
+        .u64("rounds", ROUNDS)
         .u64("seed", SEED)
         .u64("committed_txs", disabled_metrics.committed_txs)
         .u64("sim_events", disabled_metrics.sim_events)
@@ -295,12 +264,7 @@ fn main() {
     );
     println!("perf_smoke: artifacts -> {out_dir}");
 
-    // Baseline gate. An overridden workload is a one-off measurement — the
-    // committed baseline's pinned facts do not apply to it.
-    if wl.overridden {
-        println!("perf_smoke: workload overridden by env; baseline skipped");
-        return;
-    }
+    // Baseline gate.
     let bpath = baseline_path();
     if write_baseline {
         std::fs::write(&bpath, format!("{summary}\n"))
@@ -329,17 +293,9 @@ fn main() {
                     fail(&format!("{key}: baseline {want}, this run {got} (deterministic field; investigate before --write-baseline)"));
                 }
             }
-            // Wall time is host-dependent: gate only on a generous factor.
-            let tol = env_f64("CLANBFT_PERF_TOL", 8.0);
-            let base_wall = base_u64("enabled_wall_us").max(1);
-            let limit = (base_wall as f64 * tol) as u64;
-            if enabled_wall > limit {
-                fail(&format!(
-                    "enabled wall {enabled_wall} us exceeds {tol}x baseline ({base_wall} us)"
-                ));
-            }
             println!(
-                "perf_smoke: baseline OK (wall {enabled_wall} us vs {base_wall} us recorded, {tol}x tolerance)"
+                "perf_smoke: baseline OK (wall {enabled_wall} us, {} us recorded; not gated)",
+                base_u64("enabled_wall_us")
             );
         }
     }

@@ -12,6 +12,12 @@ echo "== cargo build --release --offline"
 cargo build --release --offline
 
 echo "== cargo test -q --offline"
+# Every suite runs here, once: the adversarial matrix (tests/adversary.rs),
+# the layer-level idempotence/hardening regressions, the determinism pins,
+# the mempool/loadgen/codec properties, the kill/restart matrix
+# (tests/fault_injection.rs), the WAL torn-write properties and the monitor
+# precision/recall suites included. The gates below run what this does
+# not: examples, the inspect binary over their traces, and benchmark/.
 cargo test -q --offline
 
 echo "== cargo clippy -D warnings"
@@ -22,23 +28,6 @@ echo "== instrumented sim (trace invariants)"
 # propose <= certify <= commit over a live telemetry stream; it exits
 # non-zero on any violation.
 cargo run --release --offline -p clanbft-sim --example trace_summary > /dev/null
-
-echo "== adversarial matrix (agreement + liveness + detection under attack)"
-# Every Attack variant at the corruption threshold, plus the layer-level
-# idempotence/hardening regressions and the same-seed adversarial
-# determinism pin. Covered by the workspace test run above, but rerun
-# explicitly so an attack regression is named in the CI log.
-cargo test -q --offline -p clanbft-sim --test adversary
-cargo test -q --offline -p clanbft-rbc --test idempotence --test hardening
-cargo test -q --offline -p clanbft-consensus --test idempotence
-cargo test -q --offline -p clanbft-sim --test determinism
-
-echo "== client ingress (mempool admission, sizing, load generation, codecs)"
-# Mempool unit suite plus the cross-crate suites: closed-loop exactly-once,
-# open-loop backpressure, sizer adaptation, and the codec round-trip /
-# malformed-encoding-never-panics properties.
-cargo test -q --offline -p clanbft-mempool
-cargo test -q --offline -p clanbft-sim --test loadgen --test properties
 
 echo "== inspect gate (post-mortem toolchain over live traces)"
 # capture_trace runs the same 7-party single-clan tribe twice (benign and
@@ -80,8 +69,8 @@ echo "== profile smoke (profiler contract + perf regression gate)"
 # across modes, >= 8 stages over >= 5 subsystems with allocation
 # attribution, deterministic scope counts, overhead under tolerance, and
 # the deterministic facts pinned in crates/bench/BENCH_perf_baseline.json
-# (exactly) plus the recorded wall time (x8 tolerance for host variance;
-# CLANBFT_PERF_TOL / CLANBFT_PERF_TOL_PCT override).
+# (exactly; CLANBFT_PERF_TOL_PCT overrides the overhead tolerance). Wall
+# time is not gated here: benchmark/ judges it with paired runs.
 PERF=target/ci-perf
 rm -rf "$PERF"
 cargo run --release --offline -p clanbft-sim --example perf_smoke -- "$PERF"
@@ -109,11 +98,6 @@ rm -rf "$RECOVERY"
 cargo run --release --offline -p clanbft-sim --example recovery_smoke -- "$RECOVERY" > /dev/null
 "$INSPECT" --check "$RECOVERY/restart.ndjson"
 "$INSPECT" --check "$RECOVERY/rotation.ndjson"
-# The kill/restart matrix (follower, clan member, f staggered, WAL-only vs
-# state-transfer, rotation liveness) and the WAL torn-write/bit-flip
-# properties; named explicitly so a recovery regression is named in the log.
-cargo test -q --offline -p clanbft-sim --test fault_injection
-cargo test -q --offline -p clanbft-storage
 
 echo "== health-monitor gate (benign silence, fault alerts, offline parity)"
 # monitor_smoke runs the same single-clan tribe benign and faulty (one
@@ -145,10 +129,6 @@ done
 test ! -s "$MONITOR/benign.alerts.ndjson"
 grep -q '"alert":"clear","detector":"commit_stall"' "$MONITOR/faulty.alerts.ndjson"
 grep -q '"alert":"clear","detector":"pull_retry_storm"' "$MONITOR/faulty.alerts.ndjson"
-# Monitor precision/recall suites, named so a detector regression is named
-# in the CI log (also covered by the workspace test run above).
-cargo test -q --offline -p clanbft-monitor
-cargo test -q --offline -p clanbft-sim --test monitor
 
 echo "== bench trajectory (committed summary present and well-formed)"
 # BENCH_summary.json is regenerated by scripts/refresh_bench.sh (the fig5
