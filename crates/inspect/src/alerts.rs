@@ -14,21 +14,25 @@ use clanbft_monitor::{replay_events, AlertKind, MonitorConfig};
 use clanbft_types::PartyId;
 use std::fmt::Write as _;
 
+/// How many parties (`0..k`) to pre-register so verdicts cover the silent
+/// ones: the declared tribe size, or one past the highest party seen — but
+/// never more than the trace has events. Both are numbers written in
+/// outside input; the event count is the input's size, and a trace cannot
+/// justify more silent parties than that. (A party past the bound that does
+/// appear registers itself on its first event.)
+fn universe(trace: &Trace) -> u32 {
+    let claimed = trace.meta.n.unwrap_or_else(|| {
+        let highest = trace.events.iter().map(|s| u64::from(s.party.0)).max();
+        highest.map_or(0, |p| p + 1)
+    });
+    u32::try_from(claimed.min(trace.events.len() as u64)).unwrap_or(u32::MAX)
+}
+
 /// Replays `trace` through the detector catalogue and renders the alert
 /// report: the full fire/clear transcript, the per-party active set at end
 /// of trace, and the final cluster verdict.
 pub fn alert_report(trace: &Trace) -> String {
-    // Party universe: declared tribe size when the trace has a meta line,
-    // otherwise every party that appears in the event stream.
-    let parties = match trace.meta.n {
-        Some(n) => n as u32,
-        None => trace
-            .events
-            .iter()
-            .map(|s| s.party.0 + 1)
-            .max()
-            .unwrap_or(0),
-    };
+    let parties = universe(trace);
     let bank = replay_events(&trace.events, parties, MonitorConfig::default());
 
     let mut out = String::new();
@@ -182,5 +186,32 @@ mod tests {
             "verdict: degraded (1 fire(s), 1 active; stalled: 3; degraded: 3; max round 0)\n",
         );
         assert_eq!(report, expected);
+    }
+
+    /// Two inputs that used to take the replay down: a party id one below
+    /// `u32::MAX + 1` overflowed the universe computation (panic in debug,
+    /// zero parties in release), and a declared tribe of twenty million
+    /// pre-registered as many party states for a two-line trace. The
+    /// universe is bounded by the event count now; the parties that do
+    /// appear still register themselves.
+    #[test]
+    fn hostile_party_numbers_cannot_size_the_universe() {
+        let lone = "{\"at\":1,\"party\":4294967295,\"ev\":\"round_entered\",\"round\":1}\n";
+        let trace = parse_trace(lone).expect("parse");
+        assert_eq!(universe(&trace), 1);
+        let report = alert_report(&trace);
+        assert!(
+            report.starts_with("alert replay: 1 event(s), 1 parties\n"),
+            "{report}"
+        );
+        assert!(report.contains("verdict: healthy"), "{report}");
+
+        let inflated = concat!(
+            "{\"meta\":\"run\",\"n\":20000000,\"seed\":1,\"clans\":0}\n",
+            "{\"at\":1,\"party\":0,\"ev\":\"round_entered\",\"round\":1}\n",
+        );
+        let trace = parse_trace(inflated).expect("parse");
+        assert_eq!(universe(&trace), 1);
+        assert!(alert_report(&trace).contains("verdict: healthy"));
     }
 }

@@ -27,7 +27,7 @@
 
 use crate::incident::incidents;
 use crate::parse::Trace;
-use clanbft_telemetry::span::{SpanSet, Stage};
+use clanbft_telemetry::span::Stage;
 use clanbft_telemetry::Event;
 use clanbft_types::{Micros, PartyId, Round};
 use std::collections::BTreeMap;
@@ -46,7 +46,7 @@ pub const COMPLETENESS_MARGIN: u64 = 3;
 /// Runs every invariant; returns the violations (empty = pass).
 pub fn check(trace: &Trace) -> Vec<String> {
     let mut violations = Vec::new();
-    let spans = SpanSet::from_events(&trace.events);
+    let spans = &trace.spans;
 
     // 1. Per-party sequence contiguity + stamp monotonicity.
     let mut last_commit: BTreeMap<PartyId, (u64, Micros)> = BTreeMap::new();
@@ -74,7 +74,7 @@ pub fn check(trace: &Trace) -> Vec<String> {
                 }
             }
             Some(&(prev_seq, prev_at)) => {
-                if sequence != prev_seq + 1 {
+                if Some(sequence) != prev_seq.checked_add(1) {
                     violations.push(format!(
                         "p{}: commit sequence jumped {} -> {}",
                         s.party.0, prev_seq, sequence
@@ -199,7 +199,7 @@ pub fn check(trace: &Trace) -> Vec<String> {
     for s in &trace.events {
         match s.event {
             Event::VertexCommitted { sequence, .. } => {
-                frontier.insert(s.party, sequence + 1);
+                frontier.insert(s.party, sequence.saturating_add(1));
             }
             Event::RecoveryCompleted {
                 round, commit_seq, ..

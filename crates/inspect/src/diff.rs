@@ -9,7 +9,6 @@
 //! retry/rotation machinery.
 
 use crate::parse::Trace;
-use clanbft_telemetry::span::SpanSet;
 use std::fmt::Write as _;
 
 /// Median of a sample set (0 for an empty set).
@@ -46,7 +45,7 @@ pub struct RunProfile {
 
 /// Folds a trace into its comparable profile.
 pub fn profile(trace: &Trace) -> RunProfile {
-    let spans = SpanSet::from_events(&trace.events);
+    let spans = &trace.spans;
     let mut echo = Vec::new();
     let mut certify = Vec::new();
     let mut spread = Vec::new();

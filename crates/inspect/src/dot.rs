@@ -7,32 +7,51 @@
 //! by round then party) so it can be pinned by golden-file tests.
 
 use crate::parse::Trace;
-use clanbft_telemetry::span::{SpanSet, Stage};
+use clanbft_telemetry::span::{Span, SpanSet, Stage};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Inclusive round range selection; `None` bounds mean "from the first /
-/// to the last round present".
-fn selected_rounds(spans: &SpanSet, from: Option<u64>, to: Option<u64>) -> (u64, u64) {
-    let lo = spans.spans.keys().map(|(r, _)| r.0).min().unwrap_or(0);
-    let hi = spans.spans.keys().map(|(r, _)| r.0).max().unwrap_or(0);
-    (from.unwrap_or(lo).max(lo), to.unwrap_or(hi).min(hi))
+/// The spans of rounds `from..=to` (a `None` bound means "from the first /
+/// to the last round present"), grouped by round. Only rounds that have a
+/// span appear, so rendering costs what the trace holds, not what the round
+/// numbers written in it span.
+fn selected_rounds(
+    spans: &SpanSet,
+    from: Option<u64>,
+    to: Option<u64>,
+) -> BTreeMap<u64, Vec<&Span>> {
+    let mut rounds: BTreeMap<u64, Vec<&Span>> = BTreeMap::new();
+    for ((round, _), span) in &spans.spans {
+        if from.map_or(true, |lo| round.0 >= lo) && to.map_or(true, |hi| round.0 <= hi) {
+            rounds.entry(round.0).or_default().push(span);
+        }
+    }
+    rounds
+}
+
+/// `*` for a leader vertex, `!` for an equivocated one.
+fn marks(span: &Span) -> String {
+    let mut marks = String::new();
+    if span.leader {
+        marks.push('*');
+    }
+    if span.equivocated() {
+        marks.push('!');
+    }
+    marks
 }
 
 /// Renders the round range `[from, to]` as a Graphviz digraph.
 pub fn dot(trace: &Trace, from: Option<u64>, to: Option<u64>) -> String {
-    let spans = SpanSet::from_events(&trace.events);
-    let (lo, hi) = selected_rounds(&spans, from, to);
+    let rounds = selected_rounds(&trace.spans, from, to);
     let mut out = String::new();
     out.push_str("digraph dag {\n");
     out.push_str("  rankdir=RL;\n");
     out.push_str("  node [shape=box fontname=\"monospace\"];\n");
-    for r in lo..=hi {
+    for (r, spans) in &rounds {
         let mut rank = String::new();
-        for ((round, proposer), span) in &spans.spans {
-            if round.0 != r || span.proposed_at.is_none() {
-                continue;
-            }
-            let stage = span.stage(&spans.committers);
+        for span in spans.iter().filter(|s| s.proposed_at.is_some()) {
+            let stage = span.stage(&trace.spans.committers);
             let style = if stage >= Stage::Ordered {
                 "solid"
             } else if stage >= Stage::Certified {
@@ -40,37 +59,31 @@ pub fn dot(trace: &Trace, from: Option<u64>, to: Option<u64>) -> String {
             } else {
                 "dotted"
             };
-            let mut label = format!("r{}p{}", round.0, proposer.0);
-            if span.leader {
-                label.push('*');
-            }
-            if span.equivocated() {
-                label.push('!');
-            }
+            let node = format!("r{r}p{}", span.proposer.0);
             let _ = writeln!(
                 out,
-                "  \"r{}p{}\" [label=\"{}\" style={}];",
-                round.0, proposer.0, label, style
+                "  \"{node}\" [label=\"{node}{}\" style={style}];",
+                marks(span)
             );
-            let _ = write!(rank, " \"r{}p{}\";", round.0, proposer.0);
+            let _ = write!(rank, " \"{node}\";");
         }
         if !rank.is_empty() {
             let _ = writeln!(out, "  {{ rank=same;{rank} }}");
         }
     }
-    for ((round, proposer), span) in &spans.spans {
-        if round.0 < lo.saturating_add(1) || round.0 > hi || span.proposed_at.is_none() {
-            continue;
-        }
-        for src in &span.strong {
-            let _ = writeln!(
-                out,
-                "  \"r{}p{}\" -> \"r{}p{}\";",
-                round.0,
-                proposer.0,
-                round.0 - 1,
-                src.0
-            );
+    // Strong edges point one round back, so the first selected round has
+    // none to draw inside the selection.
+    for (r, spans) in rounds.iter().skip(1) {
+        for span in spans.iter().filter(|s| s.proposed_at.is_some()) {
+            for src in &span.strong {
+                let _ = writeln!(
+                    out,
+                    "  \"r{r}p{}\" -> \"r{}p{}\";",
+                    span.proposer.0,
+                    r - 1,
+                    src.0
+                );
+            }
         }
     }
     out.push_str("}\n");
@@ -80,29 +93,17 @@ pub fn dot(trace: &Trace, from: Option<u64>, to: Option<u64>) -> String {
 /// Renders the round range as ASCII, one round per block: each vertex with
 /// its stage and strong-edge sources.
 pub fn ascii(trace: &Trace, from: Option<u64>, to: Option<u64>) -> String {
-    let spans = SpanSet::from_events(&trace.events);
-    let (lo, hi) = selected_rounds(&spans, from, to);
     let mut out = String::new();
-    for r in lo..=hi {
+    for (r, spans) in selected_rounds(&trace.spans, from, to) {
         let _ = writeln!(out, "round {r}:");
-        for ((round, proposer), span) in &spans.spans {
-            if round.0 != r || span.proposed_at.is_none() {
-                continue;
-            }
+        for span in spans.iter().filter(|s| s.proposed_at.is_some()) {
             let edges: Vec<String> = span.strong.iter().map(|p| format!("p{}", p.0)).collect();
-            let mut marks = String::new();
-            if span.leader {
-                marks.push('*');
-            }
-            if span.equivocated() {
-                marks.push('!');
-            }
             let _ = writeln!(
                 out,
                 "  p{}{} [{}] <- {}",
-                proposer.0,
-                marks,
-                span.stage(&spans.committers).label(),
+                span.proposer.0,
+                marks(span),
+                span.stage(&trace.spans.committers).label(),
                 if edges.is_empty() {
                     "(genesis)".to_string()
                 } else {

@@ -9,7 +9,6 @@
 //! i.e. the straggler a quorum waits on).
 
 use crate::parse::Trace;
-use clanbft_telemetry::span::SpanSet;
 use clanbft_types::{PartyId, Round};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -39,7 +38,7 @@ pub struct RoundHealth {
 
 /// Computes per-round health from a parsed trace, in round order.
 pub fn round_health(trace: &Trace) -> BTreeMap<Round, RoundHealth> {
-    let spans = SpanSet::from_events(&trace.events);
+    let spans = &trace.spans;
     // Strong-edge coverage: which (round, proposer) pairs are referenced
     // by some next-round proposal.
     let mut referenced: BTreeSet<(Round, PartyId)> = BTreeSet::new();
@@ -54,6 +53,8 @@ pub fn round_health(trace: &Trace) -> BTreeMap<Round, RoundHealth> {
         }
     }
 
+    // Per round, how often each party was the last to certify.
+    let mut last_counts: BTreeMap<Round, BTreeMap<PartyId, u64>> = BTreeMap::new();
     let mut out: BTreeMap<Round, RoundHealth> = BTreeMap::new();
     for span in spans.spans.values() {
         let h = out.entry(span.round).or_default();
@@ -76,18 +77,18 @@ pub fn round_health(trace: &Trace) -> BTreeMap<Round, RoundHealth> {
         if let (Some(prop), Some(last)) = (span.proposed_at, span.last_certified()) {
             h.max_cert_wait = h.max_cert_wait.max(last.0.saturating_sub(prop.0));
         }
+        if let Some((p, _)) = span.slowest_certifier() {
+            *last_counts
+                .entry(span.round)
+                .or_default()
+                .entry(p)
+                .or_insert(0) += 1;
+        }
     }
-
     // Slowest quorum member per round: the party most often last to
     // certify (ties break to the lower id for determinism).
-    for (round, h) in out.iter_mut() {
-        let mut last_counts: BTreeMap<PartyId, u64> = BTreeMap::new();
-        for span in spans.spans.values().filter(|s| s.round == *round) {
-            if let Some((p, _)) = span.slowest_certifier() {
-                *last_counts.entry(p).or_insert(0) += 1;
-            }
-        }
-        h.slowest = last_counts
+    for (round, counts) in &last_counts {
+        out.entry(*round).or_default().slowest = counts
             .iter()
             .max_by_key(|(p, c)| (**c, std::cmp::Reverse(**p)))
             .map(|(p, _)| *p);

@@ -9,9 +9,8 @@
 //! attacker's own instances.
 
 use crate::parse::Trace;
-use clanbft_telemetry::span::SpanSet;
 use clanbft_types::{PartyId, Round};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// One grouped incident: all evidence of one kind against one culprit.
@@ -36,54 +35,39 @@ pub struct Incident {
 /// Groups the trace's evidence into incidents (deterministic order:
 /// culprit, then kind).
 pub fn incidents(trace: &Trace) -> Vec<Incident> {
-    let spans = SpanSet::from_events(&trace.events);
-    let attack_of: BTreeMap<u32, &str> = trace
-        .meta
-        .attacks
-        .iter()
-        .map(|(p, a)| (*p, a.as_str()))
-        .collect();
-    let mut grouped: BTreeMap<(PartyId, String), Incident> = BTreeMap::new();
-    for (kind, round, culprit, observer, at) in &spans.evidence {
-        let inc = grouped
-            .entry((*culprit, kind.clone()))
-            .or_insert_with(|| Incident {
+    let mut grouped: BTreeMap<(PartyId, &str), (Incident, BTreeSet<PartyId>)> = BTreeMap::new();
+    for (kind, round, culprit, observer, at) in &trace.spans.evidence {
+        let (inc, observers) = grouped.entry((*culprit, kind)).or_insert_with(|| {
+            let incident = Incident {
                 kind: kind.clone(),
                 culprit: *culprit,
                 records: 0,
                 observers: 0,
                 rounds: (*round, *round),
                 first_at: at.0,
-                configured_attack: attack_of.get(&culprit.0).map(|s| s.to_string()),
-            });
+                configured_attack: trace
+                    .meta
+                    .attacks
+                    .iter()
+                    .find(|(p, _)| *p == culprit.0)
+                    .map(|(_, attack)| attack.clone()),
+            };
+            (incident, BTreeSet::new())
+        });
         inc.records += 1;
         inc.rounds.0 = inc.rounds.0.min(*round);
         inc.rounds.1 = inc.rounds.1.max(*round);
         inc.first_at = inc.first_at.min(at.0);
-        let _ = observer;
-    }
-    // Distinct observers per incident need a second pass (cheap: evidence
-    // lists are short).
-    let mut result: Vec<Incident> = grouped.into_values().collect();
-    for inc in &mut result {
-        let mut observers: Vec<PartyId> = spans
-            .evidence
-            .iter()
-            .filter(|(k, _, c, _, _)| *k == inc.kind && *c == inc.culprit)
-            .map(|(_, _, _, o, _)| *o)
-            .collect();
-        observers.sort();
-        observers.dedup();
+        observers.insert(*observer);
         inc.observers = observers.len() as u64;
     }
-    result
+    grouped.into_values().map(|(inc, _)| inc).collect()
 }
 
 /// Renders the incident report, including indirect signals for configured
 /// attacks that left no direct evidence.
 pub fn incident_report(trace: &Trace) -> String {
     let incs = incidents(trace);
-    let spans = SpanSet::from_events(&trace.events);
     let mut out = String::new();
     let _ = writeln!(out, "incidents: {}", incs.len());
     for inc in &incs {
@@ -110,7 +94,8 @@ pub fn incident_report(trace: &Trace) -> String {
         if incs.iter().any(|i| i.culprit.0 == *party) {
             continue;
         }
-        let retries: u64 = spans
+        let retries: u64 = trace
+            .spans
             .spans
             .values()
             .filter(|s| s.proposer.0 == *party)

@@ -4,8 +4,10 @@
 //! It consumes the merged multi-party trace a simulation exports (see
 //! `clanbft_sim::trace`) and turns it into verdicts:
 //!
-//! * [`parse`] — the hand-rolled NDJSON reader ([`parse_trace`]), tolerant
-//!   of unknown event labels, loud on corruption.
+//! * [`parse`] — reads a trace file into a [`Trace`] ([`parse_trace`]):
+//!   the lines are decoded by `clanbft_telemetry`'s codec (tolerant of
+//!   unknown event labels, loud on corruption) and folded into spans once;
+//!   every report below reads that one fold.
 //! * [`waterfall`] — per-block commit-latency waterfalls: which stage,
 //!   which party, how many δ ([`waterfall()`]).
 //! * [`health`] — per-round DAG health: missing strong edges, certificate
@@ -45,7 +47,7 @@ pub use diff::{diff, profile, RunProfile};
 pub use dot::{ascii, dot, parse_round_range};
 pub use health::{health_report, round_health, RoundHealth};
 pub use incident::{incident_report, incidents, Incident};
-pub use parse::{parse_trace, RunMeta, Trace};
+pub use parse::{parse_trace, Trace};
 pub use perf::{
     parse_profile, parse_profiles, profile_diff, profile_report, PerfProfile, PerfScope,
 };

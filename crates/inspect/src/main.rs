@@ -13,9 +13,7 @@
 //! clanbft-inspect profile --diff <base> <cand> [--threshold pct]   perf regression verdict
 //! ```
 //!
-//! `--check` is accepted as an alias for the `check` subcommand so the
-//! binary slots directly into shell pipelines. A trace path of `-` reads
-//! from stdin.
+//! A trace or profile path of `-` reads from stdin.
 
 use clanbft_inspect::{
     alert_report, ascii, check_report, diff, dot, health_report, incident_report, parse_profile,
@@ -31,19 +29,10 @@ const USAGE: &str =
                      [--threshold pct]\n       (a trace path of '-' reads stdin)";
 
 fn load(path: &str) -> Result<Trace, String> {
-    let text = if path == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("reading stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?
-    };
-    let trace = parse_trace(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    let trace = parse_trace(&read_input(path)?).map_err(|e| format!("parsing {path}: {e}"))?;
     if trace.skipped > 0 {
         eprintln!(
-            "clanbft-inspect: note: skipped {} event(s) with unknown labels in {path}",
+            "clanbft-inspect: note: skipped {} line(s) carrying no known event in {path}",
             trace.skipped
         );
     }
@@ -72,7 +61,6 @@ fn run() -> Result<ExitCode, String> {
         return Err(USAGE.to_string());
     };
     let cmd = cmd.as_str();
-    let cmd = if cmd == "--check" { "check" } else { cmd };
     match cmd {
         "waterfall" | "health" | "incidents" | "alerts" | "check" => {
             let path = args.get(1).ok_or(USAGE)?;

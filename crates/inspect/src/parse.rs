@@ -1,459 +1,63 @@
-//! NDJSON trace parsing (hand-rolled, zero dependencies).
+//! Reading a trace file: lines in, a folded [`Trace`] out.
 //!
-//! The writer side (`clanbft_telemetry::ndjson`) emits flat, single-line
-//! JSON objects with string/integer/boolean/u64-array values, so the
-//! parser here only has to understand exactly that shape. Unknown keys and
+//! The wire format belongs to `clanbft_telemetry` (`ndjson::parse_line` for
+//! the flat-JSON lines, `Stamped::from_fields` / `RunMeta::from_fields` for
+//! what they carry); this module only walks the file. Unknown keys and
 //! unknown event labels are skipped, not errors: traces from newer
 //! workspace revisions must stay readable.
 
-use clanbft_telemetry::{Event, RbcPhase, Stamped};
-use clanbft_types::{Micros, PartyId, Round};
-use std::collections::BTreeMap;
+use clanbft_telemetry::ndjson::parse_line;
+use clanbft_telemetry::{RunMeta, SpanSet, Stamped};
 
-/// One parsed JSON value (only the shapes the trace writer produces).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// Unsigned integer.
-    U64(u64),
-    /// String.
-    Str(String),
-    /// Boolean.
-    Bool(bool),
-    /// Array of unsigned integers.
-    Arr(Vec<u64>),
-    /// JSON null (non-finite floats render as this).
-    Null,
-}
-
-impl Value {
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object line into a key→value map.
-///
-/// Returns `Err` with a short reason on malformed input.
-pub fn parse_line(line: &str) -> Result<BTreeMap<String, Value>, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut map = BTreeMap::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.expect(b'}')?;
-        return Ok(map);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        let value = p.value()?;
-        map.insert(key, value);
-        p.skip_ws();
-        match p.next() {
-            Some(b',') => continue,
-            Some(b'}') => break,
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    Ok(map)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(format!("expected {:?}, got {other:?}", want as char)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or("truncated \\u escape")?;
-                            code = code * 16 + (d as char).to_digit(16).ok_or("bad \\u escape")?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) => {
-                    // Re-assemble UTF-8 multibyte sequences byte-wise.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = (start + len).min(self.bytes.len());
-                    self.pos = end;
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| "invalid utf8".to_string())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        // The writer only emits unsigned integers and finite floats; floats
-        // appear only in bench summaries, not traces. Accept a fraction by
-        // truncating it.
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-            return text
-                .parse::<f64>()
-                .map(|f| f as u64)
-                .map_err(|_| format!("bad number {text:?}"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        text.parse::<u64>()
-            .map_err(|_| format!("bad number {text:?}"))
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'0'..=b'9') => Ok(Value::U64(self.number()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut arr = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(arr));
-                }
-                loop {
-                    self.skip_ws();
-                    arr.push(self.number()?);
-                    self.skip_ws();
-                    match self.next() {
-                        Some(b',') => continue,
-                        Some(b']') => break,
-                        other => return Err(format!("expected ',' or ']', got {other:?}")),
-                    }
-                }
-                Ok(Value::Arr(arr))
-            }
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal, expected {text}"))
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-/// Run metadata from the trace's leading meta line (absent fields default).
-#[derive(Clone, Debug, Default)]
-pub struct RunMeta {
-    /// Tribe size, if the trace declared it.
-    pub n: Option<u64>,
-    /// Seed, if declared.
-    pub seed: Option<u64>,
-    /// Clan count (0 = whole-tribe baseline).
-    pub clans: u64,
-    /// Last proposing round, if declared.
-    pub max_round: Option<u64>,
-    /// Configured attacks as `(party, attack-name)` pairs.
-    pub attacks: Vec<(u32, String)>,
-}
-
-/// A fully parsed trace: metadata plus the merged stamped event stream.
+/// A fully parsed trace: metadata, the merged stamped event stream, and
+/// the stream folded into per-block lifecycles — once, here, for every
+/// report to read.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Run metadata (zeroed if the trace has no meta line).
     pub meta: RunMeta,
     /// Events in file order (= deterministic emission order).
     pub events: Vec<Stamped>,
-    /// Lines that parsed as JSON but matched no known event label.
+    /// `events` folded into spans.
+    pub spans: SpanSet,
+    /// Lines that parsed as JSON but carried no event this revision knows
+    /// (an unknown label, or no label at all).
     pub skipped: u64,
 }
 
-/// Interns an evidence-kind string against the stable label set (the event
-/// type carries `&'static str`).
-fn intern_kind(kind: &str) -> &'static str {
-    match kind {
-        "equivocating_source" => "equivocating_source",
-        "double_vote" => "double_vote",
-        "vote_timeout_conflict" => "vote_timeout_conflict",
-        _ => "other",
-    }
-}
-
-/// Interns a drop-kind string (message class labels used by the simulator).
-fn intern_msg_kind(kind: &str) -> &'static str {
-    match kind {
-        "vote" => "vote",
-        "timeout" => "timeout",
-        "rbc.val" => "rbc.val",
-        "rbc.meta" => "rbc.meta",
-        "rbc.echo" => "rbc.echo",
-        "rbc.ready" => "rbc.ready",
-        "rbc.cert" => "rbc.cert",
-        "rbc.pull" => "rbc.pull",
-        "rbc.pull_resp" => "rbc.pull_resp",
-        "rbc.meta_resp" => "rbc.meta_resp",
-        "state.request" => "state.request",
-        "state.snapshot" => "state.snapshot",
-        "state.chunk" => "state.chunk",
-        _ => "other",
-    }
-}
-
-fn rbc_phase(label: &str) -> Option<RbcPhase> {
-    Some(match label {
-        "val_sent" => RbcPhase::ValSent,
-        "echoed" => RbcPhase::Echoed,
-        "echo_quorum" => RbcPhase::EchoQuorum,
-        "certified" => RbcPhase::Certified,
-        "deliver_full" => RbcPhase::DeliverFull,
-        "deliver_meta" => RbcPhase::DeliverMeta,
-        "pull_started" => RbcPhase::PullStarted,
-        "pull_retry" => RbcPhase::PullRetry,
-        _ => return None,
-    })
-}
-
-fn get_u64(map: &BTreeMap<String, Value>, key: &str) -> Option<u64> {
-    map.get(key).and_then(Value::as_u64)
-}
-
-fn get_round(map: &BTreeMap<String, Value>, key: &str) -> Option<Round> {
-    get_u64(map, key).map(Round)
-}
-
-fn get_party(map: &BTreeMap<String, Value>, key: &str) -> Option<PartyId> {
-    get_u64(map, key).map(|v| PartyId(v as u32))
-}
-
-/// Converts one parsed line into an event body, if the label is known.
-fn to_event(map: &BTreeMap<String, Value>) -> Option<Event> {
-    let label = map.get("ev")?.as_str()?;
-    Some(match label {
-        "round_entered" => Event::RoundEntered {
-            round: get_round(map, "round")?,
-        },
-        "vertex_proposed" => Event::VertexProposed {
-            round: get_round(map, "round")?,
-            tx_count: get_u64(map, "txs").unwrap_or(0),
-            digest: map
-                .get("digest")
-                .and_then(Value::as_str)
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .unwrap_or(0),
-            strong: match map.get("strong") {
-                Some(Value::Arr(vs)) => vs.iter().map(|v| PartyId(*v as u32)).collect(),
-                _ => Vec::new(),
-            },
-            weak: get_u64(map, "weak").unwrap_or(0),
-        },
-        "rbc" => Event::Rbc {
-            phase: rbc_phase(map.get("phase")?.as_str()?)?,
-            round: get_round(map, "round")?,
-            source: get_party(map, "source")?,
-        },
-        "leader_vote" => Event::LeaderVote {
-            round: get_round(map, "round")?,
-            leader: get_party(map, "leader")?,
-        },
-        "timeout_announced" => Event::TimeoutAnnounced {
-            round: get_round(map, "round")?,
-        },
-        "timeout_cert_formed" => Event::TimeoutCertFormed {
-            round: get_round(map, "round")?,
-        },
-        "no_vote_cert_formed" => Event::NoVoteCertFormed {
-            round: get_round(map, "round")?,
-        },
-        "vertex_committed" => Event::VertexCommitted {
-            round: get_round(map, "round")?,
-            source: get_party(map, "source")?,
-            leader: matches!(map.get("leader"), Some(Value::Bool(true))),
-            sequence: get_u64(map, "seq")?,
-        },
-        "msg_dropped" => Event::MsgDropped {
-            src: get_party(map, "src")?,
-            dst: get_party(map, "dst")?,
-            kind: intern_msg_kind(map.get("kind").and_then(Value::as_str).unwrap_or("")),
-            bytes: get_u64(map, "bytes").unwrap_or(0),
-        },
-        "partition_held" => Event::PartitionHeld {
-            src: get_party(map, "src")?,
-            dst: get_party(map, "dst")?,
-            until: Micros(get_u64(map, "until")?),
-        },
-        "evidence" => Event::EvidenceRecorded {
-            kind: intern_kind(map.get("kind").and_then(Value::as_str).unwrap_or("")),
-            round: get_round(map, "round")?,
-            culprit: get_party(map, "culprit")?,
-        },
-        "dag_buffered" => Event::DagBuffered {
-            round: get_round(map, "round")?,
-            source: get_party(map, "source")?,
-        },
-        "dag_live" => Event::DagLive {
-            round: get_round(map, "round")?,
-            source: get_party(map, "source")?,
-            pending: get_u64(map, "pending").unwrap_or(0),
-        },
-        "recovery_completed" => Event::RecoveryCompleted {
-            round: get_round(map, "round")?,
-            wal_records: get_u64(map, "wal_records").unwrap_or(0),
-            commit_seq: get_u64(map, "commit_seq").unwrap_or(0),
-            duration_us: get_u64(map, "duration_us").unwrap_or(0),
-        },
-        "epoch_rotated" => Event::EpochRotated {
-            epoch: get_u64(map, "epoch")?,
-            from_round: get_round(map, "from_round")?,
-            replaced: get_u64(map, "replaced").unwrap_or(0),
-        },
-        "poa_formed" => Event::PoaFormed {
-            seq: get_u64(map, "seq")?,
-        },
-        "slot_committed" => Event::SlotCommitted {
-            slot: get_u64(map, "slot")?,
-            txs: get_u64(map, "txs")?,
-        },
-        _ => return None,
-    })
-}
-
-fn to_meta(map: &BTreeMap<String, Value>) -> RunMeta {
-    let attacks = map
-        .get("attacks")
-        .and_then(Value::as_str)
-        .map(|s| {
-            s.split(',')
-                .filter_map(|pair| {
-                    let (party, name) = pair.split_once(':')?;
-                    Some((party.parse::<u32>().ok()?, name.to_string()))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    RunMeta {
-        n: get_u64(map, "n"),
-        seed: get_u64(map, "seed"),
-        clans: get_u64(map, "clans").unwrap_or(0),
-        max_round: get_u64(map, "max_round"),
-        attacks,
-    }
-}
-
-/// Parses a whole trace. Blank lines are skipped; a malformed JSON line is
-/// an error (traces are machine-written, so corruption should be loud);
+/// Parses a whole trace. Blank lines are skipped; a malformed JSON line or
+/// a known event with a missing, ill-typed or out-of-range field is an
+/// error (traces are machine-written, so corruption should be loud);
 /// well-formed lines with unknown event labels are counted in
-/// [`Trace::skipped`].
+/// [`Trace::skipped`]. The framing lines of a black-box dump
+/// (`{"flight":...}`) are expected and ignored; the events among them parse
+/// normally.
 pub fn parse_trace(text: &str) -> Result<Trace, String> {
     let mut trace = Trace::default();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let map = parse_line(line).map_err(|e| format!("line {}: {e}: {line}", i + 1))?;
+        let located = |e: String| format!("line {}: {e}: {line}", i + 1);
+        let map = parse_line(line).map_err(located)?;
         if map.contains_key("meta") {
-            trace.meta = to_meta(&map);
-            continue;
-        }
-        if map.contains_key("flight") {
-            // Flight-recorder framing lines (header/counter/gauge) mixed
-            // into a dump; the embedded ring events parse normally.
-            trace.skipped += 1;
-            continue;
-        }
-        let (Some(at), Some(party)) = (get_u64(&map, "at"), get_party(&map, "party")) else {
-            trace.skipped += 1;
-            continue;
-        };
-        match to_event(&map) {
-            Some(event) => trace.events.push(Stamped {
-                at: Micros(at),
-                party,
-                event,
-            }),
-            None => trace.skipped += 1,
+            trace.meta = RunMeta::from_fields(&map);
+        } else if !map.contains_key("flight") {
+            match Stamped::from_fields(&map).map_err(located)? {
+                Some(event) => trace.events.push(event),
+                None => trace.skipped += 1,
+            }
         }
     }
+    trace.spans = SpanSet::from_events(&trace.events);
     Ok(trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clanbft_telemetry::Event;
+    use clanbft_types::{Micros, PartyId, Round};
 
     #[test]
     fn roundtrips_writer_output() {
@@ -492,6 +96,8 @@ mod tests {
         }
         // Re-rendering must be byte-identical (determinism pin).
         assert_eq!(back.to_ndjson(), original.to_ndjson());
+        // The fold ran: the proposal opened its span.
+        assert!(trace.spans.spans.contains_key(&(Round(3), PartyId(2))));
     }
 
     #[test]
@@ -519,14 +125,32 @@ mod tests {
     }
 
     #[test]
-    fn evidence_kinds_are_interned() {
+    fn corrupt_known_events_are_loud_errors() {
+        // A party id that does not fit is rejected with its line number,
+        // never truncated into some other party.
+        let err = parse_trace(concat!(
+            "{\"at\":1,\"party\":0,\"ev\":\"round_entered\",\"round\":1}\n",
+            "{\"at\":2,\"party\":4294967296,\"ev\":\"round_entered\",\"round\":1}\n",
+        ))
+        .expect_err("out-of-range party id");
+        assert!(err.starts_with("line 2: bad value"), "{err}");
+        assert!(parse_trace("{\"at\":1,\"party\":0,\"ev\":\"round_entered\"}\n").is_err());
+    }
+
+    #[test]
+    fn unlisted_kinds_survive_and_dump_framing_is_not_skipped() {
+        // A black-box dump: framing lines around ordinary events, one of
+        // them carrying an evidence kind no table in this workspace lists.
         let text = concat!(
+            "{\"flight\":\"header\",\"events_retained\":2,\"events_dropped\":0,\"last_at\":6}\n",
+            "{\"flight\":\"counter\",\"name\":\"pull.retries\",\"value\":2}\n",
             "{\"at\":5,\"party\":1,\"ev\":\"evidence\",\"kind\":\"double_vote\",",
             "\"round\":2,\"culprit\":4}\n",
             "{\"at\":6,\"party\":1,\"ev\":\"evidence\",\"kind\":\"mystery\",",
             "\"round\":2,\"culprit\":4}\n",
         );
         let trace = parse_trace(text).expect("parses");
+        assert_eq!(trace.skipped, 0);
         let kinds: Vec<&str> = trace
             .events
             .iter()
@@ -535,6 +159,6 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(kinds, vec!["double_vote", "other"]);
+        assert_eq!(kinds, vec!["double_vote", "mystery"]);
     }
 }

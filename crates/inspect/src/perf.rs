@@ -10,7 +10,7 @@
 //! counts are deterministic for a fixed seed while total wall time moves
 //! with host load, so per-call cost is the stable regression signal.
 
-use crate::parse::{parse_line, Value};
+use clanbft_telemetry::ndjson::{parse_line, Value};
 use std::collections::BTreeMap;
 
 /// One scope row of a parsed profile.
@@ -46,9 +46,12 @@ pub struct PerfProfile {
 }
 
 impl PerfProfile {
-    /// Sum of self time across all scopes — the profiled wall total.
+    /// Sum of self time across all scopes — the profiled wall total
+    /// (saturating: the numbers come from a file).
     pub fn total_self_ns(&self) -> u64 {
-        self.scopes.iter().map(|s| s.self_ns).sum()
+        self.scopes
+            .iter()
+            .fold(0, |total, s| total.saturating_add(s.self_ns))
     }
 }
 
@@ -91,9 +94,12 @@ pub fn parse_profiles(text: &str) -> Result<Vec<PerfProfile>, String> {
                     _ => return Err(format!("line {}: scope without path/name", i + 1)),
                 };
                 let scope = PerfScope {
+                    // The nesting depth is how many separators the path
+                    // has; the line's own `depth` number is not trusted
+                    // (the tree view indents by it).
+                    depth: path.matches(';').count() as u64,
                     path,
                     name,
-                    depth: field(&map, "depth"),
                     calls: field(&map, "calls"),
                     total_ns: field(&map, "total_ns"),
                     self_ns: field(&map, "self_ns"),

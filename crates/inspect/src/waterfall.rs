@@ -46,8 +46,8 @@ fn deltas(interval: u64, delta: Option<u64>) -> String {
 
 /// Renders the full waterfall report for a parsed trace.
 pub fn waterfall(trace: &Trace) -> String {
-    let spans = SpanSet::from_events(&trace.events);
-    let delta = estimate_delta(&spans);
+    let spans = &trace.spans;
+    let delta = estimate_delta(spans);
     let n = trace.meta.n.unwrap_or(spans.parties.len() as u64);
     let mut out = String::new();
     let committed = spans

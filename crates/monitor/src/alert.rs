@@ -9,72 +9,40 @@
 use clanbft_telemetry::JsonObj;
 use clanbft_types::{Micros, PartyId, Round};
 
-/// The catalogue of online detectors.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum Detector {
-    /// A party's commit frontier lags the cluster's newest commit by more
-    /// than the configured stall threshold (no `Committed` within k·δ̂ of
-    /// the parties that *are* progressing).
-    CommitStall,
-    /// A party's current round trails the cluster's maximum entered round
-    /// by the configured number of rounds.
-    RoundSkew,
-    /// A bounded buffer (`buf.*` occupancy gauge) crossed its high-water
-    /// mark.
-    BufferGrowth,
-    /// Pull retries for a party clustered inside the rolling window — the
-    /// signature of a withholding sender or a dead bulk link.
-    PullRetryStorm,
-    /// Byzantine evidence accumulated against a party inside the rolling
-    /// window.
-    EvidenceSpike,
-    /// The mempool rejected admissions for capacity inside the rolling
-    /// window — client backpressure, the saturation signal.
-    MempoolCollapse,
-    /// Durability degradation: slow WAL fsyncs clustered in the window, or
-    /// a checkpoint beyond the size bound.
-    WalDegradation,
+clanbft_telemetry::labelled! {
+    /// The catalogue of online detectors. The labels name them in NDJSON
+    /// alert lines and Prometheus series.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+    pub enum Detector {
+        /// A party's commit frontier lags the cluster's newest commit by more
+        /// than the configured stall threshold (no `Committed` within k·δ̂ of
+        /// the parties that *are* progressing).
+        CommitStall = "commit_stall",
+        /// A party's current round trails the cluster's maximum entered round
+        /// by the configured number of rounds.
+        RoundSkew = "round_skew",
+        /// A bounded buffer (`buf.*` occupancy gauge) crossed its high-water
+        /// mark.
+        BufferGrowth = "buffer_growth",
+        /// Pull retries for a party clustered inside the rolling window — the
+        /// signature of a withholding sender or a dead bulk link.
+        PullRetryStorm = "pull_retry_storm",
+        /// Byzantine evidence accumulated against a party inside the rolling
+        /// window.
+        EvidenceSpike = "evidence_spike",
+        /// The mempool rejected admissions for capacity inside the rolling
+        /// window — client backpressure, the saturation signal.
+        MempoolCollapse = "mempool_collapse",
+        /// Durability degradation: slow WAL fsyncs clustered in the window, or
+        /// a checkpoint beyond the size bound.
+        WalDegradation = "wal_degradation",
+    }
 }
 
-/// How many detectors exist (sizes the per-party hysteresis array).
-pub const DETECTOR_COUNT: usize = 7;
-
 impl Detector {
-    /// Every detector, in catalogue order.
-    pub const ALL: [Detector; DETECTOR_COUNT] = [
-        Detector::CommitStall,
-        Detector::RoundSkew,
-        Detector::BufferGrowth,
-        Detector::PullRetryStorm,
-        Detector::EvidenceSpike,
-        Detector::MempoolCollapse,
-        Detector::WalDegradation,
-    ];
-
-    /// Stable label used in NDJSON alert lines and Prometheus series.
-    pub fn label(self) -> &'static str {
-        match self {
-            Detector::CommitStall => "commit_stall",
-            Detector::RoundSkew => "round_skew",
-            Detector::BufferGrowth => "buffer_growth",
-            Detector::PullRetryStorm => "pull_retry_storm",
-            Detector::EvidenceSpike => "evidence_spike",
-            Detector::MempoolCollapse => "mempool_collapse",
-            Detector::WalDegradation => "wal_degradation",
-        }
-    }
-
-    /// Index into per-party hysteresis state.
+    /// Index into per-party hysteresis state (the position in [`Self::ALL`]).
     pub fn index(self) -> usize {
-        match self {
-            Detector::CommitStall => 0,
-            Detector::RoundSkew => 1,
-            Detector::BufferGrowth => 2,
-            Detector::PullRetryStorm => 3,
-            Detector::EvidenceSpike => 4,
-            Detector::MempoolCollapse => 5,
-            Detector::WalDegradation => 6,
-        }
+        self as usize
     }
 
     /// The severity this detector fires at.
@@ -86,41 +54,25 @@ impl Detector {
     }
 }
 
-/// Alert severity.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Severity {
-    /// Degraded but live.
-    Warning,
-    /// Progress or safety at risk.
-    Critical,
-}
-
-impl Severity {
-    /// Stable label used in NDJSON alert lines.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Critical => "critical",
-        }
+clanbft_telemetry::labelled! {
+    /// Alert severity.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum Severity {
+        /// Degraded but live.
+        Warning = "warning",
+        /// Progress or safety at risk.
+        Critical = "critical",
     }
 }
 
-/// Whether an alert marks a condition starting or ending.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AlertKind {
-    /// The condition began.
-    Fire,
-    /// The condition ended.
-    Clear,
-}
-
-impl AlertKind {
-    /// Stable label used in NDJSON alert lines.
-    pub fn label(self) -> &'static str {
-        match self {
-            AlertKind::Fire => "fire",
-            AlertKind::Clear => "clear",
-        }
+clanbft_telemetry::labelled! {
+    /// Whether an alert marks a condition starting or ending.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum AlertKind {
+        /// The condition began.
+        Fire = "fire",
+        /// The condition ended.
+        Clear = "clear",
     }
 }
 
@@ -171,7 +123,7 @@ mod tests {
             assert_eq!(d.index(), i, "catalogue order must match index");
             assert!(seen.insert(d.label()), "duplicate label {}", d.label());
         }
-        assert_eq!(seen.len(), DETECTOR_COUNT);
+        assert_eq!(seen.len(), Detector::COUNT);
     }
 
     #[test]

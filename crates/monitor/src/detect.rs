@@ -9,7 +9,7 @@
 //! fsync-latency histogram; its detector therefore only appears in runs
 //! with durable storage and is excluded from byte-exact pins.
 
-use crate::alert::{Alert, AlertKind, Detector, DETECTOR_COUNT};
+use crate::alert::{Alert, AlertKind, Detector};
 use crate::config::MonitorConfig;
 use crate::health::{HealthSnapshot, Verdict};
 use clanbft_telemetry::{counters, Event, RbcPhase, Stamped};
@@ -30,6 +30,60 @@ struct Hysteresis {
     suppressing: bool,
 }
 
+/// A rolling event-time window of weighted stamps.
+#[derive(Default)]
+struct Window {
+    stamps: VecDeque<(Micros, u64)>,
+    /// Sum of the weights held.
+    total: u64,
+}
+
+impl Window {
+    /// Drops every stamp older than `span` before `at`; returns the weight
+    /// left.
+    fn expire(&mut self, at: Micros, span: Micros) -> u64 {
+        let cut = at.saturating_sub(span);
+        while let Some(&(stamp, weight)) = self.stamps.front() {
+            if stamp >= cut {
+                break;
+            }
+            self.stamps.pop_front();
+            self.total -= weight;
+        }
+        self.total
+    }
+
+    /// Adds `weight` at `at`, then expires as of `at`; returns the weight
+    /// now in the window.
+    fn push(&mut self, at: Micros, weight: u64, span: Micros) -> u64 {
+        self.stamps.push_back((at, weight));
+        self.total += weight;
+        self.expire(at, span)
+    }
+}
+
+/// The detectors that judge a rolling [`Window`], in the order a sweep
+/// clears them.
+const WINDOWED: [Detector; 4] = [
+    Detector::PullRetryStorm,
+    Detector::EvidenceSpike,
+    Detector::MempoolCollapse,
+    Detector::WalDegradation,
+];
+
+/// A windowed detector's tuning: `(span, fire_at, clear_at)` — it fires
+/// when the window holds at least `fire_at` and a sweep clears it once the
+/// window has drained to `clear_at` or less.
+fn window_tuning(cfg: &MonitorConfig, detector: Detector) -> (Micros, u64, u64) {
+    match detector {
+        Detector::PullRetryStorm => (cfg.retry_window, cfg.retry_fire, cfg.retry_clear),
+        Detector::EvidenceSpike => (cfg.evidence_window, cfg.evidence_fire, 0),
+        Detector::MempoolCollapse => (cfg.mempool_window, cfg.mempool_reject_fire, 0),
+        Detector::WalDegradation => (cfg.wal_window, cfg.wal_fsync_fire, 0),
+        _ => unreachable!("{detector:?} has no rolling window"),
+    }
+}
+
 /// Everything the bank tracks about one party.
 #[derive(Default)]
 struct PartyState {
@@ -37,23 +91,65 @@ struct PartyState {
     round: u64,
     /// Stamp of the party's newest commit.
     last_commit_at: Option<Micros>,
-    /// Pull-retry stamps inside the rolling window.
-    retries: VecDeque<Micros>,
-    /// Evidence stamps (this party as culprit) inside the window.
-    evidence: VecDeque<Micros>,
-    /// Capacity-rejection stamps/deltas inside the window.
-    mempool_rejects: VecDeque<(Micros, u64)>,
-    /// Slow-fsync stamps inside the window.
-    slow_fsyncs: VecDeque<Micros>,
+    /// Rolling windows of the [`WINDOWED`] detectors, by detector index:
+    /// pull-retry stamps, evidence stamps (this party as culprit),
+    /// capacity-rejection deltas, slow-fsync stamps.
+    windows: [Window; Detector::COUNT],
     /// Newest value of every `buf.*` occupancy gauge.
     buf_gauges: BTreeMap<&'static str, u64>,
     /// Per-detector fire/clear state.
-    hys: [Hysteresis; DETECTOR_COUNT],
+    hys: [Hysteresis; Detector::COUNT],
 }
 
-impl PartyState {
-    fn any_active(&self) -> bool {
-        self.hys.iter().any(|h| h.active)
+/// The emitted alert stream and the rate cap that gates it.
+struct AlertLog {
+    alerts: Vec<Alert>,
+    rate_cap: u64,
+}
+
+impl AlertLog {
+    /// Moves `party`'s `detector` to `fire` (or to cleared) with hysteresis
+    /// and the rate cap applied; a no-op when the condition already stands.
+    /// The evidence string is only built when an alert is actually emitted.
+    fn set(
+        &mut self,
+        party: PartyId,
+        state: &mut PartyState,
+        detector: Detector,
+        fire: bool,
+        at: Micros,
+        evidence: impl FnOnce() -> String,
+    ) {
+        let h = &mut state.hys[detector.index()];
+        if h.active == fire {
+            return;
+        }
+        h.active = fire;
+        if fire {
+            h.fires += 1;
+            if h.fires > self.rate_cap {
+                h.suppressed += 1;
+                h.suppressing = true;
+                return;
+            }
+        } else if h.suppressing {
+            h.suppressing = false;
+            h.suppressed += 1;
+            return;
+        }
+        self.alerts.push(Alert {
+            at,
+            detector,
+            kind: if fire {
+                AlertKind::Fire
+            } else {
+                AlertKind::Clear
+            },
+            severity: detector.severity(),
+            party,
+            round: Round(state.round),
+            evidence: evidence(),
+        });
     }
 }
 
@@ -72,7 +168,7 @@ pub struct DetectorBank {
     frontier_seq: u64,
     /// Cluster-wide maximum entered round.
     max_round: u64,
-    alerts: Vec<Alert>,
+    log: AlertLog,
     snapshots: Vec<HealthSnapshot>,
     snapshots_skipped: u64,
     last_snapshot_at: Option<Micros>,
@@ -82,6 +178,10 @@ impl DetectorBank {
     /// An empty bank with the given thresholds.
     pub fn new(cfg: MonitorConfig) -> DetectorBank {
         DetectorBank {
+            log: AlertLog {
+                alerts: Vec::new(),
+                rate_cap: cfg.rate_cap,
+            },
             cfg,
             parties: BTreeMap::new(),
             now: Micros::ZERO,
@@ -89,7 +189,6 @@ impl DetectorBank {
             frontier_at: None,
             frontier_seq: 0,
             max_round: 0,
-            alerts: Vec::new(),
             snapshots: Vec::new(),
             snapshots_skipped: 0,
             last_snapshot_at: None,
@@ -102,14 +201,10 @@ impl DetectorBank {
         self.parties.entry(party).or_default();
     }
 
-    /// The bank's thresholds.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
-    }
-
     /// Consumes one stamped protocol event.
     pub fn observe_event(&mut self, s: &Stamped) {
-        self.advance(s.at);
+        self.started_at.get_or_insert(s.at);
+        self.now = self.now.max(s.at);
         match &s.event {
             Event::RoundEntered { round } => self.on_round_entered(s.party, *round, s.at),
             Event::VertexCommitted { sequence, .. } => self.on_commit(s.party, *sequence, s.at),
@@ -117,8 +212,21 @@ impl DetectorBank {
                 phase: RbcPhase::PullRetry,
                 round,
                 source,
-            } => self.on_pull_retry(s.party, *round, *source, s.at),
-            Event::EvidenceRecorded { culprit, .. } => self.on_evidence(*culprit, s.at),
+            } => {
+                let span = self.cfg.retry_window.0;
+                self.on_window_sample(s.party, Detector::PullRetryStorm, s.at, 1, |held| {
+                    format!(
+                        "{held} pull retries in {span}us window (latest for round {} from party {})",
+                        round.0, source.0
+                    )
+                });
+            }
+            Event::EvidenceRecorded { culprit, .. } => {
+                let span = self.cfg.evidence_window.0;
+                self.on_window_sample(*culprit, Detector::EvidenceSpike, s.at, 1, |held| {
+                    format!("{held} evidence records in {span}us window")
+                });
+            }
             _ => {}
         }
         self.maybe_snapshot();
@@ -129,44 +237,20 @@ impl DetectorBank {
         if !gauge.starts_with("buf.") {
             return;
         }
-        self.register(party);
-        let cfg = self.cfg.clone();
-        let state = self.parties.get_mut(&party).expect("registered");
+        let (cfg, now) = (&self.cfg, self.now);
+        let state = self.parties.entry(party).or_default();
         state.buf_gauges.insert(gauge, value);
-        let over: Vec<(&'static str, u64)> = state
-            .buf_gauges
-            .iter()
-            .filter(|(_, v)| **v >= cfg.buffer_hi)
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        let all_low = state.buf_gauges.values().all(|v| *v <= cfg.buffer_lo);
-        let (now, round) = (self.now, Round(state.round));
-        if let Some((name, v)) = over.first() {
-            let evidence = format!("{name} at {v} >= {}", cfg.buffer_hi);
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
-                party,
-                Detector::BufferGrowth,
-                true,
-                now,
-                round,
-                evidence,
-            );
-        } else if all_low {
-            let evidence = format!("all buf.* gauges <= {}", cfg.buffer_lo);
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
-                party,
-                Detector::BufferGrowth,
-                false,
-                now,
-                round,
-                evidence,
-            );
+        let over = state.buf_gauges.iter().find(|(_, v)| **v >= cfg.buffer_hi);
+        if let Some((&name, &v)) = over {
+            self.log
+                .set(party, state, Detector::BufferGrowth, true, now, || {
+                    format!("{name} at {v} >= {}", cfg.buffer_hi)
+                });
+        } else if state.buf_gauges.values().all(|v| *v <= cfg.buffer_lo) {
+            self.log
+                .set(party, state, Detector::BufferGrowth, false, now, || {
+                    format!("all buf.* gauges <= {}", cfg.buffer_lo)
+                });
         }
     }
 
@@ -175,90 +259,31 @@ impl DetectorBank {
         if counter != counters::MEMPOOL_REJECTED_FULL || delta == 0 {
             return;
         }
-        self.register(party);
-        let cfg = self.cfg.clone();
-        let now = self.now;
-        let state = self.parties.get_mut(&party).expect("registered");
-        state.mempool_rejects.push_back((now, delta));
-        let cut = now.saturating_sub(cfg.mempool_window);
-        while state
-            .mempool_rejects
-            .front()
-            .is_some_and(|(at, _)| *at < cut)
-        {
-            state.mempool_rejects.pop_front();
-        }
-        let total: u64 = state.mempool_rejects.iter().map(|(_, d)| d).sum();
-        if total >= cfg.mempool_reject_fire {
-            let evidence = format!(
-                "{total} capacity rejections in {}us window",
-                cfg.mempool_window.0
-            );
-            let round = Round(state.round);
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
-                party,
-                Detector::MempoolCollapse,
-                true,
-                now,
-                round,
-                evidence,
-            );
-        }
+        let (now, span) = (self.now, self.cfg.mempool_window.0);
+        self.on_window_sample(party, Detector::MempoolCollapse, now, delta, |held| {
+            format!("{held} capacity rejections in {span}us window")
+        });
     }
 
     /// Consumes one party-tagged histogram sample.
     pub fn observe_histogram(&mut self, party: PartyId, metric: &'static str, value: u64) {
-        let cfg = self.cfg.clone();
-        let now = self.now;
+        let (now, slow, big) = (
+            self.now,
+            self.cfg.wal_fsync_slow_us,
+            self.cfg.checkpoint_bytes_hi,
+        );
         match metric {
-            counters::WAL_FSYNC_MICROS if value >= cfg.wal_fsync_slow_us => {
-                self.register(party);
-                let state = self.parties.get_mut(&party).expect("registered");
-                state.slow_fsyncs.push_back(now);
-                let cut = now.saturating_sub(cfg.wal_window);
-                while state.slow_fsyncs.front().is_some_and(|at| *at < cut) {
-                    state.slow_fsyncs.pop_front();
-                }
-                if state.slow_fsyncs.len() as u64 >= cfg.wal_fsync_fire {
-                    let evidence = format!(
-                        "{} fsyncs slower than {}us in window",
-                        state.slow_fsyncs.len(),
-                        cfg.wal_fsync_slow_us
-                    );
-                    let round = Round(state.round);
-                    Self::transition(
-                        &mut self.alerts,
-                        &cfg,
-                        state,
-                        party,
-                        Detector::WalDegradation,
-                        true,
-                        now,
-                        round,
-                        evidence,
-                    );
-                }
+            counters::WAL_FSYNC_MICROS if value >= slow => {
+                self.on_window_sample(party, Detector::WalDegradation, now, 1, |held| {
+                    format!("{held} fsyncs slower than {slow}us in window")
+                });
             }
-            counters::CHECKPOINT_BYTES if value >= cfg.checkpoint_bytes_hi => {
-                self.register(party);
-                let state = self.parties.get_mut(&party).expect("registered");
-                let evidence =
-                    format!("checkpoint of {value} bytes >= {}", cfg.checkpoint_bytes_hi);
-                let round = Round(state.round);
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    party,
-                    Detector::WalDegradation,
-                    true,
-                    now,
-                    round,
-                    evidence,
-                );
+            counters::CHECKPOINT_BYTES if value >= big => {
+                let state = self.parties.entry(party).or_default();
+                self.log
+                    .set(party, state, Detector::WalDegradation, true, now, || {
+                        format!("checkpoint of {value} bytes >= {big}")
+                    });
             }
             _ => {}
         }
@@ -266,152 +291,68 @@ impl DetectorBank {
 
     // --- event handlers -----------------------------------------------------
 
-    fn advance(&mut self, at: Micros) {
-        if self.started_at.is_none() {
-            self.started_at = Some(at);
+    /// One sample of weight `weight` for a [`WINDOWED`] detector: push it
+    /// into `party`'s window and fire once the window holds the detector's
+    /// threshold. `evidence` renders the fire's evidence from the weight
+    /// held.
+    fn on_window_sample(
+        &mut self,
+        party: PartyId,
+        detector: Detector,
+        at: Micros,
+        weight: u64,
+        evidence: impl FnOnce(u64) -> String,
+    ) {
+        let (span, fire_at, _) = window_tuning(&self.cfg, detector);
+        let state = self.parties.entry(party).or_default();
+        let held = state.windows[detector.index()].push(at, weight, span);
+        if held >= fire_at {
+            self.log
+                .set(party, state, detector, true, at, || evidence(held));
         }
-        self.now = self.now.max(at);
     }
 
     fn on_round_entered(&mut self, party: PartyId, round: Round, at: Micros) {
-        self.register(party);
-        let cfg = self.cfg.clone();
-        self.parties.get_mut(&party).expect("registered").round = round.0;
+        self.parties.entry(party).or_default().round = round.0;
+        let skew = self.cfg.skew_rounds;
         if round.0 > self.max_round {
             self.max_round = round.0;
             // The frontier moved: re-judge every party's skew.
             let max_round = self.max_round;
             for (&pid, state) in self.parties.iter_mut() {
-                let behind = max_round.saturating_sub(state.round);
-                let fire = behind >= cfg.skew_rounds;
-                let evidence = if fire {
-                    format!("at round {} while cluster reached {max_round}", state.round)
-                } else {
-                    format!("caught up to round {}", state.round)
-                };
-                let r = Round(state.round);
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::RoundSkew,
-                    fire,
-                    at,
-                    r,
-                    evidence,
-                );
+                let at_round = state.round;
+                let fire = max_round.saturating_sub(at_round) >= skew;
+                self.log.set(pid, state, Detector::RoundSkew, fire, at, || {
+                    if fire {
+                        format!("at round {at_round} while cluster reached {max_round}")
+                    } else {
+                        format!("caught up to round {at_round}")
+                    }
+                });
             }
-        } else {
+        } else if self.max_round.saturating_sub(round.0) < skew {
             // This party advanced within a known frontier: it may have just
             // caught back up.
-            let behind = self.max_round.saturating_sub(round.0);
-            if behind < cfg.skew_rounds {
-                let state = self.parties.get_mut(&party).expect("registered");
-                let evidence = format!("caught up to round {}", round.0);
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    party,
-                    Detector::RoundSkew,
-                    false,
-                    at,
-                    round,
-                    evidence,
-                );
-            }
+            let state = self.parties.entry(party).or_default();
+            self.log
+                .set(party, state, Detector::RoundSkew, false, at, || {
+                    format!("caught up to round {}", round.0)
+                });
         }
     }
 
     fn on_commit(&mut self, party: PartyId, sequence: u64, at: Micros) {
-        self.register(party);
-        let cfg = self.cfg.clone();
-        {
-            let state = self.parties.get_mut(&party).expect("registered");
-            state.last_commit_at = Some(at);
-            let round = Round(state.round);
-            let evidence = format!("committed seq {sequence}");
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
-                party,
-                Detector::CommitStall,
-                false,
-                at,
-                round,
-                evidence,
-            );
-        }
-        let advanced = self.frontier_at.map_or(true, |f| at > f);
-        if advanced {
+        let state = self.parties.entry(party).or_default();
+        state.last_commit_at = Some(at);
+        self.log
+            .set(party, state, Detector::CommitStall, false, at, || {
+                format!("committed seq {sequence}")
+            });
+        if self.frontier_at.map_or(true, |f| at > f) {
             self.frontier_at = Some(at);
             self.frontier_seq = self.frontier_seq.max(sequence);
             self.scan_stalls(at);
             self.sweep_windows(at);
-        }
-    }
-
-    fn on_pull_retry(&mut self, party: PartyId, round: Round, source: PartyId, at: Micros) {
-        self.register(party);
-        let cfg = self.cfg.clone();
-        let state = self.parties.get_mut(&party).expect("registered");
-        state.retries.push_back(at);
-        let cut = at.saturating_sub(cfg.retry_window);
-        while state.retries.front().is_some_and(|t| *t < cut) {
-            state.retries.pop_front();
-        }
-        if state.retries.len() as u64 >= cfg.retry_fire {
-            let evidence = format!(
-                "{} pull retries in {}us window (latest for round {} from party {})",
-                state.retries.len(),
-                cfg.retry_window.0,
-                round.0,
-                source.0
-            );
-            let r = Round(state.round);
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
-                party,
-                Detector::PullRetryStorm,
-                true,
-                at,
-                r,
-                evidence,
-            );
-        }
-    }
-
-    fn on_evidence(&mut self, culprit: PartyId, at: Micros) {
-        self.register(culprit);
-        let cfg = self.cfg.clone();
-        let state = self.parties.get_mut(&culprit).expect("registered");
-        state.evidence.push_back(at);
-        let cut = at.saturating_sub(cfg.evidence_window);
-        while state.evidence.front().is_some_and(|t| *t < cut) {
-            state.evidence.pop_front();
-        }
-        if state.evidence.len() as u64 >= cfg.evidence_fire {
-            let evidence = format!(
-                "{} evidence records in {}us window",
-                state.evidence.len(),
-                cfg.evidence_window.0
-            );
-            let r = Round(state.round);
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
-                culprit,
-                Detector::EvidenceSpike,
-                true,
-                at,
-                r,
-                evidence,
-            );
         }
     }
 
@@ -422,31 +363,20 @@ impl DetectorBank {
     /// *others'* progress, so a quiescent run end (nobody committing) never
     /// fires.
     fn scan_stalls(&mut self, at: Micros) {
-        let cfg = self.cfg.clone();
         let Some(frontier) = self.frontier_at else {
             return;
         };
         let (started, frontier_seq) = (self.started_at.unwrap_or(Micros::ZERO), self.frontier_seq);
         for (&pid, state) in self.parties.iter_mut() {
-            let last = state.last_commit_at.unwrap_or(started);
-            let lag = frontier.saturating_sub(last);
-            if lag > cfg.stall_after {
-                let evidence = format!(
-                    "no commit for {}us behind cluster frontier (seq {frontier_seq})",
-                    lag.0
-                );
-                let r = Round(state.round);
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::CommitStall,
-                    true,
-                    at,
-                    r,
-                    evidence,
-                );
+            let lag = frontier.saturating_sub(state.last_commit_at.unwrap_or(started));
+            if lag > self.cfg.stall_after {
+                self.log
+                    .set(pid, state, Detector::CommitStall, true, at, || {
+                        format!(
+                            "no commit for {}us behind cluster frontier (seq {frontier_seq})",
+                            lag.0
+                        )
+                    });
             }
         }
     }
@@ -455,77 +385,20 @@ impl DetectorBank {
     /// condition has drained. Driven off commit-frontier advances and
     /// snapshots, which is frequent enough for prompt clears.
     fn sweep_windows(&mut self, at: Micros) {
-        let cfg = self.cfg.clone();
         for (&pid, state) in self.parties.iter_mut() {
-            let cut = at.saturating_sub(cfg.retry_window);
-            while state.retries.front().is_some_and(|t| *t < cut) {
-                state.retries.pop_front();
-            }
-            let cut = at.saturating_sub(cfg.evidence_window);
-            while state.evidence.front().is_some_and(|t| *t < cut) {
-                state.evidence.pop_front();
-            }
-            let cut = at.saturating_sub(cfg.mempool_window);
-            while state.mempool_rejects.front().is_some_and(|(t, _)| *t < cut) {
-                state.mempool_rejects.pop_front();
-            }
-            let cut = at.saturating_sub(cfg.wal_window);
-            while state.slow_fsyncs.front().is_some_and(|t| *t < cut) {
-                state.slow_fsyncs.pop_front();
-            }
-            let r = Round(state.round);
-            if state.retries.len() as u64 <= cfg.retry_clear {
-                let evidence = format!("window drained to {} retries", state.retries.len());
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::PullRetryStorm,
-                    false,
-                    at,
-                    r,
-                    evidence,
-                );
-            }
-            if state.evidence.is_empty() {
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::EvidenceSpike,
-                    false,
-                    at,
-                    r,
-                    "evidence window drained".to_string(),
-                );
-            }
-            if state.mempool_rejects.is_empty() {
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::MempoolCollapse,
-                    false,
-                    at,
-                    r,
-                    "rejection window drained".to_string(),
-                );
-            }
-            if state.slow_fsyncs.is_empty() {
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::WalDegradation,
-                    false,
-                    at,
-                    r,
-                    "slow-fsync window drained".to_string(),
-                );
+            for detector in WINDOWED {
+                let (span, _, clear_at) = window_tuning(&self.cfg, detector);
+                let held = state.windows[detector.index()].expire(at, span);
+                if held > clear_at {
+                    continue;
+                }
+                self.log
+                    .set(pid, state, detector, false, at, || match detector {
+                        Detector::PullRetryStorm => format!("window drained to {held} retries"),
+                        Detector::EvidenceSpike => "evidence window drained".to_string(),
+                        Detector::MempoolCollapse => "rejection window drained".to_string(),
+                        _ => "slow-fsync window drained".to_string(),
+                    });
             }
         }
     }
@@ -533,7 +406,7 @@ impl DetectorBank {
     fn maybe_snapshot(&mut self) {
         let due = match self.last_snapshot_at {
             None => true,
-            Some(last) => self.now >= last + self.cfg.snapshot_every,
+            Some(last) => self.now.saturating_sub(last) >= self.cfg.snapshot_every,
         };
         if !due {
             return;
@@ -548,56 +421,11 @@ impl DetectorBank {
         }
     }
 
-    /// One clear/fire transition with hysteresis and the rate cap applied.
-    #[allow(clippy::too_many_arguments)]
-    fn transition(
-        alerts: &mut Vec<Alert>,
-        cfg: &MonitorConfig,
-        state: &mut PartyState,
-        party: PartyId,
-        detector: Detector,
-        fire: bool,
-        at: Micros,
-        round: Round,
-        evidence: String,
-    ) {
-        let h = &mut state.hys[detector.index()];
-        if h.active == fire {
-            return;
-        }
-        h.active = fire;
-        if fire {
-            h.fires += 1;
-            if h.fires > cfg.rate_cap {
-                h.suppressed += 1;
-                h.suppressing = true;
-                return;
-            }
-        } else if h.suppressing {
-            h.suppressing = false;
-            h.suppressed += 1;
-            return;
-        }
-        alerts.push(Alert {
-            at,
-            detector,
-            kind: if fire {
-                AlertKind::Fire
-            } else {
-                AlertKind::Clear
-            },
-            severity: detector.severity(),
-            party,
-            round,
-            evidence,
-        });
-    }
-
     // --- readout ------------------------------------------------------------
 
     /// Every alert emitted so far, in emission order.
     pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
+        &self.log.alerts
     }
 
     /// `(detector, party)` pairs whose condition is currently held.
@@ -630,11 +458,6 @@ impl DetectorBank {
             .sum()
     }
 
-    /// The bank's clock (maximum event stamp seen).
-    pub fn now(&self) -> Micros {
-        self.now
-    }
-
     /// Cluster-wide maximum entered round.
     pub fn max_round(&self) -> u64 {
         self.max_round
@@ -644,24 +467,20 @@ impl DetectorBank {
     /// Call at end of run before the final verdict so conditions that
     /// drained during the tail are judged cleared.
     pub fn settle(&mut self) {
-        let now = self.now;
-        self.sweep_windows(now);
+        self.sweep_windows(self.now);
     }
 
     /// The current cluster-health verdict with per-party attribution.
     pub fn assess(&self) -> HealthSnapshot {
-        let stalled: Vec<PartyId> = self
-            .parties
+        let active = self.active();
+        let stalled: Vec<PartyId> = active
             .iter()
-            .filter(|(_, s)| s.hys[Detector::CommitStall.index()].active)
-            .map(|(&p, _)| p)
+            .filter(|(d, _)| *d == Detector::CommitStall)
+            .map(|(_, p)| *p)
             .collect();
-        let degraded: Vec<PartyId> = self
-            .parties
-            .iter()
-            .filter(|(_, s)| s.any_active())
-            .map(|(&p, _)| p)
-            .collect();
+        // `active` is in party order, so equal neighbours are the repeats.
+        let mut degraded: Vec<PartyId> = active.iter().map(|(_, p)| *p).collect();
+        degraded.dedup();
         let n = self.parties.len();
         let verdict = if n > 0 && stalled.len() * 3 > n {
             Verdict::Stalled
@@ -670,17 +489,11 @@ impl DetectorBank {
         } else {
             Verdict::Healthy
         };
-        let active_alerts = self
-            .parties
-            .values()
-            .flat_map(|s| s.hys.iter())
-            .filter(|h| h.active)
-            .count() as u64;
         HealthSnapshot {
             at: self.now,
             verdict,
             parties: n as u64,
-            active_alerts,
+            active_alerts: active.len() as u64,
             max_round: self.max_round,
             stalled_parties: stalled,
             degraded_parties: degraded,
@@ -698,7 +511,7 @@ impl DetectorBank {
     }
 
     /// Fire counts per detector (for the Prometheus exposition).
-    pub fn fire_totals(&self) -> [(Detector, u64); DETECTOR_COUNT] {
+    pub fn fire_totals(&self) -> [(Detector, u64); Detector::COUNT] {
         let mut out = Detector::ALL.map(|d| (d, 0u64));
         for state in self.parties.values() {
             for d in Detector::ALL {

@@ -7,37 +7,27 @@ use crate::alert::Detector;
 use clanbft_telemetry::JsonObj;
 use clanbft_types::{Micros, PartyId};
 
-/// The cluster-level health verdict.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Verdict {
-    /// No detector active on any party.
-    Healthy,
-    /// At least one detector active, but a commit-capable majority is
-    /// progressing.
-    Degraded,
-    /// More than a third of the parties hold an active commit-stall —
-    /// cluster progress itself is at risk.
-    Stalled,
+clanbft_telemetry::labelled! {
+    /// The cluster-level health verdict. The labels name it in NDJSON and
+    /// Prometheus exports.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum Verdict {
+        /// No detector active on any party.
+        Healthy = "healthy",
+        /// At least one detector active, but a commit-capable majority is
+        /// progressing.
+        Degraded = "degraded",
+        /// More than a third of the parties hold an active commit-stall —
+        /// cluster progress itself is at risk.
+        Stalled = "stalled",
+    }
 }
 
 impl Verdict {
-    /// Stable label used in NDJSON and Prometheus exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Verdict::Healthy => "healthy",
-            Verdict::Degraded => "degraded",
-            Verdict::Stalled => "stalled",
-        }
-    }
-
     /// Numeric encoding for the Prometheus gauge (0 healthy, 1 degraded,
     /// 2 stalled).
     pub fn code(self) -> u64 {
-        match self {
-            Verdict::Healthy => 0,
-            Verdict::Degraded => 1,
-            Verdict::Stalled => 2,
-        }
+        self as u64
     }
 }
 

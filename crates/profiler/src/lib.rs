@@ -19,9 +19,9 @@
 //!   cells the scope guards snapshot. Binaries opt in; libraries never
 //!   install it.
 //! * [`Report`] — the drained tree: per-path calls, total/self
-//!   nanoseconds, allocation counters; exported as an aligned table, as
-//!   flamegraph collapsed-stack lines (`a;b;c 1234`), or as NDJSON for
-//!   `clanbft-inspect profile`.
+//!   nanoseconds, allocation counters; exported as flamegraph
+//!   collapsed-stack lines (`a;b;c 1234`) or as NDJSON for
+//!   `clanbft-inspect profile`, which renders the tables.
 //!
 //! Cost discipline: a scope on a *disabled* profiler is one relaxed atomic
 //! load and a `None` guard — no clock read, no thread-local access — so the
@@ -33,7 +33,7 @@
 //! granularity, never per-byte, to keep the measured overhead under 5 % of
 //! an instrumented run.
 //!
-//! Caveats (see DESIGN.md "Performance observability"):
+//! Caveats (see DESIGN.md "Observability", "Host cost"):
 //! * Scope trees are strictly per-thread; the report describes the thread
 //!   that calls [`take_report`]. The simulator is single-threaded, so one
 //!   report covers a whole run.

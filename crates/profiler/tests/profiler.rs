@@ -239,14 +239,3 @@ fn reset_discards_pending_data() {
     prof::disable();
     assert!(report.scopes.is_empty());
 }
-
-#[test]
-fn table_renders_every_scope_row() {
-    let report = profiled(|| {
-        let _a = prof::scope("row_a");
-        let _b = prof::scope("row_b");
-    });
-    let table = report.to_table();
-    assert!(table.contains("row_a"));
-    assert!(table.contains("  row_b"), "child row is indented:\n{table}");
-}

@@ -13,27 +13,22 @@
 //! `meta` key.
 
 use crate::tribe::TribeSpec;
-use clanbft_telemetry::{JsonObj, MemRecorder};
+use clanbft_telemetry::{MemRecorder, RunMeta};
 
 /// Renders the run-metadata line for `spec` (no trailing newline).
 pub fn meta_line(spec: &TribeSpec) -> String {
-    let mut obj = JsonObj::new()
-        .str("meta", "run")
-        .u64("n", spec.n as u64)
-        .u64("seed", spec.seed)
-        .u64("clans", spec.clans.as_ref().map_or(0, Vec::len) as u64);
-    if let Some(max) = spec.max_round {
-        obj = obj.u64("max_round", max);
+    RunMeta {
+        n: Some(spec.n as u64),
+        seed: Some(spec.seed),
+        clans: spec.clans.as_ref().map_or(0, Vec::len) as u64,
+        max_round: spec.max_round,
+        attacks: spec
+            .byzantine
+            .iter()
+            .map(|(p, a)| (p.0, a.name().to_string()))
+            .collect(),
     }
-    let attacks: Vec<String> = spec
-        .byzantine
-        .iter()
-        .map(|(p, a)| format!("{}:{}", p.0, a.name()))
-        .collect();
-    if !attacks.is_empty() {
-        obj = obj.str("attacks", &attacks.join(","));
-    }
-    obj.finish()
+    .to_ndjson()
 }
 
 /// The full merged trace: meta line first, then every recorded event in

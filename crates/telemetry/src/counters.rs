@@ -40,9 +40,8 @@ pub const PULL_RETRIES: &str = "pull.retries";
 /// Total `Evidence` records accumulated (deduplicated per culprit/round).
 pub const EVIDENCE_RECORDED: &str = "evidence.recorded";
 
-/// Events evicted from a bounded recorder (MemRecorder ring cap or the
-/// flight recorder's ring buffer). Non-zero means the retained event log is
-/// a suffix of the run, not the whole run.
+/// Events evicted from `MemRecorder`'s bounded ring. Non-zero means the
+/// retained event log is a suffix of the run, not the whole run.
 pub const EVENTS_DROPPED: &str = "events.dropped";
 
 // --- client ingress / mempool ---------------------------------------------

@@ -4,47 +4,46 @@
 //! block-RBC phases, leader vs. non-leader commit paths (3δ vs. 5δ),
 //! clan-local vs. tribe-wide traffic — but end-to-end throughput/latency
 //! totals cannot check any of them. This crate provides the measuring
-//! stick:
+//! stick: one stamped event stream, one codec for it, one recorder that
+//! holds it, and one fold that turns it into per-block lifecycles.
 //!
-//! * [`recorder`] — the [`Recorder`] trait with [`NullRecorder`] (the
-//!   default; one branch per call site when disabled) and [`MemRecorder`]
-//!   (named counters, gauges, log-bucketed histograms, and the full event
-//!   log). The cloneable [`Telemetry`] handle is what gets threaded through
-//!   consensus, the RBC engines and the simulator.
+//! * [`event`] — the typed protocol event log and *the* trace wire format:
+//!   one table declares every event, its label and its fields, and drives
+//!   both the NDJSON encoder and the decoder. Every event is stamped with
+//!   sim-time [`Micros`] and the observing [`PartyId`]; [`RunMeta`] is the
+//!   trace's leading metadata line.
+//! * [`ndjson`] — the hand-rolled flat-JSON line writer and reader the
+//!   codec sits on (matching the `codec.rs` philosophy: deterministic,
+//!   dependency-free), one event per line.
+//! * [`recorder`] — the [`Recorder`] trait and [`MemRecorder`] (named
+//!   counters, gauges, log-bucketed histograms, the bounded event ring and
+//!   gauge-sample log, and the black-box snapshot dumped on panic or
+//!   `CLANBFT_DUMP`). The cloneable [`Telemetry`] handle — a list of
+//!   recorders, empty by default: one branch per call site when disabled —
+//!   is what gets threaded through consensus, the RBC engines and the
+//!   simulator.
 //! * [`counters`] — canonical names for the rejection/hardening counters
 //!   (`rejected.*`, `pull.retries`) shared by rbc, consensus and tests.
-//! * [`event`] — the typed protocol event log: every event is stamped with
-//!   sim-time [`Micros`] and the observing [`PartyId`].
 //! * [`hist`] — power-of-two log-bucketed [`Histogram`] with p50/p90/p99
 //!   and max readout.
-//! * [`ndjson`] — a hand-rolled JSON writer (matching the `codec.rs`
-//!   philosophy: deterministic, dependency-free) so runs emit
-//!   machine-readable traces, one event per line.
-//! * [`stage`] — derives the per-vertex commit-latency *stage breakdown*
-//!   (propose → RBC-deliver → vote → commit), split by leader/non-leader
-//!   path, from a recorded event stream.
-//! * [`span`] — causal commit spans: one block's lifecycle
+//! * [`span`] — the one fold from events to lifecycles: a block's journey
 //!   (`Proposed → Echoed → Certified → Ordered → Committed`) reconstructed
-//!   across all parties from a merged trace.
-//! * [`flight`] — the bounded flight recorder (black box): newest-events
-//!   ring plus gauge samples, dumped on panic or `CLANBFT_DUMP`.
+//!   across all parties from a merged trace ([`SpanSet`]), and its
+//!   commit-latency stage breakdown readout (propose → RBC-certify →
+//!   commit, split by leader/non-leader path).
 //!
 //! [`Micros`]: clanbft_types::Micros
 //! [`PartyId`]: clanbft_types::PartyId
 
 pub mod counters;
 pub mod event;
-pub mod flight;
 pub mod hist;
 pub mod ndjson;
 pub mod recorder;
 pub mod span;
-pub mod stage;
 
-pub use event::{Event, RbcPhase, Stamped};
-pub use flight::{install_panic_dump, FlightRecorder};
+pub use event::{Event, RbcPhase, RunMeta, Stamped};
 pub use hist::Histogram;
 pub use ndjson::JsonObj;
-pub use recorder::{mempool_summary, MemRecorder, NullRecorder, Recorder, TeeRecorder, Telemetry};
-pub use span::{Span, SpanSet, Stage};
-pub use stage::{stage_breakdown, StageBreakdown, StageStats};
+pub use recorder::{install_panic_dump, mempool_summary, MemRecorder, Recorder, Telemetry};
+pub use span::{Span, SpanSet, Stage, StageBreakdown, StageStats};

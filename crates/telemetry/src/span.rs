@@ -30,36 +30,43 @@
 //! * `Committed` — every party that commits anything in the trace placed
 //!   it (the strongest statement a finite trace supports; a crash-faulty
 //!   party that never commits does not hold every span below `Committed`).
+//!
+//! [`SpanSet::from_events`] is the only fold from events to lifecycles;
+//! everything that asks about a block's journey reads the spans. One such
+//! readout lives here: [`SpanSet::stage_breakdown`], the commit-latency
+//! stage breakdown that checks the 3δ/5δ arithmetic against a run. For
+//! every committed vertex, at every committing party, it splits the
+//! propose→commit interval into
+//!
+//! * `rbc`    — proposed at the source → RBC-certified at the committing
+//!   party (the dissemination phase), and
+//! * `commit` — certified → in that party's total order (the
+//!   voting/anchoring phase),
+//!
+//! aggregated per commit path (leader / non-leader, by the flag the
+//! consensus layer stamps on `vertex_committed`); for leader vertices the
+//! certify→vote gap is recorded as well.
 
 use crate::event::{Event, RbcPhase, Stamped};
+use crate::hist::Histogram;
+use crate::ndjson::JsonObj;
 use clanbft_types::{Micros, PartyId, Round};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How far through its lifecycle a block has provably progressed.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum Stage {
-    /// Proposed at the source; no echo observed yet.
-    Proposed,
-    /// Echoed by at least one party.
-    Echoed,
-    /// Certified at at least one party.
-    Certified,
-    /// Committed at at least one party.
-    Ordered,
-    /// Committed at every party that commits anything in the trace.
-    Committed,
-}
-
-impl Stage {
-    /// Stable label used in inspect output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stage::Proposed => "proposed",
-            Stage::Echoed => "echoed",
-            Stage::Certified => "certified",
-            Stage::Ordered => "ordered",
-            Stage::Committed => "committed",
-        }
+crate::labelled! {
+    /// How far through its lifecycle a block has provably progressed.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+    pub enum Stage {
+        /// Proposed at the source; no echo observed yet.
+        Proposed = "proposed",
+        /// Echoed by at least one party.
+        Echoed = "echoed",
+        /// Certified at at least one party.
+        Certified = "certified",
+        /// Committed at at least one party.
+        Ordered = "ordered",
+        /// Committed at every party that commits anything in the trace.
+        Committed = "committed",
     }
 }
 
@@ -78,8 +85,6 @@ pub struct Span {
     pub tx_count: u64,
     /// Previous-round strong-edge sources of the proposal.
     pub strong: Vec<PartyId>,
-    /// Weak-edge count of the proposal.
-    pub weak: u64,
     /// When the proposer emitted the block (absent for warm-up instances
     /// whose propose predates the trace).
     pub proposed_at: Option<Micros>,
@@ -87,11 +92,11 @@ pub struct Span {
     pub echoed: BTreeMap<PartyId, Micros>,
     /// First certification observation per party.
     pub certified: BTreeMap<PartyId, Micros>,
-    /// First full-payload or meta delivery per party.
-    pub delivered: BTreeMap<PartyId, Micros>,
     /// Parties that had to buffer the vertex for missing causal parents,
     /// with the buffering time.
     pub buffered: BTreeMap<PartyId, Micros>,
+    /// First vote for this vertex as its round's leader, per voting party.
+    pub voted: BTreeMap<PartyId, Micros>,
     /// Commit time and total-order sequence per committing party.
     pub committed: BTreeMap<PartyId, (Micros, u64)>,
     /// Whether any party committed this vertex as the round leader (3δ
@@ -114,12 +119,11 @@ impl Span {
             digests: Vec::new(),
             tx_count: 0,
             strong: Vec::new(),
-            weak: 0,
             proposed_at: None,
             echoed: BTreeMap::new(),
             certified: BTreeMap::new(),
-            delivered: BTreeMap::new(),
             buffered: BTreeMap::new(),
+            voted: BTreeMap::new(),
             committed: BTreeMap::new(),
             leader: false,
             pull_starts: 0,
@@ -188,7 +192,7 @@ impl Span {
 }
 
 /// All spans of one trace plus the trace-wide context needed to judge them.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SpanSet {
     /// Spans keyed by `(round, proposer)`, in round order.
     pub spans: BTreeMap<(Round, PartyId), Span>,
@@ -200,18 +204,6 @@ pub struct SpanSet {
     pub last_commit_round: Round,
     /// Evidence events seen: `(kind, round, culprit, observer, at)`.
     pub evidence: Vec<(String, Round, PartyId, PartyId, Micros)>,
-}
-
-impl Default for SpanSet {
-    fn default() -> SpanSet {
-        SpanSet {
-            spans: BTreeMap::new(),
-            parties: BTreeSet::new(),
-            committers: BTreeSet::new(),
-            last_commit_round: Round(0),
-            evidence: Vec::new(),
-        }
-    }
 }
 
 impl SpanSet {
@@ -229,13 +221,12 @@ impl SpanSet {
                     tx_count,
                     digest,
                     strong,
-                    weak,
+                    ..
                 } => {
                     let span = set.span_mut(*round, s.party);
                     span.proposed_at.get_or_insert(s.at);
                     span.tx_count = *tx_count;
                     span.strong = strong.clone();
-                    span.weak = *weak;
                     if !span.digests.contains(digest) {
                         span.digests.push(*digest);
                     }
@@ -254,12 +245,12 @@ impl SpanSet {
                         RbcPhase::Certified => {
                             span.certified.entry(party).or_insert(s.at);
                         }
-                        RbcPhase::DeliverFull | RbcPhase::DeliverMeta => {
-                            span.delivered.entry(party).or_insert(s.at);
-                        }
                         RbcPhase::PullStarted => span.pull_starts += 1,
                         RbcPhase::PullRetry => span.pull_retries += 1,
-                        RbcPhase::ValSent | RbcPhase::EchoQuorum => {}
+                        RbcPhase::ValSent
+                        | RbcPhase::EchoQuorum
+                        | RbcPhase::DeliverFull
+                        | RbcPhase::DeliverMeta => {}
                     }
                 }
                 Event::DagBuffered { round, source } => {
@@ -267,6 +258,14 @@ impl SpanSet {
                         .buffered
                         .entry(s.party)
                         .or_insert(s.at);
+                }
+                Event::LeaderVote { round, leader } => {
+                    // A vote follows the proposal it is for, so it never
+                    // has to open a span (and a trace whose head was
+                    // evicted gains no phantom blocks from stray votes).
+                    if let Some(span) = set.spans.get_mut(&(*round, *leader)) {
+                        span.voted.entry(s.party).or_insert(s.at);
+                    }
                 }
                 Event::VertexCommitted {
                     round,
@@ -302,16 +301,100 @@ impl SpanSet {
             .or_insert_with(|| Span::new(round, proposer))
     }
 
-    /// The stage of one span (see [`Span::stage`]).
-    pub fn stage_of(&self, round: Round, proposer: PartyId) -> Option<Stage> {
-        self.spans
-            .get(&(round, proposer))
-            .map(|sp| sp.stage(&self.committers))
-    }
-
     /// Parties named as culprits by any evidence record.
     pub fn culprits(&self) -> BTreeSet<PartyId> {
         self.evidence.iter().map(|(_, _, c, _, _)| *c).collect()
+    }
+
+    /// The commit-latency stage breakdown (see module docs): one sample per
+    /// committed vertex per committing party.
+    ///
+    /// Only spans whose propose event is present are aggregated (warm-up
+    /// commits referencing pre-trace proposals are skipped), and per-party
+    /// intervals are clamped at zero — a party can learn a certificate
+    /// through a later vertex's carried justification before its own RBC
+    /// instance certifies.
+    pub fn stage_breakdown(&self) -> StageBreakdown {
+        let mut out = StageBreakdown::default();
+        for span in self.spans.values() {
+            let Some(prop) = span.proposed_at else {
+                continue;
+            };
+            let stats = if span.leader {
+                &mut out.leader
+            } else {
+                &mut out.non_leader
+            };
+            for (party, (at, _)) in &span.committed {
+                // Certified implicitly (e.g. through a carried
+                // certificate): attribute the whole interval to the RBC
+                // stage.
+                let cert = span.certified.get(party).copied().unwrap_or(*at);
+                stats.commits += 1;
+                stats.rbc.record(cert.0.saturating_sub(prop.0));
+                stats.commit.record(at.0.saturating_sub(cert.0));
+                stats.total.record(at.0.saturating_sub(prop.0));
+                if let Some(vote) = span.voted.get(party).filter(|_| span.leader) {
+                    stats.cert_to_vote.record(vote.0.saturating_sub(cert.0));
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Aggregated stage timings for one commit path (leader or non-leader).
+#[derive(Clone, Debug, Default)]
+pub struct StageStats {
+    /// Vertices aggregated (one sample per committing party per vertex).
+    pub commits: u64,
+    /// Propose at source → RBC-certified at the committing party (µs).
+    pub rbc: Histogram,
+    /// RBC-certified → committed at the committing party (µs).
+    pub commit: Histogram,
+    /// Propose → committed, end to end (µs).
+    pub total: Histogram,
+    /// Certify → leader vote (leader path only; empty for non-leader).
+    pub cert_to_vote: Histogram,
+}
+
+impl StageStats {
+    fn render(&self, path: &str) -> String {
+        let mut obj = JsonObj::new()
+            .str("stage_breakdown", path)
+            .u64("commits", self.commits);
+        for (stage, hist) in [
+            ("rbc", &self.rbc),
+            ("commit", &self.commit),
+            ("total", &self.total),
+        ] {
+            let (p50, p90, p99, max) = hist.readout();
+            for (suffix, v) in [("p50", p50), ("p90", p90), ("p99", p99), ("max", max)] {
+                obj = obj.u64(&format!("{stage}_{suffix}"), v);
+            }
+        }
+        obj.finish()
+    }
+}
+
+/// The full breakdown: leader vs. non-leader commit paths.
+#[derive(Clone, Debug, Default)]
+pub struct StageBreakdown {
+    /// Round-leader vertices (direct 3δ path).
+    pub leader: StageStats,
+    /// Non-leader vertices (committed via a later leader's history).
+    pub non_leader: StageStats,
+}
+
+impl StageBreakdown {
+    /// Two NDJSON lines (`leader`, `non_leader`), each with a trailing
+    /// newline.
+    pub fn to_ndjson(&self) -> String {
+        format!(
+            "{}\n{}\n",
+            self.leader.render("leader"),
+            self.non_leader.render("non_leader")
+        )
     }
 }
 
@@ -501,5 +584,124 @@ mod tests {
         assert!(Stage::Echoed < Stage::Certified);
         assert!(Stage::Certified < Stage::Ordered);
         assert!(Stage::Ordered < Stage::Committed);
+    }
+
+    fn proposed(round: Round, tx_count: u64) -> Event {
+        Event::VertexProposed {
+            round,
+            tx_count,
+            digest: 0,
+            strong: Vec::new(),
+            weak: 0,
+        }
+    }
+
+    #[test]
+    fn splits_leader_and_non_leader_paths() {
+        let r = Round(1);
+        let leader = PartyId(0);
+        let other = PartyId(1);
+        let events = vec![
+            ev(100, 0, proposed(r, 5)),
+            ev(110, 1, proposed(r, 5)),
+            // Party 2 certifies both vertices, votes for the leader, then
+            // commits leader (3δ path) and non-leader (later, 5δ path).
+            ev(
+                300,
+                2,
+                Event::Rbc {
+                    phase: RbcPhase::Certified,
+                    round: r,
+                    source: leader,
+                },
+            ),
+            ev(
+                320,
+                2,
+                Event::Rbc {
+                    phase: RbcPhase::Certified,
+                    round: r,
+                    source: other,
+                },
+            ),
+            ev(350, 2, Event::LeaderVote { round: r, leader }),
+            ev(
+                600,
+                2,
+                Event::VertexCommitted {
+                    round: r,
+                    source: other,
+                    leader: false,
+                    sequence: 0,
+                },
+            ),
+            ev(
+                600,
+                2,
+                Event::VertexCommitted {
+                    round: r,
+                    source: leader,
+                    leader: true,
+                    sequence: 1,
+                },
+            ),
+        ];
+        let b = SpanSet::from_events(&events).stage_breakdown();
+        assert_eq!(b.leader.commits, 1);
+        assert_eq!(b.non_leader.commits, 1);
+        // Leader vertex: propose 100, certified 300, committed 600.
+        assert_eq!(b.leader.rbc.max(), 200);
+        assert_eq!(b.leader.commit.max(), 300);
+        assert_eq!(b.leader.total.max(), 500);
+        assert_eq!(b.leader.cert_to_vote.max(), 50);
+        // Non-leader vertex: propose 110, certified 320, committed 600.
+        assert_eq!(b.non_leader.rbc.max(), 210);
+        assert_eq!(b.non_leader.commit.max(), 280);
+        assert_eq!(b.non_leader.total.max(), 490);
+        assert_eq!(b.non_leader.cert_to_vote.count(), 0);
+        // Renders two NDJSON lines.
+        let nd = b.to_ndjson();
+        assert_eq!(nd.lines().count(), 2);
+        assert!(nd.starts_with(r#"{"stage_breakdown":"leader","commits":1"#));
+    }
+
+    #[test]
+    fn commit_without_propose_is_skipped() {
+        let events = vec![ev(
+            50,
+            0,
+            Event::VertexCommitted {
+                round: Round(9),
+                source: PartyId(3),
+                leader: true,
+                sequence: 0,
+            },
+        )];
+        let b = SpanSet::from_events(&events).stage_breakdown();
+        assert_eq!(b.leader.commits, 0);
+        assert_eq!(b.non_leader.commits, 0);
+    }
+
+    #[test]
+    fn missing_certify_attributes_interval_to_rbc() {
+        let r = Round(2);
+        let src = PartyId(1);
+        let events = vec![
+            ev(100, 1, proposed(r, 1)),
+            ev(
+                400,
+                0,
+                Event::VertexCommitted {
+                    round: r,
+                    source: src,
+                    leader: false,
+                    sequence: 0,
+                },
+            ),
+        ];
+        let b = SpanSet::from_events(&events).stage_breakdown();
+        assert_eq!(b.non_leader.rbc.max(), 300);
+        assert_eq!(b.non_leader.commit.max(), 0);
+        assert_eq!(b.non_leader.total.max(), 300);
     }
 }

@@ -33,9 +33,9 @@
 //! judged by `benchmark/` with alternating paired runs. Refresh it with
 //! `--write-baseline` after an intentional change.
 
-use clanbft_inspect::parse::{parse_line, Value};
 use clanbft_profiler as prof;
 use clanbft_sim::{ExperimentSpec, Proto, RunMetrics};
+use clanbft_telemetry::ndjson::{parse_line, Value};
 use clanbft_telemetry::JsonObj;
 use std::collections::BTreeSet;
 use std::time::Instant;

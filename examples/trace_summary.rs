@@ -21,8 +21,7 @@
 
 use clanbft_inspect::{check_report, estimate_delta, parse_trace};
 use clanbft_sim::{build_tribe, collect_metrics, export_trace, tribe::elect_clan, TribeSpec};
-use clanbft_telemetry::span::SpanSet;
-use clanbft_telemetry::{counters, mempool_summary, stage_breakdown, Telemetry};
+use clanbft_telemetry::{counters, mempool_summary, Telemetry};
 use clanbft_types::Micros;
 
 fn main() {
@@ -49,12 +48,12 @@ fn main() {
     let (report, ok) = check_report(&trace);
     print!("{report}");
     assert!(ok, "trace failed the clanbft-inspect invariant gate");
-    let spans = SpanSet::from_events(&trace.events);
+    let spans = &trace.spans;
     println!(
         "spans: {} blocks, {} committing parties, delta~={}us",
         spans.spans.len(),
         spans.committers.len(),
-        estimate_delta(&spans).unwrap_or(0)
+        estimate_delta(spans).unwrap_or(0)
     );
 
     // --- benign-run extras: robustness counters ----------------------------
@@ -114,8 +113,7 @@ fn main() {
     println!("durability ok: recovery subsystem silent without a storage root\n");
 
     // --- stage breakdown and run summary -----------------------------------
-    let breakdown = stage_breakdown(&events);
-    print!("{}", breakdown.to_ndjson());
+    print!("{}", spans.stage_breakdown().to_ndjson());
 
     // Client-ingress picture: admission/rejection counters plus queue-delay
     // and batch-size distributions. Even this synthetic run exercises the

@@ -41,8 +41,8 @@ rm -rf "$TRACES"
 cargo run --release --offline -p clanbft-sim --example capture_trace -- "$TRACES" > /dev/null
 INSPECT=target/release/clanbft-inspect
 cargo build --release --offline -p clanbft-inspect
-"$INSPECT" --check "$TRACES/benign.ndjson"
-"$INSPECT" --check "$TRACES/withhold.ndjson"
+"$INSPECT" check "$TRACES/benign.ndjson"
+"$INSPECT" check "$TRACES/withhold.ndjson"
 if ! "$INSPECT" diff "$TRACES/benign.ndjson" "$TRACES/withhold.ndjson" \
         | grep -q "verdict: pull-retry is the dominant regression"; then
     echo "inspect diff failed to flag the pull-retry stage" >&2
@@ -61,7 +61,7 @@ echo "== load-generation smoke (>=100k closed-loop client txs, exactly-once)"
 LOADGEN=target/ci-loadgen
 rm -rf "$LOADGEN"
 cargo run --release --offline -p clanbft-sim --example loadgen_smoke -- "$LOADGEN" > /dev/null
-"$INSPECT" --check "$LOADGEN/loadgen.ndjson"
+"$INSPECT" check "$LOADGEN/loadgen.ndjson"
 
 echo "== profile smoke (profiler contract + perf regression gate)"
 # perf_smoke runs the pinned workload disabled / timing-only / fully
@@ -96,8 +96,8 @@ echo "== crash-recovery gate (WAL replay, state transfer, epoch rotation)"
 RECOVERY=target/ci-recovery
 rm -rf "$RECOVERY"
 cargo run --release --offline -p clanbft-sim --example recovery_smoke -- "$RECOVERY" > /dev/null
-"$INSPECT" --check "$RECOVERY/restart.ndjson"
-"$INSPECT" --check "$RECOVERY/rotation.ndjson"
+"$INSPECT" check "$RECOVERY/restart.ndjson"
+"$INSPECT" check "$RECOVERY/rotation.ndjson"
 
 echo "== health-monitor gate (benign silence, fault alerts, offline parity)"
 # monitor_smoke runs the same single-clan tribe benign and faulty (one
@@ -111,8 +111,8 @@ echo "== health-monitor gate (benign silence, fault alerts, offline parity)"
 MONITOR=target/ci-monitor
 rm -rf "$MONITOR"
 cargo run --release --offline -p clanbft-sim --example monitor_smoke -- "$MONITOR" > /dev/null
-"$INSPECT" --check "$MONITOR/benign.ndjson"
-"$INSPECT" --check "$MONITOR/faulty.ndjson"
+"$INSPECT" check "$MONITOR/benign.ndjson"
+"$INSPECT" check "$MONITOR/faulty.ndjson"
 if ! "$INSPECT" alerts "$MONITOR/benign.ndjson" | grep -q "no alerts"; then
     echo "offline replay found alerts in the benign trace" >&2
     exit 1
@@ -158,9 +158,10 @@ fi
 echo "== repo benchmark gate (benchmark/ builds and runs against crates/*)"
 # benchmark/ is a package of its own with path dependencies into crates/*:
 # a signature drift there breaks its build without failing anything above.
-# These are the steps of benchmark/check.sh (which ci.yml runs whole, on a
-# clean checkout) minus its last one, which refuses any tree with
-# uncommitted source changes -- this script has to pass on a working tree.
+# These are the steps of benchmark/check.sh minus its last one, which
+# refuses any tree with uncommitted source changes -- this script has to
+# pass on a working tree (ci.yml runs that step itself, after this script,
+# on its clean checkout).
 (
     export CARGO_TARGET_DIR=target/benchmark
     M=benchmark/Cargo.toml
