@@ -103,10 +103,17 @@ impl<M: Message, P: Protocol<M>> Protocol<M> for AdversaryNode<M, P> {
     }
 
     fn on_message(&mut self, from: PartyId, msg: M, ctx: &mut Ctx<M>) {
+        self.on_message_ref(from, &msg, ctx);
+    }
+
+    // Like `on_restart` below, this needs the explicit forward: under the
+    // trait default every honest node would get a clone of each delivery.
+    // Only a behaviour, which may rewrite the message, takes a copy.
+    fn on_message_ref(&mut self, from: PartyId, msg: &M, ctx: &mut Ctx<M>) {
         match self.behavior.as_mut() {
-            None => self.inner.on_message(from, msg, ctx),
+            None => self.inner.on_message_ref(from, msg, ctx),
             Some(b) => {
-                let Some(msg) = b.inbound(from, msg, ctx.now()) else {
+                let Some(msg) = b.inbound(from, msg.clone(), ctx.now()) else {
                     return;
                 };
                 self.intercepted(ctx, |inner, scratch| inner.on_message(from, msg, scratch));

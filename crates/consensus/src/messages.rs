@@ -17,6 +17,14 @@ pub fn vote_digest(round: Round, vertex_id: &Digest) -> Digest {
         .finalize()
 }
 
+// The simulator stores one of these per burst in flight and handlers match
+// on it per delivery; the two-signature `Timeout` variant sets the size. A
+// new inline field in any variant is a conscious re-pin, not a silent cost.
+const _: () = assert!(
+    std::mem::size_of::<ConsensusMsg>() == 144,
+    "ConsensusMsg is pinned at 144 bytes"
+);
+
 /// All messages exchanged by [`crate::node::SailfishNode`].
 #[derive(Clone, Debug)]
 pub enum ConsensusMsg {

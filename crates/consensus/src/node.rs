@@ -1098,6 +1098,10 @@ impl Protocol<ConsensusMsg> for SailfishNode {
     }
 
     fn on_message(&mut self, from: PartyId, msg: ConsensusMsg, ctx: &mut Ctx<ConsensusMsg>) {
+        self.on_message_ref(from, &msg, ctx);
+    }
+
+    fn on_message_ref(&mut self, from: PartyId, msg: &ConsensusMsg, ctx: &mut Ctx<ConsensusMsg>) {
         match msg {
             ConsensusMsg::Rbc(pkt) => {
                 let mut fx = Effects::at(ctx.now());
@@ -1109,20 +1113,20 @@ impl Protocol<ConsensusMsg> for SailfishNode {
                 vertex_id,
                 sig,
             } => {
-                self.on_vote(from, round, vertex_id, sig, ctx);
+                self.on_vote(from, *round, *vertex_id, *sig, ctx);
             }
             ConsensusMsg::Timeout {
                 round,
                 timeout_sig,
                 no_vote_sig,
             } => {
-                self.on_timeout_msg(from, round, timeout_sig, no_vote_sig, ctx);
+                self.on_timeout_msg(from, *round, *timeout_sig, *no_vote_sig, ctx);
             }
             ConsensusMsg::StateRequest {
                 from_round,
                 next_seq,
             } => {
-                self.on_state_request(from, from_round, next_seq, ctx);
+                self.on_state_request(from, *from_round, *next_seq, ctx);
             }
             // The snapshot header is informational (it shows up in traces);
             // chunk arrival and the `last` flag drive the client side.
@@ -1134,7 +1138,7 @@ impl Protocol<ConsensusMsg> for SailfishNode {
                 vertices,
                 committed,
             } => {
-                self.on_state_chunk(from, from_round, seq, last, vertices, committed, ctx);
+                self.on_state_chunk(from, *from_round, *seq, *last, vertices, committed, ctx);
             }
         }
     }

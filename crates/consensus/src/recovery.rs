@@ -413,8 +413,8 @@ impl SailfishNode {
         from_round: Round,
         seq: u32,
         last: bool,
-        vertices: Vec<Arc<Vertex>>,
-        committed: Vec<CommittedRec>,
+        vertices: &[Arc<Vertex>],
+        committed: &[CommittedRec],
         ctx: &mut Ctx<ConsensusMsg>,
     ) {
         let quorum = self.cfg.tribe.quorum();
@@ -435,12 +435,12 @@ impl SailfishNode {
             let id = v.id();
             cat.vertices
                 .entry(id)
-                .or_insert_with(|| (v, HashSet::new()))
+                .or_insert_with(|| (Arc::clone(v), HashSet::new()))
                 .1
                 .insert(from);
         }
         for c in committed {
-            cat.commits.entry(c).or_default().insert(from);
+            cat.commits.entry(c.clone()).or_default().insert(from);
         }
         let (got, total) = cat.progress.entry(from).or_default();
         got.insert(seq);

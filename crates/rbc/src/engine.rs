@@ -773,10 +773,15 @@ impl<P: TribePayload> TribeRbc<P> {
         }
     }
 
-    /// Handles one received packet.
-    pub fn handle(&mut self, from: PartyId, packet: RbcPacket<P>, fx: &mut Effects<P>) {
+    /// Handles one received packet. The packet stays the caller's: a view
+    /// or certificate this party keeps is cloned (two `Arc`s) at that point.
+    pub fn handle(&mut self, from: PartyId, packet: &RbcPacket<P>, fx: &mut Effects<P>) {
         let _prof = clanbft_profiler::scope("rbc.handle");
-        let RbcPacket { source, round, msg } = packet;
+        let RbcPacket {
+            source,
+            round,
+            ref msg,
+        } = *packet;
         // Bounded buffering: stale (below prune horizon) and far-future
         // rounds, and sources outside the tribe, are rejected before any
         // state is allocated.
@@ -786,19 +791,19 @@ impl<P: TribePayload> TribeRbc<P> {
         match msg {
             // Only the designated sender pushes VAL/ValMeta.
             RbcMsg::Val(p) if from == source => {
-                self.on_view(round, source, View::Full(p), true, fx)
+                self.on_view(round, source, View::Full(p.clone()), true, fx)
             }
             RbcMsg::ValMeta(m) if from == source => {
-                self.on_view(round, source, View::Meta(m), true, fx)
+                self.on_view(round, source, View::Meta(m.clone()), true, fx)
             }
             RbcMsg::Val(_) | RbcMsg::ValMeta(_) => {}
-            RbcMsg::PullResp(p) => self.on_view(round, source, View::Full(p), false, fx),
-            RbcMsg::MetaResp(m) => self.on_view(round, source, View::Meta(m), false, fx),
+            RbcMsg::PullResp(p) => self.on_view(round, source, View::Full(p.clone()), false, fx),
+            RbcMsg::MetaResp(m) => self.on_view(round, source, View::Meta(m.clone()), false, fx),
             RbcMsg::Pull { digest } => {
-                self.serve_pull(round, source, from, Which::Full, digest, fx)
+                self.serve_pull(round, source, from, Which::Full, *digest, fx)
             }
             RbcMsg::PullMeta { digest } => {
-                self.serve_pull(round, source, from, Which::Meta, digest, fx)
+                self.serve_pull(round, source, from, Which::Meta, *digest, fx)
             }
             RbcMsg::Echo { digest, sig } => {
                 let share = match (&self.flavour, sig) {
@@ -808,20 +813,20 @@ impl<P: TribePayload> TribeRbc<P> {
                     (Flavour::Signed { .. }, Some(sig)) => {
                         // Aggregate without upfront verification (paper §7).
                         fx.charge(self.cfg.cost.aggregate(1));
-                        Some(*sig)
+                        Some(**sig)
                     }
                 };
-                if let Some((total, clan)) = self.note_echo(round, source, from, digest, share, fx)
+                if let Some((total, clan)) = self.note_echo(round, source, from, *digest, share, fx)
                 {
                     if self.echo_threshold_met(round, source, total, clan) {
-                        self.on_echo_threshold(round, source, digest, fx);
+                        self.on_echo_threshold(round, source, *digest, fx);
                     }
                 }
             }
             // Each flavour ignores the other's certification message.
             RbcMsg::Ready { digest } => {
                 if matches!(self.flavour, Flavour::SignatureFree) {
-                    self.on_ready(round, source, from, digest, fx);
+                    self.on_ready(round, source, from, *digest, fx);
                 }
             }
             RbcMsg::EchoCert { digest, cert } => {
@@ -829,11 +834,11 @@ impl<P: TribePayload> TribeRbc<P> {
                 // are dropped before any verification cost is paid.
                 if matches!(self.flavour, Flavour::Signed { .. })
                     && self.instance(round, source).certified.is_none()
-                    && self.validate_cert(source, round, digest, &cert, fx)
+                    && self.validate_cert(source, round, *digest, cert, fx)
                 {
-                    self.send_cert_once(round, source, digest, cert, fx);
-                    self.on_echo_quorum(round, source, digest, fx);
-                    self.certify(round, source, digest, fx);
+                    self.send_cert_once(round, source, *digest, Arc::clone(cert), fx);
+                    self.on_echo_quorum(round, source, *digest, fx);
+                    self.certify(round, source, *digest, fx);
                 }
             }
         }
@@ -1580,7 +1585,7 @@ mod tests {
             round: ROUND,
             msg,
         };
-        rig.engine.handle(PartyId(from), packet, &mut fx);
+        rig.engine.handle(PartyId(from), &packet, &mut fx);
         fx
     }
 

@@ -109,6 +109,10 @@ impl<P: TribePayload> Protocol<RbcPacket<P>> for StandaloneNode<P> {
     }
 
     fn on_message(&mut self, from: PartyId, msg: RbcPacket<P>, ctx: &mut Ctx<RbcPacket<P>>) {
+        self.on_message_ref(from, &msg, ctx);
+    }
+
+    fn on_message_ref(&mut self, from: PartyId, msg: &RbcPacket<P>, ctx: &mut Ctx<RbcPacket<P>>) {
         let mut fx = Effects::new();
         self.engine.handle(from, msg, &mut fx);
         self.apply(fx, ctx);
@@ -245,9 +249,15 @@ impl<P: TribePayload> Protocol<RbcPacket<P>> for AnyNode<P> {
     }
 
     fn on_message(&mut self, from: PartyId, msg: RbcPacket<P>, ctx: &mut Ctx<RbcPacket<P>>) {
+        self.on_message_ref(from, &msg, ctx);
+    }
+
+    // Forwarded explicitly: the trait default would clone the packet into
+    // `on_message` for every delivery.
+    fn on_message_ref(&mut self, from: PartyId, msg: &RbcPacket<P>, ctx: &mut Ctx<RbcPacket<P>>) {
         match self {
-            AnyNode::Honest(n) => n.on_message(from, msg, ctx),
-            AnyNode::Byzantine(n) => n.on_message(from, msg, ctx),
+            AnyNode::Honest(n) => n.on_message_ref(from, msg, ctx),
+            AnyNode::Byzantine(n) => n.on_message_ref(from, msg, ctx),
         }
     }
 

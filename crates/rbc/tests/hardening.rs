@@ -60,7 +60,7 @@ fn payload() -> BytesPayload {
 
 fn handle(rig: &mut Rig, from: u32, pkt: RbcPacket<BytesPayload>) -> Effects<BytesPayload> {
     let mut fx = Effects::at(Micros(1));
-    rig.engine.handle(PartyId(from), pkt, &mut fx);
+    rig.engine.handle(PartyId(from), &pkt, &mut fx);
     fx
 }
 

@@ -66,7 +66,7 @@ fn echo(rig: &Rig, signer: u32, source: u32, round: u64) -> RbcMsg<BytesPayload>
 
 fn handle(rig: &mut Rig, from: u32, pkt: RbcPacket<BytesPayload>) -> Effects<BytesPayload> {
     let mut fx = Effects::at(Micros(1));
-    rig.engine.handle(PartyId(from), pkt, &mut fx);
+    rig.engine.handle(PartyId(from), &pkt, &mut fx);
     fx
 }
 

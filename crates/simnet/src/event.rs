@@ -76,6 +76,10 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
+// `#[inline]` on push, pop and peek_time: the simulator's event type is
+// concrete, so these are compiled once, here, and its loops — generic, and
+// instantiated in whichever crate names the message type — could otherwise
+// only call them.
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<E> {
@@ -88,6 +92,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics (in debug builds) if `at` lies before the bucket currently
     /// being drained — the simulator never schedules into the past.
+    #[inline]
     pub fn push(&mut self, at: Micros, event: E) {
         self.len += 1;
         let key = at.0 / BUCKET_WIDTH_US;
@@ -122,6 +127,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the earliest event (FIFO among equal timestamps).
+    #[inline]
     pub fn pop(&mut self) -> Option<(Micros, E)> {
         self.refill();
         let (at, index) = self.current.keys.pop()?;
@@ -136,6 +142,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Time of the next event without removing it.
+    #[inline]
     pub fn peek_time(&mut self) -> Option<Micros> {
         self.refill();
         self.current.keys.last().map(|(t, _)| *t)
@@ -229,5 +236,49 @@ mod tests {
         q.push(Micros(500), "mid");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["early", "mid", "late"]);
+    }
+
+    /// A push for the bucket that has just drained — active bucket empty,
+    /// same key — must pop before anything in a later bucket.
+    #[test]
+    fn push_into_just_drained_bucket_pops_first() {
+        let mut q = EventQueue::new();
+        q.push(Micros(200), "a");
+        q.push(Micros(1_500), "next bucket");
+        assert_eq!(q.pop(), Some((Micros(200), "a")));
+        // Bucket 0 is drained but still the current key.
+        q.push(Micros(900), "c");
+        q.push(Micros(250), "b");
+        q.push(Micros(900), "d");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(Micros(250)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["b", "c", "d", "next bucket"]);
+    }
+
+    /// A round timeout sits thousands of buckets ahead of the deliveries
+    /// that keep arriving in front of it.
+    #[test]
+    fn far_future_timer_among_near_deliveries() {
+        let mut q = EventQueue::new();
+        let timeout = Micros(5_000_000);
+        q.push(timeout, u64::MAX);
+        q.push(Micros(40), 0);
+        let mut popped = Vec::new();
+        while let Some((at, e)) = q.pop() {
+            popped.push((at, e));
+            // Each delivery schedules the next a third of a millisecond on,
+            // across bucket borders, up to and past the timer.
+            if e < 20_000 {
+                q.push(at + Micros(333), e + 1);
+            }
+        }
+        assert_eq!(popped.len(), 20_002);
+        assert!(popped.windows(2).all(|w| w[0].0 <= w[1].0));
+        let fired = popped.iter().position(|&(_, e)| e == u64::MAX).unwrap();
+        assert_eq!(popped[fired].0, timeout);
+        // 40 + 333 k passes 5 s at k = 15 015.
+        assert_eq!(popped[fired - 1].1, 15_014);
+        assert_eq!(popped[fired + 1].1, 15_015);
     }
 }

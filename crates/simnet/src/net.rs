@@ -116,12 +116,84 @@ enum Lane {
     Control(Micros),
 }
 
-// Events are stored inline in the calendar queue's buckets, which order
-// 16-byte keys and never move the events themselves.
-enum SimEvent<M> {
-    Deliver { src: PartyId, dst: PartyId, msg: M },
-    Timer { node: PartyId, token: u64 },
-    Restart { node: PartyId },
+/// What the calendar queue orders. A delivery names its message by slot in
+/// the simulator's [`InFlight`] slab rather than carrying it, so an event is
+/// the same few words whatever the protocol's message type.
+#[derive(Clone, Copy)]
+enum SimEvent {
+    Deliver {
+        src: PartyId,
+        dst: PartyId,
+        slot: u32,
+    },
+    Timer {
+        node: PartyId,
+        token: u64,
+    },
+    Restart {
+        node: PartyId,
+    },
+}
+
+// One of these is written into a calendar bucket and read back per
+// delivered copy: anything message-sized belongs in the slab.
+const _: () = assert!(
+    std::mem::size_of::<SimEvent>() <= 24,
+    "SimEvent must stay within 24 bytes (it is 16)"
+);
+
+/// One burst's message while copies of it are on the wire.
+struct Stored<M> {
+    msg: M,
+    /// `msg.wire_bytes()` and `msg.kind()`, taken once per burst: a dropped
+    /// copy is accounted from here, not by asking the message again.
+    bytes: usize,
+    kind: &'static str,
+    /// Copies neither delivered nor dropped yet.
+    copies: u32,
+}
+
+/// The messages in flight, stored once per burst however many recipients
+/// it has. Slots are index-addressed and recycled (most recently freed
+/// first), so the slab grows to the peak number of bursts in flight and
+/// steady-state sends never touch the allocator.
+struct InFlight<M> {
+    slots: Vec<Option<Stored<M>>>,
+    free: Vec<u32>,
+}
+
+impl<M> InFlight<M> {
+    fn store(&mut self, stored: Stored<M>) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(stored);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("under 2^32 bursts in flight");
+                self.slots.push(Some(stored));
+                slot
+            }
+        }
+    }
+
+    fn get(&self, slot: u32) -> &Stored<M> {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("a queued delivery names a live slot")
+    }
+
+    /// One copy leaves the wire, delivered or dropped; the last one frees
+    /// the slot.
+    fn release(&mut self, slot: u32) {
+        let entry = &mut self.slots[slot as usize];
+        let stored = entry.as_mut().expect("a queued delivery names a live slot");
+        stored.copies -= 1;
+        if stored.copies == 0 {
+            *entry = None;
+            self.free.push(slot);
+        }
+    }
 }
 
 /// Aggregate traffic statistics, per node and total.
@@ -171,7 +243,8 @@ impl NetStats {
 pub struct Simulator<M: Message, P: Protocol<M>> {
     cfg: SimConfig,
     nodes: Vec<P>,
-    queue: EventQueue<SimEvent<M>>,
+    queue: EventQueue<SimEvent>,
+    in_flight: InFlight<M>,
     now: Micros,
     /// Bulk-lane uplink availability per node (block-sized messages).
     uplink_free: Vec<Micros>,
@@ -234,6 +307,10 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 .collect(),
             busy_until: vec![Micros::ZERO; n],
             queue: EventQueue::new(),
+            in_flight: InFlight {
+                slots: Vec::new(),
+                free: Vec::new(),
+            },
             now: Micros::ZERO,
             nodes,
             cfg,
@@ -324,13 +401,15 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         self.stats.handled_events += 1;
         self.stats.last_event_at = at;
         match ev {
-            SimEvent::Deliver { src, dst, msg } => {
+            SimEvent::Deliver { src, dst, slot } => {
                 // No per-delivery scope: delivery happens millions of times
                 // per run and even a cheap scope would dominate its cost.
                 // The run loop (`sim.run` in `run_until`) owns dispatch
                 // time; nested stages (rbc, consensus, …) carve out theirs.
                 if self.crashed(dst, at) {
-                    self.drop_msg(src, dst, &msg, at);
+                    let Stored { bytes, kind, .. } = *self.in_flight.get(slot);
+                    self.in_flight.release(slot);
+                    self.drop_copy(src, dst, kind, bytes, at);
                     return true;
                 }
                 let start = self.busy_until[dst.idx()].max(at);
@@ -338,7 +417,9 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 let mut ctx = self.ctx(dst, start, &cost);
                 ctx.charge(self.cfg.cost.per_msg());
                 self.stats.delivered_msgs += 1;
-                self.nodes[dst.idx()].on_message(src, msg, &mut ctx);
+                let msg = &self.in_flight.get(slot).msg;
+                self.nodes[dst.idx()].on_message_ref(src, msg, &mut ctx);
+                self.in_flight.release(slot);
                 self.busy_until[dst.idx()] = start + ctx.charged();
                 self.absorb(dst, ctx);
             }
@@ -456,9 +537,10 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
     }
 
     /// Puts one burst on the wire: size, kind and the sender-side accounting
-    /// are settled once; only the lane bookkeeping, the jitter draw and the
-    /// queue push happen per recipient (in recipient order — the order the
-    /// seeded draws and the event sequence depend on).
+    /// are settled once and the message is stored once; only the lane
+    /// bookkeeping, the jitter draw and the queue push happen per recipient
+    /// (in recipient order — the order the seeded draws and the event
+    /// sequence depend on).
     fn transmit(
         &mut self,
         src: PartyId,
@@ -468,9 +550,10 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         bulk_departure: Option<Micros>,
     ) {
         let Burst { msg, bytes, .. } = burst;
+        let kind = msg.kind();
         if self.crashed(src, at) {
             for &dst in targets {
-                self.drop_msg(src, dst, &msg, at);
+                self.drop_copy(src, dst, kind, bytes, at);
             }
             return;
         }
@@ -478,7 +561,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         if wire > 0 {
             self.stats.sent_bytes[src.idx()] += bytes as u64 * wire;
             self.stats.sent_msgs[src.idx()] += wire;
-            *self.stats.bytes_by_kind.entry(msg.kind()).or_insert(0) += bytes as u64 * wire;
+            *self.stats.bytes_by_kind.entry(kind).or_insert(0) += bytes as u64 * wire;
         }
         let lane = if bytes > CONTROL_LANE_MAX_BYTES {
             Lane::Bulk(bulk_departure)
@@ -487,17 +570,21 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 bytes as f64 / self.uplink_bps[src.idx()],
             ))
         };
-        let (&last, rest) = targets.split_last().expect("bursts are never empty");
-        for &dst in rest {
-            self.transmit_one(src, dst, msg.clone(), at, lane);
+        let slot = self.in_flight.store(Stored {
+            msg,
+            bytes,
+            kind,
+            copies: u32::try_from(targets.len()).expect("under 2^32 recipients"),
+        });
+        for &dst in targets {
+            self.transmit_one(src, dst, slot, at, lane);
         }
-        self.transmit_one(src, last, msg, at, lane);
     }
 
-    fn transmit_one(&mut self, src: PartyId, dst: PartyId, msg: M, at: Micros, lane: Lane) {
+    fn transmit_one(&mut self, src: PartyId, dst: PartyId, slot: u32, at: Micros, lane: Lane) {
         if src == dst {
             // Loopback: no wire, no uplink; deliver after a scheduling tick.
-            self.queue.push(at, SimEvent::Deliver { src, dst, msg });
+            self.queue.push(at, SimEvent::Deliver { src, dst, slot });
             return;
         }
         let departure = match lane {
@@ -543,12 +630,19 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         }
 
         self.queue
-            .push(arrival, SimEvent::Deliver { src, dst, msg });
+            .push(arrival, SimEvent::Deliver { src, dst, slot });
     }
 
-    /// Accounts a message lost to a crashed endpoint.
-    fn drop_msg(&mut self, src: PartyId, dst: PartyId, msg: &M, at: Micros) {
-        let bytes = msg.wire_bytes() as u64;
+    /// Accounts one copy lost to a crashed endpoint.
+    fn drop_copy(
+        &mut self,
+        src: PartyId,
+        dst: PartyId,
+        kind: &'static str,
+        bytes: usize,
+        at: Micros,
+    ) {
+        let bytes = bytes as u64;
         self.stats.dropped_msgs += 1;
         self.stats.dropped_bytes += bytes;
         self.cfg.telemetry.event(
@@ -557,7 +651,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
             Event::MsgDropped {
                 src,
                 dst,
-                kind: msg.kind(),
+                kind,
                 bytes,
             },
         );
@@ -754,6 +848,10 @@ mod tests {
             "post-restart deliveries must resume"
         );
         assert!(sim.stats().dropped_msgs > 0, "window deliveries dropped");
+        assert!(
+            sim.in_flight.slots.iter().all(Option::is_none),
+            "dropped and delivered copies alike release their slot"
+        );
     }
 
     #[test]
@@ -1074,5 +1172,206 @@ mod tests {
             gap >= Micros::from_millis(999),
             "second burst must queue behind the first (gap {gap})"
         );
+    }
+
+    // ---- ownership of a stored message -------------------------------------
+
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::Arc;
+
+    /// What has happened to the instances of one [`Counted`] message.
+    #[derive(Debug, Default)]
+    struct Tally {
+        clones: AtomicUsize,
+        drops: AtomicUsize,
+    }
+
+    /// A message that counts its clones and drops.
+    #[derive(Debug)]
+    struct Counted(Arc<Tally>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            self.0.clones.fetch_add(1, Relaxed);
+            Counted(Arc::clone(&self.0))
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.drops.fetch_add(1, Relaxed);
+        }
+    }
+
+    impl Message for Counted {
+        fn wire_bytes(&self) -> usize {
+            64
+        }
+    }
+
+    /// Party 0 sends one [`Counted`] to `targets` at start, after `busy` of
+    /// charged CPU; everyone counts what they hear. `lend` chooses between
+    /// reading the lent message and the by-value default.
+    struct Courier {
+        tally: Arc<Tally>,
+        targets: Vec<PartyId>,
+        busy: Micros,
+        lend: bool,
+        heard: u32,
+    }
+
+    impl Protocol<Counted> for Courier {
+        fn on_start(&mut self, ctx: &mut Ctx<Counted>) {
+            if ctx.party() == PartyId(0) {
+                ctx.charge(self.busy);
+                ctx.multicast(self.targets.clone(), Counted(Arc::clone(&self.tally)));
+            }
+        }
+
+        fn on_message(&mut self, _from: PartyId, _msg: Counted, _ctx: &mut Ctx<Counted>) {
+            self.heard += 1;
+        }
+
+        fn on_message_ref(&mut self, from: PartyId, msg: &Counted, ctx: &mut Ctx<Counted>) {
+            if self.lend {
+                self.heard += 1;
+            } else {
+                self.on_message(from, msg.clone(), ctx);
+            }
+        }
+
+        fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<Counted>) {}
+    }
+
+    /// Runs one courier burst over `n` parties to quiescence and returns
+    /// `(clones, drops, heard per party, stats)`, after checking that no
+    /// slot is left live and every instance made was dropped.
+    fn courier_run(
+        n: usize,
+        targets: &[u32],
+        lend: bool,
+        busy: Micros,
+        cfg_mut: impl FnOnce(&mut SimConfig),
+    ) -> (usize, usize, Vec<u32>, NetStats) {
+        let tally = Arc::new(Tally::default());
+        let mut cfg = SimConfig::benign(n, 5);
+        cfg.cost = CostModel::free();
+        cfg_mut(&mut cfg);
+        let nodes = (0..n)
+            .map(|_| Courier {
+                tally: Arc::clone(&tally),
+                targets: targets.iter().map(|&t| PartyId(t)).collect(),
+                busy,
+                lend,
+                heard: 0,
+            })
+            .collect();
+        let mut sim = Simulator::new(cfg, nodes);
+        sim.run_to_quiescence();
+        assert_eq!(
+            sim.in_flight.free.len(),
+            sim.in_flight.slots.len(),
+            "a slot is still live after quiescence"
+        );
+        assert!(sim.in_flight.slots.iter().all(Option::is_none));
+        let (clones, drops) = (tally.clones.load(Relaxed), tally.drops.load(Relaxed));
+        assert_eq!(drops, 1 + clones, "an instance leaked or was dropped twice");
+        let heard = sim.nodes().map(|c| c.heard).collect();
+        (clones, drops, heard, sim.stats().clone())
+    }
+
+    #[test]
+    fn a_delivery_is_lent_not_cloned() {
+        // Unicast; multicast with a loopback copy.
+        for targets in [&[1u32][..], &[0, 1, 2, 3]] {
+            let (clones, drops, heard, _) = courier_run(4, targets, true, Micros::ZERO, |_| {});
+            assert_eq!((clones, drops), (0, 1), "targets {targets:?}");
+            assert_eq!(heard.iter().sum::<u32>() as usize, targets.len());
+        }
+        // A node that only implements the by-value handler gets the default:
+        // one clone per delivery, and still one drop of the stored body.
+        let (clones, drops, heard, _) = courier_run(4, &[0, 1, 2, 3], false, Micros::ZERO, |_| {});
+        assert_eq!((clones, drops), (4, 5));
+        assert_eq!(heard, [1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn every_exit_of_a_copy_releases_its_share() {
+        // Destination crashed while the copy was in flight.
+        let (clones, drops, heard, stats) = courier_run(4, &[1, 2, 3], true, Micros::ZERO, |cfg| {
+            cfg.crash_at[2] = Some(Micros(1));
+        });
+        assert_eq!((clones, drops), (0, 1));
+        assert_eq!(heard, [0, 1, 0, 1]);
+        assert_eq!((stats.dropped_msgs, stats.dropped_bytes), (1, 64));
+
+        // Sender still computing when its crash hits: the whole burst is
+        // dropped before the wire, and accounted per copy.
+        let busy = Micros::from_millis(1);
+        let (clones, drops, heard, stats) = courier_run(4, &[1, 2, 3], true, busy, |cfg| {
+            cfg.crash_at[0] = Some(Micros(500));
+        });
+        assert_eq!((clones, drops), (0, 1));
+        assert_eq!(heard, [0, 0, 0, 0]);
+        assert_eq!((stats.dropped_msgs, stats.dropped_bytes), (3, 192));
+        assert_eq!(stats.total_bytes(), 0);
+
+        // Held by a partition, then delivered.
+        let (clones, drops, heard, stats) = courier_run(4, &[1, 2, 3], true, Micros::ZERO, |cfg| {
+            cfg.partitions.push(Partition {
+                a: PartyId(0),
+                b: PartyId(3),
+                from: Micros::ZERO,
+                until: Micros::from_millis(300),
+            });
+        });
+        assert_eq!((clones, drops), (0, 1));
+        assert_eq!(heard, [0, 1, 1, 1]);
+        assert_eq!(stats.partitioned_msgs, 1);
+    }
+
+    /// Freed slots are reused: the slab's length is the peak number of
+    /// bursts in flight, not the number of bursts ever sent.
+    #[test]
+    fn slab_high_water_is_the_peak_in_flight() {
+        #[derive(Clone, Debug)]
+        struct Ball(u32);
+        impl Message for Ball {
+            fn wire_bytes(&self) -> usize {
+                16
+            }
+        }
+        struct Player {
+            peer: PartyId,
+            bounces: u32,
+        }
+        impl Protocol<Ball> for Player {
+            fn on_start(&mut self, ctx: &mut Ctx<Ball>) {
+                if ctx.party() == PartyId(0) {
+                    // Two balls in play, in separate bursts.
+                    ctx.send(self.peer, Ball(0));
+                    ctx.send(self.peer, Ball(1));
+                }
+            }
+            fn on_message(&mut self, from: PartyId, Ball(k): Ball, ctx: &mut Ctx<Ball>) {
+                self.bounces += 1;
+                if k + 2 < 10_000 {
+                    ctx.send(from, Ball(k + 2));
+                }
+            }
+            fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<Ball>) {}
+        }
+        let mut cfg = SimConfig::benign(2, 9);
+        cfg.cost = CostModel::free();
+        let players = [1, 0].map(|peer| Player {
+            peer: PartyId(peer),
+            bounces: 0,
+        });
+        let mut sim = Simulator::new(cfg, players.into());
+        sim.run_to_quiescence();
+        assert_eq!(sim.nodes().map(|p| p.bounces).sum::<u32>(), 10_000);
+        assert_eq!(sim.stats().delivered_msgs, 10_000);
+        assert_eq!(sim.in_flight.slots.len(), 2, "slab high-water");
+        assert_eq!(sim.in_flight.free.len(), 2, "both slots free at the end");
     }
 }

@@ -36,6 +36,16 @@ pub trait Protocol<M: Message>: Send {
     /// Called for each delivered message.
     fn on_message(&mut self, from: PartyId, msg: M, ctx: &mut Ctx<M>);
 
+    /// What the simulator calls for each delivery: the message is lent, not
+    /// given — a multicast is stored once and every recipient reads the
+    /// same body. The default clones it into [`Protocol::on_message`]. A
+    /// node that can work from the borrow overrides this method and makes
+    /// `on_message` a forward to it; a wrapper node must forward it to the
+    /// node it wraps, or that node silently falls back to the clone.
+    fn on_message_ref(&mut self, from: PartyId, msg: &M, ctx: &mut Ctx<M>) {
+        self.on_message(from, msg.clone(), ctx);
+    }
+
     /// Called when a timer armed via [`Ctx::set_timer`] fires.
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<M>);
 
@@ -153,8 +163,8 @@ impl<'a, M: Message> Ctx<'a, M> {
     }
 
     /// Queues `msg` to every party in `targets`, in that order. One queue
-    /// entry whatever the fan-out: the message is cloned per recipient only
-    /// when it is put on the wire.
+    /// entry whatever the fan-out, and on the wire one stored message: the
+    /// simulator lends every recipient the same body.
     pub fn multicast(&mut self, targets: impl IntoIterator<Item = PartyId>, msg: M) {
         let start = self.out.targets.len();
         self.out.targets.extend(targets);

@@ -260,6 +260,59 @@ fn bitmap_matches_hashset_model() {
     );
 }
 
+// --- event queue model test -------------------------------------------------
+
+/// Any interleaving of pushes (at or after the last popped time) and pops
+/// comes out in `(time, insertion order)` order, as a binary heap over
+/// `(time, seq)` would give it.
+#[test]
+fn event_queue_matches_heap_model() {
+    use clanbft_simnet::event::EventQueue;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    // An op is a pop (`None`) or a push this far after the last popped
+    // time: the same instant, inside the same millisecond bucket, some
+    // buckets on, or a round timeout away.
+    let arb_op = |g: &mut Gen| match g.u8_in(0, 6) {
+        0 | 1 => None,
+        2 => Some(0),
+        3 => Some(g.u64_in(0, 999)),
+        4 | 5 => Some(g.u64_in(0, 60_000)),
+        _ => Some(g.u64_in(4_990_000, 5_010_000)),
+    };
+    check(
+        "event_queue_matches_heap_model",
+        CASES,
+        |g| g.vec(1, 600, arb_op),
+        |ops| {
+            let mut queue = EventQueue::new();
+            let mut model = BinaryHeap::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            // The ops as generated, then pops until both are empty.
+            let drain = std::iter::repeat(&None).take(ops.len());
+            for op in ops.iter().chain(drain) {
+                match op {
+                    Some(delay) => {
+                        queue.push(Micros(now + delay), seq);
+                        model.push(Reverse((now + delay, seq)));
+                        seq += 1;
+                    }
+                    None => {
+                        let want = model.pop().map(|Reverse((at, seq))| (Micros(at), seq));
+                        tk_assert_eq!(queue.peek_time(), want.map(|(at, _)| at));
+                        tk_assert_eq!(queue.pop(), want);
+                        now = want.map_or(now, |(at, _)| at.0);
+                    }
+                }
+                tk_assert_eq!(queue.len(), model.len());
+            }
+            tk_assert!(queue.is_empty());
+            Ok(())
+        },
+    );
+}
+
 // --- bignum / combinatorics -------------------------------------------------
 
 #[test]
