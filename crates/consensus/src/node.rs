@@ -664,7 +664,7 @@ impl SailfishNode {
 
     /// Structural and leader-edge validation (paper Fig. 4 rules).
     fn validate_vertex(&mut self, vertex: &Vertex, fx: &mut Intake) -> bool {
-        if vertex.validate_shape(self.cfg.tribe.quorum()).is_err() {
+        if vertex.validate_shape(self.cfg.tribe).is_err() {
             return false;
         }
         let Some(prev) = vertex.round.prev() else {
@@ -1341,6 +1341,46 @@ mod tests {
         // Too few strong edges for quorum 3.
         let thin = bare_vertex(1, 2, full_edges(0, 2));
         assert!(!node.validate_vertex(&thin, &mut fx));
+    }
+
+    #[test]
+    fn edge_outside_the_tribe_is_refused_live_and_in_state_transfer() {
+        // A quorum of honest edges plus one to a party that does not exist:
+        // certified by the broadcast layer like any vertex, it must not get
+        // as far as the DAG's pending buffer, where it would wait for that
+        // parent until garbage collection.
+        let (mut node, _) = test_node(4, 0);
+        let stranger = VertexRef {
+            round: Round(0),
+            source: PartyId(9999),
+        };
+        let honest = Arc::new(bare_vertex(1, 1, full_edges(0, 4)));
+        let mut edges = full_edges(0, 4);
+        edges.push(stranger);
+        let crafted = Arc::new(bare_vertex(1, 2, edges));
+        let (mut intake, mut votes) = (Intake::at(Micros::ZERO), Vec::new());
+        for v in [&crafted, &honest] {
+            node.process_vertex(Arc::clone(v), v.id(), &mut intake, Micros::ZERO, &mut votes);
+        }
+        assert!(
+            node.dag.is_known(&honest.reference()),
+            "parents missing: buffered"
+        );
+        assert!(!node.dag.is_known(&crafted.reference()));
+        assert_eq!(node.dag.pending_count(), 1);
+
+        // The same two vertices offered by f+1 state-transfer responders.
+        let cost = node.cfg.cost;
+        let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
+        node.on_restart(&mut ctx);
+        for from in [1, 2] {
+            let chunk = [Arc::clone(&crafted), Arc::clone(&honest)];
+            node.on_state_chunk(PartyId(from), Round(0), 0, true, &chunk, &[], &mut ctx);
+        }
+        assert!(node.catchup.is_none(), "f+1 responders settle the transfer");
+        assert!(node.dag.is_known(&honest.reference()));
+        assert!(!node.dag.is_known(&crafted.reference()));
+        assert_eq!(node.dag.pending_count(), 1);
     }
 
     #[test]

@@ -417,7 +417,7 @@ impl SailfishNode {
         committed: &[CommittedRec],
         ctx: &mut Ctx<ConsensusMsg>,
     ) {
-        let quorum = self.cfg.tribe.quorum();
+        let tribe = self.cfg.tribe;
         let Some(cat) = self.catchup.as_mut() else {
             return; // No transfer in flight (or it already completed).
         };
@@ -429,7 +429,7 @@ impl SailfishNode {
             // Structural validation is local; certificate checks are
             // unnecessary — `f+1` matching copies include an honest node
             // that verified the vertex before accepting it.
-            if v.validate_shape(quorum).is_err() {
+            if v.validate_shape(tribe).is_err() {
                 continue;
             }
             let id = v.id();

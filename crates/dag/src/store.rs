@@ -1,8 +1,16 @@
 //! Vertex storage with causal-completeness buffering and path queries.
+//!
+//! A vertex is addressed by index: its round finds a row (through a small
+//! ordered map — a node retains a few dozen rounds, and a far-future round
+//! number cannot size anything), its source indexes one of the row's `n`
+//! slots. Sets of vertices (ordered, visited by a walk) are one
+//! [`PartySet`] per round. Nothing on the insert, path or ordering path
+//! hashes a reference, and every listing comes out in `(round, source)`
+//! order by construction.
 
 use clanbft_crypto::Digest;
-use clanbft_types::{PartyId, Round, TribeParams, Vertex, VertexRef};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use clanbft_types::{PartyId, PartySet, Round, TribeParams, Vertex, VertexRef};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Result of offering a vertex to the store.
@@ -25,17 +33,64 @@ struct Stored {
     id: Option<Digest>,
 }
 
+/// One round of the DAG.
+struct Row {
+    /// The live vertex of each party, by party index.
+    slots: Vec<Option<Stored>>,
+    /// Occupied slots.
+    live: usize,
+    /// Sources whose vertex was emitted into the total order (a mark can
+    /// precede the vertex: replayed and adopted commits).
+    ordered: PartySet,
+}
+
+impl Row {
+    fn new(n: usize) -> Row {
+        Row {
+            slots: std::iter::repeat_with(|| None).take(n).collect(),
+            live: 0,
+            ordered: PartySet::EMPTY,
+        }
+    }
+
+    fn vertices(&self) -> impl Iterator<Item = &Arc<Vertex>> {
+        self.slots.iter().flatten().map(|s| &s.vertex)
+    }
+}
+
+/// A set of vertex references as one [`PartySet`] per round, rounds in
+/// first-touch order. A walk down the DAG touches rounds in descending
+/// order, so the round of the edge at hand is the last entry or the one
+/// before it.
+#[derive(Default)]
+struct RefSet(Vec<(Round, PartySet)>);
+
+impl RefSet {
+    /// Adds `r`; returns `true` if it was not yet a member.
+    fn insert(&mut self, r: &VertexRef) -> bool {
+        let at = match self.0.iter().rposition(|(round, _)| *round == r.round) {
+            Some(at) => at,
+            None => {
+                self.0.push((r.round, PartySet::EMPTY));
+                self.0.len() - 1
+            }
+        };
+        self.0[at].1.insert(r.source)
+    }
+}
+
 /// The DAG of delivered vertices at one party.
+///
+/// Vertices offered to it have passed [`Vertex::validate_shape`] for the
+/// same tribe: a source is a slot index.
 pub struct Dag {
     tribe: TribeParams,
-    /// Live vertices, keyed by round then source.
-    rounds: BTreeMap<Round, HashMap<PartyId, Stored>>,
+    /// Rounds holding a live vertex or an ordered mark.
+    rounds: BTreeMap<Round, Row>,
     /// Vertices waiting for missing ancestors.
-    pending: HashMap<VertexRef, Stored>,
+    pending: BTreeMap<VertexRef, Stored>,
     /// Reverse dependency index: missing ref → pending vertices waiting on it.
-    waiting_on: HashMap<VertexRef, Vec<VertexRef>>,
-    /// Vertices already emitted into the total order.
-    ordered: HashSet<VertexRef>,
+    waiting_on: BTreeMap<VertexRef, Vec<VertexRef>>,
     /// Rounds below this have been garbage-collected; everything there is
     /// implicitly live and ordered.
     horizon: Round,
@@ -47,9 +102,8 @@ impl Dag {
         Dag {
             tribe,
             rounds: BTreeMap::new(),
-            pending: HashMap::new(),
-            waiting_on: HashMap::new(),
-            ordered: HashSet::new(),
+            pending: BTreeMap::new(),
+            waiting_on: BTreeMap::new(),
             horizon: Round::GENESIS,
         }
     }
@@ -66,7 +120,7 @@ impl Dag {
 
     /// Number of live vertices in `round`.
     pub fn round_count(&self, round: Round) -> usize {
-        self.rounds.get(&round).map_or(0, HashMap::len)
+        self.rounds.get(&round).map_or(0, |row| row.live)
     }
 
     /// The live vertex for `(round, source)`, if any.
@@ -75,7 +129,7 @@ impl Dag {
     }
 
     fn stored(&self, r: &VertexRef) -> Option<&Stored> {
-        self.rounds.get(&r.round).and_then(|m| m.get(&r.source))
+        stored_in(self.rounds.get(&r.round), r)
     }
 
     /// The content id of the live vertex `r`: the one it was inserted with,
@@ -99,13 +153,10 @@ impl Dag {
 
     /// Live vertices of `round`, in source order.
     pub fn round_vertices(&self, round: Round) -> Vec<&Vertex> {
-        let mut vs: Vec<&Vertex> = self
-            .rounds
+        self.rounds
             .get(&round)
-            .map(|m| m.values().map(|s| &*s.vertex).collect())
-            .unwrap_or_default();
-        vs.sort_by_key(|v| v.source);
-        vs
+            .map(|row| row.vertices().map(|v| &**v).collect())
+            .unwrap_or_default()
     }
 
     /// Number of vertices currently buffered as pending.
@@ -113,34 +164,39 @@ impl Dag {
         self.pending.len()
     }
 
-    /// Number of rounds currently retained (the round-window occupancy the
-    /// flight recorder samples: grows when commits stall GC).
+    /// Number of rounds currently holding a live vertex (the round-window
+    /// occupancy the flight recorder samples: grows when commits stall GC).
     pub fn round_span(&self) -> usize {
-        self.rounds.len()
+        self.rounds.values().filter(|row| row.live > 0).count()
     }
 
     /// Total live vertices retained across all rounds.
     pub fn live_count(&self) -> usize {
-        self.rounds.values().map(HashMap::len).sum()
+        self.rounds.values().map(|row| row.live).sum()
     }
 
     /// All live vertices from `from` on, in `(round, source)` order — the
     /// material a checkpoint or a state-transfer response ships.
     pub fn live_vertices_from(&self, from: Round) -> Vec<&Arc<Vertex>> {
-        let mut out: Vec<&Arc<Vertex>> = self
-            .rounds
+        self.rounds
             .range(from..)
-            .flat_map(|(_, m)| m.values().map(|s| &s.vertex))
-            .collect();
-        out.sort_by_key(|v| (v.round, v.source));
-        out
+            .flat_map(|(_, row)| row.vertices())
+            .collect()
     }
 
     /// Marks `r` as already ordered without walking its history — used
     /// when restoring the ordered set from a checkpoint, where the causal
-    /// walk already happened in a previous life of this process.
+    /// walk already happened in a previous life of this process. Below the
+    /// horizon, or for a source outside the tribe, there is nothing to mark.
     pub fn mark_ordered(&mut self, r: VertexRef) {
-        self.ordered.insert(r);
+        if r.round >= self.horizon && r.source.idx() < self.tribe.n() {
+            self.row_mut(r.round).ordered.insert(r.source);
+        }
+    }
+
+    fn row_mut(&mut self, round: Round) -> &mut Row {
+        let n = self.tribe.n();
+        self.rounds.entry(round).or_insert_with(|| Row::new(n))
     }
 
     /// Offers a delivered vertex. Returns which vertices became live (the
@@ -152,6 +208,11 @@ impl Dag {
 
     /// [`Dag::insert`] for a vertex the caller shares, with its content id
     /// if the caller already hashed it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the vertex becomes live and its source is not a party of
+    /// the tribe (excluded by [`Vertex::validate_shape`]).
     pub fn insert_shared(&mut self, vertex: Arc<Vertex>, id: Option<Digest>) -> InsertOutcome {
         let _prof = clanbft_profiler::scope("dag.insert");
         let vref = vertex.reference();
@@ -202,10 +263,9 @@ impl Dag {
     }
 
     fn make_live(&mut self, vref: VertexRef, stored: Stored, live: &mut Vec<VertexRef>) {
-        self.rounds
-            .entry(vref.round)
-            .or_default()
-            .insert(vref.source, stored);
+        let row = self.row_mut(vref.round);
+        row.slots[vref.source.idx()] = Some(stored);
+        row.live += 1;
         live.push(vref);
     }
 
@@ -213,7 +273,7 @@ impl Dag {
         v.strong_edges
             .iter()
             .chain(v.weak_edges.iter())
-            .find(|r| !self.contains(r))
+            .find(|e| e.round >= self.horizon && self.stored(e).is_none())
             .copied()
     }
 
@@ -234,16 +294,18 @@ impl Dag {
             // treat as unreachable rather than guessing.
             return false;
         }
-        let mut queue = VecDeque::from([*from]);
-        let mut seen = HashSet::new();
-        while let Some(cur) = queue.pop_front() {
-            let Some(v) = self.get(&cur) else { continue };
-            for e in &v.strong_edges {
+        let mut stack = vec![*from];
+        let mut seen = RefSet::default();
+        while let Some(cur) = stack.pop() {
+            let Some(stored) = self.stored(&cur) else {
+                continue;
+            };
+            for e in &stored.vertex.strong_edges {
                 if e == to {
                     return true;
                 }
-                if e.round > to.round && seen.insert(*e) {
-                    queue.push_back(*e);
+                if e.round > to.round && seen.insert(e) {
+                    stack.push(*e);
                 }
             }
         }
@@ -253,14 +315,11 @@ impl Dag {
     /// Counts round-`r` vertices with a strong edge to `target` (the
     /// "support" used by commit rules).
     pub fn strong_supporters(&self, round: Round, target: &VertexRef) -> usize {
-        self.rounds
-            .get(&round)
-            .map(|m| {
-                m.values()
-                    .filter(|s| s.vertex.has_strong_edge_to(target))
-                    .count()
-            })
-            .unwrap_or(0)
+        self.rounds.get(&round).map_or(0, |row| {
+            row.vertices()
+                .filter(|v| v.has_strong_edge_to(target))
+                .count()
+        })
     }
 
     /// Collects the not-yet-ordered causal history of `root` (strong and
@@ -269,39 +328,47 @@ impl Dag {
     ///
     /// Returns an empty vector if `root` is not live.
     pub fn take_causal_history(&mut self, root: &VertexRef) -> Vec<VertexRef> {
-        if self.get(root).is_none() || self.ordered.contains(root) {
+        if self.get(root).is_none() || self.is_ordered(root) {
             return Vec::new();
         }
-        let mut collected = Vec::new();
+        // Everything the walk reaches is live and not yet ordered, so the
+        // visited set is the history.
         let mut stack = vec![*root];
-        let mut seen = HashSet::from([*root]);
+        let mut history = RefSet::default();
+        history.insert(root);
         while let Some(cur) = stack.pop() {
-            if self.ordered.contains(&cur) {
+            let Some(stored) = self.stored(&cur) else {
                 continue;
-            }
-            collected.push(cur);
-            if let Some(v) = self.get(&cur) {
-                for e in v.strong_edges.iter().chain(v.weak_edges.iter()) {
-                    if e.round >= self.horizon
-                        && !self.ordered.contains(e)
-                        && self.get(e).is_some()
-                        && seen.insert(*e)
-                    {
-                        stack.push(*e);
-                    }
+            };
+            let v = &stored.vertex;
+            for e in v.strong_edges.iter().chain(v.weak_edges.iter()) {
+                let fresh = e.round >= self.horizon
+                    && self.rounds.get(&e.round).is_some_and(|row| {
+                        !row.ordered.contains(e.source) && stored_in(Some(row), e).is_some()
+                    })
+                    && history.insert(e);
+                if fresh {
+                    stack.push(*e);
                 }
             }
         }
-        collected.sort_by_key(|r| (r.round, r.source));
-        for r in &collected {
-            self.ordered.insert(*r);
+        history.0.sort_unstable_by_key(|(round, _)| *round);
+        let mut collected = Vec::new();
+        for (round, sources) in &history.0 {
+            collected.extend(sources.iter().map(|source| VertexRef {
+                round: *round,
+                source,
+            }));
+            self.row_mut(*round).ordered.union_with(sources);
         }
         collected
     }
 
     /// True iff `r` has been emitted into the total order.
     pub fn is_ordered(&self, r: &VertexRef) -> bool {
-        self.ordered.contains(r)
+        self.rounds
+            .get(&r.round)
+            .is_some_and(|row| row.ordered.contains(r.source))
     }
 
     /// Garbage-collects all rounds strictly below `round`.
@@ -320,22 +387,24 @@ impl Dag {
         }
         self.horizon = round;
         self.rounds = self.rounds.split_off(&round);
-        self.pending.retain(|r, _| r.round >= round);
+        let floor = VertexRef {
+            round,
+            source: PartyId(0),
+        };
+        self.pending = self.pending.split_off(&floor);
         self.waiting_on.retain(|_, ws| {
             ws.retain(|w| w.round >= round);
             !ws.is_empty()
         });
-        self.ordered.retain(|r| r.round >= round);
-        let mut freed: Vec<VertexRef> = self
-            .waiting_on
-            .keys()
-            .filter(|r| r.round < round)
-            .copied()
-            .collect();
-        freed.sort();
+        let freed: Vec<VertexRef> = self.waiting_on.range(..floor).map(|(r, _)| *r).collect();
         self.wake_waiters(&freed, &mut live);
         live
     }
+}
+
+/// The stored vertex `r` names, given the row of its round.
+fn stored_in<'a>(row: Option<&'a Row>, r: &VertexRef) -> Option<&'a Stored> {
+    row?.slots.get(r.source.idx())?.as_ref()
 }
 
 #[cfg(test)]
@@ -581,5 +650,17 @@ mod tests {
         dag.prune_below(Round(2));
         let hist = dag.take_causal_history(&vref(3, 0));
         assert!(hist.iter().all(|r| r.round >= Round(2)), "{hist:?}");
+    }
+
+    #[test]
+    fn ordered_marks_need_a_retained_round_and_a_party() {
+        let mut dag = full_dag(4);
+        dag.prune_below(Round(2));
+        for r in [vref(1, 0), vref(3, 4), vref(3, u32::MAX)] {
+            dag.mark_ordered(r);
+            assert!(!dag.is_ordered(&r), "{r:?}");
+        }
+        dag.mark_ordered(vref(9, 3));
+        assert!(dag.is_ordered(&vref(9, 3)), "a mark can precede the vertex");
     }
 }

@@ -8,7 +8,10 @@
 //!
 //! Diffs compare *self nanoseconds per call*, not absolute wall time: call
 //! counts are deterministic for a fixed seed while total wall time moves
-//! with host load, so per-call cost is the stable regression signal.
+//! with host load, so per-call cost is the stable regression signal. Even
+//! per-call time moves with the host, so the time verdict informs; what a
+//! gate can rest on is the `counts:` line — calls, allocations and
+//! allocated bytes per path repeat exactly between two same-seed runs.
 
 use clanbft_telemetry::ndjson::{parse_line, Value};
 use std::collections::BTreeMap;
@@ -236,40 +239,49 @@ struct DiffRow {
 
 /// Compares `cand` against `base` on self-nanoseconds-per-call and renders
 /// per-stage % deltas plus a `verdict:` line naming the worst regression at
-/// or above `threshold_pct` (or declaring the run clean).
+/// or above `threshold_pct` (or declaring the run clean), then a `counts:`
+/// line saying whether calls, allocations and allocated bytes agree on
+/// every path.
 ///
-/// The verdict line is the machine-readable hook: CI greps for
-/// `verdict: REGRESSION` after a profile-smoke run.
+/// The two lines are the machine-readable hooks. `verdict:` is host time:
+/// read it, do not gate on it. `counts: identical` is what two runs of one
+/// seed and one build must print; CI greps for it.
 pub fn profile_diff(base: &PerfProfile, cand: &PerfProfile, threshold_pct: f64) -> String {
     let base_by_path: BTreeMap<&str, &PerfScope> =
         base.scopes.iter().map(|s| (s.path.as_str(), s)).collect();
     let mut rows: Vec<DiffRow> = Vec::new();
     let mut only_cand: Vec<&str> = Vec::new();
+    let exact = |s: &PerfScope| (s.calls, s.allocs, s.alloc_bytes);
+    let mut miscounted: Vec<&str> = Vec::new();
     for s in &cand.scopes {
-        match base_by_path.get(s.path.as_str()) {
-            Some(b) if b.calls > 0 && s.calls > 0 => {
-                let bpc = b.self_ns as f64 / b.calls as f64;
-                let cpc = s.self_ns as f64 / s.calls as f64;
-                // Sub-microsecond stages are timer-noise dominated; a %
-                // delta there is not a signal worth a verdict.
-                if bpc < 100.0 && cpc < 100.0 {
-                    continue;
-                }
-                let delta = if bpc > 0.0 {
-                    (cpc - bpc) / bpc * 100.0
-                } else {
-                    100.0
-                };
-                rows.push(DiffRow {
-                    path: s.path.clone(),
-                    base_ns_per_call: bpc,
-                    cand_ns_per_call: cpc,
-                    delta_pct: delta,
-                });
-            }
-            Some(_) => {}
-            None => only_cand.push(&s.path),
+        let Some(b) = base_by_path.get(s.path.as_str()) else {
+            only_cand.push(&s.path);
+            continue;
+        };
+        if exact(b) != exact(s) {
+            miscounted.push(&s.path);
         }
+        if b.calls == 0 || s.calls == 0 {
+            continue;
+        }
+        let bpc = b.self_ns as f64 / b.calls as f64;
+        let cpc = s.self_ns as f64 / s.calls as f64;
+        // Sub-microsecond stages are timer-noise dominated; a % delta
+        // there is not a signal worth a verdict.
+        if bpc < 100.0 && cpc < 100.0 {
+            continue;
+        }
+        let delta = if bpc > 0.0 {
+            (cpc - bpc) / bpc * 100.0
+        } else {
+            100.0
+        };
+        rows.push(DiffRow {
+            path: s.path.clone(),
+            base_ns_per_call: bpc,
+            cand_ns_per_call: cpc,
+            delta_pct: delta,
+        });
     }
     let cand_paths: std::collections::BTreeSet<&str> =
         cand.scopes.iter().map(|s| s.path.as_str()).collect();
@@ -331,6 +343,16 @@ pub fn profile_diff(base: &PerfProfile, cand: &PerfProfile, threshold_pct: f64) 
         None => out.push_str(&format!(
             "verdict: OK — no stage regressed {:.0}% or more on self ns/call\n",
             threshold_pct
+        )),
+    }
+    let differing = miscounted.len() + only_base.len() + only_cand.len();
+    match miscounted.first().or(only_base.first()).or(only_cand.first()) {
+        Some(first) => out.push_str(&format!(
+            "counts: MISMATCH — {differing} paths differ in calls, allocations or bytes (first: {first})\n"
+        )),
+        None => out.push_str(&format!(
+            "counts: identical — calls, allocations and bytes agree on all {} paths\n",
+            cand.scopes.len()
         )),
     }
     out
@@ -432,6 +454,27 @@ mod tests {
     }
 
     #[test]
+    fn diff_counts_line_is_exact_and_ignores_time() {
+        let base = parse_profile(&sample("base", 4000)).unwrap();
+        // Slower, same counts: the time verdict fires, the counts agree.
+        let slow = parse_profile(&sample("cand", 9000)).unwrap();
+        let d = profile_diff(&base, &slow, 20.0);
+        assert!(d.contains("verdict: REGRESSION"), "{d}");
+        assert!(d.contains("counts: identical"), "{d}");
+        assert!(d.contains("all 3 paths"), "{d}");
+        // One allocation more on one path: a mismatch, named.
+        let mut leaky = base.clone();
+        leaky.scopes[1].allocs += 1;
+        let d = profile_diff(&base, &leaky, 20.0);
+        assert!(d.contains("verdict: OK"), "{d}");
+        assert!(
+            d.contains("counts: MISMATCH — 1 paths differ")
+                && d.contains("(first: sim.deliver;dag.insert)"),
+            "{d}"
+        );
+    }
+
+    #[test]
     fn diff_reports_asymmetric_scopes() {
         let base = parse_profile(&sample("base", 4000)).unwrap();
         let mut cand = parse_profile(&sample("cand", 4000)).unwrap();
@@ -451,5 +494,6 @@ mod tests {
         assert!(d.contains("sim.timer"), "{d}");
         assert!(d.contains("only in baseline"), "{d}");
         assert!(d.contains("only in candidate"), "{d}");
+        assert!(d.contains("counts: MISMATCH — 2 paths differ"), "{d}");
     }
 }

@@ -356,26 +356,11 @@ impl ClientIngress {
         }
     }
 
-    /// Submits the client's next sequence number, advancing it only on
-    /// admission (a rejected client retries the same number later).
-    fn submit(&mut self, client: ClientId, lane: Lane, arrived: Micros) -> bool {
-        let seq = *self.client_next.entry(client.0).or_insert(0);
-        let ok = self
-            .pool
-            .admit(
-                Submission {
-                    client,
-                    seq,
-                    tx_bytes: self.tx_bytes,
-                    lane,
-                },
-                arrived,
-            )
-            .is_ok();
-        if ok {
-            self.client_next.insert(client.0, seq + 1);
-        }
-        ok
+    /// Submits the client's next sequence number (one probe of the client
+    /// table).
+    fn submit(&mut self, client: ClientId, lane: Lane, arrived: Micros) {
+        let next = self.client_next.entry(client.0).or_insert(0);
+        offer(&mut self.pool, self.tx_bytes, client, next, lane, arrived);
     }
 
     /// Historical synthetic model: `t` transactions per proposal, arrivals
@@ -387,6 +372,8 @@ impl ClientIngress {
         // admission loop (scoping `Mempool::admit` itself would cost more
         // than the admission it measures).
         let _prof = clanbft_profiler::scope("mempool.admit");
+        // The one client's cursor is looked up once per poll.
+        let next = self.client_next.entry(SYNTHETIC_CLIENT.0).or_insert(0);
         let gap = to.saturating_sub(from);
         let base = t / SYNTHETIC_QUARTERS;
         let rem = t % SYNTHETIC_QUARTERS;
@@ -396,7 +383,14 @@ impl ClientIngress {
                 / (2 * u64::from(SYNTHETIC_QUARTERS));
             let arrived = to.saturating_sub(Micros(age));
             for _ in 0..count {
-                self.submit(SYNTHETIC_CLIENT, Lane::Normal, arrived);
+                offer(
+                    &mut self.pool,
+                    self.tx_bytes,
+                    SYNTHETIC_CLIENT,
+                    next,
+                    Lane::Normal,
+                    arrived,
+                );
             }
         }
     }
@@ -423,6 +417,28 @@ impl ClientIngress {
             };
             self.submit(client, lane, arrived);
         }
+    }
+}
+
+/// Offers `client`'s transaction number `*next` to the pool and advances the
+/// cursor only on admission: a rejected client retries the same number
+/// later, and neither table moves.
+fn offer(
+    pool: &mut Mempool,
+    tx_bytes: u32,
+    client: ClientId,
+    next: &mut u64,
+    lane: Lane,
+    arrived: Micros,
+) {
+    let sub = Submission {
+        client,
+        seq: *next,
+        tx_bytes,
+        lane,
+    };
+    if pool.admit(sub, arrived).is_ok() {
+        *next += 1;
     }
 }
 
@@ -609,6 +625,47 @@ mod tests {
         let stats = ing.pool().stats();
         assert_eq!(stats.admitted, stats.pulled);
         assert_eq!(stats.admitted, 10);
+    }
+
+    #[test]
+    fn rejected_submission_advances_neither_table() {
+        let mut ing = ClientIngress::new(
+            WorkloadSpec::ClosedLoop {
+                clients: 3,
+                outstanding: 1,
+                stop_at_round: 100,
+            },
+            512,
+            MempoolConfig {
+                capacity_txs: 2,
+                ..MempoolConfig::default()
+            },
+            SizerConfig::default(),
+            7,
+            Telemetry::null(),
+        );
+        // Clients 0 and 1 fill the pool; client 2 meets backpressure.
+        ing.poll(Micros(0), Micros(0), 0);
+        assert_eq!(ing.pool().stats().rejected_full, 1);
+        assert_eq!(ing.pool().tracked_clients(), 2, "no entry for client 2");
+        assert_eq!(ing.pool().expected_seq(ClientId(2)), 0);
+        assert_eq!(ing.client_next[&2], 0, "the cursor did not move");
+        // A duplicate and a gap leave a known client's entry alone too.
+        let probe = |seq| Submission {
+            client: ClientId(0),
+            seq,
+            tx_bytes: 512,
+            lane: Lane::Normal,
+        };
+        assert!(ing.pool.admit(probe(0), Micros(1)).is_err());
+        assert!(ing.pool.admit(probe(5), Micros(1)).is_err());
+        assert_eq!(ing.pool().expected_seq(ClientId(0)), 1);
+        // Once space frees up the same sequence number is admitted.
+        assert_eq!(ing.pull(Micros(2), Micros(1)).len(), 2);
+        ing.submit(ClientId(2), Lane::Normal, Micros(3));
+        assert_eq!(ing.pool().expected_seq(ClientId(2)), 1);
+        assert_eq!(ing.client_next[&2], 1);
+        assert_eq!(ing.pool().stats().admitted, 3);
     }
 
     #[test]

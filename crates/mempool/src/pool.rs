@@ -10,6 +10,7 @@
 use crate::ClientId;
 use clanbft_telemetry::{counters, Telemetry};
 use clanbft_types::Micros;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// Priority lane of a submission. Lower index drains first.
@@ -177,13 +178,20 @@ impl Mempool {
     /// measures. The load generator scopes its admission loops instead
     /// (`mempool.admit` at batch granularity in `loadgen`).
     pub fn admit(&mut self, sub: Submission, now: Micros) -> Result<(), AdmitError> {
-        let expected = self.next_seq.get(&sub.client.0).copied();
-        if expected.is_none() && self.next_seq.len() >= self.cfg.max_clients {
-            self.stats.rejected_client_cap += 1;
-            self.telemetry.add(counters::MEMPOOL_REJECTED_CLIENT_CAP, 1);
-            return Err(AdmitError::ClientTableFull);
-        }
-        let expected = expected.unwrap_or(0);
+        // One probe of the sequence table per submission: the entry is
+        // written only once every check has passed, so a rejection leaves
+        // the table as it was (an unseen client is not even inserted).
+        let (tracked, depth) = (self.next_seq.len(), self.depth());
+        let entry = self.next_seq.entry(sub.client.0);
+        let expected = match &entry {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(_) if tracked >= self.cfg.max_clients => {
+                self.stats.rejected_client_cap += 1;
+                self.telemetry.add(counters::MEMPOOL_REJECTED_CLIENT_CAP, 1);
+                return Err(AdmitError::ClientTableFull);
+            }
+            Entry::Vacant(_) => 0,
+        };
         if sub.seq < expected {
             self.stats.rejected_duplicate += 1;
             self.telemetry.add(counters::MEMPOOL_REJECTED_DUPLICATE, 1);
@@ -194,14 +202,14 @@ impl Mempool {
             self.telemetry.add(counters::MEMPOOL_REJECTED_GAP, 1);
             return Err(AdmitError::Gap { expected });
         }
-        if self.depth() >= self.cfg.capacity_txs
+        if depth >= self.cfg.capacity_txs
             || self.queued_bytes + sub.tx_bytes as usize > self.cfg.capacity_bytes
         {
             self.stats.rejected_full += 1;
             self.telemetry.add(counters::MEMPOOL_REJECTED_FULL, 1);
             return Err(AdmitError::QueueFull);
         }
-        self.next_seq.insert(sub.client.0, expected + 1);
+        *entry.or_insert(0) = expected + 1;
         self.queued_bytes += sub.tx_bytes as usize;
         self.lanes[sub.lane as usize].push_back(PendingTx {
             client: sub.client,

@@ -6,11 +6,11 @@
 use crate::payload::TribePayload;
 use crate::topology::ClanTopology;
 use clanbft_crypto::multisig::AggregateVerdict;
-use clanbft_crypto::{AggregateSignature, Authenticator, Bitmap, Digest, Hasher, Signature};
+use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Hasher, Signature};
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::protocol::{Ctx, Message};
 use clanbft_telemetry::{counters, Event, RbcPhase, Telemetry};
-use clanbft_types::{Evidence, Micros, PartyId, Round, TribeParams};
+use clanbft_types::{Evidence, Micros, PartyId, PartySet, Round, TribeParams};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -321,7 +321,7 @@ struct Held<P: TribePayload> {
     /// certified-digest mismatch attributable equivocation).
     direct: bool,
     /// Peers already served a pull response for this view (rate limiting).
-    served: Bitmap,
+    served: PartySet,
 }
 
 impl<P: TribePayload> Held<P> {
@@ -331,34 +331,44 @@ impl<P: TribePayload> Held<P> {
 }
 
 /// Per-digest vote bookkeeping: the echoes (both flavours) or readies
-/// (signature-free flavour) seen for one digest.
+/// (signature-free flavour) seen for one digest. Fixed size, and up to
+/// [`PartySet::INLINE`] parties nothing behind a pointer.
 struct Tally {
     digest: Digest,
-    all: Bitmap,
-    /// Votes from the source's clan (echoes only).
-    clan_count: usize,
-    /// Signed echoes awaiting certificate assembly (signed flavour). Taken
-    /// by the certificate and not collected afterwards: once the instance
-    /// has sent or accepted a certificate the shares have no reader (bitmap
-    /// and counts keep tracking late echoes).
-    sigs: Vec<(usize, Signature)>,
+    voters: PartySet,
+    /// Size of `voters`; zero only in an instance's unused first echo tally.
+    total: u16,
+    /// Voters from the source's clan (echoes only).
+    clan_count: u16,
 }
 
 impl Tally {
+    fn new(digest: Digest) -> Tally {
+        Tally {
+            digest,
+            voters: PartySet::EMPTY,
+            total: 0,
+            clan_count: 0,
+        }
+    }
+
+    /// Counts `from`'s vote; `false` if it was counted before.
+    fn add(&mut self, from: PartyId, in_clan: bool) -> bool {
+        let fresh = self.voters.insert(from);
+        self.total += u16::from(fresh);
+        self.clan_count += u16::from(fresh && in_clan);
+        fresh
+    }
+
     /// The tally for `digest` in `sets`, created on first use; `None` once
     /// [`MAX_DIGESTS_PER_INSTANCE`] other digests are tracked (a Byzantine
     /// peer cannot allocate unbounded per-digest sets).
-    fn slot(sets: &mut Vec<Tally>, digest: Digest, n: usize) -> Option<&mut Tally> {
+    fn slot(sets: &mut Vec<Tally>, digest: Digest) -> Option<&mut Tally> {
         let at = match sets.iter().position(|s| s.digest == digest) {
             Some(at) => at,
             None if sets.len() >= MAX_DIGESTS_PER_INSTANCE => return None,
             None => {
-                sets.push(Tally {
-                    digest,
-                    all: Bitmap::new(n),
-                    clan_count: 0,
-                    sigs: Vec::new(),
-                });
+                sets.push(Tally::new(digest));
                 sets.len() - 1
             }
         };
@@ -366,36 +376,72 @@ impl Tally {
     }
 }
 
-/// State of one broadcast instance at one party.
-struct Instance<P: TribePayload> {
+/// Signed echoes awaiting certificate assembly (signed flavour). Taken by
+/// the certificate and not collected afterwards: once the instance has sent
+/// or accepted a certificate the shares have no reader (tallies keep
+/// counting late echoes).
+type Shares = Vec<(usize, Signature)>;
+
+/// The facts of an instance an echo or a certificate reads or flips, one bit
+/// each in [`Votes::facts`].
+mod fact {
+    /// Some packet for the instance was admitted: the slot is in use.
+    pub const TOUCHED: u8 = 1 << 0;
+    /// This party echoed (the digest is in the cold part).
+    pub const ECHOED: u8 = 1 << 1;
+    /// A digest is certified ([`super::Votes::certified`]).
+    pub const CERTIFIED: u8 = 1 << 2;
+    /// An echo certificate has been multicast/forwarded (signed flavour).
+    pub const CERT_SENT: u8 = 1 << 3;
+    /// This party has `r_deliver`ed.
+    pub const DELIVERED: u8 = 1 << 4;
+    /// `EchoQuorum` has been emitted.
+    pub const ECHO_QUORUM_EMITTED: u8 = 1 << 5;
+    /// This party sent its READY (signature-free flavour).
+    pub const READY_SENT: u8 = 1 << 6;
+}
+
+/// The hot state of one broadcast instance: all an echo, or a certificate
+/// for an instance already certified, reads and writes. One fixed-size
+/// record, stored inline in its round's row.
+struct Votes {
+    /// Echoes for the first digest seen — the only one unless the source
+    /// equivocates (further digests spill into [`Cold::more_echoes`]).
+    echoes: Tally,
+    /// The certified digest, once [`fact::CERTIFIED`] is set.
+    certified: Digest,
+    /// [`fact`] bits.
+    facts: u8,
+}
+
+/// 136 bytes whatever the tribe size — 144 with the pointer to the cold
+/// part, two cache lines and a quarter: 24 of them are the empty handle of
+/// the voter set's heap part, which only a tribe beyond
+/// [`PartySet::INLINE`] fills.
+const _: () = assert!(std::mem::size_of::<Votes>() == 136);
+
+/// What an echo after the first, or a duplicate certificate, never reads:
+/// custody of the views, pull state, signature shares, the tallies of an
+/// equivocating source. Created on first need.
+struct Cold<P: TribePayload> {
     /// The two views, indexed by [`Which`]. A full payload also fills the
     /// meta slot (it contains the meta view).
     held: [Held<P>; 2],
     /// Digest this party echoed (first valid VAL/meta accepted).
     echoed: Option<Digest>,
-    /// Echoes seen, per digest in first-seen order (one entry unless the
-    /// source equivocates).
-    echoes: Vec<Tally>,
+    /// Shares behind [`Votes::echoes`].
+    shares: Shares,
+    /// Echoes for the second and later digests, in first-seen order.
+    more_echoes: Vec<(Tally, Shares)>,
     /// Readies seen, per digest (signature-free flavour).
     readies: Vec<Tally>,
-    /// Whether this party sent its READY (signature-free flavour).
-    ready_sent: bool,
-    /// Certified digest, once known.
-    certified: Option<Digest>,
-    /// Whether `EchoQuorum` has been emitted.
-    echo_quorum_emitted: bool,
-    /// Whether this party has `r_deliver`ed.
-    delivered: bool,
     /// Pull escalation level: 0 = none, 1 = single-peer probe (echo
     /// quorum), 2 = full quorum fan-out (certification).
     pull_level: u8,
-    /// Whether an echo certificate has been multicast/forwarded (signed
-    /// flavour).
-    cert_sent: bool,
     /// Digest the outstanding pull is for (certified digest once known).
     pull_digest: Option<Digest>,
     /// Peers this party has directed a pull at (rotation avoids re-asking).
-    asked: Bitmap,
+    asked: PartySet,
     /// Retry deadlines fired for this instance so far.
     pull_attempts: u8,
     /// Whether the retry timer chain is running.
@@ -404,71 +450,136 @@ struct Instance<P: TribePayload> {
     equivocation_logged: bool,
 }
 
+impl<P: TribePayload> Cold<P> {
+    /// The cold part behind `slot`, created if absent (takes the field, so
+    /// the hot record stays borrowable beside it).
+    fn of(slot: &mut Option<Box<Cold<P>>>) -> &mut Cold<P> {
+        slot.get_or_insert_with(|| {
+            let held = || Held {
+                view: None,
+                direct: false,
+                served: PartySet::EMPTY,
+            };
+            Box::new(Cold {
+                held: [held(), held()],
+                echoed: None,
+                shares: Vec::new(),
+                more_echoes: Vec::new(),
+                readies: Vec::new(),
+                pull_level: 0,
+                pull_digest: None,
+                asked: PartySet::EMPTY,
+                pull_attempts: 0,
+                retry_armed: false,
+                equivocation_logged: false,
+            })
+        })
+    }
+}
+
+/// State of one broadcast instance at one party.
+struct Instance<P: TribePayload> {
+    votes: Votes,
+    cold: Option<Box<Cold<P>>>,
+}
+
 impl<P: TribePayload> Instance<P> {
-    fn new(n: usize) -> Instance<P> {
-        let held = || Held {
-            view: None,
-            direct: false,
-            served: Bitmap::new(n),
-        };
+    fn unused() -> Instance<P> {
         Instance {
-            held: [held(), held()],
-            echoed: None,
-            echoes: Vec::new(),
-            readies: Vec::new(),
-            ready_sent: false,
-            certified: None,
-            echo_quorum_emitted: false,
-            delivered: false,
-            pull_level: 0,
-            cert_sent: false,
-            pull_digest: None,
-            asked: Bitmap::new(n),
-            pull_attempts: 0,
-            retry_armed: false,
-            equivocation_logged: false,
+            votes: Votes {
+                echoes: Tally::new(Digest::ZERO),
+                certified: Digest::ZERO,
+                facts: 0,
+            },
+            cold: None,
         }
+    }
+
+    fn is(&self, fact: u8) -> bool {
+        self.votes.facts & fact != 0
+    }
+
+    /// Establishes `fact`; returns whether it already held.
+    fn set(&mut self, fact: u8) -> bool {
+        let held = self.is(fact);
+        self.votes.facts |= fact;
+        held
+    }
+
+    fn cold(&mut self) -> &mut Cold<P> {
+        Cold::of(&mut self.cold)
+    }
+
+    fn certified(&self) -> Option<Digest> {
+        self.is(fact::CERTIFIED).then_some(self.votes.certified)
+    }
+
+    fn held(&self, which: Which) -> Option<&Held<P>> {
+        self.cold.as_ref().map(|cold| &cold.held[which as usize])
+    }
+
+    fn holds(&self, which: Which) -> bool {
+        self.held(which).is_some_and(|h| h.view.is_some())
+    }
+
+    /// Echo tallies in first-seen order (one unless the source equivocates).
+    fn echo_tallies(&self) -> impl Iterator<Item = &Tally> {
+        let spilled = self.cold.iter().flat_map(|c| &c.more_echoes);
+        std::iter::once(&self.votes.echoes)
+            .filter(|first| first.total > 0)
+            .chain(spilled.map(|(tally, _)| tally))
     }
 
     /// The echo bookkeeping for `digest`, if any echo for it was counted.
     fn echo_set(&self, digest: &Digest) -> Option<&Tally> {
-        self.echoes.iter().find(|s| s.digest == *digest)
+        self.echo_tallies().find(|s| s.digest == *digest)
+    }
+
+    /// The shares collected behind each echo tally.
+    fn shares_mut(&mut self) -> impl Iterator<Item = (Digest, &mut Shares)> {
+        let first = self.votes.echoes.digest;
+        self.cold.iter_mut().flat_map(move |cold| {
+            let spilled = cold.more_echoes.iter_mut().map(|(t, s)| (t.digest, s));
+            std::iter::once((first, &mut cold.shares)).chain(spilled)
+        })
     }
 }
 
 /// Instance storage addressed by index: a window of rounds starting at the
-/// prune horizon, each round a table of per-source slots. A lookup is two
-/// bounds checks; nothing is hashed. Rounds are materialised on first
-/// touch, so what a far-future flood can allocate stays bounded by the
-/// admission window ([`TribeRbc::admit`] gates every creating access).
+/// prune horizon, each round a row of per-source instances held inline. A
+/// lookup is two bounds checks; nothing is hashed and nothing is behind a
+/// pointer. Rounds are materialised on first touch, so what a far-future
+/// flood can allocate stays bounded by the admission window
+/// ([`TribeRbc::admit`] gates every creating access).
 struct Slots<P: TribePayload> {
     /// Round of `rows[0]`; never below the prune horizon.
     base: Round,
     /// One row per round from `base` on; an untouched round is an empty
-    /// `Vec`, a touched one has `n` slots.
-    rows: VecDeque<Vec<Option<Box<Instance<P>>>>>,
+    /// `Vec`, a touched one has `n` instances.
+    rows: VecDeque<Vec<Instance<P>>>,
 }
 
 impl<P: TribePayload> Slots<P> {
     fn get(&self, round: Round, source: PartyId) -> Option<&Instance<P>> {
         let row = self.rows.get(round.0.checked_sub(self.base.0)? as usize)?;
-        row.get(source.idx())?.as_deref()
+        row.get(source.idx()).filter(|inst| inst.is(fact::TOUCHED))
     }
 
     fn get_mut(&mut self, round: Round, source: PartyId) -> Option<&mut Instance<P>> {
         let row = self
             .rows
             .get_mut(round.0.checked_sub(self.base.0)? as usize)?;
-        row.get_mut(source.idx())?.as_deref_mut()
+        row.get_mut(source.idx())
+            .filter(|inst| inst.is(fact::TOUCHED))
     }
 
-    /// The instance for `(round, source)`, created if absent.
+    /// The instance for `(round, source)`, put to use if it was not.
     ///
     /// # Panics
     ///
     /// Panics if `round` is below the window or `source` is not a party of
     /// the tribe — both excluded by [`TribeRbc::admit`].
-    fn get_or_create(&mut self, round: Round, source: PartyId, n: usize) -> &mut Instance<P> {
+    fn touch(&mut self, round: Round, source: PartyId, n: usize) -> &mut Instance<P> {
         let at = round
             .0
             .checked_sub(self.base.0)
@@ -478,9 +589,11 @@ impl<P: TribePayload> Slots<P> {
         }
         let row = &mut self.rows[at];
         if row.is_empty() {
-            row.resize_with(n, || None);
+            row.resize_with(n, Instance::unused);
         }
-        row[source.idx()].get_or_insert_with(|| Box::new(Instance::new(n)))
+        let inst = &mut row[source.idx()];
+        inst.votes.facts |= fact::TOUCHED;
+        inst
     }
 
     fn prune_below(&mut self, round: Round) {
@@ -494,7 +607,7 @@ impl<P: TribePayload> Slots<P> {
         self.rows
             .iter()
             .flatten()
-            .filter_map(|slot| slot.as_deref())
+            .filter(|inst| inst.is(fact::TOUCHED))
     }
 }
 
@@ -713,8 +826,9 @@ impl<P: TribePayload> TribeRbc<P> {
         };
         for inst in self.slots.iter() {
             stats.instances += 1;
-            stats.echo_digests += inst.echoes.len() as u64;
-            if inst.retry_armed && !inst.delivered {
+            stats.echo_digests += inst.echo_tallies().count() as u64;
+            let pulling = inst.cold.as_ref().is_some_and(|cold| cold.retry_armed);
+            if pulling && !inst.is(fact::DELIVERED) {
                 stats.pending_pulls += 1;
             }
         }
@@ -725,7 +839,7 @@ impl<P: TribePayload> TribeRbc<P> {
     /// digest computed when it was accepted — lets the consensus layer act
     /// on certification before the full payload lands, without rehashing.
     pub fn meta_of(&self, round: Round, source: PartyId) -> Option<(P::Meta, Digest)> {
-        match &self.slots.get(round, source)?.held[Which::Meta as usize].view {
+        match &self.slots.get(round, source)?.held(Which::Meta)?.view {
             Some((View::Meta(meta), digest)) => Some((meta.clone(), *digest)),
             _ => None,
         }
@@ -735,7 +849,7 @@ impl<P: TribePayload> TribeRbc<P> {
     pub fn delivered(&self, round: Round, source: PartyId) -> bool {
         self.slots
             .get(round, source)
-            .is_some_and(|inst| inst.delivered)
+            .is_some_and(|inst| inst.is(fact::DELIVERED))
     }
 
     /// Drops state for instances strictly below `round` (garbage
@@ -783,9 +897,9 @@ impl<P: TribePayload> TribeRbc<P> {
             ref msg,
         } = *packet;
         // Bounded buffering: stale (below prune horizon) and far-future
-        // rounds, and sources outside the tribe, are rejected before any
-        // state is allocated.
-        if !self.admit(round, source) {
+        // rounds, and sources or senders outside the tribe, are rejected
+        // before any state is allocated.
+        if !self.admit(from, round, source) {
             return;
         }
         match msg {
@@ -816,11 +930,8 @@ impl<P: TribePayload> TribeRbc<P> {
                         Some(**sig)
                     }
                 };
-                if let Some((total, clan)) = self.note_echo(round, source, from, *digest, share, fx)
-                {
-                    if self.echo_threshold_met(round, source, total, clan) {
-                        self.on_echo_threshold(round, source, *digest, fx);
-                    }
+                if self.note_echo(round, source, from, *digest, share, fx) {
+                    self.on_echo_threshold(round, source, *digest, fx);
                 }
             }
             // Each flavour ignores the other's certification message.
@@ -833,7 +944,7 @@ impl<P: TribePayload> TribeRbc<P> {
                 // Duplicate certificates for an already-certified instance
                 // are dropped before any verification cost is paid.
                 if matches!(self.flavour, Flavour::Signed { .. })
-                    && self.instance(round, source).certified.is_none()
+                    && !self.instance(round, source).is(fact::CERTIFIED)
                     && self.validate_cert(source, round, *digest, cert, fx)
                 {
                     self.send_cert_once(round, source, *digest, Arc::clone(cert), fx);
@@ -846,12 +957,15 @@ impl<P: TribePayload> TribeRbc<P> {
 
     /// Admission gate for every incoming packet: rejects rounds below the
     /// prune horizon (stale/replayed), rounds beyond the bounded buffering
-    /// window (far-future flooding) and sources outside the tribe (no slot
-    /// exists for them). Counted, never silent.
-    fn admit(&mut self, round: Round, source: PartyId) -> bool {
+    /// window (far-future flooding), and sources and senders outside the
+    /// tribe (no slot exists for the one, no vote or pull counts for the
+    /// other). Counted, never silent.
+    fn admit(&mut self, from: PartyId, round: Round, source: PartyId) -> bool {
+        let n = self.cfg.n();
         if round < self.horizon
             || round.0 > self.round_hint.0.saturating_add(self.cfg.round_window)
-            || source.idx() >= self.cfg.n()
+            || source.idx() >= n
+            || from.idx() >= n
         {
             self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1);
             return false;
@@ -859,10 +973,11 @@ impl<P: TribePayload> TribeRbc<P> {
         true
     }
 
-    /// The instance for an admitted `(round, source)`, created if absent.
+    /// The instance for an admitted `(round, source)`, put to use if it was
+    /// not.
     fn instance(&mut self, round: Round, source: PartyId) -> &mut Instance<P> {
         let n = self.cfg.n();
-        self.slots.get_or_create(round, source, n)
+        self.slots.touch(round, source, n)
     }
 
     /// Records one RBC phase event, stamped inside this invocation.
@@ -907,8 +1022,8 @@ impl<P: TribePayload> TribeRbc<P> {
         second: Digest,
         fx: &Effects<P>,
     ) -> bool {
-        let inst = self.instance(round, source);
-        if std::mem::replace(&mut inst.equivocation_logged, true) {
+        let cold = self.instance(round, source).cold();
+        if std::mem::replace(&mut cold.equivocation_logged, true) {
             return false;
         }
         self.record_evidence(
@@ -989,7 +1104,7 @@ impl<P: TribePayload> TribeRbc<P> {
             View::Meta(meta) => P::meta_digest(meta),
         };
         let inst = self.instance(round, source);
-        if let Some(held) = inst.held[which as usize].digest() {
+        if let Some(held) = inst.held(which).and_then(Held::digest) {
             if direct && held == digest {
                 tel.add(counters::REJECTED_DUPLICATE, 1);
             } else if direct && !self.note_equivocation(round, source, held, digest, fx) {
@@ -999,7 +1114,7 @@ impl<P: TribePayload> TribeRbc<P> {
         }
         // A view must match an already-certified digest when one exists (a
         // Byzantine responder cannot swap payloads post-certification).
-        if let Some(certified) = inst.certified.filter(|c| *c != digest) {
+        if let Some(certified) = inst.certified().filter(|c| *c != digest) {
             // Certified A, then a direct VAL for B: the source itself
             // conflicts with its own certified broadcast.
             let attributed = direct
@@ -1010,15 +1125,16 @@ impl<P: TribePayload> TribeRbc<P> {
             }
             return None;
         }
+        let cold = inst.cold();
         if let View::Full(payload) = &view {
-            let meta = &mut inst.held[Which::Meta as usize];
+            let meta = &mut cold.held[Which::Meta as usize];
             if meta.view.is_none() {
                 meta.view = Some((View::Meta(payload.meta()), digest));
                 meta.direct = direct;
             }
             fx.charge(cost.db_write());
         }
-        let held = &mut inst.held[which as usize];
+        let held = &mut cold.held[which as usize];
         held.view = Some((view, digest));
         held.direct = direct;
         Some(digest)
@@ -1027,10 +1143,10 @@ impl<P: TribePayload> TribeRbc<P> {
     /// Echoes `digest` once per instance (signed in the signed flavour).
     fn maybe_echo(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
         let inst = self.instance(round, source);
-        if inst.echoed.is_some() {
+        if inst.set(fact::ECHOED) {
             return;
         }
-        inst.echoed = Some(digest);
+        inst.cold().echoed = Some(digest);
         let sig = match &self.flavour {
             Flavour::SignatureFree => None,
             Flavour::Signed { auth, .. } => {
@@ -1043,8 +1159,11 @@ impl<P: TribePayload> TribeRbc<P> {
         fx.multicast(Dest::All, source, round, RbcMsg::Echo { digest, sig });
     }
 
-    /// Records an echo; returns `(total, clan_count)` after insertion, or
-    /// `None` for duplicates, capped digests and rejected conflicts.
+    /// Records an echo — one visit to the instance's record. Returns whether
+    /// the digest's tally now meets the tribe-assisted echo threshold
+    /// (`2f+1` overall with at least `f_c+1` from the clan that `round`'s
+    /// topology assigns the source to); `false` also for duplicates, capped
+    /// digests and rejected conflicts.
     fn note_echo(
         &mut self,
         round: Round,
@@ -1053,58 +1172,79 @@ impl<P: TribePayload> TribeRbc<P> {
         digest: Digest,
         sig: Option<Signature>,
         fx: &mut Effects<P>,
-    ) -> Option<(usize, usize)> {
+    ) -> bool {
         let n = self.cfg.n();
-        let in_clan = self
-            .cfg
-            .topology_at(round)
-            .clan_for_sender(source)
-            .contains(from);
-        let inst = self.instance(round, source);
-        let second = !inst.echoes.is_empty() && inst.echo_set(&digest).is_none();
-        if second && inst.echoes.len() < MAX_DIGESTS_PER_INSTANCE {
-            // A second distinct digest behind one instance: the source is
-            // behind two payloads (or an echoer is lying about it — see
-            // Evidence docs on attribution strength per variant).
-            // Deterministic "first" digest: what this party accepted or
-            // echoed, falling back to the smallest tracked digest.
-            let first = inst
-                .echoed
-                .or(inst.held[Which::Full as usize].digest())
-                .or(inst.held[Which::Meta as usize].digest())
-                .or_else(|| inst.echoes.iter().map(|s| s.digest).min())
-                .unwrap_or(Digest::ZERO);
-            self.note_equivocation(round, source, first, digest, fx);
+        let quorum = self.cfg.quorum();
+        let clan = self.cfg.topology_at(round).clan_for_sender(source);
+        let (in_clan, clan_quorum) = (clan.contains(from), clan.clan_quorum);
+        let inst = self.slots.touch(round, source, n);
+        if inst.votes.echoes.total == 0 {
+            inst.votes.echoes.digest = digest;
         }
-        let inst = self.instance(round, source);
-        let keep_share = !inst.cert_sent && inst.certified.is_none();
-        let Some(set) = Tally::slot(&mut inst.echoes, digest, n) else {
-            self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1);
-            return None;
+        let keep_share = !inst.is(fact::CERT_SENT | fact::CERTIFIED);
+        let (tally, shares) = if inst.votes.echoes.digest == digest {
+            let shares = sig
+                .filter(|_| keep_share)
+                .map(|_| &mut Cold::of(&mut inst.cold).shares);
+            (&mut inst.votes.echoes, shares)
+        } else {
+            let Some(at) = self.spilled_echo_tally(round, source, digest, fx) else {
+                self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1);
+                return false;
+            };
+            let (tally, shares) = &mut self.slots.touch(round, source, n).cold().more_echoes[at];
+            (tally, keep_share.then_some(shares))
         };
-        if !set.all.set(from.idx()) {
+        if !tally.add(from, in_clan) {
             self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1);
-            return None;
+            return false;
         }
-        if in_clan {
-            set.clan_count += 1;
+        if let (Some(shares), Some(sig)) = (shares, sig) {
+            if shares.capacity() == 0 {
+                // A certificate needs `2f+1` shares and takes them all.
+                shares.reserve_exact(quorum);
+            }
+            shares.push((from.idx(), sig));
         }
-        if let Some(s) = sig.filter(|_| keep_share) {
-            set.sigs.push((from.idx(), s));
-        }
-        Some((set.all.count(), set.clan_count))
+        usize::from(tally.total) >= quorum && usize::from(tally.clan_count) >= clan_quorum
     }
 
-    /// True iff `(total, clan)` meets the tribe-assisted echo threshold for
-    /// this `source` in `round`: `2f+1` overall with at least `f_c+1` from
-    /// the clan that `round`'s topology assigns the source to.
-    fn echo_threshold_met(&self, round: Round, source: PartyId, total: usize, clan: usize) -> bool {
-        let clan_quorum = self
-            .cfg
-            .topology_at(round)
-            .clan_for_sender(source)
-            .clan_quorum;
-        total >= self.cfg.quorum() && clan >= clan_quorum
+    /// Where [`Cold::more_echoes`] tallies `digest`, which differs from the
+    /// instance's first echo digest: a second distinct digest behind one
+    /// instance means the source is behind two payloads (or an echoer is
+    /// lying about it — see Evidence docs on attribution strength per
+    /// variant). `None` once [`MAX_DIGESTS_PER_INSTANCE`] are tracked.
+    fn spilled_echo_tally(
+        &mut self,
+        round: Round,
+        source: PartyId,
+        digest: Digest,
+        fx: &mut Effects<P>,
+    ) -> Option<usize> {
+        let inst = self.instance(round, source);
+        if let Some(at) = inst.echo_tallies().position(|t| t.digest == digest) {
+            return Some(at - 1);
+        }
+        let tracked = inst.echo_tallies().count();
+        if tracked >= MAX_DIGESTS_PER_INSTANCE {
+            return None;
+        }
+        // Deterministic "first" digest: what this party accepted or echoed,
+        // falling back to the smallest tracked digest.
+        let first = inst
+            .cold
+            .as_ref()
+            .and_then(|cold| {
+                cold.echoed
+                    .or(cold.held[Which::Full as usize].digest())
+                    .or(cold.held[Which::Meta as usize].digest())
+            })
+            .or_else(|| inst.echo_tallies().map(|s| s.digest).min())
+            .unwrap_or(Digest::ZERO);
+        self.note_equivocation(round, source, first, digest, fx);
+        let spilled = &mut self.instance(round, source).cold().more_echoes;
+        spilled.push((Tally::new(digest), Vec::new()));
+        Some(tracked - 1)
     }
 
     /// The echo quorum is in: the step that tells the flavours apart.
@@ -1126,14 +1266,13 @@ impl<P: TribePayload> TribeRbc<P> {
                 // shares: nothing reads them afterwards.
                 let n = self.cfg.n();
                 let inst = self.instance(round, source);
-                if inst.cert_sent {
+                if inst.is(fact::CERT_SENT) {
                     return;
                 }
                 let shares = inst
-                    .echoes
-                    .iter_mut()
-                    .find(|set| set.digest == digest)
-                    .map(|set| std::mem::take(&mut set.sigs))
+                    .shares_mut()
+                    .find(|(of, _)| *of == digest)
+                    .map(|(_, shares)| std::mem::take(shares))
                     .unwrap_or_default();
                 let cert = Arc::new(AggregateSignature::aggregate(n, &shares));
                 self.send_cert_once(round, source, digest, cert, fx);
@@ -1155,13 +1294,12 @@ impl<P: TribePayload> TribeRbc<P> {
         fx: &mut Effects<P>,
     ) {
         let inst = self.instance(round, source);
-        if inst.cert_sent {
+        if inst.set(fact::CERT_SENT) {
             return;
         }
-        inst.cert_sent = true;
         // Shares collected towards a certificate of our own are moot now.
-        for set in &mut inst.echoes {
-            set.sigs = Vec::new();
+        for (_, shares) in inst.shares_mut() {
+            *shares = Vec::new();
         }
         fx.multicast(
             Dest::Others,
@@ -1228,19 +1366,16 @@ impl<P: TribePayload> TribeRbc<P> {
     ) {
         let n = self.cfg.n();
         let tel = &self.cfg.telemetry;
-        let Some(set) = Tally::slot(
-            &mut self.slots.get_or_create(round, source, n).readies,
-            digest,
-            n,
-        ) else {
+        let readies = &mut self.slots.touch(round, source, n).cold().readies;
+        let Some(set) = Tally::slot(readies, digest) else {
             tel.add(counters::REJECTED_BUFFER_FULL, 1);
             return;
         };
-        if !set.all.set(from.idx()) {
+        if !set.add(from, false) {
             tel.add(counters::REJECTED_DUPLICATE, 1);
             return;
         }
-        let count = set.all.count();
+        let count = usize::from(set.total);
         // Amplification: f+1 READYs convince us even without the echo
         // quorum.
         if count >= self.cfg.small_quorum() {
@@ -1252,8 +1387,7 @@ impl<P: TribePayload> TribeRbc<P> {
     }
 
     fn maybe_ready(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
-        let inst = self.instance(round, source);
-        if !std::mem::replace(&mut inst.ready_sent, true) {
+        if !self.instance(round, source).set(fact::READY_SENT) {
             fx.multicast(Dest::All, source, round, RbcMsg::Ready { digest });
         }
     }
@@ -1268,10 +1402,10 @@ impl<P: TribePayload> TribeRbc<P> {
         fx: &mut Effects<P>,
     ) {
         let inst = self.instance(round, source);
-        if std::mem::replace(&mut inst.echo_quorum_emitted, true) {
+        if inst.set(fact::ECHO_QUORUM_EMITTED) {
             return;
         }
-        let lacks_payload = inst.held[Which::Full as usize].view.is_none();
+        let lacks_payload = !inst.holds(Which::Full);
         fx.events.push(RbcEvent::EchoQuorum {
             source,
             round,
@@ -1295,15 +1429,16 @@ impl<P: TribePayload> TribeRbc<P> {
         // legitimately active: widen the admission window to it.
         self.note_round(round);
         let inst = self.instance(round, source);
-        if inst.certified.is_some() {
+        if inst.set(fact::CERTIFIED) {
             return;
         }
-        inst.certified = Some(digest);
+        inst.votes.certified = digest;
         // A direct copy from the source that disagrees with the digest the
         // tribe certified is attributable equivocation.
         let conflicting = inst
-            .held
+            .cold
             .iter()
+            .flat_map(|cold| &cold.held)
             .find_map(|h| h.digest().filter(|d| *d != digest && h.direct));
         fx.events.push(RbcEvent::Certified {
             source,
@@ -1325,7 +1460,9 @@ impl<P: TribePayload> TribeRbc<P> {
         if !delivered {
             // View missing or (Byzantine sender) mismatched — discard a
             // mismatch and pull the certified one.
-            self.instance(round, source).held[which as usize].view = None;
+            if let Some(cold) = &mut self.instance(round, source).cold {
+                cold.held[which as usize].view = None;
+            }
             self.start_pull(round, source, digest, 2, fx);
         }
     }
@@ -1336,15 +1473,18 @@ impl<P: TribePayload> TribeRbc<P> {
     fn try_deliver(&mut self, round: Round, source: PartyId, fx: &mut Effects<P>) -> bool {
         let which = self.my_view(round, source);
         let inst = self.instance(round, source);
-        let (Some(certified), Some((view, digest))) =
-            (inst.certified, &inst.held[which as usize].view)
-        else {
+        // Field by field: the view stays borrowed while the fact is set.
+        let view = inst
+            .cold
+            .as_ref()
+            .map(|cold| &cold.held[which as usize].view);
+        let (Some(certified), Some(Some((view, digest)))) = (inst.certified(), view) else {
             return false;
         };
-        if inst.delivered || *digest != certified {
+        if inst.is(fact::DELIVERED) || *digest != certified {
             return false;
         }
-        inst.delivered = true;
+        inst.votes.facts |= fact::DELIVERED;
         let digest = certified;
         fx.events.push(match view {
             View::Full(payload) => RbcEvent::DeliverFull {
@@ -1394,12 +1534,12 @@ impl<P: TribePayload> TribeRbc<P> {
         level: u8,
         fx: &mut Effects<P>,
     ) {
-        let inst = self.instance(round, source);
-        if inst.pull_level >= level {
+        let cold = self.instance(round, source).cold();
+        if cold.pull_level >= level {
             return;
         }
-        let already = inst.pull_level as usize;
-        inst.pull_level = level;
+        let already = cold.pull_level as usize;
+        cold.pull_level = level;
         self.trace(RbcPhase::PullStarted, round, source, fx);
         let pull_retry = self.cfg.pull_retry;
         let (which, eligible, quorum) = self.pull_scope(round, source);
@@ -1408,9 +1548,8 @@ impl<P: TribePayload> TribeRbc<P> {
         let mut targets: Vec<PartyId> = inst
             .echo_set(&digest)
             .map(|set| {
-                set.all
+                set.voters
                     .iter()
-                    .map(|i| PartyId(i as u32))
                     .filter(|p| eligible.contains(p))
                     .take(want)
                     .skip(already)
@@ -1422,15 +1561,16 @@ impl<P: TribePayload> TribeRbc<P> {
         if targets.is_empty() && already == 0 {
             targets = eligible.into_iter().take(want).collect();
         }
-        inst.pull_digest = Some(digest);
+        let cold = inst.cold();
+        cold.pull_digest = Some(digest);
         for t in targets {
-            inst.asked.set(t.idx());
+            cold.asked.insert(t);
             fx.send(t, source, round, which.request(digest));
         }
         // Arm the retry chain: if none of the targets answers before the
         // deadline, `on_retry` rotates to peers not yet asked.
-        if !inst.retry_armed {
-            inst.retry_armed = true;
+        if !cold.retry_armed {
+            cold.retry_armed = true;
             fx.timers.push((pull_retry, retry_token(round, source)));
         }
     }
@@ -1451,8 +1591,8 @@ impl<P: TribePayload> TribeRbc<P> {
         fx: &mut Effects<P>,
     ) {
         let tel = self.cfg.telemetry.clone();
-        let held = &mut self.instance(round, source).held[which as usize];
-        if held.served.get(from.idx()) {
+        let held = &mut self.instance(round, source).cold().held[which as usize];
+        if held.served.contains(from) {
             tel.add(counters::REJECTED_DUPLICATE, 1);
             return;
         }
@@ -1461,7 +1601,7 @@ impl<P: TribePayload> TribeRbc<P> {
             Some((View::Meta(meta), d)) if *d == digest => RbcMsg::MetaResp(meta.clone()),
             _ => return,
         };
-        held.served.set(from.idx());
+        held.served.insert(from);
         fx.send(from, source, round, response);
     }
 
@@ -1473,7 +1613,6 @@ impl<P: TribePayload> TribeRbc<P> {
     pub fn on_retry(&mut self, round: Round, source: PartyId, fx: &mut Effects<P>) {
         let _prof = clanbft_profiler::scope("rbc.retry");
         let base = self.cfg.pull_retry;
-        let n = self.cfg.n();
         if round < self.horizon {
             return; // instance pruned (committed + GC'd): chain dies
         }
@@ -1481,45 +1620,46 @@ impl<P: TribePayload> TribeRbc<P> {
         let Some(inst) = self.slots.get_mut(round, source) else {
             return;
         };
-        if inst.delivered || inst.pull_attempts >= MAX_PULL_ATTEMPTS {
-            inst.retry_armed = false;
+        let (delivered, certified) = (inst.is(fact::DELIVERED), inst.certified());
+        let wanted = certified.or(inst.cold.as_ref().and_then(|cold| cold.pull_digest));
+        let echoers = wanted.and_then(|digest| inst.echo_set(&digest));
+        let echoers = echoers.map_or(PartySet::EMPTY, |set| set.voters.clone());
+        let cold = Cold::of(&mut inst.cold);
+        if delivered || cold.pull_attempts >= MAX_PULL_ATTEMPTS {
+            cold.retry_armed = false;
             return;
         }
-        inst.pull_attempts += 1;
-        let delay = Micros(base.0 << (inst.pull_attempts.min(3) as u64));
-        let Some(digest) = inst.certified.or(inst.pull_digest) else {
+        cold.pull_attempts += 1;
+        let delay = Micros(base.0 << (cold.pull_attempts.min(3) as u64));
+        let Some(digest) = wanted else {
             // Nothing certified and no pull outstanding: keep a slow
             // heartbeat in case certification arrives later (it will
             // escalate pulls itself; this chain is already armed).
             fx.timers.push((delay, retry_token(round, source)));
             return;
         };
-        if inst.held[which as usize].view.is_some() {
-            inst.retry_armed = false;
+        if cold.held[which as usize].view.is_some() {
+            cold.retry_armed = false;
             return;
         }
         // Rotate: prefer echoers of the digest we have not asked yet, then
         // any eligible peer not asked; once everyone was asked, clear the
         // slate and start over (a served response would have delivered).
-        let echoers: Vec<PartyId> = inst
-            .echo_set(&digest)
-            .map(|set| set.all.iter().map(|i| PartyId(i as u32)).collect())
-            .unwrap_or_default();
         let mut targets: Vec<PartyId> = Vec::with_capacity(want);
-        for p in echoers.iter().chain(eligible.iter()).copied() {
+        for p in echoers.iter().chain(eligible.iter().copied()) {
             if targets.len() >= want {
                 break;
             }
-            if eligible.contains(&p) && !inst.asked.get(p.idx()) && !targets.contains(&p) {
+            if eligible.contains(&p) && !cold.asked.contains(p) && !targets.contains(&p) {
                 targets.push(p);
             }
         }
         if targets.is_empty() {
-            inst.asked = Bitmap::new(n);
+            cold.asked = PartySet::EMPTY;
             targets = eligible.into_iter().take(want).collect();
         }
         for t in &targets {
-            inst.asked.set(t.idx());
+            cold.asked.insert(*t);
         }
         self.cfg.telemetry.add(counters::PULL_RETRIES, 1);
         self.trace(RbcPhase::PullRetry, round, source, fx);
@@ -1599,9 +1739,11 @@ mod tests {
     /// `(echoes counted, signature shares held)` for the instance under test.
     fn echo_state(rig: &Rig) -> (usize, usize) {
         let inst = rig.engine.slots.get(ROUND, SOURCE).expect("instance");
+        let cold = inst.cold.as_ref().expect("the VAL was accepted");
+        let spilled = cold.more_echoes.iter().map(|(_, shares)| shares.len());
         (
-            inst.echoes.iter().map(|set| set.all.count()).sum(),
-            inst.echoes.iter().map(|set| set.sigs.len()).sum(),
+            inst.echo_tallies().map(|set| usize::from(set.total)).sum(),
+            cold.shares.len() + spilled.sum::<usize>(),
         )
     }
 

@@ -5,16 +5,15 @@
 //! multi-clan each sender targets its own clan; for standard (tribe-wide)
 //! RBC there is a single clan containing everybody.
 
-use clanbft_crypto::Bitmap;
-use clanbft_types::{PartyId, TribeParams};
+use clanbft_types::{PartyId, PartySet, TribeParams};
 
 /// One clan's membership, precomputed for O(1) checks.
 #[derive(Clone, Debug)]
 pub struct ClanInfo {
     /// Members sorted by party id.
     pub members: Vec<PartyId>,
-    /// Membership bitmap over the tribe.
-    pub member_bits: Bitmap,
+    /// Membership set over the tribe.
+    pub member_bits: PartySet,
     /// The `f_c + 1` threshold of this clan.
     pub clan_quorum: usize,
 }
@@ -23,9 +22,10 @@ impl ClanInfo {
     fn new(n: usize, mut members: Vec<PartyId>) -> ClanInfo {
         members.sort_unstable();
         members.dedup();
-        let mut member_bits = Bitmap::new(n);
+        let mut member_bits = PartySet::EMPTY;
         for &p in &members {
-            member_bits.set(p.idx());
+            assert!(p.idx() < n, "clan member {p} outside the tribe of {n}");
+            member_bits.insert(p);
         }
         let nc = members.len();
         assert!(nc >= 1, "clan cannot be empty");
@@ -39,7 +39,7 @@ impl ClanInfo {
 
     /// True iff `p` belongs to this clan.
     pub fn contains(&self, p: PartyId) -> bool {
-        self.member_bits.get(p.idx())
+        self.member_bits.contains(p)
     }
 
     /// Clan size.

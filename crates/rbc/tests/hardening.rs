@@ -279,6 +279,102 @@ fn per_instance_digest_tracking_is_capped() {
     assert_eq!(ev[0].culprit(), PartyId(0), "attributed to the source");
 }
 
+/// Feeds a correctly signed echo of `digest` from `signer`, for party 0's
+/// broadcast in `round`.
+fn feed_echo_of(rig: &mut Rig, signer: u32, round: u64, digest: Digest) -> Effects<BytesPayload> {
+    let statement = echo_statement(PartyId(0), Round(round), &digest);
+    let sig = rig.auths[signer as usize].sign_digest(&statement);
+    let sig = Some(Arc::new(sig));
+    handle(rig, signer, packet(0, round, RbcMsg::Echo { digest, sig }))
+}
+
+#[test]
+fn equivocating_source_spills_tallies_up_to_the_cap() {
+    // Two up to cap + 1 digests behind one instance: the first sits in the
+    // instance's inline record, the next ones spill behind it, the one past
+    // the cap is refused, and the divergence is evidenced once, naming the
+    // first two digests in arrival order.
+    for k in 2..=MAX_DIGESTS_PER_INSTANCE + 1 {
+        let mut r = rig(7, 1);
+        let digests: Vec<Digest> = (0..k as u8).map(|i| Digest::of(&[0xE0, i])).collect();
+        for d in &digests {
+            let fx = feed_echo_of(&mut r, 2, 1, *d);
+            assert!(fx.out.is_empty() && fx.events.is_empty());
+        }
+        let tracked = k.min(MAX_DIGESTS_PER_INSTANCE);
+        assert_eq!(
+            r.engine.buffer_stats().echo_digests,
+            tracked as u64,
+            "k={k}"
+        );
+        assert_eq!(
+            r.rec.counter(counters::REJECTED_BUFFER_FULL),
+            (k - tracked) as u64,
+            "k={k}: only the digest past the cap is refused"
+        );
+        assert_eq!(
+            r.engine.take_evidence(),
+            vec![clanbft_types::Evidence::EquivocatingSource {
+                round: Round(1),
+                source: PartyId(0),
+                first: digests[0],
+                second: digests[1],
+            }],
+            "k={k}"
+        );
+        // A duplicate of a spilled echo is a duplicate, not a new digest.
+        feed_echo_of(&mut r, 2, 1, digests[1]);
+        assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), 1);
+        // The last tracked digest — a spilled one — gathers a quorum (party
+        // 2's echo above plus four more): its certificate is assembled from
+        // the shares kept beside its tally.
+        let winner = digests[tracked - 1];
+        let mut cert = None;
+        for signer in [0, 3, 4, 5] {
+            assert!(cert.is_none(), "k={k}: certificate before the quorum");
+            let fx = feed_echo_of(&mut r, signer, 1, winner);
+            cert = fx.out.iter().find_map(|(_, p)| match &p.msg {
+                RbcMsg::EchoCert { digest, cert } => Some((*digest, cert.count())),
+                _ => None,
+            });
+        }
+        assert_eq!(cert, Some((winner, 5)), "k={k}");
+        assert!(r.engine.take_evidence().is_empty(), "evidenced once");
+    }
+}
+
+#[test]
+fn window_slide_keeps_later_rounds_and_recreates_fresh_slots() {
+    let mut r = rig(4, 1);
+    let digest = TribePayload::rbc_digest(&payload());
+    for round in [3, 4, 7] {
+        feed_echo_of(&mut r, 2, round, digest);
+    }
+    handle(&mut r, 0, packet(0, 7, RbcMsg::Val(payload())));
+    assert_eq!(r.engine.buffer_stats().instances, 3);
+    r.engine.prune_below(Round(5));
+    // Round 7 moved to the front of the window with its state intact: the
+    // echo counted before the slide is still a duplicate, the view is held.
+    assert_eq!(r.engine.buffer_stats().instances, 1);
+    assert!(r.engine.meta_of(Round(7), PartyId(0)).is_some());
+    feed_echo_of(&mut r, 2, 7, digest);
+    assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), 1);
+    // Rounds 5 and 6 were never touched: their slots start from nothing,
+    // whatever the rows that used to sit at their offsets held.
+    for round in [5, 6] {
+        assert!(r.engine.meta_of(Round(round), PartyId(0)).is_none());
+        feed_echo_of(&mut r, 2, round, digest);
+    }
+    assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), 1);
+    let stats = r.engine.buffer_stats();
+    assert_eq!((stats.instances, stats.echo_digests), (3, 3));
+    // Sliding past everything empties the window; a later round refills it.
+    r.engine.prune_below(Round(100));
+    assert_eq!(r.engine.buffer_stats().instances, 0);
+    feed_echo_of(&mut r, 2, 100, digest);
+    assert_eq!(r.engine.buffer_stats().instances, 1);
+}
+
 #[test]
 fn withheld_meta_delivers_within_one_retry_deadline_of_certification() {
     // A Byzantine sender deprives one non-clan party of its meta view. The
@@ -360,6 +456,24 @@ fn cert_formed(fx: &Effects<BytesPayload>) -> bool {
 }
 
 #[test]
+fn a_tribe_past_the_inline_voter_set_certifies_at_its_quorum() {
+    // n = 300 (quorum 201), echoes arriving from the highest party down:
+    // the first 44 voters sit past `PartySet::INLINE`. Each echo is fed
+    // twice; only distinct voters count.
+    let n = 300;
+    let quorum = TribeParams::new(n).quorum();
+    let mut r = rig(n, 1);
+    handle(&mut r, 0, packet(0, 1, RbcMsg::Val(payload())));
+    let certified_at = (0..n as u32).rev().position(|signer| {
+        let formed = cert_formed(&feed_echo(&mut r, signer, 0, 1));
+        assert!(!cert_formed(&feed_echo(&mut r, signer, 0, 1)), "repeat");
+        formed
+    });
+    assert_eq!(certified_at, Some(quorum - 1));
+    assert!(r.engine.delivered(Round(1), PartyId(0)));
+}
+
+#[test]
 fn pruned_rounds_stay_dead_and_lookups_never_allocate() {
     let mut r = rig(4, 1);
     handle(&mut r, 0, packet(0, 10, RbcMsg::Val(payload())));
@@ -427,6 +541,25 @@ fn admission_window_edge_and_foreign_sources() {
     let fx = feed_echo(&mut r, 2, 4, 5);
     assert!(fx.out.is_empty() && fx.events.is_empty());
     assert_eq!(r.rec.counter(counters::REJECTED_BUFFER_FULL), 2);
+    assert_eq!(r.engine.buffer_stats().instances, 1);
+
+    // Nor does a sender outside the tribe vote or pull: three echoes would
+    // be a quorum at n = 4, and none of these is counted or answered.
+    let digest = TribePayload::rbc_digest(&payload());
+    let sig = Some(Arc::new(r.auths[2].sign_digest(&digest)));
+    for (at, from) in [4, 5, 300, u32::MAX].into_iter().enumerate() {
+        let echo = RbcMsg::Echo {
+            digest,
+            sig: sig.clone(),
+        };
+        let pull = RbcMsg::Pull { digest };
+        for msg in [echo, pull] {
+            let fx = handle(&mut r, from, packet(0, 266, msg));
+            assert!(fx.out.is_empty() && fx.events.is_empty(), "from {from}");
+        }
+        let rejected = r.rec.counter(counters::REJECTED_BUFFER_FULL);
+        assert_eq!(rejected, 2 + 2 * (at as u64 + 1));
+    }
     assert_eq!(r.engine.buffer_stats().instances, 1);
 }
 

@@ -14,17 +14,27 @@
 //! yields FIFO among equal timestamps. A bucket's storage is released when
 //! its last event is popped.
 //!
+//! The next [`RING`] buckets are a ring indexed by bucket number — where
+//! every delivery lands (propagation is a few hundred milliseconds at
+//! most), so a push is an index, not a tree walk. Only what lies further
+//! ahead (round timeouts, restarts) waits in an ordered map and moves into
+//! the ring as the clock approaches. Ring slots and the map hold no storage
+//! of their own: nothing is pooled.
+//!
 //! # Invariant
 //!
-//! Pushes never go backwards in time past the bucket currently being
-//! drained: the simulator only schedules at or after the current event's
-//! timestamp. Pushes *into* the active bucket are inserted in order.
+//! Pushes never go backwards in time past the bucket last promoted: the
+//! simulator only schedules at or after the current event's timestamp.
+//! Pushes *into* the active bucket are inserted in order.
 
 use clanbft_types::Micros;
 use std::collections::BTreeMap;
 
 /// Bucket width in microseconds (one simulated millisecond).
 const BUCKET_WIDTH_US: u64 = 1_000;
+
+/// Buckets addressed directly: a good second of simulated time.
+const RING: u64 = 1_024;
 
 /// The events of one bucket width of simulated time.
 struct Bucket<E> {
@@ -56,8 +66,13 @@ impl<E> Bucket<E> {
 
 /// A deterministic time-ordered event queue.
 pub struct EventQueue<E> {
-    /// Future buckets, keyed by `time / BUCKET_WIDTH_US`.
-    buckets: BTreeMap<u64, Bucket<E>>,
+    /// The buckets `current_key .. current_key + RING`, bucket `k` in slot
+    /// `k % RING` (the active bucket's own slot is empty: it was taken).
+    near: Vec<Bucket<E>>,
+    /// Events waiting in `near`.
+    near_len: usize,
+    /// Buckets at `current_key + RING` and beyond.
+    far: BTreeMap<u64, Bucket<E>>,
     /// The active bucket.
     current: Bucket<E>,
     /// Key of the active bucket.
@@ -68,7 +83,9 @@ pub struct EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
-            buckets: BTreeMap::new(),
+            near: (0..RING).map(|_| Bucket::default()).collect(),
+            near_len: 0,
+            far: BTreeMap::new(),
             current: Bucket::default(),
             current_key: 0,
             len: 0,
@@ -90,8 +107,8 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if `at` lies before the bucket currently
-    /// being drained — the simulator never schedules into the past.
+    /// Panics if `at` lies before the bucket last promoted — the simulator
+    /// never schedules into the past.
     #[inline]
     pub fn push(&mut self, at: Micros, event: E) {
         self.len += 1;
@@ -103,11 +120,18 @@ impl<E> EventQueue<E> {
             self.current.keys.insert(pos, entry);
             return;
         }
-        debug_assert!(
-            self.current.keys.is_empty() || key > self.current_key,
+        // (`key == current_key` with the active bucket drained is fine: its
+        // ring slot is free again.)
+        assert!(
+            key >= self.current_key + u64::from(!self.current.keys.is_empty()),
             "event scheduled into the past"
         );
-        let bucket = self.buckets.entry(key).or_default();
+        let bucket = if key - self.current_key < RING {
+            self.near_len += 1;
+            &mut self.near[(key % RING) as usize]
+        } else {
+            self.far.entry(key).or_default()
+        };
         let entry = bucket.store(at, event);
         bucket.keys.push(entry);
     }
@@ -117,13 +141,35 @@ impl<E> EventQueue<E> {
         if !self.current.keys.is_empty() {
             return;
         }
-        if let Some((key, mut bucket)) = self.buckets.pop_first() {
-            // Descending so pop() takes the earliest from the back; keys
-            // are unique, so the unstable sort is deterministic.
-            bucket.keys.sort_unstable_by(|a, b| b.cmp(a));
-            self.current = bucket;
+        let mut bucket = if self.near_len > 0 {
+            // Some slot of the ring holds events: the first from the
+            // clock's position on is the earliest bucket there is.
+            let key = (self.current_key..self.current_key + RING)
+                .find(|k| !self.near[(k % RING) as usize].keys.is_empty())
+                .expect("near_len counts events in the ring");
             self.current_key = key;
+            let bucket = std::mem::take(&mut self.near[(key % RING) as usize]);
+            self.near_len -= bucket.keys.len();
+            bucket
+        } else if let Some((key, bucket)) = self.far.pop_first() {
+            self.current_key = key;
+            bucket
+        } else {
+            return;
+        };
+        // The ring moved with the clock: what it now covers leaves the map.
+        while let Some(entry) = self.far.first_entry() {
+            if *entry.key() >= self.current_key + RING {
+                break;
+            }
+            let (key, arrived) = entry.remove_entry();
+            self.near_len += arrived.keys.len();
+            self.near[(key % RING) as usize] = arrived;
         }
+        // Descending so pop() takes the earliest from the back; keys are
+        // unique, so the unstable sort is deterministic.
+        bucket.keys.sort_unstable_by(|a, b| b.cmp(a));
+        self.current = bucket;
     }
 
     /// Pops the earliest event (FIFO among equal timestamps).

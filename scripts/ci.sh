@@ -67,20 +67,22 @@ echo "== profile smoke (profiler contract + perf regression gate)"
 # perf_smoke runs the pinned workload disabled / timing-only / fully
 # profiled and asserts in-process: identical commits and event counts
 # across modes, >= 8 stages over >= 5 subsystems with allocation
-# attribution, deterministic scope counts, overhead under tolerance, and
-# the deterministic facts pinned in crates/bench/BENCH_perf_baseline.json
-# (exactly; CLANBFT_PERF_TOL_PCT overrides the overhead tolerance). Wall
-# time is not gated here: benchmark/ judges it with paired runs.
+# attribution, calls / allocations / allocated bytes per scope identical
+# between the two same-seed profiled runs, and the deterministic facts
+# pinned in crates/bench/BENCH_perf_baseline.json. Everything gated is
+# same-seed exact; instrument overhead is printed with its spread. Host
+# time is judged by benchmark/, with alternating paired runs.
 PERF=target/ci-perf
 rm -rf "$PERF"
 cargo run --release --offline -p clanbft-sim --example perf_smoke -- "$PERF"
 # Re-judge the emitted profiles through the inspect binary: the report must
-# name the RBC hot stage, and the a->b diff of two same-seed runs must not
-# flag a stage regression (they differ only by host noise).
+# name the RBC hot stage, and the a->b diff of two same-seed runs must find
+# every count identical (its time verdict is host noise: shown, not gated).
 "$INSPECT" profile "$PERF/profile_a.ndjson" | grep -q "rbc.handle"
-if ! "$INSPECT" profile --diff "$PERF/profile_a.ndjson" "$PERF/profile_b.ndjson" --threshold 75 \
-        | grep -q "verdict: OK"; then
-    echo "inspect profile --diff flagged a regression between same-seed runs" >&2
+DIFF=$("$INSPECT" profile --diff "$PERF/profile_a.ndjson" "$PERF/profile_b.ndjson")
+grep -E '^(verdict|counts):' <<< "$DIFF"
+if ! grep -q "^counts: identical" <<< "$DIFF"; then
+    echo "inspect profile --diff: same-seed runs differ in calls, allocations or bytes" >&2
     exit 1
 fi
 

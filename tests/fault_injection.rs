@@ -2,7 +2,7 @@
 //! asynchrony, and link partitions — the paper's partial-synchrony model
 //! exercised end to end.
 
-use clanbft_monitor::{AlertKind, Detector, HealthMonitor, Verdict};
+use clanbft_monitor::{AlertKind, Detector, HealthMonitor, MonitorConfig, Verdict};
 use clanbft_sim::{build_tribe, TribeSpec};
 use clanbft_simnet::net::Partition;
 use clanbft_types::{Micros, PartyId, Round, VertexRef};
@@ -249,6 +249,17 @@ fn assert_exactly_once(observer: &clanbft_consensus::SailfishNode, proposer: Par
     }
 }
 
+/// A monitor for runs on a real WAL: every detector at its default except
+/// WAL degradation, which judges `fsync` wall time — the shared disk's
+/// mood, not the protocol's (its thresholds have their own synthetic-latency
+/// test in `monitor/src/detect.rs`).
+fn disk_blind_monitor() -> HealthMonitor {
+    HealthMonitor::new(MonitorConfig {
+        wal_fsync_slow_us: u64::MAX,
+        ..MonitorConfig::default()
+    })
+}
+
 /// `detector` must fire for `party` while it is down and clear once the
 /// restarted incarnation rejoins; the run must end healthy.
 ///
@@ -317,7 +328,7 @@ fn restarted_follower_recovers_from_wal() {
     spec.gc_depth = None; // keep blocks: the exactly-once audit reads them
     spec.crashes = vec![(PartyId(2), Micros::from_millis(900))];
     spec.restarts = vec![(PartyId(2), Micros::from_millis(2_600))];
-    let monitor = HealthMonitor::default();
+    let monitor = disk_blind_monitor();
     spec.monitor = Some(monitor.clone());
     let mut built = build_tribe(&spec);
     built.sim.run_until(Micros::from_secs(300));
@@ -395,7 +406,7 @@ fn f_staggered_restarts_preserve_agreement() {
         (PartyId(1), Micros::from_millis(2_400)),
         (PartyId(5), Micros::from_millis(5_200)),
     ];
-    let monitor = HealthMonitor::default();
+    let monitor = disk_blind_monitor();
     spec.monitor = Some(monitor.clone());
     let mut built = build_tribe(&spec);
     built.sim.run_until(Micros::from_secs(300));

@@ -490,6 +490,275 @@ fn dag_insertion_order_is_irrelevant() {
 /// Monte-Carlo bridge between the elector and the exact hypergeometric
 /// math: the empirical dishonest-majority frequency of uniformly elected
 /// clans must match Eq. 1 within sampling error.
+/// The reference the index-addressed [`Dag`] is held to: one ordered map of
+/// live vertices, flat lists for everything else, every set recomputed on
+/// demand. It follows the same buffering rule (a pending vertex waits on its
+/// first missing parent; waiters wake in arrival order), so outcomes must
+/// agree in content *and* order.
+struct NaiveDag {
+    horizon: Round,
+    live: std::collections::BTreeMap<VertexRef, Vertex>,
+    pending: Vec<Vertex>,
+    /// `(missing parent, waiter)` in arrival order.
+    waiting: Vec<(VertexRef, VertexRef)>,
+    ordered: std::collections::BTreeSet<VertexRef>,
+}
+
+impl NaiveDag {
+    fn contains(&self, r: &VertexRef) -> bool {
+        r.round < self.horizon || self.live.contains_key(r)
+    }
+
+    fn first_missing(&self, v: &Vertex) -> Option<VertexRef> {
+        let mut edges = v.strong_edges.iter().chain(&v.weak_edges);
+        edges.find(|e| !self.contains(e)).copied()
+    }
+
+    fn insert(&mut self, v: Vertex) -> InsertOutcome {
+        let vref = v.reference();
+        if self.contains(&vref) || self.pending.iter().any(|p| p.reference() == vref) {
+            return InsertOutcome::Duplicate;
+        }
+        if let Some(missing) = self.first_missing(&v) {
+            self.waiting.push((missing, vref));
+            self.pending.push(v);
+            return InsertOutcome::Pending;
+        }
+        self.live.insert(vref, v);
+        let mut live = vec![vref];
+        self.wake(&[], &mut live);
+        InsertOutcome::Live(live)
+    }
+
+    fn wake(&mut self, freed: &[VertexRef], live: &mut Vec<VertexRef>) {
+        let mut next = 0;
+        while let Some(present) = freed.iter().chain(live.iter()).nth(next).copied() {
+            next += 1;
+            let (woken, rest): (Vec<_>, Vec<_>) =
+                self.waiting.drain(..).partition(|(m, _)| *m == present);
+            self.waiting = rest;
+            for (_, w) in woken {
+                let at = self.pending.iter().position(|p| p.reference() == w);
+                let Some(at) = at else { continue };
+                if let Some(missing) = self.first_missing(&self.pending[at]) {
+                    self.waiting.push((missing, w));
+                    continue;
+                }
+                self.live.insert(w, self.pending.remove(at));
+                live.push(w);
+            }
+        }
+    }
+
+    fn prune_below(&mut self, round: Round) -> Vec<VertexRef> {
+        let mut live = Vec::new();
+        if round <= self.horizon {
+            return live;
+        }
+        self.horizon = round;
+        self.live.retain(|r, _| r.round >= round);
+        self.pending.retain(|v| v.round >= round);
+        self.waiting.retain(|(_, w)| w.round >= round);
+        self.ordered.retain(|r| r.round >= round);
+        let freed: std::collections::BTreeSet<VertexRef> = self
+            .waiting
+            .iter()
+            .map(|(m, _)| *m)
+            .filter(|m| m.round < round)
+            .collect();
+        self.wake(&freed.into_iter().collect::<Vec<_>>(), &mut live);
+        live
+    }
+
+    fn exists_strong_path(&self, from: &VertexRef, to: &VertexRef) -> bool {
+        if from == to {
+            return self.contains(from);
+        }
+        if to.round >= from.round || !self.live.contains_key(from) || to.round < self.horizon {
+            return false;
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        let mut queue = vec![*from];
+        while let Some(cur) = queue.pop() {
+            for e in self.live.get(&cur).map_or(&[][..], |v| &v.strong_edges) {
+                if e == to {
+                    return true;
+                }
+                if e.round > to.round && seen.insert(*e) {
+                    queue.push(*e);
+                }
+            }
+        }
+        false
+    }
+
+    fn take_causal_history(&mut self, root: &VertexRef) -> Vec<VertexRef> {
+        if !self.live.contains_key(root) || self.ordered.contains(root) {
+            return Vec::new();
+        }
+        let mut seen = std::collections::BTreeSet::from([*root]);
+        let mut stack = vec![*root];
+        while let Some(cur) = stack.pop() {
+            let v = &self.live[&cur];
+            for e in v.strong_edges.iter().chain(&v.weak_edges) {
+                let fresh = e.round >= self.horizon
+                    && !self.ordered.contains(e)
+                    && self.live.contains_key(e);
+                if fresh && seen.insert(*e) {
+                    stack.push(*e);
+                }
+            }
+        }
+        self.ordered.extend(seen.iter().copied());
+        seen.into_iter().collect()
+    }
+}
+
+/// A random DAG of up to `ROUNDS` rounds over 4–7 parties: some parties skip
+/// rounds, strong edges are a random quorum of the previous round, weak
+/// edges reach further back, and now and then an edge names a vertex that
+/// will never exist (its child stays pending until the horizon passes it).
+fn arb_dag_vertices(seed: u64) -> (usize, Vec<Vertex>) {
+    const ROUNDS: u64 = 6;
+    let mut rng = ClanRng::seed_from_u64(seed);
+    let n = 4 + (seed % 4) as usize;
+    let quorum = TribeParams::new(n).quorum();
+    let mut rounds: Vec<Vec<VertexRef>> = Vec::new();
+    let mut vertices = Vec::new();
+    for r in 0..ROUNDS {
+        let mut present = Vec::new();
+        for s in 0..n as u32 {
+            if r > 0 && rng.gen_u64_below(8) == 0 {
+                continue;
+            }
+            let vref = VertexRef {
+                round: Round(r),
+                source: PartyId(s),
+            };
+            let (mut strong, mut weak) = (Vec::new(), Vec::new());
+            if r > 0 {
+                strong = rounds[r as usize - 1].clone();
+                rng.shuffle(&mut strong);
+                strong.truncate(rng.gen_usize(quorum.min(strong.len()), strong.len() + 1));
+                if rng.gen_u64_below(10) == 0 {
+                    strong.push(VertexRef {
+                        round: Round(r - 1),
+                        source: PartyId(rng.gen_u64_below(n as u64) as u32),
+                    });
+                    strong.dedup();
+                }
+            }
+            if r > 1 {
+                let older: Vec<VertexRef> = rounds[..r as usize - 1].concat();
+                for _ in 0..rng.gen_u64_below(3) {
+                    weak.push(older[rng.gen_usize(0, older.len())]);
+                }
+                weak.sort();
+                weak.dedup();
+            }
+            vertices.push(Vertex {
+                round: Round(r),
+                source: PartyId(s),
+                block_digest: Digest::of(&[r as u8, s as u8]),
+                block_bytes: 0,
+                block_tx_count: 0,
+                strong_edges: strong,
+                weak_edges: weak,
+                nvc: None,
+                tc: None,
+            });
+            present.push(vref);
+        }
+        rounds.push(present);
+    }
+    (n, vertices)
+}
+
+#[test]
+fn index_addressed_dag_matches_naive_reference() {
+    check_shrink(
+        "index_addressed_dag_matches_naive_reference",
+        CASES * 2,
+        |g| (g.u64(), g.vec(0, 120, |g| (g.u8(), g.u32()))),
+        |(seed, ops)| {
+            let (n, vertices) = arb_dag_vertices(*seed);
+            let refs: Vec<VertexRef> = vertices.iter().map(Vertex::reference).collect();
+            let mut dag = Dag::new(TribeParams::new(n));
+            let mut naive = NaiveDag {
+                horizon: Round(0),
+                live: Default::default(),
+                pending: Vec::new(),
+                waiting: Vec::new(),
+                ordered: Default::default(),
+            };
+            for (step, &(kind, arg)) in ops.iter().enumerate() {
+                let at = arg as usize % vertices.len();
+                match kind % 8 {
+                    // Mostly inserts, in whatever order and as often as the
+                    // ops say: duplicates and pending chains come for free.
+                    0..=4 => {
+                        let (got, want) = (
+                            dag.insert(vertices[at].clone()),
+                            naive.insert(vertices[at].clone()),
+                        );
+                        tk_assert!(got == want, "step {step}: insert {got:?} != {want:?}");
+                    }
+                    5 => {
+                        let round = Round(u64::from(arg) % 7);
+                        let (got, want) = (dag.prune_below(round), naive.prune_below(round));
+                        tk_assert!(got == want, "step {step}: prune {got:?} != {want:?}");
+                    }
+                    6 => {
+                        let got = clanbft_dag::order::causal_order(&mut dag, &[refs[at]]);
+                        let want = naive.take_causal_history(&refs[at]);
+                        tk_assert!(got == want, "step {step}: order {got:?} != {want:?}");
+                    }
+                    _ => {
+                        dag.mark_ordered(refs[at]);
+                        if refs[at].round >= naive.horizon {
+                            naive.ordered.insert(refs[at]);
+                        }
+                    }
+                }
+                tk_assert_eq!(dag.horizon(), naive.horizon);
+                tk_assert_eq!(dag.pending_count(), naive.pending.len());
+                tk_assert_eq!(dag.live_count(), naive.live.len());
+            }
+            for r in 0..7 {
+                let got: Vec<VertexRef> = dag
+                    .round_vertices(Round(r))
+                    .iter()
+                    .map(|v| v.reference())
+                    .collect();
+                let want: Vec<VertexRef> = naive
+                    .live
+                    .keys()
+                    .filter(|k| k.round == Round(r))
+                    .copied()
+                    .collect();
+                tk_assert!(got == want, "round {r}: {got:?} != {want:?}");
+                tk_assert_eq!(dag.round_count(Round(r)), want.len());
+            }
+            let from_horizon: Vec<VertexRef> = dag
+                .live_vertices_from(dag.horizon())
+                .iter()
+                .map(|v| v.reference())
+                .collect();
+            tk_assert_eq!(from_horizon, naive.live.keys().copied().collect::<Vec<_>>());
+            for a in &refs {
+                tk_assert_eq!(dag.is_ordered(a), naive.ordered.contains(a));
+                tk_assert_eq!(dag.contains(a), naive.contains(a));
+                for b in &refs {
+                    let (got, want) =
+                        (dag.exists_strong_path(a, b), naive.exists_strong_path(a, b));
+                    tk_assert!(got == want, "path {a:?} -> {b:?}: {got} != {want}");
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
 #[test]
 fn election_frequency_matches_hypergeometric() {
     use clanbft_committee::ClanAssignment;
