@@ -15,13 +15,17 @@
 //! * [`Attack::MutateSig`] — signature bytes flipped on echoes, votes and
 //!   timeouts (rejected as `rejected.bad_sig` when verification is on);
 //! * [`Attack::DoubleVote`] — a second leader vote for a conflicting vertex
-//!   id each round (detected as `Evidence::DoubleVote`).
+//!   id each round (detected as `Evidence::DoubleVote`);
+//! * [`Attack::Misbind`] — well-formed vertices that name another party's
+//!   slot or a far-future round, broadcast in the attacker's own instances
+//!   and served in its pull responses (refused as `rejected.bad_payload`,
+//!   the broadcasts recorded as `Evidence::MisboundPayload`).
 
 use crate::behavior::Behavior;
 use clanbft_consensus::{ConsensusMsg, MergedPayload};
 use clanbft_crypto::{Digest, Signature};
 use clanbft_rbc::{RbcMsg, RbcPacket, TribePayload};
-use clanbft_types::{Block, Encode, Micros, PartyId, Round, TxBatch};
+use clanbft_types::{Block, Encode, Micros, PartyId, Round, TxBatch, Vertex};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -44,6 +48,12 @@ pub enum Attack {
     MutateSig,
     /// Cast a second, conflicting leader vote each round.
     DoubleVote,
+    /// Send vertices that name `victim`'s slot (even rounds) or a round far
+    /// ahead (odd rounds) instead of the instance that carries them.
+    Misbind {
+        /// The party whose slots the even-round vertices claim.
+        victim: PartyId,
+    },
 }
 
 impl Attack {
@@ -58,6 +68,7 @@ impl Attack {
             Attack::Replay => Box::new(Replayer::default()),
             Attack::MutateSig => Box::new(SigMutator),
             Attack::DoubleVote => Box::new(DoubleVoter),
+            Attack::Misbind { victim } => Box::new(Misbinder { victim: *victim }),
         }
     }
 
@@ -70,6 +81,7 @@ impl Attack {
             Attack::Replay => "replay",
             Attack::MutateSig => "mutate_sig",
             Attack::DoubleVote => "double_vote",
+            Attack::Misbind { .. } => "misbind",
         }
     }
 }
@@ -183,7 +195,7 @@ impl DigestMismatcher {
             )
         };
         MergedPayload {
-            vertex: Arc::clone(&payload.vertex),
+            vertex: payload.vertex.clone(),
             block: Arc::new(wrong),
         }
     }
@@ -216,6 +228,61 @@ impl Behavior<ConsensusMsg> for DigestMismatcher {
             }
         }
         emit(to, msg);
+    }
+}
+
+/// How far ahead of its instance an odd-round [`Misbinder`] vertex claims
+/// to be.
+pub const MISBIND_ROUNDS_AHEAD: u64 = 1 << 40;
+
+/// Rewrites every payload this node ships — its own broadcasts and the pull
+/// responses it serves — into a well-formed one that names another
+/// instance than the packet's: `victim`'s slot in the same round, or this
+/// slot in a far-future round (which, accepted, would sit in the DAG's
+/// pending buffer for good).
+struct Misbinder {
+    victim: PartyId,
+}
+
+impl Misbinder {
+    fn misbind(&self, vertex: &Vertex) -> MergedPayload {
+        let mut vertex = vertex.clone();
+        if vertex.round.0 % 2 == 0 {
+            vertex.source = self.victim;
+        } else {
+            vertex.round = Round(vertex.round.0 + MISBIND_ROUNDS_AHEAD);
+            for edge in &mut vertex.strong_edges {
+                edge.round = Round(vertex.round.0 - 1);
+            }
+        }
+        // A block of the named slot, so the pair is consistent in itself.
+        let block = Block::empty(vertex.source, vertex.round);
+        vertex.block_digest = block.digest();
+        vertex.block_bytes = block.encoded_len() as u64;
+        vertex.block_tx_count = block.tx_count();
+        MergedPayload::new(vertex, block)
+    }
+}
+
+impl Behavior<ConsensusMsg> for Misbinder {
+    fn outbound(
+        &mut self,
+        to: PartyId,
+        msg: ConsensusMsg,
+        _now: Micros,
+        emit: &mut dyn FnMut(PartyId, ConsensusMsg),
+    ) {
+        let ConsensusMsg::Rbc(pkt) = msg else {
+            return emit(to, msg);
+        };
+        let msg = match pkt.msg {
+            RbcMsg::Val(p) => RbcMsg::Val(self.misbind(&p.vertex)),
+            RbcMsg::PullResp(p) => RbcMsg::PullResp(self.misbind(&p.vertex)),
+            RbcMsg::ValMeta(m) => RbcMsg::ValMeta(self.misbind(&m).vertex),
+            RbcMsg::MetaResp(m) => RbcMsg::MetaResp(self.misbind(&m).vertex),
+            other => other,
+        };
+        emit(to, ConsensusMsg::Rbc(RbcPacket { msg, ..pkt }));
     }
 }
 
@@ -315,7 +382,7 @@ impl Behavior<ConsensusMsg> for SigMutator {
                 let msg = match pkt.msg {
                     RbcMsg::Echo { digest, sig } => RbcMsg::Echo {
                         digest,
-                        sig: sig.map(|s| Arc::new(flip(&s))),
+                        sig: sig.map(|s| flip(&s)),
                     },
                     other => other,
                 };

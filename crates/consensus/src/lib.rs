@@ -36,5 +36,5 @@ pub use config::NodeConfig;
 pub use execution::{ExecutionReceipt, Executor};
 pub use messages::ConsensusMsg;
 pub use node::{CommittedVertex, SailfishNode};
-pub use payload::MergedPayload;
+pub use payload::{MergedPayload, SharedVertex};
 pub use schedule::LeaderSchedule;

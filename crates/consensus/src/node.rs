@@ -939,7 +939,8 @@ impl SailfishNode {
                     // the block is still in flight (paper §5).
                     if let Some((meta, held)) = self.rbc.meta_of(round, source) {
                         if held == digest {
-                            self.process_vertex(meta, digest, &mut intake, ctx.now(), &mut votes);
+                            let vertex = Arc::clone(meta.arc());
+                            self.process_vertex(vertex, digest, &mut intake, ctx.now(), &mut votes);
                         }
                     }
                 }
@@ -952,7 +953,7 @@ impl SailfishNode {
                     let vref = VertexRef { round, source };
                     self.blocks.insert(vref, Arc::clone(&payload.block));
                     self.process_vertex(
-                        Arc::clone(&payload.vertex),
+                        Arc::clone(payload.vertex.arc()),
                         digest,
                         &mut intake,
                         ctx.now(),
@@ -961,7 +962,8 @@ impl SailfishNode {
                     self.try_execute(ctx.now());
                 }
                 RbcEvent::DeliverMeta { digest, meta, .. } => {
-                    self.process_vertex(meta, digest, &mut intake, ctx.now(), &mut votes);
+                    let vertex = Arc::clone(meta.arc());
+                    self.process_vertex(vertex, digest, &mut intake, ctx.now(), &mut votes);
                 }
                 RbcEvent::EchoQuorum { .. } => {}
             }
@@ -1016,6 +1018,9 @@ impl SailfishNode {
             VoteOutcome::New(count) => {
                 if count >= self.cfg.tribe.quorum() {
                     self.try_commit(round, ctx.now());
+                    // The commit's garbage collection may have released
+                    // pending vertices into the current round.
+                    self.try_advance(ctx);
                 }
             }
             VoteOutcome::Duplicate => {
@@ -1106,6 +1111,15 @@ impl Protocol<ConsensusMsg> for SailfishNode {
             ConsensusMsg::Rbc(pkt) => {
                 let mut fx = Effects::at(ctx.now());
                 self.rbc.handle(from, pkt, &mut fx);
+                if fx.is_inert() {
+                    // Two deliveries in three — an echo past the quorum, a
+                    // certificate past the first — move a voter bit or
+                    // nothing: no vertex came in, so no round can have
+                    // completed (`try_advance` runs wherever one can).
+                    ctx.charge(fx.charge);
+                    self.absorb_rbc_evidence();
+                    return;
+                }
                 self.flush(fx, ctx);
             }
             ConsensusMsg::Vote {
@@ -1381,6 +1395,67 @@ mod tests {
         assert!(node.dag.is_known(&honest.reference()));
         assert!(!node.dag.is_known(&crafted.reference()));
         assert_eq!(node.dag.pending_count(), 1);
+    }
+
+    #[test]
+    fn vertex_naming_another_instance_is_refused_live_and_in_a_pull_response() {
+        use clanbft_rbc::{RbcMsg, RbcPacket};
+        let (mut node, _) = test_node(4, 0);
+        let cost = node.cfg.cost;
+        let far = Round(1 << 40);
+        // A well-formed pair naming `(round, source)`, whatever carries it.
+        let naming = |round: u64, source: u32| {
+            let edges = if round == 0 {
+                vec![]
+            } else {
+                full_edges(round - 1, 4)
+            };
+            let block = Block::empty(PartyId(source), Round(round));
+            let mut vertex = bare_vertex(round, source, edges);
+            vertex.block_digest = block.digest();
+            vertex.block_bytes = block.encoded_len() as u64;
+            MergedPayload::new(vertex, block)
+        };
+        let mut deliver = |from: u32, source: u32, msg: RbcMsg<MergedPayload>| {
+            let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
+            let packet = RbcPacket {
+                source: PartyId(source),
+                round: Round(1),
+                msg,
+            };
+            node.on_message(PartyId(from), ConsensusMsg::Rbc(packet), &mut ctx);
+            (ctx.take_outbox().len(), node.evidence().to_vec())
+        };
+        // Live: P1 broadcasts, in its round-1 instance, a vertex naming
+        // P2's slot; P2 one naming a far round. Neither is echoed.
+        let (sent, evidence) = deliver(1, 1, RbcMsg::Val(naming(1, 2)));
+        assert_eq!(sent, 0, "a misbound VAL is not echoed");
+        assert_eq!(
+            evidence,
+            [Evidence::MisboundPayload {
+                round: Round(1),
+                source: PartyId(1),
+                named_round: Round(1),
+                named_source: PartyId(2),
+            }]
+        );
+        let (sent, evidence) = deliver(2, 2, RbcMsg::ValMeta(naming(far.0, 2).vertex));
+        assert_eq!(sent, 0);
+        assert_eq!(evidence.len(), 2);
+        assert_eq!(evidence[1].culprit(), PartyId(2));
+        // Pulled: P3's instance answered by P2 with a vertex of P1's slot.
+        // Refused, and nobody's fault but the responder's: no evidence.
+        let (sent, evidence) = deliver(2, 3, RbcMsg::PullResp(naming(1, 1)));
+        assert_eq!((sent, evidence.len()), (0, 2));
+        let (_, evidence) = deliver(2, 3, RbcMsg::MetaResp(naming(far.0, 3).vertex));
+        assert_eq!(evidence.len(), 2);
+        // The honest vertex of an instance still goes through afterwards.
+        let (sent, _) = deliver(3, 3, RbcMsg::Val(naming(1, 3)));
+        assert!(sent > 0, "the well-bound VAL is echoed");
+        for source in 1..4 {
+            assert!(node.rbc.meta_of(Round(1), PartyId(source)).is_some() == (source == 3));
+        }
+        assert_eq!(node.dag.pending_count(), 0);
     }
 
     #[test]

@@ -10,14 +10,70 @@
 
 use clanbft_crypto::Digest;
 use clanbft_rbc::TribePayload;
-use clanbft_types::{Block, Encode, Vertex};
-use std::sync::Arc;
+use clanbft_types::{Block, Encode, PartyId, Round, Vertex};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+
+/// A vertex as the broadcast layer passes it around: one object however
+/// many parties hold it, with its id beside it once any of them has hashed
+/// it.
+///
+/// Every party needs the id of every vertex it accepts, and in one process
+/// the parties of a simulated tribe hold the same immutable object: the
+/// hash is computed by whoever asks first and read by the rest — once per
+/// payload object instead of once per party. The id cannot be forged: the
+/// cell is private, starts empty, and its only writer is [`SharedVertex::id`]
+/// hashing the vertex it sits beside, which nothing can swap afterwards. A
+/// copy that came another way (decoded from bytes, rebuilt by an
+/// adversary) is another object with a cell of its own.
+#[derive(Clone, Debug)]
+pub struct SharedVertex(Arc<Identified>);
+
+#[derive(Debug)]
+struct Identified {
+    vertex: Arc<Vertex>,
+    id: OnceLock<Digest>,
+}
+
+impl SharedVertex {
+    /// Shares `vertex`, its id not yet computed.
+    pub fn new(vertex: Arc<Vertex>) -> SharedVertex {
+        SharedVertex(Arc::new(Identified {
+            vertex,
+            id: OnceLock::new(),
+        }))
+    }
+
+    /// [`Vertex::id`], hashed by the first caller among all holders.
+    pub fn id(&self) -> Digest {
+        *self.0.id.get_or_init(|| self.0.vertex.id())
+    }
+
+    /// The vertex in the form the DAG stores it.
+    pub fn arc(&self) -> &Arc<Vertex> {
+        &self.0.vertex
+    }
+}
+
+impl Deref for SharedVertex {
+    type Target = Vertex;
+
+    fn deref(&self) -> &Vertex {
+        &self.0.vertex
+    }
+}
+
+impl From<Vertex> for SharedVertex {
+    fn from(vertex: Vertex) -> SharedVertex {
+        SharedVertex::new(Arc::new(vertex))
+    }
+}
 
 /// A vertex and its block, broadcast as a single merged RBC payload.
 #[derive(Clone, Debug)]
 pub struct MergedPayload {
     /// The tribe-wide vertex.
-    pub vertex: Arc<Vertex>,
+    pub vertex: SharedVertex,
     /// The clan-only block.
     pub block: Arc<Block>,
 }
@@ -36,21 +92,21 @@ impl MergedPayload {
             "vertex must bind its block"
         );
         MergedPayload {
-            vertex: Arc::new(vertex),
+            vertex: vertex.into(),
             block: Arc::new(block),
         }
     }
 }
 
 impl TribePayload for MergedPayload {
-    type Meta = Arc<Vertex>;
+    type Meta = SharedVertex;
 
     fn rbc_digest(&self) -> Digest {
         self.vertex.id()
     }
 
     fn meta(&self) -> Self::Meta {
-        Arc::clone(&self.vertex)
+        self.vertex.clone()
     }
 
     fn meta_digest(meta: &Self::Meta) -> Digest {
@@ -63,6 +119,14 @@ impl TribePayload for MergedPayload {
             && self.vertex.round == self.block.round
             && self.vertex.block_bytes == self.block.encoded_len() as u64
             && self.vertex.block_tx_count == self.block.tx_count()
+    }
+
+    fn names_instance(&self) -> Option<(Round, PartyId)> {
+        Some((self.vertex.round, self.vertex.source))
+    }
+
+    fn meta_names_instance(meta: &Self::Meta) -> Option<(Round, PartyId)> {
+        Some((meta.round, meta.source))
     }
 
     fn wire_bytes(&self) -> usize {
@@ -119,7 +183,7 @@ mod tests {
             vec![TxBatch::synthetic(PartyId(1), 0, 99, 512, Micros(5))],
         );
         let forged = MergedPayload {
-            vertex: Arc::clone(&p.vertex),
+            vertex: p.vertex.clone(),
             block: Arc::new(other_block),
         };
         assert!(!forged.validate(), "block swap must be detected");

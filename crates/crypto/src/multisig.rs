@@ -46,13 +46,25 @@ impl AggregateSignature {
     ///
     /// Panics if any signer index is `>= capacity`.
     pub fn aggregate(capacity: usize, pairs: &[(usize, Signature)]) -> AggregateSignature {
-        let mut sorted: Vec<(usize, Signature)> = pairs.to_vec();
-        sorted.sort_by_key(|(i, _)| *i);
+        // Sorted are 8-byte `signer << 32 | position` keys, not the 72-byte
+        // pairs; each signature is then copied once, into place. Position
+        // breaks ties, so the first of a signer's duplicates leads.
+        let mut order: Vec<u64> = pairs
+            .iter()
+            .enumerate()
+            .map(|(position, (signer, _))| {
+                assert!(*signer < capacity, "signer {signer} of {capacity}");
+                let signer = u32::try_from(*signer).expect("under 2^32 parties");
+                let position = u32::try_from(position).expect("under 2^32 pairs");
+                u64::from(signer) << 32 | u64::from(position)
+            })
+            .collect();
+        order.sort_unstable();
         let mut signers = Bitmap::new(capacity);
-        let mut sigs = Vec::with_capacity(sorted.len());
-        for (i, sig) in sorted {
-            if signers.set(i) {
-                sigs.push(sig);
+        let mut sigs = Vec::with_capacity(pairs.len());
+        for key in order {
+            if signers.set((key >> 32) as usize) {
+                sigs.push(pairs[key as u32 as usize].1);
             }
         }
         AggregateSignature { signers, sigs }

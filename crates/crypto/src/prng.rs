@@ -24,10 +24,16 @@
 //! ```
 
 use crate::digest::Hasher;
-use crate::sha256::Sha256;
+use crate::sha256::compress_pair;
 
-/// Bytes of keystream produced per SHA-256 invocation.
+/// Bytes of keystream per block (one SHA-256 output).
 const BLOCK_BYTES: usize = 32;
+
+/// Keystream blocks produced per refill.
+const LANES: usize = 4;
+
+/// Bytes of keystream buffered.
+const BUF_BYTES: usize = LANES * BLOCK_BYTES;
 
 /// Domain tag of a keystream block.
 const BLOCK_DOMAIN: &str = "clanbft/prng-block";
@@ -36,30 +42,43 @@ const BLOCK_DOMAIN: &str = "clanbft/prng-block";
 /// (see [`ClanRng::refill`]).
 const MIDSTATE_COUNTERS: u64 = 1 << 48;
 
+/// The second SHA-256 block of a block preimage whose counter is below
+/// [`MIDSTATE_COUNTERS`], counter bytes (the first six) left zero: the
+/// `0x80` that ends the 70-byte message, and its length in bits.
+const TAIL_BLOCK: [u8; 64] = {
+    let mut block = [0u8; 64];
+    block[6] = 0x80;
+    block[62] = ((70 * 8) >> 8) as u8;
+    block[63] = ((70 * 8) & 0xFF) as u8;
+    block
+};
+
 /// A seedable deterministic PRNG (SHA-256 in counter mode).
 #[derive(Clone, Debug)]
 pub struct ClanRng {
     key: [u8; 32],
     /// Hash state after the first 64 bytes of a block preimage whose
     /// counter is below [`MIDSTATE_COUNTERS`].
-    midstate: Sha256,
+    midstate: [u32; 8],
+    /// Counter of the next block to generate; wraps at 2^64.
     counter: u64,
-    buf: [u8; BLOCK_BYTES],
-    /// Bytes of `buf` already handed out; `BLOCK_BYTES` forces a refill.
+    /// The keystream blocks `counter - LANES .. counter`.
+    buf: [u8; BUF_BYTES],
+    /// Bytes of `buf` already handed out; `BUF_BYTES` forces a refill.
     used: usize,
 }
 
 impl ClanRng {
     /// A generator keyed directly by 32 seed bytes.
     pub fn from_seed(seed: [u8; 32]) -> ClanRng {
-        let mut midstate = Hasher::new(BLOCK_DOMAIN).chain(&seed).into_sha256();
-        midstate.update(&[0, 0]);
+        let mut prefix = Hasher::new(BLOCK_DOMAIN).chain(&seed).into_sha256();
+        prefix.update(&[0, 0]);
         ClanRng {
             key: seed,
-            midstate,
+            midstate: prefix.block_aligned_state(),
             counter: 0,
-            buf: [0u8; BLOCK_BYTES],
-            used: BLOCK_BYTES,
+            buf: [0u8; BUF_BYTES],
+            used: BUF_BYTES,
         }
     }
 
@@ -81,33 +100,54 @@ impl ClanRng {
         ClanRng::from_seed(os_entropy_seed())
     }
 
-    /// Next keystream block, `H(domain ‖ key ‖ counter)` in [`Hasher`]
-    /// framing. The preimage is 70 bytes — tag and key fill bytes 0..62,
-    /// the big-endian counter bytes 62..70 — so while the counter's top two
-    /// bytes are zero the first SHA-256 block never changes: its state is
-    /// computed once per generator, and a refill absorbs the six low
-    /// counter bytes and pads, one compression instead of two. From
-    /// 2^48 on the generic construction takes over; the stream is the same
-    /// function of `(key, counter)` on both sides of the switch.
+    /// The next [`LANES`] keystream blocks, block `i` being
+    /// `H(domain ‖ key ‖ i)` in [`Hasher`] framing. The preimage is 70
+    /// bytes — tag and key fill bytes 0..62, the big-endian counter bytes
+    /// 62..70 — so while the counter's top two bytes are zero the first
+    /// SHA-256 block never changes: its state is computed once per
+    /// generator, and a keystream block is one compression of
+    /// [`TAIL_BLOCK`] with the six low counter bytes filled in, straight
+    /// from that state. Those compressions are independent, which is why a
+    /// refill makes several: [`compress_pair`] runs two in the time the
+    /// latency of one takes. A refill that reaches 2^48 takes the generic
+    /// construction; the stream is the same function of `(key, counter)`
+    /// on both sides of the switch.
     fn refill(&mut self) {
-        self.buf = if self.counter < MIDSTATE_COUNTERS {
-            let mut h = self.midstate.clone();
-            h.update(&self.counter.to_be_bytes()[2..]);
-            h.finalize()
+        let counters: [u64; LANES] = std::array::from_fn(|i| self.counter.wrapping_add(i as u64));
+        if counters.iter().all(|&c| c < MIDSTATE_COUNTERS) {
+            let mut blocks = [TAIL_BLOCK; LANES];
+            for (block, counter) in blocks.iter_mut().zip(counters) {
+                block[..6].copy_from_slice(&counter.to_be_bytes()[2..]);
+            }
+            let outputs = self.buf.chunks_exact_mut(2 * BLOCK_BYTES);
+            for (pair, out) in blocks.chunks_exact(2).zip(outputs) {
+                let pair = pair.try_into().expect("chunks of two");
+                let states = compress_pair(&self.midstate, pair);
+                for (word, out) in states.iter().flatten().zip(out.chunks_exact_mut(4)) {
+                    out.copy_from_slice(&word.to_be_bytes());
+                }
+            }
         } else {
-            Hasher::new(BLOCK_DOMAIN)
-                .chain(&self.key)
-                .chain_u64(self.counter)
-                .finalize()
-                .0
-        };
-        self.counter += 1;
+            for (out, counter) in self.buf.chunks_exact_mut(BLOCK_BYTES).zip(counters) {
+                let block = Hasher::new(BLOCK_DOMAIN)
+                    .chain(&self.key)
+                    .chain_u64(counter)
+                    .finalize();
+                out.copy_from_slice(&block.0);
+            }
+        }
+        self.counter = self.counter.wrapping_add(LANES as u64);
         self.used = 0;
     }
 
-    /// The next 8 keystream bytes as a `u64`.
+    /// The next 8 keystream bytes as a `u64`. A word never straddles two
+    /// keystream blocks: what an unaligned [`ClanRng::fill_bytes`] left of
+    /// the current block is skipped.
     pub fn next_u64(&mut self) -> u64 {
-        if self.used + 8 > BLOCK_BYTES {
+        if self.used % BLOCK_BYTES + 8 > BLOCK_BYTES {
+            self.used = self.used.next_multiple_of(BLOCK_BYTES);
+        }
+        if self.used == BUF_BYTES {
             self.refill();
         }
         let bytes: [u8; 8] = self.buf[self.used..self.used + 8]
@@ -126,10 +166,10 @@ impl ClanRng {
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut off = 0;
         while off < dest.len() {
-            if self.used == BLOCK_BYTES {
+            if self.used == BUF_BYTES {
                 self.refill();
             }
-            let take = (dest.len() - off).min(BLOCK_BYTES - self.used);
+            let take = (dest.len() - off).min(BUF_BYTES - self.used);
             dest[off..off + take].copy_from_slice(&self.buf[self.used..self.used + take]);
             self.used += take;
             off += take;
@@ -315,18 +355,120 @@ mod tests {
             .0
     }
 
+    /// A generator whose next block is `counter`.
+    fn rng_at(seed: u64, counter: u64) -> ClanRng {
+        let mut rng = ClanRng::seed_from_u64(seed);
+        rng.counter = counter;
+        rng.used = BUF_BYTES;
+        rng
+    }
+
     #[test]
     fn midstate_matches_definition_up_to_and_beyond_2_pow_48() {
-        let mut rng = ClanRng::seed_from_u64(77);
-        let key = rng.key;
-        for start in [0, 1, 0xFFFF_FFFF, MIDSTATE_COUNTERS - 2, u64::MAX - 4] {
+        let key = ClanRng::seed_from_u64(77).key;
+        // Every position of the 2^48 switch within a refill, on both sides
+        // of it, and the far ends of the counter's range.
+        let around_switch = (MIDSTATE_COUNTERS - 2 * LANES as u64)..=(MIDSTATE_COUNTERS + 1);
+        for start in [0, 1, 0xFFFF_FFFF, u64::MAX - 4]
+            .into_iter()
+            .chain(around_switch)
+        {
             // Force the counter, then draw across the boundary.
-            rng.counter = start;
-            rng.used = BLOCK_BYTES;
+            let mut rng = rng_at(77, start);
             for counter in start..start + 4 {
                 let mut block = [0u8; BLOCK_BYTES];
                 rng.fill_bytes(&mut block);
                 assert_eq!(block, reference_block(&key, counter), "counter {counter}");
+            }
+        }
+    }
+
+    /// A refill that starts just below 2^64 computes blocks on both sides
+    /// of the wrap: the counter wraps, it does not overflow.
+    #[test]
+    fn counter_wraps_within_one_refill() {
+        let key = ClanRng::seed_from_u64(77).key;
+        for start in (u64::MAX - LANES as u64)..=u64::MAX {
+            let mut rng = rng_at(77, start);
+            for i in 0..2 * LANES as u64 {
+                let counter = start.wrapping_add(i);
+                let mut block = [0u8; BLOCK_BYTES];
+                rng.fill_bytes(&mut block);
+                assert_eq!(block, reference_block(&key, counter), "counter {counter}");
+            }
+        }
+    }
+
+    /// The generator as it was when it buffered one block: the reference
+    /// for how `next_u64`, `fill_bytes` and `clone` interleave.
+    struct BlockAtATime {
+        key: [u8; 32],
+        counter: u64,
+        buf: [u8; BLOCK_BYTES],
+        used: usize,
+    }
+
+    impl BlockAtATime {
+        fn refill(&mut self) {
+            self.buf = reference_block(&self.key, self.counter);
+            self.counter += 1;
+            self.used = 0;
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            if self.used + 8 > BLOCK_BYTES {
+                self.refill();
+            }
+            let bytes = self.buf[self.used..self.used + 8].try_into().unwrap();
+            self.used += 8;
+            u64::from_be_bytes(bytes)
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for byte in dest {
+                if self.used == BLOCK_BYTES {
+                    self.refill();
+                }
+                *byte = self.buf[self.used];
+                self.used += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_draws_match_the_block_at_a_time_generator() {
+        let mut driver = ClanRng::seed_from_u64(1);
+        for case in 0..50 {
+            let mut rng = ClanRng::seed_from_u64(case);
+            let mut reference = BlockAtATime {
+                key: rng.key,
+                counter: 0,
+                buf: [0; BLOCK_BYTES],
+                used: BLOCK_BYTES,
+            };
+            for step in 0..200 {
+                match driver.gen_u64_below(4) {
+                    0 => {
+                        // Unaligned lengths leave a block tail that the next
+                        // word draw skips.
+                        let len = driver.gen_usize(0, 3 * BLOCK_BYTES);
+                        let (mut got, mut want) = (vec![0u8; len], vec![0u8; len]);
+                        rng.fill_bytes(&mut got);
+                        reference.fill_bytes(&mut want);
+                        assert_eq!(got, want, "case {case} step {step}: {len} bytes");
+                    }
+                    1 => {
+                        // A clone taken mid-buffer continues the same stream.
+                        let mut fork = rng.clone();
+                        assert_eq!(fork.next_u64(), rng.next_u64());
+                        reference.next_u64();
+                    }
+                    _ => assert_eq!(
+                        rng.next_u64(),
+                        reference.next_u64(),
+                        "case {case} step {step}"
+                    ),
+                }
             }
         }
     }

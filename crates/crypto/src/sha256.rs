@@ -7,6 +7,9 @@
 //! The kernel is picked inside [`compress`] from what the CPU reports —
 //! never from a setting — and both produce identical digests: the test
 //! suite below and `tests/crypto_props.rs` run every vector against both.
+//! [`compress_pair`] is the same choice for two independent single-block
+//! compressions (the PRNG's counter blocks), which the SHA-NI kernel
+//! interleaves.
 //!
 //! Input is processed incrementally through [`Sha256::update`] and the
 //! 32-byte digest produced by [`Sha256::finalize`]. Validated against the
@@ -69,6 +72,17 @@ impl Sha256 {
         self.finalize_with(compress)
     }
 
+    /// The chaining state, for a caller that compresses further blocks
+    /// itself ([`compress_pair`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a whole number of blocks has been absorbed.
+    pub(crate) fn block_aligned_state(&self) -> [u32; 8] {
+        assert_eq!(self.buf_len, 0, "a partial block is buffered");
+        self.state
+    }
+
     /// `update` over an explicit compression kernel (the tests run the
     /// front end over [`compress_scalar`] as well).
     fn update_with(&mut self, data: &[u8], kernel: impl Fn(&mut [u32; 8], &[u8])) {
@@ -116,21 +130,53 @@ impl Sha256 {
     }
 }
 
+/// Whether this CPU has what the [`shani`] kernels need.
+#[cfg(target_arch = "x86_64")]
+fn has_sha_ni() -> bool {
+    std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+}
+
 /// Runs the compression function over `blocks` (a whole number of 64-byte
 /// blocks) on the fastest kernel this CPU has.
 fn compress(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % 64, 0);
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sha")
-        && std::arch::is_x86_feature_detected!("ssse3")
-        && std::arch::is_x86_feature_detected!("sse4.1")
-    {
+    if has_sha_ni() {
         // SAFETY: the CPU just reported sha, ssse3 and sse4.1 (sse2 is part
         // of the x86-64 baseline), which is the kernel's only precondition.
         unsafe { shani::compress(state, blocks) };
         return;
     }
     compress_scalar(state, blocks)
+}
+
+/// Two independent compressions from one state: element `i` is `state`
+/// after absorbing `blocks[i]` alone. What a counter-mode generator asks for
+/// (one midstate, many counter blocks); a single-block compression is bound
+/// by the latency of its 64 dependent rounds, and the SHA-NI kernel runs
+/// the two chains interleaved in roughly the time of one.
+#[doc(hidden)]
+pub fn compress_pair(state: &[u32; 8], blocks: &[[u8; 64]; 2]) -> [[u32; 8]; 2] {
+    #[cfg(target_arch = "x86_64")]
+    if has_sha_ni() {
+        // SAFETY: the CPU just reported sha, ssse3 and sse4.1 (sse2 is part
+        // of the x86-64 baseline), which is the kernel's only precondition.
+        return unsafe { shani::compress_pair(state, blocks) };
+    }
+    compress_pair_scalar(state, blocks)
+}
+
+/// [`compress_pair`] on the portable kernel whatever the CPU offers: the
+/// fallback, and the reference the cross-kernel tests compare against.
+#[doc(hidden)]
+pub fn compress_pair_scalar(state: &[u32; 8], blocks: &[[u8; 64]; 2]) -> [[u32; 8]; 2] {
+    let mut out = [*state; 2];
+    for (state, block) in out.iter_mut().zip(blocks) {
+        compress_scalar(state, block);
+    }
+    out
 }
 
 /// The portable kernel: FIPS 180-4 §6.2.2, one block at a time.
@@ -175,7 +221,7 @@ fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
     }
 }
 
-/// The SHA-NI kernel (Intel SHA extensions), after Intel's reference
+/// The SHA-NI kernels (Intel SHA extensions), after Intel's reference
 /// sequence: the state lives in two registers as `ABEF` / `CDGH`, each
 /// `sha256rnds2` performs two rounds, and the message schedule is extended
 /// four words at a time with `sha256msg1` / `sha256msg2`.
@@ -183,6 +229,94 @@ fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
 mod shani {
     use super::K;
     use std::arch::x86_64::*;
+
+    /// `state` as the `(ABEF, CDGH)` register pair.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`].
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn load_state(state: &[u32; 8]) -> (__m128i, __m128i) {
+        // `state` is 8 u32 = two unaligned 16-byte loads.
+        let abcd = _mm_loadu_si128(state.as_ptr().cast());
+        let efgh = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(abcd, 0xB1);
+        let hgfe = _mm_shuffle_epi32(efgh, 0x1B);
+        (
+            _mm_alignr_epi8(cdab, hgfe, 8),
+            _mm_blend_epi16(hgfe, cdab, 0xF0),
+        )
+    }
+
+    /// The inverse of [`load_state`].
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`].
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn store_state(abef: __m128i, cdgh: __m128i, state: &mut [u32; 8]) {
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
+    }
+
+    /// One block per lane: absorbs `blocks[l]` into lane `l`'s state. The
+    /// lanes are independent dependency chains issued group by group, so
+    /// with two of them one lane's `sha256rnds2` latency is covered by the
+    /// other's work.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`].
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn absorb<const L: usize>(
+        abef: &mut [__m128i; L],
+        cdgh: &mut [__m128i; L],
+        blocks: [&[u8; 64]; L],
+    ) {
+        // Big-endian word loads: reverse the bytes of each 32-bit lane.
+        let bswap = _mm_set_epi64x(0x0c0d0e0f_08090a0b, 0x04050607_00010203);
+        let (abef_in, cdgh_in) = (*abef, *cdgh);
+        // Pointer reads below: a block is exactly 64 bytes = four 16-byte
+        // loads; `K` is 64 u32 and `4 * g + 3 < 64`.
+        let mut w = [[_mm_setzero_si128(); 4]; L];
+        for l in 0..L {
+            for (i, lane) in w[l].iter_mut().enumerate() {
+                let word = _mm_loadu_si128(blocks[l].as_ptr().add(16 * i).cast());
+                *lane = _mm_shuffle_epi8(word, bswap);
+            }
+        }
+        // Sixteen groups of four rounds. `w[l][g % 4]` holds W[4g..4g+4]:
+        // loaded for the first four groups, derived for the rest from the
+        // previous four groups (FIPS 180-4 §6.2.2 step 1).
+        for g in 0..16 {
+            let k = _mm_loadu_si128(K.as_ptr().add(4 * g).cast());
+            for l in 0..L {
+                let w = &mut w[l];
+                if g >= 4 {
+                    let (w4, w3, w2, w1) =
+                        (w[g & 3], w[(g + 1) & 3], w[(g + 2) & 3], w[(g + 3) & 3]);
+                    let partial =
+                        _mm_add_epi32(_mm_sha256msg1_epu32(w4, w3), _mm_alignr_epi8(w1, w2, 4));
+                    w[g & 3] = _mm_sha256msg2_epu32(partial, w1);
+                }
+                let wk = _mm_add_epi32(w[g & 3], k);
+                cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk);
+                abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], _mm_shuffle_epi32(wk, 0x0E));
+            }
+        }
+        for l in 0..L {
+            abef[l] = _mm_add_epi32(abef[l], abef_in[l]);
+            cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_in[l]);
+        }
+    }
 
     /// Compresses every 64-byte block of `blocks` into `state`.
     ///
@@ -192,50 +326,31 @@ mod shani {
     /// features. Trailing bytes beyond a whole number of blocks are ignored.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub(super) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
-        // Big-endian word loads: reverse the bytes of each 32-bit lane.
-        let bswap = _mm_set_epi64x(0x0c0d0e0f_08090a0b, 0x04050607_00010203);
-        // Pointer reads below: `state` is 8 u32 = two unaligned 16-byte
-        // loads; `block` is exactly 64 bytes = four; `K` is 64 u32 and
-        // `4 * g + 3 < 64`.
-        let abcd = _mm_loadu_si128(state.as_ptr().cast());
-        let efgh = _mm_loadu_si128(state.as_ptr().add(4).cast());
-        let cdab = _mm_shuffle_epi32(abcd, 0xB1);
-        let hgfe = _mm_shuffle_epi32(efgh, 0x1B);
-        let mut abef = _mm_alignr_epi8(cdab, hgfe, 8);
-        let mut cdgh = _mm_blend_epi16(hgfe, cdab, 0xF0);
-
+        let (abef, cdgh) = load_state(state);
+        let (mut abef, mut cdgh) = ([abef], [cdgh]);
         for block in blocks.chunks_exact(64) {
-            let (abef_in, cdgh_in) = (abef, cdgh);
-            let mut w = [_mm_setzero_si128(); 4];
-            for (i, lane) in w.iter_mut().enumerate() {
-                *lane = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * i).cast()), bswap);
-            }
-            // Sixteen groups of four rounds. `w[g % 4]` holds W[4g..4g+4]:
-            // loaded for the first four groups, derived for the rest from
-            // the previous four groups (FIPS 180-4 §6.2.2 step 1).
-            for g in 0..16 {
-                if g >= 4 {
-                    let (w4, w3, w2, w1) =
-                        (w[g & 3], w[(g + 1) & 3], w[(g + 2) & 3], w[(g + 3) & 3]);
-                    let partial =
-                        _mm_add_epi32(_mm_sha256msg1_epu32(w4, w3), _mm_alignr_epi8(w1, w2, 4));
-                    w[g & 3] = _mm_sha256msg2_epu32(partial, w1);
-                }
-                let wk = _mm_add_epi32(w[g & 3], _mm_loadu_si128(K.as_ptr().add(4 * g).cast()));
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
-            }
-            abef = _mm_add_epi32(abef, abef_in);
-            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+            let block = block.try_into().expect("chunks are 64 bytes");
+            absorb(&mut abef, &mut cdgh, [block]);
         }
+        store_state(abef[0], cdgh[0], state);
+    }
 
-        let feba = _mm_shuffle_epi32(abef, 0x1B);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
-        _mm_storeu_si128(
-            state.as_mut_ptr().add(4).cast(),
-            _mm_alignr_epi8(dchg, feba, 8),
-        );
+    /// `state` after absorbing each of `blocks` alone, the two compressions
+    /// interleaved.
+    ///
+    /// # Safety
+    ///
+    /// As for [`compress`].
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_pair(state: &[u32; 8], blocks: &[[u8; 64]; 2]) -> [[u32; 8]; 2] {
+        let (abef, cdgh) = load_state(state);
+        let (mut abef, mut cdgh) = ([abef; 2], [cdgh; 2]);
+        absorb(&mut abef, &mut cdgh, [&blocks[0], &blocks[1]]);
+        let mut out = [[0u32; 8]; 2];
+        for l in 0..2 {
+            store_state(abef[l], cdgh[l], &mut out[l]);
+        }
+        out
     }
 }
 

@@ -10,7 +10,7 @@
 use clanbft_crypto::field::Fe;
 use clanbft_crypto::scalar::Scalar;
 use clanbft_crypto::schnorr;
-use clanbft_crypto::sha256::{sha256_scalar, Sha256};
+use clanbft_crypto::sha256::{compress_pair, compress_pair_scalar, sha256_scalar, Sha256};
 use clanbft_crypto::u256::{mod_add, mod_mul, mod_sub, U256};
 use clanbft_testkit::{check, check_shrink, tk_assert, tk_assert_eq, Gen};
 
@@ -172,6 +172,29 @@ fn sha256_backends_agree_at_any_length_and_split() {
             split.update(&data[*a..*b]);
             split.update(&data[*b..]);
             tk_assert_eq!(split.finalize(), want);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn sha256_pair_kernel_agrees_with_the_scalar_kernel() {
+    // Any chaining state and any two blocks, not just those a hash of real
+    // data reaches: the interleaved kernel must keep its lanes apart.
+    check(
+        "sha256_pair_kernel_agrees_with_the_scalar_kernel",
+        CASES * 4,
+        |g| {
+            let state: [u32; 8] = std::array::from_fn(|_| g.u32());
+            let blocks: [[u8; 64]; 2] = std::array::from_fn(|_| std::array::from_fn(|_| g.u8()));
+            (state, blocks)
+        },
+        |(state, blocks)| {
+            let got = compress_pair(state, blocks);
+            tk_assert_eq!(got, compress_pair_scalar(state, blocks));
+            // Each lane alone, in either seat.
+            let [a, b] = *blocks;
+            tk_assert_eq!(compress_pair(state, &[b, a]), [got[1], got[0]]);
             Ok(())
         },
     );

@@ -54,14 +54,15 @@ pub enum RbcMsg<P: TribePayload> {
     Val(P),
     /// Meta view, sent by the source to parties outside the clan.
     ValMeta(P::Meta),
-    /// Echo of the payload digest; signed in the 2-round variant.
-    /// The signature sits behind an `Arc` so a multicast to `n` parties
-    /// clones a pointer, not 64 bytes.
+    /// Echo of the payload digest; signed in the 2-round variant. The
+    /// signature is inline: a multicast is stored once and lent to every
+    /// recipient, so nothing clones it per copy, and a recipient copies it
+    /// only if it keeps the share.
     Echo {
         /// Digest being echoed.
         digest: Digest,
         /// Signature over the echo statement (2-round variant only).
-        sig: Option<Arc<Signature>>,
+        sig: Option<Signature>,
     },
     /// Ready vote (3-round variant only).
     Ready {
@@ -257,6 +258,12 @@ impl<P: TribePayload> Effects<P> {
         }
     }
 
+    /// True iff nothing but CPU time came of the invocation: no packet, no
+    /// event, no timer.
+    pub fn is_inert(&self) -> bool {
+        self.out.is_empty() && self.events.is_empty() && self.timers.is_empty()
+    }
+
     /// Current simulated time as observed inside this invocation: the base
     /// plus CPU time charged so far. Mirrors `Ctx::now` semantics.
     pub fn stamp(&self) -> Micros {
@@ -382,33 +389,31 @@ impl Tally {
 /// counting late echoes).
 type Shares = Vec<(usize, Signature)>;
 
-/// The facts of an instance an echo or a certificate reads or flips, one bit
-/// each in [`Votes::facts`].
+/// The facts of an instance an echo or a first certificate reads or flips,
+/// one bit each in [`Votes::facts`]. (Whether a digest is certified is not
+/// among them: that is [`Row::certified`].)
 mod fact {
     /// Some packet for the instance was admitted: the slot is in use.
     pub const TOUCHED: u8 = 1 << 0;
     /// This party echoed (the digest is in the cold part).
     pub const ECHOED: u8 = 1 << 1;
-    /// A digest is certified ([`super::Votes::certified`]).
-    pub const CERTIFIED: u8 = 1 << 2;
     /// An echo certificate has been multicast/forwarded (signed flavour).
-    pub const CERT_SENT: u8 = 1 << 3;
+    pub const CERT_SENT: u8 = 1 << 2;
     /// This party has `r_deliver`ed.
-    pub const DELIVERED: u8 = 1 << 4;
+    pub const DELIVERED: u8 = 1 << 3;
     /// `EchoQuorum` has been emitted.
-    pub const ECHO_QUORUM_EMITTED: u8 = 1 << 5;
+    pub const ECHO_QUORUM_EMITTED: u8 = 1 << 4;
     /// This party sent its READY (signature-free flavour).
-    pub const READY_SENT: u8 = 1 << 6;
+    pub const READY_SENT: u8 = 1 << 5;
 }
 
-/// The hot state of one broadcast instance: all an echo, or a certificate
-/// for an instance already certified, reads and writes. One fixed-size
-/// record, stored inline in its round's row.
+/// The hot state of one broadcast instance: all an echo reads and writes.
+/// One fixed-size record, stored inline in its round's row.
 struct Votes {
     /// Echoes for the first digest seen — the only one unless the source
     /// equivocates (further digests spill into [`Cold::more_echoes`]).
     echoes: Tally,
-    /// The certified digest, once [`fact::CERTIFIED`] is set.
+    /// The certified digest, once the source is in [`Row::certified`].
     certified: Digest,
     /// [`fact`] bits.
     facts: u8,
@@ -446,8 +451,9 @@ struct Cold<P: TribePayload> {
     pull_attempts: u8,
     /// Whether the retry timer chain is running.
     retry_armed: bool,
-    /// Whether equivocation evidence was already recorded here (dedup).
-    equivocation_logged: bool,
+    /// Whether evidence against the source was already recorded here (one
+    /// record per instance, whatever it shows).
+    evidence_logged: bool,
 }
 
 impl<P: TribePayload> Cold<P> {
@@ -471,7 +477,7 @@ impl<P: TribePayload> Cold<P> {
                 asked: PartySet::EMPTY,
                 pull_attempts: 0,
                 retry_armed: false,
-                equivocation_logged: false,
+                evidence_logged: false,
             })
         })
     }
@@ -510,10 +516,6 @@ impl<P: TribePayload> Instance<P> {
         Cold::of(&mut self.cold)
     }
 
-    fn certified(&self) -> Option<Digest> {
-        self.is(fact::CERTIFIED).then_some(self.votes.certified)
-    }
-
     fn held(&self, which: Which) -> Option<&Held<P>> {
         self.cold.as_ref().map(|cold| &cold.held[which as usize])
     }
@@ -545,6 +547,18 @@ impl<P: TribePayload> Instance<P> {
     }
 }
 
+/// One round's instances.
+struct Row<P: TribePayload> {
+    /// Sources whose instance has a certified digest. The fact lives here,
+    /// not in the instance's record, because it is all a duplicate
+    /// certificate asks — `n − 1` of the `2n` deliveries of a signed
+    /// instance — and a row's worth of it stays in cache where `n` records
+    /// do not.
+    certified: PartySet,
+    /// Per-source instances: none while the round is untouched, then `n`.
+    instances: Vec<Instance<P>>,
+}
+
 /// Instance storage addressed by index: a window of rounds starting at the
 /// prune horizon, each round a row of per-source instances held inline. A
 /// lookup is two bounds checks; nothing is hashed and nothing is behind a
@@ -554,23 +568,50 @@ impl<P: TribePayload> Instance<P> {
 struct Slots<P: TribePayload> {
     /// Round of `rows[0]`; never below the prune horizon.
     base: Round,
-    /// One row per round from `base` on; an untouched round is an empty
-    /// `Vec`, a touched one has `n` instances.
-    rows: VecDeque<Vec<Instance<P>>>,
+    /// One row per round from `base` on.
+    rows: VecDeque<Row<P>>,
 }
 
 impl<P: TribePayload> Slots<P> {
+    fn row(&self, round: Round) -> Option<&Row<P>> {
+        self.rows.get(round.0.checked_sub(self.base.0)? as usize)
+    }
+
     fn get(&self, round: Round, source: PartyId) -> Option<&Instance<P>> {
-        let row = self.rows.get(round.0.checked_sub(self.base.0)? as usize)?;
-        row.get(source.idx()).filter(|inst| inst.is(fact::TOUCHED))
+        let inst = self.row(round)?.instances.get(source.idx());
+        inst.filter(|inst| inst.is(fact::TOUCHED))
     }
 
     fn get_mut(&mut self, round: Round, source: PartyId) -> Option<&mut Instance<P>> {
         let row = self
             .rows
             .get_mut(round.0.checked_sub(self.base.0)? as usize)?;
-        row.get_mut(source.idx())
-            .filter(|inst| inst.is(fact::TOUCHED))
+        let inst = row.instances.get_mut(source.idx());
+        inst.filter(|inst| inst.is(fact::TOUCHED))
+    }
+
+    /// The row of `round`, with its `n` instances in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `round` is below the window — excluded by
+    /// [`TribeRbc::admit`].
+    fn touch_row(&mut self, round: Round, n: usize) -> &mut Row<P> {
+        let at = round
+            .0
+            .checked_sub(self.base.0)
+            .expect("round below the pruned window") as usize;
+        if at >= self.rows.len() {
+            self.rows.resize_with(at + 1, || Row {
+                certified: PartySet::EMPTY,
+                instances: Vec::new(),
+            });
+        }
+        let row = &mut self.rows[at];
+        if row.instances.is_empty() {
+            row.instances.resize_with(n, Instance::unused);
+        }
+        row
     }
 
     /// The instance for `(round, source)`, put to use if it was not.
@@ -580,20 +621,38 @@ impl<P: TribePayload> Slots<P> {
     /// Panics if `round` is below the window or `source` is not a party of
     /// the tribe — both excluded by [`TribeRbc::admit`].
     fn touch(&mut self, round: Round, source: PartyId, n: usize) -> &mut Instance<P> {
-        let at = round
-            .0
-            .checked_sub(self.base.0)
-            .expect("round below the pruned window") as usize;
-        if at >= self.rows.len() {
-            self.rows.resize_with(at + 1, Vec::new);
-        }
-        let row = &mut self.rows[at];
-        if row.is_empty() {
-            row.resize_with(n, Instance::unused);
-        }
-        let inst = &mut row[source.idx()];
+        let inst = &mut self.touch_row(round, n).instances[source.idx()];
         inst.votes.facts |= fact::TOUCHED;
         inst
+    }
+
+    /// Whether `(round, source)` has a certified digest: reads the row's
+    /// set, not the instance.
+    fn is_certified(&self, round: Round, source: PartyId) -> bool {
+        self.row(round)
+            .is_some_and(|row| row.certified.contains(source))
+    }
+
+    /// The certified digest of `(round, source)`, if there is one.
+    fn certified(&self, round: Round, source: PartyId) -> Option<Digest> {
+        let row = self
+            .row(round)
+            .filter(|row| row.certified.contains(source))?;
+        Some(row.instances[source.idx()].votes.certified)
+    }
+
+    /// Certifies `digest` for `(round, source)`, putting the instance to
+    /// use; `false` if the instance already had a certified digest (which
+    /// stands).
+    fn certify(&mut self, round: Round, source: PartyId, n: usize, digest: Digest) -> bool {
+        let row = self.touch_row(round, n);
+        let inst = &mut row.instances[source.idx()];
+        inst.votes.facts |= fact::TOUCHED;
+        let fresh = row.certified.insert(source);
+        if fresh {
+            inst.votes.certified = digest;
+        }
+        fresh
     }
 
     fn prune_below(&mut self, round: Round) {
@@ -604,10 +663,8 @@ impl<P: TribePayload> Slots<P> {
     }
 
     fn iter(&self) -> impl Iterator<Item = &Instance<P>> {
-        self.rows
-            .iter()
-            .flatten()
-            .filter(|inst| inst.is(fact::TOUCHED))
+        let instances = self.rows.iter().flat_map(|row| &row.instances);
+        instances.filter(|inst| inst.is(fact::TOUCHED))
     }
 }
 
@@ -927,7 +984,7 @@ impl<P: TribePayload> TribeRbc<P> {
                     (Flavour::Signed { .. }, Some(sig)) => {
                         // Aggregate without upfront verification (paper §7).
                         fx.charge(self.cfg.cost.aggregate(1));
-                        Some(**sig)
+                        Some(sig)
                     }
                 };
                 if self.note_echo(round, source, from, *digest, share, fx) {
@@ -942,11 +999,17 @@ impl<P: TribePayload> TribeRbc<P> {
             }
             RbcMsg::EchoCert { digest, cert } => {
                 // Duplicate certificates for an already-certified instance
-                // are dropped before any verification cost is paid.
-                if matches!(self.flavour, Flavour::Signed { .. })
-                    && !self.instance(round, source).is(fact::CERTIFIED)
-                    && self.validate_cert(source, round, *digest, cert, fx)
+                // are dropped before any verification cost is paid (and
+                // before the instance's record is touched).
+                if !matches!(self.flavour, Flavour::Signed { .. })
+                    || self.slots.is_certified(round, source)
                 {
+                    return;
+                }
+                // An admitted first certificate puts the slot to use, valid
+                // or not.
+                self.instance(round, source);
+                if self.validate_cert(source, round, *digest, cert, fx) {
                     self.send_cert_once(round, source, *digest, Arc::clone(cert), fx);
                     self.on_echo_quorum(round, source, *digest, fx);
                     self.certify(round, source, *digest, fx);
@@ -993,11 +1056,18 @@ impl<P: TribePayload> TribeRbc<P> {
         );
     }
 
+    /// Whether no evidence against `source` has been recorded in this
+    /// instance yet — and notes that now one has: the per-instance dedup in
+    /// front of [`TribeRbc::record_evidence`].
+    fn first_evidence(&mut self, round: Round, source: PartyId) -> bool {
+        let cold = self.instance(round, source).cold();
+        !std::mem::replace(&mut cold.evidence_logged, true)
+    }
+
     /// Counts + stores one evidence record (callers dedup per instance).
     fn record_evidence(&mut self, ev: Evidence, fx: &Effects<P>) {
         let tel = &self.cfg.telemetry;
         tel.add(counters::EVIDENCE_RECORDED, 1);
-        tel.add(counters::REJECTED_EQUIVOCATION, 1);
         tel.event(
             fx.stamp(),
             self.cfg.me,
@@ -1022,10 +1092,10 @@ impl<P: TribePayload> TribeRbc<P> {
         second: Digest,
         fx: &Effects<P>,
     ) -> bool {
-        let cold = self.instance(round, source).cold();
-        if std::mem::replace(&mut cold.equivocation_logged, true) {
+        if !self.first_evidence(round, source) {
             return false;
         }
+        self.cfg.telemetry.add(counters::REJECTED_EQUIVOCATION, 1);
         self.record_evidence(
             Evidence::EquivocatingSource {
                 round,
@@ -1092,6 +1162,27 @@ impl<P: TribePayload> TribeRbc<P> {
         let cost = self.cfg.cost;
         let tel = self.cfg.telemetry.clone();
         let which = view.which();
+        // A payload that names an instance rides in that one or not at all:
+        // refused before it is hashed, held or echoed.
+        let named = match &view {
+            View::Full(payload) => payload.names_instance(),
+            View::Meta(meta) => P::meta_names_instance(meta),
+        };
+        if let Some((named_round, named_source)) = named.filter(|n| *n != (round, source)) {
+            tel.add(counters::REJECTED_BAD_PAYLOAD, 1);
+            // Straight from the source it is the source's doing; a pull
+            // response says nothing about anyone but the responder.
+            if direct && self.first_evidence(round, source) {
+                let ev = Evidence::MisboundPayload {
+                    round,
+                    source,
+                    named_round,
+                    named_source,
+                };
+                self.record_evidence(ev, fx);
+            }
+            return None;
+        }
         let digest = match &view {
             View::Full(payload) => {
                 fx.charge(cost.hash(payload.wire_bytes()));
@@ -1103,6 +1194,7 @@ impl<P: TribePayload> TribeRbc<P> {
             }
             View::Meta(meta) => P::meta_digest(meta),
         };
+        let certified = self.slots.certified(round, source);
         let inst = self.instance(round, source);
         if let Some(held) = inst.held(which).and_then(Held::digest) {
             if direct && held == digest {
@@ -1114,7 +1206,7 @@ impl<P: TribePayload> TribeRbc<P> {
         }
         // A view must match an already-certified digest when one exists (a
         // Byzantine responder cannot swap payloads post-certification).
-        if let Some(certified) = inst.certified().filter(|c| *c != digest) {
+        if let Some(certified) = certified.filter(|c| *c != digest) {
             // Certified A, then a direct VAL for B: the source itself
             // conflicts with its own certified broadcast.
             let attributed = direct
@@ -1152,7 +1244,7 @@ impl<P: TribePayload> TribeRbc<P> {
             Flavour::Signed { auth, .. } => {
                 fx.charge(self.cfg.cost.sign());
                 let statement = echo_statement(source, round, &digest);
-                Some(Arc::new(auth.sign_digest(&statement)))
+                Some(auth.sign_digest(&statement))
             }
         };
         self.trace(RbcPhase::Echoed, round, source, fx);
@@ -1170,7 +1262,7 @@ impl<P: TribePayload> TribeRbc<P> {
         source: PartyId,
         from: PartyId,
         digest: Digest,
-        sig: Option<Signature>,
+        sig: Option<&Signature>,
         fx: &mut Effects<P>,
     ) -> bool {
         let n = self.cfg.n();
@@ -1181,7 +1273,8 @@ impl<P: TribePayload> TribeRbc<P> {
         if inst.votes.echoes.total == 0 {
             inst.votes.echoes.digest = digest;
         }
-        let keep_share = !inst.is(fact::CERT_SENT | fact::CERTIFIED);
+        // (A certified signed instance has sent its certificate.)
+        let keep_share = !inst.is(fact::CERT_SENT);
         let (tally, shares) = if inst.votes.echoes.digest == digest {
             let shares = sig
                 .filter(|_| keep_share)
@@ -1204,7 +1297,7 @@ impl<P: TribePayload> TribeRbc<P> {
                 // A certificate needs `2f+1` shares and takes them all.
                 shares.reserve_exact(quorum);
             }
-            shares.push((from.idx(), sig));
+            shares.push((from.idx(), *sig));
         }
         usize::from(tally.total) >= quorum && usize::from(tally.clan_count) >= clan_quorum
     }
@@ -1428,11 +1521,11 @@ impl<P: TribePayload> TribeRbc<P> {
         // Certification required a real quorum, so the round is
         // legitimately active: widen the admission window to it.
         self.note_round(round);
-        let inst = self.instance(round, source);
-        if inst.set(fact::CERTIFIED) {
+        let n = self.cfg.n();
+        if !self.slots.certify(round, source, n, digest) {
             return;
         }
-        inst.votes.certified = digest;
+        let inst = self.instance(round, source);
         // A direct copy from the source that disagrees with the digest the
         // tribe certified is attributable equivocation.
         let conflicting = inst
@@ -1472,13 +1565,14 @@ impl<P: TribePayload> TribeRbc<P> {
     /// everyone else); returns whether it delivered now.
     fn try_deliver(&mut self, round: Round, source: PartyId, fx: &mut Effects<P>) -> bool {
         let which = self.my_view(round, source);
+        let certified = self.slots.certified(round, source);
         let inst = self.instance(round, source);
         // Field by field: the view stays borrowed while the fact is set.
         let view = inst
             .cold
             .as_ref()
             .map(|cold| &cold.held[which as usize].view);
-        let (Some(certified), Some(Some((view, digest)))) = (inst.certified(), view) else {
+        let (Some(certified), Some(Some((view, digest)))) = (certified, view) else {
             return false;
         };
         if inst.is(fact::DELIVERED) || *digest != certified {
@@ -1617,10 +1711,11 @@ impl<P: TribePayload> TribeRbc<P> {
             return; // instance pruned (committed + GC'd): chain dies
         }
         let (which, eligible, want) = self.pull_scope(round, source);
+        let certified = self.slots.certified(round, source);
         let Some(inst) = self.slots.get_mut(round, source) else {
             return;
         };
-        let (delivered, certified) = (inst.is(fact::DELIVERED), inst.certified());
+        let delivered = inst.is(fact::DELIVERED);
         let wanted = certified.or(inst.cold.as_ref().and_then(|cold| cold.pull_digest));
         let echoers = wanted.and_then(|digest| inst.echo_set(&digest));
         let echoers = echoers.map_or(PartySet::EMPTY, |set| set.voters.clone());
@@ -1732,7 +1827,7 @@ mod tests {
     fn feed_echo(rig: &mut Rig, signer: u32) -> Effects<BytesPayload> {
         let digest = payload().rbc_digest();
         let statement = echo_statement(SOURCE, ROUND, &digest);
-        let sig = Some(Arc::new(rig.auths[signer as usize].sign_digest(&statement)));
+        let sig = Some(rig.auths[signer as usize].sign_digest(&statement));
         feed(rig, signer, RbcMsg::Echo { digest, sig })
     }
 

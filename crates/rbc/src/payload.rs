@@ -8,6 +8,7 @@
 //! still learn the DAG structure.
 
 use clanbft_crypto::Digest;
+use clanbft_types::{PartyId, Round};
 use std::sync::Arc;
 
 /// A broadcastable payload with a clan-only full view and a tribe-wide meta
@@ -30,6 +31,19 @@ pub trait TribePayload: Clone + std::fmt::Debug + Send + 'static {
     /// block matches the vertex's embedded block digest). Engines reject
     /// payloads that fail this.
     fn validate(&self) -> bool;
+
+    /// The broadcast instance `(round, source)` the payload says it belongs
+    /// to, if it says (a DAG vertex names its own slot; plain bytes name
+    /// nothing). Engines refuse a payload that arrives in any other
+    /// instance: the layer above addresses it by what it names.
+    fn names_instance(&self) -> Option<(Round, PartyId)> {
+        None
+    }
+
+    /// [`TribePayload::names_instance`] of the meta view.
+    fn meta_names_instance(_meta: &Self::Meta) -> Option<(Round, PartyId)> {
+        None
+    }
 
     /// Wire size of the full payload.
     fn wire_bytes(&self) -> usize;

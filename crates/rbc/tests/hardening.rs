@@ -77,7 +77,7 @@ fn feed_echo(rig: &mut Rig, signer: u32, source: u32, round: u64) -> Effects<Byt
             round,
             RbcMsg::Echo {
                 digest,
-                sig: Some(Arc::new(sig)),
+                sig: Some(sig),
             },
         ),
     )
@@ -253,7 +253,7 @@ fn per_instance_digest_tracking_is_capped() {
     // instance without bound: beyond MAX_DIGESTS_PER_INSTANCE the echoes
     // are dropped and counted, and the divergence is recorded once.
     let mut r = rig(4, 1);
-    let junk = || Some(Arc::new(Signature([9u8; 64])));
+    let junk = || Some(Signature([9u8; 64]));
     for i in 0..(MAX_DIGESTS_PER_INSTANCE as u8 + 3) {
         let digest = Digest::of(&[i]);
         handle(
@@ -284,7 +284,7 @@ fn per_instance_digest_tracking_is_capped() {
 fn feed_echo_of(rig: &mut Rig, signer: u32, round: u64, digest: Digest) -> Effects<BytesPayload> {
     let statement = echo_statement(PartyId(0), Round(round), &digest);
     let sig = rig.auths[signer as usize].sign_digest(&statement);
-    let sig = Some(Arc::new(sig));
+    let sig = Some(sig);
     handle(rig, signer, packet(0, round, RbcMsg::Echo { digest, sig }))
 }
 
@@ -546,12 +546,9 @@ fn admission_window_edge_and_foreign_sources() {
     // Nor does a sender outside the tribe vote or pull: three echoes would
     // be a quorum at n = 4, and none of these is counted or answered.
     let digest = TribePayload::rbc_digest(&payload());
-    let sig = Some(Arc::new(r.auths[2].sign_digest(&digest)));
+    let sig = Some(r.auths[2].sign_digest(&digest));
     for (at, from) in [4, 5, 300, u32::MAX].into_iter().enumerate() {
-        let echo = RbcMsg::Echo {
-            digest,
-            sig: sig.clone(),
-        };
+        let echo = RbcMsg::Echo { digest, sig };
         let pull = RbcMsg::Pull { digest };
         for msg in [echo, pull] {
             let fx = handle(&mut r, from, packet(0, 266, msg));

@@ -60,7 +60,7 @@ fn echo(rig: &Rig, signer: u32, source: u32, round: u64) -> RbcMsg<BytesPayload>
     let sig = rig.auths[signer as usize].sign_digest(&statement);
     RbcMsg::Echo {
         digest,
-        sig: Some(Arc::new(sig)),
+        sig: Some(sig),
     }
 }
 

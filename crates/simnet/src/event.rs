@@ -8,11 +8,14 @@
 //! append in `O(1)`, and each bucket is sorted once when the clock reaches
 //! it.
 //!
-//! Events live inline in their bucket, in push order, and never move: what
-//! is sorted is a 16-byte `(time, position)` key per event. Position in the
-//! bucket *is* insertion order, so the key is unique and an unstable sort
-//! yields FIFO among equal timestamps. A bucket's storage is released when
-//! its last event is popped.
+//! A bucket is one vector of records `(key, event)`. The key is
+//! `offset_in_bucket_us << 32 | push_position`: the bucket number supplies
+//! the rest of the timestamp, and position in the bucket *is* insertion
+//! order, so the key is unique, an unstable sort on the `u64` alone yields
+//! FIFO among equal timestamps, and a sorted bucket is popped from one end
+//! with nothing to look up. With the simulator's 8-byte event a record is
+//! 16 bytes — what used to be the sort key alone. A bucket's storage is
+//! released when its last event is popped.
 //!
 //! The next [`RING`] buckets are a ring indexed by bucket number — where
 //! every delivery lands (propagation is a few hundred milliseconds at
@@ -36,32 +39,18 @@ const BUCKET_WIDTH_US: u64 = 1_000;
 /// Buckets addressed directly: a good second of simulated time.
 const RING: u64 = 1_024;
 
-/// The events of one bucket width of simulated time.
-struct Bucket<E> {
-    /// `(time, index into events)` of every event not yet popped: push
-    /// order while the bucket lies in the future, descending once it is
-    /// active (so `pop` takes the earliest from the back).
-    keys: Vec<(Micros, u32)>,
-    /// Events in push order; a slot is emptied when its event is popped.
-    events: Vec<Option<E>>,
-}
+/// One queued event under its sort key (see the module docs).
+pub(crate) type Record<E> = (u64, E);
 
-impl<E> Default for Bucket<E> {
-    fn default() -> Self {
-        Bucket {
-            keys: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-}
+/// The events of one bucket width of simulated time: push order while the
+/// bucket lies in the future, descending by key once it is active (so `pop`
+/// takes the earliest from the back).
+type Bucket<E> = Vec<Record<E>>;
 
-impl<E> Bucket<E> {
-    /// Stores `event` and returns its key.
-    fn store(&mut self, at: Micros, event: E) -> (Micros, u32) {
-        let index = u32::try_from(self.events.len()).expect("bucket holds under 2^32 events");
-        self.events.push(Some(event));
-        (at, index)
-    }
+/// The key of the `position`-th record pushed into the bucket `at` falls in.
+fn record_key(at: Micros, position: usize) -> u64 {
+    let position = u32::try_from(position).expect("bucket holds under 2^32 events");
+    (at.0 % BUCKET_WIDTH_US) << 32 | u64::from(position)
 }
 
 /// A deterministic time-ordered event queue.
@@ -75,6 +64,9 @@ pub struct EventQueue<E> {
     far: BTreeMap<u64, Bucket<E>>,
     /// The active bucket.
     current: Bucket<E>,
+    /// Records pushed into the active bucket so far, popped ones included:
+    /// the position of the next one pushed into it.
+    current_pushed: usize,
     /// Key of the active bucket.
     current_key: u64,
     len: usize,
@@ -83,10 +75,11 @@ pub struct EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
-            near: (0..RING).map(|_| Bucket::default()).collect(),
+            near: (0..RING).map(|_| Bucket::new()).collect(),
             near_len: 0,
             far: BTreeMap::new(),
-            current: Bucket::default(),
+            current: Bucket::new(),
+            current_pushed: 0,
             current_key: 0,
             len: 0,
         }
@@ -113,17 +106,18 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Micros, event: E) {
         self.len += 1;
         let key = at.0 / BUCKET_WIDTH_US;
-        if !self.current.keys.is_empty() && key == self.current_key {
+        if !self.current.is_empty() && key == self.current_key {
             // Insert into the active (descending-sorted) bucket.
-            let entry = self.current.store(at, event);
-            let pos = self.current.keys.partition_point(|k| *k > entry);
-            self.current.keys.insert(pos, entry);
+            let record = (record_key(at, self.current_pushed), event);
+            self.current_pushed += 1;
+            let pos = self.current.partition_point(|r| r.0 > record.0);
+            self.current.insert(pos, record);
             return;
         }
         // (`key == current_key` with the active bucket drained is fine: its
         // ring slot is free again.)
         assert!(
-            key >= self.current_key + u64::from(!self.current.keys.is_empty()),
+            key >= self.current_key + u64::from(!self.current.is_empty()),
             "event scheduled into the past"
         );
         let bucket = if key - self.current_key < RING {
@@ -132,24 +126,23 @@ impl<E> EventQueue<E> {
         } else {
             self.far.entry(key).or_default()
         };
-        let entry = bucket.store(at, event);
-        bucket.keys.push(entry);
+        bucket.push((record_key(at, bucket.len()), event));
     }
 
-    /// Promotes the earliest future bucket to active, sorting its keys.
+    /// Promotes the earliest future bucket to active, sorting it.
     fn refill(&mut self) {
-        if !self.current.keys.is_empty() {
+        if !self.current.is_empty() {
             return;
         }
         let mut bucket = if self.near_len > 0 {
             // Some slot of the ring holds events: the first from the
             // clock's position on is the earliest bucket there is.
             let key = (self.current_key..self.current_key + RING)
-                .find(|k| !self.near[(k % RING) as usize].keys.is_empty())
+                .find(|k| !self.near[(k % RING) as usize].is_empty())
                 .expect("near_len counts events in the ring");
             self.current_key = key;
             let bucket = std::mem::take(&mut self.near[(key % RING) as usize]);
-            self.near_len -= bucket.keys.len();
+            self.near_len -= bucket.len();
             bucket
         } else if let Some((key, bucket)) = self.far.pop_first() {
             self.current_key = key;
@@ -163,35 +156,38 @@ impl<E> EventQueue<E> {
                 break;
             }
             let (key, arrived) = entry.remove_entry();
-            self.near_len += arrived.keys.len();
+            self.near_len += arrived.len();
             self.near[(key % RING) as usize] = arrived;
         }
         // Descending so pop() takes the earliest from the back; keys are
         // unique, so the unstable sort is deterministic.
-        bucket.keys.sort_unstable_by(|a, b| b.cmp(a));
+        bucket.sort_unstable_by_key(|record| std::cmp::Reverse(record.0));
+        self.current_pushed = bucket.len();
         self.current = bucket;
+    }
+
+    /// The timestamp a key of the active bucket stands for.
+    fn time_of(&self, key: u64) -> Micros {
+        Micros(self.current_key * BUCKET_WIDTH_US + (key >> 32))
     }
 
     /// Pops the earliest event (FIFO among equal timestamps).
     #[inline]
     pub fn pop(&mut self) -> Option<(Micros, E)> {
         self.refill();
-        let (at, index) = self.current.keys.pop()?;
-        let event = self.current.events[index as usize]
-            .take()
-            .expect("a key names an event not yet popped");
+        let (key, event) = self.current.pop()?;
         self.len -= 1;
-        if self.current.keys.is_empty() {
-            self.current = Bucket::default();
+        if self.current.is_empty() {
+            self.current = Bucket::new();
         }
-        Some((at, event))
+        Some((self.time_of(key), event))
     }
 
     /// Time of the next event without removing it.
     #[inline]
     pub fn peek_time(&mut self) -> Option<Micros> {
         self.refill();
-        self.current.keys.last().map(|(t, _)| *t)
+        self.current.last().map(|r| self.time_of(r.0))
     }
 
     /// Number of pending events.

@@ -11,7 +11,7 @@
 
 use crate::bandwidth::BandwidthModel;
 use crate::cost::CostModel;
-use crate::event::EventQueue;
+use crate::event::{EventQueue, Record};
 use crate::protocol::{Burst, Ctx, Message, Outputs, Protocol};
 use crate::regions::LatencyMatrix;
 use clanbft_crypto::ClanRng;
@@ -116,35 +116,67 @@ enum Lane {
     Control(Micros),
 }
 
-/// What the calendar queue orders. A delivery names its message by slot in
-/// the simulator's [`InFlight`] slab rather than carrying it, so an event is
-/// the same few words whatever the protocol's message type.
+/// What the calendar queue orders: the node an event is for, and what
+/// happens there. A delivery names its message by slot in the simulator's
+/// [`InFlight`] slab rather than carrying it, and a timer its token by slot
+/// in [`Timers`], so an event is the same two words whatever the protocol's
+/// message type — half of a 16-byte calendar record.
 #[derive(Clone, Copy)]
-enum SimEvent {
-    Deliver {
-        src: PartyId,
-        dst: PartyId,
-        slot: u32,
-    },
-    Timer {
-        node: PartyId,
-        token: u64,
-    },
-    Restart {
-        node: PartyId,
-    },
+struct SimEvent {
+    node: PartyId,
+    /// An [`Action`]: its kind in the top two bits, its slot in the rest.
+    action: u32,
 }
 
-// One of these is written into a calendar bucket and read back per
-// delivered copy: anything message-sized belongs in the slab.
-const _: () = assert!(
-    std::mem::size_of::<SimEvent>() <= 24,
-    "SimEvent must stay within 24 bytes (it is 16)"
-);
+/// What a [`SimEvent`] does at its node.
+#[derive(Clone, Copy)]
+enum Action {
+    /// Deliver the message in this [`InFlight`] slot.
+    Deliver(u32),
+    /// Fire the timer whose token is in this [`Timers`] slot.
+    Timer(u32),
+    Restart,
+}
+
+/// Slot numbers an event can carry.
+const SLOT_BITS: u32 = 30;
+
+impl SimEvent {
+    fn new(node: PartyId, action: Action) -> SimEvent {
+        let (kind, slot) = match action {
+            Action::Deliver(slot) => (0, slot),
+            Action::Timer(slot) => (1, slot),
+            Action::Restart => (2, 0),
+        };
+        assert!(slot >> SLOT_BITS == 0, "under 2^30 slots in use at once");
+        SimEvent {
+            node,
+            action: kind << SLOT_BITS | slot,
+        }
+    }
+
+    fn action(self) -> Action {
+        let slot = self.action & ((1 << SLOT_BITS) - 1);
+        match self.action >> SLOT_BITS {
+            0 => Action::Deliver(slot),
+            1 => Action::Timer(slot),
+            _ => Action::Restart,
+        }
+    }
+}
+
+// One record is written into a calendar bucket, sorted there and read back
+// per delivered copy: anything message-sized belongs in the slab.
+const _: () = assert!(std::mem::size_of::<SimEvent>() == 8);
+const _: () = assert!(std::mem::size_of::<Record<SimEvent>>() == 16);
+// The sender rides in what was padding beside `copies`.
+const _: () = assert!(std::mem::size_of::<Stored<u64>>() == 40);
 
 /// One burst's message while copies of it are on the wire.
 struct Stored<M> {
     msg: M,
+    /// The sender: a property of the burst, so no copy's event carries it.
+    src: PartyId,
     /// `msg.wire_bytes()` and `msg.kind()`, taken once per burst: a dropped
     /// copy is accounted from here, not by asking the message again.
     bytes: usize,
@@ -153,30 +185,42 @@ struct Stored<M> {
     copies: u32,
 }
 
-/// The messages in flight, stored once per burst however many recipients
-/// it has. Slots are index-addressed and recycled (most recently freed
-/// first), so the slab grows to the peak number of bursts in flight and
-/// steady-state sends never touch the allocator.
-struct InFlight<M> {
-    slots: Vec<Option<Stored<M>>>,
+/// Index-addressed storage whose freed slots are reused, most recently
+/// freed first: it grows to the peak number of entries in use, and in
+/// steady state an insert does not touch the allocator.
+struct Slab<T> {
+    slots: Vec<T>,
     free: Vec<u32>,
 }
 
-impl<M> InFlight<M> {
-    fn store(&mut self, stored: Stored<M>) -> u32 {
+impl<T> Slab<T> {
+    fn new() -> Slab<T> {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, value: T) -> u32 {
         match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = Some(stored);
+                self.slots[slot as usize] = value;
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("under 2^32 bursts in flight");
-                self.slots.push(Some(stored));
+                let slot = u32::try_from(self.slots.len()).expect("under 2^32 slots");
+                self.slots.push(value);
                 slot
             }
         }
     }
+}
 
+/// The messages in flight, stored once per burst however many recipients
+/// it has (a slot is `None` while it is free).
+type InFlight<M> = Slab<Option<Stored<M>>>;
+
+impl<M> InFlight<M> {
     fn get(&self, slot: u32) -> &Stored<M> {
         self.slots[slot as usize]
             .as_ref()
@@ -193,6 +237,17 @@ impl<M> InFlight<M> {
             *entry = None;
             self.free.push(slot);
         }
+    }
+}
+
+/// Tokens of the timers armed and not yet fired.
+type Timers = Slab<u64>;
+
+impl Timers {
+    /// The token in `slot`, which is free again.
+    fn fire(&mut self, slot: u32) -> u64 {
+        self.free.push(slot);
+        self.slots[slot as usize]
     }
 }
 
@@ -245,6 +300,7 @@ pub struct Simulator<M: Message, P: Protocol<M>> {
     nodes: Vec<P>,
     queue: EventQueue<SimEvent>,
     in_flight: InFlight<M>,
+    timers: Timers,
     now: Micros,
     /// Bulk-lane uplink availability per node (block-sized messages).
     uplink_free: Vec<Micros>,
@@ -307,10 +363,8 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 .collect(),
             busy_until: vec![Micros::ZERO; n],
             queue: EventQueue::new(),
-            in_flight: InFlight {
-                slots: Vec::new(),
-                free: Vec::new(),
-            },
+            in_flight: Slab::new(),
+            timers: Slab::new(),
             now: Micros::ZERO,
             nodes,
             cfg,
@@ -371,12 +425,8 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         self.started = true;
         for i in 0..self.nodes.len() {
             if let Some(r) = self.cfg.restart_at[i] {
-                self.queue.push(
-                    r,
-                    SimEvent::Restart {
-                        node: PartyId(i as u32),
-                    },
-                );
+                self.queue
+                    .push(r, SimEvent::new(PartyId(i as u32), Action::Restart));
             }
         }
         for i in 0..self.nodes.len() {
@@ -400,14 +450,18 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         self.now = at;
         self.stats.handled_events += 1;
         self.stats.last_event_at = at;
-        match ev {
-            SimEvent::Deliver { src, dst, slot } => {
+        let node = ev.node;
+        match ev.action() {
+            Action::Deliver(slot) => {
+                let dst = node;
                 // No per-delivery scope: delivery happens millions of times
                 // per run and even a cheap scope would dominate its cost.
                 // The run loop (`sim.run` in `run_until`) owns dispatch
                 // time; nested stages (rbc, consensus, …) carve out theirs.
                 if self.crashed(dst, at) {
-                    let Stored { bytes, kind, .. } = *self.in_flight.get(slot);
+                    let Stored {
+                        src, bytes, kind, ..
+                    } = *self.in_flight.get(slot);
                     self.in_flight.release(slot);
                     self.drop_copy(src, dst, kind, bytes, at);
                     return true;
@@ -417,14 +471,15 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 let mut ctx = self.ctx(dst, start, &cost);
                 ctx.charge(self.cfg.cost.per_msg());
                 self.stats.delivered_msgs += 1;
-                let msg = &self.in_flight.get(slot).msg;
-                self.nodes[dst.idx()].on_message_ref(src, msg, &mut ctx);
+                let Stored { msg, src, .. } = self.in_flight.get(slot);
+                self.nodes[dst.idx()].on_message_ref(*src, msg, &mut ctx);
                 self.in_flight.release(slot);
                 self.busy_until[dst.idx()] = start + ctx.charged();
                 self.absorb(dst, ctx);
             }
-            SimEvent::Timer { node, token } => {
+            Action::Timer(slot) => {
                 let _prof = prof::scope("sim.timer");
+                let token = self.timers.fire(slot);
                 if self.crashed(node, at) {
                     return true;
                 }
@@ -435,7 +490,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 self.busy_until[node.idx()] = start + ctx.charged();
                 self.absorb(node, ctx);
             }
-            SimEvent::Restart { node } => {
+            Action::Restart => {
                 let _prof = prof::scope("sim.restart");
                 // The node was dead until this instant; whatever CPU debt it
                 // carried died with the process.
@@ -499,9 +554,15 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
     fn absorb(&mut self, from: PartyId, ctx: Ctx<'_, M>) {
         let completion = ctx.now();
         let mut out = ctx.out;
+        if out.bursts.is_empty() && out.timers.is_empty() {
+            // The handler queued nothing (most deliveries move a counter).
+            self.outputs = out;
+            return;
+        }
         for (delay, token) in out.timers.drain(..) {
+            let timer = Action::Timer(self.timers.insert(token));
             self.queue
-                .push(completion + delay, SimEvent::Timer { node: from, token });
+                .push(completion + delay, SimEvent::new(from, timer));
         }
         // First pass: total bulk bytes this invocation puts on the wire.
         let mut bulk_bytes = 0usize;
@@ -570,12 +631,13 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 bytes as f64 / self.uplink_bps[src.idx()],
             ))
         };
-        let slot = self.in_flight.store(Stored {
+        let slot = self.in_flight.insert(Some(Stored {
             msg,
+            src,
             bytes,
             kind,
             copies: u32::try_from(targets.len()).expect("under 2^32 recipients"),
-        });
+        }));
         for &dst in targets {
             self.transmit_one(src, dst, slot, at, lane);
         }
@@ -584,7 +646,8 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
     fn transmit_one(&mut self, src: PartyId, dst: PartyId, slot: u32, at: Micros, lane: Lane) {
         if src == dst {
             // Loopback: no wire, no uplink; deliver after a scheduling tick.
-            self.queue.push(at, SimEvent::Deliver { src, dst, slot });
+            self.queue
+                .push(at, SimEvent::new(dst, Action::Deliver(slot)));
             return;
         }
         let departure = match lane {
@@ -630,7 +693,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         }
 
         self.queue
-            .push(arrival, SimEvent::Deliver { src, dst, slot });
+            .push(arrival, SimEvent::new(dst, Action::Deliver(slot)));
     }
 
     /// Accounts one copy lost to a crashed endpoint.

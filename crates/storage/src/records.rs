@@ -91,6 +91,7 @@ const TAG_EPOCH: u8 = 7;
 const EV_EQUIVOCATING: u8 = 1;
 const EV_DOUBLE_VOTE: u8 = 2;
 const EV_VOTE_TIMEOUT: u8 = 3;
+const EV_MISBOUND: u8 = 4;
 
 fn encode_evidence(e: &Evidence, w: &mut Writer) {
     match e {
@@ -123,6 +124,18 @@ fn encode_evidence(e: &Evidence, w: &mut Writer) {
             round.encode(w);
             party.encode(w);
         }
+        Evidence::MisboundPayload {
+            round,
+            source,
+            named_round,
+            named_source,
+        } => {
+            w.put_u8(EV_MISBOUND);
+            round.encode(w);
+            source.encode(w);
+            named_round.encode(w);
+            named_source.encode(w);
+        }
     }
 }
 
@@ -143,6 +156,12 @@ fn decode_evidence(r: &mut Reader<'_>) -> Result<Evidence, DecodeError> {
         EV_VOTE_TIMEOUT => Ok(Evidence::VoteTimeoutConflict {
             round: Round::decode(r)?,
             party: PartyId::decode(r)?,
+        }),
+        EV_MISBOUND => Ok(Evidence::MisboundPayload {
+            round: Round::decode(r)?,
+            source: PartyId::decode(r)?,
+            named_round: Round::decode(r)?,
+            named_source: PartyId::decode(r)?,
         }),
         t => Err(DecodeError::InvalidTag(t)),
     }
@@ -303,6 +322,14 @@ mod tests {
                     voter: PartyId(3),
                     first: Digest([1; 32]),
                     second: Digest([2; 32]),
+                },
+            },
+            WalRecord::Evidence {
+                evidence: Evidence::MisboundPayload {
+                    round: Round(2),
+                    source: PartyId(3),
+                    named_round: Round(u64::MAX),
+                    named_source: PartyId(1),
                 },
             },
             WalRecord::EpochDecided {

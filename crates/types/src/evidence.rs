@@ -54,6 +54,18 @@ pub enum Evidence {
         /// The conflicted party.
         party: PartyId,
     },
+    /// A source sent, in its own RBC instance, a payload that names another
+    /// instance: a vertex claiming another party's slot, or another round.
+    MisboundPayload {
+        /// RBC round of the instance that carried it.
+        round: Round,
+        /// The broadcaster of that instance.
+        source: PartyId,
+        /// The round the payload names.
+        named_round: Round,
+        /// The party the payload names.
+        named_source: PartyId,
+    },
 }
 
 impl Evidence {
@@ -63,13 +75,15 @@ impl Evidence {
             Evidence::EquivocatingSource { .. } => "equivocating_source",
             Evidence::DoubleVote { .. } => "double_vote",
             Evidence::VoteTimeoutConflict { .. } => "vote_timeout_conflict",
+            Evidence::MisboundPayload { .. } => "misbound_payload",
         }
     }
 
     /// The party the evidence points at.
     pub fn culprit(&self) -> PartyId {
         match self {
-            Evidence::EquivocatingSource { source, .. } => *source,
+            Evidence::EquivocatingSource { source, .. }
+            | Evidence::MisboundPayload { source, .. } => *source,
             Evidence::DoubleVote { voter, .. } => *voter,
             Evidence::VoteTimeoutConflict { party, .. } => *party,
         }
@@ -80,7 +94,8 @@ impl Evidence {
         match self {
             Evidence::EquivocatingSource { round, .. }
             | Evidence::DoubleVote { round, .. }
-            | Evidence::VoteTimeoutConflict { round, .. } => *round,
+            | Evidence::VoteTimeoutConflict { round, .. }
+            | Evidence::MisboundPayload { round, .. } => *round,
         }
     }
 }
@@ -108,6 +123,12 @@ mod tests {
                 round: Round(5),
                 party: PartyId(3),
             },
+            Evidence::MisboundPayload {
+                round: Round(6),
+                source: PartyId(0),
+                named_round: Round(9),
+                named_source: PartyId(2),
+            },
         ];
         let kinds: Vec<_> = cases.iter().map(|e| e.kind()).collect();
         assert_eq!(
@@ -115,13 +136,16 @@ mod tests {
             [
                 "equivocating_source",
                 "double_vote",
-                "vote_timeout_conflict"
+                "vote_timeout_conflict",
+                "misbound_payload"
             ]
         );
         assert_eq!(cases[0].culprit(), PartyId(1));
         assert_eq!(cases[1].culprit(), PartyId(2));
         assert_eq!(cases[2].culprit(), PartyId(3));
+        assert_eq!(cases[3].culprit(), PartyId(0), "the carrier, not the named");
         assert_eq!(cases[0].round(), Round(3));
         assert_eq!(cases[2].round(), Round(5));
+        assert_eq!(cases[3].round(), Round(6));
     }
 }

@@ -231,6 +231,63 @@ fn digest_mismatch_rejected_at_threshold() {
 }
 
 #[test]
+fn misbound_vertices_are_refused_at_threshold() {
+    // f = 2 attackers broadcast, in their own instances, well-formed
+    // vertices that name party 3's slot (even rounds) or a round 2^40
+    // ahead (odd rounds). Nothing binds them to the instance that carried
+    // them but the check where the view is accepted: without it the first
+    // kind competes with party 3's own vertex for its DAG slot and the
+    // second sits in the pending buffer for good.
+    let attackers = [PartyId(1), PartyId(4)];
+    let victim = PartyId(3);
+    let spec = sailfish_spec(
+        attackers
+            .iter()
+            .map(|&p| (p, Attack::Misbind { victim }))
+            .collect(),
+    );
+    let (built, rec, monitor) = run(spec);
+
+    assert_agreement(&built, "misbind");
+    assert_liveness(&built, 8, "misbind");
+    assert_no_honest_stall(&monitor, &built, "misbind");
+    assert!(
+        rec.counter(counters::REJECTED_BAD_PAYLOAD) >= 1,
+        "misbound payloads were not rejected"
+    );
+    assert!(
+        honest_evidence(&built, "misbound_payload", &attackers) >= 1,
+        "no honest node holds evidence against the attackers"
+    );
+    assert!(
+        fired_against(&monitor, Detector::EvidenceSpike, &attackers),
+        "evidence_spike never fired against a misbinding source"
+    );
+    // Never echoed, so never certified, so nothing of the attackers' is
+    // ordered; the victim's slots hold the victim's own (non-empty) blocks.
+    for &p in &built.honest {
+        for c in &built.sim.node(p).committed_log {
+            assert!(
+                !attackers.contains(&c.vertex.source),
+                "{p} ordered {:?}",
+                c.vertex
+            );
+            assert!(
+                c.vertex.source != victim || c.block_tx_count > 0,
+                "{p} ordered a vertex in {victim}'s slot that is not {victim}'s"
+            );
+        }
+    }
+    // And no honest DAG ever buffered a vertex of a far round.
+    let far = clanbft_adversary::attacks::MISBIND_ROUNDS_AHEAD;
+    let buffered_far = rec.events().iter().any(|s| {
+        built.honest.contains(&s.party)
+            && matches!(s.event, Event::DagBuffered { round, .. } if round.0 >= far)
+    });
+    assert!(!buffered_far, "a far-round vertex reached a pending buffer");
+}
+
+#[test]
 fn withholding_recovered_via_pull_path() {
     // Party 1 withholds its payloads from two victims and ignores every
     // pull request; the victims must still deliver 1's certified vertices

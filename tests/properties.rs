@@ -263,25 +263,44 @@ fn bitmap_matches_hashset_model() {
 // --- event queue model test -------------------------------------------------
 
 /// Any interleaving of pushes (at or after the last popped time) and pops
-/// comes out in `(time, insertion order)` order, as a binary heap over
-/// `(time, seq)` would give it.
+/// comes out of the packed calendar queue in `(time, insertion order)`
+/// order, as a binary heap over `(time, global sequence)` gives it.
+///
+/// An op is `(count, delay)`: pop once if `count` is zero, otherwise push
+/// `count` events — ties at one microsecond — `delay` after the last popped
+/// time. Both numbers shrink, so a failure reports the fewest, smallest
+/// pushes that still show it.
 #[test]
 fn event_queue_matches_heap_model() {
     use clanbft_simnet::event::EventQueue;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    // An op is a pop (`None`) or a push this far after the last popped
-    // time: the same instant, inside the same millisecond bucket, some
-    // buckets on, or a round timeout away.
-    let arb_op = |g: &mut Gen| match g.u8_in(0, 6) {
-        0 | 1 => None,
-        2 => Some(0),
-        3 => Some(g.u64_in(0, 999)),
-        4 | 5 => Some(g.u64_in(0, 60_000)),
-        _ => Some(g.u64_in(4_990_000, 5_010_000)),
+    let arb_op = |g: &mut Gen| -> (u32, u64) {
+        let count = match g.u8_in(0, 40) {
+            0..=13 => return (0, 0),
+            // More events in one bucket than 16 bits of position hold — a
+            // future bucket: insertion into the active one is linear.
+            14 if g.u8_in(0, 16) == 0 => {
+                return (g.u32_in(66_000, 70_000), g.u64_in(1_000, 60_000));
+            }
+            14..=17 => g.u32_in(2, 40),
+            _ => 1,
+        };
+        let delay = match g.u8_in(0, 8) {
+            // The same instant; inside the same millisecond bucket (the
+            // active one, or the one that has just drained).
+            0 => 0,
+            1 | 2 => g.u64_in(0, 999),
+            // Some buckets on; most of the ring away.
+            3..=5 => g.u64_in(0, 60_000),
+            6 => g.u64_in(0, 1_100_000),
+            // A round timeout away: beyond the ring, into it as time passes.
+            _ => g.u64_in(4_990_000, 5_010_000),
+        };
+        (count, delay)
     };
-    check(
+    check_shrink(
         "event_queue_matches_heap_model",
         CASES,
         |g| g.vec(1, 600, arb_op),
@@ -290,20 +309,19 @@ fn event_queue_matches_heap_model() {
             let mut model = BinaryHeap::new();
             let (mut now, mut seq) = (0u64, 0u64);
             // The ops as generated, then pops until both are empty.
-            let drain = std::iter::repeat(&None).take(ops.len());
-            for op in ops.iter().chain(drain) {
-                match op {
-                    Some(delay) => {
-                        queue.push(Micros(now + delay), seq);
-                        model.push(Reverse((now + delay, seq)));
-                        seq += 1;
-                    }
-                    None => {
-                        let want = model.pop().map(|Reverse((at, seq))| (Micros(at), seq));
-                        tk_assert_eq!(queue.peek_time(), want.map(|(at, _)| at));
-                        tk_assert_eq!(queue.pop(), want);
-                        now = want.map_or(now, |(at, _)| at.0);
-                    }
+            let pushed: usize = ops.iter().map(|op| op.0 as usize).sum();
+            let drain = std::iter::repeat(&(0, 0)).take(pushed);
+            for &(count, delay) in ops.iter().chain(drain) {
+                for _ in 0..count {
+                    queue.push(Micros(now + delay), seq);
+                    model.push(Reverse((now + delay, seq)));
+                    seq += 1;
+                }
+                if count == 0 {
+                    let want = model.pop().map(|Reverse((at, seq))| (Micros(at), seq));
+                    tk_assert_eq!(queue.peek_time(), want.map(|(at, _)| at));
+                    tk_assert_eq!(queue.pop(), want);
+                    now = want.map_or(now, |(at, _)| at.0);
                 }
                 tk_assert_eq!(queue.len(), model.len());
             }
