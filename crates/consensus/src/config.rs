@@ -14,7 +14,9 @@ pub struct NodeConfig {
     pub me: PartyId,
     /// Tribe fault parameters.
     pub tribe: TribeParams,
-    /// Clan topology (decides who receives whose blocks).
+    /// Clan topology: decides who receives whose blocks, and so who proposes
+    /// non-empty ones — the parties inside their own dissemination clan
+    /// (under single-clan the clan members, otherwise everybody).
     pub topology: Arc<ClanTopology>,
     /// Seed for the leader schedule rotation.
     pub schedule_seed: u64,
@@ -38,9 +40,6 @@ pub struct NodeConfig {
     pub mempool: MempoolConfig,
     /// Dynamic batch-sizer tuning (ignored by the synthetic workload).
     pub sizer: SizerConfig,
-    /// Whether this party proposes non-empty blocks. Under single-clan only
-    /// clan members do; under the other variants everybody does.
-    pub is_block_proposer: bool,
     /// Verify certificate/vote signature bytes for real (tests) or charge
     /// their cost only (large simulations).
     pub verify_sigs: bool,
@@ -95,7 +94,6 @@ impl NodeConfig {
             workload: None,
             mempool: MempoolConfig::default(),
             sizer: SizerConfig::default(),
-            is_block_proposer: true,
             verify_sigs: true,
             execute: false,
             gc_depth: Some(16),

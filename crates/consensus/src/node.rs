@@ -235,7 +235,7 @@ impl SailfishNode {
         engine_cfg.pull_retry = cfg.pull_retry;
         let rbc =
             TribeRbc::signed(engine_cfg, Arc::clone(&auth)).with_sig_verification(cfg.verify_sigs);
-        let ingress = if cfg.is_block_proposer {
+        let ingress = if cfg.topology.receives_full(cfg.me, cfg.me) {
             new_ingress(&cfg)
         } else {
             None
@@ -1482,7 +1482,9 @@ mod tests {
     fn non_proposer_builds_empty_blocks() {
         let (mut node, _) = {
             let tribe = TribeParams::new(4);
-            let topology = Arc::new(ClanTopology::whole_tribe(tribe));
+            // Party 0 sits outside the clan its blocks would go to.
+            let clan = vec![PartyId(1), PartyId(2), PartyId(3)];
+            let topology = Arc::new(ClanTopology::single_clan(tribe, clan));
             let (registry, keypairs) = Registry::generate(Scheme::Keyed, 4, 7);
             let auth = Arc::new(Authenticator::new(
                 0,
@@ -1491,7 +1493,6 @@ mod tests {
             ));
             let mut cfg = NodeConfig::new(PartyId(0), topology);
             cfg.txs_per_proposal = 500;
-            cfg.is_block_proposer = false;
             (SailfishNode::new(cfg, auth), ())
         };
         let block = node.build_block(Round(1), Micros::from_secs(1));

@@ -713,16 +713,13 @@ impl SailfishNode {
 
     // --- rotation-aware proposer duties -------------------------------------
 
-    /// Whether this party proposes non-empty blocks in `round` under the
-    /// epoch topology governing that round. Under single-clan layouts seat
-    /// membership decides; elsewhere the static configuration does.
+    /// Whether this party proposes non-empty blocks in `round`: whether it
+    /// sits inside its own dissemination clan under the epoch topology
+    /// governing that round (only there can it validate what it proposes,
+    /// paper §5).
     pub(crate) fn proposes_blocks_at(&self, round: Round) -> bool {
         let topo = self.rbc.config().topology_at(round);
-        if topo.clan_count() == 1 && topo.clan(0).members.len() < self.cfg.tribe.n() {
-            topo.clan(0).members.contains(&self.cfg.me)
-        } else {
-            self.cfg.is_block_proposer
-        }
+        topo.receives_full(self.cfg.me, self.cfg.me)
     }
 
     /// Brings a client ingress to life for a party seated by rotation.

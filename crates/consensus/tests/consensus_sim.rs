@@ -16,8 +16,6 @@ type Sim = Simulator<ConsensusMsg, SailfishNode>;
 struct TribeSpec {
     n: usize,
     topology: Arc<ClanTopology>,
-    /// Parties proposing non-empty blocks.
-    proposers: Vec<u32>,
     txs_per_proposal: u32,
     max_round: u64,
     execute: bool,
@@ -30,7 +28,6 @@ impl TribeSpec {
         TribeSpec {
             n,
             topology: Arc::new(ClanTopology::whole_tribe(TribeParams::new(n))),
-            proposers: (0..n as u32).collect(),
             txs_per_proposal: 50,
             max_round: 8,
             execute: false,
@@ -47,7 +44,6 @@ impl TribeSpec {
         TribeSpec {
             n,
             topology,
-            proposers: clan,
             txs_per_proposal: 50,
             max_round: 8,
             execute: false,
@@ -67,7 +63,6 @@ impl TribeSpec {
         TribeSpec {
             n,
             topology,
-            proposers: (0..n as u32).collect(),
             txs_per_proposal: 50,
             max_round: 8,
             execute: false,
@@ -92,7 +87,6 @@ impl TribeSpec {
                 cfg.cost = CostModel::free();
                 cfg.txs_per_proposal = self.txs_per_proposal;
                 cfg.max_round = Some(self.max_round);
-                cfg.is_block_proposer = self.proposers.contains(&(i as u32));
                 cfg.execute = self.execute;
                 cfg.timeout = Micros::from_millis(1_500);
                 SailfishNode::new(cfg, auth)

@@ -10,7 +10,7 @@
 //! clanbft-inspect check     <trace>           invariant gate (exit 1 on violation)
 //! clanbft-inspect alerts    <trace>           offline detector replay + cluster verdict
 //! clanbft-inspect profile   <profile>         hot scopes + tree + allocation tables
-//! clanbft-inspect profile --diff <base> <cand> [--threshold pct]   perf regression verdict
+//! clanbft-inspect profile --diff <base> <cand>   per-stage time deltas + exact count check
 //! ```
 //!
 //! A trace or profile path of `-` reads from stdin.
@@ -25,8 +25,8 @@ use std::process::ExitCode;
 const USAGE: &str =
     "usage: clanbft-inspect <waterfall|health|incidents|alerts|dot|ascii|check> <trace> \
                      [--rounds a..b]\n       clanbft-inspect diff <baseline> <candidate>\n       \
-                     clanbft-inspect profile <profile> | profile --diff <base> <cand> \
-                     [--threshold pct]\n       (a trace path of '-' reads stdin)";
+                     clanbft-inspect profile <profile> | profile --diff <base> <cand>\n       \
+                     (a trace path of '-' reads stdin)";
 
 fn load(path: &str) -> Result<Trace, String> {
     let trace = parse_trace(&read_input(path)?).map_err(|e| format!("parsing {path}: {e}"))?;
@@ -106,21 +106,15 @@ fn run() -> Result<ExitCode, String> {
                     if a == "-" && b == "-" {
                         return Err("profile --diff can read at most one file from stdin".into());
                     }
-                    let threshold = match args.get(4).map(String::as_str) {
-                        Some("--threshold") => {
-                            let t = args.get(5).ok_or("--threshold needs a percentage")?;
-                            t.parse::<f64>()
-                                .map_err(|e| format!("bad threshold {t:?}: {e}"))?
-                        }
-                        Some(other) => return Err(format!("unknown option {other:?}\n{USAGE}")),
-                        None => 20.0,
-                    };
+                    if let Some(other) = args.get(4) {
+                        return Err(format!("unknown option {other:?}\n{USAGE}"));
+                    }
                     let pa = load_profile(a)?;
                     let pb = load_profile(b)?;
                     // The verdict line is informational: host-load noise
                     // must not fail a build on its own, so gates grep for
                     // "verdict:" instead of relying on the exit code.
-                    print!("{}", profile_diff(&pa, &pb, threshold));
+                    print!("{}", profile_diff(&pa, &pb));
                 }
                 Some(path) => print!("{}", profile_report(&load_profile(path)?)),
                 None => return Err(USAGE.to_string()),

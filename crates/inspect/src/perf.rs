@@ -42,7 +42,7 @@ pub struct PerfScope {
 /// One captured profile: a labelled set of scope rows in tree order.
 #[derive(Clone, Debug, Default)]
 pub struct PerfProfile {
-    /// The label the producer stamped (e.g. `fig5`, `perf_smoke/a`).
+    /// The label the producer stamped (e.g. `fig5 c`, `clan50_sat`).
     pub label: String,
     /// Scope rows, parents before children.
     pub scopes: Vec<PerfScope>,
@@ -237,16 +237,20 @@ struct DiffRow {
     delta_pct: f64,
 }
 
+/// The self-ns-per-call increase, in percent, from which [`profile_diff`]'s
+/// `verdict:` line names a stage as regressed.
+const REGRESSION_PCT: f64 = 20.0;
+
 /// Compares `cand` against `base` on self-nanoseconds-per-call and renders
 /// per-stage % deltas plus a `verdict:` line naming the worst regression at
-/// or above `threshold_pct` (or declaring the run clean), then a `counts:`
-/// line saying whether calls, allocations and allocated bytes agree on
-/// every path.
+/// or above [`REGRESSION_PCT`] (or declaring the run clean), then a
+/// `counts:` line saying whether calls, allocations and allocated bytes
+/// agree on every path.
 ///
 /// The two lines are the machine-readable hooks. `verdict:` is host time:
 /// read it, do not gate on it. `counts: identical` is what two runs of one
 /// seed and one build must print; CI greps for it.
-pub fn profile_diff(base: &PerfProfile, cand: &PerfProfile, threshold_pct: f64) -> String {
+pub fn profile_diff(base: &PerfProfile, cand: &PerfProfile) -> String {
     let base_by_path: BTreeMap<&str, &PerfScope> =
         base.scopes.iter().map(|s| (s.path.as_str(), s)).collect();
     let mut rows: Vec<DiffRow> = Vec::new();
@@ -307,7 +311,7 @@ pub fn profile_diff(base: &PerfProfile, cand: &PerfProfile, threshold_pct: f64) 
         fmt_ms(base.total_self_ns()),
         cand.label,
         fmt_ms(cand.total_self_ns()),
-        threshold_pct
+        REGRESSION_PCT
     ));
     out.push_str(&format!(
         "{:<44} {:>14} {:>14} {:>9}\n",
@@ -328,7 +332,7 @@ pub fn profile_diff(base: &PerfProfile, cand: &PerfProfile, threshold_pct: f64) 
 
     let worst = rows
         .iter()
-        .filter(|r| r.delta_pct >= threshold_pct)
+        .filter(|r| r.delta_pct >= REGRESSION_PCT)
         .max_by(|a, b| {
             a.delta_pct
                 .partial_cmp(&b.delta_pct)
@@ -338,11 +342,11 @@ pub fn profile_diff(base: &PerfProfile, cand: &PerfProfile, threshold_pct: f64) 
     match worst {
         Some(r) => out.push_str(&format!(
             "verdict: REGRESSION {} {:+.1}% self ns/call (threshold {:.0}%)\n",
-            r.path, r.delta_pct, threshold_pct
+            r.path, r.delta_pct, REGRESSION_PCT
         )),
         None => out.push_str(&format!(
             "verdict: OK — no stage regressed {:.0}% or more on self ns/call\n",
-            threshold_pct
+            REGRESSION_PCT
         )),
     }
     let differing = miscounted.len() + only_base.len() + only_cand.len();
@@ -436,7 +440,7 @@ mod tests {
         let base = parse_profile(&sample("base", 4000)).unwrap();
         // dag.insert self: 4ms -> 6ms over the same 80 calls = +50%/call.
         let cand = parse_profile(&sample("cand", 6000)).unwrap();
-        let d = profile_diff(&base, &cand, 20.0);
+        let d = profile_diff(&base, &cand);
         assert!(
             d.contains("verdict: REGRESSION sim.deliver;dag.insert +50.0%"),
             "{d}"
@@ -448,7 +452,7 @@ mod tests {
         let base = parse_profile(&sample("base", 4000)).unwrap();
         let cand = parse_profile(&sample("cand", 4400)).unwrap();
         // +10% stays under the 20% threshold.
-        let d = profile_diff(&base, &cand, 20.0);
+        let d = profile_diff(&base, &cand);
         assert!(d.contains("verdict: OK"), "{d}");
         assert!(d.contains("+10.0%"), "{d}");
     }
@@ -458,14 +462,14 @@ mod tests {
         let base = parse_profile(&sample("base", 4000)).unwrap();
         // Slower, same counts: the time verdict fires, the counts agree.
         let slow = parse_profile(&sample("cand", 9000)).unwrap();
-        let d = profile_diff(&base, &slow, 20.0);
+        let d = profile_diff(&base, &slow);
         assert!(d.contains("verdict: REGRESSION"), "{d}");
         assert!(d.contains("counts: identical"), "{d}");
         assert!(d.contains("all 3 paths"), "{d}");
         // One allocation more on one path: a mismatch, named.
         let mut leaky = base.clone();
         leaky.scopes[1].allocs += 1;
-        let d = profile_diff(&base, &leaky, 20.0);
+        let d = profile_diff(&base, &leaky);
         assert!(d.contains("verdict: OK"), "{d}");
         assert!(
             d.contains("counts: MISMATCH — 1 paths differ")
@@ -490,7 +494,7 @@ mod tests {
             alloc_bytes: 0,
             peak_bytes: 0,
         });
-        let d = profile_diff(&base, &cand, 20.0);
+        let d = profile_diff(&base, &cand);
         assert!(d.contains("sim.timer"), "{d}");
         assert!(d.contains("only in baseline"), "{d}");
         assert!(d.contains("only in candidate"), "{d}");

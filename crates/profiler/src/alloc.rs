@@ -126,13 +126,6 @@ pub(crate) fn set_tracking(on: bool) {
     TRACK.store(on, Ordering::Relaxed);
 }
 
-/// Whether allocator calls are currently being counted. Scopes consult this
-/// on entry: with tracking off the counters are frozen, so the guard skips
-/// the counter snapshot entirely (the timing-only fast path).
-pub(crate) fn tracking() -> bool {
-    TRACK.load(Ordering::Relaxed)
-}
-
 /// Scope entry, one TLS lookup: snapshot `(alloc_count, alloc_bytes,
 /// live_bytes)` and open a new peak window at the current live level,
 /// returning the outer window's peak last so the matching [`exit_scope`]

@@ -53,6 +53,4 @@ mod scope;
 
 pub use alloc::CountingAlloc;
 pub use report::{Report, ScopeStat};
-pub use scope::{
-    disable, enable, enable_timing_only, enabled, reset, scope, take_report, ScopeGuard,
-};
+pub use scope::{disable, enable, enabled, reset, scope, take_report, ScopeGuard};

@@ -99,16 +99,6 @@ pub fn enable() {
     alloc::set_tracking(true);
 }
 
-/// Turn profiling on *without* allocation accounting: scopes record calls
-/// and wall time, the allocation columns stay zero, and both the allocator
-/// wrapper and the scope guards skip the counter bookkeeping. The cheapest
-/// enabled mode — use it when only the timing profile matters.
-pub fn enable_timing_only() {
-    clock::mark_origin();
-    ENABLED.store(true, Ordering::Relaxed);
-    alloc::set_tracking(false);
-}
-
 /// Turn profiling off. Scopes already open keep recording into valid nodes;
 /// scopes opened after this are inert.
 pub fn disable() {
@@ -136,7 +126,6 @@ pub fn scope(name: &'static str) -> ScopeGuard {
     if !ENABLED.load(Ordering::Relaxed) {
         return ScopeGuard {
             start_ticks: None,
-            track: false,
             node: 0,
             prev: 0,
             entry_count: 0,
@@ -145,13 +134,7 @@ pub fn scope(name: &'static str) -> ScopeGuard {
             saved_peak: 0,
         };
     }
-    // Timing-only mode: the counters are frozen, so skip their snapshot.
-    let track = alloc::tracking();
-    let (entry_count, entry_bytes, entry_live, saved_peak) = if track {
-        alloc::enter_scope()
-    } else {
-        (0, 0, 0, 0)
-    };
+    let (entry_count, entry_bytes, entry_live, saved_peak) = alloc::enter_scope();
     let (node, prev) = TREE.with(|t| {
         let mut t = t.borrow_mut();
         t.root();
@@ -164,7 +147,6 @@ pub fn scope(name: &'static str) -> ScopeGuard {
         // Read the clock last so tree bookkeeping lands in the parent's
         // self time, not this scope's.
         start_ticks: Some(clock::now_ticks()),
-        track,
         node,
         prev,
         entry_count,
@@ -178,8 +160,6 @@ pub fn scope(name: &'static str) -> ScopeGuard {
 pub struct ScopeGuard {
     /// `None` = profiler was disabled at entry; drop is a no-op.
     start_ticks: Option<u64>,
-    /// Whether allocation tracking was on at entry (skip counters if not).
-    track: bool,
     node: usize,
     prev: usize,
     entry_count: u64,
@@ -194,11 +174,7 @@ impl Drop for ScopeGuard {
             return;
         };
         let elapsed_ticks = clock::now_ticks().wrapping_sub(start);
-        let (count, bytes, window_peak) = if self.track {
-            alloc::exit_scope(self.saved_peak)
-        } else {
-            (0, 0, 0)
-        };
+        let (count, bytes, window_peak) = alloc::exit_scope(self.saved_peak);
         TREE.with(|t| {
             let mut t = t.borrow_mut();
             // If `take_report`/`reset` fired while this scope was open the

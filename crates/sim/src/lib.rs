@@ -15,6 +15,6 @@ pub mod trace;
 pub mod tribe;
 
 pub use experiment::{ExperimentSpec, Proto};
-pub use metrics::{collect_metrics, RunMetrics};
+pub use metrics::{collect_metrics, RunMetrics, BYTE_CLASSES};
 pub use trace::{export_trace, meta_line, write_trace};
 pub use tribe::{build_tribe, BuiltTribe, TribeNode, TribeSpec};

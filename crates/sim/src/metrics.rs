@@ -14,6 +14,11 @@ use clanbft_simnet::net::Simulator;
 use clanbft_types::{Micros, PartyId, Round, VertexRef};
 use std::collections::HashMap;
 
+/// The message classes of [`RunMetrics::bytes_share`], in order: full
+/// payloads, vertex metadata, echoes / readies / certificates, leader votes
+/// and timeouts, and everything else (pulls and state transfer).
+pub const BYTE_CLASSES: [&str; 5] = ["val", "meta", "echo_cert", "vote_timeout", "pull_state"];
+
 /// Measured outcome of one run.
 #[derive(Clone, Debug)]
 pub struct RunMetrics {
@@ -33,6 +38,10 @@ pub struct RunMetrics {
     pub committed_rounds: u64,
     /// Total bytes placed on the simulated wire (whole run, all nodes).
     pub total_bytes: u64,
+    /// Shares of `total_bytes` by message class, in [`BYTE_CLASSES`] order.
+    /// Every `NetStats::bytes_by_kind` label lands in exactly one class, so
+    /// they sum to 1: what a `bytes_per_tx` figure is made of.
+    pub bytes_share: [f64; 5],
     /// Non-empty proposals inside the window (for the batch distribution).
     pub proposals: u64,
     /// Median transactions per proposal (the dynamic sizer's choices).
@@ -65,7 +74,7 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// One NDJSON line, suitable for appending to a results file.
     pub fn to_json(&self) -> String {
-        clanbft_telemetry::JsonObj::new()
+        let mut obj = clanbft_telemetry::JsonObj::new()
             .u64("committed_txs", self.committed_txs)
             .f64("throughput_tps", self.throughput_tps)
             .u64("avg_latency_us", self.avg_latency.0)
@@ -84,8 +93,11 @@ impl RunMetrics {
             .f64("wall_us_per_sim_sec", self.wall_us_per_sim_sec)
             .u64("wal_fsync_p50_us", self.wal_fsync_p50_us)
             .u64("wal_fsync_p99_us", self.wal_fsync_p99_us)
-            .u64("wal_bytes_per_commit", self.wal_bytes_per_commit)
-            .finish()
+            .u64("wal_bytes_per_commit", self.wal_bytes_per_commit);
+        for (class, share) in BYTE_CLASSES.iter().zip(self.bytes_share) {
+            obj = obj.f64(&format!("bytes_share_{class}"), share);
+        }
+        obj.finish()
     }
 
     /// Fills the host-side rate metrics from the measured wall-clock time of
@@ -210,6 +222,19 @@ pub fn collect_metrics(
     let p50_latency = percentile(&mut latencies, 0.50);
     let p99_latency = percentile(&mut latencies, 0.99);
 
+    let total_bytes = sim.stats().total_bytes();
+    let mut class_bytes = [0u64; 5];
+    for (&kind, &bytes) in &sim.stats().bytes_by_kind {
+        let class = match kind {
+            "rbc.val" => 0,
+            "rbc.meta" => 1,
+            "rbc.echo" | "rbc.ready" | "rbc.cert" => 2,
+            "vote" | "timeout" => 3,
+            _ => 4,
+        };
+        class_bytes[class] += bytes;
+    }
+
     RunMetrics {
         committed_txs: txs,
         throughput_tps,
@@ -218,7 +243,8 @@ pub fn collect_metrics(
         p99_latency,
         window,
         committed_rounds,
-        total_bytes: sim.stats().total_bytes(),
+        total_bytes,
+        bytes_share: class_bytes.map(|b| b as f64 / total_bytes.max(1) as f64),
         proposals,
         batch_p50,
         batch_p99,
@@ -293,6 +319,7 @@ mod tests {
             window: Micros(4_000_000),
             committed_rounds: 8,
             total_bytes: 1234,
+            bytes_share: [0.0; 5],
             proposals: 4,
             batch_p50: 3,
             batch_p99: 4,
@@ -343,6 +370,7 @@ mod tests {
             window: Micros::ZERO,
             committed_rounds: 0,
             total_bytes: 0,
+            bytes_share: [0.0; 5],
             proposals: 0,
             batch_p50: 0,
             batch_p99: 0,

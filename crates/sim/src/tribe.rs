@@ -147,14 +147,13 @@ pub struct BuiltTribe {
 
 /// Elects the paper's evaluation clans (region-balanced) and assembles the
 /// topology for `spec`.
-fn make_topology(spec: &TribeSpec, latency: &LatencyMatrix) -> Arc<ClanTopology> {
+fn make_topology(spec: &TribeSpec) -> Arc<ClanTopology> {
     let tribe = TribeParams::new(spec.n);
     let topo = match &spec.clans {
         None => ClanTopology::whole_tribe(tribe),
         Some(clans) if clans.len() == 1 => ClanTopology::single_clan(tribe, clans[0].clone()),
         Some(clans) => ClanTopology::multi_clan(tribe, clans.clone()),
     };
-    let _ = latency;
     Arc::new(topo)
 }
 
@@ -184,7 +183,7 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
     } else {
         LatencyMatrix::evenly_distributed(n)
     };
-    let topology = make_topology(spec, &latency);
+    let topology = make_topology(spec);
 
     // Bulk fan-out degree: how many peers a node streams blocks to per
     // round. Block proposers stream to their clan; everyone else only moves
@@ -245,11 +244,6 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
             cfg.tx_bytes = spec.tx_bytes;
             cfg.workload = spec.workload;
             cfg.gc_depth = spec.gc_depth;
-            // Only parties inside their own dissemination clan can validate
-            // and therefore propose transactions (paper §5): under
-            // single-clan that is the designated clan; under multi-clan and
-            // the baseline it is everybody.
-            cfg.is_block_proposer = topology.clan_for_sender(me).contains(me);
             cfg.verify_sigs = spec.verify_sigs;
             cfg.execute = spec.execute;
             cfg.telemetry = match &spec.monitor {

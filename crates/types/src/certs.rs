@@ -83,13 +83,19 @@ fn encode_agg(agg: &AggregateSignature, w: &mut Writer) {
     }
 }
 
+/// Largest signer capacity a decoded certificate may claim. The capacity
+/// sizes the signer bitmap whatever else the input holds: 4 096 parties cost
+/// a hostile 16-byte certificate 512 bytes (the limit was 2^20: 128 KiB).
+const MAX_SIGNERS: usize = 4096;
+
 fn decode_agg(r: &mut Reader<'_>) -> Result<AggregateSignature, DecodeError> {
     let capacity = r.get_u32()? as usize;
-    if capacity > 1 << 20 {
+    if capacity > MAX_SIGNERS {
         return Err(DecodeError::LengthOverflow(capacity as u64));
     }
     let count = r.get_len()?;
-    let mut pairs = Vec::with_capacity(count.min(4096));
+    // Reserve for the pairs the input can still hold, 68 bytes each.
+    let mut pairs = Vec::with_capacity(count.min(r.remaining() / 68));
     for _ in 0..count {
         let i = r.get_u32()? as usize;
         if i >= capacity {

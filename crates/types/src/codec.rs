@@ -288,7 +288,9 @@ impl<T: Encode> Encode for Vec<T> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let len = r.get_len()?;
-        let mut out = Vec::with_capacity(len.min(4096));
+        // An element takes at least one byte, so a prefix beyond what is
+        // left is about to fail: it must not size the reservation.
+        let mut out = Vec::with_capacity(len.min(r.remaining()));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }

@@ -1,47 +1,22 @@
 #!/usr/bin/env bash
-# Regenerates the committed bench-trajectory artifacts. Run on a quiet host
-# from the repository root, then commit the changed files:
+# Regenerates the committed figure results: one sweep of the reduced grid
+# (about ten minutes; run it on a quiet host from the repository root).
 #
-#   BENCH_summary.json                    fig5 headline points (+ host rates)
-#   crates/bench/BENCH_micro.json         micro-bench trajectory (NDJSON)
-#   crates/bench/BENCH_perf_baseline.json perf_smoke pinned baseline
-#   crates/bench/BENCH_fig5.json          full sweep history (append-only)
+#   crates/bench/BENCH_fig5.json   every simulated point: fig5 a-d, fig6,
+#                                  the bandwidth ablation
+#   BENCH_summary.json             per fig5 section and protocol, the line
+#                                  of the best-throughput point
 #
-# Environment:
-#   CLANBFT_FULL=1       run the paper's full fig5 load grid (hours, not
-#                        minutes) and the full micro profile
-#   CLANBFT_PROFILE=path also capture a fig5 stage profile (NDJSON +
-#                        collapsed stacks) at `path`; use an absolute path
-#                        (cargo runs bench binaries from the package dir)
+# Before it rewrites the two files the runner compares every line with the
+# committed one and prints `simulated: identical` or the columns that
+# moved, at n = 50, 100 and 150. Simulated columns are exact: a line that
+# moved is a behaviour change to explain in the commit. Host columns (wall
+# time, event rate, fsync latency) are this machine's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== build (release)"
 cargo build --release --offline
-cargo build --release --offline --examples -p clanbft-sim
+cargo bench -q --offline -p clanbft-bench --bench figures -- all
 
-echo "== perf_smoke: refresh the pinned profiler baseline"
-# Re-measures the pinned workload and rewrites BENCH_perf_baseline.json:
-# deterministic facts (committed txs, sim events, distinct scopes) exactly,
-# wall times as this host measured them.
-cargo run --release --offline -p clanbft-sim --example perf_smoke -- \
-    target/perf-smoke --write-baseline
-
-echo "== micro benches: rewrite BENCH_micro.json"
-cargo bench -q --offline -p clanbft-bench --bench micro
-
-echo "== fig5 sweep: rewrite BENCH_summary.json (this is the slow part)"
-# Default profile: the reduced load grid, minutes. The sweep appends every
-# point to BENCH_fig5.json and truncate-writes the repo-root summary with
-# the best-throughput headline per (figure section, protocol), including
-# the host-cost rates (sim_events_per_sec, wall_us_per_sim_sec) and — from
-# the 5d durability section, which re-runs one point with every node on a
-# real WAL — the fsync-latency percentiles and WAL bytes per commit
-# (wal_fsync_p50_us / wal_fsync_p99_us / wal_bytes_per_commit; zero for
-# the memory-only sections). fsync numbers are host properties: refresh on
-# the same class of machine you are comparing against.
-cargo bench -q --offline -p clanbft-bench --bench fig5_throughput_latency
-
-echo
 echo "refresh_bench: done — review and commit:"
-git status --short BENCH_summary.json crates/bench/BENCH_*.json
+git status --short BENCH_summary.json crates/bench/BENCH_fig5.json

@@ -40,7 +40,6 @@ fn make_monitored_nodes(
             let mut cfg = NodeConfig::new(me, Arc::clone(&topology));
             cfg.txs_per_proposal = txs;
             cfg.max_round = Some(max_round);
-            cfg.is_block_proposer = topology.clan_for_sender(me).contains(me);
             // Generous timeout: live-thread scheduling jitter must not trip
             // the no-vote path in a benign run.
             cfg.timeout = Micros::from_secs(10);
