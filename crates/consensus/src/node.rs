@@ -117,8 +117,11 @@ pub struct SailfishNode {
 
     /// Full blocks held (clan member for the proposer, or own proposals).
     pub(crate) blocks: HashMap<VertexRef, Arc<Block>>,
-    /// Live vertices that arrived after their round passed — weak-edge
-    /// candidates for the next proposal.
+    /// Vertices that may still need a weak edge from this node: they went
+    /// live after the proposal that could have strong-edged them. Each
+    /// proposal drops the ones it reaches anyway, the ordered and the
+    /// collected (`Dag::weak_edges`), so what stays is bounded by the
+    /// unordered frontier whether or not garbage collection runs.
     late_arrivals: BTreeSet<VertexRef>,
 
     pub(crate) last_committed: Option<Round>,
@@ -449,7 +452,7 @@ impl SailfishNode {
         }
         let block = self.build_block(round, now);
         let mut strong_edges: Vec<VertexRef> = Vec::new();
-        let mut weak_edges: Vec<VertexRef> = Vec::new();
+        let mut weak_edges = Vec::new();
         let mut nvc = None;
         let mut tc = None;
         if let Some(prev) = round.prev() {
@@ -472,20 +475,10 @@ impl SailfishNode {
                 }
                 tc = Some(tcert);
             }
-            // Weak edges: late arrivals strictly older than the previous
-            // round, capped at f per the vertex structure.
-            let cap = self.cfg.tribe.f();
-            let eligible: Vec<VertexRef> = self
-                .late_arrivals
-                .iter()
-                .filter(|r| r.round < prev)
-                .take(cap)
-                .copied()
-                .collect();
-            for r in &eligible {
-                self.late_arrivals.remove(r);
-            }
-            weak_edges = eligible;
+            // Weak edges go only where these strong edges leave no path.
+            weak_edges =
+                self.dag
+                    .weak_edges(&strong_edges, &mut self.late_arrivals, self.cfg.tribe.f());
         }
         let vertex = Vertex {
             round,
@@ -649,8 +642,9 @@ impl SailfishNode {
             // round <= current_round has already chosen its strong edges: a
             // vertex going live now missed the proposal that could have
             // referenced it whenever `round.next() <= current_round`, not
-            // just `<`. Such vertices must be weak-edged later or they are
-            // orphaned from every causal history forever.
+            // just `<`. It becomes a weak-edge candidate; whether it needs
+            // the edge (nobody else's vertex on our path cites it) is the
+            // next proposal's question.
             if live_ref.round.next() <= self.current_round {
                 self.late_arrivals.insert(live_ref);
             }
@@ -851,6 +845,8 @@ impl SailfishNode {
         self.votes.prune_below(horizon);
         self.timeouts.prune_below(horizon);
         self.blocks.retain(|r, _| r.round >= horizon);
+        // The next proposal would drop these too; a node past `max_round`
+        // makes none.
         self.late_arrivals.retain(|r| r.round >= horizon);
         self.certs_formed.retain(|r, _| *r >= horizon);
         // Evidence records stay (they are the audit trail, already capped);
@@ -1395,6 +1391,54 @@ mod tests {
         assert!(node.dag.is_known(&honest.reference()));
         assert!(!node.dag.is_known(&crafted.reference()));
         assert_eq!(node.dag.pending_count(), 1);
+    }
+
+    #[test]
+    fn weak_edges_past_the_cap_or_repeated_are_refused_live_and_in_state_transfer() {
+        // n = 7: f = 2. A proposer cites at most f older vertices, each
+        // once. One that cites more, or one twice, must not reach the DAG's
+        // pending buffer (where every edge nobody can resolve holds it) nor
+        // be charged a `db_read` per edge.
+        let with_weak = |source: u32, weak: Vec<VertexRef>| {
+            let mut v = bare_vertex(2, source, full_edges(1, 7));
+            v.weak_edges = weak;
+            Arc::new(v)
+        };
+        let honest = with_weak(1, full_edges(0, 2));
+        let crowded = with_weak(2, full_edges(0, 3));
+        let repeated = with_weak(3, vec![full_edges(0, 1)[0]; 2]);
+        let offer = |node: &mut SailfishNode, vertices: &[&Arc<Vertex>]| {
+            let (mut intake, mut votes) = (Intake::at(Micros::ZERO), Vec::new());
+            for v in vertices {
+                node.process_vertex(Arc::clone(v), v.id(), &mut intake, Micros::ZERO, &mut votes);
+            }
+            intake.charge
+        };
+        let honest_alone = offer(&mut test_node(7, 0).0, &[&honest]);
+        let (mut node, _) = test_node(7, 0);
+        assert_eq!(
+            offer(&mut node, &[&crowded, &repeated, &honest]),
+            honest_alone,
+            "a refused vertex costs no database reads"
+        );
+        let refused = |node: &SailfishNode| {
+            assert!(node.dag.is_known(&honest.reference()), "buffered");
+            assert!(!node.dag.is_known(&crowded.reference()));
+            assert!(!node.dag.is_known(&repeated.reference()));
+            assert_eq!(node.dag.pending_count(), 1);
+        };
+        refused(&node);
+
+        // The same three offered by f+1 state-transfer responders.
+        let cost = node.cfg.cost;
+        let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
+        node.on_restart(&mut ctx);
+        for from in [1, 2, 3] {
+            let chunk = [&crowded, &repeated, &honest].map(Arc::clone);
+            node.on_state_chunk(PartyId(from), Round(0), 0, true, &chunk, &[], &mut ctx);
+        }
+        assert!(node.catchup.is_none(), "f+1 responders settle the transfer");
+        refused(&node);
     }
 
     #[test]

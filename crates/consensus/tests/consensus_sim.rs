@@ -18,6 +18,7 @@ struct TribeSpec {
     topology: Arc<ClanTopology>,
     txs_per_proposal: u32,
     max_round: u64,
+    gc_depth: Option<u64>,
     execute: bool,
     crash: Vec<(u32, Micros)>,
     seed: u64,
@@ -30,6 +31,7 @@ impl TribeSpec {
             topology: Arc::new(ClanTopology::whole_tribe(TribeParams::new(n))),
             txs_per_proposal: 50,
             max_round: 8,
+            gc_depth: Some(16),
             execute: false,
             crash: vec![],
             seed: 42,
@@ -46,6 +48,7 @@ impl TribeSpec {
             topology,
             txs_per_proposal: 50,
             max_round: 8,
+            gc_depth: Some(16),
             execute: false,
             crash: vec![],
             seed: 42,
@@ -65,6 +68,7 @@ impl TribeSpec {
             topology,
             txs_per_proposal: 50,
             max_round: 8,
+            gc_depth: Some(16),
             execute: false,
             crash: vec![],
             seed: 42,
@@ -87,6 +91,7 @@ impl TribeSpec {
                 cfg.cost = CostModel::free();
                 cfg.txs_per_proposal = self.txs_per_proposal;
                 cfg.max_round = Some(self.max_round);
+                cfg.gc_depth = self.gc_depth;
                 cfg.execute = self.execute;
                 cfg.timeout = Micros::from_millis(1_500);
                 SailfishNode::new(cfg, auth)
@@ -196,6 +201,36 @@ fn multi_clan_commits_with_consistent_order() {
                 .any(|c| c.vertex.source == PartyId(p) && c.block_tx_count > 0),
             "party {p}'s transactions never ordered"
         );
+    }
+}
+
+/// A vertex that misses the strong edges of the next round is picked up by
+/// a weak edge two or three rounds on — with or without garbage collection
+/// to clear the candidate set. Twelve parties over the five regions, two
+/// clans, nothing collected: every committed vertex is swept in by a leader
+/// at most five rounds above it, and every proposal up to round 55 is in
+/// every log. (Candidates that need no citation used to queue ahead of the
+/// ones that do, `f` a round; an orphan then waited dozens of rounds.)
+#[test]
+fn late_vertex_is_cited_within_a_few_rounds_without_gc() {
+    let clans = vec![(0..12).step_by(2).collect(), (1..12).step_by(2).collect()];
+    let mut spec = TribeSpec::multi_clan(12, clans);
+    spec.max_round = 60;
+    spec.gc_depth = None;
+    let mut sim = spec.build();
+    sim.run_until(Micros::from_secs(120));
+    let all: Vec<u32> = (0..12).collect();
+    assert_prefix_consistent(&sim, &all);
+    for &i in &all {
+        let log = &sim.node(PartyId(i)).committed_log;
+        for c in log {
+            let lag = c.leader_round.0 - c.vertex.round.0;
+            assert!(lag <= 5, "node {i}: {:?} waited {lag} rounds", c.vertex);
+        }
+        for round in 0..=55 {
+            let committed = log.iter().filter(|c| c.vertex.round == Round(round));
+            assert_eq!(committed.count(), 12, "node {i}, round {round}");
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 
 use clanbft_crypto::Digest;
 use clanbft_types::{PartyId, PartySet, Round, TribeParams, Vertex, VertexRef};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Result of offering a vertex to the store.
@@ -76,6 +76,12 @@ impl RefSet {
             }
         };
         self.0[at].1.insert(r.source)
+    }
+
+    fn contains(&self, r: &VertexRef) -> bool {
+        self.0
+            .iter()
+            .any(|(round, sources)| *round == r.round && sources.contains(r.source))
     }
 }
 
@@ -322,36 +328,46 @@ impl Dag {
         })
     }
 
+    /// The downward walk behind ordering and weak-edge choice: every live,
+    /// not-yet-ordered vertex of round `floor` or later that `roots` reach
+    /// over strong and weak edges, the roots themselves included. An
+    /// ordered vertex ends its branch — its whole history is ordered too.
+    fn unordered_history(&self, roots: &[VertexRef], floor: Round) -> RefSet {
+        let floor = floor.max(self.horizon);
+        let mut history = RefSet::default();
+        let mut stack = Vec::new();
+        let mut visit = |e: &VertexRef, stack: &mut Vec<VertexRef>| {
+            let fresh = e.round >= floor
+                && self.rounds.get(&e.round).is_some_and(|row| {
+                    !row.ordered.contains(e.source) && stored_in(Some(row), e).is_some()
+                })
+                && history.insert(e);
+            if fresh {
+                stack.push(*e);
+            }
+        };
+        for root in roots {
+            visit(root, &mut stack);
+        }
+        while let Some(cur) = stack.pop() {
+            let v = &self
+                .stored(&cur)
+                .expect("only live vertices are visited")
+                .vertex;
+            for e in v.strong_edges.iter().chain(v.weak_edges.iter()) {
+                visit(e, &mut stack);
+            }
+        }
+        history
+    }
+
     /// Collects the not-yet-ordered causal history of `root` (strong and
     /// weak edges), marking everything returned as ordered. The result is
     /// deterministic: ascending `(round, source)`, root last.
     ///
     /// Returns an empty vector if `root` is not live.
     pub fn take_causal_history(&mut self, root: &VertexRef) -> Vec<VertexRef> {
-        if self.get(root).is_none() || self.is_ordered(root) {
-            return Vec::new();
-        }
-        // Everything the walk reaches is live and not yet ordered, so the
-        // visited set is the history.
-        let mut stack = vec![*root];
-        let mut history = RefSet::default();
-        history.insert(root);
-        while let Some(cur) = stack.pop() {
-            let Some(stored) = self.stored(&cur) else {
-                continue;
-            };
-            let v = &stored.vertex;
-            for e in v.strong_edges.iter().chain(v.weak_edges.iter()) {
-                let fresh = e.round >= self.horizon
-                    && self.rounds.get(&e.round).is_some_and(|row| {
-                        !row.ordered.contains(e.source) && stored_in(Some(row), e).is_some()
-                    })
-                    && history.insert(e);
-                if fresh {
-                    stack.push(*e);
-                }
-            }
-        }
+        let mut history = self.unordered_history(&[*root], self.horizon);
         history.0.sort_unstable_by_key(|(round, _)| *round);
         let mut collected = Vec::new();
         for (round, sources) in &history.0 {
@@ -362,6 +378,43 @@ impl Dag {
             self.row_mut(*round).ordered.union_with(sources);
         }
         collected
+    }
+
+    /// Chooses the weak edges of a proposal whose strong edges are `strong`
+    /// (DAG-Rider's rule, which Sailfish inherits): an older vertex is
+    /// cited only if the proposal would otherwise have no path to it.
+    ///
+    /// `candidates` are vertices that went live too late for the strong
+    /// edges of the round after theirs. Of those older than the strong
+    /// edges' round, one that is ordered, no longer retained, or already in
+    /// the causal history of `strong` needs no citation from anybody who
+    /// builds on this proposal, and leaves the set for good; the oldest
+    /// `cap` of the rest are returned (and leave it, being cited now); the
+    /// remainder waits for the next proposal.
+    pub fn weak_edges(
+        &self,
+        strong: &[VertexRef],
+        candidates: &mut BTreeSet<VertexRef>,
+        cap: usize,
+    ) -> Vec<VertexRef> {
+        let prev = strong.first().map_or(Round::GENESIS, |e| e.round);
+        let Some(oldest) = candidates.first().filter(|c| c.round < prev) else {
+            return Vec::new();
+        };
+        let covered = self.unordered_history(strong, oldest.round);
+        let mut chosen = Vec::new();
+        candidates.retain(|c| {
+            if c.round >= prev {
+                return true;
+            }
+            let orphan = self.get(c).is_some() && !self.is_ordered(c) && !covered.contains(c);
+            if orphan && chosen.len() < cap {
+                chosen.push(*c);
+                return false;
+            }
+            orphan
+        });
+        chosen
     }
 
     /// True iff `r` has been emitted into the total order.
@@ -662,5 +715,168 @@ mod tests {
         }
         dag.mark_ordered(vref(9, 3));
         assert!(dag.is_ordered(&vref(9, 3)), "a mark can precede the vertex");
+    }
+
+    // --- weak-edge choice on hand-built DAGs --------------------------------
+    //
+    // Four parties (f = 1) unless stated; "we" are P0. P3 is the party whose
+    // vertices reach us late: they are live in the store, and in the
+    // candidate set because the proposal that could have strong-edged them
+    // had already gone out.
+
+    fn refs(of: &[(u64, u32)]) -> Vec<VertexRef> {
+        of.iter().map(|&(r, s)| vref(r, s)).collect()
+    }
+
+    fn candidates(of: &[(u64, u32)]) -> BTreeSet<VertexRef> {
+        refs(of).into_iter().collect()
+    }
+
+    /// Rounds `0..=rounds` in which P0, P1 and P2 cite only each other; P3's
+    /// vertices are the caller's to add.
+    fn dag_without_p3(rounds: u64) -> Dag {
+        let mut dag = Dag::new(TribeParams::new(4));
+        for r in 0..=rounds {
+            let parents: Vec<(u64, u32)> = (0..3)
+                .filter_map(|s| Some((r.checked_sub(1)?, s)))
+                .collect();
+            for s in 0..3 {
+                dag.insert(vertex(r, s, &parents, &[]));
+            }
+        }
+        dag
+    }
+
+    /// ```text
+    /// round 1   (1,0) (1,1) (1,2)          (1,3)
+    ///             |  \  |  /  |            / | \
+    /// round 0   (0,0) (0,1) (0,2)   (0,1)(0,2)(0,3)   <- (0,3) late at us
+    /// ```
+    /// Proposing round 2 over all four round-1 vertices, (1,3)'s strong edge
+    /// already leads to (0,3): no weak edge, and (0,3) stops being a
+    /// candidate. Over (1,0) (1,1) (1,2) alone nothing leads there: cited.
+    #[test]
+    fn late_vertex_somebody_strong_edged_is_not_cited() {
+        let mut dag = dag_without_p3(1);
+        dag.insert(vertex(0, 3, &[], &[]));
+        dag.insert(vertex(1, 3, &[(0, 1), (0, 2), (0, 3)], &[]));
+        let mut late = candidates(&[(0, 3)]);
+        let all_four = refs(&[(1, 0), (1, 1), (1, 2), (1, 3)]);
+        assert_eq!(dag.weak_edges(&all_four, &mut late, 1), []);
+        assert!(late.is_empty(), "reachable: never a candidate again");
+
+        let mut late = candidates(&[(0, 3)]);
+        assert_eq!(
+            dag.weak_edges(&all_four[..3], &mut late, 1),
+            refs(&[(0, 3)])
+        );
+        assert!(late.is_empty(), "cited: never a candidate again");
+    }
+
+    /// The DAG above, proposing over (1,0) (1,1) (1,2) — but a leader that
+    /// had (1,3) in its history was committed meanwhile, so (0,3) is in the
+    /// total order already: no weak edge.
+    #[test]
+    fn ordered_vertex_is_not_cited() {
+        let mut dag = dag_without_p3(1);
+        dag.insert(vertex(0, 3, &[], &[]));
+        dag.insert(vertex(1, 3, &[(0, 1), (0, 2), (0, 3)], &[]));
+        assert!(dag.take_causal_history(&vref(1, 3)).contains(&vref(0, 3)));
+        let mut late = candidates(&[(0, 3)]);
+        let strong = refs(&[(1, 0), (1, 1), (1, 2)]);
+        assert_eq!(dag.weak_edges(&strong, &mut late, 1), []);
+        assert!(late.is_empty());
+    }
+
+    /// A slow proposer's chain: P3's vertices of rounds 1, 2 and 3 each cite
+    /// its own previous one, and nobody else cites any of them.
+    /// ```text
+    /// round 3   (3,0) (3,1) (3,2)   (3,3) -> (2,0) (2,1) (2,3)
+    /// round 2   (2,0) (2,1) (2,2)   (2,3) -> (1,0) (1,1) (1,3)
+    /// round 1   (1,0) (1,1) (1,2)   (1,3) -> (0,0) (0,1) (0,2)
+    /// ```
+    /// (1,3) and (2,3) were late, (3,3) made it in time for our round-4
+    /// proposal: the strong edge to it — the newest vertex of the chain a
+    /// proposal can cite — covers the whole chain, no weak edge. Had (3,3)
+    /// been late too, the proposal of round 5 finds three candidates and, at
+    /// f = 1, takes the oldest; the next one, built on it, takes (2,3).
+    /// (Citing only the newest would do in one edge; measured, it changes
+    /// nothing — EXPERIMENTS.md — so there is one order: oldest first.)
+    #[test]
+    fn slow_proposers_chain_is_covered_through_its_newest_vertex() {
+        let mut dag = dag_without_p3(4);
+        dag.insert(vertex(1, 3, &[(0, 0), (0, 1), (0, 2)], &[]));
+        dag.insert(vertex(2, 3, &[(1, 0), (1, 1), (1, 3)], &[]));
+        dag.insert(vertex(3, 3, &[(2, 0), (2, 1), (2, 3)], &[]));
+        let mut late = candidates(&[(1, 3), (2, 3)]);
+        let round3 = refs(&[(3, 0), (3, 1), (3, 2), (3, 3)]);
+        assert_eq!(dag.weak_edges(&round3, &mut late, 1), []);
+        assert!(late.is_empty());
+
+        let mut late = candidates(&[(1, 3), (2, 3), (3, 3)]);
+        let round4 = refs(&[(4, 0), (4, 1), (4, 2)]);
+        assert_eq!(dag.weak_edges(&round4, &mut late, 1), refs(&[(1, 3)]));
+        assert_eq!(late, candidates(&[(2, 3), (3, 3)]));
+        dag.insert(vertex(5, 0, &[(4, 0), (4, 1), (4, 2)], &[(1, 3)]));
+        let round5 = refs(&[(5, 0)]);
+        assert_eq!(dag.weak_edges(&round5, &mut late, 1), refs(&[(2, 3)]));
+        assert_eq!(late, candidates(&[(3, 3)]));
+    }
+
+    /// (0,3) and (1,3) are orphans nobody cites, and the horizon has moved
+    /// to round 2 (everything below is ordered or abandoned by every honest
+    /// party): both are dropped, whatever the strong edges reach. A
+    /// candidate of the strong edges' own round is not this proposal's to
+    /// judge: it stays, and with nothing older the walk is skipped.
+    #[test]
+    fn candidate_below_the_horizon_is_dropped() {
+        let mut dag = dag_without_p3(3);
+        dag.insert(vertex(0, 3, &[], &[]));
+        dag.insert(vertex(1, 3, &[(0, 0), (0, 1), (0, 3)], &[]));
+        dag.prune_below(Round(2));
+        let mut late = candidates(&[(0, 3), (1, 3), (3, 3)]);
+        let strong = refs(&[(3, 0), (3, 1), (3, 2)]);
+        assert_eq!(dag.weak_edges(&strong, &mut late, 1), []);
+        assert_eq!(late, candidates(&[(3, 3)]));
+        assert_eq!(dag.weak_edges(&strong, &mut late, 1), []);
+        assert_eq!(late, candidates(&[(3, 3)]));
+    }
+
+    /// Seven parties (f = 2, quorum 5); P0..P4 cite only each other, and
+    /// three vertices nobody cites are late at us: (0,5), (0,6) and
+    /// (1,5) -> (0,0..4).
+    /// ```text
+    /// round 2   (2,0) .. (2,4)
+    /// round 1   (1,0) .. (1,4)   (1,5)
+    /// round 0   (0,0) .. (0,4)   (0,5) (0,6)
+    /// ```
+    /// The round-3 proposal may cite two: the oldest, (0,5) and (0,6).
+    /// (1,5) stays a candidate, and the round-4 proposal — over round-3
+    /// vertices of which ours carries those weak edges — cites it.
+    #[test]
+    fn binding_cap_takes_the_oldest_and_keeps_the_rest() {
+        let mut dag = Dag::new(TribeParams::new(7));
+        let five = |r: u64| -> Vec<(u64, u32)> { (0..5).map(|s| (r, s)).collect() };
+        for s in 0..7 {
+            dag.insert(vertex(0, s, &[], &[]));
+        }
+        for r in 1..=2 {
+            for s in 0..5 {
+                dag.insert(vertex(r, s, &five(r - 1), &[]));
+            }
+        }
+        dag.insert(vertex(1, 5, &five(0), &[]));
+        let mut late = candidates(&[(1, 5), (0, 6), (0, 5)]);
+        let cited = dag.weak_edges(&refs(&five(2)), &mut late, 2);
+        assert_eq!(cited, refs(&[(0, 5), (0, 6)]));
+        assert_eq!(late, candidates(&[(1, 5)]));
+
+        dag.insert(vertex(3, 0, &five(2), &[(0, 5), (0, 6)]));
+        for s in 1..5 {
+            dag.insert(vertex(3, s, &five(2), &[]));
+        }
+        let cited = dag.weak_edges(&refs(&five(3)), &mut late, 2);
+        assert_eq!(cited, refs(&[(1, 5)]));
+        assert!(late.is_empty());
     }
 }

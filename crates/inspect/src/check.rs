@@ -36,11 +36,13 @@ use std::fmt::Write as _;
 /// Rounds of slack before an uncommitted span counts as incomplete: the
 /// commit rule sweeps a round-`r` vertex in with the round-`r+1` or `r+2`
 /// leader (2 rounds), plus one round of weak-edge scheduling slack — a
-/// vertex going live late is re-attached by a round ≥ `r+2` proposal made
-/// *after* it arrived, and when the run truncates at `max_round` a slow
-/// party's tail can legitimately miss that last train. Anything older than
-/// 3 rounds behind the last commit with no commit anywhere was genuinely
-/// lost.
+/// vertex going live late is re-attached by the first proposal of round
+/// ≥ `r+2` made *after* it arrived whose strong edges do not reach it
+/// already (a proposal that has a path to it carries it into the order
+/// without an edge of its own), and when the run truncates at `max_round` a
+/// slow party's tail can legitimately miss that last train. Anything older
+/// than 3 rounds behind the last commit with no commit anywhere was
+/// genuinely lost.
 pub const COMPLETENESS_MARGIN: u64 = 3;
 
 /// Runs every invariant; returns the violations (empty = pass).

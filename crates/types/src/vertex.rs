@@ -129,9 +129,10 @@ impl Vertex {
     ///
     /// Genesis vertices carry no edges; later vertices need at least
     /// `2f+1` strong edges, all pointing at the immediately preceding
-    /// round, and weak edges must point strictly further back. The source
-    /// and every edge must name a party of the tribe: that is what lets the
-    /// layers below address a vertex and its parents by index.
+    /// round, and weak edges — at most `f` of them, no two alike — must
+    /// point strictly further back. The source and every edge must name a
+    /// party of the tribe: that is what lets the layers below address a
+    /// vertex and its parents by index.
     pub fn validate_shape(&self, tribe: TribeParams) -> Result<(), VertexShapeError> {
         let outside = |r: &VertexRef| r.source.idx() >= tribe.n();
         if outside(&self.reference()) {
@@ -167,12 +168,21 @@ impl Vertex {
                 return Err(VertexShapeError::DuplicateStrongEdge { source: e.source });
             }
         }
-        for e in &self.weak_edges {
+        if self.weak_edges.len() > tribe.f() {
+            return Err(VertexShapeError::TooManyWeakEdges {
+                got: self.weak_edges.len(),
+                cap: tribe.f(),
+            });
+        }
+        for (i, e) in self.weak_edges.iter().enumerate() {
             if e.round >= prev {
                 return Err(VertexShapeError::WeakEdgeTooRecent { edge: *e });
             }
             if outside(e) {
                 return Err(VertexShapeError::EdgeOutsideTribe { edge: *e });
+            }
+            if self.weak_edges[..i].contains(e) {
+                return Err(VertexShapeError::DuplicateWeakEdge { edge: *e });
             }
         }
         Ok(())
@@ -206,6 +216,18 @@ pub enum VertexShapeError {
         /// The offending edge.
         edge: VertexRef,
     },
+    /// More than `f` weak edges.
+    TooManyWeakEdges {
+        /// Weak edges present.
+        got: usize,
+        /// The cap, `f`.
+        cap: usize,
+    },
+    /// Two weak edges name the same vertex.
+    DuplicateWeakEdge {
+        /// The repeated edge.
+        edge: VertexRef,
+    },
     /// An edge (or the vertex itself) names a source that is not a party of
     /// the tribe.
     EdgeOutsideTribe {
@@ -233,6 +255,12 @@ impl std::fmt::Display for VertexShapeError {
             }
             VertexShapeError::WeakEdgeTooRecent { edge } => {
                 write!(f, "weak edge to {} {} too recent", edge.round, edge.source)
+            }
+            VertexShapeError::TooManyWeakEdges { got, cap } => {
+                write!(f, "{got} weak edges, at most {cap} allowed")
+            }
+            VertexShapeError::DuplicateWeakEdge { edge } => {
+                write!(f, "duplicate weak edge to {} {}", edge.round, edge.source)
             }
             VertexShapeError::EdgeOutsideTribe { edge } => {
                 write!(
@@ -382,6 +410,38 @@ mod tests {
             v.validate_shape(tribe()),
             Err(VertexShapeError::WeakEdgeTooRecent { .. })
         ));
+    }
+
+    #[test]
+    fn more_than_f_weak_edges_rejected() {
+        // n = 4: f = 1. The sample's one weak edge is the most a proposer
+        // may cite; a second, to whatever vertex, is one too many.
+        let mut v = sample_vertex();
+        v.weak_edges.extend(refs(1, &[0]));
+        assert_eq!(
+            v.validate_shape(tribe()),
+            Err(VertexShapeError::TooManyWeakEdges { got: 2, cap: 1 })
+        );
+        // n = 7: f = 2, so two distinct weak edges pass.
+        v.strong_edges = refs(4, &[0, 1, 2, 3, 4]);
+        assert_eq!(v.validate_shape(TribeParams::new(7)), Ok(()));
+    }
+
+    #[test]
+    fn repeated_weak_edge_rejected() {
+        // n = 7 (f = 2): within the cap, but both edges name (2, P3).
+        let mut v = sample_vertex();
+        v.strong_edges = refs(4, &[0, 1, 2, 3, 4]);
+        v.weak_edges = refs(2, &[3, 3]);
+        assert_eq!(
+            v.validate_shape(TribeParams::new(7)),
+            Err(VertexShapeError::DuplicateWeakEdge {
+                edge: v.weak_edges[0]
+            })
+        );
+        // The same source in two different rounds is two vertices.
+        v.weak_edges[1].round = Round(1);
+        assert_eq!(v.validate_shape(TribeParams::new(7)), Ok(()));
     }
 
     #[test]

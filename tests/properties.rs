@@ -523,6 +523,16 @@ struct NaiveDag {
 }
 
 impl NaiveDag {
+    fn empty() -> NaiveDag {
+        NaiveDag {
+            horizon: Round(0),
+            live: Default::default(),
+            pending: Vec::new(),
+            waiting: Vec::new(),
+            ordered: Default::default(),
+        }
+    }
+
     fn contains(&self, r: &VertexRef) -> bool {
         r.round < self.horizon || self.live.contains_key(r)
     }
@@ -630,17 +640,39 @@ impl NaiveDag {
         self.ordered.extend(seen.iter().copied());
         seen.into_iter().collect()
     }
+
+    /// Every live vertex `roots` reach over strong and weak edges, breadth
+    /// first, ordered or not, however old.
+    fn reachable(&self, roots: &[VertexRef]) -> std::collections::BTreeSet<VertexRef> {
+        let mut seen = std::collections::BTreeSet::new();
+        let mut queue: std::collections::VecDeque<VertexRef> = roots.iter().copied().collect();
+        while let Some(cur) = queue.pop_front() {
+            let Some(v) = self.live.get(&cur) else {
+                continue;
+            };
+            if seen.insert(cur) {
+                queue.extend(v.strong_edges.iter().chain(&v.weak_edges));
+            }
+        }
+        seen
+    }
 }
 
 /// A random DAG of up to `ROUNDS` rounds over 4–7 parties: some parties skip
-/// rounds, strong edges are a random quorum of the previous round, weak
-/// edges reach further back, and now and then an edge names a vertex that
-/// will never exist (its child stays pending until the horizon passes it).
-fn arb_dag_vertices(seed: u64) -> (usize, Vec<Vertex>) {
+/// rounds, strong edges are a random quorum of the previous round (`sparse`:
+/// any one or more — the store does not count them — so that orphans are
+/// common), weak edges reach further back, and now and then an edge names a
+/// vertex that will never exist (its child stays pending until the horizon
+/// passes it).
+fn arb_dag_vertices(seed: u64, sparse: bool) -> (usize, Vec<Vertex>) {
     const ROUNDS: u64 = 6;
     let mut rng = ClanRng::seed_from_u64(seed);
     let n = 4 + (seed % 4) as usize;
-    let quorum = TribeParams::new(n).quorum();
+    let least = if sparse {
+        1
+    } else {
+        TribeParams::new(n).quorum()
+    };
     let mut rounds: Vec<Vec<VertexRef>> = Vec::new();
     let mut vertices = Vec::new();
     for r in 0..ROUNDS {
@@ -657,7 +689,7 @@ fn arb_dag_vertices(seed: u64) -> (usize, Vec<Vertex>) {
             if r > 0 {
                 strong = rounds[r as usize - 1].clone();
                 rng.shuffle(&mut strong);
-                strong.truncate(rng.gen_usize(quorum.min(strong.len()), strong.len() + 1));
+                strong.truncate(rng.gen_usize(least.min(strong.len()), strong.len() + 1));
                 if rng.gen_u64_below(10) == 0 {
                     strong.push(VertexRef {
                         round: Round(r - 1),
@@ -699,16 +731,10 @@ fn index_addressed_dag_matches_naive_reference() {
         CASES * 2,
         |g| (g.u64(), g.vec(0, 120, |g| (g.u8(), g.u32()))),
         |(seed, ops)| {
-            let (n, vertices) = arb_dag_vertices(*seed);
+            let (n, vertices) = arb_dag_vertices(*seed, false);
             let refs: Vec<VertexRef> = vertices.iter().map(Vertex::reference).collect();
             let mut dag = Dag::new(TribeParams::new(n));
-            let mut naive = NaiveDag {
-                horizon: Round(0),
-                live: Default::default(),
-                pending: Vec::new(),
-                waiting: Vec::new(),
-                ordered: Default::default(),
-            };
+            let mut naive = NaiveDag::empty();
             for (step, &(kind, arg)) in ops.iter().enumerate() {
                 let at = arg as usize % vertices.len();
                 match kind % 8 {
@@ -772,6 +798,113 @@ fn index_addressed_dag_matches_naive_reference() {
                     tk_assert!(got == want, "path {a:?} -> {b:?}: {got} != {want}");
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+/// The weak-edge rule against the naive model, on random DAGs delivered in
+/// random order with commits and collections in between: a proposal cites
+/// an older vertex only where it has no path to it and the total order does
+/// not hold it yet, cites every such candidate unless the cap binds (then
+/// the oldest), keeps exactly the uncited orphans as candidates, and none of
+/// it depends on the order the candidates were noted in.
+#[test]
+fn weak_edges_go_only_where_no_path_exists() {
+    use std::collections::BTreeSet;
+    check_shrink(
+        "weak_edges_go_only_where_no_path_exists",
+        CASES * 2,
+        |g| {
+            (
+                g.u64(),
+                g.vec(0, 6, |g| (g.u8(), g.u32())),
+                g.vec(0, 16, |g| g.u32()),
+            )
+        },
+        |(seed, ops, skips)| {
+            let (n, vertices) = arb_dag_vertices(*seed, true);
+            let refs: Vec<VertexRef> = vertices.iter().map(Vertex::reference).collect();
+            let mut dag = Dag::new(TribeParams::new(n));
+            let mut naive = NaiveDag::empty();
+            // Every vertex arrives, in an order of the seed's choosing; the
+            // ops commit (through the walk only, so that the ordered set is
+            // closed under history as it is at a node) and collect in
+            // between.
+            let mut arrival: Vec<usize> = (0..vertices.len()).collect();
+            ClanRng::seed_from_u64(*seed).shuffle(&mut arrival);
+            for (i, &at) in arrival.iter().enumerate() {
+                for &(kind, arg) in ops
+                    .iter()
+                    .filter(|(_, arg)| *arg as usize % arrival.len() == i)
+                {
+                    if kind % 4 == 0 {
+                        let round = Round(u64::from(kind) / 4 % 3);
+                        dag.prune_below(round);
+                        naive.prune_below(round);
+                    } else {
+                        let root = refs[arg as usize / arrival.len() % refs.len()];
+                        clanbft_dag::order::causal_order(&mut dag, &[root]);
+                        naive.take_causal_history(&root);
+                    }
+                }
+                dag.insert(vertices[at].clone());
+                naive.insert(vertices[at].clone());
+            }
+            // The proposal: strong edges to one or two live vertices of a
+            // round (few, so that some of what is below stays out of reach),
+            // and every vertex that went live a candidate but for a few.
+            let prev = Round(2 + (seed >> 8) % 4);
+            let cap = [1, 2, usize::MAX][(seed >> 16) as usize % 3];
+            let mut strong: Vec<VertexRef> = dag
+                .round_vertices(prev)
+                .iter()
+                .map(|v| v.reference())
+                .collect();
+            strong.truncate(1 + (seed >> 24) as usize % 2);
+            let noted: Vec<VertexRef> = (0..refs.len())
+                .filter(|i| !skips.iter().any(|s| *s as usize % refs.len() == *i))
+                .map(|i| refs[i])
+                .filter(|r| naive.contains(r))
+                .collect();
+            let mut late: BTreeSet<VertexRef> = noted.iter().copied().collect();
+            let cited = dag.weak_edges(&strong, &mut late, cap);
+
+            let reachable = naive.reachable(&strong);
+            let settled = |c: &VertexRef| {
+                c.round < naive.horizon || naive.ordered.contains(c) || reachable.contains(c)
+            };
+            let older: Vec<VertexRef> = noted.iter().filter(|c| c.round < prev).copied().collect();
+            if strong.is_empty() {
+                tk_assert!(cited.is_empty() && late.len() == noted.len());
+                return Ok(());
+            }
+            for c in &cited {
+                tk_assert!(
+                    older.contains(c) && !settled(c),
+                    "cited {c:?} needs no edge"
+                );
+                tk_assert!(!late.contains(c), "cited {c:?} is still a candidate");
+            }
+            tk_assert!(cited.len() <= cap && cited.windows(2).all(|w| w[0] < w[1]));
+            for c in &older {
+                if cited.contains(c) {
+                    continue;
+                }
+                // Left out: settled (and forgotten), or squeezed out by the
+                // cap behind older orphans (and kept).
+                tk_assert_eq!(late.contains(c), !settled(c));
+                if !settled(c) {
+                    tk_assert!(cited.len() == cap && cited.iter().all(|taken| taken < c));
+                }
+            }
+            for c in noted.iter().filter(|c| c.round >= prev) {
+                tk_assert!(late.contains(c), "{c:?} is not this proposal's to judge");
+            }
+            // Noted in another order: the same edges, the same survivors.
+            let mut again: BTreeSet<VertexRef> = noted.iter().rev().copied().collect();
+            tk_assert_eq!(dag.weak_edges(&strong, &mut again, cap), cited);
+            tk_assert_eq!(again, late);
             Ok(())
         },
     );
