@@ -441,7 +441,10 @@ fn sim_fingerprint(mut spec: TribeSpec, until: Micros, hash_trace: bool) -> SimF
 /// storage, slot-addressed RBC state). Host-side work on dispatch, hashing
 /// or bookkeeping must leave every one of these numbers alone; a change
 /// that moves them changed the protocol or the network model, and has to
-/// say so by re-pinning.
+/// say so by re-pinning. (Re-pinned once since, with the weak-edge rule —
+/// a weak edge only where the strong edges leave no path: the same events
+/// and messages, fewer vertex bytes, and more vertices committed by round
+/// 8.)
 #[test]
 fn host_path_is_invisible_to_the_simulation() {
     let n = 8;
@@ -455,24 +458,24 @@ fn host_path_is_invisible_to_the_simulation() {
         SimFingerprint {
             handled_events: 9936,
             delivered_msgs: 9856,
-            total_bytes: 3_831_140,
+            total_bytes: 3_828_872,
             bytes_by_kind: vec![
                 ("rbc.cert", 455_616),
                 ("rbc.echo", 451_584),
-                ("rbc.meta", 41_196),
-                ("rbc.val", 2_822_712),
+                ("rbc.meta", 40_080),
+                ("rbc.val", 2_821_560),
                 ("timeout", 7_616),
                 ("vote", 52_416),
             ],
-            committed_log: "8616f7453f0dbefa63a18decf35bcad879ecee523f84200e66da8974f74a6c05"
+            committed_log: "f7d1a74a5ecf6f1c5d7bdf53e43c101df6a92f8b46be0491ac55a7e8c67fe276"
                 .to_string(),
             counters: vec![
-                ("commit.vertices", 480),
+                ("commit.vertices", 488),
                 ("mempool.admitted", 1800),
                 ("mempool.pulled", 1800),
             ],
             trace: Some(
-                "660220229e038e002d3872c9d5955da37425ad29e14ed519286b711212c8f61f".to_string()
+                "3f891b9de687a65615d6ff761396ef093d9948853a1133ba5dfa2e262343e519".to_string()
             ),
         }
     );
@@ -490,24 +493,24 @@ fn host_path_is_invisible_to_the_simulation() {
         SimFingerprint {
             handled_events: 9936,
             delivered_msgs: 9856,
-            total_bytes: 6_608_624,
+            total_bytes: 6_605_684,
             bytes_by_kind: vec![
                 ("rbc.cert", 455_616),
                 ("rbc.echo", 451_584),
-                ("rbc.meta", 47_424),
-                ("rbc.val", 5_593_968),
+                ("rbc.meta", 45_744),
+                ("rbc.val", 5_592_708),
                 ("timeout", 7_616),
                 ("vote", 52_416),
             ],
-            committed_log: "d97654e14ed8ad03ebef18100203a35aa4a302fc48fbe2efa7418572b2e28c1f"
+            committed_log: "20aedb87fe763b8d3c2109c1eaa334ed1ae86a4a680712b55a982333bc68c8c3"
                 .to_string(),
             counters: vec![
-                ("commit.vertices", 480),
+                ("commit.vertices", 496),
                 ("mempool.admitted", 3600),
                 ("mempool.pulled", 3600),
             ],
             trace: Some(
-                "631b7b0912c19291dee5b7b8ff5e5ad8a3e2bab120a81859925e5ecfa2af6ba8".to_string()
+                "b546157876c19a57491df30c5ba5d79a40b04cf7b23f77e4226d377f1d4ee043".to_string()
             ),
         }
     );
@@ -518,7 +521,8 @@ fn host_path_is_invisible_to_the_simulation() {
 /// pull retries against a withholding clan member; WAL replay, state
 /// transfer and catch-up after a crash — captured at the commit before the
 /// broadcast engines, the commit fold, round admission and the vertex store
-/// were each reduced to one mechanism.
+/// were each reduced to one mechanism, and re-pinned with the weak-edge rule
+/// (fewer vertex, state-transfer and WAL bytes; every count unchanged).
 #[test]
 fn fault_paths_are_invisible_to_the_simulation_too() {
     assert_eq!(
@@ -526,15 +530,15 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
         SimFingerprint {
             handled_events: 7253,
             delivered_msgs: 7183,
-            total_bytes: 7168670,
+            total_bytes: 7166942,
             bytes_by_kind: vec![
                 ("rbc.cert", 292896),
                 ("rbc.echo", 338688),
-                ("rbc.val", 6482694),
+                ("rbc.val", 6480966),
                 ("timeout", 19448),
                 ("vote", 34944)
             ],
-            committed_log: "a7e9c38f532721bbdc6c93a7190b58ddf1adb64e2c4c97549efcb26319abdba1"
+            committed_log: "1bd992807e69104aa7d16ab219e8c1ecd136c512f8e257e486b82f32b1828fc5"
                 .to_string(),
             counters: vec![
                 ("commit.vertices", 294),
@@ -545,7 +549,7 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("rejected.equivocation", 63)
             ],
             trace: Some(
-                "679d72dceeda23f67429e04abffb9dcaab44370cd2364c265a5022282266b4cf".to_string()
+                "7b79d0f1e797938ea01a845710d2fd54f26d3dcf3895c7861c54754bcd51298b".to_string()
             )
         }
     );
@@ -554,18 +558,18 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
         SimFingerprint {
             handled_events: 6752,
             delivered_msgs: 6655,
-            total_bytes: 3710160,
+            total_bytes: 3706704,
             bytes_by_kind: vec![
                 ("rbc.cert", 298998),
                 ("rbc.echo", 290304),
-                ("rbc.meta", 25596),
+                ("rbc.meta", 24144),
                 ("rbc.pull", 2160),
-                ("rbc.pull_resp", 466044),
-                ("rbc.val", 2582034),
+                ("rbc.pull_resp", 465900),
+                ("rbc.val", 2580174),
                 ("timeout", 5712),
                 ("vote", 39312)
             ],
-            committed_log: "f9b08e3f985b28ee2c05a2912df22a9cce2f05a36fbce494877a9388b1b5a305"
+            committed_log: "4cd6904b4cea6370a3d64aaff86218e51b4d4b9fa5df8bc406f1b50aac8b4b42"
                 .to_string(),
             counters: vec![
                 ("commit.vertices", 385),
@@ -575,7 +579,7 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("rejected.duplicate", 9)
             ],
             trace: Some(
-                "a1bfef8ada9ed4d083b79202a585c6230d0b50e2e69f268c99db0c55d8f9fe74".to_string()
+                "5ca4509967f1ef2b2623130094fb69485b3705d1c21f671f2fd780a597ce9304".to_string()
             )
         }
     );
@@ -587,20 +591,20 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
         SimFingerprint {
             handled_events: 1743,
             delivered_msgs: 1582,
-            total_bytes: 2485855,
+            total_bytes: 2484991,
             bytes_by_kind: vec![
                 ("rbc.cert", 61359),
                 ("rbc.echo", 60816),
                 ("rbc.pull", 96),
                 ("rbc.pull_resp", 31252),
-                ("rbc.val", 2297250),
-                ("state.chunk", 18054),
+                ("rbc.val", 2296818),
+                ("state.chunk", 17622),
                 ("state.request", 48),
                 ("state.snapshot", 84),
                 ("timeout", 2856),
                 ("vote", 14040)
             ],
-            committed_log: "db49445729e48825b32fdb47ee06f791fe8e5a5ab6875dd92d024374081d8f51"
+            committed_log: "287afa5d2d76af756e4309378babb1fca8c320c711a825e93c99b7997e9c2e3d"
                 .to_string(),
             counters: vec![
                 ("checkpoint.written", 4),
@@ -608,11 +612,11 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("mempool.admitted", 1440),
                 ("mempool.pulled", 1440),
                 ("rejected.duplicate", 6),
-                ("state_transfer.bytes", 18054),
+                ("state_transfer.bytes", 17622),
                 ("state_transfer.chunks", 6),
                 ("state_transfer.requests", 3),
                 ("wal.appends", 468),
-                ("wal.bytes", 54188),
+                ("wal.bytes", 53468),
                 ("wal.fsyncs", 476)
             ],
             trace: None

@@ -53,8 +53,8 @@ fn runs() -> &'static Runs {
 #[test]
 fn profiling_never_changes_the_run() {
     let runs = runs();
-    assert_eq!(runs.disabled.committed_txs, 8_200);
-    assert_eq!(runs.disabled.sim_events, 40_018);
+    assert_eq!(runs.disabled.committed_txs, 8_400);
+    assert_eq!(runs.disabled.sim_events, 40_022);
     for (metrics, _) in &runs.profiled {
         assert_eq!(metrics.committed_txs, runs.disabled.committed_txs);
         assert_eq!(metrics.sim_events, runs.disabled.sim_events);
