@@ -234,3 +234,114 @@ mod tests {
         );
     }
 }
+
+/// EXPERIMENTS.md's Fig. 5 headline table and the saturation ratios under
+/// it, formatted from the committed `BENCH_summary.json` lines: the document
+/// must quote both verbatim, so a refreshed line cannot leave stale prose
+/// behind. On a mismatch the test prints what the document should say.
+#[cfg(test)]
+mod experiments_table {
+    use super::column;
+
+    const SUMMARY: &str = include_str!("../../../BENCH_summary.json");
+    const EXPERIMENTS: &str = include_str!("../../../EXPERIMENTS.md");
+
+    /// `text` of a label column, without its quotes.
+    fn text<'a>(line: &'a str, key: &str) -> &'a str {
+        let value = column(line, key).unwrap_or_else(|| panic!("{key} missing: {line}"));
+        value.trim_matches('"')
+    }
+
+    fn num(line: &str, key: &str) -> f64 {
+        let value = text(line, key);
+        value
+            .parse()
+            .unwrap_or_else(|_| panic!("{key} is not a number: {value}"))
+    }
+
+    /// `1234567` as `1 234 567`.
+    fn grouped(value: f64) -> String {
+        let digits = format!("{value:.0}");
+        let mut out = String::new();
+        for (i, digit) in digits.chars().enumerate() {
+            if i > 0 && (digits.len() - i) % 3 == 0 {
+                out.push(' ');
+            }
+            out.push(digit);
+        }
+        out
+    }
+
+    /// The protocol as the table names it: `single-clan (32)`, `multi-clan
+    /// (2 × 75)`, with `, real WAL` on the durable point.
+    fn protocol(line: &str) -> String {
+        let proto = text(line, "proto");
+        let n = num(line, "n");
+        let mut label = if let Some(nc) = proto.strip_prefix("Single-clan Sailfish (nc=") {
+            format!("single-clan ({})", nc.trim_end_matches(')'))
+        } else if let Some(q) = proto.strip_prefix("Multi-clan Sailfish (q=") {
+            let q: f64 = q.trim_end_matches(')').parse().expect("clan count");
+            format!("multi-clan ({q} × {})", n / q)
+        } else {
+            proto.to_string()
+        };
+        if num(line, "wal_bytes_per_commit") > 0.0 {
+            label.push_str(", real WAL");
+        }
+        label
+    }
+
+    fn row(line: &str) -> String {
+        format!(
+            "| {} | {} | {} | {} | {:.1} | {:.2} | {:.2} | {} |",
+            text(line, "figure"),
+            protocol(line),
+            num(line, "n"),
+            grouped(num(line, "txs_per_proposal")),
+            num(line, "throughput_tps") / 1e3,
+            num(line, "p50_latency_us") / 1e6,
+            num(line, "p99_latency_us") / 1e6,
+            grouped(num(line, "bytes_per_tx")),
+        )
+    }
+
+    /// Single-clan over Sailfish saturation throughput in each section that
+    /// has both, in file order.
+    fn ratio_line(lines: &[&str]) -> String {
+        let mut sections: Vec<&str> = lines.iter().map(|l| text(l, "figure")).collect();
+        sections.dedup();
+        let mut ratios = Vec::new();
+        for section in sections {
+            let point = |label: &str| {
+                let mut in_section = lines.iter().filter(|l| text(l, "figure") == section);
+                in_section.find(|l| protocol(l).starts_with(label))
+            };
+            if let (Some(single), Some(sailfish)) = (point("single-clan"), point("Sailfish")) {
+                let ratio = num(single, "throughput_tps") / num(sailfish, "throughput_tps");
+                ratios.push(format!("{ratio:.2}× at n = {}", num(single, "n")));
+            }
+        }
+        format!(
+            "Single-clan / Sailfish at saturation: {}.",
+            ratios.join(", ")
+        )
+    }
+
+    #[test]
+    fn experiments_quotes_the_committed_fig5_headlines() {
+        let mut expected = String::from(
+            "| section | protocol | n | tx/proposal | kTPS | p50 s | p99 s | B/tx |\n\
+             |---|---|---|---|---|---|---|---|\n",
+        );
+        let lines: Vec<&str> = SUMMARY.lines().filter(|l| !l.trim().is_empty()).collect();
+        for line in &lines {
+            expected.push_str(&row(line));
+            expected.push('\n');
+        }
+        let ratios = ratio_line(&lines);
+        assert!(
+            EXPERIMENTS.contains(&expected) && EXPERIMENTS.contains(&ratios),
+            "EXPERIMENTS.md does not quote BENCH_summary.json; it should read:\n\n{expected}\n{ratios}\n"
+        );
+    }
+}

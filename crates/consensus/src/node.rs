@@ -893,8 +893,8 @@ impl SailfishNode {
     }
 
     /// Samples bounded-buffer occupancy into gauges, once per round entry.
-    /// The flight recorder logs these samples; a post-mortem correlates a
-    /// stall with whichever buffer was filling when it happened.
+    /// The health monitor's buffer-growth detector reads these samples, so
+    /// an alert names whichever buffer was filling when a stall happened.
     fn sample_gauges(&self) {
         let tel = &self.cfg.telemetry;
         if !tel.enabled() {

@@ -421,6 +421,11 @@ impl SailfishNode {
         let Some(cat) = self.catchup.as_mut() else {
             return; // No transfer in flight (or it already completed).
         };
+        // `seq` is the responder's number: a last chunk claiming `u32::MAX`
+        // would make a chunk count that does not fit.
+        let Some(end) = seq.checked_add(1) else {
+            return;
+        };
         if from_round.0 != cat.from_round || from == self.cfg.me {
             return;
         }
@@ -445,7 +450,7 @@ impl SailfishNode {
         let (got, total) = cat.progress.entry(from).or_default();
         got.insert(seq);
         if last {
-            *total = Some(seq + 1);
+            *total = Some(end);
         }
         if cat.complete() >= self.cfg.tribe.small_quorum() {
             self.finish_catchup(ctx);

@@ -171,7 +171,7 @@ impl Dag {
     }
 
     /// Number of rounds currently holding a live vertex (the round-window
-    /// occupancy the flight recorder samples: grows when commits stall GC).
+    /// occupancy the node samples into a gauge: grows when commits stall GC).
     pub fn round_span(&self) -> usize {
         self.rounds.values().filter(|row| row.live > 0).count()
     }

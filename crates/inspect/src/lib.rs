@@ -28,8 +28,9 @@
 //!   (`clanbft_monitor`): the same fire/clear transcript and cluster
 //!   verdict the live monitor would have produced ([`alert_report`]).
 //!
-//! The same library API backs the `clanbft-inspect` binary and the
-//! `trace_summary` example, so the invariant logic exists exactly once.
+//! The same library API backs the `clanbft-inspect` binary and the tier-1
+//! tests that judge the traces of live runs in process, so the invariant
+//! logic exists exactly once.
 
 pub mod alerts;
 pub mod check;
@@ -51,4 +52,4 @@ pub use parse::{parse_trace, Trace};
 pub use perf::{
     parse_profile, parse_profiles, profile_diff, profile_report, PerfProfile, PerfScope,
 };
-pub use waterfall::{estimate_delta, waterfall};
+pub use waterfall::waterfall;

@@ -29,9 +29,7 @@ pub struct Trace {
 /// a known event with a missing, ill-typed or out-of-range field is an
 /// error (traces are machine-written, so corruption should be loud);
 /// well-formed lines with unknown event labels are counted in
-/// [`Trace::skipped`]. The framing lines of a black-box dump
-/// (`{"flight":...}`) are expected and ignored; the events among them parse
-/// normally.
+/// [`Trace::skipped`].
 pub fn parse_trace(text: &str) -> Result<Trace, String> {
     let mut trace = Trace::default();
     for (i, line) in text.lines().enumerate() {
@@ -42,7 +40,7 @@ pub fn parse_trace(text: &str) -> Result<Trace, String> {
         let map = parse_line(line).map_err(located)?;
         if map.contains_key("meta") {
             trace.meta = RunMeta::from_fields(&map);
-        } else if !map.contains_key("flight") {
+        } else {
             match Stamped::from_fields(&map).map_err(located)? {
                 Some(event) => trace.events.push(event),
                 None => trace.skipped += 1,
@@ -138,12 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn unlisted_kinds_survive_and_dump_framing_is_not_skipped() {
-        // A black-box dump: framing lines around ordinary events, one of
-        // them carrying an evidence kind no table in this workspace lists.
+    fn unlisted_evidence_kinds_survive() {
+        // Two evidence events, one of them of a kind no table in this
+        // workspace lists: both parse, neither is skipped.
         let text = concat!(
-            "{\"flight\":\"header\",\"events_retained\":2,\"events_dropped\":0,\"last_at\":6}\n",
-            "{\"flight\":\"counter\",\"name\":\"pull.retries\",\"value\":2}\n",
             "{\"at\":5,\"party\":1,\"ev\":\"evidence\",\"kind\":\"double_vote\",",
             "\"round\":2,\"culprit\":4}\n",
             "{\"at\":6,\"party\":1,\"ev\":\"evidence\",\"kind\":\"mystery\",",

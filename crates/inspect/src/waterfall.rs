@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 /// Estimates the one-way message delay δ (µs) as the median over spans of
 /// `first echo at a party other than the proposer − propose time`.
 /// `None` if no span has a remote echo.
-pub fn estimate_delta(spans: &SpanSet) -> Option<u64> {
+fn estimate_delta(spans: &SpanSet) -> Option<u64> {
     let mut samples: Vec<u64> = Vec::new();
     for span in spans.spans.values() {
         let Some(proposed) = span.proposed_at else {

@@ -1,7 +1,7 @@
 //! Online health monitoring for clanbft runs (zero external deps).
 //!
 //! The rest of the observability stack explains a run after it ends
-//! (black-box dump, spans, `clanbft-inspect`); this crate watches a run
+//! (the exported trace, spans, `clanbft-inspect`); this crate watches a run
 //! while it is alive. A [`HealthMonitor`] taps the existing telemetry
 //! stream — fanned out per party with [`Telemetry::tee_with`] — and feeds
 //! a streaming [`DetectorBank`]:

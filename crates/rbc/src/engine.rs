@@ -745,9 +745,9 @@ impl EngineConfig {
 }
 
 /// Live occupancy of the engine's bounded buffers, sampled into gauges by
-/// the node layer (flight-recorder food: these are the numbers that tell a
-/// post-mortem whether a stall was a full window, an echo-digest flood or
-/// a pull backlog).
+/// the node layer (the health monitor's buffer-growth input: these are the
+/// numbers that tell whether a stall was a full window, an echo-digest
+/// flood or a pull backlog).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BufferStats {
     /// RBC instances currently tracked inside the round window.

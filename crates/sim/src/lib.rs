@@ -16,5 +16,5 @@ pub mod tribe;
 
 pub use experiment::{ExperimentSpec, Proto};
 pub use metrics::{collect_metrics, RunMetrics, BYTE_CLASSES};
-pub use trace::{export_trace, meta_line, write_trace};
+pub use trace::{export_trace, meta_line};
 pub use tribe::{build_tribe, BuiltTribe, TribeNode, TribeSpec};

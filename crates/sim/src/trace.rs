@@ -5,8 +5,7 @@
 //! time base, so the recorder's event log *is* the merged multi-party
 //! trace. This module prepends the run metadata line the `clanbft-inspect`
 //! toolchain needs to judge the events — tribe size (for quorums and the
-//! `Echoed(k/n)` stage), seed, and the attack labels active in the run —
-//! and writes the whole thing to a file.
+//! `Echoed(k/n)` stage), seed, and the attack labels active in the run.
 //!
 //! The meta line is itself NDJSON: `{"meta":"run","n":8,"seed":42,...}`.
 //! Parsers that don't care (or older ones) can skip any line carrying a
@@ -38,11 +37,6 @@ pub fn export_trace(spec: &TribeSpec, recorder: &MemRecorder) -> String {
     out.push('\n');
     out.push_str(&recorder.to_ndjson());
     out
-}
-
-/// Writes the merged trace to `path`.
-pub fn write_trace(spec: &TribeSpec, recorder: &MemRecorder, path: &str) -> std::io::Result<()> {
-    std::fs::write(path, export_trace(spec, recorder))
 }
 
 #[cfg(test)]

@@ -15,7 +15,8 @@ pub const REJECTED_BAD_SIG: &str = "rejected.bad_sig";
 /// A same-sender repeat carrying no new information: duplicate echo, ready,
 /// vote or timeout from one party, a re-sent identical VAL, or a repeated
 /// pull that was already served. May tick under benign replay-free runs
-/// only through simulator redundancy races (see `examples/trace_summary`).
+/// only through simulator redundancy races; the benign fingerprints in
+/// `tests/determinism.rs` pin its exact count.
 pub const REJECTED_DUPLICATE: &str = "rejected.duplicate";
 
 /// A conflicting statement from one party: second distinct digest behind a
@@ -129,8 +130,8 @@ pub const ELECTION_EPOCH_ROTATIONS: &str = "election.epoch_rotations";
 
 // --- bounded-buffer occupancy gauges -------------------------------------
 //
-// Sampled by the consensus node once per round entry; the flight recorder
-// keeps a bounded log of these samples so a post-mortem can see whether a
+// Sampled by the consensus node once per round entry; the health monitor's
+// buffer-growth detector reads them live, so an operator sees whether a
 // stall coincided with a full window, an echo-digest flood, a pull backlog
 // or a growing evidence queue.
 

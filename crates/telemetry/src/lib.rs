@@ -16,12 +16,11 @@
 //!   codec sits on (matching the `codec.rs` philosophy: deterministic,
 //!   dependency-free), one event per line.
 //! * [`recorder`] — the [`Recorder`] trait and [`MemRecorder`] (named
-//!   counters, gauges, log-bucketed histograms, the bounded event ring and
-//!   gauge-sample log, and the black-box snapshot dumped on panic or
-//!   `CLANBFT_DUMP`). The cloneable [`Telemetry`] handle — a list of
-//!   recorders, empty by default: one branch per call site when disabled —
-//!   is what gets threaded through consensus, the RBC engines and the
-//!   simulator.
+//!   counters, log-bucketed histograms and the bounded event ring; gauges
+//!   are live-only, for the health monitor). The cloneable [`Telemetry`]
+//!   handle — a list of recorders, empty by default: one branch per call
+//!   site when disabled — is what gets threaded through consensus, the RBC
+//!   engines and the simulator.
 //! * [`counters`] — canonical names for the rejection/hardening counters
 //!   (`rejected.*`, `pull.retries`) shared by rbc, consensus and tests.
 //! * [`hist`] — power-of-two log-bucketed [`Histogram`] with p50/p90/p99
@@ -45,5 +44,5 @@ pub mod span;
 pub use event::{Event, RbcPhase, RunMeta, Stamped};
 pub use hist::Histogram;
 pub use ndjson::JsonObj;
-pub use recorder::{install_panic_dump, mempool_summary, MemRecorder, Recorder, Telemetry};
+pub use recorder::{MemRecorder, Recorder, Telemetry};
 pub use span::{Span, SpanSet, Stage, StageBreakdown, StageStats};

@@ -4,26 +4,20 @@
 //! A [`Telemetry`] handle is cloned into every node, RBC engine and the
 //! simulator. The default is the disabled handle: every call site pays one
 //! predictable branch and nothing else, so instrumentation can stay
-//! permanently wired through the hot paths (`benches/micro.rs` pins the
-//! overhead). [`MemRecorder`] collects everything in memory behind a mutex
-//! — the simulator is single-threaded, so the lock is never contended and
-//! the event order is the deterministic handler execution order.
-//!
-//! The same recorder is the run's black box. Its event log is a bounded
-//! ring and it keeps a bounded log of recent gauge samples (the bounded
-//! buffers: round-window occupancy, echo-digest counts, pending pulls,
-//! evidence backlog), so [`MemRecorder::snapshot_ndjson`] can render *the
-//! last moments before the crash* in one call. Safety violations in this
-//! workspace are `assert!`s, i.e. panics: [`install_panic_dump`] hooks the
-//! panic handler to write the snapshot to `CLANBFT_DUMP` (or
-//! `clanbft-flight.ndjson`) before unwinding, and
-//! [`MemRecorder::dump_if_requested`] writes the same snapshot at the end
-//! of a healthy run when `CLANBFT_DUMP` is set.
+//! permanently wired through the hot paths (the benchmark's
+//! `telemetry.overhead_pct` measures what an enabled one costs).
+//! [`MemRecorder`] collects counters, histograms and the event log in
+//! memory behind a mutex — the simulator is single-threaded, so the lock is
+//! never contended and the event order is the deterministic handler
+//! execution order. Gauges are live-only: the health monitor reads them as
+//! they are set, and the memory recorder keeps none. A run's one export is
+//! its event log, rendered as the merged trace
+//! (`clanbft_sim::export_trace`); the simulator is deterministic, so any
+//! trace can be regenerated from its seed.
 
 use crate::counters;
 use crate::event::{Event, Stamped};
 use crate::hist::Histogram;
-use crate::ndjson::JsonObj;
 use clanbft_types::{Micros, PartyId};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -33,15 +27,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// experiment in the repo (the fig5 full-scale sweep stays well under it),
 /// small enough that a runaway sim cannot grow memory without bound.
 pub const DEFAULT_EVENT_CAP: usize = 1_000_000;
-
-/// Bound on [`MemRecorder`]'s log of recent gauge samples.
-pub const GAUGE_LOG_CAP: usize = 1_024;
-
-/// Environment variable naming the black-box dump file.
-pub const DUMP_ENV: &str = "CLANBFT_DUMP";
-
-/// Fallback dump path when [`DUMP_ENV`] is unset at panic time.
-pub const DEFAULT_DUMP_PATH: &str = "clanbft-flight.ndjson";
 
 /// Sink for metrics and protocol events.
 pub trait Recorder: Send + Sync {
@@ -61,17 +46,11 @@ pub trait Recorder: Send + Sync {
 #[derive(Default)]
 struct MemInner {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
     events: VecDeque<Stamped>,
-    /// The newest [`GAUGE_LOG_CAP`] gauge samples.
-    gauge_log: VecDeque<(Micros, &'static str, u64)>,
-    /// Stamp of the newest event, used to stamp gauge samples (the
-    /// `Recorder::gauge` call itself carries no clock).
-    last_at: Micros,
 }
 
-/// In-memory recorder: counters, gauges, histograms and the event log.
+/// In-memory recorder: counters, histograms and the event log.
 ///
 /// The event log is a ring: once `event_cap` events are held, each new
 /// event evicts the oldest one and ticks [`counters::EVENTS_DROPPED`], so
@@ -118,11 +97,6 @@ impl MemRecorder {
         self.inner().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of a gauge, if ever set.
-    pub fn gauge_value(&self, name: &str) -> Option<u64> {
-        self.inner().gauges.get(name).copied()
-    }
-
     /// Snapshot of a named histogram, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         self.inner().histograms.get(name).cloned()
@@ -153,76 +127,6 @@ impl MemRecorder {
         let line = |ev: &Stamped| ev.to_ndjson() + "\n";
         self.inner().events.iter().map(line).collect()
     }
-
-    /// Renders the whole black box as NDJSON: a header line, one line per
-    /// counter, per latest gauge value and per retained gauge sample, then
-    /// the retained events oldest-first (each in the standard trace
-    /// format).
-    pub fn snapshot_ndjson(&self) -> String {
-        let inner = self.inner();
-        let dropped = inner.counters.get(counters::EVENTS_DROPPED);
-        let mut out = JsonObj::new()
-            .str("flight", "header")
-            .u64("events_retained", inner.events.len() as u64)
-            .u64("events_dropped", dropped.copied().unwrap_or(0))
-            .u64("last_at", inner.last_at.0)
-            .finish();
-        out.push('\n');
-        let framing = |kind: &str, at: Option<Micros>, name: &str, value: u64| {
-            let mut obj = JsonObj::new().str("flight", kind);
-            if let Some(at) = at {
-                obj = obj.u64("at", at.0);
-            }
-            obj.str("name", name).u64("value", value).finish() + "\n"
-        };
-        for (name, value) in &inner.counters {
-            out.push_str(&framing("counter", None, name, *value));
-        }
-        for (name, value) in &inner.gauges {
-            out.push_str(&framing("gauge", None, name, *value));
-        }
-        for (at, name, value) in &inner.gauge_log {
-            out.push_str(&framing("gauge_sample", Some(*at), name, *value));
-        }
-        out.extend(inner.events.iter().map(|ev| ev.to_ndjson() + "\n"));
-        out
-    }
-
-    /// Writes the snapshot to `path`. Errors are returned, not panicked on
-    /// — this runs inside panic handlers.
-    pub fn dump_to(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.snapshot_ndjson())
-    }
-
-    /// Writes the snapshot to `$CLANBFT_DUMP` if the variable is set.
-    /// Returns the path written, if any.
-    pub fn dump_if_requested(&self) -> Option<String> {
-        let path = std::env::var(DUMP_ENV).ok().filter(|p| !p.is_empty())?;
-        match self.dump_to(&path) {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("flight recorder: failed to write {path}: {e}");
-                None
-            }
-        }
-    }
-}
-
-/// Chains a panic hook that dumps `recorder`'s snapshot to `$CLANBFT_DUMP`
-/// (or [`DEFAULT_DUMP_PATH`]) before the previous hook runs, so any
-/// safety-check failure (they are asserts) leaves a black box behind.
-pub fn install_panic_dump(recorder: Arc<MemRecorder>) {
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let path = std::env::var(DUMP_ENV).unwrap_or_else(|_| DEFAULT_DUMP_PATH.to_string());
-        if !path.is_empty() {
-            match recorder.dump_to(&path) {
-                Ok(()) => eprintln!("flight recorder: black box written to {path}"),
-                Err(e) => eprintln!("flight recorder: failed to write {path}: {e}"),
-            }
-        }
-        previous(info);
-    }));
 }
 
 impl Recorder for MemRecorder {
@@ -238,19 +142,10 @@ impl Recorder for MemRecorder {
         *self.inner().counters.entry(counter).or_insert(0) += delta;
     }
 
-    fn gauge(&self, gauge: &'static str, value: u64) {
-        let mut inner = self.inner();
-        inner.gauges.insert(gauge, value);
-        if inner.gauge_log.len() >= GAUGE_LOG_CAP {
-            inner.gauge_log.pop_front();
-        }
-        let at = inner.last_at;
-        inner.gauge_log.push_back((at, gauge, value));
-    }
+    fn gauge(&self, _gauge: &'static str, _value: u64) {}
 
     fn event(&self, at: Micros, party: PartyId, event: Event) {
         let mut inner = self.inner();
-        inner.last_at = at;
         if inner.events.len() >= self.event_cap {
             inner.events.pop_front();
             *inner.counters.entry(counters::EVENTS_DROPPED).or_insert(0) += 1;
@@ -361,49 +256,6 @@ impl Telemetry {
     }
 }
 
-/// One NDJSON line summarising the client-ingress telemetry a recorder
-/// collected: the admission/rejection counters and the queue-delay,
-/// batch-size and batch-occupancy histogram readouts (p50/p99/max each).
-/// Zero everywhere when the run had no ingress.
-pub fn mempool_summary(rec: &MemRecorder) -> String {
-    let hist = |name: &str| -> (u64, u64, u64) {
-        rec.histogram(name)
-            .map(|h| {
-                let (p50, _p90, p99, max) = h.readout();
-                (p50, p99, max)
-            })
-            .unwrap_or((0, 0, 0))
-    };
-    let (qd50, qd99, qdmax) = hist(counters::MEMPOOL_QUEUE_DELAY);
-    let (bs50, bs99, bsmax) = hist(counters::MEMPOOL_BATCH_SIZE);
-    let (oc50, _, _) = hist(counters::MEMPOOL_BATCH_OCCUPANCY);
-    JsonObj::new()
-        .str("report", "mempool")
-        .u64("admitted", rec.counter(counters::MEMPOOL_ADMITTED))
-        .u64("pulled", rec.counter(counters::MEMPOOL_PULLED))
-        .u64(
-            "rejected_full",
-            rec.counter(counters::MEMPOOL_REJECTED_FULL),
-        )
-        .u64(
-            "rejected_duplicate",
-            rec.counter(counters::MEMPOOL_REJECTED_DUPLICATE),
-        )
-        .u64("rejected_gap", rec.counter(counters::MEMPOOL_REJECTED_GAP))
-        .u64(
-            "rejected_client_cap",
-            rec.counter(counters::MEMPOOL_REJECTED_CLIENT_CAP),
-        )
-        .u64("queue_delay_p50_us", qd50)
-        .u64("queue_delay_p99_us", qd99)
-        .u64("queue_delay_max_us", qdmax)
-        .u64("batch_size_p50", bs50)
-        .u64("batch_size_p99", bs99)
-        .u64("batch_size_max", bsmax)
-        .u64("batch_occupancy_p50_pct", oc50)
-        .finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,7 +290,6 @@ mod tests {
             Event::RoundEntered { round: Round(2) },
         );
         assert_eq!(rec.counter("net.sent_msgs"), 5);
-        assert_eq!(rec.gauge_value("dag.rounds"), Some(7));
         let h = rec.histogram("lat").expect("histogram exists");
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), 300);
@@ -488,24 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn mempool_summary_reads_counters_and_histograms() {
-        let (t, rec) = Telemetry::mem();
-        let line = mempool_summary(&rec);
-        assert!(line.contains("\"admitted\":0"), "empty recorder: {line}");
-        t.add(counters::MEMPOOL_ADMITTED, 12);
-        t.add(counters::MEMPOOL_REJECTED_FULL, 3);
-        t.record(counters::MEMPOOL_QUEUE_DELAY, 800);
-        t.record(counters::MEMPOOL_BATCH_SIZE, 64);
-        let line = mempool_summary(&rec);
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"report\":\"mempool\""));
-        assert!(line.contains("\"admitted\":12"));
-        assert!(line.contains("\"rejected_full\":3"));
-        assert!(line.contains("\"queue_delay_p50_us\":"));
-        assert!(line.contains("\"batch_size_p50\":"));
-    }
-
-    #[test]
     fn tee_duplicates_into_both_recorders() {
         let (base, a) = Telemetry::mem();
         let b = Arc::new(MemRecorder::new());
@@ -525,70 +358,7 @@ mod tests {
         );
         for rec in [&a, &b] {
             assert_eq!(rec.counter("c"), 4);
-            assert_eq!(rec.gauge_value("g"), Some(9));
             assert_eq!(rec.event_count(), 1);
         }
-    }
-
-    fn round_entered(t: &Telemetry, at: u64, party: u32, round: u64) {
-        t.event(
-            Micros(at),
-            PartyId(party),
-            Event::RoundEntered {
-                round: Round(round),
-            },
-        );
-    }
-
-    #[test]
-    fn snapshot_renders_the_newest_suffix() {
-        let (t, rec) = Telemetry::mem_with_capacity(2);
-        for i in 0..5u64 {
-            round_entered(&t, i, 0, i + 1);
-        }
-        let snap = rec.snapshot_ndjson();
-        assert!(snap.starts_with(
-            "{\"flight\":\"header\",\"events_retained\":2,\"events_dropped\":3,\"last_at\":4}\n"
-        ));
-        // Oldest retained is round 4; rounds 1-3 were evicted.
-        assert!(snap.contains(r#""round":4"#));
-        assert!(!snap.contains(r#""round":3"#));
-    }
-
-    #[test]
-    fn gauges_are_sampled_with_the_event_clock() {
-        let (t, rec) = Telemetry::mem();
-        round_entered(&t, 100, 1, 1);
-        t.gauge("buf.rbc.instances", 3);
-        round_entered(&t, 200, 1, 2);
-        for _ in 0..GAUGE_LOG_CAP - 1 {
-            t.gauge("buf.rbc.instances", 5);
-        }
-        t.gauge("buf.dag.pending", 1);
-        t.add("pull.retries", 2);
-        let snap = rec.snapshot_ndjson();
-        // Latest gauge values.
-        assert!(snap.contains(r#""flight":"gauge","name":"buf.rbc.instances","value":5"#));
-        // The sample log is bounded: the first sample was evicted.
-        assert!(!snap
-            .contains(r#""flight":"gauge_sample","at":100,"name":"buf.rbc.instances","value":3"#));
-        assert!(snap
-            .contains(r#""flight":"gauge_sample","at":200,"name":"buf.rbc.instances","value":5"#));
-        assert!(
-            snap.contains(r#""flight":"gauge_sample","at":200,"name":"buf.dag.pending","value":1"#)
-        );
-        assert!(snap.contains(r#""flight":"counter","name":"pull.retries","value":2"#));
-    }
-
-    #[test]
-    fn dump_to_writes_the_snapshot() {
-        let (t, rec) = Telemetry::mem();
-        round_entered(&t, 7, 2, 9);
-        let path = std::env::temp_dir().join("clanbft-flight-test.ndjson");
-        let path = path.to_str().expect("utf8 temp path");
-        rec.dump_to(path).expect("dump writes");
-        let written = std::fs::read_to_string(path).expect("dump readable");
-        assert_eq!(written, rec.snapshot_ndjson());
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -14,12 +14,17 @@
 //!    (replay, mutated signatures, forged payloads) must leave the
 //!    commit-stall watchdog silent — detector recall on what matters,
 //!    precision on what doesn't.
+//! 5. **Trace** — the run's merged trace passes every `clanbft-inspect
+//!    check` invariant, evidence attributed to a configured attacker among
+//!    them.
+
+mod common;
 
 use clanbft_adversary::Attack;
 use clanbft_monitor::{Detector, HealthMonitor};
 use clanbft_sim::tribe::partition_clans;
 use clanbft_sim::{build_tribe, BuiltTribe, TribeSpec};
-use clanbft_telemetry::{counters, Event, MemRecorder, RbcPhase, Telemetry};
+use clanbft_telemetry::{counters, Event, MemRecorder, RbcPhase};
 use clanbft_types::{Evidence, Micros, PartyId, Round, VertexRef};
 use std::sync::Arc;
 
@@ -60,16 +65,14 @@ fn assert_liveness(built: &BuiltTribe, min_round: u64, label: &str) {
 }
 
 /// Runs `spec` with an in-memory telemetry recorder and the online health
-/// monitor attached; the monitor is settled (windows expired) at run end.
+/// monitor attached; the monitor is settled (windows expired) at run end,
+/// and the recorded trace must pass the `clanbft-inspect check` gate.
 fn run(mut spec: TribeSpec) -> (BuiltTribe, Arc<MemRecorder>, HealthMonitor) {
-    let (telemetry, recorder) = Telemetry::mem();
-    spec.telemetry = telemetry;
     let monitor = HealthMonitor::default();
     spec.monitor = Some(monitor.clone());
-    let mut built = build_tribe(&spec);
-    built.sim.run_until(Micros::from_secs(300));
+    let run = common::run_judged(spec, Micros::from_secs(300));
     monitor.settle();
-    (built, recorder, monitor)
+    (run.built, run.recorder, monitor)
 }
 
 /// The monitor fired `detector` against at least one of `culprits`.

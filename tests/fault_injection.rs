@@ -1,11 +1,19 @@
 //! Fault injection across the stack: crash faults up to `f`, pre-GST
 //! asynchrony, and link partitions — the paper's partial-synchrony model
-//! exercised end to end.
+//! exercised end to end. Every run on a real WAL, and the epoch rotation,
+//! also has its merged trace judged by `clanbft-inspect check` in process.
 
+mod common;
+
+use clanbft_adversary::Attack;
+use clanbft_inspect::alert_report;
 use clanbft_monitor::{AlertKind, Detector, HealthMonitor, MonitorConfig, Verdict};
+use clanbft_sim::tribe::elect_clan;
 use clanbft_sim::{build_tribe, TribeSpec};
 use clanbft_simnet::net::Partition;
+use clanbft_telemetry::{counters, Event};
 use clanbft_types::{Micros, PartyId, Round, VertexRef};
+use common::run_judged;
 
 fn order_of(node: &clanbft_consensus::SailfishNode) -> Vec<VertexRef> {
     node.committed_log.iter().map(|c| c.vertex).collect()
@@ -330,13 +338,21 @@ fn restarted_follower_recovers_from_wal() {
     spec.restarts = vec![(PartyId(2), Micros::from_millis(2_600))];
     let monitor = disk_blind_monitor();
     spec.monitor = Some(monitor.clone());
-    let mut built = build_tribe(&spec);
-    built.sim.run_until(Micros::from_secs(300));
+    let run = run_judged(spec, Micros::from_secs(300));
+    let (built, recorder) = (&run.built, &run.recorder);
     // n = 4 pauses commits while a member is down, so the outage registers
     // as round skew rather than a commit stall.
     assert_fired_and_cleared(&monitor, Detector::RoundSkew, PartyId(2), "follower");
+    assert!(
+        recorder.counter(counters::WAL_APPENDS) > 0,
+        "nothing logged"
+    );
+    assert!(
+        recorder.counter(counters::STATE_TRANSFER_REQUESTS) > 0,
+        "the restart never asked its peers for state"
+    );
     let all: Vec<PartyId> = (0..4u32).map(PartyId).collect();
-    assert_seq_agreement(&built, &all);
+    assert_seq_agreement(built, &all);
     let node2 = built.sim.node(PartyId(2));
     assert!(node2.recovered(), "restart must rebuild from disk");
     assert!(
@@ -370,8 +386,7 @@ fn restarted_clan_member_rejoins_single_clan() {
     spec.gc_depth = None;
     spec.crashes = vec![(PartyId(4), Micros::from_millis(1_000))];
     spec.restarts = vec![(PartyId(4), Micros::from_millis(3_500))];
-    let mut built = build_tribe(&spec);
-    built.sim.run_until(Micros::from_secs(300));
+    let built = run_judged(spec, Micros::from_secs(300)).built;
     let all: Vec<PartyId> = (0..10u32).map(PartyId).collect();
     assert_seq_agreement(&built, &all);
     let node4 = built.sim.node(PartyId(4));
@@ -408,8 +423,7 @@ fn f_staggered_restarts_preserve_agreement() {
     ];
     let monitor = disk_blind_monitor();
     spec.monitor = Some(monitor.clone());
-    let mut built = build_tribe(&spec);
-    built.sim.run_until(Micros::from_secs(300));
+    let built = run_judged(spec, Micros::from_secs(300)).built;
     // Party 1's short early outage registers as round skew; party 5 is down
     // long enough, against a committing quorum, to trip the stall watchdog.
     assert_fired_and_cleared(&monitor, Detector::RoundSkew, PartyId(1), "staggered");
@@ -441,8 +455,7 @@ fn long_outage_recovers_via_state_transfer() {
     spec.catchup_rounds = 8;
     spec.crashes = vec![(PartyId(3), Micros::from_millis(800))];
     spec.restarts = vec![(PartyId(3), Micros::from_secs(20))];
-    let mut built = build_tribe(&spec);
-    built.sim.run_until(Micros::from_secs(600));
+    let built = run_judged(spec, Micros::from_secs(600)).built;
     let all: Vec<PartyId> = (0..4u32).map(PartyId).collect();
     assert_seq_agreement(&built, &all);
     let node3 = built.sim.node(PartyId(3));
@@ -462,70 +475,129 @@ fn long_outage_recovers_via_state_transfer() {
 
 #[test]
 fn epoch_rotation_replaces_crashed_clan_member() {
-    // Single clan {0,1,2} in a 7-party tribe with epoch rotation on. Party
-    // 2 crashes for good; at the next epoch whose decision boundary it has
+    // Single clan {0,1,2} in a 7-party tribe with epoch rotation on, run in
+    // memory (the default) and again with every party on a WAL. Party 2
+    // crashes for good; at the next epoch whose decision boundary it has
     // fallen `rotation_miss_k` rounds behind, every honest party rotates it
     // out for an outsider — deterministically, without stopping commits.
+    let dir = scratch("rotation");
     let clan: Vec<PartyId> = [0u32, 1, 2].map(PartyId).to_vec();
-    let mut spec = TribeSpec::new(7);
-    spec.clans = Some(vec![clan.clone()]);
-    spec.txs_per_proposal = 20;
-    spec.max_round = Some(40);
-    spec.timeout = Micros::from_millis(1_200);
-    spec.epoch_length = Some(8);
-    spec.rotation_miss_k = 4;
-    spec.crashes = vec![(PartyId(2), Micros::from_millis(1_000))];
-    let mut built = build_tribe(&spec);
-    built.sim.run_until(Micros::from_secs(600));
-    assert_agreement(&built);
-    // Every honest party decided the same epochs, and some epoch seated a
-    // replacement for party 2.
-    let reference = built.sim.node(PartyId(0)).epoch_decisions().to_vec();
-    assert!(
-        !reference.is_empty(),
-        "epoch boundaries must have been decided"
-    );
-    for &p in &built.honest {
-        let decisions = built.sim.node(p).epoch_decisions();
-        let shared = decisions.len().min(reference.len());
-        assert_eq!(
-            &decisions[..shared],
-            &reference[..shared],
-            "{p} decided different epochs"
-        );
-    }
-    let rotated = reference
-        .iter()
-        .find(|e| !e.clans[0].contains(&2))
-        .unwrap_or_else(|| panic!("party 2 never rotated out: {reference:?}"));
-    assert_eq!(rotated.clans[0].len(), 3, "the clan never shrinks");
-    // Commits continued past the rotation boundary.
-    for &p in &built.honest {
-        let node = built.sim.node(p);
+    for (on, storage_root) in [("in memory", None), ("on a WAL", Some(dir.clone()))] {
+        let mut spec = TribeSpec::new(7);
+        spec.clans = Some(vec![clan.clone()]);
+        spec.storage_root = storage_root;
+        spec.txs_per_proposal = 20;
+        spec.max_round = Some(40);
+        spec.timeout = Micros::from_millis(1_200);
+        spec.epoch_length = Some(8);
+        spec.rotation_miss_k = 4;
+        spec.crashes = vec![(PartyId(2), Micros::from_millis(1_000))];
+        let run = run_judged(spec, Micros::from_secs(600));
+        let built = &run.built;
+        assert_agreement(built);
         assert!(
-            node.last_committed()
-                .is_some_and(|lc| lc.0 > rotated.from_round.0),
-            "{p} stopped committing at the rotation boundary"
+            run.recorder.counter(counters::ELECTION_EPOCH_ROTATIONS) > 0,
+            "{on}: no rotation counted"
+        );
+        assert!(
+            run.trace
+                .events
+                .iter()
+                .any(|s| matches!(s.event, Event::EpochRotated { .. })),
+            "{on}: the trace carries no epoch_rotated event"
+        );
+        // Every honest party decided the same epochs, and some epoch seated
+        // a replacement for party 2.
+        let reference = built.sim.node(PartyId(0)).epoch_decisions().to_vec();
+        assert!(
+            !reference.is_empty(),
+            "{on}: epoch boundaries must have been decided"
+        );
+        for &p in &built.honest {
+            let decisions = built.sim.node(p).epoch_decisions();
+            let shared = decisions.len().min(reference.len());
+            assert_eq!(
+                &decisions[..shared],
+                &reference[..shared],
+                "{on}: {p} decided different epochs"
+            );
+        }
+        let rotated = reference
+            .iter()
+            .find(|e| !e.clans[0].contains(&2))
+            .unwrap_or_else(|| panic!("{on}: party 2 never rotated out: {reference:?}"));
+        assert_eq!(rotated.clans[0].len(), 3, "{on}: the clan never shrinks");
+        // Commits continued past the rotation boundary.
+        for &p in &built.honest {
+            let node = built.sim.node(p);
+            assert!(
+                node.last_committed()
+                    .is_some_and(|lc| lc.0 > rotated.from_round.0),
+                "{on}: {p} stopped committing at the rotation boundary"
+            );
+        }
+        // The newly seated member proposes non-empty blocks after its seat
+        // becomes effective.
+        let seated: Vec<u32> = rotated.clans[0]
+            .iter()
+            .copied()
+            .filter(|m| !clan.contains(&PartyId(*m)))
+            .collect();
+        assert!(!seated.is_empty(), "{on}: someone must have been seated");
+        let node0 = built.sim.node(PartyId(0));
+        let new_member_txs: u64 = node0
+            .committed_log
+            .iter()
+            .filter(|c| c.vertex.round > rotated.from_round && seated.contains(&c.vertex.source.0))
+            .map(|c| c.block_tx_count)
+            .sum();
+        assert!(
+            new_member_txs > 0,
+            "{on}: seated member {seated:?} never proposed transactions past round {}",
+            rotated.from_round.0
         );
     }
-    // The newly seated member proposes non-empty blocks after its seat
-    // becomes effective.
-    let seated: Vec<u32> = rotated.clans[0]
-        .iter()
-        .copied()
-        .filter(|m| !clan.contains(&PartyId(*m)))
-        .collect();
-    assert!(!seated.is_empty(), "someone must have been seated");
-    let node0 = built.sim.node(PartyId(0));
-    let new_member_txs: u64 = node0
-        .committed_log
-        .iter()
-        .filter(|c| c.vertex.round > rotated.from_round && seated.contains(&c.vertex.source.0))
-        .map(|c| c.block_tx_count)
-        .sum();
-    assert!(
-        new_member_txs > 0,
-        "seated member {seated:?} never proposed transactions past round {}",
-        rotated.from_round.0
-    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn withholding_and_a_restart_alert_live_and_offline_then_clear() {
+    // Single clan of 4 in a 7-party tribe on a WAL: clan member p1 (the
+    // first a victim probes) withholds from its clan peer p2, and outsider
+    // p6 crashes at 1 s and restarts at 3.6 s — long enough behind a
+    // committing quorum to trip the stall watchdog. The short pull deadline
+    // makes p2's probes time out and rotate densely enough to read as a
+    // retry storm.
+    let dir = scratch("withhold-restart");
+    let mut spec = TribeSpec::new(7);
+    spec.clans = Some(vec![elect_clan(7, 4, 42)]);
+    spec.storage_root = Some(dir.clone());
+    spec.txs_per_proposal = 50;
+    spec.max_round = Some(14);
+    spec.timeout = Micros::from_millis(1_200);
+    spec.pull_retry = Micros::from_millis(20);
+    spec.seed = 42;
+    spec.byzantine = vec![(
+        PartyId(1),
+        Attack::Withhold {
+            victims: vec![PartyId(2)],
+        },
+    )];
+    spec.crashes = vec![(PartyId(6), Micros::from_millis(1_000))];
+    spec.restarts = vec![(PartyId(6), Micros::from_millis(3_600))];
+    let monitor = disk_blind_monitor();
+    spec.monitor = Some(monitor.clone());
+    let trace = run_judged(spec, Micros::from_secs(120)).trace;
+    let label = "withhold+restart";
+    assert_fired_and_cleared(&monitor, Detector::PullRetryStorm, PartyId(2), label);
+    assert_fired_and_cleared(&monitor, Detector::CommitStall, PartyId(6), label);
+    // The offline replay of the recorded trace reaches the same shape.
+    let report = alert_report(&trace);
+    for want in ["pull_retry_storm", "commit_stall", "verdict: healthy"] {
+        assert!(
+            report.contains(want),
+            "offline replay lacks {want:?}:\n{report}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

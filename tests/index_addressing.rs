@@ -216,6 +216,16 @@ fn state_chunk_entries_with_wild_numbers_are_refused_or_stored_once() {
         leader_round: FAR,
     };
     let (count, bytes) = allocations_in(|| {
+        // A last chunk numbered `u32::MAX` claims a chunk count that does
+        // not fit: refused whole.
+        let wild_seq = ConsensusMsg::StateChunk {
+            from_round: Round(0),
+            seq: u32::MAX,
+            last: true,
+            vertices: vec![Arc::clone(&far)],
+            committed: vec![wild_commit.clone()],
+        };
+        deliver(&mut node, &cost, 3, wild_seq);
         // f + 1 = 2 responders agree on all of it, which settles the
         // transfer and applies what was agreed.
         for from in [1, 2] {
@@ -231,7 +241,7 @@ fn state_chunk_entries_with_wild_numbers_are_refused_or_stored_once() {
     });
     assert!(
         count < 200 && bytes < 64 * 1024,
-        "{count} allocations, {bytes} bytes for two state chunks"
+        "{count} allocations, {bytes} bytes for three state chunks"
     );
     assert!(node.committed_log.is_empty(), "a gap is not adopted");
     assert_eq!(node.commit_seq_base(), 0);

@@ -9,9 +9,11 @@
 //! capacity) and the feedback sizer visibly adapting batch sizes to offered
 //! load.
 
+mod common;
+
 use clanbft_mempool::{ClientId, ClientIngress, MempoolConfig, SizerConfig, WorkloadSpec};
 use clanbft_sim::{build_tribe, collect_metrics, BuiltTribe, RunMetrics, TribeSpec};
-use clanbft_telemetry::Telemetry;
+use clanbft_telemetry::{counters, Telemetry};
 use clanbft_types::{Micros, VertexRef};
 
 /// Audits every honest proposer: mempool drained, nothing in flight, and
@@ -62,40 +64,56 @@ fn audit_exactly_once(built: &BuiltTribe) -> u64 {
     total_admitted
 }
 
-fn closed_loop_spec(clients: u64, outstanding: u32, seed: u64) -> TribeSpec {
+/// A 4-party closed loop that stops submitting at `stop_at_round`, well
+/// before `max_round`, so the queue and in-flight set drain while rounds
+/// (and therefore commits) are still advancing.
+fn closed_loop_spec(
+    clients: u64,
+    outstanding: u32,
+    seed: u64,
+    (stop_at_round, max_round): (u64, u64),
+) -> TribeSpec {
     let mut spec = TribeSpec::new(4);
     spec.workload = Some(WorkloadSpec::ClosedLoop {
         clients,
         outstanding,
-        // Stop well before max_round so the queue and in-flight set drain
-        // while rounds (and therefore commits) are still advancing.
-        stop_at_round: 8,
+        stop_at_round,
     });
     spec.gc_depth = None; // the audit reads every own committed block back
-    spec.max_round = Some(20);
+    spec.max_round = Some(max_round);
     spec.seed = seed;
     spec
 }
 
 #[test]
 fn closed_loop_commits_every_admitted_tx_exactly_once() {
-    let spec = closed_loop_spec(50, 2, 7);
-    let mut built = build_tribe(&spec);
-    built.sim.run_until(Micros::from_secs(240));
+    // A light loop, and 13k clients per proposer for 16 rounds: more than
+    // 100k client transactions through the same audit.
+    for (clients, seed, rounds, at_least) in [
+        // Each of the 4 proposers seeds clients × outstanding, then
+        // resubmits on commit until the stop round — so at least the seed
+        // wave landed.
+        (50, 7, (8, 20), 4 * 50 * 2),
+        (13_000, 42, (16, 32), 100_000),
+    ] {
+        let spec = closed_loop_spec(clients, 2, seed, rounds);
+        let run = common::run_judged(spec, Micros::from_secs(600));
+        let built = &run.built;
 
-    let total = audit_exactly_once(&built);
-    // Each of the 4 proposers seeds clients × outstanding, then resubmits
-    // on commit until the stop round — so at least the seed wave landed.
-    assert!(total >= 4 * 50 * 2, "seed wave admitted, got {total}");
+        let total = audit_exactly_once(built);
+        assert!(total >= at_least, "{clients} clients: {total} admitted");
+        assert_eq!(run.recorder.counter(counters::MEMPOOL_ADMITTED), total);
 
-    // Client-side cross-check: the sum of per-client next-expected sequence
-    // numbers is exactly the number of admissions (no client skipped ahead).
-    for &p in &built.honest {
-        let ingress = built.sim.node(p).ingress().expect("proposer");
-        let by_clients: u64 = (0..50)
-            .map(|c| ingress.pool().expected_seq(ClientId(c)))
-            .sum();
-        assert_eq!(by_clients, ingress.pool().stats().admitted, "{p}");
+        // Client-side cross-check: the sum of per-client next-expected
+        // sequence numbers is exactly the number of admissions (no client
+        // skipped ahead).
+        for &p in &built.honest {
+            let ingress = built.sim.node(p).ingress().expect("proposer");
+            let by_clients: u64 = (0..clients)
+                .map(|c| ingress.pool().expected_seq(ClientId(c)))
+                .sum();
+            assert_eq!(by_clients, ingress.pool().stats().admitted, "{p}");
+        }
     }
 }
 
@@ -202,7 +220,7 @@ fn sizer_shrinks_batches_at_low_load_and_grows_them_at_high_load() {
 #[test]
 fn same_seed_closed_loop_runs_are_identical() {
     let run = || {
-        let spec = closed_loop_spec(30, 2, 21);
+        let spec = closed_loop_spec(30, 2, 21, (8, 20));
         let mut built = build_tribe(&spec);
         built.sim.run_until(Micros::from_secs(240));
         let metrics = collect_metrics(&built.sim, &built.honest, 2, 18);

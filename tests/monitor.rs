@@ -1,29 +1,39 @@
 //! Online health monitoring over live runs: the benign matrix must be
 //! alert-free *by construction* — every detector silent, verdict healthy,
-//! snapshot stream healthy end to end — across baseline, single-clan and
-//! multi-clan topologies. Detector *recall* (attacks firing the expected
-//! detector) lives in `tests/adversary.rs` and `tests/fault_injection.rs`;
-//! this file pins detector *precision*.
+//! snapshot stream healthy end to end, and the offline replay of the
+//! recorded trace silent too — across baseline, single-clan and multi-clan
+//! topologies. Detector *recall* (attacks firing the expected detector)
+//! lives in `tests/adversary.rs` and `tests/fault_injection.rs`; this file
+//! pins detector *precision*.
 
+mod common;
+
+use clanbft_inspect::{alert_report, Trace};
 use clanbft_monitor::{HealthMonitor, Verdict};
 use clanbft_sim::tribe::{elect_clan, partition_clans};
-use clanbft_sim::{build_tribe, TribeSpec};
+use clanbft_sim::TribeSpec;
 use clanbft_types::Micros;
 
-/// Builds `spec` with a fresh monitor attached, runs it to quiescence, and
-/// returns the settled monitor.
-fn run_monitored(mut spec: TribeSpec) -> HealthMonitor {
+/// Builds `spec` with a fresh monitor and a recorder attached, runs it to
+/// quiescence, and returns the settled monitor and the trace, which has
+/// passed the invariant gate.
+fn run_monitored(mut spec: TribeSpec) -> (HealthMonitor, Trace) {
     let monitor = HealthMonitor::default();
     spec.monitor = Some(monitor.clone());
-    let mut built = build_tribe(&spec);
-    built.sim.run_until(Micros::from_secs(240));
+    let trace = common::run_judged(spec, Micros::from_secs(240)).trace;
     monitor.settle();
-    monitor
+    (monitor, trace)
 }
 
 /// The benign contract: zero alerts, healthy verdict, every periodic
-/// snapshot healthy with no active alerts, and a monotone snapshot clock.
-fn assert_benign(monitor: &HealthMonitor, label: &str) {
+/// snapshot healthy with no active alerts, a monotone snapshot clock, and a
+/// trace that replays offline without an alert.
+fn assert_benign((monitor, trace): &(HealthMonitor, Trace), label: &str) {
+    let report = alert_report(trace);
+    assert!(
+        report.contains("no alerts") && report.contains("verdict: healthy"),
+        "{label}: offline replay alerted:\n{report}"
+    );
     let alerts = monitor.alerts();
     assert!(
         alerts.is_empty(),
@@ -56,21 +66,29 @@ fn benign_baseline_is_alert_free() {
     let mut spec = TribeSpec::new(7);
     spec.txs_per_proposal = 40;
     spec.max_round = Some(8);
-    let monitor = run_monitored(spec);
-    assert_benign(&monitor, "baseline");
+    let run = run_monitored(spec);
+    assert_benign(&run, "baseline");
     // All seven parties are visible to the verdict even though only the
     // event stream fed the bank.
-    assert_eq!(monitor.assess().parties, 7);
+    assert_eq!(run.0.assess().parties, 7);
 }
 
 #[test]
 fn benign_single_clan_is_alert_free() {
-    let mut spec = TribeSpec::new(7);
-    spec.clans = Some(vec![elect_clan(7, 4, 42)]);
-    spec.txs_per_proposal = 40;
-    spec.max_round = Some(8);
-    spec.seed = 42;
-    assert_benign(&run_monitored(spec), "single-clan");
+    // Once at the default pull deadline, and once at the 20 ms one the
+    // withhold runs of `tests/determinism.rs` and `tests/fault_injection.rs`
+    // use: the short deadline by itself must not read as a pull-retry
+    // storm, or a storm fired under attack would prove nothing.
+    for pull_retry_ms in [500, 20] {
+        let mut spec = TribeSpec::new(7);
+        spec.clans = Some(vec![elect_clan(7, 4, 42)]);
+        spec.txs_per_proposal = 40;
+        spec.max_round = Some(8);
+        spec.pull_retry = Micros::from_millis(pull_retry_ms);
+        spec.seed = 42;
+        let label = format!("single-clan, {pull_retry_ms} ms pull deadline");
+        assert_benign(&run_monitored(spec), &label);
+    }
 }
 
 #[test]
@@ -87,7 +105,7 @@ fn benign_prometheus_exposition_reads_healthy() {
     let mut spec = TribeSpec::new(7);
     spec.txs_per_proposal = 30;
     spec.max_round = Some(6);
-    let monitor = run_monitored(spec);
+    let (monitor, _) = run_monitored(spec);
     let text = monitor.prometheus();
     assert!(
         text.contains("clanbft_health_verdict 0\n"),
@@ -108,7 +126,7 @@ fn snapshot_ndjson_is_well_formed() {
     let mut spec = TribeSpec::new(4);
     spec.txs_per_proposal = 20;
     spec.max_round = Some(6);
-    let monitor = run_monitored(spec);
+    let (monitor, _) = run_monitored(spec);
     let ndjson = monitor.snapshots_ndjson();
     assert!(!ndjson.is_empty());
     for line in ndjson.lines() {
