@@ -515,7 +515,6 @@ fn strawman_measured_ablation() {
                         0
                     },
                     tx_bytes: 512,
-                    telemetry: clanbft_telemetry::Telemetry::null(),
                 },
                 auth,
             )

@@ -24,7 +24,6 @@
 use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Hasher, Signature};
 use clanbft_rbc::ClanTopology;
 use clanbft_simnet::protocol::{Ctx, Message, Protocol};
-use clanbft_telemetry::{Event, Telemetry};
 use clanbft_types::{Block, Encode, Micros, PartyId, Round, TxBatch};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -168,8 +167,6 @@ pub struct StrawmanConfig {
     pub txs_per_block: u32,
     /// Transaction size in bytes.
     pub tx_bytes: u32,
-    /// Telemetry sink (disabled by default).
-    pub telemetry: Telemetry,
 }
 
 /// Acks collected for one of our blocks: digest, tx count, creation time
@@ -314,9 +311,6 @@ impl StrawmanNode {
                 created_at: *created_at,
                 cert: Arc::new(AggregateSignature::aggregate(n, sigs)),
             };
-            self.cfg
-                .telemetry
-                .event(ctx.now(), me, Event::PoaFormed { seq });
             // Hand the PoA to the sequencing layer: broadcast to the next
             // few potential leaders is modelled as pooling at every party
             // (metadata-sized; charged as one control message per leader in
@@ -424,14 +418,6 @@ impl StrawmanNode {
             return;
         }
         self.committed_slots.insert(slot, true);
-        self.cfg.telemetry.event(
-            ctx.now(),
-            self.cfg.me,
-            Event::SlotCommitted {
-                slot,
-                txs: poas.iter().map(|p| p.tx_count).sum(),
-            },
-        );
         for poa in poas.iter() {
             self.committed.push(StrawmanCommit {
                 slot,
@@ -553,7 +539,6 @@ mod tests {
                             0
                         },
                         tx_bytes: 512,
-                        telemetry: Telemetry::null(),
                     },
                     auth,
                 )

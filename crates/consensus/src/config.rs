@@ -1,6 +1,6 @@
 //! Node configuration for the three protocol variants.
 
-use clanbft_mempool::{MempoolConfig, SizerConfig, WorkloadSpec};
+use clanbft_mempool::WorkloadSpec;
 use clanbft_rbc::ClanTopology;
 use clanbft_simnet::cost::CostModel;
 use clanbft_telemetry::Telemetry;
@@ -30,16 +30,10 @@ pub struct NodeConfig {
     /// Synthetic transactions per proposal (0 = propose empty blocks).
     /// Ignored when `workload` is set.
     pub txs_per_proposal: u32,
-    /// Synthetic transaction size in bytes (the paper uses 512).
-    pub tx_bytes: u32,
     /// Client workload driving this proposer's ingress. `None` falls back
     /// to the historical synthetic model parameterised by
     /// `txs_per_proposal`.
     pub workload: Option<WorkloadSpec>,
-    /// Bounds of the proposer's mempool (ignored by non-proposers).
-    pub mempool: MempoolConfig,
-    /// Dynamic batch-sizer tuning (ignored by the synthetic workload).
-    pub sizer: SizerConfig,
     /// Verify certificate/vote signature bytes for real (tests) or charge
     /// their cost only (large simulations).
     pub verify_sigs: bool,
@@ -48,9 +42,6 @@ pub struct NodeConfig {
     /// Garbage-collect DAG/RBC state this many rounds behind the commit
     /// frontier (`None` = never).
     pub gc_depth: Option<u64>,
-    /// Accept messages at most this many rounds ahead of the local round —
-    /// the bound on pending buffers a Byzantine flooder can fill.
-    pub round_window: u64,
     /// Base deadline for re-requesting a certified-but-missing payload; each
     /// retry backs off exponentially and rotates to fresh peers.
     pub pull_retry: Micros,
@@ -65,15 +56,8 @@ pub struct NodeConfig {
     /// Install a checkpoint (and rotate the WAL) every this many committed
     /// leader sequences.
     pub checkpoint_interval: u64,
-    /// How far behind the tribe's observed round frontier this party may
-    /// fall before requesting a peer state transfer after a restart.
-    pub catchup_rounds: u64,
     /// Rounds per epoch for clan rotation (`None` = never rotate).
     pub epoch_length: Option<u64>,
-    /// A clan member whose last committed vertex is more than this many
-    /// rounds behind the epoch decision boundary is voted dead at the next
-    /// rotation.
-    pub rotation_miss_k: u64,
 }
 
 impl NodeConfig {
@@ -90,22 +74,16 @@ impl NodeConfig {
             timeout: Micros::from_millis(2_000),
             max_round: None,
             txs_per_proposal: 0,
-            tx_bytes: 512,
             workload: None,
-            mempool: MempoolConfig::default(),
-            sizer: SizerConfig::default(),
             verify_sigs: true,
             execute: false,
             gc_depth: Some(16),
-            round_window: 256,
             pull_retry: Micros::from_millis(500),
             telemetry: Telemetry::null(),
             storage_dir: None,
             fsync: true,
             checkpoint_interval: 8,
-            catchup_rounds: 8,
             epoch_length: None,
-            rotation_miss_k: 4,
         }
     }
 }

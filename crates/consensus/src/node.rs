@@ -28,8 +28,8 @@ use crate::schedule::LeaderSchedule;
 use crate::trackers::{TimeoutTracker, VoteOutcome, VoteTracker};
 use clanbft_crypto::{Authenticator, Digest};
 use clanbft_dag::{order, Dag, InsertOutcome};
-use clanbft_mempool::{plan_batches, ClientIngress, WorkloadSpec};
-use clanbft_rbc::{parse_retry_token, Effects, EngineConfig, RbcEvent, TribeRbc};
+use clanbft_mempool::{plan_batches, ClientIngress, MempoolConfig, SizerConfig, WorkloadSpec};
+use clanbft_rbc::{parse_retry_token, Effects, EngineConfig, RbcEvent, TribeRbc, ROUND_WINDOW};
 use clanbft_simnet::protocol::{Ctx, Protocol};
 use clanbft_telemetry::{counters, Event};
 use clanbft_types::certs::{no_vote_digest, timeout_digest, NoVoteCert, TimeoutCert};
@@ -85,7 +85,7 @@ pub(crate) enum CommitOrigin {
 
 /// At most this many evidence records are retained per node — enough for
 /// any audit while bounding what an equivocation storm can allocate.
-pub(crate) const EVIDENCE_CAP: usize = 256;
+const EVIDENCE_CAP: usize = 256;
 
 /// The Sailfish / single-clan / multi-clan node.
 ///
@@ -179,6 +179,9 @@ pub struct SailfishNode {
 /// pessimistic).
 const MAX_BATCHES_PER_BLOCK: usize = 16;
 
+/// Wire size of every client transaction (the paper's 512 bytes).
+const TX_BYTES: u32 = 512;
+
 /// All that vertex intake may do to the enclosing handler: consume
 /// simulated CPU time and stamp telemetry with it. It is not an `Effects`,
 /// so intake cannot emit packets, events or timers that `flush` would have
@@ -219,9 +222,9 @@ pub(crate) fn new_ingress(cfg: &NodeConfig) -> Option<ClientIngress> {
     (workload != idle).then(|| {
         ClientIngress::new(
             workload,
-            cfg.tx_bytes,
-            cfg.mempool,
-            cfg.sizer,
+            TX_BYTES,
+            MempoolConfig::default(),
+            SizerConfig::default(),
             // Per-node arrival randomness, derived from the shared seed.
             cfg.schedule_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(cfg.me.idx() as u64 + 1),
             cfg.telemetry.clone(),
@@ -234,7 +237,6 @@ impl SailfishNode {
     pub fn new(cfg: NodeConfig, auth: Arc<Authenticator>) -> SailfishNode {
         let mut engine_cfg = EngineConfig::new(cfg.me, Arc::clone(&cfg.topology), cfg.cost);
         engine_cfg.telemetry = cfg.telemetry.clone();
-        engine_cfg.round_window = cfg.round_window;
         engine_cfg.pull_retry = cfg.pull_retry;
         let rbc =
             TribeRbc::signed(engine_cfg, Arc::clone(&auth)).with_sig_verification(cfg.verify_sigs);
@@ -355,10 +357,28 @@ impl SailfishNode {
         &self.evidence
     }
 
-    /// Records locally-detected misbehaviour: once per `(round, culprit)`,
-    /// counted, traced and retained up to [`EVIDENCE_CAP`].
-    fn record_evidence(&mut self, ev: Evidence, now: Micros) {
+    /// The one intake of evidence, whoever found it: keeps `ev` unless its
+    /// `(round, culprit)` is already evidenced, retains at most
+    /// [`EVIDENCE_CAP`] records, and persists each retained one so it
+    /// survives a restart — unless `replayed`, when it comes from the WAL
+    /// already. Returns whether the pair was new.
+    pub(crate) fn keep_evidence(&mut self, ev: Evidence, replayed: bool) -> bool {
         if !self.evidence_keys.insert((ev.round(), ev.culprit())) {
+            return false;
+        }
+        if self.evidence.len() < EVIDENCE_CAP {
+            if !replayed && self.storage.is_some() {
+                self.log_wal(&clanbft_storage::WalRecord::Evidence { evidence: ev });
+            }
+            self.evidence.push(ev);
+        }
+        true
+    }
+
+    /// Records locally-detected misbehaviour: kept as [`Self::keep_evidence`]
+    /// does, and counted and traced once per `(round, culprit)`.
+    fn record_evidence(&mut self, ev: Evidence, now: Micros) {
+        if !self.keep_evidence(ev, false) {
             return;
         }
         self.cfg.telemetry.add(counters::EVIDENCE_RECORDED, 1);
@@ -372,31 +392,21 @@ impl SailfishNode {
                 culprit: ev.culprit(),
             },
         );
-        if self.evidence.len() < EVIDENCE_CAP {
-            if self.storage.is_some() {
-                self.log_wal(&clanbft_storage::WalRecord::Evidence { evidence: ev });
-            }
-            self.evidence.push(ev);
-        }
     }
 
     /// Pulls evidence the RBC engine recorded (it already counted and traced
     /// it) into this node's record.
     fn absorb_rbc_evidence(&mut self) {
         for ev in self.rbc.take_evidence() {
-            if self.evidence_keys.insert((ev.round(), ev.culprit()))
-                && self.evidence.len() < EVIDENCE_CAP
-            {
-                self.evidence.push(ev);
-            }
+            self.keep_evidence(ev, false);
         }
     }
 
     /// Round-window admission for direct consensus messages: discard what is
-    /// behind the GC horizon or further ahead than the bounded buffers allow.
+    /// behind the GC horizon or further ahead than the bounded buffers allow
+    /// ([`ROUND_WINDOW`], the same bound the broadcast engine applies).
     fn admit_round(&mut self, round: Round) -> bool {
-        if round < self.dag.horizon()
-            || round.0 > self.current_round.0.saturating_add(self.cfg.round_window)
+        if round < self.dag.horizon() || round.0 > self.current_round.0.saturating_add(ROUND_WINDOW)
         {
             self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1);
             return false;
@@ -586,14 +596,6 @@ impl SailfishNode {
             }
             self.voted.insert(round);
             fx.charge(self.cfg.cost.sign());
-            self.cfg.telemetry.event(
-                fx.stamp(),
-                self.cfg.me,
-                Event::LeaderVote {
-                    round,
-                    leader: vref.source,
-                },
-            );
             let sig = self.auth.sign_digest(&vote_digest(round, &id));
             out.push(ConsensusMsg::Vote {
                 round,
@@ -603,7 +605,7 @@ impl SailfishNode {
         }
 
         match self.dag.insert_shared(vertex, Some(id)) {
-            InsertOutcome::Live(new_live) => self.on_live(new_live, fx.stamp(), now),
+            InsertOutcome::Live(new_live) => self.on_live(new_live, now),
             InsertOutcome::Pending => {
                 self.cfg.telemetry.event(
                     fx.stamp(),
@@ -620,23 +622,9 @@ impl SailfishNode {
 
     /// Vertices became live — through an insert, or because garbage
     /// collection raised the horizon past the last parent they were waiting
-    /// for: trace them, remember the ones a proposal can no longer cite, and
-    /// retry the commit of any leader among them.
-    pub(crate) fn on_live(&mut self, new_live: Vec<VertexRef>, stamp: Micros, now: Micros) {
-        if self.cfg.telemetry.enabled() {
-            let pending = self.dag.pending_count() as u64;
-            for live_ref in &new_live {
-                self.cfg.telemetry.event(
-                    stamp,
-                    self.cfg.me,
-                    Event::DagLive {
-                        round: live_ref.round,
-                        source: live_ref.source,
-                        pending,
-                    },
-                );
-            }
-        }
+    /// for: remember the ones a proposal can no longer cite, and retry the
+    /// commit of any leader among them.
+    pub(crate) fn on_live(&mut self, new_live: Vec<VertexRef>, now: Micros) {
         for live_ref in new_live {
             // Round entry and proposal are atomic (`try_advance`), so every
             // round <= current_round has already chosen its strong edges: a
@@ -852,7 +840,7 @@ impl SailfishNode {
         // Evidence records stay (they are the audit trail, already capped);
         // only their dedup keys are pruned with the rest of the round state.
         self.evidence_keys.retain(|(r, _)| *r >= horizon);
-        self.on_live(released, now, now);
+        self.on_live(released, now);
     }
 
     // --- round advancement ---------------------------------------------------
@@ -1082,12 +1070,6 @@ impl SailfishNode {
             let tc = TimeoutCert::new(round, n, &collected.timeout_sigs);
             let nvc = NoVoteCert::new(round, n, &collected.no_vote_sigs);
             self.certs_formed.insert(round, (tc, nvc));
-            self.cfg
-                .telemetry
-                .event(ctx.now(), self.cfg.me, Event::TimeoutCertFormed { round });
-            self.cfg
-                .telemetry
-                .event(ctx.now(), self.cfg.me, Event::NoVoteCertFormed { round });
             self.try_advance(ctx);
         }
     }
@@ -1500,6 +1482,53 @@ mod tests {
             assert!(node.rbc.meta_of(Round(1), PartyId(source)).is_some() == (source == 3));
         }
         assert_eq!(node.dag.pending_count(), 0);
+    }
+
+    #[test]
+    fn rbc_evidence_survives_a_restart() {
+        // P1 sends a storage-backed P0 two different VALs for its round-1
+        // instance: the broadcast layer records the equivocation, and a node
+        // rebuilt from the same directory still holds the record.
+        use clanbft_rbc::{RbcMsg, RbcPacket};
+        let dir = std::env::temp_dir().join(format!(
+            "clanbft-rbc-evidence-restart-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let topology = Arc::new(ClanTopology::whole_tribe(TribeParams::new(4)));
+        let (registry, keypairs) = Registry::generate(Scheme::Keyed, 4, 77);
+        let kp = keypairs.into_iter().next().expect("keypair");
+        let auth = Arc::new(Authenticator::new(0, kp, registry));
+        let mut cfg = NodeConfig::new(PartyId(0), topology);
+        cfg.storage_dir = Some(dir.clone());
+        cfg.fsync = false;
+        let mut node = SailfishNode::new(cfg.clone(), Arc::clone(&auth));
+        let cost = node.cfg.cost;
+        for txs in [1, 2] {
+            let batch = TxBatch::synthetic(PartyId(1), 0, txs, 512, Micros::ZERO);
+            let block = Block::new(PartyId(1), Round(1), vec![batch]);
+            let mut vertex = bare_vertex(1, 1, full_edges(0, 4));
+            vertex.block_digest = block.digest();
+            vertex.block_bytes = block.encoded_len() as u64;
+            vertex.block_tx_count = block.tx_count();
+            let packet = RbcPacket {
+                source: PartyId(1),
+                round: Round(1),
+                msg: RbcMsg::Val(MergedPayload::new(vertex, block)),
+            };
+            let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
+            node.on_message(PartyId(1), ConsensusMsg::Rbc(packet), &mut ctx);
+        }
+        let recorded = node.evidence().to_vec();
+        assert_eq!(recorded.len(), 1, "{recorded:?}");
+        assert_eq!(recorded[0].kind(), "equivocating_source");
+        assert_eq!(recorded[0].culprit(), PartyId(1));
+        drop(node);
+
+        let rebuilt = SailfishNode::new(cfg, auth);
+        assert_eq!(rebuilt.evidence(), recorded, "evidence lost in the restart");
+        assert!(rebuilt.recovered());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

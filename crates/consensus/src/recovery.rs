@@ -24,11 +24,11 @@
 //! 3. **Epoch rotation** ([`SailfishNode::decide_epochs_up_to`]): at fixed
 //!    positions of the agreed total order, every party deterministically
 //!    replaces clan members whose newest committed vertex lags the decision
-//!    boundary by more than `rotation_miss_k` rounds — a crashed clan member
+//!    boundary by more than [`ROTATION_MISS_K`] rounds — a crashed clan member
 //!    loses its seat without the pipeline ever stopping.
 
 use crate::messages::{CommittedRec, ConsensusMsg};
-use crate::node::{new_ingress, CommitOrigin, CommittedVertex, SailfishNode, EVIDENCE_CAP};
+use crate::node::{new_ingress, CommitOrigin, CommittedVertex, SailfishNode};
 use crate::payload::MergedPayload;
 use clanbft_committee::rotate_single_clan;
 use clanbft_crypto::Digest;
@@ -44,6 +44,12 @@ use std::sync::Arc;
 const STATE_CHUNK_VERTICES: usize = 32;
 /// Committed-order entries per state-transfer chunk.
 const STATE_CHUNK_COMMITS: usize = 256;
+/// How many rounds below its own a restarted party asks peers to ship in
+/// its post-restart state transfer.
+const CATCHUP_ROUNDS: u64 = 8;
+/// A clan member whose last committed vertex is more than this many rounds
+/// behind the epoch decision boundary is voted dead at the next rotation.
+const ROTATION_MISS_K: u64 = 4;
 
 /// Client-side bookkeeping of one post-restart state transfer.
 ///
@@ -192,13 +198,7 @@ impl SailfishNode {
                 self.fold_commit(entry, CommitOrigin::Replayed);
             }
             WalRecord::Evidence { evidence } => {
-                if self
-                    .evidence_keys
-                    .insert((evidence.round(), evidence.culprit()))
-                    && self.evidence.len() < EVIDENCE_CAP
-                {
-                    self.evidence.push(evidence);
-                }
+                self.keep_evidence(evidence, true);
             }
             WalRecord::EpochDecided {
                 epoch,
@@ -294,7 +294,7 @@ impl SailfishNode {
         // Ask peers for everything we might have missed while down. Both
         // frontiers travel with the request: rounds for the DAG window,
         // sequences for the committed-order suffix.
-        let from = Round(self.current_round.0.saturating_sub(self.cfg.catchup_rounds));
+        let from = Round(self.current_round.0.saturating_sub(CATCHUP_ROUNDS));
         let next_seq = self.next_commit_seq();
         self.catchup = Some(CatchupState {
             from_round: from.0,
@@ -510,7 +510,7 @@ impl SailfishNode {
             if floor > self.dag.horizon() && self.last_committed.is_some_and(|lc| lc >= floor) {
                 let released = self.dag.prune_below(floor);
                 self.rbc.prune_below(floor);
-                self.on_live(released, now, now);
+                self.on_live(released, now);
             }
         }
         // Inserted without voting, telemetry or weak-edge tracking (as on
@@ -665,11 +665,10 @@ impl SailfishNode {
         // promote; other layouts re-record their standing membership.
         let rotation = if latest.clan_count() == 1 && latest.clan(0).members.len() < tribe.n() {
             let members = latest.clan(0).members.clone();
-            let k = self.cfg.rotation_miss_k;
             let table = &self.committed_round_by;
             let is_dead = |p: PartyId| {
                 let newest = table[p.idx()];
-                newest == 0 || newest - 1 + k < boundary
+                newest == 0 || newest - 1 + ROTATION_MISS_K < boundary
             };
             rotate_single_clan(tribe.n(), &members, is_dead, self.cfg.schedule_seed, epoch)
         } else {

@@ -18,10 +18,10 @@
 //!   ([`dot()`], [`ascii()`]).
 //! * [`diff`] — two-run comparison with per-stage regression ratios and a
 //!   verdict naming the dominant one ([`diff()`]).
-//! * [`perf`] — performance-profile views over `clanbft_profiler` NDJSON:
-//!   hot-scope table, scope tree, allocation table, and a two-profile diff
-//!   with % deltas and a regression verdict ([`profile_report`],
-//!   [`profile_diff`]).
+//! * [`perf`] — performance-profile views over `clanbft_profiler` NDJSON,
+//!   read back into the profiler's own `Report` type: hot-scope table,
+//!   scope tree, allocation table, and a two-profile diff with % deltas and
+//!   a regression verdict ([`profile_report`], [`profile_diff`]).
 //! * [`check`] — the CI gate: sequence contiguity, agreement, stage
 //!   ordering, span completeness, evidence attribution ([`check()`]).
 //! * [`alerts`] — offline replay of the online detector catalogue
@@ -49,7 +49,5 @@ pub use dot::{ascii, dot, parse_round_range};
 pub use health::{health_report, round_health, RoundHealth};
 pub use incident::{incident_report, incidents, Incident};
 pub use parse::{parse_trace, Trace};
-pub use perf::{
-    parse_profile, parse_profiles, profile_diff, profile_report, PerfProfile, PerfScope,
-};
+pub use perf::{parse_profile, parse_profiles, profile_diff, profile_report};
 pub use waterfall::waterfall;

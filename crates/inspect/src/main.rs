@@ -17,7 +17,7 @@
 
 use clanbft_inspect::{
     alert_report, ascii, check_report, diff, dot, health_report, incident_report, parse_profile,
-    parse_round_range, parse_trace, profile_diff, profile_report, waterfall, PerfProfile, Trace,
+    parse_round_range, parse_trace, profile_diff, profile_report, waterfall, Trace,
 };
 use std::io::Read as _;
 use std::process::ExitCode;
@@ -51,7 +51,7 @@ fn read_input(path: &str) -> Result<String, String> {
     }
 }
 
-fn load_profile(path: &str) -> Result<PerfProfile, String> {
+fn load_profile(path: &str) -> Result<(String, clanbft_profiler::Report), String> {
     parse_profile(&read_input(path)?).map_err(|e| format!("parsing {path}: {e}"))
 }
 

@@ -1,10 +1,11 @@
 //! Performance-profile rendering and two-profile regression diffing.
 //!
-//! Consumes the NDJSON a `clanbft_profiler::Report` exports (one
-//! `{"prof":"meta",...}` header plus `{"prof":"scope",...}` lines) and
-//! renders the three standard views — hot-scope table, indented scope tree,
-//! allocation table — plus a baseline/candidate diff with per-stage %
-//! deltas and a regression verdict.
+//! Reads the NDJSON a [`Report`] exports (one `{"prof":"meta",...}` header
+//! plus `{"prof":"scope",...}` lines) back into a [`Report`] and the label
+//! its header carries, and renders the three standard views — hot-scope
+//! table, indented scope tree, allocation table — plus a
+//! baseline/candidate diff with per-stage % deltas and a regression
+//! verdict.
 //!
 //! Diffs compare *self nanoseconds per call*, not absolute wall time: call
 //! counts are deterministic for a fixed seed while total wall time moves
@@ -13,50 +14,9 @@
 //! gate can rest on is the `counts:` line — calls, allocations and
 //! allocated bytes per path repeat exactly between two same-seed runs.
 
+use clanbft_profiler::{Report, ScopeStat};
 use clanbft_telemetry::ndjson::{parse_line, Value};
 use std::collections::BTreeMap;
-
-/// One scope row of a parsed profile.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PerfScope {
-    /// Semicolon-joined scope path (`sim.deliver;rbc.handle`).
-    pub path: String,
-    /// Leaf name.
-    pub name: String,
-    /// Nesting depth (0 = top-level).
-    pub depth: u64,
-    /// Completed entries.
-    pub calls: u64,
-    /// Wall nanoseconds, children included.
-    pub total_ns: u64,
-    /// Wall nanoseconds, children excluded.
-    pub self_ns: u64,
-    /// Allocations attributed to the path (children included).
-    pub allocs: u64,
-    /// Bytes requested by those allocations.
-    pub alloc_bytes: u64,
-    /// Peak live-byte growth above scope entry.
-    pub peak_bytes: u64,
-}
-
-/// One captured profile: a labelled set of scope rows in tree order.
-#[derive(Clone, Debug, Default)]
-pub struct PerfProfile {
-    /// The label the producer stamped (e.g. `fig5 c`, `clan50_sat`).
-    pub label: String,
-    /// Scope rows, parents before children.
-    pub scopes: Vec<PerfScope>,
-}
-
-impl PerfProfile {
-    /// Sum of self time across all scopes — the profiled wall total
-    /// (saturating: the numbers come from a file).
-    pub fn total_self_ns(&self) -> u64 {
-        self.scopes
-            .iter()
-            .fold(0, |total, s| total.saturating_add(s.self_ns))
-    }
-}
 
 fn field(map: &BTreeMap<String, Value>, key: &str) -> u64 {
     match map.get(key) {
@@ -65,11 +25,12 @@ fn field(map: &BTreeMap<String, Value>, key: &str) -> u64 {
     }
 }
 
-/// Parses every profile in `text` (a file may hold several appended runs;
-/// each `{"prof":"meta"}` line starts a new one). Non-profile lines are
-/// skipped so profiles can share a file with other NDJSON streams.
-pub fn parse_profiles(text: &str) -> Result<Vec<PerfProfile>, String> {
-    let mut profiles: Vec<PerfProfile> = Vec::new();
+/// Parses every profile in `text` as `(label, report)` (a file may hold
+/// several appended runs; each `{"prof":"meta"}` line starts a new one).
+/// Non-profile lines are skipped so profiles can share a file with other
+/// NDJSON streams.
+pub fn parse_profiles(text: &str) -> Result<Vec<(String, Report)>, String> {
+    let mut profiles: Vec<(String, Report)> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -86,40 +47,37 @@ pub fn parse_profiles(text: &str) -> Result<Vec<PerfProfile>, String> {
                     Some(Value::Str(s)) => s.clone(),
                     _ => String::new(),
                 };
-                profiles.push(PerfProfile {
-                    label,
-                    scopes: Vec::new(),
-                });
+                profiles.push((label, Report::default()));
             }
             "scope" => {
                 let (path, name) = match (map.get("path"), map.get("name")) {
                     (Some(Value::Str(p)), Some(Value::Str(n))) => (p.clone(), n.clone()),
                     _ => return Err(format!("line {}: scope without path/name", i + 1)),
                 };
-                let scope = PerfScope {
+                let scope = ScopeStat {
                     // The nesting depth is how many separators the path
                     // has; the line's own `depth` number is not trusted
                     // (the tree view indents by it).
-                    depth: path.matches(';').count() as u64,
+                    depth: path.matches(';').count(),
                     path,
                     name,
                     calls: field(&map, "calls"),
                     total_ns: field(&map, "total_ns"),
                     self_ns: field(&map, "self_ns"),
-                    allocs: field(&map, "allocs"),
+                    alloc_count: field(&map, "allocs"),
                     alloc_bytes: field(&map, "alloc_bytes"),
                     peak_bytes: field(&map, "peak_bytes"),
                 };
                 match profiles.last_mut() {
-                    Some(p) => p.scopes.push(scope),
-                    None => {
-                        // Headerless fragment: tolerate it under an
-                        // anonymous profile rather than refuse the file.
-                        profiles.push(PerfProfile {
-                            label: String::new(),
+                    Some((_, report)) => report.scopes.push(scope),
+                    // Headerless fragment: tolerate it under an anonymous
+                    // profile rather than refuse the file.
+                    None => profiles.push((
+                        String::new(),
+                        Report {
                             scopes: vec![scope],
-                        })
-                    }
+                        },
+                    )),
                 }
             }
             _ => continue,
@@ -130,7 +88,7 @@ pub fn parse_profiles(text: &str) -> Result<Vec<PerfProfile>, String> {
 
 /// Parses `text` and returns its most recent profile (files accumulate one
 /// profile per run; the last one describes the latest).
-pub fn parse_profile(text: &str) -> Result<PerfProfile, String> {
+pub fn parse_profile(text: &str) -> Result<(String, Report), String> {
     parse_profiles(text)?
         .pop()
         .ok_or_else(|| "no profile lines found (expected {\"prof\":...} NDJSON)".to_string())
@@ -154,12 +112,12 @@ fn fmt_kb(bytes: u64) -> String {
 
 /// Renders the three standard views of one profile: hot scopes by self
 /// time, the indented call tree, and the allocation table.
-pub fn profile_report(p: &PerfProfile) -> String {
+pub fn profile_report((label, p): &(String, Report)) -> String {
     let total = p.total_self_ns();
     let mut out = String::new();
     out.push_str(&format!(
         "profile {:?}: {} scopes, {} ms profiled self time\n\n",
-        p.label,
+        label,
         p.scopes.len(),
         fmt_ms(total)
     ));
@@ -170,7 +128,7 @@ pub fn profile_report(p: &PerfProfile) -> String {
         "{:<44} {:>10} {:>12} {:>6} {:>14}\n",
         "path", "calls", "self_ms", "self%", "ns/call"
     ));
-    let mut hot: Vec<&PerfScope> = p.scopes.iter().collect();
+    let mut hot: Vec<&ScopeStat> = p.scopes.iter().collect();
     hot.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.path.cmp(&b.path)));
     for s in hot.iter().take(20) {
         let per_call = s.self_ns.checked_div(s.calls).unwrap_or(0);
@@ -191,7 +149,7 @@ pub fn profile_report(p: &PerfProfile) -> String {
         "scope", "calls", "total_ms", "self_ms"
     ));
     for s in &p.scopes {
-        let indent = "  ".repeat(s.depth as usize);
+        let indent = "  ".repeat(s.depth);
         out.push_str(&format!(
             "{:<44} {:>10} {:>12} {:>12}\n",
             format!("{indent}{}", s.name),
@@ -202,7 +160,7 @@ pub fn profile_report(p: &PerfProfile) -> String {
     }
 
     // Allocation table: paths that allocated, ranked by bytes.
-    let mut alloc: Vec<&PerfScope> = p.scopes.iter().filter(|s| s.allocs > 0).collect();
+    let mut alloc: Vec<&ScopeStat> = p.scopes.iter().filter(|s| s.alloc_count > 0).collect();
     alloc.sort_by(|a, b| b.alloc_bytes.cmp(&a.alloc_bytes).then(a.path.cmp(&b.path)));
     if alloc.is_empty() {
         out.push_str(
@@ -219,7 +177,7 @@ pub fn profile_report(p: &PerfProfile) -> String {
             out.push_str(&format!(
                 "{:<44} {:>12} {:>12} {:>12} {:>12}\n",
                 s.path,
-                s.allocs,
+                s.alloc_count,
                 fmt_kb(s.alloc_bytes),
                 fmt_kb(s.peak_bytes),
                 per_call
@@ -250,12 +208,15 @@ const REGRESSION_PCT: f64 = 20.0;
 /// The two lines are the machine-readable hooks. `verdict:` is host time:
 /// read it, do not gate on it. `counts: identical` is what two runs of one
 /// seed and one build must print; CI greps for it.
-pub fn profile_diff(base: &PerfProfile, cand: &PerfProfile) -> String {
-    let base_by_path: BTreeMap<&str, &PerfScope> =
+pub fn profile_diff(
+    (base_label, base): &(String, Report),
+    (cand_label, cand): &(String, Report),
+) -> String {
+    let base_by_path: BTreeMap<&str, &ScopeStat> =
         base.scopes.iter().map(|s| (s.path.as_str(), s)).collect();
     let mut rows: Vec<DiffRow> = Vec::new();
     let mut only_cand: Vec<&str> = Vec::new();
-    let exact = |s: &PerfScope| (s.calls, s.allocs, s.alloc_bytes);
+    let exact = |s: &ScopeStat| (s.calls, s.alloc_count, s.alloc_bytes);
     let mut miscounted: Vec<&str> = Vec::new();
     for s in &cand.scopes {
         let Some(b) = base_by_path.get(s.path.as_str()) else {
@@ -307,9 +268,9 @@ pub fn profile_diff(base: &PerfProfile, cand: &PerfProfile) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "profile diff: base {:?} ({} ms) -> candidate {:?} ({} ms), threshold {:.0}%\n\n",
-        base.label,
+        base_label,
         fmt_ms(base.total_self_ns()),
-        cand.label,
+        cand_label,
         fmt_ms(cand.total_self_ns()),
         REGRESSION_PCT
     ));
@@ -387,8 +348,8 @@ mod tests {
 
     #[test]
     fn parses_meta_and_scopes() {
-        let p = parse_profile(&sample("unit", 4000)).unwrap();
-        assert_eq!(p.label, "unit");
+        let (label, p) = parse_profile(&sample("unit", 4000)).unwrap();
+        assert_eq!(label, "unit");
         assert_eq!(p.scopes.len(), 3);
         let insert = &p.scopes[1];
         assert_eq!(insert.path, "sim.deliver;dag.insert");
@@ -403,7 +364,7 @@ mod tests {
     fn multiple_appended_profiles_yield_the_last() {
         let text = format!("{}{}", sample("first", 4000), sample("second", 5000));
         assert_eq!(parse_profiles(&text).unwrap().len(), 2);
-        assert_eq!(parse_profile(&text).unwrap().label, "second");
+        assert_eq!(parse_profile(&text).unwrap().0, "second");
     }
 
     #[test]
@@ -412,7 +373,7 @@ mod tests {
             "{{\"kind\":\"telemetry\",\"x\":1}}\n{}",
             sample("mixed", 4000)
         );
-        assert_eq!(parse_profile(&text).unwrap().label, "mixed");
+        assert_eq!(parse_profile(&text).unwrap().0, "mixed");
     }
 
     #[test]
@@ -468,7 +429,7 @@ mod tests {
         assert!(d.contains("all 3 paths"), "{d}");
         // One allocation more on one path: a mismatch, named.
         let mut leaky = base.clone();
-        leaky.scopes[1].allocs += 1;
+        leaky.1.scopes[1].alloc_count += 1;
         let d = profile_diff(&base, &leaky);
         assert!(d.contains("verdict: OK"), "{d}");
         assert!(
@@ -482,15 +443,15 @@ mod tests {
     fn diff_reports_asymmetric_scopes() {
         let base = parse_profile(&sample("base", 4000)).unwrap();
         let mut cand = parse_profile(&sample("cand", 4000)).unwrap();
-        cand.scopes.remove(2);
-        cand.scopes.push(PerfScope {
+        cand.1.scopes.remove(2);
+        cand.1.scopes.push(ScopeStat {
             path: "mempool.admit".to_string(),
             name: "mempool.admit".to_string(),
             depth: 0,
             calls: 5,
             total_ns: 1000,
             self_ns: 1000,
-            allocs: 0,
+            alloc_count: 0,
             alloc_bytes: 0,
             peak_bytes: 0,
         });

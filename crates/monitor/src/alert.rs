@@ -11,7 +11,7 @@ use clanbft_types::{Micros, PartyId, Round};
 
 clanbft_telemetry::labelled! {
     /// The catalogue of online detectors. The labels name them in NDJSON
-    /// alert lines and Prometheus series.
+    /// alert lines and the `clanbft-inspect alerts` report.
     #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
     pub enum Detector {
         /// A party's commit frontier lags the cluster's newest commit by more

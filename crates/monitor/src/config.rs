@@ -53,10 +53,6 @@ pub struct MonitorConfig {
     /// Per-(detector, party) cap on fire transitions; beyond it further
     /// fire/clear pairs are counted as suppressed instead of emitted.
     pub rate_cap: u64,
-    /// Cluster-health snapshot cadence (event-time driven).
-    pub snapshot_every: Micros,
-    /// Bound on the retained snapshot history.
-    pub snapshot_cap: usize,
 }
 
 impl Default for MonitorConfig {
@@ -78,8 +74,6 @@ impl Default for MonitorConfig {
             wal_window: Micros::from_secs(5),
             checkpoint_bytes_hi: 64 * 1024 * 1024,
             rate_cap: 16,
-            snapshot_every: Micros::from_millis(500),
-            snapshot_cap: 4_096,
         }
     }
 }

@@ -62,6 +62,11 @@ impl Window {
     }
 }
 
+/// Event time between two window sweeps that no commit-frontier advance
+/// triggered: a windowed detector clears within this much of its window
+/// draining, even while nobody commits.
+const SWEEP_EVERY: Micros = Micros(500_000);
+
 /// The detectors that judge a rolling [`Window`], in the order a sweep
 /// clears them.
 const WINDOWED: [Detector; 4] = [
@@ -169,9 +174,8 @@ pub struct DetectorBank {
     /// Cluster-wide maximum entered round.
     max_round: u64,
     log: AlertLog,
-    snapshots: Vec<HealthSnapshot>,
-    snapshots_skipped: u64,
-    last_snapshot_at: Option<Micros>,
+    /// Stamp of the last [`SWEEP_EVERY`] sweep.
+    last_sweep_at: Option<Micros>,
 }
 
 impl DetectorBank {
@@ -189,9 +193,7 @@ impl DetectorBank {
             frontier_at: None,
             frontier_seq: 0,
             max_round: 0,
-            snapshots: Vec::new(),
-            snapshots_skipped: 0,
-            last_snapshot_at: None,
+            last_sweep_at: None,
         }
     }
 
@@ -229,7 +231,7 @@ impl DetectorBank {
             }
             _ => {}
         }
-        self.maybe_snapshot();
+        self.maybe_sweep();
     }
 
     /// Consumes one party-tagged gauge sample.
@@ -382,8 +384,8 @@ impl DetectorBank {
     }
 
     /// Expires rolling windows and clears windowed detectors whose
-    /// condition has drained. Driven off commit-frontier advances and
-    /// snapshots, which is frequent enough for prompt clears.
+    /// condition has drained. Driven off commit-frontier advances and the
+    /// [`SWEEP_EVERY`] cadence, which is frequent enough for prompt clears.
     fn sweep_windows(&mut self, at: Micros) {
         for (&pid, state) in self.parties.iter_mut() {
             for detector in WINDOWED {
@@ -403,21 +405,14 @@ impl DetectorBank {
         }
     }
 
-    fn maybe_snapshot(&mut self) {
-        let due = match self.last_snapshot_at {
+    fn maybe_sweep(&mut self) {
+        let due = match self.last_sweep_at {
             None => true,
-            Some(last) => self.now.saturating_sub(last) >= self.cfg.snapshot_every,
+            Some(last) => self.now.saturating_sub(last) >= SWEEP_EVERY,
         };
-        if !due {
-            return;
-        }
-        self.last_snapshot_at = Some(self.now);
-        self.sweep_windows(self.now);
-        let snap = self.assess();
-        if self.snapshots.len() < self.cfg.snapshot_cap {
-            self.snapshots.push(snap);
-        } else {
-            self.snapshots_skipped += 1;
+        if due {
+            self.last_sweep_at = Some(self.now);
+            self.sweep_windows(self.now);
         }
     }
 
@@ -490,7 +485,6 @@ impl DetectorBank {
             Verdict::Healthy
         };
         HealthSnapshot {
-            at: self.now,
             verdict,
             parties: n as u64,
             active_alerts: active.len() as u64,
@@ -498,27 +492,6 @@ impl DetectorBank {
             stalled_parties: stalled,
             degraded_parties: degraded,
         }
-    }
-
-    /// The periodic snapshot history (bounded by `snapshot_cap`).
-    pub fn snapshots(&self) -> &[HealthSnapshot] {
-        &self.snapshots
-    }
-
-    /// Snapshots dropped once the history bound was reached.
-    pub fn snapshots_skipped(&self) -> u64 {
-        self.snapshots_skipped
-    }
-
-    /// Fire counts per detector (for the Prometheus exposition).
-    pub fn fire_totals(&self) -> [(Detector, u64); Detector::COUNT] {
-        let mut out = Detector::ALL.map(|d| (d, 0u64));
-        for state in self.parties.values() {
-            for d in Detector::ALL {
-                out[d.index()].1 += state.hys[d.index()].fires;
-            }
-        }
-        out
     }
 }
 
@@ -751,19 +724,5 @@ mod tests {
             .count();
         assert_eq!(fires, 2, "alerts: {:?}", b.alerts());
         assert!(b.suppressed() > 0);
-    }
-
-    #[test]
-    fn snapshots_accumulate_on_event_time() {
-        let mut b = bank();
-        for step in 0..10u64 {
-            commit(&mut b, 0, step, step * 300);
-        }
-        assert!(b.snapshots().len() >= 2, "{}", b.snapshots().len());
-        // Snapshot stamps are monotone.
-        let stamps: Vec<u64> = b.snapshots().iter().map(|s| s.at.0).collect();
-        let mut sorted = stamps.clone();
-        sorted.sort_unstable();
-        assert_eq!(stamps, sorted);
     }
 }

@@ -21,11 +21,11 @@
 //!
 //! Each detector emits typed [`Alert`]s with hysteresis (fire/clear pairs,
 //! dedup while held, per-detector rate caps), so a benign run's alert
-//! stream is empty *by construction*. A tribe-level aggregation
-//! ([`DetectorBank::assess`]) merges per-party state into one
+//! stream is empty *by construction*. The alert stream is the monitor's
+//! one export (NDJSON, [`HealthMonitor::alerts_ndjson`]). A tribe-level
+//! aggregation ([`DetectorBank::assess`]) merges per-party state into one
 //! [`Verdict`] — healthy / degraded / stalled — with the minority view
-//! attributed to specific parties, and periodic [`HealthSnapshot`]s are
-//! exportable as NDJSON lines or a Prometheus-style text exposition.
+//! attributed to specific parties.
 //!
 //! The same [`DetectorBank`] replays recorded traces offline
 //! ([`replay_events`], used by `clanbft-inspect alerts`), so online and
@@ -41,7 +41,7 @@ pub mod health;
 pub use alert::{Alert, AlertKind, Detector, Severity};
 pub use config::MonitorConfig;
 pub use detect::DetectorBank;
-pub use health::{prometheus_exposition, HealthSnapshot, Verdict};
+pub use health::{HealthSnapshot, Verdict};
 
 use clanbft_telemetry::{Event, Recorder, Stamped};
 use clanbft_types::{Micros, PartyId};
@@ -106,7 +106,7 @@ impl HealthMonitor {
         })
     }
 
-    /// Runs `f` against the bank (alerts, snapshots, assess, settle, ...).
+    /// Runs `f` against the bank (alerts, active conditions, assess, ...).
     pub fn with_bank<T>(&self, f: impl FnOnce(&mut DetectorBank) -> T) -> T {
         f(&mut self.lock())
     }
@@ -132,18 +132,6 @@ impl HealthMonitor {
     pub fn alerts_ndjson(&self) -> String {
         let line = |a: &Alert| a.to_ndjson() + "\n";
         self.lock().alerts().iter().map(line).collect()
-    }
-
-    /// The periodic snapshot history as NDJSON, one line per snapshot.
-    pub fn snapshots_ndjson(&self) -> String {
-        let line = |s: &HealthSnapshot| s.to_ndjson() + "\n";
-        self.lock().snapshots().iter().map(line).collect()
-    }
-
-    /// Prometheus-style text exposition of the current health state.
-    pub fn prometheus(&self) -> String {
-        let bank = self.lock();
-        prometheus_exposition(&bank.assess(), &bank.active(), &bank.fire_totals())
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, DetectorBank> {
@@ -462,20 +450,5 @@ mod tests {
             .alerts()
             .iter()
             .any(|a| a.detector == Detector::CommitStall));
-    }
-
-    #[test]
-    fn prometheus_export_covers_verdict_and_actives() {
-        let monitor = HealthMonitor::default();
-        monitor.expect_parties(2);
-        monitor
-            .probe(PartyId(1))
-            .gauge(clanbft_telemetry::counters::BUF_RBC_INSTANCES, 1 << 20);
-        let text = monitor.prometheus();
-        assert!(text.contains("clanbft_health_verdict 1\n"), "{text}");
-        assert!(
-            text.contains("clanbft_alert_active{detector=\"buffer_growth\",party=\"1\"} 1\n"),
-            "{text}"
-        );
     }
 }

@@ -33,6 +33,14 @@ pub struct Report {
 }
 
 impl Report {
+    /// Sum of self time across all scopes — the profiled wall total
+    /// (saturating: a report may also come from a file).
+    pub fn total_self_ns(&self) -> u64 {
+        self.scopes
+            .iter()
+            .fold(0, |total, s| total.saturating_add(s.self_ns))
+    }
+
     /// Flamegraph collapsed-stack lines: `a;b;c <self_ns>`, one per path
     /// with nonzero self time. Feed straight to `flamegraph.pl` /
     /// `inferno-flamegraph`.
@@ -53,13 +61,12 @@ impl Report {
     /// `{"prof":"scope",...}` line per path. `clanbft-inspect profile`
     /// consumes this format.
     pub fn to_ndjson(&self, label: &str) -> String {
-        let total_ns: u64 = self.scopes.iter().map(|s| s.self_ns).sum();
         let mut out = String::new();
         out.push_str(&format!(
             "{{\"prof\":\"meta\",\"label\":\"{}\",\"scopes\":{},\"total_self_ns\":{}}}\n",
             escape(label),
             self.scopes.len(),
-            total_ns,
+            self.total_self_ns(),
         ));
         for s in &self.scopes {
             out.push_str(&format!(

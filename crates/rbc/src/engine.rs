@@ -26,6 +26,12 @@ pub const MAX_DIGESTS_PER_INSTANCE: usize = 4;
 /// Evidence records retained per engine (telemetry still counts overflow).
 pub const EVIDENCE_CAP: usize = 256;
 
+/// Rounds above the local round (the engine's round hint, the consensus
+/// layer's current round) that are still admitted; any message further in
+/// the future is rejected (`rejected.buffer_full`), so a Byzantine peer
+/// cannot make a party allocate unbounded instances or pending state.
+pub const ROUND_WINDOW: u64 = 256;
+
 /// High bit marking a timer token as an RBC pull-retry deadline. The
 /// consensus layer uses plain round numbers as timer tokens, so the two
 /// namespaces stay disjoint as long as rounds never reach 2^63.
@@ -685,10 +691,6 @@ pub struct EngineConfig {
     pub cost: CostModel,
     /// Telemetry sink for RBC phase events (disabled by default).
     pub telemetry: Telemetry,
-    /// Rounds above the engine's round hint that are still admitted; any
-    /// packet further in the future is rejected (`rejected.buffer_full`)
-    /// so a Byzantine peer cannot allocate unbounded instances.
-    pub round_window: u64,
     /// Base pull-retry deadline; doubles per attempt (capped) while a
     /// needed payload/meta view is outstanding.
     pub pull_retry: Micros,
@@ -704,7 +706,6 @@ impl EngineConfig {
             epochs: Vec::new(),
             cost,
             telemetry: Telemetry::null(),
-            round_window: 256,
             pull_retry: Micros::from_millis(500),
         }
     }
@@ -803,7 +804,7 @@ pub struct TribeRbc<P: TribePayload> {
     horizon: Round,
     /// Highest round this party knows to be legitimately active (own
     /// broadcasts, certifications, consensus round advances). The
-    /// admission window extends `cfg.round_window` beyond it.
+    /// admission window extends [`ROUND_WINDOW`] beyond it.
     round_hint: Round,
     /// Recorded Byzantine conflicts, drained by the node layer.
     evidence: Vec<Evidence>,
@@ -1026,7 +1027,7 @@ impl<P: TribePayload> TribeRbc<P> {
     fn admit(&mut self, from: PartyId, round: Round, source: PartyId) -> bool {
         let n = self.cfg.n();
         if round < self.horizon
-            || round.0 > self.round_hint.0.saturating_add(self.cfg.round_window)
+            || round.0 > self.round_hint.0.saturating_add(ROUND_WINDOW)
             || source.idx() >= n
             || from.idx() >= n
         {

@@ -32,7 +32,7 @@ pub mod topology;
 pub use engine::{
     echo_statement, parse_retry_token, retry_token, BufferStats, Dest, Effects, EngineConfig,
     RbcEvent, RbcMsg, RbcPacket, TribeRbc, MAX_DIGESTS_PER_INSTANCE, MAX_PULL_ATTEMPTS,
-    RETRY_TOKEN_FLAG,
+    RETRY_TOKEN_FLAG, ROUND_WINDOW,
 };
 pub use payload::{BytesPayload, TribePayload};
 pub use topology::ClanTopology;

@@ -10,7 +10,7 @@ use clanbft_rbc::standalone::{AnyNode, ByzantineNode, ByzantineSender, Delivery,
 use clanbft_rbc::{
     echo_statement, parse_retry_token, BytesPayload, ClanTopology, Dest, Effects, EngineConfig,
     RbcEvent, RbcMsg, RbcPacket, TribePayload, TribeRbc, MAX_DIGESTS_PER_INSTANCE,
-    MAX_PULL_ATTEMPTS,
+    MAX_PULL_ATTEMPTS, ROUND_WINDOW,
 };
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::net::{SimConfig, Simulator};
@@ -527,12 +527,14 @@ fn pruned_rounds_stay_dead_and_lookups_never_allocate() {
 
 #[test]
 fn admission_window_edge_and_foreign_sources() {
-    // Default window: 256 rounds beyond the highest legitimately active one.
+    // The window: ROUND_WINDOW rounds beyond the highest legitimately
+    // active one.
     let mut r = rig(4, 1);
     r.engine.note_round(Round(10));
-    let fx = handle(&mut r, 0, packet(0, 266, RbcMsg::Val(payload())));
-    assert!(!fx.out.is_empty(), "round_hint + round_window is admitted");
-    let fx = handle(&mut r, 0, packet(0, 267, RbcMsg::Val(payload())));
+    let edge = 10 + ROUND_WINDOW;
+    let fx = handle(&mut r, 0, packet(0, edge, RbcMsg::Val(payload())));
+    assert!(!fx.out.is_empty(), "round_hint + ROUND_WINDOW is admitted");
+    let fx = handle(&mut r, 0, packet(0, edge + 1, RbcMsg::Val(payload())));
     assert!(fx.out.is_empty(), "one round further is not");
     assert_eq!(r.rec.counter(counters::REJECTED_BUFFER_FULL), 1);
 

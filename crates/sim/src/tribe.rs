@@ -26,8 +26,6 @@ pub struct TribeSpec {
     /// Synthetic transactions per proposal (paper x-axis). Ignored when
     /// `workload` is set.
     pub txs_per_proposal: u32,
-    /// Transaction size in bytes (512 in the paper).
-    pub tx_bytes: u32,
     /// Client workload every proposer's ingress runs. `None` keeps the
     /// historical synthetic model parameterised by `txs_per_proposal`.
     pub workload: Option<WorkloadSpec>,
@@ -60,13 +58,8 @@ pub struct TribeSpec {
     pub fsync: bool,
     /// Checkpoint every this many committed leader rounds.
     pub checkpoint_interval: u64,
-    /// Post-restart state-transfer window (rounds behind the local frontier).
-    pub catchup_rounds: u64,
     /// Rounds per epoch for clan rotation (`None` = never rotate).
     pub epoch_length: Option<u64>,
-    /// Liveness slack before a clan member is rotated out (see
-    /// [`NodeConfig::rotation_miss_k`]).
-    pub rotation_miss_k: u64,
     /// Byzantine faults: each listed party runs the honest node wrapped in
     /// the given [`Attack`] behaviour. Keep the count within `f` for the
     /// tribe (and within `f_c` per clan) or agreement guarantees lapse.
@@ -81,8 +74,6 @@ pub struct TribeSpec {
     pub verify_sigs: bool,
     /// Enable the execution layer.
     pub execute: bool,
-    /// Place all nodes in one region (isolates CPU/bandwidth effects).
-    pub single_region: bool,
     /// Telemetry sink shared by the network and every node (disabled by
     /// default; see `clanbft_telemetry`).
     pub telemetry: Telemetry,
@@ -100,7 +91,6 @@ impl TribeSpec {
             n,
             clans: None,
             txs_per_proposal: 250,
-            tx_bytes: 512,
             workload: None,
             gc_depth: Some(16),
             max_round: Some(10),
@@ -114,16 +104,13 @@ impl TribeSpec {
             storage_root: None,
             fsync: true,
             checkpoint_interval: 8,
-            catchup_rounds: 8,
             epoch_length: None,
-            rotation_miss_k: 4,
             byzantine: Vec::new(),
             partitions: Vec::new(),
             gst: Micros::ZERO,
             pre_gst_extra_max: Micros::ZERO,
             verify_sigs: false,
             execute: false,
-            single_region: false,
             telemetry: Telemetry::null(),
             monitor: None,
         }
@@ -178,11 +165,7 @@ pub fn partition_clans(n: usize, q: usize, seed: u64) -> Vec<Vec<PartyId>> {
 /// Builds the simulator for `spec`.
 pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
     let n = spec.n;
-    let latency = if spec.single_region {
-        LatencyMatrix::single_region(n)
-    } else {
-        LatencyMatrix::evenly_distributed(n)
-    };
+    let latency = LatencyMatrix::evenly_distributed(n);
     let topology = make_topology(spec);
 
     // Bulk fan-out degree: how many peers a node streams blocks to per
@@ -241,7 +224,6 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
             cfg.pull_retry = spec.pull_retry;
             cfg.max_round = spec.max_round;
             cfg.txs_per_proposal = spec.txs_per_proposal;
-            cfg.tx_bytes = spec.tx_bytes;
             cfg.workload = spec.workload;
             cfg.gc_depth = spec.gc_depth;
             cfg.verify_sigs = spec.verify_sigs;
@@ -255,9 +237,7 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
             }
             cfg.fsync = spec.fsync;
             cfg.checkpoint_interval = spec.checkpoint_interval;
-            cfg.catchup_rounds = spec.catchup_rounds;
             cfg.epoch_length = spec.epoch_length;
-            cfg.rotation_miss_k = spec.rotation_miss_k;
             let inner = SailfishNode::new(cfg, auth);
             match spec.byzantine.iter().find(|(p, _)| *p == me) {
                 Some((_, attack)) => AdversaryNode::byzantine(inner, attack.instantiate()),

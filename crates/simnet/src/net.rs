@@ -16,7 +16,7 @@ use crate::protocol::{Burst, Ctx, Message, Outputs, Protocol};
 use crate::regions::LatencyMatrix;
 use clanbft_crypto::ClanRng;
 use clanbft_profiler as prof;
-use clanbft_telemetry::{Event, Telemetry};
+use clanbft_telemetry::Telemetry;
 use clanbft_types::{Micros, PartyId};
 use std::collections::BTreeMap;
 
@@ -71,8 +71,9 @@ pub struct SimConfig {
     pub restart_at: Vec<Option<Micros>>,
     /// Temporary link cuts.
     pub partitions: Vec<Partition>,
-    /// Telemetry sink for network-level events (drops, partition holds).
-    /// Defaults to the disabled handle: one branch per event site.
+    /// Telemetry handle for network-level events. The simulator emits none
+    /// (drops and partition holds are counted in [`NetStats`]); the tribe
+    /// harness still tees the health monitor's event-only observer into it.
     pub telemetry: Telemetry,
 }
 
@@ -170,17 +171,16 @@ impl SimEvent {
 const _: () = assert!(std::mem::size_of::<SimEvent>() == 8);
 const _: () = assert!(std::mem::size_of::<Record<SimEvent>>() == 16);
 // The sender rides in what was padding beside `copies`.
-const _: () = assert!(std::mem::size_of::<Stored<u64>>() == 40);
+const _: () = assert!(std::mem::size_of::<Stored<u64>>() == 24);
 
 /// One burst's message while copies of it are on the wire.
 struct Stored<M> {
     msg: M,
     /// The sender: a property of the burst, so no copy's event carries it.
     src: PartyId,
-    /// `msg.wire_bytes()` and `msg.kind()`, taken once per burst: a dropped
-    /// copy is accounted from here, not by asking the message again.
+    /// `msg.wire_bytes()`, taken once per burst: a dropped copy is
+    /// accounted from here, not by asking the message again.
     bytes: usize,
-    kind: &'static str,
     /// Copies neither delivered nor dropped yet.
     copies: u32,
 }
@@ -459,11 +459,9 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
                 // The run loop (`sim.run` in `run_until`) owns dispatch
                 // time; nested stages (rbc, consensus, …) carve out theirs.
                 if self.crashed(dst, at) {
-                    let Stored {
-                        src, bytes, kind, ..
-                    } = *self.in_flight.get(slot);
+                    let bytes = self.in_flight.get(slot).bytes;
                     self.in_flight.release(slot);
-                    self.drop_copy(src, dst, kind, bytes, at);
+                    self.drop_copies(1, bytes);
                     return true;
                 }
                 let start = self.busy_until[dst.idx()].max(at);
@@ -613,9 +611,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         let Burst { msg, bytes, .. } = burst;
         let kind = msg.kind();
         if self.crashed(src, at) {
-            for &dst in targets {
-                self.drop_copy(src, dst, kind, bytes, at);
-            }
+            self.drop_copies(targets.len(), bytes);
             return;
         }
         let wire = on_wire(targets, src) as u64;
@@ -635,7 +631,6 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
             msg,
             src,
             bytes,
-            kind,
             copies: u32::try_from(targets.len()).expect("under 2^32 recipients"),
         }));
         for &dst in targets {
@@ -677,47 +672,27 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         }
 
         // Partitions hold messages until the link heals.
-        let mut held_until = None;
+        let mut held = false;
         for p in &self.cfg.partitions {
             let cut = (p.a == src && p.b == dst) || (p.a == dst && p.b == src);
             if cut && departure >= p.from && departure < p.until {
                 arrival = arrival.max(p.until + prop);
-                held_until = Some(held_until.unwrap_or(Micros::ZERO).max(p.until));
+                held = true;
             }
         }
-        if let Some(until) = held_until {
+        if held {
             self.stats.partitioned_msgs += 1;
-            self.cfg
-                .telemetry
-                .event(departure, src, Event::PartitionHeld { src, dst, until });
         }
 
         self.queue
             .push(arrival, SimEvent::new(dst, Action::Deliver(slot)));
     }
 
-    /// Accounts one copy lost to a crashed endpoint.
-    fn drop_copy(
-        &mut self,
-        src: PartyId,
-        dst: PartyId,
-        kind: &'static str,
-        bytes: usize,
-        at: Micros,
-    ) {
-        let bytes = bytes as u64;
-        self.stats.dropped_msgs += 1;
-        self.stats.dropped_bytes += bytes;
-        self.cfg.telemetry.event(
-            at,
-            src,
-            Event::MsgDropped {
-                src,
-                dst,
-                kind,
-                bytes,
-            },
-        );
+    /// Accounts `copies` copies of a `bytes`-byte message lost to a crashed
+    /// endpoint.
+    fn drop_copies(&mut self, copies: usize, bytes: usize) {
+        self.stats.dropped_msgs += copies as u64;
+        self.stats.dropped_bytes += copies as u64 * bytes as u64;
     }
 }
 
@@ -1072,25 +1047,6 @@ mod tests {
         assert_eq!(stats.partitioned_msgs, 1);
         assert_eq!(stats.dropped_msgs, 0);
         assert_eq!(stats.delivered_msgs, 2);
-    }
-
-    /// Network-level telemetry: drops and partition holds emit events.
-    #[test]
-    fn telemetry_records_drops_and_holds() {
-        use clanbft_telemetry::Telemetry;
-        let (tel, rec) = Telemetry::mem();
-        let mut sim = two_nodes(|cfg| {
-            cfg.telemetry = tel;
-            cfg.crash_at[1] = Some(Micros(1));
-        });
-        sim.run_to_quiescence();
-        let events = rec.events();
-        assert_eq!(events.len(), 1);
-        let nd = events[0].to_ndjson();
-        assert!(
-            nd.contains(r#""ev":"msg_dropped""#) && nd.contains(r#""kind":"ping""#),
-            "unexpected event line: {nd}"
-        );
     }
 
     /// Charged CPU time serializes a node's message processing.

@@ -1,11 +1,14 @@
 //! The typed protocol event log and its wire format.
 //!
 //! Every event is stamped at emission with the simulated clock and the
-//! observing party ([`Stamped`]). The taxonomy covers the three layers the
-//! paper's latency arithmetic decomposes: consensus (rounds, votes,
-//! commits), the tribe-assisted RBC phases, and the simulated network
-//! (drops, partition holds). Event streams are deterministic: same seed,
-//! byte-identical NDJSON.
+//! observing party ([`Stamped`]). The taxonomy covers the layers the
+//! paper's latency arithmetic decomposes — consensus (rounds, proposals,
+//! timeouts, commits), the tribe-assisted RBC phases and the DAG's
+//! causal-completeness buffer — plus evidence and recovery. Every kind has
+//! a reader (the span fold, a detector, a report or a test; the
+//! `every_event_kind_has_a_reader` test in `tests/trace_codec.rs` keeps it
+//! that way). Event streams are deterministic: same seed, byte-identical
+//! NDJSON.
 //!
 //! The trace format is defined here and nowhere else. [`Event`] is declared
 //! through one table — variant, label, and per field its type and wire key —
@@ -115,8 +118,8 @@ const MAX_LABEL_LEN: usize = 64;
 /// Most distinct kind labels the decoder will intern per process.
 const MAX_LABELS: usize = 4_096;
 
-/// Message-kind and evidence-kind labels are `&'static str` in the event
-/// type so emitting one costs nothing; the decoder therefore interns the
+/// Evidence-kind labels are `&'static str` in the event type so emitting
+/// one costs nothing; the decoder therefore interns the
 /// labels it reads in a process-wide table, whatever they are (a label this
 /// revision has never heard of round-trips unchanged). Input from outside
 /// cannot grow the table past [`MAX_LABELS`] labels of [`MAX_LABEL_LEN`]
@@ -317,26 +320,9 @@ events! {
         /// Instance source.
         source: PartyId = "source",
     }
-    /// The party voted for the round leader's vertex.
-    LeaderVote = "leader_vote" {
-        /// Voted round.
-        round: Round = "round",
-        /// The round's leader (vertex source voted for).
-        leader: PartyId = "leader",
-    }
     /// The party announced a timeout for `round` (it will never vote there).
     TimeoutAnnounced = "timeout_announced" {
         /// The round timed out on.
-        round: Round = "round",
-    }
-    /// `2f+1` timeout announcements assembled into a timeout certificate.
-    TimeoutCertFormed = "timeout_cert_formed" {
-        /// Certified round.
-        round: Round = "round",
-    }
-    /// `2f+1` no-vote announcements assembled into a no-vote certificate.
-    NoVoteCertFormed = "no_vote_cert_formed" {
-        /// Certified round.
         round: Round = "round",
     }
     /// A vertex entered this party's total order.
@@ -350,26 +336,6 @@ events! {
         leader: bool = "leader",
         /// Position in this party's total order.
         sequence: u64 = "seq",
-    }
-    /// The simulator dropped a message (crashed endpoint).
-    MsgDropped = "msg_dropped" {
-        /// Sender.
-        src: PartyId = "src",
-        /// Intended receiver.
-        dst: PartyId = "dst",
-        /// Message kind label.
-        kind: &'static str = "kind",
-        /// Wire bytes lost.
-        bytes: u64 = "bytes",
-    }
-    /// A partition held a message; it will be delivered after healing.
-    PartitionHeld = "partition_held" {
-        /// Sender.
-        src: PartyId = "src",
-        /// Receiver.
-        dst: PartyId = "dst",
-        /// When the cut heals.
-        until: Micros = "until",
     }
     /// Byzantine evidence recorded at this party (see
     /// `clanbft_types::Evidence` — carried here by its stable label to keep
@@ -389,17 +355,6 @@ events! {
         round: Round = "round",
         /// Vertex source.
         source: PartyId = "source",
-    }
-    /// A vertex became live in the DAG (inserted with its full causal
-    /// history present, possibly unblocking previously buffered ones).
-    DagLive = "dag_live" {
-        /// Vertex round.
-        round: Round = "round",
-        /// Vertex source.
-        source: PartyId = "source",
-        /// Vertices still buffered as pending after this insertion — the
-        /// live occupancy of the causal-completeness buffer.
-        pending: u64 = "pending",
     }
     /// A restarted party finished rebuilding from checkpoint + WAL and
     /// rejoined the protocol.
@@ -423,18 +378,6 @@ events! {
         from_round: Round = "from_round",
         /// How many clan seats changed hands.
         replaced: u64 = "replaced",
-    }
-    /// Straw-man: a proof of availability completed (`f_c+1` acks).
-    PoaFormed = "poa_formed" {
-        /// Owner-local block sequence number.
-        seq: u64 = "seq",
-    }
-    /// Straw-man: a sequencing slot committed at this party.
-    SlotCommitted = "slot_committed" {
-        /// The slot.
-        slot: u64 = "slot",
-        /// Transactions sequenced in it.
-        txs: u64 = "txs",
     }
 }
 
@@ -601,13 +544,13 @@ mod tests {
     #[test]
     fn decode_inverts_encode_and_keeps_unlisted_kinds() {
         let line =
-            r#"{"at":5,"party":1,"ev":"msg_dropped","src":0,"dst":2,"kind":"poa.ack","bytes":96}"#;
+            r#"{"at":5,"party":1,"ev":"evidence","kind":"from.the.future","round":96,"culprit":2}"#;
         let back = decode(line).expect("decodes").expect("known label");
         assert!(matches!(
             back.event,
-            Event::MsgDropped {
-                kind: "poa.ack",
-                bytes: 96,
+            Event::EvidenceRecorded {
+                kind: "from.the.future",
+                round: Round(96),
                 ..
             }
         ));
@@ -634,7 +577,7 @@ mod tests {
             r#"{"at":1,"party":0,"ev":"rbc","phase":"levitated","round":1,"source":0}"#,
             // Party ids that do not fit a PartyId: rejected, not truncated.
             r#"{"at":1,"party":4294967296,"ev":"round_entered","round":1}"#,
-            r#"{"at":1,"party":0,"ev":"leader_vote","round":1,"leader":4294967296}"#,
+            r#"{"at":1,"party":0,"ev":"dag_buffered","round":1,"source":4294967296}"#,
             r#"{"at":1,"party":0,"ev":"vertex_proposed","round":1,"txs":0,"digest":"00","strong":[4294967296],"weak":0}"#,
             // An over-long kind label is not interned.
             &format!(

@@ -27,9 +27,8 @@
 //!   and max readout.
 //! * [`span`] — the one fold from events to lifecycles: a block's journey
 //!   (`Proposed → Echoed → Certified → Ordered → Committed`) reconstructed
-//!   across all parties from a merged trace ([`SpanSet`]), and its
-//!   commit-latency stage breakdown readout (propose → RBC-certify →
-//!   commit, split by leader/non-leader path).
+//!   across all parties from a merged trace ([`SpanSet`]), which every
+//!   `clanbft-inspect` report reads.
 //!
 //! [`Micros`]: clanbft_types::Micros
 //! [`PartyId`]: clanbft_types::PartyId
@@ -45,4 +44,4 @@ pub use event::{Event, RbcPhase, RunMeta, Stamped};
 pub use hist::Histogram;
 pub use ndjson::JsonObj;
 pub use recorder::{MemRecorder, Recorder, Telemetry};
-pub use span::{Span, SpanSet, Stage, StageBreakdown, StageStats};
+pub use span::{Span, SpanSet, Stage};

@@ -32,24 +32,14 @@
 //!   party that never commits does not hold every span below `Committed`).
 //!
 //! [`SpanSet::from_events`] is the only fold from events to lifecycles;
-//! everything that asks about a block's journey reads the spans. One such
-//! readout lives here: [`SpanSet::stage_breakdown`], the commit-latency
-//! stage breakdown that checks the 3δ/5δ arithmetic against a run. For
-//! every committed vertex, at every committing party, it splits the
-//! propose→commit interval into
-//!
-//! * `rbc`    — proposed at the source → RBC-certified at the committing
-//!   party (the dissemination phase), and
-//! * `commit` — certified → in that party's total order (the
-//!   voting/anchoring phase),
-//!
-//! aggregated per commit path (leader / non-leader, by the flag the
-//! consensus layer stamps on `vertex_committed`); for leader vertices the
-//! certify→vote gap is recorded as well.
+//! everything that asks about a block's journey reads the spans:
+//! `clanbft-inspect`'s invariant check, waterfall, DAG-health, incident,
+//! DOT and diff reports. The leader / non-leader commit-latency split the
+//! 3δ/5δ arithmetic is about is measured by the repository benchmark
+//! (`consensus.{leader,nonleader}_commit_p50_ms`), from the same
+//! `vertex_proposed` and `vertex_committed` events.
 
 use crate::event::{Event, RbcPhase, Stamped};
-use crate::hist::Histogram;
-use crate::ndjson::JsonObj;
 use clanbft_types::{Micros, PartyId, Round};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -95,8 +85,6 @@ pub struct Span {
     /// Parties that had to buffer the vertex for missing causal parents,
     /// with the buffering time.
     pub buffered: BTreeMap<PartyId, Micros>,
-    /// First vote for this vertex as its round's leader, per voting party.
-    pub voted: BTreeMap<PartyId, Micros>,
     /// Commit time and total-order sequence per committing party.
     pub committed: BTreeMap<PartyId, (Micros, u64)>,
     /// Whether any party committed this vertex as the round leader (3δ
@@ -123,7 +111,6 @@ impl Span {
             echoed: BTreeMap::new(),
             certified: BTreeMap::new(),
             buffered: BTreeMap::new(),
-            voted: BTreeMap::new(),
             committed: BTreeMap::new(),
             leader: false,
             pull_starts: 0,
@@ -259,14 +246,6 @@ impl SpanSet {
                         .entry(s.party)
                         .or_insert(s.at);
                 }
-                Event::LeaderVote { round, leader } => {
-                    // A vote follows the proposal it is for, so it never
-                    // has to open a span (and a trace whose head was
-                    // evicted gains no phantom blocks from stray votes).
-                    if let Some(span) = set.spans.get_mut(&(*round, *leader)) {
-                        span.voted.entry(s.party).or_insert(s.at);
-                    }
-                }
                 Event::VertexCommitted {
                     round,
                     source,
@@ -304,97 +283,6 @@ impl SpanSet {
     /// Parties named as culprits by any evidence record.
     pub fn culprits(&self) -> BTreeSet<PartyId> {
         self.evidence.iter().map(|(_, _, c, _, _)| *c).collect()
-    }
-
-    /// The commit-latency stage breakdown (see module docs): one sample per
-    /// committed vertex per committing party.
-    ///
-    /// Only spans whose propose event is present are aggregated (warm-up
-    /// commits referencing pre-trace proposals are skipped), and per-party
-    /// intervals are clamped at zero — a party can learn a certificate
-    /// through a later vertex's carried justification before its own RBC
-    /// instance certifies.
-    pub fn stage_breakdown(&self) -> StageBreakdown {
-        let mut out = StageBreakdown::default();
-        for span in self.spans.values() {
-            let Some(prop) = span.proposed_at else {
-                continue;
-            };
-            let stats = if span.leader {
-                &mut out.leader
-            } else {
-                &mut out.non_leader
-            };
-            for (party, (at, _)) in &span.committed {
-                // Certified implicitly (e.g. through a carried
-                // certificate): attribute the whole interval to the RBC
-                // stage.
-                let cert = span.certified.get(party).copied().unwrap_or(*at);
-                stats.commits += 1;
-                stats.rbc.record(cert.0.saturating_sub(prop.0));
-                stats.commit.record(at.0.saturating_sub(cert.0));
-                stats.total.record(at.0.saturating_sub(prop.0));
-                if let Some(vote) = span.voted.get(party).filter(|_| span.leader) {
-                    stats.cert_to_vote.record(vote.0.saturating_sub(cert.0));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Aggregated stage timings for one commit path (leader or non-leader).
-#[derive(Clone, Debug, Default)]
-pub struct StageStats {
-    /// Vertices aggregated (one sample per committing party per vertex).
-    pub commits: u64,
-    /// Propose at source → RBC-certified at the committing party (µs).
-    pub rbc: Histogram,
-    /// RBC-certified → committed at the committing party (µs).
-    pub commit: Histogram,
-    /// Propose → committed, end to end (µs).
-    pub total: Histogram,
-    /// Certify → leader vote (leader path only; empty for non-leader).
-    pub cert_to_vote: Histogram,
-}
-
-impl StageStats {
-    fn render(&self, path: &str) -> String {
-        let mut obj = JsonObj::new()
-            .str("stage_breakdown", path)
-            .u64("commits", self.commits);
-        for (stage, hist) in [
-            ("rbc", &self.rbc),
-            ("commit", &self.commit),
-            ("total", &self.total),
-        ] {
-            let (p50, p90, p99, max) = hist.readout();
-            for (suffix, v) in [("p50", p50), ("p90", p90), ("p99", p99), ("max", max)] {
-                obj = obj.u64(&format!("{stage}_{suffix}"), v);
-            }
-        }
-        obj.finish()
-    }
-}
-
-/// The full breakdown: leader vs. non-leader commit paths.
-#[derive(Clone, Debug, Default)]
-pub struct StageBreakdown {
-    /// Round-leader vertices (direct 3δ path).
-    pub leader: StageStats,
-    /// Non-leader vertices (committed via a later leader's history).
-    pub non_leader: StageStats,
-}
-
-impl StageBreakdown {
-    /// Two NDJSON lines (`leader`, `non_leader`), each with a trailing
-    /// newline.
-    pub fn to_ndjson(&self) -> String {
-        format!(
-            "{}\n{}\n",
-            self.leader.render("leader"),
-            self.non_leader.render("non_leader")
-        )
     }
 }
 
@@ -584,124 +472,5 @@ mod tests {
         assert!(Stage::Echoed < Stage::Certified);
         assert!(Stage::Certified < Stage::Ordered);
         assert!(Stage::Ordered < Stage::Committed);
-    }
-
-    fn proposed(round: Round, tx_count: u64) -> Event {
-        Event::VertexProposed {
-            round,
-            tx_count,
-            digest: 0,
-            strong: Vec::new(),
-            weak: 0,
-        }
-    }
-
-    #[test]
-    fn splits_leader_and_non_leader_paths() {
-        let r = Round(1);
-        let leader = PartyId(0);
-        let other = PartyId(1);
-        let events = vec![
-            ev(100, 0, proposed(r, 5)),
-            ev(110, 1, proposed(r, 5)),
-            // Party 2 certifies both vertices, votes for the leader, then
-            // commits leader (3δ path) and non-leader (later, 5δ path).
-            ev(
-                300,
-                2,
-                Event::Rbc {
-                    phase: RbcPhase::Certified,
-                    round: r,
-                    source: leader,
-                },
-            ),
-            ev(
-                320,
-                2,
-                Event::Rbc {
-                    phase: RbcPhase::Certified,
-                    round: r,
-                    source: other,
-                },
-            ),
-            ev(350, 2, Event::LeaderVote { round: r, leader }),
-            ev(
-                600,
-                2,
-                Event::VertexCommitted {
-                    round: r,
-                    source: other,
-                    leader: false,
-                    sequence: 0,
-                },
-            ),
-            ev(
-                600,
-                2,
-                Event::VertexCommitted {
-                    round: r,
-                    source: leader,
-                    leader: true,
-                    sequence: 1,
-                },
-            ),
-        ];
-        let b = SpanSet::from_events(&events).stage_breakdown();
-        assert_eq!(b.leader.commits, 1);
-        assert_eq!(b.non_leader.commits, 1);
-        // Leader vertex: propose 100, certified 300, committed 600.
-        assert_eq!(b.leader.rbc.max(), 200);
-        assert_eq!(b.leader.commit.max(), 300);
-        assert_eq!(b.leader.total.max(), 500);
-        assert_eq!(b.leader.cert_to_vote.max(), 50);
-        // Non-leader vertex: propose 110, certified 320, committed 600.
-        assert_eq!(b.non_leader.rbc.max(), 210);
-        assert_eq!(b.non_leader.commit.max(), 280);
-        assert_eq!(b.non_leader.total.max(), 490);
-        assert_eq!(b.non_leader.cert_to_vote.count(), 0);
-        // Renders two NDJSON lines.
-        let nd = b.to_ndjson();
-        assert_eq!(nd.lines().count(), 2);
-        assert!(nd.starts_with(r#"{"stage_breakdown":"leader","commits":1"#));
-    }
-
-    #[test]
-    fn commit_without_propose_is_skipped() {
-        let events = vec![ev(
-            50,
-            0,
-            Event::VertexCommitted {
-                round: Round(9),
-                source: PartyId(3),
-                leader: true,
-                sequence: 0,
-            },
-        )];
-        let b = SpanSet::from_events(&events).stage_breakdown();
-        assert_eq!(b.leader.commits, 0);
-        assert_eq!(b.non_leader.commits, 0);
-    }
-
-    #[test]
-    fn missing_certify_attributes_interval_to_rbc() {
-        let r = Round(2);
-        let src = PartyId(1);
-        let events = vec![
-            ev(100, 1, proposed(r, 1)),
-            ev(
-                400,
-                0,
-                Event::VertexCommitted {
-                    round: r,
-                    source: src,
-                    leader: false,
-                    sequence: 0,
-                },
-            ),
-        ];
-        let b = SpanSet::from_events(&events).stage_breakdown();
-        assert_eq!(b.non_leader.rbc.max(), 300);
-        assert_eq!(b.non_leader.commit.max(), 0);
-        assert_eq!(b.non_leader.total.max(), 300);
     }
 }

@@ -11,7 +11,7 @@
 # profiler contract, the decoder mutations, and EXPERIMENTS.md's Fig. 5
 # table against BENCH_summary.json. What runs here besides them is what
 # tier-1 cannot: formatting, lints, the Fig. 5a re-run against its
-# committed lines, the benchmark package and the manifest audit.
+# committed lines, the benchmark package and the dependency audit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,10 +58,20 @@ echo "== repo benchmark gate (benchmark/ builds and runs against crates/*)"
     grep '^derived:' "$CARGO_TARGET_DIR/quick.log"
 )
 
-echo "== dependency audit (manifests must declare no external crates)"
-if grep -R "rand\|proptest\|criterion\|crossbeam" crates/*/Cargo.toml Cargo.toml; then
-    echo "external crate reference found in a manifest" >&2
-    exit 1
-fi
+echo "== dependency audit (every package comes from a path in this repository)"
+# `cargo metadata` gives every package and every dependency edge a
+# "source": null for a path in this repository, a registry or git URL for
+# anything else. Any non-null source is an external crate, whatever its name.
+for manifest in Cargo.toml benchmark/Cargo.toml; do
+    sources=$(cargo metadata --offline --format-version 1 --manifest-path "$manifest" |
+        grep -o '"source":[^,}]*')
+    external=$(grep -v '^"source":null$' <<<"$sources" || true)
+    if [ -n "$external" ]; then
+        echo "$manifest: external crate source(s):" >&2
+        sort -u <<<"$external" >&2
+        exit 1
+    fi
+    echo "$manifest: $(wc -l <<<"$sources") \"source\" entries, all null"
+done
 
 echo "CI OK"

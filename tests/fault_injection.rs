@@ -452,7 +452,6 @@ fn long_outage_recovers_via_state_transfer() {
     spec.max_round = Some(30);
     spec.timeout = Micros::from_millis(1_000);
     spec.gc_depth = Some(4);
-    spec.catchup_rounds = 8;
     spec.crashes = vec![(PartyId(3), Micros::from_millis(800))];
     spec.restarts = vec![(PartyId(3), Micros::from_secs(20))];
     let built = run_judged(spec, Micros::from_secs(600)).built;
@@ -478,7 +477,7 @@ fn epoch_rotation_replaces_crashed_clan_member() {
     // Single clan {0,1,2} in a 7-party tribe with epoch rotation on, run in
     // memory (the default) and again with every party on a WAL. Party 2
     // crashes for good; at the next epoch whose decision boundary it has
-    // fallen `rotation_miss_k` rounds behind, every honest party rotates it
+    // fallen more than four rounds behind, every honest party rotates it
     // out for an outsider — deterministically, without stopping commits.
     let dir = scratch("rotation");
     let clan: Vec<PartyId> = [0u32, 1, 2].map(PartyId).to_vec();
@@ -490,7 +489,6 @@ fn epoch_rotation_replaces_crashed_clan_member() {
         spec.max_round = Some(40);
         spec.timeout = Micros::from_millis(1_200);
         spec.epoch_length = Some(8);
-        spec.rotation_miss_k = 4;
         spec.crashes = vec![(PartyId(2), Micros::from_millis(1_000))];
         let run = run_judged(spec, Micros::from_secs(600));
         let built = &run.built;

@@ -6,6 +6,9 @@
 //!   the codec's own label table, so a variant added without a generator
 //!   fails here (and one added without a table row cannot compile: the
 //!   table *is* the enum).
+//! * Every kind is read (ROADMAP item 5d): a variant that no fold,
+//!   detector, report, benchmark or test names is an emitter's cost with
+//!   nothing to show for it, and fails here by name.
 //! * Outside input (ROADMAP item 5c): seeded mutations of a valid trace and
 //!   a valid profile — truncation, flipped bytes, huge integers, long and
 //!   nested values, duplicated keys — must come back as `Err` or as skipped
@@ -20,6 +23,7 @@ use clanbft_telemetry::{Event, RbcPhase, RunMeta, Stamped};
 use clanbft_testkit::{check as property, tk_assert, tk_assert_eq, Gen};
 use clanbft_types::{Micros, PartyId, Round};
 use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 const CASES: u32 = 64;
 
@@ -36,21 +40,15 @@ fn round(g: &mut Gen) -> Round {
     Round(if g.bool() { g.u64_in(0, 100) } else { g.u64() })
 }
 
-/// Message and evidence kinds: the ones this workspace emits (consensus,
-/// t-RBC, state transfer, the straw-man, evidence) plus labels no table
+/// Evidence kinds: the ones this workspace records plus labels no table
 /// anywhere lists.
 fn kind(g: &mut Gen) -> &'static str {
-    const KINDS: [&str; 12] = [
-        "vote",
-        "rbc.val",
-        "rbc.pull_resp",
-        "state.chunk",
-        "block.push",
-        "poa.ack",
-        "slot.order",
+    const KINDS: [&str; 7] = [
         "equivocating_source",
+        "misbound_payload",
         "double_vote",
         "vote_timeout_conflict",
+        "rbc.val",
         "from.the.future",
         "a \"quoted\\\" kind\n",
     ];
@@ -73,59 +71,32 @@ fn arbitrary_event(variant: usize, g: &mut Gen) -> Event {
             round: round(g),
             source: party(g),
         },
-        3 => Event::LeaderVote {
-            round: round(g),
-            leader: party(g),
-        },
-        4 => Event::TimeoutAnnounced { round: round(g) },
-        5 => Event::TimeoutCertFormed { round: round(g) },
-        6 => Event::NoVoteCertFormed { round: round(g) },
-        7 => Event::VertexCommitted {
+        3 => Event::TimeoutAnnounced { round: round(g) },
+        4 => Event::VertexCommitted {
             round: round(g),
             source: party(g),
             leader: g.bool(),
             sequence: g.u64(),
         },
-        8 => Event::MsgDropped {
-            src: party(g),
-            dst: party(g),
-            kind: kind(g),
-            bytes: g.u64(),
-        },
-        9 => Event::PartitionHeld {
-            src: party(g),
-            dst: party(g),
-            until: Micros(g.u64()),
-        },
-        10 => Event::EvidenceRecorded {
+        5 => Event::EvidenceRecorded {
             kind: kind(g),
             round: round(g),
             culprit: party(g),
         },
-        11 => Event::DagBuffered {
+        6 => Event::DagBuffered {
             round: round(g),
             source: party(g),
         },
-        12 => Event::DagLive {
-            round: round(g),
-            source: party(g),
-            pending: g.u64(),
-        },
-        13 => Event::RecoveryCompleted {
+        7 => Event::RecoveryCompleted {
             round: round(g),
             wal_records: g.u64(),
             commit_seq: g.u64(),
             duration_us: g.u64(),
         },
-        14 => Event::EpochRotated {
+        8 => Event::EpochRotated {
             epoch: g.u64(),
             from_round: round(g),
             replaced: g.u64_in(0, 16),
-        },
-        15 => Event::PoaFormed { seq: g.u64() },
-        16 => Event::SlotCommitted {
-            slot: g.u64(),
-            txs: g.u64(),
         },
         _ => unreachable!("variant index out of table range"),
     }
@@ -150,6 +121,79 @@ fn generators_cover_the_codec_table() {
     assert_eq!(distinct.len(), Event::LABELS.len(), "labels are unique");
     let phases: BTreeSet<&str> = RbcPhase::ALL.iter().map(|p| p.label()).collect();
     assert_eq!(phases.len(), RbcPhase::ALL.len(), "phase labels are unique");
+}
+
+/// Where an event is read: the span fold, the detectors, the reports, the
+/// benchmark and the integration tests (relative to the repository root).
+/// The crates that emit events are not readers, nor is the codec
+/// (`event.rs`), nor this file, whose generators name every variant by
+/// construction.
+const READERS: [&str; 5] = [
+    "crates/telemetry/src/span.rs",
+    "crates/monitor/src",
+    "crates/inspect/src",
+    "benchmark/src",
+    "tests",
+];
+
+/// Every `.rs` file under `path` (or `path` itself), except this one.
+fn reader_sources(path: &Path, out: &mut Vec<PathBuf>) {
+    if path.is_dir() {
+        let mut entries: Vec<PathBuf> = std::fs::read_dir(path)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+            .map(|entry| entry.expect("directory entry").path())
+            .collect();
+        entries.sort();
+        for entry in entries {
+            reader_sources(&entry, out);
+        }
+    } else if path.extension().is_some_and(|ext| ext == "rs")
+        && path
+            .file_name()
+            .is_some_and(|name| name != "trace_codec.rs")
+    {
+        out.push(path.to_path_buf());
+    }
+}
+
+/// Whether `text` names `Event::<variant>` as a whole path (not as the tail
+/// of another enum's name, nor as a prefix of a longer variant).
+fn names_variant(text: &str, variant: &str) -> bool {
+    let needle = format!("Event::{variant}");
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(&needle).any(|(at, _)| {
+        let before = text[..at].chars().next_back();
+        let after = text[at + needle.len()..].chars().next();
+        !before.is_some_and(ident) && !after.is_some_and(ident)
+    })
+}
+
+#[test]
+fn every_event_kind_has_a_reader() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for reader in READERS {
+        let path = root.join(reader);
+        assert!(path.exists(), "reader {reader} is missing");
+        reader_sources(&path, &mut files);
+    }
+    let text: String = files
+        .iter()
+        .map(|f| std::fs::read_to_string(f).unwrap_or_else(|e| panic!("{}: {e}", f.display())))
+        .collect();
+    let mut g = Gen::for_case(1, 0);
+    let unread: Vec<String> = (0..Event::LABELS.len())
+        .map(|v| {
+            let debug = format!("{:?}", arbitrary_event(v, &mut g));
+            debug.chars().take_while(|c| c.is_alphanumeric()).collect()
+        })
+        .filter(|variant: &String| !names_variant(&text, variant))
+        .collect();
+    assert!(
+        unread.is_empty(),
+        "event kinds that no reader ({}) names as `Event::<variant>`: {unread:?}",
+        READERS.join(", ")
+    );
 }
 
 #[test]
