@@ -359,9 +359,10 @@ impl SailfishNode {
 
     /// The one intake of evidence, whoever found it: keeps `ev` unless its
     /// `(round, culprit)` is already evidenced, retains at most
-    /// [`EVIDENCE_CAP`] records, and persists each retained one so it
-    /// survives a restart — unless `replayed`, when it comes from the WAL
-    /// already. Returns whether the pair was new.
+    /// [`EVIDENCE_CAP`] records, and appends each retained one to the WAL —
+    /// unless `replayed`, when it comes from the WAL or a checkpoint
+    /// already. Checkpoints carry the retained records on, so they survive
+    /// a restart. Returns whether the pair was new.
     pub(crate) fn keep_evidence(&mut self, ev: Evidence, replayed: bool) -> bool {
         if !self.evidence_keys.insert((ev.round(), ev.culprit())) {
             return false;
@@ -1488,7 +1489,8 @@ mod tests {
     fn rbc_evidence_survives_a_restart() {
         // P1 sends a storage-backed P0 two different VALs for its round-1
         // instance: the broadcast layer records the equivocation, and a node
-        // rebuilt from the same directory still holds the record.
+        // rebuilt from the same directory still holds the record, before a
+        // checkpoint and after one.
         use clanbft_rbc::{RbcMsg, RbcPacket};
         let dir = std::env::temp_dir().join(format!(
             "clanbft-rbc-evidence-restart-{}",
@@ -1525,9 +1527,22 @@ mod tests {
         assert_eq!(recorded[0].culprit(), PartyId(1));
         drop(node);
 
-        let rebuilt = SailfishNode::new(cfg, auth);
+        let mut rebuilt = SailfishNode::new(cfg.clone(), Arc::clone(&auth));
         assert_eq!(rebuilt.evidence(), recorded, "evidence lost in the restart");
         assert!(rebuilt.recovered());
+
+        // A checkpoint rotates the WAL that held the record: the next
+        // incarnation finds it in the checkpoint instead.
+        rebuilt.last_committed = Some(Round(rebuilt.cfg.checkpoint_interval));
+        rebuilt.maybe_checkpoint();
+        drop(rebuilt);
+        let after_checkpoint = SailfishNode::new(cfg, auth);
+        assert_eq!(after_checkpoint.recovered_records, 0, "the WAL was rotated");
+        assert_eq!(
+            after_checkpoint.evidence(),
+            recorded,
+            "evidence lost in the checkpoint"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

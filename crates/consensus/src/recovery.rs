@@ -12,7 +12,8 @@
 //!
 //! 1. **Checkpoint + WAL replay** (this module, [`SailfishNode::rebuild_from`]):
 //!    rebuilds round position, vote sets, the live DAG window, the commit
-//!    cursor and epoch decisions entirely from local disk — no network.
+//!    cursor, epoch decisions and evidence entirely from local disk — no
+//!    network.
 //! 2. **Peer state transfer** ([`SailfishNode::on_state_request`] /
 //!    [`SailfishNode::on_state_chunk`]): the restarted node multicasts a
 //!    `StateRequest` carrying its round and commit-sequence frontiers; peers
@@ -24,8 +25,8 @@
 //! 3. **Epoch rotation** ([`SailfishNode::decide_epochs_up_to`]): at fixed
 //!    positions of the agreed total order, every party deterministically
 //!    replaces clan members whose newest committed vertex lags the decision
-//!    boundary by more than [`ROTATION_MISS_K`] rounds — a crashed clan member
-//!    loses its seat without the pipeline ever stopping.
+//!    boundary by more than [`ROTATION_MISS_K`] rounds — a crashed clan
+//!    member loses its seat without the pipeline ever stopping.
 
 use crate::messages::{CommittedRec, ConsensusMsg};
 use crate::node::{new_ingress, CommitOrigin, CommittedVertex, SailfishNode};
@@ -130,6 +131,9 @@ impl SailfishNode {
         }
         for entry in cp.epochs {
             self.install_epoch_entry(entry);
+        }
+        for ev in cp.evidence {
+            self.keep_evidence(ev, true);
         }
         if let Some(p) = cp.last_proposal {
             self.blocks
@@ -624,6 +628,7 @@ impl SailfishNode {
             ordered,
             committed_round_by: self.committed_round_by.clone(),
             epochs: self.epochs.clone(),
+            evidence: self.evidence.clone(),
         };
         self.storage
             .as_mut()

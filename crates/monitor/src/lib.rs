@@ -51,9 +51,9 @@ use std::sync::{Arc, Mutex};
 ///
 /// Wire-up: for each party, tee `monitor.probe(party)` into the node's
 /// telemetry so party-anonymous gauge/counter/histogram samples arrive
-/// attributed; tee `monitor.observer()` into the simulator's handle so the
-/// globally-stamped event stream (which carries its own party) arrives
-/// exactly once.
+/// attributed. A handle that speaks for no single party gets
+/// `monitor.observer()` instead: its events (which carry their own party)
+/// still arrive.
 ///
 /// The bank sits behind a mutex. In the single-threaded simulator the lock
 /// is never contended; under the threaded live transport it serialises the
@@ -96,8 +96,8 @@ impl HealthMonitor {
         })
     }
 
-    /// An event-only recorder for globally-scoped telemetry handles (the
-    /// simulator's): events flow to the detectors, metric samples are
+    /// An event-only recorder for a telemetry handle that speaks for no
+    /// single party: events flow to the detectors, metric samples are
     /// dropped because they cannot be attributed to a party.
     pub fn observer(&self) -> Arc<dyn Recorder> {
         Arc::new(Probe {
@@ -427,7 +427,7 @@ mod tests {
             }
         }
 
-        // Offline replay sees the events only, through the simulator-style
+        // Offline replay sees the events only, through the event-only
         // observer: the event-driven detectors must agree with a monitor
         // fed the same events online.
         let events: Vec<Stamped> = run

@@ -74,13 +74,12 @@ pub struct TribeSpec {
     pub verify_sigs: bool,
     /// Enable the execution layer.
     pub execute: bool,
-    /// Telemetry sink shared by the network and every node (disabled by
-    /// default; see `clanbft_telemetry`).
+    /// Telemetry sink shared by every node (disabled by default; see
+    /// `clanbft_telemetry`).
     pub telemetry: Telemetry,
     /// Optional online health monitor. When set, every node's telemetry is
     /// teed into a per-party probe (so gauge/counter/histogram samples
-    /// arrive attributed) and the simulator's handle into an event-only
-    /// observer — the detectors then watch the run live.
+    /// arrive attributed) — the detectors then watch the run live.
     pub monitor: Option<clanbft_monitor::HealthMonitor>,
 }
 
@@ -202,13 +201,9 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
     sim_cfg.partitions = spec.partitions.clone();
     sim_cfg.gst = spec.gst;
     sim_cfg.pre_gst_extra_max = spec.pre_gst_extra_max;
-    sim_cfg.telemetry = match &spec.monitor {
-        Some(m) => {
-            m.expect_parties(n as u32);
-            spec.telemetry.tee_with(m.observer())
-        }
-        None => spec.telemetry.clone(),
-    };
+    if let Some(m) = &spec.monitor {
+        m.expect_parties(n as u32);
+    }
 
     let (registry, keypairs) = Registry::generate(Scheme::Keyed, n, spec.seed);
     let nodes: Vec<TribeNode> = keypairs

@@ -16,7 +16,6 @@ use crate::protocol::{Burst, Ctx, Message, Outputs, Protocol};
 use crate::regions::LatencyMatrix;
 use clanbft_crypto::ClanRng;
 use clanbft_profiler as prof;
-use clanbft_telemetry::Telemetry;
 use clanbft_types::{Micros, PartyId};
 use std::collections::BTreeMap;
 
@@ -71,10 +70,6 @@ pub struct SimConfig {
     pub restart_at: Vec<Option<Micros>>,
     /// Temporary link cuts.
     pub partitions: Vec<Partition>,
-    /// Telemetry handle for network-level events. The simulator emits none
-    /// (drops and partition holds are counted in [`NetStats`]); the tribe
-    /// harness still tees the health monitor's event-only observer into it.
-    pub telemetry: Telemetry,
 }
 
 impl SimConfig {
@@ -94,7 +89,6 @@ impl SimConfig {
             crash_at: vec![None; n],
             restart_at: vec![None; n],
             partitions: Vec::new(),
-            telemetry: Telemetry::null(),
         }
     }
 

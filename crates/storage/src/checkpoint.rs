@@ -3,10 +3,10 @@
 //! A checkpoint is a single atomically-installed snapshot of everything the
 //! WAL has proven so far: the commit frontier (so sequence numbers continue
 //! gap-free), the signing ledger (voted / no-voted rounds), the live DAG
-//! window, the node's own last proposal (equivocation guard), and the
-//! epoch-rotation decisions. Once a checkpoint is durable the WAL is
-//! rotated (truncated to empty) — log growth is bounded by the checkpoint
-//! cadence, not the run length.
+//! window, the node's own last proposal (equivocation guard), the
+//! epoch-rotation decisions and the retained misbehaviour evidence. Once a
+//! checkpoint is durable the WAL is rotated (truncated to empty) — log
+//! growth is bounded by the checkpoint cadence, not the run length.
 //!
 //! Installation is crash-atomic: the snapshot is written to a temporary
 //! file, fsync'd, then `rename(2)`d over the live name. A crash at any
@@ -14,10 +14,11 @@
 //! snapshot's CRC frame rejects a torn rename target on the next open.
 
 use clanbft_types::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use clanbft_types::{Block, Round, Vertex, VertexRef};
+use clanbft_types::{Block, Evidence, Round, Vertex, VertexRef};
 
-/// Version tag; bumped if the snapshot layout ever changes.
-const CHECKPOINT_VERSION: u32 = 1;
+/// Version tag; bumped if the snapshot layout ever changes. Version 1 had
+/// no evidence list: it still decodes, with none.
+const CHECKPOINT_VERSION: u32 = 2;
 
 /// The node's own last proposal, preserved verbatim so a recovered node
 /// re-broadcasts the identical vertex instead of equivocating.
@@ -102,6 +103,8 @@ pub struct Checkpoint {
     pub committed_round_by: Vec<u64>,
     /// Every epoch-rotation decision taken so far, ascending.
     pub epochs: Vec<EpochEntry>,
+    /// The misbehaviour evidence the node retains, oldest first.
+    pub evidence: Vec<Evidence>,
 }
 
 impl Encode for Checkpoint {
@@ -119,13 +122,14 @@ impl Encode for Checkpoint {
         self.ordered.encode(w);
         self.committed_round_by.encode(w);
         self.epochs.encode(w);
+        self.evidence.encode(w);
     }
 }
 
 impl Decode for Checkpoint {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let version = r.get_u32()?;
-        if version != CHECKPOINT_VERSION {
+        if version != 1 && version != CHECKPOINT_VERSION {
             return Err(DecodeError::Invalid("unknown checkpoint version"));
         }
         Ok(Checkpoint {
@@ -141,6 +145,10 @@ impl Decode for Checkpoint {
             ordered: Vec::<VertexRef>::decode(r)?,
             committed_round_by: Vec::<u64>::decode(r)?,
             epochs: Vec::<EpochEntry>::decode(r)?,
+            evidence: match version {
+                1 => Vec::new(),
+                _ => Vec::<Evidence>::decode(r)?,
+            },
         })
     }
 }
@@ -171,15 +179,34 @@ mod tests {
                 from_round: Round(16),
                 clans: vec![vec![1, 2, 3]],
             }],
+            evidence: vec![Evidence::VoteTimeoutConflict {
+                round: Round(6),
+                party: clanbft_types::PartyId(3),
+            }],
         };
         let back = Checkpoint::from_bytes(&cp.to_bytes()).expect("decode");
         assert_eq!(back.to_bytes(), cp.to_bytes());
         assert_eq!(back.commit_seq, 41);
         assert_eq!(back.epochs, cp.epochs);
+        assert_eq!(back.evidence, cp.evidence);
 
         let empty = Checkpoint::default();
         let back = Checkpoint::from_bytes(&empty.to_bytes()).expect("decode");
         assert_eq!(back.to_bytes(), empty.to_bytes());
+    }
+
+    #[test]
+    fn version_1_decodes_without_evidence() {
+        let mut bytes = Checkpoint {
+            commit_seq: 41,
+            ..Checkpoint::default()
+        }
+        .to_bytes();
+        bytes[0] = 1;
+        bytes.truncate(bytes.len() - 4);
+        let back = Checkpoint::from_bytes(&bytes).expect("decode");
+        assert_eq!(back.commit_seq, 41);
+        assert!(back.evidence.is_empty());
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //!   the local DAG from these.
 //! * `Committed` — one commit-sequence advance; replay restores the commit
 //!   frontier so sequence numbers continue gap-free and nothing is re-acked.
-//! * `Evidence` — recorded Byzantine conflicts survive restarts.
+//! * `Evidence` — one recorded Byzantine conflict; the next checkpoint
+//!   carries it on, so recorded conflicts survive restarts.
 //! * `EpochDecided` — a deterministic clan-rotation decision; replay
 //!   re-installs the epoch topology without re-running the vote.
 
 use clanbft_crypto::Digest;
 use clanbft_types::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use clanbft_types::{Block, Evidence, PartyId, Round, Vertex, VertexRef};
+use clanbft_types::{Block, Evidence, Round, Vertex, VertexRef};
 
 /// One durable consensus state transition.
 #[derive(Clone, Debug)]
@@ -88,85 +89,6 @@ const TAG_COMMITTED: u8 = 5;
 const TAG_EVIDENCE: u8 = 6;
 const TAG_EPOCH: u8 = 7;
 
-const EV_EQUIVOCATING: u8 = 1;
-const EV_DOUBLE_VOTE: u8 = 2;
-const EV_VOTE_TIMEOUT: u8 = 3;
-const EV_MISBOUND: u8 = 4;
-
-fn encode_evidence(e: &Evidence, w: &mut Writer) {
-    match e {
-        Evidence::EquivocatingSource {
-            round,
-            source,
-            first,
-            second,
-        } => {
-            w.put_u8(EV_EQUIVOCATING);
-            round.encode(w);
-            source.encode(w);
-            first.encode(w);
-            second.encode(w);
-        }
-        Evidence::DoubleVote {
-            round,
-            voter,
-            first,
-            second,
-        } => {
-            w.put_u8(EV_DOUBLE_VOTE);
-            round.encode(w);
-            voter.encode(w);
-            first.encode(w);
-            second.encode(w);
-        }
-        Evidence::VoteTimeoutConflict { round, party } => {
-            w.put_u8(EV_VOTE_TIMEOUT);
-            round.encode(w);
-            party.encode(w);
-        }
-        Evidence::MisboundPayload {
-            round,
-            source,
-            named_round,
-            named_source,
-        } => {
-            w.put_u8(EV_MISBOUND);
-            round.encode(w);
-            source.encode(w);
-            named_round.encode(w);
-            named_source.encode(w);
-        }
-    }
-}
-
-fn decode_evidence(r: &mut Reader<'_>) -> Result<Evidence, DecodeError> {
-    match r.get_u8()? {
-        EV_EQUIVOCATING => Ok(Evidence::EquivocatingSource {
-            round: Round::decode(r)?,
-            source: PartyId::decode(r)?,
-            first: Digest::decode(r)?,
-            second: Digest::decode(r)?,
-        }),
-        EV_DOUBLE_VOTE => Ok(Evidence::DoubleVote {
-            round: Round::decode(r)?,
-            voter: PartyId::decode(r)?,
-            first: Digest::decode(r)?,
-            second: Digest::decode(r)?,
-        }),
-        EV_VOTE_TIMEOUT => Ok(Evidence::VoteTimeoutConflict {
-            round: Round::decode(r)?,
-            party: PartyId::decode(r)?,
-        }),
-        EV_MISBOUND => Ok(Evidence::MisboundPayload {
-            round: Round::decode(r)?,
-            source: PartyId::decode(r)?,
-            named_round: Round::decode(r)?,
-            named_source: PartyId::decode(r)?,
-        }),
-        t => Err(DecodeError::InvalidTag(t)),
-    }
-}
-
 impl Encode for WalRecord {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -208,7 +130,7 @@ impl Encode for WalRecord {
             }
             WalRecord::Evidence { evidence } => {
                 w.put_u8(TAG_EVIDENCE);
-                encode_evidence(evidence, w);
+                evidence.encode(w);
             }
             WalRecord::EpochDecided {
                 epoch,
@@ -249,7 +171,7 @@ impl Decode for WalRecord {
                 leader_round: Round::decode(r)?,
             }),
             TAG_EVIDENCE => Ok(WalRecord::Evidence {
-                evidence: decode_evidence(r)?,
+                evidence: Evidence::decode(r)?,
             }),
             TAG_EPOCH => Ok(WalRecord::EpochDecided {
                 epoch: r.get_u64()?,
@@ -264,8 +186,7 @@ impl Decode for WalRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clanbft_types::Micros;
-    use clanbft_types::TxBatch;
+    use clanbft_types::{Micros, PartyId, TxBatch};
 
     fn sample_vertex() -> Vertex {
         let block = sample_block();

@@ -15,6 +15,7 @@
 //! names the party the observation points at, with attribution strength
 //! depending on the variant (DESIGN.md "Adversary model").
 
+use crate::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use crate::ids::{PartyId, Round};
 use clanbft_crypto::Digest;
 
@@ -96,6 +97,89 @@ impl Evidence {
             | Evidence::DoubleVote { round, .. }
             | Evidence::VoteTimeoutConflict { round, .. }
             | Evidence::MisboundPayload { round, .. } => *round,
+        }
+    }
+}
+
+const EV_EQUIVOCATING: u8 = 1;
+const EV_DOUBLE_VOTE: u8 = 2;
+const EV_VOTE_TIMEOUT: u8 = 3;
+const EV_MISBOUND: u8 = 4;
+
+impl Encode for Evidence {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            Evidence::EquivocatingSource {
+                round,
+                source,
+                first,
+                second,
+            } => {
+                w.put_u8(EV_EQUIVOCATING);
+                round.encode(w);
+                source.encode(w);
+                first.encode(w);
+                second.encode(w);
+            }
+            Evidence::DoubleVote {
+                round,
+                voter,
+                first,
+                second,
+            } => {
+                w.put_u8(EV_DOUBLE_VOTE);
+                round.encode(w);
+                voter.encode(w);
+                first.encode(w);
+                second.encode(w);
+            }
+            Evidence::VoteTimeoutConflict { round, party } => {
+                w.put_u8(EV_VOTE_TIMEOUT);
+                round.encode(w);
+                party.encode(w);
+            }
+            Evidence::MisboundPayload {
+                round,
+                source,
+                named_round,
+                named_source,
+            } => {
+                w.put_u8(EV_MISBOUND);
+                round.encode(w);
+                source.encode(w);
+                named_round.encode(w);
+                named_source.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for Evidence {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.get_u8()? {
+            EV_EQUIVOCATING => Ok(Evidence::EquivocatingSource {
+                round: Round::decode(r)?,
+                source: PartyId::decode(r)?,
+                first: Digest::decode(r)?,
+                second: Digest::decode(r)?,
+            }),
+            EV_DOUBLE_VOTE => Ok(Evidence::DoubleVote {
+                round: Round::decode(r)?,
+                voter: PartyId::decode(r)?,
+                first: Digest::decode(r)?,
+                second: Digest::decode(r)?,
+            }),
+            EV_VOTE_TIMEOUT => Ok(Evidence::VoteTimeoutConflict {
+                round: Round::decode(r)?,
+                party: PartyId::decode(r)?,
+            }),
+            EV_MISBOUND => Ok(Evidence::MisboundPayload {
+                round: Round::decode(r)?,
+                source: PartyId::decode(r)?,
+                named_round: Round::decode(r)?,
+                named_source: PartyId::decode(r)?,
+            }),
+            t => Err(DecodeError::InvalidTag(t)),
         }
     }
 }

@@ -62,6 +62,7 @@ fn rows() -> Vec<Row> {
         row("TimeoutCert", timeout_cert),
         row("NoVoteCert", no_vote_cert),
         row("TxBatch", batch),
+        row("Evidence", |g| evidence(g.usize_in(0, 4), g)),
         row("WalRecord", |g| wal_record(g.usize_in(0, WAL_VARIANTS), g)),
         row("ProposalEntry", proposal),
         row("EpochEntry", epoch),
@@ -151,11 +152,39 @@ fn clans(g: &mut Gen) -> Vec<Vec<u32>> {
     g.vec(0, 4, |g| g.vec(0, 6, Gen::u32))
 }
 
+/// One of the four `Evidence` variants, by index.
+fn evidence(variant: usize, g: &mut Gen) -> Evidence {
+    match variant {
+        0 => Evidence::EquivocatingSource {
+            round: round(g),
+            source: party(g),
+            first: digest(g),
+            second: digest(g),
+        },
+        1 => Evidence::DoubleVote {
+            round: round(g),
+            voter: party(g),
+            first: digest(g),
+            second: digest(g),
+        },
+        2 => Evidence::VoteTimeoutConflict {
+            round: round(g),
+            party: party(g),
+        },
+        3 => Evidence::MisboundPayload {
+            round: round(g),
+            source: party(g),
+            named_round: round(g),
+            named_source: party(g),
+        },
+        _ => unreachable!("variant index out of table range"),
+    }
+}
+
 /// `WalRecord` has seven tags, `Evidence` under the sixth has four.
 const WAL_VARIANTS: usize = 10;
 
 fn wal_record(variant: usize, g: &mut Gen) -> WalRecord {
-    let evidence = |evidence| WalRecord::Evidence { evidence };
     match variant {
         0 => WalRecord::Proposed {
             vertex: vertex(g),
@@ -172,28 +201,9 @@ fn wal_record(variant: usize, g: &mut Gen) -> WalRecord {
             block_tx_count: g.u64(),
             leader_round: round(g),
         },
-        5 => evidence(Evidence::EquivocatingSource {
-            round: round(g),
-            source: party(g),
-            first: digest(g),
-            second: digest(g),
-        }),
-        6 => evidence(Evidence::DoubleVote {
-            round: round(g),
-            voter: party(g),
-            first: digest(g),
-            second: digest(g),
-        }),
-        7 => evidence(Evidence::VoteTimeoutConflict {
-            round: round(g),
-            party: party(g),
-        }),
-        8 => evidence(Evidence::MisboundPayload {
-            round: round(g),
-            source: party(g),
-            named_round: round(g),
-            named_source: party(g),
-        }),
+        5..=8 => WalRecord::Evidence {
+            evidence: evidence(variant - 5, g),
+        },
         9 => WalRecord::EpochDecided {
             epoch: g.u64(),
             from_round: round(g),
@@ -232,6 +242,7 @@ fn checkpoint(g: &mut Gen) -> Checkpoint {
         ordered: g.vec(0, 6, vertex_ref),
         committed_round_by: g.vec(0, 8, Gen::u64),
         epochs: g.vec(0, 3, epoch),
+        evidence: g.vec(0, 3, |g| evidence(g.usize_in(0, 4), g)),
     }
 }
 
@@ -391,7 +402,8 @@ fn hostile_lengths_size_nothing() {
     // reserve 4 096 of them (a megabyte of vertices for a checkpoint's four
     // bytes)...
     let mut prefix_only = Checkpoint::default().to_bytes();
-    let vertices_at = prefix_only.len() - 16;
+    // The vertex count sits before four more empty lists' prefixes.
+    let vertices_at = prefix_only.len() - 20;
     prefix_only[vertices_at..vertices_at + 4].copy_from_slice(&4_096u32.to_le_bytes());
     // ...as did a certificate's signature count; and its signer capacity,
     // taken at its word up to 2^20, sized a 128 KiB bitmap from 16 bytes.

@@ -1,9 +1,9 @@
 //! Online health monitoring over live runs: the benign matrix must be
 //! alert-free *by construction* — every detector silent, verdict healthy,
 //! and the offline replay of the recorded trace silent too — across
-//! baseline, single-clan and multi-clan topologies. Detector *recall* (attacks firing the expected detector)
-//! lives in `tests/adversary.rs` and `tests/fault_injection.rs`; this file
-//! pins detector *precision*.
+//! baseline, single-clan and multi-clan topologies. Detector *recall*
+//! (attacks firing the expected detector) lives in `tests/adversary.rs`
+//! and `tests/fault_injection.rs`; this file pins detector *precision*.
 
 mod common;
 
