@@ -13,7 +13,10 @@
 //!    leader vote (unless this node already announced a timeout).
 //! 3. `2f+1` votes commit the leader vertex directly; the leader chain is
 //!    resolved backward through strong paths and the causal history is
-//!    emitted in deterministic order (`a_deliver`).
+//!    emitted in deterministic order (`a_deliver`). The decision is one WAL
+//!    record, durable before its first vertex folds; each vertex then takes
+//!    the state step (`fold_commit`, which state-transfer adoption and WAL
+//!    replay share) and the emit step (`emit_commit`, which replay skips).
 //! 4. Advance to `r+1` once `2f+1` round-`r` vertices are live including
 //!    the leader's — or a timeout certificate replaces it.
 //!
@@ -66,21 +69,6 @@ pub struct ProposedBatch {
     pub created_at: Micros,
     /// Transactions in the batch.
     pub count: u32,
-}
-
-/// How this node learnt an entry of the total order it folds in.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum CommitOrigin {
-    /// Ordered here: a leader this node committed swept the vertex in.
-    Ordered,
-    /// Adopted from `f+1` matching state-transfer responders after a
-    /// restart: logged and emitted like a local commit, but its block is not
-    /// queued for execution and `commit.vertices` (vertices ordered *here*)
-    /// does not count it.
-    Adopted,
-    /// Replayed from this node's own WAL: already logged and emitted by a
-    /// previous incarnation.
-    Replayed,
 }
 
 /// At most this many evidence records are retained per node — enough for
@@ -146,9 +134,9 @@ pub struct SailfishNode {
     // --- durability & recovery (logic in `crate::recovery`) ---
     /// WAL + checkpoint store (`None` = memory-only node).
     pub(crate) storage: Option<clanbft_storage::NodeStorage>,
-    /// Commit sequences emitted by previous incarnations of this node: the
-    /// global sequence number of `committed_log[0]`.
-    pub(crate) commit_seq_base: u64,
+    /// The commit frontier: the global sequence number the next entry of
+    /// the total order gets, counting the entries of previous incarnations.
+    pub(crate) commit_seq: u64,
     /// Leader round at which the last checkpoint was installed.
     pub(crate) last_checkpoint_round: u64,
     /// This node's newest proposal, kept for idempotent re-broadcast after
@@ -274,7 +262,7 @@ impl SailfishNode {
             next_seq: 0,
             last_proposal_at: Micros::ZERO,
             storage: None,
-            commit_seq_base: 0,
+            commit_seq: 0,
             last_checkpoint_round: 0,
             last_proposal: None,
             committed_round_by: vec![0; cfg.tribe.n()],
@@ -340,7 +328,7 @@ impl SailfishNode {
     /// everything below it was committed (and persisted) by previous lives
     /// of this node.
     pub fn commit_seq_base(&self) -> u64 {
-        self.commit_seq_base
+        self.commit_seq - self.committed_log.len() as u64
     }
 
     /// Epoch-rotation decisions this node has made or replayed, oldest
@@ -393,14 +381,6 @@ impl SailfishNode {
                 culprit: ev.culprit(),
             },
         );
-    }
-
-    /// Pulls evidence the RBC engine recorded (it already counted and traced
-    /// it) into this node's record.
-    fn absorb_rbc_evidence(&mut self) {
-        for ev in self.rbc.take_evidence() {
-            self.keep_evidence(ev, false);
-        }
     }
 
     /// Round-window admission for direct consensus messages: discard what is
@@ -531,15 +511,15 @@ impl SailfishNode {
         // identical vertex on recovery (RBC dedups); a crash before it
         // proposed nothing. Either way, no equivocation.
         if self.storage.is_some() {
-            self.log_wal(&clanbft_storage::WalRecord::Proposed {
+            let proposal = clanbft_storage::ProposalEntry {
                 vertex: (*payload.vertex).clone(),
                 block: (*payload.block).clone(),
+            };
+            self.log_wal(&clanbft_storage::WalRecord::Proposed {
+                proposal: proposal.clone(),
                 next_tx_seq: self.next_seq,
             });
-            self.last_proposal = Some(clanbft_storage::ProposalEntry {
-                vertex: (*payload.vertex).clone(),
-                block: (*payload.block).clone(),
-            });
+            self.last_proposal = Some(proposal);
         }
         // Keep our own block regardless of clan membership (we produced it).
         self.blocks.insert(vref, Arc::clone(&payload.block));
@@ -709,17 +689,24 @@ impl SailfishNode {
         if self.votes.count(round, &id) < self.cfg.tribe.quorum() {
             return;
         }
-        // Direct commit: resolve the indirect chain and emit the order.
+        // Direct commit: resolve the indirect chain and order its causal
+        // history — durable as one decision before its first vertex folds.
         let schedule = self.schedule;
         let chain = order::commit_chain(&self.dag, self.last_committed, leader_ref, |r| {
             schedule.leader(r)
         });
-        for vref in order::causal_order(&mut self.dag, &chain) {
-            let Some(v) = self.dag.get(&vref) else {
-                continue;
-            };
+        let vertices = order::causal_order(&mut self.dag, &chain);
+        if self.storage.is_some() {
+            self.log_wal(&clanbft_storage::WalRecord::Committed {
+                leader_round: round,
+                vertices: vertices.clone(),
+            });
+        }
+        for vref in vertices {
+            let (sequence, rotated) = self.fold_commit(vref, round);
+            let v = self.dag.get(&vref).expect("only live vertices are ordered");
             let entry = CommittedVertex {
-                sequence: self.next_commit_seq(),
+                sequence,
                 vertex: vref,
                 block_digest: v.block_digest,
                 block_bytes: v.block_bytes,
@@ -727,44 +714,60 @@ impl SailfishNode {
                 committed_at: now,
                 leader_round: round,
             };
-            self.fold_commit(entry, CommitOrigin::Ordered);
+            self.emit_commit(entry, rotated);
+            // Only a vertex ordered here counts as a commit of this node,
+            // and only its block is queued for execution.
+            self.cfg.telemetry.add(counters::COMMIT_VERTICES, 1);
+            if self.executor.is_some()
+                && self
+                    .rbc
+                    .config()
+                    .topology_at(vref.round)
+                    .receives_full(self.cfg.me, vref.source)
+            {
+                self.exec_queue.push_back(vref);
+            }
         }
         self.try_execute(now);
         self.garbage_collect(now);
         self.maybe_checkpoint();
     }
 
-    /// Folds one entry of the total order into this node's state — the one
-    /// place the commit cursor, the liveness table and the emitted log move,
-    /// whichever way the entry was learnt (see [`CommitOrigin`]).
-    pub(crate) fn fold_commit(&mut self, entry: CommittedVertex, origin: CommitOrigin) {
-        let (vref, now) = (entry.vertex, entry.committed_at);
-        let replayed = origin == CommitOrigin::Replayed;
+    /// The state step of a commit, whichever way the entry was learnt —
+    /// ordered here, adopted from a state transfer, or replayed from the
+    /// WAL: makes the epoch decisions due at this position of the total
+    /// order, then moves the liveness table, the commit frontier, the DAG's
+    /// ordered mark and the sequence cursor. Returns the entry's sequence
+    /// number and the rotations it decided, which only
+    /// [`Self::emit_commit`] traces (a replayed entry was traced by the
+    /// incarnation that committed it).
+    pub(crate) fn fold_commit(
+        &mut self,
+        vref: VertexRef,
+        leader_round: Round,
+    ) -> (u64, Vec<Event>) {
         // Epoch rotation decides at fixed positions of the agreed sequence:
         // decide *before* folding this vertex into the liveness table, so
-        // every party votes on identical state. (A replayed WAL carries the
-        // decisions as records of their own.)
-        if !replayed {
-            self.decide_epochs_up_to(vref.round, now);
-        }
+        // every party votes on identical state.
+        let rotated = self.decide_epochs_up_to(vref.round);
         let newest = &mut self.committed_round_by[vref.source.idx()];
         *newest = (*newest).max(vref.round.0 + 1);
-        self.last_committed = self.last_committed.max(Some(entry.leader_round));
+        self.last_committed = self.last_committed.max(Some(leader_round));
         self.dag.mark_ordered(vref);
-        if replayed {
-            // Pre-crash commits are not re-emitted; only the cursor, the
-            // ordered set and the liveness table move.
-            self.commit_seq_base = self.commit_seq_base.max(entry.sequence + 1);
-            return;
-        }
-        if self.storage.is_some() {
-            self.log_wal(&clanbft_storage::WalRecord::Committed {
-                sequence: entry.sequence,
-                vertex: vref,
-                block_digest: entry.block_digest,
-                block_tx_count: entry.block_tx_count,
-                leader_round: entry.leader_round,
-            });
+        self.commit_seq += 1;
+        (self.commit_seq - 1, rotated)
+    }
+
+    /// The emit step of a commit ordered or adopted here: traces the epoch
+    /// rotations its state step decided and then the commit, appends it to
+    /// the emitted log and feeds it back to this proposer's clients.
+    pub(crate) fn emit_commit(&mut self, entry: CommittedVertex, rotated: Vec<Event>) {
+        let (vref, now) = (entry.vertex, entry.committed_at);
+        for ev in rotated {
+            self.cfg
+                .telemetry
+                .add(counters::ELECTION_EPOCH_ROTATIONS, 1);
+            self.cfg.telemetry.event(now, self.cfg.me, ev);
         }
         self.cfg.telemetry.event(
             now,
@@ -777,18 +780,6 @@ impl SailfishNode {
             },
         );
         self.committed_log.push(entry);
-        if origin == CommitOrigin::Ordered {
-            self.cfg.telemetry.add(counters::COMMIT_VERTICES, 1);
-            if self.executor.is_some()
-                && self
-                    .rbc
-                    .config()
-                    .topology_at(vref.round)
-                    .receives_full(self.cfg.me, vref.source)
-            {
-                self.exec_queue.push_back(vref);
-            }
-        }
         // Commit feedback for our own proposals: closed-loop clients submit
         // their next transaction the moment the previous commits.
         if vref.source == self.cfg.me {
@@ -796,10 +787,6 @@ impl SailfishNode {
                 ingress.on_committed(vref, now);
             }
         }
-    }
-
-    pub(crate) fn next_commit_seq(&self) -> u64 {
-        self.commit_seq_base + self.committed_log.len() as u64
     }
 
     fn try_execute(&mut self, now: Micros) {
@@ -895,10 +882,6 @@ impl SailfishNode {
         tel.gauge(counters::BUF_RBC_PENDING_PULLS, rbc.pending_pulls);
         tel.gauge(counters::BUF_DAG_PENDING, self.dag.pending_count() as u64);
         tel.gauge(counters::BUF_DAG_ROUNDS, self.dag.round_span() as u64);
-        tel.gauge(
-            counters::BUF_EVIDENCE_BACKLOG,
-            (self.evidence.len() as u64).saturating_add(rbc.evidence_backlog),
-        );
         if let Some(ingress) = &self.ingress {
             tel.gauge(counters::BUF_MEMPOOL_DEPTH, ingress.pool().depth() as u64);
         }
@@ -950,6 +933,10 @@ impl SailfishNode {
                     let vertex = Arc::clone(meta.arc());
                     self.process_vertex(vertex, digest, &mut intake, ctx.now(), &mut votes);
                 }
+                RbcEvent::Evidence(ev) => {
+                    // The engine already counted and traced it.
+                    self.keep_evidence(ev, false);
+                }
                 RbcEvent::EchoQuorum { .. } => {}
             }
             intake_charge += intake.charge;
@@ -965,7 +952,6 @@ impl SailfishNode {
             ctx.multicast(self.cfg.tribe.parties(), msg);
         }
         ctx.charge(intake_charge);
-        self.absorb_rbc_evidence();
         self.try_advance(ctx);
     }
 
@@ -1096,7 +1082,6 @@ impl Protocol<ConsensusMsg> for SailfishNode {
                     // nothing: no vertex came in, so no round can have
                     // completed (`try_advance` runs wherever one can).
                     ctx.charge(fx.charge);
-                    self.absorb_rbc_evidence();
                     return;
                 }
                 self.flush(fx, ctx);

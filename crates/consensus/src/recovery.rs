@@ -2,11 +2,17 @@
 //! state transfer, and epoch-based clan rotation.
 //!
 //! Durability contract (persist-before-send): every externally visible
-//! consensus action — proposal, leader vote, timeout announcement, commit —
-//! hits the WAL before its message leaves the node. A restarted node
-//! therefore cannot equivocate (it re-broadcasts the identical persisted
-//! proposal), cannot double-vote, cannot vote after a no-vote, and resumes
-//! its commit sequence exactly where it stopped.
+//! consensus action — proposal, leader vote, timeout announcement, commit
+//! decision — hits the WAL before its message leaves the node. A restarted
+//! node therefore cannot equivocate (it re-broadcasts the identical
+//! persisted proposal), cannot double-vote, cannot vote after a no-vote, and
+//! resumes its commit sequence exactly where it stopped.
+//!
+//! The WAL records decisions and replay derives their consequences: a
+//! commit record names the vertices one decision ordered, and replaying it
+//! runs the same state step ([`SailfishNode::fold_commit`]) the live node
+//! ran, so the sequence numbers, the liveness table and the epoch-rotation
+//! decisions come out as they were — without being logged themselves.
 //!
 //! Recovery layers, cheapest first:
 //!
@@ -29,13 +35,13 @@
 //!    member loses its seat without the pipeline ever stopping.
 
 use crate::messages::{CommittedRec, ConsensusMsg};
-use crate::node::{new_ingress, CommitOrigin, CommittedVertex, SailfishNode};
+use crate::node::{new_ingress, CommittedVertex, SailfishNode};
 use crate::payload::MergedPayload;
 use clanbft_committee::rotate_single_clan;
 use clanbft_crypto::Digest;
 use clanbft_rbc::{ClanTopology, Effects};
-use clanbft_simnet::protocol::{Ctx, Message};
-use clanbft_storage::{Checkpoint, EpochEntry, Recovered, WalRecord};
+use clanbft_simnet::protocol::Ctx;
+use clanbft_storage::{Checkpoint, EpochEntry, ProposalEntry, Recovered, WalRecord};
 use clanbft_telemetry::{counters, Event};
 use clanbft_types::{Micros, PartyId, Round, Vertex, VertexRef};
 use std::collections::{HashMap, HashSet};
@@ -111,16 +117,13 @@ impl SailfishNode {
         for record in rec.records {
             self.apply_record(record);
         }
-        // Epoch decisions were logged at every boundary (changed or not), so
-        // the replayed list alone positions the next decision.
-        self.next_epoch = self.epochs.last().map(|e| e.epoch + 1).unwrap_or(1);
         self.rbc.note_round(self.current_round);
     }
 
     fn apply_checkpoint(&mut self, cp: Checkpoint) {
         self.current_round = cp.current_round;
         self.last_committed = cp.last_committed;
-        self.commit_seq_base = cp.commit_seq;
+        self.commit_seq = cp.commit_seq;
         self.last_checkpoint_round = cp.last_committed.map(|r| r.0).unwrap_or(0);
         self.next_seq = cp.next_tx_seq;
         self.stopped_proposing = cp.stopped_proposing;
@@ -129,16 +132,17 @@ impl SailfishNode {
         if cp.committed_round_by.len() == self.cfg.tribe.n() {
             self.committed_round_by = cp.committed_round_by;
         }
+        // Decisions from before the WAL was rotated cannot be re-derived:
+        // the checkpoint carries them, and replay decides from the next.
         for entry in cp.epochs {
             self.install_epoch_entry(entry);
         }
+        self.next_epoch = self.epochs.last().map_or(1, |e| e.epoch + 1);
         for ev in cp.evidence {
             self.keep_evidence(ev, true);
         }
         if let Some(p) = cp.last_proposal {
-            self.blocks
-                .insert(p.vertex.reference(), Arc::new(p.block.clone()));
-            self.last_proposal = Some(p);
+            self.restore_proposal(p);
         }
         // Raise the DAG horizon to the snapshot's floor first: vertices at
         // the floor reference parents the checkpoint intentionally dropped,
@@ -159,15 +163,12 @@ impl SailfishNode {
     fn apply_record(&mut self, record: WalRecord) {
         match record {
             WalRecord::Proposed {
-                vertex,
-                block,
+                proposal,
                 next_tx_seq,
             } => {
-                self.current_round = self.current_round.max(vertex.round);
+                self.current_round = self.current_round.max(proposal.vertex.round);
                 self.next_seq = self.next_seq.max(next_tx_seq);
-                self.blocks
-                    .insert(vertex.reference(), Arc::new(block.clone()));
-                self.last_proposal = Some(clanbft_storage::ProposalEntry { vertex, block });
+                self.restore_proposal(proposal);
             }
             WalRecord::Voted { round } => {
                 self.voted.insert(round);
@@ -181,45 +182,32 @@ impl SailfishNode {
                 self.dag.insert_shared(Arc::new(vertex), None);
             }
             WalRecord::Committed {
-                sequence,
-                vertex,
-                block_digest,
-                block_tx_count,
                 leader_round,
+                vertices,
             } => {
-                // The record carries neither the wire size nor the commit
-                // time; a replayed entry is not re-emitted, so neither is
-                // read.
-                let entry = CommittedVertex {
-                    sequence,
-                    vertex,
-                    block_digest,
-                    block_bytes: 0,
-                    block_tx_count,
-                    committed_at: Micros::ZERO,
-                    leader_round,
-                };
-                self.fold_commit(entry, CommitOrigin::Replayed);
+                // Only the state step runs: the incarnation that committed
+                // these emitted them, and traced the rotations re-decided
+                // here.
+                for vref in vertices {
+                    self.fold_commit(vref, leader_round);
+                }
             }
             WalRecord::Evidence { evidence } => {
                 self.keep_evidence(evidence, true);
             }
-            WalRecord::EpochDecided {
-                epoch,
-                from_round,
-                clans,
-            } => {
-                self.install_epoch_entry(EpochEntry {
-                    epoch,
-                    from_round,
-                    clans,
-                });
-            }
         }
     }
 
-    /// Installs a decided epoch's topology into the RBC engine and records
-    /// the decision (idempotent per `from_round`; replay-safe).
+    /// Restores this node's own newest proposal: its block is held again,
+    /// and it is what a restart re-broadcasts.
+    fn restore_proposal(&mut self, p: ProposalEntry) {
+        self.blocks
+            .insert(p.vertex.reference(), Arc::new(p.block.clone()));
+        self.last_proposal = Some(p);
+    }
+
+    /// Installs a checkpointed epoch decision's topology into the RBC engine
+    /// and records the decision.
     fn install_epoch_entry(&mut self, entry: EpochEntry) {
         let tribe = self.cfg.tribe;
         let topo = if entry.clans.len() <= 1 {
@@ -244,9 +232,7 @@ impl SailfishNode {
             )
         };
         self.rbc.install_epoch(entry.from_round, Arc::new(topo));
-        self.epochs.retain(|e| e.from_round != entry.from_round);
         self.epochs.push(entry);
-        self.epochs.sort_by_key(|e| e.from_round);
     }
 
     // --- post-restart resumption (the first networked step) ----------------
@@ -267,7 +253,7 @@ impl SailfishNode {
             Event::RecoveryCompleted {
                 round: self.current_round,
                 wal_records: self.recovered_records,
-                commit_seq: self.next_commit_seq(),
+                commit_seq: self.commit_seq,
                 duration_us: started.elapsed().as_micros() as u64,
             },
         );
@@ -299,7 +285,7 @@ impl SailfishNode {
         // frontiers travel with the request: rounds for the DAG window,
         // sequences for the committed-order suffix.
         let from = Round(self.current_round.0.saturating_sub(CATCHUP_ROUNDS));
-        let next_seq = self.next_commit_seq();
+        let next_seq = self.commit_seq;
         self.catchup = Some(CatchupState {
             from_round: from.0,
             vertices: HashMap::new(),
@@ -398,10 +384,6 @@ impl SailfishNode {
                 vertices: vs,
                 committed: cs,
             };
-            self.cfg.telemetry.add(counters::STATE_TRANSFER_CHUNKS, 1);
-            self.cfg
-                .telemetry
-                .add(counters::STATE_TRANSFER_BYTES, chunk.wire_bytes() as u64);
             ctx.send(from, chunk);
         }
     }
@@ -471,7 +453,8 @@ impl SailfishNode {
 
         // 1. The committed-order suffix: adopt agreed entries in sequence
         //    order, stopping at the first gap — the local total order must
-        //    extend contiguously or not at all.
+        //    extend contiguously or not at all. The suffix is one commit
+        //    decision, durable before its first entry folds.
         let mut entries: Vec<CommittedRec> = cat
             .commits
             .into_iter()
@@ -479,23 +462,39 @@ impl SailfishNode {
             .map(|(c, _)| c)
             .collect();
         entries.sort_by_key(|c| c.sequence);
+        let mut adopted = Vec::new();
         for entry in entries {
-            if entry.sequence < self.next_commit_seq() {
+            let next = self.commit_seq + adopted.len() as u64;
+            if entry.sequence < next {
                 continue; // Already had it.
             }
-            if entry.sequence > self.next_commit_seq() {
+            if entry.sequence > next {
                 break; // Gap: responders could not agree on the middle.
             }
+            adopted.push(entry);
+        }
+        let top = adopted.iter().map(|c| c.leader_round).max();
+        if let Some(leader_round) = top.filter(|_| self.storage.is_some()) {
+            self.log_wal(&WalRecord::Committed {
+                leader_round,
+                vertices: adopted.iter().map(|c| c.vertex).collect(),
+            });
+        }
+        for c in adopted {
+            // Emitted like a local commit, but its block is not queued for
+            // execution and `commit.vertices` (vertices ordered *here*)
+            // does not count it.
+            let (sequence, rotated) = self.fold_commit(c.vertex, c.leader_round);
             let entry = CommittedVertex {
-                sequence: entry.sequence,
-                vertex: entry.vertex,
-                block_digest: entry.block_digest,
-                block_bytes: entry.block_bytes,
-                block_tx_count: entry.block_tx_count,
+                sequence,
+                vertex: c.vertex,
+                block_digest: c.block_digest,
+                block_bytes: c.block_bytes,
+                block_tx_count: c.block_tx_count,
                 committed_at: now,
-                leader_round: entry.leader_round,
+                leader_round: c.leader_round,
             };
-            self.fold_commit(entry, CommitOrigin::Adopted);
+            self.emit_commit(entry, rotated);
         }
 
         // 2. The live DAG window, parents first. When the window floor is
@@ -618,7 +617,7 @@ impl SailfishNode {
         let cp = Checkpoint {
             current_round: self.current_round,
             last_committed: self.last_committed,
-            commit_seq: self.next_commit_seq(),
+            commit_seq: self.commit_seq,
             next_tx_seq: self.next_seq,
             stopped_proposing: self.stopped_proposing,
             voted,
@@ -642,28 +641,32 @@ impl SailfishNode {
     /// Decides every epoch whose boundary the given committed round has
     /// reached. Called per ordered vertex *before* that vertex folds into
     /// the liveness table: the decision point is a fixed position of the
-    /// agreed sequence, so all honest parties decide on identical state.
+    /// agreed sequence, so all honest parties decide on identical state —
+    /// and so does WAL replay, which is why decisions are not logged.
+    /// Returns the `EpochRotated` events of the decisions that replaced a
+    /// member, for the caller to trace or, on replay, to drop.
     ///
     /// Epoch `e` (1-based) governs rounds from `e * epoch_length`; its
     /// decision fires once the order reaches a vertex of round
     /// `e * epoch_length − epoch_length / 2` — the half-epoch slack absorbs
     /// commit lag so the new topology is installed before it takes effect.
-    pub(crate) fn decide_epochs_up_to(&mut self, committed_round: Round, now: Micros) {
+    pub(crate) fn decide_epochs_up_to(&mut self, committed_round: Round) -> Vec<Event> {
+        let mut rotated = Vec::new();
         let Some(len) = self.cfg.epoch_length else {
-            return;
+            return rotated;
         };
         loop {
             let epoch = self.next_epoch;
             let boundary = epoch * len - len / 2;
             if committed_round.0 < boundary {
-                return;
+                return rotated;
             }
             self.next_epoch = epoch + 1;
-            self.decide_epoch(epoch, boundary, Round(epoch * len), now);
+            rotated.extend(self.decide_epoch(epoch, boundary, Round(epoch * len)));
         }
     }
 
-    fn decide_epoch(&mut self, epoch: u64, boundary: u64, from_round: Round, now: Micros) {
+    fn decide_epoch(&mut self, epoch: u64, boundary: u64, from_round: Round) -> Option<Event> {
         let tribe = self.cfg.tribe;
         let latest = Arc::clone(self.rbc.config().topology_at(Round(u64::MAX)));
         // Rotation applies to the single-clan variant with outsiders to
@@ -685,39 +688,24 @@ impl SailfishNode {
                 .map(|c| latest.clan(c).members.iter().map(|p| p.0).collect())
                 .collect(),
         };
-        // Log the decision even when membership is unchanged: replay counts
-        // decided epochs from these records, so every boundary leaves one.
-        if self.storage.is_some() {
-            self.log_wal(&WalRecord::EpochDecided {
-                epoch,
-                from_round,
-                clans: clans.clone(),
-            });
-        }
-        if let Some(rot) = rotation {
+        let rotated = rotation.map(|rot| {
             let replaced = rot.added.len() as u64;
             self.rbc.install_epoch(
                 from_round,
                 Arc::new(ClanTopology::single_clan(tribe, rot.members)),
             );
-            self.cfg
-                .telemetry
-                .add(counters::ELECTION_EPOCH_ROTATIONS, 1);
-            self.cfg.telemetry.event(
-                now,
-                self.cfg.me,
-                Event::EpochRotated {
-                    epoch,
-                    from_round,
-                    replaced,
-                },
-            );
-        }
+            Event::EpochRotated {
+                epoch,
+                from_round,
+                replaced,
+            }
+        });
         self.epochs.push(EpochEntry {
             epoch,
             from_round,
             clans,
         });
+        rotated
     }
 
     // --- rotation-aware proposer duties -------------------------------------

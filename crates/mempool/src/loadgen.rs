@@ -316,12 +316,6 @@ impl ClientIngress {
         };
         let pulled = self.pool.pull(chosen, now);
         self.telemetry
-            .record(counters::MEMPOOL_BATCH_SIZE, pulled.len() as u64);
-        if let Some(occupancy) = (pulled.len() * 100).checked_div(chosen) {
-            self.telemetry
-                .record(counters::MEMPOOL_BATCH_OCCUPANCY, occupancy as u64);
-        }
-        self.telemetry
             .gauge(counters::BUF_MEMPOOL_DEPTH, self.pool.depth() as u64);
         self.last_pulled = pulled;
         &self.last_pulled

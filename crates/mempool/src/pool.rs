@@ -187,19 +187,16 @@ impl Mempool {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(_) if tracked >= self.cfg.max_clients => {
                 self.stats.rejected_client_cap += 1;
-                self.telemetry.add(counters::MEMPOOL_REJECTED_CLIENT_CAP, 1);
                 return Err(AdmitError::ClientTableFull);
             }
             Entry::Vacant(_) => 0,
         };
         if sub.seq < expected {
             self.stats.rejected_duplicate += 1;
-            self.telemetry.add(counters::MEMPOOL_REJECTED_DUPLICATE, 1);
             return Err(AdmitError::Duplicate);
         }
         if sub.seq > expected {
             self.stats.rejected_gap += 1;
-            self.telemetry.add(counters::MEMPOOL_REJECTED_GAP, 1);
             return Err(AdmitError::Gap { expected });
         }
         if depth >= self.cfg.capacity_txs
@@ -239,8 +236,6 @@ impl Mempool {
             }
         }
         self.stats.pulled += out.len() as u64;
-        self.telemetry
-            .add(counters::MEMPOOL_PULLED, out.len() as u64);
         out
     }
 }
@@ -363,7 +358,7 @@ mod tests {
         assert_eq!(p.depth(), 2);
         let h = rec.histogram(counters::MEMPOOL_QUEUE_DELAY).unwrap();
         assert_eq!(h.count(), 3);
-        assert_eq!(rec.counter(counters::MEMPOOL_PULLED), 3);
+        assert_eq!(p.stats().pulled, 3);
         assert_eq!(rec.counter(counters::MEMPOOL_ADMITTED), 5);
     }
 }

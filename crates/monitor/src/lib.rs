@@ -51,9 +51,7 @@ use std::sync::{Arc, Mutex};
 ///
 /// Wire-up: for each party, tee `monitor.probe(party)` into the node's
 /// telemetry so party-anonymous gauge/counter/histogram samples arrive
-/// attributed. A handle that speaks for no single party gets
-/// `monitor.observer()` instead: its events (which carry their own party)
-/// still arrive.
+/// attributed.
 ///
 /// The bank sits behind a mutex. In the single-threaded simulator the lock
 /// is never contended; under the threaded live transport it serialises the
@@ -92,17 +90,7 @@ impl HealthMonitor {
     pub fn probe(&self, party: PartyId) -> Arc<dyn Recorder> {
         Arc::new(Probe {
             monitor: self.clone(),
-            party: Some(party),
-        })
-    }
-
-    /// An event-only recorder for a telemetry handle that speaks for no
-    /// single party: events flow to the detectors, metric samples are
-    /// dropped because they cannot be attributed to a party.
-    pub fn observer(&self) -> Arc<dyn Recorder> {
-        Arc::new(Probe {
-            monitor: self.clone(),
-            party: None,
+            party,
         })
     }
 
@@ -139,31 +127,28 @@ impl HealthMonitor {
     }
 }
 
-/// The monitor's tap on a telemetry handle: events always reach the bank;
-/// metric samples reach it attributed to `party`, or not at all when the
-/// handle has no party to attribute them to.
+/// The monitor's tap on one party's telemetry handle: metric samples reach
+/// the bank attributed to `party`, events with their own stamp party.
 struct Probe {
     monitor: HealthMonitor,
-    party: Option<PartyId>,
+    party: PartyId,
 }
 
 impl Recorder for Probe {
     fn record(&self, metric: &'static str, value: u64) {
-        if let Some(party) = self.party {
-            self.monitor.lock().observe_histogram(party, metric, value);
-        }
+        self.monitor
+            .lock()
+            .observe_histogram(self.party, metric, value);
     }
 
     fn add(&self, counter: &'static str, delta: u64) {
-        if let Some(party) = self.party {
-            self.monitor.lock().observe_counter(party, counter, delta);
-        }
+        self.monitor
+            .lock()
+            .observe_counter(self.party, counter, delta);
     }
 
     fn gauge(&self, gauge: &'static str, value: u64) {
-        if let Some(party) = self.party {
-            self.monitor.lock().observe_gauge(party, gauge, value);
-        }
+        self.monitor.lock().observe_gauge(self.party, gauge, value);
     }
 
     fn event(&self, at: Micros, party: PartyId, event: Event) {
@@ -217,21 +202,6 @@ mod tests {
             },
         );
         assert!(monitor.with_bank(|b| b.is_active(Detector::EvidenceSpike, PartyId(3))));
-    }
-
-    #[test]
-    fn observer_drops_metrics_keeps_events() {
-        let monitor = HealthMonitor::default();
-        monitor.expect_parties(2);
-        let obs = monitor.observer();
-        obs.gauge(clanbft_telemetry::counters::BUF_DAG_PENDING, 10_000);
-        assert!(monitor.alerts().is_empty());
-        obs.event(
-            Micros::from_millis(10),
-            PartyId(1),
-            Event::RoundEntered { round: Round(1) },
-        );
-        assert_eq!(monitor.with_bank(|b| b.max_round()), 1);
     }
 
     #[test]
@@ -427,9 +397,9 @@ mod tests {
             }
         }
 
-        // Offline replay sees the events only, through the event-only
-        // observer: the event-driven detectors must agree with a monitor
-        // fed the same events online.
+        // Offline replay sees the events only: the event-driven detectors
+        // must agree with a monitor fed the same events online (through one
+        // probe: an event keeps its own stamp party).
         let events: Vec<Stamped> = run
             .iter()
             .filter_map(|s| match s {
@@ -440,9 +410,9 @@ mod tests {
         let replayed = replay_events(&events, 4, MonitorConfig::default());
         let observed = HealthMonitor::default();
         observed.expect_parties(4);
-        let obs = observed.observer();
+        let probe = observed.probe(PartyId(0));
         for s in &events {
-            obs.event(s.at, s.party, s.event.clone());
+            probe.event(s.at, s.party, s.event.clone());
         }
         observed.settle();
         assert_eq!(observed.alerts_ndjson(), ndjson(replayed.alerts()));

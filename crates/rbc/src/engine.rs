@@ -23,9 +23,6 @@ pub const MAX_PULL_ATTEMPTS: u8 = 6;
 /// a Byzantine source allocate unboundedly.
 pub const MAX_DIGESTS_PER_INSTANCE: usize = 4;
 
-/// Evidence records retained per engine (telemetry still counts overflow).
-pub const EVIDENCE_CAP: usize = 256;
-
 /// Rounds above the local round (the engine's round hint, the consensus
 /// layer's current round) that are still admitted; any message further in
 /// the future is rejected (`rejected.buffer_full`), so a Byzantine peer
@@ -189,6 +186,9 @@ pub enum RbcEvent<P: TribePayload> {
         /// The meta view.
         meta: P::Meta,
     },
+    /// Misbehaviour this party proved against an instance's source (once
+    /// per instance; already counted and traced).
+    Evidence(Evidence),
 }
 
 /// Who receives one outgoing packet. The engines only ever address one
@@ -758,8 +758,6 @@ pub struct BufferStats {
     pub echo_digests: u64,
     /// Undelivered instances with an armed pull-retry chain.
     pub pending_pulls: u64,
-    /// Evidence records accumulated and not yet drained by the node layer.
-    pub evidence_backlog: u64,
 }
 
 /// How an echo quorum becomes a certificate — the one step in which the
@@ -806,8 +804,6 @@ pub struct TribeRbc<P: TribePayload> {
     /// broadcasts, certifications, consensus round advances). The
     /// admission window extends [`ROUND_WINDOW`] beyond it.
     round_hint: Round,
-    /// Recorded Byzantine conflicts, drained by the node layer.
-    evidence: Vec<Evidence>,
 }
 
 impl<P: TribePayload> TribeRbc<P> {
@@ -821,7 +817,6 @@ impl<P: TribePayload> TribeRbc<P> {
             },
             horizon: Round(0),
             round_hint: Round(0),
-            evidence: Vec::new(),
         }
     }
 
@@ -871,17 +866,9 @@ impl<P: TribePayload> TribeRbc<P> {
         }
     }
 
-    /// Drains the Byzantine evidence recorded so far.
-    pub fn take_evidence(&mut self) -> Vec<Evidence> {
-        std::mem::take(&mut self.evidence)
-    }
-
     /// Live occupancy of the bounded buffers (see [`BufferStats`]).
     pub fn buffer_stats(&self) -> BufferStats {
-        let mut stats = BufferStats {
-            evidence_backlog: self.evidence.len() as u64,
-            ..BufferStats::default()
-        };
+        let mut stats = BufferStats::default();
         for inst in self.slots.iter() {
             stats.instances += 1;
             stats.echo_digests += inst.echo_tallies().count() as u64;
@@ -1065,8 +1052,9 @@ impl<P: TribePayload> TribeRbc<P> {
         !std::mem::replace(&mut cold.evidence_logged, true)
     }
 
-    /// Counts + stores one evidence record (callers dedup per instance).
-    fn record_evidence(&mut self, ev: Evidence, fx: &Effects<P>) {
+    /// Counts, traces and hands up one evidence record (callers dedup per
+    /// instance).
+    fn record_evidence(&mut self, ev: Evidence, fx: &mut Effects<P>) {
         let tel = &self.cfg.telemetry;
         tel.add(counters::EVIDENCE_RECORDED, 1);
         tel.event(
@@ -1078,9 +1066,7 @@ impl<P: TribePayload> TribeRbc<P> {
                 culprit: ev.culprit(),
             },
         );
-        if self.evidence.len() < EVIDENCE_CAP {
-            self.evidence.push(ev);
-        }
+        fx.events.push(RbcEvent::Evidence(ev));
     }
 
     /// Records that `source` stands behind two digests in `round`, once per
@@ -1091,7 +1077,7 @@ impl<P: TribePayload> TribeRbc<P> {
         source: PartyId,
         first: Digest,
         second: Digest,
-        fx: &Effects<P>,
+        fx: &mut Effects<P>,
     ) -> bool {
         if !self.first_evidence(round, source) {
             return false;

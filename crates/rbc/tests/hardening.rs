@@ -15,7 +15,7 @@ use clanbft_rbc::{
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::net::{SimConfig, Simulator};
 use clanbft_telemetry::{counters, MemRecorder, Telemetry};
-use clanbft_types::{Micros, PartyId, Round, TribeParams};
+use clanbft_types::{Evidence, Micros, PartyId, Round, TribeParams};
 use std::sync::Arc;
 
 const PULL_RETRY: Micros = Micros(400_000);
@@ -24,6 +24,8 @@ struct Rig {
     engine: TribeRbc<BytesPayload>,
     auths: Vec<Arc<Authenticator>>,
     rec: Arc<MemRecorder>,
+    /// Evidence handed up in the effects of every [`handle`] call so far.
+    evidence: Vec<Evidence>,
 }
 
 fn rig(n: usize, me: u32) -> Rig {
@@ -43,7 +45,12 @@ fn rig_on(topology: Arc<ClanTopology>, me: u32) -> Rig {
     cfg.telemetry = telemetry;
     cfg.pull_retry = PULL_RETRY;
     let engine = TribeRbc::signed(cfg, Arc::clone(&auths[me as usize]));
-    Rig { engine, auths, rec }
+    Rig {
+        engine,
+        auths,
+        rec,
+        evidence: Vec::new(),
+    }
 }
 
 fn packet(source: u32, round: u64, msg: RbcMsg<BytesPayload>) -> RbcPacket<BytesPayload> {
@@ -61,6 +68,11 @@ fn payload() -> BytesPayload {
 fn handle(rig: &mut Rig, from: u32, pkt: RbcPacket<BytesPayload>) -> Effects<BytesPayload> {
     let mut fx = Effects::at(Micros(1));
     rig.engine.handle(PartyId(from), &pkt, &mut fx);
+    rig.evidence
+        .extend(fx.events.iter().filter_map(|e| match e {
+            RbcEvent::Evidence(ev) => Some(*ev),
+            _ => None,
+        }));
     fx
 }
 
@@ -274,7 +286,7 @@ fn per_instance_digest_tracking_is_capped() {
         3,
         "digests beyond the cap must be rejected"
     );
-    let ev = r.engine.take_evidence();
+    let ev = std::mem::take(&mut r.evidence);
     assert_eq!(ev.len(), 1, "echo divergence is evidence, recorded once");
     assert_eq!(ev[0].culprit(), PartyId(0), "attributed to the source");
 }
@@ -299,7 +311,8 @@ fn equivocating_source_spills_tallies_up_to_the_cap() {
         let digests: Vec<Digest> = (0..k as u8).map(|i| Digest::of(&[0xE0, i])).collect();
         for d in &digests {
             let fx = feed_echo_of(&mut r, 2, 1, *d);
-            assert!(fx.out.is_empty() && fx.events.is_empty());
+            let evidence_only = |e: &RbcEvent<_>| matches!(e, RbcEvent::Evidence(_));
+            assert!(fx.out.is_empty() && fx.events.iter().all(evidence_only));
         }
         let tracked = k.min(MAX_DIGESTS_PER_INSTANCE);
         assert_eq!(
@@ -313,8 +326,8 @@ fn equivocating_source_spills_tallies_up_to_the_cap() {
             "k={k}: only the digest past the cap is refused"
         );
         assert_eq!(
-            r.engine.take_evidence(),
-            vec![clanbft_types::Evidence::EquivocatingSource {
+            std::mem::take(&mut r.evidence),
+            vec![Evidence::EquivocatingSource {
                 round: Round(1),
                 source: PartyId(0),
                 first: digests[0],
@@ -339,7 +352,7 @@ fn equivocating_source_spills_tallies_up_to_the_cap() {
             });
         }
         assert_eq!(cert, Some((winner, 5)), "k={k}");
-        assert!(r.engine.take_evidence().is_empty(), "evidenced once");
+        assert!(std::mem::take(&mut r.evidence).is_empty(), "evidenced once");
     }
 }
 

@@ -10,7 +10,7 @@ use clanbft_rbc::{
 };
 use clanbft_simnet::cost::CostModel;
 use clanbft_telemetry::{counters, MemRecorder, Telemetry};
-use clanbft_types::{Micros, PartyId, Round, TribeParams};
+use clanbft_types::{Evidence, Micros, PartyId, Round, TribeParams};
 use std::sync::Arc;
 
 /// A 4-party whole-tribe engine for `me`, with an in-memory recorder.
@@ -18,6 +18,8 @@ struct Rig {
     engine: TribeRbc<BytesPayload>,
     auths: Vec<Arc<Authenticator>>,
     rec: Arc<MemRecorder>,
+    /// Evidence handed up in the effects of every [`handle`] call so far.
+    evidence: Vec<Evidence>,
 }
 
 fn rig(n: usize, me: u32, clan: Option<Vec<u32>>) -> Rig {
@@ -38,7 +40,12 @@ fn rig(n: usize, me: u32, clan: Option<Vec<u32>>) -> Rig {
     let mut cfg = EngineConfig::new(PartyId(me), topology, CostModel::free());
     cfg.telemetry = telemetry;
     let engine = TribeRbc::signed(cfg, Arc::clone(&auths[me as usize]));
-    Rig { engine, auths, rec }
+    Rig {
+        engine,
+        auths,
+        rec,
+        evidence: Vec::new(),
+    }
 }
 
 fn packet(source: u32, round: u64, msg: RbcMsg<BytesPayload>) -> RbcPacket<BytesPayload> {
@@ -67,6 +74,11 @@ fn echo(rig: &Rig, signer: u32, source: u32, round: u64) -> RbcMsg<BytesPayload>
 fn handle(rig: &mut Rig, from: u32, pkt: RbcPacket<BytesPayload>) -> Effects<BytesPayload> {
     let mut fx = Effects::at(Micros(1));
     rig.engine.handle(PartyId(from), &pkt, &mut fx);
+    rig.evidence
+        .extend(fx.events.iter().filter_map(|e| match e {
+            RbcEvent::Evidence(ev) => Some(*ev),
+            _ => None,
+        }));
     fx
 }
 
@@ -91,7 +103,7 @@ fn duplicate_val_is_a_counted_noop() {
         "duplicate VAL was absorbed silently"
     );
     assert!(
-        r.engine.take_evidence().is_empty(),
+        std::mem::take(&mut r.evidence).is_empty(),
         "duplicate is not equivocation"
     );
     assert_eq!(r.rec.counter(counters::REJECTED_EQUIVOCATION), 0);
@@ -216,7 +228,7 @@ fn duplicate_pull_resp_delivers_once() {
     assert!(fx2.events.is_empty(), "redundant PullResp re-delivered");
     assert!(fx2.out.is_empty());
     assert!(
-        r.engine.take_evidence().is_empty(),
+        std::mem::take(&mut r.evidence).is_empty(),
         "benign PullResp redundancy must not be treated as equivocation"
     );
 }
@@ -232,7 +244,7 @@ fn duplicate_val_meta_is_a_counted_noop() {
     let fx2 = handle(&mut r, 0, packet(0, 1, RbcMsg::ValMeta(meta)));
     assert!(fx2.out.is_empty() && fx2.events.is_empty());
     assert!(r.rec.counter(counters::REJECTED_DUPLICATE) > dup_before);
-    assert!(r.engine.take_evidence().is_empty());
+    assert!(std::mem::take(&mut r.evidence).is_empty());
 }
 
 #[test]
@@ -244,7 +256,7 @@ fn conflicting_direct_val_is_evidence_not_a_duplicate() {
     let other = BytesPayload::new(vec![0x77; 128]);
     handle(&mut r, 0, packet(0, 1, RbcMsg::Val(other.clone())));
     handle(&mut r, 0, packet(0, 1, RbcMsg::Val(other)));
-    let ev = r.engine.take_evidence();
+    let ev = std::mem::take(&mut r.evidence);
     assert_eq!(ev.len(), 1, "equivocation must be recorded exactly once");
     assert_eq!(ev[0].culprit(), PartyId(0));
     assert_eq!(r.rec.counter(counters::EVIDENCE_RECORDED), 1);

@@ -16,8 +16,9 @@
 use clanbft_types::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use clanbft_types::{Block, Evidence, Round, Vertex, VertexRef};
 
-/// Version tag; bumped if the snapshot layout ever changes. Version 1 had
-/// no evidence list: it still decodes, with none.
+/// Version tag; bumped if the snapshot layout ever changes. A storage
+/// directory is only ever read by the build that created it, so an older
+/// layout is refused like any other.
 const CHECKPOINT_VERSION: u32 = 2;
 
 /// The node's own last proposal, preserved verbatim so a recovered node
@@ -46,7 +47,9 @@ impl Decode for ProposalEntry {
     }
 }
 
-/// One decided epoch rotation (see `WalRecord::EpochDecided`).
+/// One decided epoch rotation: a checkpoint carries every decision taken
+/// before it, because the commits they were derived from are no longer in
+/// the WAL.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EpochEntry {
     /// The epoch number.
@@ -129,7 +132,7 @@ impl Encode for Checkpoint {
 impl Decode for Checkpoint {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let version = r.get_u32()?;
-        if version != 1 && version != CHECKPOINT_VERSION {
+        if version != CHECKPOINT_VERSION {
             return Err(DecodeError::Invalid("unknown checkpoint version"));
         }
         Ok(Checkpoint {
@@ -145,10 +148,7 @@ impl Decode for Checkpoint {
             ordered: Vec::<VertexRef>::decode(r)?,
             committed_round_by: Vec::<u64>::decode(r)?,
             epochs: Vec::<EpochEntry>::decode(r)?,
-            evidence: match version {
-                1 => Vec::new(),
-                _ => Vec::<Evidence>::decode(r)?,
-            },
+            evidence: Vec::<Evidence>::decode(r)?,
         })
     }
 }
@@ -196,23 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn version_1_decodes_without_evidence() {
-        let mut bytes = Checkpoint {
-            commit_seq: 41,
-            ..Checkpoint::default()
-        }
-        .to_bytes();
-        bytes[0] = 1;
-        bytes.truncate(bytes.len() - 4);
-        let back = Checkpoint::from_bytes(&bytes).expect("decode");
-        assert_eq!(back.commit_seq, 41);
-        assert!(back.evidence.is_empty());
-    }
-
-    #[test]
     fn version_mismatch_rejected() {
-        let mut bytes = Checkpoint::default().to_bytes();
-        bytes[0] = 99;
-        assert!(Checkpoint::from_bytes(&bytes).is_err());
+        for version in [1, 99] {
+            let mut bytes = Checkpoint::default().to_bytes();
+            bytes[0] = version;
+            assert!(Checkpoint::from_bytes(&bytes).is_err(), "version {version}");
+        }
     }
 }

@@ -2,37 +2,38 @@
 //!
 //! Each record is one tagged [`Encode`]/[`Decode`] value; the WAL frames it
 //! with a length prefix and CRC (see [`crate::wal`]). The record set covers
-//! exactly the state a crashed node must not forget:
+//! exactly the decisions a crashed node must not forget; everything that
+//! follows from them is re-derived on replay:
 //!
-//! * `Proposed` — the node's own broadcast for a round, with the full block
-//!   and the post-proposal client-tx sequence cursor. Written *before* the
-//!   first byte of the proposal leaves the node, so a recovered node can
-//!   re-broadcast the identical vertex instead of equivocating.
+//! * `Proposed` — the node's own broadcast for a round (the [`ProposalEntry`]
+//!   a recovered node restores) and the post-proposal client-tx sequence
+//!   cursor. Written *before* the first byte of the proposal leaves the
+//!   node, so a recovered node can re-broadcast the identical vertex instead
+//!   of equivocating.
 //! * `Voted` / `NoVoted` — the rounds this node signed a leader vote or a
 //!   timeout for; recovery suppresses conflicting signatures for those
 //!   rounds (vote/no-vote exclusivity survives the crash).
 //! * `Accepted` — an RBC-delivered, shape-validated vertex; replay rebuilds
 //!   the local DAG from these.
-//! * `Committed` — one commit-sequence advance; replay restores the commit
-//!   frontier so sequence numbers continue gap-free and nothing is re-acked.
+//! * `Committed` — one commit decision: the vertices a leader commit (or an
+//!   adopted state-transfer suffix) appended to the total order, in order,
+//!   durable whole or not at all. Replay derives their sequence numbers
+//!   from the checkpoint's frontier and re-derives the epoch-rotation
+//!   decisions they reach.
 //! * `Evidence` — one recorded Byzantine conflict; the next checkpoint
 //!   carries it on, so recorded conflicts survive restarts.
-//! * `EpochDecided` — a deterministic clan-rotation decision; replay
-//!   re-installs the epoch topology without re-running the vote.
 
-use clanbft_crypto::Digest;
+use crate::checkpoint::ProposalEntry;
 use clanbft_types::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use clanbft_types::{Block, Evidence, Round, Vertex, VertexRef};
+use clanbft_types::{Evidence, Round, Vertex, VertexRef};
 
 /// One durable consensus state transition.
 #[derive(Clone, Debug)]
 pub enum WalRecord {
-    /// Own proposal for `vertex.round` (persist-before-send).
+    /// Own proposal for `proposal.vertex.round` (persist-before-send).
     Proposed {
-        /// The proposed vertex.
-        vertex: Vertex,
-        /// The block the vertex's digest binds.
-        block: Block,
+        /// The proposed vertex and its block.
+        proposal: ProposalEntry,
         /// Client-tx sequence cursor *after* this proposal's batches.
         next_tx_seq: u64,
     },
@@ -51,33 +52,18 @@ pub enum WalRecord {
         /// The accepted vertex.
         vertex: Vertex,
     },
-    /// One vertex entered the total order.
+    /// One commit decision: `vertices` entered the total order, in order.
     Committed {
-        /// Its global sequence number.
-        sequence: u64,
-        /// The committed vertex.
-        vertex: VertexRef,
-        /// Digest of its block.
-        block_digest: Digest,
-        /// Transactions in the block.
-        block_tx_count: u64,
-        /// The leader round whose commit swept this vertex in.
+        /// The leader round whose commit swept them in (the highest adopted
+        /// one for a state-transfer suffix).
         leader_round: Round,
+        /// The committed vertices, in sequence order.
+        vertices: Vec<VertexRef>,
     },
     /// A Byzantine conflict observation.
     Evidence {
         /// The recorded evidence.
         evidence: Evidence,
-    },
-    /// A deterministic epoch-rotation decision (new clan layout effective
-    /// from `from_round`).
-    EpochDecided {
-        /// The decided epoch number.
-        epoch: u64,
-        /// First round governed by the new layout.
-        from_round: Round,
-        /// Clan member lists of the new layout.
-        clans: Vec<Vec<u32>>,
     },
 }
 
@@ -87,19 +73,16 @@ const TAG_NO_VOTED: u8 = 3;
 const TAG_ACCEPTED: u8 = 4;
 const TAG_COMMITTED: u8 = 5;
 const TAG_EVIDENCE: u8 = 6;
-const TAG_EPOCH: u8 = 7;
 
 impl Encode for WalRecord {
     fn encode(&self, w: &mut Writer) {
         match self {
             WalRecord::Proposed {
-                vertex,
-                block,
+                proposal,
                 next_tx_seq,
             } => {
                 w.put_u8(TAG_PROPOSED);
-                vertex.encode(w);
-                block.encode(w);
+                proposal.encode(w);
                 w.put_u64(*next_tx_seq);
             }
             WalRecord::Voted { round } => {
@@ -115,32 +98,16 @@ impl Encode for WalRecord {
                 vertex.encode(w);
             }
             WalRecord::Committed {
-                sequence,
-                vertex,
-                block_digest,
-                block_tx_count,
                 leader_round,
+                vertices,
             } => {
                 w.put_u8(TAG_COMMITTED);
-                w.put_u64(*sequence);
-                vertex.encode(w);
-                block_digest.encode(w);
-                w.put_u64(*block_tx_count);
                 leader_round.encode(w);
+                vertices.encode(w);
             }
             WalRecord::Evidence { evidence } => {
                 w.put_u8(TAG_EVIDENCE);
                 evidence.encode(w);
-            }
-            WalRecord::EpochDecided {
-                epoch,
-                from_round,
-                clans,
-            } => {
-                w.put_u8(TAG_EPOCH);
-                w.put_u64(*epoch);
-                from_round.encode(w);
-                clans.encode(w);
             }
         }
     }
@@ -150,8 +117,7 @@ impl Decode for WalRecord {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         match r.get_u8()? {
             TAG_PROPOSED => Ok(WalRecord::Proposed {
-                vertex: Vertex::decode(r)?,
-                block: Block::decode(r)?,
+                proposal: ProposalEntry::decode(r)?,
                 next_tx_seq: r.get_u64()?,
             }),
             TAG_VOTED => Ok(WalRecord::Voted {
@@ -164,19 +130,11 @@ impl Decode for WalRecord {
                 vertex: Vertex::decode(r)?,
             }),
             TAG_COMMITTED => Ok(WalRecord::Committed {
-                sequence: r.get_u64()?,
-                vertex: VertexRef::decode(r)?,
-                block_digest: Digest::decode(r)?,
-                block_tx_count: r.get_u64()?,
                 leader_round: Round::decode(r)?,
+                vertices: Vec::<VertexRef>::decode(r)?,
             }),
             TAG_EVIDENCE => Ok(WalRecord::Evidence {
                 evidence: Evidence::decode(r)?,
-            }),
-            TAG_EPOCH => Ok(WalRecord::EpochDecided {
-                epoch: r.get_u64()?,
-                from_round: Round::decode(r)?,
-                clans: Vec::<Vec<u32>>::decode(r)?,
             }),
             t => Err(DecodeError::InvalidTag(t)),
         }
@@ -186,7 +144,8 @@ impl Decode for WalRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clanbft_types::{Micros, PartyId, TxBatch};
+    use clanbft_crypto::Digest;
+    use clanbft_types::{Block, Micros, PartyId, TxBatch};
 
     fn sample_vertex() -> Vertex {
         let block = sample_block();
@@ -218,8 +177,10 @@ mod tests {
     fn all_variants_roundtrip() {
         let records = vec![
             WalRecord::Proposed {
-                vertex: sample_vertex(),
-                block: sample_block(),
+                proposal: ProposalEntry {
+                    vertex: sample_vertex(),
+                    block: sample_block(),
+                },
                 next_tx_seq: 12,
             },
             WalRecord::Voted { round: Round(4) },
@@ -228,14 +189,17 @@ mod tests {
                 vertex: sample_vertex(),
             },
             WalRecord::Committed {
-                sequence: 9,
-                vertex: VertexRef {
-                    round: Round(3),
-                    source: PartyId(1),
-                },
-                block_digest: Digest([7; 32]),
-                block_tx_count: 5,
                 leader_round: Round(4),
+                vertices: vec![
+                    VertexRef {
+                        round: Round(3),
+                        source: PartyId(1),
+                    },
+                    VertexRef {
+                        round: Round(4),
+                        source: PartyId(0),
+                    },
+                ],
             },
             WalRecord::Evidence {
                 evidence: Evidence::DoubleVote {
@@ -252,11 +216,6 @@ mod tests {
                     named_round: Round(u64::MAX),
                     named_source: PartyId(1),
                 },
-            },
-            WalRecord::EpochDecided {
-                epoch: 1,
-                from_round: Round(16),
-                clans: vec![vec![0, 2, 5]],
             },
         ];
         for rec in records {

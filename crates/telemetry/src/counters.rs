@@ -47,42 +47,19 @@ pub const EVENTS_DROPPED: &str = "events.dropped";
 
 // --- client ingress / mempool ---------------------------------------------
 //
-// Ticked by `clanbft-mempool`. Admission counters pair with the rejection
-// taxonomy above: every client submission lands in exactly one of
-// admitted / rejected.*, so load tests can assert conservation
-// (admitted == committed + still-queued + in-flight).
+// Ticked by `clanbft-mempool`. `MempoolStats` holds the whole admission
+// tally (admitted, pulled, and rejected by reason); these are the samples
+// read live.
 
 /// Transactions admitted into the mempool.
 pub const MEMPOOL_ADMITTED: &str = "mempool.admitted";
-
-/// Transactions pulled out of the mempool into proposals.
-pub const MEMPOOL_PULLED: &str = "mempool.pulled";
 
 /// Submissions rejected because the pool hit its transaction or byte
 /// capacity — the backpressure signal a real client sees as "retry later".
 pub const MEMPOOL_REJECTED_FULL: &str = "mempool.rejected.full";
 
-/// Submissions rejected as replays: the client's sequence number was
-/// already admitted (at-most-once admission).
-pub const MEMPOOL_REJECTED_DUPLICATE: &str = "mempool.rejected.duplicate";
-
-/// Submissions rejected for skipping ahead of the client's next expected
-/// sequence number (admission is gap-free per client).
-pub const MEMPOOL_REJECTED_GAP: &str = "mempool.rejected.gap";
-
-/// Submissions rejected because the per-client state table is at capacity —
-/// the bound that keeps a Sybil flood of fresh client ids from growing
-/// memory without limit.
-pub const MEMPOOL_REJECTED_CLIENT_CAP: &str = "mempool.rejected.client_cap";
-
 /// Histogram: admission → pull queueing delay, in microseconds.
 pub const MEMPOOL_QUEUE_DELAY: &str = "mempool.queue_delay_us";
-
-/// Histogram: batch size the dynamic sizer chose at each proposal.
-pub const MEMPOOL_BATCH_SIZE: &str = "mempool.batch_size";
-
-/// Histogram: percentage of the chosen batch size actually filled.
-pub const MEMPOOL_BATCH_OCCUPANCY: &str = "mempool.batch_occupancy_pct";
 
 // --- durability / recovery -------------------------------------------------
 //
@@ -118,12 +95,6 @@ pub const COMMIT_VERTICES: &str = "commit.vertices";
 /// `StateRequest` messages handled by peers (rate-limited like Pull).
 pub const STATE_TRANSFER_REQUESTS: &str = "state_transfer.requests";
 
-/// `StateChunk` messages sent by responding peers.
-pub const STATE_TRANSFER_CHUNKS: &str = "state_transfer.chunks";
-
-/// Payload bytes shipped inside state-transfer chunks.
-pub const STATE_TRANSFER_BYTES: &str = "state_transfer.bytes";
-
 /// Epoch boundaries at which the deterministic re-election actually
 /// replaced a dead clan member.
 pub const ELECTION_EPOCH_ROTATIONS: &str = "election.epoch_rotations";
@@ -131,9 +102,9 @@ pub const ELECTION_EPOCH_ROTATIONS: &str = "election.epoch_rotations";
 // --- bounded-buffer occupancy gauges -------------------------------------
 //
 // Sampled by the consensus node once per round entry; the health monitor's
-// buffer-growth detector reads them live, so an operator sees whether a
-// stall coincided with a full window, an echo-digest flood, a pull backlog
-// or a growing evidence queue.
+// buffer-growth detector reads every `buf.*` gauge by prefix, so an operator
+// sees whether a stall coincided with a full window, an echo-digest flood,
+// a pull backlog or a growing mempool.
 
 /// RBC instances tracked inside the round window.
 pub const BUF_RBC_INSTANCES: &str = "buf.rbc.instances";
@@ -149,9 +120,6 @@ pub const BUF_DAG_PENDING: &str = "buf.dag.pending";
 
 /// Rounds retained by the DAG (round-window occupancy).
 pub const BUF_DAG_ROUNDS: &str = "buf.dag.rounds";
-
-/// Evidence records held at the node layer (capped backlog).
-pub const BUF_EVIDENCE_BACKLOG: &str = "buf.evidence.backlog";
 
 /// Transactions queued in the mempool awaiting a proposal.
 pub const BUF_MEMPOOL_DEPTH: &str = "buf.mempool.depth";

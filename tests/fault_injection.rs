@@ -558,6 +558,131 @@ fn epoch_rotation_replaces_crashed_clan_member() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What a restart must give a node back, read off one incarnation.
+#[derive(Debug, PartialEq)]
+struct Durable {
+    /// The commit frontier: the sequence number its next commit gets.
+    frontier: u64,
+    last_committed: Option<Round>,
+    epochs: Vec<clanbft_storage::EpochEntry>,
+    evidence: Vec<clanbft_types::Evidence>,
+    round: Round,
+}
+
+impl Durable {
+    fn of(node: &clanbft_consensus::SailfishNode) -> Durable {
+        Durable {
+            frontier: node.commit_seq_base() + node.committed_log.len() as u64,
+            last_committed: node.last_committed(),
+            epochs: node.epoch_decisions().to_vec(),
+            evidence: node.evidence().to_vec(),
+            round: node.round(),
+        }
+    }
+}
+
+/// Steps `built`, run up to `p`'s crash, through `p`'s restart, and checks
+/// that the node rebuilt from its checkpoint and WAL holds what the crashed
+/// incarnation held, before it handles a message. Returns that state.
+fn assert_restart_replays(built: &mut clanbft_sim::BuiltTribe, p: PartyId) -> Durable {
+    assert!(!built.sim.node(p).recovered(), "{p} already restarted");
+    let frozen = Durable::of(built.sim.node(p));
+    while !built.sim.node(p).recovered() {
+        assert!(built.sim.step(), "{p} never restarted");
+    }
+    assert_eq!(
+        Durable::of(built.sim.node(p)),
+        frozen,
+        "{p}: replay diverged"
+    );
+    frozen
+}
+
+#[test]
+fn replay_rebuilds_the_state_the_node_crashed_with() {
+    // Three restarts, each compared with the incarnation that crashed: the
+    // WAL records commit decisions only, and replay derives the sequence
+    // numbers and the epoch decisions from them.
+    let dir = scratch("replay");
+
+    // The follower of `restarted_follower_recovers_from_wal`: WAL only.
+    let mut follower = TribeSpec::new(4);
+    follower.storage_root = Some(dir.join("follower"));
+    follower.txs_per_proposal = 40;
+    follower.max_round = Some(14);
+    follower.timeout = Micros::from_millis(1_200);
+    follower.crashes = vec![(PartyId(2), Micros::from_millis(900))];
+    follower.restarts = vec![(PartyId(2), Micros::from_millis(2_600))];
+    let mut built = build_tribe(&follower);
+    built.sim.run_until(Micros::from_millis(900));
+    let frozen = assert_restart_replays(&mut built, PartyId(2));
+    assert!(
+        frozen.frontier > 0,
+        "the follower crashed before committing"
+    );
+
+    // A clan member whose WAL continues a checkpoint.
+    let (telemetry, recorder) = clanbft_telemetry::Telemetry::mem();
+    let mut member = TribeSpec::new(10);
+    member.clans = Some(vec![[0u32, 2, 4, 6, 8].map(PartyId).to_vec()]);
+    member.storage_root = Some(dir.join("member"));
+    member.txs_per_proposal = 30;
+    member.max_round = Some(24);
+    member.timeout = Micros::from_millis(1_500);
+    member.crashes = vec![(PartyId(4), Micros::from_millis(3_000))];
+    member.restarts = vec![(PartyId(4), Micros::from_millis(5_500))];
+    member.telemetry = telemetry;
+    let mut built = build_tribe(&member);
+    built.sim.run_until(Micros::from_millis(3_000));
+    assert!(
+        recorder.counter(counters::CHECKPOINT_WRITTEN) > 0,
+        "no checkpoint before the crash"
+    );
+    assert_restart_replays(&mut built, PartyId(4));
+
+    // The rotation of `epoch_rotation_replaces_crashed_clan_member` on a
+    // WAL. Outsider p4 crashes after the decision that seats a replacement
+    // for p2 and before a checkpoint carries it: only its WAL holds the
+    // commits that decision was derived from.
+    let mut rotation = TribeSpec::new(7);
+    rotation.clans = Some(vec![[0u32, 1, 2].map(PartyId).to_vec()]);
+    rotation.storage_root = Some(dir.join("rotation"));
+    rotation.txs_per_proposal = 20;
+    rotation.max_round = Some(40);
+    rotation.timeout = Micros::from_millis(1_200);
+    rotation.epoch_length = Some(8);
+    rotation.crashes = vec![
+        (PartyId(2), Micros::from_millis(1_000)),
+        (PartyId(4), Micros::from_millis(3_500)),
+    ];
+    rotation.restarts = vec![(PartyId(4), Micros::from_millis(5_000))];
+    let mut built = build_tribe(&rotation);
+    built.sim.run_until(Micros::from_millis(3_500));
+    let (_, on_disk) = clanbft_storage::NodeStorage::open(
+        &dir.join("rotation/node-4"),
+        false,
+        clanbft_telemetry::Telemetry::null(),
+    )
+    .expect("p4's storage");
+    let checkpointed = on_disk.checkpoint.map_or(0, |cp| cp.epochs.len());
+    let frozen = assert_restart_replays(&mut built, PartyId(4));
+    assert!(
+        frozen.epochs[checkpointed..]
+            .iter()
+            .any(|e| !e.clans[0].contains(&2)),
+        "p4's WAL holds no rotation of p2: {frozen:?}"
+    );
+    built.sim.run_until(Micros::from_secs(600));
+    let reference = built.sim.node(PartyId(0)).epoch_decisions();
+    let rejoined = built.sim.node(PartyId(4)).epoch_decisions();
+    assert!(
+        rejoined.len() > frozen.epochs.len(),
+        "p4 decided no epoch after its restart"
+    );
+    assert_eq!(rejoined, reference, "p4 and p0 decided different epochs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn withholding_and_a_restart_alert_live_and_offline_then_clear() {
     // Single clan of 4 in a 7-party tribe on a WAL: clan member p1 (the

@@ -156,43 +156,110 @@ fn reader_sources(path: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Whether `text` names `Event::<variant>` as a whole path (not as the tail
-/// of another enum's name, nor as a prefix of a longer variant).
-fn names_variant(text: &str, variant: &str) -> bool {
-    let needle = format!("Event::{variant}");
+/// Whether `text` names `needle` as a whole path or identifier (not as the
+/// tail of another name, nor as a prefix of a longer one).
+fn names_whole(text: &str, needle: &str) -> bool {
     let ident = |c: char| c.is_alphanumeric() || c == '_';
-    text.match_indices(&needle).any(|(at, _)| {
+    text.match_indices(needle).any(|(at, _)| {
         let before = text[..at].chars().next_back();
         let after = text[at + needle.len()..].chars().next();
         !before.is_some_and(ident) && !after.is_some_and(ident)
     })
 }
 
-#[test]
-fn every_event_kind_has_a_reader() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+/// The concatenated sources of `readers` (paths relative to the repository
+/// root), each of which must exist.
+fn reader_text(readers: &[PathBuf]) -> String {
     let mut files = Vec::new();
-    for reader in READERS {
-        let path = root.join(reader);
-        assert!(path.exists(), "reader {reader} is missing");
-        reader_sources(&path, &mut files);
+    for path in readers {
+        assert!(path.exists(), "reader {} is missing", path.display());
+        reader_sources(path, &mut files);
     }
-    let text: String = files
+    files
         .iter()
         .map(|f| std::fs::read_to_string(f).unwrap_or_else(|e| panic!("{}: {e}", f.display())))
-        .collect();
+        .collect()
+}
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+#[test]
+fn every_event_kind_has_a_reader() {
+    let root = repo_root();
+    let text = reader_text(&READERS.map(|r| root.join(r)));
     let mut g = Gen::for_case(1, 0);
     let unread: Vec<String> = (0..Event::LABELS.len())
         .map(|v| {
             let debug = format!("{:?}", arbitrary_event(v, &mut g));
             debug.chars().take_while(|c| c.is_alphanumeric()).collect()
         })
-        .filter(|variant: &String| !names_variant(&text, variant))
+        .filter(|variant: &String| !names_whole(&text, &format!("Event::{variant}")))
         .collect();
     assert!(
         unread.is_empty(),
         "event kinds that no reader ({}) names as `Event::<variant>`: {unread:?}",
         READERS.join(", ")
+    );
+}
+
+/// Where a counter is read: the detectors, the reports, the experiment
+/// harness, the figures, the benchmark and every integration test. The
+/// crates that tick counters are not readers.
+const COUNTER_READERS: [&str; 6] = [
+    "crates/monitor/src",
+    "crates/inspect/src",
+    "crates/sim/src",
+    "crates/bench/src",
+    "benchmark/src",
+    "tests",
+];
+
+/// Counters read under another name than their identifier: the
+/// buffer-growth detector takes every `buf.*` gauge by prefix, and
+/// `MemRecorder::dropped_events`, which the benchmark calls, is
+/// `events.dropped`.
+const READ_THROUGH: [(&str, &str); 2] = [
+    ("buf.", r#"starts_with("buf.")"#),
+    ("events.dropped", "dropped_events"),
+];
+
+#[test]
+fn every_counter_has_a_reader() {
+    let root = repo_root();
+    let mut readers: Vec<PathBuf> = COUNTER_READERS.iter().map(|r| root.join(r)).collect();
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates directory");
+    let mut crate_tests: Vec<PathBuf> = crates
+        .map(|entry| entry.expect("directory entry").path().join("tests"))
+        .filter(|tests| tests.is_dir())
+        .collect();
+    crate_tests.sort();
+    readers.extend(crate_tests);
+    let text = reader_text(&readers);
+    let table = include_str!("../crates/telemetry/src/counters.rs");
+    let counters: Vec<(&str, &str)> = table
+        .lines()
+        .filter_map(|l| l.strip_prefix("pub const "))
+        .map(|l| {
+            let (ident, rest) = l.split_once(": &str = \"").expect("a named counter");
+            (ident, rest.trim_end_matches("\";"))
+        })
+        .collect();
+    assert!(counters.len() > 10, "the counter table did not parse");
+    let unread: Vec<&str> = counters
+        .iter()
+        .filter(|(ident, name)| {
+            let through = READ_THROUGH
+                .iter()
+                .any(|(prefix, needle)| name.starts_with(prefix) && text.contains(needle));
+            !through && !names_whole(&text, ident)
+        })
+        .map(|(_, name)| *name)
+        .collect();
+    assert!(
+        unread.is_empty(),
+        "counters that no reader mentions by identifier: {unread:?}"
     );
 }
 
