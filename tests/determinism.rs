@@ -464,8 +464,8 @@ fn sim_fingerprint(mut spec: TribeSpec, until: Micros, hash_trace: bool) -> SimF
 /// say so by re-pinning. (Re-pinned twice since: with the weak-edge rule —
 /// a weak edge only where the strong edges leave no path: the same events
 /// and messages, fewer vertex bytes, and more vertices committed by round
-/// 8 — and when the event kinds nothing read left the trace, which moved
-/// the trace hashes alone.)
+/// 8 — when the event kinds nothing read left the trace, which moved the
+/// trace hashes alone, and when the counters nothing read left the table.)
 #[test]
 fn host_path_is_invisible_to_the_simulation() {
     let n = 8;
@@ -490,11 +490,7 @@ fn host_path_is_invisible_to_the_simulation() {
             ],
             committed_log: "f7d1a74a5ecf6f1c5d7bdf53e43c101df6a92f8b46be0491ac55a7e8c67fe276"
                 .to_string(),
-            counters: vec![
-                ("commit.vertices", 488),
-                ("mempool.admitted", 1800),
-                ("mempool.pulled", 1800),
-            ],
+            counters: vec![("commit.vertices", 488), ("mempool.admitted", 1800),],
             trace: Some(
                 "fa36b78c5d8a8b973855030186116602805d13edbfef9217e44a633347b7a3d5".to_string()
             ),
@@ -525,11 +521,7 @@ fn host_path_is_invisible_to_the_simulation() {
             ],
             committed_log: "20aedb87fe763b8d3c2109c1eaa334ed1ae86a4a680712b55a982333bc68c8c3"
                 .to_string(),
-            counters: vec![
-                ("commit.vertices", 496),
-                ("mempool.admitted", 3600),
-                ("mempool.pulled", 3600),
-            ],
+            counters: vec![("commit.vertices", 496), ("mempool.admitted", 3600),],
             trace: Some(
                 "1f30eb28e52a538194ce20c9997b0aff9f397c6d998c4329568d91644333b269".to_string()
             ),
@@ -543,8 +535,10 @@ fn host_path_is_invisible_to_the_simulation() {
 /// transfer and catch-up after a crash — captured at the commit before the
 /// broadcast engines, the commit fold, round admission and the vertex store
 /// were each reduced to one mechanism, and re-pinned with the weak-edge rule
-/// (fewer vertex, state-transfer and WAL bytes; every count unchanged) and
-/// when the event kinds nothing read left the trace (trace hashes only).
+/// (fewer vertex, state-transfer and WAL bytes; every count unchanged), when
+/// the event kinds nothing read left the trace (trace hashes only), and when
+/// the WAL came to hold one record per commit decision and none per epoch
+/// decision (fewer WAL appends, bytes and fsyncs; unread counters gone).
 #[test]
 fn fault_paths_are_invisible_to_the_simulation_too() {
     assert_eq!(
@@ -566,7 +560,6 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("commit.vertices", 294),
                 ("evidence.recorded", 63),
                 ("mempool.admitted", 1890),
-                ("mempool.pulled", 1890),
                 ("rejected.duplicate", 573),
                 ("rejected.equivocation", 63)
             ],
@@ -596,7 +589,6 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
             counters: vec![
                 ("commit.vertices", 385),
                 ("mempool.admitted", 1800),
-                ("mempool.pulled", 1800),
                 ("pull.retries", 18),
                 ("rejected.duplicate", 9)
             ],
@@ -632,14 +624,11 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("checkpoint.written", 4),
                 ("commit.vertices", 160),
                 ("mempool.admitted", 1440),
-                ("mempool.pulled", 1440),
                 ("rejected.duplicate", 6),
-                ("state_transfer.bytes", 17622),
-                ("state_transfer.chunks", 6),
                 ("state_transfer.requests", 3),
-                ("wal.appends", 468),
-                ("wal.bytes", 53468),
-                ("wal.fsyncs", 476)
+                ("wal.appends", 338),
+                ("wal.bytes", 42994),
+                ("wal.fsyncs", 346)
             ],
             trace: None
         }
