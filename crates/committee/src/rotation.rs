@@ -11,8 +11,9 @@
 //! the shared seed, the epoch number) are already identical everywhere.
 //!
 //! Only the single-clan configuration rotates: a multi-clan partition has
-//! no spare parties outside every clan, and the whole-tribe configuration
-//! has no outsiders at all.
+//! no spare parties outside every clan (and swapping members between clans
+//! would void the random draw §6.2's failure bound is computed for; see
+//! DESIGN.md), and the whole-tribe configuration has no outsiders at all.
 
 use clanbft_crypto::ClanRng;
 use clanbft_types::PartyId;

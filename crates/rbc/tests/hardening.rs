@@ -286,7 +286,7 @@ fn per_instance_digest_tracking_is_capped() {
         3,
         "digests beyond the cap must be rejected"
     );
-    let ev = std::mem::take(&mut r.evidence);
+    let ev = &r.evidence;
     assert_eq!(ev.len(), 1, "echo divergence is evidence, recorded once");
     assert_eq!(ev[0].culprit(), PartyId(0), "attributed to the source");
 }
@@ -352,7 +352,7 @@ fn equivocating_source_spills_tallies_up_to_the_cap() {
             });
         }
         assert_eq!(cert, Some((winner, 5)), "k={k}");
-        assert!(std::mem::take(&mut r.evidence).is_empty(), "evidenced once");
+        assert!(r.evidence.is_empty(), "evidenced once");
     }
 }
 

@@ -102,10 +102,7 @@ fn duplicate_val_is_a_counted_noop() {
         r.rec.counter(counters::REJECTED_DUPLICATE) > dup_before,
         "duplicate VAL was absorbed silently"
     );
-    assert!(
-        std::mem::take(&mut r.evidence).is_empty(),
-        "duplicate is not equivocation"
-    );
+    assert!(r.evidence.is_empty(), "duplicate is not equivocation");
     assert_eq!(r.rec.counter(counters::REJECTED_EQUIVOCATION), 0);
 }
 
@@ -228,7 +225,7 @@ fn duplicate_pull_resp_delivers_once() {
     assert!(fx2.events.is_empty(), "redundant PullResp re-delivered");
     assert!(fx2.out.is_empty());
     assert!(
-        std::mem::take(&mut r.evidence).is_empty(),
+        r.evidence.is_empty(),
         "benign PullResp redundancy must not be treated as equivocation"
     );
 }
@@ -244,7 +241,7 @@ fn duplicate_val_meta_is_a_counted_noop() {
     let fx2 = handle(&mut r, 0, packet(0, 1, RbcMsg::ValMeta(meta)));
     assert!(fx2.out.is_empty() && fx2.events.is_empty());
     assert!(r.rec.counter(counters::REJECTED_DUPLICATE) > dup_before);
-    assert!(std::mem::take(&mut r.evidence).is_empty());
+    assert!(r.evidence.is_empty());
 }
 
 #[test]
@@ -256,7 +253,7 @@ fn conflicting_direct_val_is_evidence_not_a_duplicate() {
     let other = BytesPayload::new(vec![0x77; 128]);
     handle(&mut r, 0, packet(0, 1, RbcMsg::Val(other.clone())));
     handle(&mut r, 0, packet(0, 1, RbcMsg::Val(other)));
-    let ev = std::mem::take(&mut r.evidence);
+    let ev = &r.evidence;
     assert_eq!(ev.len(), 1, "equivocation must be recorded exactly once");
     assert_eq!(ev[0].culprit(), PartyId(0));
     assert_eq!(r.rec.counter(counters::EVIDENCE_RECORDED), 1);

@@ -276,7 +276,6 @@ fn wal_record_generators_cover_every_tag() {
     assert_eq!(heads, expected);
     // The next tag of each space is free: a variant added to the codec
     // without a generator above turns one of these into something else.
-    // Tag 7 was the epoch decision replay now re-derives, and stays free.
     let tag = |bytes: &[u8]| WalRecord::from_bytes(bytes).err();
     assert_eq!(tag(&[0]), Some(DecodeError::InvalidTag(0)));
     assert_eq!(tag(&[7]), Some(DecodeError::InvalidTag(7)));
