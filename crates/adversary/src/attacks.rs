@@ -231,7 +231,7 @@ impl Behavior<ConsensusMsg> for DigestMismatcher {
     }
 }
 
-/// How far ahead of its instance an odd-round [`Misbinder`] vertex claims
+/// How far ahead of its instance an odd-round `Misbinder` vertex claims
 /// to be.
 pub const MISBIND_ROUNDS_AHEAD: u64 = 1 << 40;
 
@@ -412,9 +412,7 @@ impl Behavior<ConsensusMsg> for SigMutator {
             },
             // State transfer carries no signatures of its own: the requester
             // cross-checks responses against `f+1` peers instead.
-            other @ (ConsensusMsg::StateRequest { .. }
-            | ConsensusMsg::StateSnapshot { .. }
-            | ConsensusMsg::StateChunk { .. }) => other,
+            other @ (ConsensusMsg::StateRequest { .. } | ConsensusMsg::StateReply { .. }) => other,
         };
         emit(to, mutated);
     }

@@ -80,7 +80,7 @@ pub enum StrawmanMsg {
         seq: u64,
         /// Acked block digest.
         block_digest: Digest,
-        /// Signature over [`poa_digest`].
+        /// Signature over `poa_digest`.
         sig: Signature,
     },
     /// Slot leader's proposal: a batch of PoAs to sequence.
@@ -96,7 +96,7 @@ pub enum StrawmanMsg {
         slot: u64,
         /// Digest of the proposed content.
         content: Digest,
-        /// Signature over [`slot_digest`].
+        /// Signature over `slot_digest`.
         sig: Signature,
     },
     /// Leader's commit announcement (carries the quorum).

@@ -12,8 +12,6 @@ use std::sync::Arc;
 pub struct NodeConfig {
     /// This party.
     pub me: PartyId,
-    /// Tribe fault parameters.
-    pub tribe: TribeParams,
     /// Clan topology: decides who receives whose blocks, and so who proposes
     /// non-empty ones — the parties inside their own dissemination clan
     /// (under single-clan the clan members, otherwise everybody).
@@ -27,13 +25,9 @@ pub struct NodeConfig {
     /// Stop proposing after this round (`None` = run forever). Lets finite
     /// tests run the simulator to quiescence.
     pub max_round: Option<u64>,
-    /// Synthetic transactions per proposal (0 = propose empty blocks).
-    /// Ignored when `workload` is set.
-    pub txs_per_proposal: u32,
-    /// Client workload driving this proposer's ingress. `None` falls back
-    /// to the historical synthetic model parameterised by
-    /// `txs_per_proposal`.
-    pub workload: Option<WorkloadSpec>,
+    /// Client workload driving this proposer's ingress (the default,
+    /// `Synthetic` with no transactions, proposes empty blocks).
+    pub workload: WorkloadSpec,
     /// Verify certificate/vote signature bytes for real (tests) or charge
     /// their cost only (large simulations).
     pub verify_sigs: bool,
@@ -64,17 +58,16 @@ impl NodeConfig {
     /// A configuration with evaluation-friendly defaults; callers adjust
     /// the workload and fault knobs.
     pub fn new(me: PartyId, topology: Arc<ClanTopology>) -> NodeConfig {
-        let tribe = topology.tribe();
         NodeConfig {
             me,
-            tribe,
             topology,
             schedule_seed: 0,
             cost: CostModel::default(),
             timeout: Micros::from_millis(2_000),
             max_round: None,
-            txs_per_proposal: 0,
-            workload: None,
+            workload: WorkloadSpec::Synthetic {
+                txs_per_proposal: 0,
+            },
             verify_sigs: true,
             execute: false,
             gc_depth: Some(16),
@@ -85,6 +78,11 @@ impl NodeConfig {
             checkpoint_interval: 8,
             epoch_length: None,
         }
+    }
+
+    /// Tribe fault parameters: the topology's.
+    pub fn tribe(&self) -> TribeParams {
+        self.topology.tribe()
     }
 }
 
@@ -97,7 +95,7 @@ mod tests {
         let topo = Arc::new(ClanTopology::whole_tribe(TribeParams::new(4)));
         let cfg = NodeConfig::new(PartyId(2), topo);
         assert_eq!(cfg.me, PartyId(2));
-        assert_eq!(cfg.tribe.n(), 4);
+        assert_eq!(cfg.tribe().n(), 4);
         assert!(cfg.verify_sigs);
         assert!(cfg.timeout > Micros::from_millis(500));
     }

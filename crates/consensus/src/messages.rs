@@ -54,10 +54,9 @@ pub enum ConsensusMsg {
         no_vote_sig: Signature,
     },
     /// A restarted (or badly lagging) party asks a peer for the committed
-    /// DAG suffix from `from_round` on. Peers answer with a
-    /// [`ConsensusMsg::StateSnapshot`] header followed by bounded
-    /// [`ConsensusMsg::StateChunk`]s; at most one answer per `(peer,
-    /// from_round)` is served (the pull rate-limit pattern).
+    /// DAG suffix from `from_round` on. Each peer answers with one
+    /// [`ConsensusMsg::StateReply`], at most once per round of its own
+    /// progress (the pull rate-limit pattern).
     StateRequest {
         /// First round the requester is missing.
         from_round: Round,
@@ -66,28 +65,13 @@ pub enum ConsensusMsg {
         /// total order stays gap-free even when it slept through commits.
         next_seq: u64,
     },
-    /// State-transfer header: what the responder is about to ship.
-    StateSnapshot {
-        /// Echo of the request's `from_round` (pairs header with chunks).
-        from_round: Round,
-        /// The responder's current consensus round.
-        current_round: Round,
-        /// The responder's last committed leader round.
-        last_committed: Round,
-        /// How many [`ConsensusMsg::StateChunk`]s follow.
-        chunks: u32,
-    },
-    /// One bounded slice of the responder's live DAG vertices. The
-    /// requester accepts a vertex only once `f+1` responders shipped an
-    /// identical copy (vertex ids match), so no single Byzantine responder
-    /// can forge history.
-    StateChunk {
+    /// A responder's whole answer: its live DAG window and its
+    /// committed-order suffix. The requester accepts a vertex only once
+    /// `f+1` responders shipped an identical copy (vertex ids match), so no
+    /// single Byzantine responder can forge history.
+    StateReply {
         /// Echo of the request's `from_round`.
         from_round: Round,
-        /// Chunk index within this responder's snapshot.
-        seq: u32,
-        /// Whether this is the responder's final chunk.
-        last: bool,
         /// The vertices carried (shared, so re-serving clones pointers).
         vertices: Vec<Arc<Vertex>>,
         /// The responder's committed-order suffix from the requester's
@@ -129,15 +113,12 @@ impl Message for ConsensusMsg {
             ConsensusMsg::Vote { .. } => 8 + 32 + 64,
             ConsensusMsg::Timeout { .. } => 8 + 64 + 64,
             ConsensusMsg::StateRequest { .. } => 8 + 8,
-            ConsensusMsg::StateSnapshot { .. } => 8 + 8 + 8 + 4,
-            ConsensusMsg::StateChunk {
+            ConsensusMsg::StateReply {
                 vertices,
                 committed,
                 ..
             } => {
-                8 + 4
-                    + 1
-                    + vertices.iter().map(|v| v.encoded_len()).sum::<usize>()
+                8 + vertices.iter().map(|v| v.encoded_len()).sum::<usize>()
                     + committed.len() * COMMITTED_REC_BYTES
             }
         }
@@ -149,8 +130,7 @@ impl Message for ConsensusMsg {
             ConsensusMsg::Vote { .. } => "vote",
             ConsensusMsg::Timeout { .. } => "timeout",
             ConsensusMsg::StateRequest { .. } => "state.request",
-            ConsensusMsg::StateSnapshot { .. } => "state.snapshot",
-            ConsensusMsg::StateChunk { .. } => "state.chunk",
+            ConsensusMsg::StateReply { .. } => "state.reply",
         }
     }
 }

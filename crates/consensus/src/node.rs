@@ -198,18 +198,14 @@ impl Intake {
 }
 
 /// The client ingress a proposer fronts its proposals with (`None` for a
-/// zero workload). The workload defaults to the historical synthetic model
-/// so existing `txs_per_proposal` callers keep their behaviour.
+/// zero workload).
 pub(crate) fn new_ingress(cfg: &NodeConfig) -> Option<ClientIngress> {
-    let workload = cfg.workload.unwrap_or(WorkloadSpec::Synthetic {
-        txs_per_proposal: cfg.txs_per_proposal,
-    });
     let idle = WorkloadSpec::Synthetic {
         txs_per_proposal: 0,
     };
-    (workload != idle).then(|| {
+    (cfg.workload != idle).then(|| {
         ClientIngress::new(
-            workload,
+            cfg.workload,
             TX_BYTES,
             MempoolConfig::default(),
             SizerConfig::default(),
@@ -234,10 +230,10 @@ impl SailfishNode {
             None
         };
         let mut node = SailfishNode {
-            schedule: LeaderSchedule::new(cfg.tribe.n(), cfg.schedule_seed),
-            dag: Dag::new(cfg.tribe),
-            votes: VoteTracker::new(cfg.tribe.n()),
-            timeouts: TimeoutTracker::new(cfg.tribe.n()),
+            schedule: LeaderSchedule::new(cfg.tribe().n(), cfg.schedule_seed),
+            dag: Dag::new(cfg.tribe()),
+            votes: VoteTracker::new(cfg.tribe().n()),
+            timeouts: TimeoutTracker::new(cfg.tribe().n()),
             rbc,
             auth,
             current_round: Round::GENESIS,
@@ -265,11 +261,11 @@ impl SailfishNode {
             commit_seq: 0,
             last_checkpoint_round: 0,
             last_proposal: None,
-            committed_round_by: vec![0; cfg.tribe.n()],
+            committed_round_by: vec![0; cfg.tribe().n()],
             epochs: Vec::new(),
             next_epoch: 1,
             catchup: None,
-            next_servable_state: vec![0; cfg.tribe.n()],
+            next_servable_state: vec![0; cfg.tribe().n()],
             recovered_records: 0,
             recovered: false,
             cfg,
@@ -453,7 +449,7 @@ impl SailfishNode {
                 .iter()
                 .map(|v| v.reference())
                 .collect();
-            debug_assert!(strong_edges.len() >= self.cfg.tribe.quorum());
+            debug_assert!(strong_edges.len() >= self.cfg.tribe().quorum());
             let leader_ref = self.schedule.leader_vertex(prev);
             if !strong_edges.contains(&leader_ref) {
                 let (tcert, nvcert) = self
@@ -469,7 +465,7 @@ impl SailfishNode {
             // Weak edges go only where these strong edges leave no path.
             weak_edges =
                 self.dag
-                    .weak_edges(&strong_edges, &mut self.late_arrivals, self.cfg.tribe.f());
+                    .weak_edges(&strong_edges, &mut self.late_arrivals, self.cfg.tribe().f());
         }
         let vertex = Vertex {
             round,
@@ -627,7 +623,7 @@ impl SailfishNode {
 
     /// Structural and leader-edge validation (paper Fig. 4 rules).
     fn validate_vertex(&mut self, vertex: &Vertex, fx: &mut Intake) -> bool {
-        if vertex.validate_shape(self.cfg.tribe).is_err() {
+        if vertex.validate_shape(self.cfg.tribe()).is_err() {
             return false;
         }
         let Some(prev) = vertex.round.prev() else {
@@ -639,7 +635,7 @@ impl SailfishNode {
         }
         // Missing leader edge needs justification: NVC for the next leader's
         // vertex, TC for everyone else's.
-        let quorum = self.cfg.tribe.quorum();
+        let quorum = self.cfg.tribe().quorum();
         if self.schedule.leader_vertex(vertex.round) == vertex.reference() {
             let Some(nvc) = &vertex.nvc else { return false };
             fx.charge(self.cfg.cost.agg_verify(nvc.agg.count()));
@@ -686,7 +682,7 @@ impl SailfishNode {
         let Some(id) = self.dag.id_of(&leader_ref) else {
             return; // Not live yet.
         };
-        if self.votes.count(round, &id) < self.cfg.tribe.quorum() {
+        if self.votes.count(round, &id) < self.cfg.tribe().quorum() {
             return;
         }
         // Direct commit: resolve the indirect chain and order its causal
@@ -820,6 +816,8 @@ impl SailfishNode {
         self.rbc.prune_below(horizon);
         self.votes.prune_below(horizon);
         self.timeouts.prune_below(horizon);
+        self.voted.retain(|r| *r >= horizon);
+        self.no_voted.retain(|r| *r >= horizon);
         self.blocks.retain(|r, _| r.round >= horizon);
         // The next proposal would drop these too; a node past `max_round`
         // makes none.
@@ -840,7 +838,7 @@ impl SailfishNode {
     /// certificate store cannot vouch for timeout rounds this node slept
     /// through, but the transferred commits can.
     pub(crate) fn round_complete(&self, r: Round, trust_commits: bool) -> bool {
-        self.dag.round_count(r) >= self.cfg.tribe.quorum()
+        self.dag.round_count(r) >= self.cfg.tribe().quorum()
             && (self.dag.get(&self.schedule.leader_vertex(r)).is_some()
                 || self.certs_formed.contains_key(&r)
                 || (trust_commits && self.last_committed.is_some_and(|lc| lc >= r)))
@@ -942,14 +940,14 @@ impl SailfishNode {
             intake_charge += intake.charge;
         }
         for (to, pkt) in fx.out {
-            to.queue(self.cfg.tribe, ConsensusMsg::Rbc(pkt), ctx);
+            to.queue(self.cfg.tribe(), ConsensusMsg::Rbc(pkt), ctx);
         }
         for (delay, token) in fx.timers {
             ctx.set_timer(delay, token);
         }
         for msg in votes {
             // Votes go to everyone, ourselves included (loopback).
-            ctx.multicast(self.cfg.tribe.parties(), msg);
+            ctx.multicast(self.cfg.tribe().parties(), msg);
         }
         ctx.charge(intake_charge);
         self.try_advance(ctx);
@@ -987,7 +985,7 @@ impl SailfishNode {
         }
         match self.votes.record(round, vertex_id, from) {
             VoteOutcome::New(count) => {
-                if count >= self.cfg.tribe.quorum() {
+                if count >= self.cfg.tribe().quorum() {
                     self.try_commit(round, ctx.now());
                     // The commit's garbage collection may have released
                     // pending vertices into the current round.
@@ -1049,11 +1047,11 @@ impl SailfishNode {
             self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1);
             return;
         };
-        let quorum = self.cfg.tribe.quorum();
+        let quorum = self.cfg.tribe().quorum();
         if count >= quorum && !self.certs_formed.contains_key(&round) {
             let collected = self.timeouts.round(round).expect("just recorded");
             ctx.charge(self.cfg.cost.aggregate(count) + self.cfg.cost.agg_verify(count));
-            let n = self.cfg.tribe.n();
+            let n = self.cfg.tribe().n();
             let tc = TimeoutCert::new(round, n, &collected.timeout_sigs);
             let nvc = NoVoteCert::new(round, n, &collected.no_vote_sigs);
             self.certs_formed.insert(round, (tc, nvc));
@@ -1106,17 +1104,12 @@ impl Protocol<ConsensusMsg> for SailfishNode {
             } => {
                 self.on_state_request(from, *from_round, *next_seq, ctx);
             }
-            // The snapshot header is informational (it shows up in traces);
-            // chunk arrival and the `last` flag drive the client side.
-            ConsensusMsg::StateSnapshot { .. } => {}
-            ConsensusMsg::StateChunk {
+            ConsensusMsg::StateReply {
                 from_round,
-                seq,
-                last,
                 vertices,
                 committed,
             } => {
-                self.on_state_chunk(from, *from_round, *seq, *last, vertices, committed, ctx);
+                self.on_state_reply(from, *from_round, vertices, committed, ctx);
             }
         }
     }
@@ -1161,7 +1154,7 @@ impl Protocol<ConsensusMsg> for SailfishNode {
         let timeout_sig = self.auth.sign_digest(&timeout_digest(round));
         let no_vote_sig = self.auth.sign_digest(&no_vote_digest(round));
         ctx.multicast(
-            self.cfg.tribe.parties(),
+            self.cfg.tribe().parties(),
             ConsensusMsg::Timeout {
                 round,
                 timeout_sig,
@@ -1172,19 +1165,18 @@ impl Protocol<ConsensusMsg> for SailfishNode {
 
     fn on_restart(&mut self, ctx: &mut Ctx<ConsensusMsg>) {
         // Rebuild from scratch through the normal constructor: it reopens
-        // the storage directory and replays checkpoint + WAL silently. The
-        // wall clock (not simulated time) measures the rebuild cost.
-        let started = std::time::Instant::now();
+        // the storage directory and replays checkpoint + WAL silently.
         let cfg = self.cfg.clone();
         let auth = Arc::clone(&self.auth);
         *self = SailfishNode::new(cfg, auth);
-        self.post_restart(started, ctx);
+        self.post_restart(ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::CommittedRec;
     use clanbft_crypto::{Registry, Scheme};
     use clanbft_rbc::ClanTopology;
     use clanbft_types::TribeParams;
@@ -1199,7 +1191,9 @@ mod tests {
             .map(|(i, kp)| Arc::new(Authenticator::new(i, kp, Arc::clone(&registry))))
             .collect();
         let mut cfg = NodeConfig::new(PartyId(0), topology);
-        cfg.txs_per_proposal = txs;
+        cfg.workload = WorkloadSpec::Synthetic {
+            txs_per_proposal: txs,
+        };
         let node = SailfishNode::new(cfg, Arc::clone(&auths[0]));
         (node, auths)
     }
@@ -1352,8 +1346,8 @@ mod tests {
         let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
         node.on_restart(&mut ctx);
         for from in [1, 2] {
-            let chunk = [Arc::clone(&crafted), Arc::clone(&honest)];
-            node.on_state_chunk(PartyId(from), Round(0), 0, true, &chunk, &[], &mut ctx);
+            let reply = [Arc::clone(&crafted), Arc::clone(&honest)];
+            node.on_state_reply(PartyId(from), Round(0), &reply, &[], &mut ctx);
         }
         assert!(node.catchup.is_none(), "f+1 responders settle the transfer");
         assert!(node.dag.is_known(&honest.reference()));
@@ -1402,8 +1396,8 @@ mod tests {
         let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
         node.on_restart(&mut ctx);
         for from in [1, 2, 3] {
-            let chunk = [&crowded, &repeated, &honest].map(Arc::clone);
-            node.on_state_chunk(PartyId(from), Round(0), 0, true, &chunk, &[], &mut ctx);
+            let reply = [&crowded, &repeated, &honest].map(Arc::clone);
+            node.on_state_reply(PartyId(from), Round(0), &reply, &[], &mut ctx);
         }
         assert!(node.catchup.is_none(), "f+1 responders settle the transfer");
         refused(&node);
@@ -1565,11 +1559,73 @@ mod tests {
                 registry,
             ));
             let mut cfg = NodeConfig::new(PartyId(0), topology);
-            cfg.txs_per_proposal = 500;
+            cfg.workload = WorkloadSpec::Synthetic {
+                txs_per_proposal: 500,
+            };
             (SailfishNode::new(cfg, auth), ())
         };
         let block = node.build_block(Round(1), Micros::from_secs(1));
         assert_eq!(block.tx_count(), 0);
         assert!(block.batches.is_empty());
+    }
+
+    #[test]
+    fn state_transfer_finishes_on_replies_from_distinct_responders() {
+        // n = 4: f + 1 = 2 responders settle a transfer. A responder that
+        // replies twice (a replaying one, say) is still one responder.
+        let (mut node, _) = test_node(4, 0);
+        let cost = node.cfg.cost;
+        let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
+        node.on_restart(&mut ctx);
+        let vertex = Arc::new(bare_vertex(0, 1, vec![]));
+        let reply = |from_round: u64| ConsensusMsg::StateReply {
+            from_round: Round(from_round),
+            vertices: vec![Arc::clone(&vertex)],
+            committed: vec![CommittedRec {
+                sequence: 0,
+                vertex: vertex.reference(),
+                block_digest: vertex.block_digest,
+                block_bytes: 0,
+                block_tx_count: 0,
+                leader_round: Round(0),
+            }],
+        };
+        let adopted = |node: &SailfishNode| {
+            (
+                node.dag.is_known(&vertex.reference()),
+                node.committed_log.len(),
+            )
+        };
+        for _ in 0..2 {
+            node.on_message(PartyId(1), reply(0), &mut ctx);
+        }
+        assert!(node.catchup.is_some(), "one responder, however often");
+        assert_eq!(adopted(&node), (false, 0));
+        node.on_message(PartyId(2), reply(1), &mut ctx);
+        assert!(node.catchup.is_some(), "a reply to another request");
+        assert_eq!(adopted(&node), (false, 0));
+        node.on_message(PartyId(2), reply(0), &mut ctx);
+        assert!(node.catchup.is_none(), "a second responder settles it");
+        assert_eq!(adopted(&node), (true, 1));
+    }
+
+    #[test]
+    fn garbage_collection_prunes_vote_and_no_vote_rounds() {
+        // The checkpoint keeps only rounds at or above the horizon, so a
+        // live node must not keep more: it and its restarted self would
+        // hold different sets.
+        let (mut node, _) = test_node(4, 0);
+        for r in 0..40 {
+            node.voted.insert(Round(r));
+            node.no_voted.insert(Round(r));
+        }
+        node.last_committed = Some(Round(39));
+        node.garbage_collect(Micros::ZERO);
+        let horizon = node.dag.horizon();
+        assert!(horizon > Round(0), "nothing was collected");
+        for set in [&node.voted, &node.no_voted] {
+            assert!(set.iter().all(|r| *r >= horizon), "{set:?}");
+            assert_eq!(set.len() as u64, 40 - horizon.0);
+        }
     }
 }

@@ -10,28 +10,29 @@
 //!
 //! The WAL records decisions and replay derives their consequences: a
 //! commit record names the vertices one decision ordered, and replaying it
-//! runs the same state step ([`SailfishNode::fold_commit`]) the live node
+//! runs the same state step (`SailfishNode::fold_commit`) the live node
 //! ran, so the sequence numbers, the liveness table and the epoch-rotation
 //! decisions come out as they were — without being logged themselves.
 //!
 //! Recovery layers, cheapest first:
 //!
-//! 1. **Checkpoint + WAL replay** (this module, [`SailfishNode::rebuild_from`]):
+//! 1. **Checkpoint + WAL replay** (this module, `SailfishNode::rebuild_from`):
 //!    rebuilds round position, vote sets, the live DAG window, the commit
 //!    cursor, epoch decisions and evidence entirely from local disk — no
 //!    network.
-//! 2. **Peer state transfer** ([`SailfishNode::on_state_request`] /
-//!    [`SailfishNode::on_state_chunk`]): the restarted node multicasts a
-//!    `StateRequest` carrying its round and commit-sequence frontiers; peers
-//!    answer a requester once per round of progress (the pull rate-limit
-//!    pattern) with their live DAG window and their committed-order suffix. The
-//!    requester adopts a vertex or a commit entry only when `f+1` responders
-//!    shipped an identical copy, so no single Byzantine peer can forge
-//!    history.
-//! 3. **Epoch rotation** ([`SailfishNode::decide_epochs_up_to`]): at fixed
+//! 2. **Peer state transfer** (`SailfishNode::on_state_request` /
+//!    `SailfishNode::on_state_reply`): the restarted node multicasts a
+//!    `StateRequest` carrying its round and commit-sequence frontiers; each
+//!    peer answers a requester with one `StateReply` per round of progress
+//!    (the pull rate-limit pattern) holding its live DAG window and its
+//!    committed-order suffix. The requester adopts a vertex or a commit
+//!    entry only when `f+1` responders shipped an identical copy, so no
+//!    single Byzantine peer can forge history, and finishes once `f+1`
+//!    distinct responders replied or its round timer fires.
+//! 3. **Epoch rotation** (`SailfishNode::decide_epochs_up_to`): at fixed
 //!    positions of the agreed total order, every party deterministically
 //!    replaces clan members whose newest committed vertex lags the decision
-//!    boundary by more than [`ROTATION_MISS_K`] rounds — a crashed clan
+//!    boundary by more than `ROTATION_MISS_K` rounds — a crashed clan
 //!    member loses its seat without the pipeline ever stopping.
 
 use crate::messages::{CommittedRec, ConsensusMsg};
@@ -47,10 +48,6 @@ use clanbft_types::{Micros, PartyId, Round, Vertex, VertexRef};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Vertices per state-transfer chunk — bounds any single message.
-const STATE_CHUNK_VERTICES: usize = 32;
-/// Committed-order entries per state-transfer chunk.
-const STATE_CHUNK_COMMITS: usize = 256;
 /// How many rounds below its own a restarted party asks peers to ship in
 /// its post-restart state transfer.
 const CATCHUP_ROUNDS: u64 = 8;
@@ -60,32 +57,18 @@ const ROTATION_MISS_K: u64 = 4;
 
 /// Client-side bookkeeping of one post-restart state transfer.
 ///
-/// Everything accumulates until `f+1` responders sent their final chunk;
-/// only then is the agreed subset applied in one deterministic pass
-/// (commits in sequence order, vertices parents-first).
+/// Everything accumulates until `f+1` responders replied; only then is the
+/// agreed subset applied in one deterministic pass (commits in sequence
+/// order, vertices parents-first).
 pub struct CatchupState {
-    /// Window floor echoed by every chunk of this transfer.
+    /// Window floor echoed by every reply of this transfer.
     from_round: u64,
     /// Candidate vertices: content id → (vertex, confirming responders).
     vertices: HashMap<Digest, (Arc<Vertex>, HashSet<PartyId>)>,
     /// Candidate committed-order entries → confirming responders.
     commits: HashMap<CommittedRec, HashSet<PartyId>>,
-    /// Per-responder chunk accounting: indices received plus the total chunk
-    /// count (known once the `last`-flagged chunk arrives). The network
-    /// reorders freely, so a responder counts as done only when every index
-    /// of its announced total has landed — not when the last-flagged chunk
-    /// happens to arrive.
-    progress: HashMap<PartyId, (HashSet<u32>, Option<u32>)>,
-}
-
-impl CatchupState {
-    /// Responders whose complete chunk set has arrived.
-    fn complete(&self) -> usize {
-        self.progress
-            .values()
-            .filter(|(got, total)| total.is_some_and(|t| got.len() as u32 == t))
-            .count()
-    }
+    /// Responders that replied: a second reply from one counts once.
+    replied: HashSet<PartyId>,
 }
 
 impl SailfishNode {
@@ -129,7 +112,7 @@ impl SailfishNode {
         self.stopped_proposing = cp.stopped_proposing;
         self.voted.extend(cp.voted);
         self.no_voted.extend(cp.no_voted);
-        if cp.committed_round_by.len() == self.cfg.tribe.n() {
+        if cp.committed_round_by.len() == self.cfg.tribe().n() {
             self.committed_round_by = cp.committed_round_by;
         }
         // Decisions from before the WAL was rotated cannot be re-derived:
@@ -209,7 +192,7 @@ impl SailfishNode {
     /// Installs a checkpointed epoch decision's topology into the RBC engine
     /// and records the decision.
     fn install_epoch_entry(&mut self, entry: EpochEntry) {
-        let tribe = self.cfg.tribe;
+        let tribe = self.cfg.tribe();
         let topo = if entry.clans.len() <= 1 {
             let members: Vec<PartyId> = entry
                 .clans
@@ -241,11 +224,7 @@ impl SailfishNode {
     /// emits the recovery span, re-broadcasts the persisted proposal (or
     /// proposes fresh if none was durable), re-arms the round timer and
     /// requests a peer state transfer for anything missed while down.
-    pub(crate) fn post_restart(
-        &mut self,
-        started: std::time::Instant,
-        ctx: &mut Ctx<ConsensusMsg>,
-    ) {
+    pub(crate) fn post_restart(&mut self, ctx: &mut Ctx<ConsensusMsg>) {
         let now = ctx.now();
         self.cfg.telemetry.event(
             now,
@@ -254,7 +233,6 @@ impl SailfishNode {
                 round: self.current_round,
                 wal_records: self.recovered_records,
                 commit_seq: self.commit_seq,
-                duration_us: started.elapsed().as_micros() as u64,
             },
         );
         // The ingress clock restarts with the process: client traffic that
@@ -290,10 +268,10 @@ impl SailfishNode {
             from_round: from.0,
             vertices: HashMap::new(),
             commits: HashMap::new(),
-            progress: HashMap::new(),
+            replied: HashSet::new(),
         });
         let me = self.cfg.me;
-        let peers: Vec<PartyId> = self.cfg.tribe.parties().filter(|p| *p != me).collect();
+        let peers: Vec<PartyId> = self.cfg.tribe().parties().filter(|p| *p != me).collect();
         ctx.multicast(
             peers,
             ConsensusMsg::StateRequest {
@@ -306,7 +284,7 @@ impl SailfishNode {
     // --- state transfer: server side ---------------------------------------
 
     /// Serves one state transfer: the live DAG window from `from_round` and
-    /// the committed-order suffix from `next_seq`, chunked. A peer is answered
+    /// the committed-order suffix from `next_seq`, in one reply. A peer is answered
     /// only for a `from_round` above the last one it was served and not
     /// above this node's own round: a crashing-and-rejoining peer asks again
     /// with a later round, while a flooding peer gets at most one window per
@@ -352,65 +330,31 @@ impl SailfishNode {
             })
             .collect();
         ctx.charge(self.cfg.cost.db_reads(vertices.len() + committed.len()));
-        let chunk_count = (vertices.len().div_ceil(STATE_CHUNK_VERTICES))
-            .max(committed.len().div_ceil(STATE_CHUNK_COMMITS))
-            .max(1);
         ctx.send(
             from,
-            ConsensusMsg::StateSnapshot {
+            ConsensusMsg::StateReply {
                 from_round,
-                current_round: self.current_round,
-                last_committed: self.last_committed.unwrap_or(Round::GENESIS),
-                chunks: chunk_count as u32,
+                vertices,
+                committed,
             },
         );
-        for i in 0..chunk_count {
-            let vs = vertices
-                .iter()
-                .skip(i * STATE_CHUNK_VERTICES)
-                .take(STATE_CHUNK_VERTICES)
-                .cloned()
-                .collect();
-            let cs = committed
-                .iter()
-                .skip(i * STATE_CHUNK_COMMITS)
-                .take(STATE_CHUNK_COMMITS)
-                .cloned()
-                .collect();
-            let chunk = ConsensusMsg::StateChunk {
-                from_round,
-                seq: i as u32,
-                last: i + 1 == chunk_count,
-                vertices: vs,
-                committed: cs,
-            };
-            ctx.send(from, chunk);
-        }
     }
 
     // --- state transfer: client side ---------------------------------------
 
-    /// Accumulates one responder's chunk; once `f+1` responders finished,
-    /// applies everything that `f+1` of them agree on.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_state_chunk(
+    /// Tallies one responder's reply; once `f+1` distinct responders
+    /// replied, applies everything that `f+1` of them agree on.
+    pub(crate) fn on_state_reply(
         &mut self,
         from: PartyId,
         from_round: Round,
-        seq: u32,
-        last: bool,
         vertices: &[Arc<Vertex>],
         committed: &[CommittedRec],
         ctx: &mut Ctx<ConsensusMsg>,
     ) {
-        let tribe = self.cfg.tribe;
+        let tribe = self.cfg.tribe();
         let Some(cat) = self.catchup.as_mut() else {
             return; // No transfer in flight (or it already completed).
-        };
-        // `seq` is the responder's number: a last chunk claiming `u32::MAX`
-        // would make a chunk count that does not fit.
-        let Some(end) = seq.checked_add(1) else {
-            return;
         };
         if from_round.0 != cat.from_round || from == self.cfg.me {
             return;
@@ -433,12 +377,8 @@ impl SailfishNode {
         for c in committed {
             cat.commits.entry(c.clone()).or_default().insert(from);
         }
-        let (got, total) = cat.progress.entry(from).or_default();
-        got.insert(seq);
-        if last {
-            *total = Some(end);
-        }
-        if cat.complete() >= self.cfg.tribe.small_quorum() {
+        cat.replied.insert(from);
+        if cat.replied.len() >= tribe.small_quorum() {
             self.finish_catchup(ctx);
         }
     }
@@ -449,7 +389,7 @@ impl SailfishNode {
             return;
         };
         let now = ctx.now();
-        let f1 = self.cfg.tribe.small_quorum();
+        let f1 = self.cfg.tribe().small_quorum();
 
         // 1. The committed-order suffix: adopt agreed entries in sequence
         //    order, stopping at the first gap — the local total order must
@@ -667,7 +607,7 @@ impl SailfishNode {
     }
 
     fn decide_epoch(&mut self, epoch: u64, boundary: u64, from_round: Round) -> Option<Event> {
-        let tribe = self.cfg.tribe;
+        let tribe = self.cfg.tribe();
         let latest = Arc::clone(self.rbc.config().topology_at(Round(u64::MAX)));
         // Rotation applies to the single-clan variant with outsiders to
         // promote; other layouts re-record their standing membership.

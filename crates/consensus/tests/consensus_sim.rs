@@ -5,6 +5,7 @@
 
 use clanbft_consensus::{ConsensusMsg, NodeConfig, SailfishNode};
 use clanbft_crypto::{Authenticator, Registry, Scheme};
+use clanbft_mempool::WorkloadSpec;
 use clanbft_rbc::ClanTopology;
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::net::{SimConfig, Simulator};
@@ -89,7 +90,9 @@ impl TribeSpec {
                 let auth = Arc::new(Authenticator::new(i, kp, Arc::clone(&registry)));
                 let mut cfg = NodeConfig::new(PartyId(i as u32), Arc::clone(&self.topology));
                 cfg.cost = CostModel::free();
-                cfg.txs_per_proposal = self.txs_per_proposal;
+                cfg.workload = WorkloadSpec::Synthetic {
+                    txs_per_proposal: self.txs_per_proposal,
+                };
                 cfg.max_round = Some(self.max_round);
                 cfg.gc_depth = self.gc_depth;
                 cfg.execute = self.execute;

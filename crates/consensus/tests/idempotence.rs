@@ -200,7 +200,7 @@ fn state_request(from_round: u64) -> ConsensusMsg {
 fn transfers_served(rig: &mut Rig, msg: ConsensusMsg) -> usize {
     deliver(rig, 2, msg)
         .iter()
-        .filter(|(_, m)| matches!(m, ConsensusMsg::StateSnapshot { .. }))
+        .filter(|(_, m)| matches!(m, ConsensusMsg::StateReply { .. }))
         .count()
 }
 

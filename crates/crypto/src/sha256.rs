@@ -4,7 +4,7 @@
 //! one padding/buffering front end: a portable scalar kernel, and on
 //! x86-64 hosts whose CPU reports the SHA extensions a kernel built on the
 //! `sha256rnds2` / `sha256msg1` / `sha256msg2` instructions (`std::arch`).
-//! The kernel is picked inside [`compress`] from what the CPU reports —
+//! The kernel is picked inside `compress` from what the CPU reports —
 //! never from a setting — and both produce identical digests: the test
 //! suite below and `tests/crypto_props.rs` run every vector against both.
 //! [`compress_pair`] is the same choice for two independent single-block

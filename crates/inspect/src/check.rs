@@ -364,7 +364,7 @@ mod tests {
     fn recovery(at: u64, party: u32, round: u64, commit_seq: u64) -> String {
         format!(
             "{{\"at\":{at},\"party\":{party},\"ev\":\"recovery_completed\",\"round\":{round},\
-             \"wal_records\":7,\"commit_seq\":{commit_seq},\"duration_us\":100}}\n"
+             \"wal_records\":7,\"commit_seq\":{commit_seq}}}\n"
         )
     }
 

@@ -8,21 +8,21 @@
 //!   the lines are decoded by `clanbft_telemetry`'s codec (tolerant of
 //!   unknown event labels, loud on corruption) and folded into spans once;
 //!   every report below reads that one fold.
-//! * [`waterfall`] — per-block commit-latency waterfalls: which stage,
+//! * [`waterfall`](mod@waterfall) — per-block commit-latency waterfalls: which stage,
 //!   which party, how many δ ([`waterfall()`]).
 //! * [`health`] — per-round DAG health: missing strong edges, certificate
 //!   wait times, the slowest quorum member ([`health_report`]).
 //! * [`incident`] — evidence grouped into incidents and correlated with
 //!   the configured attack ([`incident_report`]).
-//! * [`dot`] — DOT / ASCII rendering of a round range of the DAG
+//! * [`dot`](mod@dot) — DOT / ASCII rendering of a round range of the DAG
 //!   ([`dot()`], [`ascii()`]).
-//! * [`diff`] — two-run comparison with per-stage regression ratios and a
+//! * [`diff`](mod@diff) — two-run comparison with per-stage regression ratios and a
 //!   verdict naming the dominant one ([`diff()`]).
 //! * [`perf`] — performance-profile views over `clanbft_profiler` NDJSON,
 //!   read back into the profiler's own `Report` type: hot-scope table,
 //!   scope tree, allocation table, and a two-profile diff with % deltas and
 //!   a regression verdict ([`profile_report`], [`profile_diff`]).
-//! * [`check`] — the CI gate: sequence contiguity, agreement, stage
+//! * [`check`](mod@check) — the CI gate: sequence contiguity, agreement, stage
 //!   ordering, span completeness, evidence attribution ([`check()`]).
 //! * [`alerts`] — offline replay of the online detector catalogue
 //!   (`clanbft_monitor`): the same fire/clear transcript and cluster

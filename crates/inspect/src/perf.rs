@@ -201,7 +201,7 @@ const REGRESSION_PCT: f64 = 20.0;
 
 /// Compares `cand` against `base` on self-nanoseconds-per-call and renders
 /// per-stage % deltas plus a `verdict:` line naming the worst regression at
-/// or above [`REGRESSION_PCT`] (or declaring the run clean), then a
+/// or above `REGRESSION_PCT` (or declaring the run clean), then a
 /// `counts:` line saying whether calls, allocations and allocated bytes
 /// agree on every path.
 ///

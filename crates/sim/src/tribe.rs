@@ -218,8 +218,9 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
             cfg.timeout = spec.timeout;
             cfg.pull_retry = spec.pull_retry;
             cfg.max_round = spec.max_round;
-            cfg.txs_per_proposal = spec.txs_per_proposal;
-            cfg.workload = spec.workload;
+            cfg.workload = spec.workload.unwrap_or(WorkloadSpec::Synthetic {
+                txs_per_proposal: spec.txs_per_proposal,
+            });
             cfg.gc_depth = spec.gc_depth;
             cfg.verify_sigs = spec.verify_sigs;
             cfg.execute = spec.execute;

@@ -17,7 +17,7 @@
 //! 16 bytes — what used to be the sort key alone. A bucket's storage is
 //! released when its last event is popped.
 //!
-//! The next [`RING`] buckets are a ring indexed by bucket number — where
+//! The next `RING` buckets are a ring indexed by bucket number — where
 //! every delivery lands (propagation is a few hundred milliseconds at
 //! most), so a push is an index, not a tree walk. Only what lies further
 //! ahead (round timeouts, restarts) waits in an ordered map and moves into

@@ -365,10 +365,6 @@ events! {
         wal_records: u64 = "wal_records",
         /// Restored commit-sequence frontier (next sequence to emit).
         commit_seq: u64 = "commit_seq",
-        /// Wall-clock rebuild duration in microseconds. Host time, not
-        /// simulated time — the one nondeterministic field in the stream,
-        /// which is why determinism pins compare commit traces, not bytes.
-        duration_us: u64 = "duration_us",
     }
     /// An epoch boundary deterministically replaced dead clan members.
     EpochRotated = "epoch_rotated" {

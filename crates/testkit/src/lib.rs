@@ -2,7 +2,7 @@
 //!
 //! The workspace's property suites used to run on `proptest`; this crate
 //! replaces the subset they need with ~300 lines built on the in-tree
-//! [`ClanRng`], keeping the tree free of third-party code (see `DESIGN.md`,
+//! [`ClanRng`](clanbft_crypto::ClanRng), keeping the tree free of third-party code (see `DESIGN.md`,
 //! "Zero-dependency policy").
 //!
 //! # Model

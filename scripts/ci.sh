@@ -10,7 +10,7 @@
 # offline replay, the `clanbft-inspect` binary over a fixture trace, the
 # profiler contract, the decoder mutations, and EXPERIMENTS.md's Fig. 5
 # table against BENCH_summary.json. What runs here besides them is what
-# tier-1 cannot: formatting, lints, the Fig. 5a re-run against its
+# tier-1 cannot: formatting, lints, doc links, the Fig. 5a re-run against its
 # committed lines, the benchmark package and the dependency audit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,6 +26,9 @@ cargo test -q --offline
 
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc -D warnings (every intra-doc link resolves to a public item)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== figures check (the committed Fig. 5a lines reproduce bit for bit)"
 # Re-runs Fig. 5a (n = 50, two protocols, four loads, three repetitions

@@ -189,8 +189,6 @@ fn same_seed_adversarial_runs_are_identical() {
     assert!(evidence >= 1, "no evidence recorded in the adversarial run");
 }
 
-/// One crash/restart run against its own scratch storage root: commit
-/// traces plus the durability counters.
 /// The crash/restart tribe, persisting under a scratch storage root of its
 /// own (returned so the caller can remove it).
 fn recovery_spec(seed: u64, tag: &str) -> (TribeSpec, std::path::PathBuf) {
@@ -210,7 +208,9 @@ fn recovery_spec(seed: u64, tag: &str) -> (TribeSpec, std::path::PathBuf) {
     (spec, dir)
 }
 
-fn run_recovery(seed: u64, tag: &str) -> (Vec<CommitTrace>, Vec<(&'static str, u64)>) {
+/// Commit traces, durability counters and the exported event trace of one
+/// crash/restart run.
+fn run_recovery(seed: u64, tag: &str) -> (Vec<CommitTrace>, Vec<(&'static str, u64)>, String) {
     let (telemetry, recorder) = clanbft_telemetry::Telemetry::mem();
     let (mut spec, dir) = recovery_spec(seed, tag);
     let n = spec.n;
@@ -238,25 +238,32 @@ fn run_recovery(seed: u64, tag: &str) -> (Vec<CommitTrace>, Vec<(&'static str, u
         .collect();
     let mut counters = recorder.counters();
     counters.sort();
+    let trace = clanbft_sim::export_trace(&spec, &recorder);
     let _ = std::fs::remove_dir_all(&dir);
-    (traces, counters)
+    (traces, counters, trace)
 }
 
 #[test]
 fn same_seed_recovery_runs_are_identical() {
     // Crash, WAL replay, state transfer, and catchup are all on the seeded
     // deterministic path: two same-seed runs produce identical commit
-    // traces on every node (including the restarted one) and identical
-    // durability counters, down to exact WAL-append and state-chunk tick
-    // counts. The one wall-clock field in the stream — RecoveryCompleted's
-    // rebuild duration — is an event payload, not a counter, so this pin
-    // compares commit traces + counters rather than raw event bytes.
-    let (commits_a, counters_a) = run_recovery(42, "a");
-    let (commits_b, counters_b) = run_recovery(42, "b");
+    // traces on every node (including the restarted one), identical
+    // durability counters, down to exact WAL-append counts, and
+    // byte-identical exported event traces.
+    let (commits_a, counters_a, trace_a) = run_recovery(42, "a");
+    let (commits_b, counters_b, trace_b) = run_recovery(42, "b");
     let total: usize = commits_a.iter().map(Vec::len).sum();
     assert!(total > 0, "recovery run committed nothing");
     assert_eq!(commits_a, commits_b, "commits diverged across restart runs");
     assert_eq!(counters_a, counters_b, "durability counters diverged");
+    assert!(
+        trace_a.contains("\"recovery_completed\""),
+        "the trace holds no restart"
+    );
+    assert_eq!(
+        trace_a, trace_b,
+        "event traces diverged across restart runs"
+    );
     // The restart must actually have exercised the durable path, or the
     // pin is vacuous.
     let count = |key: &str| {
@@ -416,12 +423,10 @@ struct SimFingerprint {
     bytes_by_kind: Vec<(&'static str, u64)>,
     committed_log: String,
     counters: Vec<(&'static str, u64)>,
-    /// `None` where the event stream carries a wall-clock field (a restart's
-    /// `recovery_completed.duration_us`) and so differs from host to host.
-    trace: Option<String>,
+    trace: String,
 }
 
-fn sim_fingerprint(mut spec: TribeSpec, until: Micros, hash_trace: bool) -> SimFingerprint {
+fn sim_fingerprint(mut spec: TribeSpec, until: Micros) -> SimFingerprint {
     let (telemetry, recorder) = clanbft_telemetry::Telemetry::mem();
     spec.telemetry = telemetry;
     let mut built = build_tribe(&spec);
@@ -448,10 +453,8 @@ fn sim_fingerprint(mut spec: TribeSpec, until: Micros, hash_trace: bool) -> SimF
         bytes_by_kind: stats.bytes_by_kind.iter().map(|(k, v)| (*k, *v)).collect(),
         committed_log: log.finalize().to_hex(),
         counters,
-        trace: hash_trace.then(|| {
-            clanbft_crypto::Digest::of(clanbft_sim::export_trace(&spec, &recorder).as_bytes())
-                .to_hex()
-        }),
+        trace: clanbft_crypto::Digest::of(clanbft_sim::export_trace(&spec, &recorder).as_bytes())
+            .to_hex(),
     }
 }
 
@@ -475,7 +478,7 @@ fn host_path_is_invisible_to_the_simulation() {
     single.txs_per_proposal = 50;
     single.seed = 42;
     assert_eq!(
-        sim_fingerprint(single, Micros::from_secs(3_000), true),
+        sim_fingerprint(single, Micros::from_secs(3_000)),
         SimFingerprint {
             handled_events: 9936,
             delivered_msgs: 9856,
@@ -491,9 +494,7 @@ fn host_path_is_invisible_to_the_simulation() {
             committed_log: "f7d1a74a5ecf6f1c5d7bdf53e43c101df6a92f8b46be0491ac55a7e8c67fe276"
                 .to_string(),
             counters: vec![("commit.vertices", 488), ("mempool.admitted", 1800),],
-            trace: Some(
-                "fa36b78c5d8a8b973855030186116602805d13edbfef9217e44a633347b7a3d5".to_string()
-            ),
+            trace: "fa36b78c5d8a8b973855030186116602805d13edbfef9217e44a633347b7a3d5".to_string(),
         }
     );
 
@@ -506,7 +507,7 @@ fn host_path_is_invisible_to_the_simulation() {
     multi.txs_per_proposal = 50;
     multi.seed = 43;
     assert_eq!(
-        sim_fingerprint(multi, Micros::from_secs(3_000), true),
+        sim_fingerprint(multi, Micros::from_secs(3_000)),
         SimFingerprint {
             handled_events: 9936,
             delivered_msgs: 9856,
@@ -522,9 +523,7 @@ fn host_path_is_invisible_to_the_simulation() {
             committed_log: "20aedb87fe763b8d3c2109c1eaa334ed1ae86a4a680712b55a982333bc68c8c3"
                 .to_string(),
             counters: vec![("commit.vertices", 496), ("mempool.admitted", 3600),],
-            trace: Some(
-                "1f30eb28e52a538194ce20c9997b0aff9f397c6d998c4329568d91644333b269".to_string()
-            ),
+            trace: "1f30eb28e52a538194ce20c9997b0aff9f397c6d998c4329568d91644333b269".to_string(),
         }
     );
 }
@@ -542,7 +541,7 @@ fn host_path_is_invisible_to_the_simulation() {
 #[test]
 fn fault_paths_are_invisible_to_the_simulation_too() {
     assert_eq!(
-        sim_fingerprint(adversarial_spec(42), Micros::from_secs(300), true),
+        sim_fingerprint(adversarial_spec(42), Micros::from_secs(300)),
         SimFingerprint {
             handled_events: 7253,
             delivered_msgs: 7183,
@@ -563,13 +562,11 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("rejected.duplicate", 573),
                 ("rejected.equivocation", 63)
             ],
-            trace: Some(
-                "29f5c6f941ca3a6b86a7a8f492338959b6a4ef5b0255aa2d45f0bf093df63b7e".to_string()
-            )
+            trace: "29f5c6f941ca3a6b86a7a8f492338959b6a4ef5b0255aa2d45f0bf093df63b7e".to_string()
         }
     );
     assert_eq!(
-        sim_fingerprint(withhold_spec(42), Micros::from_secs(300), true),
+        sim_fingerprint(withhold_spec(42), Micros::from_secs(300)),
         SimFingerprint {
             handled_events: 6752,
             delivered_msgs: 6655,
@@ -592,13 +589,11 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("pull.retries", 18),
                 ("rejected.duplicate", 9)
             ],
-            trace: Some(
-                "3c3f9a51d51466e5465cea4fa7cc3c0c26850937fcf5432795a100fd15430ec6".to_string()
-            )
+            trace: "3c3f9a51d51466e5465cea4fa7cc3c0c26850937fcf5432795a100fd15430ec6".to_string()
         }
     );
     let (spec, dir) = recovery_spec(42, "pin");
-    let recovered = sim_fingerprint(spec, Micros::from_secs(300), false);
+    let recovered = sim_fingerprint(spec, Micros::from_secs(300));
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         recovered,
@@ -630,7 +625,7 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("wal.bytes", 42994),
                 ("wal.fsyncs", 346)
             ],
-            trace: None
+            trace: String::new()
         }
     );
 }

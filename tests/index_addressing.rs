@@ -195,7 +195,7 @@ fn wire_numbers_never_size_an_allocation() {
 }
 
 #[test]
-fn state_chunk_entries_with_wild_numbers_are_refused_or_stored_once() {
+fn state_reply_entries_with_wild_numbers_are_refused_or_stored_once() {
     let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
     let (mut node, cost) = node(0);
     // A restart opens a state transfer (from round 0 on this fresh node).
@@ -216,32 +216,20 @@ fn state_chunk_entries_with_wild_numbers_are_refused_or_stored_once() {
         leader_round: FAR,
     };
     let (count, bytes) = allocations_in(|| {
-        // A last chunk numbered `u32::MAX` claims a chunk count that does
-        // not fit: refused whole.
-        let wild_seq = ConsensusMsg::StateChunk {
-            from_round: Round(0),
-            seq: u32::MAX,
-            last: true,
-            vertices: vec![Arc::clone(&far)],
-            committed: vec![wild_commit.clone()],
-        };
-        deliver(&mut node, &cost, 3, wild_seq);
         // f + 1 = 2 responders agree on all of it, which settles the
         // transfer and applies what was agreed.
         for from in [1, 2] {
-            let chunk = ConsensusMsg::StateChunk {
+            let reply = ConsensusMsg::StateReply {
                 from_round: Round(0),
-                seq: 0,
-                last: true,
                 vertices: vec![Arc::clone(&far), Arc::clone(&foreign)],
                 committed: vec![wild_commit.clone()],
             };
-            deliver(&mut node, &cost, from, chunk);
+            deliver(&mut node, &cost, from, reply);
         }
     });
     assert!(
         count < 200 && bytes < 64 * 1024,
-        "{count} allocations, {bytes} bytes for three state chunks"
+        "{count} allocations, {bytes} bytes for two state replies"
     );
     assert!(node.committed_log.is_empty(), "a gap is not adopted");
     assert_eq!(node.commit_seq_base(), 0);

@@ -4,6 +4,7 @@
 
 use clanbft_consensus::{NodeConfig, SailfishNode};
 use clanbft_crypto::{Authenticator, Registry, Scheme};
+use clanbft_mempool::WorkloadSpec;
 use clanbft_monitor::{HealthMonitor, Severity, Verdict};
 use clanbft_rbc::ClanTopology;
 use clanbft_simnet::transport::run_live;
@@ -38,7 +39,9 @@ fn make_monitored_nodes(
             let me = PartyId(i as u32);
             let auth = Arc::new(Authenticator::new(i, kp, Arc::clone(&registry)));
             let mut cfg = NodeConfig::new(me, Arc::clone(&topology));
-            cfg.txs_per_proposal = txs;
+            cfg.workload = WorkloadSpec::Synthetic {
+                txs_per_proposal: txs,
+            };
             cfg.max_round = Some(max_round);
             // Generous timeout: live-thread scheduling jitter must not trip
             // the no-vote path in a benign run.

@@ -91,7 +91,6 @@ fn arbitrary_event(variant: usize, g: &mut Gen) -> Event {
             round: round(g),
             wal_records: g.u64(),
             commit_seq: g.u64(),
-            duration_us: g.u64(),
         },
         8 => Event::EpochRotated {
             epoch: g.u64(),
