@@ -538,6 +538,10 @@ fn host_path_is_invisible_to_the_simulation() {
 /// the event kinds nothing read left the trace (trace hashes only), and when
 /// the WAL came to hold one record per commit decision and none per epoch
 /// decision (fewer WAL appends, bytes and fsyncs; unread counters gone).
+/// The crash/restart run was re-pinned once more when state transfer came
+/// to one reply per peer: six fewer messages move the seeded jitter after
+/// the restart, so commit times shift, and with the host-time field gone
+/// from its trace it is hashed like the others.
 #[test]
 fn fault_paths_are_invisible_to_the_simulation_too() {
     assert_eq!(
@@ -598,22 +602,21 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
     assert_eq!(
         recovered,
         SimFingerprint {
-            handled_events: 1743,
-            delivered_msgs: 1582,
-            total_bytes: 2484991,
+            handled_events: 1737,
+            delivered_msgs: 1576,
+            total_bytes: 2484853,
             bytes_by_kind: vec![
                 ("rbc.cert", 61359),
                 ("rbc.echo", 60816),
                 ("rbc.pull", 96),
                 ("rbc.pull_resp", 31252),
                 ("rbc.val", 2296818),
-                ("state.chunk", 17622),
+                ("state.reply", 17568),
                 ("state.request", 48),
-                ("state.snapshot", 84),
                 ("timeout", 2856),
                 ("vote", 14040)
             ],
-            committed_log: "287afa5d2d76af756e4309378babb1fca8c320c711a825e93c99b7997e9c2e3d"
+            committed_log: "7c07ce29f02f1392503cc003e4bf48459b9703e04487fd5417bbc560eaced9bb"
                 .to_string(),
             counters: vec![
                 ("checkpoint.written", 4),
@@ -625,7 +628,7 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("wal.bytes", 42994),
                 ("wal.fsyncs", 346)
             ],
-            trace: String::new()
+            trace: "d3ed004c961917af75fac013644449d072c0aa0d286a42b71806a470daa215e0".to_string()
         }
     );
 }
