@@ -1,5 +1,6 @@
-//! Consensus-level messages: the RBC envelope plus leader votes and
-//! timeout/no-vote announcements.
+//! Consensus-level messages: the RBC envelope plus leader votes,
+//! timeout/no-vote announcements, and state transfer — a restarted party's
+//! request and each peer's one reply to it.
 
 use crate::payload::MergedPayload;
 use clanbft_crypto::{Digest, Hasher, Signature};

@@ -229,11 +229,12 @@ impl SailfishNode {
         } else {
             None
         };
+        let tribe = cfg.tribe();
         let mut node = SailfishNode {
-            schedule: LeaderSchedule::new(cfg.tribe().n(), cfg.schedule_seed),
-            dag: Dag::new(cfg.tribe()),
-            votes: VoteTracker::new(cfg.tribe().n()),
-            timeouts: TimeoutTracker::new(cfg.tribe().n()),
+            schedule: LeaderSchedule::new(tribe.n(), cfg.schedule_seed),
+            dag: Dag::new(tribe),
+            votes: VoteTracker::new(tribe.n()),
+            timeouts: TimeoutTracker::new(tribe.n()),
             rbc,
             auth,
             current_round: Round::GENESIS,
@@ -261,11 +262,11 @@ impl SailfishNode {
             commit_seq: 0,
             last_checkpoint_round: 0,
             last_proposal: None,
-            committed_round_by: vec![0; cfg.tribe().n()],
+            committed_round_by: vec![0; tribe.n()],
             epochs: Vec::new(),
             next_epoch: 1,
             catchup: None,
-            next_servable_state: vec![0; cfg.tribe().n()],
+            next_servable_state: vec![0; tribe.n()],
             recovered_records: 0,
             recovered: false,
             cfg,

@@ -284,12 +284,12 @@ impl SailfishNode {
     // --- state transfer: server side ---------------------------------------
 
     /// Serves one state transfer: the live DAG window from `from_round` and
-    /// the committed-order suffix from `next_seq`, in one reply. A peer is answered
-    /// only for a `from_round` above the last one it was served and not
-    /// above this node's own round: a crashing-and-rejoining peer asks again
-    /// with a later round, while a flooding peer gets at most one window per
-    /// round of progress, whatever rounds it names, and the bookkeeping is
-    /// one entry per peer.
+    /// the committed-order suffix from `next_seq`, in one reply. A peer is
+    /// answered only for a `from_round` above the last one it was served and
+    /// not above this node's own round: a crashing-and-rejoining peer asks
+    /// again with a later round, while a flooding peer gets at most one
+    /// window per round of progress, whatever rounds it names, and the
+    /// bookkeeping is one entry per peer.
     pub(crate) fn on_state_request(
         &mut self,
         from: PartyId,
