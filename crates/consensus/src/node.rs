@@ -13,10 +13,12 @@
 //!    leader vote (unless this node already announced a timeout).
 //! 3. `2f+1` votes commit the leader vertex directly; the leader chain is
 //!    resolved backward through strong paths and the causal history is
-//!    emitted in deterministic order (`a_deliver`). The decision is one WAL
-//!    record, durable before its first vertex folds; each vertex then takes
-//!    the state step (`fold_commit`, which state-transfer adoption and WAL
-//!    replay share) and the emit step (`emit_commit`, which replay skips).
+//!    emitted in deterministic order (`a_deliver`, `order_decision`). The
+//!    decision is one WAL record, its leader round, durable before its first
+//!    vertex folds; each vertex then takes the state step (`fold_commit`,
+//!    which adoption and WAL replay share) and the emit step (`emit_commit`,
+//!    which replay skips). GC prunes at `last_committed − gc_depth`
+//!    (`prune_to_horizon`); replay re-runs both functions.
 //! 4. Advance to `r+1` once `2f+1` round-`r` vertices are live including
 //!    the leader's — or a timeout certificate replaces it.
 //!
@@ -119,7 +121,8 @@ pub struct SailfishNode {
     pub proposed_batches: Vec<ProposedBatch>,
 
     /// Execution layer (when enabled): ordered vertices awaiting their
-    /// block, and the executor folding them into the state root.
+    /// block, and the executor folding them into the state root. GC of the
+    /// broadcast window and `blocks` stops at its front.
     exec_queue: VecDeque<VertexRef>,
     /// The executor, if execution is enabled.
     pub executor: Option<Executor>,
@@ -514,7 +517,6 @@ impl SailfishNode {
             };
             self.log_wal(&clanbft_storage::WalRecord::Proposed {
                 proposal: proposal.clone(),
-                next_tx_seq: self.next_seq,
             });
             self.last_proposal = Some(proposal);
         }
@@ -686,17 +688,12 @@ impl SailfishNode {
         if self.votes.count(round, &id) < self.cfg.tribe().quorum() {
             return;
         }
-        // Direct commit: resolve the indirect chain and order its causal
-        // history — durable as one decision before its first vertex folds.
-        let schedule = self.schedule;
-        let chain = order::commit_chain(&self.dag, self.last_committed, leader_ref, |r| {
-            schedule.leader(r)
-        });
-        let vertices = order::causal_order(&mut self.dag, &chain);
+        // Direct commit — durable as one decision before its first vertex
+        // folds.
+        let vertices = self.order_decision(round);
         if self.storage.is_some() {
             self.log_wal(&clanbft_storage::WalRecord::Committed {
                 leader_round: round,
-                vertices: vertices.clone(),
             });
         }
         for vref in vertices {
@@ -726,8 +723,19 @@ impl SailfishNode {
             }
         }
         self.try_execute(now);
-        self.garbage_collect(now);
+        let released = self.prune_to_horizon();
+        self.on_live(released, now);
         self.maybe_checkpoint();
+    }
+
+    /// The order the commit of `round`'s leader appends: its leader chain
+    /// and their unordered causal histories. A function of the DAG alone,
+    /// so WAL replay re-derives the order the live node emitted.
+    pub(crate) fn order_decision(&mut self, round: Round) -> Vec<VertexRef> {
+        let (schedule, last) = (self.schedule, self.last_committed);
+        let leader = schedule.leader_vertex(round);
+        let chain = order::commit_chain(&self.dag, last, leader, |r| schedule.leader(r));
+        order::causal_order(&mut self.dag, &chain)
     }
 
     /// The state step of a commit, whichever way the entry was learnt —
@@ -799,27 +807,24 @@ impl SailfishNode {
         }
     }
 
-    fn garbage_collect(&mut self, now: Micros) {
-        let Some(depth) = self.cfg.gc_depth else {
-            return;
-        };
-        let Some(lc) = self.last_committed else {
-            return;
+    /// Garbage collection below `last_committed − gc_depth`, a function of
+    /// the committed order, so WAL replay prunes where the live node did.
+    /// What execution reads (the broadcast window and the blocks) stops at
+    /// the execution queue's front. Returns the vertices the raised horizon
+    /// made live, for a live caller to pass to [`Self::on_live`].
+    pub(crate) fn prune_to_horizon(&mut self) -> Vec<VertexRef> {
+        let (Some(depth), Some(lc)) = (self.cfg.gc_depth, self.last_committed) else {
+            return Vec::new();
         };
         if lc.0 <= depth {
-            return;
+            return Vec::new();
         }
         let horizon = Round(lc.0 - depth);
-        // Never collect blocks still queued for execution.
-        let exec_floor = self.exec_queue.front().map(|r| r.round).unwrap_or(horizon);
-        let horizon = horizon.min(exec_floor);
         let released = self.dag.prune_below(horizon);
-        self.rbc.prune_below(horizon);
         self.votes.prune_below(horizon);
         self.timeouts.prune_below(horizon);
         self.voted.retain(|r| *r >= horizon);
         self.no_voted.retain(|r| *r >= horizon);
-        self.blocks.retain(|r, _| r.round >= horizon);
         // The next proposal would drop these too; a node past `max_round`
         // makes none.
         self.late_arrivals.retain(|r| r.round >= horizon);
@@ -827,7 +832,10 @@ impl SailfishNode {
         // Evidence records stay (they are the audit trail, already capped);
         // only their dedup keys are pruned with the rest of the round state.
         self.evidence_keys.retain(|(r, _)| *r >= horizon);
-        self.on_live(released, now);
+        let floor = horizon.min(self.exec_queue.front().map_or(horizon, |r| r.round));
+        self.rbc.prune_below(floor);
+        self.blocks.retain(|r, _| r.round >= floor);
+        released
     }
 
     // --- round advancement ---------------------------------------------------
@@ -1465,6 +1473,129 @@ mod tests {
         assert_eq!(node.dag.pending_count(), 0);
     }
 
+    /// A storage-backed P0 of a four-party tribe on a fresh directory `name`
+    /// under the temp dir, with what it takes to rebuild it from that disk.
+    fn durable_node(name: &str) -> (SailfishNode, NodeConfig, Arc<Authenticator>) {
+        let dir = std::env::temp_dir().join(format!("clanbft-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let topology = Arc::new(ClanTopology::whole_tribe(TribeParams::new(4)));
+        let (registry, keypairs) = Registry::generate(Scheme::Keyed, 4, 77);
+        let kp = keypairs.into_iter().next().expect("keypair");
+        let auth = Arc::new(Authenticator::new(0, kp, registry));
+        let mut cfg = NodeConfig::new(PartyId(0), topology);
+        cfg.storage_dir = Some(dir);
+        cfg.fsync = false;
+        (SailfishNode::new(cfg.clone(), Arc::clone(&auth)), cfg, auth)
+    }
+
+    fn remove_storage(cfg: &NodeConfig) {
+        let _ = std::fs::remove_dir_all(cfg.storage_dir.as_ref().expect("durable"));
+    }
+
+    #[test]
+    fn a_vertex_pending_at_a_checkpoint_goes_live_after_a_restart() {
+        // P1's round-1 vertex waits for (0,3) when the checkpoint is
+        // installed and goes live when (0,3) arrives after it: the node
+        // rebuilt from that checkpoint and the WAL must hold it live too.
+        let (mut node, cfg, auth) = durable_node("pending-checkpoint");
+        let (mut intake, mut votes) = (Intake::at(Micros::ZERO), Vec::new());
+        let mut offer = |node: &mut SailfishNode, v: Vertex| {
+            let v = Arc::new(v);
+            node.process_vertex(
+                Arc::clone(&v),
+                v.id(),
+                &mut intake,
+                Micros::ZERO,
+                &mut votes,
+            );
+        };
+        for source in 0..3 {
+            offer(&mut node, bare_vertex(0, source, vec![]));
+        }
+        let child = bare_vertex(1, 1, full_edges(0, 4));
+        offer(&mut node, child.clone());
+        assert_eq!(node.dag.pending_count(), 1);
+        node.install_checkpoint();
+        offer(&mut node, bare_vertex(0, 3, vec![]));
+        assert!(node.dag.get(&child.reference()).is_some());
+        drop(node);
+        let rebuilt = SailfishNode::new(cfg.clone(), auth);
+        assert!(
+            rebuilt.dag.get(&child.reference()).is_some(),
+            "the pending vertex was lost in the restart"
+        );
+        remove_storage(&cfg);
+    }
+
+    /// A committed-order entry for `vertex` at `sequence`.
+    fn committed_rec(sequence: u64, vertex: &Vertex) -> CommittedRec {
+        CommittedRec {
+            sequence,
+            vertex: vertex.reference(),
+            block_digest: vertex.block_digest,
+            block_bytes: vertex.block_bytes,
+            block_tx_count: vertex.block_tx_count,
+            leader_round: vertex.round,
+        }
+    }
+
+    #[test]
+    fn an_adopted_mark_without_its_vertex_survives_a_checkpoint() {
+        // f + 1 responders agree on a commit whose vertex none of them
+        // ships. Its ordered mark must outlive a checkpoint and a restart:
+        // without it the vertex, arriving later, is ordered a second time.
+        let (mut node, cfg, auth) = durable_node("adopted-mark");
+        let cost = node.cfg.cost;
+        let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
+        node.on_restart(&mut ctx);
+        let absent = bare_vertex(0, 1, vec![]);
+        let committed = [committed_rec(0, &absent)];
+        for from in [1, 2] {
+            node.on_state_reply(PartyId(from), Round(0), &[], &committed, &mut ctx);
+        }
+        assert!(node.dag.is_ordered(&absent.reference()));
+        assert!(!node.dag.is_known(&absent.reference()));
+        node.install_checkpoint();
+        drop(node);
+        let rebuilt = SailfishNode::new(cfg.clone(), auth);
+        assert!(
+            rebuilt.dag.is_ordered(&absent.reference()),
+            "the adopted mark was lost in the restart"
+        );
+        remove_storage(&cfg);
+    }
+
+    #[test]
+    fn a_node_rebuilt_right_after_an_adoption_holds_what_it_adopted() {
+        // f + 1 responders agree on round 0 and on the order of P1's vertex
+        // in it. No periodic checkpoint follows; a node rebuilt from the
+        // disk at once must hold the adopted order and window all the same.
+        let (mut node, cfg, auth) = durable_node("adoption");
+        let cost = node.cfg.cost;
+        let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
+        node.on_restart(&mut ctx);
+        let own = node
+            .last_proposal
+            .clone()
+            .expect("proposed on restart")
+            .vertex;
+        let mut round0 = vec![Arc::new(own)];
+        round0.extend((1..4).map(|s| Arc::new(bare_vertex(0, s, vec![]))));
+        let committed = [committed_rec(0, &round0[1])];
+        for from in [1, 2] {
+            node.on_state_reply(PartyId(from), Round(0), &round0, &committed, &mut ctx);
+        }
+        assert!(node.catchup.is_none(), "f+1 responders settle the transfer");
+        assert_eq!((node.commit_seq, node.round()), (1, Round(1)));
+        let rebuilt = SailfishNode::new(cfg.clone(), auth);
+        assert_eq!(
+            rebuilt.snapshot().to_bytes(),
+            node.snapshot().to_bytes(),
+            "the rebuilt node lost what the adoption brought"
+        );
+        remove_storage(&cfg);
+    }
+
     #[test]
     fn rbc_evidence_survives_a_restart() {
         // P1 sends a storage-backed P0 two different VALs for its round-1
@@ -1472,19 +1603,7 @@ mod tests {
         // rebuilt from the same directory still holds the record, before a
         // checkpoint and after one.
         use clanbft_rbc::{RbcMsg, RbcPacket};
-        let dir = std::env::temp_dir().join(format!(
-            "clanbft-rbc-evidence-restart-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let topology = Arc::new(ClanTopology::whole_tribe(TribeParams::new(4)));
-        let (registry, keypairs) = Registry::generate(Scheme::Keyed, 4, 77);
-        let kp = keypairs.into_iter().next().expect("keypair");
-        let auth = Arc::new(Authenticator::new(0, kp, registry));
-        let mut cfg = NodeConfig::new(PartyId(0), topology);
-        cfg.storage_dir = Some(dir.clone());
-        cfg.fsync = false;
-        let mut node = SailfishNode::new(cfg.clone(), Arc::clone(&auth));
+        let (mut node, cfg, auth) = durable_node("rbc-evidence-restart");
         let cost = node.cfg.cost;
         for txs in [1, 2] {
             let batch = TxBatch::synthetic(PartyId(1), 0, txs, 512, Micros::ZERO);
@@ -1516,14 +1635,14 @@ mod tests {
         rebuilt.last_committed = Some(Round(rebuilt.cfg.checkpoint_interval));
         rebuilt.maybe_checkpoint();
         drop(rebuilt);
-        let after_checkpoint = SailfishNode::new(cfg, auth);
+        let after_checkpoint = SailfishNode::new(cfg.clone(), auth);
         assert_eq!(after_checkpoint.recovered_records, 0, "the WAL was rotated");
         assert_eq!(
             after_checkpoint.evidence(),
             recorded,
             "evidence lost in the checkpoint"
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        remove_storage(&cfg);
     }
 
     #[test]
@@ -1621,7 +1740,7 @@ mod tests {
             node.no_voted.insert(Round(r));
         }
         node.last_committed = Some(Round(39));
-        node.garbage_collect(Micros::ZERO);
+        node.prune_to_horizon();
         let horizon = node.dag.horizon();
         assert!(horizon > Round(0), "nothing was collected");
         for set in [&node.voted, &node.no_voted] {

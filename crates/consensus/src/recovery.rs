@@ -8,18 +8,18 @@
 //! persisted proposal), cannot double-vote, cannot vote after a no-vote, and
 //! resumes its commit sequence exactly where it stopped.
 //!
-//! The WAL records decisions and replay derives their consequences: a
-//! commit record names the vertices one decision ordered, and replaying it
-//! runs the same state step (`SailfishNode::fold_commit`) the live node
-//! ran, so the sequence numbers, the liveness table and the epoch-rotation
-//! decisions come out as they were — without being logged themselves.
+//! The WAL records decisions and replay derives their consequences: for a
+//! commit record (a leader round) it runs the live node's
+//! `SailfishNode::order_decision`, `fold_commit` and `prune_to_horizon` on
+//! the DAG rebuilt so far, so the order, the sequence numbers and the epoch
+//! decisions come out as they were. A checkpoint holds the whole DAG, and
+//! state adopted from peers becomes durable by installing one.
 //!
 //! Recovery layers, cheapest first:
 //!
 //! 1. **Checkpoint + WAL replay** (this module, `SailfishNode::rebuild_from`):
-//!    rebuilds round position, vote sets, the live DAG window, the commit
-//!    cursor, epoch decisions and evidence entirely from local disk — no
-//!    network.
+//!    rebuilds round position, vote sets, the DAG, the commit cursor, epoch
+//!    decisions and evidence entirely from local disk — no network.
 //! 2. **Peer state transfer** (`SailfishNode::on_state_request` /
 //!    `SailfishNode::on_state_reply`): the restarted node multicasts a
 //!    `StateRequest` carrying its round and commit-sequence frontiers; each
@@ -44,7 +44,7 @@ use clanbft_rbc::{ClanTopology, Effects};
 use clanbft_simnet::protocol::Ctx;
 use clanbft_storage::{Checkpoint, EpochEntry, ProposalEntry, Recovered, WalRecord};
 use clanbft_telemetry::{counters, Event};
-use clanbft_types::{Micros, PartyId, Round, Vertex, VertexRef};
+use clanbft_types::{Micros, PartyId, Round, Vertex};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -127,15 +127,11 @@ impl SailfishNode {
         if let Some(p) = cp.last_proposal {
             self.restore_proposal(p);
         }
-        // Raise the DAG horizon to the snapshot's floor first: vertices at
-        // the floor reference parents the checkpoint intentionally dropped,
-        // and a raised horizon makes the DAG treat those as present.
-        let mut vertices = cp.vertices;
-        vertices.sort_by_key(|v| (v.round, v.source));
-        if let Some(min) = vertices.first().map(|v| v.round) {
-            self.dag.prune_below(min);
-        }
-        for v in vertices {
+        // The horizon first: vertices at it reference parents below it,
+        // which a raised horizon makes the DAG treat as present. Then the
+        // vertices parents-first, pending ones included.
+        self.dag.prune_below(cp.horizon);
+        for v in cp.vertices {
             self.dag.insert_shared(Arc::new(v), None);
         }
         for r in cp.ordered {
@@ -145,12 +141,13 @@ impl SailfishNode {
 
     fn apply_record(&mut self, record: WalRecord) {
         match record {
-            WalRecord::Proposed {
-                proposal,
-                next_tx_seq,
-            } => {
+            WalRecord::Proposed { proposal } => {
                 self.current_round = self.current_round.max(proposal.vertex.round);
-                self.next_seq = self.next_seq.max(next_tx_seq);
+                // The cursor moves past the block's last batch; an empty
+                // block leaves it where it was.
+                if let Some(last) = proposal.block.batches.last() {
+                    self.next_seq = last.first_seq + u64::from(last.count);
+                }
                 self.restore_proposal(proposal);
             }
             WalRecord::Voted { round } => {
@@ -164,16 +161,21 @@ impl SailfishNode {
             WalRecord::Accepted { vertex } => {
                 self.dag.insert_shared(Arc::new(vertex), None);
             }
-            WalRecord::Committed {
-                leader_round,
-                vertices,
-            } => {
+            WalRecord::Committed { leader_round } => {
+                // The live node committed a live leader vertex, and the
+                // records before this one rebuilt the DAG it did so on.
+                let leader = self.schedule.leader_vertex(leader_round);
+                assert!(
+                    self.dag.get(&leader).is_some(),
+                    "replayed {leader:?}: not live"
+                );
                 // Only the state step runs: the incarnation that committed
                 // these emitted them, and traced the rotations re-decided
                 // here.
-                for vref in vertices {
+                for vref in self.order_decision(leader_round) {
                     self.fold_commit(vref, leader_round);
                 }
+                self.prune_to_horizon();
             }
             WalRecord::Evidence { evidence } => {
                 self.keep_evidence(evidence, true);
@@ -393,8 +395,7 @@ impl SailfishNode {
 
         // 1. The committed-order suffix: adopt agreed entries in sequence
         //    order, stopping at the first gap — the local total order must
-        //    extend contiguously or not at all. The suffix is one commit
-        //    decision, durable before its first entry folds.
+        //    extend contiguously or not at all.
         let mut entries: Vec<CommittedRec> = cat
             .commits
             .into_iter()
@@ -412,13 +413,6 @@ impl SailfishNode {
                 break; // Gap: responders could not agree on the middle.
             }
             adopted.push(entry);
-        }
-        let top = adopted.iter().map(|c| c.leader_round).max();
-        if let Some(leader_round) = top.filter(|_| self.storage.is_some()) {
-            self.log_wal(&WalRecord::Committed {
-                leader_round,
-                vertices: adopted.iter().map(|c| c.vertex).collect(),
-            });
         }
         for c in adopted {
             // Emitted like a local commit, but its block is not queued for
@@ -449,25 +443,19 @@ impl SailfishNode {
             .map(|(id, (v, _))| (v, id))
             .collect();
         vs.sort_by_key(|(v, _)| (v.round, v.source));
+        let mut released = Vec::new();
         if let Some(floor) = vs.first().map(|(v, _)| v.round) {
             if floor > self.dag.horizon() && self.last_committed.is_some_and(|lc| lc >= floor) {
-                let released = self.dag.prune_below(floor);
+                released = self.dag.prune_below(floor);
                 self.rbc.prune_below(floor);
-                self.on_live(released, now);
             }
         }
         // Inserted without voting, telemetry or weak-edge tracking (as on
         // WAL replay); step 5 retries the commits this skips.
         for (v, id) in vs {
-            if self.dag.is_known(&v.reference()) {
-                continue;
+            if !self.dag.is_known(&v.reference()) {
+                self.dag.insert_shared(v, Some(id));
             }
-            if self.storage.is_some() {
-                self.log_wal(&WalRecord::Accepted {
-                    vertex: (*v).clone(),
-                });
-            }
-            self.dag.insert_shared(v, Some(id));
         }
 
         // 3. If the fast-forward pruned past our stranded round, enter the
@@ -486,6 +474,12 @@ impl SailfishNode {
             self.rbc.note_round(floor);
             ctx.set_timer(self.cfg.timeout, floor.0);
         }
+        // Nothing of steps 1–3 went to the WAL: one checkpoint makes the
+        // adopted order, the agreed window and the round jump durable, before
+        // anything that builds on them is logged or sent. Only then may the
+        // vertices the fast-forward released commit.
+        self.install_checkpoint();
+        self.on_live(released, now);
 
         // 4. Walk the adopted rounds *silently*: every crossed round already
         //    carries a quorum without us, so proposing there would mint
@@ -513,67 +507,55 @@ impl SailfishNode {
 
     // --- checkpoints --------------------------------------------------------
 
-    /// Installs a checkpoint (and rotates the WAL) once the commit frontier
-    /// moved `checkpoint_interval` leader rounds past the previous one.
+    /// Installs a checkpoint once the commit frontier moved
+    /// `checkpoint_interval` leader rounds past the previous one.
     pub(crate) fn maybe_checkpoint(&mut self) {
-        if self.storage.is_none() {
-            return;
+        let due = self.last_checkpoint_round + self.cfg.checkpoint_interval;
+        if self.last_committed.is_some_and(|lc| lc.0 >= due) {
+            self.install_checkpoint();
         }
-        let Some(lc) = self.last_committed else {
+    }
+
+    /// Installs [`Self::snapshot`] as the checkpoint, which rotates the WAL,
+    /// and restarts the cadence from the commit frontier (storage on only).
+    pub(crate) fn install_checkpoint(&mut self) {
+        let Some(mut storage) = self.storage.take() else {
             return;
         };
-        if lc.0 < self.last_checkpoint_round + self.cfg.checkpoint_interval {
-            return;
-        }
-        self.last_checkpoint_round = lc.0;
+        self.last_checkpoint_round = self.last_committed.map_or(0, |r| r.0);
+        storage
+            .install_checkpoint(&self.snapshot())
+            .expect("checkpoint install must succeed");
+        self.storage = Some(storage);
+    }
+
+    /// This node's durable state as a checkpoint, which a node rebuilt from
+    /// it alone holds again: everything from the DAG's horizon on, the DAG
+    /// whole (pending vertices and every ordered mark included).
+    pub fn snapshot(&self) -> Checkpoint {
         let horizon = self.dag.horizon();
-        // Snapshot the live window sorted round-ascending so restore can
-        // insert parents before children.
-        let vertices: Vec<Vertex> = self
-            .dag
-            .live_vertices_from(horizon)
-            .into_iter()
-            .map(|v| Vertex::clone(v))
-            .collect();
-        let ordered: Vec<VertexRef> = vertices
-            .iter()
-            .map(|v| v.reference())
-            .filter(|r| self.dag.is_ordered(r))
-            .collect();
-        let mut voted: Vec<Round> = self
-            .voted
-            .iter()
-            .copied()
-            .filter(|r| *r >= horizon)
-            .collect();
-        voted.sort();
-        let mut no_voted: Vec<Round> = self
-            .no_voted
-            .iter()
-            .copied()
-            .filter(|r| *r >= horizon)
-            .collect();
-        no_voted.sort();
-        let cp = Checkpoint {
+        let from_horizon = |rounds: &HashSet<Round>| {
+            let mut kept: Vec<Round> = rounds.iter().copied().filter(|r| *r >= horizon).collect();
+            kept.sort();
+            kept
+        };
+        let vertices = self.dag.vertices_from(horizon);
+        Checkpoint {
             current_round: self.current_round,
             last_committed: self.last_committed,
             commit_seq: self.commit_seq,
             next_tx_seq: self.next_seq,
             stopped_proposing: self.stopped_proposing,
-            voted,
-            no_voted,
+            voted: from_horizon(&self.voted),
+            no_voted: from_horizon(&self.no_voted),
             last_proposal: self.last_proposal.clone(),
-            vertices,
-            ordered,
+            horizon,
+            vertices: vertices.into_iter().map(|v| Vertex::clone(v)).collect(),
+            ordered: self.dag.ordered_from(horizon),
             committed_round_by: self.committed_round_by.clone(),
             epochs: self.epochs.clone(),
             evidence: self.evidence.clone(),
-        };
-        self.storage
-            .as_mut()
-            .expect("checked above")
-            .install_checkpoint(&cp)
-            .expect("checkpoint install must succeed");
+        }
     }
 
     // --- epoch-based clan rotation ------------------------------------------

@@ -40,7 +40,7 @@ struct Row {
     /// Occupied slots.
     live: usize,
     /// Sources whose vertex was emitted into the total order (a mark can
-    /// precede the vertex: replayed and adopted commits).
+    /// precede the vertex: adopted commits).
     ordered: PartySet,
 }
 
@@ -182,7 +182,7 @@ impl Dag {
     }
 
     /// All live vertices from `from` on, in `(round, source)` order — the
-    /// material a checkpoint or a state-transfer response ships.
+    /// window a state-transfer response ships.
     pub fn live_vertices_from(&self, from: Round) -> Vec<&Arc<Vertex>> {
         self.rounds
             .range(from..)
@@ -190,10 +190,33 @@ impl Dag {
             .collect()
     }
 
-    /// Marks `r` as already ordered without walking its history — used
-    /// when restoring the ordered set from a checkpoint, where the causal
-    /// walk already happened in a previous life of this process. Below the
-    /// horizon, or for a source outside the tribe, there is nothing to mark.
+    /// Every vertex from `from` on, live or pending, in `(round, source)`
+    /// order — what a checkpoint ships.
+    pub fn vertices_from(&self, from: Round) -> Vec<&Arc<Vertex>> {
+        let mut all = self.live_vertices_from(from);
+        let pending = self.pending.values().map(|s| &s.vertex);
+        all.extend(pending.filter(|v| v.round >= from));
+        all.sort_by_key(|v| v.reference());
+        all
+    }
+
+    /// Every ordered mark from `from` on, in `(round, source)` order,
+    /// whether or not its vertex is here.
+    pub fn ordered_from(&self, from: Round) -> Vec<VertexRef> {
+        self.rounds
+            .range(from..)
+            .flat_map(|(&round, row)| {
+                row.ordered
+                    .iter()
+                    .map(move |source| VertexRef { round, source })
+            })
+            .collect()
+    }
+
+    /// Marks `r` as already ordered without walking its history — for a
+    /// commit adopted from a state transfer, whose vertex may arrive later
+    /// or never, and for the marks a checkpoint restores. Below the horizon,
+    /// or for a source outside the tribe, there is nothing to mark.
     pub fn mark_ordered(&mut self, r: VertexRef) {
         if r.round >= self.horizon && r.source.idx() < self.tribe.n() {
             self.row_mut(r.round).ordered.insert(r.source);

@@ -1,12 +1,16 @@
 //! Periodic DAG / commit-frontier checkpoints.
 //!
-//! A checkpoint is a single atomically-installed snapshot of everything the
-//! WAL has proven so far: the commit frontier (so sequence numbers continue
-//! gap-free), the signing ledger (voted / no-voted rounds), the live DAG
-//! window, the node's own last proposal (equivocation guard), the
-//! epoch-rotation decisions and the retained misbehaviour evidence. Once a
-//! checkpoint is durable the WAL is rotated (truncated to empty) — log
-//! growth is bounded by the checkpoint cadence, not the run length.
+//! A checkpoint is a single atomically-installed snapshot of the node's
+//! durable state: the commit frontier (so sequence numbers continue
+//! gap-free), the signing ledger (voted / no-voted rounds), the whole DAG
+//! from the garbage-collection horizon on (live and pending vertices, and
+//! every ordered mark, with or without its vertex), the node's own last
+//! proposal (equivocation guard), the epoch-rotation decisions and the
+//! retained misbehaviour evidence. Replay re-runs the commit rule over this
+//! DAG, so it holds exactly what the node's own DAG held. Once a checkpoint
+//! is durable the WAL is rotated (truncated to empty) — log growth is
+//! bounded by the checkpoint cadence, not the run length. It is also how
+//! state adopted from peers becomes durable: the adoption installs one.
 //!
 //! Installation is crash-atomic: the snapshot is written to a temporary
 //! file, fsync'd, then `rename(2)`d over the live name. A crash at any
@@ -19,7 +23,7 @@ use clanbft_types::{Block, Evidence, Round, Vertex, VertexRef};
 /// Version tag; bumped if the snapshot layout ever changes. A storage
 /// directory is only ever read by the build that created it, so an older
 /// layout is refused like any other.
-const CHECKPOINT_VERSION: u32 = 2;
+const CHECKPOINT_VERSION: u32 = 3;
 
 /// The node's own last proposal, preserved verbatim so a recovered node
 /// re-broadcasts the identical vertex instead of equivocating.
@@ -97,9 +101,13 @@ pub struct Checkpoint {
     pub no_voted: Vec<Round>,
     /// The node's own last proposal.
     pub last_proposal: Option<ProposalEntry>,
-    /// Live DAG vertices inside the GC window, parents before children.
+    /// The DAG's garbage-collection horizon: rounds below it were pruned.
+    pub horizon: Round,
+    /// Every DAG vertex from `horizon` on, live or pending, in
+    /// `(round, source)` order (parents before children).
     pub vertices: Vec<Vertex>,
-    /// Vertices already swept into the total order (never re-emitted).
+    /// Every vertex from `horizon` on already in the total order (never
+    /// re-emitted), whether or not the vertex itself is held.
     pub ordered: Vec<VertexRef>,
     /// Per party: `round.0 + 1` of its newest committed vertex (0 = none);
     /// the liveness table the epoch-rotation rule reads.
@@ -121,6 +129,7 @@ impl Encode for Checkpoint {
         self.voted.encode(w);
         self.no_voted.encode(w);
         self.last_proposal.encode(w);
+        self.horizon.encode(w);
         self.vertices.encode(w);
         self.ordered.encode(w);
         self.committed_round_by.encode(w);
@@ -144,6 +153,7 @@ impl Decode for Checkpoint {
             voted: Vec::<Round>::decode(r)?,
             no_voted: Vec::<Round>::decode(r)?,
             last_proposal: Option::<ProposalEntry>::decode(r)?,
+            horizon: Round::decode(r)?,
             vertices: Vec::<Vertex>::decode(r)?,
             ordered: Vec::<VertexRef>::decode(r)?,
             committed_round_by: Vec::<u64>::decode(r)?,
@@ -168,6 +178,7 @@ mod tests {
             voted: vec![Round(8), Round(9)],
             no_voted: vec![Round(6)],
             last_proposal: None,
+            horizon: Round(3),
             vertices: Vec::new(),
             ordered: vec![VertexRef {
                 round: Round(7),
@@ -197,7 +208,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_rejected() {
-        for version in [1, 99] {
+        for version in [1, 2, 99] {
             let mut bytes = Checkpoint::default().to_bytes();
             bytes[0] = version;
             assert!(Checkpoint::from_bytes(&bytes).is_err(), "version {version}");

@@ -6,26 +6,29 @@
 //! follows from them is re-derived on replay:
 //!
 //! * `Proposed` — the node's own broadcast for a round (the [`ProposalEntry`]
-//!   a recovered node restores) and the post-proposal client-tx sequence
-//!   cursor. Written *before* the first byte of the proposal leaves the
-//!   node, so a recovered node can re-broadcast the identical vertex instead
-//!   of equivocating.
+//!   a recovered node restores). Written *before* the first byte of the
+//!   proposal leaves the node, so a recovered node can re-broadcast the
+//!   identical vertex instead of equivocating. The client-tx sequence
+//!   cursor is not logged: replay reads it off the block's last batch.
 //! * `Voted` / `NoVoted` — the rounds this node signed a leader vote or a
 //!   timeout for; recovery suppresses conflicting signatures for those
 //!   rounds (vote/no-vote exclusivity survives the crash).
 //! * `Accepted` — an RBC-delivered, shape-validated vertex; replay rebuilds
 //!   the local DAG from these.
-//! * `Committed` — one commit decision: the vertices a leader commit (or an
-//!   adopted state-transfer suffix) appended to the total order, in order,
-//!   durable whole or not at all. Replay derives their sequence numbers
-//!   from the checkpoint's frontier and re-derives the epoch-rotation
-//!   decisions they reach.
+//! * `Committed` — one commit decision: the leader round whose vertex
+//!   gathered `2f+1` votes (the votes themselves are not logged). Replay
+//!   re-runs the commit rule on the DAG it rebuilt so far, which yields the
+//!   same order, and derives the sequence numbers and the epoch-rotation
+//!   decisions from it.
 //! * `Evidence` — one recorded Byzantine conflict; the next checkpoint
 //!   carries it on, so recorded conflicts survive restarts.
+//!
+//! What a node learns from its peers in a state transfer is not logged: the
+//! adoption installs a checkpoint instead.
 
 use crate::checkpoint::ProposalEntry;
 use clanbft_types::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use clanbft_types::{Evidence, Round, Vertex, VertexRef};
+use clanbft_types::{Evidence, Round, Vertex};
 
 /// One durable consensus state transition.
 #[derive(Clone, Debug)]
@@ -34,8 +37,6 @@ pub enum WalRecord {
     Proposed {
         /// The proposed vertex and its block.
         proposal: ProposalEntry,
-        /// Client-tx sequence cursor *after* this proposal's batches.
-        next_tx_seq: u64,
     },
     /// A leader vote was signed for `round`.
     Voted {
@@ -52,13 +53,10 @@ pub enum WalRecord {
         /// The accepted vertex.
         vertex: Vertex,
     },
-    /// One commit decision: `vertices` entered the total order, in order.
+    /// One commit decision: the leader vertex of `leader_round` committed.
     Committed {
-        /// The leader round whose commit swept them in (the highest adopted
-        /// one for a state-transfer suffix).
+        /// The committed leader's round.
         leader_round: Round,
-        /// The committed vertices, in sequence order.
-        vertices: Vec<VertexRef>,
     },
     /// A Byzantine conflict observation.
     Evidence {
@@ -77,13 +75,9 @@ const TAG_EVIDENCE: u8 = 6;
 impl Encode for WalRecord {
     fn encode(&self, w: &mut Writer) {
         match self {
-            WalRecord::Proposed {
-                proposal,
-                next_tx_seq,
-            } => {
+            WalRecord::Proposed { proposal } => {
                 w.put_u8(TAG_PROPOSED);
                 proposal.encode(w);
-                w.put_u64(*next_tx_seq);
             }
             WalRecord::Voted { round } => {
                 w.put_u8(TAG_VOTED);
@@ -97,13 +91,9 @@ impl Encode for WalRecord {
                 w.put_u8(TAG_ACCEPTED);
                 vertex.encode(w);
             }
-            WalRecord::Committed {
-                leader_round,
-                vertices,
-            } => {
+            WalRecord::Committed { leader_round } => {
                 w.put_u8(TAG_COMMITTED);
                 leader_round.encode(w);
-                vertices.encode(w);
             }
             WalRecord::Evidence { evidence } => {
                 w.put_u8(TAG_EVIDENCE);
@@ -118,7 +108,6 @@ impl Decode for WalRecord {
         match r.get_u8()? {
             TAG_PROPOSED => Ok(WalRecord::Proposed {
                 proposal: ProposalEntry::decode(r)?,
-                next_tx_seq: r.get_u64()?,
             }),
             TAG_VOTED => Ok(WalRecord::Voted {
                 round: Round::decode(r)?,
@@ -131,7 +120,6 @@ impl Decode for WalRecord {
             }),
             TAG_COMMITTED => Ok(WalRecord::Committed {
                 leader_round: Round::decode(r)?,
-                vertices: Vec::<VertexRef>::decode(r)?,
             }),
             TAG_EVIDENCE => Ok(WalRecord::Evidence {
                 evidence: Evidence::decode(r)?,
@@ -145,7 +133,7 @@ impl Decode for WalRecord {
 mod tests {
     use super::*;
     use clanbft_crypto::Digest;
-    use clanbft_types::{Block, Micros, PartyId, TxBatch};
+    use clanbft_types::{Block, Micros, PartyId, TxBatch, VertexRef};
 
     fn sample_vertex() -> Vertex {
         let block = sample_block();
@@ -181,7 +169,6 @@ mod tests {
                     vertex: sample_vertex(),
                     block: sample_block(),
                 },
-                next_tx_seq: 12,
             },
             WalRecord::Voted { round: Round(4) },
             WalRecord::NoVoted { round: Round(5) },
@@ -190,16 +177,6 @@ mod tests {
             },
             WalRecord::Committed {
                 leader_round: Round(4),
-                vertices: vec![
-                    VertexRef {
-                        round: Round(3),
-                        source: PartyId(1),
-                    },
-                    VertexRef {
-                        round: Round(4),
-                        source: PartyId(0),
-                    },
-                ],
             },
             WalRecord::Evidence {
                 evidence: Evidence::DoubleVote {

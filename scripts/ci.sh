@@ -40,6 +40,11 @@ echo "== figures check (the committed Fig. 5a lines reproduce bit for bit)"
 # which says the same per line before it rewrites the files.
 cargo bench -q --offline -p clanbft-bench --bench figures -- fig5 a --check
 
+echo "== figures check (the committed Fig. 5d real-WAL lines reproduce bit for bit)"
+# The one section whose nodes write a real WAL and checkpoints: its
+# `wal_bytes_per_commit` column is the durable record format's size.
+cargo bench -q --offline -p clanbft-bench --bench figures -- fig5 d --check
+
 echo "== repo benchmark gate (benchmark/ builds and runs against crates/*)"
 # benchmark/ is a package of its own with path dependencies into crates/*:
 # a signature drift there breaks its build without failing anything above.

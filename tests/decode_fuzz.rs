@@ -188,14 +188,12 @@ fn wal_record(variant: usize, g: &mut Gen) -> WalRecord {
     match variant {
         0 => WalRecord::Proposed {
             proposal: proposal(g),
-            next_tx_seq: g.u64(),
         },
         1 => WalRecord::Voted { round: round(g) },
         2 => WalRecord::NoVoted { round: round(g) },
         3 => WalRecord::Accepted { vertex: vertex(g) },
         4 => WalRecord::Committed {
             leader_round: round(g),
-            vertices: g.vec(0, 8, vertex_ref),
         },
         5..=8 => WalRecord::Evidence {
             evidence: evidence(variant - 5, g),
@@ -229,6 +227,7 @@ fn checkpoint(g: &mut Gen) -> Checkpoint {
         voted: g.vec(0, 5, round),
         no_voted: g.vec(0, 3, round),
         last_proposal: g.bool().then(|| proposal(g)),
+        horizon: round(g),
         vertices: g.vec(0, 4, vertex),
         ordered: g.vec(0, 6, vertex_ref),
         committed_round_by: g.vec(0, 8, Gen::u64),

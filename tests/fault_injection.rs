@@ -12,7 +12,7 @@ use clanbft_sim::tribe::elect_clan;
 use clanbft_sim::{build_tribe, TribeSpec};
 use clanbft_simnet::net::Partition;
 use clanbft_telemetry::{counters, Event};
-use clanbft_types::{Micros, PartyId, Round, VertexRef};
+use clanbft_types::{Encode, Micros, PartyId, Round, VertexRef};
 use common::run_judged;
 
 fn order_of(node: &clanbft_consensus::SailfishNode) -> Vec<VertexRef> {
@@ -558,7 +558,9 @@ fn epoch_rotation_replaces_crashed_clan_member() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// What a restart must give a node back, read off one incarnation.
+/// What a restart must give a node back, read off one incarnation: its
+/// whole checkpointable state, and the parts of it a divergence is easiest
+/// to read from.
 #[derive(Debug, PartialEq)]
 struct Durable {
     /// The commit frontier: the sequence number its next commit gets.
@@ -567,6 +569,10 @@ struct Durable {
     epochs: Vec<clanbft_storage::EpochEntry>,
     evidence: Vec<clanbft_types::Evidence>,
     round: Round,
+    /// Digest of the encoded `SailfishNode::snapshot`: the DAG with its
+    /// horizon, pending vertices and ordered marks, the vote sets, the
+    /// cursors and the last proposal.
+    snapshot: clanbft_crypto::Digest,
 }
 
 impl Durable {
@@ -577,6 +583,7 @@ impl Durable {
             epochs: node.epoch_decisions().to_vec(),
             evidence: node.evidence().to_vec(),
             round: node.round(),
+            snapshot: clanbft_crypto::Digest::of(&node.snapshot().to_bytes()),
         }
     }
 }
@@ -600,9 +607,10 @@ fn assert_restart_replays(built: &mut clanbft_sim::BuiltTribe, p: PartyId) -> Du
 
 #[test]
 fn replay_rebuilds_the_state_the_node_crashed_with() {
-    // Three restarts, each compared with the incarnation that crashed: the
-    // WAL records commit decisions only, and replay derives the sequence
-    // numbers and the epoch decisions from them.
+    // Five crashes, each compared with the incarnation that crashed: the
+    // WAL records commit decisions only, and replay re-runs the commit rule
+    // and garbage collection and derives the sequence numbers and the
+    // epoch decisions from them.
     let dir = scratch("replay");
 
     // The follower of `restarted_follower_recovers_from_wal`: WAL only.
@@ -680,6 +688,50 @@ fn replay_rebuilds_the_state_the_node_crashed_with() {
         "p4 decided no epoch after its restart"
     );
     assert_eq!(rejoined, reference, "p4 and p0 decided different epochs");
+
+    // Garbage collection at depth 4 with execution on: the horizon is
+    // `last_committed − 4` whatever blocks are still downloading, and it
+    // rises inside p2's WAL suffix, past the one its checkpoint holds.
+    let mut gc = TribeSpec::new(4);
+    gc.storage_root = Some(dir.join("gc"));
+    gc.txs_per_proposal = 40;
+    gc.max_round = Some(60);
+    gc.timeout = Micros::from_millis(1_200);
+    gc.gc_depth = Some(4);
+    gc.execute = true;
+    gc.crashes = vec![(PartyId(2), Micros::from_millis(2_500))];
+    gc.restarts = vec![(PartyId(2), Micros::from_secs(4))];
+    let mut built = build_tribe(&gc);
+    built.sim.run_until(Micros::from_millis(2_500));
+    let (_, on_disk) = clanbft_storage::NodeStorage::open(
+        &dir.join("gc/node-2"),
+        false,
+        clanbft_telemetry::Telemetry::null(),
+    )
+    .expect("p2's storage");
+    let checkpointed = on_disk.checkpoint.expect("a checkpoint before the crash");
+    let crashed = built.sim.node(PartyId(2)).snapshot().horizon;
+    assert!(
+        checkpointed.horizon < crashed,
+        "no collection in p2's WAL suffix: {:?} / {crashed:?}",
+        checkpointed.horizon
+    );
+    let frozen = assert_restart_replays(&mut built, PartyId(2));
+
+    // And a second crash once the restart adopted what the tribe committed
+    // meanwhile: a node rebuilt from p2's disk holds what p2 holds.
+    built.sim.run_until(Micros::from_secs(5));
+    let rejoined = built.sim.node(PartyId(2));
+    assert!(
+        rejoined.commit_seq_base() == frozen.frontier && !rejoined.committed_log.is_empty(),
+        "p2 adopted nothing after its restart"
+    );
+    let rebuilt = build_tribe(&gc);
+    assert_eq!(
+        Durable::of(rebuilt.sim.node(PartyId(2))),
+        Durable::of(rejoined),
+        "p2: replay after the adoption diverged"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -641,6 +641,32 @@ impl NaiveDag {
         seen.into_iter().collect()
     }
 
+    /// The leader chain a commit of `leader` resolves: walking the rounds
+    /// down from it to just above `last` (or to the horizon), every leader
+    /// vertex that is live and that the chain's newest member reaches by a
+    /// strong path, oldest first.
+    fn commit_chain(
+        &self,
+        last: Option<Round>,
+        leader: VertexRef,
+        leader_at: impl Fn(Round) -> PartyId,
+    ) -> Vec<VertexRef> {
+        let mut chain = vec![leader];
+        let floor = last.map_or(self.horizon.0, |r| r.0 + 1);
+        for r in (floor..leader.round.0).rev() {
+            let candidate = VertexRef {
+                round: Round(r),
+                source: leader_at(Round(r)),
+            };
+            let head = chain[chain.len() - 1];
+            if self.live.contains_key(&candidate) && self.exists_strong_path(&head, &candidate) {
+                chain.push(candidate);
+            }
+        }
+        chain.reverse();
+        chain
+    }
+
     /// Every live vertex `roots` reach over strong and weak edges, breadth
     /// first, ordered or not, however old.
     fn reachable(&self, roots: &[VertexRef]) -> std::collections::BTreeSet<VertexRef> {
@@ -798,6 +824,68 @@ fn index_addressed_dag_matches_naive_reference() {
                     tk_assert!(got == want, "path {a:?} -> {b:?}: {got} != {want}");
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+/// `interpret` — `order::commit_chain` then `order::causal_order`, the one
+/// path from a DAG to an order that a node and its WAL replay share —
+/// against the naive model, on random DAGs under a random leader schedule
+/// and a random sequence of commits. The order must not depend on how the
+/// DAG was built either: a node inserts in arrival order, a checkpoint
+/// restore in `(round, source)` order.
+#[test]
+fn interpret_matches_the_naive_commit_model() {
+    check_shrink(
+        "interpret_matches_the_naive_commit_model",
+        CASES * 2,
+        |g| (g.u64(), g.vec(0, 8, |g| g.u32())),
+        |(seed, commits)| {
+            let (n, vertices) = arb_dag_vertices(*seed, false);
+            let mut rng = ClanRng::seed_from_u64(seed ^ 0x1ead);
+            let leaders: Vec<PartyId> = (0..6)
+                .map(|_| PartyId(rng.gen_u64_below(n as u64) as u32))
+                .collect();
+            let leader_at = |r: Round| leaders[r.0 as usize];
+            let mut arrival = vertices.clone();
+            rng.shuffle(&mut arrival);
+            let mut restored = vertices;
+            restored.sort_by_key(Vertex::reference);
+            let mut orders = Vec::new();
+            for built in [arrival, restored] {
+                let mut dag = Dag::new(TribeParams::new(n));
+                let mut naive = NaiveDag::empty();
+                for v in built {
+                    dag.insert(v.clone());
+                    naive.insert(v);
+                }
+                let (mut last, mut order) = (None, Vec::new());
+                for &c in commits {
+                    let round = Round(u64::from(c) % 6);
+                    let leader = VertexRef {
+                        round,
+                        source: leader_at(round),
+                    };
+                    if last.is_some_and(|l| round <= l) || dag.get(&leader).is_none() {
+                        tk_assert_eq!(dag.get(&leader).is_some(), naive.live.contains_key(&leader));
+                        continue;
+                    }
+                    let chain = clanbft_dag::order::commit_chain(&dag, last, leader, leader_at);
+                    let want_chain = naive.commit_chain(last, leader, leader_at);
+                    tk_assert_eq!(chain, want_chain);
+                    let got = clanbft_dag::order::causal_order(&mut dag, &chain);
+                    let mut want = Vec::new();
+                    for l in &want_chain {
+                        want.extend(naive.take_causal_history(l));
+                    }
+                    tk_assert_eq!(got, want);
+                    last = Some(round);
+                    order.extend(got);
+                }
+                orders.push(order);
+            }
+            tk_assert_eq!(orders[0], orders[1]);
             Ok(())
         },
     );
