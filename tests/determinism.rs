@@ -624,9 +624,9 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("mempool.admitted", 1440),
                 ("rejected.duplicate", 6),
                 ("state_transfer.requests", 3),
-                ("wal.appends", 338),
-                ("wal.bytes", 42994),
-                ("wal.fsyncs", 346)
+                ("wal.appends", 325),
+                ("wal.bytes", 37965),
+                ("wal.fsyncs", 333)
             ],
             trace: "d3ed004c961917af75fac013644449d072c0aa0d286a42b71806a470daa215e0".to_string()
         }
