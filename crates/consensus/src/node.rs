@@ -729,8 +729,8 @@ impl SailfishNode {
     }
 
     /// The order the commit of `round`'s leader appends: its leader chain
-    /// and their unordered causal histories. A function of the DAG alone,
-    /// so WAL replay re-derives the order the live node emitted.
+    /// and their unordered causal histories. A function of the DAG and the
+    /// commit frontier, so WAL replay re-derives what the live node emitted.
     pub(crate) fn order_decision(&mut self, round: Round) -> Vec<VertexRef> {
         let (schedule, last) = (self.schedule, self.last_committed);
         let leader = schedule.leader_vertex(round);
