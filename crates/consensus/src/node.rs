@@ -944,7 +944,6 @@ impl SailfishNode {
                     // The engine already counted and traced it.
                     self.keep_evidence(ev, false);
                 }
-                RbcEvent::EchoQuorum { .. } => {}
             }
             intake_charge += intake.charge;
         }
@@ -1084,10 +1083,11 @@ impl Protocol<ConsensusMsg> for SailfishNode {
                 let mut fx = Effects::at(ctx.now());
                 self.rbc.handle(from, pkt, &mut fx);
                 if fx.is_inert() {
-                    // Two deliveries in three — an echo past the quorum, a
-                    // certificate past the first — move a voter bit or
-                    // nothing: no vertex came in, so no round can have
-                    // completed (`try_advance` runs wherever one can).
+                    // Two deliveries in three — an echo at or past the
+                    // quorum that starts no pull, a certificate past the
+                    // first — move a voter bit or nothing: no vertex came
+                    // in, so no round can have completed (`try_advance`
+                    // runs wherever one can).
                     ctx.charge(fx.charge);
                     return;
                 }

@@ -142,16 +142,6 @@ impl<P: TribePayload> Message for RbcPacket<P> {
 /// Observable outcomes of the broadcast layer.
 #[derive(Clone, Debug)]
 pub enum RbcEvent<P: TribePayload> {
-    /// `2f+1` echoes including `f_c+1` from the clan — a clan member may
-    /// begin pulling the payload (paper §5's early-download optimization).
-    EchoQuorum {
-        /// Instance source.
-        source: PartyId,
-        /// Instance round.
-        round: Round,
-        /// Certified digest.
-        digest: Digest,
-    },
     /// The digest is certified: 2f+1 READYs (3-round) or a valid echo
     /// certificate (2-round). Consensus uses this for round progress.
     Certified {
@@ -407,7 +397,7 @@ mod fact {
     pub const CERT_SENT: u8 = 1 << 2;
     /// This party has `r_deliver`ed.
     pub const DELIVERED: u8 = 1 << 3;
-    /// `EchoQuorum` has been emitted.
+    /// The echo quorum was reached and traced (the early pull starts once).
     pub const ECHO_QUORUM_EMITTED: u8 = 1 << 4;
     /// This party sent its READY (signature-free flavour).
     pub const READY_SENT: u8 = 1 << 5;
@@ -1472,8 +1462,9 @@ impl<P: TribePayload> TribeRbc<P> {
         }
     }
 
-    /// Emits `EchoQuorum` once and starts the early pull if this clan
-    /// member lacks the payload.
+    /// On the echo quorum (`2f+1` echoes including `f_c+1` from the clan),
+    /// once: traces it and starts the early pull if this clan member lacks
+    /// the payload (paper §5's early download).
     fn on_echo_quorum(
         &mut self,
         round: Round,
@@ -1486,11 +1477,6 @@ impl<P: TribePayload> TribeRbc<P> {
             return;
         }
         let lacks_payload = !inst.holds(Which::Full);
-        fx.events.push(RbcEvent::EchoQuorum {
-            source,
-            round,
-            digest,
-        });
         self.trace(RbcPhase::EchoQuorum, round, source, fx);
         if lacks_payload && self.my_view(round, source) == Which::Full {
             // Gentle first probe: one clan echoer. In the good case the

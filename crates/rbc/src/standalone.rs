@@ -86,7 +86,7 @@ impl<P: TribePayload> StandaloneNode<P> {
                 RbcEvent::Certified { source, round, .. } => {
                     self.certified.push((source, round, ctx.now()))
                 }
-                RbcEvent::EchoQuorum { .. } | RbcEvent::Evidence(_) => {}
+                RbcEvent::Evidence(_) => {}
             }
         }
         let tribe = self.engine.config().topology.tribe();
