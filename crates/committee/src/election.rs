@@ -174,11 +174,6 @@ impl ClanAssignment {
         self.member_of[p.idx()]
     }
 
-    /// True iff `p` belongs to clan `c`.
-    pub fn is_member(&self, p: PartyId, c: ClanId) -> bool {
-        self.clan_of(p) == Some(c)
-    }
-
     /// True iff `p` belongs to some clan.
     pub fn in_any_clan(&self, p: PartyId) -> bool {
         self.clan_of(p).is_some()

@@ -135,11 +135,6 @@ impl ClanTopology {
         &self.clans[idx]
     }
 
-    /// The clan index `p` belongs to, if any.
-    pub fn clan_of_member(&self, p: PartyId) -> Option<usize> {
-        self.clans.iter().position(|c| c.contains(p))
-    }
-
     /// True iff `me` receives full payloads from `sender`.
     pub fn receives_full(&self, me: PartyId, sender: PartyId) -> bool {
         self.clan_for_sender(sender).contains(me)
@@ -175,8 +170,6 @@ mod tests {
             assert!(!t.receives_full(p(0), p(sender)));
         }
         assert_eq!(t.clan_for_sender(p(2)).clan_quorum, 2);
-        assert_eq!(t.clan_of_member(p(3)), Some(0));
-        assert_eq!(t.clan_of_member(p(0)), None);
     }
 
     #[test]
@@ -188,7 +181,6 @@ mod tests {
         assert!(t.receives_full(p(0), p(1)));
         assert!(!t.receives_full(p(0), p(4)));
         assert!(t.receives_full(p(5), p(4)));
-        assert_eq!(t.clan_of_member(p(4)), Some(1));
     }
 
     #[test]

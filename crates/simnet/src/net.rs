@@ -382,11 +382,6 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
         &self.nodes[p.idx()]
     }
 
-    /// Mutable access to a node's state machine (harness injection points).
-    pub fn node_mut(&mut self, p: PartyId) -> &mut P {
-        &mut self.nodes[p.idx()]
-    }
-
     /// Iterates over all node state machines.
     pub fn nodes(&self) -> impl Iterator<Item = &P> {
         self.nodes.iter()

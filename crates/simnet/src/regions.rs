@@ -93,14 +93,6 @@ impl LatencyMatrix {
         }
     }
 
-    /// Builds with an explicit region per node.
-    pub fn with_regions(region_of: Vec<Region>) -> LatencyMatrix {
-        LatencyMatrix {
-            region_of,
-            one_way_us: Self::table1_one_way(),
-        }
-    }
-
     fn table1_one_way() -> [[u64; 5]; 5] {
         let mut m = [[0u64; 5]; 5];
         for (i, row) in RTT_MS.iter().enumerate() {

@@ -2,7 +2,6 @@
 
 use crate::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use crate::ids::{PartyId, Round};
-use crate::time::Micros;
 use crate::transaction::TxBatch;
 use clanbft_crypto::{Digest, Hasher};
 
@@ -73,11 +72,6 @@ impl Block {
         }
         h.finalize()
     }
-
-    /// Earliest batch creation time in the block, used by latency metrics.
-    pub fn earliest_created_at(&self) -> Option<Micros> {
-        self.batches.iter().map(|b| b.created_at).min()
-    }
 }
 
 impl Encode for Block {
@@ -107,6 +101,7 @@ impl Decode for Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Micros;
 
     fn sample_block() -> Block {
         Block::new(
@@ -124,11 +119,6 @@ mod tests {
         let b = sample_block();
         assert_eq!(b.tx_count(), 1500);
         assert_eq!(b.tx_wire_bytes(), 1500 * 512);
-        assert_eq!(b.earliest_created_at(), Some(Micros(10)));
-        assert_eq!(
-            Block::empty(PartyId(0), Round(0)).earliest_created_at(),
-            None
-        );
     }
 
     #[test]
