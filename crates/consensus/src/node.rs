@@ -22,6 +22,10 @@
 //! 4. Advance to `r+1` once `2f+1` round-`r` vertices are live including
 //!    the leader's — or a timeout certificate replaces it.
 //!
+//! What the rules read about a round (votes, timeout announcements, the
+//! TC/NVC, this node's own vote or no-vote) is one [`RoundState`] per round
+//! in a window from the DAG's horizon on, so GC drops all of it in one call.
+//!
 //! Block payloads trail metadata by design: ordering and progress never
 //! wait for block downloads (paper §5); execution does.
 
@@ -30,15 +34,17 @@ use crate::execution::Executor;
 use crate::messages::{vote_digest, ConsensusMsg};
 use crate::payload::MergedPayload;
 use crate::schedule::LeaderSchedule;
-use crate::trackers::{TimeoutTracker, VoteOutcome, VoteTracker};
+use crate::trackers::{RoundState, VoteOutcome};
 use clanbft_crypto::{Authenticator, Digest};
 use clanbft_dag::{order, Dag, InsertOutcome};
 use clanbft_mempool::{plan_batches, ClientIngress, MempoolConfig, SizerConfig, WorkloadSpec};
 use clanbft_rbc::{parse_retry_token, Effects, EngineConfig, RbcEvent, TribeRbc, ROUND_WINDOW};
 use clanbft_simnet::protocol::{Ctx, Protocol};
 use clanbft_telemetry::{counters, Event};
-use clanbft_types::certs::{no_vote_digest, timeout_digest, NoVoteCert, TimeoutCert};
-use clanbft_types::{Block, Encode, Evidence, Micros, PartyId, Round, TxBatch, Vertex, VertexRef};
+use clanbft_types::certs::{no_vote_digest, timeout_digest};
+use clanbft_types::{
+    Block, Encode, Evidence, Micros, PartyId, Round, RoundWindow, TxBatch, Vertex, VertexRef,
+};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -87,18 +93,12 @@ pub struct SailfishNode {
     pub(crate) auth: Arc<Authenticator>,
     pub(crate) rbc: TribeRbc<MergedPayload>,
     pub(crate) dag: Dag,
-    votes: VoteTracker,
-    timeouts: TimeoutTracker,
+    /// Votes, timeout announcements, certificates and this node's own vote
+    /// or no-vote, one record per round; the window's base is the horizon.
+    pub(crate) rounds: RoundWindow<RoundState>,
 
     pub(crate) current_round: Round,
     pub(crate) stopped_proposing: bool,
-    /// Rounds this node voted in (leader vertex delivered in time).
-    pub(crate) voted: HashSet<Round>,
-    /// Rounds this node announced a timeout for (mutually exclusive with
-    /// voting — the quorum-intersection hinge of commit safety).
-    pub(crate) no_voted: HashSet<Round>,
-    /// Certificates assembled from 2f+1 timeout announcements.
-    pub(crate) certs_formed: HashMap<Round, (TimeoutCert, NoVoteCert)>,
 
     /// Misbehaviour proof records observed by this node (capped).
     pub(crate) evidence: Vec<Evidence>,
@@ -236,15 +236,11 @@ impl SailfishNode {
         let mut node = SailfishNode {
             schedule: LeaderSchedule::new(tribe.n(), cfg.schedule_seed),
             dag: Dag::new(tribe),
-            votes: VoteTracker::new(tribe.n()),
-            timeouts: TimeoutTracker::new(tribe.n()),
+            rounds: RoundWindow::default(),
             rbc,
             auth,
             current_round: Round::GENESIS,
             stopped_proposing: false,
-            voted: HashSet::new(),
-            no_voted: HashSet::new(),
-            certs_formed: HashMap::new(),
             evidence: Vec::new(),
             evidence_keys: HashSet::new(),
             blocks: HashMap::new(),
@@ -457,9 +453,9 @@ impl SailfishNode {
             let leader_ref = self.schedule.leader_vertex(prev);
             if !strong_edges.contains(&leader_ref) {
                 let (tcert, nvcert) = self
-                    .certs_formed
-                    .get(&prev)
-                    .cloned()
+                    .rounds
+                    .get(prev)
+                    .and_then(|state| state.certs.clone())
                     .expect("advanced without leader vertex implies certificates");
                 if self.schedule.is_leader(self.cfg.me, round) {
                     nvc = Some(nvcert);
@@ -563,18 +559,17 @@ impl SailfishNode {
             });
         }
 
-        // Leader vote (Sailfish's 1δ commit step).
+        // Leader vote (Sailfish's 1δ commit step). Every vertex below the
+        // horizon is known, so the round is in the window.
         let round = vref.round;
-        if self.schedule.leader_vertex(round) == vref
-            && !self.voted.contains(&round)
-            && !self.no_voted.contains(&round)
-        {
+        let state = self.rounds.touch(round).expect("in the window");
+        if self.schedule.leader_vertex(round) == vref && !state.voted && !state.no_voted {
+            state.voted = true;
             // Persist the vote before signing: a recovered node must never
             // vote twice, nor vote after having announced a timeout.
             if self.storage.is_some() {
                 self.log_wal(&clanbft_storage::WalRecord::Voted { round });
             }
-            self.voted.insert(round);
             fx.charge(self.cfg.cost.sign());
             let sig = self.auth.sign_digest(&vote_digest(round, &id));
             out.push(ConsensusMsg::Vote {
@@ -685,7 +680,8 @@ impl SailfishNode {
         let Some(id) = self.dag.id_of(&leader_ref) else {
             return; // Not live yet.
         };
-        if self.votes.count(round, &id) < self.cfg.tribe().quorum() {
+        let state = self.rounds.get(round);
+        if state.map_or(0, |s| s.vote_count(&id)) < self.cfg.tribe().quorum() {
             return;
         }
         // Direct commit — durable as one decision before its first vertex
@@ -821,14 +817,10 @@ impl SailfishNode {
         }
         let horizon = Round(lc.0 - depth);
         let released = self.dag.prune_below(horizon);
-        self.votes.prune_below(horizon);
-        self.timeouts.prune_below(horizon);
-        self.voted.retain(|r| *r >= horizon);
-        self.no_voted.retain(|r| *r >= horizon);
+        self.rounds.prune_below(horizon);
         // The next proposal would drop these too; a node past `max_round`
         // makes none.
         self.late_arrivals.retain(|r| r.round >= horizon);
-        self.certs_formed.retain(|r, _| *r >= horizon);
         // Evidence records stay (they are the audit trail, already capped);
         // only their dedup keys are pruned with the rest of the round state.
         self.evidence_keys.retain(|(r, _)| *r >= horizon);
@@ -849,7 +841,7 @@ impl SailfishNode {
     pub(crate) fn round_complete(&self, r: Round, trust_commits: bool) -> bool {
         self.dag.round_count(r) >= self.cfg.tribe().quorum()
             && (self.dag.get(&self.schedule.leader_vertex(r)).is_some()
-                || self.certs_formed.contains_key(&r)
+                || self.rounds.get(r).is_some_and(|s| s.certs.is_some())
                 || (trust_commits && self.last_committed.is_some_and(|lc| lc >= r)))
     }
 
@@ -982,16 +974,17 @@ impl SailfishNode {
             self.cfg.telemetry.add(counters::REJECTED_BAD_SIG, 1);
             return;
         }
+        let state = self.rounds.touch(round).expect("in the window");
         // A vote from a party that already announced a timeout for the same
         // round breaks the vote/no-vote exclusivity honest nodes maintain.
-        if self.timeouts.announced(round, from) {
+        if state.announced(from) {
             self.record_evidence(
                 Evidence::VoteTimeoutConflict { round, party: from },
                 ctx.now(),
             );
             return;
         }
-        match self.votes.record(round, vertex_id, from) {
+        match state.record_vote(from, vertex_id) {
             VoteOutcome::New(count) => {
                 if count >= self.cfg.tribe().quorum() {
                     self.try_commit(round, ctx.now());
@@ -1042,27 +1035,23 @@ impl SailfishNode {
                 return;
             }
         }
+        let state = self.rounds.touch(round).expect("in the window");
         // The mirror of the check in `on_vote`: a timeout announcement from
         // a party whose vote we already counted is misbehaviour.
-        if self.votes.voted(round, from).is_some() {
+        if state.voted_for(from).is_some() {
             self.record_evidence(
                 Evidence::VoteTimeoutConflict { round, party: from },
                 ctx.now(),
             );
             return;
         }
-        let Some(count) = self.timeouts.record(round, from, timeout_sig, no_vote_sig) else {
+        let Some(count) = state.record_timeout(from, timeout_sig, no_vote_sig) else {
             self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1);
             return;
         };
-        let quorum = self.cfg.tribe().quorum();
-        if count >= quorum && !self.certs_formed.contains_key(&round) {
-            let collected = self.timeouts.round(round).expect("just recorded");
+        if count >= self.cfg.tribe().quorum() && state.certs.is_none() {
             ctx.charge(self.cfg.cost.aggregate(count) + self.cfg.cost.agg_verify(count));
-            let n = self.cfg.tribe().n();
-            let tc = TimeoutCert::new(round, n, &collected.timeout_sigs);
-            let nvc = NoVoteCert::new(round, n, &collected.no_vote_sigs);
-            self.certs_formed.insert(round, (tc, nvc));
+            state.form_certs(round, self.cfg.tribe().n());
             self.try_advance(ctx);
         }
     }
@@ -1143,10 +1132,16 @@ impl Protocol<ConsensusMsg> for SailfishNode {
         if round != self.current_round {
             return; // Stale timer; the round already advanced.
         }
-        let leader_delivered = self.dag.is_known(&self.schedule.leader_vertex(round));
-        if leader_delivered || self.voted.contains(&round) || self.no_voted.contains(&round) {
+        // A leader vertex below the horizon counts as delivered, so a round
+        // past this test is in the window.
+        if self.dag.is_known(&self.schedule.leader_vertex(round)) {
             return;
         }
+        let state = self.rounds.touch(round).expect("in the window");
+        if state.voted || state.no_voted {
+            return;
+        }
+        state.no_voted = true;
         // Announce the timeout: sign both the TC statement (round
         // advancement) and the NVC statement (the next leader's license to
         // skip the edge). Having announced, this node must never vote for
@@ -1155,7 +1150,6 @@ impl Protocol<ConsensusMsg> for SailfishNode {
         if self.storage.is_some() {
             self.log_wal(&clanbft_storage::WalRecord::NoVoted { round });
         }
-        self.no_voted.insert(round);
         self.cfg
             .telemetry
             .event(ctx.now(), self.cfg.me, Event::TimeoutAnnounced { round });
@@ -1188,7 +1182,7 @@ mod tests {
     use crate::messages::CommittedRec;
     use clanbft_crypto::{Registry, Scheme};
     use clanbft_rbc::ClanTopology;
-    use clanbft_types::TribeParams;
+    use clanbft_types::{NoVoteCert, TimeoutCert, TribeParams};
 
     fn test_node(n: usize, txs: u32) -> (SailfishNode, Vec<Arc<Authenticator>>) {
         let tribe = TribeParams::new(n);
@@ -1730,22 +1724,72 @@ mod tests {
     }
 
     #[test]
+    fn state_requests_are_answered_with_the_committed_suffix() {
+        // The log is contiguous from its base, 5 here: a request gets the
+        // entries from its `next_seq` on, the whole log for a `next_seq`
+        // below the base, and none past the end.
+        let (mut node, _) = test_node(4, 0);
+        let cost = node.cfg.cost;
+        let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
+        let entry = |sequence: u64| CommittedVertex {
+            sequence,
+            vertex: VertexRef {
+                round: Round(sequence),
+                source: PartyId(0),
+            },
+            block_digest: Digest::ZERO,
+            block_bytes: 0,
+            block_tx_count: 0,
+            committed_at: Micros::ZERO,
+            leader_round: Round(sequence),
+        };
+        node.committed_log = (5..10).map(entry).collect();
+        node.commit_seq = 10;
+        for (from, next_seq, want) in [(1, 0, 5..10), (2, 7, 7..10), (3, 12, 10..10)] {
+            let request = ConsensusMsg::StateRequest {
+                from_round: Round(0),
+                next_seq,
+            };
+            node.on_message(PartyId(from), request, &mut ctx);
+            let outbox = ctx.take_outbox();
+            let [(to, ConsensusMsg::StateReply { committed, .. })] = &outbox[..] else {
+                panic!("one reply expected: {outbox:?}");
+            };
+            assert_eq!(*to, PartyId(from));
+            let sequences: Vec<u64> = committed.iter().map(|c| c.sequence).collect();
+            assert_eq!(sequences, want.collect::<Vec<u64>>(), "next_seq {next_seq}");
+        }
+    }
+
+    #[test]
     fn garbage_collection_prunes_vote_and_no_vote_rounds() {
         // The checkpoint keeps only rounds at or above the horizon, so a
-        // live node must not keep more: it and its restarted self would
-        // hold different sets.
+        // live node must not keep more of any per-round fact: it and its
+        // restarted self would hold different state.
         let (mut node, _) = test_node(4, 0);
+        let sig = clanbft_crypto::Signature([1u8; 64]);
         for r in 0..40 {
-            node.voted.insert(Round(r));
-            node.no_voted.insert(Round(r));
+            let state = node.rounds.touch(Round(r)).unwrap();
+            state.record_vote(PartyId(0), Digest::ZERO);
+            state.record_timeout(PartyId(1), sig, sig);
+            state.form_certs(Round(r), 4);
+            (state.voted, state.no_voted) = (true, true);
         }
         node.last_committed = Some(Round(39));
         node.prune_to_horizon();
         let horizon = node.dag.horizon();
         assert!(horizon > Round(0), "nothing was collected");
-        for set in [&node.voted, &node.no_voted] {
-            assert!(set.iter().all(|r| *r >= horizon), "{set:?}");
-            assert_eq!(set.len() as u64, 40 - horizon.0);
+        for r in (0..40).map(Round) {
+            let facts = node.rounds.get(r).map(|s| {
+                let vote = s.vote_count(&Digest::ZERO) == 1 && s.voted_for(PartyId(0)).is_some();
+                let timeout = s.announced(PartyId(1)) && s.certs.is_some();
+                [vote, timeout, s.voted, s.no_voted]
+            });
+            let kept = if r >= horizon { [true; 4] } else { [false; 4] };
+            assert_eq!(facts.unwrap_or_default(), kept, "{r:?}");
         }
+        let above: Vec<Round> = (horizon.0..40).map(Round).collect();
+        let cp = node.snapshot();
+        assert_eq!((cp.voted, cp.no_voted), (above.clone(), above));
     }
 }

@@ -38,6 +38,7 @@
 use crate::messages::{CommittedRec, ConsensusMsg};
 use crate::node::{new_ingress, CommittedVertex, SailfishNode};
 use crate::payload::MergedPayload;
+use crate::trackers::RoundState;
 use clanbft_committee::rotate_single_clan;
 use clanbft_crypto::Digest;
 use clanbft_rbc::{ClanTopology, Effects};
@@ -110,8 +111,15 @@ impl SailfishNode {
         self.last_checkpoint_round = cp.last_committed.map(|r| r.0).unwrap_or(0);
         self.next_seq = cp.next_tx_seq;
         self.stopped_proposing = cp.stopped_proposing;
-        self.voted.extend(cp.voted);
-        self.no_voted.extend(cp.no_voted);
+        // The round window starts at the horizon, as the DAG does below;
+        // the snapshot listed no round under it.
+        self.rounds.prune_below(cp.horizon);
+        for round in cp.voted {
+            self.rounds.touch(round).expect("in the window").voted = true;
+        }
+        for round in cp.no_voted {
+            self.rounds.touch(round).expect("in the window").no_voted = true;
+        }
         if cp.committed_round_by.len() == self.cfg.tribe().n() {
             self.committed_round_by = cp.committed_round_by;
         }
@@ -150,12 +158,13 @@ impl SailfishNode {
                 }
                 self.restore_proposal(proposal);
             }
+            // The live node acted above its horizon, and replay prunes alike.
             WalRecord::Voted { round } => {
-                self.voted.insert(round);
+                self.rounds.touch(round).expect("in the window").voted = true;
                 self.current_round = self.current_round.max(round);
             }
             WalRecord::NoVoted { round } => {
-                self.no_voted.insert(round);
+                self.rounds.touch(round).expect("in the window").no_voted = true;
                 self.current_round = self.current_round.max(round);
             }
             WalRecord::Accepted { vertex } => {
@@ -318,10 +327,12 @@ impl SailfishNode {
             .into_iter()
             .cloned()
             .collect();
-        let committed: Vec<CommittedRec> = self
-            .committed_log
+        // The log is contiguous from `commit_seq_base`: the suffix is a
+        // slice, empty for a `next_seq` past its end.
+        let start = next_seq.saturating_sub(self.commit_seq_base()) as usize;
+        let suffix = self.committed_log.get(start..).unwrap_or_default();
+        let committed: Vec<CommittedRec> = suffix
             .iter()
-            .filter(|c| c.sequence >= next_seq)
             .map(|c| CommittedRec {
                 sequence: c.sequence,
                 vertex: c.vertex,
@@ -447,6 +458,7 @@ impl SailfishNode {
         if let Some(floor) = vs.first().map(|(v, _)| v.round) {
             if floor > self.dag.horizon() && self.last_committed.is_some_and(|lc| lc >= floor) {
                 released = self.dag.prune_below(floor);
+                self.rounds.prune_below(floor);
                 self.rbc.prune_below(floor);
             }
         }
@@ -534,10 +546,9 @@ impl SailfishNode {
     /// whole (pending vertices and every ordered mark included).
     pub fn snapshot(&self) -> Checkpoint {
         let horizon = self.dag.horizon();
-        let from_horizon = |rounds: &HashSet<Round>| {
-            let mut kept: Vec<Round> = rounds.iter().copied().filter(|r| *r >= horizon).collect();
-            kept.sort();
-            kept
+        let flagged = |flag: fn(&RoundState) -> bool| {
+            let rounds = self.rounds.iter().filter(|(_, state)| flag(state));
+            rounds.map(|(round, _)| round).collect()
         };
         let vertices = self.dag.vertices_from(horizon);
         Checkpoint {
@@ -546,8 +557,8 @@ impl SailfishNode {
             commit_seq: self.commit_seq,
             next_tx_seq: self.next_seq,
             stopped_proposing: self.stopped_proposing,
-            voted: from_horizon(&self.voted),
-            no_voted: from_horizon(&self.no_voted),
+            voted: flagged(|state| state.voted),
+            no_voted: flagged(|state| state.no_voted),
             last_proposal: self.last_proposal.clone(),
             horizon,
             vertices: vertices.into_iter().map(|v| Vertex::clone(v)).collect(),

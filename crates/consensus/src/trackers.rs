@@ -1,19 +1,19 @@
-//! Quorum trackers for leader votes and timeout announcements.
+//! Per-round consensus state: everything the Sailfish rules read about one
+//! round, in one record. The node keeps one [`RoundState`] per round in a
+//! [`clanbft_types::RoundWindow`] from the GC horizon on, so pruning every
+//! per-round fact is one call and no fact can be left behind.
 //!
-//! Hardened against Byzantine senders: a party gets exactly one vote per
-//! round (a second vote for a different vertex is reported as a
-//! [`VoteOutcome::Conflict`] so the node can record equivocation evidence),
-//! which also bounds per-round memory to one digest entry per party rather
-//! than letting an attacker key unbounded `(round, digest)` pairs.
+//! A party gets exactly one vote per round: a second vote for a different
+//! vertex is a [`VoteOutcome::Conflict`], recorded as evidence, never
+//! counted. That bounds what a Byzantine voter adds to one entry.
 
-use clanbft_crypto::{Bitmap, Digest, Signature};
-use clanbft_types::{PartyId, Round};
-use std::collections::HashMap;
+use clanbft_crypto::{Digest, Signature};
+use clanbft_types::{NoVoteCert, PartyId, PartySet, Round, TimeoutCert};
 
 /// Result of recording one leader vote.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VoteOutcome {
-    /// Fresh vote; the new count for `(round, vertex_id)`.
+    /// Fresh vote; the new count for the voted vertex.
     New(usize),
     /// Same party, same vertex again — no new information.
     Duplicate,
@@ -24,204 +24,165 @@ pub enum VoteOutcome {
     },
 }
 
-/// Per-round vote bookkeeping.
-struct RoundVotes {
-    /// Vote counts per vertex digest.
-    per_digest: HashMap<Digest, Bitmap>,
-    /// First (only counted) vote per party — the equivocation detector.
-    voter_first: HashMap<PartyId, Digest>,
+/// One round as the node knows it: the leader votes, the timeout
+/// announcements and the certificates formed from them, and this node's own
+/// vote or no-vote. Empty until the round's first fact arrives; nothing is
+/// allocated before.
+#[derive(Default)]
+pub struct RoundState {
+    /// Each vertex digest voted for, with the parties whose first vote it
+    /// was. A party sits in at most one set: its first vote is the one
+    /// counted.
+    votes: Vec<(Digest, PartySet)>,
+    /// `(signer, timeout_sig)` pairs for the TC, in arrival order.
+    timeout_sigs: Vec<(usize, Signature)>,
+    /// `(signer, no_vote_sig)` pairs for the NVC, in arrival order.
+    no_vote_sigs: Vec<(usize, Signature)>,
+    /// The certificates assembled from `2f+1` announcements.
+    pub certs: Option<(TimeoutCert, NoVoteCert)>,
+    /// This node voted for the round's leader vertex.
+    pub voted: bool,
+    /// This node announced a timeout. It does one or the other, once: the
+    /// quorum-intersection hinge of commit safety.
+    pub no_voted: bool,
 }
 
-/// Counts leader votes: one per party per round.
-pub struct VoteTracker {
-    n: usize,
-    per_round: HashMap<Round, RoundVotes>,
-}
-
-impl VoteTracker {
-    /// A tracker over a tribe of `n` parties.
-    pub fn new(n: usize) -> VoteTracker {
-        VoteTracker {
-            n,
-            per_round: HashMap::new(),
+impl RoundState {
+    /// Records a vote, enforcing one vote per party.
+    pub fn record_vote(&mut self, from: PartyId, vertex_id: Digest) -> VoteOutcome {
+        if let Some(first) = self.voted_for(from) {
+            return if first == vertex_id {
+                VoteOutcome::Duplicate
+            } else {
+                VoteOutcome::Conflict { first }
+            };
         }
-    }
-
-    /// Records a vote, enforcing one-vote-per-party-per-round.
-    pub fn record(&mut self, round: Round, vertex_id: Digest, from: PartyId) -> VoteOutcome {
-        let n = self.n;
-        let entry = self.per_round.entry(round).or_insert_with(|| RoundVotes {
-            per_digest: HashMap::new(),
-            voter_first: HashMap::new(),
-        });
-        match entry.voter_first.get(&from) {
-            Some(first) if *first == vertex_id => VoteOutcome::Duplicate,
-            Some(first) => VoteOutcome::Conflict { first: *first },
+        let at = match self.votes.iter().position(|(d, _)| *d == vertex_id) {
+            Some(at) => at,
             None => {
-                entry.voter_first.insert(from, vertex_id);
-                let set = entry
-                    .per_digest
-                    .entry(vertex_id)
-                    .or_insert_with(|| Bitmap::new(n));
-                set.set(from.idx());
-                VoteOutcome::New(set.count())
+                self.votes.push((vertex_id, PartySet::EMPTY));
+                self.votes.len() - 1
             }
-        }
+        };
+        let voters = &mut self.votes[at].1;
+        voters.insert(from);
+        VoteOutcome::New(voters.count())
     }
 
-    /// Current count for `(round, vertex_id)`.
-    pub fn count(&self, round: Round, vertex_id: &Digest) -> usize {
-        self.per_round
-            .get(&round)
-            .and_then(|r| r.per_digest.get(vertex_id))
-            .map_or(0, Bitmap::count)
+    /// Counted votes for `vertex_id`.
+    pub fn vote_count(&self, vertex_id: &Digest) -> usize {
+        let voters = self.votes.iter().find(|(d, _)| d == vertex_id);
+        voters.map_or(0, |(_, voters)| voters.count())
     }
 
-    /// The vertex `party` voted for in `round`, if it voted.
-    pub fn voted(&self, round: Round, party: PartyId) -> Option<Digest> {
-        self.per_round
-            .get(&round)
-            .and_then(|r| r.voter_first.get(&party))
-            .copied()
+    /// The vertex `party` voted for, if it voted.
+    pub fn voted_for(&self, party: PartyId) -> Option<Digest> {
+        let first = self.votes.iter().find(|(_, voters)| voters.contains(party));
+        first.map(|(d, _)| *d)
     }
 
-    /// Drops rounds below `round`.
-    pub fn prune_below(&mut self, round: Round) {
-        self.per_round.retain(|r, _| *r >= round);
-    }
-}
-
-/// Collects timeout announcements per round, keeping both signature kinds
-/// for certificate assembly.
-pub struct TimeoutTracker {
-    n: usize,
-    per_round: HashMap<Round, TimeoutRound>,
-}
-
-/// Per-round collected timeout state.
-pub struct TimeoutRound {
-    /// Who has announced.
-    pub senders: Bitmap,
-    /// `(signer, timeout_sig)` pairs for the TC.
-    pub timeout_sigs: Vec<(usize, Signature)>,
-    /// `(signer, no_vote_sig)` pairs for the NVC.
-    pub no_vote_sigs: Vec<(usize, Signature)>,
-}
-
-impl TimeoutTracker {
-    /// A tracker over a tribe of `n` parties.
-    pub fn new(n: usize) -> TimeoutTracker {
-        TimeoutTracker {
-            n,
-            per_round: HashMap::new(),
-        }
-    }
-
-    /// Records an announcement; returns the new count, or `None` for a
-    /// duplicate.
-    pub fn record(
+    /// Records a timeout announcement; returns the new count, or `None` for
+    /// a duplicate.
+    pub fn record_timeout(
         &mut self,
-        round: Round,
         from: PartyId,
         timeout_sig: Signature,
         no_vote_sig: Signature,
     ) -> Option<usize> {
-        let n = self.n;
-        let entry = self.per_round.entry(round).or_insert_with(|| TimeoutRound {
-            senders: Bitmap::new(n),
-            timeout_sigs: Vec::new(),
-            no_vote_sigs: Vec::new(),
-        });
-        if !entry.senders.set(from.idx()) {
+        if self.announced(from) {
             return None;
         }
-        entry.timeout_sigs.push((from.idx(), timeout_sig));
-        entry.no_vote_sigs.push((from.idx(), no_vote_sig));
-        Some(entry.senders.count())
+        self.timeout_sigs.push((from.idx(), timeout_sig));
+        self.no_vote_sigs.push((from.idx(), no_vote_sig));
+        Some(self.timeout_sigs.len())
     }
 
-    /// The collected state for `round`, if any announcement arrived.
-    pub fn round(&self, round: Round) -> Option<&TimeoutRound> {
-        self.per_round.get(&round)
+    /// Whether `party` announced a timeout.
+    pub fn announced(&self, party: PartyId) -> bool {
+        self.timeout_sigs
+            .iter()
+            .any(|(signer, _)| *signer == party.idx())
     }
 
-    /// Whether `party` announced a timeout for `round`.
-    pub fn announced(&self, round: Round, party: PartyId) -> bool {
-        self.per_round
-            .get(&round)
-            .is_some_and(|r| r.senders.get(party.idx()))
-    }
-
-    /// Drops rounds below `round`.
-    pub fn prune_below(&mut self, round: Round) {
-        self.per_round.retain(|r, _| *r >= round);
+    /// Assembles the TC and NVC for `round` from the announcements so far,
+    /// over a tribe of `n`, and keeps them.
+    pub fn form_certs(&mut self, round: Round, n: usize) {
+        let tc = TimeoutCert::new(round, n, &self.timeout_sigs);
+        let nvc = NoVoteCert::new(round, n, &self.no_vote_sigs);
+        self.certs = Some((tc, nvc));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clanbft_types::RoundWindow;
 
     #[test]
     fn votes_count_and_dedup() {
-        let mut t = VoteTracker::new(4);
+        let mut t = RoundState::default();
         let d = Digest::of(b"leader vertex");
-        assert_eq!(t.record(Round(1), d, PartyId(0)), VoteOutcome::New(1));
-        assert_eq!(t.record(Round(1), d, PartyId(1)), VoteOutcome::New(2));
+        assert_eq!(t.record_vote(PartyId(0), d), VoteOutcome::New(1));
+        assert_eq!(t.record_vote(PartyId(1), d), VoteOutcome::New(2));
         assert_eq!(
-            t.record(Round(1), d, PartyId(1)),
+            t.record_vote(PartyId(1), d),
             VoteOutcome::Duplicate,
             "duplicate"
         );
-        assert_eq!(t.count(Round(1), &d), 2);
-        assert_eq!(t.voted(Round(1), PartyId(0)), Some(d));
-        assert_eq!(t.voted(Round(1), PartyId(3)), None);
+        assert_eq!(t.vote_count(&d), 2);
+        assert_eq!(t.voted_for(PartyId(0)), Some(d));
+        assert_eq!(t.voted_for(PartyId(3)), None);
         // Votes for a different digest are tracked separately.
         let d2 = Digest::of(b"other");
-        assert_eq!(t.record(Round(1), d2, PartyId(2)), VoteOutcome::New(1));
-        assert_eq!(t.count(Round(1), &d), 2);
+        assert_eq!(t.record_vote(PartyId(2), d2), VoteOutcome::New(1));
+        assert_eq!(t.vote_count(&d), 2);
     }
 
     #[test]
     fn conflicting_vote_is_reported_not_counted() {
-        let mut t = VoteTracker::new(4);
+        let mut rounds = RoundWindow::<RoundState>::default();
         let d = Digest::of(b"leader vertex");
         let d2 = Digest::of(b"equivocation");
-        assert_eq!(t.record(Round(1), d, PartyId(1)), VoteOutcome::New(1));
+        let t = rounds.touch(Round(1)).unwrap();
+        assert_eq!(t.record_vote(PartyId(1), d), VoteOutcome::New(1));
         assert_eq!(
-            t.record(Round(1), d2, PartyId(1)),
+            t.record_vote(PartyId(1), d2),
             VoteOutcome::Conflict { first: d }
         );
         // The conflicting vote never lands in any count.
-        assert_eq!(t.count(Round(1), &d), 1);
-        assert_eq!(t.count(Round(1), &d2), 0);
+        assert_eq!(t.vote_count(&d), 1);
+        assert_eq!(t.vote_count(&d2), 0);
         // The same party votes freely in a different round.
-        assert_eq!(t.record(Round(2), d2, PartyId(1)), VoteOutcome::New(1));
+        let t2 = rounds.touch(Round(2)).unwrap();
+        assert_eq!(t2.record_vote(PartyId(1), d2), VoteOutcome::New(1));
     }
 
     #[test]
     fn vote_prune() {
-        let mut t = VoteTracker::new(4);
+        let mut rounds = RoundWindow::<RoundState>::default();
         let d = Digest::ZERO;
-        t.record(Round(1), d, PartyId(0));
-        t.record(Round(5), d, PartyId(0));
-        t.prune_below(Round(3));
-        assert_eq!(t.count(Round(1), &d), 0);
-        assert_eq!(t.count(Round(5), &d), 1);
+        rounds.touch(Round(1)).unwrap().record_vote(PartyId(0), d);
+        rounds.touch(Round(5)).unwrap().record_vote(PartyId(0), d);
+        rounds.prune_below(Round(3));
+        assert!(rounds.get(Round(1)).is_none());
+        assert!(rounds.touch(Round(1)).is_none(), "a pruned round stays out");
+        assert_eq!(rounds.get(Round(5)).unwrap().vote_count(&d), 1);
     }
 
     #[test]
     fn timeouts_collect_both_signature_kinds() {
-        let mut t = TimeoutTracker::new(4);
+        let mut t = RoundState::default();
         let s = Signature([1u8; 64]);
-        assert_eq!(t.record(Round(2), PartyId(3), s, s), Some(1));
-        assert_eq!(t.record(Round(2), PartyId(3), s, s), None);
-        assert_eq!(t.record(Round(2), PartyId(0), s, s), Some(2));
-        let r = t.round(Round(2)).unwrap();
-        assert_eq!(r.timeout_sigs.len(), 2);
-        assert_eq!(r.no_vote_sigs.len(), 2);
-        assert!(t.round(Round(9)).is_none());
-        assert!(t.announced(Round(2), PartyId(3)));
-        assert!(!t.announced(Round(2), PartyId(1)));
+        assert_eq!(t.record_timeout(PartyId(3), s, s), Some(1));
+        assert_eq!(t.record_timeout(PartyId(3), s, s), None);
+        assert_eq!(t.record_timeout(PartyId(0), s, s), Some(2));
+        assert_eq!(t.timeout_sigs.len(), 2);
+        assert_eq!(t.no_vote_sigs.len(), 2);
+        assert!(t.announced(PartyId(3)));
+        assert!(!t.announced(PartyId(1)));
+        t.form_certs(Round(2), 4);
+        let (tc, nvc) = t.certs.as_ref().unwrap();
+        assert_eq!((tc.round, nvc.round), (Round(2), Round(2)));
+        assert_eq!((tc.agg.count(), nvc.agg.count()), (2, 2));
     }
 }

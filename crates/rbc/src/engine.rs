@@ -1,7 +1,8 @@
 //! The tribe-assisted reliable-broadcast engine: messages, events, effects,
 //! per-instance state (custody of the payload and meta views, per-digest
 //! echo tracking, at-most-once delivery), the pull sub-protocol, and the one
-//! state machine that runs both of the paper's constructions.
+//! state machine that runs both of the paper's constructions. Instances
+//! live in rows of a [`RoundWindow`] whose base is the prune horizon.
 
 use crate::payload::TribePayload;
 use crate::topology::ClanTopology;
@@ -10,8 +11,7 @@ use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Hasher, Signatur
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::protocol::{Ctx, Message};
 use clanbft_telemetry::{counters, Event, RbcPhase, Telemetry};
-use clanbft_types::{Evidence, Micros, PartyId, PartySet, Round, TribeParams};
-use std::collections::VecDeque;
+use clanbft_types::{Evidence, Micros, PartyId, PartySet, Round, RoundWindow, TribeParams};
 use std::sync::Arc;
 
 /// Retry attempts per pull before the engine gives up and leaves liveness
@@ -555,34 +555,32 @@ struct Row<P: TribePayload> {
     instances: Vec<Instance<P>>,
 }
 
-/// Instance storage addressed by index: a window of rounds starting at the
+impl<P: TribePayload> Default for Row<P> {
+    fn default() -> Self {
+        Row {
+            certified: PartySet::EMPTY,
+            instances: Vec::new(),
+        }
+    }
+}
+
+/// Instance storage addressed by index: a [`RoundWindow`] whose base is the
 /// prune horizon, each round a row of per-source instances held inline. A
-/// lookup is two bounds checks; nothing is hashed and nothing is behind a
-/// pointer. Rounds are materialised on first touch, so what a far-future
-/// flood can allocate stays bounded by the admission window
-/// ([`TribeRbc::admit`] gates every creating access).
+/// lookup is two bounds checks. What a far-future flood can allocate stays
+/// bounded by the admission window ([`TribeRbc::admit`] gates every
+/// creating access), and replayed old packets cannot recreate instances.
 struct Slots<P: TribePayload> {
-    /// Round of `rows[0]`; never below the prune horizon.
-    base: Round,
-    /// One row per round from `base` on.
-    rows: VecDeque<Row<P>>,
+    rows: RoundWindow<Row<P>>,
 }
 
 impl<P: TribePayload> Slots<P> {
-    fn row(&self, round: Round) -> Option<&Row<P>> {
-        self.rows.get(round.0.checked_sub(self.base.0)? as usize)
-    }
-
     fn get(&self, round: Round, source: PartyId) -> Option<&Instance<P>> {
-        let inst = self.row(round)?.instances.get(source.idx());
+        let inst = self.rows.get(round)?.instances.get(source.idx());
         inst.filter(|inst| inst.is(fact::TOUCHED))
     }
 
     fn get_mut(&mut self, round: Round, source: PartyId) -> Option<&mut Instance<P>> {
-        let row = self
-            .rows
-            .get_mut(round.0.checked_sub(self.base.0)? as usize)?;
-        let inst = row.instances.get_mut(source.idx());
+        let inst = self.rows.get_mut(round)?.instances.get_mut(source.idx());
         inst.filter(|inst| inst.is(fact::TOUCHED))
     }
 
@@ -593,17 +591,7 @@ impl<P: TribePayload> Slots<P> {
     /// Panics if `round` is below the window — excluded by
     /// [`TribeRbc::admit`].
     fn touch_row(&mut self, round: Round, n: usize) -> &mut Row<P> {
-        let at = round
-            .0
-            .checked_sub(self.base.0)
-            .expect("round below the pruned window") as usize;
-        if at >= self.rows.len() {
-            self.rows.resize_with(at + 1, || Row {
-                certified: PartySet::EMPTY,
-                instances: Vec::new(),
-            });
-        }
-        let row = &mut self.rows[at];
+        let row = self.rows.touch(round).expect("below the window");
         if row.instances.is_empty() {
             row.instances.resize_with(n, Instance::unused);
         }
@@ -625,14 +613,16 @@ impl<P: TribePayload> Slots<P> {
     /// Whether `(round, source)` has a certified digest: reads the row's
     /// set, not the instance.
     fn is_certified(&self, round: Round, source: PartyId) -> bool {
-        self.row(round)
+        self.rows
+            .get(round)
             .is_some_and(|row| row.certified.contains(source))
     }
 
     /// The certified digest of `(round, source)`, if there is one.
     fn certified(&self, round: Round, source: PartyId) -> Option<Digest> {
         let row = self
-            .row(round)
+            .rows
+            .get(round)
             .filter(|row| row.certified.contains(source))?;
         Some(row.instances[source.idx()].votes.certified)
     }
@@ -651,15 +641,8 @@ impl<P: TribePayload> Slots<P> {
         fresh
     }
 
-    fn prune_below(&mut self, round: Round) {
-        while self.base < round && self.rows.pop_front().is_some() {
-            self.base = self.base.next();
-        }
-        self.base = self.base.max(round);
-    }
-
     fn iter(&self) -> impl Iterator<Item = &Instance<P>> {
-        let instances = self.rows.iter().flat_map(|row| &row.instances);
+        let instances = self.rows.iter().flat_map(|(_, row)| &row.instances);
         instances.filter(|inst| inst.is(fact::TOUCHED))
     }
 }
@@ -787,9 +770,6 @@ pub struct TribeRbc<P: TribePayload> {
     cfg: EngineConfig,
     flavour: Flavour,
     slots: Slots<P>,
-    /// Rounds strictly below this were pruned and stay dead: replayed old
-    /// packets must not recreate instances (bounded memory under replay).
-    horizon: Round,
     /// Highest round this party knows to be legitimately active (own
     /// broadcasts, certifications, consensus round advances). The
     /// admission window extends [`ROUND_WINDOW`] beyond it.
@@ -802,10 +782,8 @@ impl<P: TribePayload> TribeRbc<P> {
             cfg,
             flavour,
             slots: Slots {
-                base: Round(0),
-                rows: VecDeque::new(),
+                rows: RoundWindow::default(),
             },
-            horizon: Round(0),
             round_hint: Round(0),
         }
     }
@@ -888,13 +866,10 @@ impl<P: TribePayload> TribeRbc<P> {
     }
 
     /// Drops state for instances strictly below `round` (garbage
-    /// collection; the DAG layer prunes in lockstep) and remembers the
-    /// horizon so replayed packets cannot resurrect pruned instances.
+    /// collection; the DAG layer prunes in lockstep) and raises the window's
+    /// base, so replayed packets cannot resurrect pruned instances.
     pub fn prune_below(&mut self, round: Round) {
-        if round > self.horizon {
-            self.horizon = round;
-        }
-        self.slots.prune_below(round);
+        self.slots.rows.prune_below(round);
     }
 
     /// `r_bcast`: disseminates `payload` as this party's broadcast for
@@ -1003,7 +978,7 @@ impl<P: TribePayload> TribeRbc<P> {
     /// other). Counted, never silent.
     fn admit(&mut self, from: PartyId, round: Round, source: PartyId) -> bool {
         let n = self.cfg.n();
-        if round < self.horizon
+        if round < self.slots.rows.base()
             || round.0 > self.round_hint.0.saturating_add(ROUND_WINDOW)
             || source.idx() >= n
             || from.idx() >= n
@@ -1680,7 +1655,7 @@ impl<P: TribePayload> TribeRbc<P> {
     pub fn on_retry(&mut self, round: Round, source: PartyId, fx: &mut Effects<P>) {
         let _prof = clanbft_profiler::scope("rbc.retry");
         let base = self.cfg.pull_retry;
-        if round < self.horizon {
+        if round < self.slots.rows.base() {
             return; // instance pruned (committed + GC'd): chain dies
         }
         let (which, eligible, want) = self.pull_scope(round, source);

@@ -77,6 +77,12 @@ impl PartySet {
         word.is_some_and(|w| w >> (p.idx() % 64) & 1 == 1)
     }
 
+    /// The number of members.
+    pub fn count(&self) -> usize {
+        let words = self.low.iter().chain(&self.high);
+        words.map(|w| w.count_ones() as usize).sum()
+    }
+
     /// Adds every member of `other`.
     pub fn union_with(&mut self, other: &PartySet) {
         for (a, b) in self.low.iter_mut().zip(&other.low) {

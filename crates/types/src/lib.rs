@@ -12,6 +12,7 @@
 //! * [`certs`] — timeout and no-vote certificates.
 //! * [`evidence`] — typed records of detected Byzantine conflicts
 //!   (equivocating broadcasts, double votes).
+//! * [`window`] — per-round rows addressed by index, pruned from the front.
 
 pub mod block;
 pub mod certs;
@@ -21,6 +22,7 @@ pub mod ids;
 pub mod time;
 pub mod transaction;
 pub mod vertex;
+pub mod window;
 
 pub use block::Block;
 pub use certs::{NoVoteCert, TimeoutCert};
@@ -30,3 +32,4 @@ pub use ids::{ClanId, PartyId, PartySet, Round, TribeParams};
 pub use time::Micros;
 pub use transaction::{TxBatch, TxId};
 pub use vertex::{Vertex, VertexId, VertexRef};
+pub use window::RoundWindow;

@@ -331,6 +331,69 @@ fn event_queue_matches_heap_model() {
     );
 }
 
+// --- round window model test -------------------------------------------------
+
+/// `RoundWindow` against a model of its rows as a `BTreeMap` plus a base:
+/// any sequence of touches (below the base, inside the window, far past its
+/// last row), lookups, prunes and iterations agrees with it. An op is
+/// `(kind, round)`; a touch counts its round's row up, so a row that moved
+/// or was recreated shows.
+#[test]
+fn round_window_matches_btreemap_model() {
+    use clanbft_types::RoundWindow;
+    use std::collections::BTreeMap;
+
+    let arb_op = |g: &mut Gen| -> (u8, u64) {
+        let round = match g.u8_in(0, 8) {
+            0 => g.u64_in(0, 3_000),
+            _ => g.u64_in(0, 64),
+        };
+        (g.u8_in(0, 4), round)
+    };
+    check_shrink(
+        "round_window_matches_btreemap_model",
+        CASES,
+        |g| g.vec(1, 200, arb_op),
+        |ops| {
+            let mut window = RoundWindow::<u64>::default();
+            let (mut base, mut model) = (0u64, BTreeMap::<u64, u64>::new());
+            for &(kind, round) in ops {
+                match kind {
+                    // Touch: refused below the base, else every row up to
+                    // `round` exists afterwards.
+                    0 => {
+                        let row = window.touch(Round(round));
+                        tk_assert_eq!(row.is_some(), round >= base);
+                        if let Some(row) = row {
+                            *row += 1;
+                            let end = model.last_key_value().map_or(base, |(r, _)| r + 1);
+                            model.extend((end..=round).map(|r| (r, 0)));
+                            *model.get_mut(&round).expect("just extended") += 1;
+                        }
+                    }
+                    1 => {
+                        let want = model.get(&round).copied();
+                        tk_assert_eq!(window.get(Round(round)).copied(), want);
+                        tk_assert_eq!(window.get_mut(Round(round)).map(|row| *row), want);
+                    }
+                    2 => {
+                        window.prune_below(Round(round));
+                        base = base.max(round);
+                        model = model.split_off(&base);
+                    }
+                    _ => {
+                        let rows: Vec<(u64, u64)> =
+                            window.iter().map(|(r, row)| (r.0, *row)).collect();
+                        tk_assert_eq!(rows, model.clone().into_iter().collect::<Vec<_>>());
+                    }
+                }
+                tk_assert_eq!(window.base(), Round(base));
+            }
+            Ok(())
+        },
+    );
+}
+
 // --- bignum / combinatorics -------------------------------------------------
 
 #[test]
