@@ -10,32 +10,73 @@
 #                             protocol (consensus + rbc + dag) and watchers
 #                             (telemetry + inspect + monitor + profiler)
 #   scripts/loc.sh rbc dag    only the named crates (and their sum)
+#   scripts/loc.sh --since REV [crate...]
+#                             the same rows as a before / after / Δ table:
+#                             before is REV (a `git archive` of it, unpacked
+#                             in a temporary directory outside the
+#                             repository), after is the working tree
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-crates=("$@")
-if [ ${#crates[@]} -eq 0 ]; then
-    for dir in crates/*/; do
-        crates+=("$(basename "$dir")")
-    done
+since=""
+if [ "${1:-}" = "--since" ]; then
+    since=${2:?usage: scripts/loc.sh --since REV [crate...]}
+    shift 2
 fi
 
-declare -A lines_of
-total=0
-for crate in "${crates[@]}"; do
-    lines=$(find "crates/$crate/src" -name '*.rs' -print0 | sort -z |
+# count ROOT CRATE: the crate's non-test lines under ROOT (0 if absent).
+count() {
+    local dir="$1/crates/$2/src"
+    [ -d "$dir" ] || { echo 0; return; }
+    find "$dir" -name '*.rs' -print0 | sort -z |
         xargs -0 awk 'FNR == 1 { in_tests = 0 }
                       /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
                       !in_tests { n++ }
-                      END { print n + 0 }')
-    printf '%-12s %6d\n' "$crate" "$lines"
-    lines_of[$crate]=$lines
-    total=$((total + lines))
+                      END { print n + 0 }'
+}
+
+before_root=""
+if [ -n "$since" ]; then
+    before_root=$(mktemp -d)
+    trap 'rm -rf "$before_root"' EXIT
+    git archive "$since" crates | tar -x -C "$before_root"
+fi
+
+crates=("$@")
+if [ ${#crates[@]} -eq 0 ]; then
+    for dir in crates/*/ ${before_root:+"$before_root"/crates/*/}; do
+        crates+=("$(basename "$dir")")
+    done
+    mapfile -t crates < <(printf '%s\n' "${crates[@]}" | sort -u)
+fi
+
+declare -A before after
+for crate in "${crates[@]}"; do
+    after[$crate]=$(count . "$crate")
+    [ -z "$since" ] || before[$crate]=$(count "$before_root" "$crate")
 done
-printf '%-12s %6d\n' total "$total"
+
+# row NAME CRATE...: one line, the named crates summed.
+row() {
+    local name=$1 a=0 b=0 crate
+    shift
+    for crate in "$@"; do
+        a=$((a + ${after[$crate]:-0}))
+        b=$((b + ${before[$crate]:-0}))
+    done
+    if [ -z "$since" ]; then
+        printf '%-12s %6d\n' "$name" "$a"
+    else
+        printf '%-12s %6d %6d %+6d\n' "$name" "$b" "$a" $((a - b))
+    fi
+}
+
+[ -z "$since" ] || printf '%-12s %6s %6s %6s\n' crate before after Δ
+for crate in "${crates[@]}"; do
+    row "$crate" "$crate"
+done
+row total "${crates[@]}"
 if [ $# -eq 0 ]; then
-    printf '%-12s %6d\n' protocol \
-        $((lines_of[consensus] + lines_of[rbc] + lines_of[dag]))
-    printf '%-12s %6d\n' watchers \
-        $((lines_of[telemetry] + lines_of[inspect] + lines_of[monitor] + lines_of[profiler]))
+    row protocol consensus rbc dag
+    row watchers telemetry inspect monitor profiler
 fi
