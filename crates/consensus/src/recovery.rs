@@ -329,7 +329,8 @@ impl SailfishNode {
             .collect();
         // The log is contiguous from `commit_seq_base`: the suffix is a
         // slice, empty for a `next_seq` past its end.
-        let start = next_seq.saturating_sub(self.commit_seq_base()) as usize;
+        let skip = next_seq.saturating_sub(self.commit_seq_base());
+        let start = usize::try_from(skip).unwrap_or(usize::MAX);
         let suffix = self.committed_log.get(start..).unwrap_or_default();
         let committed: Vec<CommittedRec> = suffix
             .iter()
