@@ -1,6 +1,6 @@
 //! Node configuration for the three protocol variants.
 
-use clanbft_mempool::WorkloadSpec;
+use clanbft_mempool::{Workload, WorkloadSpec};
 use clanbft_rbc::ClanTopology;
 use clanbft_simnet::cost::CostModel;
 use clanbft_telemetry::Telemetry;
@@ -25,9 +25,9 @@ pub struct NodeConfig {
     /// Stop proposing after this round (`None` = run forever). Lets finite
     /// tests run the simulator to quiescence.
     pub max_round: Option<u64>,
-    /// Client workload driving this proposer's ingress (the default,
-    /// `Synthetic` with no transactions, proposes empty blocks).
-    pub workload: WorkloadSpec,
+    /// Client workload driving this proposer's ingress; clones share its
+    /// generator (the default, no transactions, proposes empty blocks).
+    pub workload: Workload,
     /// Verify certificate/vote signature bytes for real (tests) or charge
     /// their cost only (large simulations).
     pub verify_sigs: bool,
@@ -65,9 +65,9 @@ impl NodeConfig {
             cost: CostModel::default(),
             timeout: Micros::from_millis(2_000),
             max_round: None,
-            workload: WorkloadSpec::Synthetic {
+            workload: Workload::from(WorkloadSpec::Synthetic {
                 txs_per_proposal: 0,
-            },
+            }),
             verify_sigs: true,
             execute: false,
             gc_depth: Some(16),

@@ -206,9 +206,9 @@ pub(crate) fn new_ingress(cfg: &NodeConfig) -> Option<ClientIngress> {
     let idle = WorkloadSpec::Synthetic {
         txs_per_proposal: 0,
     };
-    (cfg.workload != idle).then(|| {
+    (cfg.workload.spec() != idle).then(|| {
         ClientIngress::new(
-            cfg.workload,
+            cfg.workload.clone(),
             TX_BYTES,
             MempoolConfig::default(),
             SizerConfig::default(),
@@ -1196,7 +1196,8 @@ mod tests {
         let mut cfg = NodeConfig::new(PartyId(0), topology);
         cfg.workload = WorkloadSpec::Synthetic {
             txs_per_proposal: txs,
-        };
+        }
+        .into();
         let node = SailfishNode::new(cfg, Arc::clone(&auths[0]));
         (node, auths)
     }
@@ -1675,7 +1676,8 @@ mod tests {
             let mut cfg = NodeConfig::new(PartyId(0), topology);
             cfg.workload = WorkloadSpec::Synthetic {
                 txs_per_proposal: 500,
-            };
+            }
+            .into();
             (SailfishNode::new(cfg, auth), ())
         };
         let block = node.build_block(Round(1), Micros::from_secs(1));

@@ -92,7 +92,8 @@ impl TribeSpec {
                 cfg.cost = CostModel::free();
                 cfg.workload = WorkloadSpec::Synthetic {
                     txs_per_proposal: self.txs_per_proposal,
-                };
+                }
+                .into();
                 cfg.max_round = Some(self.max_round);
                 cfg.gc_depth = self.gc_depth;
                 cfg.execute = self.execute;

@@ -8,7 +8,7 @@
 //!
 //! * [`pool`] — the bounded [`Mempool`]: at-most-once, gap-free admission
 //!   keyed by per-client sequence numbers, three priority [`Lane`]s, and
-//!   hard caps on queued transactions, queued bytes and tracked clients —
+//!   hard caps on queued transactions, queued bytes and client ids —
 //!   every bound rejects with a `mempool.rejected.*` counter instead of
 //!   growing (backpressure, never OOM).
 //! * [`sizer`] — the feedback-driven [`BatchSizer`]: proposals pull
@@ -35,13 +35,13 @@ pub mod loadgen;
 pub mod pool;
 pub mod sizer;
 
-pub use loadgen::{plan_batches, BatchPlan, ClientIngress, WorkloadSpec, ZipfGen};
+pub use loadgen::{plan_batches, BatchPlan, ClientIngress, Workload, WorkloadSpec, ZipfGen};
 pub use pool::{
     AdmitError, Lane, Mempool, MempoolConfig, MempoolStats, PendingTx, Submission, LANES,
 };
 pub use sizer::{BatchSizer, SizerConfig};
 
-/// Identifier of a simulated client (node-local namespace: two proposers'
-/// client 7 are different clients).
+/// A simulated client: a dense node-local index (two proposers' client 7 are
+/// different clients) into the pool's sequence table, below `max_clients`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ClientId(pub u64);

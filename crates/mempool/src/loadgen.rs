@@ -29,6 +29,7 @@ use clanbft_crypto::ClanRng;
 use clanbft_telemetry::{counters, Telemetry};
 use clanbft_types::{Micros, VertexRef};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The synthetic workload's single implicit client.
 const SYNTHETIC_CLIENT: ClientId = ClientId(0);
@@ -134,6 +135,34 @@ fn zeta(n: u64, s: f64) -> f64 {
     sum
 }
 
+/// A [`WorkloadSpec`] with the Zipf generator it derives. Clones share the
+/// generator, whose normaliser sums `clients` powers: a tribe builds it
+/// once, not once per proposer.
+#[derive(Clone, Debug)]
+pub struct Workload {
+    spec: WorkloadSpec,
+    zipf: Option<Arc<ZipfGen>>,
+}
+
+impl Workload {
+    /// The spec this workload was built from.
+    pub fn spec(&self) -> WorkloadSpec {
+        self.spec
+    }
+}
+
+impl From<WorkloadSpec> for Workload {
+    fn from(spec: WorkloadSpec) -> Workload {
+        let zipf = match spec {
+            WorkloadSpec::OpenLoop {
+                clients, zipf_s, ..
+            } => Some(Arc::new(ZipfGen::new(clients, zipf_s))),
+            _ => None,
+        };
+        Workload { spec, zipf }
+    }
+}
+
 /// A planned sub-batch: a run of pulled transactions sharing an arrival
 /// stamp and wire size, ready to become one `TxBatch`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -148,31 +177,32 @@ pub struct BatchPlan {
 
 /// Coalesces pulled transactions into at most `max_batches` plans.
 ///
-/// Consecutive transactions sharing `(arrived, tx_bytes)` form one run; if
-/// that leaves more runs than allowed, adjacent same-size runs are merged
-/// (earliest arrival stamp wins, biasing measured latency pessimistically).
+/// Consecutive transactions sharing `(arrived, tx_bytes)` form one run. Of
+/// more runs than `max_batches`, up to `runs − max_batches` merges are made
+/// greedily from the left: the plan being built absorbs each following
+/// same-size run while merges remain (the earliest arrival stamp wins,
+/// biasing measured latency pessimistically). Runs of different sizes never
+/// merge, so the result may still exceed `max_batches`.
 pub fn plan_batches(pulled: &[PendingTx], max_batches: usize) -> Vec<BatchPlan> {
     let _prof = clanbft_profiler::scope("mempool.plan_batches");
-    let mut plans: Vec<BatchPlan> = Vec::new();
-    for tx in pulled {
+    let runs = || pulled.chunk_by(|a, b| (a.arrived, a.tx_bytes) == (b.arrived, b.tx_bytes));
+    let total = runs().count();
+    let mut merges = total.saturating_sub(max_batches.max(1));
+    let mut plans: Vec<BatchPlan> = Vec::with_capacity(total - merges);
+    for run in runs() {
+        let (count, tx) = (u32::try_from(run.len()).expect("a pull fits u32"), &run[0]);
         match plans.last_mut() {
-            Some(p) if p.created_at == tx.arrived && p.tx_bytes == tx.tx_bytes => p.count += 1,
+            Some(p) if merges > 0 && p.tx_bytes == tx.tx_bytes => {
+                merges -= 1;
+                p.count += count;
+                p.created_at = p.created_at.min(tx.arrived);
+            }
             _ => plans.push(BatchPlan {
-                count: 1,
+                count,
                 tx_bytes: tx.tx_bytes,
                 created_at: tx.arrived,
             }),
         }
-    }
-    let max_batches = max_batches.max(1);
-    while plans.len() > max_batches {
-        let Some(i) = (0..plans.len() - 1).find(|&i| plans[i].tx_bytes == plans[i + 1].tx_bytes)
-        else {
-            break;
-        };
-        let next = plans.remove(i + 1);
-        plans[i].count += next.count;
-        plans[i].created_at = plans[i].created_at.min(next.created_at);
     }
     plans
 }
@@ -180,19 +210,15 @@ pub fn plan_batches(pulled: &[PendingTx], max_batches: usize) -> Vec<BatchPlan> 
 /// The proposer-side client ingress: workload generator, bounded pool,
 /// dynamic sizer and in-flight tracking, driven by the consensus node.
 pub struct ClientIngress {
-    workload: WorkloadSpec,
+    workload: Workload,
     tx_bytes: u32,
+    /// The pool; its sequence table is every client's cursor (see `submit`).
     pool: Mempool,
     sizer: BatchSizer,
     rng: ClanRng,
-    zipf: Option<ZipfGen>,
-    /// Next sequence number each simulated client will submit. Advanced
-    /// only on successful admission, so a backpressured client retries the
-    /// same sequence number later instead of leaving a permanent gap.
-    client_next: HashMap<u64, u64>,
-    /// Transactions pulled for a proposal that has not committed yet,
-    /// keyed by the carrying vertex.
-    in_flight: HashMap<VertexRef, Vec<(ClientId, u64)>>,
+    /// Per proposed, uncommitted vertex: how many transactions it carries,
+    /// and their clients if the closed loop resubmits for them on commit.
+    in_flight: HashMap<VertexRef, (usize, Vec<ClientId>)>,
     /// Pulled but not yet bound to a vertex (between `pull` and
     /// `note_proposed`).
     last_pulled: Vec<PendingTx>,
@@ -208,27 +234,19 @@ impl ClientIngress {
     /// arrival randomness; `tx_bytes` is the simulated wire size of every
     /// generated transaction.
     pub fn new(
-        workload: WorkloadSpec,
+        workload: impl Into<Workload>,
         tx_bytes: u32,
         pool_cfg: MempoolConfig,
         sizer_cfg: SizerConfig,
         seed: u64,
         telemetry: Telemetry,
     ) -> ClientIngress {
-        let zipf = match workload {
-            WorkloadSpec::OpenLoop {
-                clients, zipf_s, ..
-            } => Some(ZipfGen::new(clients, zipf_s)),
-            _ => None,
-        };
         ClientIngress {
-            workload,
+            workload: workload.into(),
             tx_bytes,
             pool: Mempool::new(pool_cfg, telemetry.clone()),
             sizer: BatchSizer::new(sizer_cfg),
             rng: ClanRng::seed_from_u64(seed),
-            zipf,
-            client_next: HashMap::new(),
             in_flight: HashMap::new(),
             last_pulled: Vec::new(),
             carry: 0.0,
@@ -236,11 +254,6 @@ impl ClientIngress {
             stopped: false,
             telemetry,
         }
-    }
-
-    /// The configured workload.
-    pub fn workload(&self) -> WorkloadSpec {
-        self.workload
     }
 
     /// The underlying pool (stats, depth, expected sequence numbers).
@@ -255,7 +268,7 @@ impl ClientIngress {
 
     /// Transactions pulled into proposals that have not committed yet.
     pub fn in_flight_txs(&self) -> usize {
-        self.in_flight.values().map(Vec::len).sum::<usize>() + self.last_pulled.len()
+        self.in_flight.values().map(|(n, _)| n).sum::<usize>() + self.last_pulled.len()
     }
 
     /// True once the workload passed its stop round and generates nothing.
@@ -268,7 +281,7 @@ impl ClientIngress {
     /// generation at the workload's configured stop round.
     pub fn poll(&mut self, from: Micros, to: Micros, round: u64) {
         let _prof = clanbft_profiler::scope("mempool.poll");
-        match self.workload {
+        match self.workload.spec {
             WorkloadSpec::Synthetic { txs_per_proposal } => {
                 self.poll_synthetic(from, to, txs_per_proposal);
             }
@@ -296,7 +309,7 @@ impl ClientIngress {
                     self.seeded = true;
                     for c in 0..clients {
                         for _ in 0..outstanding {
-                            self.submit(ClientId(c), Lane::Normal, to);
+                            submit(&mut self.pool, self.tx_bytes, ClientId(c), Lane::Normal, to);
                         }
                     }
                 }
@@ -310,7 +323,7 @@ impl ClientIngress {
     pub fn pull(&mut self, now: Micros, gap_since_last: Micros) -> &[PendingTx] {
         let _prof = clanbft_profiler::scope("mempool.pull");
         let depth = self.pool.depth();
-        let chosen = match self.workload {
+        let chosen = match self.workload.spec {
             WorkloadSpec::Synthetic { .. } => depth,
             _ => self.sizer.choose(depth, gap_since_last) as usize,
         };
@@ -321,17 +334,17 @@ impl ClientIngress {
         &self.last_pulled
     }
 
-    /// Binds the most recent pull to the vertex that carries it.
+    /// Binds the most recent pull to the vertex that carries it (`in_flight`).
     pub fn note_proposed(&mut self, vref: VertexRef) {
         if self.last_pulled.is_empty() {
             return;
         }
-        let entries: Vec<(ClientId, u64)> = self
-            .last_pulled
-            .drain(..)
-            .map(|tx| (tx.client, tx.seq))
-            .collect();
-        self.in_flight.insert(vref, entries);
+        let pulled = std::mem::take(&mut self.last_pulled);
+        let clients = match self.workload.spec {
+            WorkloadSpec::ClosedLoop { .. } => pulled.iter().map(|tx| tx.client).collect(),
+            _ => Vec::new(),
+        };
+        self.in_flight.insert(vref, (pulled.len(), clients));
     }
 
     /// Commit feedback for one of this proposer's own vertices: releases
@@ -339,22 +352,15 @@ impl ClientIngress {
     /// not been stopped — submits each client's next transaction at the
     /// commit time.
     pub fn on_committed(&mut self, vref: VertexRef, now: Micros) {
-        let Some(entries) = self.in_flight.remove(&vref) else {
+        let Some((_, clients)) = self.in_flight.remove(&vref) else {
             return;
         };
-        if self.stopped || !matches!(self.workload, WorkloadSpec::ClosedLoop { .. }) {
+        if self.stopped {
             return;
         }
-        for (client, _seq) in entries {
-            self.submit(client, Lane::Normal, now);
+        for client in clients {
+            submit(&mut self.pool, self.tx_bytes, client, Lane::Normal, now);
         }
-    }
-
-    /// Submits the client's next sequence number (one probe of the client
-    /// table).
-    fn submit(&mut self, client: ClientId, lane: Lane, arrived: Micros) {
-        let next = self.client_next.entry(client.0).or_insert(0);
-        offer(&mut self.pool, self.tx_bytes, client, next, lane, arrived);
     }
 
     /// Historical synthetic model: `t` transactions per proposal, arrivals
@@ -366,8 +372,6 @@ impl ClientIngress {
         // admission loop (scoping `Mempool::admit` itself would cost more
         // than the admission it measures).
         let _prof = clanbft_profiler::scope("mempool.admit");
-        // The one client's cursor is looked up once per poll.
-        let next = self.client_next.entry(SYNTHETIC_CLIENT.0).or_insert(0);
         let gap = to.saturating_sub(from);
         let base = t / SYNTHETIC_QUARTERS;
         let rem = t % SYNTHETIC_QUARTERS;
@@ -377,11 +381,10 @@ impl ClientIngress {
                 / (2 * u64::from(SYNTHETIC_QUARTERS));
             let arrived = to.saturating_sub(Micros(age));
             for _ in 0..count {
-                offer(
+                submit(
                     &mut self.pool,
                     self.tx_bytes,
                     SYNTHETIC_CLIENT,
-                    next,
                     Lane::Normal,
                     arrived,
                 );
@@ -400,7 +403,7 @@ impl ClientIngress {
         let want = rate_tps * span.as_secs_f64() + self.carry;
         let n = want.floor() as u64;
         self.carry = want - n as f64;
-        let zipf = self.zipf.clone().expect("open-loop has a zipf generator");
+        let zipf = self.workload.zipf.as_deref().expect("OpenLoop has one");
         for i in 0..n {
             let arrived = from + Micros(span.0 * i / n);
             let client = ClientId(zipf.next(&mut self.rng));
@@ -409,31 +412,23 @@ impl ClientIngress {
                 r if r < 0.9 => Lane::Normal,
                 _ => Lane::Low,
             };
-            self.submit(client, lane, arrived);
+            submit(&mut self.pool, self.tx_bytes, client, lane, arrived);
         }
     }
 }
 
-/// Offers `client`'s transaction number `*next` to the pool and advances the
-/// cursor only on admission: a rejected client retries the same number
-/// later, and neither table moves.
-fn offer(
-    pool: &mut Mempool,
-    tx_bytes: u32,
-    client: ClientId,
-    next: &mut u64,
-    lane: Lane,
-    arrived: Micros,
-) {
+/// Offers `client`'s next transaction to the pool. The pool's sequence table
+/// is the client's cursor and moves only on admission, so a rejected client
+/// retries the same number later (the pool counts the rejection).
+fn submit(pool: &mut Mempool, tx_bytes: u32, client: ClientId, lane: Lane, arrived: Micros) {
+    let seq = pool.expected_seq(client);
     let sub = Submission {
         client,
-        seq: *next,
+        seq,
         tx_bytes,
         lane,
     };
-    if pool.admit(sub, arrived).is_ok() {
-        *next += 1;
-    }
+    let _ = pool.admit(sub, arrived);
 }
 
 #[cfg(test)]
@@ -622,7 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn rejected_submission_advances_neither_table() {
+    fn rejected_submission_does_not_advance_the_cursor() {
         let mut ing = ClientIngress::new(
             WorkloadSpec::ClosedLoop {
                 clients: 3,
@@ -641,10 +636,9 @@ mod tests {
         // Clients 0 and 1 fill the pool; client 2 meets backpressure.
         ing.poll(Micros(0), Micros(0), 0);
         assert_eq!(ing.pool().stats().rejected_full, 1);
-        assert_eq!(ing.pool().tracked_clients(), 2, "no entry for client 2");
-        assert_eq!(ing.pool().expected_seq(ClientId(2)), 0);
-        assert_eq!(ing.client_next[&2], 0, "the cursor did not move");
-        // A duplicate and a gap leave a known client's entry alone too.
+        assert_eq!(ing.pool().tracked_clients(), 2, "client 2 is not tracked");
+        assert_eq!(ing.pool().expected_seq(ClientId(2)), 0, "cursor unmoved");
+        // A duplicate and a gap leave a known client's cursor alone too.
         let probe = |seq| Submission {
             client: ClientId(0),
             seq,
@@ -656,9 +650,9 @@ mod tests {
         assert_eq!(ing.pool().expected_seq(ClientId(0)), 1);
         // Once space frees up the same sequence number is admitted.
         assert_eq!(ing.pull(Micros(2), Micros(1)).len(), 2);
-        ing.submit(ClientId(2), Lane::Normal, Micros(3));
+        submit(&mut ing.pool, 512, ClientId(2), Lane::Normal, Micros(3));
         assert_eq!(ing.pool().expected_seq(ClientId(2)), 1);
-        assert_eq!(ing.client_next[&2], 1);
+        assert_eq!(ing.pool().tracked_clients(), 3);
         assert_eq!(ing.pool().stats().admitted, 3);
     }
 

@@ -4,14 +4,14 @@
 //! carry exactly the client's next sequence number, so a committed prefix
 //! of a client's transactions can never hide a hole. Memory is bounded on
 //! three axes — queued transactions, queued payload bytes, and the
-//! per-client sequence table — and every bound rejects with a counter
-//! instead of growing (backpressure, never OOM).
+//! per-client sequence table (a vector addressed by [`ClientId`]) — and
+//! every bound rejects with a counter instead of growing (backpressure,
+//! never OOM).
 
 use crate::ClientId;
 use clanbft_telemetry::{counters, Telemetry};
 use clanbft_types::Micros;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Priority lane of a submission. Lower index drains first.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
@@ -55,7 +55,7 @@ pub enum AdmitError {
     },
     /// The pool is at its transaction or byte capacity (backpressure).
     QueueFull,
-    /// The per-client sequence table is at capacity and this client is new.
+    /// The client id is at or above `max_clients`, the sequence table's bound.
     ClientTableFull,
 }
 
@@ -80,7 +80,7 @@ pub struct MempoolConfig {
     pub capacity_txs: usize,
     /// Maximum queued transaction bytes across all lanes.
     pub capacity_bytes: usize,
-    /// Maximum distinct clients tracked in the sequence table.
+    /// Bound on client ids: the sequence table holds `0..max_clients`.
     pub max_clients: usize,
 }
 
@@ -107,7 +107,7 @@ pub struct MempoolStats {
     pub rejected_gap: u64,
     /// Rejections: pool at capacity.
     pub rejected_full: u64,
-    /// Rejections: client table at capacity.
+    /// Rejections: client id outside the sequence table.
     pub rejected_client_cap: u64,
 }
 
@@ -123,7 +123,8 @@ pub struct Mempool {
     cfg: MempoolConfig,
     lanes: [VecDeque<PendingTx>; LANES],
     queued_bytes: usize,
-    next_seq: HashMap<u64, u64>,
+    /// Next sequence number per client, indexed by `ClientId`.
+    next_seq: Vec<u64>,
     stats: MempoolStats,
     telemetry: Telemetry,
 }
@@ -135,7 +136,7 @@ impl Mempool {
             cfg,
             lanes: Default::default(),
             queued_bytes: 0,
-            next_seq: HashMap::new(),
+            next_seq: Vec::new(),
             stats: MempoolStats::default(),
             telemetry,
         }
@@ -163,12 +164,15 @@ impl Mempool {
 
     /// The next sequence number expected from `client` (0 if unseen).
     pub fn expected_seq(&self, client: ClientId) -> u64 {
-        self.next_seq.get(&client.0).copied().unwrap_or(0)
+        usize::try_from(client.0)
+            .ok()
+            .and_then(|i| self.next_seq.get(i))
+            .map_or(0, |&next| next)
     }
 
-    /// Distinct clients tracked in the sequence table.
+    /// Distinct clients admitted at least once.
     pub fn tracked_clients(&self) -> usize {
-        self.next_seq.len()
+        self.next_seq.iter().filter(|&&next| next > 0).count()
     }
 
     /// Admits one submission at time `now`, or rejects it with backpressure.
@@ -178,19 +182,17 @@ impl Mempool {
     /// measures. The load generator scopes its admission loops instead
     /// (`mempool.admit` at batch granularity in `loadgen`).
     pub fn admit(&mut self, sub: Submission, now: Micros) -> Result<(), AdmitError> {
-        // One probe of the sequence table per submission: the entry is
+        // One indexed load of the sequence table per submission: the slot is
         // written only once every check has passed, so a rejection leaves
-        // the table as it was (an unseen client is not even inserted).
-        let (tracked, depth) = (self.next_seq.len(), self.depth());
-        let entry = self.next_seq.entry(sub.client.0);
-        let expected = match &entry {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(_) if tracked >= self.cfg.max_clients => {
-                self.stats.rejected_client_cap += 1;
-                return Err(AdmitError::ClientTableFull);
-            }
-            Entry::Vacant(_) => 0,
+        // the table as it was (it does not even grow).
+        let Some(slot) = usize::try_from(sub.client.0)
+            .ok()
+            .filter(|&i| i < self.cfg.max_clients)
+        else {
+            self.stats.rejected_client_cap += 1;
+            return Err(AdmitError::ClientTableFull);
         };
+        let expected = self.next_seq.get(slot).copied().unwrap_or(0);
         if sub.seq < expected {
             self.stats.rejected_duplicate += 1;
             return Err(AdmitError::Duplicate);
@@ -199,14 +201,17 @@ impl Mempool {
             self.stats.rejected_gap += 1;
             return Err(AdmitError::Gap { expected });
         }
-        if depth >= self.cfg.capacity_txs
+        if self.depth() >= self.cfg.capacity_txs
             || self.queued_bytes + sub.tx_bytes as usize > self.cfg.capacity_bytes
         {
             self.stats.rejected_full += 1;
             self.telemetry.add(counters::MEMPOOL_REJECTED_FULL, 1);
             return Err(AdmitError::QueueFull);
         }
-        *entry.or_insert(0) = expected + 1;
+        if slot >= self.next_seq.len() {
+            self.next_seq.resize(slot + 1, 0);
+        }
+        self.next_seq[slot] = expected + 1;
         self.queued_bytes += sub.tx_bytes as usize;
         self.lanes[sub.lane as usize].push_back(PendingTx {
             client: sub.client,
@@ -310,15 +315,20 @@ mod tests {
             max_clients: 2,
         };
         let mut p = Mempool::new(cfg, Telemetry::null());
+        assert_eq!(p.admit(sub(0, 0), Micros(0)), Ok(()));
         assert_eq!(p.admit(sub(1, 0), Micros(0)), Ok(()));
-        assert_eq!(p.admit(sub(2, 0), Micros(0)), Ok(()));
-        assert_eq!(
-            p.admit(sub(3, 0), Micros(0)),
-            Err(AdmitError::ClientTableFull)
-        );
+        // The bound is on the id, not on how many clients came first.
+        for id in [2, u64::MAX] {
+            assert_eq!(
+                p.admit(sub(id, 0), Micros(0)),
+                Err(AdmitError::ClientTableFull)
+            );
+            assert_eq!(p.expected_seq(ClientId(id)), 0);
+        }
         // Known clients keep working at the cap.
         assert_eq!(p.admit(sub(1, 1), Micros(0)), Ok(()));
         assert_eq!(p.tracked_clients(), 2);
+        assert_eq!(p.stats().rejected_client_cap, 2);
     }
 
     #[test]

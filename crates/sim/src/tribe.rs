@@ -5,7 +5,7 @@ use clanbft_adversary::{AdversaryNode, Attack};
 use clanbft_committee::ClanAssignment;
 use clanbft_consensus::{ConsensusMsg, NodeConfig, SailfishNode};
 use clanbft_crypto::{Authenticator, Registry, Scheme};
-use clanbft_mempool::WorkloadSpec;
+use clanbft_mempool::{Workload, WorkloadSpec};
 use clanbft_rbc::ClanTopology;
 use clanbft_simnet::bandwidth::BandwidthModel;
 use clanbft_simnet::cost::CostModel;
@@ -205,6 +205,11 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
         m.expect_parties(n as u32);
     }
 
+    // One workload for the tribe: every proposer's ingress shares its
+    // generator (the Zipf normaliser is summed once, not once per node).
+    let workload = Workload::from(spec.workload.unwrap_or(WorkloadSpec::Synthetic {
+        txs_per_proposal: spec.txs_per_proposal,
+    }));
     let (registry, keypairs) = Registry::generate(Scheme::Keyed, n, spec.seed);
     let nodes: Vec<TribeNode> = keypairs
         .into_iter()
@@ -218,9 +223,7 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
             cfg.timeout = spec.timeout;
             cfg.pull_retry = spec.pull_retry;
             cfg.max_round = spec.max_round;
-            cfg.workload = spec.workload.unwrap_or(WorkloadSpec::Synthetic {
-                txs_per_proposal: spec.txs_per_proposal,
-            });
+            cfg.workload = workload.clone();
             cfg.gc_depth = spec.gc_depth;
             cfg.verify_sigs = spec.verify_sigs;
             cfg.execute = spec.execute;

@@ -17,7 +17,8 @@
 #   scripts/pairs.sh HEAD target/pairs/tgt-work/release/clanbft-benchmark
 #
 # Prints each pair's host_cpu_s, then per side the median with quartiles
-# (host_cpu_s and host_peak_rss_mb), the ratio of medians and the wins.
+# of host_cpu_s, host_peak_rss_mb and setup_s, each with its ratio of
+# medians, and the wins on host_cpu_s (the only metric the verdict reads).
 # B is called faster only if, over at least ten pairs, it wins nine tenths
 # of them and the medians lie further apart than A's interquartile range.
 # No verdict at all if any sim_* value or ok_share differs between any two
@@ -97,6 +98,7 @@ echo "A = $A ($BIN_A)"
 echo "B = $B ($BIN_B)"
 echo "$WORKLOAD, seed $SEED, --seconds $SECS, $PAIRS pairs"
 : > "$DIR/a.cpu"; : > "$DIR/b.cpu"; : > "$DIR/a.rss"; : > "$DIR/b.rss"
+: > "$DIR/a.setup"; : > "$DIR/b.setup"
 REFERENCE=
 SAME=1
 for i in $(seq 1 "$PAIRS"); do
@@ -106,6 +108,7 @@ for i in $(seq 1 "$PAIRS"); do
         out=$(run "$side" "$bin")
         echo "$out" | metric host_cpu_s >> "$DIR/$side.cpu"
         echo "$out" | metric host_peak_rss_mb >> "$DIR/$side.rss"
+        echo "$out" | metric setup_s >> "$DIR/$side.setup"
         sim=$(echo "$out" | simulated)
         REFERENCE=${REFERENCE:-$sim}
         if [ "$sim" != "$REFERENCE" ]; then
@@ -135,14 +138,19 @@ summary() { # file
 }
 read -r A_MED A_Q1 A_Q3 < <(summary "$DIR/a.cpu")
 read -r B_MED B_Q1 B_Q3 < <(summary "$DIR/b.cpu")
-read -r A_RSS _ _ < <(summary "$DIR/a.rss")
-read -r B_RSS _ _ < <(summary "$DIR/b.rss")
+read -r A_RSS A_RSS1 A_RSS3 < <(summary "$DIR/a.rss")
+read -r B_RSS B_RSS1 B_RSS3 < <(summary "$DIR/b.rss")
+read -r A_SET A_SET1 A_SET3 < <(summary "$DIR/a.setup")
+read -r B_SET B_SET1 B_SET3 < <(summary "$DIR/b.setup")
 WINS=$(paste "$DIR/a.cpu" "$DIR/b.cpu" | awk '$2 < $1 { b++ } $1 < $2 { a++ } END { print b + 0, a + 0 }')
 read -r B_WINS A_WINS <<< "$WINS"
 awk -v am="$A_MED" -v a1="$A_Q1" -v a3="$A_Q3" -v bm="$B_MED" -v b1="$B_Q1" -v b3="$B_Q3" \
-    -v ar="$A_RSS" -v br="$B_RSS" -v bw="$B_WINS" -v aw="$A_WINS" -v n="$PAIRS" -v same="$SAME" 'BEGIN {
-    printf "host_cpu_s        A %.3f [%.3f, %.3f]   B %.3f [%.3f, %.3f]\n", am, a1, a3, bm, b1, b3
-    printf "host_peak_rss_mb  A %.1f   B %.1f\n", ar, br
+    -v ar="$A_RSS" -v ar1="$A_RSS1" -v ar3="$A_RSS3" -v br="$B_RSS" -v br1="$B_RSS1" -v br3="$B_RSS3" \
+    -v as="$A_SET" -v as1="$A_SET1" -v as3="$A_SET3" -v bs="$B_SET" -v bs1="$B_SET1" -v bs3="$B_SET3" \
+    -v bw="$B_WINS" -v aw="$A_WINS" -v n="$PAIRS" -v same="$SAME" 'BEGIN {
+    printf "host_cpu_s        A %.3f [%.3f, %.3f]   B %.3f [%.3f, %.3f]   B/A %.3f\n", am, a1, a3, bm, b1, b3, bm / am
+    printf "host_peak_rss_mb  A %.1f [%.1f, %.1f]   B %.1f [%.1f, %.1f]   B/A %.3f\n", ar, ar1, ar3, br, br1, br3, br / ar
+    printf "setup_s (ms)      A %.3f [%.3f, %.3f]   B %.3f [%.3f, %.3f]   B/A %.3f\n", as * 1e3, as1 * 1e3, as3 * 1e3, bs * 1e3, bs1 * 1e3, bs3 * 1e3, bs / as
     printf "B/A = %.3f (base A %.3f s); B wins %d/%d, A wins %d/%d\n", bm / am, am, bw, n, aw, n
     if (!same) {
         print "no verdict: a sim_* value or ok_share differed between runs (see above)"

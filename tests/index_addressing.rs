@@ -1,11 +1,17 @@
 //! Pins on the index-addressed delivery path, measured with the counting
 //! allocator: a round or party number from the wire never sizes an
 //! allocation, and a benign broadcast instance costs a fixed handful of
-//! allocations — none at all once it is certified.
+//! allocations — none at all once it is certified. The client ingress is
+//! held to the same rule: a proposal cycle allocates per proposal, not per
+//! arrival, and a client id the table refuses allocates nothing.
 
 use clanbft_consensus::messages::CommittedRec;
 use clanbft_consensus::{ConsensusMsg, MergedPayload, NodeConfig, SailfishNode};
 use clanbft_crypto::{Authenticator, Digest, Registry, Scheme, Signature};
+use clanbft_mempool::{
+    plan_batches, AdmitError, ClientId, ClientIngress, Lane, Mempool, MempoolConfig, SizerConfig,
+    Submission, WorkloadSpec,
+};
 use clanbft_profiler as prof;
 use clanbft_rbc::{
     echo_statement, BytesPayload, ClanTopology, Effects, EngineConfig, RbcEvent, RbcMsg, RbcPacket,
@@ -13,6 +19,7 @@ use clanbft_rbc::{
 };
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::protocol::{Ctx, Protocol};
+use clanbft_telemetry::Telemetry;
 use clanbft_types::{Block, Encode, Micros, PartyId, Round, TribeParams, Vertex, VertexRef};
 use std::sync::{Arc, Mutex};
 
@@ -479,4 +486,80 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
         assert_eq!(count - floor, 0, "allocations after certification");
         assert!(engine.fx.out.is_empty() && engine.fx.events.is_empty());
     }
+}
+
+// --- the client ingress -----------------------------------------------------
+
+/// One proposal cycle of an open-loop ingress the way a proposer drives it:
+/// arrivals over the cycle, the sizer's pull, the batch plan, the binding
+/// to the proposed vertex and that vertex's commit.
+fn ingress_cycle(ing: &mut ClientIngress, cycle: u64) {
+    let from = Micros::from_millis(100 * cycle);
+    let to = Micros::from_millis(100 * (cycle + 1));
+    ing.poll(from, to, cycle);
+    let pulled = ing.pull(to, to.saturating_sub(from));
+    std::hint::black_box(plan_batches(pulled, 16));
+    let vref = VertexRef {
+        round: Round(cycle),
+        source: PartyId(0),
+    };
+    ing.note_proposed(vref);
+    ing.on_committed(vref, to);
+}
+
+#[test]
+fn an_open_loop_proposal_cycle_allocates_per_proposal_not_per_arrival() {
+    let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
+    // Allocations of one steady cycle of an ingress whose cycles each see
+    // `per_cycle` arrivals over 64 clients and drain them all.
+    let steady = |per_cycle: u32| {
+        let drain_all = SizerConfig {
+            min_batch: 1 << 16,
+            max_batch: 1 << 16,
+            initial_batch: 1 << 16,
+        };
+        let workload = WorkloadSpec::OpenLoop {
+            rate_tps: f64::from(per_cycle) * 10.0,
+            clients: 64,
+            zipf_s: 0.0,
+            stop_at_round: u64::MAX,
+        };
+        let pool = MempoolConfig::default();
+        let mut ing = ClientIngress::new(workload, 512, pool, drain_all, 3, Telemetry::null());
+        // The warm-up grows the queue, the client table and the in-flight map.
+        ingress_cycle(&mut ing, 0);
+        // A window of two cycles less a window of one: one cycle without the
+        // profiler's first-entry bookkeeping for its scopes.
+        let (one, _) = allocations_in(|| ingress_cycle(&mut ing, 1));
+        let (two, _) = allocations_in(|| {
+            ingress_cycle(&mut ing, 2);
+            ingress_cycle(&mut ing, 3);
+        });
+        assert_eq!(ing.pool().stats().pulled, ing.pool().stats().admitted);
+        assert_eq!(ing.in_flight_txs(), 0);
+        two - one
+    };
+    // Two per proposal, each sized once: the pull and the plan. An open-loop
+    // vertex keeps a count of what it carries, not a list.
+    assert_eq!(steady(1_000), 2);
+    assert_eq!(steady(4_000), 2);
+}
+
+#[test]
+fn a_refused_client_id_allocates_nothing() {
+    let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
+    let mut pool = Mempool::new(MempoolConfig::default(), Telemetry::null());
+    let far = Submission {
+        client: ClientId(u64::MAX),
+        seq: 0,
+        tx_bytes: 512,
+        lane: Lane::Normal,
+    };
+    let floor = allocations_in(|| {}).0;
+    let (count, _) = allocations_in(|| {
+        let refused = pool.admit(far, Micros(1));
+        assert_eq!(refused, Err(AdmitError::ClientTableFull));
+    });
+    assert_eq!(count, floor, "a refused id grows nothing");
+    assert_eq!(pool.tracked_clients(), 0);
 }

@@ -41,7 +41,8 @@ fn make_monitored_nodes(
             let mut cfg = NodeConfig::new(me, Arc::clone(&topology));
             cfg.workload = WorkloadSpec::Synthetic {
                 txs_per_proposal: txs,
-            };
+            }
+            .into();
             cfg.max_round = Some(max_round);
             // Generous timeout: live-thread scheduling jitter must not trip
             // the no-vote path in a benign run.

@@ -9,6 +9,11 @@ use clanbft_committee::binomial::binomial;
 use clanbft_committee::hypergeom::dishonest_majority_prob;
 use clanbft_crypto::{Bitmap, ClanRng, Digest};
 use clanbft_dag::{Dag, InsertOutcome};
+use clanbft_mempool::{
+    plan_batches, AdmitError, BatchPlan, ClientId, Lane, Mempool, MempoolConfig, MempoolStats,
+    PendingTx, Submission,
+};
+use clanbft_telemetry::Telemetry;
 use clanbft_testkit::{check, check_shrink, tk_assert, tk_assert_eq, Gen};
 use clanbft_types::certs::TimeoutCert;
 use clanbft_types::{
@@ -388,6 +393,185 @@ fn round_window_matches_btreemap_model() {
                     }
                 }
                 tk_assert_eq!(window.base(), Round(base));
+            }
+            Ok(())
+        },
+    );
+}
+
+// --- mempool ----------------------------------------------------------------
+
+/// The batch planner `plan_batches` replaced, kept verbatim as the model
+/// (less its profiler scope): build the runs, then merge the first adjacent
+/// same-size pair until the plans fit or no such pair is left. Quadratic in
+/// the runs, which is why it was replaced.
+fn naive_plan_batches(pulled: &[PendingTx], max_batches: usize) -> Vec<BatchPlan> {
+    let mut plans: Vec<BatchPlan> = Vec::new();
+    for tx in pulled {
+        match plans.last_mut() {
+            Some(p) if p.created_at == tx.arrived && p.tx_bytes == tx.tx_bytes => p.count += 1,
+            _ => plans.push(BatchPlan {
+                count: 1,
+                tx_bytes: tx.tx_bytes,
+                created_at: tx.arrived,
+            }),
+        }
+    }
+    let max_batches = max_batches.max(1);
+    while plans.len() > max_batches {
+        let Some(i) = (0..plans.len() - 1).find(|&i| plans[i].tx_bytes == plans[i + 1].tx_bytes)
+        else {
+            break;
+        };
+        let next = plans.remove(i + 1);
+        plans[i].count += next.count;
+        plans[i].created_at = plans[i].created_at.min(next.created_at);
+    }
+    plans
+}
+
+#[test]
+fn linear_batch_planner_matches_the_quadratic_one() {
+    // A pull is a list of (stamp, size, copies) groups. Few stamps and
+    // sizes make repeated stamps, same-size runs that merge and runs of
+    // alternating sizes that cannot; stamps may go backwards, as they do
+    // where one lane's queue ends and the next one's begins.
+    let arb_group = |g: &mut Gen| (g.u8_in(0, 6), g.u8_in(0, 2), g.u8_in(1, 12));
+    check_shrink(
+        "linear_batch_planner_matches_the_quadratic_one",
+        CASES * 4,
+        |g| (g.u8_in(0, 20), g.vec(0, 80, arb_group)),
+        |(max_batches, groups)| {
+            let pulled: Vec<PendingTx> = groups
+                .iter()
+                .flat_map(|&(stamp, size, copies)| {
+                    (0..copies).map(move |_| PendingTx {
+                        client: ClientId(u64::from(stamp)),
+                        seq: 0,
+                        tx_bytes: 128 << size,
+                        arrived: Micros(u64::from(stamp)),
+                    })
+                })
+                .collect();
+            let max = usize::from(*max_batches);
+            let (got, want) = (plan_batches(&pulled, max), naive_plan_batches(&pulled, max));
+            tk_assert!(got == want, "max {max}: {got:?} != {want:?}");
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn index_addressed_client_table_matches_a_btreemap_model() {
+    use std::collections::{BTreeMap, VecDeque};
+
+    const MAX_CLIENTS: u64 = 6;
+    /// The pool as its contract reads: a map from client to next sequence
+    /// number, three FIFO lanes and the counters.
+    #[derive(Default)]
+    struct Model {
+        next: BTreeMap<u64, u64>,
+        lanes: [VecDeque<PendingTx>; 3],
+        bytes: usize,
+        stats: MempoolStats,
+    }
+    // Ids in the table, at its last slot, just past it and at the far end.
+    let client_of = |sel: u8| match sel % 9 {
+        6 => MAX_CLIENTS - 1,
+        7 => MAX_CLIENTS,
+        8 => u64::MAX,
+        c => u64::from(c),
+    };
+    // Each op: (kind, client, seq, size, lane). Kinds 0–5 admit; 6 and 7
+    // pull, at most `seq` (0–4) transactions.
+    let arb_op = |g: &mut Gen| (g.u8_in(0, 7), g.u8(), g.u8_in(0, 4), g.u8_in(0, 3), g.u8());
+    check_shrink(
+        "index_addressed_client_table_matches_a_btreemap_model",
+        CASES * 2,
+        |g| (g.u8_in(0, 12), g.u8_in(1, 8), g.vec(0, 120, arb_op)),
+        |(cap_txs, cap_units, ops)| {
+            let cfg = MempoolConfig {
+                capacity_txs: usize::from(*cap_txs),
+                capacity_bytes: usize::from(*cap_units) * 256,
+                max_clients: MAX_CLIENTS as usize,
+            };
+            let mut pool = Mempool::new(cfg, Telemetry::null());
+            let mut model = Model::default();
+            for (step, &(kind, client_sel, seq_sel, size, lane)) in ops.iter().enumerate() {
+                let now = Micros(step as u64);
+                if kind < 6 {
+                    let client = client_of(client_sel);
+                    let expected = model.next.get(&client).copied().unwrap_or(0);
+                    // Mostly the expected number, then a replay, a gap and
+                    // a wild number.
+                    let seq = match seq_sel {
+                        0 | 1 => expected,
+                        2 => expected.saturating_sub(1),
+                        3 => expected + 2,
+                        _ => u64::MAX - u64::from(client_sel),
+                    };
+                    let sub = Submission {
+                        client: ClientId(client),
+                        seq,
+                        tx_bytes: 64 << (size % 3),
+                        lane: [Lane::High, Lane::Normal, Lane::Low][usize::from(lane % 3)],
+                    };
+                    let depth: usize = model.lanes.iter().map(VecDeque::len).sum();
+                    let want = if client >= MAX_CLIENTS {
+                        model.stats.rejected_client_cap += 1;
+                        Err(AdmitError::ClientTableFull)
+                    } else if seq < expected {
+                        model.stats.rejected_duplicate += 1;
+                        Err(AdmitError::Duplicate)
+                    } else if seq > expected {
+                        model.stats.rejected_gap += 1;
+                        Err(AdmitError::Gap { expected })
+                    } else if depth >= cfg.capacity_txs
+                        || model.bytes + sub.tx_bytes as usize > cfg.capacity_bytes
+                    {
+                        model.stats.rejected_full += 1;
+                        Err(AdmitError::QueueFull)
+                    } else {
+                        model.next.insert(client, expected + 1);
+                        model.bytes += sub.tx_bytes as usize;
+                        model.stats.admitted += 1;
+                        model.lanes[sub.lane as usize].push_back(PendingTx {
+                            client: sub.client,
+                            seq,
+                            tx_bytes: sub.tx_bytes,
+                            arrived: now,
+                        });
+                        Ok(())
+                    };
+                    let got = pool.admit(sub, now);
+                    tk_assert!(got == want, "step {step}: admit {got:?} != {want:?}");
+                } else {
+                    let max = usize::from(seq_sel);
+                    let mut want = Vec::new();
+                    for lane in &mut model.lanes {
+                        while want.len() < max {
+                            let Some(tx) = lane.pop_front() else { break };
+                            model.bytes -= tx.tx_bytes as usize;
+                            want.push(tx);
+                        }
+                    }
+                    model.stats.pulled += want.len() as u64;
+                    let got = pool.pull(max, now);
+                    let key = |t: &PendingTx| (t.client, t.seq, t.tx_bytes, t.arrived);
+                    let (got, want): (Vec<_>, Vec<_>) = (
+                        got.iter().map(key).collect(),
+                        want.iter().map(key).collect(),
+                    );
+                    tk_assert!(got == want, "step {step}: pull {got:?} != {want:?}");
+                }
+                tk_assert_eq!(pool.stats(), model.stats);
+                tk_assert_eq!(pool.depth(), model.lanes.iter().map(VecDeque::len).sum());
+                tk_assert_eq!(pool.queued_bytes(), model.bytes);
+                tk_assert_eq!(pool.tracked_clients(), model.next.len());
+                for c in (0..MAX_CLIENTS + 1).chain([u64::MAX]) {
+                    let want = model.next.get(&c).copied().unwrap_or(0);
+                    tk_assert_eq!(pool.expected_seq(ClientId(c)), want);
+                }
             }
             Ok(())
         },
