@@ -4,6 +4,7 @@
 //! state machine that runs both of the paper's constructions. Instances
 //! live in rows of a [`RoundWindow`] whose base is the prune horizon.
 
+use crate::core::{self, Count, Once, Spill, Step, Tally, Vote};
 use crate::payload::TribePayload;
 use crate::topology::ClanTopology;
 use clanbft_crypto::multisig::AggregateVerdict;
@@ -17,11 +18,6 @@ use std::sync::Arc;
 /// Retry attempts per pull before the engine gives up and leaves liveness
 /// to the consensus-level timeout path (bounds the timer chain).
 pub const MAX_PULL_ATTEMPTS: u8 = 6;
-
-/// Distinct digests tracked per instance before further ones are dropped:
-/// two prove equivocation; the margin absorbs replay noise without letting
-/// a Byzantine source allocate unboundedly.
-pub const MAX_DIGESTS_PER_INSTANCE: usize = 4;
 
 /// Rounds above the local round (the engine's round hint, the consensus
 /// layer's current round) that are still admitted; any message further in
@@ -239,12 +235,6 @@ impl<P: TribePayload> Default for Effects<P> {
 }
 
 impl<P: TribePayload> Effects<P> {
-    /// A fresh, empty effect set (stamp base zero — fine for callers that
-    /// don't record telemetry).
-    pub fn new() -> Effects<P> {
-        Effects::default()
-    }
-
     /// A fresh effect set whose telemetry stamps are based at `now`, the
     /// simulated time the enclosing handler started.
     pub fn at(now: Micros) -> Effects<P> {
@@ -333,86 +323,34 @@ impl<P: TribePayload> Held<P> {
     }
 }
 
-/// Per-digest vote bookkeeping: the echoes (both flavours) or readies
-/// (signature-free flavour) seen for one digest. Fixed size, and up to
-/// [`PartySet::INLINE`] parties nothing behind a pointer.
-struct Tally {
-    digest: Digest,
-    voters: PartySet,
-    /// Size of `voters`; zero only in an instance's unused first echo tally.
-    total: u16,
-    /// Voters from the source's clan (echoes only).
-    clan_count: u16,
-}
-
-impl Tally {
-    fn new(digest: Digest) -> Tally {
-        Tally {
-            digest,
-            voters: PartySet::EMPTY,
-            total: 0,
-            clan_count: 0,
-        }
-    }
-
-    /// Counts `from`'s vote; `false` if it was counted before.
-    fn add(&mut self, from: PartyId, in_clan: bool) -> bool {
-        let fresh = self.voters.insert(from);
-        self.total += u16::from(fresh);
-        self.clan_count += u16::from(fresh && in_clan);
-        fresh
-    }
-
-    /// The tally for `digest` in `sets`, created on first use; `None` once
-    /// [`MAX_DIGESTS_PER_INSTANCE`] other digests are tracked (a Byzantine
-    /// peer cannot allocate unbounded per-digest sets).
-    fn slot(sets: &mut Vec<Tally>, digest: Digest) -> Option<&mut Tally> {
-        let at = match sets.iter().position(|s| s.digest == digest) {
-            Some(at) => at,
-            None if sets.len() >= MAX_DIGESTS_PER_INSTANCE => return None,
-            None => {
-                sets.push(Tally::new(digest));
-                sets.len() - 1
-            }
-        };
-        Some(&mut sets[at])
-    }
-}
-
 /// Signed echoes awaiting certificate assembly (signed flavour). Taken by
 /// the certificate and not collected afterwards: once the instance has sent
 /// or accepted a certificate the shares have no reader (tallies keep
 /// counting late echoes).
 type Shares = Vec<(usize, Signature)>;
 
-/// The facts of an instance an echo or a first certificate reads or flips,
-/// one bit each in [`Votes::facts`]. (Whether a digest is certified is not
-/// among them: that is [`Row::certified`].)
+/// The engine's facts of an instance, one bit each in [`Votes::facts`].
+/// (The core's are [`Votes::once`]; whether a digest is certified is
+/// [`Row::certified`].)
 mod fact {
     /// Some packet for the instance was admitted: the slot is in use.
     pub const TOUCHED: u8 = 1 << 0;
-    /// This party echoed (the digest is in the cold part).
-    pub const ECHOED: u8 = 1 << 1;
-    /// An echo certificate has been multicast/forwarded (signed flavour).
-    pub const CERT_SENT: u8 = 1 << 2;
     /// This party has `r_deliver`ed.
-    pub const DELIVERED: u8 = 1 << 3;
-    /// The echo quorum was reached and traced (the early pull starts once).
-    pub const ECHO_QUORUM_EMITTED: u8 = 1 << 4;
-    /// This party sent its READY (signature-free flavour).
-    pub const READY_SENT: u8 = 1 << 5;
+    pub const DELIVERED: u8 = 1 << 1;
 }
 
 /// The hot state of one broadcast instance: all an echo reads and writes.
 /// One fixed-size record, stored inline in its round's row.
 struct Votes {
     /// Echoes for the first digest seen — the only one unless the source
-    /// equivocates (further digests spill into [`Cold::more_echoes`]).
+    /// equivocates (further digests spill into [`Cold::spill`]).
     echoes: Tally,
     /// The certified digest, once the source is in [`Row::certified`].
     certified: Digest,
     /// [`fact`] bits.
     facts: u8,
+    /// The core's once-facts.
+    once: Once,
 }
 
 /// 136 bytes whatever the tribe size — 144 with the pointer to the cold
@@ -432,10 +370,9 @@ struct Cold<P: TribePayload> {
     echoed: Option<Digest>,
     /// Shares behind [`Votes::echoes`].
     shares: Shares,
-    /// Echoes for the second and later digests, in first-seen order.
-    more_echoes: Vec<(Tally, Shares)>,
-    /// Readies seen, per digest (signature-free flavour).
-    readies: Vec<Tally>,
+    /// The core's other tallies: the echoes of an equivocating source, with
+    /// their shares, and the readies.
+    spill: Spill<Shares>,
     /// Pull escalation level: 0 = none, 1 = single-peer probe (echo
     /// quorum), 2 = full quorum fan-out (certification).
     pull_level: u8,
@@ -466,8 +403,7 @@ impl<P: TribePayload> Cold<P> {
                 held: [held(), held()],
                 echoed: None,
                 shares: Vec::new(),
-                more_echoes: Vec::new(),
-                readies: Vec::new(),
+                spill: Spill::default(),
                 pull_level: 0,
                 pull_digest: None,
                 asked: PartySet::EMPTY,
@@ -492,6 +428,7 @@ impl<P: TribePayload> Instance<P> {
                 echoes: Tally::new(Digest::ZERO),
                 certified: Digest::ZERO,
                 facts: 0,
+                once: Once::default(),
             },
             cold: None,
         }
@@ -499,13 +436,6 @@ impl<P: TribePayload> Instance<P> {
 
     fn is(&self, fact: u8) -> bool {
         self.votes.facts & fact != 0
-    }
-
-    /// Establishes `fact`; returns whether it already held.
-    fn set(&mut self, fact: u8) -> bool {
-        let held = self.is(fact);
-        self.votes.facts |= fact;
-        held
     }
 
     fn cold(&mut self) -> &mut Cold<P> {
@@ -522,7 +452,7 @@ impl<P: TribePayload> Instance<P> {
 
     /// Echo tallies in first-seen order (one unless the source equivocates).
     fn echo_tallies(&self) -> impl Iterator<Item = &Tally> {
-        let spilled = self.cold.iter().flat_map(|c| &c.more_echoes);
+        let spilled = self.cold.iter().flat_map(|c| &c.spill.echoes);
         std::iter::once(&self.votes.echoes)
             .filter(|first| first.total > 0)
             .chain(spilled.map(|(tally, _)| tally))
@@ -537,7 +467,7 @@ impl<P: TribePayload> Instance<P> {
     fn shares_mut(&mut self) -> impl Iterator<Item = (Digest, &mut Shares)> {
         let first = self.votes.echoes.digest;
         self.cold.iter_mut().flat_map(move |cold| {
-            let spilled = cold.more_echoes.iter_mut().map(|(t, s)| (t.digest, s));
+            let spilled = cold.spill.echoes.iter_mut().map(|(t, s)| (t.digest, s));
             std::iter::once((first, &mut cold.shares)).chain(spilled)
         })
     }
@@ -658,7 +588,7 @@ pub struct EngineConfig {
     /// Epoch-rotated clan structures as `(from_round, topology)` pairs in
     /// ascending `from_round` order. The tribe (membership, `f`, quorums)
     /// is identical across entries — only the clan assignment rotates, so
-    /// `quorum`/`small_quorum`/`n` stay epoch-independent.
+    /// the tribe's thresholds and `n` stay epoch-independent.
     pub epochs: Vec<(Round, Arc<ClanTopology>)>,
     /// CPU cost model for charge accounting.
     pub cost: CostModel,
@@ -702,16 +632,6 @@ impl EngineConfig {
         self.epochs.sort_by_key(|(f, _)| *f);
     }
 
-    /// Tribe quorum `2f+1`.
-    pub fn quorum(&self) -> usize {
-        self.topology.tribe().quorum()
-    }
-
-    /// Tribe `f+1`.
-    pub fn small_quorum(&self) -> usize {
-        self.topology.tribe().small_quorum()
-    }
-
     /// Tribe size.
     pub fn n(&self) -> usize {
         self.topology.tribe().n()
@@ -734,27 +654,19 @@ pub struct BufferStats {
 }
 
 /// How an echo quorum becomes a certificate — the one step in which the
-/// paper's two t-RBC constructions differ.
+/// paper's two t-RBC constructions differ; the rules are
+/// [`core::signature_free`] and [`core::signed`].
 enum Flavour {
     /// Three rounds, signature-free, after Bracha (paper Fig. 2): VAL →
-    /// ECHO → READY. A party sends READY after `2f+1` ECHOes for a digest,
-    /// of which at least `f_c+1` come from the sender's clan (guaranteeing
-    /// a retrievable payload), or after `f+1` READYs (amplification);
-    /// `2f+1` READYs certify. With the clan set to the whole tribe this is
-    /// exactly Bracha's RBC.
+    /// ECHO → READY. With the clan set to the whole tribe this is exactly
+    /// Bracha's RBC.
     SignatureFree,
     /// Two rounds, signed, after Abraham et al.'s good-case-optimal RBC
-    /// (paper Fig. 3): VAL → signed ECHO → echo certificate `EC_r(m)`. A
-    /// party that collects `2f+1` signed ECHOes (`f_c+1` from the clan)
-    /// multicasts the certificate and delivers; a party that *receives* a
-    /// valid certificate forwards it once and delivers. The forward is
-    /// required for agreement when the certificate originates from a
-    /// Byzantine party that sent it selectively — the paper's proof
-    /// implicitly assumes it. Per the paper's implementation (§7), echo
-    /// signatures are aggregated without upfront verification; a receiver
-    /// verifies the aggregate and, on failure, identifies and excludes
-    /// culprits, accepting the certificate if the surviving contributions
-    /// still meet both thresholds.
+    /// (paper Fig. 3): VAL → signed ECHO → echo certificate `EC_r(m)`. Per
+    /// the paper's implementation (§7), echo signatures are aggregated
+    /// without upfront verification; a receiver verifies the aggregate and,
+    /// on failure, identifies and excludes culprits before the core judges
+    /// what is left.
     Signed {
         auth: Arc<Authenticator>,
         /// When false, certificate signature bytes are not actually checked
@@ -940,32 +852,24 @@ impl<P: TribePayload> TribeRbc<P> {
                         Some(sig)
                     }
                 };
-                if self.note_echo(round, source, from, *digest, share, fx) {
-                    self.on_echo_threshold(round, source, *digest, fx);
-                }
+                self.on_echo(round, source, from, *digest, share, fx);
             }
             // Each flavour ignores the other's certification message.
             RbcMsg::Ready { digest } => {
                 if matches!(self.flavour, Flavour::SignatureFree) {
-                    self.on_ready(round, source, from, *digest, fx);
+                    let (step, _) = self.vote(round, source, Vote::Ready(from, *digest));
+                    self.apply(round, source, *digest, step, None, fx);
                 }
             }
             RbcMsg::EchoCert { digest, cert } => {
                 // Duplicate certificates for an already-certified instance
                 // are dropped before any verification cost is paid (and
                 // before the instance's record is touched).
-                if !matches!(self.flavour, Flavour::Signed { .. })
-                    || self.slots.is_certified(round, source)
-                {
+                if self.slots.is_certified(round, source) {
                     return;
                 }
-                // An admitted first certificate puts the slot to use, valid
-                // or not.
-                self.instance(round, source);
-                if self.validate_cert(source, round, *digest, cert, fx) {
-                    self.send_cert_once(round, source, *digest, Arc::clone(cert), fx);
-                    self.on_echo_quorum(round, source, *digest, fx);
-                    self.certify(round, source, *digest, fx);
+                if let Some(step) = self.validate_cert(source, round, *digest, cert, fx) {
+                    self.apply(round, source, *digest, step, Some(cert), fx);
                 }
             }
         }
@@ -1186,11 +1090,11 @@ impl<P: TribePayload> TribeRbc<P> {
 
     /// Echoes `digest` once per instance (signed in the signed flavour).
     fn maybe_echo(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
-        let inst = self.instance(round, source);
-        if inst.set(fact::ECHOED) {
+        let cold = self.instance(round, source).cold();
+        if cold.echoed.is_some() {
             return;
         }
-        inst.cold().echoed = Some(digest);
+        cold.echoed = Some(digest);
         let sig = match &self.flavour {
             Flavour::SignatureFree => None,
             Flavour::Signed { auth, .. } => {
@@ -1203,12 +1107,33 @@ impl<P: TribePayload> TribeRbc<P> {
         fx.multicast(Dest::All, source, round, RbcMsg::Echo { digest, sig });
     }
 
-    /// Records an echo — one visit to the instance's record. Returns whether
-    /// the digest's tally now meets the tribe-assisted echo threshold
-    /// (`2f+1` overall with at least `f_c+1` from the clan that `round`'s
-    /// topology assigns the source to); `false` also for duplicates, capped
-    /// digests and rejected conflicts.
-    fn note_echo(
+    /// Counts one vote on `(round, source)`'s instance through the
+    /// flavour's core, putting the instance to use. Always inlined, like the
+    /// core's functions: the echo path is the engine's hot loop, where each
+    /// call cost `handle` a few per cent (alternating in-process runs of the
+    /// signed engine, n = 50).
+    #[inline(always)]
+    fn vote(&mut self, round: Round, source: PartyId, vote: Vote) -> (Step, &mut Instance<P>) {
+        let (n, tribe) = (self.cfg.n(), self.cfg.topology.tribe());
+        let clan = self.cfg.topology_at(round).clan_for_sender(source);
+        let inst = self.slots.touch(round, source, n);
+        let Instance { votes, cold } = &mut *inst;
+        let (first, once) = (&mut votes.echoes, &mut votes.once);
+        let step = match self.flavour {
+            Flavour::SignatureFree => {
+                core::signature_free(tribe, clan, first, once, || &mut Cold::of(cold).spill, vote)
+            }
+            Flavour::Signed { .. } => {
+                core::signed(tribe, clan, first, once, || &mut Cold::of(cold).spill, vote)
+            }
+        };
+        (step, inst)
+    }
+
+    /// Counts an echo through the flavour's core — one visit to the
+    /// instance's record — keeps its share towards a certificate of this
+    /// party's own, and applies the step.
+    fn on_echo(
         &mut self,
         round: Round,
         source: PartyId,
@@ -1216,146 +1141,53 @@ impl<P: TribePayload> TribeRbc<P> {
         digest: Digest,
         sig: Option<&Signature>,
         fx: &mut Effects<P>,
-    ) -> bool {
-        let n = self.cfg.n();
-        let quorum = self.cfg.quorum();
-        let clan = self.cfg.topology_at(round).clan_for_sender(source);
-        let (in_clan, clan_quorum) = (clan.contains(from), clan.clan_quorum);
-        let inst = self.slots.touch(round, source, n);
-        if inst.votes.echoes.total == 0 {
-            inst.votes.echoes.digest = digest;
-        }
-        // (A certified signed instance has sent its certificate.)
-        let keep_share = !inst.is(fact::CERT_SENT);
-        let (tally, shares) = if inst.votes.echoes.digest == digest {
-            let shares = sig
-                .filter(|_| keep_share)
-                .map(|_| &mut Cold::of(&mut inst.cold).shares);
-            (&mut inst.votes.echoes, shares)
-        } else {
-            let Some(at) = self.spilled_echo_tally(round, source, digest, fx) else {
-                self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1);
-                return false;
+    ) {
+        // A certified signed instance has sent its certificate.
+        let keep_share = sig.is_some() && !self.slots.is_certified(round, source);
+        let quorum = self.cfg.topology.tribe().quorum();
+        let (step, inst) = self.vote(round, source, Vote::Echo(from, digest));
+        let counted = matches!(step.count, Count::Counted | Count::Split);
+        if let Some(sig) = sig.filter(|_| keep_share && counted) {
+            let first = inst.votes.echoes.digest;
+            let cold = inst.cold();
+            let shares = if digest == first {
+                Some(&mut cold.shares)
+            } else {
+                let mut spilled = cold.spill.echoes.iter_mut();
+                spilled.find(|(t, _)| t.digest == digest).map(|(_, s)| s)
             };
-            let (tally, shares) = &mut self.slots.touch(round, source, n).cold().more_echoes[at];
-            (tally, keep_share.then_some(shares))
-        };
-        if !tally.add(from, in_clan) {
-            self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1);
-            return false;
-        }
-        if let (Some(shares), Some(sig)) = (shares, sig) {
-            if shares.capacity() == 0 {
-                // A certificate needs `2f+1` shares and takes them all.
-                shares.reserve_exact(quorum);
-            }
-            shares.push((from.idx(), *sig));
-        }
-        usize::from(tally.total) >= quorum && usize::from(tally.clan_count) >= clan_quorum
-    }
-
-    /// Where [`Cold::more_echoes`] tallies `digest`, which differs from the
-    /// instance's first echo digest: a second distinct digest behind one
-    /// instance means the source is behind two payloads (or an echoer is
-    /// lying about it — see Evidence docs on attribution strength per
-    /// variant). `None` once [`MAX_DIGESTS_PER_INSTANCE`] are tracked.
-    fn spilled_echo_tally(
-        &mut self,
-        round: Round,
-        source: PartyId,
-        digest: Digest,
-        fx: &mut Effects<P>,
-    ) -> Option<usize> {
-        let inst = self.instance(round, source);
-        if let Some(at) = inst.echo_tallies().position(|t| t.digest == digest) {
-            return Some(at - 1);
-        }
-        let tracked = inst.echo_tallies().count();
-        if tracked >= MAX_DIGESTS_PER_INSTANCE {
-            return None;
-        }
-        // Deterministic "first" digest: what this party accepted or echoed,
-        // falling back to the smallest tracked digest.
-        let first = inst
-            .cold
-            .as_ref()
-            .and_then(|cold| {
-                cold.echoed
-                    .or(cold.held[Which::Full as usize].digest())
-                    .or(cold.held[Which::Meta as usize].digest())
-            })
-            .or_else(|| inst.echo_tallies().map(|s| s.digest).min())
-            .unwrap_or(Digest::ZERO);
-        self.note_equivocation(round, source, first, digest, fx);
-        let spilled = &mut self.instance(round, source).cold().more_echoes;
-        spilled.push((Tally::new(digest), Vec::new()));
-        Some(tracked - 1)
-    }
-
-    /// The echo quorum is in: the step that tells the flavours apart.
-    fn on_echo_threshold(
-        &mut self,
-        round: Round,
-        source: PartyId,
-        digest: Digest,
-        fx: &mut Effects<P>,
-    ) {
-        match self.flavour {
-            Flavour::SignatureFree => {
-                self.on_echo_quorum(round, source, digest, fx);
-                self.maybe_ready(round, source, digest, fx);
-            }
-            Flavour::Signed { .. } => {
-                // Assemble `EC_r(m)` from the collected echoes, multicast
-                // it, and deliver locally. The certificate takes the
-                // shares: nothing reads them afterwards.
-                let n = self.cfg.n();
-                let inst = self.instance(round, source);
-                if inst.is(fact::CERT_SENT) {
-                    return;
+            if let Some(shares) = shares {
+                if shares.capacity() == 0 {
+                    // A certificate needs `2f+1` shares and takes them all.
+                    shares.reserve_exact(quorum);
                 }
-                let shares = inst
-                    .shares_mut()
-                    .find(|(of, _)| *of == digest)
-                    .map(|(_, shares)| std::mem::take(shares))
-                    .unwrap_or_default();
-                let cert = Arc::new(AggregateSignature::aggregate(n, &shares));
-                self.send_cert_once(round, source, digest, cert, fx);
-                self.on_echo_quorum(round, source, digest, fx);
-                self.certify(round, source, digest, fx);
+                shares.push((from.idx(), *sig));
             }
         }
+        if step.count == Count::Split {
+            // A second digest behind one instance: the source is behind two
+            // payloads (or an echoer is lying about it — see Evidence docs
+            // on attribution strength per variant). The "first" digest is
+            // what this party echoed or accepted, else the first one echoed
+            // (an earlier split has recorded the instance's one record).
+            let cold = inst.cold();
+            let first = cold
+                .echoed
+                .or(cold.held[Which::Full as usize].digest())
+                .or(cold.held[Which::Meta as usize].digest())
+                .unwrap_or(inst.votes.echoes.digest);
+            self.note_equivocation(round, source, first, digest, fx);
+        }
+        // Most echoes are counted and fire nothing: no call for them.
+        if step != Step::default() {
+            self.apply(round, source, digest, step, None, fx);
+        }
     }
 
-    /// Multicasts a certificate once per instance: the one this party
-    /// formed, or a valid received one (forwarding is required for
-    /// agreement when the originator distributed it selectively).
-    fn send_cert_once(
-        &mut self,
-        round: Round,
-        source: PartyId,
-        digest: Digest,
-        cert: Arc<AggregateSignature>,
-        fx: &mut Effects<P>,
-    ) {
-        let inst = self.instance(round, source);
-        if inst.set(fact::CERT_SENT) {
-            return;
-        }
-        // Shares collected towards a certificate of our own are moot now.
-        for (_, shares) in inst.shares_mut() {
-            *shares = Vec::new();
-        }
-        fx.multicast(
-            Dest::Others,
-            source,
-            round,
-            RbcMsg::EchoCert { digest, cert },
-        );
-    }
-
-    /// Verifies a received certificate: thresholds on the (culprit-pruned)
-    /// signer set, then the aggregate signature.
+    /// Verifies a received certificate's aggregate signature and hands the
+    /// core what is left of its signers once culprits are pruned: how many,
+    /// and how many of them from the source's clan. `None` in the
+    /// signature-free flavour.
     fn validate_cert(
         &mut self,
         source: PartyId,
@@ -1363,102 +1195,94 @@ impl<P: TribePayload> TribeRbc<P> {
         digest: Digest,
         cert: &AggregateSignature,
         fx: &mut Effects<P>,
-    ) -> bool {
+    ) -> Option<Step> {
         let Flavour::Signed { auth, verify_sigs } = &self.flavour else {
-            return false;
+            return None;
         };
-        let quorum = self.cfg.quorum();
         let clan = self.cfg.topology_at(round).clan_for_sender(source);
         fx.charge(self.cfg.cost.agg_verify(cert.count()));
         let statement = echo_statement(source, round, &digest);
-        let culprits: Vec<usize> = if *verify_sigs {
-            match cert.verify(auth.registry(), statement.as_bytes()) {
-                AggregateVerdict::Valid => Vec::new(),
-                AggregateVerdict::Invalid(bad) => {
-                    // Blame path: individual verification to identify
-                    // culprits (charged per paper's fallback).
-                    fx.charge(self.cfg.cost.sig_verify() * cert.count() as u32);
-                    bad
-                }
+        let verdict = verify_sigs.then(|| cert.verify(auth.registry(), statement.as_bytes()));
+        let culprits = match verdict {
+            Some(AggregateVerdict::Invalid(bad)) => {
+                // Blame path: individual verification to identify culprits
+                // (charged per paper's fallback).
+                fx.charge(self.cfg.cost.sig_verify() * cert.count() as u32);
+                bad
             }
-        } else {
-            Vec::new()
+            Some(AggregateVerdict::Valid) | None => Vec::new(),
         };
-        let good_total = cert.signers.count_matching(|i| !culprits.contains(&i));
-        let good_clan = cert
-            .signers
-            .count_matching(|i| !culprits.contains(&i) && clan.contains(PartyId(i as u32)));
-        let ok = good_total >= quorum && good_clan >= clan.clan_quorum;
+        let signers = cert.signers.count_matching(|i| !culprits.contains(&i));
+        let in_clan = |i| !culprits.contains(&i) && clan.contains(PartyId(i as u32));
+        let vote = Vote::Cert(signers, cert.signers.count_matching(in_clan));
+        // An admitted first certificate puts the slot to use, valid or not.
+        let (step, _) = self.vote(round, source, vote);
         // Each pruned contribution is an invalid signature from a known
         // signer index; a cert that fails thresholds without identifiable
         // culprits is simply malformed — still counted, never silent.
-        let bad = culprits.len() as u64 + u64::from(!ok && culprits.is_empty());
+        let bad = culprits.len() as u64 + u64::from(!step.certify && culprits.is_empty());
         if bad > 0 {
             self.cfg.telemetry.add(counters::REJECTED_BAD_SIG, bad);
         }
-        ok
+        Some(step)
     }
 
-    /// Counts a READY (signature-free flavour): amplification at `f+1`,
-    /// certification at `2f+1`.
-    fn on_ready(
+    /// Applies what a vote did to `digest`'s instance, in the one order
+    /// both figures fire in: certificate, echo quorum, READY, certify. A
+    /// certificate step forwards `received`, or forms one from the shares.
+    fn apply(
         &mut self,
         round: Round,
         source: PartyId,
-        from: PartyId,
         digest: Digest,
+        step: Step,
+        received: Option<&Arc<AggregateSignature>>,
         fx: &mut Effects<P>,
     ) {
-        let n = self.cfg.n();
-        let tel = &self.cfg.telemetry;
-        let readies = &mut self.slots.touch(round, source, n).cold().readies;
-        let Some(set) = Tally::slot(readies, digest) else {
-            tel.add(counters::REJECTED_BUFFER_FULL, 1);
-            return;
-        };
-        if !set.add(from, false) {
-            tel.add(counters::REJECTED_DUPLICATE, 1);
-            return;
+        match step.count {
+            Count::Duplicate => self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1),
+            Count::Capped => self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1),
+            Count::Counted | Count::Split => {}
         }
-        let count = usize::from(set.total);
-        // Amplification: f+1 READYs convince us even without the echo
-        // quorum.
-        if count >= self.cfg.small_quorum() {
-            self.maybe_ready(round, source, digest, fx);
+        if step.send_cert {
+            let n = self.cfg.n();
+            let mut own = Vec::new();
+            for (of, shares) in self.instance(round, source).shares_mut() {
+                // A certificate of this party's own takes its digest's
+                // shares; all others are moot now.
+                let shares = std::mem::take(shares);
+                if of == digest {
+                    own = shares;
+                }
+            }
+            let cert = received.map_or_else(
+                || Arc::new(AggregateSignature::aggregate(n, &own)),
+                Arc::clone,
+            );
+            fx.multicast(
+                Dest::Others,
+                source,
+                round,
+                RbcMsg::EchoCert { digest, cert },
+            );
         }
-        if count >= self.cfg.quorum() {
-            self.certify(round, source, digest, fx);
+        if step.echo_quorum {
+            let lacks_payload = !self.instance(round, source).holds(Which::Full);
+            self.trace(RbcPhase::EchoQuorum, round, source, fx);
+            if lacks_payload && self.my_view(round, source) == Which::Full {
+                // Gentle first probe: one clan echoer. In the good case the
+                // sender's own copy is moments away; the guaranteed-honest
+                // f_c+1 fan-out waits for certification (§5's early
+                // download, without amplifying every in-flight block into a
+                // pull storm).
+                self.start_pull(round, source, digest, 1, fx);
+            }
         }
-    }
-
-    fn maybe_ready(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
-        if !self.instance(round, source).set(fact::READY_SENT) {
+        if step.send_ready {
             fx.multicast(Dest::All, source, round, RbcMsg::Ready { digest });
         }
-    }
-
-    /// On the echo quorum (`2f+1` echoes including `f_c+1` from the clan),
-    /// once: traces it and starts the early pull if this clan member lacks
-    /// the payload (paper §5's early download).
-    fn on_echo_quorum(
-        &mut self,
-        round: Round,
-        source: PartyId,
-        digest: Digest,
-        fx: &mut Effects<P>,
-    ) {
-        let inst = self.instance(round, source);
-        if inst.set(fact::ECHO_QUORUM_EMITTED) {
-            return;
-        }
-        let lacks_payload = !inst.holds(Which::Full);
-        self.trace(RbcPhase::EchoQuorum, round, source, fx);
-        if lacks_payload && self.my_view(round, source) == Which::Full {
-            // Gentle first probe: one clan echoer. In the good case the
-            // sender's own copy is moments away; the guaranteed-honest
-            // f_c+1 fan-out waits for certification (§5's early download,
-            // without amplifying every in-flight block into a pull storm).
-            self.start_pull(round, source, digest, 1, fx);
+        if step.certify {
+            self.certify(round, source, digest, fx);
         }
     }
 
@@ -1560,7 +1384,7 @@ impl<P: TribePayload> TribeRbc<P> {
             }
             Which::Meta => {
                 let peers = topo.tribe().parties().filter(|p| *p != me);
-                (Which::Meta, peers.collect(), self.cfg.small_quorum())
+                (Which::Meta, peers.collect(), topo.tribe().small_quorum())
             }
         }
     }
@@ -1783,7 +1607,7 @@ mod tests {
     fn echo_state(rig: &Rig) -> (usize, usize) {
         let inst = rig.engine.slots.get(ROUND, SOURCE).expect("instance");
         let cold = inst.cold.as_ref().expect("the VAL was accepted");
-        let spilled = cold.more_echoes.iter().map(|(_, shares)| shares.len());
+        let spilled = cold.spill.echoes.iter().map(|(_, shares)| shares.len());
         (
             inst.echo_tallies().map(|set| usize::from(set.total)).sum(),
             cold.shares.len() + spilled.sum::<usize>(),

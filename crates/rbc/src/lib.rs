@@ -5,9 +5,10 @@
 //! honest-majority *clan*, while the whole tribe agrees on (and certifies)
 //! its digest. The paper gives two constructions — three rounds,
 //! signature-free (Fig. 2) and two rounds, signed (Fig. 3) — that differ in
-//! one step: how an echo quorum becomes a certificate. [`TribeRbc`] is the
-//! one engine for both; [`TribeRbc::signature_free`] and
-//! [`TribeRbc::signed`] pick the step.
+//! one step, how an echo quorum becomes a certificate, and in one pure
+//! function each (the crate-private threshold core). [`TribeRbc`] is the
+//! one engine around both; [`TribeRbc::signature_free`] and
+//! [`TribeRbc::signed`] pick the function.
 //!
 //! The engine takes the clan topology as a parameter and degenerates exactly
 //! to the classic tribe-wide protocols (Bracha; Abraham et al.) when the
@@ -24,15 +25,16 @@
 //! early as the echo quorum per §5's optimization); a party outside the
 //! clan pulls the meta view from `f + 1` echoers the same way.
 
+mod core;
 pub mod engine;
 pub mod payload;
 pub mod standalone;
 pub mod topology;
 
+pub use crate::core::MAX_DIGESTS_PER_INSTANCE;
 pub use engine::{
     echo_statement, parse_retry_token, retry_token, BufferStats, Dest, Effects, EngineConfig,
-    RbcEvent, RbcMsg, RbcPacket, TribeRbc, MAX_DIGESTS_PER_INSTANCE, MAX_PULL_ATTEMPTS,
-    RETRY_TOKEN_FLAG, ROUND_WINDOW,
+    RbcEvent, RbcMsg, RbcPacket, TribeRbc, MAX_PULL_ATTEMPTS, RETRY_TOKEN_FLAG, ROUND_WINDOW,
 };
 pub use payload::{BytesPayload, TribePayload};
 pub use topology::ClanTopology;

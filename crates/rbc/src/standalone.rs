@@ -102,7 +102,7 @@ impl<P: TribePayload> StandaloneNode<P> {
 impl<P: TribePayload> Protocol<RbcPacket<P>> for StandaloneNode<P> {
     fn on_start(&mut self, ctx: &mut Ctx<RbcPacket<P>>) {
         if let Some((round, payload)) = self.to_send.take() {
-            let mut fx = Effects::new();
+            let mut fx = Effects::at(ctx.now());
             self.engine.broadcast(round, payload, &mut fx);
             self.apply(fx, ctx);
         }
@@ -113,7 +113,7 @@ impl<P: TribePayload> Protocol<RbcPacket<P>> for StandaloneNode<P> {
     }
 
     fn on_message_ref(&mut self, from: PartyId, msg: &RbcPacket<P>, ctx: &mut Ctx<RbcPacket<P>>) {
-        let mut fx = Effects::new();
+        let mut fx = Effects::at(ctx.now());
         self.engine.handle(from, msg, &mut fx);
         self.apply(fx, ctx);
     }

@@ -1,12 +1,14 @@
 //! End-to-end tests of the tribe-assisted RBC engines over the
 //! discrete-event simulator, including Byzantine sender behaviours.
 
-use clanbft_crypto::{Authenticator, Registry, Scheme};
+use clanbft_crypto::{Authenticator, Digest, Registry, Scheme};
 use clanbft_rbc::standalone::{AnyNode, ByzantineNode, ByzantineSender, Delivery, StandaloneNode};
-use clanbft_rbc::{BytesPayload, ClanTopology, EngineConfig};
+use clanbft_rbc::{BytesPayload, ClanTopology, EngineConfig, TribePayload};
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::net::{SimConfig, Simulator};
+use clanbft_telemetry::{Event, RbcPhase, Telemetry};
 use clanbft_types::{Micros, PartyId, Round, TribeParams};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 type Node = AnyNode<BytesPayload>;
@@ -92,6 +94,67 @@ fn meta_deliveries(node: &Node) -> Vec<(PartyId, Round, clanbft_crypto::Digest, 
     }
 }
 
+/// The broadcast checklist of the Optimistic Signature-Free RBC paper
+/// (PAPERS.md) over the honest parties of a finished run, for the broadcast
+/// of `source` in `round`:
+/// - validity: with an honest sender (`sent`), every honest party delivers
+///   its payload (its digest, outside the clan);
+/// - agreement: all deliveries are of one digest;
+/// - integrity: no party delivers twice;
+/// - clan-totality: if any honest party delivers, every honest member of
+///   `clan` delivers the payload;
+/// - tribe-totality: and every honest party outside it the meta view.
+fn check_broadcast_properties(
+    sim: &Sim,
+    clan: &[u32],
+    (source, round): (PartyId, Round),
+    sent: Option<&BytesPayload>,
+) {
+    let (mut honest, mut delivered) = (Vec::new(), Vec::new());
+    for (p, node) in (0..).zip(sim.nodes()) {
+        let AnyNode::Honest(h) = node else {
+            continue;
+        };
+        honest.push(p);
+        let mine: Vec<(Option<&BytesPayload>, Digest)> = h
+            .deliveries
+            .iter()
+            .filter_map(|d| match d {
+                Delivery::Full(s, r, payload, _) if (*s, *r) == (source, round) => {
+                    Some((Some(payload), payload.rbc_digest()))
+                }
+                Delivery::Meta(s, r, meta, _) if (*s, *r) == (source, round) => {
+                    Some((None, BytesPayload::meta_digest(meta)))
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(mine.len() <= 1, "integrity: party {p} delivered {mine:?}");
+        delivered.extend(
+            mine.into_iter()
+                .map(|(payload, digest)| (p, payload, digest)),
+        );
+    }
+    let digests: BTreeSet<Digest> = delivered.iter().map(|d| d.2).collect();
+    assert!(digests.len() <= 1, "agreement: {digests:?} delivered");
+    if let Some(sent) = sent {
+        assert_eq!(delivered.len(), honest.len(), "validity: {delivered:?}");
+        assert_eq!(digests.first(), Some(&sent.rbc_digest()), "validity");
+        for (p, payload, _) in &delivered {
+            let intact = payload.map_or(true, |payload| payload.data() == sent.data());
+            assert!(intact, "validity: party {p}");
+        }
+    }
+    if !delivered.is_empty() {
+        for p in honest {
+            let full = delivered.iter().find(|d| d.0 == p).map(|d| d.1.is_some());
+            let in_clan = clan.contains(&p);
+            let which = if in_clan { "clan" } else { "tribe" };
+            assert_eq!(full, Some(in_clan), "{which}-totality: party {p}");
+        }
+    }
+}
+
 /// Validity with an honest sender: clan members deliver the payload,
 /// everyone else its digest.
 fn honest_sender_case(variant: Variant) {
@@ -99,7 +162,6 @@ fn honest_sender_case(variant: Variant) {
     let clan: Vec<u32> = vec![0, 2, 4, 6, 8];
     let s = setup(n, Some(clan.clone()), 7);
     let payload = BytesPayload::new(vec![0xab; 2048]);
-    let digest = clanbft_rbc::TribePayload::rbc_digest(&payload);
     let nodes: Vec<Node> = (0..n)
         .map(|i| {
             let mut h = honest(&s, i, &variant);
@@ -111,22 +173,7 @@ fn honest_sender_case(variant: Variant) {
         .collect();
     let mut sim = Simulator::new(s.cfg.clone(), nodes);
     run(&mut sim);
-    for i in 0..n {
-        let node = sim.node(PartyId(i as u32));
-        if clan.contains(&(i as u32)) {
-            let fulls = full_deliveries(node);
-            assert_eq!(fulls.len(), 1, "clan node {i} delivers once");
-            assert_eq!(
-                fulls[0].2,
-                vec![0xab; 2048],
-                "clan node {i} has the payload"
-            );
-        } else {
-            let metas = meta_deliveries(node);
-            assert_eq!(metas.len(), 1, "non-clan node {i} delivers once");
-            assert_eq!(metas[0].2, digest, "non-clan node {i} has the digest");
-        }
-    }
+    check_broadcast_properties(&sim, &clan, (PartyId(0), Round(1)), Some(&payload));
 }
 
 #[test]
@@ -157,11 +204,8 @@ fn whole_tribe_is_bracha() {
         .collect();
     let mut sim = Simulator::new(s.cfg.clone(), nodes);
     run(&mut sim);
-    for i in 0..n {
-        let fulls = full_deliveries(sim.node(PartyId(i as u32)));
-        assert_eq!(fulls.len(), 1, "node {i}");
-        assert_eq!(fulls[0].0, PartyId(3));
-    }
+    let tribe: Vec<u32> = (0..n as u32).collect();
+    check_broadcast_properties(&sim, &tribe, (PartyId(3), Round(0)), Some(&payload));
 }
 
 /// The 2-round variant certifies strictly faster than the 3-round variant on
@@ -204,7 +248,7 @@ fn two_round_is_faster() {
 fn equivocation_case(variant: Variant) {
     let n = 10;
     let clan: Vec<u32> = vec![1, 3, 5, 7, 9];
-    let s = setup(n, Some(clan), 11);
+    let s = setup(n, Some(clan.clone()), 11);
     let a = BytesPayload::new(vec![0xaa; 256]);
     let b = BytesPayload::new(vec![0xbb; 256]);
     let nodes: Vec<Node> = (0..n)
@@ -226,20 +270,7 @@ fn equivocation_case(variant: Variant) {
         .collect();
     let mut sim = Simulator::new(s.cfg.clone(), nodes);
     run(&mut sim);
-    let mut digests = std::collections::HashSet::new();
-    for i in 0..n {
-        for (_, _, data, _) in full_deliveries(sim.node(PartyId(i as u32))) {
-            digests.insert(clanbft_crypto::Digest::of(&data));
-        }
-        for (_, _, d, _) in meta_deliveries(sim.node(PartyId(i as u32))) {
-            digests.insert(d);
-        }
-    }
-    assert!(
-        digests.len() <= 1,
-        "honest parties delivered {} distinct values under equivocation",
-        digests.len()
-    );
+    check_broadcast_properties(&sim, &clan, (PartyId(1), Round(0)), None);
 }
 
 #[test]
@@ -454,15 +485,15 @@ struct BroadcastFingerprint {
     certified_at: Vec<u64>,
 }
 
+/// The clan of [`run_script`]'s broadcasts.
+const SCRIPT_CLAN: [u32; 5] = [0, 1, 2, 3, 4];
+
 /// One broadcast by party 0 (n = 10, clan 0..5, round 1) under the default
 /// cost model and jitter, so CPU charges and draw order show up as times.
 /// `script` replaces the sender with a Byzantine one; `None` is benign.
-fn broadcast_fingerprint(
-    variant: Variant,
-    script: Option<ByzantineSender<BytesPayload>>,
-) -> BroadcastFingerprint {
+fn run_script(variant: Variant, script: Option<ByzantineSender<BytesPayload>>) -> Sim {
     let n = 10;
-    let mut s = setup(n, Some(vec![0, 1, 2, 3, 4]), 31);
+    let mut s = setup(n, Some(SCRIPT_CLAN.to_vec()), 31);
     s.cfg = SimConfig::benign(n, 31);
     let mut script = script;
     let nodes: Vec<Node> = (0..n)
@@ -491,9 +522,17 @@ fn broadcast_fingerprint(
         .collect();
     let mut sim = Simulator::new(s.cfg.clone(), nodes);
     run(&mut sim);
+    sim
+}
+
+fn broadcast_fingerprint(
+    variant: Variant,
+    script: Option<ByzantineSender<BytesPayload>>,
+) -> BroadcastFingerprint {
+    let sim = run_script(variant, script);
     let first = |f: &dyn Fn(&StandaloneNode<BytesPayload>) -> Option<Micros>| -> Vec<u64> {
-        (0..n as u32)
-            .map(|p| match sim.node(PartyId(p)) {
+        sim.nodes()
+            .map(|node| match node {
                 AnyNode::Honest(h) => f(h).map_or(0, |t| t.0),
                 AnyNode::Byzantine(_) => 0,
             })
@@ -720,4 +759,79 @@ fn standalone_broadcasts_are_pinned() {
             "{variant:?} flavour, {name} sender"
         );
     }
+}
+
+/// The broadcast checklist holds on every pinned script, in both flavours.
+#[test]
+fn pinned_scripts_keep_the_broadcast_checklist() {
+    let sent = BytesPayload::new(vec![0xc3; 3000]);
+    for variant in [Variant::Three, Variant::Two] {
+        for (name, script) in pinned_scripts() {
+            let honest = script.is_none().then_some(&sent);
+            let sim = run_script(variant, script);
+            eprintln!("{variant:?} flavour, {name} sender");
+            check_broadcast_properties(&sim, &SCRIPT_CLAN, (PartyId(0), Round(1)), honest);
+        }
+    }
+}
+
+/// A standalone node stamps its trace at the simulated time its handler
+/// runs: every `Certified` and delivery event carries the time the node
+/// recorded for it (CPU is free, so no charge lies between the two).
+fn trace_stamps_case(variant: Variant) {
+    let n = 7;
+    let s = setup(n, Some(vec![0, 1, 2, 3]), 41);
+    let (telemetry, rec) = Telemetry::mem();
+    let nodes: Vec<Node> = (0..n)
+        .map(|i| {
+            let mut ecfg = EngineConfig::new(
+                PartyId(i as u32),
+                Arc::clone(&s.topology),
+                CostModel::free(),
+            );
+            ecfg.telemetry = telemetry.clone();
+            let h = match variant {
+                Variant::Three => StandaloneNode::three(ecfg),
+                Variant::Two => StandaloneNode::two(ecfg, Arc::clone(&s.auths[i])),
+            };
+            let payload = BytesPayload::new(vec![0x5e; 700]);
+            AnyNode::Honest(if i == 0 {
+                h.with_broadcast(Round(1), payload)
+            } else {
+                h
+            })
+        })
+        .collect();
+    let mut sim = Simulator::new(s.cfg.clone(), nodes);
+    run(&mut sim);
+    let mut checked = 0;
+    for stamped in rec.events() {
+        let (Event::Rbc { phase, .. }, AnyNode::Honest(h)) =
+            (&stamped.event, sim.node(stamped.party))
+        else {
+            continue;
+        };
+        let recorded = match phase {
+            RbcPhase::Certified => h.certified.first().map(|c| c.2),
+            RbcPhase::DeliverFull | RbcPhase::DeliverMeta => {
+                h.deliveries.first().map(|d| match d {
+                    Delivery::Full(.., t) | Delivery::Meta(.., t) => *t,
+                })
+            }
+            _ => continue,
+        };
+        assert_eq!(Some(stamped.at), recorded, "{variant:?}: {stamped:?}");
+        checked += 1;
+    }
+    assert_eq!(checked, 2 * n, "every party certified and delivered");
+}
+
+#[test]
+fn tribe3_trace_stamps_are_simulated_times() {
+    trace_stamps_case(Variant::Three);
+}
+
+#[test]
+fn tribe2_trace_stamps_are_simulated_times() {
+    trace_stamps_case(Variant::Two);
 }

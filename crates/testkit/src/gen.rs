@@ -67,11 +67,6 @@ impl Gen {
         self.rng.gen_bool()
     }
 
-    /// A uniform `f64` in `[0, 1)`.
-    pub fn f64_unit(&mut self) -> f64 {
-        self.rng.next_f64()
-    }
-
     /// A vector with length drawn from `[min_len, max_len)` and elements
     /// from `element` (the `prop::collection::vec` equivalent).
     pub fn vec<T>(

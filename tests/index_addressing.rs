@@ -422,7 +422,7 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
     let mut engine = Engine {
         rbc: TribeRbc::signed(cfg, Arc::clone(&auths[1])),
         auths,
-        fx: Effects::new(),
+        fx: Effects::default(),
     };
     let payload = BytesPayload::new(vec![0x42; 512]);
     let digest = payload.rbc_digest();
@@ -461,7 +461,7 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
                 _ => None,
             })
             .expect("certificate formed");
-        engine.fx = Effects::new();
+        engine.fx = Effects::default();
         if round == 2 {
             // The row, the cold part, the echo's signature, the share
             // buffer, the certificate (sorted shares, signer set,
