@@ -101,6 +101,14 @@ pub struct CommittedRec {
     pub leader_round: Round,
 }
 
+/// The broadcast engine queues its packets on a consensus handler's `Ctx`
+/// as this message.
+impl From<RbcPacket<MergedPayload>> for ConsensusMsg {
+    fn from(packet: RbcPacket<MergedPayload>) -> ConsensusMsg {
+        ConsensusMsg::Rbc(packet)
+    }
+}
+
 /// Wire estimate for one [`CommittedRec`]: sequence + (round, source) +
 /// digest + bytes + count + leader round.
 const COMMITTED_REC_BYTES: usize = 8 + 12 + 32 + 8 + 8 + 8;

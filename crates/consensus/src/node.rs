@@ -38,7 +38,7 @@ use crate::trackers::{RoundState, VoteOutcome};
 use clanbft_crypto::{Authenticator, Digest};
 use clanbft_dag::{order, Dag, InsertOutcome};
 use clanbft_mempool::{plan_batches, ClientIngress, MempoolConfig, SizerConfig, WorkloadSpec};
-use clanbft_rbc::{parse_retry_token, Effects, EngineConfig, RbcEvent, TribeRbc, ROUND_WINDOW};
+use clanbft_rbc::{parse_retry_token, EngineConfig, RbcEvent, TribeRbc, ROUND_WINDOW};
 use clanbft_simnet::protocol::{Ctx, Protocol};
 use clanbft_telemetry::{counters, Event};
 use clanbft_types::certs::{no_vote_digest, timeout_digest};
@@ -173,10 +173,11 @@ const MAX_BATCHES_PER_BLOCK: usize = 16;
 /// Wire size of every client transaction (the paper's 512 bytes).
 const TX_BYTES: u32 = 512;
 
-/// All that vertex intake may do to the enclosing handler: consume
-/// simulated CPU time and stamp telemetry with it. It is not an `Effects`,
-/// so intake cannot emit packets, events or timers that `flush` would have
-/// to route.
+/// Vertex intake's CPU time, held back until `flush` has taken in every
+/// event, and its telemetry clock: the one stamp that is not `Ctx::now`.
+/// Charging intake in place would move `committed_at`, and through
+/// `ClientIngress::on_committed` every closed-loop arrival; that re-pin is a
+/// change of its own.
 struct Intake {
     now: Micros,
     charge: Micros,
@@ -194,7 +195,8 @@ impl Intake {
         self.charge += c;
     }
 
-    /// Handler start plus CPU time charged so far (`Effects::stamp`).
+    /// `Ctx::now` when the event was taken in, plus the intake CPU time
+    /// charged since.
     fn stamp(&self) -> Micros {
         self.now + self.charge
     }
@@ -429,8 +431,9 @@ impl SailfishNode {
         Block::new(self.cfg.me, round, batches)
     }
 
-    pub(crate) fn propose(&mut self, round: Round, fx: &mut Effects<MergedPayload>, now: Micros) {
+    pub(crate) fn propose(&mut self, round: Round, ctx: &mut Ctx<ConsensusMsg>) {
         let _prof = clanbft_profiler::scope("consensus.propose");
+        let now = ctx.now();
         if let Some(max) = self.cfg.max_round {
             if round.0 > max {
                 self.stopped_proposing = true;
@@ -489,7 +492,7 @@ impl SailfishNode {
         if self.cfg.telemetry.enabled() {
             // Construction is guarded: the strong-edge Vec allocates.
             self.cfg.telemetry.event(
-                fx.stamp(),
+                now,
                 self.cfg.me,
                 Event::VertexProposed {
                     round,
@@ -518,7 +521,7 @@ impl SailfishNode {
         }
         // Keep our own block regardless of clan membership (we produced it).
         self.blocks.insert(vref, Arc::clone(&payload.block));
-        self.rbc.broadcast(round, payload, fx);
+        self.rbc.broadcast(round, payload, ctx);
         if let Some(ingress) = self.ingress.as_mut() {
             ingress.note_proposed(vref);
         }
@@ -529,14 +532,13 @@ impl SailfishNode {
 
     /// Validates and accepts a delivered vertex; idempotent. `id` is the
     /// vertex id as the broadcast layer computed it when it accepted the
-    /// vertex (each node hashes a vertex once).
+    /// vertex (each node hashes a vertex once); a leader vote goes on `ctx`.
     fn process_vertex(
         &mut self,
         vertex: Arc<Vertex>,
         id: Digest,
         fx: &mut Intake,
-        now: Micros,
-        out: &mut Vec<ConsensusMsg>,
+        ctx: &mut Ctx<ConsensusMsg>,
     ) {
         let _prof = clanbft_profiler::scope("consensus.process_vertex");
         let vref = vertex.reference();
@@ -572,15 +574,17 @@ impl SailfishNode {
             }
             fx.charge(self.cfg.cost.sign());
             let sig = self.auth.sign_digest(&vote_digest(round, &id));
-            out.push(ConsensusMsg::Vote {
+            let vote = ConsensusMsg::Vote {
                 round,
                 vertex_id: id,
                 sig,
-            });
+            };
+            // Votes go to everyone, ourselves included (loopback).
+            ctx.multicast(self.cfg.tribe().parties(), vote);
         }
 
         match self.dag.insert_shared(vertex, Some(id)) {
-            InsertOutcome::Live(new_live) => self.on_live(new_live, now),
+            InsertOutcome::Live(new_live) => self.on_live(new_live, ctx.now()),
             InsertOutcome::Pending => {
                 self.cfg.telemetry.event(
                     fx.stamp(),
@@ -861,9 +865,8 @@ impl SailfishNode {
             .telemetry
             .event(ctx.now(), self.cfg.me, Event::RoundEntered { round });
         self.sample_gauges();
-        let mut fx = Effects::at(ctx.now());
-        self.propose(round, &mut fx, ctx.now());
-        self.flush(fx, ctx);
+        self.propose(round, ctx);
+        self.flush(ctx);
         ctx.set_timer(self.cfg.timeout, round.0);
     }
 
@@ -886,15 +889,15 @@ impl SailfishNode {
         }
     }
 
-    // --- effects plumbing -----------------------------------------------------
+    // --- broadcast events -----------------------------------------------------
 
-    /// Applies RBC effects: charges, consensus events, and outgoing packets.
-    pub(crate) fn flush(&mut self, fx: Effects<MergedPayload>, ctx: &mut Ctx<ConsensusMsg>) {
-        ctx.charge(fx.charge);
-        // Vertex intake charges land once this set's packets are queued.
+    /// Takes in the events of the engine call just made (its packets,
+    /// timers and charges are on `ctx` already), then advances whatever
+    /// round completed.
+    pub(crate) fn flush(&mut self, ctx: &mut Ctx<ConsensusMsg>) {
+        // Vertex intake charges land once every event is taken in.
         let mut intake_charge = Micros::ZERO;
-        let mut votes = Vec::new();
-        for ev in fx.events {
+        for ev in self.rbc.take_events() {
             let mut intake = Intake::at(ctx.now());
             match ev {
                 RbcEvent::Certified {
@@ -907,7 +910,7 @@ impl SailfishNode {
                     if let Some((meta, held)) = self.rbc.meta_of(round, source) {
                         if held == digest {
                             let vertex = Arc::clone(meta.arc());
-                            self.process_vertex(vertex, digest, &mut intake, ctx.now(), &mut votes);
+                            self.process_vertex(vertex, digest, &mut intake, ctx);
                         }
                     }
                 }
@@ -919,18 +922,13 @@ impl SailfishNode {
                 } => {
                     let vref = VertexRef { round, source };
                     self.blocks.insert(vref, Arc::clone(&payload.block));
-                    self.process_vertex(
-                        Arc::clone(payload.vertex.arc()),
-                        digest,
-                        &mut intake,
-                        ctx.now(),
-                        &mut votes,
-                    );
+                    let vertex = Arc::clone(payload.vertex.arc());
+                    self.process_vertex(vertex, digest, &mut intake, ctx);
                     self.try_execute(ctx.now());
                 }
                 RbcEvent::DeliverMeta { digest, meta, .. } => {
                     let vertex = Arc::clone(meta.arc());
-                    self.process_vertex(vertex, digest, &mut intake, ctx.now(), &mut votes);
+                    self.process_vertex(vertex, digest, &mut intake, ctx);
                 }
                 RbcEvent::Evidence(ev) => {
                     // The engine already counted and traced it.
@@ -938,16 +936,6 @@ impl SailfishNode {
                 }
             }
             intake_charge += intake.charge;
-        }
-        for (to, pkt) in fx.out {
-            to.queue(self.cfg.tribe(), ConsensusMsg::Rbc(pkt), ctx);
-        }
-        for (delay, token) in fx.timers {
-            ctx.set_timer(delay, token);
-        }
-        for msg in votes {
-            // Votes go to everyone, ourselves included (loopback).
-            ctx.multicast(self.cfg.tribe().parties(), msg);
         }
         ctx.charge(intake_charge);
         self.try_advance(ctx);
@@ -1069,18 +1057,13 @@ impl Protocol<ConsensusMsg> for SailfishNode {
     fn on_message_ref(&mut self, from: PartyId, msg: &ConsensusMsg, ctx: &mut Ctx<ConsensusMsg>) {
         match msg {
             ConsensusMsg::Rbc(pkt) => {
-                let mut fx = Effects::at(ctx.now());
-                self.rbc.handle(from, pkt, &mut fx);
-                if fx.is_inert() {
-                    // Two deliveries in three — an echo at or past the
-                    // quorum that starts no pull, a certificate past the
-                    // first — move a voter bit or nothing: no vertex came
-                    // in, so no round can have completed (`try_advance`
-                    // runs wherever one can).
-                    ctx.charge(fx.charge);
-                    return;
+                self.rbc.handle(from, pkt, ctx);
+                // Most deliveries yield no event: no vertex came in, so no
+                // round can have completed (`try_advance` runs wherever one
+                // can).
+                if self.rbc.has_events() {
+                    self.flush(ctx);
                 }
-                self.flush(fx, ctx);
             }
             ConsensusMsg::Vote {
                 round,
@@ -1116,9 +1099,8 @@ impl Protocol<ConsensusMsg> for SailfishNode {
         // Pull-retry timers live in their own token namespace (high bit
         // set), disjoint from the plain round numbers used below.
         if let Some((round, source)) = parse_retry_token(token) {
-            let mut fx = Effects::at(ctx.now());
-            self.rbc.on_retry(round, source, &mut fx);
-            self.flush(fx, ctx);
+            self.rbc.on_retry(round, source, ctx);
+            self.flush(ctx);
             return;
         }
         let round = Round(token);
@@ -1334,9 +1316,11 @@ mod tests {
         let mut edges = full_edges(0, 4);
         edges.push(stranger);
         let crafted = Arc::new(bare_vertex(1, 2, edges));
-        let (mut intake, mut votes) = (Intake::at(Micros::ZERO), Vec::new());
+        let cost = node.cfg.cost;
+        let mut ctx = Ctx::new(PartyId(0), Micros::ZERO, &cost);
+        let mut intake = Intake::at(Micros::ZERO);
         for v in [&crafted, &honest] {
-            node.process_vertex(Arc::clone(v), v.id(), &mut intake, Micros::ZERO, &mut votes);
+            node.process_vertex(Arc::clone(v), v.id(), &mut intake, &mut ctx);
         }
         assert!(
             node.dag.is_known(&honest.reference()),
@@ -1346,7 +1330,6 @@ mod tests {
         assert_eq!(node.dag.pending_count(), 1);
 
         // The same two vertices offered by f+1 state-transfer responders.
-        let cost = node.cfg.cost;
         let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
         node.on_restart(&mut ctx);
         for from in [1, 2] {
@@ -1374,9 +1357,11 @@ mod tests {
         let crowded = with_weak(2, full_edges(0, 3));
         let repeated = with_weak(3, vec![full_edges(0, 1)[0]; 2]);
         let offer = |node: &mut SailfishNode, vertices: &[&Arc<Vertex>]| {
-            let (mut intake, mut votes) = (Intake::at(Micros::ZERO), Vec::new());
+            let cost = node.cfg.cost;
+            let mut ctx = Ctx::new(PartyId(0), Micros::ZERO, &cost);
+            let mut intake = Intake::at(Micros::ZERO);
             for v in vertices {
-                node.process_vertex(Arc::clone(v), v.id(), &mut intake, Micros::ZERO, &mut votes);
+                node.process_vertex(Arc::clone(v), v.id(), &mut intake, &mut ctx);
             }
             intake.charge
         };
@@ -1493,16 +1478,12 @@ mod tests {
         // installed and goes live when (0,3) arrives after it: the node
         // rebuilt from that checkpoint and the WAL must hold it live too.
         let (mut node, cfg, auth) = durable_node("pending-checkpoint");
-        let (mut intake, mut votes) = (Intake::at(Micros::ZERO), Vec::new());
+        let cost = node.cfg.cost;
+        let mut ctx = Ctx::new(PartyId(0), Micros::ZERO, &cost);
+        let mut intake = Intake::at(Micros::ZERO);
         let mut offer = |node: &mut SailfishNode, v: Vertex| {
             let v = Arc::new(v);
-            node.process_vertex(
-                Arc::clone(&v),
-                v.id(),
-                &mut intake,
-                Micros::ZERO,
-                &mut votes,
-            );
+            node.process_vertex(Arc::clone(&v), v.id(), &mut intake, &mut ctx);
         };
         for source in 0..3 {
             offer(&mut node, bare_vertex(0, source, vec![]));

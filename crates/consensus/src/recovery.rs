@@ -3,10 +3,12 @@
 //!
 //! Durability contract (persist-before-send): every externally visible
 //! consensus action — proposal, leader vote, timeout announcement, commit
-//! decision — hits the WAL before its message leaves the node. A restarted
-//! node therefore cannot equivocate (it re-broadcasts the identical
-//! persisted proposal), cannot double-vote, cannot vote after a no-vote, and
-//! resumes its commit sequence exactly where it stopped.
+//! decision — hits the WAL before its message is queued, and nothing queued
+//! leaves before its handler returns (the node and the broadcast engine
+//! only queue on the handler's `Ctx`). A restarted node therefore cannot
+//! equivocate (it re-broadcasts the identical persisted proposal), cannot
+//! double-vote, cannot vote after a no-vote, and resumes its commit
+//! sequence exactly where it stopped.
 //!
 //! The WAL records decisions and replay derives their consequences: for a
 //! commit record (a leader round) it runs the live node's
@@ -41,7 +43,7 @@ use crate::payload::MergedPayload;
 use crate::trackers::RoundState;
 use clanbft_committee::rotate_single_clan;
 use clanbft_crypto::Digest;
-use clanbft_rbc::{ClanTopology, Effects};
+use clanbft_rbc::ClanTopology;
 use clanbft_simnet::protocol::Ctx;
 use clanbft_storage::{Checkpoint, EpochEntry, ProposalEntry, Recovered, WalRecord};
 use clanbft_telemetry::{counters, Event};
@@ -255,18 +257,15 @@ impl SailfishNode {
                 // Identical re-broadcast: peers that already echoed it just
                 // re-ack (RBC dedups by digest), fresh peers make progress.
                 let round = p.vertex.round;
-                let mut fx = Effects::at(now);
                 self.rbc
-                    .broadcast(round, MergedPayload::new(p.vertex, p.block), &mut fx);
-                self.flush(fx, ctx);
+                    .broadcast(round, MergedPayload::new(p.vertex, p.block), ctx);
+                self.flush(ctx);
             }
             _ => {
                 // Nothing durable for the current round: either a fresh disk
                 // or the node stopped proposing. `propose` handles both.
-                let round = self.current_round;
-                let mut fx = Effects::at(now);
-                self.propose(round, &mut fx, now);
-                self.flush(fx, ctx);
+                self.propose(self.current_round, ctx);
+                self.flush(ctx);
             }
         }
         ctx.set_timer(self.cfg.timeout, self.current_round.0);

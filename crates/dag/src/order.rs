@@ -66,21 +66,15 @@ mod tests {
     use clanbft_crypto::Digest;
     use clanbft_types::{TribeParams, Vertex};
 
-    fn vertex(round: u64, source: u32, strong: &[(u64, u32)]) -> Vertex {
+    fn vertex(round: u64, source: u32, strong: &[(u64, u32)], weak: &[(u64, u32)]) -> Vertex {
         Vertex {
             round: Round(round),
             source: PartyId(source),
             block_digest: Digest::of(&[round as u8, source as u8]),
             block_bytes: 0,
             block_tx_count: 0,
-            strong_edges: strong
-                .iter()
-                .map(|&(r, s)| VertexRef {
-                    round: Round(r),
-                    source: PartyId(s),
-                })
-                .collect(),
-            weak_edges: Vec::new(),
+            strong_edges: refs(strong),
+            weak_edges: refs(weak),
             nvc: None,
             tc: None,
         }
@@ -93,6 +87,10 @@ mod tests {
         }
     }
 
+    fn refs(of: &[(u64, u32)]) -> Vec<VertexRef> {
+        of.iter().map(|&(r, s)| vref(r, s)).collect()
+    }
+
     /// Leader of round r is party r mod 4.
     fn leader(r: Round) -> PartyId {
         PartyId((r.0 % 4) as u32)
@@ -102,13 +100,13 @@ mod tests {
     fn full_dag(rounds: u64) -> Dag {
         let mut dag = Dag::new(TribeParams::new(4));
         for s in 0..4 {
-            dag.insert(vertex(0, s, &[]));
+            dag.insert(vertex(0, s, &[], &[]));
         }
         for r in 1..=rounds {
             let parents: Vec<(u64, u32)> = (0..4).map(|s| (r - 1, s)).collect();
             for s in 0..4 {
                 assert!(matches!(
-                    dag.insert(vertex(r, s, &parents)),
+                    dag.insert(vertex(r, s, &parents, &[])),
                     InsertOutcome::Live(_)
                 ));
             }
@@ -134,19 +132,19 @@ mod tests {
     fn disconnected_leader_is_skipped() {
         let mut dag = Dag::new(TribeParams::new(4));
         for s in 0..4 {
-            dag.insert(vertex(0, s, &[]));
+            dag.insert(vertex(0, s, &[], &[]));
         }
         // Round 1: all vertices avoid the round-1 leader... rather, round 2
         // vertices avoid strong edges to the round-1 leader (party 1).
         for s in 0..4 {
-            dag.insert(vertex(1, s, &[(0, 0), (0, 1), (0, 2)]));
+            dag.insert(vertex(1, s, &[(0, 0), (0, 1), (0, 2)], &[]));
         }
         for s in 0..4 {
             // Strong edges to round-1 parties 0, 2, 3 only.
-            dag.insert(vertex(2, s, &[(1, 0), (1, 2), (1, 3)]));
+            dag.insert(vertex(2, s, &[(1, 0), (1, 2), (1, 3)], &[]));
         }
         let parents: Vec<(u64, u32)> = (0..4).map(|s| (2, s)).collect();
-        dag.insert(vertex(3, 3, &parents));
+        dag.insert(vertex(3, 3, &parents, &[]));
         let chain = commit_chain(&dag, Some(Round(0)), vref(3, 3), leader);
         assert_eq!(
             chain,
@@ -159,14 +157,14 @@ mod tests {
     fn missing_leader_vertex_is_skipped() {
         let mut dag = Dag::new(TribeParams::new(4));
         for s in 0..4 {
-            dag.insert(vertex(0, s, &[]));
+            dag.insert(vertex(0, s, &[], &[]));
         }
         // Round 1 exists without party 1's vertex (the leader).
         for s in [0u32, 2, 3] {
-            dag.insert(vertex(1, s, &[(0, 0), (0, 1), (0, 2)]));
+            dag.insert(vertex(1, s, &[(0, 0), (0, 1), (0, 2)], &[]));
         }
         for s in 0..4 {
-            dag.insert(vertex(2, s, &[(1, 0), (1, 2), (1, 3)]));
+            dag.insert(vertex(2, s, &[(1, 0), (1, 2), (1, 3)], &[]));
         }
         let chain = commit_chain(&dag, Some(Round(0)), vref(2, 2), leader);
         assert_eq!(chain, vec![vref(2, 2)]);
@@ -186,5 +184,153 @@ mod tests {
         // Later chain segments contribute nothing already ordered.
         let chain2 = commit_chain(&dag, Some(Round(4)), vref(5, 1), leader);
         assert_eq!(chain2, vec![vref(5, 1)]);
+    }
+
+    /// One vertex: round, source, strong edges, weak edges.
+    type Row<'a> = (u64, u32, &'a [(u64, u32)], &'a [(u64, u32)]);
+
+    /// Inserts `rows`, every one going live.
+    fn dag_of(n: usize, rows: &[Row]) -> Dag {
+        let mut dag = Dag::new(TribeParams::new(n));
+        for &(r, s, strong, weak) in rows {
+            let outcome = dag.insert(vertex(r, s, strong, weak));
+            assert!(matches!(outcome, InsertOutcome::Live(_)), "({r},{s})");
+        }
+        dag
+    }
+
+    /// Commits `leader` directly after `last_committed`: the resolved chain
+    /// and the order it emits.
+    fn commit(
+        dag: &mut Dag,
+        last_committed: Option<u64>,
+        (round, source): (u64, u32),
+    ) -> (Vec<VertexRef>, Vec<VertexRef>) {
+        let new_leader = vref(round, source);
+        let chain = commit_chain(dag, last_committed.map(Round), new_leader, leader);
+        let order = causal_order(dag, &chain);
+        (chain, order)
+    }
+
+    /// A weak edge to a late vertex. P3's vertices of rounds 0 and 1 came
+    /// late: no round-2 vertex cites (1,3), and P3 has no round-2 vertex.
+    /// (3,1) cites (1,3) through a weak edge (`··>`); every other edge is
+    /// strong, and a vertex whose edges are not drawn cites P0, P1 and P2
+    /// of the round below.
+    /// ```text
+    /// round 5                (5,1) -> (4,0) (4,1) (4,2)
+    /// round 4   (4,0) -> (3,0) (3,1) (3,3)
+    ///           (4,1) -> (3,1) (3,2) (3,3)
+    ///           (4,2) -> (3,0) (3,1) (3,2)
+    /// round 3   (3,0) (3,1) (3,2) (3,3)      (3,1) ··> (1,3)
+    /// round 2   (2,0) (2,1) (2,2)
+    /// round 1   (1,0) (1,1) (1,2)      (1,3) -> (0,1) (0,2) (0,3)
+    /// round 0   (0,0) (0,1) (0,2) (0,3)
+    /// ```
+    /// Leaders (2,2), (4,0) and (5,1) commit in turn. (3,3) joins (4,0)'s
+    /// chain but does not reach (1,3); (4,0) is the first committed leader
+    /// that does, through (3,1)'s weak edge, so (1,3) — and (0,3), which
+    /// only it cites — is ordered in (4,0)'s history, at its `(round,
+    /// source)` position: ahead of round 3. (5,1) reaches it again and
+    /// orders it no second time.
+    #[test]
+    fn a_weak_edge_orders_a_late_vertex_once_with_the_first_leader_reaching_it() {
+        let base = |r: u64| [(r, 0), (r, 1), (r, 2)];
+        let (b0, b1, b2) = (base(0), base(1), base(2));
+        let mut dag = dag_of(
+            4,
+            &[
+                (0, 0, &[], &[]),
+                (0, 1, &[], &[]),
+                (0, 2, &[], &[]),
+                (0, 3, &[], &[]),
+                (1, 0, &b0, &[]),
+                (1, 1, &b0, &[]),
+                (1, 2, &b0, &[]),
+                (1, 3, &[(0, 1), (0, 2), (0, 3)], &[]),
+                (2, 0, &b1, &[]),
+                (2, 1, &b1, &[]),
+                (2, 2, &b1, &[]),
+                (3, 0, &b2, &[]),
+                (3, 1, &b2, &[(1, 3)]),
+                (3, 2, &b2, &[]),
+                (3, 3, &b2, &[]),
+                (4, 0, &[(3, 0), (3, 1), (3, 3)], &[]),
+                (4, 1, &[(3, 1), (3, 2), (3, 3)], &[]),
+                (4, 2, &[(3, 0), (3, 1), (3, 2)], &[]),
+                (5, 1, &[(4, 0), (4, 1), (4, 2)], &[]),
+            ],
+        );
+        let (chain, order) = commit(&mut dag, None, (2, 2));
+        assert_eq!(chain, refs(&[(0, 0), (1, 1), (2, 2)]));
+        #[rustfmt::skip]
+        assert_eq!(order, refs(&[
+            (0, 0),
+            (0, 1), (0, 2), (1, 1),
+            (1, 0), (1, 2), (2, 2),
+        ]));
+        let (chain, order) = commit(&mut dag, Some(2), (4, 0));
+        assert_eq!(chain, refs(&[(3, 3), (4, 0)]));
+        #[rustfmt::skip]
+        assert_eq!(order, refs(&[
+            (2, 0), (2, 1), (3, 3),
+            (0, 3), (1, 3), (3, 0), (3, 1), (4, 0),
+        ]));
+        let (chain, order) = commit(&mut dag, Some(4), (5, 1));
+        assert_eq!(chain, refs(&[(5, 1)]));
+        assert_eq!(order, refs(&[(3, 2), (4, 1), (4, 2), (5, 1)]));
+    }
+
+    /// `f` vertices missing from a round, plus an indirect commit. Round 3
+    /// lacks P3's vertex — its leader's. Rounds 1 and 2 cite all four
+    /// vertices below them; round 3 cites three each.
+    /// ```text
+    /// round 4   (4,0) -> (3,0) (3,1) (3,2)
+    /// round 3   (3,0) -> (2,0) (2,1) (2,3)
+    ///           (3,1) -> (2,1) (2,2) (2,3)
+    ///           (3,2) -> (2,0) (2,2) (2,3)     (3,3) missing
+    /// round 2   (2,0) (2,1) (2,2) (2,3)
+    /// round 1   (1,0) (1,1) (1,2) (1,3)
+    /// round 0   (0,0) (0,1) (0,2) (0,3)
+    /// ```
+    /// (1,1) commits first. When (4,0) commits directly, the walk back
+    /// skips round 3, whose leader vertex is missing, and (2,2), two rounds
+    /// back, joins the chain through the strong path (4,0) -> (3,1) ->
+    /// (2,2). Its history is ordered before (4,0)'s.
+    #[test]
+    fn a_leader_two_rounds_back_commits_across_a_missing_leader() {
+        let all = |r: u64| [(r, 0), (r, 1), (r, 2), (r, 3)];
+        let (a0, a1) = (all(0), all(1));
+        let mut dag = dag_of(
+            4,
+            &[
+                (0, 0, &[], &[]),
+                (0, 1, &[], &[]),
+                (0, 2, &[], &[]),
+                (0, 3, &[], &[]),
+                (1, 0, &a0, &[]),
+                (1, 1, &a0, &[]),
+                (1, 2, &a0, &[]),
+                (1, 3, &a0, &[]),
+                (2, 0, &a1, &[]),
+                (2, 1, &a1, &[]),
+                (2, 2, &a1, &[]),
+                (2, 3, &a1, &[]),
+                (3, 0, &[(2, 0), (2, 1), (2, 3)], &[]),
+                (3, 1, &[(2, 1), (2, 2), (2, 3)], &[]),
+                (3, 2, &[(2, 0), (2, 2), (2, 3)], &[]),
+                (4, 0, &[(3, 0), (3, 1), (3, 2)], &[]),
+            ],
+        );
+        let (chain, order) = commit(&mut dag, None, (1, 1));
+        assert_eq!(chain, refs(&[(0, 0), (1, 1)]));
+        assert_eq!(order, refs(&[(0, 0), (0, 1), (0, 2), (0, 3), (1, 1)]));
+        let (chain, order) = commit(&mut dag, Some(1), (4, 0));
+        assert_eq!(chain, refs(&[(2, 2), (4, 0)]));
+        #[rustfmt::skip]
+        assert_eq!(order, refs(&[
+            (1, 0), (1, 2), (1, 3), (2, 2),
+            (2, 0), (2, 1), (2, 3), (3, 0), (3, 1), (3, 2), (4, 0),
+        ]));
     }
 }

@@ -29,7 +29,6 @@
 //! `TxBatch`-shaped runs grouped by arrival stamp.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod loadgen;
 pub mod pool;

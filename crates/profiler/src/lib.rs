@@ -44,8 +44,6 @@
 //!   (`a;a;a`), and a recursive node's `total_ns` double-counts nested
 //!   activations, as in any tree profiler; `self_ns` stays additive.
 
-#![warn(missing_docs)]
-
 mod alloc;
 mod clock;
 mod report;

@@ -1,8 +1,14 @@
-//! The tribe-assisted reliable-broadcast engine: messages, events, effects,
+//! The tribe-assisted reliable-broadcast engine: messages, events,
 //! per-instance state (custody of the payload and meta views, per-digest
 //! echo tracking, at-most-once delivery), the pull sub-protocol, and the one
 //! state machine that runs both of the paper's constructions. Instances
 //! live in rows of a [`RoundWindow`] whose base is the prune horizon.
+//!
+//! A call queues what it sends, the pull-retry timers it arms and the CPU
+//! time it spends on the handler's [`Ctx`], and stamps its trace events
+//! with [`Ctx::now`]; the runtime applies the `Ctx` once the handler
+//! returns. The engine keeps only the [`RbcEvent`]s, which the caller takes
+//! after each call ([`TribeRbc::take_events`]).
 
 use crate::core::{self, Count, Once, Spill, Step, Tally, Vote};
 use crate::payload::TribePayload;
@@ -12,7 +18,7 @@ use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Hasher, Signatur
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::protocol::{Ctx, Message};
 use clanbft_telemetry::{counters, Event, RbcPhase, Telemetry};
-use clanbft_types::{Evidence, Micros, PartyId, PartySet, Round, RoundWindow, TribeParams};
+use clanbft_types::{Evidence, Micros, PartyId, PartySet, Round, RoundWindow};
 use std::sync::Arc;
 
 /// Retry attempts per pull before the engine gives up and leaves liveness
@@ -177,98 +183,13 @@ pub enum RbcEvent<P: TribePayload> {
     Evidence(Evidence),
 }
 
-/// Who receives one outgoing packet. The engines only ever address one
-/// party or the whole tribe, so a multicast is one entry whatever `n` is;
-/// the node layer expands it (in party order, which fixes the order of the
-/// simulator's per-recipient jitter draws).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Dest {
-    /// A single party (loopback allowed).
-    One(PartyId),
-    /// Every party of the tribe, this one included (via loopback).
-    All,
-    /// Every party of the tribe except this one.
-    Others,
-}
+/// A message type the engine can queue its packets as: what the [`Ctx`] of
+/// [`TribeRbc::broadcast`], [`TribeRbc::handle`] and [`TribeRbc::on_retry`]
+/// carries. A standalone node's messages are the packets themselves; the
+/// consensus layer wraps them in its own message type.
+pub trait Carries<P: TribePayload>: Message + From<RbcPacket<P>> {}
 
-impl Dest {
-    /// Queues `msg` on `ctx` for the parties this destination names, in
-    /// party order (`ctx.party()` is "this one").
-    pub fn queue<M: Message>(self, tribe: TribeParams, msg: M, ctx: &mut Ctx<M>) {
-        match self {
-            Dest::One(to) => ctx.send(to, msg),
-            Dest::All => ctx.multicast(tribe.parties(), msg),
-            Dest::Others => {
-                let me = ctx.party();
-                ctx.multicast(tribe.parties().filter(|p| *p != me), msg)
-            }
-        }
-    }
-}
-
-/// Collected side effects of one engine invocation.
-pub struct Effects<P: TribePayload> {
-    /// Packets to transmit, in emission order.
-    pub out: Vec<(Dest, RbcPacket<P>)>,
-    /// Events for the layer above.
-    pub events: Vec<RbcEvent<P>>,
-    /// Simulated CPU time consumed.
-    pub charge: Micros,
-    /// Simulated time when the invocation started (telemetry stamp base;
-    /// see [`Effects::at`]).
-    pub now: Micros,
-    /// Timers to arm: `(delay, token)`. The node layer forwards these to
-    /// `Ctx::set_timer`; tokens carry the [`RETRY_TOKEN_FLAG`] namespace.
-    pub timers: Vec<(Micros, u64)>,
-}
-
-impl<P: TribePayload> Default for Effects<P> {
-    fn default() -> Self {
-        Effects {
-            out: Vec::new(),
-            events: Vec::new(),
-            charge: Micros::ZERO,
-            now: Micros::ZERO,
-            timers: Vec::new(),
-        }
-    }
-}
-
-impl<P: TribePayload> Effects<P> {
-    /// A fresh effect set whose telemetry stamps are based at `now`, the
-    /// simulated time the enclosing handler started.
-    pub fn at(now: Micros) -> Effects<P> {
-        Effects {
-            now,
-            ..Effects::default()
-        }
-    }
-
-    /// True iff nothing but CPU time came of the invocation: no packet, no
-    /// event, no timer.
-    pub fn is_inert(&self) -> bool {
-        self.out.is_empty() && self.events.is_empty() && self.timers.is_empty()
-    }
-
-    /// Current simulated time as observed inside this invocation: the base
-    /// plus CPU time charged so far. Mirrors `Ctx::now` semantics.
-    pub fn stamp(&self) -> Micros {
-        self.now + self.charge
-    }
-
-    pub(crate) fn send(&mut self, to: PartyId, source: PartyId, round: Round, msg: RbcMsg<P>) {
-        self.multicast(Dest::One(to), source, round, msg);
-    }
-
-    pub(crate) fn multicast(&mut self, to: Dest, source: PartyId, round: Round, msg: RbcMsg<P>) {
-        self.out.push((to, RbcPacket { source, round, msg }));
-    }
-
-    /// Adds simulated CPU time to this effect set.
-    pub fn charge(&mut self, c: Micros) {
-        self.charge += c;
-    }
-}
+impl<P: TribePayload, M: Message + From<RbcPacket<P>>> Carries<P> for M {}
 
 /// The statement an echo signature covers. Public so tests and the
 /// adversary harness can craft echoes for parties they hold keys for.
@@ -686,6 +607,8 @@ pub struct TribeRbc<P: TribePayload> {
     /// broadcasts, certifications, consensus round advances). The
     /// admission window extends [`ROUND_WINDOW`] beyond it.
     round_hint: Round,
+    /// What the calls since the last [`TribeRbc::take_events`] yielded.
+    events: Vec<RbcEvent<P>>,
 }
 
 impl<P: TribePayload> TribeRbc<P> {
@@ -697,6 +620,7 @@ impl<P: TribePayload> TribeRbc<P> {
                 rows: RoundWindow::default(),
             },
             round_hint: Round(0),
+            events: Vec::new(),
         }
     }
 
@@ -784,34 +708,50 @@ impl<P: TribePayload> TribeRbc<P> {
         self.slots.rows.prune_below(round);
     }
 
+    /// Takes the events the calls since the last take yielded, in order.
+    pub fn take_events(&mut self) -> Vec<RbcEvent<P>> {
+        std::mem::take(&mut self.events)
+    }
+
+    /// Whether a call since the last [`TribeRbc::take_events`] yielded an
+    /// event.
+    pub fn has_events(&self) -> bool {
+        !self.events.is_empty()
+    }
+
     /// `r_bcast`: disseminates `payload` as this party's broadcast for
     /// `round`. The full payload goes to the sender's clan (including the
     /// sender itself, via loopback), the meta view to everyone else.
-    pub fn broadcast(&mut self, round: Round, payload: P, fx: &mut Effects<P>) {
+    pub fn broadcast<M: Carries<P>>(&mut self, round: Round, payload: P, ctx: &mut Ctx<'_, M>) {
         let _prof = clanbft_profiler::scope("rbc.broadcast");
         self.note_round(round);
         let me = self.cfg.me;
         let topo = self.cfg.topology_at(round).clone();
         let clan = topo.clan_for_sender(me);
         let meta = payload.meta();
-        fx.charge(self.cfg.cost.hash(payload.wire_bytes()));
+        ctx.charge(self.cfg.cost.hash(payload.wire_bytes()));
         if matches!(self.flavour, Flavour::Signed { .. }) {
-            fx.charge(self.cfg.cost.sign());
+            ctx.charge(self.cfg.cost.sign());
         }
-        self.trace(RbcPhase::ValSent, round, me, fx);
+        self.trace(RbcPhase::ValSent, round, me, ctx.now());
         for p in topo.tribe().parties() {
             let msg = if clan.contains(p) {
                 RbcMsg::Val(payload.clone())
             } else {
                 RbcMsg::ValMeta(meta.clone())
             };
-            fx.send(p, me, round, msg);
+            ctx.send(p, packet(me, round, msg));
         }
     }
 
     /// Handles one received packet. The packet stays the caller's: a view
     /// or certificate this party keeps is cloned (two `Arc`s) at that point.
-    pub fn handle(&mut self, from: PartyId, packet: &RbcPacket<P>, fx: &mut Effects<P>) {
+    pub fn handle<M: Carries<P>>(
+        &mut self,
+        from: PartyId,
+        packet: &RbcPacket<P>,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         let _prof = clanbft_profiler::scope("rbc.handle");
         let RbcPacket {
             source,
@@ -827,19 +767,19 @@ impl<P: TribePayload> TribeRbc<P> {
         match msg {
             // Only the designated sender pushes VAL/ValMeta.
             RbcMsg::Val(p) if from == source => {
-                self.on_view(round, source, View::Full(p.clone()), true, fx)
+                self.on_view(round, source, View::Full(p.clone()), true, ctx)
             }
             RbcMsg::ValMeta(m) if from == source => {
-                self.on_view(round, source, View::Meta(m.clone()), true, fx)
+                self.on_view(round, source, View::Meta(m.clone()), true, ctx)
             }
             RbcMsg::Val(_) | RbcMsg::ValMeta(_) => {}
-            RbcMsg::PullResp(p) => self.on_view(round, source, View::Full(p.clone()), false, fx),
-            RbcMsg::MetaResp(m) => self.on_view(round, source, View::Meta(m.clone()), false, fx),
+            RbcMsg::PullResp(p) => self.on_view(round, source, View::Full(p.clone()), false, ctx),
+            RbcMsg::MetaResp(m) => self.on_view(round, source, View::Meta(m.clone()), false, ctx),
             RbcMsg::Pull { digest } => {
-                self.serve_pull(round, source, from, Which::Full, *digest, fx)
+                self.serve_pull(round, source, from, Which::Full, *digest, ctx)
             }
             RbcMsg::PullMeta { digest } => {
-                self.serve_pull(round, source, from, Which::Meta, *digest, fx)
+                self.serve_pull(round, source, from, Which::Meta, *digest, ctx)
             }
             RbcMsg::Echo { digest, sig } => {
                 let share = match (&self.flavour, sig) {
@@ -848,17 +788,17 @@ impl<P: TribePayload> TribeRbc<P> {
                     (Flavour::Signed { .. }, None) => return,
                     (Flavour::Signed { .. }, Some(sig)) => {
                         // Aggregate without upfront verification (paper §7).
-                        fx.charge(self.cfg.cost.aggregate(1));
+                        ctx.charge(self.cfg.cost.aggregate(1));
                         Some(sig)
                     }
                 };
-                self.on_echo(round, source, from, *digest, share, fx);
+                self.on_echo(round, source, from, *digest, share, ctx);
             }
             // Each flavour ignores the other's certification message.
             RbcMsg::Ready { digest } => {
                 if matches!(self.flavour, Flavour::SignatureFree) {
                     let (step, _) = self.vote(round, source, Vote::Ready(from, *digest));
-                    self.apply(round, source, *digest, step, None, fx);
+                    self.apply(round, source, *digest, step, None, ctx);
                 }
             }
             RbcMsg::EchoCert { digest, cert } => {
@@ -868,8 +808,8 @@ impl<P: TribePayload> TribeRbc<P> {
                 if self.slots.is_certified(round, source) {
                     return;
                 }
-                if let Some(step) = self.validate_cert(source, round, *digest, cert, fx) {
-                    self.apply(round, source, *digest, step, Some(cert), fx);
+                if let Some(step) = self.validate_cert(source, round, *digest, cert, ctx) {
+                    self.apply(round, source, *digest, step, Some(cert), ctx);
                 }
             }
         }
@@ -900,10 +840,10 @@ impl<P: TribePayload> TribeRbc<P> {
         self.slots.touch(round, source, n)
     }
 
-    /// Records one RBC phase event, stamped inside this invocation.
-    fn trace(&self, phase: RbcPhase, round: Round, source: PartyId, fx: &Effects<P>) {
+    /// Records one RBC phase event at `at`, the handler's `Ctx::now`.
+    fn trace(&self, phase: RbcPhase, round: Round, source: PartyId, at: Micros) {
         self.cfg.telemetry.event(
-            fx.stamp(),
+            at,
             self.cfg.me,
             Event::Rbc {
                 phase,
@@ -921,13 +861,13 @@ impl<P: TribePayload> TribeRbc<P> {
         !std::mem::replace(&mut cold.evidence_logged, true)
     }
 
-    /// Counts, traces and hands up one evidence record (callers dedup per
-    /// instance).
-    fn record_evidence(&mut self, ev: Evidence, fx: &mut Effects<P>) {
+    /// Counts, traces (at `at`) and hands up one evidence record (callers
+    /// dedup per instance).
+    fn record_evidence(&mut self, ev: Evidence, at: Micros) {
         let tel = &self.cfg.telemetry;
         tel.add(counters::EVIDENCE_RECORDED, 1);
         tel.event(
-            fx.stamp(),
+            at,
             self.cfg.me,
             Event::EvidenceRecorded {
                 kind: ev.kind(),
@@ -935,7 +875,7 @@ impl<P: TribePayload> TribeRbc<P> {
                 culprit: ev.culprit(),
             },
         );
-        fx.events.push(RbcEvent::Evidence(ev));
+        self.events.push(RbcEvent::Evidence(ev));
     }
 
     /// Records that `source` stands behind two digests in `round`, once per
@@ -946,7 +886,7 @@ impl<P: TribePayload> TribeRbc<P> {
         source: PartyId,
         first: Digest,
         second: Digest,
-        fx: &mut Effects<P>,
+        at: Micros,
     ) -> bool {
         if !self.first_evidence(round, source) {
             return false;
@@ -959,7 +899,7 @@ impl<P: TribePayload> TribeRbc<P> {
                 first,
                 second,
             },
-            fx,
+            at,
         );
         true
     }
@@ -980,25 +920,25 @@ impl<P: TribePayload> TribeRbc<P> {
     /// A view arrived: as VAL/ValMeta straight from the source (`direct`)
     /// or as a pull response. Accept it, echo if it is the first direct
     /// one, and deliver if the instance is already certified.
-    fn on_view(
+    fn on_view<M: Carries<P>>(
         &mut self,
         round: Round,
         source: PartyId,
         view: View<P>,
         direct: bool,
-        fx: &mut Effects<P>,
+        ctx: &mut Ctx<'_, M>,
     ) {
         // A clan member must not echo on the meta view alone: its echo
         // asserts custody of the full payload (that is what makes f_c+1
         // clan echoes imply retrievability).
         let may_echo =
             direct && (view.which() == Which::Full || self.my_view(round, source) == Which::Meta);
-        if let Some(digest) = self.accept(round, source, view, direct, fx) {
+        if let Some(digest) = self.accept(round, source, view, direct, ctx) {
             if may_echo {
-                self.maybe_echo(round, source, digest, fx);
+                self.maybe_echo(round, source, digest, ctx);
             }
         }
-        self.try_deliver(round, source, fx);
+        self.try_deliver(round, source);
     }
 
     /// Takes custody of a view; returns its digest if it is fresh and
@@ -1007,13 +947,13 @@ impl<P: TribePayload> TribeRbc<P> {
     /// `direct` conflicts are attributable equivocation (evidence +
     /// counter), while pulled-copy redundancy (several responses racing
     /// in) is protocol-normal and stays silent.
-    fn accept(
+    fn accept<M: Carries<P>>(
         &mut self,
         round: Round,
         source: PartyId,
         view: View<P>,
         direct: bool,
-        fx: &mut Effects<P>,
+        ctx: &mut Ctx<'_, M>,
     ) -> Option<Digest> {
         let cost = self.cfg.cost;
         let tel = self.cfg.telemetry.clone();
@@ -1035,13 +975,13 @@ impl<P: TribePayload> TribeRbc<P> {
                     named_round,
                     named_source,
                 };
-                self.record_evidence(ev, fx);
+                self.record_evidence(ev, ctx.now());
             }
             return None;
         }
         let digest = match &view {
             View::Full(payload) => {
-                fx.charge(cost.hash(payload.wire_bytes()));
+                ctx.charge(cost.hash(payload.wire_bytes()));
                 if !payload.validate() {
                     tel.add(counters::REJECTED_BAD_PAYLOAD, 1);
                     return None;
@@ -1055,7 +995,7 @@ impl<P: TribePayload> TribeRbc<P> {
         if let Some(held) = inst.held(which).and_then(Held::digest) {
             if direct && held == digest {
                 tel.add(counters::REJECTED_DUPLICATE, 1);
-            } else if direct && !self.note_equivocation(round, source, held, digest, fx) {
+            } else if direct && !self.note_equivocation(round, source, held, digest, ctx.now()) {
                 tel.add(counters::REJECTED_EQUIVOCATION, 1);
             }
             return None;
@@ -1067,7 +1007,7 @@ impl<P: TribePayload> TribeRbc<P> {
             // conflicts with its own certified broadcast.
             let attributed = direct
                 && which == Which::Full
-                && self.note_equivocation(round, source, certified, digest, fx);
+                && self.note_equivocation(round, source, certified, digest, ctx.now());
             if !attributed && (direct || which == Which::Full) {
                 tel.add(counters::REJECTED_BAD_PAYLOAD, 1);
             }
@@ -1080,7 +1020,7 @@ impl<P: TribePayload> TribeRbc<P> {
                 meta.view = Some((View::Meta(payload.meta()), digest));
                 meta.direct = direct;
             }
-            fx.charge(cost.db_write());
+            ctx.charge(cost.db_write());
         }
         let held = &mut cold.held[which as usize];
         held.view = Some((view, digest));
@@ -1089,7 +1029,13 @@ impl<P: TribePayload> TribeRbc<P> {
     }
 
     /// Echoes `digest` once per instance (signed in the signed flavour).
-    fn maybe_echo(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
+    fn maybe_echo<M: Carries<P>>(
+        &mut self,
+        round: Round,
+        source: PartyId,
+        digest: Digest,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         let cold = self.instance(round, source).cold();
         if cold.echoed.is_some() {
             return;
@@ -1098,13 +1044,14 @@ impl<P: TribePayload> TribeRbc<P> {
         let sig = match &self.flavour {
             Flavour::SignatureFree => None,
             Flavour::Signed { auth, .. } => {
-                fx.charge(self.cfg.cost.sign());
+                ctx.charge(self.cfg.cost.sign());
                 let statement = echo_statement(source, round, &digest);
                 Some(auth.sign_digest(&statement))
             }
         };
-        self.trace(RbcPhase::Echoed, round, source, fx);
-        fx.multicast(Dest::All, source, round, RbcMsg::Echo { digest, sig });
+        self.trace(RbcPhase::Echoed, round, source, ctx.now());
+        let echo = packet(source, round, RbcMsg::Echo { digest, sig });
+        ctx.multicast(self.cfg.topology.tribe().parties(), echo);
     }
 
     /// Counts one vote on `(round, source)`'s instance through the
@@ -1133,14 +1080,14 @@ impl<P: TribePayload> TribeRbc<P> {
     /// Counts an echo through the flavour's core — one visit to the
     /// instance's record — keeps its share towards a certificate of this
     /// party's own, and applies the step.
-    fn on_echo(
+    fn on_echo<M: Carries<P>>(
         &mut self,
         round: Round,
         source: PartyId,
         from: PartyId,
         digest: Digest,
         sig: Option<&Signature>,
-        fx: &mut Effects<P>,
+        ctx: &mut Ctx<'_, M>,
     ) {
         // A certified signed instance has sent its certificate.
         let keep_share = sig.is_some() && !self.slots.is_certified(round, source);
@@ -1176,11 +1123,11 @@ impl<P: TribePayload> TribeRbc<P> {
                 .or(cold.held[Which::Full as usize].digest())
                 .or(cold.held[Which::Meta as usize].digest())
                 .unwrap_or(inst.votes.echoes.digest);
-            self.note_equivocation(round, source, first, digest, fx);
+            self.note_equivocation(round, source, first, digest, ctx.now());
         }
         // Most echoes are counted and fire nothing: no call for them.
         if step != Step::default() {
-            self.apply(round, source, digest, step, None, fx);
+            self.apply(round, source, digest, step, None, ctx);
         }
     }
 
@@ -1188,26 +1135,26 @@ impl<P: TribePayload> TribeRbc<P> {
     /// core what is left of its signers once culprits are pruned: how many,
     /// and how many of them from the source's clan. `None` in the
     /// signature-free flavour.
-    fn validate_cert(
+    fn validate_cert<M: Carries<P>>(
         &mut self,
         source: PartyId,
         round: Round,
         digest: Digest,
         cert: &AggregateSignature,
-        fx: &mut Effects<P>,
+        ctx: &mut Ctx<'_, M>,
     ) -> Option<Step> {
         let Flavour::Signed { auth, verify_sigs } = &self.flavour else {
             return None;
         };
         let clan = self.cfg.topology_at(round).clan_for_sender(source);
-        fx.charge(self.cfg.cost.agg_verify(cert.count()));
+        ctx.charge(self.cfg.cost.agg_verify(cert.count()));
         let statement = echo_statement(source, round, &digest);
         let verdict = verify_sigs.then(|| cert.verify(auth.registry(), statement.as_bytes()));
         let culprits = match verdict {
             Some(AggregateVerdict::Invalid(bad)) => {
                 // Blame path: individual verification to identify culprits
                 // (charged per paper's fallback).
-                fx.charge(self.cfg.cost.sig_verify() * cert.count() as u32);
+                ctx.charge(self.cfg.cost.sig_verify() * cert.count() as u32);
                 bad
             }
             Some(AggregateVerdict::Valid) | None => Vec::new(),
@@ -1230,14 +1177,14 @@ impl<P: TribePayload> TribeRbc<P> {
     /// Applies what a vote did to `digest`'s instance, in the one order
     /// both figures fire in: certificate, echo quorum, READY, certify. A
     /// certificate step forwards `received`, or forms one from the shares.
-    fn apply(
+    fn apply<M: Carries<P>>(
         &mut self,
         round: Round,
         source: PartyId,
         digest: Digest,
         step: Step,
         received: Option<&Arc<AggregateSignature>>,
-        fx: &mut Effects<P>,
+        ctx: &mut Ctx<'_, M>,
     ) {
         match step.count {
             Count::Duplicate => self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1),
@@ -1259,36 +1206,43 @@ impl<P: TribePayload> TribeRbc<P> {
                 || Arc::new(AggregateSignature::aggregate(n, &own)),
                 Arc::clone,
             );
-            fx.multicast(
-                Dest::Others,
-                source,
-                round,
-                RbcMsg::EchoCert { digest, cert },
+            let me = self.cfg.me;
+            let others = self.cfg.topology.tribe().parties().filter(|p| *p != me);
+            ctx.multicast(
+                others,
+                packet(source, round, RbcMsg::EchoCert { digest, cert }),
             );
         }
         if step.echo_quorum {
             let lacks_payload = !self.instance(round, source).holds(Which::Full);
-            self.trace(RbcPhase::EchoQuorum, round, source, fx);
+            self.trace(RbcPhase::EchoQuorum, round, source, ctx.now());
             if lacks_payload && self.my_view(round, source) == Which::Full {
                 // Gentle first probe: one clan echoer. In the good case the
                 // sender's own copy is moments away; the guaranteed-honest
                 // f_c+1 fan-out waits for certification (§5's early
                 // download, without amplifying every in-flight block into a
                 // pull storm).
-                self.start_pull(round, source, digest, 1, fx);
+                self.start_pull(round, source, digest, 1, ctx);
             }
         }
         if step.send_ready {
-            fx.multicast(Dest::All, source, round, RbcMsg::Ready { digest });
+            let ready = packet(source, round, RbcMsg::Ready { digest });
+            ctx.multicast(self.cfg.topology.tribe().parties(), ready);
         }
         if step.certify {
-            self.certify(round, source, digest, fx);
+            self.certify(round, source, digest, ctx);
         }
     }
 
     /// Marks the digest certified and performs delivery or starts the pull
     /// of the view this party is due.
-    fn certify(&mut self, round: Round, source: PartyId, digest: Digest, fx: &mut Effects<P>) {
+    fn certify<M: Carries<P>>(
+        &mut self,
+        round: Round,
+        source: PartyId,
+        digest: Digest,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         let which = self.my_view(round, source);
         // Certification required a real quorum, so the round is
         // legitimately active: widen the admission window to it.
@@ -1305,22 +1259,22 @@ impl<P: TribePayload> TribeRbc<P> {
             .iter()
             .flat_map(|cold| &cold.held)
             .find_map(|h| h.digest().filter(|d| *d != digest && h.direct));
-        fx.events.push(RbcEvent::Certified {
+        self.events.push(RbcEvent::Certified {
             source,
             round,
             digest,
         });
-        self.trace(RbcPhase::Certified, round, source, fx);
-        let delivered = self.try_deliver(round, source, fx);
+        self.trace(RbcPhase::Certified, round, source, ctx.now());
+        let delivered = self.try_deliver(round, source);
         if delivered {
             let phase = match which {
                 Which::Full => RbcPhase::DeliverFull,
                 Which::Meta => RbcPhase::DeliverMeta,
             };
-            self.trace(phase, round, source, fx);
+            self.trace(phase, round, source, ctx.now());
         }
         if let Some(first) = conflicting {
-            self.note_equivocation(round, source, first, digest, fx);
+            self.note_equivocation(round, source, first, digest, ctx.now());
         }
         if !delivered {
             // View missing or (Byzantine sender) mismatched — discard a
@@ -1328,17 +1282,17 @@ impl<P: TribePayload> TribeRbc<P> {
             if let Some(cold) = &mut self.instance(round, source).cold {
                 cold.held[which as usize].view = None;
             }
-            self.start_pull(round, source, digest, 2, fx);
+            self.start_pull(round, source, digest, 2, ctx);
         }
     }
 
     /// Delivers if the instance is certified and this party holds the
     /// matching view it is due (payload for clan members, meta view for
     /// everyone else); returns whether it delivered now.
-    fn try_deliver(&mut self, round: Round, source: PartyId, fx: &mut Effects<P>) -> bool {
+    fn try_deliver(&mut self, round: Round, source: PartyId) -> bool {
         let which = self.my_view(round, source);
         let certified = self.slots.certified(round, source);
-        let inst = self.instance(round, source);
+        let inst = self.slots.touch(round, source, self.cfg.n());
         // Field by field: the view stays borrowed while the fact is set.
         let view = inst
             .cold
@@ -1352,7 +1306,7 @@ impl<P: TribePayload> TribeRbc<P> {
         }
         inst.votes.facts |= fact::DELIVERED;
         let digest = certified;
-        fx.events.push(match view {
+        self.events.push(match view {
             View::Full(payload) => RbcEvent::DeliverFull {
                 source,
                 round,
@@ -1392,13 +1346,13 @@ impl<P: TribePayload> TribeRbc<P> {
     /// Requests the view this party is due, up to `level` escalation: 1 = a
     /// single echoer (cheap probe), 2 = a quorum of peers that echoed
     /// `digest` (at least one of them is honest and holds it).
-    fn start_pull(
+    fn start_pull<M: Carries<P>>(
         &mut self,
         round: Round,
         source: PartyId,
         digest: Digest,
         level: u8,
-        fx: &mut Effects<P>,
+        ctx: &mut Ctx<'_, M>,
     ) {
         let cold = self.instance(round, source).cold();
         if cold.pull_level >= level {
@@ -1406,7 +1360,7 @@ impl<P: TribePayload> TribeRbc<P> {
         }
         let already = cold.pull_level as usize;
         cold.pull_level = level;
-        self.trace(RbcPhase::PullStarted, round, source, fx);
+        self.trace(RbcPhase::PullStarted, round, source, ctx.now());
         let pull_retry = self.cfg.pull_retry;
         let (which, eligible, quorum) = self.pull_scope(round, source);
         let inst = self.instance(round, source);
@@ -1431,13 +1385,13 @@ impl<P: TribePayload> TribeRbc<P> {
         cold.pull_digest = Some(digest);
         for t in targets {
             cold.asked.insert(t);
-            fx.send(t, source, round, which.request(digest));
+            ctx.send(t, packet(source, round, which.request(digest)));
         }
         // Arm the retry chain: if none of the targets answers before the
         // deadline, `on_retry` rotates to peers not yet asked.
         if !cold.retry_armed {
             cold.retry_armed = true;
-            fx.timers.push((pull_retry, retry_token(round, source)));
+            ctx.set_timer(pull_retry, retry_token(round, source));
         }
     }
 
@@ -1447,14 +1401,14 @@ impl<P: TribePayload> TribeRbc<P> {
     /// only burned when a response is actually sent — a pull that raced
     /// ahead of the payload leaves the peer eligible for its one answer
     /// later (otherwise retries could never succeed against slow holders).
-    fn serve_pull(
+    fn serve_pull<M: Carries<P>>(
         &mut self,
         round: Round,
         source: PartyId,
         from: PartyId,
         which: Which,
         digest: Digest,
-        fx: &mut Effects<P>,
+        ctx: &mut Ctx<'_, M>,
     ) {
         let tel = self.cfg.telemetry.clone();
         let held = &mut self.instance(round, source).cold().held[which as usize];
@@ -1468,7 +1422,7 @@ impl<P: TribePayload> TribeRbc<P> {
             _ => return,
         };
         held.served.insert(from);
-        fx.send(from, source, round, response);
+        ctx.send(from, packet(source, round, response));
     }
 
     /// Pull-retry deadline for `(round, source)` expired (see
@@ -1476,7 +1430,7 @@ impl<P: TribePayload> TribeRbc<P> {
     /// the pull to peers not yet asked (rotation) and re-arm with
     /// exponential backoff. A withholding first target therefore stalls
     /// delivery by at most one deadline.
-    pub fn on_retry(&mut self, round: Round, source: PartyId, fx: &mut Effects<P>) {
+    pub fn on_retry<M: Carries<P>>(&mut self, round: Round, source: PartyId, ctx: &mut Ctx<'_, M>) {
         let _prof = clanbft_profiler::scope("rbc.retry");
         let base = self.cfg.pull_retry;
         if round < self.slots.rows.base() {
@@ -1502,7 +1456,7 @@ impl<P: TribePayload> TribeRbc<P> {
             // Nothing certified and no pull outstanding: keep a slow
             // heartbeat in case certification arrives later (it will
             // escalate pulls itself; this chain is already armed).
-            fx.timers.push((delay, retry_token(round, source)));
+            ctx.set_timer(delay, retry_token(round, source));
             return;
         };
         if cold.held[which as usize].view.is_some() {
@@ -1529,12 +1483,17 @@ impl<P: TribePayload> TribeRbc<P> {
             cold.asked.insert(*t);
         }
         self.cfg.telemetry.add(counters::PULL_RETRIES, 1);
-        self.trace(RbcPhase::PullRetry, round, source, fx);
+        self.trace(RbcPhase::PullRetry, round, source, ctx.now());
         for t in targets {
-            fx.send(t, source, round, which.request(digest));
+            ctx.send(t, packet(source, round, which.request(digest)));
         }
-        fx.timers.push((delay, retry_token(round, source)));
+        ctx.set_timer(delay, retry_token(round, source));
     }
+}
+
+/// `msg` of `(round, source)`'s instance, as the message type `M` carries it.
+fn packet<P: TribePayload, M: Carries<P>>(source: PartyId, round: Round, msg: RbcMsg<P>) -> M {
+    RbcPacket { source, round, msg }.into()
 }
 
 impl Which {
@@ -1585,18 +1544,29 @@ mod tests {
         BytesPayload::new(vec![0x17; 128])
     }
 
-    fn feed(rig: &mut Rig, from: u32, msg: RbcMsg<BytesPayload>) -> Effects<BytesPayload> {
-        let mut fx = Effects::at(Micros(1));
+    /// What one call queued, one entry per recipient, and the events it
+    /// yielded.
+    struct Queued {
+        out: Vec<(PartyId, RbcPacket<BytesPayload>)>,
+        events: Vec<RbcEvent<BytesPayload>>,
+    }
+
+    fn feed(rig: &mut Rig, from: u32, msg: RbcMsg<BytesPayload>) -> Queued {
+        let cost = CostModel::free();
+        let mut ctx = Ctx::new(rig.engine.config().me, Micros(1), &cost);
         let packet = RbcPacket {
             source: SOURCE,
             round: ROUND,
             msg,
         };
-        rig.engine.handle(PartyId(from), &packet, &mut fx);
-        fx
+        rig.engine.handle(PartyId(from), &packet, &mut ctx);
+        Queued {
+            out: ctx.take_outbox(),
+            events: rig.engine.take_events(),
+        }
     }
 
-    fn feed_echo(rig: &mut Rig, signer: u32) -> Effects<BytesPayload> {
+    fn feed_echo(rig: &mut Rig, signer: u32) -> Queued {
         let digest = payload().rbc_digest();
         let statement = echo_statement(SOURCE, ROUND, &digest);
         let sig = Some(rig.auths[signer as usize].sign_digest(&statement));

@@ -19,11 +19,20 @@
 //! after the vertex alone.
 //!
 //! Missing views are fetched by the pull sub-protocol built into the
-//! engine: a clan member that certifies a digest it lacks requests the
-//! payload from `f_c + 1` clan members that claimed it via ECHO, which
-//! guarantees an honest responder (paper §3's download step, started as
-//! early as the echo quorum per §5's optimization); a party outside the
-//! clan pulls the meta view from `f + 1` echoers the same way.
+//! engine. A clan member that reaches the echo quorum without the payload
+//! probes one clan echoer of the digest, or any clan member if it counted
+//! none (§5's early download). Once it certifies, it asks the first
+//! `f_c + 1` clan echoers it counted, skipping the first if it probed:
+//! `f_c + 1` echoers include an honest one (paper §3's download step). A
+//! party that certified through a received certificate (the signed
+//! flavour's echo quorum and certification then fire in one step, probe
+//! included) may have counted fewer, and then asks fewer, or nobody new;
+//! only the retry chain
+//! ([`EngineConfig::pull_retry`], doubling per attempt), which rotates
+//! through the echoers not yet asked and then any clan member, `f_c + 1` at
+//! a time, makes up the difference. A party outside the clan pulls the meta
+//! view at certification from `f + 1` echoers the same way, or from any
+//! `f + 1` parties if it counted no echo.
 
 mod core;
 pub mod engine;
@@ -33,8 +42,8 @@ pub mod topology;
 
 pub use crate::core::MAX_DIGESTS_PER_INSTANCE;
 pub use engine::{
-    echo_statement, parse_retry_token, retry_token, BufferStats, Dest, Effects, EngineConfig,
-    RbcEvent, RbcMsg, RbcPacket, TribeRbc, MAX_PULL_ATTEMPTS, RETRY_TOKEN_FLAG, ROUND_WINDOW,
+    echo_statement, parse_retry_token, retry_token, BufferStats, Carries, EngineConfig, RbcEvent,
+    RbcMsg, RbcPacket, TribeRbc, MAX_PULL_ATTEMPTS, RETRY_TOKEN_FLAG, ROUND_WINDOW,
 };
 pub use payload::{BytesPayload, TribePayload};
 pub use topology::ClanTopology;

@@ -2,13 +2,15 @@
 //! implementation, runnable directly on the simulator or the live transport
 //! without the consensus layer on top.
 //!
+//! The engine queues its packets, timers and charges on the handler's
+//! `Ctx`; the node then takes the engine's events and records deliveries
+//! and certifications at [`Ctx::now`].
+//!
 //! Besides powering the RBC examples and tests, this module houses the
 //! Byzantine sender behaviours (equivocation, selective sending) used to
 //! exercise the engine's failure paths.
 
-use crate::engine::{
-    parse_retry_token, Effects, EngineConfig, RbcEvent, RbcMsg, RbcPacket, TribeRbc,
-};
+use crate::engine::{parse_retry_token, EngineConfig, RbcEvent, RbcMsg, RbcPacket, TribeRbc};
 use crate::payload::TribePayload;
 use crate::topology::ClanTopology;
 use clanbft_crypto::Authenticator;
@@ -63,9 +65,9 @@ impl<P: TribePayload> StandaloneNode<P> {
         self
     }
 
-    fn apply(&mut self, fx: Effects<P>, ctx: &mut Ctx<RbcPacket<P>>) {
-        ctx.charge(fx.charge);
-        for ev in fx.events {
+    /// Records what the engine's last call yielded.
+    fn record_events(&mut self, ctx: &Ctx<RbcPacket<P>>) {
+        for ev in self.engine.take_events() {
             match ev {
                 RbcEvent::DeliverFull {
                     source,
@@ -89,22 +91,14 @@ impl<P: TribePayload> StandaloneNode<P> {
                 RbcEvent::Evidence(_) => {}
             }
         }
-        let tribe = self.engine.config().topology.tribe();
-        for (to, pkt) in fx.out {
-            to.queue(tribe, pkt, ctx);
-        }
-        for (delay, token) in fx.timers {
-            ctx.set_timer(delay, token);
-        }
     }
 }
 
 impl<P: TribePayload> Protocol<RbcPacket<P>> for StandaloneNode<P> {
     fn on_start(&mut self, ctx: &mut Ctx<RbcPacket<P>>) {
         if let Some((round, payload)) = self.to_send.take() {
-            let mut fx = Effects::at(ctx.now());
-            self.engine.broadcast(round, payload, &mut fx);
-            self.apply(fx, ctx);
+            self.engine.broadcast(round, payload, ctx);
+            self.record_events(ctx);
         }
     }
 
@@ -113,16 +107,14 @@ impl<P: TribePayload> Protocol<RbcPacket<P>> for StandaloneNode<P> {
     }
 
     fn on_message_ref(&mut self, from: PartyId, msg: &RbcPacket<P>, ctx: &mut Ctx<RbcPacket<P>>) {
-        let mut fx = Effects::at(ctx.now());
-        self.engine.handle(from, msg, &mut fx);
-        self.apply(fx, ctx);
+        self.engine.handle(from, msg, ctx);
+        self.record_events(ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<RbcPacket<P>>) {
         if let Some((round, source)) = parse_retry_token(token) {
-            let mut fx = Effects::at(ctx.now());
-            self.engine.on_retry(round, source, &mut fx);
-            self.apply(fx, ctx);
+            self.engine.on_retry(round, source, ctx);
+            self.record_events(ctx);
         }
     }
 }

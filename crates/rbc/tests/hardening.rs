@@ -8,12 +8,12 @@ use clanbft_crypto::Digest;
 use clanbft_crypto::{Authenticator, Registry, Scheme, Signature};
 use clanbft_rbc::standalone::{AnyNode, ByzantineNode, ByzantineSender, Delivery, StandaloneNode};
 use clanbft_rbc::{
-    echo_statement, parse_retry_token, BytesPayload, ClanTopology, Dest, Effects, EngineConfig,
-    RbcEvent, RbcMsg, RbcPacket, TribePayload, TribeRbc, MAX_DIGESTS_PER_INSTANCE,
-    MAX_PULL_ATTEMPTS, ROUND_WINDOW,
+    echo_statement, parse_retry_token, BytesPayload, ClanTopology, EngineConfig, RbcEvent, RbcMsg,
+    RbcPacket, TribePayload, TribeRbc, MAX_DIGESTS_PER_INSTANCE, MAX_PULL_ATTEMPTS, ROUND_WINDOW,
 };
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::net::{SimConfig, Simulator};
+use clanbft_simnet::protocol::Ctx;
 use clanbft_telemetry::{counters, MemRecorder, Telemetry};
 use clanbft_types::{Evidence, Micros, PartyId, Round, TribeParams};
 use std::sync::Arc;
@@ -24,7 +24,7 @@ struct Rig {
     engine: TribeRbc<BytesPayload>,
     auths: Vec<Arc<Authenticator>>,
     rec: Arc<MemRecorder>,
-    /// Evidence handed up in the effects of every [`handle`] call so far.
+    /// Evidence the engine yielded in every call so far.
     evidence: Vec<Evidence>,
 }
 
@@ -65,19 +65,50 @@ fn payload() -> BytesPayload {
     BytesPayload::new(vec![0x42; 512])
 }
 
-fn handle(rig: &mut Rig, from: u32, pkt: RbcPacket<BytesPayload>) -> Effects<BytesPayload> {
-    let mut fx = Effects::at(Micros(1));
-    rig.engine.handle(PartyId(from), &pkt, &mut fx);
-    rig.evidence
-        .extend(fx.events.iter().filter_map(|e| match e {
-            RbcEvent::Evidence(ev) => Some(*ev),
-            _ => None,
-        }));
-    fx
+/// What one engine call queued, one entry per recipient, the timers it
+/// armed and the events it yielded.
+struct Queued {
+    out: Vec<(PartyId, RbcPacket<BytesPayload>)>,
+    timers: Vec<(Micros, u64)>,
+    events: Vec<RbcEvent<BytesPayload>>,
+}
+
+/// Runs `call` on the rig's engine against a fresh `Ctx` starting at `now`.
+fn run(
+    rig: &mut Rig,
+    now: Micros,
+    call: impl FnOnce(&mut TribeRbc<BytesPayload>, &mut Ctx<'_, RbcPacket<BytesPayload>>),
+) -> Queued {
+    let cost = CostModel::free();
+    let mut ctx = Ctx::new(rig.engine.config().me, now, &cost);
+    call(&mut rig.engine, &mut ctx);
+    let events = rig.engine.take_events();
+    rig.evidence.extend(events.iter().filter_map(|e| match e {
+        RbcEvent::Evidence(ev) => Some(*ev),
+        _ => None,
+    }));
+    Queued {
+        out: ctx.take_outbox(),
+        timers: ctx.take_timers(),
+        events,
+    }
+}
+
+fn handle(rig: &mut Rig, from: u32, pkt: RbcPacket<BytesPayload>) -> Queued {
+    run(rig, Micros(1), |engine, ctx| {
+        engine.handle(PartyId(from), &pkt, ctx)
+    })
+}
+
+/// Fires the pull-retry deadline of party 0's broadcast in `round` at `now`.
+fn retry(rig: &mut Rig, now: Micros, round: u64) -> Queued {
+    run(rig, now, |engine, ctx| {
+        engine.on_retry(Round(round), PartyId(0), ctx)
+    })
 }
 
 /// Builds and feeds a correctly signed echo from `signer`.
-fn feed_echo(rig: &mut Rig, signer: u32, source: u32, round: u64) -> Effects<BytesPayload> {
+fn feed_echo(rig: &mut Rig, signer: u32, source: u32, round: u64) -> Queued {
     let digest = TribePayload::rbc_digest(&payload());
     let statement = echo_statement(PartyId(source), Round(round), &digest);
     let sig = rig.auths[signer as usize].sign_digest(&statement);
@@ -95,13 +126,10 @@ fn feed_echo(rig: &mut Rig, signer: u32, source: u32, round: u64) -> Effects<Byt
     )
 }
 
-fn pull_targets(fx: &Effects<BytesPayload>) -> Vec<PartyId> {
+fn pull_targets(fx: &Queued) -> Vec<PartyId> {
     fx.out
         .iter()
-        .filter_map(|(to, p)| match (to, &p.msg) {
-            (Dest::One(to), RbcMsg::Pull { .. }) => Some(*to),
-            _ => None,
-        })
+        .filter_map(|(to, p)| matches!(p.msg, RbcMsg::Pull { .. }).then_some(*to))
         .collect()
 }
 
@@ -169,8 +197,7 @@ fn retry_backs_off_rotates_and_stops_after_delivery() {
 
     // Deadline expires unanswered: rotate to the one echoer not yet asked,
     // with a doubled deadline.
-    let mut fx1 = Effects::at(PULL_RETRY);
-    r.engine.on_retry(Round(1), PartyId(0), &mut fx1);
+    let fx1 = retry(&mut r, PULL_RETRY, 1);
     assert_eq!(r.rec.counter(counters::PULL_RETRIES), 1);
     let second_targets = pull_targets(&fx1);
     assert!(!second_targets.is_empty(), "retry must re-send pulls");
@@ -188,8 +215,7 @@ fn retry_backs_off_rotates_and_stops_after_delivery() {
 
     // Second expiry: everyone was asked, so the slate clears and the
     // backoff keeps growing.
-    let mut fx2 = Effects::at(Micros(PULL_RETRY.0 * 3));
-    r.engine.on_retry(Round(1), PartyId(0), &mut fx2);
+    let fx2 = retry(&mut r, Micros(PULL_RETRY.0 * 3), 1);
     assert_eq!(r.rec.counter(counters::PULL_RETRIES), 2);
     assert!(!pull_targets(&fx2).is_empty());
     assert_eq!(fx2.timers[0].0, Micros(PULL_RETRY.0 << 2));
@@ -200,8 +226,7 @@ fn retry_backs_off_rotates_and_stops_after_delivery() {
         .events
         .iter()
         .any(|e| matches!(e, RbcEvent::DeliverFull { .. })));
-    let mut fx3 = Effects::at(Micros(PULL_RETRY.0 * 8));
-    r.engine.on_retry(Round(1), PartyId(0), &mut fx3);
+    let fx3 = retry(&mut r, Micros(PULL_RETRY.0 * 8), 1);
     assert!(fx3.out.is_empty(), "retry chain must die after delivery");
     assert!(
         fx3.timers.is_empty(),
@@ -218,16 +243,14 @@ fn retry_chain_is_bounded() {
     feed_echo(&mut r, 1, 0, 1);
     feed_echo(&mut r, 2, 0, 1);
     for _ in 0..MAX_PULL_ATTEMPTS {
-        let mut fx = Effects::at(Micros(1));
-        r.engine.on_retry(Round(1), PartyId(0), &mut fx);
+        let fx = retry(&mut r, Micros(1), 1);
         assert!(!fx.timers.is_empty(), "chain re-arms below the cap");
     }
     assert_eq!(
         r.rec.counter(counters::PULL_RETRIES),
         MAX_PULL_ATTEMPTS as u64
     );
-    let mut fx = Effects::at(Micros(1));
-    r.engine.on_retry(Round(1), PartyId(0), &mut fx);
+    let fx = retry(&mut r, Micros(1), 1);
     assert!(
         fx.out.is_empty() && fx.timers.is_empty(),
         "cap not enforced"
@@ -293,7 +316,7 @@ fn per_instance_digest_tracking_is_capped() {
 
 /// Feeds a correctly signed echo of `digest` from `signer`, for party 0's
 /// broadcast in `round`.
-fn feed_echo_of(rig: &mut Rig, signer: u32, round: u64, digest: Digest) -> Effects<BytesPayload> {
+fn feed_echo_of(rig: &mut Rig, signer: u32, round: u64, digest: Digest) -> Queued {
     let statement = echo_statement(PartyId(0), Round(round), &digest);
     let sig = rig.auths[signer as usize].sign_digest(&statement);
     let sig = Some(sig);
@@ -462,7 +485,7 @@ fn withheld_meta_delivers_within_one_retry_deadline_of_certification() {
     );
 }
 
-fn cert_formed(fx: &Effects<BytesPayload>) -> bool {
+fn cert_formed(fx: &Queued) -> bool {
     fx.out
         .iter()
         .any(|(_, p)| matches!(p.msg, RbcMsg::EchoCert { .. }))
@@ -524,8 +547,7 @@ fn pruned_rounds_stay_dead_and_lookups_never_allocate() {
         }
         let fx = feed_echo(&mut r, 2, 0, round);
         assert!(fx.out.is_empty() && fx.events.is_empty());
-        let mut fx = Effects::at(Micros(1));
-        r.engine.on_retry(Round(round), PartyId(0), &mut fx);
+        let fx = retry(&mut r, Micros(1), round);
         assert!(fx.out.is_empty() && fx.timers.is_empty());
     }
     assert_eq!(r.rec.counter(counters::REJECTED_BUFFER_FULL), 8);

@@ -1,14 +1,15 @@
 //! Idempotence regression suite for the RBC engine: every message variant
 //! is fed twice (and out of order) into a directly-driven [`TribeRbc`];
-//! duplicates must leave state, emitted effects and evidence unchanged,
-//! ticking only the `rejected.duplicate` counter.
+//! duplicates must leave state, what the engine queues and yields, and
+//! evidence unchanged, ticking only the `rejected.duplicate` counter.
 
 use clanbft_crypto::{Authenticator, Registry, Scheme};
 use clanbft_rbc::{
-    echo_statement, BytesPayload, ClanTopology, Effects, EngineConfig, RbcEvent, RbcMsg, RbcPacket,
+    echo_statement, BytesPayload, ClanTopology, EngineConfig, RbcEvent, RbcMsg, RbcPacket,
     TribePayload, TribeRbc,
 };
 use clanbft_simnet::cost::CostModel;
+use clanbft_simnet::protocol::Ctx;
 use clanbft_telemetry::{counters, MemRecorder, Telemetry};
 use clanbft_types::{Evidence, Micros, PartyId, Round, TribeParams};
 use std::sync::Arc;
@@ -18,7 +19,7 @@ struct Rig {
     engine: TribeRbc<BytesPayload>,
     auths: Vec<Arc<Authenticator>>,
     rec: Arc<MemRecorder>,
-    /// Evidence handed up in the effects of every [`handle`] call so far.
+    /// Evidence the engine yielded in every [`handle`] call so far.
     evidence: Vec<Evidence>,
 }
 
@@ -71,19 +72,30 @@ fn echo(rig: &Rig, signer: u32, source: u32, round: u64) -> RbcMsg<BytesPayload>
     }
 }
 
-fn handle(rig: &mut Rig, from: u32, pkt: RbcPacket<BytesPayload>) -> Effects<BytesPayload> {
-    let mut fx = Effects::at(Micros(1));
-    rig.engine.handle(PartyId(from), &pkt, &mut fx);
-    rig.evidence
-        .extend(fx.events.iter().filter_map(|e| match e {
-            RbcEvent::Evidence(ev) => Some(*ev),
-            _ => None,
-        }));
-    fx
+/// What one [`handle`] call queued, one entry per recipient, and the
+/// events it yielded.
+struct Queued {
+    out: Vec<(PartyId, RbcPacket<BytesPayload>)>,
+    events: Vec<RbcEvent<BytesPayload>>,
+}
+
+fn handle(rig: &mut Rig, from: u32, pkt: RbcPacket<BytesPayload>) -> Queued {
+    let cost = CostModel::free();
+    let mut ctx = Ctx::new(rig.engine.config().me, Micros(1), &cost);
+    rig.engine.handle(PartyId(from), &pkt, &mut ctx);
+    let events = rig.engine.take_events();
+    rig.evidence.extend(events.iter().filter_map(|e| match e {
+        RbcEvent::Evidence(ev) => Some(*ev),
+        _ => None,
+    }));
+    Queued {
+        out: ctx.take_outbox(),
+        events,
+    }
 }
 
 /// Builds and feeds a signed echo from `signer` in one step.
-fn feed_echo(rig: &mut Rig, signer: u32, source: u32, round: u64) -> Effects<BytesPayload> {
+fn feed_echo(rig: &mut Rig, signer: u32, source: u32, round: u64) -> Queued {
     let e = echo(rig, signer, source, round);
     handle(rig, signer, packet(source, round, e))
 }
@@ -187,7 +199,7 @@ fn cert_before_val_then_duplicates_deliver_once() {
     assert!(!r.engine.delivered(Round(1), PartyId(0)));
 
     let fx2 = handle(&mut r, 0, packet(0, 1, RbcMsg::Val(payload())));
-    let delivers = |fx: &Effects<BytesPayload>| {
+    let delivers = |fx: &Queued| {
         fx.events
             .iter()
             .filter(|e| matches!(e, RbcEvent::DeliverFull { .. }))

@@ -78,25 +78,23 @@ where
             let mut timers: BinaryHeap<PendingTimer> = BinaryHeap::new();
             let now_us = |start: Instant| Micros(start.elapsed().as_micros() as u64);
 
-            let flush =
-                |node: &mut P, timers: &mut BinaryHeap<PendingTimer>, mut ctx: Ctx<'_, M>| {
-                    let base = Instant::now();
-                    for (delay, token) in ctx.take_timers() {
-                        timers.push(PendingTimer {
-                            at: base + Duration::from_micros(delay.0),
-                            token,
-                        });
-                    }
-                    for (to, msg) in ctx.take_outbox() {
-                        // A vanished peer just means shutdown is racing us.
-                        let _ = peers[to.idx()].send(Envelope::Msg { from: me, msg });
-                    }
-                    let _ = node;
-                };
+            let flush = |timers: &mut BinaryHeap<PendingTimer>, mut ctx: Ctx<'_, M>| {
+                let base = Instant::now();
+                for (delay, token) in ctx.take_timers() {
+                    timers.push(PendingTimer {
+                        at: base + Duration::from_micros(delay.0),
+                        token,
+                    });
+                }
+                for (to, msg) in ctx.take_outbox() {
+                    // A vanished peer just means shutdown is racing us.
+                    let _ = peers[to.idx()].send(Envelope::Msg { from: me, msg });
+                }
+            };
 
             let mut ctx = Ctx::new(me, now_us(start), &cost);
             node.on_start(&mut ctx);
-            flush(&mut node, &mut timers, ctx);
+            flush(&mut timers, ctx);
 
             loop {
                 // Wait for the next message or the next timer, whichever
@@ -110,7 +108,7 @@ where
                     Ok(Envelope::Msg { from, msg }) => {
                         let mut ctx = Ctx::new(me, now_us(start), &cost);
                         node.on_message(from, msg, &mut ctx);
-                        flush(&mut node, &mut timers, ctx);
+                        flush(&mut timers, ctx);
                     }
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => break,
@@ -122,7 +120,7 @@ where
                     let token = timers.pop().expect("peeked").token;
                     let mut ctx = Ctx::new(me, now_us(start), &cost);
                     node.on_timer(token, &mut ctx);
-                    flush(&mut node, &mut timers, ctx);
+                    flush(&mut timers, ctx);
                 }
             }
             node

@@ -14,7 +14,7 @@ use clanbft_mempool::{
 };
 use clanbft_profiler as prof;
 use clanbft_rbc::{
-    echo_statement, BytesPayload, ClanTopology, Effects, EngineConfig, RbcEvent, RbcMsg, RbcPacket,
+    echo_statement, BytesPayload, ClanTopology, EngineConfig, RbcEvent, RbcMsg, RbcPacket,
     TribePayload, TribeRbc,
 };
 use clanbft_simnet::cost::CostModel;
@@ -378,20 +378,26 @@ fn a_vote_whose_commit_releases_the_rounds_last_vertex_advances_the_round() {
 
 const N: usize = 50;
 
-struct Engine {
+struct Engine<'a> {
     rbc: TribeRbc<BytesPayload>,
     auths: Vec<Arc<Authenticator>>,
-    fx: Effects<BytesPayload>,
+    /// The one context every delivery queues on, drained between rounds the
+    /// way the simulator recycles its buffers between handlers.
+    ctx: Ctx<'a, RbcPacket<BytesPayload>>,
+    /// The engine's events, taken after each delivery.
+    events: Vec<RbcEvent<BytesPayload>>,
 }
 
-impl Engine {
+impl Engine<'_> {
     fn handle(&mut self, from: usize, round: u64, msg: RbcMsg<BytesPayload>) {
         let packet = RbcPacket {
             source: PartyId(0),
             round: Round(round),
             msg,
         };
-        self.rbc.handle(PartyId(from as u32), &packet, &mut self.fx);
+        self.rbc
+            .handle(PartyId(from as u32), &packet, &mut self.ctx);
+        self.events.extend(self.rbc.take_events());
     }
 
     fn echo(&self, from: usize, round: u64, digest: Digest) -> RbcMsg<BytesPayload> {
@@ -418,17 +424,19 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
     let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
     let topology = Arc::new(ClanTopology::whole_tribe(TribeParams::new(N)));
     let auths = auths(N);
-    let cfg = EngineConfig::new(PartyId(1), topology, CostModel::free());
+    let cost = CostModel::free();
+    let cfg = EngineConfig::new(PartyId(1), topology, cost);
     let mut engine = Engine {
         rbc: TribeRbc::signed(cfg, Arc::clone(&auths[1])),
         auths,
-        fx: Effects::default(),
+        ctx: Ctx::new(PartyId(1), Micros(1), &cost),
+        events: Vec::new(),
     };
     let payload = BytesPayload::new(vec![0x42; 512]);
     let digest = payload.rbc_digest();
     let quorum = TribeParams::new(N).quorum();
-    // Round 1 warms the window (the row table, the effect buffers) the way
-    // any earlier round does; round 2 is measured.
+    // Round 1 warms the window (the row table, the context's queues) the
+    // way any earlier round does; round 2 is measured.
     for round in [1, 2] {
         let messages: Vec<(usize, RbcMsg<BytesPayload>)> =
             std::iter::once((0, RbcMsg::Val(payload.clone())))
@@ -443,31 +451,28 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
                 engine.handle(from, round, msg);
             }
         });
-        let delivered = |fx: &Effects<BytesPayload>| {
-            fx.events
-                .iter()
-                .any(|e| matches!(e, RbcEvent::DeliverFull { .. }))
-        };
-        assert!(
-            delivered(&engine.fx),
-            "round {round} delivered at the quorum"
-        );
-        let cert = engine
-            .fx
-            .out
+        let delivered = engine
+            .events
             .iter()
-            .find_map(|(_, p)| match &p.msg {
-                RbcMsg::EchoCert { cert, .. } => Some(Arc::clone(cert)),
+            .any(|e| matches!(e, RbcEvent::DeliverFull { .. }));
+        assert!(delivered, "round {round} delivered at the quorum");
+        let cert = engine
+            .ctx
+            .take_outbox()
+            .into_iter()
+            .find_map(|(_, p)| match p.msg {
+                RbcMsg::EchoCert { cert, .. } => Some(cert),
                 _ => None,
             })
             .expect("certificate formed");
-        engine.fx = Effects::default();
+        engine.events.clear();
         if round == 2 {
             // The row, the cold part, the echo's signature, the share
             // buffer, the certificate (sorted shares, signer set,
-            // signatures, the shared handle) and the effect buffers: 11
-            // today, 20 with a boxed instance and heap bit sets.
-            assert!(count - floor <= 11, "{} allocations", count - floor);
+            // signatures, the shared handle) and the engine's event list:
+            // 9, where a packet buffer of the engine's own made it 10 and a
+            // boxed instance with heap bit sets 20.
+            assert!(count - floor <= 9, "{} allocations", count - floor);
         }
         // Everything after certification — the remaining echoes and the 49
         // certificates the other parties forward — moves a bit or nothing.
@@ -484,7 +489,7 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
             }
         });
         assert_eq!(count - floor, 0, "allocations after certification");
-        assert!(engine.fx.out.is_empty() && engine.fx.events.is_empty());
+        assert!(engine.ctx.take_outbox().is_empty() && engine.events.is_empty());
     }
 }
 
