@@ -92,6 +92,8 @@ pub struct SailfishNode {
     pub(crate) schedule: LeaderSchedule,
     pub(crate) auth: Arc<Authenticator>,
     pub(crate) rbc: TribeRbc<MergedPayload>,
+    /// Where `flush` takes the engine's events (empty between calls).
+    rbc_events: Vec<RbcEvent<MergedPayload>>,
     pub(crate) dag: Dag,
     /// Votes, timeout announcements, certificates and this node's own vote
     /// or no-vote, one record per round; the window's base is the horizon.
@@ -240,6 +242,7 @@ impl SailfishNode {
             dag: Dag::new(tribe),
             rounds: RoundWindow::default(),
             rbc,
+            rbc_events: Vec::new(),
             auth,
             current_round: Round::GENESIS,
             stopped_proposing: false,
@@ -897,7 +900,9 @@ impl SailfishNode {
     pub(crate) fn flush(&mut self, ctx: &mut Ctx<ConsensusMsg>) {
         // Vertex intake charges land once every event is taken in.
         let mut intake_charge = Micros::ZERO;
-        for ev in self.rbc.take_events() {
+        let mut events = std::mem::take(&mut self.rbc_events);
+        self.rbc.take_events(&mut events);
+        for ev in events.drain(..) {
             let mut intake = Intake::at(ctx.now());
             match ev {
                 RbcEvent::Certified {
@@ -937,6 +942,7 @@ impl SailfishNode {
             }
             intake_charge += intake.charge;
         }
+        self.rbc_events = events;
         ctx.charge(intake_charge);
         self.try_advance(ctx);
     }

@@ -141,6 +141,7 @@ impl TribePayload for MergedPayload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clanbft_rbc::TribeRbc;
     use clanbft_types::{Micros, PartyId, Round, TxBatch};
 
     fn sample() -> MergedPayload {
@@ -161,6 +162,16 @@ mod tests {
             tc: None,
         };
         MergedPayload::new(vertex, block)
+    }
+
+    /// Every party keeps an instance record per source and round, and a
+    /// cold part once the instance is used: this byte budget, `n²` times per
+    /// round, is what bounds `n` (DESIGN.md). A new field in either record
+    /// is a conscious re-pin, not a silent cost.
+    #[test]
+    fn the_broadcast_records_of_a_merged_payload_keep_their_byte_budget() {
+        assert_eq!(TribeRbc::<MergedPayload>::INSTANCE_BYTES, 144);
+        const { assert!(TribeRbc::<MergedPayload>::COLD_BYTES <= 208) };
     }
 
     #[test]

@@ -234,8 +234,6 @@ struct Held<P: TribePayload> {
     /// Whether the view arrived straight from the source (makes a later
     /// certified-digest mismatch attributable equivocation).
     direct: bool,
-    /// Peers already served a pull response for this view (rate limiting).
-    served: PartySet,
 }
 
 impl<P: TribePayload> Held<P> {
@@ -277,12 +275,13 @@ struct Votes {
 /// 136 bytes whatever the tribe size — 144 with the pointer to the cold
 /// part, two cache lines and a quarter: 24 of them are the empty handle of
 /// the voter set's heap part, which only a tribe beyond
-/// [`PartySet::INLINE`] fills.
+/// [`PartySet::INLINE`] fills. A test beside the consensus layer's payload
+/// pins its two records (`clanbft-consensus`, `payload.rs`).
 const _: () = assert!(std::mem::size_of::<Votes>() == 136);
 
 /// What an echo after the first, or a duplicate certificate, never reads:
-/// custody of the views, pull state, signature shares, the tallies of an
-/// equivocating source. Created on first need.
+/// custody of the views, signature shares, and two boxes a benign instance
+/// never opens. Each is created on first need.
 struct Cold<P: TribePayload> {
     /// The two views, indexed by [`Which`]. A full payload also fills the
     /// meta slot (it contains the meta view).
@@ -291,23 +290,34 @@ struct Cold<P: TribePayload> {
     echoed: Option<Digest>,
     /// Shares behind [`Votes::echoes`].
     shares: Shares,
-    /// The core's other tallies: the echoes of an equivocating source, with
-    /// their shares, and the readies.
-    spill: Spill<Shares>,
-    /// Pull escalation level: 0 = none, 1 = single-peer probe (echo
-    /// quorum), 2 = full quorum fan-out (certification).
-    pull_level: u8,
-    /// Digest the outstanding pull is for (certified digest once known).
-    pull_digest: Option<Digest>,
-    /// Peers this party has directed a pull at (rotation avoids re-asking).
-    asked: PartySet,
-    /// Retry deadlines fired for this instance so far.
-    pull_attempts: u8,
-    /// Whether the retry timer chain is running.
-    retry_armed: bool,
+    /// The core's other tallies, created when it first asks: the echoes of
+    /// an equivocating source, with their shares, and the readies.
+    spill: Option<Box<Spill<Shares>>>,
+    /// Created by the first pull this party starts or serves.
+    pulls: Option<Box<Pulls>>,
     /// Whether evidence against the source was already recorded here (one
     /// record per instance, whatever it shows).
     evidence_logged: bool,
+}
+
+/// The pull sub-protocol's state of one instance, both sides of it: what
+/// this party asked for and of whom, and whom it served. A benign instance
+/// never pulls or serves, and has none.
+#[derive(Default)]
+struct Pulls {
+    /// Peers already served a pull response, per [`Which`] (rate limiting).
+    served: [PartySet; 2],
+    /// Peers this party has directed a pull at (rotation avoids re-asking).
+    asked: PartySet,
+    /// Digest the outstanding pull is for (certified digest once known).
+    digest: Option<Digest>,
+    /// Escalation level: 0 = none, 1 = single-peer probe (echo quorum),
+    /// 2 = full quorum fan-out (certification).
+    level: u8,
+    /// Retry deadlines fired for this instance so far.
+    attempts: u8,
+    /// Whether the retry timer chain is running.
+    retry_armed: bool,
 }
 
 impl<P: TribePayload> Cold<P> {
@@ -318,21 +328,24 @@ impl<P: TribePayload> Cold<P> {
             let held = || Held {
                 view: None,
                 direct: false,
-                served: PartySet::EMPTY,
             };
             Box::new(Cold {
                 held: [held(), held()],
                 echoed: None,
                 shares: Vec::new(),
-                spill: Spill::default(),
-                pull_level: 0,
-                pull_digest: None,
-                asked: PartySet::EMPTY,
-                pull_attempts: 0,
-                retry_armed: false,
+                spill: None,
+                pulls: None,
                 evidence_logged: false,
             })
         })
+    }
+
+    fn spill(&mut self) -> &mut Spill<Shares> {
+        self.spill.get_or_insert_with(Box::default)
+    }
+
+    fn pulls(&mut self) -> &mut Pulls {
+        self.pulls.get_or_insert_with(Box::default)
     }
 }
 
@@ -373,7 +386,8 @@ impl<P: TribePayload> Instance<P> {
 
     /// Echo tallies in first-seen order (one unless the source equivocates).
     fn echo_tallies(&self) -> impl Iterator<Item = &Tally> {
-        let spilled = self.cold.iter().flat_map(|c| &c.spill.echoes);
+        let spill = self.cold.iter().filter_map(|c| c.spill.as_deref());
+        let spilled = spill.flat_map(|spill| &spill.echoes);
         std::iter::once(&self.votes.echoes)
             .filter(|first| first.total > 0)
             .chain(spilled.map(|(tally, _)| tally))
@@ -388,8 +402,10 @@ impl<P: TribePayload> Instance<P> {
     fn shares_mut(&mut self) -> impl Iterator<Item = (Digest, &mut Shares)> {
         let first = self.votes.echoes.digest;
         self.cold.iter_mut().flat_map(move |cold| {
-            let spilled = cold.spill.echoes.iter_mut().map(|(t, s)| (t.digest, s));
-            std::iter::once((first, &mut cold.shares)).chain(spilled)
+            let Cold { shares, spill, .. } = &mut **cold;
+            let spilled = spill.iter_mut().flat_map(|spill| &mut spill.echoes);
+            let spilled = spilled.map(|(t, s)| (t.digest, s));
+            std::iter::once((first, shares)).chain(spilled)
         })
     }
 }
@@ -612,6 +628,11 @@ pub struct TribeRbc<P: TribePayload> {
 }
 
 impl<P: TribePayload> TribeRbc<P> {
+    /// Bytes of an instance's record in its round's row, `n` per round.
+    pub const INSTANCE_BYTES: usize = std::mem::size_of::<Instance<P>>();
+    /// Bytes of the cold part each instance in use allocates.
+    pub const COLD_BYTES: usize = std::mem::size_of::<Cold<P>>();
+
     fn new(cfg: EngineConfig, flavour: Flavour) -> TribeRbc<P> {
         TribeRbc {
             cfg,
@@ -676,7 +697,8 @@ impl<P: TribePayload> TribeRbc<P> {
         for inst in self.slots.iter() {
             stats.instances += 1;
             stats.echo_digests += inst.echo_tallies().count() as u64;
-            let pulling = inst.cold.as_ref().is_some_and(|cold| cold.retry_armed);
+            let pulls = inst.cold.as_ref().and_then(|cold| cold.pulls.as_ref());
+            let pulling = pulls.is_some_and(|pulls| pulls.retry_armed);
             if pulling && !inst.is(fact::DELIVERED) {
                 stats.pending_pulls += 1;
             }
@@ -708,9 +730,11 @@ impl<P: TribePayload> TribeRbc<P> {
         self.slots.rows.prune_below(round);
     }
 
-    /// Takes the events the calls since the last take yielded, in order.
-    pub fn take_events(&mut self) -> Vec<RbcEvent<P>> {
-        std::mem::take(&mut self.events)
+    /// Moves the events the calls since the last take yielded, in order,
+    /// to the end of `into`. The engine keeps its list's storage, so a
+    /// caller draining one vector allocates nothing once both are grown.
+    pub fn take_events(&mut self, into: &mut Vec<RbcEvent<P>>) {
+        into.append(&mut self.events);
     }
 
     /// Whether a call since the last [`TribeRbc::take_events`] yielded an
@@ -1068,10 +1092,10 @@ impl<P: TribePayload> TribeRbc<P> {
         let (first, once) = (&mut votes.echoes, &mut votes.once);
         let step = match self.flavour {
             Flavour::SignatureFree => {
-                core::signature_free(tribe, clan, first, once, || &mut Cold::of(cold).spill, vote)
+                core::signature_free(tribe, clan, first, once, || Cold::of(cold).spill(), vote)
             }
             Flavour::Signed { .. } => {
-                core::signed(tribe, clan, first, once, || &mut Cold::of(cold).spill, vote)
+                core::signed(tribe, clan, first, once, || Cold::of(cold).spill(), vote)
             }
         };
         (step, inst)
@@ -1100,7 +1124,7 @@ impl<P: TribePayload> TribeRbc<P> {
             let shares = if digest == first {
                 Some(&mut cold.shares)
             } else {
-                let mut spilled = cold.spill.echoes.iter_mut();
+                let mut spilled = cold.spill.iter_mut().flat_map(|spill| &mut spill.echoes);
                 spilled.find(|(t, _)| t.digest == digest).map(|(_, s)| s)
             };
             if let Some(shares) = shares {
@@ -1354,12 +1378,12 @@ impl<P: TribePayload> TribeRbc<P> {
         level: u8,
         ctx: &mut Ctx<'_, M>,
     ) {
-        let cold = self.instance(round, source).cold();
-        if cold.pull_level >= level {
+        let pulls = self.instance(round, source).cold().pulls();
+        if pulls.level >= level {
             return;
         }
-        let already = cold.pull_level as usize;
-        cold.pull_level = level;
+        let already = pulls.level as usize;
+        pulls.level = level;
         self.trace(RbcPhase::PullStarted, round, source, ctx.now());
         let pull_retry = self.cfg.pull_retry;
         let (which, eligible, quorum) = self.pull_scope(round, source);
@@ -1381,16 +1405,16 @@ impl<P: TribePayload> TribeRbc<P> {
         if targets.is_empty() && already == 0 {
             targets = eligible.into_iter().take(want).collect();
         }
-        let cold = inst.cold();
-        cold.pull_digest = Some(digest);
+        let pulls = inst.cold().pulls();
+        pulls.digest = Some(digest);
         for t in targets {
-            cold.asked.insert(t);
+            pulls.asked.insert(t);
             ctx.send(t, packet(source, round, which.request(digest)));
         }
         // Arm the retry chain: if none of the targets answers before the
         // deadline, `on_retry` rotates to peers not yet asked.
-        if !cold.retry_armed {
-            cold.retry_armed = true;
+        if !pulls.retry_armed {
+            pulls.retry_armed = true;
             ctx.set_timer(pull_retry, retry_token(round, source));
         }
     }
@@ -1411,17 +1435,18 @@ impl<P: TribePayload> TribeRbc<P> {
         ctx: &mut Ctx<'_, M>,
     ) {
         let tel = self.cfg.telemetry.clone();
-        let held = &mut self.instance(round, source).cold().held[which as usize];
-        if held.served.contains(from) {
+        let cold = self.instance(round, source).cold();
+        let served = |pulls: &Pulls| pulls.served[which as usize].contains(from);
+        if cold.pulls.as_deref().is_some_and(served) {
             tel.add(counters::REJECTED_DUPLICATE, 1);
             return;
         }
-        let response = match &held.view {
+        let response = match &cold.held[which as usize].view {
             Some((View::Full(payload), d)) if *d == digest => RbcMsg::PullResp(payload.clone()),
             Some((View::Meta(meta), d)) if *d == digest => RbcMsg::MetaResp(meta.clone()),
             _ => return,
         };
-        held.served.insert(from);
+        cold.pulls().served[which as usize].insert(from);
         ctx.send(from, packet(source, round, response));
     }
 
@@ -1442,16 +1467,18 @@ impl<P: TribePayload> TribeRbc<P> {
             return;
         };
         let delivered = inst.is(fact::DELIVERED);
-        let wanted = certified.or(inst.cold.as_ref().and_then(|cold| cold.pull_digest));
+        let pulls = inst.cold.as_ref().and_then(|cold| cold.pulls.as_ref());
+        let wanted = certified.or(pulls.and_then(|pulls| pulls.digest));
         let echoers = wanted.and_then(|digest| inst.echo_set(&digest));
         let echoers = echoers.map_or(PartySet::EMPTY, |set| set.voters.clone());
-        let cold = Cold::of(&mut inst.cold);
-        if delivered || cold.pull_attempts >= MAX_PULL_ATTEMPTS {
-            cold.retry_armed = false;
+        let Cold { held, pulls, .. } = Cold::of(&mut inst.cold);
+        let pulls = pulls.get_or_insert_with(Box::default);
+        if delivered || pulls.attempts >= MAX_PULL_ATTEMPTS {
+            pulls.retry_armed = false;
             return;
         }
-        cold.pull_attempts += 1;
-        let delay = Micros(base.0 << (cold.pull_attempts.min(3) as u64));
+        pulls.attempts += 1;
+        let delay = Micros(base.0 << (pulls.attempts.min(3) as u64));
         let Some(digest) = wanted else {
             // Nothing certified and no pull outstanding: keep a slow
             // heartbeat in case certification arrives later (it will
@@ -1459,8 +1486,8 @@ impl<P: TribePayload> TribeRbc<P> {
             ctx.set_timer(delay, retry_token(round, source));
             return;
         };
-        if cold.held[which as usize].view.is_some() {
-            cold.retry_armed = false;
+        if held[which as usize].view.is_some() {
+            pulls.retry_armed = false;
             return;
         }
         // Rotate: prefer echoers of the digest we have not asked yet, then
@@ -1471,16 +1498,16 @@ impl<P: TribePayload> TribeRbc<P> {
             if targets.len() >= want {
                 break;
             }
-            if eligible.contains(&p) && !cold.asked.contains(p) && !targets.contains(&p) {
+            if eligible.contains(&p) && !pulls.asked.contains(p) && !targets.contains(&p) {
                 targets.push(p);
             }
         }
         if targets.is_empty() {
-            cold.asked = PartySet::EMPTY;
+            pulls.asked = PartySet::EMPTY;
             targets = eligible.into_iter().take(want).collect();
         }
         for t in &targets {
-            cold.asked.insert(*t);
+            pulls.asked.insert(*t);
         }
         self.cfg.telemetry.add(counters::PULL_RETRIES, 1);
         self.trace(RbcPhase::PullRetry, round, source, ctx.now());
@@ -1560,9 +1587,11 @@ mod tests {
             msg,
         };
         rig.engine.handle(PartyId(from), &packet, &mut ctx);
+        let mut events = Vec::new();
+        rig.engine.take_events(&mut events);
         Queued {
             out: ctx.take_outbox(),
-            events: rig.engine.take_events(),
+            events,
         }
     }
 
@@ -1577,11 +1606,86 @@ mod tests {
     fn echo_state(rig: &Rig) -> (usize, usize) {
         let inst = rig.engine.slots.get(ROUND, SOURCE).expect("instance");
         let cold = inst.cold.as_ref().expect("the VAL was accepted");
-        let spilled = cold.spill.echoes.iter().map(|(_, shares)| shares.len());
+        let spill = cold.spill.iter().flat_map(|spill| &spill.echoes);
+        let spilled = spill.map(|(_, shares)| shares.len());
         (
             inst.echo_tallies().map(|set| usize::from(set.total)).sum(),
             cold.shares.len() + spilled.sum::<usize>(),
         )
+    }
+
+    /// Whether the instance under test has a [`Pulls`] record and a
+    /// [`Spill`] box.
+    fn boxes(rig: &Rig) -> (bool, bool) {
+        let inst = rig.engine.slots.get(ROUND, SOURCE).expect("instance");
+        let cold = inst.cold.as_ref().expect("the cold part");
+        (cold.pulls.is_some(), cold.spill.is_some())
+    }
+
+    #[test]
+    fn a_benign_instance_neither_pulls_nor_spills() {
+        let mut r = rig(1);
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        for signer in [0, 2, 1, 3] {
+            feed_echo(&mut r, signer);
+        }
+        assert!(r.engine.delivered(ROUND, SOURCE));
+        assert_eq!(boxes(&r), (false, false));
+
+        // A second digest is what opens the spill box, and all it opens.
+        let digest = BytesPayload::new(vec![0x18; 128]).rbc_digest();
+        let statement = echo_statement(SOURCE, ROUND, &digest);
+        let sig = Some(r.auths[2].sign_digest(&statement));
+        feed(&mut r, 2, RbcMsg::Echo { digest, sig });
+        assert_eq!(boxes(&r), (false, true));
+    }
+
+    #[test]
+    fn serving_a_pull_creates_the_pulls_record_and_answers_once_per_peer_and_view() {
+        let mut r = rig(1);
+        let digest = payload().rbc_digest();
+        // A pull that races ahead of the payload is not answered and burns
+        // nothing: the peer keeps its one answer.
+        assert!(feed(&mut r, 2, RbcMsg::Pull { digest }).out.is_empty());
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        assert_eq!(boxes(&r), (false, false));
+
+        let answers = |r: &mut Rig, from, msg| feed(r, from, msg).out.len();
+        assert_eq!(answers(&mut r, 2, RbcMsg::Pull { digest }), 1);
+        assert_eq!(boxes(&r), (true, false), "serving creates the record");
+        assert_eq!(answers(&mut r, 2, RbcMsg::Pull { digest }), 0);
+        assert_eq!(answers(&mut r, 2, RbcMsg::PullMeta { digest }), 1);
+        assert_eq!(answers(&mut r, 2, RbcMsg::PullMeta { digest }), 0);
+        assert_eq!(answers(&mut r, 3, RbcMsg::Pull { digest }), 1);
+        assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), 2);
+        assert_eq!(r.engine.buffer_stats().pending_pulls, 0);
+    }
+
+    #[test]
+    fn a_pull_lives_in_its_record_and_is_pending_until_delivery() {
+        // Party 3 certifies on three echoes without the payload: a probe of
+        // one echoer at the echo quorum, then the fan-out at certification.
+        let mut r = rig(3);
+        feed_echo(&mut r, 0);
+        feed_echo(&mut r, 1);
+        let fx = feed_echo(&mut r, 2);
+        let asked: Vec<PartyId> = fx
+            .out
+            .iter()
+            .filter_map(|(to, p)| matches!(p.msg, RbcMsg::Pull { .. }).then_some(*to))
+            .collect();
+        assert_eq!(asked, [PartyId(0), PartyId(1)]);
+        assert_eq!(boxes(&r), (true, false));
+        let inst = r.engine.slots.get(ROUND, SOURCE).expect("instance");
+        let pulls = inst.cold.as_ref().and_then(|c| c.pulls.as_ref()).unwrap();
+        assert_eq!((pulls.level, pulls.attempts), (2, 0));
+        assert!(pulls.retry_armed && asked.iter().all(|p| pulls.asked.contains(*p)));
+        assert_eq!(pulls.digest, Some(payload().rbc_digest()));
+        assert_eq!(r.engine.buffer_stats().pending_pulls, 1);
+
+        feed(&mut r, 1, RbcMsg::PullResp(payload()));
+        assert!(r.engine.delivered(ROUND, SOURCE));
+        assert_eq!(r.engine.buffer_stats().pending_pulls, 0);
     }
 
     #[test]

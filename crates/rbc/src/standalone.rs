@@ -67,7 +67,9 @@ impl<P: TribePayload> StandaloneNode<P> {
 
     /// Records what the engine's last call yielded.
     fn record_events(&mut self, ctx: &Ctx<RbcPacket<P>>) {
-        for ev in self.engine.take_events() {
+        let mut events = Vec::new();
+        self.engine.take_events(&mut events);
+        for ev in events {
             match ev {
                 RbcEvent::DeliverFull {
                     source,

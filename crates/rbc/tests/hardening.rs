@@ -82,7 +82,8 @@ fn run(
     let cost = CostModel::free();
     let mut ctx = Ctx::new(rig.engine.config().me, now, &cost);
     call(&mut rig.engine, &mut ctx);
-    let events = rig.engine.take_events();
+    let mut events = Vec::new();
+    rig.engine.take_events(&mut events);
     rig.evidence.extend(events.iter().filter_map(|e| match e {
         RbcEvent::Evidence(ev) => Some(*ev),
         _ => None,

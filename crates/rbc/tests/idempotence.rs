@@ -83,7 +83,8 @@ fn handle(rig: &mut Rig, from: u32, pkt: RbcPacket<BytesPayload>) -> Queued {
     let cost = CostModel::free();
     let mut ctx = Ctx::new(rig.engine.config().me, Micros(1), &cost);
     rig.engine.handle(PartyId(from), &pkt, &mut ctx);
-    let events = rig.engine.take_events();
+    let mut events = Vec::new();
+    rig.engine.take_events(&mut events);
     rig.evidence.extend(events.iter().filter_map(|e| match e {
         RbcEvent::Evidence(ev) => Some(*ev),
         _ => None,

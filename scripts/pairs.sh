@@ -6,6 +6,7 @@
 # which side goes first.
 #
 #   scripts/pairs.sh <A> <B> [--workload W] [--seed S] [--pairs N] [--seconds T]
+#                    [--metric host_cpu_s|host_peak_rss_mb]
 #
 # A and B are each a git revision (its benchmark/ is built from a
 # `git archive` copy into a target directory of its own) or the path of a
@@ -16,15 +17,17 @@
 #       --manifest-path benchmark/Cargo.toml
 #   scripts/pairs.sh HEAD target/pairs/tgt-work/release/clanbft-benchmark
 #
-# Prints each pair's host_cpu_s, then per side the median with quartiles
-# of host_cpu_s, host_peak_rss_mb and setup_s, each with its ratio of
-# medians, and the wins on host_cpu_s (the only metric the verdict reads).
-# B is called faster only if, over at least ten pairs, it wins nine tenths
-# of them and the medians lie further apart than A's interquartile range.
-# No verdict at all if any sim_* value or ok_share differs between any two
-# runs: the two builds then did not do the same work. Defaults: clan50_sat,
-# seed 11, ten pairs, BENCHMARK.json's run_seconds. Everything is written
-# under $PAIRS_DIR (default target/pairs). Build nothing while it runs.
+# Prints each pair's value of the judged metric (--metric, host_cpu_s by
+# default), then per side the median with quartiles of host_cpu_s,
+# host_peak_rss_mb and setup_s, each with its ratio of medians, and the wins
+# on the judged metric (the only one the verdict reads; lower is better for
+# both). B is called better only if, over at least ten pairs, it wins nine
+# tenths of them and the medians lie further apart than A's interquartile
+# range. No verdict at all if any sim_* value or ok_share differs between
+# any two runs: the two builds then did not do the same work. Defaults:
+# clan50_sat, seed 11, ten pairs, BENCHMARK.json's run_seconds, host_cpu_s.
+# Everything is written under $PAIRS_DIR (default target/pairs). Build
+# nothing while it runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +42,7 @@ shift 2
 WORKLOAD=clan50_sat
 SEED=11
 PAIRS=10
+METRIC=host_cpu_s
 SECS=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
@@ -47,10 +51,16 @@ while [ $# -gt 0 ]; do
         --seed) SEED=$2 ;;
         --pairs) PAIRS=$2 ;;
         --seconds) SECS=$2 ;;
+        --metric) METRIC=$2 ;;
         *) usage ;;
     esac
     shift 2
 done
+case $METRIC in
+    host_cpu_s) JUDGED=cpu ;;
+    host_peak_rss_mb) JUDGED=rss ;;
+    *) usage ;;
+esac
 
 DIR=${PAIRS_DIR:-target/pairs}
 mkdir -p "$DIR"
@@ -96,7 +106,7 @@ simulated() { # < result object
 
 echo "A = $A ($BIN_A)"
 echo "B = $B ($BIN_B)"
-echo "$WORKLOAD, seed $SEED, --seconds $SECS, $PAIRS pairs"
+echo "$WORKLOAD, seed $SEED, --seconds $SECS, $PAIRS pairs, judged on $METRIC"
 : > "$DIR/a.cpu"; : > "$DIR/b.cpu"; : > "$DIR/a.rss"; : > "$DIR/b.rss"
 : > "$DIR/a.setup"; : > "$DIR/b.setup"
 REFERENCE=
@@ -118,10 +128,10 @@ for i in $(seq 1 "$PAIRS"); do
             echo "  this:  $sim" >&2
         fi
     done
-    a=$(tail -1 "$DIR/a.cpu")
-    b=$(tail -1 "$DIR/b.cpu")
-    awk -v i="$i" -v a="$a" -v b="$b" -v o="$order" 'BEGIN {
-        printf "pair %2d  A %.3f s  B %.3f s  B/A %.3f  (%s first)\n", i, a, b, b / a, toupper(substr(o, 1, 1))
+    a=$(tail -1 "$DIR/a.$JUDGED")
+    b=$(tail -1 "$DIR/b.$JUDGED")
+    awk -v i="$i" -v a="$a" -v b="$b" -v o="$order" -v m="$METRIC" 'BEGIN {
+        printf "pair %2d  %s  A %.3f  B %.3f  B/A %.3f  (%s first)\n", i, m, a, b, b / a, toupper(substr(o, 1, 1))
     }'
 done
 
@@ -142,16 +152,19 @@ read -r A_RSS A_RSS1 A_RSS3 < <(summary "$DIR/a.rss")
 read -r B_RSS B_RSS1 B_RSS3 < <(summary "$DIR/b.rss")
 read -r A_SET A_SET1 A_SET3 < <(summary "$DIR/a.setup")
 read -r B_SET B_SET1 B_SET3 < <(summary "$DIR/b.setup")
-WINS=$(paste "$DIR/a.cpu" "$DIR/b.cpu" | awk '$2 < $1 { b++ } $1 < $2 { a++ } END { print b + 0, a + 0 }')
+read -r A_J A_J1 A_J3 < <(summary "$DIR/a.$JUDGED")
+read -r B_J _ _ < <(summary "$DIR/b.$JUDGED")
+WINS=$(paste "$DIR/a.$JUDGED" "$DIR/b.$JUDGED" | awk '$2 < $1 { b++ } $1 < $2 { a++ } END { print b + 0, a + 0 }')
 read -r B_WINS A_WINS <<< "$WINS"
 awk -v am="$A_MED" -v a1="$A_Q1" -v a3="$A_Q3" -v bm="$B_MED" -v b1="$B_Q1" -v b3="$B_Q3" \
     -v ar="$A_RSS" -v ar1="$A_RSS1" -v ar3="$A_RSS3" -v br="$B_RSS" -v br1="$B_RSS1" -v br3="$B_RSS3" \
     -v as="$A_SET" -v as1="$A_SET1" -v as3="$A_SET3" -v bs="$B_SET" -v bs1="$B_SET1" -v bs3="$B_SET3" \
+    -v m="$METRIC" -v aj="$A_J" -v aj1="$A_J1" -v aj3="$A_J3" -v bj="$B_J" \
     -v bw="$B_WINS" -v aw="$A_WINS" -v n="$PAIRS" -v same="$SAME" 'BEGIN {
     printf "host_cpu_s        A %.3f [%.3f, %.3f]   B %.3f [%.3f, %.3f]   B/A %.3f\n", am, a1, a3, bm, b1, b3, bm / am
     printf "host_peak_rss_mb  A %.1f [%.1f, %.1f]   B %.1f [%.1f, %.1f]   B/A %.3f\n", ar, ar1, ar3, br, br1, br3, br / ar
     printf "setup_s (ms)      A %.3f [%.3f, %.3f]   B %.3f [%.3f, %.3f]   B/A %.3f\n", as * 1e3, as1 * 1e3, as3 * 1e3, bs * 1e3, bs1 * 1e3, bs3 * 1e3, bs / as
-    printf "B/A = %.3f (base A %.3f s); B wins %d/%d, A wins %d/%d\n", bm / am, am, bw, n, aw, n
+    printf "%s B/A = %.3f (base A %.3f); B wins %d/%d, A wins %d/%d\n", m, bj / aj, aj, bw, n, aw, n
     if (!same) {
         print "no verdict: a sim_* value or ok_share differed between runs (see above)"
         exit 1
@@ -160,8 +173,8 @@ awk -v am="$A_MED" -v a1="$A_Q1" -v a3="$A_Q3" -v bm="$B_MED" -v b1="$B_Q1" -v b
         print "no verdict: the rule wants at least ten pairs"
         exit 0
     }
-    apart = (am > bm ? am - bm : bm - am) > a3 - a1
-    if (bw * 10 >= n * 9 && bm < am && apart) print "verdict: B is faster"
-    else if (aw * 10 >= n * 9 && am < bm && apart) print "verdict: B is slower"
-    else print "verdict: unresolved (needs 9/10 wins and medians further apart than A'"'"'s interquartile range)"
+    apart = (aj > bj ? aj - bj : bj - aj) > aj3 - aj1
+    if (bw * 10 >= n * 9 && bj < aj && apart) print "verdict: B is better on " m
+    else if (aw * 10 >= n * 9 && aj < bj && apart) print "verdict: B is worse on " m
+    else print "verdict: unresolved on " m " (needs 9/10 wins and medians further apart than A'"'"'s interquartile range)"
 }'
