@@ -12,6 +12,7 @@
 
 use crate::core::{self, Count, Once, Spill, Step, Tally, Vote};
 use crate::payload::TribePayload;
+use crate::pull::{plan_pull, Ask};
 use crate::topology::ClanTopology;
 use clanbft_crypto::multisig::AggregateVerdict;
 use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Hasher, Signature};
@@ -309,11 +310,8 @@ struct Pulls {
     served: [PartySet; 2],
     /// Peers this party has directed a pull at (rotation avoids re-asking).
     asked: PartySet,
-    /// Digest the outstanding pull is for (certified digest once known).
+    /// Digest the outstanding pull is for, set by the first pull started.
     digest: Option<Digest>,
-    /// Escalation level: 0 = none, 1 = single-peer probe (echo quorum),
-    /// 2 = full quorum fan-out (certification).
-    level: u8,
     /// Retry deadlines fired for this instance so far.
     attempts: u8,
     /// Whether the retry timer chain is running.
@@ -1241,12 +1239,12 @@ impl<P: TribePayload> TribeRbc<P> {
             let lacks_payload = !self.instance(round, source).holds(Which::Full);
             self.trace(RbcPhase::EchoQuorum, round, source, ctx.now());
             if lacks_payload && self.my_view(round, source) == Which::Full {
-                // Gentle first probe: one clan echoer. In the good case the
-                // sender's own copy is moments away; the guaranteed-honest
-                // f_c+1 fan-out waits for certification (§5's early
-                // download, without amplifying every in-flight block into a
-                // pull storm).
-                self.start_pull(round, source, digest, 1, ctx);
+                // Gentle first probe, one clan echoer: the sender's own copy
+                // is moments away in the good case (§5's early download,
+                // without a pull storm). After it the fan-out at
+                // certification asks one fewer than `f_c + 1`, or nobody
+                // (`plan_pull`'s shortfall, ROADMAP item 4(b)).
+                self.start_pull(round, source, digest, false, ctx);
             }
         }
         if step.send_ready {
@@ -1306,7 +1304,7 @@ impl<P: TribePayload> TribeRbc<P> {
             if let Some(cold) = &mut self.instance(round, source).cold {
                 cold.held[which as usize].view = None;
             }
-            self.start_pull(round, source, digest, 2, ctx);
+            self.start_pull(round, source, digest, true, ctx);
         }
     }
 
@@ -1347,75 +1345,61 @@ impl<P: TribePayload> TribeRbc<P> {
         true
     }
 
-    /// Who can serve the view this party is due of `(round, source)`, and
-    /// how many of them to ask so that one is honest: the source's clan and
-    /// `f_c+1` for the full payload, the whole tribe and `f+1` for the meta
-    /// view. This party itself is never a candidate.
-    fn pull_scope(&self, round: Round, source: PartyId) -> (Which, Vec<PartyId>, usize) {
-        let me = self.cfg.me;
-        let topo = self.cfg.topology_at(round);
-        match self.my_view(round, source) {
-            Which::Full => {
-                let clan = topo.clan_for_sender(source);
-                let peers = clan.members.iter().copied().filter(|p| *p != me);
-                (Which::Full, peers.collect(), clan.clan_quorum)
-            }
-            Which::Meta => {
-                let peers = topo.tribe().parties().filter(|p| *p != me);
-                (Which::Meta, peers.collect(), topo.tribe().small_quorum())
-            }
-        }
-    }
-
-    /// Requests the view this party is due, up to `level` escalation: 1 = a
-    /// single echoer (cheap probe), 2 = a quorum of peers that echoed
-    /// `digest` (at least one of them is honest and holds it).
+    /// Starts the probe, or the fan-out at certification, and arms the
+    /// retry chain. Each fires once (the echo-quorum once-fact;
+    /// [`Slots::certify`]); a probe after the fan-out asks nobody.
     fn start_pull<M: Carries<P>>(
         &mut self,
         round: Round,
         source: PartyId,
         digest: Digest,
-        level: u8,
+        fan_out: bool,
         ctx: &mut Ctx<'_, M>,
     ) {
-        let pulls = self.instance(round, source).cold().pulls();
-        if pulls.level >= level {
-            return;
-        }
-        let already = pulls.level as usize;
-        pulls.level = level;
+        let pulled = self.instance(round, source).cold().pulls().digest;
+        let ask = match (fan_out, pulled.is_some()) {
+            (true, probed) => Ask::FanOut { probed },
+            (false, false) => Ask::Probe,
+            (false, true) => return,
+        };
         self.trace(RbcPhase::PullStarted, round, source, ctx.now());
+        self.ask(round, source, digest, ask, ctx);
         let pull_retry = self.cfg.pull_retry;
-        let (which, eligible, quorum) = self.pull_scope(round, source);
-        let inst = self.instance(round, source);
-        let want = if level >= 2 { quorum } else { 1 };
-        let mut targets: Vec<PartyId> = inst
-            .echo_set(&digest)
-            .map(|set| {
-                set.voters
-                    .iter()
-                    .filter(|p| eligible.contains(p))
-                    .take(want)
-                    .skip(already)
-                    .collect()
-            })
-            .unwrap_or_default();
-        // Fall back to any eligible peers if echo provenance is unknown (can
-        // happen when certification arrives via certificate before echoes).
-        if targets.is_empty() && already == 0 {
-            targets = eligible.into_iter().take(want).collect();
+        let pulls = self.instance(round, source).cold().pulls();
+        if !std::mem::replace(&mut pulls.retry_armed, true) {
+            ctx.set_timer(pull_retry, retry_token(round, source));
         }
+    }
+
+    /// Pulls `digest`'s view from whom [`plan_pull`] picks: of the source's
+    /// clan (`f_c + 1`) for the payload, of the tribe (`f + 1`) for the meta.
+    fn ask<M: Carries<P>>(
+        &mut self,
+        round: Round,
+        source: PartyId,
+        digest: Digest,
+        ask: Ask,
+        ctx: &mut Ctx<'_, M>,
+    ) {
+        let me = self.cfg.me;
+        let topo = self.cfg.topology_at(round);
+        let (tribe, clan) = (topo.tribe(), topo.clan_for_sender(source));
+        let which = self.my_view(round, source);
+        let (peers, quorum) = match which {
+            Which::Full => (clan.member_bits.clone(), clan.clan_quorum),
+            Which::Meta => (tribe.parties().collect(), tribe.small_quorum()),
+        };
+        let inst = self.instance(round, source);
+        let echoers = inst.echo_set(&digest).map(|set| set.voters.clone());
         let pulls = inst.cold().pulls();
         pulls.digest = Some(digest);
-        for t in targets {
-            pulls.asked.insert(t);
-            ctx.send(t, packet(source, round, which.request(digest)));
-        }
-        // Arm the retry chain: if none of the targets answers before the
-        // deadline, `on_retry` rotates to peers not yet asked.
-        if !pulls.retry_armed {
-            pulls.retry_armed = true;
-            ctx.set_timer(pull_retry, retry_token(round, source));
+        let echoers = echoers.unwrap_or_default();
+        for to in plan_pull(ask, quorum, &echoers, &peers, me, &mut pulls.asked) {
+            let request = match which {
+                Which::Full => RbcMsg::Pull { digest },
+                Which::Meta => RbcMsg::PullMeta { digest },
+            };
+            ctx.send(to, packet(source, round, request));
         }
     }
 
@@ -1452,25 +1436,20 @@ impl<P: TribePayload> TribeRbc<P> {
 
     /// Pull-retry deadline for `(round, source)` expired (see
     /// [`parse_retry_token`]): if the instance still needs data, re-send
-    /// the pull to peers not yet asked (rotation) and re-arm with
+    /// the pull to peers not yet asked (`Ask::Retry`) and re-arm with
     /// exponential backoff. A withholding first target therefore stalls
     /// delivery by at most one deadline.
     pub fn on_retry<M: Carries<P>>(&mut self, round: Round, source: PartyId, ctx: &mut Ctx<'_, M>) {
         let _prof = clanbft_profiler::scope("rbc.retry");
-        let base = self.cfg.pull_retry;
         if round < self.slots.rows.base() {
             return; // instance pruned (committed + GC'd): chain dies
         }
-        let (which, eligible, want) = self.pull_scope(round, source);
+        let which = self.my_view(round, source);
         let certified = self.slots.certified(round, source);
         let Some(inst) = self.slots.get_mut(round, source) else {
             return;
         };
         let delivered = inst.is(fact::DELIVERED);
-        let pulls = inst.cold.as_ref().and_then(|cold| cold.pulls.as_ref());
-        let wanted = certified.or(pulls.and_then(|pulls| pulls.digest));
-        let echoers = wanted.and_then(|digest| inst.echo_set(&digest));
-        let echoers = echoers.map_or(PartySet::EMPTY, |set| set.voters.clone());
         let Cold { held, pulls, .. } = Cold::of(&mut inst.cold);
         let pulls = pulls.get_or_insert_with(Box::default);
         if delivered || pulls.attempts >= MAX_PULL_ATTEMPTS {
@@ -1478,11 +1457,10 @@ impl<P: TribePayload> TribeRbc<P> {
             return;
         }
         pulls.attempts += 1;
-        let delay = Micros(base.0 << (pulls.attempts.min(3) as u64));
-        let Some(digest) = wanted else {
-            // Nothing certified and no pull outstanding: keep a slow
-            // heartbeat in case certification arrives later (it will
-            // escalate pulls itself; this chain is already armed).
+        let delay = Micros(self.cfg.pull_retry.0 << (pulls.attempts.min(3) as u64));
+        let Some(digest) = certified.or(pulls.digest) else {
+            // Nothing certified and no pull outstanding: a slow heartbeat
+            // until certification, which starts a pull of its own.
             ctx.set_timer(delay, retry_token(round, source));
             return;
         };
@@ -1490,30 +1468,9 @@ impl<P: TribePayload> TribeRbc<P> {
             pulls.retry_armed = false;
             return;
         }
-        // Rotate: prefer echoers of the digest we have not asked yet, then
-        // any eligible peer not asked; once everyone was asked, clear the
-        // slate and start over (a served response would have delivered).
-        let mut targets: Vec<PartyId> = Vec::with_capacity(want);
-        for p in echoers.iter().chain(eligible.iter().copied()) {
-            if targets.len() >= want {
-                break;
-            }
-            if eligible.contains(&p) && !pulls.asked.contains(p) && !targets.contains(&p) {
-                targets.push(p);
-            }
-        }
-        if targets.is_empty() {
-            pulls.asked = PartySet::EMPTY;
-            targets = eligible.into_iter().take(want).collect();
-        }
-        for t in &targets {
-            pulls.asked.insert(*t);
-        }
         self.cfg.telemetry.add(counters::PULL_RETRIES, 1);
         self.trace(RbcPhase::PullRetry, round, source, ctx.now());
-        for t in targets {
-            ctx.send(t, packet(source, round, which.request(digest)));
-        }
+        self.ask(round, source, digest, Ask::Retry, ctx);
         ctx.set_timer(delay, retry_token(round, source));
     }
 }
@@ -1521,16 +1478,6 @@ impl<P: TribePayload> TribeRbc<P> {
 /// `msg` of `(round, source)`'s instance, as the message type `M` carries it.
 fn packet<P: TribePayload, M: Carries<P>>(source: PartyId, round: Round, msg: RbcMsg<P>) -> M {
     RbcPacket { source, round, msg }.into()
-}
-
-impl Which {
-    /// The pull request for this view of the payload with `digest`.
-    fn request<P: TribePayload>(self, digest: Digest) -> RbcMsg<P> {
-        match self {
-            Which::Full => RbcMsg::Pull { digest },
-            Which::Meta => RbcMsg::PullMeta { digest },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1678,7 +1625,7 @@ mod tests {
         assert_eq!(boxes(&r), (true, false));
         let inst = r.engine.slots.get(ROUND, SOURCE).expect("instance");
         let pulls = inst.cold.as_ref().and_then(|c| c.pulls.as_ref()).unwrap();
-        assert_eq!((pulls.level, pulls.attempts), (2, 0));
+        assert_eq!(pulls.attempts, 0);
         assert!(pulls.retry_armed && asked.iter().all(|p| pulls.asked.contains(*p)));
         assert_eq!(pulls.digest, Some(payload().rbc_digest()));
         assert_eq!(r.engine.buffer_stats().pending_pulls, 1);

@@ -19,24 +19,20 @@
 //! after the vertex alone.
 //!
 //! Missing views are fetched by the pull sub-protocol built into the
-//! engine. A clan member that reaches the echo quorum without the payload
-//! probes one clan echoer of the digest, or any clan member if it counted
-//! none (§5's early download). Once it certifies, it asks the first
-//! `f_c + 1` clan echoers it counted, skipping the first if it probed:
-//! `f_c + 1` echoers include an honest one (paper §3's download step). A
-//! party that certified through a received certificate (the signed
-//! flavour's echo quorum and certification then fire in one step, probe
-//! included) may have counted fewer, and then asks fewer, or nobody new;
-//! only the retry chain
-//! ([`EngineConfig::pull_retry`], doubling per attempt), which rotates
-//! through the echoers not yet asked and then any clan member, `f_c + 1` at
-//! a time, makes up the difference. A party outside the clan pulls the meta
-//! view at certification from `f + 1` echoers the same way, or from any
-//! `f + 1` parties if it counted no echo.
+//! engine; one pure function, the crate-private `plan_pull`, picks whom it
+//! asks. A clan member that reaches the echo quorum without the payload
+//! probes one clan echoer, or any clan member if it counted none (§5's
+//! early download). At certification it asks `f_c + 1` clan echoers, one of
+//! them honest and holding it (paper §3's download step) — but after a
+//! probe one fewer, or nobody new (ROADMAP item 4(b)). The retry chain
+//! ([`EngineConfig::pull_retry`], doubling per attempt) asks `f_c + 1`
+//! clan members not yet asked, echoers first. A party outside the clan
+//! pulls the meta view from `f + 1` of the tribe the same way.
 
 mod core;
 pub mod engine;
 pub mod payload;
+mod pull;
 pub mod standalone;
 pub mod topology;
 

@@ -14,7 +14,7 @@ use clanbft_rbc::{
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::net::{SimConfig, Simulator};
 use clanbft_simnet::protocol::Ctx;
-use clanbft_telemetry::{counters, MemRecorder, Telemetry};
+use clanbft_telemetry::{counters, Event, MemRecorder, RbcPhase, Telemetry};
 use clanbft_types::{Evidence, Micros, PartyId, Round, TribeParams};
 use std::sync::Arc;
 
@@ -176,9 +176,8 @@ fn pull_spam_gets_at_most_one_response() {
 #[test]
 fn retry_backs_off_rotates_and_stops_after_delivery() {
     // Party 3 certifies via echoes from 0, 1, 2 without ever holding the
-    // payload: the engine pulls from `clan_quorum` echoers and arms a
-    // deadline. Every expiry rotates to peers not yet asked and doubles the
-    // backoff; a served response kills the chain.
+    // payload, and arms a deadline. Every expiry rotates to peers not yet
+    // asked and doubles the backoff; a served response kills the chain.
     let mut r = rig(4, 3);
     feed_echo(&mut r, 0, 0, 1);
     feed_echo(&mut r, 1, 0, 1);
@@ -187,8 +186,12 @@ fn retry_backs_off_rotates_and_stops_after_delivery() {
         .events
         .iter()
         .any(|e| matches!(e, RbcEvent::Certified { .. })));
+    // The echo quorum and certification fire in one step: the probe asks
+    // the first echoer, P0, then the fan-out asks the first `clan_quorum`
+    // = 2 echoers less the probed one, i.e. only P1 (the shortfall ROADMAP
+    // item 4(b) mends).
     let first_targets = pull_targets(&fx);
-    assert_eq!(first_targets.len(), 2, "pulls go to clan_quorum echoers");
+    assert_eq!(first_targets, [PartyId(0), PartyId(1)]);
     let (delay0, token) = fx.timers[0];
     assert_eq!(
         delay0, PULL_RETRY,
@@ -201,13 +204,11 @@ fn retry_backs_off_rotates_and_stops_after_delivery() {
     let fx1 = retry(&mut r, PULL_RETRY, 1);
     assert_eq!(r.rec.counter(counters::PULL_RETRIES), 1);
     let second_targets = pull_targets(&fx1);
-    assert!(!second_targets.is_empty(), "retry must re-send pulls");
-    for t in &second_targets {
-        assert!(
-            !first_targets.contains(t),
-            "retry must rotate to peers not yet asked"
-        );
-    }
+    assert_eq!(
+        second_targets,
+        [PartyId(2)],
+        "retry must rotate to peers not yet asked"
+    );
     assert_eq!(
         fx1.timers[0].0,
         Micros(PULL_RETRY.0 << 1),
@@ -218,7 +219,7 @@ fn retry_backs_off_rotates_and_stops_after_delivery() {
     // backoff keeps growing.
     let fx2 = retry(&mut r, Micros(PULL_RETRY.0 * 3), 1);
     assert_eq!(r.rec.counter(counters::PULL_RETRIES), 2);
-    assert!(!pull_targets(&fx2).is_empty());
+    assert_eq!(pull_targets(&fx2), [PartyId(0), PartyId(1)]);
     assert_eq!(fx2.timers[0].0, Micros(PULL_RETRY.0 << 2));
 
     // A response lands: delivery happens and the next expiry is inert.
@@ -261,6 +262,119 @@ fn retry_chain_is_bounded() {
         MAX_PULL_ATTEMPTS as u64,
         "attempts beyond the cap must not count as retries"
     );
+}
+
+/// The peers one call sent a meta-view pull to, in order.
+fn meta_pull_targets(fx: &Queued) -> Vec<PartyId> {
+    fx.out
+        .iter()
+        .filter_map(|(to, p)| matches!(p.msg, RbcMsg::PullMeta { .. }).then_some(*to))
+        .collect()
+}
+
+#[test]
+fn a_party_outside_the_clan_pulls_the_meta_view_from_f_plus_one_of_the_tribe() {
+    // n = 7 (quorum 5, f + 1 = 3), clan {0, 1, 2}. Party 6, outside the
+    // clan, certifies source 0's broadcast on five echoes, two from the
+    // clan, without ever receiving the meta view.
+    let tribe = TribeParams::new(7);
+    let clan = (0..3).map(PartyId).collect();
+    let mut r = rig_on(Arc::new(ClanTopology::single_clan(tribe, clan)), 6);
+    for signer in [5, 3, 1, 4] {
+        assert!(feed_echo(&mut r, signer, 0, 1).out.is_empty());
+    }
+    let fx = feed_echo(&mut r, 2, 0, 1);
+    assert!(fx
+        .events
+        .iter()
+        .any(|e| matches!(e, RbcEvent::Certified { .. })));
+    // No probe for a meta view: the fan-out asks f + 1 counted echoers, in
+    // id order whatever order their echoes came in.
+    let asked = [PartyId(1), PartyId(2), PartyId(3)];
+    assert_eq!(meta_pull_targets(&fx), asked);
+    assert!(
+        pull_targets(&fx).is_empty(),
+        "no full pull outside the clan"
+    );
+
+    // The retry rotates through the tribe: the two echoers not yet asked,
+    // then the source, which echoed nothing.
+    let fx = retry(&mut r, PULL_RETRY, 1);
+    assert_eq!(meta_pull_targets(&fx), [PartyId(4), PartyId(5), PartyId(0)]);
+    assert_eq!(fx.timers[0].0, Micros(PULL_RETRY.0 << 1));
+
+    // A response delivers the meta view and ends the chain.
+    let meta = payload().meta();
+    let fx = handle(&mut r, 4, packet(0, 1, RbcMsg::MetaResp(meta)));
+    assert!(fx
+        .events
+        .iter()
+        .any(|e| matches!(e, RbcEvent::DeliverMeta { .. })));
+    let fx = retry(&mut r, Micros(PULL_RETRY.0 * 3), 1);
+    assert!(fx.out.is_empty() && fx.timers.is_empty());
+    assert_eq!(r.engine.buffer_stats().pending_pulls, 0);
+}
+
+#[test]
+fn an_echo_quorum_after_certification_sends_no_second_probe() {
+    // Signature-free, n = 4: party 3 certifies on three READYs before it
+    // counts an echo, so the fan-out, finding no echoer, asks the first
+    // `clan_quorum` = 2 peers. The echo quorum that completes afterwards
+    // finds that pull under way and asks nobody.
+    let mut r = rig(4, 3);
+    r.engine = TribeRbc::signature_free(r.engine.config().clone());
+    let digest = TribePayload::rbc_digest(&payload());
+    let ready = |r: &mut Rig, from| handle(r, from, packet(0, 1, RbcMsg::Ready { digest }));
+    ready(&mut r, 0);
+    ready(&mut r, 1);
+    let fx = ready(&mut r, 2);
+    assert!(fx
+        .events
+        .iter()
+        .any(|e| matches!(e, RbcEvent::Certified { .. })));
+    assert_eq!(pull_targets(&fx), [PartyId(0), PartyId(1)]);
+    for from in 0..3 {
+        let echo = RbcMsg::Echo { digest, sig: None };
+        let fx = handle(&mut r, from, packet(0, 1, echo));
+        assert!(pull_targets(&fx).is_empty(), "echo from P{from}");
+    }
+    let phases: Vec<RbcPhase> = r
+        .rec
+        .events()
+        .into_iter()
+        .filter_map(|s| match s.event {
+            Event::Rbc { phase, .. } => Some(phase),
+            _ => None,
+        })
+        .collect();
+    let at = |phase| phases.iter().position(|p| *p == phase).expect("traced");
+    assert!(at(RbcPhase::Certified) < at(RbcPhase::EchoQuorum));
+    let started = phases.iter().filter(|p| **p == RbcPhase::PullStarted);
+    assert_eq!(started.count(), 1, "one pull started");
+}
+
+#[test]
+fn a_retry_on_an_instance_without_a_pull_keeps_a_bounded_heartbeat() {
+    // A timer armed before a crash can fire on an instance the restarted
+    // engine has touched but neither certified nor pulled: it sends
+    // nothing, re-arms at the backoff, and stops at MAX_PULL_ATTEMPTS.
+    let mut r = rig(4, 3);
+    feed_echo(&mut r, 0, 0, 1);
+    for attempt in 1..=MAX_PULL_ATTEMPTS {
+        let fx = retry(&mut r, Micros(1), 1);
+        assert!(fx.out.is_empty(), "attempt {attempt}");
+        let delay = Micros(PULL_RETRY.0 << attempt.min(3));
+        assert_eq!(fx.timers.len(), 1);
+        assert_eq!(fx.timers[0].0, delay, "attempt {attempt}");
+        assert_eq!(
+            parse_retry_token(fx.timers[0].1),
+            Some((Round(1), PartyId(0)))
+        );
+    }
+    let fx = retry(&mut r, Micros(1), 1);
+    assert!(fx.out.is_empty() && fx.timers.is_empty(), "chain stops");
+    assert_eq!(r.rec.counter(counters::PULL_RETRIES), 0);
+    assert_eq!(r.engine.buffer_stats().pending_pulls, 0);
 }
 
 #[test]

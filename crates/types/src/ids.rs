@@ -112,6 +112,16 @@ impl PartySet {
     }
 }
 
+impl FromIterator<PartyId> for PartySet {
+    fn from_iter<I: IntoIterator<Item = PartyId>>(parties: I) -> PartySet {
+        let mut set = PartySet::EMPTY;
+        for p in parties {
+            set.insert(p);
+        }
+        set
+    }
+}
+
 /// A DAG round number.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct Round(pub u64);
@@ -305,6 +315,7 @@ mod tests {
             assert!(rev.insert(PartyId(*b)));
         }
         assert_eq!(s, rev);
+        assert_eq!(members.iter().map(|&i| PartyId(i)).collect::<PartySet>(), s);
         assert!(!s.insert(PartyId(499)), "second insert reports not-fresh");
         assert!(s.contains(PartyId(320)) && !s.contains(PartyId(321)));
         assert!(!s.contains(PartyId(500)) && !s.contains(PartyId(u32::MAX)));

@@ -24,6 +24,11 @@ cargo build --release --offline
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
+echo "== the rbc crate's pure functions at 16x their property cases"
+# The threshold core and the pull planner are each held to a naive
+# transcription by a testkit property of 256 cases; this pass runs 4096.
+TESTKIT_CASES=4096 cargo test -q --offline -p clanbft-rbc --lib
+
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
