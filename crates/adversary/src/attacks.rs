@@ -14,16 +14,17 @@
 //!   signed message (absorbed as `rejected.duplicate`);
 //! * [`Attack::MutateSig`] — signature bytes flipped on echoes, votes and
 //!   timeouts (rejected as `rejected.bad_sig` when verification is on);
-//! * [`Attack::DoubleVote`] — a second leader vote for a conflicting vertex
-//!   id each round (detected as `Evidence::DoubleVote`);
+//! * [`Attack::DoubleVote`] — a second, validly signed leader vote for a
+//!   conflicting vertex id each round (detected as `Evidence::DoubleVote`);
 //! * [`Attack::Misbind`] — well-formed vertices that name another party's
 //!   slot or a far-future round, broadcast in the attacker's own instances
 //!   and served in its pull responses (refused as `rejected.bad_payload`,
 //!   the broadcasts recorded as `Evidence::MisboundPayload`).
 
 use crate::behavior::Behavior;
+use clanbft_consensus::messages::vote_digest;
 use clanbft_consensus::{ConsensusMsg, MergedPayload};
-use clanbft_crypto::{Digest, Signature};
+use clanbft_crypto::{Authenticator, Digest, Signature};
 use clanbft_rbc::{RbcMsg, RbcPacket, TribePayload};
 use clanbft_types::{Block, Encode, Micros, PartyId, Round, TxBatch, Vertex};
 use std::collections::HashMap;
@@ -57,8 +58,10 @@ pub enum Attack {
 }
 
 impl Attack {
-    /// Builds the behaviour implementing this attack.
-    pub fn instantiate(&self) -> Box<dyn Behavior<ConsensusMsg>> {
+    /// Builds the behaviour implementing this attack. `auth` is the
+    /// attacker's own signer: a conflicting vote is signed with it, so it
+    /// survives real verification.
+    pub fn instantiate(&self, auth: Arc<Authenticator>) -> Box<dyn Behavior<ConsensusMsg>> {
         match self {
             Attack::Equivocate => Box::new(Equivocator::default()),
             Attack::DigestMismatch => Box::new(DigestMismatcher),
@@ -67,7 +70,7 @@ impl Attack {
             }),
             Attack::Replay => Box::new(Replayer::default()),
             Attack::MutateSig => Box::new(SigMutator),
-            Attack::DoubleVote => Box::new(DoubleVoter),
+            Attack::DoubleVote => Box::new(DoubleVoter { auth }),
             Attack::Misbind { victim } => Box::new(Misbinder { victim: *victim }),
         }
     }
@@ -418,9 +421,12 @@ impl Behavior<ConsensusMsg> for SigMutator {
     }
 }
 
-/// Casts a second, conflicting leader vote right after every genuine one.
-#[derive(Default)]
-struct DoubleVoter;
+/// Casts a second, conflicting leader vote right after every genuine one,
+/// signed with the attacker's own key: a valid signature on a conflicting
+/// statement, which is what makes it evidence.
+struct DoubleVoter {
+    auth: Arc<Authenticator>,
+}
 
 impl Behavior<ConsensusMsg> for DoubleVoter {
     fn outbound(
@@ -431,16 +437,14 @@ impl Behavior<ConsensusMsg> for DoubleVoter {
         emit: &mut dyn FnMut(PartyId, ConsensusMsg),
     ) {
         if let ConsensusMsg::Vote {
-            round,
-            vertex_id,
-            sig,
+            round, vertex_id, ..
         } = &msg
         {
             let conflicting = Digest::of(vertex_id.as_bytes());
             let second = ConsensusMsg::Vote {
                 round: *round,
                 vertex_id: conflicting,
-                sig: *sig,
+                sig: self.auth.sign_digest(&vote_digest(*round, &conflicting)),
             };
             emit(to, msg.clone());
             emit(to, second);

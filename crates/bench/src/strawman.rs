@@ -19,7 +19,8 @@
 //!
 //! The implementation is deliberately minimal (benign-case only: crash
 //! faults stall a slot until the next leader; no view change), because its
-//! sole purpose is the latency ablation in `benches/ablations.rs`.
+//! sole purpose is the latency ablation: the `ablations` section of
+//! `benches/figures.rs`.
 
 use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Hasher, Signature};
 use clanbft_rbc::ClanTopology;

@@ -28,8 +28,10 @@ pub struct NodeConfig {
     /// Client workload driving this proposer's ingress; clones share its
     /// generator (the default, no transactions, proposes empty blocks).
     pub workload: Workload,
-    /// Verify certificate/vote signature bytes for real (tests) or charge
-    /// their cost only (large simulations).
+    /// Verify certificate/vote signature bytes for real, or charge their
+    /// cost only. A benign run's simulated numbers are the same either way;
+    /// the host time it costs is measured in EXPERIMENTS.md, "What real
+    /// signature verification costs".
     pub verify_sigs: bool,
     /// Run the execution layer on ordered blocks this party holds.
     pub execute: bool,

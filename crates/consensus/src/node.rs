@@ -357,8 +357,8 @@ impl SailfishNode {
             return false;
         }
         if self.evidence.len() < EVIDENCE_CAP {
-            if !replayed && self.storage.is_some() {
-                self.log_wal(&clanbft_storage::WalRecord::Evidence { evidence: ev });
+            if !replayed {
+                self.log_wal(|| clanbft_storage::WalRecord::Evidence { evidence: ev });
             }
             self.evidence.push(ev);
         }
@@ -517,7 +517,7 @@ impl SailfishNode {
                 vertex: (*payload.vertex).clone(),
                 block: (*payload.block).clone(),
             };
-            self.log_wal(&clanbft_storage::WalRecord::Proposed {
+            self.log_wal(|| clanbft_storage::WalRecord::Proposed {
                 proposal: proposal.clone(),
             });
             self.last_proposal = Some(proposal);
@@ -558,11 +558,9 @@ impl SailfishNode {
         );
         fx.charge(self.cfg.cost.db_write());
         debug_assert_eq!(id, vertex.id());
-        if self.storage.is_some() {
-            self.log_wal(&clanbft_storage::WalRecord::Accepted {
-                vertex: (*vertex).clone(),
-            });
-        }
+        self.log_wal(|| clanbft_storage::WalRecord::Accepted {
+            vertex: (*vertex).clone(),
+        });
 
         // Leader vote (Sailfish's 1δ commit step). Every vertex below the
         // horizon is known, so the round is in the window.
@@ -572,9 +570,7 @@ impl SailfishNode {
             state.voted = true;
             // Persist the vote before signing: a recovered node must never
             // vote twice, nor vote after having announced a timeout.
-            if self.storage.is_some() {
-                self.log_wal(&clanbft_storage::WalRecord::Voted { round });
-            }
+            self.log_wal(|| clanbft_storage::WalRecord::Voted { round });
             fx.charge(self.cfg.cost.sign());
             let sig = self.auth.sign_digest(&vote_digest(round, &id));
             let vote = ConsensusMsg::Vote {
@@ -694,11 +690,9 @@ impl SailfishNode {
         // Direct commit — durable as one decision before its first vertex
         // folds.
         let vertices = self.order_decision(round);
-        if self.storage.is_some() {
-            self.log_wal(&clanbft_storage::WalRecord::Committed {
-                leader_round: round,
-            });
-        }
+        self.log_wal(|| clanbft_storage::WalRecord::Committed {
+            leader_round: round,
+        });
         for vref in vertices {
             let (sequence, rotated) = self.fold_commit(vref, round);
             let v = self.dag.get(&vref).expect("only live vertices are ordered");
@@ -1135,9 +1129,7 @@ impl Protocol<ConsensusMsg> for SailfishNode {
         // skip the edge). Having announced, this node must never vote for
         // this round's leader vertex — persisted first, so not even a crash
         // lets it forget the exclusivity.
-        if self.storage.is_some() {
-            self.log_wal(&clanbft_storage::WalRecord::NoVoted { round });
-        }
+        self.log_wal(|| clanbft_storage::WalRecord::NoVoted { round });
         self.cfg
             .telemetry
             .event(ctx.now(), self.cfg.me, Event::TimeoutAnnounced { round });

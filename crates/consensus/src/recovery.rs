@@ -75,11 +75,11 @@ pub struct CatchupState {
 }
 
 impl SailfishNode {
-    /// Appends one record to the WAL; durable before return. Callers gate on
-    /// `self.storage.is_some()` to skip the record cloning when memory-only.
-    pub(crate) fn log_wal(&mut self, rec: &WalRecord) {
+    /// Appends the record `rec` builds to the WAL; durable before return.
+    /// Memory-only, the record is never built.
+    pub(crate) fn log_wal(&mut self, rec: impl FnOnce() -> WalRecord) {
         if let Some(storage) = self.storage.as_mut() {
-            storage.log(rec).expect("WAL append must succeed");
+            storage.log(&rec()).expect("WAL append must succeed");
         }
     }
 

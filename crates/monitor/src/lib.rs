@@ -53,9 +53,9 @@ use std::sync::{Arc, Mutex};
 /// telemetry so party-anonymous gauge/counter/histogram samples arrive
 /// attributed.
 ///
-/// The bank sits behind a mutex. In the single-threaded simulator the lock
-/// is never contended; under the threaded live transport it serialises the
-/// parties' streams, which is exactly the merge the detectors need.
+/// The bank sits behind a mutex because a probe is a [`Recorder`], which
+/// must be `Send + Sync`; in the single-threaded simulator the lock is never
+/// contended.
 #[derive(Clone)]
 pub struct HealthMonitor {
     bank: Arc<Mutex<DetectorBank>>,

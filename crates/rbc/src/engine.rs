@@ -605,8 +605,10 @@ enum Flavour {
     Signed {
         auth: Arc<Authenticator>,
         /// When false, certificate signature bytes are not actually checked
-        /// (their CPU cost is still charged). Large-scale simulations flip
-        /// this off for tractability; correctness tests keep it on.
+        /// (their CPU cost is still charged, so no simulated number moves).
+        /// Off, a benign run saves about a fifth of its host time at
+        /// n ≤ 50 (EXPERIMENTS.md, "What real signature verification
+        /// costs"); correctness tests keep it on.
         verify_sigs: bool,
     },
 }

@@ -1,6 +1,6 @@
 //! Standalone broadcast nodes: the RBC engine wrapped as a [`Protocol`]
-//! implementation, runnable directly on the simulator or the live transport
-//! without the consensus layer on top.
+//! implementation, runnable directly on the simulator without the consensus
+//! layer on top.
 //!
 //! The engine queues its packets, timers and charges on the handler's
 //! `Ctx`; the node then takes the engine's events and records deliveries

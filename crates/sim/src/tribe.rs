@@ -70,7 +70,10 @@ pub struct TribeSpec {
     pub gst: Micros,
     /// Maximum adversarial extra delay per message before GST.
     pub pre_gst_extra_max: Micros,
-    /// Verify signature bytes for real (tests) or charge cost only (scale).
+    /// Verify signature bytes for real, or charge their cost only (the
+    /// default). A benign run's simulated numbers are the same either way;
+    /// the host time it costs is measured in EXPERIMENTS.md, "What real
+    /// signature verification costs".
     pub verify_sigs: bool,
     /// Enable the execution layer.
     pub execute: bool,
@@ -237,9 +240,9 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
             cfg.fsync = spec.fsync;
             cfg.checkpoint_interval = spec.checkpoint_interval;
             cfg.epoch_length = spec.epoch_length;
-            let inner = SailfishNode::new(cfg, auth);
+            let inner = SailfishNode::new(cfg, Arc::clone(&auth));
             match spec.byzantine.iter().find(|(p, _)| *p == me) {
-                Some((_, attack)) => AdversaryNode::byzantine(inner, attack.instantiate()),
+                Some((_, attack)) => AdversaryNode::byzantine(inner, attack.instantiate(auth)),
                 None => AdversaryNode::honest(inner),
             }
         })

@@ -17,8 +17,8 @@
 //!    from the config; *Byzantine* behaviour is expressed by running a
 //!    different [`Protocol`] implementation on the corrupted node.
 //!
-//! The [`transport`] module additionally provides a real threaded in-process
-//! transport with the same [`Protocol`] interface, used by the live examples.
+//! [`Simulator`] is the one runtime: it owns the virtual clock, the event
+//! queue and the one applier of a handler's sends, timers and charges.
 
 pub mod bandwidth;
 pub mod cost;
@@ -26,7 +26,6 @@ pub mod event;
 pub mod net;
 pub mod protocol;
 pub mod regions;
-pub mod transport;
 
 pub use bandwidth::BandwidthModel;
 pub use cost::CostModel;

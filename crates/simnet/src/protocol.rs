@@ -1,6 +1,5 @@
 //! The protocol-facing interface: deterministic message-driven state
-//! machines that run identically under the discrete-event simulator and the
-//! live threaded transport.
+//! machines, run by the discrete-event simulator.
 
 use crate::cost::CostModel;
 use clanbft_types::{Micros, PartyId};
@@ -27,8 +26,7 @@ pub trait Message: Clone + std::fmt::Debug + Send + 'static {
 /// Handlers receive a [`Ctx`] through which they observe time, send
 /// messages, arm timers and charge simulated CPU time. Everything a node
 /// does must flow through the context — no wall clocks, no global state —
-/// which is what makes runs reproducible and lets the same implementation
-/// run on the threaded transport.
+/// which is what makes runs reproducible.
 pub trait Protocol<M: Message>: Send {
     /// Called once at start-of-run.
     fn on_start(&mut self, ctx: &mut Ctx<M>);

@@ -109,8 +109,8 @@ fn decode_agg(r: &mut Reader<'_>) -> Result<AggregateSignature, DecodeError> {
 
 // Certificates travel inside vertices. `encoded_len` charges the BLS-model
 // wire size (64-byte aggregate + signer bitmap + round) per the paper;
-// `encode`/`decode` carry the full signature set so decoded certificates
-// remain verifiable in the live threaded transport.
+// `encode`/`decode` carry the full signature set so certificates decoded
+// from the WAL or a checkpoint remain verifiable.
 impl Encode for TimeoutCert {
     fn encode(&self, w: &mut Writer) {
         self.round.encode(w);

@@ -3,8 +3,9 @@
 //! Every protocol object implements [`Encode`]/[`Decode`]. The encoding is
 //! deterministic (little-endian integers, `u32` length prefixes), so it
 //! serves three purposes at once: hashing input for content digests, the
-//! wire format of the live threaded transport, and the ground truth for the
-//! simulator's byte-accounting (`encoded_len`).
+//! durable format of the WAL and checkpoints, and the ground truth for the
+//! simulator's byte-accounting (`encoded_len`). No message is encoded
+//! between nodes: the simulator passes typed values.
 
 use std::fmt;
 

@@ -10,8 +10,9 @@
 # offline replay, the `clanbft-inspect` binary over a fixture trace, the
 # profiler contract, the decoder mutations, and EXPERIMENTS.md's Fig. 5
 # table against BENCH_summary.json. What runs here besides them is what
-# tier-1 cannot: formatting, lints, doc links, the Fig. 5a re-run against its
-# committed lines, the benchmark package and the dependency audit.
+# tier-1 cannot: formatting, the README examples, lints, doc links, the
+# Fig. 5a re-run against its committed lines, the benchmark package and the
+# dependency audit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +29,14 @@ echo "== the rbc crate's pure functions at 16x their property cases"
 # The threshold core and the pull planner are each held to a naive
 # transcription by a testkit property of 256 cases; this pass runs 4096.
 TESTKIT_CASES=4096 cargo test -q --offline -p clanbft-rbc --lib
+
+echo "== the README examples run to completion"
+# `cargo build` only compiles them; an example that panics fails here.
+for example in quickstart shared_sequencer tribe_rbc "clan_planner 150"; do
+    echo "-- $example"
+    # Unquoted on purpose: "clan_planner 150" is a name and an argument.
+    cargo run -q --release --offline --example $example > /dev/null
+done
 
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -406,10 +406,13 @@ fn mutated_signatures_rejected_at_threshold() {
 
 #[test]
 fn double_votes_yield_evidence() {
-    // f = 2 attackers cast a second, conflicting leader vote every round.
-    // The leader must count at most one and record DoubleVote evidence.
+    // f = 2 attackers cast a second, conflicting leader vote every round,
+    // each validly signed. The leader must count at most one and record
+    // DoubleVote evidence; with real verification on, the evidence is not
+    // an artefact of unchecked signatures.
     let attackers = [PartyId(1), PartyId(4)];
-    let spec = sailfish_spec(attackers.iter().map(|&p| (p, Attack::DoubleVote)).collect());
+    let mut spec = sailfish_spec(attackers.iter().map(|&p| (p, Attack::DoubleVote)).collect());
+    spec.verify_sigs = true;
     let (built, rec, monitor) = run(spec);
 
     assert_agreement(&built, "double-vote");

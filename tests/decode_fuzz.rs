@@ -1,8 +1,7 @@
 //! Every binary decoder as an attack surface (ROADMAP item 3c).
 //!
-//! `types` and `storage` decode what arrives from a peer (vertices, blocks,
-//! certificates over the live transport and in state transfer) and what a
-//! crash left on disk (WAL records, checkpoints). One table row per
+//! `types` and `storage` decode what a crash left on disk (WAL records,
+//! checkpoints, and the vertices, blocks and certificates inside them). One table row per
 //! `Decode` impl outside `types::codec` (whose primitives every row is made
 //! of), checked against the sources so an impl added without a generator
 //! fails here. Per row:
