@@ -166,9 +166,9 @@ pub struct SailfishNode {
     pub(crate) recovered: bool,
 }
 
-/// Cap on `TxBatch` runs per block: pulled transactions are coalesced by
-/// arrival stamp, and arbitrarily fragmented stamps are merged down to this
-/// many batches (earliest stamp wins, so measured latency only gets more
+/// Cap on `TxBatch`es per block: pulled runs are coalesced by arrival
+/// stamp, and arbitrarily fragmented stamps are merged down to this many
+/// batches (earliest stamp wins, so measured latency only gets more
 /// pessimistic).
 const MAX_BATCHES_PER_BLOCK: usize = 16;
 
@@ -413,9 +413,9 @@ impl SailfishNode {
         };
         // Advance simulated client arrivals over the inter-proposal gap,
         // then let the sizer decide how much of the queue this proposal
-        // drains. Pulled transactions are coalesced into TxBatch runs by
-        // arrival stamp so the measured latency keeps the queueing delay
-        // real clients saw.
+        // drains. The pulled runs are coalesced into TxBatches by arrival
+        // stamp so the measured latency keeps the queueing delay real
+        // clients saw.
         ingress.poll(self.last_proposal_at, now, round.0);
         let gap = now.saturating_sub(self.last_proposal_at);
         let pulled = ingress.pull(now, gap);

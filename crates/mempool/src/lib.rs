@@ -10,7 +10,7 @@
 //!   keyed by per-client sequence numbers, three priority [`Lane`]s, and
 //!   hard caps on queued transactions, queued bytes and client ids —
 //!   every bound rejects with a `mempool.rejected.*` counter instead of
-//!   growing (backpressure, never OOM).
+//!   growing (backpressure, never OOM); a lane queues runs ([`PendingTx`]).
 //! * [`sizer`] — the feedback-driven [`BatchSizer`]: proposals pull
 //!   whatever is queued (never waiting to fill a batch) under an adaptive
 //!   cap that grows when proposals drain it (deep queue → throughput bias)
@@ -25,8 +25,8 @@
 //! The consensus node drives the ingress with four calls per proposal
 //! cycle: `poll` (advance arrivals), `pull` (sizer-chosen drain),
 //! `note_proposed` (bind the pull to its vertex) and `on_committed`
-//! (closed-loop commit feedback). [`plan_batches`] turns a pull into
-//! `TxBatch`-shaped runs grouped by arrival stamp.
+//! (closed-loop commit feedback). [`plan_batches`] turns a pull's runs
+//! into `TxBatch`-shaped plans grouped by arrival stamp.
 
 #![forbid(unsafe_code)]
 

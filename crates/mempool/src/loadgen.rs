@@ -163,34 +163,34 @@ impl From<WorkloadSpec> for Workload {
     }
 }
 
-/// A planned sub-batch: a run of pulled transactions sharing an arrival
-/// stamp and wire size, ready to become one `TxBatch`.
+/// A planned sub-batch: pulled runs sharing an arrival stamp and wire
+/// size, ready to become one `TxBatch`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchPlan {
-    /// Transactions in the run.
+    /// Transactions in the plan.
     pub count: u32,
     /// Wire size of each transaction.
     pub tx_bytes: u32,
-    /// Earliest arrival stamp in the run (latency measurement anchor).
+    /// Earliest arrival stamp in the plan (latency measurement anchor).
     pub created_at: Micros,
 }
 
-/// Coalesces pulled transactions into at most `max_batches` plans.
+/// Coalesces pulled runs into at most `max_batches` plans.
 ///
-/// Consecutive transactions sharing `(arrived, tx_bytes)` form one run. Of
-/// more runs than `max_batches`, up to `runs − max_batches` merges are made
+/// Consecutive runs sharing `(arrived, tx_bytes)` form one group. Of more
+/// groups than `max_batches`, up to `groups − max_batches` merges are made
 /// greedily from the left: the plan being built absorbs each following
-/// same-size run while merges remain (the earliest arrival stamp wins,
-/// biasing measured latency pessimistically). Runs of different sizes never
-/// merge, so the result may still exceed `max_batches`.
+/// same-size group while merges remain (the earliest arrival stamp wins,
+/// biasing measured latency pessimistically). Groups of different sizes
+/// never merge, so the result may still exceed `max_batches`.
 pub fn plan_batches(pulled: &[PendingTx], max_batches: usize) -> Vec<BatchPlan> {
     let _prof = clanbft_profiler::scope("mempool.plan_batches");
-    let runs = || pulled.chunk_by(|a, b| (a.arrived, a.tx_bytes) == (b.arrived, b.tx_bytes));
-    let total = runs().count();
+    let groups = || pulled.chunk_by(|a, b| (a.arrived, a.tx_bytes) == (b.arrived, b.tx_bytes));
+    let total = groups().count();
     let mut merges = total.saturating_sub(max_batches.max(1));
     let mut plans: Vec<BatchPlan> = Vec::with_capacity(total - merges);
-    for run in runs() {
-        let (count, tx) = (u32::try_from(run.len()).expect("a pull fits u32"), &run[0]);
+    for group in groups() {
+        let (count, tx) = (group.iter().map(|r| r.count).sum(), &group[0]);
         match plans.last_mut() {
             Some(p) if merges > 0 && p.tx_bytes == tx.tx_bytes => {
                 merges -= 1;
@@ -217,9 +217,9 @@ pub struct ClientIngress {
     sizer: BatchSizer,
     rng: ClanRng,
     /// Per proposed, uncommitted vertex: how many transactions it carries,
-    /// and their clients if the closed loop resubmits for them on commit.
-    in_flight: HashMap<VertexRef, (usize, Vec<ClientId>)>,
-    /// Pulled but not yet bound to a vertex (between `pull` and
+    /// and their runs if the closed loop resubmits for them on commit.
+    in_flight: HashMap<VertexRef, (usize, Vec<PendingTx>)>,
+    /// Runs pulled but not yet bound to a vertex (between `pull` and
     /// `note_proposed`).
     last_pulled: Vec<PendingTx>,
     /// Fractional open-loop arrivals carried into the next poll window.
@@ -268,7 +268,8 @@ impl ClientIngress {
 
     /// Transactions pulled into proposals that have not committed yet.
     pub fn in_flight_txs(&self) -> usize {
-        self.in_flight.values().map(|(n, _)| n).sum::<usize>() + self.last_pulled.len()
+        let pulled = self.last_pulled.iter().map(|r| r.count as usize);
+        self.in_flight.values().map(|(n, _)| n).sum::<usize>() + pulled.sum::<usize>()
     }
 
     /// True once the workload passed its stop round and generates nothing.
@@ -318,7 +319,7 @@ impl ClientIngress {
     }
 
     /// Chooses a batch size from queue depth and proposal cadence, drains
-    /// that many transactions, and returns them. The synthetic workload
+    /// that many transactions and returns their runs. The synthetic workload
     /// bypasses the sizer and drains everything (fixed-size proposals).
     pub fn pull(&mut self, now: Micros, gap_since_last: Micros) -> &[PendingTx] {
         let _prof = clanbft_profiler::scope("mempool.pull");
@@ -339,12 +340,12 @@ impl ClientIngress {
         if self.last_pulled.is_empty() {
             return;
         }
-        let pulled = std::mem::take(&mut self.last_pulled);
-        let clients = match self.workload.spec {
-            WorkloadSpec::ClosedLoop { .. } => pulled.iter().map(|tx| tx.client).collect(),
-            _ => Vec::new(),
-        };
-        self.in_flight.insert(vref, (pulled.len(), clients));
+        let mut runs = std::mem::take(&mut self.last_pulled);
+        let txs = runs.iter().map(|r| r.count as usize).sum();
+        if !matches!(self.workload.spec, WorkloadSpec::ClosedLoop { .. }) {
+            runs = Vec::new();
+        }
+        self.in_flight.insert(vref, (txs, runs));
     }
 
     /// Commit feedback for one of this proposer's own vertices: releases
@@ -352,14 +353,16 @@ impl ClientIngress {
     /// not been stopped — submits each client's next transaction at the
     /// commit time.
     pub fn on_committed(&mut self, vref: VertexRef, now: Micros) {
-        let Some((_, clients)) = self.in_flight.remove(&vref) else {
+        let Some((_, runs)) = self.in_flight.remove(&vref) else {
             return;
         };
         if self.stopped {
             return;
         }
-        for client in clients {
-            submit(&mut self.pool, self.tx_bytes, client, Lane::Normal, now);
+        for run in runs {
+            for _ in 0..run.count {
+                submit(&mut self.pool, self.tx_bytes, run.client, Lane::Normal, now);
+            }
         }
     }
 
@@ -464,7 +467,9 @@ mod tests {
         let pulled = ing
             .pull(Micros::from_secs(4), Micros::from_secs(4))
             .to_vec();
-        assert_eq!(pulled.len(), 100);
+        // One run per quarter: each stamp's 25 transactions are one record.
+        assert_eq!(pulled.len(), 4);
+        assert_eq!(pulled.iter().map(|r| r.count).sum::<u32>(), 100);
         let plans = plan_batches(&pulled, 16);
         assert_eq!(plans.len(), 4);
         assert_eq!(
@@ -685,7 +690,8 @@ mod tests {
                 client: ClientId(i),
                 seq: 0,
                 tx_bytes: 256,
-                arrived: Micros(i), // every tx a distinct stamp → 40 runs
+                count: 1,
+                arrived: Micros(i), // every tx a distinct stamp → 40 groups
             })
             .collect();
         let plans = plan_batches(&txs, 16);
@@ -702,11 +708,12 @@ mod tests {
                 client: ClientId(i),
                 seq: 0,
                 tx_bytes: if i % 2 == 0 { 128 } else { 512 },
+                count: 1,
                 arrived: Micros(5),
             })
             .collect();
         let plans = plan_batches(&txs, 1);
-        // Alternating sizes cannot merge below 4 runs even with cap 1.
+        // Alternating sizes cannot merge below 4 groups even with cap 1.
         assert_eq!(plans.len(), 4);
         assert!(plans.iter().all(|p| p.count == 1));
     }

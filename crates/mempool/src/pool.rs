@@ -59,15 +59,17 @@ pub enum AdmitError {
     ClientTableFull,
 }
 
-/// A transaction sitting in the pool.
-#[derive(Clone, Debug)]
+/// A run in the pool: one client's `count` consecutive transactions.
+#[derive(Clone, Copy, Debug)]
 pub struct PendingTx {
     /// The submitting client.
     pub client: ClientId,
-    /// The client's sequence number.
+    /// The client's sequence number of the run's first transaction.
     pub seq: u64,
-    /// Wire size in bytes.
+    /// Wire size in bytes of each transaction.
     pub tx_bytes: u32,
+    /// Transactions in the run (at least one).
+    pub count: u32,
     /// Admission time (queue-delay measurement starts here).
     pub arrived: Micros,
 }
@@ -122,6 +124,7 @@ impl MempoolStats {
 pub struct Mempool {
     cfg: MempoolConfig,
     lanes: [VecDeque<PendingTx>; LANES],
+    depth: usize,
     queued_bytes: usize,
     /// Next sequence number per client, indexed by `ClientId`.
     next_seq: Vec<u64>,
@@ -135,6 +138,7 @@ impl Mempool {
         Mempool {
             cfg,
             lanes: Default::default(),
+            depth: 0,
             queued_bytes: 0,
             next_seq: Vec::new(),
             stats: MempoolStats::default(),
@@ -144,6 +148,11 @@ impl Mempool {
 
     /// Transactions currently queued across all lanes.
     pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Runs currently queued across all lanes.
+    pub fn queued_runs(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum()
     }
 
@@ -154,7 +163,7 @@ impl Mempool {
 
     /// True iff nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(VecDeque::is_empty)
+        self.depth == 0
     }
 
     /// Admission/drain statistics so far.
@@ -201,7 +210,7 @@ impl Mempool {
             self.stats.rejected_gap += 1;
             return Err(AdmitError::Gap { expected });
         }
-        if self.depth() >= self.cfg.capacity_txs
+        if self.depth >= self.cfg.capacity_txs
             || self.queued_bytes + sub.tx_bytes as usize > self.cfg.capacity_bytes
         {
             self.stats.rejected_full += 1;
@@ -212,35 +221,53 @@ impl Mempool {
             self.next_seq.resize(slot + 1, 0);
         }
         self.next_seq[slot] = expected + 1;
+        self.depth += 1;
         self.queued_bytes += sub.tx_bytes as usize;
-        self.lanes[sub.lane as usize].push_back(PendingTx {
-            client: sub.client,
-            seq: sub.seq,
-            tx_bytes: sub.tx_bytes,
-            arrived: now,
-        });
+        let lane = &mut self.lanes[sub.lane as usize];
+        let continues = |t: &&mut PendingTx| {
+            (t.client, t.seq + u64::from(t.count), t.arrived, t.tx_bytes)
+                == (sub.client, sub.seq, now, sub.tx_bytes)
+                && t.count < u32::MAX
+        };
+        match lane.back_mut().filter(continues) {
+            Some(tail) => tail.count += 1,
+            None => lane.push_back(PendingTx {
+                client: sub.client,
+                seq: sub.seq,
+                tx_bytes: sub.tx_bytes,
+                count: 1,
+                arrived: now,
+            }),
+        }
         self.stats.admitted += 1;
         self.telemetry.add(counters::MEMPOOL_ADMITTED, 1);
         Ok(())
     }
 
     /// Pulls up to `max_txs` transactions in priority order (high lane
-    /// first, FIFO within a lane), recording each transaction's queueing
-    /// delay.
+    /// first, FIFO within a lane) as runs, splitting at most one at the cap,
+    /// and records each transaction's queueing delay.
     pub fn pull(&mut self, max_txs: usize, now: Micros) -> Vec<PendingTx> {
-        let mut out = Vec::with_capacity(max_txs.min(self.depth()));
+        let mut out = Vec::with_capacity(max_txs.min(self.queued_runs()));
+        let mut left = max_txs.min(self.depth);
+        (self.depth, self.stats.pulled) = (self.depth - left, self.stats.pulled + left as u64);
         for lane in &mut self.lanes {
-            while out.len() < max_txs {
-                let Some(tx) = lane.pop_front() else { break };
-                self.queued_bytes -= tx.tx_bytes as usize;
-                self.telemetry.record(
-                    counters::MEMPOOL_QUEUE_DELAY,
-                    now.saturating_sub(tx.arrived).0,
-                );
-                out.push(tx);
+            while let Some(front) = lane.front_mut().filter(|_| left > 0) {
+                let n = left.min(front.count as usize) as u32;
+                let run = PendingTx { count: n, ..*front };
+                (front.seq, front.count) = (front.seq + u64::from(n), front.count - n);
+                if front.count == 0 {
+                    lane.pop_front();
+                }
+                left -= n as usize;
+                self.queued_bytes -= n as usize * run.tx_bytes as usize;
+                let delay = now.saturating_sub(run.arrived).0;
+                for _ in 0..n {
+                    self.telemetry.record(counters::MEMPOOL_QUEUE_DELAY, delay);
+                }
+                out.push(run);
             }
         }
-        self.stats.pulled += out.len() as u64;
         out
     }
 }
@@ -370,5 +397,40 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(p.stats().pulled, 3);
         assert_eq!(rec.counter(counters::MEMPOOL_ADMITTED), 5);
+    }
+
+    #[test]
+    fn a_burst_is_one_run_and_a_pull_splits_it() {
+        let (tel, rec) = Telemetry::mem();
+        let mut p = Mempool::new(MempoolConfig::default(), tel);
+        for seq in 0..5 {
+            p.admit(sub(1, seq), Micros(100)).unwrap();
+        }
+        // Another stamp, another client or another size starts a new run.
+        p.admit(sub(1, 5), Micros(101)).unwrap();
+        p.admit(sub(2, 0), Micros(101)).unwrap();
+        let wider = Submission {
+            tx_bytes: 1024,
+            ..sub(2, 1)
+        };
+        p.admit(wider, Micros(101)).unwrap();
+        assert_eq!((p.queued_runs(), p.depth()), (4, 8));
+        // A cap inside the first run splits it; the rest stays queued.
+        let got = p.pull(3, Micros(400));
+        assert_eq!(got.len(), 1);
+        assert_eq!(
+            (got[0].client, got[0].seq, got[0].count),
+            (ClientId(1), 0, 3)
+        );
+        assert_eq!((p.queued_runs(), p.depth()), (4, 5));
+        assert_eq!(p.queued_bytes(), 4 * 512 + 1024);
+        let got = p.pull(3, Micros(400));
+        let runs: Vec<_> = got.iter().map(|r| (r.client.0, r.seq, r.count)).collect();
+        assert_eq!(runs, vec![(1, 3, 2), (1, 5, 1)]);
+        // Every transaction, not every run, is one queue-delay sample.
+        let h = rec.histogram(counters::MEMPOOL_QUEUE_DELAY).unwrap();
+        assert_eq!(h.count(), 6);
+        assert_eq!(p.stats().pulled, 6);
+        assert_eq!(p.depth(), 2);
     }
 }

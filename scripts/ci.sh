@@ -30,6 +30,14 @@ echo "== the rbc crate's pure functions at 16x their property cases"
 # transcription by a testkit property of 256 cases; this pass runs 4096.
 TESTKIT_CASES=4096 cargo test -q --offline -p clanbft-rbc --lib
 
+echo "== the pool's and the batch planner's properties at 4096 cases"
+# The pool, which merges runs on admission and splits one on a pull, is held
+# to a per-transaction model; plan_batches to the quadratic planner it
+# replaced. 128 and 256 cases in tier-1; ~5 s here.
+TESTKIT_CASES=4096 cargo test -q --offline -p clanbft-sim --test properties -- \
+    linear_batch_planner_matches_the_quadratic_one \
+    index_addressed_client_table_matches_a_btreemap_model
+
 echo "== the README examples run to completion"
 # `cargo build` only compiles them; an example that panics fails here.
 for example in quickstart shared_sequencer tribe_rbc "clan_planner 150"; do

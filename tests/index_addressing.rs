@@ -3,14 +3,15 @@
 //! allocation, and a benign broadcast instance costs a fixed handful of
 //! allocations — none at all once it is certified. The client ingress is
 //! held to the same rule: a proposal cycle allocates per proposal, not per
-//! arrival, and a client id the table refuses allocates nothing.
+//! arrival, a synthetic proposal is four pool records, and a client id the
+//! table refuses allocates nothing.
 
 use clanbft_consensus::messages::CommittedRec;
 use clanbft_consensus::{ConsensusMsg, MergedPayload, NodeConfig, SailfishNode};
 use clanbft_crypto::{Authenticator, Digest, Registry, Scheme, Signature};
 use clanbft_mempool::{
-    plan_batches, AdmitError, ClientId, ClientIngress, Lane, Mempool, MempoolConfig, SizerConfig,
-    Submission, WorkloadSpec,
+    plan_batches, AdmitError, ClientId, ClientIngress, Lane, Mempool, MempoolConfig, PendingTx,
+    SizerConfig, Submission, WorkloadSpec,
 };
 use clanbft_profiler as prof;
 use clanbft_rbc::{
@@ -499,14 +500,20 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
 
 // --- the client ingress -----------------------------------------------------
 
-/// One proposal cycle of an open-loop ingress the way a proposer drives it:
-/// arrivals over the cycle, the sizer's pull, the batch plan, the binding
-/// to the proposed vertex and that vertex's commit.
-fn ingress_cycle(ing: &mut ClientIngress, cycle: u64) {
+/// A pool record stays 32 bytes: it stands for a run of transactions.
+const _: () = assert!(std::mem::size_of::<PendingTx>() == 32);
+
+/// One proposal cycle of an ingress the way a proposer drives it: arrivals
+/// over the cycle, the sizer's pull, the batch plan, the binding to the
+/// proposed vertex and that vertex's commit. Returns the runs queued before
+/// the pull and the runs it pulled.
+fn ingress_cycle(ing: &mut ClientIngress, cycle: u64) -> (usize, usize) {
     let from = Micros::from_millis(100 * cycle);
     let to = Micros::from_millis(100 * (cycle + 1));
     ing.poll(from, to, cycle);
+    let queued = ing.pool().queued_runs();
     let pulled = ing.pull(to, to.saturating_sub(from));
+    let runs = pulled.len();
     std::hint::black_box(plan_batches(pulled, 16));
     let vref = VertexRef {
         round: Round(cycle),
@@ -514,6 +521,7 @@ fn ingress_cycle(ing: &mut ClientIngress, cycle: u64) {
     };
     ing.note_proposed(vref);
     ing.on_committed(vref, to);
+    (queued, runs)
 }
 
 #[test]
@@ -539,7 +547,9 @@ fn an_open_loop_proposal_cycle_allocates_per_proposal_not_per_arrival() {
         ingress_cycle(&mut ing, 0);
         // A window of two cycles less a window of one: one cycle without the
         // profiler's first-entry bookkeeping for its scopes.
-        let (one, _) = allocations_in(|| ingress_cycle(&mut ing, 1));
+        let (one, _) = allocations_in(|| {
+            ingress_cycle(&mut ing, 1);
+        });
         let (two, _) = allocations_in(|| {
             ingress_cycle(&mut ing, 2);
             ingress_cycle(&mut ing, 3);
@@ -552,6 +562,33 @@ fn an_open_loop_proposal_cycle_allocates_per_proposal_not_per_arrival() {
     // vertex keeps a count of what it carries, not a list.
     assert_eq!(steady(1_000), 2);
     assert_eq!(steady(4_000), 2);
+}
+
+#[test]
+fn a_synthetic_proposal_is_four_runs_wherever_it_sits() {
+    let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
+    let workload = WorkloadSpec::Synthetic {
+        txs_per_proposal: 4_000,
+    };
+    let (pool, sizer) = (MempoolConfig::default(), SizerConfig::default());
+    let mut ing = ClientIngress::new(workload, 512, pool, sizer, 3, Telemetry::null());
+    // The warm-up grows the queue (to four runs), the client table and the
+    // in-flight map.
+    assert_eq!(ingress_cycle(&mut ing, 0), (4, 4));
+    let mut cycles = Vec::with_capacity(3);
+    let (_, one) = allocations_in(|| cycles.push(ingress_cycle(&mut ing, 1)));
+    let (_, two) = allocations_in(|| {
+        cycles.push(ingress_cycle(&mut ing, 2));
+        cycles.push(ingress_cycle(&mut ing, 3));
+    });
+    // Each cycle queues the client's 4 000 transactions as one run per
+    // arrival stamp and pulls those four records.
+    assert_eq!(cycles, vec![(4, 4); 3]);
+    assert_eq!(ing.pool().stats().pulled, 16_000);
+    assert!(ing.pool().is_empty());
+    // The pull's four runs and the plan's four batches: no allocation is
+    // sized by the transactions.
+    assert!(two - one < 1024, "{} bytes in one steady cycle", two - one);
 }
 
 #[test]

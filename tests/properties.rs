@@ -430,31 +430,46 @@ fn naive_plan_batches(pulled: &[PendingTx], max_batches: usize) -> Vec<BatchPlan
     plans
 }
 
+/// `runs` one transaction per record, as the pool held them before it
+/// stored runs.
+fn expand(runs: &[PendingTx]) -> Vec<PendingTx> {
+    runs.iter()
+        .flat_map(|r| {
+            (0..r.count).map(move |i| PendingTx {
+                seq: r.seq + u64::from(i),
+                count: 1,
+                ..*r
+            })
+        })
+        .collect()
+}
+
 #[test]
 fn linear_batch_planner_matches_the_quadratic_one() {
-    // A pull is a list of (stamp, size, copies) groups. Few stamps and
-    // sizes make repeated stamps, same-size runs that merge and runs of
-    // alternating sizes that cannot; stamps may go backwards, as they do
-    // where one lane's queue ends and the next one's begins.
-    let arb_group = |g: &mut Gen| (g.u8_in(0, 6), g.u8_in(0, 2), g.u8_in(1, 12));
+    // A pull is a list of (stamp, size, count) runs. Few stamps and sizes
+    // make adjacent runs with one stamp, same-size groups that merge and
+    // groups of alternating sizes that cannot; stamps may go backwards, as
+    // they do where one lane's queue ends and the next one's begins. The
+    // planner reads the runs, its model the transactions they stand for.
+    let arb_run = |g: &mut Gen| (g.u8_in(0, 6), g.u8_in(0, 2), g.u8_in(1, 12));
     check_shrink(
         "linear_batch_planner_matches_the_quadratic_one",
         CASES * 4,
-        |g| (g.u8_in(0, 20), g.vec(0, 80, arb_group)),
-        |(max_batches, groups)| {
-            let pulled: Vec<PendingTx> = groups
+        |g| (g.u8_in(0, 20), g.vec(0, 80, arb_run)),
+        |(max_batches, runs)| {
+            let pulled: Vec<PendingTx> = runs
                 .iter()
-                .flat_map(|&(stamp, size, copies)| {
-                    (0..copies).map(move |_| PendingTx {
-                        client: ClientId(u64::from(stamp)),
-                        seq: 0,
-                        tx_bytes: 128 << size,
-                        arrived: Micros(u64::from(stamp)),
-                    })
+                .map(|&(stamp, size, count)| PendingTx {
+                    client: ClientId(u64::from(stamp)),
+                    seq: 0,
+                    tx_bytes: 128 << size,
+                    count: u32::from(count),
+                    arrived: Micros(u64::from(stamp)),
                 })
                 .collect();
             let max = usize::from(*max_batches);
-            let (got, want) = (plan_batches(&pulled, max), naive_plan_batches(&pulled, max));
+            let got = plan_batches(&pulled, max);
+            let want = naive_plan_batches(&expand(&pulled), max);
             tk_assert!(got == want, "max {max}: {got:?} != {want:?}");
             Ok(())
         },
@@ -467,7 +482,7 @@ fn index_addressed_client_table_matches_a_btreemap_model() {
 
     const MAX_CLIENTS: u64 = 6;
     /// The pool as its contract reads: a map from client to next sequence
-    /// number, three FIFO lanes and the counters.
+    /// number, three FIFO lanes of single transactions and the counters.
     #[derive(Default)]
     struct Model {
         next: BTreeMap<u64, u64>,
@@ -482,9 +497,11 @@ fn index_addressed_client_table_matches_a_btreemap_model() {
         8 => u64::MAX,
         c => u64::from(c),
     };
-    // Each op: (kind, client, seq, size, lane). Kinds 0–5 admit; 6 and 7
-    // pull, at most `seq` (0–4) transactions.
-    let arb_op = |g: &mut Gen| (g.u8_in(0, 7), g.u8(), g.u8_in(0, 4), g.u8_in(0, 3), g.u8());
+    // Each op: (kind, client, seq, size, lane). Kinds 0–5 admit one; 6 and
+    // 7 pull, at most `seq` (0–4) transactions; 8 and 9 are a burst of
+    // `seq + 1` submissions of one client's next numbers at one stamp and
+    // lane, which the pool keeps as one run that a later pull may split.
+    let arb_op = |g: &mut Gen| (g.u8_in(0, 9), g.u8(), g.u8_in(0, 4), g.u8_in(0, 3), g.u8());
     check_shrink(
         "index_addressed_client_table_matches_a_btreemap_model",
         CASES * 2,
@@ -499,12 +516,18 @@ fn index_addressed_client_table_matches_a_btreemap_model() {
             let mut model = Model::default();
             for (step, &(kind, client_sel, seq_sel, size, lane)) in ops.iter().enumerate() {
                 let now = Micros(step as u64);
-                if kind < 6 {
+                let admits = match kind {
+                    6 | 7 => 0,
+                    8.. => usize::from(seq_sel) + 1,
+                    _ => 1,
+                };
+                for _ in 0..admits {
                     let client = client_of(client_sel);
                     let expected = model.next.get(&client).copied().unwrap_or(0);
                     // Mostly the expected number, then a replay, a gap and
-                    // a wild number.
+                    // a wild number; a burst always offers the expected one.
                     let seq = match seq_sel {
+                        _ if kind >= 8 => expected,
                         0 | 1 => expected,
                         2 => expected.saturating_sub(1),
                         3 => expected + 2,
@@ -539,13 +562,15 @@ fn index_addressed_client_table_matches_a_btreemap_model() {
                             client: sub.client,
                             seq,
                             tx_bytes: sub.tx_bytes,
+                            count: 1,
                             arrived: now,
                         });
                         Ok(())
                     };
                     let got = pool.admit(sub, now);
                     tk_assert!(got == want, "step {step}: admit {got:?} != {want:?}");
-                } else {
+                }
+                if admits == 0 {
                     let max = usize::from(seq_sel);
                     let mut want = Vec::new();
                     for lane in &mut model.lanes {
@@ -557,15 +582,26 @@ fn index_addressed_client_table_matches_a_btreemap_model() {
                     }
                     model.stats.pulled += want.len() as u64;
                     let got = pool.pull(max, now);
+                    tk_assert!(got.iter().all(|r| r.count > 0), "step {step}: empty run");
                     let key = |t: &PendingTx| (t.client, t.seq, t.tx_bytes, t.arrived);
                     let (got, want): (Vec<_>, Vec<_>) = (
-                        got.iter().map(key).collect(),
+                        expand(&got).iter().map(key).collect(),
                         want.iter().map(key).collect(),
                     );
                     tk_assert!(got == want, "step {step}: pull {got:?} != {want:?}");
                 }
                 tk_assert_eq!(pool.stats(), model.stats);
                 tk_assert_eq!(pool.depth(), model.lanes.iter().map(VecDeque::len).sum());
+                // A run starts at each transaction that does not continue the
+                // one before it in its lane.
+                let runs = |lane: &VecDeque<PendingTx>| {
+                    let starts = lane.iter().zip(lane.iter().skip(1)).filter(|(p, t)| {
+                        (p.client, p.seq + 1, p.arrived, p.tx_bytes)
+                            != (t.client, t.seq, t.arrived, t.tx_bytes)
+                    });
+                    usize::from(!lane.is_empty()) + starts.count()
+                };
+                tk_assert_eq!(pool.queued_runs(), model.lanes.iter().map(runs).sum());
                 tk_assert_eq!(pool.queued_bytes(), model.bytes);
                 tk_assert_eq!(pool.tracked_clients(), model.next.len());
                 for c in (0..MAX_CLIENTS + 1).chain([u64::MAX]) {
