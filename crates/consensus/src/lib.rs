@@ -31,6 +31,7 @@ pub mod payload;
 pub mod recovery;
 pub mod schedule;
 pub mod trackers;
+mod transfer;
 
 pub use config::NodeConfig;
 pub use execution::{ExecutionReceipt, Executor};

@@ -49,9 +49,9 @@ pub enum ConsensusMsg {
     Timeout {
         /// The round timed out on.
         round: Round,
-        /// Signature over [`clanbft_types::certs::timeout_digest`].
+        /// Signature over [`clanbft_types::certs::TimedOut`]'s digest.
         timeout_sig: Signature,
-        /// Signature over [`clanbft_types::certs::no_vote_digest`].
+        /// Signature over [`clanbft_types::certs::NoVote`]'s digest.
         no_vote_sig: Signature,
     },
     /// A restarted (or badly lagging) party asks a peer for the committed
@@ -67,25 +67,21 @@ pub enum ConsensusMsg {
         next_seq: u64,
     },
     /// A responder's whole answer: its live DAG window and its
-    /// committed-order suffix. The requester accepts a vertex only once
-    /// `f+1` responders shipped an identical copy (vertex ids match), so no
-    /// single Byzantine responder can forge history.
+    /// committed-order suffix. The requester adopts what `f+1` responders
+    /// shipped identically, so no single Byzantine responder forges history.
     StateReply {
         /// Echo of the request's `from_round`.
         from_round: Round,
         /// The vertices carried (shared, so re-serving clones pointers).
         vertices: Vec<Arc<Vertex>>,
-        /// The responder's committed-order suffix from the requester's
-        /// declared frontier — adopted under the same `f+1` agreement rule.
+        /// The responder's committed-order suffix from the requester's declared frontier.
         committed: Vec<CommittedRec>,
     },
 }
 
-/// One committed-order entry shipped during state transfer. A requester
-/// adopts an entry only once `f+1` responders sent an identical copy, then
-/// applies entries in sequence order (stopping at the first gap), so its
-/// total order extends the tribe's without holes or divergence.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// One committed-order entry shipped during state transfer, ordered by
+/// sequence first.
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CommittedRec {
     /// Position in the total order.
     pub sequence: u64,

@@ -41,7 +41,7 @@ use clanbft_mempool::{plan_batches, ClientIngress, MempoolConfig, SizerConfig, W
 use clanbft_rbc::{parse_retry_token, EngineConfig, RbcEvent, TribeRbc, ROUND_WINDOW};
 use clanbft_simnet::protocol::{Ctx, Protocol};
 use clanbft_telemetry::{counters, Event};
-use clanbft_types::certs::{no_vote_digest, timeout_digest};
+use clanbft_types::certs::{NoVote, RoundCert, Statement, TimedOut};
 use clanbft_types::{
     Block, Encode, Evidence, Micros, PartyId, Round, RoundWindow, TxBatch, Vertex, VertexRef,
 };
@@ -636,33 +636,25 @@ impl SailfishNode {
         }
         // Missing leader edge needs justification: NVC for the next leader's
         // vertex, TC for everyone else's.
-        let quorum = self.cfg.tribe().quorum();
         if self.schedule.leader_vertex(vertex.round) == vertex.reference() {
-            let Some(nvc) = &vertex.nvc else { return false };
-            fx.charge(self.cfg.cost.agg_verify(nvc.agg.count()));
-            if nvc.round != prev {
-                return false;
-            }
-            if self.cfg.verify_sigs && !nvc.verify(self.auth.registry(), quorum) {
-                return false;
-            }
-            if !self.cfg.verify_sigs && nvc.agg.count() < quorum {
-                return false;
-            }
+            self.justifies(vertex.nvc.as_ref(), prev, fx)
         } else {
-            let Some(tc) = &vertex.tc else { return false };
-            fx.charge(self.cfg.cost.agg_verify(tc.agg.count()));
-            if tc.round != prev {
-                return false;
-            }
-            if self.cfg.verify_sigs && !tc.verify(self.auth.registry(), quorum) {
-                return false;
-            }
-            if !self.cfg.verify_sigs && tc.agg.count() < quorum {
-                return false;
-            }
+            self.justifies(vertex.tc.as_ref(), prev, fx)
         }
-        true
+    }
+
+    /// Whether `cert` is a quorum certificate for round `prev`.
+    fn justifies<S: Statement>(
+        &self,
+        cert: Option<&RoundCert<S>>,
+        prev: Round,
+        fx: &mut Intake,
+    ) -> bool {
+        let Some(cert) = cert else { return false };
+        fx.charge(self.cfg.cost.agg_verify(cert.agg.count()));
+        let quorum = self.cfg.tribe().quorum();
+        let signed = || cert.verify(self.auth.registry(), quorum);
+        cert.round == prev && cert.agg.count() >= quorum && (!self.cfg.verify_sigs || signed())
     }
 
     // --- commit and ordering -----------------------------------------------
@@ -1014,10 +1006,10 @@ impl SailfishNode {
         if self.cfg.verify_sigs {
             let ok = self
                 .auth
-                .verify_digest(from.idx(), &timeout_digest(round), &timeout_sig)
+                .verify_digest(from.idx(), &TimedOut::digest(round), &timeout_sig)
                 && self
                     .auth
-                    .verify_digest(from.idx(), &no_vote_digest(round), &no_vote_sig);
+                    .verify_digest(from.idx(), &NoVote::digest(round), &no_vote_sig);
             if !ok {
                 self.cfg.telemetry.add(counters::REJECTED_BAD_SIG, 1);
                 return;
@@ -1108,9 +1100,7 @@ impl Protocol<ConsensusMsg> for SailfishNode {
         // remaining responders are slow or down: settle for whatever `f+1`
         // of them already agree on and rejoin — liveness must not hinge on
         // prompt peers (commits are suppressed while the transfer is open).
-        if self.catchup.is_some() {
-            self.finish_catchup(ctx);
-        }
+        self.finish_catchup(ctx);
         if round != self.current_round {
             return; // Stale timer; the round already advanced.
         }
@@ -1134,8 +1124,8 @@ impl Protocol<ConsensusMsg> for SailfishNode {
             .telemetry
             .event(ctx.now(), self.cfg.me, Event::TimeoutAnnounced { round });
         ctx.charge(self.cfg.cost.sign() * 2);
-        let timeout_sig = self.auth.sign_digest(&timeout_digest(round));
-        let no_vote_sig = self.auth.sign_digest(&no_vote_digest(round));
+        let timeout_sig = self.auth.sign_digest(&TimedOut::digest(round));
+        let no_vote_sig = self.auth.sign_digest(&NoVote::digest(round));
         ctx.multicast(
             self.cfg.tribe().parties(),
             ConsensusMsg::Timeout {
@@ -1236,14 +1226,14 @@ mod tests {
         );
         assert!(!node.validate_vertex(&missing, &mut fx));
         // Same vertex with a valid TC for round 0: accepted.
-        let d = timeout_digest(Round(0));
+        let d = TimedOut::digest(Round(0));
         let pairs: Vec<_> = (0..3).map(|i| (i, auths[i].sign_digest(&d))).collect();
         let mut with_tc = missing.clone();
         with_tc.tc = Some(TimeoutCert::new(Round(0), 4, &pairs));
         assert!(node.validate_vertex(&with_tc, &mut fx));
         // A TC for the wrong round: rejected.
         let mut wrong_round = missing.clone();
-        let d5 = timeout_digest(Round(5));
+        let d5 = TimedOut::digest(Round(5));
         let pairs5: Vec<_> = (0..3).map(|i| (i, auths[i].sign_digest(&d5))).collect();
         wrong_round.tc = Some(TimeoutCert::new(Round(5), 4, &pairs5));
         assert!(!node.validate_vertex(&wrong_round, &mut fx));
@@ -1275,7 +1265,7 @@ mod tests {
         ];
         let bare = bare_vertex(1, 1, edges.clone());
         assert!(!node.validate_vertex(&bare, &mut fx), "no justification");
-        let td = timeout_digest(Round(0));
+        let td = TimedOut::digest(Round(0));
         let tc_pairs: Vec<_> = (0..3).map(|i| (i, auths[i].sign_digest(&td))).collect();
         let mut with_tc_only = bare.clone();
         with_tc_only.tc = Some(TimeoutCert::new(Round(0), 4, &tc_pairs));
@@ -1283,7 +1273,7 @@ mod tests {
             !node.validate_vertex(&with_tc_only, &mut fx),
             "a TC alone must not license the next leader"
         );
-        let nd = no_vote_digest(Round(0));
+        let nd = NoVote::digest(Round(0));
         let nvc_pairs: Vec<_> = (0..3).map(|i| (i, auths[i].sign_digest(&nd))).collect();
         let mut with_nvc = bare.clone();
         with_nvc.nvc = Some(NoVoteCert::new(Round(0), 4, &nvc_pairs));
@@ -1702,6 +1692,26 @@ mod tests {
         node.on_message(PartyId(2), reply(0), &mut ctx);
         assert!(node.catchup.is_none(), "a second responder settles it");
         assert_eq!(adopted(&node), (true, 1));
+    }
+
+    #[test]
+    fn a_second_reply_from_one_responder_is_ignored() {
+        // n = 4: f + 1 = 2. P1 answers without the entry, then again with
+        // it; P2 ships it. Only P1's first reply is kept, so the entry has
+        // one voucher of the two it needs. (The flood guard serves a peer
+        // once per `from_round`: an honest responder never sends the second.)
+        let (mut node, _) = test_node(4, 0);
+        let cost = node.cfg.cost;
+        let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
+        node.on_restart(&mut ctx);
+        let vertex = bare_vertex(0, 1, vec![]);
+        let entry = [committed_rec(0, &vertex)];
+        node.on_state_reply(PartyId(1), Round(0), &[], &[], &mut ctx);
+        node.on_state_reply(PartyId(1), Round(0), &[], &entry, &mut ctx);
+        assert!(node.catchup.is_some(), "one responder, however often");
+        node.on_state_reply(PartyId(2), Round(0), &[], &entry, &mut ctx);
+        assert!(node.catchup.is_none(), "a second responder settles it");
+        assert_eq!(node.commit_seq, 0, "adopted on a second reply's word");
     }
 
     #[test]

@@ -27,10 +27,10 @@
 //!    `StateRequest` carrying its round and commit-sequence frontiers; each
 //!    peer answers a requester with one `StateReply` per round of progress
 //!    (the pull rate-limit pattern) holding its live DAG window and its
-//!    committed-order suffix. The requester adopts a vertex or a commit
-//!    entry only when `f+1` responders shipped an identical copy, so no
-//!    single Byzantine peer can forge history, and finishes once `f+1`
-//!    distinct responders replied or its round timer fires.
+//!    committed-order suffix. The requester keeps each responder's first
+//!    reply until `f+1` replied or its round timer fires, and adopts what
+//!    `f+1` of them shipped identically (`transfer::agree`), so no single
+//!    Byzantine peer can forge history.
 //! 3. **Epoch rotation** (`SailfishNode::decide_epochs_up_to`): at fixed
 //!    positions of the agreed total order, every party deterministically
 //!    replaces clan members whose newest committed vertex lags the decision
@@ -41,14 +41,14 @@ use crate::messages::{CommittedRec, ConsensusMsg};
 use crate::node::{new_ingress, CommittedVertex, SailfishNode};
 use crate::payload::MergedPayload;
 use crate::trackers::RoundState;
+use crate::transfer::{agree, Reply};
 use clanbft_committee::rotate_single_clan;
-use clanbft_crypto::Digest;
 use clanbft_rbc::ClanTopology;
 use clanbft_simnet::protocol::Ctx;
 use clanbft_storage::{Checkpoint, EpochEntry, ProposalEntry, Recovered, WalRecord};
 use clanbft_telemetry::{counters, Event};
 use clanbft_types::{Micros, PartyId, Round, Vertex};
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How many rounds below its own a restarted party asks peers to ship in
@@ -58,20 +58,13 @@ const CATCHUP_ROUNDS: u64 = 8;
 /// behind the epoch decision boundary is voted dead at the next rotation.
 const ROTATION_MISS_K: u64 = 4;
 
-/// Client-side bookkeeping of one post-restart state transfer.
-///
-/// Everything accumulates until `f+1` responders replied; only then is the
-/// agreed subset applied in one deterministic pass (commits in sequence
-/// order, vertices parents-first).
+/// Client-side bookkeeping of one post-restart state transfer: the replies,
+/// until `SailfishNode::finish_catchup` applies what they agree on.
 pub struct CatchupState {
     /// Window floor echoed by every reply of this transfer.
     from_round: u64,
-    /// Candidate vertices: content id → (vertex, confirming responders).
-    vertices: HashMap<Digest, (Arc<Vertex>, HashSet<PartyId>)>,
-    /// Candidate committed-order entries → confirming responders.
-    commits: HashMap<CommittedRec, HashSet<PartyId>>,
-    /// Responders that replied: a second reply from one counts once.
-    replied: HashSet<PartyId>,
+    /// The first reply of each responder.
+    replies: BTreeMap<PartyId, Reply>,
 }
 
 impl SailfishNode {
@@ -276,9 +269,7 @@ impl SailfishNode {
         let next_seq = self.commit_seq;
         self.catchup = Some(CatchupState {
             from_round: from.0,
-            vertices: HashMap::new(),
-            commits: HashMap::new(),
-            replied: HashSet::new(),
+            replies: BTreeMap::new(),
         });
         let me = self.cfg.me;
         let peers: Vec<PartyId> = self.cfg.tribe().parties().filter(|p| *p != me).collect();
@@ -355,8 +346,8 @@ impl SailfishNode {
 
     // --- state transfer: client side ---------------------------------------
 
-    /// Tallies one responder's reply; once `f+1` distinct responders
-    /// replied, applies everything that `f+1` of them agree on.
+    /// Keeps one responder's first reply, less the vertices of a bad shape;
+    /// once `f+1` distinct responders replied, applies what they agree on.
     pub(crate) fn on_state_reply(
         &mut self,
         from: PartyId,
@@ -373,59 +364,34 @@ impl SailfishNode {
             return;
         }
         ctx.charge(self.cfg.cost.db_reads(vertices.len() + committed.len()));
-        for v in vertices {
-            // Structural validation is local; certificate checks are
-            // unnecessary — `f+1` matching copies include an honest node
-            // that verified the vertex before accepting it.
-            if v.validate_shape(tribe).is_err() {
-                continue;
-            }
-            let id = v.id();
-            cat.vertices
-                .entry(id)
-                .or_insert_with(|| (Arc::clone(v), HashSet::new()))
-                .1
-                .insert(from);
+        if cat.replies.contains_key(&from) {
+            return; // An honest responder answers one request once.
         }
-        for c in committed {
-            cat.commits.entry(c.clone()).or_default().insert(from);
-        }
-        cat.replied.insert(from);
-        if cat.replied.len() >= tribe.small_quorum() {
+        // Structural validation is local; certificate checks are
+        // unnecessary — `f+1` matching copies include an honest node that
+        // verified the vertex before accepting it.
+        let well_formed = vertices.iter().filter(|v| v.validate_shape(tribe).is_ok());
+        let reply = Reply {
+            vertices: well_formed.cloned().collect(),
+            committed: committed.to_vec(),
+        };
+        cat.replies.insert(from, reply);
+        if cat.replies.len() >= tribe.small_quorum() {
             self.finish_catchup(ctx);
         }
     }
 
-    /// Applies the `f+1`-agreed transfer results in one deterministic pass.
+    /// Applies what the `f+1` responders agree on in one deterministic pass.
     pub(crate) fn finish_catchup(&mut self, ctx: &mut Ctx<ConsensusMsg>) {
         let Some(cat) = self.catchup.take() else {
             return;
         };
         let now = ctx.now();
         let f1 = self.cfg.tribe().small_quorum();
+        let (order, window) = agree(&cat.replies, f1, self.commit_seq);
 
-        // 1. The committed-order suffix: adopt agreed entries in sequence
-        //    order, stopping at the first gap — the local total order must
-        //    extend contiguously or not at all.
-        let mut entries: Vec<CommittedRec> = cat
-            .commits
-            .into_iter()
-            .filter(|(_, peers)| peers.len() >= f1)
-            .map(|(c, _)| c)
-            .collect();
-        entries.sort_by_key(|c| c.sequence);
-        let mut adopted = Vec::new();
-        for entry in entries {
-            let next = self.commit_seq + adopted.len() as u64;
-            if entry.sequence < next {
-                continue; // Already had it.
-            }
-            if entry.sequence > next {
-                break; // Gap: responders could not agree on the middle.
-            }
-            adopted.push(entry);
-        }
-        for c in adopted {
+        // 1. The committed-order suffix, contiguous from our frontier.
+        for c in order {
             // Emitted like a local commit, but its block is not queued for
             // execution and `commit.vertices` (vertices ordered *here*)
             // does not count it.
@@ -447,15 +413,8 @@ impl SailfishNode {
         //    below it, fast-forward the horizon: vertices referencing
         //    pre-window parents then insert as live instead of pending
         //    forever (their history is committed, not missing).
-        let mut vs: Vec<(Arc<Vertex>, Digest)> = cat
-            .vertices
-            .into_iter()
-            .filter(|(_, (_, peers))| peers.len() >= f1)
-            .map(|(id, (v, _))| (v, id))
-            .collect();
-        vs.sort_by_key(|(v, _)| (v.round, v.source));
         let mut released = Vec::new();
-        if let Some(floor) = vs.first().map(|(v, _)| v.round) {
+        if let Some(floor) = window.first().map(|(v, _)| v.round) {
             if floor > self.dag.horizon() && self.last_committed.is_some_and(|lc| lc >= floor) {
                 released = self.dag.prune_below(floor);
                 self.rounds.prune_below(floor);
@@ -464,7 +423,7 @@ impl SailfishNode {
         }
         // Inserted without voting, telemetry or weak-edge tracking (as on
         // WAL replay); step 5 retries the commits this skips.
-        for (v, id) in vs {
+        for (v, id) in window {
             if !self.dag.is_known(&v.reference()) {
                 self.dag.insert_shared(v, Some(id));
             }

@@ -341,16 +341,6 @@ impl Dag {
         false
     }
 
-    /// Counts round-`r` vertices with a strong edge to `target` (the
-    /// "support" used by commit rules).
-    pub fn strong_supporters(&self, round: Round, target: &VertexRef) -> usize {
-        self.rounds.get(&round).map_or(0, |row| {
-            row.vertices()
-                .filter(|v| v.has_strong_edge_to(target))
-                .count()
-        })
-    }
-
     /// The downward walk behind ordering and weak-edge choice: every live,
     /// not-yet-ordered vertex of round `floor` or later that `roots` reach
     /// over strong and weak edges, the roots themselves included. An
@@ -648,13 +638,6 @@ mod tests {
         // But the weak edge does pull (0,3) into the causal history.
         let hist = dag.take_causal_history(&vref(2, 0));
         assert!(hist.contains(&vref(0, 3)));
-    }
-
-    #[test]
-    fn strong_supporters_count() {
-        let dag = full_dag(2);
-        assert_eq!(dag.strong_supporters(Round(1), &vref(0, 0)), 4);
-        assert_eq!(dag.strong_supporters(Round(2), &vref(2, 0)), 0);
     }
 
     #[test]

@@ -30,8 +30,6 @@
 //! (smaller `k`), not through per-protocol tuning. See `DESIGN.md`,
 //! substitution 2, and `EXPERIMENTS.md` for the resulting curves.
 
-use clanbft_types::Micros;
-
 /// Fan-out-aware uplink bandwidth model.
 #[derive(Clone, Copy, Debug)]
 pub struct BandwidthModel {
@@ -71,11 +69,6 @@ impl BandwidthModel {
         let k = k.max(1) as f64;
         let law = self.scale_bytes_per_sec * k.powf(-self.gamma);
         law.min(self.cap_bytes_per_sec)
-    }
-
-    /// Time to push `bytes` onto the wire at fan-out degree `k`.
-    pub fn serialization_delay(&self, bytes: usize, k: usize) -> Micros {
-        Micros::from_secs_f64(bytes as f64 / self.effective(k))
     }
 }
 
@@ -121,18 +114,10 @@ mod tests {
     }
 
     #[test]
-    fn serialization_delay_scales_linearly() {
-        let m = BandwidthModel::flat(1e6); // 1 MB/s
-        assert_eq!(m.serialization_delay(1_000_000, 1), Micros::from_secs(1));
-        assert_eq!(m.serialization_delay(500, 1), Micros(500));
-        assert_eq!(m.serialization_delay(0, 1), Micros::ZERO);
-    }
-
-    #[test]
     fn small_messages_are_cheap_even_at_high_fanout() {
-        // A 100-byte ECHO at k=149 must cost well under a millisecond —
-        // the κn² control traffic is not the bottleneck.
+        // A 100-byte ECHO at k=149 takes under 100 µs on the wire — the
+        // κn² control traffic is not the bottleneck.
         let m = BandwidthModel::default();
-        assert!(m.serialization_delay(100, 149) < Micros(100));
+        assert!(100.0 / m.effective(149) < 100e-6);
     }
 }

@@ -7,68 +7,79 @@
 //!   promised not to vote for round `r`'s leader vertex, which the round
 //!   `r+1` leader must carry when its vertex lacks a strong edge to the
 //!   round-`r` leader vertex.
+//!
+//! Both are one [`RoundCert`]: the round and the aggregate, with a marker
+//! for the statement signed, which picks the digest and nothing else.
 
 use crate::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use crate::ids::Round;
 use clanbft_crypto::{AggregateSignature, Digest, Hasher, Registry, Signature};
+use std::marker::PhantomData;
 
-/// Computes the digest that timeout messages for `round` sign.
-pub fn timeout_digest(round: Round) -> Digest {
-    Hasher::new("clanbft/timeout").chain_u64(round.0).finalize()
+/// What the signers of a [`RoundCert`] stated about its round: the marker
+/// picks the digest they signed.
+pub trait Statement {
+    /// The digest a statement about `round` signs.
+    fn digest(round: Round) -> Digest;
 }
 
-/// Computes the digest that no-vote messages for `round` sign.
-pub fn no_vote_digest(round: Round) -> Digest {
-    Hasher::new("clanbft/no-vote").chain_u64(round.0).finalize()
+/// The statement "round `r`'s leader vertex did not arrive in time", which
+/// timeout messages sign.
+#[derive(Clone, Copy, Debug)]
+pub struct TimedOut;
+
+impl Statement for TimedOut {
+    fn digest(round: Round) -> Digest {
+        Hasher::new("clanbft/timeout").chain_u64(round.0).finalize()
+    }
 }
 
-/// A certificate aggregating `2f+1` signed timeout messages for a round.
+/// The statement "I will not vote for round `r`'s leader vertex", which
+/// no-vote messages sign.
+#[derive(Clone, Copy, Debug)]
+pub struct NoVote;
+
+impl Statement for NoVote {
+    fn digest(round: Round) -> Digest {
+        Hasher::new("clanbft/no-vote").chain_u64(round.0).finalize()
+    }
+}
+
+/// A certificate aggregating `2f+1` signatures over one statement `S` about
+/// a round.
 #[derive(Clone, Debug)]
-pub struct TimeoutCert {
-    /// The round the parties timed out on.
+pub struct RoundCert<S> {
+    /// The round the statement is about.
     pub round: Round,
-    /// Aggregated signatures over [`timeout_digest`].
+    /// Aggregated signatures over `S::digest(round)`.
     pub agg: AggregateSignature,
+    statement: PhantomData<S>,
 }
 
-impl TimeoutCert {
+/// `2f+1` parties timed out waiting for the round's leader vertex.
+pub type TimeoutCert = RoundCert<TimedOut>;
+
+/// `2f+1` parties refused to vote for the round's leader vertex.
+pub type NoVoteCert = RoundCert<NoVote>;
+
+impl<S: Statement> RoundCert<S> {
     /// Assembles a certificate from `(signer, signature)` pairs.
-    pub fn new(round: Round, capacity: usize, pairs: &[(usize, Signature)]) -> TimeoutCert {
-        TimeoutCert {
+    pub fn new(round: Round, capacity: usize, pairs: &[(usize, Signature)]) -> Self {
+        Self::from_agg(round, AggregateSignature::aggregate(capacity, pairs))
+    }
+
+    fn from_agg(round: Round, agg: AggregateSignature) -> Self {
+        RoundCert {
             round,
-            agg: AggregateSignature::aggregate(capacity, pairs),
+            agg,
+            statement: PhantomData,
         }
     }
 
     /// Verifies the certificate against a quorum threshold.
     pub fn verify(&self, registry: &Registry, quorum: usize) -> bool {
         self.agg
-            .certifies(registry, timeout_digest(self.round).as_bytes(), quorum)
-    }
-}
-
-/// A certificate aggregating `2f+1` signed no-vote messages for a round.
-#[derive(Clone, Debug)]
-pub struct NoVoteCert {
-    /// The round whose leader vertex the parties refused to vote for.
-    pub round: Round,
-    /// Aggregated signatures over [`no_vote_digest`].
-    pub agg: AggregateSignature,
-}
-
-impl NoVoteCert {
-    /// Assembles a certificate from `(signer, signature)` pairs.
-    pub fn new(round: Round, capacity: usize, pairs: &[(usize, Signature)]) -> NoVoteCert {
-        NoVoteCert {
-            round,
-            agg: AggregateSignature::aggregate(capacity, pairs),
-        }
-    }
-
-    /// Verifies the certificate against a quorum threshold.
-    pub fn verify(&self, registry: &Registry, quorum: usize) -> bool {
-        self.agg
-            .certifies(registry, no_vote_digest(self.round).as_bytes(), quorum)
+            .certifies(registry, S::digest(self.round).as_bytes(), quorum)
     }
 }
 
@@ -111,7 +122,7 @@ fn decode_agg(r: &mut Reader<'_>) -> Result<AggregateSignature, DecodeError> {
 // wire size (64-byte aggregate + signer bitmap + round) per the paper;
 // `encode`/`decode` carry the full signature set so certificates decoded
 // from the WAL or a checkpoint remain verifiable.
-impl Encode for TimeoutCert {
+impl<S> Encode for RoundCert<S> {
     fn encode(&self, w: &mut Writer) {
         self.round.encode(w);
         encode_agg(&self.agg, w);
@@ -122,30 +133,11 @@ impl Encode for TimeoutCert {
     }
 }
 
-impl Decode for TimeoutCert {
+impl<S: Statement> Decode for RoundCert<S> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let round = Round::decode(r)?;
         let agg = decode_agg(r)?;
-        Ok(TimeoutCert { round, agg })
-    }
-}
-
-impl Encode for NoVoteCert {
-    fn encode(&self, w: &mut Writer) {
-        self.round.encode(w);
-        encode_agg(&self.agg, w);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.round.encoded_len() + self.agg.wire_bytes()
-    }
-}
-
-impl Decode for NoVoteCert {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let round = Round::decode(r)?;
-        let agg = decode_agg(r)?;
-        Ok(NoVoteCert { round, agg })
+        Ok(Self::from_agg(round, agg))
     }
 }
 
@@ -169,7 +161,7 @@ mod tests {
     fn timeout_cert_verifies() {
         let (reg, auths) = setup(4);
         let round = Round(9);
-        let d = timeout_digest(round);
+        let d = TimedOut::digest(round);
         let pairs: Vec<_> = (0..3).map(|i| (i, auths[i].sign_digest(&d))).collect();
         let tc = TimeoutCert::new(round, 4, &pairs);
         assert!(tc.verify(&reg, 3));
@@ -179,7 +171,7 @@ mod tests {
     #[test]
     fn no_vote_cert_rejects_cross_round() {
         let (reg, auths) = setup(4);
-        let d = no_vote_digest(Round(1));
+        let d = NoVote::digest(Round(1));
         let pairs: Vec<_> = (0..3).map(|i| (i, auths[i].sign_digest(&d))).collect();
         // Certificate claims round 2, but signatures cover round 1.
         let nvc = NoVoteCert::new(Round(2), 4, &pairs);
@@ -188,15 +180,15 @@ mod tests {
 
     #[test]
     fn domains_differ() {
-        assert_ne!(timeout_digest(Round(4)), no_vote_digest(Round(4)));
-        assert_ne!(timeout_digest(Round(4)), timeout_digest(Round(5)));
+        assert_ne!(TimedOut::digest(Round(4)), NoVote::digest(Round(4)));
+        assert_ne!(TimedOut::digest(Round(4)), TimedOut::digest(Round(5)));
     }
 
     #[test]
     fn codec_roundtrip_preserves_signers() {
         let (_, auths) = setup(7);
         let round = Round(3);
-        let d = timeout_digest(round);
+        let d = TimedOut::digest(round);
         let pairs: Vec<_> = [0usize, 2, 5]
             .iter()
             .map(|&i| (i, auths[i].sign_digest(&d)))
@@ -212,7 +204,7 @@ mod tests {
     fn wire_size_is_bls_model() {
         let (_, auths) = setup(150);
         let round = Round(1);
-        let d = timeout_digest(round);
+        let d = TimedOut::digest(round);
         let pairs: Vec<_> = (0..101).map(|i| (i, auths[i].sign_digest(&d))).collect();
         let tc = TimeoutCert::new(round, 150, &pairs);
         assert_eq!(tc.encoded_len(), 8 + 64 + 19);

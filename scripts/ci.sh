@@ -38,6 +38,13 @@ TESTKIT_CASES=4096 cargo test -q --offline -p clanbft-sim --test properties -- \
     linear_batch_planner_matches_the_quadratic_one \
     index_addressed_client_table_matches_a_btreemap_model
 
+echo "== the state-transfer agreement property at 4096 cases"
+# transfer::agree, which decides everything a post-restart transfer adopts,
+# is held to a naive transcription of the tallies it replaced; 256 cases in
+# tier-1.
+TESTKIT_CASES=4096 cargo test -q --offline -p clanbft-consensus --lib -- \
+    agree_matches_a_naive_transcription_of_the_tallies
+
 echo "== the README examples run to completion"
 # `cargo build` only compiles them; an example that panics fails here.
 for example in quickstart shared_sequencer tribe_rbc "clan_planner 150"; do

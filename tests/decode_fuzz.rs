@@ -252,6 +252,19 @@ fn every_decode_impl_has_a_generator() {
                 .lines()
                 .filter_map(|l| l.strip_prefix("impl Decode for "));
             impls.extend(named.map(|rest| rest.trim_end_matches(" {").to_string()));
+            // A generic impl decodes each of the file's aliases of its type.
+            let generic = source
+                .lines()
+                .filter(|l| l.starts_with("impl<"))
+                .filter_map(|l| l.split_once("> Decode for "))
+                .filter_map(|(_, rest)| rest.split_once('<'));
+            for (ty, _) in generic {
+                let aliases = source.lines().filter_map(|l| {
+                    let (alias, of) = l.strip_prefix("pub type ")?.split_once(" = ")?;
+                    of.starts_with(&format!("{ty}<")).then(|| alias.to_string())
+                });
+                impls.extend(aliases);
+            }
         }
     }
     impls.sort();
