@@ -12,7 +12,7 @@
 
 use crate::core::{self, Count, Once, Spill, Step, Tally, Vote};
 use crate::payload::TribePayload;
-use crate::pull::{plan_pull, Ask};
+use crate::pull::plan_pull;
 use crate::topology::ClanTopology;
 use clanbft_crypto::multisig::AggregateVerdict;
 use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Hasher, Signature};
@@ -310,7 +310,7 @@ struct Pulls {
     served: [PartySet; 2],
     /// Peers this party has directed a pull at (rotation avoids re-asking).
     asked: PartySet,
-    /// Digest the outstanding pull is for, set by the first pull started.
+    /// Digest the pull is for, set when it starts.
     digest: Option<Digest>,
     /// Retry deadlines fired for this instance so far.
     attempts: u8,
@@ -394,6 +394,12 @@ impl<P: TribePayload> Instance<P> {
     /// The echo bookkeeping for `digest`, if any echo for it was counted.
     fn echo_set(&self, digest: &Digest) -> Option<&Tally> {
         self.echo_tallies().find(|s| s.digest == *digest)
+    }
+
+    /// Whether `party`'s echo of `digest` was counted.
+    fn echoed(&self, party: PartyId, digest: &Digest) -> bool {
+        self.echo_set(digest)
+            .is_some_and(|set| set.voters.contains(party))
     }
 
     /// The shares collected behind each echo tally.
@@ -623,6 +629,9 @@ pub struct TribeRbc<P: TribePayload> {
     /// broadcasts, certifications, consensus round advances). The
     /// admission window extends [`ROUND_WINDOW`] beyond it.
     round_hint: Round,
+    /// Sources that echoed a view which then did not arrive within a pull
+    /// deadline: their views are pulled at once from then on.
+    struck: PartySet,
     /// What the calls since the last [`TribeRbc::take_events`] yielded.
     events: Vec<RbcEvent<P>>,
 }
@@ -641,6 +650,7 @@ impl<P: TribePayload> TribeRbc<P> {
                 rows: RoundWindow::default(),
             },
             round_hint: Round(0),
+            struck: PartySet::EMPTY,
             events: Vec::new(),
         }
     }
@@ -1241,12 +1251,9 @@ impl<P: TribePayload> TribeRbc<P> {
             let lacks_payload = !self.instance(round, source).holds(Which::Full);
             self.trace(RbcPhase::EchoQuorum, round, source, ctx.now());
             if lacks_payload && self.my_view(round, source) == Which::Full {
-                // Gentle first probe, one clan echoer: the sender's own copy
-                // is moments away in the good case (§5's early download,
-                // without a pull storm). After it the fan-out at
-                // certification asks one fewer than `f_c + 1`, or nobody
-                // (`plan_pull`'s shortfall, ROADMAP item 4(b)).
-                self.start_pull(round, source, digest, false, ctx);
+                // §5's early download: a clan member starts the pull at
+                // the echo quorum, before certification.
+                self.start_pull(round, source, digest, ctx);
             }
         }
         if step.send_ready {
@@ -1306,7 +1313,7 @@ impl<P: TribePayload> TribeRbc<P> {
             if let Some(cold) = &mut self.instance(round, source).cold {
                 cold.held[which as usize].view = None;
             }
-            self.start_pull(round, source, digest, true, ctx);
+            self.start_pull(round, source, digest, ctx);
         }
     }
 
@@ -1347,29 +1354,40 @@ impl<P: TribePayload> TribeRbc<P> {
         true
     }
 
-    /// Starts the probe, or the fan-out at certification, and arms the
-    /// retry chain. Each fires once (the echo-quorum once-fact;
-    /// [`Slots::certify`]); a probe after the fan-out asks nobody.
+    /// Starts the pull of the view this party is due, at the echo quorum
+    /// (the payload only) or at certification, whichever comes first, and
+    /// arms the retry chain. An honest source sends every VAL and ValMeta
+    /// before its own echo, so if that echo of `digest` was counted and no
+    /// view came straight from the source, the view is on its way: nobody
+    /// is asked before the first deadline, unless the source let one pass
+    /// before ([`TribeRbc::on_retry`] strikes it).
     fn start_pull<M: Carries<P>>(
         &mut self,
         round: Round,
         source: PartyId,
         digest: Digest,
-        fan_out: bool,
         ctx: &mut Ctx<'_, M>,
     ) {
-        let pulled = self.instance(round, source).cold().pulls().digest;
-        let ask = match (fan_out, pulled.is_some()) {
-            (true, probed) => Ask::FanOut { probed },
-            (false, false) => Ask::Probe,
-            (false, true) => return,
-        };
-        self.trace(RbcPhase::PullStarted, round, source, ctx.now());
-        self.ask(round, source, digest, ask, ctx);
-        let pull_retry = self.cfg.pull_retry;
-        let pulls = self.instance(round, source).cold().pulls();
-        if !std::mem::replace(&mut pulls.retry_armed, true) {
-            ctx.set_timer(pull_retry, retry_token(round, source));
+        let struck = self.struck.contains(source);
+        let inst = self.instance(round, source);
+        let direct = inst
+            .cold
+            .iter()
+            .flat_map(|cold| &cold.held)
+            .any(|h| h.direct);
+        let on_its_way = inst.echoed(source, &digest) && !direct && !struck;
+        let pulls = inst.cold().pulls();
+        if pulls.asked.count() > 0 {
+            return;
+        }
+        pulls.digest = Some(digest);
+        let armed = std::mem::replace(&mut pulls.retry_armed, true);
+        if !armed {
+            ctx.set_timer(self.cfg.pull_retry, retry_token(round, source));
+        }
+        if !on_its_way {
+            self.trace(RbcPhase::PullStarted, round, source, ctx.now());
+            self.ask(round, source, digest, ctx);
         }
     }
 
@@ -1380,7 +1398,6 @@ impl<P: TribePayload> TribeRbc<P> {
         round: Round,
         source: PartyId,
         digest: Digest,
-        ask: Ask,
         ctx: &mut Ctx<'_, M>,
     ) {
         let me = self.cfg.me;
@@ -1394,9 +1411,8 @@ impl<P: TribePayload> TribeRbc<P> {
         let inst = self.instance(round, source);
         let echoers = inst.echo_set(&digest).map(|set| set.voters.clone());
         let pulls = inst.cold().pulls();
-        pulls.digest = Some(digest);
         let echoers = echoers.unwrap_or_default();
-        for to in plan_pull(ask, quorum, &echoers, &peers, me, &mut pulls.asked) {
+        for to in plan_pull(quorum, &echoers, &peers, me, &mut pulls.asked) {
             let request = match which {
                 Which::Full => RbcMsg::Pull { digest },
                 Which::Meta => RbcMsg::PullMeta { digest },
@@ -1437,10 +1453,11 @@ impl<P: TribePayload> TribeRbc<P> {
     }
 
     /// Pull-retry deadline for `(round, source)` expired (see
-    /// [`parse_retry_token`]): if the instance still needs data, re-send
-    /// the pull to peers not yet asked (`Ask::Retry`) and re-arm with
-    /// exponential backoff. A withholding first target therefore stalls
-    /// delivery by at most one deadline.
+    /// [`parse_retry_token`]): if the instance still needs data, send the
+    /// pull to peers not yet asked and re-arm with exponential backoff. A
+    /// source whose echo was counted is struck. A withholding target
+    /// therefore stalls delivery by one deadline, and a withholding source
+    /// by one deadline once.
     pub fn on_retry<M: Carries<P>>(&mut self, round: Round, source: PartyId, ctx: &mut Ctx<'_, M>) {
         let _prof = clanbft_profiler::scope("rbc.retry");
         if round < self.slots.rows.base() {
@@ -1461,8 +1478,8 @@ impl<P: TribePayload> TribeRbc<P> {
         pulls.attempts += 1;
         let delay = Micros(self.cfg.pull_retry.0 << (pulls.attempts.min(3) as u64));
         let Some(digest) = certified.or(pulls.digest) else {
-            // Nothing certified and no pull outstanding: a slow heartbeat
-            // until certification, which starts a pull of its own.
+            // Nothing certified and no pull started: a slow heartbeat until
+            // certification, which starts a pull of its own.
             ctx.set_timer(delay, retry_token(round, source));
             return;
         };
@@ -1470,9 +1487,12 @@ impl<P: TribePayload> TribeRbc<P> {
             pulls.retry_armed = false;
             return;
         }
+        if inst.echoed(source, &digest) {
+            self.struck.insert(source);
+        }
         self.cfg.telemetry.add(counters::PULL_RETRIES, 1);
         self.trace(RbcPhase::PullRetry, round, source, ctx.now());
-        self.ask(round, source, digest, Ask::Retry, ctx);
+        self.ask(round, source, digest, ctx);
         ctx.set_timer(delay, retry_token(round, source));
     }
 }
@@ -1520,35 +1540,69 @@ mod tests {
         BytesPayload::new(vec![0x17; 128])
     }
 
-    /// What one call queued, one entry per recipient, and the events it
-    /// yielded.
+    /// What one call queued, one entry per recipient, the timers it armed
+    /// and the events it yielded.
     struct Queued {
         out: Vec<(PartyId, RbcPacket<BytesPayload>)>,
+        timers: Vec<(Micros, u64)>,
         events: Vec<RbcEvent<BytesPayload>>,
     }
 
-    fn feed(rig: &mut Rig, from: u32, msg: RbcMsg<BytesPayload>) -> Queued {
+    impl Queued {
+        /// The peers a full-view pull went to, in order.
+        fn pulls(&self) -> Vec<PartyId> {
+            let pull = |(to, p): &(PartyId, RbcPacket<_>)| {
+                matches!(p.msg, RbcMsg::Pull { .. }).then_some(*to)
+            };
+            self.out.iter().filter_map(pull).collect()
+        }
+    }
+
+    fn run(
+        rig: &mut Rig,
+        call: impl FnOnce(&mut TribeRbc<BytesPayload>, &mut Ctx<'_, RbcPacket<BytesPayload>>),
+    ) -> Queued {
         let cost = CostModel::free();
         let mut ctx = Ctx::new(rig.engine.config().me, Micros(1), &cost);
-        let packet = RbcPacket {
-            source: SOURCE,
-            round: ROUND,
-            msg,
-        };
-        rig.engine.handle(PartyId(from), &packet, &mut ctx);
+        call(&mut rig.engine, &mut ctx);
         let mut events = Vec::new();
         rig.engine.take_events(&mut events);
         Queued {
             out: ctx.take_outbox(),
+            timers: ctx.take_timers(),
             events,
         }
     }
 
-    fn feed_echo(rig: &mut Rig, signer: u32) -> Queued {
+    fn feed_in(rig: &mut Rig, round: Round, from: u32, msg: RbcMsg<BytesPayload>) -> Queued {
+        let packet = RbcPacket {
+            source: SOURCE,
+            round,
+            msg,
+        };
+        run(rig, |engine, ctx| {
+            engine.handle(PartyId(from), &packet, ctx)
+        })
+    }
+
+    fn feed(rig: &mut Rig, from: u32, msg: RbcMsg<BytesPayload>) -> Queued {
+        feed_in(rig, ROUND, from, msg)
+    }
+
+    fn echo_in(rig: &mut Rig, round: Round, signer: u32) -> Queued {
         let digest = payload().rbc_digest();
-        let statement = echo_statement(SOURCE, ROUND, &digest);
+        let statement = echo_statement(SOURCE, round, &digest);
         let sig = Some(rig.auths[signer as usize].sign_digest(&statement));
-        feed(rig, signer, RbcMsg::Echo { digest, sig })
+        feed_in(rig, round, signer, RbcMsg::Echo { digest, sig })
+    }
+
+    fn feed_echo(rig: &mut Rig, signer: u32) -> Queued {
+        echo_in(rig, ROUND, signer)
+    }
+
+    /// Fires the pull-retry deadline of the instance in `round`.
+    fn retry_in(rig: &mut Rig, round: Round) -> Queued {
+        run(rig, |engine, ctx| engine.on_retry(round, SOURCE, ctx))
     }
 
     /// `(echoes counted, signature shares held)` for the instance under test.
@@ -1612,29 +1666,95 @@ mod tests {
 
     #[test]
     fn a_pull_lives_in_its_record_and_is_pending_until_delivery() {
-        // Party 3 certifies on three echoes without the payload: a probe of
-        // one echoer at the echo quorum, then the fan-out at certification.
+        // Party 3 counts one echo, from 1, and certifies through a
+        // certificate; the source's own echo never reached it, so nothing is
+        // on its way and it asks f_c + 1 = 2 peers at once, the echoer first.
         let mut r = rig(3);
-        feed_echo(&mut r, 0);
         feed_echo(&mut r, 1);
-        let fx = feed_echo(&mut r, 2);
-        let asked: Vec<PartyId> = fx
-            .out
-            .iter()
-            .filter_map(|(to, p)| matches!(p.msg, RbcMsg::Pull { .. }).then_some(*to))
+        let digest = payload().rbc_digest();
+        let statement = echo_statement(SOURCE, ROUND, &digest);
+        let shares: Vec<_> = (0..3)
+            .map(|i| (i, r.auths[i].sign_digest(&statement)))
             .collect();
-        assert_eq!(asked, [PartyId(0), PartyId(1)]);
+        let cert = Arc::new(AggregateSignature::aggregate(N, &shares));
+        let fx = feed(&mut r, 2, RbcMsg::EchoCert { digest, cert });
+        let asked = fx.pulls();
+        assert_eq!(asked, [PartyId(1), PartyId(0)]);
+        assert_eq!(fx.timers.len(), 1);
         assert_eq!(boxes(&r), (true, false));
         let inst = r.engine.slots.get(ROUND, SOURCE).expect("instance");
         let pulls = inst.cold.as_ref().and_then(|c| c.pulls.as_ref()).unwrap();
         assert_eq!(pulls.attempts, 0);
         assert!(pulls.retry_armed && asked.iter().all(|p| pulls.asked.contains(*p)));
-        assert_eq!(pulls.digest, Some(payload().rbc_digest()));
         assert_eq!(r.engine.buffer_stats().pending_pulls, 1);
 
         feed(&mut r, 1, RbcMsg::PullResp(payload()));
         assert!(r.engine.delivered(ROUND, SOURCE));
         assert_eq!(r.engine.buffer_stats().pending_pulls, 0);
+    }
+
+    /// Party 3 counts the source's echo and two more and certifies without
+    /// the payload; returns what the certifying echo queued.
+    fn certify_told(r: &mut Rig, round: Round) -> Queued {
+        echo_in(r, round, 0);
+        echo_in(r, round, 1);
+        let fx = echo_in(r, round, 2);
+        assert!(fx
+            .events
+            .iter()
+            .any(|e| matches!(e, RbcEvent::Certified { .. })));
+        fx
+    }
+
+    #[test]
+    fn the_sources_echo_defers_the_pull_to_one_deadline() {
+        // The source echoed, so its VAL is on the wire: no pull, one
+        // deadline armed, and the instance counts as pending.
+        let mut r = rig(3);
+        let fx = certify_told(&mut r, ROUND);
+        assert!(fx.pulls().is_empty());
+        assert_eq!(fx.timers.len(), 1);
+        assert_eq!(
+            fx.timers[0],
+            (r.engine.cfg.pull_retry, retry_token(ROUND, SOURCE))
+        );
+        assert_eq!(r.engine.buffer_stats().pending_pulls, 1);
+
+        // The VAL lands before the deadline and delivers; the expiry then
+        // sends nothing, re-arms nothing and counts no retry.
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        assert!(r.engine.delivered(ROUND, SOURCE));
+        let fx = retry_in(&mut r, ROUND);
+        assert!(fx.out.is_empty() && fx.timers.is_empty());
+        assert_eq!(r.rec.counter(counters::PULL_RETRIES), 0);
+        assert!(!r.engine.struck.contains(SOURCE));
+    }
+
+    #[test]
+    fn a_deadline_passed_without_the_view_strikes_the_source() {
+        // The expiry asks f_c + 1 = 2 peers, echoers first, and strikes the
+        // source ...
+        let mut r = rig(3);
+        certify_told(&mut r, ROUND);
+        let fx = retry_in(&mut r, ROUND);
+        assert_eq!(fx.pulls(), [PartyId(0), PartyId(1)]);
+        assert_eq!(r.rec.counter(counters::PULL_RETRIES), 1);
+        assert!(r.engine.struck.contains(SOURCE));
+        // ... so its next instance pulls at once, echo or not.
+        let next = Round(ROUND.0 + 1);
+        let fx = certify_told(&mut r, next);
+        assert_eq!(fx.pulls(), [PartyId(0), PartyId(1)]);
+        assert_eq!(fx.timers.len(), 1);
+    }
+
+    #[test]
+    fn a_conflicting_direct_val_pulls_at_once() {
+        // The source showed party 3 another payload, then echoed the one
+        // the tribe certifies: what it says is on its way is not.
+        let mut r = rig(3);
+        feed(&mut r, 0, RbcMsg::Val(BytesPayload::new(vec![0x18; 128])));
+        let fx = certify_told(&mut r, ROUND);
+        assert_eq!(fx.pulls(), [PartyId(0), PartyId(1)]);
     }
 
     #[test]

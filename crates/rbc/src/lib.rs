@@ -20,13 +20,16 @@
 //!
 //! Missing views are fetched by the pull sub-protocol built into the
 //! engine; one pure function, the crate-private `plan_pull`, picks whom it
-//! asks. A clan member that reaches the echo quorum without the payload
-//! probes one clan echoer, or any clan member if it counted none (§5's
-//! early download). At certification it asks `f_c + 1` clan echoers, one of
-//! them honest and holding it (paper §3's download step) — but after a
-//! probe one fewer, or nobody new (ROADMAP item 4(b)). The retry chain
-//! ([`EngineConfig::pull_retry`], doubling per attempt) asks `f_c + 1`
-//! clan members not yet asked, echoers first. A party outside the clan
+//! asks, by one rule: `f_c + 1` clan members not yet asked, counted echoers
+//! first, so one of them is honest and holds the payload (paper §3's
+//! download step). A clan member that reaches the echo quorum without the
+//! payload starts the pull there (§5's early download), anyone else at
+//! certification. Unless the view is on its way: a party that counted the
+//! source's own echo, and got no view straight from it, first waits one
+//! deadline, since an honest source sends its views before it echoes. A
+//! source that lets that deadline pass is struck, and its views are pulled
+//! at once from then on. The retry chain ([`EngineConfig::pull_retry`],
+//! doubling per attempt) asks the next `f_c + 1`. A party outside the clan
 //! pulls the meta view from `f + 1` of the tribe the same way.
 
 mod core;

@@ -3,27 +3,12 @@
 
 use clanbft_types::{PartyId, PartySet};
 
-/// What a pull is for.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Ask {
-    /// The echo quorum, reached without the view (§5's early download).
-    Probe,
-    /// Certification without the view, after a probe or not.
-    FanOut { probed: bool },
-    /// A retry deadline, expired with the view still missing.
-    Retry,
-}
-
 /// The peers to ask, in order, added to `asked`. `peers` can serve the view,
 /// any `quorum` of them include an honest one, and `echoers` were counted
-/// echoing the wanted digest; this party is never asked. A probe asks the
-/// first echoer and a fan-out the first `quorum`, or as many peers if no
-/// echoer is counted. After a probe the fan-out skips the first echoer,
-/// without fallback: one fewer than `quorum`, or nobody, and perhaps an
-/// echoer never asked (ROADMAP item 4(b)). A retry asks `quorum` peers not
-/// yet asked, echoers first; once all were, `asked` starts over.
+/// echoing the wanted digest; this party is never asked. One rule for the
+/// first ask and every retry: `quorum` peers not yet asked, echoers first,
+/// then the rest of `peers`; once everyone was asked, `asked` starts over.
 pub(crate) fn plan_pull(
-    ask: Ask,
     quorum: usize,
     echoers: &PartySet,
     peers: &PartySet,
@@ -31,22 +16,13 @@ pub(crate) fn plan_pull(
     asked: &mut PartySet,
 ) -> Vec<PartyId> {
     let eligible = |p: &PartyId| *p != me && peers.contains(*p);
-    let want = if ask == Ask::Probe { 1 } else { quorum };
-    let skip = usize::from(ask == Ask::FanOut { probed: true });
-    let mut targets: Vec<PartyId> = if ask == Ask::Retry {
-        let fresh = |p: &PartyId| eligible(p) && !asked.contains(*p);
-        let others = peers.iter().filter(|p| !echoers.contains(*p) && fresh(p));
-        let unasked = echoers.iter().filter(fresh).chain(others);
-        unasked.take(want).collect()
-    } else {
-        let counted = echoers.iter().filter(eligible);
-        counted.take(want).skip(skip).collect()
-    };
-    if targets.is_empty() && skip == 0 {
-        if ask == Ask::Retry {
-            *asked = PartySet::EMPTY;
-        }
-        targets = peers.iter().filter(eligible).take(want).collect();
+    let fresh = |p: &PartyId| eligible(p) && !asked.contains(*p);
+    let others = peers.iter().filter(|p| !echoers.contains(*p) && fresh(p));
+    let unasked = echoers.iter().filter(fresh).chain(others);
+    let mut targets: Vec<PartyId> = unasked.take(quorum).collect();
+    if targets.is_empty() {
+        *asked = PartySet::EMPTY;
+        targets = peers.iter().filter(eligible).take(quorum).collect();
     }
     targets.iter().for_each(|p| _ = asked.insert(*p));
     targets
@@ -73,58 +49,52 @@ mod tests {
 
     /// Plans one pull for clan member 5, starting from `asked`; returns the
     /// targets and what `asked` became.
-    fn plan(ask: Ask, echoers: &[u32], asked: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    fn plan(echoers: &[u32], asked: &[u32]) -> (Vec<u32>, Vec<u32>) {
         let mut asked = set(asked);
-        let targets = plan_pull(ask, 3, &set(echoers), &set(&CLAN), PartyId(5), &mut asked);
+        let targets = plan_pull(3, &set(echoers), &set(&CLAN), PartyId(5), &mut asked);
         (ids(&targets), ids(&asked.iter().collect::<Vec<_>>()))
     }
 
     #[test]
     fn the_planner_makes_todays_choices() {
-        let fan_out = Ask::FanOut { probed: false };
-        // The probe goes to the first counted clan echoer (0 is outside the
-        // clan, 5 is this party).
-        assert_eq!(plan(Ask::Probe, &[0, 5, 3, 4], &[]), (vec![3], vec![3]));
-        // With no clan echoer counted it falls back to the lowest-id peer.
-        assert_eq!(plan(Ask::Probe, &[0], &[]).0, [1]);
-        assert_eq!(plan(Ask::Probe, &[], &[]).0, [1]);
-        // The fan-out asks f_c + 1 echoers, or f_c + 1 peers if none counted.
-        assert_eq!(plan(fan_out, &[0, 2, 3, 4, 5], &[]).0, [2, 3, 4]);
-        assert_eq!(plan(fan_out, &[9], &[]).0, [1, 2, 3]);
+        // A first ask names f_c + 1 clan echoers (0 is outside the clan, 5 is
+        // this party), or f_c + 1 peers if none is counted.
+        assert_eq!(plan(&[0, 2, 3, 4, 5], &[]), (vec![2, 3, 4], vec![2, 3, 4]));
+        assert_eq!(plan(&[9], &[]).0, [1, 2, 3]);
+        assert_eq!(plan(&[], &[]).0, [1, 2, 3]);
         // The meta view's scope is the tribe, and f + 1 of it are asked.
         let mut asked = PartySet::EMPTY;
         let (echoers, tribe) = (set(&[0, 1, 3, 5, 6, 9]), set(&ALL));
-        let targets = plan_pull(fan_out, 4, &echoers, &tribe, PartyId(0), &mut asked);
+        let targets = plan_pull(4, &echoers, &tribe, PartyId(0), &mut asked);
         assert_eq!(ids(&targets), [1, 3, 5, 6]);
         // A retry asks echoers not yet asked first, then anyone ...
-        let (targets, asked) = plan(Ask::Retry, &[3, 4], &[1]);
+        let (targets, asked) = plan(&[3, 4], &[1]);
         assert_eq!((targets, &asked[..]), (vec![3, 4, 2], &[1, 2, 3, 4][..]));
-        let (targets, asked) = plan(Ask::Retry, &[2, 3], &[1, 3]);
+        let (targets, asked) = plan(&[2, 3], &[1, 3]);
         assert_eq!((targets, asked), (vec![2, 4], vec![1, 2, 3, 4]));
         // ... and restarts once everyone was asked.
-        let (targets, asked) = plan(Ask::Retry, &[3, 4], &[1, 2, 3, 4]);
+        let (targets, asked) = plan(&[3, 4], &[1, 2, 3, 4]);
         assert_eq!((targets, asked), (vec![1, 2, 3], vec![1, 2, 3]));
     }
 
     #[test]
-    fn the_fan_out_after_a_probe_falls_short() {
-        let fan_out = Ask::FanOut { probed: true };
-        // (a) ROADMAP 4(b) flips this row: the probe went to echoer 2; at
-        // certification only 2 is counted, and the fan-out asks nobody.
-        assert_eq!(plan(Ask::Probe, &[2], &[]), (vec![2], vec![2]));
-        assert_eq!(plan(fan_out, &[2], &[2]), (vec![], vec![2]));
-        // (b) ROADMAP 4(b) flips this row: a fallback probe went to 1, who
-        // echoed nothing; at certification the fan-out skips echoer 3, who
-        // was never asked.
-        assert_eq!(plan(Ask::Probe, &[], &[]), (vec![1], vec![1]));
-        assert_eq!(plan(fan_out, &[3, 4], &[1]), (vec![4], vec![1, 4]));
+    fn every_first_ask_names_f_c_plus_one_distinct_peers() {
+        // Fewer echoers counted than f_c + 1: the rest of the clan fills the
+        // ask, echoers first.
+        assert_eq!(plan(&[2], &[]), (vec![2, 1, 3], vec![1, 2, 3]));
+        assert_eq!(plan(&[3, 4], &[]), (vec![3, 4, 1], vec![1, 3, 4]));
+        // A party that certifies through a received certificate, having
+        // counted one echo (from 4), asks f_c + 1 distinct clan peers.
+        assert_eq!(plan(&[4], &[]), (vec![4, 1, 2], vec![1, 2, 4]));
+        // A scope with fewer eligible peers than the quorum: all of them.
+        let mut asked = PartySet::EMPTY;
+        let targets = plan_pull(3, &set(&[4]), &set(&[4, 5]), PartyId(5), &mut asked);
+        assert_eq!(ids(&targets), [4]);
     }
 
-    /// The three choices as the engine wrote them before the planner: the
-    /// scope collected into a vector, the probe and the fan-out as one
-    /// `take(want).skip(already)` with its fallback, the retry as a loop.
+    /// The one rule as the engine's retry wrote it before the planner: the
+    /// scope collected into a vector, then a loop over echoers and scope.
     fn naive(
-        ask: Ask,
         quorum: usize,
         echoers: &[PartyId],
         peers: &[PartyId],
@@ -133,29 +103,17 @@ mod tests {
     ) -> Vec<PartyId> {
         let eligible: Vec<PartyId> = peers.iter().copied().filter(|p| *p != me).collect();
         let mut targets = Vec::new();
-        if let Ask::Retry = ask {
-            for p in echoers.iter().chain(&eligible) {
-                if targets.len() >= quorum {
-                    break;
-                }
-                if eligible.contains(p) && !asked.contains(p) && !targets.contains(p) {
-                    targets.push(*p);
-                }
+        for p in echoers.iter().chain(&eligible) {
+            if targets.len() >= quorum {
+                break;
             }
-            if targets.is_empty() {
-                asked.clear();
-                targets = eligible.iter().copied().take(quorum).collect();
+            if eligible.contains(p) && !asked.contains(p) && !targets.contains(p) {
+                targets.push(*p);
             }
-        } else {
-            let (want, already) = match ask {
-                Ask::FanOut { probed } => (quorum, usize::from(probed)),
-                _ => (1, 0),
-            };
-            let counted = echoers.iter().filter(|p| eligible.contains(p));
-            targets = counted.copied().take(want).skip(already).collect();
-            if targets.is_empty() && already == 0 {
-                targets = eligible.iter().copied().take(want).collect();
-            }
+        }
+        if targets.is_empty() {
+            asked.clear();
+            targets = eligible.iter().copied().take(quorum).collect();
         }
         asked.extend(&targets);
         targets
@@ -165,8 +123,8 @@ mod tests {
     /// it. Tribes of 4 to 20; the scope is the tribe (`f + 1`) or a clan of
     /// `2 f_c + 1` with exactly `f_c + 1` honest members, this party
     /// anywhere; echoer and `asked` sets at random, and sometimes a random
-    /// `quorum`. Every occasion from the random `asked` set, then a fresh
-    /// pull: a probe or not, the fan-out and one retry.
+    /// `quorum`. One plan from the random `asked` set, then a fresh pull:
+    /// the first ask and one retry.
     #[test]
     fn the_planner_matches_a_naive_transcription_and_reaches_an_honest_peer() {
         check_shrink(
@@ -202,55 +160,42 @@ mod tests {
                 let byzantine: BTreeSet<PartyId> = others.take(threshold - 1).copied().collect();
                 let peer_set: PartySet = peers.iter().copied().collect();
                 let peers: Vec<PartyId> = peers.into_iter().collect();
+                let echoers = of(echo_bits).collect::<Vec<_>>();
+                let echo_set: PartySet = echoers.iter().copied().collect();
 
                 // One plan, checked against the model and the rules.
-                let step = |ask: Ask, echoers: &[PartyId], asked: &mut PartySet| {
-                    let echo_set: PartySet = echoers.iter().copied().collect();
+                let step = |asked: &mut PartySet| {
                     let before: BTreeSet<PartyId> = asked.iter().collect();
-                    let got = plan_pull(ask, quorum, &echo_set, &peer_set, me, asked);
+                    let got = plan_pull(quorum, &echo_set, &peer_set, me, asked);
                     let mut model = before.clone();
-                    let want = naive(ask, quorum, echoers, &peers, me, &mut model);
+                    let want = naive(quorum, &echoers, &peers, me, &mut model);
                     let after: BTreeSet<PartyId> = asked.iter().collect();
-                    tk_assert!(
-                        got == want && after == model,
-                        "{ask:?}: {got:?} vs {want:?}"
-                    );
+                    tk_assert!(got == want && after == model, "{got:?} vs {want:?}");
                     let distinct: BTreeSet<PartyId> = got.iter().copied().collect();
                     tk_assert_eq!(distinct.len(), got.len());
-                    tk_assert!(distinct.is_subset(&eligible), "{ask:?} asks {got:?}");
-                    let cap = if ask == Ask::Probe { 1 } else { quorum };
-                    tk_assert!(got.len() <= cap, "{ask:?} asks {} > {cap}", got.len());
-                    // A retry re-asks or forgets only once everyone was asked.
+                    tk_assert!(distinct.is_subset(&eligible), "asks {got:?}");
+                    tk_assert!(got.len() <= quorum, "asks {} > {quorum}", got.len());
+                    // A first ask names `quorum` peers, or every eligible one.
+                    if before.is_empty() {
+                        tk_assert_eq!(got.len(), quorum.min(eligible.len()));
+                    }
+                    // It re-asks or forgets only once everyone was asked.
                     let restarts = !distinct.is_disjoint(&before) || !before.is_subset(&after);
-                    if ask == Ask::Retry && restarts {
+                    if restarts {
                         tk_assert!(eligible.is_subset(&before), "restarts early: {got:?}");
                     }
                     Ok(())
                 };
 
-                let probed = of(echo_bits & picks >> 24).collect::<Vec<_>>();
-                let echoers = of(echo_bits).collect::<Vec<_>>();
-                for ask in [
-                    Ask::Probe,
-                    Ask::FanOut { probed: false },
-                    Ask::FanOut { probed: true },
-                    Ask::Retry,
-                ] {
-                    step(ask, &echoers, &mut of(asked_bits).collect())?;
-                }
+                step(&mut of(asked_bits).collect())?;
                 let mut asked = PartySet::EMPTY;
-                let probe = picks & 4 != 0;
-                if probe {
-                    step(Ask::Probe, &probed, &mut asked)?;
-                }
-                step(Ask::FanOut { probed: probe }, &echoers, &mut asked)?;
-                step(Ask::Retry, &echoers, &mut asked)?;
-                let reached: BTreeSet<PartyId> = asked.iter().collect();
-                tk_assert!(reached.len() >= quorum.min(eligible.len()), "{reached:?}");
+                step(&mut asked)?;
                 // f_c + 1 (or f + 1) distinct peers include an honest one.
+                let reached: BTreeSet<PartyId> = asked.iter().collect();
                 if quorum == threshold && eligible.len() > byzantine.len() {
                     tk_assert!(!reached.is_subset(&byzantine), "{reached:?}");
                 }
+                step(&mut asked)?;
                 Ok(())
             },
         );

@@ -175,23 +175,23 @@ fn pull_spam_gets_at_most_one_response() {
 
 #[test]
 fn retry_backs_off_rotates_and_stops_after_delivery() {
-    // Party 3 certifies via echoes from 0, 1, 2 without ever holding the
-    // payload, and arms a deadline. Every expiry rotates to peers not yet
-    // asked and doubles the backoff; a served response kills the chain.
-    let mut r = rig(4, 3);
-    feed_echo(&mut r, 0, 0, 1);
-    feed_echo(&mut r, 1, 0, 1);
-    let fx = feed_echo(&mut r, 2, 0, 1);
+    // n = 7 (quorum 5, f_c + 1 = 4 of the whole-tribe clan): party 6
+    // certifies via echoes from 1 to 5 without ever holding the payload.
+    // The source is silent, so nothing is on its way: the pull goes out at
+    // once and arms a deadline. Every expiry rotates to peers not yet asked
+    // and doubles the backoff; a served response kills the chain.
+    let mut r = rig(7, 6);
+    for signer in 1..5 {
+        assert!(feed_echo(&mut r, signer, 0, 1).out.is_empty());
+    }
+    let fx = feed_echo(&mut r, 5, 0, 1);
     assert!(fx
         .events
         .iter()
         .any(|e| matches!(e, RbcEvent::Certified { .. })));
-    // The echo quorum and certification fire in one step: the probe asks
-    // the first echoer, P0, then the fan-out asks the first `clan_quorum`
-    // = 2 echoers less the probed one, i.e. only P1 (the shortfall ROADMAP
-    // item 4(b) mends).
-    let first_targets = pull_targets(&fx);
-    assert_eq!(first_targets, [PartyId(0), PartyId(1)]);
+    // The first ask names f_c + 1 echoers.
+    let asked = [PartyId(1), PartyId(2), PartyId(3), PartyId(4)];
+    assert_eq!(pull_targets(&fx), asked);
     let (delay0, token) = fx.timers[0];
     assert_eq!(
         delay0, PULL_RETRY,
@@ -199,14 +199,13 @@ fn retry_backs_off_rotates_and_stops_after_delivery() {
     );
     assert_eq!(parse_retry_token(token), Some((Round(1), PartyId(0))));
 
-    // Deadline expires unanswered: rotate to the one echoer not yet asked,
-    // with a doubled deadline.
+    // Deadline expires unanswered: rotate to the echoer not yet asked, then
+    // the source, with a doubled deadline.
     let fx1 = retry(&mut r, PULL_RETRY, 1);
     assert_eq!(r.rec.counter(counters::PULL_RETRIES), 1);
-    let second_targets = pull_targets(&fx1);
     assert_eq!(
-        second_targets,
-        [PartyId(2)],
+        pull_targets(&fx1),
+        [PartyId(5), PartyId(0)],
         "retry must rotate to peers not yet asked"
     );
     assert_eq!(
@@ -219,7 +218,8 @@ fn retry_backs_off_rotates_and_stops_after_delivery() {
     // backoff keeps growing.
     let fx2 = retry(&mut r, Micros(PULL_RETRY.0 * 3), 1);
     assert_eq!(r.rec.counter(counters::PULL_RETRIES), 2);
-    assert_eq!(pull_targets(&fx2), [PartyId(0), PartyId(1)]);
+    let restart = [PartyId(0), PartyId(1), PartyId(2), PartyId(3)];
+    assert_eq!(pull_targets(&fx2), restart);
     assert_eq!(fx2.timers[0].0, Micros(PULL_RETRY.0 << 2));
 
     // A response lands: delivery happens and the next expiry is inert.
@@ -288,8 +288,9 @@ fn a_party_outside_the_clan_pulls_the_meta_view_from_f_plus_one_of_the_tribe() {
         .events
         .iter()
         .any(|e| matches!(e, RbcEvent::Certified { .. })));
-    // No probe for a meta view: the fan-out asks f + 1 counted echoers, in
-    // id order whatever order their echoes came in.
+    // The meta view is pulled at certification, not at the echo quorum:
+    // f + 1 counted echoers, in id order whatever order their echoes came
+    // in.
     let asked = [PartyId(1), PartyId(2), PartyId(3)];
     assert_eq!(meta_pull_targets(&fx), asked);
     assert!(
@@ -318,7 +319,7 @@ fn a_party_outside_the_clan_pulls_the_meta_view_from_f_plus_one_of_the_tribe() {
 #[test]
 fn an_echo_quorum_after_certification_sends_no_second_probe() {
     // Signature-free, n = 4: party 3 certifies on three READYs before it
-    // counts an echo, so the fan-out, finding no echoer, asks the first
+    // counts an echo, so the pull, finding no echoer, asks the first
     // `clan_quorum` = 2 peers. The echo quorum that completes afterwards
     // finds that pull under way and asks nobody.
     let mut r = rig(4, 3);

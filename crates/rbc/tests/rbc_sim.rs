@@ -643,10 +643,10 @@ fn standalone_broadcasts_are_pinned() {
                     ("rbc.val", 9048),
                 ],
                 delivered_at: vec![
-                    0, 275873, 307425, 260622, 348075, 265352, 276252, 307742, 260693, 258881,
+                    0, 276074, 307425, 260605, 314507, 265424, 276365, 307742, 260377, 258881,
                 ],
                 certified_at: vec![
-                    0, 275873, 307425, 260622, 258673, 265352, 276252, 307742, 260693, 258881,
+                    0, 276074, 307425, 260605, 258673, 265424, 276365, 307742, 260377, 258881,
                 ],
             },
         ),
@@ -707,21 +707,21 @@ fn standalone_broadcasts_are_pinned() {
             Variant::Two,
             "selective",
             BroadcastFingerprint {
-                sent_msgs: 166,
-                total_bytes: 32810,
+                sent_msgs: 167,
+                total_bytes: 32858,
                 bytes_by_kind: vec![
                     ("rbc.cert", 9234),
                     ("rbc.echo", 8064),
                     ("rbc.meta", 336),
-                    ("rbc.pull", 96),
+                    ("rbc.pull", 144),
                     ("rbc.pull_resp", 6032),
                     ("rbc.val", 9048),
                 ],
                 delivered_at: vec![
-                    0, 138328, 206839, 182034, 312408, 161555, 136774, 205263, 182290, 206902,
+                    0, 138328, 206829, 182034, 313313, 161555, 136774, 205263, 182290, 206902,
                 ],
                 certified_at: vec![
-                    0, 138328, 206839, 182034, 205381, 161555, 136774, 205263, 182290, 206902,
+                    0, 138328, 206829, 182034, 205381, 161555, 136774, 205263, 182290, 206902,
                 ],
             },
         ),

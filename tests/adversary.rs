@@ -24,7 +24,7 @@ use clanbft_adversary::Attack;
 use clanbft_monitor::{Detector, HealthMonitor};
 use clanbft_sim::tribe::partition_clans;
 use clanbft_sim::{build_tribe, BuiltTribe, TribeSpec};
-use clanbft_telemetry::{counters, Event, MemRecorder, RbcPhase};
+use clanbft_telemetry::{counters, Event, MemRecorder, RbcPhase, Stamped};
 use clanbft_types::{Evidence, Micros, PartyId, Round, VertexRef};
 use std::sync::Arc;
 
@@ -328,21 +328,19 @@ fn withholding_recovered_via_pull_path() {
         clanbft_monitor::Verdict::Healthy,
         "recovered withholding left a degraded verdict"
     );
-    // The attack fired: somebody had to fall back to a pull.
-    let pulls = rec
-        .events()
-        .iter()
-        .filter(|s| {
-            matches!(
-                s.event,
-                Event::Rbc {
-                    phase: RbcPhase::PullStarted,
-                    ..
-                }
-            )
-        })
-        .count();
-    assert!(pulls >= 1, "withholding never forced a pull");
+    // The attack fired, and the victims pulled in both ways: the
+    // withholder echoes, so its first views looked on their way and were
+    // pulled only when a deadline passed; once it was struck, its views
+    // were pulled at once.
+    let pulls = |phase: RbcPhase| {
+        let by_victim = |s: &&Stamped| {
+            victims.contains(&s.party)
+                && matches!(s.event, Event::Rbc { phase: p, .. } if p == phase)
+        };
+        rec.events().iter().filter(by_victim).count()
+    };
+    assert!(pulls(RbcPhase::PullRetry) >= 1, "no deferred pull went out");
+    assert!(pulls(RbcPhase::PullStarted) >= 1, "no pull started at once");
     // And it was defeated: the victims committed the withheld source's
     // vertices anyway.
     for &v in &victims {

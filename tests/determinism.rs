@@ -572,28 +572,28 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
     assert_eq!(
         sim_fingerprint(withhold_spec(42), Micros::from_secs(300)),
         SimFingerprint {
-            handled_events: 6752,
+            handled_events: 6753,
             delivered_msgs: 6655,
-            total_bytes: 3706704,
+            total_bytes: 3706188,
             bytes_by_kind: vec![
                 ("rbc.cert", 298998),
                 ("rbc.echo", 290304),
-                ("rbc.meta", 24144),
+                ("rbc.meta", 23928),
                 ("rbc.pull", 2160),
-                ("rbc.pull_resp", 465900),
-                ("rbc.val", 2580174),
+                ("rbc.pull_resp", 465876),
+                ("rbc.val", 2579898),
                 ("timeout", 5712),
                 ("vote", 39312)
             ],
-            committed_log: "4cd6904b4cea6370a3d64aaff86218e51b4d4b9fa5df8bc406f1b50aac8b4b42"
+            committed_log: "29ddf17e7bb329de5ec46a10186fb0f559d6a0d353d751ca9e8f39fa02c37780"
                 .to_string(),
             counters: vec![
                 ("commit.vertices", 385),
                 ("mempool.admitted", 1800),
-                ("pull.retries", 18),
+                ("pull.retries", 19),
                 ("rejected.duplicate", 9)
             ],
-            trace: "3c3f9a51d51466e5465cea4fa7cc3c0c26850937fcf5432795a100fd15430ec6".to_string()
+            trace: "99b4e5f30bc0823bb08b1983c35976056d140ccb5657fe18bcf516949b2d0b15".to_string()
         }
     );
     let (spec, dir) = recovery_spec(42, "pin");
@@ -602,21 +602,21 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
     assert_eq!(
         recovered,
         SimFingerprint {
-            handled_events: 1737,
-            delivered_msgs: 1576,
-            total_bytes: 2484853,
+            handled_events: 1741,
+            delivered_msgs: 1580,
+            total_bytes: 2516201,
             bytes_by_kind: vec![
                 ("rbc.cert", 61359),
                 ("rbc.echo", 60816),
-                ("rbc.pull", 96),
-                ("rbc.pull_resp", 31252),
+                ("rbc.pull", 192),
+                ("rbc.pull_resp", 62504),
                 ("rbc.val", 2296818),
                 ("state.reply", 17568),
                 ("state.request", 48),
                 ("timeout", 2856),
                 ("vote", 14040)
             ],
-            committed_log: "7c07ce29f02f1392503cc003e4bf48459b9703e04487fd5417bbc560eaced9bb"
+            committed_log: "7b223f9bd9401f2413582cc038349f170e3012fee808ebe222b9d6f565c5ff78"
                 .to_string(),
             counters: vec![
                 ("checkpoint.written", 4),
@@ -628,7 +628,7 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("wal.bytes", 37965),
                 ("wal.fsyncs", 333)
             ],
-            trace: "d3ed004c961917af75fac013644449d072c0aa0d286a42b71806a470daa215e0".to_string()
+            trace: "c51641c7fbc4f1d5e0d890ef6497cf2c62958df910536e7c48e535c8ba9a331d".to_string()
         }
     );
 }

@@ -738,11 +738,11 @@ fn replay_rebuilds_the_state_the_node_crashed_with() {
 #[test]
 fn withholding_and_a_restart_alert_live_and_offline_then_clear() {
     // Single clan of 4 in a 7-party tribe on a WAL: clan member p1 (the
-    // first a victim probes) withholds from its clan peer p2, and outsider
-    // p6 crashes at 1 s and restarts at 3.6 s — long enough behind a
-    // committing quorum to trip the stall watchdog. The short pull deadline
-    // makes p2's probes time out and rotate densely enough to read as a
-    // retry storm.
+    // first echoer a victim asks) withholds from its clan peer p2, and
+    // outsider p6 crashes at 1 s and restarts at 3.6 s — long enough behind
+    // a committing quorum to trip the stall watchdog. The short pull
+    // deadline makes p2's pulls time out and rotate densely enough to read
+    // as a retry storm.
     let dir = scratch("withhold-restart");
     let mut spec = TribeSpec::new(7);
     spec.clans = Some(vec![elect_clan(7, 4, 42)]);

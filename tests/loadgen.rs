@@ -12,7 +12,9 @@
 mod common;
 
 use clanbft_mempool::{ClientId, ClientIngress, MempoolConfig, SizerConfig, WorkloadSpec};
-use clanbft_sim::{build_tribe, collect_metrics, BuiltTribe, RunMetrics, TribeSpec};
+use clanbft_sim::{
+    build_tribe, collect_metrics, BuiltTribe, ExperimentSpec, Proto, RunMetrics, TribeSpec,
+};
 use clanbft_telemetry::{counters, Telemetry};
 use clanbft_types::{Micros, VertexRef};
 
@@ -254,4 +256,43 @@ fn same_seed_closed_loop_runs_are_identical() {
         (metrics.to_json(), orders, admitted)
     };
     assert_eq!(run(), run(), "same seed, same workload, same run");
+}
+
+#[test]
+fn a_benign_multi_clan_open_loop_run_waits_for_its_vals() {
+    // The benchmark's `multiclan12_open` shape, cut to a few rounds: n = 12
+    // in two clans of six under an open loop. A party that counted the
+    // source's own echo waits for the VAL in flight instead of pulling it,
+    // and every VAL arrives: no deadline passes without the view.
+    let mut exp = ExperimentSpec::new(Proto::MultiClan { clans: 2 }, 12, 0);
+    exp.rounds = 8;
+    exp.seed = 11;
+    exp.workload = Some(WorkloadSpec::OpenLoop {
+        rate_tps: 6_000.0,
+        clients: 10_000,
+        zipf_s: 0.99,
+        stop_at_round: 6,
+    });
+    let mut spec = exp.tribe_spec();
+    let (telemetry, rec) = Telemetry::mem();
+    spec.telemetry = telemetry;
+    let mut built = build_tribe(&spec);
+    built.sim.run_until(Micros::from_secs(240));
+    assert!(
+        rec.counter(counters::COMMIT_VERTICES) > 0,
+        "nothing committed"
+    );
+    // What is left: two clan members certify a round-0 broadcast before
+    // its VAL or the source's echo reaches them (the certificate took a
+    // faster path). That is what a silent source looks like, so each asks
+    // f_c + 1 = 3 peers at once. (Pulling whatever is missing at
+    // certification, without waiting, sends 18 452 694 bytes of pull
+    // responses in this run.)
+    let stats = built.sim.stats();
+    let pulls = (
+        stats.kind_bytes("rbc.pull"),
+        stats.kind_bytes("rbc.pull_resp"),
+    );
+    assert_eq!(pulls, (6 * 48, 612));
+    assert_eq!(rec.counter(counters::PULL_RETRIES), 0);
 }

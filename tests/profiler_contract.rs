@@ -54,7 +54,7 @@ fn runs() -> &'static Runs {
 fn profiling_never_changes_the_run() {
     let runs = runs();
     assert_eq!(runs.disabled.committed_txs, 8_400);
-    assert_eq!(runs.disabled.sim_events, 40_022);
+    assert_eq!(runs.disabled.sim_events, 39_916);
     for (metrics, _) in &runs.profiled {
         assert_eq!(metrics.committed_txs, runs.disabled.committed_txs);
         assert_eq!(metrics.sim_events, runs.disabled.sim_events);
