@@ -339,6 +339,11 @@ impl SailfishNode {
         &self.epochs
     }
 
+    /// Occupancy of the broadcast engine's bounded buffers.
+    pub fn rbc_buffers(&self) -> clanbft_rbc::BufferStats {
+        self.rbc.buffer_stats()
+    }
+
     /// Misbehaviour evidence this node has accumulated (consensus-level
     /// double votes and vote/timeout conflicts, plus RBC-level equivocation
     /// drained from the broadcast engine).

@@ -164,13 +164,14 @@ mod tests {
         MergedPayload::new(vertex, block)
     }
 
-    /// Every party keeps an instance record per source and round, and a
-    /// cold part once the instance is used: this byte budget, `n²` times per
-    /// round, is what bounds `n` (DESIGN.md). A new field in either record
-    /// is a conscious re-pin, not a silent cost.
+    /// Every party keeps an instance record per source and round (with a
+    /// slot for the view it delivers), and a cold part from the instance's
+    /// first use to its delivery: this byte budget, `n²` times per round, is
+    /// what bounds `n` (DESIGN.md). A new field in either record is a
+    /// conscious re-pin, not a silent cost.
     #[test]
     fn the_broadcast_records_of_a_merged_payload_keep_their_byte_budget() {
-        assert_eq!(TribeRbc::<MergedPayload>::INSTANCE_BYTES, 144);
+        assert_eq!(TribeRbc::<MergedPayload>::INSTANCE_BYTES, 168);
         const { assert!(TribeRbc::<MergedPayload>::COLD_BYTES <= 208) };
     }
 

@@ -124,6 +124,10 @@ impl MempoolStats {
 pub struct Mempool {
     cfg: MempoolConfig,
     lanes: [VecDeque<PendingTx>; LANES],
+    /// Most runs each lane held at a pull of the current window.
+    high_water: [usize; LANES],
+    /// Pulls in the current window.
+    pulls: usize,
     depth: usize,
     queued_bytes: usize,
     /// Next sequence number per client, indexed by `ClientId`.
@@ -133,11 +137,18 @@ pub struct Mempool {
 }
 
 impl Mempool {
+    /// Pulls per window over which a lane's high-water mark is taken.
+    pub const SHRINK_WINDOW: usize = 8;
+    /// Runs of storage a lane keeps however quiet it is.
+    pub const LANE_FLOOR: usize = 64;
+
     /// An empty pool with the given bounds.
     pub fn new(cfg: MempoolConfig, telemetry: Telemetry) -> Mempool {
         Mempool {
             cfg,
             lanes: Default::default(),
+            high_water: [0; LANES],
+            pulls: 0,
             depth: 0,
             queued_bytes: 0,
             next_seq: Vec::new(),
@@ -154,6 +165,11 @@ impl Mempool {
     /// Runs currently queued across all lanes.
     pub fn queued_runs(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum()
+    }
+
+    /// Runs the lanes have storage for, across all lanes.
+    pub fn lane_capacity(&self) -> usize {
+        self.lanes.iter().map(VecDeque::capacity).sum()
     }
 
     /// Transaction bytes currently queued.
@@ -247,11 +263,21 @@ impl Mempool {
     /// Pulls up to `max_txs` transactions in priority order (high lane
     /// first, FIFO within a lane) as runs, splitting at most one at the cap,
     /// and records each transaction's queueing delay.
+    ///
+    /// A lane holds the most it will hold between two pulls as one begins,
+    /// so the pulls see its high-water mark. Every [`Self::SHRINK_WINDOW`]
+    /// pulls, a lane with storage for more than twice that mark (rounded up
+    /// to a power of two, at least [`Self::LANE_FLOOR`]) gives the rest
+    /// back: a backlog's storage goes by the end of the window after the
+    /// one that drained it, and a steady load never reallocates.
     pub fn pull(&mut self, max_txs: usize, now: Micros) -> Vec<PendingTx> {
         let mut out = Vec::with_capacity(max_txs.min(self.queued_runs()));
         let mut left = max_txs.min(self.depth);
         (self.depth, self.stats.pulled) = (self.depth - left, self.stats.pulled + left as u64);
-        for lane in &mut self.lanes {
+        self.pulls += 1;
+        let window_ends = self.pulls == Self::SHRINK_WINDOW;
+        for (lane, high_water) in self.lanes.iter_mut().zip(&mut self.high_water) {
+            *high_water = (*high_water).max(lane.len());
             while let Some(front) = lane.front_mut().filter(|_| left > 0) {
                 let n = left.min(front.count as usize) as u32;
                 let run = PendingTx { count: n, ..*front };
@@ -267,7 +293,15 @@ impl Mempool {
                 }
                 out.push(run);
             }
+            if window_ends {
+                let keep = high_water.next_power_of_two().max(Self::LANE_FLOOR);
+                if lane.capacity() > 2 * keep {
+                    lane.shrink_to(keep);
+                }
+                *high_water = 0;
+            }
         }
+        self.pulls %= Self::SHRINK_WINDOW;
         out
     }
 }
@@ -397,6 +431,39 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(p.stats().pulled, 3);
         assert_eq!(rec.counter(counters::MEMPOOL_ADMITTED), 5);
+    }
+
+    #[test]
+    fn a_drained_lane_gives_back_its_backlog_storage_a_window_later() {
+        let mut p = Mempool::new(MempoolConfig::default(), Telemetry::null());
+        // A backlog of 5 000 runs (one stamp each), drained by one pull.
+        for c in 0..5_000 {
+            p.admit(sub(c, 0), Micros(c)).unwrap();
+        }
+        let grown = p.lane_capacity();
+        assert!(grown >= 5_000);
+        assert_eq!(p.pull(usize::MAX, Micros(9_000)).len(), 5_000);
+        // The window that saw the backlog keeps its storage ...
+        for _ in 1..Mempool::SHRINK_WINDOW {
+            p.pull(usize::MAX, Micros(9_000));
+        }
+        assert_eq!(p.lane_capacity(), grown);
+        // ... and a window of pulls of 100 runs gives back all but 128.
+        for i in 0..Mempool::SHRINK_WINDOW as u64 {
+            for c in 0..100 {
+                p.admit(sub(c, i + 1), Micros(10_000 + i)).unwrap();
+            }
+            assert_eq!(p.pull(usize::MAX, Micros(10_000 + i)).len(), 100);
+        }
+        assert_eq!(p.lane_capacity(), 128);
+        // A steady load at that mark never shrinks it again.
+        for i in 0..3 * Mempool::SHRINK_WINDOW as u64 {
+            for c in 0..100 {
+                p.admit(sub(c, i + 9), Micros(20_000 + i)).unwrap();
+            }
+            p.pull(usize::MAX, Micros(20_000 + i));
+        }
+        assert_eq!(p.lane_capacity(), 128);
     }
 
     #[test]

@@ -225,6 +225,14 @@ impl<P: TribePayload> View<P> {
             View::Meta(_) => Which::Meta,
         }
     }
+
+    /// The meta view, of a payload or as it is.
+    fn meta(&self) -> P::Meta {
+        match self {
+            View::Full(payload) => payload.meta(),
+            View::Meta(meta) => meta.clone(),
+        }
+    }
 }
 
 /// Custody of one view of one instance.
@@ -251,12 +259,11 @@ type Shares = Vec<(usize, Signature)>;
 
 /// The engine's facts of an instance, one bit each in [`Votes::facts`].
 /// (The core's are [`Votes::once`]; whether a digest is certified is
-/// [`Row::certified`].)
+/// [`Row::certified`], whether this party delivered is
+/// [`Instance::delivered`].)
 mod fact {
     /// Some packet for the instance was admitted: the slot is in use.
     pub const TOUCHED: u8 = 1 << 0;
-    /// This party has `r_deliver`ed.
-    pub const DELIVERED: u8 = 1 << 1;
 }
 
 /// The hot state of one broadcast instance: all an echo reads and writes.
@@ -282,7 +289,10 @@ const _: () = assert!(std::mem::size_of::<Votes>() == 136);
 
 /// What an echo after the first, or a duplicate certificate, never reads:
 /// custody of the views, signature shares, and two boxes a benign instance
-/// never opens. Each is created on first need.
+/// never opens. Each is created on first need. Delivery moves the delivered
+/// view out to [`Instance::delivered`] and drops the record, unless it
+/// holds one of the boxes or the evidence flag; a pull served after
+/// delivery creates one again, with its boxed [`Pulls`] alone in use.
 struct Cold<P: TribePayload> {
     /// The two views, indexed by [`Which`]. A full payload also fills the
     /// meta slot (it contains the meta view).
@@ -351,6 +361,9 @@ impl<P: TribePayload> Cold<P> {
 struct Instance<P: TribePayload> {
     votes: Votes,
     cold: Option<Box<Cold<P>>>,
+    /// The view this party `r_deliver`ed, once it has: all a later message
+    /// reads of the instance besides the certified digest.
+    delivered: Option<View<P>>,
 }
 
 impl<P: TribePayload> Instance<P> {
@@ -363,6 +376,7 @@ impl<P: TribePayload> Instance<P> {
                 once: Once::default(),
             },
             cold: None,
+            delivered: None,
         }
     }
 
@@ -378,8 +392,17 @@ impl<P: TribePayload> Instance<P> {
         self.cold.as_ref().map(|cold| &cold.held[which as usize])
     }
 
-    fn holds(&self, which: Which) -> bool {
-        self.held(which).is_some_and(|h| h.view.is_some())
+    /// The view of `which` this party holds, and its digest: once delivered
+    /// the delivered view (a payload also stands for its meta view), before
+    /// that the one in custody.
+    fn view(&self, which: Which) -> Option<(&View<P>, Digest)> {
+        match &self.delivered {
+            Some(view) if which == Which::Meta || view.which() == which => {
+                Some((view, self.votes.certified))
+            }
+            Some(_) => None,
+            None => self.held(which)?.view.as_ref().map(|(v, d)| (v, *d)),
+        }
     }
 
     /// Echo tallies in first-seen order (one unless the source equivocates).
@@ -592,6 +615,13 @@ pub struct BufferStats {
     pub echo_digests: u64,
     /// Undelivered instances with an armed pull-retry chain.
     pub pending_pulls: u64,
+    /// Instances with a cold record: undelivered ones that took a view, a
+    /// share or a vote, and delivered ones that pulled, served, spilled or
+    /// logged evidence.
+    pub cold_records: u64,
+    /// Instances with a pull record: those that started a pull (or
+    /// deferred one to its deadline) or served one.
+    pub pull_records: u64,
 }
 
 /// How an echo quorum becomes a certificate — the one step in which the
@@ -709,9 +739,11 @@ impl<P: TribePayload> TribeRbc<P> {
             stats.echo_digests += inst.echo_tallies().count() as u64;
             let pulls = inst.cold.as_ref().and_then(|cold| cold.pulls.as_ref());
             let pulling = pulls.is_some_and(|pulls| pulls.retry_armed);
-            if pulling && !inst.is(fact::DELIVERED) {
+            if pulling && inst.delivered.is_none() {
                 stats.pending_pulls += 1;
             }
+            stats.cold_records += u64::from(inst.cold.is_some());
+            stats.pull_records += u64::from(pulls.is_some());
         }
         stats
     }
@@ -720,17 +752,15 @@ impl<P: TribePayload> TribeRbc<P> {
     /// digest computed when it was accepted — lets the consensus layer act
     /// on certification before the full payload lands, without rehashing.
     pub fn meta_of(&self, round: Round, source: PartyId) -> Option<(P::Meta, Digest)> {
-        match &self.slots.get(round, source)?.held(Which::Meta)?.view {
-            Some((View::Meta(meta), digest)) => Some((meta.clone(), *digest)),
-            _ => None,
-        }
+        let (view, digest) = self.slots.get(round, source)?.view(Which::Meta)?;
+        Some((view.meta(), digest))
     }
 
     /// True iff this party has delivered for `(round, source)`.
     pub fn delivered(&self, round: Round, source: PartyId) -> bool {
         self.slots
             .get(round, source)
-            .is_some_and(|inst| inst.is(fact::DELIVERED))
+            .is_some_and(|inst| inst.delivered.is_some())
     }
 
     /// Drops state for instances strictly below `round` (garbage
@@ -1026,7 +1056,13 @@ impl<P: TribePayload> TribeRbc<P> {
         };
         let certified = self.slots.certified(round, source);
         let inst = self.instance(round, source);
-        if let Some(held) = inst.held(which).and_then(Held::digest) {
+        // Once delivered, the certified digest stands for every view: a
+        // late copy is a duplicate or a conflict, never taken or echoed.
+        let held = match inst.delivered {
+            Some(_) => certified,
+            None => inst.held(which).and_then(Held::digest),
+        };
+        if let Some(held) = held {
             if direct && held == digest {
                 tel.add(counters::REJECTED_DUPLICATE, 1);
             } else if direct && !self.note_equivocation(round, source, held, digest, ctx.now()) {
@@ -1098,7 +1134,7 @@ impl<P: TribePayload> TribeRbc<P> {
         let (n, tribe) = (self.cfg.n(), self.cfg.topology.tribe());
         let clan = self.cfg.topology_at(round).clan_for_sender(source);
         let inst = self.slots.touch(round, source, n);
-        let Instance { votes, cold } = &mut *inst;
+        let Instance { votes, cold, .. } = &mut *inst;
         let (first, once) = (&mut votes.echoes, &mut votes.once);
         let step = match self.flavour {
             Flavour::SignatureFree => {
@@ -1151,9 +1187,11 @@ impl<P: TribePayload> TribeRbc<P> {
             // on attribution strength per variant). The "first" digest is
             // what this party echoed or accepted, else the first one echoed
             // (an earlier split has recorded the instance's one record).
+            let delivered = inst.delivered.as_ref().map(|_| inst.votes.certified);
             let cold = inst.cold();
             let first = cold
                 .echoed
+                .or(delivered)
                 .or(cold.held[Which::Full as usize].digest())
                 .or(cold.held[Which::Meta as usize].digest())
                 .unwrap_or(inst.votes.echoes.digest);
@@ -1248,7 +1286,7 @@ impl<P: TribePayload> TribeRbc<P> {
             );
         }
         if step.echo_quorum {
-            let lacks_payload = !self.instance(round, source).holds(Which::Full);
+            let lacks_payload = self.instance(round, source).view(Which::Full).is_none();
             self.trace(RbcPhase::EchoQuorum, round, source, ctx.now());
             if lacks_payload && self.my_view(round, source) == Which::Full {
                 // §5's early download: a clan member starts the pull at
@@ -1324,20 +1362,19 @@ impl<P: TribePayload> TribeRbc<P> {
         let which = self.my_view(round, source);
         let certified = self.slots.certified(round, source);
         let inst = self.slots.touch(round, source, self.cfg.n());
-        // Field by field: the view stays borrowed while the fact is set.
-        let view = inst
-            .cold
-            .as_ref()
-            .map(|cold| &cold.held[which as usize].view);
-        let (Some(certified), Some(Some((view, digest)))) = (certified, view) else {
+        let (Some(digest), None, Some(cold)) = (certified, &inst.delivered, &mut inst.cold) else {
             return false;
         };
-        if inst.is(fact::DELIVERED) || *digest != certified {
+        let held = &mut cold.held[which as usize].view;
+        let Some((view, _)) = held.take_if(|(_, held)| *held == digest) else {
             return false;
+        };
+        // What a benign instance never opens keeps the record; the rest of
+        // it has no reader now.
+        if cold.pulls.is_none() && cold.spill.is_none() && !cold.evidence_logged {
+            inst.cold = None;
         }
-        inst.votes.facts |= fact::DELIVERED;
-        let digest = certified;
-        self.events.push(match view {
+        self.events.push(match &view {
             View::Full(payload) => RbcEvent::DeliverFull {
                 source,
                 round,
@@ -1351,6 +1388,7 @@ impl<P: TribePayload> TribeRbc<P> {
                 meta: meta.clone(),
             },
         });
+        inst.delivered = Some(view);
         true
     }
 
@@ -1436,19 +1474,20 @@ impl<P: TribePayload> TribeRbc<P> {
         digest: Digest,
         ctx: &mut Ctx<'_, M>,
     ) {
-        let tel = self.cfg.telemetry.clone();
-        let cold = self.instance(round, source).cold();
-        let served = |pulls: &Pulls| pulls.served[which as usize].contains(from);
-        if cold.pulls.as_deref().is_some_and(served) {
-            tel.add(counters::REJECTED_DUPLICATE, 1);
+        let inst = self.instance(round, source);
+        let pulls = inst.cold.as_ref().and_then(|cold| cold.pulls.as_deref());
+        if pulls.is_some_and(|pulls| pulls.served[which as usize].contains(from)) {
+            self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1);
             return;
         }
-        let response = match &cold.held[which as usize].view {
-            Some((View::Full(payload), d)) if *d == digest => RbcMsg::PullResp(payload.clone()),
-            Some((View::Meta(meta), d)) if *d == digest => RbcMsg::MetaResp(meta.clone()),
-            _ => return,
+        let Some((view, _)) = inst.view(which).filter(|(_, held)| *held == digest) else {
+            return;
         };
-        cold.pulls().served[which as usize].insert(from);
+        let response = match (view, which) {
+            (View::Full(payload), Which::Full) => RbcMsg::PullResp(payload.clone()),
+            (view, _) => RbcMsg::MetaResp(view.meta()),
+        };
+        inst.cold().pulls().served[which as usize].insert(from);
         ctx.send(from, packet(source, round, response));
     }
 
@@ -1465,13 +1504,13 @@ impl<P: TribePayload> TribeRbc<P> {
         }
         let which = self.my_view(round, source);
         let certified = self.slots.certified(round, source);
-        let Some(inst) = self.slots.get_mut(round, source) else {
-            return;
+        let inst = self.slots.get_mut(round, source);
+        let Some(inst) = inst.filter(|inst| inst.delivered.is_none()) else {
+            return; // delivered: the chain dies
         };
-        let delivered = inst.is(fact::DELIVERED);
         let Cold { held, pulls, .. } = Cold::of(&mut inst.cold);
         let pulls = pulls.get_or_insert_with(Box::default);
-        if delivered || pulls.attempts >= MAX_PULL_ATTEMPTS {
+        if pulls.attempts >= MAX_PULL_ATTEMPTS {
             pulls.retry_armed = false;
             return;
         }
@@ -1605,42 +1644,210 @@ mod tests {
         run(rig, |engine, ctx| engine.on_retry(round, SOURCE, ctx))
     }
 
-    /// `(echoes counted, signature shares held)` for the instance under test.
+    /// `(echoes counted, signature shares held)` for the instance under
+    /// test; a dropped cold record holds no share.
     fn echo_state(rig: &Rig) -> (usize, usize) {
         let inst = rig.engine.slots.get(ROUND, SOURCE).expect("instance");
-        let cold = inst.cold.as_ref().expect("the VAL was accepted");
-        let spill = cold.spill.iter().flat_map(|spill| &spill.echoes);
-        let spilled = spill.map(|(_, shares)| shares.len());
+        let shares = inst.cold.iter().flat_map(|cold| {
+            let spilled = cold.spill.iter().flat_map(|spill| &spill.echoes);
+            std::iter::once(&cold.shares).chain(spilled.map(|(_, shares)| shares))
+        });
         (
             inst.echo_tallies().map(|set| usize::from(set.total)).sum(),
-            cold.shares.len() + spilled.sum::<usize>(),
+            shares.map(Vec::len).sum(),
         )
     }
 
     /// Whether the instance under test has a [`Pulls`] record and a
-    /// [`Spill`] box.
-    fn boxes(rig: &Rig) -> (bool, bool) {
+    /// [`Spill`] box, if it has a cold record at all.
+    fn boxes(rig: &Rig) -> Option<(bool, bool)> {
         let inst = rig.engine.slots.get(ROUND, SOURCE).expect("instance");
-        let cold = inst.cold.as_ref().expect("the cold part");
-        (cold.pulls.is_some(), cold.spill.is_some())
+        let cold = inst.cold.as_ref()?;
+        Some((cold.pulls.is_some(), cold.spill.is_some()))
+    }
+
+    /// Delivers the instance under test at party 1: the VAL and a quorum of
+    /// echoes, this party's own among them.
+    fn delivered_rig() -> Rig {
+        let mut r = rig(1);
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        for signer in [0, 2, 1] {
+            feed_echo(&mut r, signer);
+        }
+        assert!(r.engine.delivered(ROUND, SOURCE));
+        r
+    }
+
+    /// The profiler's switch is process-wide: one measurement at a time.
+    static PROFILER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[global_allocator]
+    static ALLOC: clanbft_profiler::CountingAlloc = clanbft_profiler::CountingAlloc;
+
+    /// Allocations this thread made inside `body`, the profiler's own
+    /// bookkeeping for the window included, and what `body` returned.
+    fn allocations_in<T>(body: impl FnOnce() -> T) -> (u64, T) {
+        clanbft_profiler::reset();
+        clanbft_profiler::enable();
+        let out = {
+            let _window = clanbft_profiler::scope("window");
+            body()
+        };
+        let report = clanbft_profiler::take_report();
+        clanbft_profiler::disable();
+        (report.scopes[0].alloc_count, out)
     }
 
     #[test]
     fn a_benign_instance_neither_pulls_nor_spills() {
-        let mut r = rig(1);
-        feed(&mut r, 0, RbcMsg::Val(payload()));
-        for signer in [0, 2, 1, 3] {
-            feed_echo(&mut r, signer);
-        }
-        assert!(r.engine.delivered(ROUND, SOURCE));
-        assert_eq!(boxes(&r), (false, false));
+        let mut r = delivered_rig();
+        feed_echo(&mut r, 3);
+        assert_eq!(boxes(&r), None, "delivery drops the cold record");
 
         // A second digest is what opens the spill box, and all it opens.
         let digest = BytesPayload::new(vec![0x18; 128]).rbc_digest();
         let statement = echo_statement(SOURCE, ROUND, &digest);
         let sig = Some(r.auths[2].sign_digest(&statement));
         feed(&mut r, 2, RbcMsg::Echo { digest, sig });
-        assert_eq!(boxes(&r), (false, true));
+        assert_eq!(boxes(&r), Some((false, true)));
+    }
+
+    #[test]
+    fn delivery_keeps_the_view_and_drops_the_cold_record_unless_a_box_is_open() {
+        let r = delivered_rig();
+        let inst = r.engine.slots.get(ROUND, SOURCE).expect("instance");
+        assert!(inst.cold.is_none());
+        assert!(matches!(inst.delivered, Some(View::Full(_))));
+        assert_eq!(r.engine.buffer_stats().cold_records, 0);
+        let meta = r.engine.meta_of(ROUND, SOURCE).expect("the payload's meta");
+        assert_eq!(meta, (payload().meta(), payload().rbc_digest()));
+
+        // A party that pulled keeps the record for its Pulls box, and what
+        // it delivered is out of the record's custody.
+        let mut r = rig(3);
+        certify_told(&mut r, ROUND);
+        retry_in(&mut r, ROUND);
+        feed(&mut r, 0, RbcMsg::PullResp(payload()));
+        assert!(r.engine.delivered(ROUND, SOURCE));
+        assert_eq!(boxes(&r), Some((true, false)));
+        assert_eq!(r.engine.buffer_stats().cold_records, 1);
+        let inst = r.engine.slots.get(ROUND, SOURCE).expect("instance");
+        assert!(inst.held(Which::Full).is_some_and(|h| h.view.is_none()));
+    }
+
+    #[test]
+    fn a_late_identical_val_is_a_duplicate_that_sends_and_allocates_nothing() {
+        let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
+        let mut r = delivered_rig();
+        // Both counters the two windows tick exist before they open.
+        feed_echo(&mut r, 2);
+        let refused = || RbcMsg::Pull {
+            digest: Digest::ZERO,
+        };
+        feed_in(&mut r, Round(u64::MAX), 2, refused());
+        let dup = r.rec.counter(counters::REJECTED_DUPLICATE);
+
+        let msg = refused();
+        let (floor, _) = allocations_in(|| feed_in(&mut r, Round(u64::MAX), 2, msg));
+        let val = RbcMsg::Val(payload());
+        let (count, fx) = allocations_in(|| feed(&mut r, 0, val));
+        assert_eq!(count - floor, 0, "allocations");
+        assert!(fx.out.is_empty() && fx.timers.is_empty() && fx.events.is_empty());
+        assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), dup + 1);
+        assert_eq!(boxes(&r), None);
+    }
+
+    #[test]
+    fn a_late_conflicting_direct_val_records_one_equivocation() {
+        let mut r = delivered_rig();
+        let evidence = |fx: &Queued| {
+            let ev = fx.events.iter().filter_map(|e| match e {
+                RbcEvent::Evidence(ev) => Some(*ev),
+                _ => None,
+            });
+            ev.collect::<Vec<_>>()
+        };
+        let other = || RbcMsg::Val(BytesPayload::new(vec![0x18; 128]));
+        let fx = feed(&mut r, 0, other());
+        let want = Evidence::EquivocatingSource {
+            round: ROUND,
+            source: SOURCE,
+            first: payload().rbc_digest(),
+            second: BytesPayload::new(vec![0x18; 128]).rbc_digest(),
+        };
+        assert_eq!(evidence(&fx), [want]);
+        assert!(fx.out.is_empty());
+        // The record is kept for its evidence flag: a second conflict is
+        // counted, not recorded again.
+        let fx = feed(&mut r, 0, other());
+        assert!(evidence(&fx).is_empty() && fx.out.is_empty());
+        assert_eq!(r.rec.counter(counters::REJECTED_EQUIVOCATION), 2);
+        assert_eq!(boxes(&r), Some((false, false)));
+    }
+
+    #[test]
+    fn a_pull_after_delivery_is_answered_from_the_kept_view_once_per_peer_and_view() {
+        let mut r = delivered_rig();
+        let digest = payload().rbc_digest();
+        let answer = |r: &mut Rig, from, msg| {
+            let fx = feed(r, from, msg);
+            fx.out
+                .into_iter()
+                .map(|(to, p)| (to.0, p.msg))
+                .collect::<Vec<_>>()
+        };
+        let full = answer(&mut r, 2, RbcMsg::Pull { digest });
+        assert!(matches!(&full[..], [(2, RbcMsg::PullResp(p))] if p.rbc_digest() == digest));
+        assert_eq!(boxes(&r), Some((true, false)), "serving creates the record");
+        assert!(answer(&mut r, 2, RbcMsg::Pull { digest }).is_empty());
+        // The payload answers for its meta view.
+        let meta = answer(&mut r, 2, RbcMsg::PullMeta { digest });
+        assert!(matches!(&meta[..], [(2, RbcMsg::MetaResp(m))] if *m == payload().meta()));
+        assert!(answer(&mut r, 2, RbcMsg::PullMeta { digest }).is_empty());
+        assert_eq!(answer(&mut r, 3, RbcMsg::Pull { digest }).len(), 1);
+        // Another digest is not served.
+        let other = Digest::of(b"other");
+        assert!(answer(&mut r, 0, RbcMsg::Pull { digest: other }).is_empty());
+        assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), 2);
+    }
+
+    #[test]
+    fn an_echo_quorum_after_certification_by_readies_pulls_nothing() {
+        // Signature-free: party 3 holds the VAL and certifies on three
+        // READYs, before its own echo quorum, which then sends nothing.
+        let mut r = rig(3);
+        r.engine.flavour = Flavour::SignatureFree;
+        let digest = payload().rbc_digest();
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        for from in 0..3 {
+            feed(&mut r, from, RbcMsg::Ready { digest });
+        }
+        assert!(r.engine.delivered(ROUND, SOURCE));
+        for from in 0..3 {
+            let fx = feed(&mut r, from, RbcMsg::Echo { digest, sig: None });
+            assert!(fx.out.is_empty() && fx.timers.is_empty(), "echo {from}");
+        }
+        let quorum = |e: &clanbft_telemetry::Stamped| {
+            matches!(
+                e.event,
+                Event::Rbc {
+                    phase: RbcPhase::EchoQuorum,
+                    ..
+                }
+            )
+        };
+        assert!(r.rec.events().iter().any(quorum), "the quorum was reached");
+    }
+
+    #[test]
+    fn a_retry_after_delivery_allocates_nothing() {
+        let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
+        let mut r = delivered_rig();
+        let (floor, _) = allocations_in(|| retry_in(&mut r, Round(9)));
+        let (count, fx) = allocations_in(|| retry_in(&mut r, ROUND));
+        assert_eq!(count - floor, 0, "allocations");
+        assert!(fx.out.is_empty() && fx.timers.is_empty());
+        assert_eq!(boxes(&r), None);
     }
 
     #[test]
@@ -1651,11 +1858,11 @@ mod tests {
         // nothing: the peer keeps its one answer.
         assert!(feed(&mut r, 2, RbcMsg::Pull { digest }).out.is_empty());
         feed(&mut r, 0, RbcMsg::Val(payload()));
-        assert_eq!(boxes(&r), (false, false));
+        assert_eq!(boxes(&r), Some((false, false)));
 
         let answers = |r: &mut Rig, from, msg| feed(r, from, msg).out.len();
         assert_eq!(answers(&mut r, 2, RbcMsg::Pull { digest }), 1);
-        assert_eq!(boxes(&r), (true, false), "serving creates the record");
+        assert_eq!(boxes(&r), Some((true, false)), "serving creates the record");
         assert_eq!(answers(&mut r, 2, RbcMsg::Pull { digest }), 0);
         assert_eq!(answers(&mut r, 2, RbcMsg::PullMeta { digest }), 1);
         assert_eq!(answers(&mut r, 2, RbcMsg::PullMeta { digest }), 0);
@@ -1681,7 +1888,7 @@ mod tests {
         let asked = fx.pulls();
         assert_eq!(asked, [PartyId(1), PartyId(0)]);
         assert_eq!(fx.timers.len(), 1);
-        assert_eq!(boxes(&r), (true, false));
+        assert_eq!(boxes(&r), Some((true, false)));
         let inst = r.engine.slots.get(ROUND, SOURCE).expect("instance");
         let pulls = inst.cold.as_ref().and_then(|c| c.pulls.as_ref()).unwrap();
         assert_eq!(pulls.attempts, 0);
@@ -1777,6 +1984,7 @@ mod tests {
             .expect("certificate formed at quorum");
         assert_eq!(cert.count(), 3, "the certificate carries every share");
         assert_eq!(echo_state(&r), (3, 0), "no share outlives the certificate");
+        assert_eq!(boxes(&r), None, "nor does the record that held them");
 
         // A late echo is still counted, its share is not stored; a duplicate
         // of it is rejected and counted as before.
@@ -1817,6 +2025,7 @@ mod tests {
             "a valid certificate delivers"
         );
         assert_eq!(echo_state(&r), (2, 0), "accepted certificate frees shares");
+        assert_eq!(boxes(&r), None);
 
         // Echoes past certification: counted, reaching quorum changes
         // nothing (the certificate was already forwarded), nothing stored.

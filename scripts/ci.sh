@@ -33,8 +33,11 @@ TESTKIT_CASES=4096 cargo test -q --offline -p clanbft-rbc --lib
 
 echo "== the pool's and the batch planner's properties at 4096 cases"
 # The pool, which merges runs on admission and splits one on a pull, is held
-# to a per-transaction model; plan_batches to the quadratic planner it
-# replaced. 128 and 256 cases in tier-1; ~5 s here.
+# to a per-transaction model, and its lanes to the capacity clause: at the
+# end of each window of pulls a lane keeps storage for at most twice the
+# window's high-water mark (at least the floor), so a drained backlog's
+# storage goes once a quiet window has passed; plan_batches to the quadratic
+# planner it replaced. 128 and 256 cases in tier-1; ~5 s here.
 TESTKIT_CASES=4096 cargo test -q --offline -p clanbft-sim --test properties -- \
     linear_batch_planner_matches_the_quadratic_one \
     index_addressed_client_table_matches_a_btreemap_model

@@ -22,10 +22,64 @@ use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::protocol::{Ctx, Protocol};
 use clanbft_telemetry::Telemetry;
 use clanbft_types::{Block, Encode, Micros, PartyId, Round, TribeParams, Vertex, VertexRef};
+use std::alloc::{GlobalAlloc, Layout};
+use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 #[global_allocator]
-static ALLOC: prof::CountingAlloc = prof::CountingAlloc;
+static ALLOC: Live = Live;
+
+/// The counting allocator, and beside it this thread's live bytes as a
+/// signed sum: the profiler's own live counter saturates at zero, so it
+/// cannot say what a window freed of what was allocated before it.
+struct Live;
+
+thread_local! {
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// This thread's live bytes: allocated less freed, since it started.
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+fn add_live(delta: i64) {
+    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+}
+
+// SAFETY: every method forwards to the profiler's counting allocator
+// verbatim; the extra work is a thread-local `Cell` update that neither
+// allocates nor panics.
+unsafe impl GlobalAlloc for Live {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = prof::CountingAlloc.alloc(layout);
+        if !p.is_null() {
+            add_live(layout.size() as i64);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = prof::CountingAlloc.alloc_zeroed(layout);
+        if !p.is_null() {
+            add_live(layout.size() as i64);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        prof::CountingAlloc.dealloc(ptr, layout);
+        add_live(-(layout.size() as i64));
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = prof::CountingAlloc.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            add_live(new_size as i64 - layout.size() as i64);
+        }
+        p
+    }
+}
 
 /// The profiler's switch is process-wide: one measurement at a time.
 static PROFILER: Mutex<()> = Mutex::new(());
@@ -448,11 +502,13 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
         // VAL and the echoes up to the quorum: this party echoes, forms the
         // certificate and delivers.
         let mut messages = messages.into_iter();
+        let live = live_bytes();
         let (count, bytes) = allocations_in(|| {
             for (from, msg) in messages.by_ref().take(1 + quorum) {
                 engine.handle(from, round, msg);
             }
         });
+        let live = live_bytes() - live;
         let delivered = engine
             .events
             .iter()
@@ -474,10 +530,20 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
             // signatures, the shared handle): 8, where a fresh event list
             // per take made it 9, a packet buffer of the engine's own 10
             // and a boxed instance with heap bit sets 20. Neither a pull
-            // record nor a spill box: 12 320 bytes, where a cold part that
-            // held both inline, and the event list, made it 12 904.
+            // record nor a spill box: 14 720 bytes. The row's 50 records
+            // each grew by the slot a delivered view is kept in (48 B for
+            // this payload); without it they made 12 320, and a cold part
+            // that held both boxes inline, and the event list, 12 904.
             let made = (count - floor.0, bytes - floor.1);
-            assert_eq!(made, (8, 12_320), "(allocations, bytes)");
+            assert_eq!(made, (8, 14_720), "(allocations, bytes)");
+            // What stays live once the instance has delivered: the row and
+            // the certificate's 2 192 bytes. The share buffer went into the
+            // certificate, and the cold part (256 B here) went at delivery.
+            // When it stayed, the window left 9 648 bytes live: a 7 200-B
+            // row, the certificate and the cold part.
+            assert_eq!(engine.rbc.buffer_stats().cold_records, 0);
+            let row = N * TribeRbc::<BytesPayload>::INSTANCE_BYTES;
+            assert_eq!(live, (row + 2_192) as i64, "live bytes");
         }
         // Everything after certification — the remaining echoes and the 49
         // certificates the other parties forward — moves a bit or nothing.

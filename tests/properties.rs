@@ -505,8 +505,11 @@ fn index_addressed_client_table_matches_a_btreemap_model() {
     check_shrink(
         "index_addressed_client_table_matches_a_btreemap_model",
         CASES * 2,
-        |g| (g.u8_in(0, 12), g.u8_in(1, 8), g.vec(0, 120, arb_op)),
-        |(cap_txs, cap_units, ops)| {
+        |g| {
+            let pool = (g.u8_in(0, 12), g.u8_in(1, 8), g.vec(0, 120, arb_op));
+            (pool.0, pool.1, pool.2, g.u32_in(0, 1_000))
+        },
+        |(cap_txs, cap_units, ops, backlog)| {
             let cfg = MempoolConfig {
                 capacity_txs: usize::from(*cap_txs),
                 capacity_bytes: usize::from(*cap_units) * 256,
@@ -609,6 +612,42 @@ fn index_addressed_client_table_matches_a_btreemap_model() {
                     tk_assert_eq!(pool.expected_seq(ClientId(c)), want);
                 }
             }
+            // A lane gives a backlog's storage back. One lane of a pool
+            // without bounds takes `backlog` runs, the ops' pulls drain it
+            // (64 runs a unit), then two windows of pulls find it quiet. At
+            // the end of every window the lanes keep at most twice the most
+            // runs a pull of the window found queued (a power of two, at
+            // least the floor), and after the quiet window twice the floor.
+            let wide = MempoolConfig {
+                capacity_txs: usize::MAX,
+                capacity_bytes: usize::MAX,
+                max_clients: usize::MAX,
+            };
+            let mut flood = Mempool::new(wide, Telemetry::null());
+            for client in 0..u64::from(*backlog) {
+                let sub = Submission {
+                    client: ClientId(client),
+                    seq: 0,
+                    tx_bytes: 64,
+                    lane: Lane::Low,
+                };
+                tk_assert!(flood.admit(sub, Micros(client)).is_ok());
+            }
+            let drain = ops.iter().filter(|op| matches!(op.0, 6 | 7));
+            let drain = drain.map(|op| usize::from(op.2) * 64);
+            let quiet = std::iter::repeat(usize::MAX).take(2 * Mempool::SHRINK_WINDOW);
+            let mut high_water = 0;
+            for (pull, max) in drain.chain(quiet).enumerate() {
+                high_water = high_water.max(flood.queued_runs());
+                flood.pull(max, Micros(u64::from(*backlog)));
+                if (pull + 1) % Mempool::SHRINK_WINDOW == 0 {
+                    let keep = high_water.next_power_of_two().max(Mempool::LANE_FLOOR);
+                    tk_assert!(flood.lane_capacity() <= 2 * keep, "pull {pull}");
+                    high_water = 0;
+                }
+            }
+            tk_assert!(flood.is_empty());
+            tk_assert!(flood.lane_capacity() <= 2 * Mempool::LANE_FLOOR);
             Ok(())
         },
     );

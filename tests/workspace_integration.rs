@@ -76,6 +76,14 @@ fn full_pipeline_single_clan_with_committee_sized_clan() {
     // The election really met its failure budget.
     assert!(strict_dishonest_majority_prob(n, f, nc) <= 0.2);
 
+    // Nobody pulled, so once the run has drained no broadcast instance
+    // keeps a cold record: delivery dropped each one.
+    for &p in &built.honest {
+        let rbc = built.sim.node(p).rbc_buffers();
+        assert_eq!((rbc.pending_pulls, rbc.pull_records), (0, 0), "{p}");
+        assert_eq!(rbc.cold_records, 0, "cold records at {p}");
+    }
+
     // Client acceptance: f_c+1 consistent state roots from the clan.
     let reports: Vec<(usize, clanbft_crypto::Digest)> = clan
         .iter()
@@ -100,6 +108,17 @@ fn full_pipeline_multi_clan() {
     spec.max_round = Some(8);
     spec.execute = true;
     let built = run_and_check(spec);
+    // Here some instances certify before the view a party is due arrives,
+    // so some parties start a pull and others serve one: the cold records
+    // that outlive the run are exactly those instances' pull records.
+    let mut pulled_or_served = 0;
+    for &p in &built.honest {
+        let rbc = built.sim.node(p).rbc_buffers();
+        assert_eq!(rbc.pending_pulls, 0, "{p}");
+        assert_eq!(rbc.cold_records, rbc.pull_records, "cold records at {p}");
+        pulled_or_served += rbc.pull_records;
+    }
+    assert!(pulled_or_served > 0, "the run pulled nothing");
     // Each clan's members agree on their own execution.
     for clan in &clans {
         let roots: Vec<_> = clan
