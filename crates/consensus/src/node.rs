@@ -45,7 +45,7 @@ use clanbft_types::certs::{NoVote, RoundCert, Statement, TimedOut};
 use clanbft_types::{
     Block, Encode, Evidence, Micros, PartyId, Round, RoundWindow, TxBatch, Vertex, VertexRef,
 };
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// One entry of the emitted total order (`a_deliver`).
@@ -93,7 +93,7 @@ pub struct SailfishNode {
     pub(crate) auth: Arc<Authenticator>,
     pub(crate) rbc: TribeRbc<MergedPayload>,
     /// Where `flush` takes the engine's events (empty between calls).
-    rbc_events: Vec<RbcEvent<MergedPayload>>,
+    rbc_events: Vec<RbcEvent>,
     pub(crate) dag: Dag,
     /// Votes, timeout announcements, certificates and this node's own vote
     /// or no-vote, one record per round; the window's base is the horizon.
@@ -107,8 +107,6 @@ pub struct SailfishNode {
     /// `(round, culprit)` pairs already evidenced — one record per pair.
     pub(crate) evidence_keys: HashSet<(Round, PartyId)>,
 
-    /// Full blocks held (clan member for the proposer, or own proposals).
-    pub(crate) blocks: HashMap<VertexRef, Arc<Block>>,
     /// Vertices that may still need a weak edge from this node: they went
     /// live after the proposal that could have strong-edged them. Each
     /// proposal drops the ones it reaches anyway, the ordered and the
@@ -124,7 +122,7 @@ pub struct SailfishNode {
 
     /// Execution layer (when enabled): ordered vertices awaiting their
     /// block, and the executor folding them into the state root. GC of the
-    /// broadcast window and `blocks` stops at its front.
+    /// broadcast window, which holds the blocks, stops at its front.
     exec_queue: VecDeque<VertexRef>,
     /// The executor, if execution is enabled.
     pub executor: Option<Executor>,
@@ -152,8 +150,6 @@ pub struct SailfishNode {
     pub(crate) committed_round_by: Vec<u64>,
     /// Epoch-rotation decisions made so far, oldest first.
     pub(crate) epochs: Vec<clanbft_storage::EpochEntry>,
-    /// The next epoch number to decide (1-based).
-    pub(crate) next_epoch: u64,
     /// In-flight post-restart state transfer (client side).
     pub(crate) catchup: Option<crate::recovery::CatchupState>,
     /// Per peer: the lowest `from_round` a state request must carry to be
@@ -174,35 +170,6 @@ const MAX_BATCHES_PER_BLOCK: usize = 16;
 
 /// Wire size of every client transaction (the paper's 512 bytes).
 const TX_BYTES: u32 = 512;
-
-/// Vertex intake's CPU time, held back until `flush` has taken in every
-/// event, and its telemetry clock: the one stamp that is not `Ctx::now`.
-/// Charging intake in place would move `committed_at`, and through
-/// `ClientIngress::on_committed` every closed-loop arrival; that re-pin is a
-/// change of its own.
-struct Intake {
-    now: Micros,
-    charge: Micros,
-}
-
-impl Intake {
-    fn at(now: Micros) -> Intake {
-        Intake {
-            now,
-            charge: Micros::ZERO,
-        }
-    }
-
-    fn charge(&mut self, c: Micros) {
-        self.charge += c;
-    }
-
-    /// `Ctx::now` when the event was taken in, plus the intake CPU time
-    /// charged since.
-    fn stamp(&self) -> Micros {
-        self.now + self.charge
-    }
-}
 
 /// The client ingress a proposer fronts its proposals with (`None` for a
 /// zero workload).
@@ -248,7 +215,6 @@ impl SailfishNode {
             stopped_proposing: false,
             evidence: Vec::new(),
             evidence_keys: HashSet::new(),
-            blocks: HashMap::new(),
             late_arrivals: BTreeSet::new(),
             last_committed: None,
             committed_log: Vec::new(),
@@ -268,7 +234,6 @@ impl SailfishNode {
             last_proposal: None,
             committed_round_by: vec![0; tribe.n()],
             epochs: Vec::new(),
-            next_epoch: 1,
             catchup: None,
             next_servable_state: vec![0; tribe.n()],
             recovered_records: 0,
@@ -314,10 +279,13 @@ impl SailfishNode {
         self.ingress.as_ref()
     }
 
-    /// A full block this node holds (own proposals and clan downloads).
-    /// Disappears once garbage collection passes it (`gc_depth`).
+    /// A block this node delivered as a member of its proposer's clan (own
+    /// proposals come back by loopback), read from the broadcast engine until
+    /// garbage collection passes it (`gc_depth`). An outsider's own empty
+    /// block reads `None`.
     pub fn held_block(&self, vref: &VertexRef) -> Option<&Block> {
-        self.blocks.get(vref).map(Arc::as_ref)
+        let payload = self.rbc.payload(vref.round, vref.source)?;
+        Some(&payload.block)
     }
 
     /// Whether this construction rebuilt durable state from disk.
@@ -527,8 +495,6 @@ impl SailfishNode {
             });
             self.last_proposal = Some(proposal);
         }
-        // Keep our own block regardless of clan membership (we produced it).
-        self.blocks.insert(vref, Arc::clone(&payload.block));
         self.rbc.broadcast(round, payload, ctx);
         if let Some(ingress) = self.ingress.as_mut() {
             ingress.note_proposed(vref);
@@ -545,7 +511,7 @@ impl SailfishNode {
         &mut self,
         vertex: Arc<Vertex>,
         id: Digest,
-        fx: &mut Intake,
+        charge: &mut Micros,
         ctx: &mut Ctx<ConsensusMsg>,
     ) {
         let _prof = clanbft_profiler::scope("consensus.process_vertex");
@@ -553,15 +519,11 @@ impl SailfishNode {
         if self.dag.is_known(&vref) {
             return;
         }
-        if !self.validate_vertex(&vertex, fx) {
+        if !self.validate_vertex(&vertex, charge) {
             return;
         }
-        fx.charge(
-            self.cfg
-                .cost
-                .db_reads(vertex.strong_edges.len() + vertex.weak_edges.len()),
-        );
-        fx.charge(self.cfg.cost.db_write());
+        let edges = vertex.strong_edges.len() + vertex.weak_edges.len();
+        *charge += self.cfg.cost.db_reads(edges) + self.cfg.cost.db_write();
         debug_assert_eq!(id, vertex.id());
         self.log_wal(|| clanbft_storage::WalRecord::Accepted {
             vertex: (*vertex).clone(),
@@ -576,7 +538,7 @@ impl SailfishNode {
             // Persist the vote before signing: a recovered node must never
             // vote twice, nor vote after having announced a timeout.
             self.log_wal(|| clanbft_storage::WalRecord::Voted { round });
-            fx.charge(self.cfg.cost.sign());
+            *charge += self.cfg.cost.sign();
             let sig = self.auth.sign_digest(&vote_digest(round, &id));
             let vote = ConsensusMsg::Vote {
                 round,
@@ -591,7 +553,7 @@ impl SailfishNode {
             InsertOutcome::Live(new_live) => self.on_live(new_live, ctx.now()),
             InsertOutcome::Pending => {
                 self.cfg.telemetry.event(
-                    fx.stamp(),
+                    ctx.now() + *charge,
                     self.cfg.me,
                     Event::DagBuffered {
                         round: vref.round,
@@ -628,7 +590,7 @@ impl SailfishNode {
     }
 
     /// Structural and leader-edge validation (paper Fig. 4 rules).
-    fn validate_vertex(&mut self, vertex: &Vertex, fx: &mut Intake) -> bool {
+    fn validate_vertex(&mut self, vertex: &Vertex, charge: &mut Micros) -> bool {
         if vertex.validate_shape(self.cfg.tribe()).is_err() {
             return false;
         }
@@ -642,9 +604,9 @@ impl SailfishNode {
         // Missing leader edge needs justification: NVC for the next leader's
         // vertex, TC for everyone else's.
         if self.schedule.leader_vertex(vertex.round) == vertex.reference() {
-            self.justifies(vertex.nvc.as_ref(), prev, fx)
+            self.justifies(vertex.nvc.as_ref(), prev, charge)
         } else {
-            self.justifies(vertex.tc.as_ref(), prev, fx)
+            self.justifies(vertex.tc.as_ref(), prev, charge)
         }
     }
 
@@ -653,10 +615,10 @@ impl SailfishNode {
         &self,
         cert: Option<&RoundCert<S>>,
         prev: Round,
-        fx: &mut Intake,
+        charge: &mut Micros,
     ) -> bool {
         let Some(cert) = cert else { return false };
-        fx.charge(self.cfg.cost.agg_verify(cert.agg.count()));
+        *charge += self.cfg.cost.agg_verify(cert.agg.count());
         let quorum = self.cfg.tribe().quorum();
         let signed = || cert.verify(self.auth.registry(), quorum);
         cert.round == prev && cert.agg.count() >= quorum && (!self.cfg.verify_sigs || signed())
@@ -793,19 +755,17 @@ impl SailfishNode {
             return;
         };
         while let Some(front) = self.exec_queue.front().copied() {
-            let Some(block) = self.blocks.get(&front) else {
+            let Some(payload) = self.rbc.payload(front.round, front.source) else {
                 break; // Block still downloading; execution lags consensus.
             };
-            executor.execute(front, block, now);
+            executor.execute(front, &payload.block, now);
             self.exec_queue.pop_front();
         }
     }
 
     /// Garbage collection below `last_committed − gc_depth`, a function of
     /// the committed order, so WAL replay prunes where the live node did.
-    /// What execution reads (the broadcast window and the blocks) stops at
-    /// the execution queue's front. Returns the vertices the raised horizon
-    /// made live, for a live caller to pass to [`Self::on_live`].
+    /// Returns what [`Self::prune_below`] released.
     pub(crate) fn prune_to_horizon(&mut self) -> Vec<VertexRef> {
         let (Some(depth), Some(lc)) = (self.cfg.gc_depth, self.last_committed) else {
             return Vec::new();
@@ -813,7 +773,15 @@ impl SailfishNode {
         if lc.0 <= depth {
             return Vec::new();
         }
-        let horizon = Round(lc.0 - depth);
+        self.prune_below(Round(lc.0 - depth))
+    }
+
+    /// Raises the horizon: the one list of per-round stores, for garbage
+    /// collection and a state transfer's fast-forward alike. The broadcast
+    /// window, which holds the blocks execution reads, stops at the execution
+    /// queue's front. Returns the vertices the raised horizon made live, for
+    /// a live caller to pass to [`Self::on_live`].
+    pub(crate) fn prune_below(&mut self, horizon: Round) -> Vec<VertexRef> {
         let released = self.dag.prune_below(horizon);
         self.rounds.prune_below(horizon);
         // The next proposal would drop these too; a node past `max_round`
@@ -824,7 +792,6 @@ impl SailfishNode {
         self.evidence_keys.retain(|(r, _)| *r >= horizon);
         let floor = horizon.min(self.exec_queue.front().map_or(horizon, |r| r.round));
         self.rbc.prune_below(floor);
-        self.blocks.retain(|r, _| r.round >= floor);
         released
     }
 
@@ -889,49 +856,50 @@ impl SailfishNode {
     /// timers and charges are on `ctx` already), then advances whatever
     /// round completed.
     pub(crate) fn flush(&mut self, ctx: &mut Ctx<ConsensusMsg>) {
-        // Vertex intake charges land once every event is taken in.
+        // Vertex intake's CPU time is charged once every event is taken in:
+        // charged in place it would move `committed_at`, and through
+        // `ClientIngress::on_committed` every closed-loop arrival. Nothing
+        // charges `ctx` in the loop, so `ctx.now()` is each event's clock.
         let mut intake_charge = Micros::ZERO;
         let mut events = std::mem::take(&mut self.rbc_events);
         self.rbc.take_events(&mut events);
         for ev in events.drain(..) {
-            let mut intake = Intake::at(ctx.now());
             match ev {
+                // Act as soon as the vertex is certified, even if the block
+                // is still in flight (paper §5); a delivery may also let
+                // execution move on.
                 RbcEvent::Certified {
                     source,
                     round,
                     digest,
-                } => {
-                    // Act as soon as the vertex is certified, even if
-                    // the block is still in flight (paper §5).
-                    if let Some((meta, held)) = self.rbc.meta_of(round, source) {
-                        if held == digest {
-                            let vertex = Arc::clone(meta.arc());
-                            self.process_vertex(vertex, digest, &mut intake, ctx);
-                        }
-                    }
                 }
-                RbcEvent::DeliverFull {
+                | RbcEvent::DeliverFull {
                     source,
                     round,
                     digest,
-                    payload,
-                } => {
-                    let vref = VertexRef { round, source };
-                    self.blocks.insert(vref, Arc::clone(&payload.block));
-                    let vertex = Arc::clone(payload.vertex.arc());
-                    self.process_vertex(vertex, digest, &mut intake, ctx);
-                    self.try_execute(ctx.now());
                 }
-                RbcEvent::DeliverMeta { digest, meta, .. } => {
-                    let vertex = Arc::clone(meta.arc());
-                    self.process_vertex(vertex, digest, &mut intake, ctx);
+                | RbcEvent::DeliverMeta {
+                    source,
+                    round,
+                    digest,
+                } => {
+                    if let Some((meta, held)) = self.rbc.meta_of(round, source) {
+                        if held == digest {
+                            let vertex = Arc::clone(meta.arc());
+                            let mut charge = Micros::ZERO;
+                            self.process_vertex(vertex, digest, &mut charge, ctx);
+                            intake_charge += charge;
+                        }
+                    }
+                    if matches!(ev, RbcEvent::DeliverFull { .. }) {
+                        self.try_execute(ctx.now());
+                    }
                 }
                 RbcEvent::Evidence(ev) => {
                     // The engine already counted and traced it.
                     self.keep_evidence(ev, false);
                 }
             }
-            intake_charge += intake.charge;
         }
         self.rbc_events = events;
         ctx.charge(intake_charge);
@@ -1156,7 +1124,7 @@ mod tests {
     use super::*;
     use crate::messages::CommittedRec;
     use clanbft_crypto::{Registry, Scheme};
-    use clanbft_rbc::ClanTopology;
+    use clanbft_rbc::{ClanTopology, RbcMsg, RbcPacket, TribePayload};
     use clanbft_types::{NoVoteCert, TimeoutCert, TribeParams};
 
     fn test_node(n: usize, txs: u32) -> (SailfishNode, Vec<Arc<Authenticator>>) {
@@ -1205,7 +1173,7 @@ mod tests {
         // n = 4, leader(0) = P0. A round-1 vertex whose strong edges skip
         // the round-0 leader must carry a TC; without one it is rejected.
         let (mut node, auths) = test_node(4, 0);
-        let mut fx = Intake::at(Micros::ZERO);
+        let mut fx = Micros::ZERO;
         // Leader edge present: accepted.
         let ok = bare_vertex(1, 1, full_edges(0, 4));
         assert!(node.validate_vertex(&ok, &mut fx));
@@ -1253,7 +1221,7 @@ mod tests {
         // n = 4: leader(1) = P1. P1's round-1 vertex without an edge to the
         // round-0 leader vertex needs an NVC (a TC does not suffice).
         let (mut node, auths) = test_node(4, 0);
-        let mut fx = Intake::at(Micros::ZERO);
+        let mut fx = Micros::ZERO;
         let edges = vec![
             VertexRef {
                 round: Round(0),
@@ -1288,7 +1256,7 @@ mod tests {
     #[test]
     fn malformed_shape_rejected() {
         let (mut node, _) = test_node(4, 0);
-        let mut fx = Intake::at(Micros::ZERO);
+        let mut fx = Micros::ZERO;
         // Too few strong edges for quorum 3.
         let thin = bare_vertex(1, 2, full_edges(0, 2));
         assert!(!node.validate_vertex(&thin, &mut fx));
@@ -1311,7 +1279,7 @@ mod tests {
         let crafted = Arc::new(bare_vertex(1, 2, edges));
         let cost = node.cfg.cost;
         let mut ctx = Ctx::new(PartyId(0), Micros::ZERO, &cost);
-        let mut intake = Intake::at(Micros::ZERO);
+        let mut intake = Micros::ZERO;
         for v in [&crafted, &honest] {
             node.process_vertex(Arc::clone(v), v.id(), &mut intake, &mut ctx);
         }
@@ -1352,11 +1320,11 @@ mod tests {
         let offer = |node: &mut SailfishNode, vertices: &[&Arc<Vertex>]| {
             let cost = node.cfg.cost;
             let mut ctx = Ctx::new(PartyId(0), Micros::ZERO, &cost);
-            let mut intake = Intake::at(Micros::ZERO);
+            let mut intake = Micros::ZERO;
             for v in vertices {
                 node.process_vertex(Arc::clone(v), v.id(), &mut intake, &mut ctx);
             }
-            intake.charge
+            intake
         };
         let honest_alone = offer(&mut test_node(7, 0).0, &[&honest]);
         let (mut node, _) = test_node(7, 0);
@@ -1387,7 +1355,6 @@ mod tests {
 
     #[test]
     fn vertex_naming_another_instance_is_refused_live_and_in_a_pull_response() {
-        use clanbft_rbc::{RbcMsg, RbcPacket};
         let (mut node, _) = test_node(4, 0);
         let cost = node.cfg.cost;
         let far = Round(1 << 40);
@@ -1446,6 +1413,149 @@ mod tests {
         assert_eq!(node.dag.pending_count(), 0);
     }
 
+    /// Hands `node` one packet of `source`'s instance in `round`, from
+    /// `from`.
+    fn rbc_in(
+        node: &mut SailfishNode,
+        from: u32,
+        (round, source): (u64, u32),
+        msg: RbcMsg<MergedPayload>,
+    ) {
+        let cost = node.cfg.cost;
+        let mut ctx = Ctx::new(node.cfg.me, Micros(1), &cost);
+        let packet = RbcPacket {
+            source: PartyId(source),
+            round: Round(round),
+            msg,
+        };
+        node.on_message(PartyId(from), ConsensusMsg::Rbc(packet), &mut ctx);
+    }
+
+    /// Certifies `payload`'s instance at `node` with the echo certificate
+    /// of parties 1 to 3.
+    fn certify(node: &mut SailfishNode, auths: &[Arc<Authenticator>], payload: &MergedPayload) {
+        let (round, source) = (payload.vertex.round, payload.vertex.source);
+        let digest = payload.rbc_digest();
+        let statement = clanbft_rbc::echo_statement(source, round, &digest);
+        let shares: Vec<_> = (1..4)
+            .map(|i| (i, auths[i].sign_digest(&statement)))
+            .collect();
+        let cert = Arc::new(clanbft_crypto::AggregateSignature::aggregate(4, &shares));
+        let msg = RbcMsg::EchoCert { digest, cert };
+        rbc_in(node, 1, (round.0, source.0), msg);
+    }
+
+    /// `(round, source)`'s vertex, with strong edges to `strong` and a
+    /// block of `txs` transactions.
+    fn merged(round: u64, source: u32, strong: Vec<VertexRef>, txs: u32) -> MergedPayload {
+        let batches = (txs > 0)
+            .then(|| TxBatch::synthetic(PartyId(source), 0, txs, 512, Micros::ZERO))
+            .into_iter()
+            .collect();
+        let block = Block::new(PartyId(source), Round(round), batches);
+        let mut vertex = bare_vertex(round, source, strong);
+        vertex.block_digest = block.digest();
+        vertex.block_bytes = block.encoded_len() as u64;
+        vertex.block_tx_count = block.tx_count();
+        MergedPayload::new(vertex, block)
+    }
+
+    /// The payload of the VAL in `outbox` addressed to `to`, if any.
+    fn val_for(outbox: &[(PartyId, ConsensusMsg)], to: PartyId) -> Option<MergedPayload> {
+        outbox.iter().find_map(|(at, msg)| match msg {
+            ConsensusMsg::Rbc(RbcPacket {
+                msg: RbcMsg::Val(p),
+                ..
+            }) if *at == to => Some(p.clone()),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn a_block_is_held_once_delivered_own_proposals_by_loopback() {
+        // P0 of a whole-tribe four: its own round-0 block is held once its
+        // VAL came back and the instance certified, not at proposal time.
+        let (mut node, auths) = test_node(4, 10);
+        let cost = node.cfg.cost;
+        let mut ctx = Ctx::new(PartyId(0), Micros::ZERO, &cost);
+        node.on_start(&mut ctx);
+        let own = val_for(&ctx.take_outbox(), PartyId(0)).expect("VAL to itself");
+        let vref = own.vertex.reference();
+        assert!(node.held_block(&vref).is_none(), "proposed, not delivered");
+        rbc_in(&mut node, 0, (0, 0), RbcMsg::Val(own.clone()));
+        assert!(node.held_block(&vref).is_none(), "held in custody only");
+        certify(&mut node, &auths, &own);
+        assert_eq!(node.held_block(&vref), Some(&*own.block));
+        assert_eq!(node.held_block(&vref).map(Block::tx_count), Some(10));
+
+        // P0 outside the one clan {1, 2, 3}: its own empty block comes back
+        // as the meta view, and no block is held.
+        let tribe = TribeParams::new(4);
+        let clan = vec![PartyId(1), PartyId(2), PartyId(3)];
+        let topology = Arc::new(ClanTopology::single_clan(tribe, clan));
+        let cfg = NodeConfig::new(PartyId(0), topology);
+        let mut node = SailfishNode::new(cfg, Arc::clone(&auths[0]));
+        let mut ctx = Ctx::new(PartyId(0), Micros::ZERO, &cost);
+        node.on_start(&mut ctx);
+        let outbox = ctx.take_outbox();
+        let own = val_for(&outbox, PartyId(1)).expect("VAL to the clan");
+        assert!(
+            val_for(&outbox, PartyId(0)).is_none(),
+            "an outsider gets the meta"
+        );
+        let meta = RbcMsg::ValMeta(own.meta());
+        rbc_in(&mut node, 0, (0, 0), meta);
+        certify(&mut node, &auths, &own);
+        assert!(node.rbc.delivered(Round(0), PartyId(0)));
+        assert!(node.dag.is_known(&own.vertex.reference()));
+        assert!(node.held_block(&own.vertex.reference()).is_none());
+    }
+
+    #[test]
+    fn a_block_that_lands_after_its_vertex_committed_is_executed_then() {
+        // P0 with execution on holds three round-0 blocks; P1's round-1
+        // leader vertex reaches it as a meta view and certifies, and three
+        // votes commit it before its block lands by a pull response.
+        let (mut node, auths) = test_node(4, 0);
+        node.executor = Some(Executor::new());
+        let round0: Vec<MergedPayload> = [0, 2, 3].map(|s| merged(0, s, vec![], 5)).into();
+        for p in &round0 {
+            let source = p.vertex.source.0;
+            rbc_in(&mut node, source, (0, source), RbcMsg::Val(p.clone()));
+            certify(&mut node, &auths, p);
+        }
+        let parents = round0.iter().map(|p| p.vertex.reference()).collect();
+        let leader = merged(1, 1, parents, 7);
+        let vref = leader.vertex.reference();
+        rbc_in(&mut node, 1, (1, 1), RbcMsg::ValMeta(leader.meta()));
+        certify(&mut node, &auths, &leader);
+        assert!(node.dag.is_known(&vref), "acted on at certification");
+        let id = leader.rbc_digest();
+        let cost = node.cfg.cost;
+        for (i, auth) in auths.iter().enumerate().skip(1) {
+            let vote = ConsensusMsg::Vote {
+                round: Round(1),
+                vertex_id: id,
+                sig: auth.sign_digest(&vote_digest(Round(1), &id)),
+            };
+            let mut ctx = Ctx::new(PartyId(0), Micros(1), &cost);
+            node.on_message(PartyId(i as u32), vote, &mut ctx);
+        }
+        assert_eq!(node.last_committed(), Some(Round(1)));
+        let executed = |node: &SailfishNode| {
+            let receipts = node.executor.as_ref().expect("executes").receipts();
+            receipts.iter().map(|r| r.vertex).collect::<Vec<_>>()
+        };
+        assert_eq!(executed(&node).len(), 3, "the round-0 blocks");
+        assert!(node.held_block(&vref).is_none());
+
+        let resp = RbcMsg::PullResp(leader.clone());
+        rbc_in(&mut node, 2, (1, 1), resp);
+        assert_eq!(node.held_block(&vref), Some(&*leader.block));
+        assert_eq!(executed(&node).last(), Some(&vref));
+        assert_eq!(node.executor.as_ref().unwrap().executed_txs(), 22);
+    }
+
     /// A storage-backed P0 of a four-party tribe on a fresh directory `name`
     /// under the temp dir, with what it takes to rebuild it from that disk.
     fn durable_node(name: &str) -> (SailfishNode, NodeConfig, Arc<Authenticator>) {
@@ -1473,7 +1583,7 @@ mod tests {
         let (mut node, cfg, auth) = durable_node("pending-checkpoint");
         let cost = node.cfg.cost;
         let mut ctx = Ctx::new(PartyId(0), Micros::ZERO, &cost);
-        let mut intake = Intake::at(Micros::ZERO);
+        let mut intake = Micros::ZERO;
         let mut offer = |node: &mut SailfishNode, v: Vertex| {
             let v = Arc::new(v);
             node.process_vertex(Arc::clone(&v), v.id(), &mut intake, &mut ctx);
@@ -1571,7 +1681,6 @@ mod tests {
         // instance: the broadcast layer records the equivocation, and a node
         // rebuilt from the same directory still holds the record, before a
         // checkpoint and after one.
-        use clanbft_rbc::{RbcMsg, RbcPacket};
         let (mut node, cfg, auth) = durable_node("rbc-evidence-restart");
         let cost = node.cfg.cost;
         for txs in [1, 2] {

@@ -123,7 +123,6 @@ impl SailfishNode {
         for entry in cp.epochs {
             self.install_epoch_entry(entry);
         }
-        self.next_epoch = self.epochs.last().map_or(1, |e| e.epoch + 1);
         for ev in cp.evidence {
             self.keep_evidence(ev, true);
         }
@@ -187,11 +186,9 @@ impl SailfishNode {
         }
     }
 
-    /// Restores this node's own newest proposal: its block is held again,
-    /// and it is what a restart re-broadcasts.
+    /// Restores this node's own newest proposal: what a restart
+    /// re-broadcasts.
     fn restore_proposal(&mut self, p: ProposalEntry) {
-        self.blocks
-            .insert(p.vertex.reference(), Arc::new(p.block.clone()));
         self.last_proposal = Some(p);
     }
 
@@ -416,9 +413,7 @@ impl SailfishNode {
         let mut released = Vec::new();
         if let Some(floor) = window.first().map(|(v, _)| v.round) {
             if floor > self.dag.horizon() && self.last_committed.is_some_and(|lc| lc >= floor) {
-                released = self.dag.prune_below(floor);
-                self.rounds.prune_below(floor);
-                self.rbc.prune_below(floor);
+                released = self.prune_below(floor);
             }
         }
         // Inserted without voting, telemetry or weak-edge tracking (as on
@@ -548,12 +543,12 @@ impl SailfishNode {
             return rotated;
         };
         loop {
-            let epoch = self.next_epoch;
+            // `decide_epoch` records every decision.
+            let epoch = self.epochs.last().map_or(1, |e| e.epoch + 1);
             let boundary = epoch * len - len / 2;
             if committed_round.0 < boundary {
                 return rotated;
             }
-            self.next_epoch = epoch + 1;
             rotated.extend(self.decide_epoch(epoch, boundary, Round(epoch * len)));
         }
     }

@@ -3,12 +3,14 @@
 //!
 //! Two interchangeable schemes are supported:
 //!
-//! * [`Scheme::Schnorr`] — real Schnorr signatures over secp256k1. Used by
-//!   correctness tests and small runs.
+//! * [`Scheme::Schnorr`] — real Schnorr signatures over secp256k1.
+//!   Exercised by this crate's own tests and the benchmark's crypto layer
+//!   only.
 //! * [`Scheme::Keyed`] — a keyed-hash stand-in (`sig = H(sk ‖ m)`) whose
 //!   verification reads the signer's secret from the registry. This is only
 //!   sound inside a closed simulation where the registry is trusted, which
-//!   is exactly our setting; it makes simulating 150-node tribes tractable.
+//!   is exactly our setting; it makes simulating 150-node tribes tractable,
+//!   and every simulation, test and example outside this crate uses it.
 //!   The discrete-event host model separately charges realistic CPU time for
 //!   BLS-grade operations (see `clanbft-simnet`), so using the fast scheme
 //!   does not distort measured latencies.

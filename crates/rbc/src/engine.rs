@@ -142,9 +142,11 @@ impl<P: TribePayload> Message for RbcPacket<P> {
     }
 }
 
-/// Observable outcomes of the broadcast layer.
-#[derive(Clone, Debug)]
-pub enum RbcEvent<P: TribePayload> {
+/// Observable outcomes of the broadcast layer. An event names its instance
+/// and digest only: a delivered view stays in the engine, read with
+/// [`TribeRbc::payload`] and [`TribeRbc::meta_of`].
+#[derive(Clone, Copy, Debug)]
+pub enum RbcEvent {
     /// The digest is certified: 2f+1 READYs (3-round) or a valid echo
     /// certificate (2-round). Consensus uses this for round progress.
     Certified {
@@ -161,11 +163,9 @@ pub enum RbcEvent<P: TribePayload> {
         source: PartyId,
         /// Instance round.
         round: Round,
-        /// The certified digest of `payload` (its [`TribePayload::rbc_digest`],
-        /// computed once on acceptance).
+        /// The certified digest of the payload (its
+        /// [`TribePayload::rbc_digest`], computed once on acceptance).
         digest: Digest,
-        /// The payload.
-        payload: P,
     },
     /// `r_deliver` of the meta view (parties outside the clan).
     DeliverMeta {
@@ -173,11 +173,9 @@ pub enum RbcEvent<P: TribePayload> {
         source: PartyId,
         /// Instance round.
         round: Round,
-        /// The certified digest of `meta` (its [`TribePayload::meta_digest`],
-        /// computed once on acceptance).
+        /// The certified digest of the meta view (its
+        /// [`TribePayload::meta_digest`], computed once on acceptance).
         digest: Digest,
-        /// The meta view.
-        meta: P::Meta,
     },
     /// Misbehaviour this party proved against an instance's source (once
     /// per instance; already counted and traced).
@@ -257,15 +255,6 @@ impl<P: TribePayload> Held<P> {
 /// counting late echoes).
 type Shares = Vec<(usize, Signature)>;
 
-/// The engine's facts of an instance, one bit each in [`Votes::facts`].
-/// (The core's are [`Votes::once`]; whether a digest is certified is
-/// [`Row::certified`], whether this party delivered is
-/// [`Instance::delivered`].)
-mod fact {
-    /// Some packet for the instance was admitted: the slot is in use.
-    pub const TOUCHED: u8 = 1 << 0;
-}
-
 /// The hot state of one broadcast instance: all an echo reads and writes.
 /// One fixed-size record, stored inline in its round's row.
 struct Votes {
@@ -274,8 +263,8 @@ struct Votes {
     echoes: Tally,
     /// The certified digest, once the source is in [`Row::certified`].
     certified: Digest,
-    /// [`fact`] bits.
-    facts: u8,
+    /// Some packet for the instance was admitted: the slot is in use.
+    touched: bool,
     /// The core's once-facts.
     once: Once,
 }
@@ -372,16 +361,12 @@ impl<P: TribePayload> Instance<P> {
             votes: Votes {
                 echoes: Tally::new(Digest::ZERO),
                 certified: Digest::ZERO,
-                facts: 0,
+                touched: false,
                 once: Once::default(),
             },
             cold: None,
             delivered: None,
         }
-    }
-
-    fn is(&self, fact: u8) -> bool {
-        self.votes.facts & fact != 0
     }
 
     fn cold(&mut self) -> &mut Cold<P> {
@@ -470,12 +455,12 @@ struct Slots<P: TribePayload> {
 impl<P: TribePayload> Slots<P> {
     fn get(&self, round: Round, source: PartyId) -> Option<&Instance<P>> {
         let inst = self.rows.get(round)?.instances.get(source.idx());
-        inst.filter(|inst| inst.is(fact::TOUCHED))
+        inst.filter(|inst| inst.votes.touched)
     }
 
     fn get_mut(&mut self, round: Round, source: PartyId) -> Option<&mut Instance<P>> {
         let inst = self.rows.get_mut(round)?.instances.get_mut(source.idx());
-        inst.filter(|inst| inst.is(fact::TOUCHED))
+        inst.filter(|inst| inst.votes.touched)
     }
 
     /// The row of `round`, with its `n` instances in place.
@@ -500,7 +485,7 @@ impl<P: TribePayload> Slots<P> {
     /// the tribe — both excluded by [`TribeRbc::admit`].
     fn touch(&mut self, round: Round, source: PartyId, n: usize) -> &mut Instance<P> {
         let inst = &mut self.touch_row(round, n).instances[source.idx()];
-        inst.votes.facts |= fact::TOUCHED;
+        inst.votes.touched = true;
         inst
     }
 
@@ -527,7 +512,7 @@ impl<P: TribePayload> Slots<P> {
     fn certify(&mut self, round: Round, source: PartyId, n: usize, digest: Digest) -> bool {
         let row = self.touch_row(round, n);
         let inst = &mut row.instances[source.idx()];
-        inst.votes.facts |= fact::TOUCHED;
+        inst.votes.touched = true;
         let fresh = row.certified.insert(source);
         if fresh {
             inst.votes.certified = digest;
@@ -537,7 +522,7 @@ impl<P: TribePayload> Slots<P> {
 
     fn iter(&self) -> impl Iterator<Item = &Instance<P>> {
         let instances = self.rows.iter().flat_map(|(_, row)| &row.instances);
-        instances.filter(|inst| inst.is(fact::TOUCHED))
+        instances.filter(|inst| inst.votes.touched)
     }
 }
 
@@ -663,7 +648,7 @@ pub struct TribeRbc<P: TribePayload> {
     /// deadline: their views are pulled at once from then on.
     struck: PartySet,
     /// What the calls since the last [`TribeRbc::take_events`] yielded.
-    events: Vec<RbcEvent<P>>,
+    events: Vec<RbcEvent>,
 }
 
 impl<P: TribePayload> TribeRbc<P> {
@@ -756,6 +741,16 @@ impl<P: TribePayload> TribeRbc<P> {
         Some((view.meta(), digest))
     }
 
+    /// The full payload this party delivered for `(round, source)`: `None`
+    /// before delivery, for a party that delivered the meta view, and once
+    /// garbage collection passed the round ([`TribeRbc::prune_below`]).
+    pub fn payload(&self, round: Round, source: PartyId) -> Option<&P> {
+        match self.slots.get(round, source)?.delivered.as_ref()? {
+            View::Full(payload) => Some(payload),
+            View::Meta(_) => None,
+        }
+    }
+
     /// True iff this party has delivered for `(round, source)`.
     pub fn delivered(&self, round: Round, source: PartyId) -> bool {
         self.slots
@@ -763,9 +758,9 @@ impl<P: TribePayload> TribeRbc<P> {
             .is_some_and(|inst| inst.delivered.is_some())
     }
 
-    /// Drops state for instances strictly below `round` (garbage
-    /// collection; the DAG layer prunes in lockstep) and raises the window's
-    /// base, so replayed packets cannot resurrect pruned instances.
+    /// Drops state for instances strictly below `round`, delivered views
+    /// included (garbage collection; the DAG layer prunes in lockstep), and
+    /// raises the window's base, so replayed packets cannot resurrect them.
     pub fn prune_below(&mut self, round: Round) {
         self.slots.rows.prune_below(round);
     }
@@ -773,7 +768,7 @@ impl<P: TribePayload> TribeRbc<P> {
     /// Moves the events the calls since the last take yielded, in order,
     /// to the end of `into`. The engine keeps its list's storage, so a
     /// caller draining one vector allocates nothing once both are grown.
-    pub fn take_events(&mut self, into: &mut Vec<RbcEvent<P>>) {
+    pub fn take_events(&mut self, into: &mut Vec<RbcEvent>) {
         into.append(&mut self.events);
     }
 
@@ -1374,18 +1369,16 @@ impl<P: TribePayload> TribeRbc<P> {
         if cold.pulls.is_none() && cold.spill.is_none() && !cold.evidence_logged {
             inst.cold = None;
         }
-        self.events.push(match &view {
-            View::Full(payload) => RbcEvent::DeliverFull {
+        self.events.push(match which {
+            Which::Full => RbcEvent::DeliverFull {
                 source,
                 round,
                 digest,
-                payload: payload.clone(),
             },
-            View::Meta(meta) => RbcEvent::DeliverMeta {
+            Which::Meta => RbcEvent::DeliverMeta {
                 source,
                 round,
                 digest,
-                meta: meta.clone(),
             },
         });
         inst.delivered = Some(view);
@@ -1561,7 +1554,11 @@ mod tests {
     }
 
     fn rig(me: u32) -> Rig {
-        let topology = Arc::new(ClanTopology::whole_tribe(TribeParams::new(N)));
+        rig_on(ClanTopology::whole_tribe(TribeParams::new(N)), me)
+    }
+
+    fn rig_on(topology: ClanTopology, me: u32) -> Rig {
+        let topology = Arc::new(topology);
         let (registry, keypairs) = Registry::generate(Scheme::Keyed, N, 5);
         let auths: Vec<Arc<Authenticator>> = keypairs
             .into_iter()
@@ -1584,7 +1581,7 @@ mod tests {
     struct Queued {
         out: Vec<(PartyId, RbcPacket<BytesPayload>)>,
         timers: Vec<(Micros, u64)>,
-        events: Vec<RbcEvent<BytesPayload>>,
+        events: Vec<RbcEvent>,
     }
 
     impl Queued {
@@ -1696,6 +1693,41 @@ mod tests {
         let report = clanbft_profiler::take_report();
         clanbft_profiler::disable();
         (report.scopes[0].alloc_count, out)
+    }
+
+    #[test]
+    fn the_payload_is_read_from_delivery_until_the_round_is_pruned() {
+        // A clan member: custody of the VAL is not delivery.
+        let mut r = rig(1);
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        feed_echo(&mut r, 0);
+        feed_echo(&mut r, 2);
+        assert!(
+            r.engine.payload(ROUND, SOURCE).is_none(),
+            "held, not delivered"
+        );
+        feed_echo(&mut r, 1);
+        let delivered = r.engine.payload(ROUND, SOURCE).expect("delivered");
+        assert_eq!(delivered.data(), payload().data());
+        r.engine.prune_below(ROUND);
+        assert!(
+            r.engine.payload(ROUND, SOURCE).is_some(),
+            "the round is kept"
+        );
+        r.engine.prune_below(Round(ROUND.0 + 1));
+        assert!(r.engine.payload(ROUND, SOURCE).is_none(), "pruned");
+
+        // Party 3, outside the source's clan, delivers the meta view and
+        // reads no payload.
+        let clan = vec![PartyId(0), PartyId(1), PartyId(2)];
+        let mut r = rig_on(ClanTopology::single_clan(TribeParams::new(N), clan), 3);
+        feed(&mut r, 0, RbcMsg::ValMeta(payload().meta()));
+        for signer in [0, 1, 2] {
+            feed_echo(&mut r, signer);
+        }
+        assert!(r.engine.delivered(ROUND, SOURCE));
+        assert!(r.engine.meta_of(ROUND, SOURCE).is_some());
+        assert!(r.engine.payload(ROUND, SOURCE).is_none());
     }
 
     #[test]

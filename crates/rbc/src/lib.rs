@@ -31,6 +31,11 @@
 //! at once from then on. The retry chain ([`EngineConfig::pull_retry`],
 //! doubling per attempt) asks the next `f_c + 1`. A party outside the clan
 //! pulls the meta view from `f + 1` of the tribe the same way.
+//!
+//! The view an instance delivered stays in it until garbage collection, the
+//! one holder of that payload: an [`RbcEvent`] names the instance and its
+//! digest only, and the caller reads [`TribeRbc::payload`] or
+//! [`TribeRbc::meta_of`].
 
 mod core;
 pub mod engine;

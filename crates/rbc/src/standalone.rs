@@ -4,7 +4,8 @@
 //!
 //! The engine queues its packets, timers and charges on the handler's
 //! `Ctx`; the node then takes the engine's events and records deliveries
-//! and certifications at [`Ctx::now`].
+//! (the views it reads back from the engine) and certifications at
+//! [`Ctx::now`].
 //!
 //! Besides powering the RBC examples and tests, this module houses the
 //! Byzantine sender behaviours (equivocation, selective sending) used to
@@ -65,28 +66,23 @@ impl<P: TribePayload> StandaloneNode<P> {
         self
     }
 
-    /// Records what the engine's last call yielded.
+    /// Records what the engine's last call yielded, reading each delivered
+    /// view from the engine.
     fn record_events(&mut self, ctx: &Ctx<RbcPacket<P>>) {
         let mut events = Vec::new();
         self.engine.take_events(&mut events);
         for ev in events {
             match ev {
-                RbcEvent::DeliverFull {
-                    source,
-                    round,
-                    payload,
-                    ..
-                } => self
-                    .deliveries
-                    .push(Delivery::Full(source, round, payload, ctx.now())),
-                RbcEvent::DeliverMeta {
-                    source,
-                    round,
-                    meta,
-                    ..
-                } => self
-                    .deliveries
-                    .push(Delivery::Meta(source, round, meta, ctx.now())),
+                RbcEvent::DeliverFull { source, round, .. } => {
+                    let payload = self.engine.payload(round, source).expect("delivered");
+                    let delivery = Delivery::Full(source, round, payload.clone(), ctx.now());
+                    self.deliveries.push(delivery);
+                }
+                RbcEvent::DeliverMeta { source, round, .. } => {
+                    let (meta, _) = self.engine.meta_of(round, source).expect("delivered");
+                    let delivery = Delivery::Meta(source, round, meta, ctx.now());
+                    self.deliveries.push(delivery);
+                }
                 RbcEvent::Certified { source, round, .. } => {
                     self.certified.push((source, round, ctx.now()))
                 }

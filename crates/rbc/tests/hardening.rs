@@ -70,7 +70,7 @@ fn payload() -> BytesPayload {
 struct Queued {
     out: Vec<(PartyId, RbcPacket<BytesPayload>)>,
     timers: Vec<(Micros, u64)>,
-    events: Vec<RbcEvent<BytesPayload>>,
+    events: Vec<RbcEvent>,
 }
 
 /// Runs `call` on the rig's engine against a fresh `Ctx` starting at `now`.
@@ -450,7 +450,7 @@ fn equivocating_source_spills_tallies_up_to_the_cap() {
         let digests: Vec<Digest> = (0..k as u8).map(|i| Digest::of(&[0xE0, i])).collect();
         for d in &digests {
             let fx = feed_echo_of(&mut r, 2, 1, *d);
-            let evidence_only = |e: &RbcEvent<_>| matches!(e, RbcEvent::Evidence(_));
+            let evidence_only = |e: &RbcEvent| matches!(e, RbcEvent::Evidence(_));
             assert!(fx.out.is_empty() && fx.events.iter().all(evidence_only));
         }
         let tracked = k.min(MAX_DIGESTS_PER_INSTANCE);

@@ -76,7 +76,7 @@ fn echo(rig: &Rig, signer: u32, source: u32, round: u64) -> RbcMsg<BytesPayload>
 /// events it yielded.
 struct Queued {
     out: Vec<(PartyId, RbcPacket<BytesPayload>)>,
-    events: Vec<RbcEvent<BytesPayload>>,
+    events: Vec<RbcEvent>,
 }
 
 fn handle(rig: &mut Rig, from: u32, pkt: RbcPacket<BytesPayload>) -> Queued {

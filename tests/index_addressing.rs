@@ -440,7 +440,7 @@ struct Engine<'a> {
     /// way the simulator recycles its buffers between handlers.
     ctx: Ctx<'a, RbcPacket<BytesPayload>>,
     /// The engine's events, taken after each delivery.
-    events: Vec<RbcEvent<BytesPayload>>,
+    events: Vec<RbcEvent>,
 }
 
 impl Engine<'_> {
