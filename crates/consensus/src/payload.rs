@@ -167,12 +167,15 @@ mod tests {
     /// Every party keeps an instance record per source and round (with a
     /// slot for the view it delivers), and a cold part from the instance's
     /// first use to its delivery: this byte budget, `n²` times per round, is
-    /// what bounds `n` (DESIGN.md). A new field in either record is a
-    /// conscious re-pin, not a silent cost.
+    /// what bounds `n` (DESIGN.md). Once every instance of a round has
+    /// settled, its row keeps a settled record per source instead. A new
+    /// field in any of the three records is a conscious re-pin, not a
+    /// silent cost.
     #[test]
     fn the_broadcast_records_of_a_merged_payload_keep_their_byte_budget() {
         assert_eq!(TribeRbc::<MergedPayload>::INSTANCE_BYTES, 168);
         const { assert!(TribeRbc::<MergedPayload>::COLD_BYTES <= 208) };
+        const { assert!(TribeRbc::<MergedPayload>::SETTLED_BYTES <= 64) };
     }
 
     #[test]

@@ -38,6 +38,25 @@ impl Tally {
         }
     }
 
+    /// A tally every party of a tribe of `n` voted in: what a settled
+    /// instance's first echo tally is, once [`Tally::settle`] names its
+    /// digest.
+    pub(crate) fn unanimous(n: usize) -> Tally {
+        Tally {
+            digest: Digest::ZERO,
+            voters: (0..n as u32).map(PartyId).collect(),
+            total: n as u16,
+            clan_count: 0,
+        }
+    }
+
+    /// Makes a [`Tally::unanimous`] one the tally of `digest`, every member
+    /// of `clan` among its voters.
+    pub(crate) fn settle(&mut self, digest: Digest, clan: &ClanInfo) {
+        self.digest = digest;
+        self.clan_count = clan.len() as u16;
+    }
+
     /// Counts `from`'s vote; `false` if it was counted before.
     fn add(&mut self, from: PartyId, in_clan: bool) -> bool {
         let fresh = self.voters.insert(from);
@@ -63,6 +82,21 @@ pub(crate) struct Once {
     cert_sent: bool,
     echo_quorum: bool,
     ready_sent: bool,
+}
+
+impl Once {
+    /// The once-facts of a certified instance whose first echo tally holds
+    /// every party: the echo quorum has fired, and the certificate (Fig. 3)
+    /// or READY (Fig. 2) has gone out — sent by the echo that met the
+    /// quorum, unless a received certificate or `f + 1` READYs sent it
+    /// first.
+    pub(crate) fn settled(signed: bool) -> Once {
+        Once {
+            cert_sent: signed,
+            echo_quorum: true,
+            ready_sent: !signed,
+        }
+    }
 }
 
 /// Fires a once-fact: true the first time only.

@@ -2,7 +2,12 @@
 //! per-instance state (custody of the payload and meta views, per-digest
 //! echo tracking, at-most-once delivery), the pull sub-protocol, and the one
 //! state machine that runs both of the paper's constructions. Instances
-//! live in rows of a [`RoundWindow`] whose base is the prune horizon.
+//! live in rows of a [`RoundWindow`] whose base is the prune horizon. Once
+//! every instance of a round has settled — delivered, with all `n` echoes
+//! counted for the certified digest — its row folds into one exact-size
+//! block of smaller records that keep the certified digest, the delivered
+//! view and the cold part; the vote state is implied, and every later
+//! packet still goes through the same core and readers.
 //!
 //! A call queues what it sends, the pull-retry timers it arms and the CPU
 //! time it spends on the handler's [`Ctx`], and stamps its trace events
@@ -13,7 +18,7 @@
 use crate::core::{self, Count, Once, Spill, Step, Tally, Vote};
 use crate::payload::TribePayload;
 use crate::pull::plan_pull;
-use crate::topology::ClanTopology;
+use crate::topology::{ClanInfo, ClanTopology};
 use clanbft_crypto::multisig::AggregateVerdict;
 use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Hasher, Signature};
 use clanbft_simnet::cost::CostModel;
@@ -346,7 +351,7 @@ impl<P: TribePayload> Cold<P> {
     }
 }
 
-/// State of one broadcast instance at one party.
+/// State of one broadcast instance at one party, in a live row.
 struct Instance<P: TribePayload> {
     votes: Votes,
     cold: Option<Box<Cold<P>>>,
@@ -369,25 +374,100 @@ impl<P: TribePayload> Instance<P> {
         }
     }
 
+    /// Whether the instance has settled: it delivered, and its first echo
+    /// tally, the certified digest's, holds every party. No vote can change
+    /// its vote state from then on (see [`Settled`]).
+    fn settled(&self, n: usize) -> bool {
+        let Votes {
+            echoes, certified, ..
+        } = &self.votes;
+        self.delivered.is_some() && usize::from(echoes.total) == n && echoes.digest == *certified
+    }
+
+    #[inline(always)]
+    fn lend(&mut self) -> Inst<'_, P> {
+        Inst {
+            votes: &mut self.votes,
+            cold: &mut self.cold,
+            delivered: &mut self.delivered,
+        }
+    }
+
+    fn shared(&self) -> InstRef<'_, P> {
+        InstRef::of(&self.votes, &self.cold, &self.delivered)
+    }
+}
+
+/// A settled instance as its folded row keeps it: what its record held
+/// besides the vote state, which settling fixed. Every party's echo of the
+/// certified digest is counted, so every clan member's; the echo quorum has
+/// fired, and the certificate (signed flavour) or READY (signature-free)
+/// has gone out ([`Once::settled`]). Any later vote is a duplicate, a
+/// certificate is dropped as one, and a vote for another digest counts in
+/// the spill box of [`Settled::cold`] as it would in the live record.
+struct Settled<P: TribePayload> {
+    certified: Digest,
+    /// Always `Some`: an instance settles once it has delivered.
+    delivered: Option<View<P>>,
+    /// The cold part the instance had, or creates later: a spill, a pull or
+    /// an evidence flag.
+    cold: Option<Box<Cold<P>>>,
+}
+
+impl<P: TribePayload> Settled<P> {
+    fn of(inst: Instance<P>) -> Settled<P> {
+        Settled {
+            certified: inst.votes.certified,
+            delivered: inst.delivered,
+            cold: inst.cold,
+        }
+    }
+
+    /// The instance, with `implied` made the vote state it implies.
+    #[inline(always)]
+    fn lend<'a>(&'a mut self, implied: &'a mut Votes, clan: &ClanInfo) -> Inst<'a, P> {
+        implied.certified = self.certified;
+        implied.echoes.settle(self.certified, clan);
+        Inst {
+            votes: implied,
+            cold: &mut self.cold,
+            delivered: &mut self.delivered,
+        }
+    }
+
+    fn shared(&self) -> InstRef<'_, P> {
+        InstRef {
+            certified: self.certified,
+            tallied: true,
+            cold: self.cold.as_deref(),
+            delivered: self.delivered.as_ref(),
+        }
+    }
+}
+
+/// One instance as a call sees it, wherever its row keeps it: a live
+/// record, or a settled one beside the vote state it implies.
+struct Inst<'a, P: TribePayload> {
+    votes: &'a mut Votes,
+    cold: &'a mut Option<Box<Cold<P>>>,
+    delivered: &'a mut Option<View<P>>,
+}
+
+impl<P: TribePayload> Inst<'_, P> {
+    fn shared(&self) -> InstRef<'_, P> {
+        InstRef::of(self.votes, self.cold, self.delivered)
+    }
+
     fn cold(&mut self) -> &mut Cold<P> {
-        Cold::of(&mut self.cold)
+        Cold::of(self.cold)
     }
 
     fn held(&self, which: Which) -> Option<&Held<P>> {
-        self.cold.as_ref().map(|cold| &cold.held[which as usize])
+        self.shared().held(which)
     }
 
-    /// The view of `which` this party holds, and its digest: once delivered
-    /// the delivered view (a payload also stands for its meta view), before
-    /// that the one in custody.
     fn view(&self, which: Which) -> Option<(&View<P>, Digest)> {
-        match &self.delivered {
-            Some(view) if which == Which::Meta || view.which() == which => {
-                Some((view, self.votes.certified))
-            }
-            Some(_) => None,
-            None => self.held(which)?.view.as_ref().map(|(v, d)| (v, *d)),
-        }
+        self.shared().view(which)
     }
 
     /// Echo tallies in first-seen order (one unless the source equivocates).
@@ -422,8 +502,73 @@ impl<P: TribePayload> Instance<P> {
     }
 }
 
-/// One round's instances.
-struct Row<P: TribePayload> {
+/// One instance as the `&self` readers see it, wherever its row keeps it.
+struct InstRef<'a, P: TribePayload> {
+    /// The certified digest, read once the instance has delivered.
+    certified: Digest,
+    /// Whether the first echo tally counted anyone.
+    tallied: bool,
+    cold: Option<&'a Cold<P>>,
+    delivered: Option<&'a View<P>>,
+}
+
+impl<'a, P: TribePayload> InstRef<'a, P> {
+    fn of(
+        votes: &Votes,
+        cold: &'a Option<Box<Cold<P>>>,
+        delivered: &'a Option<View<P>>,
+    ) -> InstRef<'a, P> {
+        InstRef {
+            certified: votes.certified,
+            tallied: votes.echoes.total > 0,
+            cold: cold.as_deref(),
+            delivered: delivered.as_ref(),
+        }
+    }
+
+    fn held(&self, which: Which) -> Option<&'a Held<P>> {
+        self.cold.map(|cold| &cold.held[which as usize])
+    }
+
+    /// The view of `which` this party holds, and its digest: once delivered
+    /// the delivered view (a payload also stands for its meta view), before
+    /// that the one in custody.
+    fn view(&self, which: Which) -> Option<(&'a View<P>, Digest)> {
+        match self.delivered {
+            Some(view) if which == Which::Meta || view.which() == which => {
+                Some((view, self.certified))
+            }
+            Some(_) => None,
+            None => self.held(which)?.view.as_ref().map(|(v, d)| (v, *d)),
+        }
+    }
+
+    /// Adds the instance to `stats`.
+    fn count_into(&self, stats: &mut BufferStats) {
+        let spill = self.cold.and_then(|cold| cold.spill.as_deref());
+        let spilled = spill.map_or(0, |spill| spill.echoes.len());
+        let pulls = self.cold.and_then(|cold| cold.pulls.as_deref());
+        let pulling = pulls.is_some_and(|pulls| pulls.retry_armed);
+        stats.instances += 1;
+        stats.echo_digests += u64::from(self.tallied) + spilled as u64;
+        stats.pending_pulls += u64::from(pulling && self.delivered.is_none());
+        stats.cold_records += u64::from(self.cold.is_some());
+        stats.pull_records += u64::from(pulls.is_some());
+    }
+}
+
+/// One round's instances: live until every one of them has settled, then
+/// folded.
+enum Row<P: TribePayload> {
+    Live(Live<P>),
+    /// The settled instances, one per source, in an exact-size block: `n`
+    /// records of [`TribeRbc::SETTLED_BYTES`] where the live row kept `n` of
+    /// [`TribeRbc::INSTANCE_BYTES`]. Every source is certified.
+    Settled(Box<[Settled<P>]>),
+}
+
+/// A round's row while some instance in it has not settled.
+struct Live<P: TribePayload> {
     /// Sources whose instance has a certified digest. The fact lives here,
     /// not in the instance's record, because it is all a duplicate
     /// certificate asks — `n − 1` of the `2n` deliveries of a signed
@@ -436,93 +581,146 @@ struct Row<P: TribePayload> {
 
 impl<P: TribePayload> Default for Row<P> {
     fn default() -> Self {
-        Row {
+        Row::Live(Live {
             certified: PartySet::EMPTY,
             instances: Vec::new(),
+        })
+    }
+}
+
+impl<P: TribePayload> Row<P> {
+    /// The instances in use.
+    fn iter(&self) -> impl Iterator<Item = InstRef<'_, P>> {
+        let (live, settled) = match self {
+            Row::Live(row) => (&row.instances[..], &[][..]),
+            Row::Settled(row) => (&[][..], &row[..]),
+        };
+        let live = live.iter().filter(|inst| inst.votes.touched);
+        let live = live.map(Instance::shared);
+        live.chain(settled.iter().map(Settled::shared))
+    }
+}
+
+impl<P: TribePayload> Live<P> {
+    /// The instance of `source`, put to use, the row's `n` created first if
+    /// the round was untouched.
+    #[inline(always)]
+    fn touch(&mut self, source: PartyId, n: usize) -> &mut Instance<P> {
+        if self.instances.is_empty() {
+            self.instances.resize_with(n, Instance::unused);
         }
+        let inst = &mut self.instances[source.idx()];
+        inst.votes.touched = true;
+        inst
     }
 }
 
 /// Instance storage addressed by index: a [`RoundWindow`] whose base is the
-/// prune horizon, each round a row of per-source instances held inline. A
-/// lookup is two bounds checks. What a far-future flood can allocate stays
+/// prune horizon, each round a row of per-source instances held inline,
+/// folded once all of them have settled. A lookup is two bounds checks. What a far-future flood can allocate stays
 /// bounded by the admission window ([`TribeRbc::admit`] gates every
 /// creating access), and replayed old packets cannot recreate instances.
 struct Slots<P: TribePayload> {
     rows: RoundWindow<Row<P>>,
+    /// The vote state a settled instance implies, lent beside it: a
+    /// unanimous first tally (from the first fold on), whose digest and
+    /// clan count the lending sets, and the flavour's [`Once::settled`].
+    /// No vote changes it.
+    implied: Votes,
 }
 
 impl<P: TribePayload> Slots<P> {
-    fn get(&self, round: Round, source: PartyId) -> Option<&Instance<P>> {
-        let inst = self.rows.get(round)?.instances.get(source.idx());
-        inst.filter(|inst| inst.votes.touched)
-    }
-
-    fn get_mut(&mut self, round: Round, source: PartyId) -> Option<&mut Instance<P>> {
-        let inst = self.rows.get_mut(round)?.instances.get_mut(source.idx());
-        inst.filter(|inst| inst.votes.touched)
-    }
-
-    /// The row of `round`, with its `n` instances in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `round` is below the window — excluded by
-    /// [`TribeRbc::admit`].
-    fn touch_row(&mut self, round: Round, n: usize) -> &mut Row<P> {
-        let row = self.rows.touch(round).expect("below the window");
-        if row.instances.is_empty() {
-            row.instances.resize_with(n, Instance::unused);
+    fn get(&self, round: Round, source: PartyId) -> Option<InstRef<'_, P>> {
+        match self.rows.get(round)? {
+            Row::Live(row) => {
+                let inst = row.instances.get(source.idx());
+                inst.filter(|inst| inst.votes.touched).map(Instance::shared)
+            }
+            Row::Settled(row) => row.get(source.idx()).map(Settled::shared),
         }
-        row
     }
 
-    /// The instance for `(round, source)`, put to use if it was not.
+    fn get_mut(&mut self, round: Round, source: PartyId, clan: &ClanInfo) -> Option<Inst<'_, P>> {
+        match self.rows.get_mut(round)? {
+            Row::Live(row) => {
+                let inst = row.instances.get_mut(source.idx());
+                inst.filter(|inst| inst.votes.touched).map(Instance::lend)
+            }
+            Row::Settled(row) => Some(row.get_mut(source.idx())?.lend(&mut self.implied, clan)),
+        }
+    }
+
+    /// The instance for `(round, source)`, put to use if it was not; `clan`
+    /// is the source's clan in `round`. Always inlined, with the lending
+    /// it calls and [`Slots::is_certified`]: every echo comes through here,
+    /// and left to the compiler they cost `handle` about 3 % (alternating
+    /// in-process runs of the signed engine, n = 50).
     ///
     /// # Panics
     ///
     /// Panics if `round` is below the window or `source` is not a party of
     /// the tribe — both excluded by [`TribeRbc::admit`].
-    fn touch(&mut self, round: Round, source: PartyId, n: usize) -> &mut Instance<P> {
-        let inst = &mut self.touch_row(round, n).instances[source.idx()];
-        inst.votes.touched = true;
-        inst
+    #[inline(always)]
+    fn touch(&mut self, round: Round, source: PartyId, n: usize, clan: &ClanInfo) -> Inst<'_, P> {
+        match self.rows.touch(round).expect("below the window") {
+            Row::Live(row) => row.touch(source, n).lend(),
+            Row::Settled(row) => row[source.idx()].lend(&mut self.implied, clan),
+        }
     }
 
     /// Whether `(round, source)` has a certified digest: reads the row's
     /// set, not the instance.
+    #[inline(always)]
     fn is_certified(&self, round: Round, source: PartyId) -> bool {
-        self.rows
-            .get(round)
-            .is_some_and(|row| row.certified.contains(source))
+        match self.rows.get(round) {
+            Some(Row::Live(row)) => row.certified.contains(source),
+            Some(Row::Settled(_)) => true,
+            None => false,
+        }
     }
 
     /// The certified digest of `(round, source)`, if there is one.
     fn certified(&self, round: Round, source: PartyId) -> Option<Digest> {
-        let row = self
-            .rows
-            .get(round)
-            .filter(|row| row.certified.contains(source))?;
-        Some(row.instances[source.idx()].votes.certified)
+        match self.rows.get(round)? {
+            Row::Live(row) => row
+                .certified
+                .contains(source)
+                .then(|| row.instances[source.idx()].votes.certified),
+            Row::Settled(row) => Some(row.get(source.idx())?.certified),
+        }
     }
 
     /// Certifies `digest` for `(round, source)`, putting the instance to
     /// use; `false` if the instance already had a certified digest (which
     /// stands).
     fn certify(&mut self, round: Round, source: PartyId, n: usize, digest: Digest) -> bool {
-        let row = self.touch_row(round, n);
-        let inst = &mut row.instances[source.idx()];
-        inst.votes.touched = true;
+        let Row::Live(row) = self.rows.touch(round).expect("below the window") else {
+            return false;
+        };
         let fresh = row.certified.insert(source);
+        let inst = row.touch(source, n);
         if fresh {
             inst.votes.certified = digest;
         }
         fresh
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Instance<P>> {
-        let instances = self.rows.iter().flat_map(|(_, row)| &row.instances);
-        instances.filter(|inst| inst.votes.touched)
+    /// Folds `round`'s row if every instance in it has settled: one block of
+    /// `n` [`Settled`] records replaces the row.
+    fn fold(&mut self, round: Round, n: usize) {
+        let Some(row) = self.rows.get_mut(round) else {
+            return;
+        };
+        let Row::Live(live) = row else {
+            return;
+        };
+        if !live.instances.iter().all(|inst| inst.settled(n)) {
+            return;
+        }
+        if self.implied.echoes.total == 0 {
+            self.implied.echoes = Tally::unanimous(n);
+        }
+        *row = Row::Settled(live.instances.drain(..).map(Settled::of).collect());
     }
 }
 
@@ -607,6 +805,9 @@ pub struct BufferStats {
     /// Instances with a pull record: those that started a pull (or
     /// deferred one to its deadline) or served one.
     pub pull_records: u64,
+    /// Rounds whose every instance has settled (delivered, with all `n`
+    /// echoes counted for the certified digest), kept folded.
+    pub settled_rows: u64,
 }
 
 /// How an echo quorum becomes a certificate — the one step in which the
@@ -656,13 +857,23 @@ impl<P: TribePayload> TribeRbc<P> {
     pub const INSTANCE_BYTES: usize = std::mem::size_of::<Instance<P>>();
     /// Bytes of the cold part each instance in use allocates.
     pub const COLD_BYTES: usize = std::mem::size_of::<Cold<P>>();
+    /// Bytes of an instance's record in a settled round's folded row.
+    pub const SETTLED_BYTES: usize = std::mem::size_of::<Settled<P>>();
 
     fn new(cfg: EngineConfig, flavour: Flavour) -> TribeRbc<P> {
+        let signed = matches!(flavour, Flavour::Signed { .. });
+        let implied = Votes {
+            echoes: Tally::new(Digest::ZERO),
+            certified: Digest::ZERO,
+            touched: true,
+            once: Once::settled(signed),
+        };
         TribeRbc {
             cfg,
             flavour,
             slots: Slots {
                 rows: RoundWindow::default(),
+                implied,
             },
             round_hint: Round(0),
             struck: PartySet::EMPTY,
@@ -719,16 +930,11 @@ impl<P: TribePayload> TribeRbc<P> {
     /// Live occupancy of the bounded buffers (see [`BufferStats`]).
     pub fn buffer_stats(&self) -> BufferStats {
         let mut stats = BufferStats::default();
-        for inst in self.slots.iter() {
-            stats.instances += 1;
-            stats.echo_digests += inst.echo_tallies().count() as u64;
-            let pulls = inst.cold.as_ref().and_then(|cold| cold.pulls.as_ref());
-            let pulling = pulls.is_some_and(|pulls| pulls.retry_armed);
-            if pulling && inst.delivered.is_none() {
-                stats.pending_pulls += 1;
+        for (_, row) in self.slots.rows.iter() {
+            stats.settled_rows += u64::from(matches!(row, Row::Settled(_)));
+            for inst in row.iter() {
+                inst.count_into(&mut stats);
             }
-            stats.cold_records += u64::from(inst.cold.is_some());
-            stats.pull_records += u64::from(pulls.is_some());
         }
         stats
     }
@@ -745,7 +951,7 @@ impl<P: TribePayload> TribeRbc<P> {
     /// before delivery, for a party that delivered the meta view, and once
     /// garbage collection passed the round ([`TribeRbc::prune_below`]).
     pub fn payload(&self, round: Round, source: PartyId) -> Option<&P> {
-        match self.slots.get(round, source)?.delivered.as_ref()? {
+        match self.slots.get(round, source)?.delivered? {
             View::Full(payload) => Some(payload),
             View::Meta(_) => None,
         }
@@ -894,9 +1100,9 @@ impl<P: TribePayload> TribeRbc<P> {
 
     /// The instance for an admitted `(round, source)`, put to use if it was
     /// not.
-    fn instance(&mut self, round: Round, source: PartyId) -> &mut Instance<P> {
-        let n = self.cfg.n();
-        self.slots.touch(round, source, n)
+    fn instance(&mut self, round: Round, source: PartyId) -> Inst<'_, P> {
+        let clan = self.cfg.topology_at(round).clan_for_sender(source);
+        self.slots.touch(round, source, self.cfg.n(), clan)
     }
 
     /// Records one RBC phase event at `at`, the handler's `Ctx::now`.
@@ -916,7 +1122,7 @@ impl<P: TribePayload> TribeRbc<P> {
     /// instance yet — and notes that now one has: the per-instance dedup in
     /// front of [`TribeRbc::record_evidence`].
     fn first_evidence(&mut self, round: Round, source: PartyId) -> bool {
-        let cold = self.instance(round, source).cold();
+        let cold = Cold::of(self.instance(round, source).cold);
         !std::mem::replace(&mut cold.evidence_logged, true)
     }
 
@@ -1050,7 +1256,7 @@ impl<P: TribePayload> TribeRbc<P> {
             View::Meta(meta) => P::meta_digest(meta),
         };
         let certified = self.slots.certified(round, source);
-        let inst = self.instance(round, source);
+        let mut inst = self.instance(round, source);
         // Once delivered, the certified digest stands for every view: a
         // late copy is a duplicate or a conflict, never taken or echoed.
         let held = match inst.delivered {
@@ -1101,7 +1307,7 @@ impl<P: TribePayload> TribeRbc<P> {
         digest: Digest,
         ctx: &mut Ctx<'_, M>,
     ) {
-        let cold = self.instance(round, source).cold();
+        let cold = Cold::of(self.instance(round, source).cold);
         if cold.echoed.is_some() {
             return;
         }
@@ -1125,11 +1331,11 @@ impl<P: TribePayload> TribeRbc<P> {
     /// call cost `handle` a few per cent (alternating in-process runs of the
     /// signed engine, n = 50).
     #[inline(always)]
-    fn vote(&mut self, round: Round, source: PartyId, vote: Vote) -> (Step, &mut Instance<P>) {
+    fn vote(&mut self, round: Round, source: PartyId, vote: Vote) -> (Step, Inst<'_, P>) {
         let (n, tribe) = (self.cfg.n(), self.cfg.topology.tribe());
         let clan = self.cfg.topology_at(round).clan_for_sender(source);
-        let inst = self.slots.touch(round, source, n);
-        let Instance { votes, cold, .. } = &mut *inst;
+        let mut inst = self.slots.touch(round, source, n, clan);
+        let Inst { votes, cold, .. } = &mut inst;
         let (first, once) = (&mut votes.echoes, &mut votes.once);
         let step = match self.flavour {
             Flavour::SignatureFree => {
@@ -1156,8 +1362,10 @@ impl<P: TribePayload> TribeRbc<P> {
     ) {
         // A certified signed instance has sent its certificate.
         let keep_share = sig.is_some() && !self.slots.is_certified(round, source);
-        let quorum = self.cfg.topology.tribe().quorum();
-        let (step, inst) = self.vote(round, source, Vote::Echo(from, digest));
+        let (n, quorum) = (self.cfg.n(), self.cfg.topology.tribe().quorum());
+        let (step, mut inst) = self.vote(round, source, Vote::Echo(from, digest));
+        // The echo that completes the first tally may settle the instance.
+        let full = usize::from(inst.votes.echoes.total) == n && step.count == Count::Counted;
         let counted = matches!(step.count, Count::Counted | Count::Split);
         if let Some(sig) = sig.filter(|_| keep_share && counted) {
             let first = inst.votes.echoes.digest;
@@ -1195,6 +1403,9 @@ impl<P: TribePayload> TribeRbc<P> {
         // Most echoes are counted and fire nothing: no call for them.
         if step != Step::default() {
             self.apply(round, source, digest, step, None, ctx);
+        }
+        if full {
+            self.slots.fold(round, n);
         }
     }
 
@@ -1352,12 +1563,15 @@ impl<P: TribePayload> TribeRbc<P> {
 
     /// Delivers if the instance is certified and this party holds the
     /// matching view it is due (payload for clan members, meta view for
-    /// everyone else); returns whether it delivered now.
+    /// everyone else); returns whether it delivered now. Delivery may
+    /// settle the instance.
     fn try_deliver(&mut self, round: Round, source: PartyId) -> bool {
         let which = self.my_view(round, source);
         let certified = self.slots.certified(round, source);
-        let inst = self.slots.touch(round, source, self.cfg.n());
-        let (Some(digest), None, Some(cold)) = (certified, &inst.delivered, &mut inst.cold) else {
+        let n = self.cfg.n();
+        let clan = self.cfg.topology_at(round).clan_for_sender(source);
+        let inst = self.slots.touch(round, source, n, clan);
+        let (Some(digest), None, Some(cold)) = (certified, &inst.delivered, &mut *inst.cold) else {
             return false;
         };
         let held = &mut cold.held[which as usize].view;
@@ -1367,7 +1581,7 @@ impl<P: TribePayload> TribeRbc<P> {
         // What a benign instance never opens keeps the record; the rest of
         // it has no reader now.
         if cold.pulls.is_none() && cold.spill.is_none() && !cold.evidence_logged {
-            inst.cold = None;
+            *inst.cold = None;
         }
         self.events.push(match which {
             Which::Full => RbcEvent::DeliverFull {
@@ -1381,7 +1595,10 @@ impl<P: TribePayload> TribeRbc<P> {
                 digest,
             },
         });
-        inst.delivered = Some(view);
+        *inst.delivered = Some(view);
+        if usize::from(inst.votes.echoes.total) == n {
+            self.slots.fold(round, n);
+        }
         true
     }
 
@@ -1400,7 +1617,7 @@ impl<P: TribePayload> TribeRbc<P> {
         ctx: &mut Ctx<'_, M>,
     ) {
         let struck = self.struck.contains(source);
-        let inst = self.instance(round, source);
+        let mut inst = self.instance(round, source);
         let direct = inst
             .cold
             .iter()
@@ -1439,7 +1656,7 @@ impl<P: TribePayload> TribeRbc<P> {
             Which::Full => (clan.member_bits.clone(), clan.clan_quorum),
             Which::Meta => (tribe.parties().collect(), tribe.small_quorum()),
         };
-        let inst = self.instance(round, source);
+        let mut inst = self.instance(round, source);
         let echoers = inst.echo_set(&digest).map(|set| set.voters.clone());
         let pulls = inst.cold().pulls();
         let echoers = echoers.unwrap_or_default();
@@ -1467,7 +1684,7 @@ impl<P: TribePayload> TribeRbc<P> {
         digest: Digest,
         ctx: &mut Ctx<'_, M>,
     ) {
-        let inst = self.instance(round, source);
+        let mut inst = self.instance(round, source);
         let pulls = inst.cold.as_ref().and_then(|cold| cold.pulls.as_deref());
         if pulls.is_some_and(|pulls| pulls.served[which as usize].contains(from)) {
             self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1);
@@ -1497,11 +1714,12 @@ impl<P: TribePayload> TribeRbc<P> {
         }
         let which = self.my_view(round, source);
         let certified = self.slots.certified(round, source);
-        let inst = self.slots.get_mut(round, source);
+        let clan = self.cfg.topology_at(round).clan_for_sender(source);
+        let inst = self.slots.get_mut(round, source, clan);
         let Some(inst) = inst.filter(|inst| inst.delivered.is_none()) else {
             return; // delivered: the chain dies
         };
-        let Cold { held, pulls, .. } = Cold::of(&mut inst.cold);
+        let Cold { held, pulls, .. } = Cold::of(inst.cold);
         let pulls = pulls.get_or_insert_with(Box::default);
         if pulls.attempts >= MAX_PULL_ATTEMPTS {
             pulls.retry_armed = false;
@@ -1541,6 +1759,7 @@ mod tests {
     use crate::topology::ClanTopology;
     use clanbft_crypto::{Registry, Scheme};
     use clanbft_telemetry::{counters, MemRecorder, Telemetry};
+    use clanbft_testkit::{check_shrink, tk_assert, tk_assert_eq};
     use clanbft_types::{Micros, TribeParams};
 
     const N: usize = 4;
@@ -1558,8 +1777,15 @@ mod tests {
     }
 
     fn rig_on(topology: ClanTopology, me: u32) -> Rig {
+        rig_with(topology, me, true)
+    }
+
+    /// A party of `topology`'s tribe, in the signed or the signature-free
+    /// flavour; every rig of one tribe size holds the same keys.
+    fn rig_with(topology: ClanTopology, me: u32, signed: bool) -> Rig {
         let topology = Arc::new(topology);
-        let (registry, keypairs) = Registry::generate(Scheme::Keyed, N, 5);
+        let n = topology.tribe().n();
+        let (registry, keypairs) = Registry::generate(Scheme::Keyed, n, 5);
         let auths: Vec<Arc<Authenticator>> = keypairs
             .into_iter()
             .enumerate()
@@ -1568,7 +1794,10 @@ mod tests {
         let (telemetry, rec) = Telemetry::mem();
         let mut cfg = EngineConfig::new(PartyId(me), topology, CostModel::free());
         cfg.telemetry = telemetry;
-        let engine = TribeRbc::signed(cfg, Arc::clone(&auths[me as usize]));
+        let engine = match signed {
+            true => TribeRbc::signed(cfg, Arc::clone(&auths[me as usize])),
+            false => TribeRbc::signature_free(cfg),
+        };
         Rig { engine, auths, rec }
     }
 
@@ -1611,11 +1840,17 @@ mod tests {
     }
 
     fn feed_in(rig: &mut Rig, round: Round, from: u32, msg: RbcMsg<BytesPayload>) -> Queued {
-        let packet = RbcPacket {
-            source: SOURCE,
-            round,
-            msg,
-        };
+        feed_of(rig, round, SOURCE, from, msg)
+    }
+
+    fn feed_of(
+        rig: &mut Rig,
+        round: Round,
+        source: PartyId,
+        from: u32,
+        msg: RbcMsg<BytesPayload>,
+    ) -> Queued {
+        let packet = RbcPacket { source, round, msg };
         run(rig, |engine, ctx| {
             engine.handle(PartyId(from), &packet, ctx)
         })
@@ -1643,8 +1878,8 @@ mod tests {
 
     /// `(echoes counted, signature shares held)` for the instance under
     /// test; a dropped cold record holds no share.
-    fn echo_state(rig: &Rig) -> (usize, usize) {
-        let inst = rig.engine.slots.get(ROUND, SOURCE).expect("instance");
+    fn echo_state(rig: &mut Rig) -> (usize, usize) {
+        let inst = rig.engine.instance(ROUND, SOURCE);
         let shares = inst.cold.iter().flat_map(|cold| {
             let spilled = cold.spill.iter().flat_map(|spill| &spill.echoes);
             std::iter::once(&cold.shares).chain(spilled.map(|(_, shares)| shares))
@@ -1848,7 +2083,7 @@ mod tests {
         // Signature-free: party 3 holds the VAL and certifies on three
         // READYs, before its own echo quorum, which then sends nothing.
         let mut r = rig(3);
-        r.engine.flavour = Flavour::SignatureFree;
+        r.engine = TribeRbc::signature_free(r.engine.config().clone());
         let digest = payload().rbc_digest();
         feed(&mut r, 0, RbcMsg::Val(payload()));
         for from in 0..3 {
@@ -2002,7 +2237,7 @@ mod tests {
         feed(&mut r, 0, RbcMsg::Val(payload()));
         feed_echo(&mut r, 0);
         feed_echo(&mut r, 2);
-        assert_eq!(echo_state(&r), (2, 2), "shares are kept until quorum");
+        assert_eq!(echo_state(&mut r), (2, 2), "shares are kept until quorum");
 
         // Third echo: quorum of 3, the certificate is formed from the shares.
         let fx = feed_echo(&mut r, 1);
@@ -2015,17 +2250,21 @@ mod tests {
             })
             .expect("certificate formed at quorum");
         assert_eq!(cert.count(), 3, "the certificate carries every share");
-        assert_eq!(echo_state(&r), (3, 0), "no share outlives the certificate");
+        assert_eq!(
+            echo_state(&mut r),
+            (3, 0),
+            "no share outlives the certificate"
+        );
         assert_eq!(boxes(&r), None, "nor does the record that held them");
 
         // A late echo is still counted, its share is not stored; a duplicate
         // of it is rejected and counted as before.
         feed_echo(&mut r, 3);
-        assert_eq!(echo_state(&r), (4, 0));
+        assert_eq!(echo_state(&mut r), (4, 0));
         let dup_before = r.rec.counter(counters::REJECTED_DUPLICATE);
         let fx = feed_echo(&mut r, 3);
         assert!(fx.out.is_empty() && fx.events.is_empty());
-        assert_eq!(echo_state(&r), (4, 0));
+        assert_eq!(echo_state(&mut r), (4, 0));
         assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), dup_before + 1);
     }
 
@@ -2048,7 +2287,7 @@ mod tests {
         feed(&mut r, 0, RbcMsg::Val(payload()));
         feed_echo(&mut r, 0);
         feed_echo(&mut r, 3);
-        assert_eq!(echo_state(&r), (2, 2));
+        assert_eq!(echo_state(&mut r), (2, 2));
         let fx = feed(&mut r, 2, cert);
         assert!(
             fx.events
@@ -2056,7 +2295,11 @@ mod tests {
                 .any(|e| matches!(e, RbcEvent::DeliverFull { .. })),
             "a valid certificate delivers"
         );
-        assert_eq!(echo_state(&r), (2, 0), "accepted certificate frees shares");
+        assert_eq!(
+            echo_state(&mut r),
+            (2, 0),
+            "accepted certificate frees shares"
+        );
         assert_eq!(boxes(&r), None);
 
         // Echoes past certification: counted, reaching quorum changes
@@ -2064,6 +2307,356 @@ mod tests {
         feed_echo(&mut r, 1);
         let fx = feed_echo(&mut r, 2);
         assert!(fx.out.is_empty() && fx.events.is_empty());
-        assert_eq!(echo_state(&r), (4, 0));
+        assert_eq!(echo_state(&mut r), (4, 0));
+    }
+
+    // --- settled rows -------------------------------------------------------
+
+    fn payload_of(source: PartyId) -> BytesPayload {
+        BytesPayload::new(vec![0x17 + source.0 as u8; 128])
+    }
+
+    /// Another payload claiming `source`'s instance.
+    fn conflicting_of(source: PartyId) -> BytesPayload {
+        BytesPayload::new(vec![0x80 + source.0 as u8; 128])
+    }
+
+    /// `signer`'s echo of `digest` in `(round, source)`'s instance, signed
+    /// in the signed flavour.
+    fn echo_of(
+        rig: &Rig,
+        round: Round,
+        source: PartyId,
+        signer: u32,
+        digest: Digest,
+    ) -> RbcMsg<BytesPayload> {
+        let sig = matches!(rig.engine.flavour, Flavour::Signed { .. }).then(|| {
+            let statement = echo_statement(source, round, &digest);
+            rig.auths[signer as usize].sign_digest(&statement)
+        });
+        RbcMsg::Echo { digest, sig }
+    }
+
+    /// A certificate of `digest` in `(round, source)`'s instance signed by
+    /// parties `0..signers`.
+    fn cert_of(
+        rig: &Rig,
+        round: Round,
+        source: PartyId,
+        signers: usize,
+        digest: Digest,
+    ) -> RbcMsg<BytesPayload> {
+        let statement = echo_statement(source, round, &digest);
+        let shares: Vec<_> = (0..signers)
+            .map(|i| (i, rig.auths[i].sign_digest(&statement)))
+            .collect();
+        let n = rig.engine.cfg.n();
+        let cert = Arc::new(AggregateSignature::aggregate(n, &shares));
+        RbcMsg::EchoCert { digest, cert }
+    }
+
+    /// Feeds `(round, source)`'s instance what settles it: the view this
+    /// party is due straight from the source, every party's echo but
+    /// `withheld`'s, and in the signature-free flavour every party's READY.
+    /// Returns what each packet queued.
+    fn settle(rig: &mut Rig, round: Round, source: PartyId, withheld: Option<u32>) -> Vec<Queued> {
+        let n = rig.engine.cfg.n() as u32;
+        let payload = payload_of(source);
+        let digest = payload.rbc_digest();
+        let view = match rig.engine.my_view(round, source) {
+            Which::Full => RbcMsg::Val(payload),
+            Which::Meta => RbcMsg::ValMeta(payload.meta()),
+        };
+        let mut packets = vec![(source.0, view)];
+        for signer in (0..n).filter(|p| Some(*p) != withheld) {
+            packets.push((signer, echo_of(rig, round, source, signer, digest)));
+        }
+        if matches!(rig.engine.flavour, Flavour::SignatureFree) {
+            packets.extend((0..n).map(|from| (from, RbcMsg::Ready { digest })));
+        }
+        let feed = |(from, msg)| feed_of(rig, round, source, from, msg);
+        packets.into_iter().map(feed).collect()
+    }
+
+    /// Party 1 of the 4, signed, once every source of `ROUND` has settled.
+    fn settled_rig() -> Rig {
+        let mut r = rig(1);
+        for source in 0..N as u32 {
+            settle(&mut r, ROUND, PartyId(source), None);
+        }
+        assert_eq!(r.engine.buffer_stats().settled_rows, 1);
+        r
+    }
+
+    #[test]
+    fn a_row_folds_once_its_last_instance_settles() {
+        let mut r = rig(1);
+        for source in 0..N as u32 - 1 {
+            settle(&mut r, ROUND, PartyId(source), None);
+        }
+        // The last source's echoes but one: delivered, not settled.
+        let last = PartyId(N as u32 - 1);
+        settle(&mut r, ROUND, last, Some(2));
+        assert!(r.engine.delivered(ROUND, last));
+        assert_eq!(r.engine.buffer_stats().settled_rows, 0);
+        let digest = payload_of(last).rbc_digest();
+        let echo = echo_of(&r, ROUND, last, 2, digest);
+        let fx = feed_of(&mut r, ROUND, last, 2, echo);
+        assert!(fx.out.is_empty() && fx.events.is_empty());
+        let stats = r.engine.buffer_stats();
+        assert_eq!((stats.settled_rows, stats.instances), (1, N as u64));
+        assert!(
+            matches!(r.engine.slots.rows.get(ROUND), Some(Row::Settled(row)) if row.len() == N)
+        );
+    }
+
+    #[test]
+    fn late_duplicates_at_a_settled_row_allocate_and_send_nothing() {
+        let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
+        let mut r = settled_rig();
+        let digest = payload().rbc_digest();
+        // The counter the duplicates tick exists before a window opens.
+        feed_echo(&mut r, 2);
+        let dup = r.rec.counter(counters::REJECTED_DUPLICATE);
+        let refused = RbcMsg::Pull {
+            digest: Digest::ZERO,
+        };
+        let (floor, _) = allocations_in(|| feed_in(&mut r, Round(u64::MAX), 2, refused));
+        let late = [
+            (3, echo_of(&r, ROUND, SOURCE, 3, digest)),
+            (2, cert_of(&r, ROUND, SOURCE, N, digest)),
+            (0, RbcMsg::Val(payload())),
+        ];
+        for (from, msg) in late {
+            let (count, fx) = allocations_in(|| feed(&mut r, from, msg));
+            assert_eq!(count - floor, 0, "allocations");
+            assert!(fx.out.is_empty() && fx.timers.is_empty() && fx.events.is_empty());
+        }
+        // The echo and the VAL are duplicates; the certificate is dropped
+        // before it is verified.
+        assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), dup + 2);
+        assert_eq!(r.engine.buffer_stats().cold_records, 0);
+    }
+
+    #[test]
+    fn a_conflicting_direct_val_at_a_settled_row_records_one_equivocation() {
+        let mut r = settled_rig();
+        let other = || RbcMsg::Val(conflicting_of(SOURCE));
+        let fx = feed(&mut r, 0, other());
+        let want = Evidence::EquivocatingSource {
+            round: ROUND,
+            source: SOURCE,
+            first: payload().rbc_digest(),
+            second: conflicting_of(SOURCE).rbc_digest(),
+        };
+        assert!(matches!(&fx.events[..], [RbcEvent::Evidence(ev)] if *ev == want));
+        assert!(fx.out.is_empty());
+        let fx = feed(&mut r, 0, other());
+        assert!(fx.events.is_empty() && fx.out.is_empty());
+        assert_eq!(r.rec.counter(counters::REJECTED_EQUIVOCATION), 2);
+        // The evidence flag's cold record sits in the folded row.
+        let stats = r.engine.buffer_stats();
+        assert_eq!((stats.settled_rows, stats.cold_records), (1, 1));
+    }
+
+    #[test]
+    fn a_settled_row_serves_a_pull_once_per_peer_and_view_and_reads_until_pruned() {
+        let mut r = settled_rig();
+        let digest = payload().rbc_digest();
+        let dup = r.rec.counter(counters::REJECTED_DUPLICATE);
+        let answers = |r: &mut Rig, from, msg| feed(r, from, msg).out.len();
+        assert_eq!(answers(&mut r, 2, RbcMsg::Pull { digest }), 1);
+        assert_eq!(answers(&mut r, 2, RbcMsg::Pull { digest }), 0);
+        assert_eq!(answers(&mut r, 2, RbcMsg::PullMeta { digest }), 1);
+        assert_eq!(answers(&mut r, 2, RbcMsg::PullMeta { digest }), 0);
+        assert_eq!(answers(&mut r, 3, RbcMsg::Pull { digest }), 1);
+        assert_eq!(
+            answers(
+                &mut r,
+                0,
+                RbcMsg::Pull {
+                    digest: Digest::of(b"other")
+                }
+            ),
+            0
+        );
+        assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), dup + 2);
+        let stats = r.engine.buffer_stats();
+        assert_eq!((stats.settled_rows, stats.pull_records), (1, 1));
+
+        for source in (0..N as u32).map(PartyId) {
+            let want = payload_of(source);
+            let got = r
+                .engine
+                .payload(ROUND, source)
+                .expect("read through the fold");
+            assert_eq!(got.data(), want.data());
+            let meta = r.engine.meta_of(ROUND, source);
+            assert_eq!(meta, Some((want.meta(), want.rbc_digest())));
+        }
+        r.engine.prune_below(ROUND);
+        assert!(
+            r.engine.payload(ROUND, SOURCE).is_some(),
+            "the round is kept"
+        );
+        r.engine.prune_below(Round(ROUND.0 + 1));
+        assert!(r.engine.payload(ROUND, SOURCE).is_none(), "pruned");
+        assert!(r.engine.meta_of(ROUND, SOURCE).is_none());
+        assert_eq!(r.engine.buffer_stats(), BufferStats::default());
+    }
+
+    /// One late packet for `(ROUND, s)`, or its retry deadline, drawn from
+    /// `(kind, who, what)`.
+    fn late_call(r: &mut Rig, s: PartyId, (kind, who, what): (u8, u8, u8)) -> Queued {
+        let n = r.engine.cfg.n();
+        let from = u32::from(who) % n as u32;
+        let digests = [
+            payload_of(s).rbc_digest(),
+            conflicting_of(s).rbc_digest(),
+            Digest::of(b"neither"),
+        ];
+        let digest = digests[usize::from(what) % 3];
+        let view = match what & 8 {
+            0 => payload_of(s),
+            _ => conflicting_of(s),
+        };
+        // A VAL or ValMeta straight from the source, or from anyone.
+        let sender = if what & 4 == 0 { s.0 } else { from };
+        let msg = match kind % 11 {
+            0..=2 => echo_of(r, ROUND, s, from, digest),
+            3 => RbcMsg::Ready { digest },
+            4 => return feed_of(r, ROUND, s, sender, RbcMsg::Val(view)),
+            5 => return feed_of(r, ROUND, s, sender, RbcMsg::ValMeta(view.meta())),
+            6 => RbcMsg::PullResp(view),
+            7 => RbcMsg::MetaResp(view.meta()),
+            8 if what & 32 == 0 => RbcMsg::Pull { digest },
+            8 => RbcMsg::PullMeta { digest },
+            9 => {
+                let quorum = r.engine.cfg.topology.tribe().quorum();
+                let signers = [quorum - 1, quorum, n][usize::from(what / 16) % 3];
+                cert_of(r, ROUND, s, signers, digest)
+            }
+            _ => return run(r, |engine, ctx| engine.on_retry(ROUND, s, ctx)),
+        };
+        feed_of(r, ROUND, s, from, msg)
+    }
+
+    /// What a call to `(ROUND, s)` can be told apart by besides what it
+    /// queued: the counters it ticked, the trace lines it wrote, the readers
+    /// and the instance's share of the buffer statistics.
+    fn observed(
+        r: &Rig,
+        s: PartyId,
+        counters_before: &[(&'static str, u64)],
+        traces_before: usize,
+    ) -> String {
+        let before: std::collections::BTreeMap<_, _> = counters_before.iter().copied().collect();
+        let ticked: Vec<_> = r
+            .rec
+            .counters()
+            .into_iter()
+            .map(|(name, v)| (name, v - before.get(name).copied().unwrap_or(0)))
+            .filter(|(_, delta)| *delta > 0)
+            .collect();
+        let traces = r.rec.events().split_off(traces_before);
+        let mut stats = BufferStats::default();
+        if let Some(inst) = r.engine.slots.get(ROUND, s) {
+            inst.count_into(&mut stats);
+        }
+        let e = &r.engine;
+        let payload = e.payload(ROUND, s).map(BytesPayload::rbc_digest);
+        format!(
+            "{ticked:?} {traces:?} {stats:?} {} {payload:?} {:?}",
+            e.delivered(ROUND, s),
+            e.meta_of(ROUND, s)
+        )
+    }
+
+    /// Two engines with the same history for `(ROUND, s)`: at the first
+    /// every source of the round settles, so the row folds once `s` has; at
+    /// the second one other source is never touched, so the row stays live.
+    /// The same packets for `(ROUND, s)` — what settles it, an echo withheld
+    /// at times, then late ones of every kind — queue the same sends,
+    /// timers and events at both, tick the same counters, write the same
+    /// trace lines, and leave the same readers and buffer statistics. n from
+    /// 4 to 7, both flavours, this party in the source's clan or not.
+    #[test]
+    fn a_folded_row_answers_every_packet_as_the_live_row_would() {
+        check_shrink(
+            "a_folded_row_answers_every_packet_as_the_live_row_would",
+            256,
+            |g| {
+                let late = g.vec(0, 48, |g| (g.u8(), g.u8(), g.u8()));
+                (g.bool(), g.u8(), g.u8(), g.u8(), late)
+            },
+            |&(signed, shape, picks, withheld, ref late)| {
+                let tribe = TribeParams::new(4 + usize::from(shape) % 4);
+                let n = tribe.n();
+                let topology = || match shape / 4 % 2 {
+                    0 => ClanTopology::whole_tribe(tribe),
+                    _ => {
+                        let size = 1 + usize::from(shape / 8) % n;
+                        let members =
+                            (0..size).map(|k| PartyId(((usize::from(picks) + k) % n) as u32));
+                        ClanTopology::single_clan(tribe, members.collect())
+                    }
+                };
+                let me = u32::from(picks / 8) % n as u32;
+                let s = PartyId(u32::from(picks / 64) % n as u32);
+                let untouched =
+                    PartyId((s.0 + 1 + u32::from(shape / 64) % (n as u32 - 1)) % n as u32);
+                let withheld = (withheld % 4 == 0).then(|| u32::from(withheld / 4) % n as u32);
+
+                let (mut folded, mut live) = (
+                    rig_with(topology(), me, signed),
+                    rig_with(topology(), me, signed),
+                );
+                for other in (0..n as u32).map(PartyId).filter(|p| *p != s) {
+                    settle(&mut folded, ROUND, other, None);
+                    if other != untouched {
+                        settle(&mut live, ROUND, other, None);
+                    }
+                }
+                let marks = |r: &Rig| (r.rec.counters(), r.rec.events().len());
+                let (folded_marks, live_marks) = (marks(&folded), marks(&live));
+                let compare = |at: usize, a: Queued, b: Queued, folded: &Rig, live: &Rig| {
+                    let queued = |q: &Queued| format!("{:?} {:?} {:?}", q.out, q.timers, q.events);
+                    let (a, b) = (queued(&a), queued(&b));
+                    tk_assert!(a == b, "packet {at}: folded {a}, live {b}");
+                    let seen_folded = observed(folded, s, &folded_marks.0, folded_marks.1);
+                    let seen_live = observed(live, s, &live_marks.0, live_marks.1);
+                    tk_assert!(
+                        seen_folded == seen_live,
+                        "packet {at}: folded {seen_folded}, live {seen_live}"
+                    );
+                    Ok(())
+                };
+                let history = settle(&mut folded, ROUND, s, withheld)
+                    .into_iter()
+                    .zip(settle(&mut live, ROUND, s, withheld));
+                for (at, (a, b)) in history.enumerate() {
+                    compare(at, a, b, &folded, &live)?;
+                }
+                // Nothing withheld, the row has folded before any late packet.
+                let settled = |r: &Rig| r.engine.buffer_stats().settled_rows;
+                tk_assert!(
+                    withheld.is_some() || settled(&folded) == 1,
+                    "the row did not fold"
+                );
+                for (at, &op) in late.iter().enumerate() {
+                    let (a, b) = (late_call(&mut folded, s, op), late_call(&mut live, s, op));
+                    compare(at, a, b, &folded, &live)?;
+                }
+                // The live row's instance settled iff the other row folded.
+                let Some(Row::Live(row)) = live.engine.slots.rows.get(ROUND) else {
+                    return Err("the live row folded".into());
+                };
+                tk_assert_eq!(
+                    settled(&folded),
+                    u64::from(row.instances[s.idx()].settled(n))
+                );
+                Ok(())
+            },
+        );
     }
 }

@@ -35,7 +35,10 @@
 //! The view an instance delivered stays in it until garbage collection, the
 //! one holder of that payload: an [`RbcEvent`] names the instance and its
 //! digest only, and the caller reads [`TribeRbc::payload`] or
-//! [`TribeRbc::meta_of`].
+//! [`TribeRbc::meta_of`]. Once every instance of a round has delivered and
+//! counted all `n` echoes for its certified digest, the round's row folds
+//! into records of [`TribeRbc::SETTLED_BYTES`] that keep the digest, the
+//! view and any cold part, their vote state implied.
 
 mod core;
 pub mod engine;

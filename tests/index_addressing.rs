@@ -1,7 +1,8 @@
 //! Pins on the index-addressed delivery path, measured with the counting
 //! allocator: a round or party number from the wire never sizes an
 //! allocation, and a benign broadcast instance costs a fixed handful of
-//! allocations — none at all once it is certified. The client ingress is
+//! allocations — none at all once it is certified — and a round whose
+//! every instance has settled folds its row in one. The client ingress is
 //! held to the same rule: a proposal cycle allocates per proposal, not per
 //! arrival, a synthetic proposal is four pool records, and a client id the
 //! table refuses allocates nothing.
@@ -445,8 +446,13 @@ struct Engine<'a> {
 
 impl Engine<'_> {
     fn handle(&mut self, from: usize, round: u64, msg: RbcMsg<BytesPayload>) {
+        self.handle_of(0, from, round, msg);
+    }
+
+    /// Delivers `msg` of `source`'s instance.
+    fn handle_of(&mut self, source: usize, from: usize, round: u64, msg: RbcMsg<BytesPayload>) {
         let packet = RbcPacket {
-            source: PartyId(0),
+            source: PartyId(source as u32),
             round: Round(round),
             msg,
         };
@@ -456,7 +462,18 @@ impl Engine<'_> {
     }
 
     fn echo(&self, from: usize, round: u64, digest: Digest) -> RbcMsg<BytesPayload> {
-        let statement = echo_statement(PartyId(0), Round(round), &digest);
+        self.echo_of(0, from, round, digest)
+    }
+
+    /// `from`'s echo of `digest` in `source`'s instance.
+    fn echo_of(
+        &self,
+        source: usize,
+        from: usize,
+        round: u64,
+        digest: Digest,
+    ) -> RbcMsg<BytesPayload> {
+        let statement = echo_statement(PartyId(source as u32), Round(round), &digest);
         let sig = self.auths[from].sign_digest(&statement);
         RbcMsg::Echo {
             digest,
@@ -562,6 +579,52 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
         assert_eq!(count - floor.0, 0, "allocations after certification");
         assert!(engine.ctx.take_outbox().is_empty() && engine.events.is_empty());
     }
+}
+
+#[test]
+fn folding_a_settled_row_allocates_one_block_and_frees_the_row() {
+    let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
+    let topology = Arc::new(ClanTopology::whole_tribe(TribeParams::new(N)));
+    let auths = auths(N);
+    let cost = CostModel::free();
+    let cfg = EngineConfig::new(PartyId(1), topology, cost);
+    let mut engine = Engine {
+        rbc: TribeRbc::signed(cfg, Arc::clone(&auths[1])),
+        auths,
+        ctx: Ctx::new(PartyId(1), Micros(1), &cost),
+        events: Vec::new(),
+    };
+    // Every source's VAL and all N echoes, but for the last source's last
+    // echo: each instance delivers at its quorum, and all but the last
+    // settle.
+    for source in 0..N {
+        let payload = BytesPayload::new(vec![source as u8; 512]);
+        let digest = payload.rbc_digest();
+        engine.handle_of(source, source, 1, RbcMsg::Val(payload));
+        for from in 0..N {
+            if (source, from) != (N - 1, N - 1) {
+                let echo = engine.echo_of(source, from, 1, digest);
+                engine.handle_of(source, from, 1, echo);
+            }
+        }
+        engine.ctx.take_outbox();
+        engine.events.clear();
+    }
+    assert_eq!(engine.rbc.buffer_stats().settled_rows, 0);
+    // The last echo settles the last instance, and with it the row: one
+    // block of N settled records, allocated, replaces the N live ones.
+    let digest = BytesPayload::new(vec![(N - 1) as u8; 512]).rbc_digest();
+    let echo = engine.echo_of(N - 1, N - 1, 1, digest);
+    let floor = window_floor(&mut engine);
+    let live = live_bytes();
+    let (count, bytes) = allocations_in(|| engine.handle_of(N - 1, N - 1, 1, echo));
+    let live = live_bytes() - live;
+    let settled = N * TribeRbc::<BytesPayload>::SETTLED_BYTES;
+    assert_eq!((count - floor.0, bytes - floor.1), (1, settled as u64));
+    let row = N * TribeRbc::<BytesPayload>::INSTANCE_BYTES;
+    assert_eq!(live, settled as i64 - row as i64, "live bytes");
+    assert_eq!(engine.rbc.buffer_stats().settled_rows, 1);
+    assert!(engine.ctx.take_outbox().is_empty() && engine.events.is_empty());
 }
 
 // --- the client ingress -----------------------------------------------------

@@ -77,11 +77,14 @@ fn full_pipeline_single_clan_with_committee_sized_clan() {
     assert!(strict_dishonest_majority_prob(n, f, nc) <= 0.2);
 
     // Nobody pulled, so once the run has drained no broadcast instance
-    // keeps a cold record: delivery dropped each one.
+    // keeps a cold record: delivery dropped each one. Every instance
+    // delivered and counted all n echoes, so every row settled and folded.
     for &p in &built.honest {
         let rbc = built.sim.node(p).rbc_buffers();
         assert_eq!((rbc.pending_pulls, rbc.pull_records), (0, 0), "{p}");
         assert_eq!(rbc.cold_records, 0, "cold records at {p}");
+        assert!(rbc.settled_rows > 0, "{p}");
+        assert_eq!(rbc.instances, rbc.settled_rows * n, "unsettled rows at {p}");
     }
 
     // Client acceptance: f_c+1 consistent state roots from the clan.
@@ -101,8 +104,9 @@ fn full_pipeline_single_clan_with_committee_sized_clan() {
 
 #[test]
 fn full_pipeline_multi_clan() {
-    let clans = partition_clans(9, 3, 5);
-    let mut spec = TribeSpec::new(9);
+    let n = 9;
+    let clans = partition_clans(n, 3, 5);
+    let mut spec = TribeSpec::new(n);
     spec.clans = Some(clans.clone());
     spec.txs_per_proposal = 40;
     spec.max_round = Some(8);
@@ -112,10 +116,17 @@ fn full_pipeline_multi_clan() {
     // so some parties start a pull and others serve one: the cold records
     // that outlive the run are exactly those instances' pull records.
     let mut pulled_or_served = 0;
+    // Those records sit in folded rows: every row settled here too.
     for &p in &built.honest {
         let rbc = built.sim.node(p).rbc_buffers();
         assert_eq!(rbc.pending_pulls, 0, "{p}");
         assert_eq!(rbc.cold_records, rbc.pull_records, "cold records at {p}");
+        assert!(rbc.settled_rows > 0, "{p}");
+        assert_eq!(
+            rbc.instances,
+            rbc.settled_rows * n as u64,
+            "unsettled rows at {p}"
+        );
         pulled_or_served += rbc.pull_records;
     }
     assert!(pulled_or_served > 0, "the run pulled nothing");
