@@ -164,13 +164,13 @@ mod tests {
         MergedPayload::new(vertex, block)
     }
 
-    /// Every party keeps an instance record per source and round (with a
-    /// slot for the view it delivers), and a cold part from the instance's
-    /// first use to its delivery: this byte budget, `n²` times per round, is
-    /// what bounds `n` (DESIGN.md). Once every instance of a round has
-    /// settled, its row keeps a settled record per source instead. A new
-    /// field in any of the three records is a conscious re-pin, not a
-    /// silent cost.
+    /// Every party keeps an instance's vote and kept records per source and
+    /// round (the kept one with a slot for the view it delivers), and a cold
+    /// part from the instance's first use to its delivery: this byte
+    /// budget, `n²` times per round, is what bounds `n` (DESIGN.md). Once
+    /// every instance of a round has settled, its row keeps the kept
+    /// records alone. A new field in any of the three records is a
+    /// conscious re-pin, not a silent cost.
     #[test]
     fn the_broadcast_records_of_a_merged_payload_keep_their_byte_budget() {
         assert_eq!(TribeRbc::<MergedPayload>::INSTANCE_BYTES, 168);

@@ -2,12 +2,13 @@
 //! per-instance state (custody of the payload and meta views, per-digest
 //! echo tracking, at-most-once delivery), the pull sub-protocol, and the one
 //! state machine that runs both of the paper's constructions. Instances
-//! live in rows of a [`RoundWindow`] whose base is the prune horizon. Once
-//! every instance of a round has settled — delivered, with all `n` echoes
-//! counted for the certified digest — its row folds into one exact-size
-//! block of smaller records that keep the certified digest, the delivered
-//! view and the cold part; the vote state is implied, and every later
-//! packet still goes through the same core and readers.
+//! live in rows of a [`RoundWindow`] whose base is the prune horizon, each
+//! row two blocks: what every instance keeps (the certified digest, the
+//! delivered view, the cold part) and what it votes with. Once every
+//! instance of a round has settled — delivered, with all `n` echoes counted
+//! for the certified digest — the row folds by freeing its vote block; the
+//! vote state is implied, and every later packet still goes through the
+//! same core and readers.
 //!
 //! A call queues what it sends, the pull-retry timers it arms and the CPU
 //! time it spends on the handler's [`Ctx`], and stamps its trace events
@@ -261,30 +262,45 @@ impl<P: TribePayload> Held<P> {
 type Shares = Vec<(usize, Signature)>;
 
 /// The hot state of one broadcast instance: all an echo reads and writes.
-/// One fixed-size record, stored inline in its round's row.
+/// One fixed-size record, stored in its round's vote block.
 struct Votes {
     /// Echoes for the first digest seen — the only one unless the source
     /// equivocates (further digests spill into [`Cold::spill`]).
     echoes: Tally,
-    /// The certified digest, once the source is in [`Row::certified`].
-    certified: Digest,
     /// Some packet for the instance was admitted: the slot is in use.
     touched: bool,
     /// The core's once-facts.
     once: Once,
 }
 
-/// 136 bytes whatever the tribe size — 144 with the pointer to the cold
-/// part, two cache lines and a quarter: 24 of them are the empty handle of
+/// 104 bytes whatever the tribe size: 24 of them are the empty handle of
 /// the voter set's heap part, which only a tribe beyond
 /// [`PartySet::INLINE`] fills. A test beside the consensus layer's payload
-/// pins its two records (`clanbft-consensus`, `payload.rs`).
-const _: () = assert!(std::mem::size_of::<Votes>() == 136);
+/// pins an instance's two records (`clanbft-consensus`, `payload.rs`).
+const _: () = assert!(std::mem::size_of::<Votes>() == 104);
+
+impl Votes {
+    fn unused() -> Votes {
+        Votes {
+            echoes: Tally::new(Digest::ZERO),
+            touched: false,
+            once: Once::default(),
+        }
+    }
+
+    /// Whether the instance has settled: it delivered, and its first echo
+    /// tally, the certified digest's, holds every party. No vote can change
+    /// its vote state from then on (see [`Slots::implied`]).
+    fn settled<P: TribePayload>(&self, kept: &Kept<P>, n: usize) -> bool {
+        let first = &self.echoes;
+        kept.delivered.is_some() && usize::from(first.total) == n && first.digest == kept.certified
+    }
+}
 
 /// What an echo after the first, or a duplicate certificate, never reads:
 /// custody of the views, signature shares, and two boxes a benign instance
 /// never opens. Each is created on first need. Delivery moves the delivered
-/// view out to [`Instance::delivered`] and drops the record, unless it
+/// view out to [`Kept::delivered`] and drops the record, unless it
 /// holds one of the boxes or the evidence flag; a pull served after
 /// delivery creates one again, with its boxed [`Pulls`] alone in use.
 struct Cold<P: TribePayload> {
@@ -351,128 +367,59 @@ impl<P: TribePayload> Cold<P> {
     }
 }
 
-/// State of one broadcast instance at one party, in a live row.
-struct Instance<P: TribePayload> {
-    votes: Votes,
-    cold: Option<Box<Cold<P>>>,
+/// What an instance keeps besides its vote state, in its round's kept
+/// block: all a reader asks of it, and all a settled instance holds.
+struct Kept<P: TribePayload> {
+    /// The certified digest, once the source is in [`Row::certified`].
+    certified: Digest,
     /// The view this party `r_deliver`ed, once it has: all a later message
     /// reads of the instance besides the certified digest.
     delivered: Option<View<P>>,
-}
-
-impl<P: TribePayload> Instance<P> {
-    fn unused() -> Instance<P> {
-        Instance {
-            votes: Votes {
-                echoes: Tally::new(Digest::ZERO),
-                certified: Digest::ZERO,
-                touched: false,
-                once: Once::default(),
-            },
-            cold: None,
-            delivered: None,
-        }
-    }
-
-    /// Whether the instance has settled: it delivered, and its first echo
-    /// tally, the certified digest's, holds every party. No vote can change
-    /// its vote state from then on (see [`Settled`]).
-    fn settled(&self, n: usize) -> bool {
-        let Votes {
-            echoes, certified, ..
-        } = &self.votes;
-        self.delivered.is_some() && usize::from(echoes.total) == n && echoes.digest == *certified
-    }
-
-    #[inline(always)]
-    fn lend(&mut self) -> Inst<'_, P> {
-        Inst {
-            votes: &mut self.votes,
-            cold: &mut self.cold,
-            delivered: &mut self.delivered,
-        }
-    }
-
-    fn shared(&self) -> InstRef<'_, P> {
-        InstRef::of(&self.votes, &self.cold, &self.delivered)
-    }
-}
-
-/// A settled instance as its folded row keeps it: what its record held
-/// besides the vote state, which settling fixed. Every party's echo of the
-/// certified digest is counted, so every clan member's; the echo quorum has
-/// fired, and the certificate (signed flavour) or READY (signature-free)
-/// has gone out ([`Once::settled`]). Any later vote is a duplicate, a
-/// certificate is dropped as one, and a vote for another digest counts in
-/// the spill box of [`Settled::cold`] as it would in the live record.
-struct Settled<P: TribePayload> {
-    certified: Digest,
-    /// Always `Some`: an instance settles once it has delivered.
-    delivered: Option<View<P>>,
-    /// The cold part the instance had, or creates later: a spill, a pull or
-    /// an evidence flag.
     cold: Option<Box<Cold<P>>>,
 }
 
-impl<P: TribePayload> Settled<P> {
-    fn of(inst: Instance<P>) -> Settled<P> {
-        Settled {
-            certified: inst.votes.certified,
-            delivered: inst.delivered,
-            cold: inst.cold,
+impl<P: TribePayload> Kept<P> {
+    fn unused() -> Kept<P> {
+        Kept {
+            certified: Digest::ZERO,
+            delivered: None,
+            cold: None,
         }
-    }
-
-    /// The instance, with `implied` made the vote state it implies.
-    #[inline(always)]
-    fn lend<'a>(&'a mut self, implied: &'a mut Votes, clan: &ClanInfo) -> Inst<'a, P> {
-        implied.certified = self.certified;
-        implied.echoes.settle(self.certified, clan);
-        Inst {
-            votes: implied,
-            cold: &mut self.cold,
-            delivered: &mut self.delivered,
-        }
-    }
-
-    fn shared(&self) -> InstRef<'_, P> {
-        InstRef {
-            certified: self.certified,
-            tallied: true,
-            cold: self.cold.as_deref(),
-            delivered: self.delivered.as_ref(),
-        }
-    }
-}
-
-/// One instance as a call sees it, wherever its row keeps it: a live
-/// record, or a settled one beside the vote state it implies.
-struct Inst<'a, P: TribePayload> {
-    votes: &'a mut Votes,
-    cold: &'a mut Option<Box<Cold<P>>>,
-    delivered: &'a mut Option<View<P>>,
-}
-
-impl<P: TribePayload> Inst<'_, P> {
-    fn shared(&self) -> InstRef<'_, P> {
-        InstRef::of(self.votes, self.cold, self.delivered)
-    }
-
-    fn cold(&mut self) -> &mut Cold<P> {
-        Cold::of(self.cold)
     }
 
     fn held(&self, which: Which) -> Option<&Held<P>> {
-        self.shared().held(which)
+        self.cold.as_deref().map(|cold| &cold.held[which as usize])
     }
 
+    /// The view of `which` this party holds, and its digest: once delivered
+    /// the delivered view (a payload also stands for its meta view), before
+    /// that the one in custody.
     fn view(&self, which: Which) -> Option<(&View<P>, Digest)> {
-        self.shared().view(which)
+        match &self.delivered {
+            Some(view) if which == Which::Meta || view.which() == which => {
+                Some((view, self.certified))
+            }
+            Some(_) => None,
+            None => self.held(which)?.view.as_ref().map(|(v, d)| (v, *d)),
+        }
+    }
+}
+
+/// One instance as a call sees it: its vote state, a settled one's lent
+/// from [`Slots::implied`], and what it keeps.
+struct Inst<'a, P: TribePayload> {
+    votes: &'a mut Votes,
+    kept: &'a mut Kept<P>,
+}
+
+impl<P: TribePayload> Inst<'_, P> {
+    fn cold(&mut self) -> &mut Cold<P> {
+        Cold::of(&mut self.kept.cold)
     }
 
     /// Echo tallies in first-seen order (one unless the source equivocates).
     fn echo_tallies(&self) -> impl Iterator<Item = &Tally> {
-        let spill = self.cold.iter().filter_map(|c| c.spill.as_deref());
+        let spill = self.kept.cold.iter().filter_map(|c| c.spill.as_deref());
         let spilled = spill.flat_map(|spill| &spill.echoes);
         std::iter::once(&self.votes.echoes)
             .filter(|first| first.total > 0)
@@ -493,7 +440,7 @@ impl<P: TribePayload> Inst<'_, P> {
     /// The shares collected behind each echo tally.
     fn shares_mut(&mut self) -> impl Iterator<Item = (Digest, &mut Shares)> {
         let first = self.votes.echoes.digest;
-        self.cold.iter_mut().flat_map(move |cold| {
+        self.kept.cold.iter_mut().flat_map(move |cold| {
             let Cold { shares, spill, .. } = &mut **cold;
             let spilled = spill.iter_mut().flat_map(|spill| &mut spill.echoes);
             let spilled = spilled.map(|(t, s)| (t.digest, s));
@@ -502,159 +449,141 @@ impl<P: TribePayload> Inst<'_, P> {
     }
 }
 
-/// One instance as the `&self` readers see it, wherever its row keeps it.
-struct InstRef<'a, P: TribePayload> {
-    /// The certified digest, read once the instance has delivered.
-    certified: Digest,
-    /// Whether the first echo tally counted anyone.
-    tallied: bool,
-    cold: Option<&'a Cold<P>>,
-    delivered: Option<&'a View<P>>,
-}
-
-impl<'a, P: TribePayload> InstRef<'a, P> {
-    fn of(
-        votes: &Votes,
-        cold: &'a Option<Box<Cold<P>>>,
-        delivered: &'a Option<View<P>>,
-    ) -> InstRef<'a, P> {
-        InstRef {
-            certified: votes.certified,
-            tallied: votes.echoes.total > 0,
-            cold: cold.as_deref(),
-            delivered: delivered.as_ref(),
-        }
-    }
-
-    fn held(&self, which: Which) -> Option<&'a Held<P>> {
-        self.cold.map(|cold| &cold.held[which as usize])
-    }
-
-    /// The view of `which` this party holds, and its digest: once delivered
-    /// the delivered view (a payload also stands for its meta view), before
-    /// that the one in custody.
-    fn view(&self, which: Which) -> Option<(&'a View<P>, Digest)> {
-        match self.delivered {
-            Some(view) if which == Which::Meta || view.which() == which => {
-                Some((view, self.certified))
-            }
-            Some(_) => None,
-            None => self.held(which)?.view.as_ref().map(|(v, d)| (v, *d)),
-        }
-    }
-
-    /// Adds the instance to `stats`.
-    fn count_into(&self, stats: &mut BufferStats) {
-        let spill = self.cold.and_then(|cold| cold.spill.as_deref());
-        let spilled = spill.map_or(0, |spill| spill.echoes.len());
-        let pulls = self.cold.and_then(|cold| cold.pulls.as_deref());
-        let pulling = pulls.is_some_and(|pulls| pulls.retry_armed);
-        stats.instances += 1;
-        stats.echo_digests += u64::from(self.tallied) + spilled as u64;
-        stats.pending_pulls += u64::from(pulling && self.delivered.is_none());
-        stats.cold_records += u64::from(self.cold.is_some());
-        stats.pull_records += u64::from(pulls.is_some());
-    }
-}
-
-/// One round's instances: live until every one of them has settled, then
-/// folded.
-enum Row<P: TribePayload> {
-    Live(Live<P>),
-    /// The settled instances, one per source, in an exact-size block: `n`
-    /// records of [`TribeRbc::SETTLED_BYTES`] where the live row kept `n` of
-    /// [`TribeRbc::INSTANCE_BYTES`]. Every source is certified.
-    Settled(Box<[Settled<P>]>),
-}
-
-/// A round's row while some instance in it has not settled.
-struct Live<P: TribePayload> {
-    /// Sources whose instance has a certified digest. The fact lives here,
-    /// not in the instance's record, because it is all a duplicate
-    /// certificate asks — `n − 1` of the `2n` deliveries of a signed
-    /// instance — and a row's worth of it stays in cache where `n` records
-    /// do not.
+/// One round's instances, in two blocks of `n` records each: what each
+/// keeps, and what each votes with. Both are empty while the round is
+/// untouched. Once every instance has settled the row folds: the vote
+/// block is freed, the kept block stays where it is, and each instance
+/// borrows the vote state settling implies ([`Slots::implied`]).
+struct Row<P: TribePayload> {
+    /// Sources whose instance has a certified digest: every one once the
+    /// row has folded. The fact lives here, not in the instance's record,
+    /// because it is all a duplicate certificate asks — `n − 1` of the `2n`
+    /// deliveries of a signed instance — and a row's worth of it stays in
+    /// cache where `n` records do not.
     certified: PartySet,
-    /// Per-source instances: none while the round is untouched, then `n`.
-    instances: Vec<Instance<P>>,
+    /// Per-source records of [`TribeRbc::SETTLED_BYTES`].
+    kept: Box<[Kept<P>]>,
+    /// Per-source vote state; empty once the row has folded.
+    votes: Box<[Votes]>,
 }
 
 impl<P: TribePayload> Default for Row<P> {
     fn default() -> Self {
-        Row::Live(Live {
+        Row {
             certified: PartySet::EMPTY,
-            instances: Vec::new(),
-        })
+            kept: Box::default(),
+            votes: Box::default(),
+        }
     }
 }
 
 impl<P: TribePayload> Row<P> {
-    /// The instances in use.
-    fn iter(&self) -> impl Iterator<Item = InstRef<'_, P>> {
-        let (live, settled) = match self {
-            Row::Live(row) => (&row.instances[..], &[][..]),
-            Row::Settled(row) => (&[][..], &row[..]),
-        };
-        let live = live.iter().filter(|inst| inst.votes.touched);
-        let live = live.map(Instance::shared);
-        live.chain(settled.iter().map(Settled::shared))
+    /// Whether every instance has settled and the vote block is gone.
+    fn folded(&self) -> bool {
+        self.votes.len() < self.kept.len()
     }
-}
 
-impl<P: TribePayload> Live<P> {
-    /// The instance of `source`, put to use, the row's `n` created first if
-    /// the round was untouched.
+    /// What `source`'s instance keeps, if it is in use.
+    fn get(&self, source: PartyId) -> Option<&Kept<P>> {
+        let kept = self.kept.get(source.idx())?;
+        let votes = self.votes.get(source.idx());
+        votes.map_or(true, |votes| votes.touched).then_some(kept)
+    }
+
+    /// Adds `source`'s instance to `stats` if it is in use.
+    fn count_into(&self, source: PartyId, stats: &mut BufferStats) {
+        let Some(kept) = self.get(source) else {
+            return;
+        };
+        let tallied = self
+            .votes
+            .get(source.idx())
+            .map_or(true, |v| v.echoes.total > 0);
+        let spill = kept.cold.as_ref().and_then(|cold| cold.spill.as_deref());
+        let spilled = spill.map_or(0, |spill| spill.echoes.len());
+        let pulls = kept.cold.as_ref().and_then(|cold| cold.pulls.as_deref());
+        let pulling = pulls.is_some_and(|pulls| pulls.retry_armed);
+        stats.instances += 1;
+        stats.echo_digests += u64::from(tallied) + spilled as u64;
+        stats.pending_pulls += u64::from(pulling && kept.delivered.is_none());
+        stats.cold_records += u64::from(kept.cold.is_some());
+        stats.pull_records += u64::from(pulls.is_some());
+    }
+
+    /// The instance of `source`, put to use, the row's two blocks created
+    /// first if the round was untouched.
     #[inline(always)]
-    fn touch(&mut self, source: PartyId, n: usize) -> &mut Instance<P> {
-        if self.instances.is_empty() {
-            self.instances.resize_with(n, Instance::unused);
+    fn touch<'a>(
+        &'a mut self,
+        source: PartyId,
+        n: usize,
+        implied: &'a mut Votes,
+        clan: &ClanInfo,
+    ) -> Inst<'a, P> {
+        if self.kept.is_empty() {
+            // The vote block first, so that the next row's, of the same
+            // size, can take the hole a fold leaves (peak RSS, CHANGES.md).
+            self.votes = (0..n).map(|_| Votes::unused()).collect();
+            self.kept = (0..n).map(|_| Kept::unused()).collect();
         }
-        let inst = &mut self.instances[source.idx()];
-        inst.votes.touched = true;
-        inst
+        self.lend(source, implied, clan)
+    }
+
+    /// `source`'s instance, put to use, in a row that holds it: its own
+    /// vote state, or in a folded row `implied`, made the one it implies.
+    #[inline(always)]
+    fn lend<'a>(
+        &'a mut self,
+        source: PartyId,
+        implied: &'a mut Votes,
+        clan: &ClanInfo,
+    ) -> Inst<'a, P> {
+        let kept = &mut self.kept[source.idx()];
+        let votes = match self.votes.get_mut(source.idx()) {
+            Some(votes) => {
+                votes.touched = true;
+                votes
+            }
+            None => {
+                implied.echoes.settle(kept.certified, clan);
+                implied
+            }
+        };
+        Inst { votes, kept }
     }
 }
 
 /// Instance storage addressed by index: a [`RoundWindow`] whose base is the
-/// prune horizon, each round a row of per-source instances held inline,
-/// folded once all of them have settled. A lookup is two bounds checks. What a far-future flood can allocate stays
-/// bounded by the admission window ([`TribeRbc::admit`] gates every
-/// creating access), and replayed old packets cannot recreate instances.
+/// prune horizon, each round a [`Row`]. A lookup is two bounds checks. What
+/// a far-future flood can allocate stays bounded by the admission window
+/// ([`TribeRbc::admit`] gates every creating access), and replayed old
+/// packets cannot recreate instances.
 struct Slots<P: TribePayload> {
     rows: RoundWindow<Row<P>>,
-    /// The vote state a settled instance implies, lent beside it: a
-    /// unanimous first tally (from the first fold on), whose digest and
-    /// clan count the lending sets, and the flavour's [`Once::settled`].
-    /// No vote changes it.
+    /// The vote state a settled instance implies, lent beside it in a
+    /// folded row: a unanimous first tally (from the first fold on), whose
+    /// digest and clan count the lending sets, and the flavour's
+    /// [`Once::settled`]. A later vote is a duplicate or, for another
+    /// digest, counts in [`Kept::cold`]'s spill box; none changes it.
     implied: Votes,
 }
 
 impl<P: TribePayload> Slots<P> {
-    fn get(&self, round: Round, source: PartyId) -> Option<InstRef<'_, P>> {
-        match self.rows.get(round)? {
-            Row::Live(row) => {
-                let inst = row.instances.get(source.idx());
-                inst.filter(|inst| inst.votes.touched).map(Instance::shared)
-            }
-            Row::Settled(row) => row.get(source.idx()).map(Settled::shared),
-        }
+    fn get(&self, round: Round, source: PartyId) -> Option<&Kept<P>> {
+        self.rows.get(round)?.get(source)
     }
 
     fn get_mut(&mut self, round: Round, source: PartyId, clan: &ClanInfo) -> Option<Inst<'_, P>> {
-        match self.rows.get_mut(round)? {
-            Row::Live(row) => {
-                let inst = row.instances.get_mut(source.idx());
-                inst.filter(|inst| inst.votes.touched).map(Instance::lend)
-            }
-            Row::Settled(row) => Some(row.get_mut(source.idx())?.lend(&mut self.implied, clan)),
-        }
+        let row = self.rows.get_mut(round)?;
+        row.get(source)?;
+        Some(row.lend(source, &mut self.implied, clan))
     }
 
     /// The instance for `(round, source)`, put to use if it was not; `clan`
-    /// is the source's clan in `round`. Always inlined, with the lending
-    /// it calls and [`Slots::is_certified`]: every echo comes through here,
-    /// and left to the compiler they cost `handle` about 3 % (alternating
-    /// in-process runs of the signed engine, n = 50).
+    /// is the source's clan in `round`. Always inlined, with the row's
+    /// touch and lending and [`Slots::is_certified`]: every echo comes
+    /// through here, and left to the compiler they cost `handle` about 3 %
+    /// (alternating in-process runs of the signed engine, n = 50).
     ///
     /// # Panics
     ///
@@ -662,65 +591,41 @@ impl<P: TribePayload> Slots<P> {
     /// the tribe — both excluded by [`TribeRbc::admit`].
     #[inline(always)]
     fn touch(&mut self, round: Round, source: PartyId, n: usize, clan: &ClanInfo) -> Inst<'_, P> {
-        match self.rows.touch(round).expect("below the window") {
-            Row::Live(row) => row.touch(source, n).lend(),
-            Row::Settled(row) => row[source.idx()].lend(&mut self.implied, clan),
-        }
+        let row = self.rows.touch(round).expect("below the window");
+        row.touch(source, n, &mut self.implied, clan)
     }
 
     /// Whether `(round, source)` has a certified digest: reads the row's
     /// set, not the instance.
     #[inline(always)]
     fn is_certified(&self, round: Round, source: PartyId) -> bool {
-        match self.rows.get(round) {
-            Some(Row::Live(row)) => row.certified.contains(source),
-            Some(Row::Settled(_)) => true,
-            None => false,
-        }
+        let row = self.rows.get(round);
+        row.is_some_and(|row| row.certified.contains(source))
     }
 
     /// The certified digest of `(round, source)`, if there is one.
     fn certified(&self, round: Round, source: PartyId) -> Option<Digest> {
-        match self.rows.get(round)? {
-            Row::Live(row) => row
-                .certified
-                .contains(source)
-                .then(|| row.instances[source.idx()].votes.certified),
-            Row::Settled(row) => Some(row.get(source.idx())?.certified),
-        }
+        let row = self.rows.get(round)?;
+        let certified = row.certified.contains(source);
+        certified.then(|| row.kept[source.idx()].certified)
     }
 
-    /// Certifies `digest` for `(round, source)`, putting the instance to
-    /// use; `false` if the instance already had a certified digest (which
-    /// stands).
-    fn certify(&mut self, round: Round, source: PartyId, n: usize, digest: Digest) -> bool {
-        let Row::Live(row) = self.rows.touch(round).expect("below the window") else {
-            return false;
-        };
-        let fresh = row.certified.insert(source);
-        let inst = row.touch(source, n);
-        if fresh {
-            inst.votes.certified = digest;
-        }
-        fresh
-    }
-
-    /// Folds `round`'s row if every instance in it has settled: one block of
-    /// `n` [`Settled`] records replaces the row.
+    /// Folds `round`'s row if every instance in it has settled: the vote
+    /// block is freed, and nothing is allocated or moved.
     fn fold(&mut self, round: Round, n: usize) {
         let Some(row) = self.rows.get_mut(round) else {
             return;
         };
-        let Row::Live(live) = row else {
-            return;
-        };
-        if !live.instances.iter().all(|inst| inst.settled(n)) {
+        let mut instances = row.votes.iter().zip(&row.kept[..]);
+        if row.votes.is_empty() || !instances.all(|(votes, kept)| votes.settled(kept, n)) {
             return;
         }
+        // Settled implies delivered, and delivered implies certified.
+        debug_assert_eq!(row.certified.count(), n);
         if self.implied.echoes.total == 0 {
             self.implied.echoes = Tally::unanimous(n);
         }
-        *row = Row::Settled(live.instances.drain(..).map(Settled::of).collect());
+        row.votes = Box::default();
     }
 }
 
@@ -853,20 +758,21 @@ pub struct TribeRbc<P: TribePayload> {
 }
 
 impl<P: TribePayload> TribeRbc<P> {
-    /// Bytes of an instance's record in its round's row, `n` per round.
-    pub const INSTANCE_BYTES: usize = std::mem::size_of::<Instance<P>>();
+    /// Bytes of an instance's two records in its round's row, `n` per
+    /// round: what it votes with and what it keeps.
+    pub const INSTANCE_BYTES: usize = std::mem::size_of::<Votes>() + std::mem::size_of::<Kept<P>>();
     /// Bytes of the cold part each instance in use allocates.
     pub const COLD_BYTES: usize = std::mem::size_of::<Cold<P>>();
-    /// Bytes of an instance's record in a settled round's folded row.
-    pub const SETTLED_BYTES: usize = std::mem::size_of::<Settled<P>>();
+    /// Bytes of an instance's record in a settled round's folded row: what
+    /// it keeps.
+    pub const SETTLED_BYTES: usize = std::mem::size_of::<Kept<P>>();
 
     fn new(cfg: EngineConfig, flavour: Flavour) -> TribeRbc<P> {
         let signed = matches!(flavour, Flavour::Signed { .. });
         let implied = Votes {
-            echoes: Tally::new(Digest::ZERO),
-            certified: Digest::ZERO,
             touched: true,
             once: Once::settled(signed),
+            ..Votes::unused()
         };
         TribeRbc {
             cfg,
@@ -931,9 +837,9 @@ impl<P: TribePayload> TribeRbc<P> {
     pub fn buffer_stats(&self) -> BufferStats {
         let mut stats = BufferStats::default();
         for (_, row) in self.slots.rows.iter() {
-            stats.settled_rows += u64::from(matches!(row, Row::Settled(_)));
-            for inst in row.iter() {
-                inst.count_into(&mut stats);
+            stats.settled_rows += u64::from(row.folded());
+            for source in (0..row.kept.len()).map(|i| PartyId(i as u32)) {
+                row.count_into(source, &mut stats);
             }
         }
         stats
@@ -951,7 +857,7 @@ impl<P: TribePayload> TribeRbc<P> {
     /// before delivery, for a party that delivered the meta view, and once
     /// garbage collection passed the round ([`TribeRbc::prune_below`]).
     pub fn payload(&self, round: Round, source: PartyId) -> Option<&P> {
-        match self.slots.get(round, source)?.delivered? {
+        match self.slots.get(round, source)?.delivered.as_ref()? {
             View::Full(payload) => Some(payload),
             View::Meta(_) => None,
         }
@@ -961,7 +867,7 @@ impl<P: TribePayload> TribeRbc<P> {
     pub fn delivered(&self, round: Round, source: PartyId) -> bool {
         self.slots
             .get(round, source)
-            .is_some_and(|inst| inst.delivered.is_some())
+            .is_some_and(|kept| kept.delivered.is_some())
     }
 
     /// Drops state for instances strictly below `round`, delivered views
@@ -1122,7 +1028,7 @@ impl<P: TribePayload> TribeRbc<P> {
     /// instance yet — and notes that now one has: the per-instance dedup in
     /// front of [`TribeRbc::record_evidence`].
     fn first_evidence(&mut self, round: Round, source: PartyId) -> bool {
-        let cold = Cold::of(self.instance(round, source).cold);
+        let cold = Cold::of(&mut self.instance(round, source).kept.cold);
         !std::mem::replace(&mut cold.evidence_logged, true)
     }
 
@@ -1259,9 +1165,9 @@ impl<P: TribePayload> TribeRbc<P> {
         let mut inst = self.instance(round, source);
         // Once delivered, the certified digest stands for every view: a
         // late copy is a duplicate or a conflict, never taken or echoed.
-        let held = match inst.delivered {
+        let held = match inst.kept.delivered {
             Some(_) => certified,
-            None => inst.held(which).and_then(Held::digest),
+            None => inst.kept.held(which).and_then(Held::digest),
         };
         if let Some(held) = held {
             if direct && held == digest {
@@ -1307,7 +1213,7 @@ impl<P: TribePayload> TribeRbc<P> {
         digest: Digest,
         ctx: &mut Ctx<'_, M>,
     ) {
-        let cold = Cold::of(self.instance(round, source).cold);
+        let cold = Cold::of(&mut self.instance(round, source).kept.cold);
         if cold.echoed.is_some() {
             return;
         }
@@ -1335,8 +1241,9 @@ impl<P: TribePayload> TribeRbc<P> {
         let (n, tribe) = (self.cfg.n(), self.cfg.topology.tribe());
         let clan = self.cfg.topology_at(round).clan_for_sender(source);
         let mut inst = self.slots.touch(round, source, n, clan);
-        let Inst { votes, cold, .. } = &mut inst;
+        let Inst { votes, kept } = &mut inst;
         let (first, once) = (&mut votes.echoes, &mut votes.once);
+        let cold = &mut kept.cold;
         let step = match self.flavour {
             Flavour::SignatureFree => {
                 core::signature_free(tribe, clan, first, once, || Cold::of(cold).spill(), vote)
@@ -1390,7 +1297,7 @@ impl<P: TribePayload> TribeRbc<P> {
             // on attribution strength per variant). The "first" digest is
             // what this party echoed or accepted, else the first one echoed
             // (an earlier split has recorded the instance's one record).
-            let delivered = inst.delivered.as_ref().map(|_| inst.votes.certified);
+            let delivered = inst.kept.delivered.as_ref().map(|_| inst.kept.certified);
             let cold = inst.cold();
             let first = cold
                 .echoed
@@ -1492,7 +1399,11 @@ impl<P: TribePayload> TribeRbc<P> {
             );
         }
         if step.echo_quorum {
-            let lacks_payload = self.instance(round, source).view(Which::Full).is_none();
+            let lacks_payload = self
+                .instance(round, source)
+                .kept
+                .view(Which::Full)
+                .is_none();
             self.trace(RbcPhase::EchoQuorum, round, source, ctx.now());
             if lacks_payload && self.my_view(round, source) == Which::Full {
                 // §5's early download: a clan member starts the pull at
@@ -1522,14 +1433,17 @@ impl<P: TribePayload> TribeRbc<P> {
         // Certification required a real quorum, so the round is
         // legitimately active: widen the admission window to it.
         self.note_round(round);
-        let n = self.cfg.n();
-        if !self.slots.certify(round, source, n, digest) {
+        // A certified digest stands.
+        let row = self.slots.rows.touch(round).expect("below the window");
+        if !row.certified.insert(source) {
             return;
         }
         let inst = self.instance(round, source);
+        inst.kept.certified = digest;
         // A direct copy from the source that disagrees with the digest the
         // tribe certified is attributable equivocation.
         let conflicting = inst
+            .kept
             .cold
             .iter()
             .flat_map(|cold| &cold.held)
@@ -1554,7 +1468,7 @@ impl<P: TribePayload> TribeRbc<P> {
         if !delivered {
             // View missing or (Byzantine sender) mismatched — discard a
             // mismatch and pull the certified one.
-            if let Some(cold) = &mut self.instance(round, source).cold {
+            if let Some(cold) = &mut self.instance(round, source).kept.cold {
                 cold.held[which as usize].view = None;
             }
             self.start_pull(round, source, digest, ctx);
@@ -1570,8 +1484,8 @@ impl<P: TribePayload> TribeRbc<P> {
         let certified = self.slots.certified(round, source);
         let n = self.cfg.n();
         let clan = self.cfg.topology_at(round).clan_for_sender(source);
-        let inst = self.slots.touch(round, source, n, clan);
-        let (Some(digest), None, Some(cold)) = (certified, &inst.delivered, &mut *inst.cold) else {
+        let Inst { votes, kept } = self.slots.touch(round, source, n, clan);
+        let (Some(digest), None, Some(cold)) = (certified, &kept.delivered, &mut kept.cold) else {
             return false;
         };
         let held = &mut cold.held[which as usize].view;
@@ -1581,7 +1495,7 @@ impl<P: TribePayload> TribeRbc<P> {
         // What a benign instance never opens keeps the record; the rest of
         // it has no reader now.
         if cold.pulls.is_none() && cold.spill.is_none() && !cold.evidence_logged {
-            *inst.cold = None;
+            kept.cold = None;
         }
         self.events.push(match which {
             Which::Full => RbcEvent::DeliverFull {
@@ -1595,8 +1509,8 @@ impl<P: TribePayload> TribeRbc<P> {
                 digest,
             },
         });
-        *inst.delivered = Some(view);
-        if usize::from(inst.votes.echoes.total) == n {
+        kept.delivered = Some(view);
+        if usize::from(votes.echoes.total) == n {
             self.slots.fold(round, n);
         }
         true
@@ -1619,6 +1533,7 @@ impl<P: TribePayload> TribeRbc<P> {
         let struck = self.struck.contains(source);
         let mut inst = self.instance(round, source);
         let direct = inst
+            .kept
             .cold
             .iter()
             .flat_map(|cold| &cold.held)
@@ -1669,12 +1584,14 @@ impl<P: TribePayload> TribeRbc<P> {
         }
     }
 
-    /// Serves a pull request if this party holds the matching view.
+    /// Serves a pull request if this party holds the matching view; a pull
+    /// it cannot answer is dropped, uncounted.
     ///
-    /// Rate limit: one *response* per peer, view and instance. The slot is
-    /// only burned when a response is actually sent — a pull that raced
-    /// ahead of the payload leaves the peer eligible for its one answer
-    /// later (otherwise retries could never succeed against slow holders).
+    /// Rate limit: one *response* per peer, view and instance; only a repeat
+    /// of a pull this party can answer is a duplicate. The slot is only
+    /// burned when a response is actually sent — a pull that raced ahead of
+    /// the payload leaves the peer eligible for its one answer later
+    /// (otherwise retries could never succeed against slow holders).
     fn serve_pull<M: Carries<P>>(
         &mut self,
         round: Round,
@@ -1685,14 +1602,18 @@ impl<P: TribePayload> TribeRbc<P> {
         ctx: &mut Ctx<'_, M>,
     ) {
         let mut inst = self.instance(round, source);
-        let pulls = inst.cold.as_ref().and_then(|cold| cold.pulls.as_deref());
+        let Some((view, _)) = inst.kept.view(which).filter(|(_, held)| *held == digest) else {
+            return;
+        };
+        let pulls = inst
+            .kept
+            .cold
+            .as_ref()
+            .and_then(|cold| cold.pulls.as_deref());
         if pulls.is_some_and(|pulls| pulls.served[which as usize].contains(from)) {
             self.cfg.telemetry.add(counters::REJECTED_DUPLICATE, 1);
             return;
         }
-        let Some((view, _)) = inst.view(which).filter(|(_, held)| *held == digest) else {
-            return;
-        };
         let response = match (view, which) {
             (View::Full(payload), Which::Full) => RbcMsg::PullResp(payload.clone()),
             (view, _) => RbcMsg::MetaResp(view.meta()),
@@ -1716,10 +1637,10 @@ impl<P: TribePayload> TribeRbc<P> {
         let certified = self.slots.certified(round, source);
         let clan = self.cfg.topology_at(round).clan_for_sender(source);
         let inst = self.slots.get_mut(round, source, clan);
-        let Some(inst) = inst.filter(|inst| inst.delivered.is_none()) else {
+        let Some(inst) = inst.filter(|inst| inst.kept.delivered.is_none()) else {
             return; // delivered: the chain dies
         };
-        let Cold { held, pulls, .. } = Cold::of(inst.cold);
+        let Cold { held, pulls, .. } = Cold::of(&mut inst.kept.cold);
         let pulls = pulls.get_or_insert_with(Box::default);
         if pulls.attempts >= MAX_PULL_ATTEMPTS {
             pulls.retry_armed = false;
@@ -1880,7 +1801,7 @@ mod tests {
     /// test; a dropped cold record holds no share.
     fn echo_state(rig: &mut Rig) -> (usize, usize) {
         let inst = rig.engine.instance(ROUND, SOURCE);
-        let shares = inst.cold.iter().flat_map(|cold| {
+        let shares = inst.kept.cold.iter().flat_map(|cold| {
             let spilled = cold.spill.iter().flat_map(|spill| &spill.echoes);
             std::iter::once(&cold.shares).chain(spilled.map(|(_, shares)| shares))
         });
@@ -2076,6 +1997,24 @@ mod tests {
         let other = Digest::of(b"other");
         assert!(answer(&mut r, 0, RbcMsg::Pull { digest: other }).is_empty());
         assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), 2);
+    }
+
+    #[test]
+    fn a_served_peer_pulling_another_digest_gets_nothing_and_counts_nothing() {
+        let mut r = delivered_rig();
+        let digest = payload().rbc_digest();
+        assert_eq!(feed(&mut r, 2, RbcMsg::Pull { digest }).out.len(), 1);
+        assert_eq!(feed(&mut r, 2, RbcMsg::PullMeta { digest }).out.len(), 1);
+        let counted = r.rec.counters();
+        let other = Digest::of(b"other");
+        for pull in [
+            RbcMsg::Pull { digest: other },
+            RbcMsg::PullMeta { digest: other },
+        ] {
+            let fx = feed(&mut r, 2, pull);
+            assert!(fx.out.is_empty() && fx.timers.is_empty() && fx.events.is_empty());
+        }
+        assert_eq!(r.rec.counters(), counted);
     }
 
     #[test]
@@ -2405,9 +2344,9 @@ mod tests {
         assert!(fx.out.is_empty() && fx.events.is_empty());
         let stats = r.engine.buffer_stats();
         assert_eq!((stats.settled_rows, stats.instances), (1, N as u64));
-        assert!(
-            matches!(r.engine.slots.rows.get(ROUND), Some(Row::Settled(row)) if row.len() == N)
-        );
+        let row = r.engine.slots.rows.get(ROUND).expect("the row");
+        assert!(row.folded() && row.votes.is_empty() && row.kept.len() == N);
+        assert!((0..N as u32).all(|s| r.engine.slots.is_certified(ROUND, PartyId(s))));
     }
 
     #[test]
@@ -2470,16 +2409,8 @@ mod tests {
         assert_eq!(answers(&mut r, 2, RbcMsg::PullMeta { digest }), 1);
         assert_eq!(answers(&mut r, 2, RbcMsg::PullMeta { digest }), 0);
         assert_eq!(answers(&mut r, 3, RbcMsg::Pull { digest }), 1);
-        assert_eq!(
-            answers(
-                &mut r,
-                0,
-                RbcMsg::Pull {
-                    digest: Digest::of(b"other")
-                }
-            ),
-            0
-        );
+        let other = Digest::of(b"other");
+        assert_eq!(answers(&mut r, 3, RbcMsg::Pull { digest: other }), 0);
         assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), dup + 2);
         let stats = r.engine.buffer_stats();
         assert_eq!((stats.settled_rows, stats.pull_records), (1, 1));
@@ -2560,8 +2491,8 @@ mod tests {
             .collect();
         let traces = r.rec.events().split_off(traces_before);
         let mut stats = BufferStats::default();
-        if let Some(inst) = r.engine.slots.get(ROUND, s) {
-            inst.count_into(&mut stats);
+        if let Some(row) = r.engine.slots.rows.get(ROUND) {
+            row.count_into(s, &mut stats);
         }
         let e = &r.engine;
         let payload = e.payload(ROUND, s).map(BytesPayload::rbc_digest);
@@ -2648,13 +2579,12 @@ mod tests {
                     compare(at, a, b, &folded, &live)?;
                 }
                 // The live row's instance settled iff the other row folded.
-                let Some(Row::Live(row)) = live.engine.slots.rows.get(ROUND) else {
+                let row = live.engine.slots.rows.get(ROUND);
+                let Some(row) = row.filter(|row| !row.folded()) else {
                     return Err("the live row folded".into());
                 };
-                tk_assert_eq!(
-                    settled(&folded),
-                    u64::from(row.instances[s.idx()].settled(n))
-                );
+                let (votes, kept) = (&row.votes[s.idx()], &row.kept[s.idx()]);
+                tk_assert_eq!(settled(&folded), u64::from(votes.settled(kept, n)));
                 Ok(())
             },
         );

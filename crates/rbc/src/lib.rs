@@ -35,10 +35,12 @@
 //! The view an instance delivered stays in it until garbage collection, the
 //! one holder of that payload: an [`RbcEvent`] names the instance and its
 //! digest only, and the caller reads [`TribeRbc::payload`] or
-//! [`TribeRbc::meta_of`]. Once every instance of a round has delivered and
-//! counted all `n` echoes for its certified digest, the round's row folds
-//! into records of [`TribeRbc::SETTLED_BYTES`] that keep the digest, the
-//! view and any cold part, their vote state implied.
+//! [`TribeRbc::meta_of`]. A round's row holds two blocks: what each
+//! instance keeps (the certified digest, the view and any cold part, in
+//! records of [`TribeRbc::SETTLED_BYTES`]) and what it votes with. Once
+//! every instance of the round has delivered and counted all `n` echoes
+//! for its certified digest, the row folds: the vote block is freed, the
+//! kept block stays in place, and the vote state is implied.
 
 mod core;
 pub mod engine;

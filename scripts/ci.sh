@@ -34,10 +34,10 @@ cargo test -q --offline
 echo "== the rbc crate's pure functions at 16x their property cases"
 # The threshold core and the pull planner's one rule (f_c + 1 peers not yet
 # asked, echoers first) are each held to a naive transcription by a testkit
-# property of 256 cases, and a folded settled row to the live row it
-# replaced: two engines fed the same packets for one instance, late ones of
-# every kind included, send, count and trace alike; this pass runs 4096
-# (~20 s).
+# property of 256 cases, and a settled row whose vote block was dropped to a
+# row that keeps it: two engines fed the same packets for one instance, late
+# ones of every kind included, send, count and trace alike; this pass runs
+# 4096 (~20 s).
 TESTKIT_CASES=4096 cargo test -q --offline -p clanbft-rbc --lib
 
 echo "== the pool's and the batch planner's properties at 4096 cases"

@@ -11,6 +11,7 @@ use clanbft_monitor::{AlertKind, Detector, HealthMonitor, MonitorConfig, Verdict
 use clanbft_sim::tribe::elect_clan;
 use clanbft_sim::{build_tribe, TribeSpec};
 use clanbft_simnet::net::Partition;
+use clanbft_simnet::BandwidthModel;
 use clanbft_telemetry::{counters, Event};
 use clanbft_types::{Encode, Micros, PartyId, Round, VertexRef};
 use common::run_judged;
@@ -173,6 +174,42 @@ fn asynchrony_with_crashes_combined() {
             built.sim.node(p).round()
         );
     }
+}
+/// Sailfish at n = 4 over a flat 1 MB/s uplink, a 500 ms round timeout and
+/// `txs_per_proposal` transactions per block, run for 120 s: what each
+/// honest party reached and committed, `(round, committed vertices)`.
+fn under_load(txs_per_proposal: u32) -> Vec<(Round, usize)> {
+    let mut spec = TribeSpec::new(4);
+    spec.txs_per_proposal = txs_per_proposal;
+    spec.bandwidth = BandwidthModel::flat(1.0e6);
+    spec.timeout = Micros::from_millis(500);
+    spec.max_round = Some(12);
+    let mut built = build_tribe(&spec);
+    built.sim.run_until(Micros::from_secs(120));
+    assert_agreement(&built);
+    let reached = |p| {
+        let node = built.sim.node(p);
+        (node.round(), node.committed_log.len())
+    };
+    built.honest.iter().map(|&p| reached(p)).collect()
+}
+
+/// The pacemaker stall, recorded as it stands: every round arms the same
+/// timeout, so once a block takes longer to disseminate than the timeout,
+/// every round ends by a timeout certificate before its leader's vertex is
+/// delivered, and nothing commits. At 2 500 transactions per proposal a
+/// block needs more than the 500 ms timeout on this uplink; at 250 it does
+/// not, and the same tribe commits. A timeout that backs off after a round
+/// left by a timeout certificate (ROADMAP item 1(b)) flips the first half.
+#[test]
+fn a_block_slower_than_the_round_timeout_stalls_every_commit() {
+    let stalled = under_load(2_500);
+    assert_eq!(stalled, vec![(Round(13), 0); 4], "2 500 tx/proposal");
+    let light = under_load(250);
+    assert!(
+        light.iter().all(|(_, committed)| *committed == 48),
+        "250 tx/proposal: {light:?}"
+    );
 }
 
 // --- crash/restart recovery matrix ---------------------------------------

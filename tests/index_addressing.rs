@@ -9,7 +9,7 @@
 
 use clanbft_consensus::messages::CommittedRec;
 use clanbft_consensus::{ConsensusMsg, MergedPayload, NodeConfig, SailfishNode};
-use clanbft_crypto::{Authenticator, Digest, Registry, Scheme, Signature};
+use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Registry, Scheme, Signature};
 use clanbft_mempool::{
     plan_batches, AdmitError, ClientId, ClientIngress, Lane, Mempool, MempoolConfig, PendingTx,
     SizerConfig, Submission, WorkloadSpec,
@@ -542,17 +542,19 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
             .expect("certificate formed");
         engine.events.clear();
         if round == 2 {
-            // The row, the cold part, the echo's signature, the share
+            // The row's two blocks (what its instances keep, what they
+            // vote with), the cold part, the echo's signature, the share
             // buffer and the certificate (sorted shares, signer set,
-            // signatures, the shared handle): 8, where a fresh event list
-            // per take made it 9, a packet buffer of the engine's own 10
-            // and a boxed instance with heap bit sets 20. Neither a pull
-            // record nor a spill box: 14 720 bytes. The row's 50 records
-            // each grew by the slot a delivered view is kept in (48 B for
-            // this payload); without it they made 12 320, and a cold part
-            // that held both boxes inline, and the event list, 12 904.
+            // signatures, the shared handle): 9. A row in one block made it
+            // 8, a fresh event list per take 9 more, a packet buffer of the
+            // engine's own 10 and a boxed instance with heap bit sets 20.
+            // Neither a pull record nor a spill box: 14 720 bytes, the same
+            // in one block or two. The row's 50 instances each grew by the
+            // slot a delivered view is kept in (48 B for this payload);
+            // without it they made 12 320, and a cold part that held both
+            // boxes inline, and the event list, 12 904.
             let made = (count - floor.0, bytes - floor.1);
-            assert_eq!(made, (8, 14_720), "(allocations, bytes)");
+            assert_eq!(made, (9, 14_720), "(allocations, bytes)");
             // What stays live once the instance has delivered: the row and
             // the certificate's 2 192 bytes. The share buffer went into the
             // certificate, and the cold part (256 B here) went at delivery.
@@ -582,7 +584,7 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
 }
 
 #[test]
-fn folding_a_settled_row_allocates_one_block_and_frees_the_row() {
+fn folding_a_settled_row_allocates_nothing_and_frees_the_vote_block() {
     let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
     let topology = Arc::new(ClanTopology::whole_tribe(TribeParams::new(N)));
     let auths = auths(N);
@@ -611,19 +613,48 @@ fn folding_a_settled_row_allocates_one_block_and_frees_the_row() {
         engine.events.clear();
     }
     assert_eq!(engine.rbc.buffer_stats().settled_rows, 0);
-    // The last echo settles the last instance, and with it the row: one
-    // block of N settled records, allocated, replaces the N live ones.
+    let payloads = |rbc: &TribeRbc<BytesPayload>| -> Vec<*const BytesPayload> {
+        let payload = |source| rbc.payload(Round(1), PartyId(source as u32));
+        (0..N)
+            .map(|s| payload(s).expect("delivered") as *const _)
+            .collect()
+    };
+    let before = payloads(&engine.rbc);
+    // The last echo settles the last instance, and with it the row: its
+    // vote block of N records is freed, and nothing is allocated.
     let digest = BytesPayload::new(vec![(N - 1) as u8; 512]).rbc_digest();
     let echo = engine.echo_of(N - 1, N - 1, 1, digest);
     let floor = window_floor(&mut engine);
     let live = live_bytes();
     let (count, bytes) = allocations_in(|| engine.handle_of(N - 1, N - 1, 1, echo));
     let live = live_bytes() - live;
-    let settled = N * TribeRbc::<BytesPayload>::SETTLED_BYTES;
-    assert_eq!((count - floor.0, bytes - floor.1), (1, settled as u64));
-    let row = N * TribeRbc::<BytesPayload>::INSTANCE_BYTES;
-    assert_eq!(live, settled as i64 - row as i64, "live bytes");
+    assert_eq!((count - floor.0, bytes - floor.1), (0, 0));
+    let votes = TribeRbc::<BytesPayload>::INSTANCE_BYTES - TribeRbc::<BytesPayload>::SETTLED_BYTES;
+    assert_eq!(live, -((N * votes) as i64), "live bytes");
     assert_eq!(engine.rbc.buffer_stats().settled_rows, 1);
+    assert!(engine.ctx.take_outbox().is_empty() && engine.events.is_empty());
+    // No record moved: every delivered payload reads at its old address.
+    assert_eq!(payloads(&engine.rbc), before);
+    // Every source reads as certified: a certificate for any of them is
+    // dropped on the row's certified set before it is verified.
+    for source in 0..N {
+        let payload = BytesPayload::new(vec![source as u8; 512]);
+        let statement = echo_statement(PartyId(source as u32), Round(1), &payload.rbc_digest());
+        let shares: Vec<_> = (0..N)
+            .map(|i| (i, engine.auths[i].sign_digest(&statement)))
+            .collect();
+        let cert = Arc::new(AggregateSignature::aggregate(N, &shares));
+        let msg = RbcMsg::EchoCert {
+            digest: payload.rbc_digest(),
+            cert,
+        };
+        let (count, _) = allocations_in(|| engine.handle_of(source, (source + 1) % N, 1, msg));
+        assert_eq!(
+            count - floor.0,
+            0,
+            "allocations of source {source}'s certificate"
+        );
+    }
     assert!(engine.ctx.take_outbox().is_empty() && engine.events.is_empty());
 }
 
