@@ -434,12 +434,12 @@ impl SailfishNode {
                 let (tcert, nvcert) = self
                     .rounds
                     .get(prev)
-                    .and_then(|state| state.certs.clone())
+                    .and_then(|state| state.certs.as_deref())
                     .expect("advanced without leader vertex implies certificates");
                 if self.schedule.is_leader(self.cfg.me, round) {
-                    nvc = Some(nvcert);
+                    nvc = Some(Box::new(nvcert.clone()));
                 }
-                tc = Some(tcert);
+                tc = Some(Box::new(tcert.clone()));
             }
             // Weak edges go only where these strong edges leave no path.
             weak_edges =
@@ -604,9 +604,9 @@ impl SailfishNode {
         // Missing leader edge needs justification: NVC for the next leader's
         // vertex, TC for everyone else's.
         if self.schedule.leader_vertex(vertex.round) == vertex.reference() {
-            self.justifies(vertex.nvc.as_ref(), prev, charge)
+            self.justifies(vertex.nvc.as_deref(), prev, charge)
         } else {
-            self.justifies(vertex.tc.as_ref(), prev, charge)
+            self.justifies(vertex.tc.as_deref(), prev, charge)
         }
     }
 
@@ -1202,17 +1202,17 @@ mod tests {
         let d = TimedOut::digest(Round(0));
         let pairs: Vec<_> = (0..3).map(|i| (i, auths[i].sign_digest(&d))).collect();
         let mut with_tc = missing.clone();
-        with_tc.tc = Some(TimeoutCert::new(Round(0), 4, &pairs));
+        with_tc.tc = Some(Box::new(TimeoutCert::new(Round(0), 4, &pairs)));
         assert!(node.validate_vertex(&with_tc, &mut fx));
         // A TC for the wrong round: rejected.
         let mut wrong_round = missing.clone();
         let d5 = TimedOut::digest(Round(5));
         let pairs5: Vec<_> = (0..3).map(|i| (i, auths[i].sign_digest(&d5))).collect();
-        wrong_round.tc = Some(TimeoutCert::new(Round(5), 4, &pairs5));
+        wrong_round.tc = Some(Box::new(TimeoutCert::new(Round(5), 4, &pairs5)));
         assert!(!node.validate_vertex(&wrong_round, &mut fx));
         // An undersized TC: rejected.
         let mut thin = missing.clone();
-        thin.tc = Some(TimeoutCert::new(Round(0), 4, &pairs[..2]));
+        thin.tc = Some(Box::new(TimeoutCert::new(Round(0), 4, &pairs[..2])));
         assert!(!node.validate_vertex(&thin, &mut fx));
     }
 
@@ -1241,7 +1241,7 @@ mod tests {
         let td = TimedOut::digest(Round(0));
         let tc_pairs: Vec<_> = (0..3).map(|i| (i, auths[i].sign_digest(&td))).collect();
         let mut with_tc_only = bare.clone();
-        with_tc_only.tc = Some(TimeoutCert::new(Round(0), 4, &tc_pairs));
+        with_tc_only.tc = Some(Box::new(TimeoutCert::new(Round(0), 4, &tc_pairs)));
         assert!(
             !node.validate_vertex(&with_tc_only, &mut fx),
             "a TC alone must not license the next leader"
@@ -1249,7 +1249,7 @@ mod tests {
         let nd = NoVote::digest(Round(0));
         let nvc_pairs: Vec<_> = (0..3).map(|i| (i, auths[i].sign_digest(&nd))).collect();
         let mut with_nvc = bare.clone();
-        with_nvc.nvc = Some(NoVoteCert::new(Round(0), 4, &nvc_pairs));
+        with_nvc.nvc = Some(Box::new(NoVoteCert::new(Round(0), 4, &nvc_pairs)));
         assert!(node.validate_vertex(&with_nvc, &mut fx));
     }
 

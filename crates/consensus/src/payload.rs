@@ -170,12 +170,18 @@ mod tests {
     /// budget, `n²` times per round, is what bounds `n` (DESIGN.md). Once
     /// every instance of a round has settled, its row keeps the kept
     /// records alone. A new field in any of the three records is a
-    /// conscious re-pin, not a silent cost.
+    /// conscious re-pin, not a silent cost. The cold part holds the share
+    /// fold of its first digest inline (64 B). Beside them, the two records
+    /// that would hold a certificate inline in nearly every instance: one
+    /// vertex per source and round, and one round state per round in the
+    /// window. Each keeps its certificates boxed (inline, 240 and 208 B).
     #[test]
     fn the_broadcast_records_of_a_merged_payload_keep_their_byte_budget() {
         assert_eq!(TribeRbc::<MergedPayload>::INSTANCE_BYTES, 168);
-        const { assert!(TribeRbc::<MergedPayload>::COLD_BYTES <= 208) };
+        const { assert!(TribeRbc::<MergedPayload>::COLD_BYTES <= 248) };
         const { assert!(TribeRbc::<MergedPayload>::SETTLED_BYTES <= 64) };
+        const { assert!(std::mem::size_of::<Vertex>() == 128) };
+        const { assert!(std::mem::size_of::<crate::trackers::RoundState>() <= 88) };
     }
 
     #[test]

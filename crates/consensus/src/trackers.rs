@@ -38,8 +38,9 @@ pub struct RoundState {
     timeout_sigs: Vec<(usize, Signature)>,
     /// `(signer, no_vote_sig)` pairs for the NVC, in arrival order.
     no_vote_sigs: Vec<(usize, Signature)>,
-    /// The certificates assembled from `2f+1` announcements.
-    pub certs: Option<(TimeoutCert, NoVoteCert)>,
+    /// The certificates assembled from `2f+1` announcements. Boxed: few
+    /// rounds form them, and inline they were most of every round's record.
+    pub certs: Option<Box<(TimeoutCert, NoVoteCert)>>,
     /// This node voted for the round's leader vertex.
     pub voted: bool,
     /// This node announced a timeout. It does one or the other, once: the
@@ -109,7 +110,7 @@ impl RoundState {
     pub fn form_certs(&mut self, round: Round, n: usize) {
         let tc = TimeoutCert::new(round, n, &self.timeout_sigs);
         let nvc = NoVoteCert::new(round, n, &self.no_vote_sigs);
-        self.certs = Some((tc, nvc));
+        self.certs = Some(Box::new((tc, nvc)));
     }
 }
 
@@ -181,7 +182,7 @@ mod tests {
         assert!(t.announced(PartyId(3)));
         assert!(!t.announced(PartyId(1)));
         t.form_certs(Round(2), 4);
-        let (tc, nvc) = t.certs.as_ref().unwrap();
+        let (tc, nvc) = t.certs.as_deref().unwrap();
         assert_eq!((tc.round, nvc.round), (Round(2), Round(2)));
         assert_eq!((tc.agg.count(), nvc.agg.count()), (2, 2));
     }

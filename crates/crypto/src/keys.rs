@@ -182,8 +182,14 @@ impl Registry {
         }
         match self.scheme {
             Scheme::Schnorr => schnorr::verify(&self.publics[signer].0, msg, sig),
-            Scheme::Keyed => keyed_sign(&self.keyed_secrets[signer], msg) == *sig,
+            Scheme::Keyed => self.expected(signer, msg) == Some(*sig),
         }
+    }
+
+    /// Party `signer`'s signature over `msg`, recomputed (what an aggregate
+    /// is checked against); `None` under [`Scheme::Schnorr`] or out of range.
+    pub fn expected(&self, signer: usize, msg: &[u8]) -> Option<Signature> {
+        self.keyed_secrets.get(signer).map(|sk| keyed_sign(sk, msg))
     }
 }
 
@@ -254,6 +260,8 @@ mod tests {
         assert!(reg.verify(2, b"block payload", &sig));
         assert!(!reg.verify(1, b"block payload", &sig));
         assert!(!reg.verify(2, b"other payload", &sig));
+        assert_eq!(reg.expected(2, b"block payload"), Some(sig));
+        assert_eq!(reg.expected(4, b"block payload"), None);
     }
 
     #[test]
@@ -263,6 +271,7 @@ mod tests {
         let sig = auths[0].sign_digest(&d);
         assert!(auths[1].verify_digest(0, &d, &sig));
         assert!(!reg.verify(2, d.as_bytes(), &sig));
+        assert_eq!(reg.expected(0, d.as_bytes()), None);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`schnorr`] — Schnorr signatures over secp256k1 (classic `(e, s)` form).
 //! * [`keys`] — key material, the [`Authenticator`] signing service and the
 //!   shared public-key [`Registry`].
-//! * [`multisig`] — bitmap-indexed aggregate certificates standing in for the
-//!   BLS multi-signatures used by the paper (see `DESIGN.md`, substitution 3).
+//! * [`multisig`] — a signer bitmap and one 64-byte fold, standing in for the
+//!   paper's BLS multi-signatures (see `DESIGN.md`, substitution 3).
 //! * [`bitmap`] — the compact signer bitmap itself.
 //! * [`prng`] — a deterministic SHA-256-CTR generator ([`ClanRng`]), the
 //!   workspace's only randomness source (see `DESIGN.md`, "Zero-dependency

@@ -6,9 +6,8 @@
 //!
 //! The `(e, s)` form avoids point decompression entirely — no square roots
 //! needed — at the cost of not supporting half-aggregation; aggregate
-//! certificates in this workspace are bitmap-indexed signature sets (see
-//! [`crate::multisig`]) whose *wire size* is charged at BLS rates by the
-//! network model.
+//! certificates in this workspace fold keyed-scheme signatures (see
+//! [`crate::multisig`]), and a Schnorr aggregate never verifies.
 //!
 //! Nonces are derived deterministically as `H(x ‖ m ‖ "nonce")`, in the
 //! spirit of RFC 6979.
@@ -20,6 +19,13 @@ use crate::scalar::Scalar;
 /// A 64-byte Schnorr signature: challenge `e` followed by response `s`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Signature(pub [u8; 64]);
+
+/// The empty fold of an aggregate ([`crate::multisig::fold`]).
+impl Default for Signature {
+    fn default() -> Signature {
+        Signature([0; 64])
+    }
+}
 
 impl Signature {
     /// Splits into `(e, s)` scalars.

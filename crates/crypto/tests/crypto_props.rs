@@ -1,6 +1,7 @@
 //! Property-based tests for the cryptographic substrate: 256-bit modular
-//! arithmetic cross-checked against `u128`, field/scalar algebra laws, and
-//! signature robustness against bit flips.
+//! arithmetic cross-checked against `u128`, field/scalar algebra laws,
+//! signature robustness against bit flips, and the all-or-nothing verdict of
+//! a folded aggregate.
 //!
 //! Runs on the in-tree `clanbft-testkit` harness; case counts match or
 //! exceed the original proptest configuration (48 cases per property).
@@ -8,11 +9,14 @@
 //! replays it exactly.
 
 use clanbft_crypto::field::Fe;
+use clanbft_crypto::keys::{Registry, Scheme};
 use clanbft_crypto::scalar::Scalar;
 use clanbft_crypto::schnorr;
 use clanbft_crypto::sha256::{compress_pair, compress_pair_scalar, sha256_scalar, Sha256};
 use clanbft_crypto::u256::{mod_add, mod_mul, mod_sub, U256};
+use clanbft_crypto::{AggregateSignature, Signature};
 use clanbft_testkit::{check, check_shrink, tk_assert, tk_assert_eq, Gen};
+use std::collections::BTreeSet;
 
 const CASES: u32 = 48;
 
@@ -220,6 +224,52 @@ fn schnorr_rejects_any_single_bit_flip() {
                 !schnorr::verify(&pk, msg, &sig),
                 "accepted after flipping byte {byte} bit {bit}"
             );
+            Ok(())
+        },
+    );
+}
+
+/// An aggregate of a random signer subset of a tribe of 1 to 64, with
+/// duplicates, verifies iff none of the contributions it folded was
+/// altered: the first of each signer's pairs. One pair may be altered — a
+/// folded one, or an ignored later duplicate. The aggregate counts each
+/// distinct signer once.
+#[test]
+fn an_aggregate_verifies_iff_no_folded_contribution_was_altered() {
+    check_shrink(
+        "an_aggregate_verifies_iff_no_folded_contribution_was_altered",
+        256,
+        |g| (g.u8(), g.vec(0, 48, |g| g.u8()), g.u8(), g.u8(), g.u8()),
+        |&(n, ref picks, alter, at, flip)| {
+            let n = 1 + usize::from(n) % 64;
+            let (registry, keypairs) = Registry::generate(Scheme::Keyed, n, 7);
+            let msg = b"echo statement";
+            let mut pairs: Vec<(usize, Signature)> = picks
+                .iter()
+                .map(|&p| usize::from(p) % n)
+                .map(|signer| (signer, keypairs[signer].sign(msg)))
+                .collect();
+            let first = |k: usize| pairs[..k].iter().all(|(s, _)| *s != pairs[k].0);
+            let (folded, ignored): (Vec<usize>, Vec<usize>) =
+                (0..pairs.len()).partition(|&k| first(k));
+            let targets = match alter % 3 {
+                0 => &[][..],
+                1 => &folded[..],
+                _ => &ignored[..],
+            };
+            let altered = (!targets.is_empty()).then(|| targets[usize::from(at) % targets.len()]);
+            if let Some(k) = altered {
+                pairs[k].1 .0[usize::from(flip) % 64] ^= 1 << (flip % 8);
+            }
+            let agg = AggregateSignature::aggregate(n, &pairs);
+            let distinct: BTreeSet<usize> = pairs.iter().map(|(s, _)| *s).collect();
+            tk_assert_eq!(agg.count(), distinct.len());
+            tk_assert!(
+                agg.signers.iter().eq(distinct.iter().copied()),
+                "signer set"
+            );
+            let spoiled = altered.is_some_and(|k| folded.contains(&k));
+            tk_assert_eq!(agg.verify(&registry, msg), !spoiled);
             Ok(())
         },
     );

@@ -68,7 +68,7 @@ impl Tally {
 
 /// The tallies an instance's hot record has no room for, kept in its cold
 /// part: echoes for the second and later digests, in first-seen order, each
-/// beside the `S` the engine keeps for it (the signed flavour's shares;
+/// beside the `S` the engine keeps for it (the signed flavour's share fold;
 /// made empty here and never read), and the readies.
 #[derive(Default)]
 pub(crate) struct Spill<S> {
@@ -117,9 +117,9 @@ pub(crate) enum Vote {
     Echo(PartyId, Digest),
     /// A READY from a party for a digest (Fig. 2 only).
     Ready(PartyId, Digest),
-    /// A received certificate (Fig. 3 only), reduced to its signers once
-    /// culprits are pruned: how many, and how many of them from the
-    /// source's clan.
+    /// A received certificate (Fig. 3 only), reduced to its signers: how
+    /// many, and how many of them from the source's clan (none if its fold
+    /// does not verify).
     Cert(usize, usize),
 }
 

@@ -20,8 +20,9 @@ use crate::core::{self, Count, Once, Spill, Step, Tally, Vote};
 use crate::payload::TribePayload;
 use crate::pull::plan_pull;
 use crate::topology::{ClanInfo, ClanTopology};
-use clanbft_crypto::multisig::AggregateVerdict;
-use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Hasher, Signature};
+use clanbft_crypto::{
+    multisig, AggregateSignature, Authenticator, Bitmap, Digest, Hasher, Signature,
+};
 use clanbft_simnet::cost::CostModel;
 use clanbft_simnet::protocol::{Ctx, Message};
 use clanbft_telemetry::{counters, Event, RbcPhase, Telemetry};
@@ -255,12 +256,6 @@ impl<P: TribePayload> Held<P> {
     }
 }
 
-/// Signed echoes awaiting certificate assembly (signed flavour). Taken by
-/// the certificate and not collected afterwards: once the instance has sent
-/// or accepted a certificate the shares have no reader (tallies keep
-/// counting late echoes).
-type Shares = Vec<(usize, Signature)>;
-
 /// The hot state of one broadcast instance: all an echo reads and writes.
 /// One fixed-size record, stored in its round's vote block.
 struct Votes {
@@ -298,7 +293,7 @@ impl Votes {
 }
 
 /// What an echo after the first, or a duplicate certificate, never reads:
-/// custody of the views, signature shares, and two boxes a benign instance
+/// custody of the views, the share fold, and two boxes a benign instance
 /// never opens. Each is created on first need. Delivery moves the delivered
 /// view out to [`Kept::delivered`] and drops the record, unless it
 /// holds one of the boxes or the evidence flag; a pull served after
@@ -309,11 +304,13 @@ struct Cold<P: TribePayload> {
     held: [Held<P>; 2],
     /// Digest this party echoed (first valid VAL/meta accepted).
     echoed: Option<Digest>,
-    /// Shares behind [`Votes::echoes`].
-    shares: Shares,
+    /// The signed echoes counted in [`Votes::echoes`] until certification,
+    /// folded into one ([`multisig::fold`]): with the tally's voters, the
+    /// certificate this party forms.
+    shares: Signature,
     /// The core's other tallies, created when it first asks: the echoes of
-    /// an equivocating source, with their shares, and the readies.
-    spill: Option<Box<Spill<Shares>>>,
+    /// an equivocating source, each with its share fold, and the readies.
+    spill: Option<Box<Spill<Signature>>>,
     /// Created by the first pull this party starts or serves.
     pulls: Option<Box<Pulls>>,
     /// Whether evidence against the source was already recorded here (one
@@ -350,7 +347,7 @@ impl<P: TribePayload> Cold<P> {
             Box::new(Cold {
                 held: [held(), held()],
                 echoed: None,
-                shares: Vec::new(),
+                shares: Signature::default(),
                 spill: None,
                 pulls: None,
                 evidence_logged: false,
@@ -358,7 +355,7 @@ impl<P: TribePayload> Cold<P> {
         })
     }
 
-    fn spill(&mut self) -> &mut Spill<Shares> {
+    fn spill(&mut self) -> &mut Spill<Signature> {
         self.spill.get_or_insert_with(Box::default)
     }
 
@@ -437,15 +434,18 @@ impl<P: TribePayload> Inst<'_, P> {
             .is_some_and(|set| set.voters.contains(party))
     }
 
-    /// The shares collected behind each echo tally.
-    fn shares_mut(&mut self) -> impl Iterator<Item = (Digest, &mut Shares)> {
-        let first = self.votes.echoes.digest;
-        self.kept.cold.iter_mut().flat_map(move |cold| {
-            let Cold { shares, spill, .. } = &mut **cold;
-            let spilled = spill.iter_mut().flat_map(|spill| &mut spill.echoes);
-            let spilled = spilled.map(|(t, s)| (t.digest, s));
-            std::iter::once((first, shares)).chain(spilled)
-        })
+    /// `digest`'s echo tally, if an echo for it was counted, and beside it
+    /// the fold of the signed echoes it counted.
+    fn shares(&mut self, digest: &Digest) -> Option<(&Tally, &mut Signature)> {
+        let cold = Cold::of(&mut self.kept.cold);
+        let first = &self.votes.echoes;
+        if first.total > 0 && first.digest == *digest {
+            return Some((first, &mut cold.shares));
+        }
+        let mut spilled = cold.spill.as_deref_mut()?.echoes.iter_mut();
+        spilled
+            .find(|(t, _)| t.digest == *digest)
+            .map(|(t, s)| (&*t, s))
     }
 }
 
@@ -725,14 +725,14 @@ enum Flavour {
     SignatureFree,
     /// Two rounds, signed, after Abraham et al.'s good-case-optimal RBC
     /// (paper Fig. 3): VAL → signed ECHO → echo certificate `EC_r(m)`. Per
-    /// the paper's implementation (§7), echo signatures are aggregated
-    /// without upfront verification; a receiver verifies the aggregate and,
-    /// on failure, identifies and excludes culprits before the core judges
-    /// what is left.
+    /// the paper's implementation (§7), echo signatures are aggregated as
+    /// they arrive, into one fold per digest; a receiver verifies a
+    /// certificate's fold whole and rejects it whole if it fails.
     Signed {
         auth: Arc<Authenticator>,
-        /// When false, certificate signature bytes are not actually checked
-        /// (their CPU cost is still charged, so no simulated number moves).
+        /// When false, echo shares and certificate folds are not actually
+        /// checked (their CPU cost is still charged, so no simulated number
+        /// moves); when true, each share is checked as it arrives.
         /// Off, a benign run saves about a fifth of its host time at
         /// n ≤ 50 (EXPERIMENTS.md, "What real signature verification
         /// costs"); correctness tests keep it on.
@@ -957,10 +957,22 @@ impl<P: TribePayload> TribeRbc<P> {
                     (Flavour::SignatureFree, _) => None,
                     // Unsigned echoes are not acceptable here.
                     (Flavour::Signed { .. }, None) => return,
-                    (Flavour::Signed { .. }, Some(sig)) => {
-                        // Aggregate without upfront verification (paper §7).
+                    (Flavour::Signed { auth, verify_sigs }, Some(sig)) => {
+                        // Aggregated as it arrives (paper §7), charged whether
+                        // or not it is checked. A certified instance folds no
+                        // share, so checks none; a bad share is dropped before
+                        // it is counted, so a certificate formed here verifies.
                         ctx.charge(self.cfg.cost.aggregate(1));
-                        Some(sig)
+                        let statement = || echo_statement(source, round, digest);
+                        let bad = || !auth.verify_digest(from.idx(), &statement(), sig);
+                        if self.slots.is_certified(round, source) {
+                            None
+                        } else if *verify_sigs && bad() {
+                            self.cfg.telemetry.add(counters::REJECTED_BAD_SIG, 1);
+                            return;
+                        } else {
+                            Some(sig)
+                        }
                     }
                 };
                 self.on_echo(round, source, from, *digest, share, ctx);
@@ -1256,8 +1268,9 @@ impl<P: TribePayload> TribeRbc<P> {
     }
 
     /// Counts an echo through the flavour's core — one visit to the
-    /// instance's record — keeps its share towards a certificate of this
-    /// party's own, and applies the step.
+    /// instance's record — folds its share (`sig`, unless the instance is
+    /// certified) towards a certificate of this party's own, and applies
+    /// the step.
     fn on_echo<M: Carries<P>>(
         &mut self,
         round: Round,
@@ -1267,29 +1280,15 @@ impl<P: TribePayload> TribeRbc<P> {
         sig: Option<&Signature>,
         ctx: &mut Ctx<'_, M>,
     ) {
-        // A certified signed instance has sent its certificate.
-        let keep_share = sig.is_some() && !self.slots.is_certified(round, source);
-        let (n, quorum) = (self.cfg.n(), self.cfg.topology.tribe().quorum());
+        let n = self.cfg.n();
         let (step, mut inst) = self.vote(round, source, Vote::Echo(from, digest));
         // The echo that completes the first tally may settle the instance.
         let full = usize::from(inst.votes.echoes.total) == n && step.count == Count::Counted;
         let counted = matches!(step.count, Count::Counted | Count::Split);
-        if let Some(sig) = sig.filter(|_| keep_share && counted) {
-            let first = inst.votes.echoes.digest;
-            let cold = inst.cold();
-            let shares = if digest == first {
-                Some(&mut cold.shares)
-            } else {
-                let mut spilled = cold.spill.iter_mut().flat_map(|spill| &mut spill.echoes);
-                spilled.find(|(t, _)| t.digest == digest).map(|(_, s)| s)
-            };
-            if let Some(shares) = shares {
-                if shares.capacity() == 0 {
-                    // A certificate needs `2f+1` shares and takes them all.
-                    shares.reserve_exact(quorum);
-                }
-                shares.push((from.idx(), *sig));
-            }
+        if let Some(sig) = sig.filter(|_| counted) {
+            // Counted once per voter: the tally guards the fold.
+            let (_, shares) = inst.shares(&digest).expect("a counted echo's tally");
+            multisig::fold(shares, sig);
         }
         if step.count == Count::Split {
             // A second digest behind one instance: the source is behind two
@@ -1317,8 +1316,8 @@ impl<P: TribePayload> TribeRbc<P> {
     }
 
     /// Verifies a received certificate's aggregate signature and hands the
-    /// core what is left of its signers once culprits are pruned: how many,
-    /// and how many of them from the source's clan. `None` in the
+    /// core its signers: how many, and how many of them from the source's
+    /// clan, or none if the fold does not verify. `None` in the
     /// signature-free flavour.
     fn validate_cert<M: Carries<P>>(
         &mut self,
@@ -1334,34 +1333,26 @@ impl<P: TribePayload> TribeRbc<P> {
         let clan = self.cfg.topology_at(round).clan_for_sender(source);
         ctx.charge(self.cfg.cost.agg_verify(cert.count()));
         let statement = echo_statement(source, round, &digest);
-        let verdict = verify_sigs.then(|| cert.verify(auth.registry(), statement.as_bytes()));
-        let culprits = match verdict {
-            Some(AggregateVerdict::Invalid(bad)) => {
-                // Blame path: individual verification to identify culprits
-                // (charged per paper's fallback).
-                ctx.charge(self.cfg.cost.sig_verify() * cert.count() as u32);
-                bad
-            }
-            Some(AggregateVerdict::Valid) | None => Vec::new(),
+        // All or nothing, as with BLS: a fold names no culprit.
+        let valid = !verify_sigs || cert.verify(auth.registry(), statement.as_bytes());
+        let in_clan = |i| clan.contains(PartyId(i as u32));
+        let vote = match valid {
+            true => Vote::Cert(cert.count(), cert.signers.count_matching(in_clan)),
+            false => Vote::Cert(0, 0),
         };
-        let signers = cert.signers.count_matching(|i| !culprits.contains(&i));
-        let in_clan = |i| !culprits.contains(&i) && clan.contains(PartyId(i as u32));
-        let vote = Vote::Cert(signers, cert.signers.count_matching(in_clan));
         // An admitted first certificate puts the slot to use, valid or not.
         let (step, _) = self.vote(round, source, vote);
-        // Each pruned contribution is an invalid signature from a known
-        // signer index; a cert that fails thresholds without identifiable
-        // culprits is simply malformed — still counted, never silent.
-        let bad = culprits.len() as u64 + u64::from(!step.certify && culprits.is_empty());
-        if bad > 0 {
-            self.cfg.telemetry.add(counters::REJECTED_BAD_SIG, bad);
+        // A bad fold, or too few signers: counted once, never silent.
+        if !step.certify {
+            self.cfg.telemetry.add(counters::REJECTED_BAD_SIG, 1);
         }
         Some(step)
     }
 
     /// Applies what a vote did to `digest`'s instance, in the one order
     /// both figures fire in: certificate, echo quorum, READY, certify. A
-    /// certificate step forwards `received`, or forms one from the shares.
+    /// certificate step forwards `received`, or forms one from the digest's
+    /// tally and share fold.
     fn apply<M: Carries<P>>(
         &mut self,
         round: Round,
@@ -1377,20 +1368,20 @@ impl<P: TribePayload> TribeRbc<P> {
             Count::Counted | Count::Split => {}
         }
         if step.send_cert {
-            let n = self.cfg.n();
-            let mut own = Vec::new();
-            for (of, shares) in self.instance(round, source).shares_mut() {
-                // A certificate of this party's own takes its digest's
-                // shares; all others are moot now.
-                let shares = std::mem::take(shares);
-                if of == digest {
-                    own = shares;
+            let cert = match received {
+                Some(cert) => Arc::clone(cert),
+                None => {
+                    // It fires once, at or before certification: the tally's
+                    // voters are exactly the signers folded.
+                    let mut signers = Bitmap::new(self.cfg.n());
+                    let mut inst = self.instance(round, source);
+                    let (tally, shares) = inst.shares(&digest).expect("an echo quorum");
+                    for voter in tally.voters.iter() {
+                        signers.set(voter.idx());
+                    }
+                    Arc::new(AggregateSignature::from_parts(signers, *shares))
                 }
-            }
-            let cert = received.map_or_else(
-                || Arc::new(AggregateSignature::aggregate(n, &own)),
-                Arc::clone,
-            );
+            };
             let me = self.cfg.me;
             let others = self.cfg.topology.tribe().parties().filter(|p| *p != me);
             ctx.multicast(
@@ -1797,18 +1788,32 @@ mod tests {
         run(rig, |engine, ctx| engine.on_retry(round, SOURCE, ctx))
     }
 
-    /// `(echoes counted, signature shares held)` for the instance under
-    /// test; a dropped cold record holds no share.
-    fn echo_state(rig: &mut Rig) -> (usize, usize) {
+    /// `(echoes counted, the first digest's share fold)` for the instance
+    /// under test; a dropped cold record holds no fold.
+    fn echo_state(rig: &mut Rig) -> (usize, Option<Signature>) {
         let inst = rig.engine.instance(ROUND, SOURCE);
-        let shares = inst.kept.cold.iter().flat_map(|cold| {
-            let spilled = cold.spill.iter().flat_map(|spill| &spill.echoes);
-            std::iter::once(&cold.shares).chain(spilled.map(|(_, shares)| shares))
-        });
         (
             inst.echo_tallies().map(|set| usize::from(set.total)).sum(),
-            shares.map(Vec::len).sum(),
+            inst.kept.cold.as_ref().map(|cold| cold.shares),
         )
+    }
+
+    /// The fold of `signers`' shares of the instance under test.
+    fn fold_of(rig: &Rig, signers: &[usize]) -> Signature {
+        let statement = echo_statement(SOURCE, ROUND, &payload().rbc_digest());
+        let pairs: Vec<_> = signers
+            .iter()
+            .map(|&i| (i, rig.auths[i].sign_digest(&statement)))
+            .collect();
+        AggregateSignature::aggregate(N, &pairs).fold
+    }
+
+    /// The certificate among what a call queued, if it sent one.
+    fn sent_cert(fx: &Queued) -> Option<Arc<AggregateSignature>> {
+        fx.out.iter().find_map(|(_, p)| match &p.msg {
+            RbcMsg::EchoCert { cert, .. } => Some(Arc::clone(cert)),
+            _ => None,
+        })
     }
 
     /// Whether the instance under test has a [`Pulls`] record and a
@@ -2176,41 +2181,40 @@ mod tests {
         feed(&mut r, 0, RbcMsg::Val(payload()));
         feed_echo(&mut r, 0);
         feed_echo(&mut r, 2);
-        assert_eq!(echo_state(&mut r), (2, 2), "shares are kept until quorum");
+        let held = Some(fold_of(&r, &[0, 2]));
+        assert_eq!(echo_state(&mut r), (2, held), "shares fold until quorum");
 
-        // Third echo: quorum of 3, the certificate is formed from the shares.
+        // Third echo: quorum of 3, the certificate is the tally's voters and
+        // the fold.
         let fx = feed_echo(&mut r, 1);
-        let cert = fx
-            .out
-            .iter()
-            .find_map(|(_, p)| match &p.msg {
-                RbcMsg::EchoCert { cert, .. } => Some(Arc::clone(cert)),
-                _ => None,
-            })
-            .expect("certificate formed at quorum");
-        assert_eq!(cert.count(), 3, "the certificate carries every share");
+        let cert = sent_cert(&fx).expect("certificate formed at quorum");
+        let signers: Vec<usize> = cert.signers.iter().collect();
+        assert_eq!(signers, [0, 1, 2], "the certificate names every share");
+        assert_eq!(cert.fold, fold_of(&r, &[0, 1, 2]));
+        let statement = echo_statement(SOURCE, ROUND, &payload().rbc_digest());
+        assert!(cert.verify(r.auths[1].registry(), statement.as_bytes()));
         assert_eq!(
             echo_state(&mut r),
-            (3, 0),
-            "no share outlives the certificate"
+            (3, None),
+            "the fold goes with the record that held it"
         );
-        assert_eq!(boxes(&r), None, "nor does the record that held them");
+        assert_eq!(boxes(&r), None);
 
-        // A late echo is still counted, its share is not stored; a duplicate
+        // A late echo is still counted, its share is not folded; a duplicate
         // of it is rejected and counted as before.
         feed_echo(&mut r, 3);
-        assert_eq!(echo_state(&mut r), (4, 0));
+        assert_eq!(echo_state(&mut r), (4, None));
         let dup_before = r.rec.counter(counters::REJECTED_DUPLICATE);
         let fx = feed_echo(&mut r, 3);
         assert!(fx.out.is_empty() && fx.events.is_empty());
-        assert_eq!(echo_state(&mut r), (4, 0));
+        assert_eq!(echo_state(&mut r), (4, None));
         assert_eq!(r.rec.counter(counters::REJECTED_DUPLICATE), dup_before + 1);
     }
 
     #[test]
     fn accepting_a_certificate_releases_the_shares_collected_so_far() {
-        // The donor reaches quorum first; the party under test holds two
-        // shares of its own when the donor's certificate arrives.
+        // The donor reaches quorum first; the party under test holds a fold
+        // of two shares of its own when the donor's certificate arrives.
         let mut donor = rig(2);
         feed(&mut donor, 0, RbcMsg::Val(payload()));
         feed_echo(&mut donor, 0);
@@ -2226,7 +2230,7 @@ mod tests {
         feed(&mut r, 0, RbcMsg::Val(payload()));
         feed_echo(&mut r, 0);
         feed_echo(&mut r, 3);
-        assert_eq!(echo_state(&mut r), (2, 2));
+        assert_eq!(echo_state(&mut r), (2, Some(fold_of(&r, &[0, 3]))));
         let fx = feed(&mut r, 2, cert);
         assert!(
             fx.events
@@ -2236,17 +2240,66 @@ mod tests {
         );
         assert_eq!(
             echo_state(&mut r),
-            (2, 0),
-            "accepted certificate frees shares"
+            (2, None),
+            "an accepted certificate frees the fold at delivery"
         );
         assert_eq!(boxes(&r), None);
 
         // Echoes past certification: counted, reaching quorum changes
-        // nothing (the certificate was already forwarded), nothing stored.
+        // nothing (the certificate was already forwarded), nothing folded.
         feed_echo(&mut r, 1);
         let fx = feed_echo(&mut r, 2);
         assert!(fx.out.is_empty() && fx.events.is_empty());
-        assert_eq!(echo_state(&mut r), (4, 0));
+        assert_eq!(echo_state(&mut r), (4, None));
+    }
+
+    #[test]
+    fn a_bad_share_is_dropped_on_arrival_and_the_certificate_verifies() {
+        let mut r = rig(1);
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        feed_echo(&mut r, 0);
+        // Party 2's echo carries its signature over another statement.
+        let digest = payload().rbc_digest();
+        let sig = Some(r.auths[2].sign_digest(&digest));
+        let fx = feed(&mut r, 2, RbcMsg::Echo { digest, sig });
+        assert!(fx.out.is_empty() && fx.events.is_empty());
+        assert_eq!(r.rec.counter(counters::REJECTED_BAD_SIG), 1);
+        assert_eq!(echo_state(&mut r), (1, Some(fold_of(&r, &[0]))));
+        // Its valid echo still counts, and the quorum's certificate holds.
+        feed_echo(&mut r, 2);
+        let cert = sent_cert(&feed_echo(&mut r, 3)).expect("certificate formed at quorum");
+        let statement = echo_statement(SOURCE, ROUND, &digest);
+        assert!(cert.verify(r.auths[1].registry(), statement.as_bytes()));
+        assert_eq!(cert.signers.iter().collect::<Vec<_>>(), [0, 2, 3]);
+        assert_eq!(r.rec.counter(counters::REJECTED_BAD_SIG), 1);
+    }
+
+    #[test]
+    fn a_certificate_with_a_bad_fold_is_rejected_whole_then_a_valid_one_certifies() {
+        let mut r = rig(3);
+        feed(&mut r, 0, RbcMsg::Val(payload()));
+        let digest = payload().rbc_digest();
+        let good = cert_of(&r, ROUND, SOURCE, N, digest);
+        // Every party listed, but one contribution signs another statement:
+        // the fold fails as a whole, quorum or not.
+        let statement = echo_statement(SOURCE, ROUND, &digest);
+        let mut shares: Vec<_> = (0..N)
+            .map(|i| (i, r.auths[i].sign_digest(&statement)))
+            .collect();
+        shares[1].1 = r.auths[1].sign_digest(&digest);
+        let cert = Arc::new(AggregateSignature::aggregate(N, &shares));
+        let fx = feed(&mut r, 2, RbcMsg::EchoCert { digest, cert });
+        assert!(fx.out.is_empty() && fx.events.is_empty());
+        assert_eq!(r.rec.counter(counters::REJECTED_BAD_SIG), 1, "counted once");
+        assert!(!r.engine.slots.is_certified(ROUND, SOURCE));
+        // The next valid certificate certifies, delivers and is forwarded.
+        let fx = feed(&mut r, 1, good);
+        assert!(fx
+            .events
+            .iter()
+            .any(|e| matches!(e, RbcEvent::DeliverFull { .. })));
+        assert_eq!(sent_cert(&fx).map(|cert| cert.count()), Some(N));
+        assert_eq!(r.rec.counter(counters::REJECTED_BAD_SIG), 1);
     }
 
     // --- settled rows -------------------------------------------------------

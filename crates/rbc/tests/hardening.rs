@@ -402,23 +402,12 @@ fn far_future_and_stale_rounds_are_rejected() {
 fn per_instance_digest_tracking_is_capped() {
     // An attacker echoing a fresh digest per message cannot grow one
     // instance without bound: beyond MAX_DIGESTS_PER_INSTANCE the echoes
-    // are dropped and counted, and the divergence is recorded once.
+    // are dropped and counted, and the divergence is recorded once. Each
+    // echo is validly signed, as a Byzantine echoer can sign anything: a
+    // junk signature is dropped on arrival, before any digest is tracked.
     let mut r = rig(4, 1);
-    let junk = || Some(Signature([9u8; 64]));
     for i in 0..(MAX_DIGESTS_PER_INSTANCE as u8 + 3) {
-        let digest = Digest::of(&[i]);
-        handle(
-            &mut r,
-            2,
-            packet(
-                0,
-                1,
-                RbcMsg::Echo {
-                    digest,
-                    sig: junk(),
-                },
-            ),
-        );
+        feed_echo_of(&mut r, 2, 1, Digest::of(&[i]));
     }
     assert_eq!(
         r.rec.counter(counters::REJECTED_BUFFER_FULL),
@@ -428,6 +417,11 @@ fn per_instance_digest_tracking_is_capped() {
     let ev = &r.evidence;
     assert_eq!(ev.len(), 1, "echo divergence is evidence, recorded once");
     assert_eq!(ev[0].culprit(), PartyId(0), "attributed to the source");
+    // A junk signature on yet another digest is dropped before the cap.
+    let (digest, sig) = (Digest::of(b"junk"), Some(Signature([9u8; 64])));
+    handle(&mut r, 2, packet(0, 1, RbcMsg::Echo { digest, sig }));
+    assert_eq!(r.rec.counter(counters::REJECTED_BAD_SIG), 1);
+    assert_eq!(r.rec.counter(counters::REJECTED_BUFFER_FULL), 3);
 }
 
 /// Feeds a correctly signed echo of `digest` from `signer`, for party 0's

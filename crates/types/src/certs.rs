@@ -13,7 +13,7 @@
 
 use crate::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use crate::ids::Round;
-use clanbft_crypto::{AggregateSignature, Digest, Hasher, Registry, Signature};
+use clanbft_crypto::{AggregateSignature, Bitmap, Digest, Hasher, Registry, Signature};
 use std::marker::PhantomData;
 
 /// What the signers of a [`RoundCert`] stated about its round: the marker
@@ -85,13 +85,11 @@ impl<S: Statement> RoundCert<S> {
 
 fn encode_agg(agg: &AggregateSignature, w: &mut Writer) {
     w.put_u32(agg.signers.capacity() as u32);
-    let pairs: Vec<(u32, clanbft_crypto::Signature)> =
-        agg.contributions().map(|(i, s)| (i as u32, s)).collect();
-    w.put_u32(pairs.len() as u32);
-    for (i, s) in pairs {
-        w.put_u32(i);
-        s.encode(w);
+    w.put_u32(agg.count() as u32);
+    for signer in agg.signers.iter() {
+        w.put_u32(signer as u32);
     }
+    agg.fold.encode(w);
 }
 
 /// Largest signer capacity a decoded certificate may claim. The capacity
@@ -105,23 +103,22 @@ fn decode_agg(r: &mut Reader<'_>) -> Result<AggregateSignature, DecodeError> {
         return Err(DecodeError::LengthOverflow(capacity as u64));
     }
     let count = r.get_len()?;
-    // Reserve for the pairs the input can still hold, 68 bytes each.
-    let mut pairs = Vec::with_capacity(count.min(r.remaining() / 68));
+    let mut signers = Bitmap::new(capacity);
     for _ in 0..count {
         let i = r.get_u32()? as usize;
         if i >= capacity {
             return Err(DecodeError::LengthOverflow(i as u64));
         }
-        let sig = Signature::decode(r)?;
-        pairs.push((i, sig));
+        signers.set(i);
     }
-    Ok(AggregateSignature::aggregate(capacity, &pairs))
+    let fold = Signature::decode(r)?;
+    Ok(AggregateSignature::from_parts(signers, fold))
 }
 
 // Certificates travel inside vertices. `encoded_len` charges the BLS-model
 // wire size (64-byte aggregate + signer bitmap + round) per the paper;
-// `encode`/`decode` carry the full signature set so certificates decoded
-// from the WAL or a checkpoint remain verifiable.
+// `encode`/`decode` carry the signer indices and the fold, so certificates
+// decoded from the WAL or a checkpoint remain verifiable.
 impl<S> Encode for RoundCert<S> {
     fn encode(&self, w: &mut Writer) {
         self.round.encode(w);
@@ -184,9 +181,11 @@ mod tests {
         assert_ne!(TimedOut::digest(Round(4)), TimedOut::digest(Round(5)));
     }
 
+    /// A certificate read back from the WAL or a checkpoint still verifies:
+    /// the encoding carries the signer indices and the fold.
     #[test]
     fn codec_roundtrip_preserves_signers() {
-        let (_, auths) = setup(7);
+        let (reg, auths) = setup(7);
         let round = Round(3);
         let d = TimedOut::digest(round);
         let pairs: Vec<_> = [0usize, 2, 5]
@@ -198,6 +197,10 @@ mod tests {
         assert_eq!(back.round, round);
         let signers: Vec<usize> = back.agg.signers.iter().collect();
         assert_eq!(signers, vec![0, 2, 5]);
+        assert_eq!(back.agg.fold, tc.agg.fold);
+        assert!(back.verify(&reg, 3));
+        // Capacity, signer count, three indices and the fold.
+        assert_eq!(tc.to_bytes().len(), 8 + 4 + 4 + 3 * 4 + 64);
     }
 
     #[test]

@@ -324,6 +324,21 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
+impl<T: Encode> Encode for Box<T> {
+    fn encode(&self, w: &mut Writer) {
+        (**self).encode(w);
+    }
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
+    }
+}
+
+impl<T: Decode> Decode for Box<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        T::decode(r).map(Box::new)
+    }
+}
+
 // --- crypto type impls -----------------------------------------------------
 
 impl Encode for clanbft_crypto::Digest {

@@ -65,10 +65,11 @@ pub struct Vertex {
     pub strong_edges: Vec<VertexRef>,
     /// References to older vertices not yet reachable from this one.
     pub weak_edges: Vec<VertexRef>,
-    /// No-vote certificate for `round − 1`, if any.
-    pub nvc: Option<NoVoteCert>,
+    /// No-vote certificate for `round − 1`, if any. Boxed, like `tc`: few
+    /// vertices carry one, and inline the pair would be most of a vertex.
+    pub nvc: Option<Box<NoVoteCert>>,
     /// Timeout certificate for `round − 1`, if any.
-    pub tc: Option<TimeoutCert>,
+    pub tc: Option<Box<TimeoutCert>>,
 }
 
 impl Vertex {
@@ -311,8 +312,8 @@ impl Decode for Vertex {
             block_tx_count: r.get_u64()?,
             strong_edges: Vec::<VertexRef>::decode(r)?,
             weak_edges: Vec::<VertexRef>::decode(r)?,
-            nvc: Option::<NoVoteCert>::decode(r)?,
-            tc: Option::<TimeoutCert>::decode(r)?,
+            nvc: Option::<Box<NoVoteCert>>::decode(r)?,
+            tc: Option::<Box<TimeoutCert>>::decode(r)?,
         })
     }
 }

@@ -58,6 +58,14 @@ echo "== the state-transfer agreement property at 4096 cases"
 TESTKIT_CASES=4096 cargo test -q --offline -p clanbft-consensus --lib -- \
     agree_matches_a_naive_transcription_of_the_tallies
 
+echo "== the aggregate-signature property at 4096 cases"
+# An aggregate is a signer bitmap and one folded signature: over a random
+# signer subset with duplicates, one contribution perhaps altered, it
+# verifies iff no contribution it folded was altered, and counts each
+# distinct signer once. 256 cases in tier-1; ~5 s here.
+TESTKIT_CASES=4096 cargo test -q --offline -p clanbft-crypto --test crypto_props -- \
+    an_aggregate_verifies_iff_no_folded_contribution_was_altered
+
 echo "== the README examples run to completion"
 # `cargo build` only compiles them; an example that panics fails here.
 for example in quickstart shared_sequencer tribe_rbc "clan_planner 150"; do

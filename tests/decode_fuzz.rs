@@ -142,8 +142,8 @@ fn vertex(g: &mut Gen) -> Vertex {
         block_tx_count: g.u64(),
         strong_edges: g.vec(0, 9, vertex_ref),
         weak_edges: g.vec(0, 3, vertex_ref),
-        nvc: g.bool().then(|| no_vote_cert(g)),
-        tc: g.bool().then(|| timeout_cert(g)),
+        nvc: g.bool().then(|| Box::new(no_vote_cert(g))),
+        tc: g.bool().then(|| Box::new(timeout_cert(g))),
     }
 }
 

@@ -541,7 +541,9 @@ fn host_path_is_invisible_to_the_simulation() {
 /// The crash/restart run was re-pinned once more when state transfer came
 /// to one reply per peer: six fewer messages move the seeded jitter after
 /// the restart, so commit times shift, and with the host-time field gone
-/// from its trace it is hashed like the others.
+/// from its trace it is hashed like the others. Its WAL bytes moved alone
+/// when a certificate came to carry one folded signature, not one per
+/// signer (37 965 bytes before).
 #[test]
 fn fault_paths_are_invisible_to_the_simulation_too() {
     assert_eq!(
@@ -625,7 +627,7 @@ fn fault_paths_are_invisible_to_the_simulation_too() {
                 ("rejected.duplicate", 6),
                 ("state_transfer.requests", 3),
                 ("wal.appends", 325),
-                ("wal.bytes", 37965),
+                ("wal.bytes", 35917),
                 ("wal.fsyncs", 333)
             ],
             trace: "c51641c7fbc4f1d5e0d890ef6497cf2c62958df910536e7c48e535c8ba9a331d".to_string()

@@ -543,26 +543,29 @@ fn a_benign_instance_costs_a_handful_of_allocations_and_none_once_certified() {
         engine.events.clear();
         if round == 2 {
             // The row's two blocks (what its instances keep, what they
-            // vote with), the cold part, the echo's signature, the share
-            // buffer and the certificate (sorted shares, signer set,
-            // signatures, the shared handle): 9. A row in one block made it
-            // 8, a fresh event list per take 9 more, a packet buffer of the
-            // engine's own 10 and a boxed instance with heap bit sets 20.
-            // Neither a pull record nor a spill box: 14 720 bytes, the same
-            // in one block or two. The row's 50 instances each grew by the
-            // slot a delivered view is kept in (48 B for this payload);
-            // without it they made 12 320, and a cold part that held both
-            // boxes inline, and the event list, 12 904.
+            // vote with), the cold part, the echo's signature and the
+            // certificate (signer set, shared handle): 6 of the engine's
+            // own, and 1 of the profiler's, whose scope table grows to eight
+            // nodes for the window's fifth, `crypto.verify` (each share is
+            // checked as it arrives; 6 and 10 048 bytes unchecked). Before
+            // the shares were folded in place, a 2 376-B share buffer and a
+            // certificate of sorted shares and signatures made it 9 and
+            // 14 720. A row in one block made it one fewer, a fresh event
+            // list per take 9 more, a packet buffer of the engine's own 10
+            // and a boxed instance with heap bit sets 20. Neither a pull
+            // record nor a spill box. The row's 50 instances each grew by
+            // the slot a delivered view is kept in (48 B for this payload).
             let made = (count - floor.0, bytes - floor.1);
-            assert_eq!(made, (9, 14_720), "(allocations, bytes)");
+            assert_eq!(made, (7, 10_688), "(allocations, bytes)");
             // What stays live once the instance has delivered: the row and
-            // the certificate's 2 192 bytes. The share buffer went into the
-            // certificate, and the cold part (256 B here) went at delivery.
-            // When it stayed, the window left 9 648 bytes live: a 7 200-B
-            // row, the certificate and the cold part.
+            // the certificate's 120 bytes (the handle's 112 and the signer
+            // set's 8; 2 192 when it held every signature). The fold went
+            // into the certificate, and the cold part (296 B here) went at
+            // delivery. When it stayed, the window left 9 648 bytes live: a
+            // 7 200-B row, the certificate and the cold part.
             assert_eq!(engine.rbc.buffer_stats().cold_records, 0);
             let row = N * TribeRbc::<BytesPayload>::INSTANCE_BYTES;
-            assert_eq!(live, (row + 2_192) as i64, "live bytes");
+            assert_eq!(live, (row + 120) as i64, "live bytes");
         }
         // Everything after certification — the remaining echoes and the 49
         // certificates the other parties forward — moves a bit or nothing.
